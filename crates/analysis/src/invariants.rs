@@ -15,15 +15,23 @@
 //!    back-to-back runs that reuse one arena across different scenarios
 //!    and shapes of dirt.
 //!
+//! A fourth driver, [`verify_raster_shortcuts`], holds the two places the
+//! serve path skips raster-proportional work against the definitions they
+//! shortcut: the bucketed Voronoi mosaic against an all-sites scan, and
+//! the span-bounded `StepContext::fitness_with` against the full-raster
+//! Jaccard of the same arrival map.
+//!
 //! The monotone-pop invariant inside the kernels themselves is asserted
 //! by `debug_assertions`-gated checks in `firelib::sim` (this PR's
 //! satellite), so every debug-mode run of these drivers doubles as a pop
 //! -order audit.
 
+use ess::fitness::StepContext;
 use firelib::{FireSim, Kernel, Scenario, Terrain};
-use landscape::{FireLine, Grid, UNIGNITED};
+use landscape::{jaccard_at_time, synth, FireLine, Grid, UNIGNITED};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Counters from one driver run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -169,6 +177,104 @@ pub fn verify_firelib(seed: u64, terrains: u64) -> Result<FirelibStats, String> 
     Ok(stats)
 }
 
+/// Counters from [`verify_raster_shortcuts`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShortcutStats {
+    /// Random mosaics compared cell by cell.
+    pub mosaics: u64,
+    /// Cells across those mosaics.
+    pub mosaic_cells: u64,
+    /// Span-bounded fitness values compared bit for bit.
+    pub fitness_evals: u64,
+}
+
+/// The two raster shortcuts of the serve path against their definitions,
+/// `rounds` random instances each.
+///
+/// *Mosaic*: `synth::voronoi_mosaic` (bucketed search) must give every
+/// cell the code of the site an all-sites scan picks — minimum
+/// `(r − sr)² + (c − sc)²`, first site on ties — over random shapes that
+/// include single-row and single-column rasters and more sites than cells.
+///
+/// *Fitness*: on a random landscape with random (unrelated) `from` and
+/// `target` lines, `StepContext::fitness_with` — seeded from the lit-cell
+/// list, scored over the arena's written spans — must equal
+/// `jaccard_at_time` over the whole raster of the map it left in the
+/// arena, for every kernel, on one arena that is reused dirty throughout.
+///
+/// # Errors
+/// A description of the first divergence, with the round that reproduces
+/// it.
+pub fn verify_raster_shortcuts(seed: u64, rounds: u64) -> Result<ShortcutStats, String> {
+    let mut stats = ShortcutStats::default();
+    for i in 0..rounds {
+        let mut rng = StdRng::seed_from_u64(seed ^ (i.wrapping_mul(0x9E3779B97F4A7C15)));
+
+        let (rows, cols) = match i % 4 {
+            0 => (1, rng.random_range(1..90usize)),
+            1 => (rng.random_range(1..90usize), 1),
+            _ => (rng.random_range(1..70usize), rng.random_range(1..70usize)),
+        };
+        let sites = rng.random_range(1..(2 * rows * cols + 2).min(160));
+        let codes: Vec<u8> = (0..rng.random_range(1..200u32)).map(|k| k as u8).collect();
+        let mosaic_seed = rng.random::<u64>();
+        let site_list = synth::mosaic_sites(rows, cols, sites, &codes, mosaic_seed);
+        let mosaic = synth::voronoi_mosaic(rows, cols, sites, &codes, mosaic_seed);
+        for ((r, c), &code) in mosaic.iter_cells() {
+            let mut best = (f64::INFINITY, 0u8);
+            for &(sr, sc, k) in &site_list {
+                let d = (r as f64 - sr) * (r as f64 - sr) + (c as f64 - sc) * (c as f64 - sc);
+                if d < best.0 {
+                    best = (d, k);
+                }
+            }
+            if code != best.1 {
+                return Err(format!(
+                    "round {i} (seed {seed}): {rows}x{cols} mosaic of {sites} sites gives \
+                     cell ({r},{c}) code {code}, the all-sites scan {}",
+                    best.1
+                ));
+            }
+        }
+        stats.mosaics += 1;
+        stats.mosaic_cells += (rows * cols) as u64;
+
+        let terrain = gen_terrain(&mut rng);
+        let (rows, cols) = (terrain.rows(), terrain.cols());
+        let sim = Arc::new(FireSim::new(terrain));
+        let mut arena = sim.arena();
+        for draw in 0..2 {
+            let from = gen_ignition(&mut rng, rows, cols);
+            let target =
+                FireLine::from_mask(Grid::from_fn(rows, cols, |_, _| rng.random_bool(0.3)));
+            let t0 = rng.random_range(0.0..30.0);
+            let t1 = t0 + rng.random_range(5.0..180.0);
+            let scenario = gen_scenario(&mut rng);
+            for kernel in [
+                Kernel::Bucket,
+                Kernel::Heap,
+                Kernel::Tiled {
+                    tile: 8,
+                    workers: 2,
+                },
+            ] {
+                let ctx = StepContext::new(Arc::clone(&sim), from.clone(), target.clone(), t0, t1)
+                    .with_kernel(kernel);
+                let spans = ctx.fitness_with(&scenario, &mut arena);
+                let full = jaccard_at_time(&target, arena.map(), t1, Some(&from));
+                if spans.to_bits() != full.to_bits() {
+                    return Err(format!(
+                        "round {i} draw {draw} (seed {seed}), {kernel}: span-bounded \
+                         fitness {spans} vs full-raster {full}"
+                    ));
+                }
+                stats.fitness_evals += 1;
+            }
+        }
+    }
+    Ok(stats)
+}
+
 /// Sweeps the spread math through extreme-but-valid corners on tiny
 /// uniform terrains: calm and hurricane winds, flat ground and near
 /// cliffs, bone-dry and past-extinction moistures. Every rate must be
@@ -232,6 +338,13 @@ mod tests {
     fn hostile_corners_stay_finite() {
         let stats = hostile_ros_sweep(0x5EED, 400).expect("rates stay sane");
         assert_eq!(stats.ros_samples, 400);
+    }
+
+    #[test]
+    fn raster_shortcuts_match_their_definitions() {
+        let stats = verify_raster_shortcuts(0x5EED, 16).expect("shortcuts are exact");
+        assert_eq!(stats.mosaics, 16);
+        assert_eq!(stats.fitness_evals, 16 * 2 * 3);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   structured-mutation fuzzing of the strict JSON parser, the protocol
 //!   envelopes and the serve loop, and randomized-landscape drivers for
 //!   the fire kernels (finite non-negative rates, in-horizon arrivals,
-//!   heap≡bucket bit-identity under arena reuse).
+//!   heap≡bucket bit-identity under arena reuse) and for the two raster
+//!   shortcuts of the serve path (bucketed Voronoi ≡ all-sites scan,
+//!   span-bounded fitness ≡ full-raster Jaccard).
 //! - [`audit`] (on top of the [`parse`] item parser and the
 //!   [`callgraph`] resolver) — the semantic workspace auditor behind
 //!   `harness audit`: the [`panics`] panic-path prover walks the call
@@ -71,6 +73,8 @@ pub struct VerifyReport {
     pub firelib: invariants::FirelibStats,
     /// Extreme-scenario sweep counters.
     pub hostile: invariants::FirelibStats,
+    /// Raster-shortcut differential counters.
+    pub shortcuts: invariants::ShortcutStats,
 }
 
 impl VerifyReport {
@@ -118,6 +122,13 @@ impl VerifyReport {
                     .field("cells", self.firelib.cells)
                     .field("hostile_samples", self.hostile.ros_samples),
             )
+            .field(
+                "raster_shortcuts",
+                Json::obj()
+                    .field("mosaics", self.shortcuts.mosaics)
+                    .field("mosaic_cells", self.shortcuts.mosaic_cells)
+                    .field("fitness_evals", self.shortcuts.fitness_evals),
+            )
     }
 }
 
@@ -138,6 +149,9 @@ pub struct VerifyBudget {
     pub terrains: u64,
     /// Extreme-scenario samples.
     pub hostile_samples: u64,
+    /// Raster-shortcut differential rounds (one mosaic and one landscape
+    /// each).
+    pub shortcut_rounds: u64,
 }
 
 impl VerifyBudget {
@@ -152,6 +166,7 @@ impl VerifyBudget {
             serve_lines: 400,
             terrains: 8,
             hostile_samples: 845,
+            shortcut_rounds: 24,
         }
     }
 
@@ -165,6 +180,7 @@ impl VerifyBudget {
             serve_lines: 1_000,
             terrains: 24,
             hostile_samples: 1_690,
+            shortcut_rounds: 96,
         }
     }
 }
@@ -186,5 +202,6 @@ pub fn verify_all(seed: u64, budget: VerifyBudget) -> Result<VerifyReport, Strin
     report.serve = fuzz::fuzz_serve_loop(seed ^ 0x2222, budget.serve_lines)?;
     report.firelib = invariants::verify_firelib(seed ^ 0x3333, budget.terrains)?;
     report.hostile = invariants::hostile_ros_sweep(seed ^ 0x4444, budget.hostile_samples)?;
+    report.shortcuts = invariants::verify_raster_shortcuts(seed ^ 0x5555, budget.shortcut_rounds)?;
     Ok(report)
 }

@@ -552,6 +552,11 @@ fn verify_main(args: &Args) -> ExitCode {
         "firelib: {} landscapes / {} cells bit-identical across kernels, {} hostile samples",
         report.firelib.terrains, report.firelib.cells, report.hostile.ros_samples
     );
+    println!(
+        "raster shortcuts: {} mosaics / {} cells match the all-sites scan, \
+         {} span-bounded fitness values match the full raster",
+        report.shortcuts.mosaics, report.shortcuts.mosaic_cells, report.shortcuts.fitness_evals
+    );
     let path = args.out.join("INVARIANTS.json");
     if let Some(parent) = path.parent() {
         let _ = std::fs::create_dir_all(parent);

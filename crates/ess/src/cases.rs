@@ -355,8 +355,10 @@ pub fn standard_cases() -> Vec<BurnCase> {
 
 /// Every case name resolvable through [`by_name`]: the hand-built library
 /// plus the generated workload corpus (standard tier and the XL landscape
-/// tier — the latter expand to megacell rasters, so resolving one builds a
-/// case measured in seconds, not milliseconds).
+/// tier — the latter expand to megacell rasters: a cold build takes tens
+/// to a few hundred milliseconds against a few for the rest, and keeps
+/// 6–22 MiB of rasters alive). The set is closed, which is what bounds
+/// the serving layer's case store.
 pub fn case_names() -> Vec<&'static str> {
     let mut names: Vec<&'static str> = LIBRARY.iter().map(|&(name, _)| name).collect();
     names.extend(firelib::workload::names());
@@ -364,9 +366,10 @@ pub fn case_names() -> Vec<&'static str> {
     names
 }
 
-/// Fetches one case by name — a hand-built library case or any named
+/// Builds one case by name — a hand-built library case or any named
 /// workload of the corpus (`ess::cases` is the single resolution point the
-/// harness, configs and examples go through).
+/// harness, configs and examples go through). Always a cold build: nothing
+/// is remembered between calls (the serving layer's store does that).
 pub fn by_name(name: &str) -> Option<BurnCase> {
     match LIBRARY.iter().find(|&&(n, _)| n == name) {
         Some((_, build)) => Some(build()),

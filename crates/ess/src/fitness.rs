@@ -8,8 +8,8 @@
 //! This is the `PEA F` block of Figs. 1 and 3 — the work the Workers do.
 
 use evoalg::{BatchEvaluator, GenomeMatrix};
-use firelib::{FireSim, Kernel, Scenario, ScenarioSpace, SimArena};
-use landscape::{jaccard_at_time, FireLine, IgnitionMap};
+use firelib::{FireSim, Kernel, LitCells, Scenario, ScenarioSpace, SimArena};
+use landscape::{jaccard_at_time, tally_ranges, FireLine, IgnitionMap};
 use parworker::Backend;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,6 +33,13 @@ pub struct StepContext {
     /// kernels are bit-identical, so this is purely a performance choice
     /// (e.g. [`Kernel::Tiled`] to put several cores on one XL simulation).
     kernel: Kernel,
+    /// The burned cells of `from`, listed once per step so an evaluation
+    /// seeds its run from the list instead of re-scanning the mask.
+    lit: LitCells,
+    /// Number of `target ∧ ¬from` cells — what Eq. (3) can hit or miss.
+    /// Lets an evaluation tally only the cells its run wrote: every such
+    /// cell elsewhere is a miss, and needs no visit to be counted.
+    target_new: usize,
 }
 
 impl StepContext {
@@ -51,6 +58,14 @@ impl StepContext {
             from.mask().same_shape(target.mask()),
             "interval endpoints shape mismatch"
         );
+        let lit = LitCells::from_line(&from);
+        let target_new = target
+            .mask()
+            .as_slice()
+            .iter()
+            .zip(from.mask().as_slice())
+            .filter(|&(&target, &from)| target && !from)
+            .count();
         Self {
             sim,
             from,
@@ -58,6 +73,8 @@ impl StepContext {
             t0,
             t1,
             kernel: Kernel::Bucket,
+            lit,
+            target_new,
         }
     }
 
@@ -106,18 +123,31 @@ impl StepContext {
 
     /// Simulates one scenario into the worker's private [`SimArena`] and
     /// returns its Eq. (3) fitness — the Workers' hot path. The arena is
-    /// reused across evaluations and the Jaccard score streams directly off
-    /// the arrival raster, so a steady-state evaluation allocates nothing.
+    /// reused across evaluations, so a steady-state evaluation allocates
+    /// nothing; and it costs what the fire costs, not what the raster
+    /// does: the run is seeded from the step's lit-cell list, and the score
+    /// is tallied over the cells the run wrote
+    /// ([`SimArena::written_ranges`]), with the misses outside them taken
+    /// from the step's `target ∧ ¬from` count. Bit-identical to
+    /// `jaccard_at_time(target, map, t1, Some(from))` on the same map.
+    // lint: no_alloc
     pub fn fitness_with(&self, scenario: &Scenario, arena: &mut SimArena) -> f64 {
-        let map = self.sim.simulate_arena_kernel(
+        self.sim.simulate_arena_seeded(
             scenario,
-            &self.from,
+            &self.lit,
             self.t0,
             self.duration(),
             arena,
             self.kernel,
         );
-        jaccard_at_time(&self.target, map, self.t1, Some(&self.from))
+        tally_ranges(
+            self.target.mask().as_slice(),
+            arena.map().grid().as_slice(),
+            |&arrival| arrival <= self.t1,
+            Some(self.from.mask().as_slice()),
+            arena.written_ranges(),
+        )
+        .index_with_real_total(self.target_new)
     }
 
     /// Output-map-reusing variant (kept for callers that hold a bare

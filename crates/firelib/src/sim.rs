@@ -424,6 +424,51 @@ impl Window {
     }
 }
 
+/// The burning cells of a fire line as ascending row-major indices — what a
+/// run is seeded from. Scanning a megacell mask for a few hundred lit cells
+/// costs more than a short burn, so a caller that evaluates many scenarios
+/// from one fire line builds this once (see
+/// [`FireSim::simulate_arena_seeded`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LitCells {
+    rows: usize,
+    cols: usize,
+    cells: Vec<u32>,
+}
+
+impl LitCells {
+    /// The burned cells of `line`.
+    pub fn from_line(line: &FireLine) -> Self {
+        let mut cells = Vec::new();
+        collect_lit(line, &mut cells);
+        Self {
+            rows: line.rows(),
+            cols: line.cols(),
+            cells,
+        }
+    }
+
+    /// The cell indices, ascending.
+    pub fn as_slice(&self) -> &[u32] {
+        &self.cells
+    }
+}
+
+/// Replaces `into` with the indices of the burned cells of `line`,
+/// ascending.
+fn collect_lit(line: &FireLine, into: &mut Vec<u32>) {
+    const BLOCK: usize = 64;
+    into.clear();
+    // Block by block: on a landscape raster nearly every block is unlit,
+    // and `contains` over a short slice compiles to a few vector compares.
+    for (b, block) in line.mask().as_slice().chunks(BLOCK).enumerate() {
+        if block.contains(&true) {
+            let lit = block.iter().enumerate().filter(|&(_, &lit)| lit);
+            into.extend(lit.map(|(i, _)| (b * BLOCK + i) as u32));
+        }
+    }
+}
+
 /// Which cells of the arena's arrival raster may differ from `UNIGNITED`
 /// after the previous run — the next run resets exactly this set instead
 /// of the whole raster.
@@ -470,6 +515,15 @@ fn reset_raster(
     }
     stray.clear();
     *dirty = Dirty::Clean;
+}
+
+/// Leaves each out-of-window cell of a finished run listed once (a cell
+/// relaxed twice was pushed twice), so the stray list is a set of disjoint
+/// single-cell ranges for [`SimArena::written_ranges`].
+// lint: no_alloc
+fn dedup_strays(stray: &mut Vec<u32>) {
+    stray.sort_unstable();
+    stray.dedup();
 }
 
 /// One tile's share of a tiled-kernel epoch drain: relaxes the tile's pops
@@ -571,6 +625,9 @@ pub struct SimArena {
     heap: BinaryHeap<(Reverse<Time>, u32)>,
     /// Bucket-kernel frontier.
     queue: BucketQueue,
+    /// Lit cells of the current run's initial fire line, when the run was
+    /// handed a mask rather than a [`LitCells`] (index scratch).
+    lit: Vec<u32>,
     /// Burnable ignition cells of the current run (index scratch).
     seeds: Vec<u32>,
     /// Per-window-row dirty column spans of the last bucket run
@@ -578,7 +635,8 @@ pub struct SimArena {
     span_lo: Vec<u32>,
     span_hi: Vec<u32>,
     /// Cells written outside the active window (possible only through
-    /// floating-point slack in the spread-rate bound; reset individually).
+    /// floating-point slack in the spread-rate bound; reset individually),
+    /// each listed once when a run returns.
     stray: Vec<u32>,
     /// What the next run must reset before writing.
     dirty: Dirty,
@@ -686,6 +744,7 @@ impl SimArena {
             per_fuel: [[0.0; 8]; 14],
             heap: BinaryHeap::new(),
             queue: BucketQueue::default(),
+            lit: Vec::new(),
             seeds: Vec::new(),
             span_lo: Vec::new(),
             span_hi: Vec::new(),
@@ -722,6 +781,33 @@ impl SimArena {
             .expect("SimArena::map: no simulation has run in this arena yet")
     }
 
+    /// The index ranges of [`SimArena::map`] the last run may have written:
+    /// disjoint, and every cell outside them holds `UNIGNITED`. After a
+    /// bucket or tiled run these are the per-row spans of the active-front
+    /// window plus any stray cells beyond it, so a consumer that only cares
+    /// about ignited cells (Eq. (3) scoring) pays for the fire, not the
+    /// raster; after a reference-kernel run, which tracks nothing, the one
+    /// range is the whole raster.
+    // lint: no_alloc
+    pub fn written_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let cols = self.cols;
+        let (whole, r0, span_rows, strays) = match self.dirty {
+            Dirty::Clean => (None, 0, 0, &[][..]),
+            Dirty::All => (Some(0..self.rows * cols), 0, 0, &[][..]),
+            Dirty::Spans { r0, rows } => (None, r0, rows, &self.stray[..]),
+        };
+        let spans = self.span_lo.iter().zip(&self.span_hi).take(span_rows);
+        whole
+            .into_iter()
+            .chain(spans.enumerate().filter(|(_, (lo, hi))| lo <= hi).map(
+                move |(i, (&lo, &hi))| {
+                    let off = (r0 + i) * cols;
+                    off + lo as usize..off + hi as usize + 1
+                },
+            ))
+            .chain(strays.iter().map(|&s| s as usize..s as usize + 1))
+    }
+
     /// Current capacity of the per-cell spread cache (allocation tracking
     /// for the zero-allocation property tests).
     pub fn spread_capacity(&self) -> usize {
@@ -754,6 +840,7 @@ impl SimArena {
             + (self.span_lo.capacity()
                 + self.span_hi.capacity()
                 + self.stray.capacity()
+                + self.lit.capacity()
                 + self.seeds.capacity())
                 * size_of::<u32>()
             + self.tiles.capacity() * size_of::<TileScratch>()
@@ -1427,9 +1514,10 @@ impl FireSim {
         let mut spread = SpreadScratch::default();
         let mut per_fuel = [[0.0; 8]; 14];
         let mut heap = BinaryHeap::new();
+        self.check_shape("initial fire line", initial.rows(), initial.cols());
         self.run_dijkstra(
             scenario,
-            initial,
+            LitCells::from_line(initial).as_slice(),
             t0,
             duration,
             &mut spread,
@@ -1473,16 +1561,63 @@ impl FireSim {
         arena: &'a mut SimArena,
         kernel: Kernel,
     ) -> &'a IgnitionMap {
-        let (rows, cols) = (arena.rows, arena.cols);
+        self.check_shape("initial fire line", initial.rows(), initial.cols());
+        // The scan lands in arena scratch (the arena is lent to the run, so
+        // the list leaves it for the duration).
+        let mut lit = std::mem::take(&mut arena.lit);
+        collect_lit(initial, &mut lit);
+        self.run_kernel(scenario, &lit, t0, duration, arena, kernel);
+        arena.lit = lit;
+        arena.map()
+    }
+
+    /// [`FireSim::simulate_arena_kernel`] from a precomputed [`LitCells`]:
+    /// the same run, minus the scan of the initial mask — the entry point
+    /// for evaluating many scenarios from one fire line, where that scan
+    /// (raster-proportional) would otherwise be paid per scenario.
+    ///
+    /// # Panics
+    /// As [`FireSim::simulate_arena`], with `lit` in place of `initial`.
+    // lint: no_alloc
+    pub fn simulate_arena_seeded<'a>(
+        &self,
+        scenario: &Scenario,
+        lit: &LitCells,
+        t0: f64,
+        duration: f64,
+        arena: &'a mut SimArena,
+        kernel: Kernel,
+    ) -> &'a IgnitionMap {
+        self.check_shape("lit cells", lit.rows, lit.cols);
+        self.run_kernel(scenario, lit.as_slice(), t0, duration, arena, kernel);
+        arena.map()
+    }
+
+    fn check_shape(&self, what: &str, rows: usize, cols: usize) {
         assert_eq!(
             (rows, cols),
             (self.terrain.rows(), self.terrain.cols()),
-            "arena shape mismatch"
+            "{what} shape mismatch"
         );
+    }
+
+    /// One run of `kernel` from the lit cells `lit` into `arena`.
+    // lint: no_alloc
+    fn run_kernel(
+        &self,
+        scenario: &Scenario,
+        lit: &[u32],
+        t0: f64,
+        duration: f64,
+        arena: &mut SimArena,
+        kernel: Kernel,
+    ) {
+        let (rows, cols) = (arena.rows, arena.cols);
+        self.check_shape("arena", rows, cols);
         match kernel {
-            Kernel::Bucket => self.run_bucket(scenario, initial, t0, duration, arena),
+            Kernel::Bucket => self.run_bucket(scenario, lit, t0, duration, arena),
             Kernel::Tiled { tile, workers } => {
-                self.run_tiled(scenario, initial, t0, duration, arena, tile, workers)
+                self.run_tiled(scenario, lit, t0, duration, arena, tile, workers)
             }
             Kernel::Heap => {
                 let SimArena {
@@ -1494,13 +1629,12 @@ impl FireSim {
                     ..
                 } = arena;
                 let out = out.get_or_insert_with(|| IgnitionMap::unignited(rows, cols));
-                self.run_dijkstra(scenario, initial, t0, duration, spread, per_fuel, heap, out);
+                self.run_dijkstra(scenario, lit, t0, duration, spread, per_fuel, heap, out);
                 // The reference kernel writes through a full clear; the
                 // next bucket run must not assume span-bounded dirt.
                 *dirty = Dirty::All;
             }
         }
-        arena.map()
     }
 
     /// The reference Dijkstra minimum-travel-time sweep over reusable
@@ -1512,7 +1646,7 @@ impl FireSim {
     fn run_dijkstra(
         &self,
         scenario: &Scenario,
-        initial: &FireLine,
+        lit: &[u32],
         t0: f64,
         duration: f64,
         spread: &mut SpreadScratch,
@@ -1522,11 +1656,6 @@ impl FireSim {
     ) {
         let rows = self.terrain.rows();
         let cols = self.terrain.cols();
-        assert_eq!(
-            (initial.rows(), initial.cols()),
-            (rows, cols),
-            "initial fire line shape mismatch"
-        );
         assert!(
             t0.is_finite() && t0 >= 0.0,
             "t0 must be a non-negative instant"
@@ -1589,12 +1718,13 @@ impl FireSim {
             }
         };
 
-        for (idx, &lit) in initial.mask().as_slice().iter().enumerate() {
-            if !lit || !burnable_at(idx) {
+        for &sidx in lit {
+            let idx = sidx as usize;
+            if !burnable_at(idx) {
                 continue;
             }
             out.set_time(idx / cols, idx % cols, t0);
-            heap.push((Reverse(Time(t0)), idx as u32));
+            heap.push((Reverse(Time(t0)), sidx));
         }
 
         // Pop order IS the kernel-equivalence contract: ascending time,
@@ -1642,6 +1772,70 @@ impl FireSim {
         }
     }
 
+    /// The start of a windowed run: filters `lit` down to the cells that
+    /// can burn (into `seeds`) and returns the active-front window around
+    /// them — their bounding box expanded by the farthest whole-cell
+    /// distance the fire can cross within the horizon — or `None` when
+    /// nothing burnable is lit.
+    ///
+    /// A diagonal step advances one Chebyshev unit and costs `√2 · cell_ft
+    /// / ros ≥ cell_ft / ros_cap`, so `ros_cap · duration / cell_ft`
+    /// Chebyshev units bound the reach; +2 cells and a tiny relative
+    /// inflation absorb floating-point slack in the bound (and any
+    /// remainder is caught by the lazy out-of-window fallback).
+    // lint: no_alloc
+    fn seed_window(
+        &self,
+        scenario: &Scenario,
+        lit: &[u32],
+        duration: f64,
+        seeds: &mut Vec<u32>,
+        burnable_at: &impl Fn(usize) -> bool,
+    ) -> Option<Window> {
+        let rows = self.terrain.rows();
+        let cols = self.terrain.cols();
+        seeds.clear();
+        let (mut br0, mut bc0, mut br1, mut bc1) = (usize::MAX, usize::MAX, 0usize, 0usize);
+        for &sidx in lit {
+            let idx = sidx as usize;
+            if !burnable_at(idx) {
+                continue;
+            }
+            seeds.push(sidx);
+            let (r, c) = (idx / cols, idx % cols);
+            br0 = br0.min(r);
+            bc0 = bc0.min(c);
+            br1 = br1.max(r);
+            bc1 = bc1.max(c);
+        }
+        if seeds.is_empty() {
+            return None;
+        }
+        let reach = {
+            let cap = self.spread_rate_bound(scenario);
+            if cap <= SMIDGEN {
+                0
+            } else {
+                let cells =
+                    (cap * duration / self.terrain.cell_size_ft() * (1.0 + 1e-9)).ceil() + 2.0;
+                cells.min(rows.max(cols) as f64) as usize
+            }
+        };
+        // Tests shrink the window to force the out-of-window (stray) paths.
+        #[cfg(test)]
+        let reach = reach.min(tests::REACH_CAP.with(std::cell::Cell::get));
+        let r0 = br0.saturating_sub(reach);
+        let c0 = bc0.saturating_sub(reach);
+        let r1 = (br1 + reach).min(rows - 1);
+        let c1 = (bc1 + reach).min(cols - 1);
+        Some(Window {
+            r0,
+            c0,
+            rows: r1 - r0 + 1,
+            cols: c1 - c0 + 1,
+        })
+    }
+
     /// The bucket-kernel sweep: monotone bucket queue + active-front
     /// bounding + span-tracked raster reset. Execution is bit-identical to
     /// [`FireSim::run_dijkstra`] (see the module docs for the ordering
@@ -1651,18 +1845,13 @@ impl FireSim {
     fn run_bucket(
         &self,
         scenario: &Scenario,
-        initial: &FireLine,
+        lit: &[u32],
         t0: f64,
         duration: f64,
         arena: &mut SimArena,
     ) {
         let rows = self.terrain.rows();
         let cols = self.terrain.cols();
-        assert_eq!(
-            (initial.rows(), initial.cols()),
-            (rows, cols),
-            "initial fire line shape mismatch"
-        );
         assert!(
             t0.is_finite() && t0 >= 0.0,
             "t0 must be a non-negative instant"
@@ -1700,52 +1889,8 @@ impl FireSim {
             }
         };
 
-        // One pass over the ignition mask: collect burnable seeds and
-        // their bounding box.
-        seeds.clear();
-        let (mut br0, mut bc0, mut br1, mut bc1) = (usize::MAX, usize::MAX, 0usize, 0usize);
-        for (idx, &lit) in initial.mask().as_slice().iter().enumerate() {
-            if !lit || !burnable_at(idx) {
-                continue;
-            }
-            seeds.push(idx as u32);
-            let (r, c) = (idx / cols, idx % cols);
-            br0 = br0.min(r);
-            bc0 = bc0.min(c);
-            br1 = br1.max(r);
-            bc1 = bc1.max(c);
-        }
-        if seeds.is_empty() {
+        let Some(win) = self.seed_window(scenario, lit, duration, seeds, &burnable_at) else {
             return; // nothing written; the raster stays clean
-        }
-
-        // Active-front window: the seed bounding box expanded by the
-        // farthest whole-cell distance the fire can cross within the
-        // horizon. A diagonal step advances one Chebyshev unit and costs
-        // `√2 · cell_ft / ros ≥ cell_ft / ros_cap`, so `ros_cap · duration
-        // / cell_ft` Chebyshev units bound the reach; +2 cells and a tiny
-        // relative inflation absorb floating-point slack in the bound (and
-        // any remainder is caught by the lazy out-of-window fallback).
-        let reach = {
-            let cap = self.spread_rate_bound(scenario);
-            if cap <= SMIDGEN {
-                0
-            } else {
-                let cells = (cap * duration / cell_ft * (1.0 + 1e-9)).ceil() + 2.0;
-                cells.min(rows.max(cols) as f64) as usize
-            }
-        };
-        let win = {
-            let r0 = br0.saturating_sub(reach);
-            let c0 = bc0.saturating_sub(reach);
-            let r1 = (br1 + reach).min(rows - 1);
-            let c1 = (bc1 + reach).min(cols - 1);
-            Window {
-                r0,
-                c0,
-                rows: r1 - r0 + 1,
-                cols: c1 - c0 + 1,
-            }
         };
 
         span_lo.clear();
@@ -1864,6 +2009,7 @@ impl FireSim {
                 queue.push(arrival, nidx as u32);
             }
         }
+        dedup_strays(stray);
     }
 
     /// The tiled parallel wavefront sweep behind [`Kernel::Tiled`]:
@@ -1909,7 +2055,7 @@ impl FireSim {
     fn run_tiled(
         &self,
         scenario: &Scenario,
-        initial: &FireLine,
+        lit: &[u32],
         t0: f64,
         duration: f64,
         arena: &mut SimArena,
@@ -1926,11 +2072,6 @@ impl FireSim {
         };
         let rows = self.terrain.rows();
         let cols = self.terrain.cols();
-        assert_eq!(
-            (initial.rows(), initial.cols()),
-            (rows, cols),
-            "initial fire line shape mismatch"
-        );
         assert!(
             t0.is_finite() && t0 >= 0.0,
             "t0 must be a non-negative instant"
@@ -1972,46 +2113,8 @@ impl FireSim {
             }
         };
 
-        // Seeds + bounding box, exactly as the bucket kernel.
-        seeds.clear();
-        let (mut br0, mut bc0, mut br1, mut bc1) = (usize::MAX, usize::MAX, 0usize, 0usize);
-        for (idx, &lit) in initial.mask().as_slice().iter().enumerate() {
-            if !lit || !burnable_at(idx) {
-                continue;
-            }
-            seeds.push(idx as u32);
-            let (r, c) = (idx / cols, idx % cols);
-            br0 = br0.min(r);
-            bc0 = bc0.min(c);
-            br1 = br1.max(r);
-            bc1 = bc1.max(c);
-        }
-        if seeds.is_empty() {
+        let Some(win) = self.seed_window(scenario, lit, duration, seeds, &burnable_at) else {
             return; // nothing written; the raster stays clean
-        }
-
-        // Active-front window, same bound and inflation as the bucket
-        // kernel (see `run_bucket` for the soundness argument).
-        let reach = {
-            let cap = self.spread_rate_bound(scenario);
-            if cap <= SMIDGEN {
-                0
-            } else {
-                let cells = (cap * duration / cell_ft * (1.0 + 1e-9)).ceil() + 2.0;
-                cells.min(rows.max(cols) as f64) as usize
-            }
-        };
-        let win = {
-            let r0 = br0.saturating_sub(reach);
-            let c0 = bc0.saturating_sub(reach);
-            let r1 = (br1 + reach).min(rows - 1);
-            let c1 = (bc1 + reach).min(cols - 1);
-            Window {
-                r0,
-                c0,
-                rows: r1 - r0 + 1,
-                cols: c1 - c0 + 1,
-            }
         };
 
         span_lo.clear();
@@ -2246,6 +2349,7 @@ impl FireSim {
                 }
             }
         }
+        dedup_strays(stray);
     }
 
     /// Convenience: simulates and returns the fire line at the end of the
@@ -2278,6 +2382,14 @@ pub fn centre_ignition(rows: usize, cols: usize) -> FireLine {
 mod tests {
     use super::*;
     use landscape::{Grid, UNIGNITED};
+
+    thread_local! {
+        /// Upper bound on the active-front window's reach (cells) for runs
+        /// on this thread — see `seed_window`. Shrinking it forces fire
+        /// past the window, i.e. through the stray / fallback paths.
+        pub(super) static REACH_CAP: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(usize::MAX) };
+    }
 
     fn flat_sim(n: usize) -> FireSim {
         FireSim::new(Terrain::uniform(n, n, 100.0))
@@ -2767,6 +2879,131 @@ mod tests {
     }
 
     /// Exact-bits comparison helper for kernel-equivalence tests.
+    /// `written_ranges` must be disjoint and contain every ignited cell,
+    /// and an Eq. (3) tally over them must give the full-raster score.
+    fn assert_ranges_account_for_the_raster(arena: &SimArena, t1: f64, what: &str) {
+        let map = arena.map();
+        let times = map.grid().as_slice();
+        let mut covered = vec![false; times.len()];
+        for range in arena.written_ranges() {
+            for i in range {
+                assert!(!covered[i], "{what}: cell {i} lies in two written ranges");
+                covered[i] = true;
+            }
+        }
+        for (i, &t) in times.iter().enumerate() {
+            assert!(
+                covered[i] || t == UNIGNITED,
+                "{what}: ignited cell {i} outside the written ranges"
+            );
+        }
+        // An arbitrary reference/preburn pair: stripes that cut across any
+        // fire shape, so hits, misses, false alarms and exclusions all occur.
+        let (rows, cols) = (map.rows(), map.cols());
+        let real = FireLine::from_mask(Grid::from_fn(rows, cols, |r, c| (r + 2 * c) % 5 < 2));
+        let pre = FireLine::from_mask(Grid::from_fn(rows, cols, |r, c| (3 * r + c) % 7 == 0));
+        let real_new = (0..times.len())
+            .filter(|&i| real.mask().as_slice()[i] && !pre.mask().as_slice()[i])
+            .count();
+        let spans = landscape::tally_ranges(
+            real.mask().as_slice(),
+            times,
+            |&a| a <= t1,
+            Some(pre.mask().as_slice()),
+            arena.written_ranges(),
+        );
+        assert_eq!(
+            spans.index_with_real_total(real_new).to_bits(),
+            landscape::jaccard_at_time(&real, map, t1, Some(&pre)).to_bits(),
+            "{what}: span-bounded score differs from the full raster"
+        );
+    }
+
+    const ALL_KERNELS: [Kernel; 3] = [
+        Kernel::Heap,
+        Kernel::Bucket,
+        Kernel::Tiled {
+            tile: 8,
+            workers: 2,
+        },
+    ];
+
+    #[test]
+    fn written_ranges_track_a_dirty_arena_across_kernels_and_moving_ignitions() {
+        let sim = layered_sim(33, 47);
+        let s = Scenario {
+            wind_speed_mph: 6.0,
+            ..Scenario::reference()
+        };
+        let mut arena = sim.arena();
+        assert_eq!(arena.written_ranges().count(), 0, "fresh arena");
+        let ignitions = [
+            FireLine::from_cells(33, 47, &[(3, 3)]),
+            FireLine::from_cells(33, 47, &[(30, 44)]),
+            FireLine::from_cells(33, 47, &[(16, 23), (2, 40)]),
+            // (0, 3) and (1, 2) carry fuel code 0: lit but unburnable.
+            FireLine::from_cells(33, 47, &[(0, 3), (1, 2), (20, 20)]),
+            // Nothing burnable lit at all: the run writes nothing.
+            FireLine::from_cells(33, 47, &[(0, 3)]),
+            FireLine::from_cells(33, 47, &[(3, 3)]),
+        ];
+        // Every kernel after every other, on one arena that is never clean.
+        for (i, ign) in ignitions.iter().enumerate() {
+            for (k, &kernel) in ALL_KERNELS.iter().cycle().skip(i).take(3).enumerate() {
+                let what = format!("ignition {i}, {kernel} (slot {k})");
+                let fresh = sim.simulate(&s, ign, 5.0, 90.0);
+                let lit = LitCells::from_line(ign);
+                let seeded = sim
+                    .simulate_arena_seeded(&s, &lit, 5.0, 90.0, &mut arena, kernel)
+                    .clone();
+                assert_rasters_identical(&fresh, &seeded, &what);
+                assert_ranges_account_for_the_raster(&arena, 95.0, &what);
+                let scanned = sim.simulate_arena_kernel(&s, ign, 5.0, 90.0, &mut arena, kernel);
+                assert_rasters_identical(&fresh, scanned, &format!("{what}, mask scan"));
+            }
+        }
+        let empty = &ignitions[4];
+        sim.simulate_arena_kernel(&s, empty, 0.0, 30.0, &mut arena, Kernel::Bucket);
+        assert_eq!(arena.written_ranges().count(), 0, "empty seed set");
+    }
+
+    #[test]
+    fn runs_that_leave_the_window_stay_exact_and_list_each_stray_once() {
+        // A one-cell reach makes the window far too small for a 90-minute
+        // burn: most of the fire is written as strays, many cells more than
+        // once, and per-cell tables come from the out-of-window fallback.
+        for sim in [flat_sim(31), layered_sim(29, 37)] {
+            let (rows, cols) = (sim.terrain().rows(), sim.terrain().cols());
+            let s = Scenario {
+                wind_speed_mph: 9.0,
+                wind_dir_deg: 200.0,
+                ..Scenario::reference()
+            };
+            let ign = FireLine::from_cells(rows, cols, &[(rows / 2, cols / 2), (4, 5)]);
+            let reference = sim.simulate(&s, &ign, 0.0, 90.0);
+            let mut arena = sim.arena();
+            let [_, bucket, tiled] = ALL_KERNELS;
+            for kernel in [bucket, tiled, bucket] {
+                REACH_CAP.with(|c| c.set(1));
+                sim.simulate_arena_kernel(&s, &ign, 0.0, 90.0, &mut arena, kernel);
+                REACH_CAP.with(|c| c.set(usize::MAX));
+                let what = format!("{rows}x{cols} {kernel}, reach capped");
+                assert!(!arena.stray.is_empty(), "{what}: expected strays");
+                assert!(
+                    arena.stray.windows(2).all(|w| w[0] < w[1]),
+                    "{what}: strays must be listed once each"
+                );
+                assert_rasters_identical(&reference, arena.map(), &what);
+                assert_ranges_account_for_the_raster(&arena, 90.0, &what);
+            }
+            // The next (uncapped) run must clear every stray it inherited.
+            let ign2 = FireLine::from_cells(rows, cols, &[(2, cols - 3)]);
+            let fresh = sim.simulate(&s, &ign2, 0.0, 20.0);
+            let after = sim.simulate_arena(&s, &ign2, 0.0, 20.0, &mut arena);
+            assert_rasters_identical(&fresh, after, "run after strays");
+        }
+    }
+
     fn assert_rasters_identical(a: &IgnitionMap, b: &IgnitionMap, what: &str) {
         for (i, (x, y)) in a
             .grid()

@@ -852,6 +852,38 @@ mod tests {
     }
 
     #[test]
+    fn xl_fuel_layers_are_pinned() {
+        // FNV-1a over the fuel raster, recorded from the all-sites
+        // nearest-site scan the mosaics were first generated with: the
+        // bucketed search must reproduce every megacell layer byte for byte
+        // (goldens and digests downstream depend on it).
+        let fnv = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let pinned = [
+            ("ridge_valley_xl", None),
+            ("breaks_mosaic_xl", Some(0x8358_4b87_71ab_b60d)),
+            ("archipelago_xl", Some(0xebc6_dc9a_60d6_82b8)),
+        ];
+        for (spec, (name, checksum)) in xl_corpus().iter().zip(pinned) {
+            assert_eq!(spec.name, name);
+            let layer = match &spec.fuel {
+                FuelPattern::Mosaic { sites, codes } => Some(synth::voronoi_mosaic(
+                    spec.rows, spec.cols, *sites, codes, spec.seed,
+                )),
+                _ => None,
+            };
+            assert_eq!(
+                layer.map(|g| fnv(g.as_slice())),
+                checksum,
+                "{name}: fuel layer drifted"
+            );
+        }
+    }
+
+    #[test]
     fn xl_specs_build_and_burn_when_shrunk() {
         // Full-size XL builds are release-bench territory; the shrunk
         // copies exercise every generator parameter in debug time.

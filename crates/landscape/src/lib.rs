@@ -30,6 +30,6 @@ pub mod synth;
 pub use firemap::{FireLine, IgnitionMap, UNIGNITED};
 pub use geometry::{CellId, Direction8, NEIGHBOUR_OFFSETS};
 pub use grid::Grid;
-pub use metrics::{jaccard, jaccard_at_time, JaccardBreakdown};
+pub use metrics::{jaccard, jaccard_at_time, tally_ranges, JaccardBreakdown};
 pub use perimeter::{perimeter_cells, shape_stats, ShapeStats};
 pub use probability::ProbabilityMap;

@@ -95,34 +95,145 @@ pub fn noise_field(rows: usize, cols: usize, scale: f64, octaves: u32, seed: u64
     })
 }
 
-/// A categorical Voronoi mosaic: `sites` random cells are scattered over
-/// the raster and every cell takes the code of its nearest site, cycling
-/// through `codes`. Produces the blobby fuel patchworks of real vegetation
-/// maps.
+/// The seeded site list behind [`voronoi_mosaic`]: `sites` points scattered
+/// over the raster as `(row, col, code)`, site `i` carrying
+/// `codes[i % codes.len()]`. Public so an outside checker can hold the
+/// mosaic against its own nearest-site scan.
 ///
 /// # Panics
 /// Panics when `codes` is empty or `sites` is zero.
-pub fn voronoi_mosaic(rows: usize, cols: usize, sites: usize, codes: &[u8], seed: u64) -> Grid<u8> {
+pub fn mosaic_sites(
+    rows: usize,
+    cols: usize,
+    sites: usize,
+    codes: &[u8],
+    seed: u64,
+) -> Vec<(f64, f64, u8)> {
     assert!(!codes.is_empty(), "mosaic needs at least one code");
     assert!(sites > 0, "mosaic needs at least one site");
-    let site_list: Vec<(f64, f64, u8)> = (0..sites)
+    (0..sites)
         .map(|i| {
             let r = lattice(seed ^ 0xA076_1D64_78BD_642F, i as i64, 0) * rows as f64;
             let c = lattice(seed ^ 0xE703_7ED1_A0B4_28DB, i as i64, 1) * cols as f64;
             (r, c, codes[i % codes.len()])
         })
-        .collect();
+        .collect()
+}
+
+/// Squared distance from cell `(r, c)` to the site at `(sr, sc)` — the one
+/// expression every nearest-site decision (and its test oracle) compares.
+#[inline]
+fn site_distance(r: usize, c: usize, sr: f64, sc: f64) -> f64 {
+    (r as f64 - sr) * (r as f64 - sr) + (c as f64 - sc) * (c as f64 - sc)
+}
+
+/// A categorical Voronoi mosaic: `sites` random cells are scattered over
+/// the raster and every cell takes the code of its nearest site (ties go
+/// to the lowest site index), cycling through `codes`. Produces the blobby
+/// fuel patchworks of real vegetation maps.
+///
+/// # Panics
+/// Panics when `codes` is empty or `sites` is zero.
+pub fn voronoi_mosaic(rows: usize, cols: usize, sites: usize, codes: &[u8], seed: u64) -> Grid<u8> {
+    nearest_site_codes(rows, cols, &mosaic_sites(rows, cols, sites, codes, seed))
+}
+
+/// The code of the nearest site for every cell, by a uniform-bucket
+/// search: sites are binned into square buckets of `side` cells (about
+/// two sites per bucket), and a cell scans the block of buckets within
+/// `k` rings of its own, growing `k` until the best squared distance found
+/// is strictly below the squared distance to the nearest block edge that
+/// still has raster behind it. Every unscanned site lies beyond such an
+/// edge, so its [`site_distance`] is at least that bound (the bound is an
+/// integer, and rounding is monotone), and it can neither win nor tie:
+/// the result is exactly the argmin over all sites, lowest index first.
+fn nearest_site_codes(rows: usize, cols: usize, sites: &[(f64, f64, u8)]) -> Grid<u8> {
+    let side = ((2.0 * (rows * cols) as f64 / sites.len() as f64).sqrt() as usize).max(1);
+    let (brows, bcols) = (rows.div_ceil(side), cols.div_ceil(side));
+    // A coordinate is binned by its integer part, so "bucket row ≥ n" is
+    // exactly "sr ≥ n·side"; `lattice · rows` can round up to `rows`
+    // itself, hence the clamp into the last bucket.
+    let bucket_of = |sr: f64, sc: f64| -> usize {
+        let br = (sr as usize).min(rows - 1) / side;
+        let bc = (sc as usize).min(cols - 1) / side;
+        br * bcols + bc
+    };
+    // Counting sort into bucket order; ascending site index within a bucket.
+    let mut start = vec![0u32; brows * bcols + 1];
+    for &(sr, sc, _) in sites {
+        start[bucket_of(sr, sc) + 1] += 1;
+    }
+    for b in 0..brows * bcols {
+        start[b + 1] += start[b];
+    }
+    let mut cursor = start.clone();
+    let mut binned = vec![(0.0f64, 0.0f64, 0u32); sites.len()];
+    for (i, &(sr, sc, _)) in sites.iter().enumerate() {
+        let slot = &mut cursor[bucket_of(sr, sc)];
+        binned[*slot as usize] = (sr, sc, i as u32);
+        *slot += 1;
+    }
+
     Grid::from_fn(rows, cols, |r, c| {
-        let mut best = f64::INFINITY;
-        let mut code = site_list[0].2;
-        for &(sr, sc, sk) in &site_list {
-            let d = (r as f64 - sr) * (r as f64 - sr) + (c as f64 - sc) * (c as f64 - sc);
-            if d < best {
-                best = d;
-                code = sk;
+        let (br, bc) = (r / side, c / side);
+        // Best squared distance so far and the site holding it.
+        let mut best = (f64::INFINITY, u32::MAX);
+        // Scans bucket columns `lo..=hi` of bucket row `brow` (contiguous
+        // in bucket order).
+        let scan = |best: &mut (f64, u32), brow: usize, lo: usize, hi: usize| {
+            let span = start[brow * bcols + lo] as usize..start[brow * bcols + hi + 1] as usize;
+            for &(sr, sc, i) in &binned[span] {
+                let d = site_distance(r, c, sr, sc);
+                if d < best.0 || (d == best.0 && i < best.1) {
+                    *best = (d, i);
+                }
             }
+        };
+        let mut k = 0usize;
+        loop {
+            let (r_lo, r_hi) = (br.saturating_sub(k), (br + k).min(brows - 1));
+            let (c_lo, c_hi) = (bc.saturating_sub(k), (bc + k).min(bcols - 1));
+            // Ring `k` is the block's new border: its top and bottom bucket
+            // rows in full, and the two end columns of the rows between.
+            if k == 0 {
+                scan(&mut best, br, bc, bc);
+            } else {
+                if br >= k {
+                    scan(&mut best, br - k, c_lo, c_hi);
+                }
+                if br + k < brows {
+                    scan(&mut best, br + k, c_lo, c_hi);
+                }
+                for brow in (br + 1).saturating_sub(k)..=(br + k - 1).min(r_hi) {
+                    if bc >= k {
+                        scan(&mut best, brow, bc - k, bc - k);
+                    }
+                    if bc + k < bcols {
+                        scan(&mut best, brow, bc + k, bc + k);
+                    }
+                }
+            }
+            // Distance from the cell to each block edge with raster (and
+            // therefore possibly sites) beyond it.
+            let mut bound = usize::MAX;
+            if r_lo > 0 {
+                bound = bound.min(r - r_lo * side);
+            }
+            if r_hi + 1 < brows {
+                bound = bound.min((r_hi + 1) * side - r);
+            }
+            if c_lo > 0 {
+                bound = bound.min(c - c_lo * side);
+            }
+            if c_hi + 1 < bcols {
+                bound = bound.min((c_hi + 1) * side - c);
+            }
+            if bound == usize::MAX || best.0 < (bound as f64) * (bound as f64) {
+                break;
+            }
+            k += 1;
         }
-        code
+        sites[best.1 as usize].2
     })
 }
 
@@ -224,6 +335,91 @@ mod tests {
         let a = voronoi_mosaic(20, 20, 9, &[1, 2], 11);
         let b = voronoi_mosaic(20, 20, 9, &[1, 2], 11);
         assert_eq!(a, b);
+    }
+
+    /// The oracle: every cell against every site, first strict minimum
+    /// wins — the loop `voronoi_mosaic` ran before the bucket search.
+    fn nearest_site_codes_brute(rows: usize, cols: usize, sites: &[(f64, f64, u8)]) -> Grid<u8> {
+        Grid::from_fn(rows, cols, |r, c| {
+            let mut best = f64::INFINITY;
+            let mut code = sites[0].2;
+            for &(sr, sc, sk) in sites {
+                let d = (r as f64 - sr) * (r as f64 - sr) + (c as f64 - sc) * (c as f64 - sc);
+                if d < best {
+                    best = d;
+                    code = sk;
+                }
+            }
+            code
+        })
+    }
+
+    #[test]
+    fn bucketed_mosaic_matches_brute_force_on_random_shapes() {
+        // Site codes are the site index (mod 251), so a wrong winner among
+        // near-equidistant sites cannot hide behind a shared code.
+        let codes: Vec<u8> = (0..251).collect();
+        let mut h = 0x5EED_u64;
+        let mut next = |span: usize| {
+            h = mix(h);
+            (h % span as u64) as usize
+        };
+        let mut shapes = vec![
+            (1, 97, 5),
+            (113, 1, 7),
+            (1, 1, 3),
+            (3, 4, 40), // more sites than cells
+            (17, 23, 1),
+            (64, 48, 2000),
+        ];
+        for _ in 0..40 {
+            shapes.push((1 + next(70), 1 + next(70), 1 + next(120)));
+        }
+        for (i, &(rows, cols, sites)) in shapes.iter().enumerate() {
+            let codes = &codes[..1 + next(codes.len())];
+            let list = mosaic_sites(rows, cols, sites, codes, i as u64);
+            assert_eq!(
+                nearest_site_codes(rows, cols, &list),
+                nearest_site_codes_brute(rows, cols, &list),
+                "{rows}x{cols}, {sites} sites, {} codes",
+                codes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn ties_go_to_the_lowest_site_index() {
+        // Coincident sites: the first of each pile must win everywhere.
+        let piled = [
+            (3.0, 4.0, 9u8),
+            (3.0, 4.0, 1),
+            (10.5, 2.25, 7),
+            (10.5, 2.25, 2),
+            (3.0, 4.0, 3),
+        ];
+        let g = nearest_site_codes(14, 9, &piled);
+        assert_eq!(g, nearest_site_codes_brute(14, 9, &piled));
+        assert!(g.as_slice().iter().all(|&k| k == 9 || k == 7));
+
+        // Sites on integer coordinates in different buckets: every cell of
+        // column 20 is exactly equidistant from (r, 10) and (r, 30), and the
+        // lower index sits in the *farther-scanned* bucket half the time.
+        let mut lattice_sites = Vec::new();
+        for (i, r) in (0..40).step_by(8).enumerate() {
+            let (a, b) = ((r as f64, 10.0), (r as f64, 30.0));
+            let (first, second) = if i % 2 == 0 { (a, b) } else { (b, a) };
+            lattice_sites.push((first.0, first.1, (2 * i) as u8));
+            lattice_sites.push((second.0, second.1, (2 * i + 1) as u8));
+        }
+        let g = nearest_site_codes(40, 41, &lattice_sites);
+        assert_eq!(g, nearest_site_codes_brute(40, 41, &lattice_sites));
+        for (i, r) in (0..40).step_by(8).enumerate() {
+            assert_eq!(
+                g.at(r, 20),
+                (2 * i) as u8,
+                "row {r}: tie must go to the lower index"
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //!   backend × seed × replicates × weight × budgets) subsuming the
 //!   scattered per-system config structs, JSON-serializable for the wire
 //!   ([`RunSpec::to_json`]/[`RunSpec::from_json`]);
+//! * [`store`] — the process-wide case store: every session, replicate
+//!   and restore of one case shares a single built `BurnCase`;
 //! * [`PredictionSession`] — the re-entrant step driver:
 //!   [`PredictionSession::advance`] executes one prediction step and
 //!   yields a [`SessionEvent`]; budgets stop runs between steps,
@@ -50,6 +52,7 @@ pub mod serve;
 pub mod session;
 pub mod snapshot;
 pub mod spec;
+pub mod store;
 pub mod systems;
 
 pub use ess::error::{BudgetReason, ServiceError};

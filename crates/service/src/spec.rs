@@ -1,8 +1,8 @@
 //! [`RunSpec`]: the one request type of the run API.
 //!
 //! A spec names a system (resolved through [`crate::systems::by_name`])
-//! and a case (resolved through `ess::cases::by_name` — hand-built library
-//! or workload corpus), picks an execution backend, a novelty-scoring
+//! and a case (taken from the process-wide [`crate::store`] over
+//! `ess::cases::by_name` — hand-built library or workload corpus), picks an execution backend, a novelty-scoring
 //! engine, seed, replicate count, budget scale, and optional stopping
 //! budgets. It subsumes the scattered
 //! per-system config wiring the old entry points needed: every way of
@@ -11,8 +11,8 @@
 
 use crate::jsonio::Json;
 use crate::session::{PredictionSession, Provenance};
-use crate::systems;
-use ess::cases::{self, BurnCase};
+use crate::{store, systems};
+use ess::cases::BurnCase;
 use ess::error::ServiceError;
 use ess::fitness::{EvalBackend, SharedScenarioPool};
 use ess::pipeline::{EvalStrategy, RunReport, StepDriver, StepReport};
@@ -254,13 +254,12 @@ impl RunSpec {
         Ok(())
     }
 
-    /// Resolves both names and validates the spec.
+    /// Resolves both names and validates the spec. The case comes from the
+    /// shared [`store`], so only the first request for a name builds it.
     fn resolve(&self) -> Result<(&'static systems::SystemSpec, BurnCase), ServiceError> {
         self.validate()?;
         let system = systems::resolve(&self.system)?;
-        let case = cases::by_name(&self.case)
-            .ok_or_else(|| ServiceError::UnknownCase(self.case.clone()))?;
-        Ok((system, case))
+        Ok((system, store::case(&self.case)?))
     }
 
     /// Seed of replicate `r` (replicate 0 uses the spec seed unchanged, so
