@@ -9,7 +9,7 @@
 
 use evoalg::{BatchEvaluator, GenomeMatrix};
 use firelib::{FireSim, Kernel, LitCells, Scenario, ScenarioSpace, SimArena};
-use landscape::{jaccard_at_time, tally_ranges, FireLine, IgnitionMap};
+use landscape::{tally_ranges, FireLine};
 use parworker::Backend;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -150,15 +150,6 @@ impl StepContext {
         .index_with_real_total(self.target_new)
     }
 
-    /// Output-map-reusing variant (kept for callers that hold a bare
-    /// [`IgnitionMap`]; spread/heap scratch is allocated per call —
-    /// [`StepContext::fitness_with`] is the allocation-free path).
-    pub fn fitness_into(&self, scenario: &Scenario, scratch: &mut IgnitionMap) -> f64 {
-        self.sim
-            .simulate_into(scenario, &self.from, self.t0, self.duration(), scratch);
-        jaccard_at_time(&self.target, scratch, self.t1, Some(&self.from))
-    }
-
     /// Fitness of one scenario (allocating convenience).
     pub fn fitness_of(&self, scenario: &Scenario) -> f64 {
         let mut arena = self.sim.arena();
@@ -171,10 +162,20 @@ impl StepContext {
     }
 
     /// The simulated fire line a scenario produces over this interval
-    /// (used by the Statistical Stage).
+    /// (used by the Statistical Stage): the same seeded run on the same
+    /// kernel as [`StepContext::fitness_with`], in a fresh arena.
     pub fn simulate_line(&self, scenario: &Scenario) -> FireLine {
+        let mut arena = self.sim.arena();
         self.sim
-            .simulate_fire_line(scenario, &self.from, self.t0, self.duration())
+            .simulate_arena_seeded(
+                scenario,
+                &self.lit,
+                self.t0,
+                self.duration(),
+                &mut arena,
+                self.kernel,
+            )
+            .fire_line_at(self.t1)
     }
 }
 
@@ -503,6 +504,7 @@ mod tests {
     use super::*;
     use firelib::sim::centre_ignition;
     use firelib::Terrain;
+    use landscape::jaccard_at_time;
 
     /// A small context whose target was produced by a known scenario, so
     /// that scenario scores exactly 1.
@@ -555,17 +557,50 @@ mod tests {
         let target = sim.simulate_fire_line(&truth, &from, 0.0, 60.0);
         let ctx = StepContext::new(sim.clone(), from, target, 0.0, 60.0);
         let mut arena = sim.arena();
-        let mut map = IgnitionMap::unignited(19, 19);
         for wind in [0.0, 4.0, 11.0] {
             let s = Scenario {
                 wind_speed_mph: wind,
                 ..truth
             };
             let a = ctx.fitness_with(&s, &mut arena);
-            let b = ctx.fitness_into(&s, &mut map);
+            let b = jaccard_at_time(
+                ctx.target_line(),
+                &sim.simulate(&s, ctx.from_line(), 0.0, 60.0),
+                60.0,
+                Some(ctx.from_line()),
+            );
             let c = ctx.fitness_of(&s);
-            assert_eq!(a, b, "wind {wind}: arena vs into");
+            assert_eq!(a, b, "wind {wind}: arena vs reference map");
             assert_eq!(a, c, "wind {wind}: arena vs of");
+        }
+    }
+
+    #[test]
+    fn simulate_line_runs_the_context_kernel_and_matches_the_reference_line() {
+        // Per-cell terrain (slope + wind layers): the Statistical Stage's
+        // fire line must be the reference path's, whichever kernel the
+        // session selected.
+        let slope = landscape::Grid::from_fn(23, 29, |r, c| ((r * 5 + c * 3) % 30) as f64);
+        let factor = landscape::Grid::from_fn(23, 29, |r, c| 0.5 + ((r + c) % 4) as f64 * 0.4);
+        let offset = landscape::Grid::from_fn(23, 29, |r, c| ((r * c) % 50) as f64 - 25.0);
+        let sim = Arc::new(FireSim::new(
+            Terrain::uniform(23, 29, 100.0)
+                .with_slope(slope)
+                .with_wind(factor, offset),
+        ));
+        let from = FireLine::from_cells(23, 29, &[(11, 14), (4, 20)]);
+        let s = Scenario {
+            wind_speed_mph: 9.0,
+            wind_dir_deg: 120.0,
+            ..Scenario::reference()
+        };
+        let reference = sim.simulate_fire_line(&s, &from, 5.0, 45.0);
+        assert!(reference.burned_area() > 2, "the fire must spread");
+        for spec in ["heap", "bucket", "tiled:8x2"] {
+            let kernel: Kernel = spec.parse().unwrap();
+            let ctx = StepContext::new(sim.clone(), from.clone(), reference.clone(), 5.0, 50.0)
+                .with_kernel(kernel);
+            assert_eq!(ctx.simulate_line(&s), reference, "kernel {spec}");
         }
     }
 

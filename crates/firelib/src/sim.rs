@@ -9,12 +9,15 @@
 //! same result, deterministic, and frontier-proportional instead of
 //! repeated full-map sweeps.
 //!
-//! Two kernels implement the sweep:
+//! Three kernels implement the sweep. They differ only in how they keep
+//! the frontier; one prelude (`FireSim::run_kernel`) checks the run's
+//! preconditions, resets the raster, picks the burnable seeds and resolves
+//! the spread tables for all of them:
 //!
 //! * [`Kernel::Heap`] — the reference implementation: a classic Dijkstra
-//!   over a `BinaryHeap<(Reverse<Time>, u32)>` touching the whole raster
-//!   (full gather, full output reset). Simple, kept as the oracle every
-//!   other path is pinned against.
+//!   over a `BinaryHeap<(Reverse<Time>, u32)>` whose window is the whole
+//!   raster. Simple, and kept as the oracle every other path is pinned
+//!   against — which is why it has its own pop-and-relax loop.
 //! * [`Kernel::Bucket`] — the landscape-scale hot path: a monotone
 //!   bucket-queue (Dial-style) wavefront sweep with **active-front
 //!   bounding**. Arrival times live in `[t0, t0 + duration]`, so the
@@ -24,18 +27,35 @@
 //!   inputs are gathered and the output raster reset only inside the
 //!   window the fire can actually reach within the horizon, so one
 //!   evaluation costs proportional-to-burned-area instead of O(rows×cols).
+//! * [`Kernel::Tiled`] — the bucket kernel's levels drained by several
+//!   cores at once and merged back in pop order (`Sweep::run_tiled`).
 //!
-//! The two kernels are **bit-identical by construction**: within a bucket
-//! the frontier is drained through a mini-heap ordered exactly like the
-//! global heap's `(Reverse<Time>, u32)` tuple order (ascending time, ties
-//! by descending cell index), and every traversal cost is positive, so an
-//! entry pushed while draining bucket `k` can never belong to a bucket
-//! `< k` (quantization is monotone in the arrival time). The realized pop
-//! sequence is therefore the same strict total order the binary heap
-//! realizes, which makes the whole execution — every relaxation decision,
-//! every `SMIDGEN`-tolerance comparison, every raster write — literally
-//! identical. The `kernel_equivalence` property suite pins this with exact
-//! `f64` raster comparisons.
+//! **Why the kernels are bit-identical.** A run is a sequence of pops, and
+//! three things fix everything a pop does:
+//!
+//! 1. *The pop order.* Every kernel pops in the strict total order of the
+//!    reference heap's `(Reverse<Time>, u32)` tuples: ascending time, ties
+//!    by descending cell index. The bucket queue drains each bucket
+//!    through a mini-heap in exactly that order, and every traversal cost
+//!    is positive, so an entry pushed while draining bucket `k` can never
+//!    belong to a bucket `< k` (quantization is monotone in the arrival
+//!    time). Debug builds audit the realized order of all three kernels
+//!    (`audit_pop_order`).
+//! 2. *The table.* `Sweep::table` resolves a cell's directional spread
+//!    table the same way for every kernel, and a cell's table depends on
+//!    that cell alone — not on the window or row band it was gathered
+//!    through, nor on whether the lazy out-of-window fallback computed it.
+//! 3. *The relaxation.* `Sweep::relax` is the one step that turns a pop
+//!    into neighbour arrivals: the staleness test, the edge cost `t +
+//!    distance / ros`, the horizon and `SMIDGEN`-tolerance comparisons, the
+//!    burnability of the neighbour. The reference kernel spells the same
+//!    step out independently.
+//!
+//! Same pops in the same order, through the same tables and the same step,
+//! is the same execution — every relaxation decision, every tolerance
+//! comparison, every `f64` written. The `kernel_equivalence` property
+//! suite and the in-run digest checks of `harness landscape` pin this with
+//! exact raster-bit comparisons.
 //!
 //! The traversal time of the edge from a burning cell to a neighbour is
 //! `distance / ros_source(azimuth)`, i.e. the fire crosses the source cell's
@@ -51,7 +71,8 @@ use crate::spread::{
 use crate::terrain::Terrain;
 use crate::SMIDGEN;
 use landscape::geometry::normalize_azimuth;
-use landscape::{FireLine, IgnitionMap, UNIGNITED};
+use landscape::{FireLine, Grid, IgnitionMap, UNIGNITED};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -89,7 +110,7 @@ pub enum Kernel {
     /// spatial tiles and drained concurrently into per-tile candidate
     /// outboxes; a sequential merge then applies every candidate in the
     /// exact global pop order, so the raster stays bit-identical to
-    /// [`Kernel::Heap`] (see [`FireSim::run_tiled`] for the argument).
+    /// [`Kernel::Heap`] (see the module docs for the argument).
     Tiled {
         /// Spatial tile edge in cells (window partition granularity);
         /// must be non-zero.
@@ -147,12 +168,12 @@ impl std::str::FromStr for Kernel {
     type Err = ParseKernelError;
 
     /// Parses `heap`, `bucket`, `tiled`, `tiled:TILE` and
-    /// `tiled:TILExWORKERS` (`WORKERS = 0` meaning auto), matching the
-    /// `Display` form so kernel names printed in reports round-trip back
-    /// through configs.
+    /// `tiled:TILExWORKERS` (`WORKERS = 0` meaning auto) in any letter
+    /// case, matching the `Display` form so kernel names printed in reports
+    /// round-trip back through configs.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let spec = s.trim();
-        match spec.to_ascii_lowercase().as_str() {
+        let spec = s.trim().to_ascii_lowercase();
+        match spec.as_str() {
             "heap" => return Ok(Kernel::Heap),
             "bucket" => return Ok(Kernel::Bucket),
             "tiled" => return Ok(Kernel::tiled_auto()),
@@ -487,7 +508,7 @@ enum Dirty {
 /// Restores the all-`UNIGNITED` invariant of `out` by resetting exactly
 /// what the previous run wrote: nothing for a fresh raster, the recorded
 /// per-row spans (plus strays) after a span-tracked run, or a full clear
-/// after a reference-kernel run. Shared by the bucket and tiled kernels.
+/// after a reference-kernel run.
 // lint: no_alloc
 fn reset_raster(
     dirty: &mut Dirty,
@@ -524,72 +545,6 @@ fn reset_raster(
 fn dedup_strays(stray: &mut Vec<u32>) {
     stray.sort_unstable();
     stray.dedup();
-}
-
-/// One tile's share of a tiled-kernel epoch drain: relaxes the tile's pops
-/// (already in reference pop order) against a *read-only* snapshot of the
-/// arrival raster, writing surviving candidates into the tile outbox.
-///
-/// Two pre-filters keep the outbox small, and both are sound because
-/// arrival times only ever decrease: an entry stale *now* (`t >
-/// out[idx] + SMIDGEN`) can never become live by apply time, and a
-/// candidate already beaten by the raster (`arrival >= out[n] - SMIDGEN`)
-/// only falls further behind as `out[n]` shrinks. The converse directions
-/// are NOT stable, which is why the sequential merge re-checks both
-/// conditions against the live raster before every write.
-// lint: no_alloc
-#[allow(clippy::too_many_arguments)]
-fn drain_tile(
-    ts: &mut TileScratch,
-    entries: &[(u32, f64, u32)],
-    out: &IgnitionMap,
-    rows: usize,
-    cols: usize,
-    cell_ft: f64,
-    t_end: f64,
-    resolve_table: &impl Fn(usize, usize, usize) -> [f64; 8],
-    burnable_at: &impl Fn(usize) -> bool,
-) {
-    ts.head = 0;
-    ts.groups.clear();
-    for &(_, t, idx) in entries {
-        let ci = idx as usize;
-        let (r, c) = (ci / cols, ci % cols);
-        if t > out.time(r, c) + SMIDGEN {
-            continue; // stale entry — stays stale, safe to drop here
-        }
-        let table = resolve_table(ci, r, c);
-        let mut g = PopGroup {
-            t,
-            idx,
-            len: 0,
-            cand: [(0.0, 0); 8],
-        };
-        for (dir, &(dr, dc, dist_factor)) in landscape::NEIGHBOUR_OFFSETS.iter().enumerate() {
-            let (nr, nc) = (r as isize + dr, c as isize + dc);
-            if nr < 0 || nc < 0 || nr as usize >= rows || nc as usize >= cols {
-                continue;
-            }
-            let (nr, nc) = (nr as usize, nc as usize);
-            let ros = table[dir];
-            if ros <= SMIDGEN {
-                continue;
-            }
-            let arrival = t + dist_factor * cell_ft / ros;
-            if arrival > t_end || arrival >= out.time(nr, nc) - SMIDGEN {
-                continue;
-            }
-            let nidx = nr * cols + nc;
-            if !burnable_at(nidx) {
-                continue;
-            }
-            g.cand[g.len as usize] = (arrival, nidx as u32);
-            g.len += 1;
-        }
-        if g.len > 0 {
-            ts.groups.push(g);
-        }
-    }
 }
 
 /// The worker-owned simulation arena: every buffer the propagation engine
@@ -640,26 +595,47 @@ pub struct SimArena {
     stray: Vec<u32>,
     /// What the next run must reset before writing.
     dirty: Dirty,
-    /// Tiled-kernel per-tile drain scratch, one slot per *active* tile of
-    /// the current epoch (high-water sized; tiles with no pops cost
-    /// nothing).
-    tiles: Vec<TileScratch>,
-    /// Tiled-kernel epoch buffer: the entries taken from the bucket queue
-    /// for the level currently being drained.
-    epoch: Vec<(f64, u32)>,
-    /// Tiled-kernel tile-keyed epoch entries `(tile, t, idx)`, sorted by
-    /// `(tile, pop order)` so each tile's pops form one contiguous run.
-    keyed: Vec<(u32, f64, u32)>,
-    /// Tiled-kernel `(start, end)` ranges into the sorted epoch buffer,
-    /// one per active tile.
-    tile_ranges: Vec<(u32, u32)>,
-    /// Tiled-kernel k-way merge frontier over tile outbox heads and
-    /// in-epoch cascade entries, in reference pop order. The third field is
-    /// the source tile slot (`u32::MAX` marks a cascade entry).
-    merge: BinaryHeap<(Reverse<Time>, u32, u32)>,
+    /// Tiled-kernel epoch scratch; empty unless [`Kernel::Tiled`] runs.
+    epochs: EpochScratch,
     /// The arrival raster of the most recent evaluation; allocated on
     /// first use.
     out: Option<IgnitionMap>,
+}
+
+/// What the tiled kernel keeps between epochs, all sized at the high-water
+/// mark.
+#[derive(Debug, Clone, Default)]
+struct EpochScratch {
+    /// Per-tile drain scratch, one slot per *active* tile of the current
+    /// epoch (tiles with no pops cost nothing).
+    tiles: Vec<TileScratch>,
+    /// The entries taken from the bucket queue for the levels currently
+    /// being drained.
+    epoch: Vec<(f64, u32)>,
+    /// Tile-keyed epoch entries `(tile, t, idx)`, sorted by `(tile, pop
+    /// order)` so each tile's pops form one contiguous run.
+    keyed: Vec<(u32, f64, u32)>,
+    /// `(start, end)` ranges into the sorted epoch buffer, one per active
+    /// tile.
+    tile_ranges: Vec<(u32, u32)>,
+    /// K-way merge frontier over tile outbox heads and in-epoch cascade
+    /// entries, in reference pop order. The third field is the source tile
+    /// slot (`u32::MAX` marks a cascade entry).
+    merge: BinaryHeap<(Reverse<Time>, u32, u32)>,
+}
+
+impl EpochScratch {
+    /// Heap bytes currently held.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let groups: usize = self.tiles.iter().map(|t| t.groups.capacity()).sum();
+        self.tiles.capacity() * size_of::<TileScratch>()
+            + groups * size_of::<PopGroup>()
+            + self.epoch.capacity() * size_of::<(f64, u32)>()
+            + self.keyed.capacity() * size_of::<(u32, f64, u32)>()
+            + self.tile_ranges.capacity() * size_of::<(u32, u32)>()
+            + self.merge.capacity() * size_of::<(Reverse<Time>, u32, u32)>()
+    }
 }
 
 /// One deferred pop of the tiled kernel: the `(t, idx)` entry itself plus
@@ -707,7 +683,40 @@ struct SpreadScratch {
     wind_az: Vec<f64>,
 }
 
+/// A run of whole window rows of the [`SpreadScratch`] buffers, cell for
+/// cell: what one call of the gather fills. Bands of one scratch are
+/// disjoint, which is what lets row bands fill concurrently.
+struct Band<'a> {
+    codes: &'a mut [u8],
+    steep: &'a mut [f64],
+    aspect: &'a mut [f64],
+    wind_fpm: &'a mut [f64],
+    wind_az: &'a mut [f64],
+    per_cell: &'a mut [[f64; 8]],
+}
+
 impl SpreadScratch {
+    /// Sizes every buffer to `n` cells and lends them as one band. What
+    /// the previous run left in them stays (only growth is initialised):
+    /// the gather overwrites every cell it is handed.
+    // lint: no_alloc
+    fn band(&mut self, n: usize) -> Band<'_> {
+        self.codes.resize(n, 0);
+        self.steep.resize(n, 0.0);
+        self.aspect.resize(n, 0.0);
+        self.wind_fpm.resize(n, 0.0);
+        self.wind_az.resize(n, 0.0);
+        self.per_cell.resize(n, [0.0; 8]);
+        Band {
+            codes: &mut self.codes,
+            steep: &mut self.steep,
+            aspect: &mut self.aspect,
+            wind_fpm: &mut self.wind_fpm,
+            wind_az: &mut self.wind_az,
+            per_cell: &mut self.per_cell,
+        }
+    }
+
     /// Total capacity across the gather buffers (allocation tracking).
     fn gather_capacity(&self) -> usize {
         self.codes.capacity()
@@ -750,11 +759,7 @@ impl SimArena {
             span_hi: Vec::new(),
             stray: Vec::new(),
             dirty: Dirty::Clean,
-            tiles: Vec::new(),
-            epoch: Vec::new(),
-            keyed: Vec::new(),
-            tile_ranges: Vec::new(),
-            merge: BinaryHeap::new(),
+            epochs: EpochScratch::default(),
             out: None,
         }
     }
@@ -843,17 +848,7 @@ impl SimArena {
                 + self.lit.capacity()
                 + self.seeds.capacity())
                 * size_of::<u32>()
-            + self.tiles.capacity() * size_of::<TileScratch>()
-            + self
-                .tiles
-                .iter()
-                .map(|t| t.groups.capacity())
-                .sum::<usize>()
-                * size_of::<PopGroup>()
-            + self.epoch.capacity() * size_of::<(f64, u32)>()
-            + self.keyed.capacity() * size_of::<(u32, f64, u32)>()
-            + self.tile_ranges.capacity() * size_of::<(u32, u32)>()
-            + self.merge.capacity() * size_of::<(Reverse<Time>, u32, u32)>()
+            + self.epochs.bytes()
     }
 
     /// Heap bytes held by the arrival raster (0 until the first run).
@@ -864,17 +859,133 @@ impl SimArena {
     }
 }
 
-/// How the engine resolves a cell's directional spread table for one run.
+/// How a run resolves a cell's directional spread table.
 enum Tables<'a> {
     /// Uniform terrain: one table for the whole map.
     Uniform([f64; 8]),
     /// Fuel mosaic with globally uniform slope/aspect/wind: one table per
     /// fuel code, looked up through the fuel layer.
     PerFuel(&'a [[f64; 8]; 14], &'a [u8]),
-    /// Fully heterogeneous terrain: one table per cell. On the reference
-    /// kernel the slice is raster-order over the whole map; on the bucket
-    /// kernel it is window-order (see [`Window::local`]).
-    PerCell(&'a [[f64; 8]]),
+    /// Fully heterogeneous terrain: one table per cell of the run's window,
+    /// in window order (see [`Window::local`]), plus the hoisted base the
+    /// lazy fallback computes a cell beyond the window from.
+    PerCell {
+        cells: &'a [[f64; 8]],
+        base: [(f64, f64); 14],
+    },
+}
+
+/// Which cells can ignite: a cell burns iff its own fuel bed can (no-fuel
+/// cells are firebreaks). With no fuel layer burnability is global, and
+/// only then is the scenario's model consulted — a layered terrain makes
+/// it irrelevant, and must not panic on an out-of-catalog value it never
+/// uses.
+#[derive(Clone, Copy)]
+struct Burnable<'a> {
+    fuel: Option<&'a [u8]>,
+    beds: &'a [FuelBed],
+    global: bool,
+}
+
+impl Burnable<'_> {
+    #[inline]
+    fn at(&self, idx: usize) -> bool {
+        match self.fuel {
+            Some(fuel) => self.beds[fuel[idx] as usize].burnable,
+            None => self.global,
+        }
+    }
+}
+
+/// The read-only half of one run, built once by [`FireSim::run_kernel`] and
+/// shared by all three kernels: everything a pop needs to turn into
+/// arrival candidates for its neighbours.
+struct Sweep<'a> {
+    sim: &'a FireSim,
+    scenario: &'a Scenario,
+    burnable: Burnable<'a>,
+    /// The active-front window: the cells `tables` was gathered for and
+    /// writes are span-tracked in; the whole raster on [`Kernel::Heap`].
+    win: Window,
+    tables: Tables<'a>,
+    rows: usize,
+    cols: usize,
+    cell_ft: f64,
+    t0: f64,
+    duration: f64,
+    t_end: f64,
+}
+
+/// The written half of one run: the arrival raster plus the record of
+/// where the run wrote it, which is what the next run resets and what
+/// [`SimArena::written_ranges`] reports.
+struct Trail<'a> {
+    out: &'a mut IgnitionMap,
+    span_lo: &'a mut [u32],
+    span_hi: &'a mut [u32],
+    stray: &'a mut Vec<u32>,
+    win: Window,
+}
+
+impl std::ops::Deref for Trail<'_> {
+    type Target = IgnitionMap;
+
+    fn deref(&self) -> &IgnitionMap {
+        self.out
+    }
+}
+
+impl Trail<'_> {
+    /// Writes `arrival` into cell `idx` = `(r, c)` and records the write:
+    /// in the row's span inside the window, on the stray list beyond it.
+    // lint: no_alloc
+    #[inline]
+    fn mark_written(&mut self, idx: usize, (r, c): (usize, usize), arrival: f64) {
+        self.out.set_time(r, c, arrival);
+        if self.win.contains(r, c) {
+            let wr = r - self.win.r0;
+            self.span_lo[wr] = self.span_lo[wr].min(c as u32);
+            self.span_hi[wr] = self.span_hi[wr].max(c as u32);
+        } else {
+            self.stray.push(idx as u32);
+        }
+    }
+}
+
+/// Debug-build audit of the pop order every kernel must realize —
+/// ascending time, ties broken by larger cell index. That order is the
+/// whole bit-identity argument (see the module docs).
+#[inline]
+fn audit_pop_order(prev: &mut Option<(f64, u32)>, t: f64, idx: u32) {
+    debug_assert!(
+        prev.is_none_or(|(pt, pi)| pt < t || (pt == t && pi >= idx)),
+        "pop order regressed: {prev:?} then ({t}, {idx})"
+    );
+    *prev = Some((t, idx));
+}
+
+/// One layer of the per-cell gather: `dst` — whole window rows, `src`
+/// naming each row's cells in the raster-order `layer` — becomes `f` of the
+/// layer's values, or `uniform` throughout on a terrain without that layer.
+// lint: no_alloc
+fn gather_layer<S: Copy, D: Copy>(
+    dst: &mut [D],
+    layer: Option<&Grid<S>>,
+    src: impl Iterator<Item = std::ops::Range<usize>>,
+    uniform: D,
+    f: impl Fn(S) -> D,
+) {
+    let Some(layer) = layer else {
+        return dst.fill(uniform);
+    };
+    let mut filled = 0;
+    for row in src {
+        let into = &mut dst[filled..filled + row.len()];
+        filled += row.len();
+        for (d, &s) in into.iter_mut().zip(&layer.as_slice()[row]) {
+            *d = f(s);
+        }
+    }
 }
 
 /// The fire propagation simulator for one terrain.
@@ -1023,25 +1134,13 @@ impl FireSim {
         cap
     }
 
-    /// The wind/slope half of the spread math over arbitrary SoA slices:
-    /// `out[i]` becomes the directional table of the cell whose inputs sit
-    /// at index `i`. The slice form is what lets the parallel window
-    /// gather hand disjoint band sub-slices of the same buffers to
-    /// concurrent workers.
+    /// The wind/slope half of the spread math, one linear pass over a
+    /// gathered band: `per_cell[i]` becomes the directional table of the
+    /// cell whose inputs sit at index `i`.
     // lint: no_alloc
-    #[allow(clippy::too_many_arguments)]
-    fn spread_kernel_into(
-        codes: &[u8],
-        steep: &[f64],
-        aspect: &[f64],
-        wind_fpm: &[f64],
-        wind_az: &[f64],
-        beds: &[FuelBed],
-        base: &[(f64, f64); 14],
-        out: &mut [[f64; 8]],
-    ) {
-        for (idx, slot) in out.iter_mut().enumerate() {
-            let code = codes[idx] as usize;
+    fn spread_kernel(band: &mut Band<'_>, beds: &[FuelBed], base: &[(f64, f64); 14]) {
+        for (idx, slot) in band.per_cell.iter_mut().enumerate() {
+            let code = band.codes[idx] as usize;
             // Unburnable beds hoist to `(0.0, 0.0)`, so the `ros0` guard
             // covers both the unburnable and the extinguished case — the
             // same two paths `cell_spread` resolves to `no_spread`.
@@ -1050,10 +1149,10 @@ impl FireSim {
                 SpreadVector::no_spread()
             } else {
                 let inputs = SpreadInputs {
-                    wind_fpm: wind_fpm[idx],
-                    wind_azimuth: wind_az[idx],
-                    slope_steepness: steep[idx],
-                    aspect_azimuth: aspect[idx],
+                    wind_fpm: band.wind_fpm[idx],
+                    wind_azimuth: band.wind_az[idx],
+                    slope_steepness: band.steep[idx],
+                    aspect_azimuth: band.aspect[idx],
                 };
                 wind_slope_from_ros0(&beds[code], ros0, rx_int, &inputs)
             };
@@ -1066,363 +1165,116 @@ impl FireSim {
         }
     }
 
-    /// The wind/slope half of the spread math, one linear pass over the
-    /// gathered SoA buffers: `scratch.per_cell[i]` becomes the directional
-    /// table of the cell whose inputs sit at index `i`.
-    // lint: no_alloc
-    fn spread_kernel(
-        scratch: &mut SpreadScratch,
-        beds: &[FuelBed],
-        base: &[(f64, f64); 14],
-        n: usize,
-    ) {
-        let SpreadScratch {
-            per_cell,
-            codes,
-            steep,
-            aspect,
-            wind_fpm,
-            wind_az,
-        } = scratch;
-        per_cell.clear();
-        per_cell.resize(n, [0.0; 8]);
-        Self::spread_kernel_into(
-            &codes[..n],
-            &steep[..n],
-            &aspect[..n],
-            &wind_fpm[..n],
-            &wind_az[..n],
-            beds,
-            base,
-            per_cell,
-        );
-    }
-
-    /// Fills the per-cell directional-spread tables for a fully
-    /// heterogeneous terrain via the flat SoA path, whole raster. Three
-    /// phases:
+    /// The per-cell gather: fills `band` — window rows `rows` of `win`,
+    /// in window-row order — with the directional-spread tables of a fully
+    /// heterogeneous terrain via the flat SoA path. Three phases:
     ///
     /// 1. **Gather** — resolve each override layer into its own contiguous
-    ///    raster-order buffer, hoisting the layer-presence branch (and the
-    ///    per-layer transforms: `tan`, mph→fpm, azimuth wrap) out of the
-    ///    cell loop into simple vectorizable map/splat loops.
-    /// 2. **Hoist** — [`FireSim::hoisted_base`].
+    ///    buffer ([`gather_layer`]), hoisting the layer-presence branch
+    ///    (and the per-layer transforms: `tan`, mph→fpm, azimuth wrap) out
+    ///    of the cell loop into simple vectorizable map/splat loops.
+    /// 2. **Hoist** — `base`, from [`FireSim::hoisted_base`].
     /// 3. **Kernel** — [`FireSim::spread_kernel`].
     ///
-    /// Bit-identity with the old per-cell [`FireSim::cell_spread`] loop:
-    /// the gathered inputs are computed by the same expressions the
-    /// [`Terrain`] accessors use, `no_wind_no_slope` is pure in (bed,
-    /// moisture), and [`wind_slope_max`] is exactly `no_wind_no_slope`
-    /// composed with [`wind_slope_from_ros0`] — pinned by the arena
-    /// regression suite.
+    /// Every cell's table depends on that cell alone, so it does not
+    /// matter which window or row range a cell is gathered through: the
+    /// serial fill is the whole window as one range, the tiled kernel's
+    /// parallel fill ([`FireSim::gather_banded`]) is this function per row
+    /// band, and the reference kernel's window is the raster. Bit-identity
+    /// with the per-cell [`FireSim::cell_spread`]: the gathered inputs are
+    /// computed by the same expressions the [`Terrain`] accessors use,
+    /// `no_wind_no_slope` is pure in (bed, moisture), and
+    /// [`wind_slope_max`] is exactly `no_wind_no_slope` composed with
+    /// [`wind_slope_from_ros0`] — pinned by the arena regression suite.
     // lint: no_alloc
-    fn fill_per_cell(&self, scenario: &Scenario, scratch: &mut SpreadScratch) {
-        let t = &*self.terrain;
-        let n = t.rows() * t.cols();
-
-        // Every buffer is cleared then refilled to exactly `n`; `reserve`
-        // is a no-op for a warmed arena and one exact allocation on the
-        // cold (`simulate_into`) path instead of doubling growth.
-        let codes = &mut scratch.codes;
-        codes.clear();
-        codes.reserve(n);
-        match t.fuel_layer() {
-            Some(g) => codes.extend_from_slice(g.as_slice()),
-            None => codes.resize(n, scenario.model),
-        }
-
-        let steep = &mut scratch.steep;
-        steep.clear();
-        steep.reserve(n);
-        match t.slope_layer() {
-            Some(g) => steep.extend(g.as_slice().iter().map(|&d| d.to_radians().tan())),
-            None => steep.resize(n, scenario.slope_deg.to_radians().tan()),
-        }
-
-        let aspect = &mut scratch.aspect;
-        aspect.clear();
-        aspect.reserve(n);
-        match t.aspect_layer() {
-            Some(g) => aspect.extend_from_slice(g.as_slice()),
-            None => aspect.resize(n, scenario.aspect_deg),
-        }
-
-        let wind_fpm = &mut scratch.wind_fpm;
-        let wind_az = &mut scratch.wind_az;
-        wind_fpm.clear();
-        wind_az.clear();
-        wind_fpm.reserve(n);
-        wind_az.reserve(n);
-        match t.wind_layer() {
-            Some((factor, offset)) => {
-                wind_fpm.extend(
-                    factor
-                        .as_slice()
-                        .iter()
-                        .map(|&f| (scenario.wind_speed_mph * f) * crate::MPH_TO_FPM),
-                );
-                wind_az.extend(
-                    offset
-                        .as_slice()
-                        .iter()
-                        .map(|&o| normalize_azimuth(scenario.wind_dir_deg + o)),
-                );
-            }
-            None => {
-                wind_fpm.resize(n, scenario.wind_speed_mph * crate::MPH_TO_FPM);
-                wind_az.resize(n, scenario.wind_dir_deg);
-            }
-        }
-
-        let moisture = scenario.moisture();
-        let base = self.hoisted_base(&moisture);
-        Self::spread_kernel(scratch, &self.beds, &base, n);
-    }
-
-    /// Window-bounded variant of [`FireSim::fill_per_cell`]: gathers and
-    /// computes tables only for the cells inside `win`, in window-row
-    /// order. Each gathered value is produced by the exact expression the
-    /// full-raster gather uses on the same cell (the loops walk per-row
-    /// sub-slices of the same layers), so the window tables are
-    /// bit-identical to the corresponding full-raster entries.
-    // lint: no_alloc
-    fn fill_per_cell_window(
+    fn gather_rows(
         &self,
         scenario: &Scenario,
-        scratch: &mut SpreadScratch,
-        win: &Window,
         base: &[(f64, f64); 14],
+        win: &Window,
+        rows: std::ops::Range<usize>,
+        band: &mut Band<'_>,
     ) {
         let t = &*self.terrain;
-        let cols = t.cols();
-        let n = win.cells();
-
-        let codes = &mut scratch.codes;
-        codes.clear();
-        codes.reserve(n);
-        match t.fuel_layer() {
-            Some(g) => {
-                let s = g.as_slice();
-                for wr in 0..win.rows {
-                    let off = (win.r0 + wr) * cols + win.c0;
-                    codes.extend_from_slice(&s[off..off + win.cols]);
-                }
-            }
-            None => codes.resize(n, scenario.model),
-        }
-
-        let steep = &mut scratch.steep;
-        steep.clear();
-        steep.reserve(n);
-        match t.slope_layer() {
-            Some(g) => {
-                let s = g.as_slice();
-                for wr in 0..win.rows {
-                    let off = (win.r0 + wr) * cols + win.c0;
-                    steep.extend(s[off..off + win.cols].iter().map(|&d| d.to_radians().tan()));
-                }
-            }
-            None => steep.resize(n, scenario.slope_deg.to_radians().tan()),
-        }
-
-        let aspect = &mut scratch.aspect;
-        aspect.clear();
-        aspect.reserve(n);
-        match t.aspect_layer() {
-            Some(g) => {
-                let s = g.as_slice();
-                for wr in 0..win.rows {
-                    let off = (win.r0 + wr) * cols + win.c0;
-                    aspect.extend_from_slice(&s[off..off + win.cols]);
-                }
-            }
-            None => aspect.resize(n, scenario.aspect_deg),
-        }
-
-        let wind_fpm = &mut scratch.wind_fpm;
-        let wind_az = &mut scratch.wind_az;
-        wind_fpm.clear();
-        wind_az.clear();
-        wind_fpm.reserve(n);
-        wind_az.reserve(n);
-        match t.wind_layer() {
-            Some((factor, offset)) => {
-                let (fs, os) = (factor.as_slice(), offset.as_slice());
-                for wr in 0..win.rows {
-                    let off = (win.r0 + wr) * cols + win.c0;
-                    wind_fpm.extend(
-                        fs[off..off + win.cols]
-                            .iter()
-                            .map(|&f| (scenario.wind_speed_mph * f) * crate::MPH_TO_FPM),
-                    );
-                    wind_az.extend(
-                        os[off..off + win.cols]
-                            .iter()
-                            .map(|&o| normalize_azimuth(scenario.wind_dir_deg + o)),
-                    );
-                }
-            }
-            None => {
-                wind_fpm.resize(n, scenario.wind_speed_mph * crate::MPH_TO_FPM);
-                wind_az.resize(n, scenario.wind_dir_deg);
-            }
-        }
-
-        Self::spread_kernel(scratch, &self.beds, base, n);
+        // Where each window row of the band sits in a raster-order layer.
+        let src = rows.map(|wr| {
+            let off = (win.r0 + wr) * t.cols() + win.c0;
+            off..off + win.cols
+        });
+        let wind = t.wind_layer();
+        let (speed, dir) = (scenario.wind_speed_mph, scenario.wind_dir_deg);
+        gather_layer(
+            band.codes,
+            t.fuel_layer(),
+            src.clone(),
+            scenario.model,
+            |code| code,
+        );
+        gather_layer(
+            band.steep,
+            t.slope_layer(),
+            src.clone(),
+            scenario.slope_deg.to_radians().tan(),
+            |deg: f64| deg.to_radians().tan(),
+        );
+        gather_layer(
+            band.aspect,
+            t.aspect_layer(),
+            src.clone(),
+            scenario.aspect_deg,
+            |azimuth| azimuth,
+        );
+        gather_layer(
+            band.wind_fpm,
+            wind.map(|(factor, _)| factor),
+            src.clone(),
+            speed * crate::MPH_TO_FPM,
+            |factor| (speed * factor) * crate::MPH_TO_FPM,
+        );
+        gather_layer(
+            band.wind_az,
+            wind.map(|(_, offset)| offset),
+            src,
+            dir,
+            |offset| normalize_azimuth(dir + offset),
+        );
+        Self::spread_kernel(band, &self.beds, base);
     }
 
-    /// Parallel variant of [`FireSim::fill_per_cell_window`]: the window is
-    /// split into contiguous row bands, and each band gathers its inputs
-    /// and runs the spread kernel into *disjoint sub-slices* of the shared
-    /// SoA buffers concurrently. Every cell's value is produced by the
-    /// exact expression the serial gather uses (cells are independent), so
-    /// the filled tables are bit-identical to the serial fill — pinned by
-    /// the `parallel_window_fill_matches_serial` test. Falls back to the
-    /// serial path when one worker or a small window makes bands pointless.
-    fn fill_per_cell_window_par(
+    /// [`FireSim::gather_rows`] over the whole window, split into
+    /// contiguous row bands that fill *disjoint sub-slices* of the shared
+    /// buffers concurrently. Same function, same cells, so the tables are
+    /// bit-identical to the single-range fill.
+    fn gather_banded(
         &self,
         scenario: &Scenario,
-        scratch: &mut SpreadScratch,
-        win: &Window,
         base: &[(f64, f64); 14],
+        win: &Window,
         workers: usize,
+        whole: Band<'_>,
     ) {
-        let n = win.cells();
-        if workers <= 1 || n < 16_384 || win.rows < 2 {
-            return self.fill_per_cell_window(scenario, scratch, win, base);
-        }
-        let t = &*self.terrain;
-        let cols = t.cols();
-
-        let SpreadScratch {
-            per_cell,
-            codes,
-            steep,
-            aspect,
-            wind_fpm,
-            wind_az,
-        } = scratch;
-        codes.clear();
-        codes.resize(n, 0);
-        steep.clear();
-        steep.resize(n, 0.0);
-        aspect.clear();
-        aspect.resize(n, 0.0);
-        wind_fpm.clear();
-        wind_fpm.resize(n, 0.0);
-        wind_az.clear();
-        wind_az.resize(n, 0.0);
-        per_cell.clear();
-        per_cell.resize(n, [0.0; 8]);
-
-        /// One row band's disjoint view of the gather buffers.
-        struct Band<'a> {
-            wr0: usize,
-            codes: &'a mut [u8],
-            steep: &'a mut [f64],
-            aspect: &'a mut [f64],
-            wind_fpm: &'a mut [f64],
-            wind_az: &'a mut [f64],
-            per_cell: &'a mut [[f64; 8]],
-        }
-
-        let nbands = (workers * 4).min(win.rows);
-        let band_rows = win.rows.div_ceil(nbands);
-        let mut bands: Vec<Band<'_>> = Vec::with_capacity(nbands);
-        {
-            let (mut rc, mut rs, mut ra, mut rwf, mut rwa, mut rp) = (
-                &mut codes[..],
-                &mut steep[..],
-                &mut aspect[..],
-                &mut wind_fpm[..],
-                &mut wind_az[..],
-                &mut per_cell[..],
-            );
-            let mut wr0 = 0;
-            while wr0 < win.rows {
-                let rows_here = band_rows.min(win.rows - wr0);
-                let cut = rows_here * win.cols;
-                let (bc, tc) = rc.split_at_mut(cut);
-                let (bs, ts) = rs.split_at_mut(cut);
-                let (ba, ta) = ra.split_at_mut(cut);
-                let (bwf, twf) = rwf.split_at_mut(cut);
-                let (bwa, twa) = rwa.split_at_mut(cut);
-                let (bp, tp) = rp.split_at_mut(cut);
-                (rc, rs, ra, rwf, rwa, rp) = (tc, ts, ta, twf, twa, tp);
-                bands.push(Band {
-                    wr0,
-                    codes: bc,
-                    steep: bs,
-                    aspect: ba,
-                    wind_fpm: bwf,
-                    wind_az: bwa,
-                    per_cell: bp,
-                });
-                wr0 += rows_here;
-            }
-        }
-
-        let fuel = t.fuel_layer().map(|g| g.as_slice());
-        let slope = t.slope_layer().map(|g| g.as_slice());
-        let aspect_l = t.aspect_layer().map(|g| g.as_slice());
-        let wind_l = t.wind_layer().map(|(f, o)| (f.as_slice(), o.as_slice()));
-        let beds = &self.beds;
-        parworker::scoped_for_each_mut(workers, &mut bands, 1, |_, band| {
-            let rows_here = band.codes.len() / win.cols;
-            for br in 0..rows_here {
-                let off = (win.r0 + band.wr0 + br) * cols + win.c0;
-                let dst = br * win.cols..(br + 1) * win.cols;
-                match fuel {
-                    Some(s) => band.codes[dst.clone()].copy_from_slice(&s[off..off + win.cols]),
-                    None => band.codes[dst.clone()].fill(scenario.model),
-                }
-                match slope {
-                    Some(s) => {
-                        for (v, &d) in band.steep[dst.clone()]
-                            .iter_mut()
-                            .zip(&s[off..off + win.cols])
-                        {
-                            *v = d.to_radians().tan();
-                        }
-                    }
-                    None => band.steep[dst.clone()].fill(scenario.slope_deg.to_radians().tan()),
-                }
-                match aspect_l {
-                    Some(s) => band.aspect[dst.clone()].copy_from_slice(&s[off..off + win.cols]),
-                    None => band.aspect[dst.clone()].fill(scenario.aspect_deg),
-                }
-                match wind_l {
-                    Some((fs, os)) => {
-                        for (v, &f) in band.wind_fpm[dst.clone()]
-                            .iter_mut()
-                            .zip(&fs[off..off + win.cols])
-                        {
-                            *v = (scenario.wind_speed_mph * f) * crate::MPH_TO_FPM;
-                        }
-                        for (v, &o) in band.wind_az[dst.clone()]
-                            .iter_mut()
-                            .zip(&os[off..off + win.cols])
-                        {
-                            *v = normalize_azimuth(scenario.wind_dir_deg + o);
-                        }
-                    }
-                    None => {
-                        band.wind_fpm[dst.clone()]
-                            .fill(scenario.wind_speed_mph * crate::MPH_TO_FPM);
-                        band.wind_az[dst.clone()].fill(scenario.wind_dir_deg);
-                    }
-                }
-            }
-            Self::spread_kernel_into(
-                band.codes,
-                band.steep,
-                band.aspect,
-                band.wind_fpm,
-                band.wind_az,
-                beds,
-                base,
-                band.per_cell,
-            );
+        let band_rows = win.rows.div_ceil((workers * 4).min(win.rows));
+        let cut = band_rows * win.cols;
+        let mut bands: Vec<Band<'_>> = (whole.codes.chunks_mut(cut))
+            .zip(whole.steep.chunks_mut(cut))
+            .zip(whole.aspect.chunks_mut(cut))
+            .zip(whole.wind_fpm.chunks_mut(cut))
+            .zip(whole.wind_az.chunks_mut(cut))
+            .zip(whole.per_cell.chunks_mut(cut))
+            .map(
+                |(((((codes, steep), aspect), wind_fpm), wind_az), per_cell)| Band {
+                    codes,
+                    steep,
+                    aspect,
+                    wind_fpm,
+                    wind_az,
+                    per_cell,
+                },
+            )
+            .collect();
+        parworker::scoped_for_each_mut(workers, &mut bands, 1, |i, band| {
+            let rows = i * band_rows..i * band_rows + band.codes.len() / win.cols;
+            self.gather_rows(scenario, base, win, rows, band);
         });
     }
 
@@ -1503,6 +1355,11 @@ impl FireSim {
     /// (scratch is allocated per call) — workers that evaluate in a loop
     /// should hold a [`SimArena`] and call [`FireSim::simulate_arena`]
     /// instead.
+    ///
+    /// # Panics
+    /// As [`FireSim::simulate`], and when `out` does not match the terrain
+    /// shape. A run that panics on its own preconditions leaves `out`
+    /// unspecified.
     pub fn simulate_into(
         &self,
         scenario: &Scenario,
@@ -1511,20 +1368,16 @@ impl FireSim {
         duration: f64,
         out: &mut IgnitionMap,
     ) {
-        let mut spread = SpreadScratch::default();
-        let mut per_fuel = [[0.0; 8]; 14];
-        let mut heap = BinaryHeap::new();
-        self.check_shape("initial fire line", initial.rows(), initial.cols());
-        self.run_dijkstra(
-            scenario,
-            LitCells::from_line(initial).as_slice(),
-            t0,
-            duration,
-            &mut spread,
-            &mut per_fuel,
-            &mut heap,
-            out,
-        );
+        self.check_shape("output map", out.rows(), out.cols());
+        // The caller's map is lent to a throwaway arena as a raster of
+        // unknown content, and taken back once the run has refilled it.
+        let mut arena = self.arena();
+        arena.dirty = Dirty::All;
+        arena.out = Some(std::mem::replace(out, IgnitionMap::unignited(1, 1)));
+        self.simulate_arena_kernel(scenario, initial, t0, duration, &mut arena, Kernel::Heap);
+        if let Some(refilled) = arena.out.take() {
+            *out = refilled;
+        }
     }
 
     /// The allocation-free hot path: simulates into the arena's buffers and
@@ -1550,8 +1403,8 @@ impl FireSim {
 
     /// [`FireSim::simulate_arena`] with an explicit kernel choice —
     /// exposed so benches and the equivalence property suite can run the
-    /// reference heap kernel against the bucket kernel on the same arena
-    /// API. Both kernels produce bit-identical rasters.
+    /// reference heap kernel against the others on the same arena API.
+    /// All three kernels produce bit-identical rasters.
     pub fn simulate_arena_kernel<'a>(
         &self,
         scenario: &Scenario,
@@ -1601,7 +1454,10 @@ impl FireSim {
         );
     }
 
-    /// One run of `kernel` from the lit cells `lit` into `arena`.
+    /// One run of `kernel` from the lit cells `lit` into `arena`: the
+    /// prelude every kernel shares — preconditions, raster reset, burnable
+    /// seeds, window, spread tables, seed writes — then the kernel's own
+    /// frontier loop over the resulting [`Sweep`] and [`Trail`].
     // lint: no_alloc
     fn run_kernel(
         &self,
@@ -1612,50 +1468,9 @@ impl FireSim {
         arena: &mut SimArena,
         kernel: Kernel,
     ) {
-        let (rows, cols) = (arena.rows, arena.cols);
-        self.check_shape("arena", rows, cols);
-        match kernel {
-            Kernel::Bucket => self.run_bucket(scenario, lit, t0, duration, arena),
-            Kernel::Tiled { tile, workers } => {
-                self.run_tiled(scenario, lit, t0, duration, arena, tile, workers)
-            }
-            Kernel::Heap => {
-                let SimArena {
-                    spread,
-                    per_fuel,
-                    heap,
-                    out,
-                    dirty,
-                    ..
-                } = arena;
-                let out = out.get_or_insert_with(|| IgnitionMap::unignited(rows, cols));
-                self.run_dijkstra(scenario, lit, t0, duration, spread, per_fuel, heap, out);
-                // The reference kernel writes through a full clear; the
-                // next bucket run must not assume span-bounded dirt.
-                *dirty = Dirty::All;
-            }
-        }
-    }
-
-    /// The reference Dijkstra minimum-travel-time sweep over reusable
-    /// buffers — full-raster gather and reset, single binary heap. The
-    /// implementation behind `simulate`/`simulate_into` and the oracle the
-    /// bucket kernel is pinned against.
-    #[allow(clippy::too_many_arguments)]
-    // lint: no_alloc
-    fn run_dijkstra(
-        &self,
-        scenario: &Scenario,
-        lit: &[u32],
-        t0: f64,
-        duration: f64,
-        spread: &mut SpreadScratch,
-        per_fuel: &mut [[f64; 8]; 14],
-        heap: &mut BinaryHeap<(Reverse<Time>, u32)>,
-        out: &mut IgnitionMap,
-    ) {
-        let rows = self.terrain.rows();
-        let cols = self.terrain.cols();
+        let t = &*self.terrain;
+        let (rows, cols) = (t.rows(), t.cols());
+        self.check_shape("arena", arena.rows, arena.cols);
         assert!(
             t0.is_finite() && t0 >= 0.0,
             "t0 must be a non-negative instant"
@@ -1664,119 +1479,128 @@ impl FireSim {
             duration.is_finite() && duration > 0.0,
             "duration must be positive"
         );
-        assert_eq!(
-            (out.rows(), out.cols()),
-            (rows, cols),
-            "output map shape mismatch"
-        );
-
-        out.clear();
-        heap.clear();
-        let t_end = t0 + duration;
-        let cell_ft = self.terrain.cell_size_ft();
-
-        // Resolve the spread-table mode once per run. Uniform terrains share
-        // one table; fuel-only mosaics share one table per fuel code (≤ 14
-        // spread computations instead of rows × cols); anything else gets
-        // the per-cell cache in the arena.
-        let tables: Tables<'_> = if !self.terrain.has_overrides() {
-            Tables::Uniform(self.cell_spread(0, 0, scenario).compass_ros())
-        } else if self.terrain.fuel_is_only_override() {
-            let moisture = scenario.moisture();
-            for (code, table) in per_fuel.iter_mut().enumerate() {
-                *table = self.fuel_table(code, scenario, &moisture);
+        let workers = match kernel {
+            Kernel::Tiled { tile, workers } => {
+                assert!(tile > 0, "tile size must be non-zero");
+                match workers {
+                    0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                    pinned => pinned,
+                }
             }
-            let fuel = self
-                .terrain
-                .fuel_layer()
-                // audit: allow(panic) — fuel_is_only_override() just returned true, which requires a fuel layer
-                .expect("fuel_is_only_override implies a fuel layer")
-                .as_slice();
-            Tables::PerFuel(per_fuel, fuel)
-        } else {
-            self.fill_per_cell(scenario, spread);
-            Tables::PerCell(&spread.per_cell)
-        };
-        let ros_of = |idx: usize| -> &[f64; 8] {
-            match &tables {
-                Tables::Uniform(table) => table,
-                Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize],
-                Tables::PerCell(cells) => &cells[idx],
-            }
-        };
-        // A cell can ignite iff its own bed can burn (no-fuel cells are
-        // firebreaks). With no fuel layer burnability is global.
-        let fuel_slice = self.terrain.fuel_layer().map(|g| g.as_slice());
-        // Only consult the scenario's model when no fuel layer overrides it
-        // (a layered terrain makes the global model irrelevant, and must not
-        // panic on an out-of-catalog value it never uses).
-        let scenario_burnable = fuel_slice.is_none() && self.beds[scenario.model as usize].burnable;
-        let burnable_at = |idx: usize| -> bool {
-            match fuel_slice {
-                Some(f) => self.beds[f[idx] as usize].burnable,
-                None => scenario_burnable,
-            }
+            Kernel::Heap | Kernel::Bucket => 1,
         };
 
-        for &sidx in lit {
+        let SimArena {
+            spread,
+            per_fuel,
+            heap,
+            queue,
+            seeds,
+            span_lo,
+            span_hi,
+            stray,
+            dirty,
+            epochs,
+            out,
+            ..
+        } = arena;
+        let out = out.get_or_insert_with(|| IgnitionMap::unignited(rows, cols));
+        reset_raster(dirty, out, span_lo, span_hi, stray, cols);
+
+        let fuel = t.fuel_layer().map(|g| g.as_slice());
+        let burnable = Burnable {
+            fuel,
+            beds: &self.beds,
+            global: fuel.is_none() && self.beds[scenario.model as usize].burnable,
+        };
+        let whole = kernel == Kernel::Heap;
+        let Some(win) = self.seed_window(scenario, lit, duration, whole, seeds, &burnable) else {
+            return; // nothing written; the raster stays clean
+        };
+
+        // Uniform terrains share one table; fuel-only mosaics share one
+        // table per fuel code (≤ 14 spread computations instead of one per
+        // cell); anything else gets the per-cell cache in the arena,
+        // gathered for the window only. The gather is the one place tiling
+        // parallelizes *outside* the sweep, when the window is big enough
+        // for row bands to pay.
+        let tables = match fuel {
+            _ if !t.has_overrides() => {
+                Tables::Uniform(self.cell_spread(0, 0, scenario).compass_ros())
+            }
+            Some(fuel) if t.fuel_is_only_override() => {
+                let moisture = scenario.moisture();
+                for (code, table) in per_fuel.iter_mut().enumerate() {
+                    *table = self.fuel_table(code, scenario, &moisture);
+                }
+                Tables::PerFuel(per_fuel, fuel)
+            }
+            _ => {
+                let base = self.hoisted_base(&scenario.moisture());
+                let mut band = spread.band(win.cells());
+                if workers <= 1 || win.cells() < 16_384 || win.rows < 2 {
+                    self.gather_rows(scenario, &base, &win, 0..win.rows, &mut band);
+                } else {
+                    self.gather_banded(scenario, &base, &win, workers, band);
+                }
+                Tables::PerCell {
+                    cells: &spread.per_cell,
+                    base,
+                }
+            }
+        };
+        let sweep = Sweep {
+            sim: self,
+            scenario,
+            burnable,
+            win,
+            tables,
+            rows,
+            cols,
+            cell_ft: t.cell_size_ft(),
+            t0,
+            duration,
+            t_end: t0 + duration,
+        };
+
+        span_lo.clear();
+        span_lo.resize(win.rows, u32::MAX);
+        span_hi.clear();
+        span_hi.resize(win.rows, 0);
+        *dirty = Dirty::Spans {
+            r0: win.r0,
+            rows: win.rows,
+        };
+        let mut trail = Trail {
+            out,
+            span_lo,
+            span_hi,
+            stray,
+            win,
+        };
+        for &sidx in seeds.iter() {
             let idx = sidx as usize;
-            if !burnable_at(idx) {
-                continue;
-            }
-            out.set_time(idx / cols, idx % cols, t0);
-            heap.push((Reverse(Time(t0)), sidx));
+            trail.mark_written(idx, (idx / cols, idx % cols), t0);
         }
-
-        // Pop order IS the kernel-equivalence contract: ascending time,
-        // ties broken by larger cell index. Audited in debug builds.
-        #[cfg(debug_assertions)]
-        let mut prev_pop: Option<(f64, u32)> = None;
-        while let Some((Reverse(Time(t)), idx)) = heap.pop() {
-            #[cfg(debug_assertions)]
-            {
-                if let Some((pt, pi)) = prev_pop {
-                    debug_assert!(
-                        pt < t || (pt == t && pi >= idx),
-                        "heap pop order regressed: ({pt}, {pi}) then ({t}, {idx})"
-                    );
-                }
-                prev_pop = Some((t, idx));
+        match kernel {
+            Kernel::Heap => {
+                sweep.run_dijkstra(seeds, heap, trail.out);
+                // The reference kernel tracks nothing beyond its seeds.
+                *dirty = Dirty::All;
             }
-            let idx = idx as usize;
-            let (r, c) = (idx / cols, idx % cols);
-            if t > out.time(r, c) + SMIDGEN {
-                continue; // stale entry
-            }
-            let table = ros_of(idx);
-            for (dir, &(dr, dc, dist_factor)) in landscape::NEIGHBOUR_OFFSETS.iter().enumerate() {
-                let (nr, nc) = (r as isize + dr, c as isize + dc);
-                if nr < 0 || nc < 0 || nr as usize >= rows || nc as usize >= cols {
-                    continue;
-                }
-                let (nr, nc) = (nr as usize, nc as usize);
-                let ros = table[dir];
-                if ros <= SMIDGEN {
-                    continue;
-                }
-                let arrival = t + dist_factor * cell_ft / ros;
-                if arrival > t_end || arrival >= out.time(nr, nc) - SMIDGEN {
-                    continue;
-                }
-                let nidx = nr * cols + nc;
-                if !burnable_at(nidx) {
-                    continue;
-                }
-                out.set_time(nr, nc, arrival);
-                heap.push((Reverse(Time(arrival)), nidx as u32));
+            Kernel::Bucket => sweep.run_bucket(seeds, queue, &mut trail),
+            Kernel::Tiled { tile, .. } => {
+                sweep.run_tiled(seeds, queue, &mut trail, epochs, tile, workers)
             }
         }
+        dedup_strays(trail.stray);
     }
 
-    /// The start of a windowed run: filters `lit` down to the cells that
-    /// can burn (into `seeds`) and returns the active-front window around
-    /// them — their bounding box expanded by the farthest whole-cell
-    /// distance the fire can cross within the horizon — or `None` when
-    /// nothing burnable is lit.
+    /// The start of a run: filters `lit` down to the cells that can burn
+    /// (into `seeds`) and returns the active-front window around them —
+    /// their bounding box expanded by the farthest whole-cell distance the
+    /// fire can cross within the horizon, or the `whole` raster when asked
+    /// for it — or `None` when nothing burnable is lit.
     ///
     /// A diagonal step advances one Chebyshev unit and costs `√2 · cell_ft
     /// / ros ≥ cell_ft / ros_cap`, so `ros_cap · duration / cell_ft`
@@ -1789,8 +1613,9 @@ impl FireSim {
         scenario: &Scenario,
         lit: &[u32],
         duration: f64,
+        whole: bool,
         seeds: &mut Vec<u32>,
-        burnable_at: &impl Fn(usize) -> bool,
+        burnable: &Burnable<'_>,
     ) -> Option<Window> {
         let rows = self.terrain.rows();
         let cols = self.terrain.cols();
@@ -1798,7 +1623,7 @@ impl FireSim {
         let (mut br0, mut bc0, mut br1, mut bc1) = (usize::MAX, usize::MAX, 0usize, 0usize);
         for &sidx in lit {
             let idx = sidx as usize;
-            if !burnable_at(idx) {
+            if !burnable.at(idx) {
                 continue;
             }
             seeds.push(sidx);
@@ -1811,19 +1636,23 @@ impl FireSim {
         if seeds.is_empty() {
             return None;
         }
-        let reach = {
+        let reach = if whole {
+            rows.max(cols)
+        } else {
             let cap = self.spread_rate_bound(scenario);
-            if cap <= SMIDGEN {
+            let reach = if cap <= SMIDGEN {
                 0
             } else {
                 let cells =
                     (cap * duration / self.terrain.cell_size_ft() * (1.0 + 1e-9)).ceil() + 2.0;
                 cells.min(rows.max(cols) as f64) as usize
-            }
+            };
+            // Tests shrink the window to force the out-of-window (stray)
+            // paths.
+            #[cfg(test)]
+            let reach = reach.min(tests::REACH_CAP.with(std::cell::Cell::get));
+            reach
         };
-        // Tests shrink the window to force the out-of-window (stray) paths.
-        #[cfg(test)]
-        let reach = reach.min(tests::REACH_CAP.with(std::cell::Cell::get));
         let r0 = br0.saturating_sub(reach);
         let c0 = bc0.saturating_sub(reach);
         let r1 = (br1 + reach).min(rows - 1);
@@ -1836,150 +1665,127 @@ impl FireSim {
         })
     }
 
-    /// The bucket-kernel sweep: monotone bucket queue + active-front
-    /// bounding + span-tracked raster reset. Execution is bit-identical to
-    /// [`FireSim::run_dijkstra`] (see the module docs for the ordering
-    /// argument); the work and memory touched scale with the reachable
-    /// window instead of the raster.
-    // lint: no_alloc
-    fn run_bucket(
+    /// Convenience: simulates and returns the fire line at the end of the
+    /// horizon (burned cells at `t0 + duration`).
+    pub fn simulate_fire_line(
         &self,
         scenario: &Scenario,
-        lit: &[u32],
+        initial: &FireLine,
         t0: f64,
         duration: f64,
-        arena: &mut SimArena,
+    ) -> FireLine {
+        self.simulate(scenario, initial, t0, duration)
+            .fire_line_at(t0 + duration)
+    }
+
+    /// Maximum spread rate (ft/min) of `scenario` on a uniform cell of this
+    /// terrain — exposed for workload sizing in the benches.
+    pub fn max_ros(&self, scenario: &Scenario) -> f64 {
+        self.cell_spread(0, 0, scenario).ros_max
+    }
+}
+
+impl Sweep<'_> {
+    /// The directional spread table of cell `idx` = `(r, c)`, by reference
+    /// wherever one is stored. A per-cell run that pops a cell beyond its
+    /// gathered window (possible only through floating-point slack in
+    /// [`FireSim::spread_rate_bound`]) computes that cell's table on the
+    /// spot, bit-identical to what the gather would have stored.
+    // lint: no_alloc
+    #[inline]
+    fn table(&self, idx: usize, r: usize, c: usize) -> Cow<'_, [f64; 8]> {
+        Cow::Borrowed(match &self.tables {
+            Tables::Uniform(table) => table,
+            Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize],
+            Tables::PerCell { cells, .. } if self.win.contains(r, c) => {
+                &cells[self.win.local(r, c)]
+            }
+            Tables::PerCell { base, .. } => {
+                return Cow::Owned(self.sim.cell_table_at(r, c, self.scenario, base))
+            }
+        })
+    }
+
+    /// The one relaxation step behind the bucket and tiled kernels: the
+    /// pop of `(t, idx)` against `raster`, handing `emit` every neighbour
+    /// arrival that survives — an edge that spreads, inside the horizon,
+    /// beating the neighbour's current arrival by more than `SMIDGEN`, into
+    /// a cell that can burn. A stale pop (`t` already beaten at `idx`)
+    /// emits nothing. `emit` gets the raster back, so a caller that applies
+    /// its candidates writes them there ([`Trail::mark_written`]) and one
+    /// that defers them reads a snapshot; the eight neighbours are distinct
+    /// cells, so a write for one never changes the verdict on another.
+    // lint: no_alloc
+    #[inline]
+    fn relax<R: std::ops::Deref<Target = IgnitionMap>>(
+        &self,
+        t: f64,
+        idx: usize,
+        raster: &mut R,
+        mut emit: impl FnMut(&mut R, f64, usize, (usize, usize)),
     ) {
-        let rows = self.terrain.rows();
-        let cols = self.terrain.cols();
-        assert!(
-            t0.is_finite() && t0 >= 0.0,
-            "t0 must be a non-negative instant"
-        );
-        assert!(
-            duration.is_finite() && duration > 0.0,
-            "duration must be positive"
-        );
-
-        let SimArena {
-            spread,
-            per_fuel,
-            queue,
-            seeds,
-            span_lo,
-            span_hi,
-            stray,
-            dirty,
-            out,
+        let &Sweep {
+            rows,
+            cols,
+            cell_ft,
+            t_end,
             ..
-        } = arena;
-        let out = out.get_or_insert_with(|| IgnitionMap::unignited(rows, cols));
-
-        reset_raster(dirty, out, span_lo, span_hi, stray, cols);
-
-        let t_end = t0 + duration;
-        let cell_ft = self.terrain.cell_size_ft();
-
-        let fuel_slice = self.terrain.fuel_layer().map(|g| g.as_slice());
-        let scenario_burnable = fuel_slice.is_none() && self.beds[scenario.model as usize].burnable;
-        let burnable_at = |idx: usize| -> bool {
-            match fuel_slice {
-                Some(f) => self.beds[f[idx] as usize].burnable,
-                None => scenario_burnable,
-            }
-        };
-
-        let Some(win) = self.seed_window(scenario, lit, duration, seeds, &burnable_at) else {
-            return; // nothing written; the raster stays clean
-        };
-
-        span_lo.clear();
-        span_lo.resize(win.rows, u32::MAX);
-        span_hi.clear();
-        span_hi.resize(win.rows, 0);
-
-        // Table resolution mirrors the reference kernel; the per-cell mode
-        // gathers window-local tables and keeps the hoisted base around
-        // for the out-of-window fallback.
-        let mut percell_base: Option<[(f64, f64); 14]> = None;
-        let tables: Tables<'_> = if !self.terrain.has_overrides() {
-            Tables::Uniform(self.cell_spread(0, 0, scenario).compass_ros())
-        } else if self.terrain.fuel_is_only_override() {
-            let moisture = scenario.moisture();
-            for (code, table) in per_fuel.iter_mut().enumerate() {
-                *table = self.fuel_table(code, scenario, &moisture);
-            }
-            let fuel = self
-                .terrain
-                .fuel_layer()
-                // audit: allow(panic) — fuel_is_only_override() just returned true, which requires a fuel layer
-                .expect("fuel_is_only_override implies a fuel layer")
-                .as_slice();
-            Tables::PerFuel(per_fuel, fuel)
-        } else {
-            let moisture = scenario.moisture();
-            let base = self.hoisted_base(&moisture);
-            self.fill_per_cell_window(scenario, spread, &win, &base);
-            percell_base = Some(base);
-            Tables::PerCell(&spread.per_cell)
-        };
-
-        queue.reset(t0, duration);
-        for &sidx in seeds.iter() {
-            let (r, c) = (sidx as usize / cols, sidx as usize % cols);
-            out.set_time(r, c, t0);
-            // Seeds are inside the bounding box, hence inside the window.
-            let wr = r - win.r0;
-            span_lo[wr] = span_lo[wr].min(c as u32);
-            span_hi[wr] = span_hi[wr].max(c as u32);
-            queue.push(t0, sidx);
+        } = self;
+        let (r, c) = (idx / cols, idx % cols);
+        if t > raster.time(r, c) + SMIDGEN {
+            return; // stale entry
         }
-        *dirty = Dirty::Spans {
-            r0: win.r0,
-            rows: win.rows,
-        };
-
-        // The bucket queue must reproduce the reference heap's pop order
-        // exactly (ascending time, ties broken by larger cell index) —
-        // that order is the whole bit-identity argument. Audited in debug
-        // builds.
-        #[cfg(debug_assertions)]
-        let mut prev_pop: Option<(f64, u32)> = None;
-        while let Some((t, idx)) = queue.pop() {
-            #[cfg(debug_assertions)]
-            {
-                if let Some((pt, pi)) = prev_pop {
-                    debug_assert!(
-                        pt < t || (pt == t && pi >= idx),
-                        "bucket pop order regressed: ({pt}, {pi}) then ({t}, {idx})"
-                    );
-                }
-                prev_pop = Some((t, idx));
+        let table = self.table(idx, r, c);
+        let table: &[f64; 8] = &table;
+        for (dir, &(dr, dc, dist_factor)) in landscape::NEIGHBOUR_OFFSETS.iter().enumerate() {
+            let (nr, nc) = (r as isize + dr, c as isize + dc);
+            if nr < 0 || nc < 0 || nr as usize >= rows || nc as usize >= cols {
+                continue;
             }
+            let (nr, nc) = (nr as usize, nc as usize);
+            let ros = table[dir];
+            if ros <= SMIDGEN {
+                continue;
+            }
+            let arrival = t + dist_factor * cell_ft / ros;
+            if arrival > t_end || arrival >= raster.time(nr, nc) - SMIDGEN {
+                continue;
+            }
+            let nidx = nr * cols + nc;
+            if !self.burnable.at(nidx) {
+                continue;
+            }
+            emit(raster, arrival, nidx, (nr, nc));
+        }
+    }
+
+    /// The reference kernel: a classic Dijkstra minimum-travel-time sweep
+    /// over one binary heap and the whole raster. It is the oracle every
+    /// equivalence suite compares the other kernels against, so it shares
+    /// their prelude but deliberately keeps its own pop-and-relax loop
+    /// instead of calling [`Sweep::relax`] — a reference that shared the
+    /// step it checks would check nothing.
+    // lint: no_alloc
+    fn run_dijkstra(
+        &self,
+        seeds: &[u32],
+        heap: &mut BinaryHeap<(Reverse<Time>, u32)>,
+        out: &mut IgnitionMap,
+    ) {
+        let (rows, cols) = (self.rows, self.cols);
+        heap.clear();
+        for &sidx in seeds {
+            heap.push((Reverse(Time(self.t0)), sidx));
+        }
+        let mut prev_pop = None;
+        while let Some((Reverse(Time(t)), idx)) = heap.pop() {
+            audit_pop_order(&mut prev_pop, t, idx);
             let idx = idx as usize;
             let (r, c) = (idx / cols, idx % cols);
             if t > out.time(r, c) + SMIDGEN {
                 continue; // stale entry
             }
-            let fallback: [f64; 8];
-            let table: &[f64; 8] = match &tables {
-                Tables::Uniform(table) => table,
-                Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize],
-                Tables::PerCell(cells) => {
-                    if win.contains(r, c) {
-                        &cells[win.local(r, c)]
-                    } else {
-                        fallback = self.cell_table_at(
-                            r,
-                            c,
-                            scenario,
-                            // audit: allow(panic) — percell_base is always set by the PerCell branch that selects this closure
-                            percell_base.as_ref().expect("per-cell mode keeps the base"),
-                        );
-                        &fallback
-                    }
-                }
-            };
+            let table = self.table(idx, r, c);
             for (dir, &(dr, dc, dist_factor)) in landscape::NEIGHBOUR_OFFSETS.iter().enumerate() {
                 let (nr, nc) = (r as isize + dr, c as isize + dc);
                 if nr < 0 || nc < 0 || nr as usize >= rows || nc as usize >= cols {
@@ -1990,197 +1796,92 @@ impl FireSim {
                 if ros <= SMIDGEN {
                     continue;
                 }
-                let arrival = t + dist_factor * cell_ft / ros;
-                if arrival > t_end || arrival >= out.time(nr, nc) - SMIDGEN {
+                let arrival = t + dist_factor * self.cell_ft / ros;
+                if arrival > self.t_end || arrival >= out.time(nr, nc) - SMIDGEN {
                     continue;
                 }
                 let nidx = nr * cols + nc;
-                if !burnable_at(nidx) {
+                if !self.burnable.at(nidx) {
                     continue;
                 }
                 out.set_time(nr, nc, arrival);
-                if win.contains(nr, nc) {
-                    let wr = nr - win.r0;
-                    span_lo[wr] = span_lo[wr].min(nc as u32);
-                    span_hi[wr] = span_hi[wr].max(nc as u32);
-                } else {
-                    stray.push(nidx as u32);
-                }
-                queue.push(arrival, nidx as u32);
+                heap.push((Reverse(Time(arrival)), nidx as u32));
             }
         }
-        dedup_strays(stray);
     }
 
-    /// The tiled parallel wavefront sweep behind [`Kernel::Tiled`]:
-    /// multi-core propagation *inside* a single simulation, bit-identical
-    /// to [`FireSim::run_dijkstra`] by construction.
-    ///
-    /// The bucket queue is processed in **epochs** — runs of consecutive
-    /// bucket levels bundled until at least [`TILE_GRAIN`] frontier entries
-    /// are in hand. Each epoch runs in two phases:
+    /// The bucket kernel: the frontier lives in a monotone
+    /// [`BucketQueue`], every pop goes through [`Sweep::relax`], and every
+    /// surviving arrival is written and pushed at once.
+    // lint: no_alloc
+    fn run_bucket(&self, seeds: &[u32], queue: &mut BucketQueue, trail: &mut Trail<'_>) {
+        queue.reset(self.t0, self.duration);
+        for &sidx in seeds {
+            queue.push(self.t0, sidx);
+        }
+        let mut prev_pop = None;
+        while let Some((t, idx)) = queue.pop() {
+            audit_pop_order(&mut prev_pop, t, idx);
+            self.relax(t, idx as usize, trail, |trail, arrival, nidx, at| {
+                trail.mark_written(nidx, at, arrival);
+                queue.push(arrival, nidx as u32);
+            });
+        }
+    }
+
+    /// The tiled kernel: multi-core propagation *inside* a single
+    /// simulation. The bucket queue is processed in **epochs** — runs of
+    /// consecutive bucket levels bundled until at least [`TILE_GRAIN`]
+    /// frontier entries are in hand. Each epoch runs in two phases:
     ///
     /// 1. **Parallel drain** (defer-all): the epoch's entries are grouped
     ///    by spatial tile (`tile × tile` blocks of the active window, pop
     ///    order within each tile) and the tiles drain concurrently via
     ///    [`parworker::scoped_for_each_mut`]. A drain never writes the
-    ///    raster: it precomputes each pop's candidate arrivals — pure
-    ///    functions of `(t, spread table, geometry)` — into a per-tile
-    ///    outbox ([`drain_tile`]).
+    ///    raster: it runs [`Sweep::relax`] against a snapshot and keeps
+    ///    each pop's candidates in a per-tile outbox
+    ///    ([`Sweep::drain_tile`]).
     /// 2. **Sequential merge**: a k-way merge over the tile outboxes
-    ///    replays the candidate groups in the *exact global pop order* of
-    ///    the reference heap (ascending time, ties by descending index),
+    ///    replays the candidate groups in the *exact global pop order*,
     ///    re-checking staleness against the live raster before every
     ///    write. Arrivals that quantize past the epoch's last bucket are
     ///    staged back into the queue; arrivals landing *inside* the epoch
     ///    (in-epoch cascades) are pushed into the same merge frontier and
-    ///    relaxed fully by the merge itself, exactly where the heap would
-    ///    pop them.
+    ///    relaxed by the merge itself, exactly where the heap would pop
+    ///    them.
     ///
-    /// **Why this is exact.** The merge applies writes in the same strict
-    /// `(time, index)` total order the reference heap realizes, and every
-    /// apply re-checks the raster-dependent conditions at that point, so
-    /// by induction each apply sees the raster in precisely the state the
-    /// heap would have at the corresponding pop — every relaxation
-    /// decision, every `SMIDGEN` comparison, every `f64` write is
-    /// literally identical. The drain's pre-filters discard only entries
-    /// the heap would also discard (see [`drain_tile`]); candidate
-    /// *values* are raster-independent, so computing them early and in
-    /// parallel changes nothing. Epoch boundaries are a pure scheduling
-    /// choice — any partition of the pop sequence yields the same raster —
-    /// which is what lets the kernel bundle levels adaptively. The
-    /// `kernel_equivalence` property suite and the in-run digest checks of
-    /// `harness landscape` pin this with exact raster-bit comparisons.
-    #[allow(clippy::too_many_arguments)]
+    /// **What tiling adds to the module's bit-identity argument.** The
+    /// merge applies writes in the reference pop order and re-checks every
+    /// raster-dependent condition at that point, so by induction each
+    /// apply sees the raster in precisely the state the heap would have at
+    /// the corresponding pop. The drain's pre-filters discard only what
+    /// the heap would also discard ([`Sweep::drain_tile`]); candidate
+    /// *values* are pure functions of `(t, spread table, geometry)`, so
+    /// computing them early and in parallel changes nothing. Epoch
+    /// boundaries are a pure scheduling choice — any partition of the pop
+    /// sequence yields the same raster — which is what lets the kernel
+    /// bundle levels adaptively.
     fn run_tiled(
         &self,
-        scenario: &Scenario,
-        lit: &[u32],
-        t0: f64,
-        duration: f64,
-        arena: &mut SimArena,
+        seeds: &[u32],
+        queue: &mut BucketQueue,
+        trail: &mut Trail<'_>,
+        scratch: &mut EpochScratch,
         tile: usize,
         workers: usize,
     ) {
-        assert!(tile > 0, "tile size must be non-zero");
-        let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            workers
-        };
-        let rows = self.terrain.rows();
-        let cols = self.terrain.cols();
-        assert!(
-            t0.is_finite() && t0 >= 0.0,
-            "t0 must be a non-negative instant"
-        );
-        assert!(
-            duration.is_finite() && duration > 0.0,
-            "duration must be positive"
-        );
-
-        let SimArena {
-            spread,
-            per_fuel,
-            queue,
-            seeds,
-            span_lo,
-            span_hi,
-            stray,
-            dirty,
+        let EpochScratch {
             tiles,
             epoch,
             keyed,
             tile_ranges,
             merge,
-            out,
-            ..
-        } = arena;
-        let out = out.get_or_insert_with(|| IgnitionMap::unignited(rows, cols));
-        reset_raster(dirty, out, span_lo, span_hi, stray, cols);
-
-        let t_end = t0 + duration;
-        let cell_ft = self.terrain.cell_size_ft();
-
-        let fuel_slice = self.terrain.fuel_layer().map(|g| g.as_slice());
-        let scenario_burnable = fuel_slice.is_none() && self.beds[scenario.model as usize].burnable;
-        let burnable_at = |idx: usize| -> bool {
-            match fuel_slice {
-                Some(f) => self.beds[f[idx] as usize].burnable,
-                None => scenario_burnable,
-            }
-        };
-
-        let Some(win) = self.seed_window(scenario, lit, duration, seeds, &burnable_at) else {
-            return; // nothing written; the raster stays clean
-        };
-
-        span_lo.clear();
-        span_lo.resize(win.rows, u32::MAX);
-        span_hi.clear();
-        span_hi.resize(win.rows, 0);
-
-        // Table resolution mirrors the bucket kernel; the per-cell gather
-        // is the one place tiling parallelizes *outside* the sweep (row
-        // bands, bit-identical to the serial fill).
-        let mut percell_base: Option<[(f64, f64); 14]> = None;
-        let tables: Tables<'_> = if !self.terrain.has_overrides() {
-            Tables::Uniform(self.cell_spread(0, 0, scenario).compass_ros())
-        } else if self.terrain.fuel_is_only_override() {
-            let moisture = scenario.moisture();
-            for (code, table) in per_fuel.iter_mut().enumerate() {
-                *table = self.fuel_table(code, scenario, &moisture);
-            }
-            let fuel = self
-                .terrain
-                .fuel_layer()
-                // audit: allow(panic) — fuel_is_only_override() just returned true, which requires a fuel layer
-                .expect("fuel_is_only_override implies a fuel layer")
-                .as_slice();
-            Tables::PerFuel(per_fuel, fuel)
-        } else {
-            let moisture = scenario.moisture();
-            let base = self.hoisted_base(&moisture);
-            self.fill_per_cell_window_par(scenario, spread, &win, &base, workers);
-            percell_base = Some(base);
-            Tables::PerCell(&spread.per_cell)
-        };
-        let resolve_table = |idx: usize, r: usize, c: usize| -> [f64; 8] {
-            match &tables {
-                Tables::Uniform(table) => *table,
-                Tables::PerFuel(by_code, fuel) => by_code[fuel[idx] as usize],
-                Tables::PerCell(cells) => {
-                    if win.contains(r, c) {
-                        cells[win.local(r, c)]
-                    } else {
-                        self.cell_table_at(
-                            r,
-                            c,
-                            scenario,
-                            // audit: allow(panic) — percell_base is always set by the PerCell branch that selects this closure
-                            percell_base.as_ref().expect("per-cell mode keeps the base"),
-                        )
-                    }
-                }
-            }
-        };
-
-        queue.reset(t0, duration);
-        for &sidx in seeds.iter() {
-            let (r, c) = (sidx as usize / cols, sidx as usize % cols);
-            out.set_time(r, c, t0);
-            // Seeds are inside the bounding box, hence inside the window.
-            let wr = r - win.r0;
-            span_lo[wr] = span_lo[wr].min(c as u32);
-            span_hi[wr] = span_hi[wr].max(c as u32);
-            queue.stage(t0, sidx);
+        } = scratch;
+        let (win, cols) = (self.win, self.cols);
+        queue.reset(self.t0, self.duration);
+        for &sidx in seeds {
+            queue.stage(self.t0, sidx);
         }
-        *dirty = Dirty::Spans {
-            r0: win.r0,
-            rows: win.rows,
-        };
 
         // Tile ownership of a cell: its `tile × tile` block of the active
         // window, strays clamped to the nearest window cell (deterministic
@@ -2195,12 +1896,9 @@ impl FireSim {
         // Merge-frontier source marker for in-epoch cascade entries.
         const CASCADE: u32 = u32::MAX;
 
-        // The realized apply order is the kernel-equivalence contract:
-        // ascending time, ties broken by larger cell index, across epoch
-        // boundaries too (a later bucket strictly implies a later time).
-        // Audited in debug builds.
-        #[cfg(debug_assertions)]
-        let mut prev_pop: Option<(f64, u32)> = None;
+        // The audited order runs across epoch boundaries too: a later
+        // bucket strictly implies a later time.
+        let mut prev_pop = None;
         while let Some(k_end) = queue.take_levels(TILE_GRAIN, epoch) {
             // Group the epoch by (tile, pop order): one sorted keyed pass
             // so the comparator stays division-free.
@@ -2225,33 +1923,22 @@ impl FireSim {
             // Phase 1 — parallel drain into per-tile outboxes. Reads the
             // raster, never writes it. Tiny epochs drain inline.
             {
-                let out_r: &IgnitionMap = out;
+                let snapshot: &IgnitionMap = trail.out;
                 let entries: &[(u32, f64, u32)] = keyed;
-                let ranges_r: &[(u32, u32)] = tile_ranges;
+                let ranges: &[(u32, u32)] = tile_ranges;
                 let eff_workers = if epoch.len() < TILE_INLINE {
                     1
                 } else {
                     workers
                 };
                 parworker::scoped_for_each_mut(eff_workers, &mut tiles[..n_active], 1, |i, ts| {
-                    let (s, e) = ranges_r[i];
-                    drain_tile(
-                        ts,
-                        &entries[s as usize..e as usize],
-                        out_r,
-                        rows,
-                        cols,
-                        cell_ft,
-                        t_end,
-                        &resolve_table,
-                        &burnable_at,
-                    );
+                    let (s, e) = ranges[i];
+                    self.drain_tile(ts, &entries[s as usize..e as usize], snapshot);
                 });
             }
 
             // Phase 2 — sequential ordered merge: replay the epoch's pops
-            // in exact reference order, re-checking every raster-dependent
-            // condition against the live raster.
+            // in exact reference order against the live raster.
             merge.clear();
             for (slot, ts) in tiles[..n_active].iter().enumerate() {
                 if let Some(g) = ts.groups.first() {
@@ -2259,116 +1946,85 @@ impl FireSim {
                 }
             }
             while let Some((Reverse(Time(t)), idx, src)) = merge.pop() {
-                #[cfg(debug_assertions)]
-                {
-                    if let Some((pt, pi)) = prev_pop {
-                        debug_assert!(
-                            pt < t || (pt == t && pi >= idx),
-                            "tiled merge order regressed: ({pt}, {pi}) then ({t}, {idx})"
-                        );
+                audit_pop_order(&mut prev_pop, t, idx);
+                // The head group of tile `src`: advance that tile's cursor
+                // and refill the frontier before applying the group.
+                let group = (src != CASCADE).then(|| {
+                    let ts = &mut tiles[src as usize];
+                    ts.head += 1;
+                    if let Some(next) = ts.groups.get(ts.head) {
+                        merge.push((Reverse(Time(next.t)), next.idx, src));
                     }
-                    prev_pop = Some((t, idx));
-                }
-                if src == CASCADE {
+                    ts.groups[ts.head - 1]
+                });
+                // A write, and where its arrival pops: in this epoch's
+                // merge or in a later epoch's queue level.
+                let mut apply = |trail: &mut Trail<'_>, arrival: f64, nidx: usize, at| {
+                    trail.mark_written(nidx, at, arrival);
+                    if queue.bucket_of(arrival) <= k_end {
+                        merge.push((Reverse(Time(arrival)), nidx as u32, CASCADE));
+                    } else {
+                        queue.stage(arrival, nidx as u32);
+                    }
+                };
+                let Some(g) = group else {
                     // An arrival generated inside this epoch: relax it
                     // fully here, exactly where the heap would pop it.
-                    let ci = idx as usize;
-                    let (r, c) = (ci / cols, ci % cols);
-                    if t > out.time(r, c) + SMIDGEN {
-                        continue; // stale entry
+                    self.relax(t, idx as usize, trail, apply);
+                    continue;
+                };
+                let ci = idx as usize;
+                if t > trail.time(ci / cols, ci % cols) + SMIDGEN {
+                    continue; // went stale since the drain snapshot
+                }
+                for &(arrival, nidx) in &g.cand[..g.len as usize] {
+                    let at = (nidx as usize / cols, nidx as usize % cols);
+                    if arrival >= trail.time(at.0, at.1) - SMIDGEN {
+                        continue; // beaten since the drain snapshot
                     }
-                    let table = resolve_table(ci, r, c);
-                    for (dir, &(dr, dc, dist_factor)) in
-                        landscape::NEIGHBOUR_OFFSETS.iter().enumerate()
-                    {
-                        let (nr, nc) = (r as isize + dr, c as isize + dc);
-                        if nr < 0 || nc < 0 || nr as usize >= rows || nc as usize >= cols {
-                            continue;
-                        }
-                        let (nr, nc) = (nr as usize, nc as usize);
-                        let ros = table[dir];
-                        if ros <= SMIDGEN {
-                            continue;
-                        }
-                        let arrival = t + dist_factor * cell_ft / ros;
-                        if arrival > t_end || arrival >= out.time(nr, nc) - SMIDGEN {
-                            continue;
-                        }
-                        let nidx = nr * cols + nc;
-                        if !burnable_at(nidx) {
-                            continue;
-                        }
-                        out.set_time(nr, nc, arrival);
-                        if win.contains(nr, nc) {
-                            let wr = nr - win.r0;
-                            span_lo[wr] = span_lo[wr].min(nc as u32);
-                            span_hi[wr] = span_hi[wr].max(nc as u32);
-                        } else {
-                            stray.push(nidx as u32);
-                        }
-                        if queue.bucket_of(arrival) <= k_end {
-                            merge.push((Reverse(Time(arrival)), nidx as u32, CASCADE));
-                        } else {
-                            queue.stage(arrival, nidx as u32);
-                        }
-                    }
-                } else {
-                    // Head group of tile `src`: advance the tile cursor,
-                    // refill the frontier, then apply the group.
-                    let slot = src as usize;
-                    let ts = &mut tiles[slot];
-                    let g = ts.groups[ts.head];
-                    ts.head += 1;
-                    if let Some(n) = ts.groups.get(ts.head) {
-                        merge.push((Reverse(Time(n.t)), n.idx, src));
-                    }
-                    let ci = g.idx as usize;
-                    let (r, c) = (ci / cols, ci % cols);
-                    if g.t > out.time(r, c) + SMIDGEN {
-                        continue; // went stale since the drain snapshot
-                    }
-                    for &(arrival, nidx) in &g.cand[..g.len as usize] {
-                        let (nr, nc) = (nidx as usize / cols, nidx as usize % cols);
-                        if arrival >= out.time(nr, nc) - SMIDGEN {
-                            continue; // beaten since the drain snapshot
-                        }
-                        out.set_time(nr, nc, arrival);
-                        if win.contains(nr, nc) {
-                            let wr = nr - win.r0;
-                            span_lo[wr] = span_lo[wr].min(nc as u32);
-                            span_hi[wr] = span_hi[wr].max(nc as u32);
-                        } else {
-                            stray.push(nidx);
-                        }
-                        if queue.bucket_of(arrival) <= k_end {
-                            merge.push((Reverse(Time(arrival)), nidx, CASCADE));
-                        } else {
-                            queue.stage(arrival, nidx);
-                        }
-                    }
+                    apply(trail, arrival, nidx as usize, at);
                 }
             }
         }
-        dedup_strays(stray);
     }
 
-    /// Convenience: simulates and returns the fire line at the end of the
-    /// horizon (burned cells at `t0 + duration`).
-    pub fn simulate_fire_line(
+    /// One tile's share of a tiled-kernel epoch drain: relaxes the tile's
+    /// pops (already in reference pop order) against a *read-only*
+    /// snapshot of the arrival raster, keeping each pop's surviving
+    /// candidates in the tile outbox.
+    ///
+    /// Both of [`Sweep::relax`]'s raster checks act here as pre-filters
+    /// that keep the outbox small, and both are sound because arrival
+    /// times only ever decrease: an entry stale *now* can never become
+    /// live by apply time, and a candidate already beaten by the raster
+    /// only falls further behind as the neighbour's arrival shrinks. The
+    /// converse directions are NOT stable, which is why the sequential
+    /// merge re-checks both conditions against the live raster before
+    /// every write.
+    // lint: no_alloc
+    fn drain_tile(
         &self,
-        scenario: &Scenario,
-        initial: &FireLine,
-        t0: f64,
-        duration: f64,
-    ) -> FireLine {
-        self.simulate(scenario, initial, t0, duration)
-            .fire_line_at(t0 + duration)
-    }
-
-    /// Maximum spread rate (ft/min) of `scenario` on a uniform cell of this
-    /// terrain — exposed for workload sizing in the benches.
-    pub fn max_ros(&self, scenario: &Scenario) -> f64 {
-        self.cell_spread(0, 0, scenario).ros_max
+        ts: &mut TileScratch,
+        entries: &[(u32, f64, u32)],
+        mut snapshot: &IgnitionMap,
+    ) {
+        ts.head = 0;
+        ts.groups.clear();
+        for &(_, t, idx) in entries {
+            let mut g = PopGroup {
+                t,
+                idx,
+                len: 0,
+                cand: [(0.0, 0); 8],
+            };
+            self.relax(t, idx as usize, &mut snapshot, |_, arrival, nidx, _| {
+                g.cand[g.len as usize] = (arrival, nidx as u32);
+                g.len += 1;
+            });
+            if g.len > 0 {
+                ts.groups.push(g);
+            }
+        }
     }
 }
 
@@ -2412,6 +2068,30 @@ mod tests {
                 .with_fuel(fuel)
                 .with_slope(slope),
         )
+    }
+
+    /// The per-cell tables of `win` through the unified gather: as one
+    /// row range (`workers == 1`) or in concurrent row bands.
+    fn gathered(sim: &FireSim, s: &Scenario, win: &Window, workers: usize) -> Vec<[f64; 8]> {
+        let base = sim.hoisted_base(&s.moisture());
+        let mut scratch = SpreadScratch::default();
+        let mut band = scratch.band(win.cells());
+        if workers == 1 {
+            sim.gather_rows(s, &base, win, 0..win.rows, &mut band);
+        } else {
+            sim.gather_banded(s, &base, win, workers, band);
+        }
+        scratch.per_cell
+    }
+
+    /// The window that covers `sim`'s raster — the reference kernel's.
+    fn whole_raster(sim: &FireSim) -> Window {
+        Window {
+            r0: 0,
+            c0: 0,
+            rows: sim.terrain().rows(),
+            cols: sim.terrain().cols(),
+        }
     }
 
     #[test]
@@ -2707,13 +2387,12 @@ mod tests {
             wind_dir_deg: 210.0,
             ..Scenario::reference()
         };
-        let mut scratch = SpreadScratch::default();
-        sim.fill_per_cell(&s, &mut scratch);
+        let tables = gathered(&sim, &s, &whole_raster(&sim), 1);
         let base = sim.hoisted_base(&s.moisture());
         for r in 0..9 {
             for c in 0..13 {
                 let lazy = sim.cell_table_at(r, c, &s, &base);
-                let gathered = scratch.per_cell[r * 13 + c];
+                let gathered = tables[r * 13 + c];
                 for d in 0..8 {
                     assert_eq!(
                         lazy[d].to_bits(),
@@ -2733,9 +2412,10 @@ mod tests {
             ..Scenario::reference()
         };
         let bound = sim.spread_rate_bound(&s);
-        let mut scratch = SpreadScratch::default();
-        sim.fill_per_cell(&s, &mut scratch);
-        for (idx, table) in scratch.per_cell.iter().enumerate() {
+        for (idx, table) in gathered(&sim, &s, &whole_raster(&sim), 1)
+            .iter()
+            .enumerate()
+        {
             for (d, &ros) in table.iter().enumerate() {
                 assert!(
                     ros <= bound * (1.0 + 1e-12),
@@ -2876,6 +2556,43 @@ mod tests {
     fn zero_duration_rejected() {
         let sim = flat_sim(5);
         let _ = sim.simulate(&calm_scenario(), &centre_ignition(5, 5), 0.0, 0.0);
+    }
+
+    #[test]
+    fn every_kernel_rejects_bad_instants_and_horizons() {
+        // One prelude checks the run's preconditions for all three kernels.
+        const T0: &str = "t0 must be a non-negative instant";
+        const DURATION: &str = "duration must be positive";
+        let sim = flat_sim(5);
+        let ignition = centre_ignition(5, 5);
+        for kernel in ALL_KERNELS {
+            for (t0, duration, expected) in [
+                (0.0, 0.0, DURATION),
+                (0.0, -1.0, DURATION),
+                (0.0, f64::NAN, DURATION),
+                (0.0, f64::INFINITY, DURATION),
+                (-1.0, 10.0, T0),
+                (f64::NAN, 10.0, T0),
+                (f64::INFINITY, 10.0, T0),
+            ] {
+                let run = std::panic::AssertUnwindSafe(|| {
+                    let mut arena = sim.arena();
+                    let s = calm_scenario();
+                    sim.simulate_arena_kernel(&s, &ignition, t0, duration, &mut arena, kernel);
+                });
+                let payload = std::panic::catch_unwind(run)
+                    .expect_err(&format!("{kernel} accepted t0={t0} duration={duration}"));
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                assert!(
+                    message.contains(expected),
+                    "{kernel} t0={t0} duration={duration}: panicked with '{message}'"
+                );
+            }
+        }
     }
 
     /// Exact-bits comparison helper for kernel-equivalence tests.
@@ -3136,20 +2853,19 @@ mod tests {
             wind_dir_deg: 210.0,
             ..Scenario::reference()
         };
-        let base = sim.hoisted_base(&s.moisture());
+        // 133 rows split into 8 bands of 17 (last: 14) and 27 of 5 (last:
+        // 3): neither band height divides the window.
         let win = Window {
             r0: 3,
             c0: 1,
             rows: 133,
             cols: 127,
         };
-        let mut serial = SpreadScratch::default();
-        sim.fill_per_cell_window(&s, &mut serial, &win, &base);
+        let serial = gathered(&sim, &s, &win, 1);
         for workers in [2, 8] {
-            let mut par = SpreadScratch::default();
-            sim.fill_per_cell_window_par(&s, &mut par, &win, &base, workers);
-            assert_eq!(serial.per_cell.len(), par.per_cell.len());
-            for (i, (a, b)) in serial.per_cell.iter().zip(&par.per_cell).enumerate() {
+            let par = gathered(&sim, &s, &win, workers);
+            assert_eq!(serial.len(), par.len());
+            for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
                 for d in 0..8 {
                     assert_eq!(
                         a[d].to_bits(),
@@ -3216,6 +2932,23 @@ mod tests {
             ),
             (
                 "tiled:32x4",
+                Kernel::Tiled {
+                    tile: 32,
+                    workers: 4,
+                },
+            ),
+            // The grammar folds case as a whole, arguments included.
+            ("HEAP", Kernel::Heap),
+            ("Bucket", Kernel::Bucket),
+            (
+                "Tiled:64",
+                Kernel::Tiled {
+                    tile: 64,
+                    workers: 0,
+                },
+            ),
+            (
+                " TILED:32X4 ",
                 Kernel::Tiled {
                     tile: 32,
                     workers: 4,
