@@ -38,7 +38,7 @@ pub struct FuzzStats {
 }
 
 /// Key alphabet for generated objects. Deliberately disjoint from every
-/// protocol keyword (`op`, `v`, `kind`, `system`, …) so a generated line
+/// protocol keyword (`v`, `id`, `kind`, `system`, …) so a generated line
 /// can never accidentally be a well-formed request — [`fuzz_serve_loop`]
 /// relies on that to assert `accepted == 0`.
 const KEYS: &[&str] = &["k0", "k1", "k2", "zz", "qq", "xx"];
@@ -339,12 +339,13 @@ pub fn fuzz_serve_loop(seed: u64, lines: u64) -> Result<FuzzStats, String> {
             summary.accepted
         ));
     }
-    // Every output line must itself be well-formed JSON.
+    // Every output line must itself be a well-formed v2 frame.
     for line in String::from_utf8_lossy(&output).lines() {
         if line.trim().is_empty() {
             continue;
         }
-        Json::parse(line).map_err(|e| format!("serve emitted invalid JSON ({e}): {line}"))?;
+        crate::protocol::parse_frame(line)
+            .map_err(|e| format!("serve emitted a non-v2 line ({e}): {line}"))?;
     }
     stats.rejected = summary.errors as u64;
     Ok(stats)

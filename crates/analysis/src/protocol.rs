@@ -3,16 +3,15 @@
 //! Two halves, deliberately separate:
 //!
 //! 1. **The abstract walk** ([`walk_protocol`]): a state machine encoding
-//!    the *specified* lifecycle rules of `ess_service::serve` — sessions
-//!    are admitted under one dialect and never switch, every live session
-//!    steps once per scheduler round, the terminal frame lands one round
-//!    after the last step, cancel removes a session without a terminal
-//!    frame, restore admits a brand-new v2 session carrying the
-//!    snapshot's progress, drain leaves nothing live. The walk
-//!    exhaustively applies every legal operation sequence up to a depth
-//!    bound and checks the lifecycle invariants (sticky terminal events,
-//!    no dialect mixing, snapshot/restore closure, exactly one terminal
-//!    frame per non-cancelled session) at every reachable state.
+//!    the *specified* lifecycle rules of `ess_service::serve` — every
+//!    live session steps once per scheduler round, the terminal frame
+//!    lands one round after the last step, cancel removes a session
+//!    without a terminal frame, restore admits a brand-new session
+//!    carrying the snapshot's progress, drain leaves nothing live. The
+//!    walk exhaustively applies every legal operation sequence up to a
+//!    depth bound and checks the lifecycle invariants (sticky terminal
+//!    events, snapshot/restore closure, exactly one terminal frame per
+//!    non-cancelled session) at every reachable state.
 //!
 //! 2. **The conformance replay** ([`replay_conformance`]): the same
 //!    operation alphabet rendered into real request lines and fed through
@@ -25,13 +24,14 @@
 use ess::fitness::EvalBackend;
 use ess_service::jsonio::Json;
 use ess_service::policy::PolicyKind;
+use ess_service::proto::{Frame, Reply};
 use ess_service::serve::serve_configured;
 
 /// Steps every model session runs; 2 keeps the walk small while still
 /// exposing the partially-advanced states snapshot/restore care about.
 const TOTAL_STEPS: u32 = 2;
 /// Live-session cap: bounds the branching factor without losing the
-/// multi-session interleavings (two is enough to mix dialects).
+/// multi-session interleavings.
 const MAX_LIVE: usize = 2;
 /// A session id no admission can produce.
 const UNKNOWN_SID: u64 = 9999;
@@ -42,23 +42,21 @@ const UNKNOWN_SID: u64 = 9999;
 /// the service crate's own round-trip tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum POp {
-    /// v2 `run` with `watch: true`.
-    SubmitV2Watched,
-    /// v2 `run` with `watch: false`.
-    SubmitV2,
-    /// v1 `run`.
-    SubmitV1,
-    /// v2 `advance` one scheduler round.
+    /// `run` with `watch: true`.
+    SubmitWatched,
+    /// `run` with `watch: false`.
+    Submit,
+    /// `advance` one scheduler round.
     Advance,
-    /// v2 `snapshot` of the oldest live session.
+    /// `snapshot` of the oldest live session.
     Snapshot,
-    /// v2 `restore` of the held snapshot (walk only).
+    /// `restore` of the held snapshot (walk only).
     Restore,
-    /// v2 `cancel` of the oldest live session.
+    /// `cancel` of the oldest live session.
     CancelFirst,
-    /// v2 `cancel` of a session id that does not exist.
+    /// `cancel` of a session id that does not exist.
     CancelUnknown,
-    /// v2 `drain`.
+    /// `drain`.
     Drain,
 }
 
@@ -66,7 +64,6 @@ pub enum POp {
 #[derive(Debug, Clone)]
 struct MSession {
     sid: u64,
-    v2: bool,
     watch: bool,
     steps_done: u32,
     total_steps: u32,
@@ -78,11 +75,11 @@ struct MSession {
 /// One observable the model predicts the serve loop will stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
-    /// A step observable: a v1 `step` event, or a v2 `progress` frame
-    /// when (and only when) the session is watched.
-    Step { sid: u64, v2: bool, watch: bool },
-    /// The terminal observable: a v1 `done` event or a v2 `done` frame.
-    Done { sid: u64, v2: bool },
+    /// A completed step: a `progress` frame when (and only when) the
+    /// session is watched.
+    Step { sid: u64, watch: bool },
+    /// The terminal `done` frame.
+    Done { sid: u64 },
 }
 
 /// The whole protocol-visible state.
@@ -113,12 +110,11 @@ impl MState {
         self.sessions.iter().find(|s| s.live).map(|s| s.sid)
     }
 
-    fn admit(&mut self, v2: bool, watch: bool, steps_done: u32, total_steps: u32) -> u64 {
+    fn admit(&mut self, watch: bool, steps_done: u32, total_steps: u32) -> u64 {
         let sid = self.next_sid;
         self.next_sid += 1;
         self.sessions.push(MSession {
             sid,
-            v2,
             watch,
             steps_done,
             total_steps,
@@ -137,7 +133,6 @@ impl MState {
                 s.steps_done += 1;
                 self.audit.push(Ev::Step {
                     sid: s.sid,
-                    v2: s.v2,
                     watch: s.watch,
                 });
             } else {
@@ -146,10 +141,7 @@ impl MState {
                 }
                 s.done = true;
                 s.live = false;
-                self.audit.push(Ev::Done {
-                    sid: s.sid,
-                    v2: s.v2,
-                });
+                self.audit.push(Ev::Done { sid: s.sid });
             }
         }
         Ok(())
@@ -157,9 +149,9 @@ impl MState {
 
     /// Which operations are legal (i.e., worth branching on) here.
     fn available(&self) -> Vec<POp> {
-        let mut ops = Vec::with_capacity(9);
+        let mut ops = Vec::with_capacity(8);
         if self.live_count() < MAX_LIVE {
-            ops.extend([POp::SubmitV2Watched, POp::SubmitV2, POp::SubmitV1]);
+            ops.extend([POp::SubmitWatched, POp::Submit]);
         }
         ops.push(POp::Advance);
         if self.snap.is_none() && self.first_live().is_some() {
@@ -178,14 +170,11 @@ impl MState {
 
     fn apply(&mut self, op: POp) -> Result<(), String> {
         match op {
-            POp::SubmitV2Watched => {
-                self.admit(true, true, 0, TOTAL_STEPS);
+            POp::SubmitWatched => {
+                self.admit(true, 0, TOTAL_STEPS);
             }
-            POp::SubmitV2 => {
-                self.admit(true, false, 0, TOTAL_STEPS);
-            }
-            POp::SubmitV1 => {
-                self.admit(false, false, 0, TOTAL_STEPS);
+            POp::Submit => {
+                self.admit(false, 0, TOTAL_STEPS);
             }
             POp::Advance => self.round()?,
             POp::Snapshot => {
@@ -196,9 +185,7 @@ impl MState {
             POp::Restore => {
                 let (steps_done, total_steps) =
                     self.snap.take().ok_or("restore with no snapshot")?;
-                // Restore always admits under v2, regardless of the
-                // snapshotted session's original dialect.
-                let sid = self.admit(true, false, steps_done, total_steps);
+                let sid = self.admit(false, steps_done, total_steps);
                 let s = self.sessions.iter().find(|s| s.sid == sid).unwrap();
                 // Closure: the restored session has exactly the captured
                 // amount of work left.
@@ -244,24 +231,21 @@ impl MState {
             if s.steps_done > s.total_steps {
                 return Err(format!("session {} overran its step budget", s.sid));
             }
-            // Dialect purity + terminal stickiness over the audit stream.
+            // Watch discipline + terminal stickiness over the audit stream.
             let mut seen_done = false;
             for ev in &self.audit {
                 match *ev {
-                    Ev::Step { sid, v2, watch } if sid == s.sid => {
+                    Ev::Step { sid, watch } if sid == s.sid => {
                         if seen_done {
                             return Err(format!("session {sid} streamed after its terminal frame"));
                         }
-                        if v2 != s.v2 || watch != s.watch {
-                            return Err(format!("session {sid} mixed dialects mid-stream"));
+                        if watch != s.watch {
+                            return Err(format!("session {sid} changed its watch flag mid-stream"));
                         }
                     }
-                    Ev::Done { sid, v2 } if sid == s.sid => {
+                    Ev::Done { sid } if sid == s.sid => {
                         if seen_done {
                             return Err(format!("session {sid} got two terminal frames"));
-                        }
-                        if v2 != s.v2 {
-                            return Err(format!("session {sid} terminal frame in wrong dialect"));
                         }
                         seen_done = true;
                     }
@@ -352,19 +336,15 @@ pub struct ReplayStats {
     pub frames: u64,
 }
 
-/// Renders one model op into a request line. v2 requests use the 1-based
-/// request index as their correlation id.
+/// Renders one model op into a request line, with the 1-based request
+/// index as its correlation id.
 fn render(op: POp, id: usize, target: Option<u64>) -> String {
     const SPEC: &str = r#"{"system":"ESS","case":"meadow_small","seed":7,"replicates":1,"scale":0.05,"max_steps":2}"#;
     match op {
-        POp::SubmitV2Watched => {
+        POp::SubmitWatched => {
             format!(r#"{{"v":2,"id":{id},"kind":"run","watch":true,"spec":{SPEC}}}"#)
         }
-        POp::SubmitV2 => format!(r#"{{"v":2,"id":{id},"kind":"run","watch":false,"spec":{SPEC}}}"#),
-        POp::SubmitV1 => {
-            r#"{"op":"run","system":"ESS","case":"meadow_small","seed":7,"replicates":1,"scale":0.05,"max_steps":2}"#
-                .to_string()
-        }
+        POp::Submit => format!(r#"{{"v":2,"id":{id},"kind":"run","watch":false,"spec":{SPEC}}}"#),
         POp::Advance => format!(r#"{{"v":2,"id":{id},"kind":"advance","rounds":1}}"#),
         POp::Snapshot => format!(
             r#"{{"v":2,"id":{id},"kind":"snapshot","session":{}}}"#,
@@ -385,15 +365,13 @@ fn render(op: POp, id: usize, target: Option<u64>) -> String {
 /// What the model predicts one script's output must satisfy.
 #[derive(Debug, Default)]
 struct Prediction {
-    /// (sid, is_v2, watched, cancelled) for every admitted session.
-    sessions: Vec<(u64, bool, bool, bool)>,
-    /// v2 request ids that must each get exactly one reply frame.
-    reply_ids: Vec<usize>,
-    /// Error replies/events the script must provoke.
+    /// (sid, watched, cancelled) for every admitted session.
+    sessions: Vec<(u64, bool, bool)>,
+    /// Request lines sent; ids `1..=requests` each get exactly one reply.
+    requests: u64,
+    /// Error replies the script must provoke.
     errors: u64,
     cancelled: u64,
-    /// Whether any v1 request line was sent (affects the EOF dialect).
-    saw_v1: bool,
 }
 
 /// Runs `ops` through the model to predict observables, rendering the
@@ -401,111 +379,67 @@ struct Prediction {
 fn predict(ops: &[POp]) -> (String, Prediction) {
     let mut state = MState::new();
     let mut lines = Vec::new();
-    let mut p = Prediction::default();
     for (i, &op) in ops.iter().enumerate() {
-        let id = i + 1;
-        let target = state.first_live();
-        lines.push(render(op, id, target));
+        lines.push(render(op, i + 1, state.first_live()));
         state.apply(op).expect("generator scripts are legal");
-        match op {
-            POp::SubmitV1 => p.saw_v1 = true,
-            POp::CancelUnknown => p.errors += 1,
-            POp::CancelFirst => p.cancelled += 1,
-            _ => {}
-        }
-        if op != POp::SubmitV1 {
-            p.reply_ids.push(id);
-        }
     }
-    p.sessions = state
-        .sessions
-        .iter()
-        .map(|s| (s.sid, s.v2, s.watch, s.cancelled))
-        .collect();
+    let p = Prediction {
+        sessions: state
+            .sessions
+            .iter()
+            .map(|s| (s.sid, s.watch, s.cancelled))
+            .collect(),
+        requests: ops.len() as u64,
+        errors: state.errors,
+        cancelled: state.cancels,
+    };
     (lines.join("\n") + "\n", p)
+}
+
+/// Parses one output line of the serve loop as a v2 [`Frame`].
+pub(crate) fn parse_frame(line: &str) -> Result<Frame, String> {
+    let json = Json::parse(line).map_err(|e| e.to_string())?;
+    Frame::from_json(&json)
 }
 
 /// Checks one serve run's output stream against the prediction.
 fn check_output(script: &str, output: &str, p: &Prediction) -> Result<u64, String> {
     let fail = |msg: String| Err(format!("script:\n{script}\noutput:\n{output}\n{msg}"));
     let mut frames = 0u64;
-    // Per-sid observations: (v1_events, v2_progress, v2_done, v1_done).
-    let mut replies: Vec<(u64, String)> = Vec::new();
-    let mut step_dialect: Vec<(u64, bool)> = Vec::new(); // (sid, v2)
+    let mut reply_ids: Vec<u64> = Vec::new();
     let mut progress_sids: Vec<u64> = Vec::new();
-    let mut dones: Vec<(u64, bool)> = Vec::new(); // (sid, v2)
+    let mut done_sids: Vec<u64> = Vec::new();
     let mut errors = 0u64;
     for line in output.lines().filter(|l| !l.trim().is_empty()) {
         frames += 1;
-        let Ok(v) = Json::parse(line) else {
-            return fail(format!("unparseable output line: {line}"));
-        };
-        if v.get("v").is_some() {
-            let kind = v.get("kind").and_then(Json::as_str).unwrap_or("");
-            let sid = v.get("session").and_then(Json::as_u64);
-            match kind {
-                "progress" => {
-                    let sid = sid.ok_or("progress frame without session")?;
-                    progress_sids.push(sid);
-                    step_dialect.push((sid, true));
-                }
-                "done" => {
-                    dones.push((sid.ok_or("done frame without session")?, true));
-                }
-                "error" => {
-                    errors += 1;
-                    let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
-                    replies.push((id, kind.to_string()));
-                }
-                "accepted" | "advanced" | "snapshot" | "cancelled" | "drained" | "bye" => {
-                    let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
-                    replies.push((id, kind.to_string()));
-                }
-                other => return fail(format!("unknown v2 frame kind '{other}'")),
+        match parse_frame(line) {
+            Ok(Frame::Progress { session, .. }) => progress_sids.push(session),
+            Ok(Frame::Done(done)) => done_sids.push(done.session),
+            Ok(Frame::Reply { id, reply }) => {
+                errors += u64::from(matches!(reply, Reply::Error { .. }));
+                reply_ids.push(id);
             }
-        } else if let Some(event) = v.get("event").and_then(Json::as_str) {
-            let sid = v.get("session").and_then(Json::as_u64);
-            match event {
-                "step" => step_dialect.push((sid.ok_or("step event without session")?, false)),
-                "done" => dones.push((sid.ok_or("done event without session")?, false)),
-                "error" => errors += 1,
-                "accepted" | "cancelled" | "drained" | "bye" => {}
-                other => return fail(format!("unknown v1 event '{other}'")),
-            }
-        } else {
-            return fail(format!("line is neither a v2 frame nor a v1 event: {line}"));
+            Err(e) => return fail(format!("output line is not a v2 frame ({e}): {line}")),
         }
     }
 
-    // Every v2 request got exactly one correlated reply.
-    for &id in &p.reply_ids {
-        let count = replies.iter().filter(|(rid, _)| *rid == id as u64).count();
+    // Every request got exactly one correlated reply.
+    for id in 1..=p.requests {
+        let count = reply_ids.iter().filter(|&&rid| rid == id).count();
         if count != 1 {
             return fail(format!("request id {id} got {count} replies, wanted 1"));
         }
     }
-    // Dialect purity and watch discipline, per session.
-    for &(sid, v2, watch, cancelled) in &p.sessions {
-        if step_dialect.iter().any(|&(s, d)| s == sid && d != v2) {
-            return fail(format!("session {sid} streamed in the wrong dialect"));
-        }
-        if !(v2 && watch) && progress_sids.contains(&sid) {
+    // Watch discipline and terminal frames, per session.
+    for &(sid, watch, cancelled) in &p.sessions {
+        if !watch && progress_sids.contains(&sid) {
             return fail(format!("unwatched session {sid} got progress frames"));
         }
-        let done_count = dones.iter().filter(|&&(s, _)| s == sid).count();
-        if cancelled {
-            if done_count != 0 {
-                return fail(format!("cancelled session {sid} got a terminal frame"));
-            }
-        } else if done_count != 1 {
+        let done_count = done_sids.iter().filter(|&&s| s == sid).count();
+        if done_count != usize::from(!cancelled) {
             return fail(format!(
-                "session {sid} got {done_count} terminal frames, wanted exactly 1"
+                "session {sid} (cancelled: {cancelled}) got {done_count} terminal frames"
             ));
-        }
-        if let Some(&(_, d)) = dones.iter().find(|&&(s, _)| s == sid) {
-            if d != v2 {
-                return fail(format!("session {sid} terminal frame in wrong dialect"));
-            }
         }
     }
     if errors != p.errors {
@@ -610,7 +544,9 @@ mod tests {
     #[test]
     fn walk_depth_5_is_clean() {
         let stats = walk_protocol(5).expect("no violations");
-        assert!(stats.sequences > 10_000, "walk too small: {stats:?}");
+        // Measured: the walk is deterministic, so the 8-op alphabet reaches
+        // exactly this many sequences; a change means the model changed.
+        assert_eq!(stats.sequences, 5_523, "walk changed size: {stats:?}");
     }
 
     #[test]
@@ -618,7 +554,7 @@ mod tests {
         // Force the bug by hand: a session marked not-done after its
         // terminal frame must trip the audit.
         let mut s = MState::new();
-        s.admit(true, false, TOTAL_STEPS, TOTAL_STEPS);
+        s.admit(false, TOTAL_STEPS, TOTAL_STEPS);
         s.apply(POp::Advance).unwrap(); // emits the terminal frame
         s.sessions[0].done = false;
         s.sessions[0].live = true;
@@ -629,7 +565,7 @@ mod tests {
     #[test]
     fn drain_invariant_catches_stranded_sessions() {
         let mut s = MState::new();
-        s.admit(true, false, 0, TOTAL_STEPS);
+        s.admit(false, 0, TOTAL_STEPS);
         s.apply(POp::Drain).unwrap();
         // Resurrect a drained session illegally: the next drain check
         // must notice a live session remains after drain.

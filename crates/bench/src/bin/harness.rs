@@ -38,17 +38,15 @@
 //! requested explicitly.
 //!
 //! `serve` turns the harness into a prediction server: each stdin line is
-//! a JSON request — protocol v1 (`{"op":"run",...}`) or protocol v2
-//! (`{"v":2,"id":N,"kind":"run",...}`, with streaming progress frames,
-//! checkpoint/resume and bounded `advance`) — each stdout line a JSON
-//! event; every accepted session multiplexes the one shared backend
-//! selected with `--backend`, scheduled under `--policy` (round-robin,
-//! weighted-fair-share or deadline-first).
-//! `serve --self-test` runs the canned v1 script through the same loop
-//! and verifies the summary; `serve --self-test-v2` runs the recorded v2
-//! multi-client script, kills one session mid-script, resumes it from its
-//! snapshot, and diffs the final reports against the uninterrupted golden
-//! transcript (the CI smoke configurations).
+//! a protocol-v2 JSON request (`{"v":2,"id":N,"kind":"run",...}`, with
+//! streaming progress frames, checkpoint/resume and bounded `advance`),
+//! each stdout line a JSON frame; every accepted session multiplexes the
+//! one shared backend selected with `--backend`, scheduled under
+//! `--policy` (round-robin, weighted-fair-share or deadline-first).
+//! `serve --self-test` runs the recorded multi-client script, kills one
+//! session mid-script, resumes it from its snapshot, and diffs the final
+//! reports against the uninterrupted golden transcript (the CI smoke
+//! configuration).
 //!
 //! `--scale` shrinks every per-step evaluation budget proportionally
 //! (default 1.0); `--seeds` sets the replicate count (default 3);
@@ -85,7 +83,6 @@ struct Args {
     quick: bool,
     fused: bool,
     self_test: bool,
-    self_test_v2: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -110,7 +107,6 @@ fn parse_args() -> Result<Args, String> {
         quick: false,
         fused: false,
         self_test: false,
-        self_test_v2: false,
     };
     while let Some(flag) = argv.next() {
         let mut value = || argv.next().ok_or(format!("missing value for {flag}"));
@@ -137,7 +133,6 @@ fn parse_args() -> Result<Args, String> {
             "--quick" => args.quick = true,
             "--fused" => args.fused = true,
             "--self-test" => args.self_test = true,
-            "--self-test-v2" => args.self_test_v2 = true,
             "--workers" => {
                 args.workers = value()?
                     .split(',')
@@ -154,7 +149,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|workloads|service|novelty|loadgen|fusion|landscape|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4] [--backend serial|worker-pool:N|rayon:N] [--kernel heap|bucket|tiled[:TILE[xWORKERS]]] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--self-test-v2] [--out DIR]".to_string()
+    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|workloads|service|novelty|loadgen|fusion|landscape|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4] [--backend serial|worker-pool:N|rayon:N] [--kernel heap|bucket|tiled[:TILE[xWORKERS]]] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--out DIR]".to_string()
 }
 
 fn emit(args: &Args, id: &str, title: &str, table: &TextTable) {
@@ -571,39 +566,18 @@ fn verify_main(args: &Args) -> ExitCode {
 
 /// `harness serve`: the line-delimited JSON prediction service. Every
 /// accepted session multiplexes the one shared `--backend` pool. With
-/// `--self-test`, a canned request script (8 concurrent sessions across
-/// all four systems, plus error and cancel lines) runs through the same
-/// loop and the summary is verified.
+/// `--self-test`, the recorded multi-client script (kill one session,
+/// resume it from its snapshot) runs through the same loop and the final
+/// reports are diffed against the uninterrupted golden transcript.
 fn serve_main(args: &Args) -> ExitCode {
     use ess_service::serve;
     let stdout = std::io::stdout();
     if args.self_test {
-        return match serve::self_test(stdout.lock(), args.backend) {
-            Ok(summary) => {
-                eprintln!(
-                    "serve self-test OK on {}: {} accepted, {} finished, {} exhausted, \
-                     {} cancelled, {} errors",
-                    args.backend.name(),
-                    summary.accepted,
-                    summary.finished,
-                    summary.exhausted,
-                    summary.cancelled,
-                    summary.errors
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.self_test_v2 {
-        return match ess_benches::loadgen::serve_v2_self_test(args.backend) {
+        return match ess_benches::loadgen::serve_self_test(args.backend) {
             Ok(transcript) => {
                 println!("{transcript}");
                 eprintln!(
-                    "serve v2 self-test OK on {}: kill/resume transcript matches golden",
+                    "serve self-test OK on {}: kill/resume transcript matches golden",
                     args.backend.name()
                 );
                 ExitCode::SUCCESS

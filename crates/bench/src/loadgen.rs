@@ -1,4 +1,4 @@
-//! The protocol-v2 load generator and the v2 smoke test.
+//! The protocol-v2 load generator and the serve smoke test.
 //!
 //! [`loadgen_sweep`] drives N concurrent typed clients × M sessions each
 //! against **one** in-process serve loop — every client on its own
@@ -13,7 +13,7 @@
 //! plus a fused-vs-unfused section comparing evals/sec at 1, 4, 16 and 64
 //! concurrent sessions with the cross-path identity asserted in-run.
 //!
-//! [`serve_v2_self_test`] is the CI smoke: a recorded multi-client-shaped
+//! [`serve_self_test`] is the CI smoke: a recorded multi-client-shaped
 //! script (all four systems, watched) runs once uninterrupted to produce
 //! a golden transcript, then again with one session checkpointed,
 //! killed mid-script and restored from its snapshot — and the final
@@ -467,7 +467,7 @@ fn concurrency_scripts(sessions: usize, scale: f64) -> Vec<Vec<RunSpec>> {
         .collect()]
 }
 
-/// The v2 smoke: runs the recorded multi-client-shaped script (all four
+/// The serve smoke: runs the recorded multi-client-shaped script (all four
 /// systems, watched) once uninterrupted to record the golden transcript,
 /// then again with the ESS-NS session checkpointed, killed and restored
 /// from its snapshot mid-script, and diffs the final reports.
@@ -476,7 +476,7 @@ fn concurrency_scripts(sessions: usize, scale: f64) -> Vec<Vec<RunSpec>> {
 ///
 /// # Errors
 /// The first transcript mismatch, or any transport/protocol failure.
-pub fn serve_v2_self_test(backend: EvalBackend) -> Result<String, String> {
+pub fn serve_self_test(backend: EvalBackend) -> Result<String, String> {
     let specs: Vec<RunSpec> = ess_service::systems::names()
         .iter()
         .enumerate()
@@ -499,7 +499,7 @@ pub fn serve_v2_self_test(backend: EvalBackend) -> Result<String, String> {
             .map(|(g, r)| format!("golden: {g}\nkilled+resumed: {r}"))
             .collect();
         return Err(format!(
-            "serve v2 self-test: resumed transcript diverged from golden\n{}",
+            "serve self-test: resumed transcript diverged from golden\n{}",
             diff.join("\n")
         ));
     }
@@ -594,7 +594,7 @@ mod tests {
 
     #[test]
     fn serve_v2_smoke_passes_on_a_shared_pool() {
-        let transcript = serve_v2_self_test(EvalBackend::WorkerPool(2)).expect("smoke must pass");
+        let transcript = serve_self_test(EvalBackend::WorkerPool(2)).expect("smoke must pass");
         assert_eq!(transcript.lines().count(), 4, "one line per system");
         assert!(transcript.contains("ESS-NS"));
     }

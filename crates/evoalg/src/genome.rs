@@ -8,9 +8,9 @@
 //! flat `Vec<f64>` with a fixed row width keeps the whole batch in one
 //! contiguous block, so a shared evaluation pool can carry **one**
 //! allocation per batch (or per fused mega-batch) and workers slice their
-//! row straight out of it. The `ess` crate's `SharedScenarioPool` routes
-//! all batches through this type; the nested `Vec<Vec<f64>>` signatures
-//! remain only as compatibility shims.
+//! row straight out of it. The engines still submit nested rows through
+//! [`crate::BatchEvaluator::evaluate`]; the `ess` crate's
+//! `SharedScenarioPool` flattens them into this type once per batch.
 
 /// A dense row-major matrix of genomes: `len` rows of a fixed `dim` width
 /// in one contiguous `Vec<f64>`.
@@ -110,7 +110,7 @@ impl GenomeMatrix {
         &self.data
     }
 
-    /// Builds a matrix from nested rows (migration/test convenience).
+    /// Builds a matrix from nested rows — the once-per-batch flattening.
     ///
     /// # Panics
     /// Panics on ragged rows.
@@ -120,12 +120,6 @@ impl GenomeMatrix {
             m.push(row.as_ref());
         }
         m
-    }
-
-    /// The nested-rows projection (compatibility with the deprecated
-    /// `Vec<Vec<f64>>` shape).
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        self.rows().map(<[f64]>::to_vec).collect()
     }
 
     fn set_dim(&mut self, dim: usize) {
@@ -152,7 +146,6 @@ mod tests {
         assert_eq!(m.row(0), &[1.0, 2.0]);
         assert_eq!(m.row(1), &[3.0, 4.0]);
         assert_eq!(m.as_flat(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.to_rows(), vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
     }
 
     #[test]
@@ -170,10 +163,7 @@ mod tests {
         let mut a = GenomeMatrix::from_rows(&[[1.0], [2.0]]);
         let b = GenomeMatrix::from_rows(&[[3.0], [4.0]]);
         a.extend_from(&b);
-        assert_eq!(
-            a.to_rows(),
-            vec![vec![1.0], vec![2.0], vec![3.0], vec![4.0]]
-        );
+        assert_eq!(a.as_flat(), &[1.0, 2.0, 3.0, 4.0]);
         a.extend_from(&GenomeMatrix::new()); // empty other: no-op
         assert_eq!(a.len(), 4);
     }

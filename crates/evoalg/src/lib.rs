@@ -72,16 +72,6 @@ pub trait BatchEvaluator {
     fn evaluations(&self) -> u64 {
         0
     }
-
-    /// Evaluates a flat [`GenomeMatrix`] batch — the preferred entry point
-    /// for callers that already hold their genomes in the flat layout (one
-    /// allocation per batch). The default projects to nested rows and
-    /// calls [`BatchEvaluator::evaluate`]; implementations with a native
-    /// flat path (the `ess` crate's shared scenario pool) override it to
-    /// skip the projection.
-    fn evaluate_matrix(&mut self, genomes: &GenomeMatrix) -> Vec<f64> {
-        self.evaluate(&genomes.to_rows())
-    }
 }
 
 impl<F> BatchEvaluator for F

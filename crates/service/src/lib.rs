@@ -34,9 +34,9 @@
 //!   deadline first), so the whole process shares a single worker pool
 //!   instead of spawning one per run per step;
 //! * [`serve`](mod@serve) — the dependency-free line-delimited JSON loop
-//!   `harness serve` speaks: protocol v1 (PR 3, still served unchanged)
-//!   plus protocol v2 ([`proto`] — versioned typed envelopes, streaming
-//!   `progress` frames, snapshot/restore, bounded `advance`);
+//!   `harness serve` speaks: protocol v2 ([`proto`] — versioned typed
+//!   envelopes, streaming `progress` frames, snapshot/restore, bounded
+//!   `advance`), the only dialect;
 //! * [`jsonio`] — the hand-rolled JSON writer/reader shared with the
 //!   bench harness's `BENCH_*.json` emission.
 //!

@@ -1,6 +1,7 @@
-//! Protocol v2: the versioned, typed request/response envelope.
+//! Protocol v2: the versioned, typed request/response envelope — the one
+//! dialect `serve` speaks.
 //!
-//! Every v2 line is a JSON object carrying `"v":2`. Client → server lines
+//! Every line is a JSON object carrying `"v":2`. Client → server lines
 //! are **requests** — `{"v":2,"id":N,"kind":...}` with a client-chosen
 //! correlation id — and server → client lines are **frames**: either a
 //! *reply* (echoes the request's `id`) or an *async event* (no `id`;
@@ -25,11 +26,9 @@
 //!             steps, mean_quality, total_evaluations, wall_ms}
 //! ```
 //!
-//! Version sniff: a line whose object has `"v":2` is a v2 request; a line
-//! with an `"op"` member is a v1 request (the PR 3 protocol, still served
-//! unchanged); anything else is an error event. Replies to v1 requests
-//! stay in the v1 event dialect, so old clients never see an envelope they
-//! cannot parse.
+//! There is no version sniff: protocol v1 (`{"op":…}` lines) was retired,
+//! so a line without a `"v"` member is malformed and [`Request::from_json`]
+//! rejects it with a message that says so and shows the envelope to send.
 
 use crate::jsonio::Json;
 use crate::scheduler::SessionId;
@@ -116,20 +115,25 @@ impl Request {
         }
     }
 
-    /// Parses a v2 request envelope (the caller has already sniffed
-    /// `"v":2`).
+    /// Parses a request envelope.
     ///
     /// # Errors
-    /// A one-line description naming the offending member.
+    /// A one-line description naming the offending member; a line with no
+    /// `"v"` at all (every old v1 `{"op":…}` line) is told v1 was retired.
     pub fn from_json(v: &Json) -> Result<Request, String> {
-        match v.get("v").and_then(Json::as_u64) {
-            Some(VERSION) => {}
-            Some(other) => {
+        match v.get("v").map(Json::as_u64) {
+            Some(Some(VERSION)) => {}
+            Some(Some(other)) => {
                 return Err(format!(
-                    "unsupported protocol version {other} (this server speaks v{VERSION} and v1)"
+                    "unsupported protocol version {other} (this server speaks v{VERSION})"
                 ))
             }
-            None => return Err("request needs a numeric 'v'".into()),
+            Some(None) => return Err("request needs a numeric 'v'".into()),
+            None => {
+                return Err("request has no \"v\": protocol v1 was retired, send \
+                     {\"v\":2,\"id\":N,\"kind\":…}"
+                    .into())
+            }
         }
         let id = v
             .get("id")

@@ -1,63 +1,48 @@
-//! The line-delimited JSON serve loop: protocol v1 and v2 over one
-//! transport.
+//! The line-delimited JSON serve loop: protocol v2 over one transport.
 //!
 //! One request per input line, one or more JSON objects per line of
 //! output — dependency-free, so `harness serve` can speak it over
 //! stdin/stdout and tests can drive it through in-memory buffers.
 //!
-//! **Version sniff:** a line whose object carries `"v":2` is a protocol-v2
-//! request ([`crate::proto`] — typed envelopes, streaming progress frames,
-//! checkpoint/resume); a line with an `"op"` member is a v1 request (the
-//! PR 3 dialect, served unchanged so old clients and the `--self-test`
-//! script keep working). Events for v1-submitted sessions stay in the v1
-//! dialect; v2-submitted sessions get v2 frames — the two dialects share
-//! the scheduler but never mix shapes for one session.
+//! Every request is a [`crate::proto`] envelope — `{"v":2,"id":N,"kind":…}`
+//! — and every output line is a [`Frame`]: a reply echoing the request's
+//! `id`, or an async `progress`/`done` event keyed by session. The request
+//! kinds are documented in [`crate::proto`]: `run`, `advance` (run a
+//! bounded number of scheduler rounds, so clients can interleave control
+//! with execution), `snapshot`/`restore` (checkpoint/resume via
+//! [`crate::SessionSnapshot`]), `cancel`, `drain`, `quit`; sessions
+//! submitted with `"watch":true` stream per-step `progress` frames.
 //!
-//! v1 requests (`op` selects):
-//!
-//! ```text
-//! {"op":"run","system":"ESS-NS","case":"meadow_small","seed":7,
-//!  "replicates":2,"scale":0.25,"max_steps":3,"max_evaluations":9000,
-//!  "deadline_ms":60000}                  → {"event":"accepted","session":N} per replicate
-//! {"op":"cancel","session":2}            → {"event":"cancelled","session":2}
-//! {"op":"drain"}                         → step/done events, then {"event":"drained",...}
-//! {"op":"quit"}                          → {"event":"bye"} and the loop ends
-//! ```
-//!
-//! v2 requests are documented in [`crate::proto`]; the headline additions
-//! are `advance` (run a bounded number of scheduler rounds, so clients can
-//! interleave control with execution), `snapshot`/`restore`
-//! (checkpoint/resume via [`crate::SessionSnapshot`]), and per-session
-//! `progress` streaming for sessions submitted with `"watch":true`.
+//! There is one dialect. Protocol v1 (`{"op":…}` lines) was retired: a
+//! line without a `"v"` member is malformed input like any other and gets
+//! an `error` reply saying so.
 //!
 //! Execution always happens on the **server's** shared pool (every session
 //! of every client multiplexes one worker pool — that is the point of the
-//! serving layer), so a v1 request carrying a `backend` field is rejected
-//! and a v2 spec's `backend` member is ignored. The scheduling discipline
-//! is chosen per serve invocation ([`PolicyKind`], the harness `--policy`
-//! flag). End of input implies `drain` (pending sessions still run) and
-//! then `quit`, so piping a canned request file works without a trailing
-//! quit line. Malformed lines produce an error event/frame and the loop
-//! continues — one bad request must not take down a server multiplexing
-//! other clients' sessions.
+//! serving layer), so a spec's `backend` member is ignored. The scheduling
+//! discipline is chosen per serve invocation ([`PolicyKind`], the harness
+//! `--policy` flag). End of input implies `drain` (pending sessions still
+//! run) and then `quit`, answered with correlation id 0, so piping a
+//! canned request file works without a trailing quit line. Malformed lines
+//! produce an `error` reply (the line's `id` when it has one, else 0) and
+//! the loop continues — one bad request must not take down a server
+//! multiplexing other clients' sessions.
 
 use crate::jsonio::Json;
 use crate::policy::PolicyKind;
 use crate::proto::{DoneFrame, Frame, Reply, Request, RequestKind};
 use crate::scheduler::{Scheduler, SessionId, SessionOutcome};
 use crate::session::SessionEvent;
-use crate::spec::RunSpec;
 use ess::error::BudgetReason;
 use ess::fitness::EvalBackend;
 use ess::pipeline::RunReport;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, Write};
 
-/// Counters the serve loop reports when it exits (the `--self-test`
-/// assertions run against these).
+/// Counters the serve loop reports when it exits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// Sessions accepted (v1 + v2, including restored ones).
+    /// Sessions accepted (including restored ones).
     pub accepted: usize,
     /// Sessions that ran every step.
     pub finished: usize,
@@ -65,27 +50,25 @@ pub struct ServeSummary {
     pub exhausted: usize,
     /// Sessions cancelled by request.
     pub cancelled: usize,
-    /// Request lines answered with an error event/frame.
+    /// Request lines answered with an error reply.
     pub errors: usize,
-    /// Snapshots handed out (v2).
+    /// Snapshots handed out.
     pub snapshots: usize,
-    /// Sessions restored from a snapshot (v2).
+    /// Sessions restored from a snapshot.
     pub restored: usize,
 }
 
-/// Per-connection v2 bookkeeping: which sessions speak v2, which of those
-/// stream progress, and their cumulative (evaluations, best fitness)
-/// counters for the progress frames.
+/// Per-connection streaming state: which sessions stream progress, and
+/// every live session's cumulative (evaluations, best fitness) counters
+/// for the progress frames.
 #[derive(Default)]
-struct V2State {
-    sessions: HashSet<SessionId>,
+struct Streams {
     watched: HashSet<SessionId>,
     totals: HashMap<SessionId, (u64, f64)>,
 }
 
-impl V2State {
+impl Streams {
     fn admit(&mut self, id: SessionId, watch: bool, evaluations: u64, best: f64) {
-        self.sessions.insert(id);
         if watch {
             self.watched.insert(id);
         }
@@ -93,20 +76,19 @@ impl V2State {
     }
 
     fn retire(&mut self, id: SessionId) {
-        self.sessions.remove(&id);
         self.watched.remove(&id);
         self.totals.remove(&id);
     }
 }
 
 /// Runs the serve loop with the default round-robin policy: reads
-/// requests from `input` until `quit` or end of input, writes event lines
+/// requests from `input` until `quit` or end of input, writes frames
 /// to `out`, executes every session on one shared pool built from
 /// `backend`.
 ///
 /// # Errors
 /// Propagates I/O errors from the transport; protocol-level problems are
-/// reported in-band as error events/frames.
+/// reported in-band as error replies.
 pub fn serve<R: BufRead, W: Write>(
     input: R,
     out: W,
@@ -120,7 +102,7 @@ pub fn serve<R: BufRead, W: Write>(
 ///
 /// # Errors
 /// Propagates I/O errors from the transport; protocol-level problems are
-/// reported in-band as error events/frames.
+/// reported in-band as error replies.
 pub fn serve_with<R: BufRead, W: Write>(
     input: R,
     out: W,
@@ -134,12 +116,12 @@ pub fn serve_with<R: BufRead, W: Write>(
 /// scheduler round runs its planned sessions' steps concurrently and
 /// fuses their evaluation batches into one shared-pool mega-batch per
 /// wave ([`Scheduler::set_fused`]) — the protocol stream is identical,
-/// event for event, because fused rounds are bit-identical to unfused
+/// frame for frame, because fused rounds are bit-identical to unfused
 /// ones. The `harness serve --fused` entry point.
 ///
 /// # Errors
 /// Propagates I/O errors from the transport; protocol-level problems are
-/// reported in-band as error events/frames.
+/// reported in-band as error replies.
 pub fn serve_configured<R: BufRead, W: Write>(
     input: R,
     mut out: W,
@@ -150,156 +132,63 @@ pub fn serve_configured<R: BufRead, W: Write>(
     let mut scheduler = Scheduler::with_policy(backend, policy);
     scheduler.set_fused(fused);
     let mut summary = ServeSummary::default();
-    let mut v2 = V2State::default();
-    let (mut saw_v1, mut saw_v2) = (false, false);
+    let mut streams = Streams::default();
 
     for line in input.lines() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        // Errors on lines that name no dialect (unparseable bytes, objects
-        // with neither "v" nor "op") answer in whichever dialect the
-        // connection has spoken — v2 frames on a pure-v2 connection, the
-        // legacy v1 event otherwise — and never flip the dialect flags.
-        let v2_only = |saw_v1: bool, saw_v2: bool| saw_v2 && !saw_v1;
         let request = match Json::parse(&line) {
             Ok(v) => v,
             Err(e) => {
-                if v2_only(saw_v1, saw_v2) {
-                    emit_v2_error(&mut out, &mut summary, 0, &e.to_string())?;
-                } else {
-                    emit_error(&mut out, &mut summary, &e.to_string())?;
-                }
+                emit_error(&mut out, &mut summary, 0, &e.to_string())?;
                 continue;
             }
         };
-        if request.get("v").is_some() {
-            // Protocol v2: typed envelopes.
-            saw_v2 = true;
-            let id = request.get("id").and_then(Json::as_u64).unwrap_or(0);
-            match Request::from_json(&request) {
-                Ok(req) => {
-                    if handle_v2(&mut scheduler, &mut out, &mut summary, &mut v2, req)? {
-                        return Ok(summary);
-                    }
+        match Request::from_json(&request) {
+            Ok(req) => {
+                if handle(&mut scheduler, &mut out, &mut summary, &mut streams, req)? {
+                    return Ok(summary);
                 }
-                Err(reason) => emit_v2_error(&mut out, &mut summary, id, &reason)?,
             }
-            continue;
-        }
-        if request.get("op").is_none() {
-            // Neither dialect's envelope: report it without treating the
-            // connection as having spoken v1.
-            let message = "request needs an 'op' field (v1) or '\"v\":2' (v2)";
-            if v2_only(saw_v1, saw_v2) {
-                emit_v2_error(&mut out, &mut summary, 0, message)?;
-            } else {
-                emit_error(&mut out, &mut summary, message)?;
+            Err(reason) => {
+                let id = request.get("id").and_then(Json::as_u64).unwrap_or(0);
+                emit_error(&mut out, &mut summary, id, &reason)?;
             }
-            continue;
-        }
-        saw_v1 = true;
-        match request.get("op").and_then(Json::as_str) {
-            Some("run") => match spec_from_request(&request) {
-                Ok(spec) => match scheduler.submit(&spec) {
-                    Ok(ids) => {
-                        for id in ids {
-                            summary.accepted += 1;
-                            emit(
-                                &mut out,
-                                Json::obj()
-                                    .field("event", "accepted")
-                                    .field("session", id)
-                                    .field("system", spec.system_name())
-                                    .field("case", spec.case_name()),
-                            )?;
-                        }
-                    }
-                    Err(e) => emit_error(&mut out, &mut summary, &e.to_string())?,
-                },
-                Err(reason) => emit_error(&mut out, &mut summary, &reason)?,
-            },
-            Some("cancel") => match request.get("session").and_then(Json::as_u64) {
-                Some(id) if scheduler.cancel(id) => {
-                    summary.cancelled += 1;
-                    // The session may have been submitted under v2 on this
-                    // same connection: drop its streaming state either way.
-                    v2.retire(id);
-                    emit(
-                        &mut out,
-                        Json::obj().field("event", "cancelled").field("session", id),
-                    )?;
-                }
-                Some(id) => emit_error(
-                    &mut out,
-                    &mut summary,
-                    &format!("no live session {id} to cancel"),
-                )?,
-                None => emit_error(&mut out, &mut summary, "cancel needs a session id")?,
-            },
-            Some("drain") => {
-                let (_, drained) =
-                    run_rounds(&mut scheduler, &mut out, &mut summary, &mut v2, None)?;
-                emit(
-                    &mut out,
-                    Json::obj()
-                        .field("event", "drained")
-                        .field("sessions", drained),
-                )?;
-            }
-            Some("quit") => {
-                emit(&mut out, Json::obj().field("event", "bye"))?;
-                return Ok(summary);
-            }
-            Some(other) => emit_error(&mut out, &mut summary, &format!("unknown op '{other}'"))?,
-            None => emit_error(&mut out, &mut summary, "'op' must be a string")?,
         }
     }
-    // End of input: run whatever is still pending, then leave. On a
-    // connection that only ever spoke v2, the implied drain/quit answer
-    // in v2 frames too (correlation id 0 — there was no request line);
-    // any v1 traffic keeps the legacy v1 shapes so old pipelines and
-    // greps are undisturbed.
-    let (_, drained) = run_rounds(&mut scheduler, &mut out, &mut summary, &mut v2, None)?;
-    if saw_v2 && !saw_v1 {
-        reply(&mut out, 0, Reply::Drained { sessions: drained })?;
-        reply(&mut out, 0, Reply::Bye)?;
-    } else {
-        emit(
-            &mut out,
-            Json::obj()
-                .field("event", "drained")
-                .field("sessions", drained),
-        )?;
-        emit(&mut out, Json::obj().field("event", "bye"))?;
-    }
+    // End of input: run whatever is still pending, then leave (correlation
+    // id 0 — there was no request line).
+    let (_, drained) = run_rounds(&mut scheduler, &mut out, &mut summary, &mut streams, None)?;
+    reply(&mut out, 0, Reply::Drained { sessions: drained })?;
+    reply(&mut out, 0, Reply::Bye)?;
     Ok(summary)
 }
 
-/// Handles one v2 request; returns `true` when the loop should end.
-fn handle_v2<W: Write>(
+/// Handles one request; returns `true` when the loop should end.
+fn handle<W: Write>(
     scheduler: &mut Scheduler,
     out: &mut W,
     summary: &mut ServeSummary,
-    v2: &mut V2State,
+    streams: &mut Streams,
     req: Request,
 ) -> io::Result<bool> {
     let id = req.id;
     match req.kind {
         RequestKind::Run { spec, watch } => {
             // The spec's `backend` member is ignored here: sessions share
-            // the server's pool. (v1 rejects the field instead; v2 keeps
-            // it because snapshots legitimately carry it.)
+            // the server's pool (the member stays legal because snapshots
+            // carry it).
             match scheduler.submit(&spec) {
                 Ok(ids) => {
                     summary.accepted += ids.len();
                     for &sid in &ids {
-                        v2.admit(sid, watch, 0, f64::NEG_INFINITY);
+                        streams.admit(sid, watch, 0, f64::NEG_INFINITY);
                     }
                     reply(out, id, Reply::Accepted { sessions: ids })?;
                 }
-                Err(e) => emit_v2_error(out, summary, id, &e.to_string())?,
+                Err(e) => emit_error(out, summary, id, &e.to_string())?,
             }
         }
         RequestKind::Restore { snapshot, watch } => match snapshot.restore_on(scheduler.pool()) {
@@ -313,7 +202,7 @@ fn handle_v2<W: Write>(
                 let sid = scheduler.submit_session(session);
                 summary.accepted += 1;
                 summary.restored += 1;
-                v2.admit(sid, watch, evaluations, best);
+                streams.admit(sid, watch, evaluations, best);
                 reply(
                     out,
                     id,
@@ -322,10 +211,10 @@ fn handle_v2<W: Write>(
                     },
                 )?;
             }
-            Err(e) => emit_v2_error(out, summary, id, &e.to_string())?,
+            Err(e) => emit_error(out, summary, id, &e.to_string())?,
         },
         RequestKind::Advance { rounds } => {
-            let (ran, _) = run_rounds(scheduler, out, summary, v2, Some(rounds))?;
+            let (ran, _) = run_rounds(scheduler, out, summary, streams, Some(rounds))?;
             reply(
                 out,
                 id,
@@ -349,9 +238,9 @@ fn handle_v2<W: Write>(
                             },
                         )?;
                     }
-                    Err(e) => emit_v2_error(out, summary, id, &e.to_string())?,
+                    Err(e) => emit_error(out, summary, id, &e.to_string())?,
                 },
-                None => emit_v2_error(
+                None => emit_error(
                     out,
                     summary,
                     id,
@@ -362,10 +251,10 @@ fn handle_v2<W: Write>(
         RequestKind::Cancel { session } => {
             if scheduler.cancel(session) {
                 summary.cancelled += 1;
-                v2.retire(session);
+                streams.retire(session);
                 reply(out, id, Reply::Cancelled { session })?;
             } else {
-                emit_v2_error(
+                emit_error(
                     out,
                     summary,
                     id,
@@ -374,7 +263,7 @@ fn handle_v2<W: Write>(
             }
         }
         RequestKind::Drain => {
-            let (_, drained) = run_rounds(scheduler, out, summary, v2, None)?;
+            let (_, drained) = run_rounds(scheduler, out, summary, streams, None)?;
             reply(out, id, Reply::Drained { sessions: drained })?;
         }
         RequestKind::Quit => {
@@ -386,14 +275,13 @@ fn handle_v2<W: Write>(
 }
 
 /// Runs scheduler rounds (all of them, or at most `max_rounds`),
-/// streaming every event in its session's dialect, and folds the newly
-/// completed outcomes into the summary. Returns (rounds run, sessions
-/// that reached a terminal event).
+/// streaming every event, and folds the newly completed outcomes into the
+/// summary. Returns (rounds run, sessions that reached a terminal event).
 fn run_rounds<W: Write>(
     scheduler: &mut Scheduler,
     out: &mut W,
     summary: &mut ServeSummary,
-    v2: &mut V2State,
+    streams: &mut Streams,
     max_rounds: Option<usize>,
 ) -> io::Result<(usize, usize)> {
     let before = scheduler.outcomes().len();
@@ -402,7 +290,7 @@ fn run_rounds<W: Write>(
         let events = scheduler.round();
         rounds += 1;
         for (id, event) in events {
-            emit_session_event(out, v2, id, &event)?;
+            emit_session_event(out, streams, id, &event)?;
         }
     }
     for (_, outcome) in scheduler.outcomes().get(before..).unwrap_or_default() {
@@ -418,26 +306,23 @@ fn run_rounds<W: Write>(
     Ok((rounds, drained))
 }
 
-/// Streams one session event in the dialect the session was submitted
-/// under.
+/// Streams one session event: a `progress` frame per step of a watched
+/// session, a `done` frame per terminal event.
 fn emit_session_event<W: Write>(
     out: &mut W,
-    v2: &mut V2State,
+    streams: &mut Streams,
     id: SessionId,
     event: &SessionEvent,
 ) -> io::Result<()> {
-    if !v2.sessions.contains(&id) {
-        return emit_v1_event(out, id, event);
-    }
     match event {
         SessionEvent::StepCompleted(step) => {
             let (evaluations, best) = {
-                let t = v2.totals.entry(id).or_insert((0, f64::NEG_INFINITY));
+                let t = streams.totals.entry(id).or_insert((0, f64::NEG_INFINITY));
                 t.0 += step.evaluations;
                 t.1 = t.1.max(step.os_best_fitness);
                 *t
             };
-            if v2.watched.contains(&id) {
+            if streams.watched.contains(&id) {
                 emit(
                     out,
                     Frame::Progress {
@@ -452,11 +337,11 @@ fn emit_session_event<W: Write>(
             Ok(())
         }
         SessionEvent::Finished(report) => {
-            v2.retire(id);
+            streams.retire(id);
             emit(out, done_frame(id, "finished", None, report).to_json())
         }
         SessionEvent::BudgetExhausted { reason, partial } => {
-            v2.retire(id);
+            streams.retire(id);
             let status = match reason {
                 BudgetReason::Cancelled => "cancelled",
                 _ => "exhausted",
@@ -469,43 +354,7 @@ fn emit_session_event<W: Write>(
     }
 }
 
-/// One v1 event line per session event — the PR 3 shapes, unchanged.
-fn emit_v1_event<W: Write>(out: &mut W, id: SessionId, event: &SessionEvent) -> io::Result<()> {
-    match event {
-        SessionEvent::StepCompleted(step) => emit(
-            out,
-            Json::obj()
-                .field("event", "step")
-                .field("session", id)
-                .field("step", step.step)
-                .field("quality", step.quality)
-                .field("kign", step.kign)
-                .field("evaluations", step.evaluations)
-                .field("wall_ms", step.wall_ms),
-        ),
-        SessionEvent::Finished(report) => emit(out, done_event(id, "finished", None, report)),
-        SessionEvent::BudgetExhausted { reason, partial } => emit(
-            out,
-            done_event(id, "exhausted", Some(&reason.to_string()), partial),
-        ),
-    }
-}
-
-/// Builds a [`RunSpec`] from a v1 `run` request object, preserving the
-/// v1 dialect's error texts (clients have always seen "run needs …", not
-/// the spec parser's "spec needs …").
-fn spec_from_request(request: &Json) -> Result<RunSpec, String> {
-    if request.get("backend").is_some() {
-        return Err(
-            "requests cannot pick a backend: sessions share the server's pool \
-             (choose it with `harness serve --backend ...`)"
-                .to_string(),
-        );
-    }
-    RunSpec::from_json(request).map_err(|e| e.replace("spec needs", "run needs"))
-}
-
-/// The v2 terminal frame for one completed session.
+/// The terminal frame for one completed session.
 fn done_frame(id: SessionId, status: &str, reason: Option<&str>, report: &RunReport) -> Frame {
     Frame::Done(DoneFrame {
         session: id,
@@ -520,85 +369,15 @@ fn done_frame(id: SessionId, status: &str, reason: Option<&str>, report: &RunRep
     })
 }
 
-/// One v1 `done` line per completed session.
-fn done_event(id: u64, status: &str, reason: Option<&str>, report: &RunReport) -> Json {
-    Json::obj()
-        .field("event", "done")
-        .field("session", id)
-        .field("status", status)
-        .field("reason", reason.map(str::to_string))
-        .field("system", report.system)
-        .field("case", report.case)
-        .field("steps", report.steps.len())
-        .field("mean_quality", report.mean_quality())
-        .field("total_evaluations", report.total_evaluations())
-        .field("wall_ms", report.total_ms)
-}
-
-/// The canned request script of [`self_test`]: eight sessions (every
-/// registered system × two replicates) multiplexed over one pool, plus a
-/// deliberate unknown-system line, an unknown-case line and a
-/// cancellation, so the error and cancel paths are exercised too.
-pub fn self_test_script() -> String {
-    [
-        r#"{"op":"run","system":"ESS","case":"meadow_small","seed":11,"replicates":2,"scale":0.15}"#,
-        r#"{"op":"run","system":"ESSIM-EA","case":"meadow_small","seed":12,"replicates":2,"scale":0.15,"max_steps":1}"#,
-        r#"{"op":"run","system":"ESSIM-DE","case":"meadow_small","seed":13,"replicates":2,"scale":0.15,"max_steps":1}"#,
-        r#"{"op":"run","system":"ESS-NS","case":"meadow_small","seed":14,"replicates":2,"scale":0.15}"#,
-        r#"{"op":"run","system":"ESS-9000","case":"meadow_small"}"#,
-        r#"{"op":"run","system":"ESS","case":"lost_valley"}"#,
-        r#"{"op":"cancel","session":8}"#,
-        r#"{"op":"drain"}"#,
-        r#"{"op":"quit"}"#,
-        "",
-    ]
-    .join("\n")
-}
-
-/// Runs [`self_test_script`] through the serve loop on `backend`, writing
-/// the protocol output to `out`, and checks the summary against the
-/// script's known shape. The CI smoke job runs this via
-/// `harness serve --self-test`.
-///
-/// # Errors
-/// A one-line description of the first mismatch (or transport failure).
-pub fn self_test<W: Write>(out: W, backend: EvalBackend) -> Result<ServeSummary, String> {
-    let script = self_test_script();
-    let summary = serve(script.as_bytes(), out, backend).map_err(|e| format!("serve I/O: {e}"))?;
-    let expect = |label: &str, got: usize, want: usize| {
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("self-test: expected {want} {label}, got {got}"))
-        }
-    };
-    expect("accepted sessions", summary.accepted, 8)?;
-    expect("error events", summary.errors, 2)?;
-    expect("cancelled sessions", summary.cancelled, 1)?;
-    expect("exhausted sessions", summary.exhausted, 4)?;
-    expect("finished sessions", summary.finished, 3)?;
-    Ok(summary)
-}
-
 fn emit<W: Write>(out: &mut W, event: Json) -> io::Result<()> {
     writeln!(out, "{event}")
-}
-
-fn emit_error<W: Write>(out: &mut W, summary: &mut ServeSummary, message: &str) -> io::Result<()> {
-    summary.errors += 1;
-    emit(
-        out,
-        Json::obj()
-            .field("event", "error")
-            .field("message", message),
-    )
 }
 
 fn reply<W: Write>(out: &mut W, id: u64, reply: Reply) -> io::Result<()> {
     emit(out, Frame::Reply { id, reply }.to_json())
 }
 
-fn emit_v2_error<W: Write>(
+fn emit_error<W: Write>(
     out: &mut W,
     summary: &mut ServeSummary,
     id: u64,

@@ -380,6 +380,23 @@ impl RunSpec {
         ))
     }
 
+    /// Every member [`RunSpec::to_json`] writes — the only ones
+    /// [`RunSpec::from_json`] accepts.
+    const MEMBERS: &[&str] = &[
+        "system",
+        "case",
+        "backend",
+        "novelty",
+        "kernel",
+        "seed",
+        "replicates",
+        "scale",
+        "weight",
+        "max_steps",
+        "max_evaluations",
+        "deadline_ms",
+    ];
+
     /// Serializes the spec as the protocol-v2 / snapshot JSON object. The
     /// `Display` names of the backend and novelty engine round-trip
     /// through their `FromStr` impls, and unset budgets serialize as
@@ -404,13 +421,22 @@ impl RunSpec {
             )
     }
 
-    /// Parses a spec object (a v1 `run` request body, a v2 `spec` payload,
-    /// or a snapshot's embedded spec — unknown members and `null` budgets
-    /// are ignored) and validates it.
+    /// Parses a spec object (a `run` request's `spec` payload or a
+    /// snapshot's embedded spec) and validates it. Only the members
+    /// [`RunSpec::to_json`] writes are legal — a misspelt budget must not
+    /// silently run unbudgeted; `null` means "unset".
     ///
     /// # Errors
     /// A one-line description naming the offending field.
     pub fn from_json(v: &Json) -> Result<RunSpec, String> {
+        if let Json::Obj(members) = v {
+            if let Some((key, _)) = members
+                .iter()
+                .find(|(key, _)| !Self::MEMBERS.contains(&key.as_str()))
+            {
+                return Err(format!("unknown spec member '{key}'"));
+            }
+        }
         let present = |key: &str| v.get(key).filter(|j| !matches!(j, Json::Null));
         let system = present("system")
             .and_then(Json::as_str)
@@ -649,6 +675,10 @@ mod tests {
             (
                 r#"{"system":"ESS","case":"meadow_small","kernel":"quantum"}"#,
                 "kernel",
+            ),
+            (
+                r#"{"system":"ESS","case":"meadow_small","max_step":1}"#,
+                "'max_step'",
             ),
         ] {
             let err = RunSpec::from_json(&Json::parse(line).expect("valid json"))

@@ -5,8 +5,11 @@
 
 use ess::fitness::EvalBackend;
 use ess::pipeline::StepReport;
+use ess_service::jsonio::Json;
+use ess_service::proto::{Frame, Request, RequestKind};
 use ess_service::{
-    systems, DrainSignal, PolicyKind, RunSpec, Scheduler, SessionEvent, SessionOutcome,
+    serve, systems, DrainSignal, PolicyKind, RunSpec, Scheduler, ServeSummary, SessionEvent,
+    SessionOutcome,
 };
 
 const CASE: &str = "meadow_small";
@@ -266,14 +269,53 @@ fn bad_submissions_enqueue_nothing() {
 
 #[test]
 fn serve_protocol_self_test_passes_on_a_shared_pool() {
+    // Eight sessions (every registered system × two replicates) on one
+    // pool, plus an unknown system, an unknown case and a cancellation.
+    let pair = |system: &str, seed: u64| {
+        RunSpec::new(system, CASE)
+            .seed(seed)
+            .replicates(2)
+            .scale(0.15)
+    };
+    let run = |spec: RunSpec| RequestKind::Run { spec, watch: false };
+    let kinds = [
+        run(pair("ESS", 11)),
+        run(pair("ESSIM-EA", 12).max_steps(1)),
+        run(pair("ESSIM-DE", 13).max_steps(1)),
+        run(pair("ESS-NS", 14)),
+        run(RunSpec::new("ESS-9000", CASE)),
+        run(RunSpec::new("ESS", "lost_valley")),
+        RequestKind::Cancel { session: 8 },
+        RequestKind::Drain,
+        RequestKind::Quit,
+    ];
+    let script: String = kinds
+        .into_iter()
+        .zip(1..)
+        .map(|(kind, id)| format!("{}\n", Request { id, kind }.to_json()))
+        .collect();
     let mut transcript = Vec::new();
-    let summary = ess_service::serve::self_test(&mut transcript, EvalBackend::WorkerPool(2))
-        .expect("self test");
-    assert_eq!(summary.accepted, 8);
+    let summary = serve(
+        script.as_bytes(),
+        &mut transcript,
+        EvalBackend::WorkerPool(2),
+    )
+    .expect("serve I/O");
+    assert_eq!(
+        summary,
+        ServeSummary {
+            accepted: 8,
+            errors: 2,
+            cancelled: 1,
+            exhausted: 4,
+            finished: 3,
+            ..ServeSummary::default()
+        }
+    );
+    // Every line of the transcript is a v2 frame.
     let text = String::from_utf8(transcript).expect("utf-8 protocol");
-    // Every line of the transcript is a parseable JSON event object.
     for line in text.lines() {
-        let event = ess_service::jsonio::Json::parse(line).expect("valid event line");
-        assert!(event.get("event").is_some(), "event field missing: {line}");
+        let json = Json::parse(line).expect("valid JSON line");
+        Frame::from_json(&json).unwrap_or_else(|e| panic!("not a v2 frame: {line} ({e})"));
     }
 }

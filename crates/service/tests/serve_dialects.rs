@@ -1,12 +1,22 @@
-//! Version-sniff conformance: pure-v2 connections speak v2 end to end
-//! (including the EOF-implied drain/quit), pure-v1 connections are
-//! byte-compatible with PR 3, and mixed connections never mix shapes for
-//! one session.
+//! Wire conformance: every output line is a v2 frame — replies, async
+//! events, the EOF-implied drain/quit (also on an empty input) and the
+//! answers to garbage, envelope-less objects and retired v1 lines.
 
 use ess::fitness::EvalBackend;
 use ess_service::jsonio::Json;
-use ess_service::proto::Frame;
+use ess_service::proto::{Frame, Reply};
 use ess_service::serve::serve;
+
+/// The output split into frames; any line that is not a v2 frame fails
+/// the test.
+fn frames(text: &str) -> Vec<Frame> {
+    text.lines()
+        .map(|line| {
+            let json = Json::parse(line).expect("every line parses");
+            Frame::from_json(&json).unwrap_or_else(|e| panic!("non-v2 line: {line} ({e})"))
+        })
+        .collect()
+}
 
 #[test]
 fn pure_v2_connections_get_v2_frames_even_at_eof() {
@@ -20,11 +30,7 @@ fn pure_v2_connections_get_v2_frames_even_at_eof() {
     assert_eq!(summary.accepted, 1);
     assert_eq!(summary.exhausted, 1);
     let text = String::from_utf8(out).expect("utf-8");
-    for line in text.lines() {
-        let json = Json::parse(line).expect("every line parses");
-        Frame::from_json(&json)
-            .unwrap_or_else(|e| panic!("non-v2 line on a pure-v2 connection: {line} ({e})"));
-    }
+    frames(&text);
     assert!(text.contains(r#""kind":"progress""#), "{text}");
     assert!(text.contains(r#""kind":"done""#), "{text}");
     assert!(text.contains(r#""kind":"drained""#), "{text}");
@@ -34,7 +40,7 @@ fn pure_v2_connections_get_v2_frames_even_at_eof() {
 #[test]
 fn dialectless_garbage_does_not_flip_a_v2_connection_to_v1() {
     // A corrupted line and a no-envelope object between valid v2 requests
-    // must be answered as v2 errors and must not change the EOF dialect.
+    // must be answered as v2 errors, like everything else on the wire.
     let script = concat!(
         r#"{"v":2,"id":1,"kind":"run","spec":{"system":"ESS","case":"meadow_small","scale":0.15,"max_steps":1}}"#,
         "\n",
@@ -46,66 +52,65 @@ fn dialectless_garbage_does_not_flip_a_v2_connection_to_v1() {
     let summary = serve(script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve I/O");
     assert_eq!(summary.errors, 2);
     let text = String::from_utf8(out).expect("utf-8");
-    for line in text.lines() {
-        let json = Json::parse(line).expect("every line parses");
-        Frame::from_json(&json)
-            .unwrap_or_else(|e| panic!("non-v2 line after garbage input: {line} ({e})"));
-    }
+    frames(&text);
     assert!(text.contains(r#""kind":"bye""#), "{text}");
 }
 
 #[test]
-fn v1_run_error_texts_are_unchanged() {
+fn retired_v1_lines_and_stray_objects_get_v2_error_frames() {
+    // An old v1 request and an envelope-less object between valid v2
+    // requests: one v2 `error` frame each, and the v2 session is unharmed.
     let script = concat!(
-        r#"{"op":"run","case":"meadow_small"}"#,
+        r#"{"v":2,"id":1,"kind":"run","spec":{"system":"ESS","case":"meadow_small","scale":0.15,"max_steps":1}}"#,
         "\n",
-        r#"{"op":"quit"}"#,
-        "\n"
+        r#"{"op":"run","id":7,"system":"ESS","case":"meadow_small","scale":0.15,"max_steps":1}"#,
+        "\n",
+        r#"{"typo":1}"#,
+        "\n",
+        r#"{"v":2,"id":2,"kind":"drain"}"#,
+        "\n",
     );
     let mut out = Vec::new();
     let summary = serve(script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve I/O");
-    assert_eq!(summary.errors, 1);
+    assert_eq!(summary.errors, 2);
+    assert_eq!((summary.accepted, summary.exhausted), (1, 1));
     let text = String::from_utf8(out).expect("utf-8");
-    assert!(
-        text.contains(r#""message":"run needs a 'system' string""#),
-        "v1 error text drifted: {text}"
-    );
+    let errors: Vec<(u64, String)> = frames(&text)
+        .into_iter()
+        .filter_map(|frame| match frame {
+            Frame::Reply {
+                id,
+                reply: Reply::Error { message },
+            } => Some((id, message)),
+            _ => None,
+        })
+        .collect();
+    // The line's own id is echoed when it has one, else 0.
+    assert_eq!(errors.len(), 2, "{text}");
+    assert_eq!((errors[0].0, errors[1].0), (7, 0), "{text}");
+    for (_, message) in &errors {
+        assert!(message.contains("v1 was retired"), "{message}");
+        assert!(message.contains(r#"{"v":2,"#), "{message}");
+    }
+    assert!(text.contains(r#""kind":"done","session":1"#), "{text}");
 }
 
 #[test]
-fn mixed_connections_keep_v1_shapes_for_v1_sessions() {
-    let script = concat!(
-        r#"{"v":2,"id":1,"kind":"run","watch":true,"spec":{"system":"ESS","case":"meadow_small","seed":4,"scale":0.15,"max_steps":1}}"#,
-        "\n",
-        r#"{"op":"run","system":"ESS","case":"meadow_small","seed":5,"scale":0.15,"max_steps":1}"#,
-        "\n",
-    );
+fn empty_input_still_answers_in_v2() {
     let mut out = Vec::new();
-    let summary = serve(script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve I/O");
-    assert_eq!(summary.accepted, 2);
-    let text = String::from_utf8(out).expect("utf-8");
-    // The v2 session streams v2 frames; the v1 session gets v1 events;
-    // the EOF-implied drain stays v1-shaped because v1 traffic appeared.
-    assert!(text.contains(r#""kind":"done","session":1"#), "{text}");
-    assert!(text.contains(r#""event":"done","session":2"#), "{text}");
-    assert!(text.contains(r#""event":"drained""#), "{text}");
-    assert!(text.contains(r#""event":"bye""#), "{text}");
-    // And a v1 cancel of a v2 session is accepted (state retired, reply
-    // in the v1 dialect of the request).
-    let cancel_script = concat!(
-        r#"{"v":2,"id":1,"kind":"run","watch":true,"spec":{"system":"ESS","case":"meadow_small","seed":6,"scale":0.15}}"#,
-        "\n",
-        r#"{"op":"cancel","session":1}"#,
-        "\n",
-        r#"{"op":"quit"}"#,
-        "\n",
-    );
-    let mut out = Vec::new();
-    let summary = serve(cancel_script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve");
-    assert_eq!(summary.cancelled, 1);
-    let text = String::from_utf8(out).expect("utf-8");
-    assert!(
-        text.contains(r#""event":"cancelled","session":1"#),
-        "{text}"
+    let summary = serve(&b""[..], &mut out, EvalBackend::Serial).expect("serve I/O");
+    assert_eq!(summary, Default::default());
+    assert_eq!(
+        frames(&String::from_utf8(out).expect("utf-8")),
+        [
+            Frame::Reply {
+                id: 0,
+                reply: Reply::Drained { sessions: 0 }
+            },
+            Frame::Reply {
+                id: 0,
+                reply: Reply::Bye
+            },
+        ]
     );
 }
