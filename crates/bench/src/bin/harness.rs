@@ -21,21 +21,15 @@
 //!   e8-ablation E8        — k / archive / bestSet / behaviour ablation
 //!   e9-inclusion E9       — result-set composition under drift
 //!   e10-noise   E10       — robustness to observation noise
-//!   workloads   W         — workload corpus × backend sweep (+ BENCH_*.json)
-//!   service     S         — concurrent-session throughput sweep (+ BENCH_service.json)
-//!   novelty     N         — novelty-engine sweep: pop × archive × engine (+ BENCH_novelty.json)
-//!   loadgen     L         — protocol-v2 load generation per scheduling policy (+ BENCH_serve_v2.json)
-//!   fusion      F         — cross-session batch fusion vs per-session rounds (+ BENCH_fusion.json)
-//!   landscape   K         — heap vs bucket vs tiled simulation kernels on the XL corpus (+ BENCH_landscape.json, bench_summary.md)
 //!   serve                 — line-delimited JSON prediction service on stdin/stdout
 //!   lint                  — workspace source lint pass (+ LINT_findings.json)
 //!   audit                 — semantic audit: panic prover, layering DAG, determinism taint (+ AUDIT.json)
 //!   verify-invariants     — model checking + adversarial invariant suite (+ INVARIANTS.json)
 //! ```
 //!
-//! `all` regenerates every paper artifact (table1 … e10); `workloads`,
-//! `service` and `novelty` benchmark this repo's own engine and must be
-//! requested explicitly.
+//! `all` regenerates every paper artifact (table1 … e10). The engine
+//! itself is timed in one place, the `benchmark/` package
+//! (`BENCHMARK.json`), not here.
 //!
 //! `serve` turns the harness into a prediction server: each stdin line is
 //! a protocol-v2 JSON request (`{"v":2,"id":N,"kind":"run",...}`, with
@@ -56,12 +50,9 @@
 //! wall time; default `serial`); `--kernel` selects the fire-propagation
 //! kernel those experiments simulate with (`heap`, `bucket` or
 //! `tiled[:TILE[xWORKERS]]` — rasters are kernel-independent, so this too
-//! only changes wall time; default `bucket`); `--quick` shrinks the
-//! `workloads` sweep to smoke-test size (the CI configuration).
-//!
-//! `workloads` additionally writes one `BENCH_<workload>.json` per corpus
-//! workload into `--out`, recording evaluation throughput per backend and
-//! the end-to-end pipeline wall time — the cross-PR perf trail.
+//! only changes wall time; default `bucket`); `--workers` lists the
+//! worker counts E3 scales over (default `2,4`; nothing else reads it);
+//! `--quick` shrinks `verify-invariants` to its CI budget.
 
 use ess::fitness::EvalBackend;
 use ess::report::TextTable;
@@ -145,11 +136,14 @@ fn parse_args() -> Result<Args, String> {
     if args.seeds == 0 {
         return Err("--seeds must be positive".into());
     }
+    if args.workers.contains(&0) {
+        return Err("--workers must be positive".into());
+    }
     Ok(args)
 }
 
 fn usage() -> String {
-    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|workloads|service|novelty|loadgen|fusion|landscape|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4] [--backend serial|worker-pool:N|rayon:N] [--kernel heap|bucket|tiled[:TILE[xWORKERS]]] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--out DIR]".to_string()
+    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4 (e3-speedup only)] [--backend serial|worker-pool:N|rayon:N] [--kernel heap|bucket|tiled[:TILE[xWORKERS]]] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--out DIR]".to_string()
 }
 
 fn emit(args: &Args, id: &str, title: &str, table: &TextTable) {
@@ -335,63 +329,6 @@ fn main() -> ExitCode {
         ran = true;
     }
 
-    // Not part of `all`: the corpus and serving sweeps benchmark this
-    // repo's engine, they are not among the paper's tables/figures.
-    if args.experiment == "workloads" {
-        emit(
-            &args,
-            "workloads",
-            "W — workload corpus × backend sweep (arena hot path)",
-            &exp::workloads_sweep(&args.workers, args.quick, &args.out),
-        );
-        ran = true;
-    }
-    if args.experiment == "service" {
-        emit(
-            &args,
-            "service",
-            "S — concurrent sessions over one shared backend (scheduler throughput)",
-            &exp::service_sweep(&args.workers, args.quick, &args.out),
-        );
-        ran = true;
-    }
-    if args.experiment == "novelty" {
-        emit(
-            &args,
-            "novelty",
-            "N — novelty-scoring engines: population × archive × engine (1-D behaviour)",
-            &exp::novelty_sweep(&args.workers, args.quick, &args.out),
-        );
-        ran = true;
-    }
-    if args.experiment == "loadgen" {
-        emit(
-            &args,
-            "loadgen",
-            "L — protocol-v2 load generation: N clients × M sessions per scheduling policy",
-            &ess_benches::loadgen::loadgen_sweep(args.quick, &args.out),
-        );
-        ran = true;
-    }
-    if args.experiment == "fusion" {
-        emit(
-            &args,
-            "fusion",
-            "F — cross-session batch fusion: fused vs unfused rounds per session count",
-            &exp::fusion_sweep(args.quick, &args.out),
-        );
-        ran = true;
-    }
-    if args.experiment == "landscape" {
-        emit(
-            &args,
-            "landscape",
-            "K — simulation kernels on the XL landscape corpus (heap vs bucket vs tiled, serial vs pool)",
-            &exp::landscape_sweep(args.quick, &args.out),
-        );
-        ran = true;
-    }
-
     if !ran {
         eprintln!("unknown experiment '{}'\n{}", args.experiment, usage());
         return ExitCode::FAILURE;
@@ -573,7 +510,7 @@ fn serve_main(args: &Args) -> ExitCode {
     use ess_service::serve;
     let stdout = std::io::stdout();
     if args.self_test {
-        return match ess_benches::loadgen::serve_self_test(args.backend) {
+        return match ess_benches::smoke::serve_self_test(args.backend) {
             Ok(transcript) => {
                 println!("{transcript}");
                 eprintln!(

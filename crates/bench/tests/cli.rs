@@ -1,0 +1,20 @@
+//! The harness CLI's argument errors, end to end: a bad invocation is one
+//! line on stderr and exit 1, never a panic mid-experiment.
+
+use std::process::Command;
+
+#[test]
+fn zero_workers_is_rejected_before_any_experiment_runs() {
+    for workers in ["0", "2,0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_harness"))
+            .args(["e3-speedup", "--workers", workers])
+            .output()
+            .expect("harness binary runs");
+        assert_eq!(out.status.code(), Some(1), "--workers {workers}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr).trim(),
+            "--workers must be positive"
+        );
+        assert!(out.stdout.is_empty(), "no table was started");
+    }
+}

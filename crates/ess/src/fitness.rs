@@ -11,7 +11,6 @@ use evoalg::{BatchEvaluator, GenomeMatrix};
 use firelib::{FireSim, Kernel, LitCells, Scenario, ScenarioSpace, SimArena};
 use landscape::{tally_ranges, FireLine};
 use parworker::Backend;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub use parworker::EvalBackend;
@@ -274,7 +273,7 @@ pub struct SharedScenarioPool {
     /// Batches at or below this size skip pool dispatch (see
     /// [`DEFAULT_INLINE_THRESHOLD`]); `usize::MAX` on a serial spec,
     /// where dispatch can never win.
-    inline_threshold: AtomicUsize,
+    inline_threshold: usize,
     spec: EvalBackend,
 }
 
@@ -292,7 +291,7 @@ impl SharedScenarioPool {
                 score(cache, &ctx, batch.row(row))
             },
         );
-        let inline = if spec.workers() <= 1 {
+        let inline_threshold = if spec.workers() <= 1 {
             usize::MAX
         } else {
             DEFAULT_INLINE_THRESHOLD
@@ -300,7 +299,7 @@ impl SharedScenarioPool {
         Self {
             inner: Mutex::new(backend),
             fallback: Mutex::new(ArenaCache::default()),
-            inline_threshold: AtomicUsize::new(inline),
+            inline_threshold,
             spec,
         }
     }
@@ -320,16 +319,9 @@ impl SharedScenarioPool {
         self.spec.workers()
     }
 
-    /// The current inline small-batch threshold.
+    /// The inline small-batch threshold, fixed at construction.
     pub fn inline_threshold(&self) -> usize {
-        self.inline_threshold.load(Ordering::Relaxed)
-    }
-
-    /// Overrides the inline small-batch threshold (`0` forces every batch
-    /// through pool dispatch — used by the regression benches to compare
-    /// the two paths).
-    pub fn set_inline_threshold(&self, threshold: usize) {
-        self.inline_threshold.store(threshold, Ordering::Relaxed);
+        self.inline_threshold
     }
 
     /// Evaluates one flat batch of genomes against `ctx`, in row order —
@@ -682,23 +674,24 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let (ctx, _) = known_context();
         let mut rng = StdRng::seed_from_u64(11);
-        let batch = GenomeMatrix::from_rows(
-            &(0..10)
-                .map(|_| {
-                    (0..firelib::GENE_COUNT)
-                        .map(|_| rng.random::<f64>())
-                        .collect::<Vec<f64>>()
-                })
-                .collect::<Vec<_>>(),
-        );
+        let rows: Vec<Vec<f64>> = (0..20)
+            .map(|_| {
+                (0..firelib::GENE_COUNT)
+                    .map(|_| rng.random::<f64>())
+                    .collect()
+            })
+            .collect();
         let pool = SharedScenarioPool::new(EvalBackend::WorkerPool(2));
         assert_eq!(pool.inline_threshold(), DEFAULT_INLINE_THRESHOLD);
-        // 10 ≤ 16: the default threshold routes this batch inline.
-        let inline = pool.evaluate_matrix(&ctx, &batch);
-        // Threshold 0 forces the same batch through pool dispatch.
-        pool.set_inline_threshold(0);
-        let dispatched = pool.evaluate_matrix(&ctx, &batch);
-        assert_eq!(inline, dispatched, "inline fallback diverged from dispatch");
+        // 10 ≤ 16: the threshold routes the first ten rows inline.
+        let inline = pool.evaluate_matrix(&ctx, &GenomeMatrix::from_rows(&rows[..10]));
+        // 20 > 16: the same ten rows, leading a batch the pool dispatches.
+        let dispatched = pool.evaluate_matrix(&ctx, &GenomeMatrix::from_rows(&rows));
+        assert_eq!(
+            inline,
+            dispatched[..10],
+            "inline fallback diverged from dispatch"
+        );
         // A serial pool always stays inline.
         assert_eq!(
             SharedScenarioPool::new(EvalBackend::Serial).inline_threshold(),

@@ -134,50 +134,52 @@ fn parsed_specs_match_programmatic_ones() {
     }
 }
 
-/// The same interchangeability on a *heterogeneous* corpus workload (fuel
-/// mosaic + gusty wind field → the per-cell spread path and the arena's
-/// spread cache): every backend's worker arenas must reproduce the serial
-/// results bit for bit, including when the evaluators are reused across
-/// rounds with warm arenas.
+/// The same interchangeability on every *heterogeneous* corpus workload
+/// (fuel mosaics, relief, gusty wind fields → the per-fuel and per-cell
+/// spread paths and the arena's spread cache), shrunk to ≤ 40 cells per
+/// side: every backend's worker arenas must reproduce the serial results
+/// bit for bit, including when the evaluators are reused across rounds
+/// with warm arenas.
 #[test]
 fn all_backends_bit_identical_on_heterogeneous_workload() {
-    let spec = firelib::workload::gusty_channel().shrunk(32);
-    let case = cases::workload_case(&spec);
-    let ctx = Arc::new(StepContext::new(
-        Arc::clone(&case.sim),
-        case.fire_lines[0].clone(),
-        case.fire_lines[1].clone(),
-        case.times[0],
-        case.times[1],
-    ));
     let specs = [
         EvalBackend::Serial,
         EvalBackend::WorkerPool(3),
         EvalBackend::Rayon(2),
     ];
-    let mut evaluators: Vec<ScenarioEvaluator> = specs
-        .iter()
-        .map(|&s| ScenarioEvaluator::new(Arc::clone(&ctx), s))
-        .collect();
-    for round in 0..4u64 {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ round);
-        let batch = random_batch(&mut rng, 24);
-        let reference: Vec<u64> = evaluators[0]
-            .evaluate(&batch)
+    for workload in firelib::workload::corpus() {
+        let case = cases::workload_case(&workload.shrunk(40));
+        let ctx = Arc::new(StepContext::new(
+            Arc::clone(&case.sim),
+            case.fire_lines[0].clone(),
+            case.fire_lines[1].clone(),
+            case.times[0],
+            case.times[1],
+        ));
+        let mut evaluators: Vec<ScenarioEvaluator> = specs
             .iter()
-            .map(|f| f.to_bits())
+            .map(|&s| ScenarioEvaluator::new(Arc::clone(&ctx), s))
             .collect();
-        for (spec, evaluator) in specs.iter().zip(&mut evaluators).skip(1) {
-            let got: Vec<u64> = evaluator
+        for round in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ round);
+            let batch = random_batch(&mut rng, 24);
+            let reference: Vec<u64> = evaluators[0]
                 .evaluate(&batch)
                 .iter()
                 .map(|f| f.to_bits())
                 .collect();
-            assert_eq!(
-                got, reference,
-                "{spec} diverged from serial on {} round {round}",
-                case.name
-            );
+            for (spec, evaluator) in specs.iter().zip(&mut evaluators).skip(1) {
+                let got: Vec<u64> = evaluator
+                    .evaluate(&batch)
+                    .iter()
+                    .map(|f| f.to_bits())
+                    .collect();
+                assert_eq!(
+                    got, reference,
+                    "{spec} diverged from serial on {} round {round}",
+                    case.name
+                );
+            }
         }
     }
 }

@@ -419,6 +419,64 @@ fn tiled_kernel_bit_identical_on_random_landscapes() {
     }
 }
 
+/// The three kernels agree on the *named* large landscapes too —
+/// `archipelago_large` plus the XL tier, shrunk to ≤ 64 cells per side —
+/// over a seeded batch of wind perturbations around each workload's
+/// truth (the calibration-stage access pattern in miniature). One tiled
+/// arena serves both tile configurations and every scenario, so it is
+/// always dirty from the previous run. Exact f64 raster bits.
+#[test]
+fn kernels_bit_identical_on_named_large_landscapes() {
+    use firelib::sim::Kernel;
+    use firelib::workload;
+    let mut specs = vec![workload::archipelago_large()];
+    specs.extend(workload::xl_corpus());
+    for spec in specs.iter().map(|s| s.shrunk(64)) {
+        let w = spec.build();
+        let sim = w.sim();
+        let (t0, dt) = (w.times[0], w.times[1] - w.times[0]);
+        let base = w.truth[0];
+        let mut rng = StdRng::seed_from_u64(0x1A2D ^ spec.seed);
+        let mut scenarios = vec![base];
+        for _ in 0..2 {
+            scenarios.push(Scenario {
+                wind_speed_mph: (base.wind_speed_mph + (rng.random::<f64>() * 2.0 - 1.0) * 2.0)
+                    .clamp(0.0, 80.0),
+                wind_dir_deg: landscape::geometry::normalize_azimuth(
+                    base.wind_dir_deg + (rng.random::<f64>() * 2.0 - 1.0) * 30.0,
+                ),
+                ..base
+            });
+        }
+        let bits = |m: &landscape::IgnitionMap| -> Vec<u64> {
+            m.grid().as_slice().iter().map(|t| t.to_bits()).collect()
+        };
+        let mut heap_arena = sim.arena();
+        let mut bucket_arena = sim.arena();
+        let mut tiled_arena = sim.arena();
+        for (i, s) in scenarios.iter().enumerate() {
+            let run = |kernel, arena: &mut firelib::SimArena| {
+                bits(sim.simulate_arena_kernel(s, &w.ignition, t0, dt, arena, kernel))
+            };
+            let heap = run(Kernel::Heap, &mut heap_arena);
+            assert_eq!(
+                heap,
+                run(Kernel::Bucket, &mut bucket_arena),
+                "{} scenario {i}: bucket diverged",
+                spec.name
+            );
+            for tile in [16, 64] {
+                assert_eq!(
+                    heap,
+                    run(Kernel::Tiled { tile, workers: 2 }, &mut tiled_arena),
+                    "{} scenario {i}: tiled (tile {tile}) diverged",
+                    spec.name
+                );
+            }
+        }
+    }
+}
+
 /// Multi-ignition fronts on non-square grids with a per-cell wind field:
 /// every seeded front contributes (each seed cell is in the map at t0),
 /// merged fronts still obey the adjacency invariant, and the wind layers

@@ -1,8 +1,8 @@
 //! Dependency-free JSON: one shared writer + minimal reader.
 //!
-//! The bench harness has always emitted hand-rolled JSON (`BENCH_*.json`),
-//! and the serve protocol needs to *parse* line-delimited requests; this
-//! module is the single implementation both sides use. It is deliberately
+//! The harness writes its analysis reports as hand-rolled JSON, and the
+//! serve protocol needs to *parse* line-delimited requests; this module
+//! is the single implementation both sides use. It is deliberately
 //! small: a [`Json`] value tree, a compact `Display` plus a pretty
 //! printer, and a strict recursive-descent parser. No dependencies, no
 //! `unsafe`, numbers are `f64` (integers round-trip exactly up to 2⁵³).
@@ -113,8 +113,8 @@ impl Json {
         Ok(value)
     }
 
-    /// Multi-line rendering with two-space indentation (the `BENCH_*.json`
-    /// house style).
+    /// Multi-line rendering with two-space indentation (the house style of
+    /// the report files).
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);

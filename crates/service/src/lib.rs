@@ -38,7 +38,7 @@
 //!   envelopes, streaming `progress` frames, snapshot/restore, bounded
 //!   `advance`), the only dialect;
 //! * [`jsonio`] — the hand-rolled JSON writer/reader shared with the
-//!   bench harness's `BENCH_*.json` emission.
+//!   harness's analysis reports and the benchmark's result files.
 //!
 //! The typed client for protocol v2 lives in the sibling `ess-client`
 //! crate. Failures are typed ([`ServiceError`]): unknown system, unknown

@@ -17,8 +17,9 @@
 //! Sessions are deterministic given their spec and seed — per-step seeds
 //! depend only on the session's own seed stream, never on scheduling
 //! order — so every policy produces bit-identical per-session reports;
-//! policies change *latency and fairness*, not results. The loadgen
-//! harness asserts exactly that.
+//! policies change *latency and fairness*, not results.
+//! `tests/scheduler.rs` asserts exactly that, at the scheduler and at the
+//! wire.
 
 use crate::scheduler::SessionId;
 use std::fmt;
@@ -127,10 +128,10 @@ impl SchedulePolicy for DeadlineFirst {
     }
 }
 
-/// The nameable policies — the value the `serve --policy` flag and the
-/// loadgen sweep select by. Parses from `round-robin` / `rr`,
-/// `weighted-fair-share` / `wfs` / `fair`, `deadline-first` / `deadline` /
-/// `edf`; the `Display` form round-trips.
+/// The nameable policies — the value the `serve --policy` flag selects
+/// by. Parses from `round-robin` / `rr`, `weighted-fair-share` / `wfs` /
+/// `fair`, `deadline-first` / `deadline` / `edf`; the `Display` form
+/// round-trips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// [`RoundRobin`].

@@ -8,9 +8,10 @@ use ess::pipeline::StepReport;
 use ess_service::jsonio::Json;
 use ess_service::proto::{Frame, Request, RequestKind};
 use ess_service::{
-    serve, systems, DrainSignal, PolicyKind, RunSpec, Scheduler, ServeSummary, SessionEvent,
-    SessionOutcome,
+    serve_configured, systems, DrainSignal, PolicyKind, RunSpec, Scheduler, ServeSummary,
+    SessionEvent, SessionOutcome,
 };
+use std::collections::BTreeMap;
 
 const CASE: &str = "meadow_small";
 const SCALE: f64 = 0.25;
@@ -294,28 +295,65 @@ fn serve_protocol_self_test_passes_on_a_shared_pool() {
         .zip(1..)
         .map(|(kind, id)| format!("{}\n", Request { id, kind }.to_json()))
         .collect();
-    let mut transcript = Vec::new();
-    let summary = serve(
-        script.as_bytes(),
-        &mut transcript,
-        EvalBackend::WorkerPool(2),
-    )
-    .expect("serve I/O");
-    assert_eq!(
-        summary,
-        ServeSummary {
-            accepted: 8,
-            errors: 2,
-            cancelled: 1,
-            exhausted: 4,
-            finished: 3,
-            ..ServeSummary::default()
+    // The identical script under every policy, fused and unfused: the
+    // scheduler may reorder frames, never change a session's result.
+    let mut reference = None;
+    for policy in PolicyKind::ALL {
+        for fused in [false, true] {
+            let mut transcript = Vec::new();
+            let summary = serve_configured(
+                script.as_bytes(),
+                &mut transcript,
+                EvalBackend::WorkerPool(2),
+                policy,
+                fused,
+            )
+            .expect("serve I/O");
+            assert_eq!(
+                summary,
+                ServeSummary {
+                    accepted: 8,
+                    errors: 2,
+                    cancelled: 1,
+                    exhausted: 4,
+                    finished: 3,
+                    ..ServeSummary::default()
+                },
+                "{policy} fused={fused}"
+            );
+            // Every line of the transcript is a v2 frame; the `done`
+            // frames carry each session's deterministic fingerprint.
+            let text = String::from_utf8(transcript).expect("utf-8 protocol");
+            let mut done = BTreeMap::new();
+            for line in text.lines() {
+                let json = Json::parse(line).expect("valid JSON line");
+                let frame = Frame::from_json(&json)
+                    .unwrap_or_else(|e| panic!("not a v2 frame: {line} ({e})"));
+                if let Frame::Done(d) = frame {
+                    let bits = d.mean_quality.to_bits();
+                    done.insert(
+                        d.session,
+                        (
+                            d.status,
+                            d.system,
+                            d.case,
+                            d.steps,
+                            bits,
+                            d.total_evaluations,
+                        ),
+                    );
+                }
+            }
+            // Session 8 was cancelled before it ran: a `cancelled` reply,
+            // no `done` frame.
+            assert_eq!(done.len(), 7, "{policy} fused={fused}");
+            match &reference {
+                None => reference = Some(done),
+                Some(expected) => assert_eq!(
+                    expected, &done,
+                    "{policy} fused={fused} changed a session's result"
+                ),
+            }
         }
-    );
-    // Every line of the transcript is a v2 frame.
-    let text = String::from_utf8(transcript).expect("utf-8 protocol");
-    for line in text.lines() {
-        let json = Json::parse(line).expect("valid JSON line");
-        Frame::from_json(&json).unwrap_or_else(|e| panic!("not a v2 frame: {line} ({e})"));
     }
 }

@@ -3,8 +3,8 @@
 //! resolves through `ess::cases`, expands into a valid burn case and runs
 //! the full calibration → prediction pipeline, exactly like the hand-built
 //! library cases. Grids are shrunk to smoke size so the whole corpus stays
-//! fast; full-size behaviour is exercised by the bench harness
-//! (`harness -- workloads`).
+//! fast; the full-size cases run in the serve-path benchmark
+//! (`benchmark/`).
 
 use essns_repro::ess::cases;
 use essns_repro::ess::fitness::EvalBackend;
