@@ -1,11 +1,10 @@
 //! E8 (kernel) — cost of the novelty score ρ(x) of Eq. (1) as the
 //! reference set (population ∪ offspring ∪ archive) and `k` grow. This is
-//! the master-side overhead ESS-NS adds per generation over the baselines,
-//! and the path the batched novelty subsystem accelerates: the bench
-//! compares the per-subject brute-force reference against the batched
-//! engines — chunked brute force, the sorted-scan index, and their
-//! backend-parallel (2-worker) variants — on identical inputs. All paths
-//! produce bit-identical scores; only the wall time differs.
+//! the master-side overhead ESS-NS adds per generation over the baselines:
+//! the bench compares the per-subject brute-force reference against the
+//! batched engine (the sorted-scan index these 1-D behaviours select) on
+//! identical inputs. Both produce bit-identical scores; only the wall time
+//! differs.
 
 use ess_benches::microbench::{bench, group};
 use evoalg::novelty::novelty_score;
@@ -16,6 +15,7 @@ use std::hint::black_box;
 
 fn main() {
     group("novelty_knn (score one full generation, 1-D behaviours)");
+    let engine = NoveltyEngine;
     let mut rng = StdRng::seed_from_u64(7);
     for &n in &[64usize, 256, 1024, 4096] {
         // 1-D fitness behaviours — the paper's Eq. (2).
@@ -23,8 +23,7 @@ fn main() {
         let matrix = BehaviourMatrix::from_rows(&behaviours);
         for &k in &[5usize, 15] {
             // The reference: one brute-force call per subject over the
-            // nested Vec<Vec<f64>> layout (Algorithm 1 lines 12–14 before
-            // the batched subsystem).
+            // nested Vec<Vec<f64>> layout.
             bench(&format!("n={n} k={k} per-subject brute"), 10, || {
                 let mut acc = 0.0;
                 for i in 0..behaviours.len() {
@@ -32,34 +31,17 @@ fn main() {
                 }
                 black_box(acc)
             });
-            // The batched engines over the flat BehaviourMatrix.
-            for engine in [
-                NoveltyEngine::brute_force(),
-                NoveltyEngine::brute_force().with_workers(2),
-                NoveltyEngine::indexed(),
-                NoveltyEngine::indexed().with_workers(2),
-            ] {
-                bench(&format!("n={n} k={k} engine {engine}"), 10, || {
-                    black_box(engine.novelty_scores(black_box(&matrix), n, k))
-                });
-            }
+            // The batched engine over the flat BehaviourMatrix.
+            bench(&format!("n={n} k={k} engine"), 10, || {
+                black_box(engine.novelty_scores(black_box(&matrix), n, k))
+            });
         }
     }
 
-    group("novelty_knn cross-check (all paths bit-identical)");
+    group("novelty_knn cross-check (engine bit-identical to the reference)");
     let behaviours: Vec<Vec<f64>> = (0..512).map(|_| vec![rng.random::<f64>()]).collect();
     let matrix = BehaviourMatrix::from_rows(&behaviours);
     let reference: Vec<f64> = (0..512).map(|i| novelty_score(i, &behaviours, 5)).collect();
-    for engine in [
-        NoveltyEngine::brute_force(),
-        NoveltyEngine::indexed(),
-        NoveltyEngine::indexed().with_workers(2),
-    ] {
-        assert_eq!(
-            engine.novelty_scores(&matrix, 512, 5),
-            reference,
-            "{engine} diverged"
-        );
-    }
-    println!("cross-check OK: 3 engines × 512 subjects bit-identical to novelty_score");
+    assert_eq!(engine.novelty_scores(&matrix, 512, 5), reference);
+    println!("cross-check OK: 512 subjects bit-identical to novelty_score");
 }

@@ -47,17 +47,15 @@
 //! `--backend` selects the scenario-evaluation backend for the
 //! pipeline-driven experiments (results are backend-independent — every
 //! backend produces bit-identical fitness values — so this only changes
-//! wall time; default `serial`); `--kernel` selects the fire-propagation
-//! kernel those experiments simulate with (`heap`, `bucket` or
-//! `tiled[:TILE[xWORKERS]]` — rasters are kernel-independent, so this too
-//! only changes wall time; default `bucket`); `--workers` lists the
+//! wall time; default `serial`) and the pool `serve` shares among its
+//! sessions — where a run executes is a per-process setting, never part
+//! of a request; `--workers` lists the
 //! worker counts E3 scales over (default `2,4`; nothing else reads it);
 //! `--quick` shrinks `verify-invariants` to its CI budget.
 
 use ess::fitness::EvalBackend;
 use ess::report::TextTable;
 use ess_benches::experiments as exp;
-use firelib::Kernel;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -69,7 +67,6 @@ struct Args {
     out: PathBuf,
     workers: Vec<usize>,
     backend: EvalBackend,
-    kernel: Kernel,
     policy: ess_service::PolicyKind,
     quick: bool,
     fused: bool,
@@ -93,7 +90,6 @@ fn parse_args() -> Result<Args, String> {
         out: PathBuf::from("reports"),
         workers: vec![2, 4],
         backend: EvalBackend::Serial,
-        kernel: Kernel::Bucket,
         policy: ess_service::PolicyKind::RoundRobin,
         quick: false,
         fused: false,
@@ -110,11 +106,6 @@ fn parse_args() -> Result<Args, String> {
                 args.backend = value()?
                     .parse()
                     .map_err(|e: parworker::ParseBackendError| e.to_string())?
-            }
-            "--kernel" => {
-                args.kernel = value()?
-                    .parse()
-                    .map_err(|e: firelib::ParseKernelError| e.to_string())?
             }
             "--policy" => {
                 args.policy = value()?
@@ -143,7 +134,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4 (e3-speedup only)] [--backend serial|worker-pool:N|rayon:N] [--kernel heap|bucket|tiled[:TILE[xWORKERS]]] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--out DIR]".to_string()
+    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4 (e3-speedup only)] [--backend serial|worker-pool:N|rayon:N] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--out DIR]".to_string()
 }
 
 fn emit(args: &Args, id: &str, title: &str, table: &TextTable) {
@@ -243,7 +234,7 @@ fn main() -> ExitCode {
             &args,
             "e1-quality",
             "E1 — prediction quality per step (Jaccard), per case and method",
-            &exp::e1_quality(&seeds, args.scale, &case_refs, args.backend, args.kernel),
+            &exp::e1_quality(&seeds, args.scale, &case_refs, args.backend),
         );
         ran = true;
     }
@@ -252,7 +243,7 @@ fn main() -> ExitCode {
             &args,
             "e2-diversity",
             "E2 — diversity of the result set fed to the Statistical Stage",
-            &exp::e2_diversity(&seeds, args.scale, &case_refs, args.backend, args.kernel),
+            &exp::e2_diversity(&seeds, args.scale, &case_refs, args.backend),
         );
         ran = true;
     }
@@ -288,7 +279,7 @@ fn main() -> ExitCode {
             &args,
             "e6-tuning",
             "E6 — effect of the ESSIM-DE tuning operators",
-            &exp::e6_tuning(&seeds, args.scale, args.backend, args.kernel),
+            &exp::e6_tuning(&seeds, args.scale, args.backend),
         );
         ran = true;
     }
@@ -297,7 +288,7 @@ fn main() -> ExitCode {
             &args,
             "e7-hybrid",
             "E7 — weighted fitness/novelty scoring ablation",
-            &exp::e7_hybrid(&seeds, args.scale, args.backend, args.kernel),
+            &exp::e7_hybrid(&seeds, args.scale, args.backend),
         );
         ran = true;
     }
@@ -306,7 +297,7 @@ fn main() -> ExitCode {
             &args,
             "e8-ablation",
             "E8 — NS hyper-parameter ablation (k, archive, bestSet, behaviour)",
-            &exp::e8_ablation(&seeds, args.scale, args.backend, args.kernel),
+            &exp::e8_ablation(&seeds, args.scale, args.backend),
         );
         ran = true;
     }
@@ -315,7 +306,7 @@ fn main() -> ExitCode {
             &args,
             "e9-inclusion",
             "E9 — result-set composition under a drifting truth",
-            &exp::e9_inclusion(&seeds, args.scale, args.backend, args.kernel),
+            &exp::e9_inclusion(&seeds, args.scale, args.backend),
         );
         ran = true;
     }
@@ -324,7 +315,7 @@ fn main() -> ExitCode {
             &args,
             "e10-noise",
             "E10 — robustness to observation noise on the fire lines",
-            &exp::e10_noise(&seeds, args.scale, args.backend, args.kernel),
+            &exp::e10_noise(&seeds, args.scale, args.backend),
         );
         ran = true;
     }

@@ -14,7 +14,7 @@ use ess_ns::{
 use evoalg::benchmarks::{deceptive_trap, two_peaks};
 use evoalg::{BatchEvaluator, GaConfig, GaEngine};
 use firelib::sim::centre_ignition;
-use firelib::{FireSim, Kernel, Scenario, ScenarioSpace, Terrain};
+use firelib::{FireSim, Scenario, ScenarioSpace, Terrain};
 use parworker::{SpeedupRow, Stopwatch};
 use std::sync::Arc;
 
@@ -204,15 +204,12 @@ pub fn run_replicates(
     seeds: &[u64],
     scale: f64,
     backend: EvalBackend,
-    kernel: Kernel,
 ) -> Vec<RunReport> {
     seeds
         .iter()
         .map(|&seed| {
             let mut opt = method.make(scale);
-            PredictionPipeline::new(backend, seed)
-                .with_kernel(kernel)
-                .run(case, opt.as_mut())
+            PredictionPipeline::new(backend, seed).run(case, opt.as_mut())
         })
         .collect()
 }
@@ -234,7 +231,6 @@ pub fn e1_quality(
     scale: f64,
     case_names: &[&str],
     backend: EvalBackend,
-    kernel: Kernel,
 ) -> TextTable {
     let mut t = TextTable::new([
         "case",
@@ -248,7 +244,7 @@ pub fn e1_quality(
     for name in case_names {
         let case = cases::by_name(name).unwrap_or_else(|| panic!("unknown case {name}"));
         for method in Method::ALL {
-            let reports = run_replicates(method, &case, seeds, scale, backend, kernel);
+            let reports = run_replicates(method, &case, seeds, scale, backend);
             // Per predicted instant: collect quality across seeds.
             let n_steps = reports[0].steps.len();
             for si in 0..n_steps {
@@ -297,7 +293,6 @@ pub fn e2_diversity(
     scale: f64,
     case_names: &[&str],
     backend: EvalBackend,
-    kernel: Kernel,
 ) -> TextTable {
     let mut t = TextTable::new([
         "case",
@@ -310,7 +305,7 @@ pub fn e2_diversity(
     for name in case_names {
         let case = cases::by_name(name).unwrap_or_else(|| panic!("unknown case {name}"));
         for method in Method::ALL {
-            let reports = run_replicates(method, &case, seeds, scale, backend, kernel);
+            let reports = run_replicates(method, &case, seeds, scale, backend);
             let mut pair = Vec::new();
             let mut gstd = Vec::new();
             let mut dfrac = Vec::new();
@@ -571,7 +566,7 @@ pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
 /// restarts to amortise (a restart spends evaluations re-seeding before it
 /// can recover), so this experiment runs ESSIM-DE with a 30-generation
 /// cap — roughly 3× the E1 budget — for both variants.
-pub fn e6_tuning(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel) -> TextTable {
+pub fn e6_tuning(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
     use ess::essim_de::{EssimDe, EssimDeConfig, TuningConfig};
     let mut t = TextTable::new([
         "case",
@@ -599,9 +594,7 @@ pub fn e6_tuning(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel
                     tuning,
                     ..EssimDeConfig::default()
                 });
-                let r = PredictionPipeline::new(backend, seed)
-                    .with_kernel(kernel)
-                    .run(&case, &mut opt);
+                let r = PredictionPipeline::new(backend, seed).run(&case, &mut opt);
                 qualities.push(r.mean_quality());
                 evals.push(r.total_evaluations() as f64);
                 walls.push(r.total_ms);
@@ -620,7 +613,7 @@ pub fn e6_tuning(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel
 
 /// E7 — the hybrid fitness/novelty scoring ablation (§IV), plus the
 /// NSLC quality-diversity variant (\[26\]).
-pub fn e7_hybrid(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel) -> TextTable {
+pub fn e7_hybrid(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
     let case = cases::shifting_wind();
     let mut t = TextTable::new([
         "scoring",
@@ -657,12 +650,8 @@ pub fn e7_hybrid(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel
                     ..NoveltyGaConfig::default()
                 },
                 inclusion: InclusionPolicy::BestOnly,
-                backend,
-                ..EssNsConfig::default()
             });
-            let r = PredictionPipeline::new(backend, seed)
-                .with_kernel(kernel)
-                .run(&case, &mut opt);
+            let r = PredictionPipeline::new(backend, seed).run(&case, &mut opt);
             qualities.push(r.mean_quality());
             diversities.push(r.mean_diversity());
             bests.push(mean_of(
@@ -683,7 +672,7 @@ pub fn e7_hybrid(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel
 }
 
 /// E8 — NS hyper-parameter ablation: `k`, archive capacity, `bestSet` size.
-pub fn e8_ablation(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel) -> TextTable {
+pub fn e8_ablation(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
     let case = cases::two_ridge();
     let mut t = TextTable::new([
         "parameter",
@@ -708,12 +697,8 @@ pub fn e8_ablation(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kern
             let mut opt = EssNs::new(EssNsConfig {
                 algorithm,
                 inclusion: InclusionPolicy::BestOnly,
-                backend,
-                ..EssNsConfig::default()
             });
-            let r = PredictionPipeline::new(backend, seed)
-                .with_kernel(kernel)
-                .run(&case, &mut opt);
+            let r = PredictionPipeline::new(backend, seed).run(&case, &mut opt);
             qualities.push(r.mean_quality());
             diversities.push(r.mean_diversity());
             evals.push(r.total_evaluations() as f64);
@@ -769,7 +754,7 @@ pub fn e8_ablation(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kern
 }
 
 /// E9 — result-set composition under a drifting truth (§IV).
-pub fn e9_inclusion(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel) -> TextTable {
+pub fn e9_inclusion(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
     let case = cases::shifting_wind();
     let mut t = TextTable::new(["policy", "mean_quality", "mean_set_size", "mean_diversity"]);
     let policies: Vec<(String, InclusionPolicy)> = vec![
@@ -805,12 +790,8 @@ pub fn e9_inclusion(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Ker
                     ..NoveltyGaConfig::default()
                 },
                 inclusion,
-                backend,
-                ..EssNsConfig::default()
             });
-            let r = PredictionPipeline::new(backend, seed)
-                .with_kernel(kernel)
-                .run(&case, &mut opt);
+            let r = PredictionPipeline::new(backend, seed).run(&case, &mut opt);
             qualities.push(r.mean_quality());
             sizes.push(mean_of(
                 &r.steps
@@ -835,7 +816,7 @@ pub fn e9_inclusion(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Ker
 /// sensor noise. The paper's whole premise is input uncertainty; this
 /// experiment injects it into the *observations* rather than the
 /// parameters and asks which result-set policy degrades most gracefully.
-pub fn e10_noise(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel) -> TextTable {
+pub fn e10_noise(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
     let clean = cases::shifting_wind();
     let mut t = TextTable::new([
         "flip_prob",
@@ -854,9 +835,7 @@ pub fn e10_noise(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel
                     clean.clone()
                 };
                 let mut opt = method.make(scale);
-                let r = PredictionPipeline::new(backend, seed)
-                    .with_kernel(kernel)
-                    .run(&case, opt.as_mut());
+                let r = PredictionPipeline::new(backend, seed).run(&case, opt.as_mut());
                 qualities.push(r.mean_quality());
             }
             let q = mean_of(&qualities);

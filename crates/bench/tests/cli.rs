@@ -18,3 +18,17 @@ fn zero_workers_is_rejected_before_any_experiment_runs() {
         assert!(out.stdout.is_empty(), "no table was started");
     }
 }
+
+#[test]
+fn retired_kernel_flag_is_an_unknown_flag() {
+    // Kernels are compared at `simulate_arena_kernel`, never selected per
+    // run: the flag is gone, not ignored.
+    let out = Command::new(env!("CARGO_BIN_EXE_harness"))
+        .args(["e1-quality", "--kernel", "bucket"])
+        .output()
+        .expect("harness binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("unknown flag --kernel\n"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no table was started");
+}

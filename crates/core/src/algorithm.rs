@@ -41,15 +41,16 @@
 //! a generation-reused flat [`evoalg::BehaviourMatrix`] (each individual
 //! described exactly once; the archive contributes its incrementally
 //! maintained matrix via one bulk copy), and ρ(x) for every subject is
-//! computed by the configured [`evoalg::NoveltyEngine`] — indexed kNN,
-//! optionally fanned out over scoring workers, always bit-identical to
-//! the brute-force reference `novelty_score`.
+//! computed by [`evoalg::NoveltyEngine`] — indexed kNN in the master,
+//! always bit-identical to the brute-force reference `novelty_score`.
 
 use crate::hybrid::{BehaviourSpace, ScoringPolicy};
 use evoalg::individual::{Individual, Population};
 use evoalg::operators::{one_point_crossover, uniform_mutation};
 use evoalg::selection::{elitist_merge_indices, roulette};
-use evoalg::{BatchEvaluator, BehaviourMatrix, BestSet, NoveltyArchive, NoveltyEngine};
+use evoalg::{
+    BatchEvaluator, BehaviourMatrix, BestSet, NoveltyArchive, NoveltyEngine, PreparedIndex,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,10 +85,6 @@ pub struct NoveltyGaConfig {
     pub scoring: ScoringPolicy,
     /// Behaviour space for Eq. (1)/(2) (fitness for the baseline).
     pub behaviour: BehaviourSpace,
-    /// How ρ(x) batches are computed: kNN index strategy × scoring worker
-    /// count. Every engine yields bit-identical scores — this knob trades
-    /// master-side wall time only.
-    pub novelty: NoveltyEngine,
     /// RNG seed.
     pub seed: u64,
 }
@@ -107,7 +104,6 @@ impl Default for NoveltyGaConfig {
             archive_threshold: None,
             scoring: ScoringPolicy::PureNovelty,
             behaviour: BehaviourSpace::Fitness,
-            novelty: NoveltyEngine::default(),
             seed: 0,
         }
     }
@@ -247,14 +243,12 @@ impl NoveltyGa {
             novelty_set.extend_from(archive.behaviour_matrix());
 
             // Lines 12–14: ρ(x) of each ind ∈ population ∪ offspring, as
-            // one batch on the configured engine (indexed kNN, optionally
-            // chunk-parallel; bit-identical to brute force either way).
-            // The index is prepared once and shared with the NSLC batch.
+            // one batch (indexed kNN, bit-identical to brute force). The
+            // index is prepared once and shared with the NSLC batch.
             let subjects = population.len() + offspring.len();
-            let prepared = cfg.novelty.index.prepare(&novelty_set);
+            let prepared = PreparedIndex::new(&novelty_set);
             let scores =
-                cfg.novelty
-                    .novelty_scores_prepared(&prepared, subjects, cfg.novelty_neighbours);
+                NoveltyEngine.novelty_scores_prepared(&prepared, subjects, cfg.novelty_neighbours);
             for (idx, rho) in scores.into_iter().enumerate() {
                 // The sentinel for an empty reference cannot occur here
                 // (the reference always holds ≥ N+m−1 ≥ 3 entries), but
@@ -279,7 +273,7 @@ impl NoveltyGa {
                     .map(|m| m.fitness)
                     .collect();
                 all_fitness.extend(archive.entries().iter().map(|e| e.fitness));
-                let lcs = cfg.novelty.local_competition_scores_prepared(
+                let lcs = NoveltyEngine.local_competition_scores_prepared(
                     &prepared,
                     &all_fitness,
                     subjects,
@@ -630,17 +624,22 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let run = |seed| {
-            let cfg = NoveltyGaConfig {
-                seed,
-                max_generations: 6,
-                ..NoveltyGaConfig::default()
+        // Both behaviour spaces: 1-D fitness scores through the sorted
+        // scan, the genotype space through the exhaustive one.
+        for behaviour in [BehaviourSpace::Fitness, BehaviourSpace::Genotype] {
+            let run = |seed| {
+                let cfg = NoveltyGaConfig {
+                    seed,
+                    max_generations: 6,
+                    behaviour,
+                    ..NoveltyGaConfig::default()
+                };
+                let (out, _) = run_on(|g| two_peaks(g, 0.6), cfg, 4);
+                (out.best_set.genomes(), out.archive.entries().to_vec())
             };
-            let (out, _) = run_on(|g| two_peaks(g, 0.6), cfg, 4);
-            out.best_set.genomes()
-        };
-        assert_eq!(run(5), run(5));
-        assert_ne!(run(5), run(6));
+            assert_eq!(run(5), run(5), "{behaviour:?}");
+            assert_ne!(run(5), run(6), "{behaviour:?}");
+        }
     }
 
     #[test]
@@ -731,48 +730,6 @@ mod tests {
             gated.archive.len(),
             open.archive.len()
         );
-    }
-
-    #[test]
-    fn novelty_engines_are_bit_identical_end_to_end() {
-        // The whole point of the engine knob: sorted-scan, brute-force and
-        // chunk-parallel scoring must drive the exact same search — same
-        // bestSet, same archive, same final population, per seed.
-        use evoalg::NoveltyIndex;
-        let run_with = |novelty: NoveltyEngine, behaviour| {
-            let cfg = NoveltyGaConfig {
-                max_generations: 10,
-                fitness_threshold: 2.0,
-                novelty,
-                behaviour,
-                seed: 21,
-                ..NoveltyGaConfig::default()
-            };
-            let (out, _) = run_on(|g| two_peaks(g, 0.6), cfg, 5);
-            (
-                out.best_set.genomes(),
-                out.best_set.fitness_values(),
-                out.final_population.genomes(),
-                out.archive.entries().to_vec(),
-            )
-        };
-        for behaviour in [BehaviourSpace::Fitness, BehaviourSpace::Genotype] {
-            let reference = run_with(NoveltyEngine::brute_force(), behaviour);
-            for engine in [
-                NoveltyEngine::indexed(),
-                NoveltyEngine::indexed().with_workers(3),
-                NoveltyEngine {
-                    index: NoveltyIndex::ChunkedBruteForce,
-                    workers: 2,
-                },
-            ] {
-                assert_eq!(
-                    run_with(engine, behaviour),
-                    reference,
-                    "engine {engine} diverged from brute force ({behaviour:?})"
-                );
-            }
-        }
     }
 
     #[test]

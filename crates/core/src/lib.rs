@@ -29,6 +29,5 @@ pub mod hybrid;
 pub mod system;
 
 pub use algorithm::{NoveltyGa, NoveltyGaConfig, NsGenStats, StopReason};
-pub use evoalg::{NoveltyEngine, NoveltyIndex, ParseNoveltyEngineError};
 pub use hybrid::{BehaviourSpace, InclusionPolicy, ScoringPolicy};
 pub use system::{EssNs, EssNsConfig};

@@ -11,9 +11,8 @@
 
 use crate::algorithm::{NoveltyGa, NoveltyGaConfig};
 use crate::hybrid::InclusionPolicy;
-use ess::error::ServiceError;
-use ess::fitness::{EvalBackend, ScenarioEvaluator};
-use ess::pipeline::{OptimizeOutcome, PredictionPipeline, StepOptimizer};
+use ess::fitness::ScenarioEvaluator;
+use ess::pipeline::{OptimizeOutcome, StepOptimizer};
 use firelib::{ScenarioSpace, GENE_COUNT};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,14 +25,6 @@ pub struct EssNsConfig {
     /// Result-set composition (§IV variants; `BestOnly` is the paper's
     /// baseline).
     pub inclusion: InclusionPolicy,
-    /// Execution backend for scenario evaluation (the `PEA F` block of
-    /// Fig. 3): Serial, the Master/Worker farm, or work stealing. Results
-    /// are backend-independent; only wall time changes.
-    pub backend: EvalBackend,
-    /// Named workload/case to run on (resolved through [`ess::cases`]: a
-    /// hand-built library case or any workload of the corpus). `None`
-    /// means the caller supplies its own [`ess::cases::BurnCase`].
-    pub workload: Option<String>,
 }
 
 impl Default for EssNsConfig {
@@ -41,28 +32,7 @@ impl Default for EssNsConfig {
         Self {
             algorithm: NoveltyGaConfig::default(),
             inclusion: InclusionPolicy::BestOnly,
-            backend: EvalBackend::Serial,
-            workload: None,
         }
-    }
-}
-
-impl EssNsConfig {
-    /// Sets the novelty-scoring engine (kNN index strategy × scoring
-    /// workers) — the master-side counterpart of [`EssNsConfig::backend`].
-    /// Scenario evaluation parallelises the workers' fire simulations;
-    /// this knob parallelises (and indexes) the master's ρ(x) batches.
-    /// The engine lives on [`NoveltyGaConfig::novelty`]; this builder just
-    /// surfaces it at the system level. Results are engine-independent
-    /// (bit-identical scores); only wall time changes.
-    pub fn with_novelty(mut self, engine: evoalg::NoveltyEngine) -> Self {
-        self.algorithm.novelty = engine;
-        self
-    }
-
-    /// The configured novelty-scoring engine.
-    pub fn novelty_engine(&self) -> evoalg::NoveltyEngine {
-        self.algorithm.novelty
     }
 }
 
@@ -86,45 +56,6 @@ impl EssNs {
     /// The configuration in use.
     pub fn config(&self) -> &EssNsConfig {
         &self.config
-    }
-
-    /// Builds the Fig. 3 prediction pipeline on this system's configured
-    /// evaluation backend — the one-stop way to run ESS-NS end to end:
-    ///
-    /// ```no_run
-    /// use ess_ns::{EssNs, EssNsConfig};
-    /// use ess::fitness::EvalBackend;
-    /// use ess::cases;
-    ///
-    /// let system = EssNs::new(EssNsConfig {
-    ///     backend: EvalBackend::WorkerPool(4),
-    ///     ..EssNsConfig::default()
-    /// });
-    /// let mut optimizer = system.clone();
-    /// let case = cases::grass_uniform();
-    /// let report = system.pipeline(7).run(&case, &mut optimizer);
-    /// ```
-    pub fn pipeline(&self, base_seed: u64) -> PredictionPipeline {
-        PredictionPipeline::new(self.config.backend, base_seed)
-    }
-
-    /// Runs the full calibration → prediction pipeline on the workload the
-    /// config names (`EssNsConfig::workload`), end to end: the named case
-    /// is resolved through `ess::cases::by_name` (hand-built library or
-    /// workload corpus), its reference fire is generated, and every
-    /// prediction step runs on the configured backend.
-    ///
-    /// # Errors
-    /// [`ServiceError::BadSpec`] when the config names no workload,
-    /// [`ServiceError::UnknownCase`] when the name resolves to nothing.
-    pub fn run(&self, base_seed: u64) -> Result<ess::pipeline::RunReport, ServiceError> {
-        let name = self.config.workload.as_deref().ok_or_else(|| {
-            ServiceError::BadSpec("EssNsConfig::workload names no case to run".into())
-        })?;
-        let case =
-            ess::cases::by_name(name).ok_or_else(|| ServiceError::UnknownCase(name.into()))?;
-        let mut optimizer = self.clone();
-        Ok(self.pipeline(base_seed).run(&case, &mut optimizer))
     }
 }
 
@@ -219,8 +150,6 @@ mod tests {
         let mut essns = EssNs::new(EssNsConfig {
             algorithm: small_algo(),
             inclusion: InclusionPolicy::BestOnly,
-            backend: EvalBackend::Serial,
-            ..EssNsConfig::default()
         });
         let mut eval = step_evaluator();
         let out = essns.optimize(&mut eval, 3);
@@ -235,14 +164,10 @@ mod tests {
         let mut base = EssNs::new(EssNsConfig {
             algorithm: small_algo(),
             inclusion: InclusionPolicy::BestOnly,
-            backend: EvalBackend::Serial,
-            ..EssNsConfig::default()
         });
         let mut with_novel = EssNs::new(EssNsConfig {
             algorithm: small_algo(),
             inclusion: InclusionPolicy::WithNovel { fraction: 0.3 },
-            backend: EvalBackend::Serial,
-            ..EssNsConfig::default()
         });
         let mut e1 = step_evaluator();
         let mut e2 = step_evaluator();
@@ -261,8 +186,6 @@ mod tests {
         let mut essns = EssNs::new(EssNsConfig {
             algorithm: small_algo(),
             inclusion: InclusionPolicy::WithRandom { fraction: 0.5 },
-            backend: EvalBackend::Serial,
-            ..EssNsConfig::default()
         });
         let mut eval = step_evaluator();
         let out = essns.optimize(&mut eval, 7);
@@ -284,8 +207,6 @@ mod tests {
                 ..small_algo()
             },
             inclusion: InclusionPolicy::BestOnly,
-            backend: EvalBackend::Serial,
-            ..EssNsConfig::default()
         });
         let mut ess = EssClassic::new(EssConfig {
             population_size: 16,
@@ -307,47 +228,11 @@ mod tests {
     }
 
     #[test]
-    fn named_workload_runs_end_to_end() {
-        let system = EssNs::new(EssNsConfig {
-            algorithm: NoveltyGaConfig {
-                population_size: 8,
-                offspring: 8,
-                max_generations: 2,
-                best_set_capacity: 6,
-                ..NoveltyGaConfig::default()
-            },
-            workload: Some("meadow_small".to_string()),
-            ..EssNsConfig::default()
-        });
-        let report = system.run(3).expect("corpus workload must resolve");
-        assert_eq!(report.case, "meadow_small");
-        assert_eq!(report.system, "ESS-NS");
-        assert!(report.total_evaluations() > 0);
-        // Unknown names and unset workloads produce typed one-line errors
-        // instead of a silent skip.
-        let unknown = EssNs::new(EssNsConfig {
-            workload: Some("no_such_workload".to_string()),
-            ..EssNsConfig::default()
-        })
-        .run(1);
-        assert!(matches!(
-            unknown,
-            Err(ServiceError::UnknownCase(ref name)) if name == "no_such_workload"
-        ));
-        assert!(matches!(
-            EssNs::baseline().run(1),
-            Err(ServiceError::BadSpec(_))
-        ));
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
             let mut essns = EssNs::new(EssNsConfig {
                 algorithm: small_algo(),
                 inclusion: InclusionPolicy::BestOnly,
-                backend: EvalBackend::Serial,
-                ..EssNsConfig::default()
             });
             let mut eval = step_evaluator();
             essns.optimize(&mut eval, seed).result_set

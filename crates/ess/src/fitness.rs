@@ -28,9 +28,9 @@ pub struct StepContext {
     t0: f64,
     /// End instant (minutes).
     t1: f64,
-    /// Propagation kernel every evaluation on this interval runs — all
-    /// kernels are bit-identical, so this is purely a performance choice
-    /// (e.g. [`Kernel::Tiled`] to put several cores on one XL simulation).
+    /// Propagation kernel every evaluation on this interval runs. Runs
+    /// always get the default; [`StepContext::with_kernel`] is for the
+    /// suites that compare kernels (all are bit-identical).
     kernel: Kernel,
     /// The burned cells of `from`, listed once per step so an evaluation
     /// seeds its run from the list instead of re-scanning the mask.
@@ -571,7 +571,7 @@ mod tests {
     fn simulate_line_runs_the_context_kernel_and_matches_the_reference_line() {
         // Per-cell terrain (slope + wind layers): the Statistical Stage's
         // fire line must be the reference path's, whichever kernel the
-        // session selected.
+        // context runs.
         let slope = landscape::Grid::from_fn(23, 29, |r, c| ((r * 5 + c * 3) % 30) as f64);
         let factor = landscape::Grid::from_fn(23, 29, |r, c| 0.5 + ((r + c) % 4) as f64 * 0.4);
         let offset = landscape::Grid::from_fn(23, 29, |r, c| ((r * c) % 50) as f64 - 25.0);
@@ -588,11 +588,14 @@ mod tests {
         };
         let reference = sim.simulate_fire_line(&s, &from, 5.0, 45.0);
         assert!(reference.burned_area() > 2, "the fire must spread");
-        for spec in ["heap", "bucket", "tiled:8x2"] {
-            let kernel: Kernel = spec.parse().unwrap();
+        let tiled = Kernel::Tiled {
+            tile: 8,
+            workers: 2,
+        };
+        for kernel in [Kernel::Heap, Kernel::Bucket, tiled] {
             let ctx = StepContext::new(sim.clone(), from.clone(), reference.clone(), 5.0, 50.0)
                 .with_kernel(kernel);
-            assert_eq!(ctx.simulate_line(&s), reference, "kernel {spec}");
+            assert_eq!(ctx.simulate_line(&s), reference, "kernel {kernel}");
         }
     }
 

@@ -23,7 +23,6 @@ use crate::cases::BurnCase;
 use crate::fitness::{EvalBackend, ScenarioEvaluator, SharedScenarioPool, StepContext};
 use crate::stages::statistical_stage_genomes;
 use evoalg::diversity::{self, DiversityReport};
-use firelib::Kernel;
 use parworker::Stopwatch;
 use std::sync::Arc;
 
@@ -103,14 +102,6 @@ impl RunReport {
         }
     }
 
-    /// The quality series as `(predicted instant index, quality)` pairs.
-    pub fn quality_series(&self) -> Vec<(usize, f64)> {
-        self.steps
-            .iter()
-            .filter_map(|s| s.quality.map(|q| (s.step + 1, q)))
-            .collect()
-    }
-
     /// Total scenario evaluations across steps.
     pub fn total_evaluations(&self) -> u64 {
         self.steps.iter().map(|s| s.evaluations).sum()
@@ -184,9 +175,6 @@ pub struct StepDriver {
     strategy: EvalStrategy,
     base_seed: u64,
     carried_kign: Option<f64>,
-    /// Propagation kernel every simulation in this run uses. Purely a
-    /// performance choice: all kernels produce bit-identical rasters.
-    kernel: Kernel,
     /// Next interval index to observe (the loop variable `i`; starts at 1).
     next: usize,
 }
@@ -199,29 +187,8 @@ impl StepDriver {
             strategy,
             base_seed,
             carried_kign: None,
-            kernel: Kernel::Bucket,
             next: 1,
         }
-    }
-
-    /// Selects the propagation kernel every simulation in this run uses
-    /// (default [`Kernel::Bucket`]). Rasters are bit-identical across
-    /// kernels, so this never changes a prediction — only its wall time.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.set_kernel(kernel);
-        self
-    }
-
-    /// In-place form of [`StepDriver::with_kernel`], for callers holding
-    /// the driver behind a mutable borrow (e.g. inside a session).
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
-    }
-
-    /// The propagation kernel this driver's simulations use.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// Rebuilds a driver positioned *after* `completed` prediction steps,
@@ -258,7 +225,6 @@ impl StepDriver {
             strategy,
             base_seed,
             carried_kign,
-            kernel: Kernel::Bucket,
             next: completed + 1,
         }
     }
@@ -327,16 +293,13 @@ impl StepDriver {
         let case = &self.case;
         let sw = Stopwatch::start();
         // --- Optimization Stage on [t_{i-1}, t_i] ------------------------
-        let observed_ctx = Arc::new(
-            StepContext::new(
-                Arc::clone(&case.sim),
-                case.fire_lines[i - 1].clone(),
-                case.fire_lines[i].clone(),
-                case.times[i - 1],
-                case.times[i],
-            )
-            .with_kernel(self.kernel),
-        );
+        let observed_ctx = Arc::new(StepContext::new(
+            Arc::clone(&case.sim),
+            case.fire_lines[i - 1].clone(),
+            case.fire_lines[i].clone(),
+            case.times[i - 1],
+            case.times[i],
+        ));
         let mut evaluator = make_evaluator(Arc::clone(&observed_ctx));
         let outcome = optimizer.optimize(&mut evaluator, step_seed(self.base_seed, i));
 
@@ -359,8 +322,7 @@ impl StepDriver {
                     case.fire_lines[i + 1].clone(),
                     case.times[i],
                     case.times[i + 1],
-                )
-                .with_kernel(self.kernel);
+                );
                 let pred_matrix = statistical_stage_genomes(&next_ctx, &outcome.result_set);
                 let ps = PredictionStage::new(kign);
                 Some(ps.quality(
@@ -394,33 +356,18 @@ pub struct PredictionPipeline {
     backend: EvalBackend,
     /// Base seed; step `i` of replicate `r` uses `base ⊕ hash(i, r)`.
     base_seed: u64,
-    /// Propagation kernel for every simulation (a pure perf knob).
-    kernel: Kernel,
 }
 
 impl PredictionPipeline {
     /// Builds a pipeline running scenario evaluation on `backend`.
     pub fn new(backend: EvalBackend, base_seed: u64) -> Self {
-        Self {
-            backend,
-            base_seed,
-            kernel: Kernel::Bucket,
-        }
-    }
-
-    /// Selects the propagation kernel (default [`Kernel::Bucket`]); rasters
-    /// are kernel-independent, so this only changes wall time.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
+        Self { backend, base_seed }
     }
 
     /// A resumable [`StepDriver`] over `case` with this pipeline's backend
     /// and seed — the incremental counterpart of [`PredictionPipeline::run`].
     pub fn driver(&self, case: BurnCase) -> StepDriver {
         StepDriver::new(case, EvalStrategy::PerStep(self.backend), self.base_seed)
-            .with_kernel(self.kernel)
     }
 
     /// Runs the full predictive process of one system over one case — a

@@ -9,7 +9,7 @@
 //! block, so batch scoring streams it cache-line by cache-line and
 //! rebuilding the set each generation reuses one buffer. The
 //! [`crate::novelty::NoveltyArchive`] maintains its descriptors in this
-//! layout incrementally, and [`crate::knn::NoveltyIndex`] scores directly
+//! layout incrementally, and [`crate::knn::PreparedIndex`] scores directly
 //! against it.
 
 /// A dense row-major matrix of behaviour descriptors: `len` rows of a

@@ -106,17 +106,6 @@ impl GaEngine {
         }
     }
 
-    /// Replaces the initial population (used by islands seeded by a
-    /// monitor, and by restart operators).
-    pub fn set_population(&mut self, population: Population) {
-        assert_eq!(
-            population.len(),
-            self.config.population_size,
-            "population size mismatch"
-        );
-        self.population = population;
-    }
-
     /// Evaluates the initial population. Must be called once before
     /// stepping; subsequent calls re-evaluate (used after migrations).
     pub fn evaluate_initial<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {

@@ -1,109 +1,41 @@
-//! Indexed, batched, optionally parallel novelty scoring.
+//! Indexed, batched novelty scoring.
 //!
 //! Algorithm 1 scores ρ(x) (Eq. (1)) for every member of
 //! population ∪ offspring against the full noveltySet each generation —
-//! the one master-side O(n²) hot path of ESS-NS. This module turns that
-//! into a subsystem with three independent knobs:
+//! the one master-side O(n²) hot path of ESS-NS. This module is that
+//! path, in two layers:
 //!
 //! * **Layout** — scoring runs over a flat
 //!   [`BehaviourMatrix`](crate::behaviour::BehaviourMatrix) (one
 //!   contiguous block) instead of `Vec<Vec<f64>>`;
-//! * **Index** — [`NoveltyIndex`] picks the kNN strategy:
-//!   [`NoveltyIndex::SortedScan`] sorts the 1-D behaviour values once per
-//!   generation and finds each subject's k nearest neighbours with a
-//!   two-pointer walk (O(n log n + n·k) instead of O(n²)) — the paper's
-//!   Eq. (2) fitness behaviour is exactly this 1-D case —
-//!   while [`NoveltyIndex::ChunkedBruteForce`] handles any dimension;
-//! * **Execution** — [`NoveltyEngine`] batches the per-subject scores and
-//!   can fan chunks of subjects out over
-//!   [`parworker::scoped_chunk_map_ranges`] (the same self-scheduling
-//!   discipline as the scenario-evaluation pools).
+//! * **Index** — [`PreparedIndex`] picks the kNN strategy from the data:
+//!   on 1-D behaviours (the paper's Eq. (2) fitness behaviour is exactly
+//!   this case) it sorts the values once per generation and finds each
+//!   subject's k nearest neighbours with a two-pointer walk
+//!   (O(n log n + n·k) instead of O(n²)); any other dimension gets the
+//!   exhaustive pairwise scan.
 //!
-//! **Bit-identity guarantee.** Every strategy × worker-count combination
-//! returns exactly (`f64`-bit-equal) the values of the brute-force
-//! reference functions [`crate::novelty::novelty_score`],
+//! [`NoveltyEngine`] batches the per-subject scores in the master; the
+//! parallel hardware belongs to scenario evaluation, not to a noveltySet
+//! of a few hundred rows.
+//!
+//! **Bit-identity guarantee.** Both index paths return exactly
+//! (`f64`-bit-equal) the values of the brute-force reference functions
+//! [`crate::novelty::novelty_score`],
 //! [`crate::novelty::novelty_score_external`] and
 //! [`crate::novelty::local_competition_score`]. This holds by
 //! construction, not by tolerance: all paths compute distances with the
 //! same expressions, reduce the same k-smallest multiset through the
 //! shared canonical `mean_of_k_smallest` (ascending summation), and
 //! resolve distance ties in the same `(distance, index)` order (see
-//! `crates/evoalg/tests/properties.rs`). Backend-parallel scoring is a
-//! pure fan-out of per-subject calls, so worker count changes wall time
-//! only. One guarded edge: the sorted-scan walk needs finite behaviour
-//! values (its frontier comparisons are plain `<=`), so
-//! [`NoveltyIndex::prepare`] *rejects* non-finite 1-D descriptors loudly
-//! rather than diverging silently; brute force stays NaN-tolerant and
-//! reference-identical.
+//! `crates/evoalg/tests/properties.rs`). One guarded edge: the sorted-scan
+//! walk needs finite behaviour values (its frontier comparisons are plain
+//! `<=`), so [`PreparedIndex::new`] *rejects* non-finite 1-D descriptors
+//! loudly rather than diverging silently; the exhaustive scan stays
+//! NaN-tolerant and reference-identical.
 
 use crate::behaviour::BehaviourMatrix;
 use crate::novelty::{beaten_fraction, behaviour_distance, mean_of_k_smallest};
-use std::fmt;
-use std::str::FromStr;
-
-/// The kNN strategy behind batch novelty scoring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NoveltyIndex {
-    /// Sort the behaviour values once, then find each subject's k nearest
-    /// neighbours with a two-pointer walk outward from its sorted
-    /// position. Applies to 1-D behaviours (the paper's fitness-difference
-    /// measure of Eq. (2)); for higher-dimensional behaviour spaces it
-    /// falls back to [`NoveltyIndex::ChunkedBruteForce`].
-    #[default]
-    SortedScan,
-    /// Exhaustive pairwise distances for any behaviour dimension, scored
-    /// subject-by-subject so the engine can hand out contiguous subject
-    /// chunks to workers.
-    ChunkedBruteForce,
-}
-
-impl NoveltyIndex {
-    /// Builds the per-generation index state over `reference` (for
-    /// [`NoveltyIndex::SortedScan`] on 1-D data: the sorted order of the
-    /// rows; otherwise nothing). Prepare once per generation, score many.
-    ///
-    /// # Panics
-    /// Panics when the sorted-scan path meets a non-finite behaviour
-    /// value: the two-pointer walk's frontier comparisons rely on finite
-    /// distances, and silently diverging from the brute-force reference
-    /// (whose `total_cmp` selection tolerates NaN) would break the
-    /// bit-identity contract. Finite descriptors are the engines'
-    /// contract anyway (fitness is asserted finite at evaluation); use
-    /// [`NoveltyIndex::ChunkedBruteForce`] for non-finite exotica.
-    pub fn prepare<'a>(&self, reference: &'a BehaviourMatrix) -> PreparedIndex<'a> {
-        let sorted = match self {
-            NoveltyIndex::SortedScan if reference.dim() == 1 && !reference.is_empty() => {
-                assert!(
-                    reference.as_flat().iter().all(|v| v.is_finite()),
-                    "sorted-scan requires finite behaviour values"
-                );
-                let mut order: Vec<u32> = (0..reference.len() as u32).collect();
-                // Total order (value, index): deterministic under ties.
-                order.sort_unstable_by(|&a, &b| {
-                    reference.row(a as usize)[0]
-                        .total_cmp(&reference.row(b as usize)[0])
-                        .then(a.cmp(&b))
-                });
-                let mut position = vec![0u32; reference.len()];
-                for (rank, &row) in order.iter().enumerate() {
-                    position[row as usize] = rank as u32;
-                }
-                Some(SortedOrder { order, position })
-            }
-            _ => None,
-        };
-        PreparedIndex { reference, sorted }
-    }
-}
-
-impl fmt::Display for NoveltyIndex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NoveltyIndex::SortedScan => write!(f, "sorted-scan"),
-            NoveltyIndex::ChunkedBruteForce => write!(f, "brute-force"),
-        }
-    }
-}
 
 /// The 1-D index state: rows sorted by `(value, index)` plus the inverse
 /// permutation.
@@ -112,14 +44,48 @@ struct SortedOrder {
     position: Vec<u32>,
 }
 
-/// A [`NoveltyIndex`] prepared over one reference set; shared read-only by
-/// every scoring worker of the generation.
+/// The per-generation kNN index over one reference set: prepare once,
+/// score many.
 pub struct PreparedIndex<'a> {
     reference: &'a BehaviourMatrix,
+    /// `Some` on the sorted-scan path, `None` on the exhaustive scan.
     sorted: Option<SortedOrder>,
 }
 
-impl PreparedIndex<'_> {
+impl<'a> PreparedIndex<'a> {
+    /// Builds the index state over `reference`: the sorted order of the
+    /// rows when the behaviours are 1-D (and there are any), nothing
+    /// otherwise — the exhaustive scan handles every other shape.
+    ///
+    /// # Panics
+    /// Panics when the sorted-scan path meets a non-finite behaviour
+    /// value: the two-pointer walk's frontier comparisons rely on finite
+    /// distances, and silently diverging from the brute-force reference
+    /// (whose `total_cmp` selection tolerates NaN) would break the
+    /// bit-identity contract. Finite descriptors are the engines'
+    /// contract anyway (fitness is asserted finite at evaluation).
+    pub fn new(reference: &'a BehaviourMatrix) -> Self {
+        let sorted = (reference.dim() == 1 && !reference.is_empty()).then(|| {
+            assert!(
+                reference.as_flat().iter().all(|v| v.is_finite()),
+                "sorted-scan requires finite behaviour values"
+            );
+            let mut order: Vec<u32> = (0..reference.len() as u32).collect();
+            // Total order (value, index): deterministic under ties.
+            order.sort_unstable_by(|&a, &b| {
+                reference.row(a as usize)[0]
+                    .total_cmp(&reference.row(b as usize)[0])
+                    .then(a.cmp(&b))
+            });
+            let mut position = vec![0u32; reference.len()];
+            for (rank, &row) in order.iter().enumerate() {
+                position[row as usize] = rank as u32;
+            }
+            SortedOrder { order, position }
+        });
+        PreparedIndex { reference, sorted }
+    }
+
     /// The reference set this index was built over.
     pub fn reference(&self) -> &BehaviourMatrix {
         self.reference
@@ -333,67 +299,17 @@ fn dist_1d(a: f64, b: f64) -> f64 {
     ((a - b) * (a - b)).sqrt()
 }
 
-/// The batch novelty-scoring engine: a [`NoveltyIndex`] plus a scoring
-/// worker count — the runtime knob `EssNsConfig`/`RunSpec` surface.
-/// Parses from strings (`sorted`, `brute`, `sorted:4`, …), like
-/// `parworker::EvalBackend`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NoveltyEngine {
-    /// kNN strategy.
-    pub index: NoveltyIndex,
-    /// Scoring threads (1 = score in the master, the classic layout).
-    pub workers: usize,
-}
-
-impl Default for NoveltyEngine {
-    /// Indexed, master-side scoring: always at least as fast as brute
-    /// force and bit-identical to it, so it is the default everywhere.
-    fn default() -> Self {
-        Self {
-            index: NoveltyIndex::SortedScan,
-            workers: 1,
-        }
-    }
-}
+/// The batch novelty-scoring entry point: prepares the index once per
+/// generation and scores every subject against it, in the master.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct NoveltyEngine;
 
 impl NoveltyEngine {
-    /// The pre-refactor reference configuration: exhaustive pairwise
-    /// scoring in the master.
-    pub fn brute_force() -> Self {
-        Self {
-            index: NoveltyIndex::ChunkedBruteForce,
-            workers: 1,
-        }
-    }
-
-    /// The indexed default ([`NoveltyIndex::SortedScan`], master-side).
-    pub fn indexed() -> Self {
-        Self::default()
-    }
-
-    /// Sets the scoring worker count.
-    ///
-    /// # Panics
-    /// Panics when `workers == 0`.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "novelty engine needs at least one worker");
-        self.workers = workers;
-        self
-    }
-
-    /// Report name (`"sorted-scan"`, `"brute-force:4"`, …).
-    pub fn name(&self) -> String {
-        self.to_string()
-    }
-
     /// ρ(x) of reference rows `0..subjects` against the whole reference
-    /// set, in subject order — Algorithm 1 lines 12–14 as one batch. The
-    /// index is prepared once; subjects are then scored in contiguous
-    /// chunks, fanned out over scoped workers when `workers > 1`.
+    /// set, in subject order — Algorithm 1 lines 12–14 as one batch.
     ///
     /// `result[i]` is bit-identical to
-    /// `novelty_score(i, reference_rows, k)` for every strategy and
-    /// worker count.
+    /// `novelty_score(i, reference_rows, k)` on either index path.
     ///
     /// # Panics
     /// Panics when `subjects > reference.len()` or `k == 0`.
@@ -403,7 +319,7 @@ impl NoveltyEngine {
         subjects: usize,
         k: usize,
     ) -> Vec<f64> {
-        self.novelty_scores_prepared(&self.index.prepare(reference), subjects, k)
+        self.novelty_scores_prepared(&PreparedIndex::new(reference), subjects, k)
     }
 
     /// [`NoveltyEngine::novelty_scores`] over an already-prepared index —
@@ -425,17 +341,10 @@ impl NoveltyEngine {
             "subjects must be reference rows"
         );
         assert!(k > 0, "k must be positive");
-        parworker::scoped_chunk_map_ranges(
-            self.workers.max(1),
-            subjects,
-            self.chunk_size(subjects),
-            |range| {
-                let mut scratch = Vec::new();
-                range
-                    .map(|i| prepared.novelty_of_with(i, k, &mut scratch))
-                    .collect()
-            },
-        )
+        let mut scratch = Vec::new();
+        (0..subjects)
+            .map(|i| prepared.novelty_of_with(i, k, &mut scratch))
+            .collect()
     }
 
     /// Local-competition scores of reference rows `0..subjects`, batched
@@ -453,7 +362,7 @@ impl NoveltyEngine {
         k: usize,
     ) -> Vec<f64> {
         self.local_competition_scores_prepared(
-            &self.index.prepare(reference),
+            &PreparedIndex::new(reference),
             fitnesses,
             subjects,
             k,
@@ -484,80 +393,10 @@ impl NoveltyEngine {
             "one fitness per behaviour"
         );
         assert!(k > 0, "k must be positive");
-        parworker::scoped_chunk_map_ranges(
-            self.workers.max(1),
-            subjects,
-            self.chunk_size(subjects),
-            |range| {
-                let mut scratch = Vec::new();
-                range
-                    .map(|i| prepared.local_competition_of_with(i, fitnesses, k, &mut scratch))
-                    .collect()
-            },
-        )
-    }
-
-    /// Chunk granularity: roughly four chunks per worker so the
-    /// self-scheduler can balance irregular subjects, floored so tiny
-    /// batches do not pay fan-out overhead.
-    fn chunk_size(&self, subjects: usize) -> usize {
-        subjects.div_ceil(self.workers.max(1) * 4).clamp(16, 512)
-    }
-}
-
-impl fmt::Display for NoveltyEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.workers > 1 {
-            write!(f, "{}:{}", self.index, self.workers)
-        } else {
-            write!(f, "{}", self.index)
-        }
-    }
-}
-
-/// Error from parsing a [`NoveltyEngine`] spec string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseNoveltyEngineError(String);
-
-impl fmt::Display for ParseNoveltyEngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid novelty engine '{}' (expected sorted | brute, optionally :N workers)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseNoveltyEngineError {}
-
-impl FromStr for NoveltyEngine {
-    type Err = ParseNoveltyEngineError;
-
-    /// Parses `sorted` / `sorted-scan` / `indexed` and `brute` /
-    /// `brute-force` / `chunked`, each with an optional `:N` worker
-    /// suffix (e.g. `sorted:4`). The `Display` form round-trips.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let spec = s.trim();
-        let (kind, workers) = match spec.split_once(':') {
-            Some((kind, n)) => {
-                let workers: usize = n
-                    .trim()
-                    .parse()
-                    .map_err(|_| ParseNoveltyEngineError(s.into()))?;
-                if workers == 0 {
-                    return Err(ParseNoveltyEngineError(s.into()));
-                }
-                (kind, workers)
-            }
-            None => (spec, 1),
-        };
-        let index = match kind.trim().to_ascii_lowercase().as_str() {
-            "sorted" | "sorted-scan" | "indexed" => NoveltyIndex::SortedScan,
-            "brute" | "brute-force" | "chunked" => NoveltyIndex::ChunkedBruteForce,
-            _ => return Err(ParseNoveltyEngineError(s.into())),
-        };
-        Ok(NoveltyEngine { index, workers })
+        let mut scratch = Vec::new();
+        (0..subjects)
+            .map(|i| prepared.local_competition_of_with(i, fitnesses, k, &mut scratch))
+            .collect()
     }
 }
 
@@ -571,10 +410,30 @@ mod tests {
         BehaviourMatrix::from_rows(&rows)
     }
 
+    /// The exhaustive scan forced onto any reference — how these tests
+    /// reach the path `PreparedIndex::new` would not pick for 1-D data.
+    fn exhaustive(m: &BehaviourMatrix) -> PreparedIndex<'_> {
+        PreparedIndex {
+            reference: m,
+            sorted: None,
+        }
+    }
+
+    /// Both index paths over one 1-D reference.
+    fn both_paths(m: &BehaviourMatrix) -> [(&'static str, PreparedIndex<'_>); 2] {
+        let picked = PreparedIndex::new(m);
+        assert!(
+            picked.sorted.is_some(),
+            "1-D data must pick the sorted scan"
+        );
+        [("sorted-scan", picked), ("exhaustive", exhaustive(m))]
+    }
+
     #[test]
     fn sorted_scan_matches_reference_on_paper_example() {
         let m = matrix_1d(&[0.5, 0.4, 0.7, 0.9]);
-        let prepared = NoveltyIndex::SortedScan.prepare(&m);
+        let prepared = PreparedIndex::new(&m);
+        assert!(prepared.sorted.is_some());
         assert!((prepared.novelty_of(0, 2) - 0.15).abs() < 1e-15);
         let rows = m.to_rows();
         for i in 0..4 {
@@ -585,7 +444,7 @@ mod tests {
     #[test]
     fn brute_force_index_matches_reference_in_2d() {
         let m = BehaviourMatrix::from_rows(&[[0.1, 0.9], [0.2, 0.8], [0.9, 0.1], [0.5, 0.5]]);
-        let prepared = NoveltyIndex::ChunkedBruteForce.prepare(&m);
+        let prepared = exhaustive(&m);
         let rows = m.to_rows();
         for i in 0..4 {
             assert_eq!(prepared.novelty_of(i, 2), novelty_score(i, &rows, 2));
@@ -595,7 +454,8 @@ mod tests {
     #[test]
     fn sorted_scan_falls_back_to_brute_force_beyond_1d() {
         let m = BehaviourMatrix::from_rows(&[[0.1, 0.9], [0.2, 0.8], [0.9, 0.1]]);
-        let prepared = NoveltyIndex::SortedScan.prepare(&m);
+        let prepared = PreparedIndex::new(&m);
+        assert!(prepared.sorted.is_none());
         let rows = m.to_rows();
         for i in 0..3 {
             assert_eq!(prepared.novelty_of(i, 1), novelty_score(i, &rows, 1));
@@ -606,19 +466,18 @@ mod tests {
     fn external_scores_match_reference() {
         let m = matrix_1d(&[0.0, 0.25, 0.5, 1.0]);
         let rows = m.to_rows();
-        for index in [NoveltyIndex::SortedScan, NoveltyIndex::ChunkedBruteForce] {
-            let prepared = index.prepare(&m);
+        for (path, prepared) in both_paths(&m) {
             for q in [-0.5, 0.0, 0.3, 0.5, 2.0] {
                 assert_eq!(
                     prepared.novelty_of_external(&[q], 2),
                     novelty_score_external(&[q], &rows, 2),
-                    "{index} query {q}"
+                    "{path} query {q}"
                 );
             }
         }
         // Empty reference: sentinel.
         let empty = BehaviourMatrix::new();
-        let prepared = NoveltyIndex::SortedScan.prepare(&empty);
+        let prepared = PreparedIndex::new(&empty);
         assert_eq!(prepared.novelty_of_external(&[0.3], 3), f64::MAX);
     }
 
@@ -629,14 +488,13 @@ mod tests {
         let m = matrix_1d(&[0.5, 0.5, 0.5, 0.4, 0.6, 0.5, 0.4]);
         let fits = [0.9, 0.1, 0.5, 0.7, 0.2, 0.8, 0.3];
         let rows = m.to_rows();
-        for index in [NoveltyIndex::SortedScan, NoveltyIndex::ChunkedBruteForce] {
-            let prepared = index.prepare(&m);
+        for (path, prepared) in both_paths(&m) {
             for k in 1..=7 {
                 for subject in 0..rows.len() {
                     assert_eq!(
                         prepared.local_competition_of(subject, &fits, k),
                         local_competition_score(subject, &rows, &fits, k),
-                        "{index} subject {subject} k {k}"
+                        "{path} subject {subject} k {k}"
                     );
                 }
             }
@@ -644,23 +502,30 @@ mod tests {
     }
 
     #[test]
-    fn engine_batches_match_per_subject_scores_for_any_worker_count() {
+    fn engine_batches_match_per_subject_scores() {
         let m = matrix_1d(&[0.31, 0.7, 0.7, 0.12, 0.94, 0.7, 0.02, 0.55]);
         let fits: Vec<f64> = (0..8).map(|i| (i as f64) / 7.0).collect();
         let rows = m.to_rows();
-        for index in [NoveltyIndex::SortedScan, NoveltyIndex::ChunkedBruteForce] {
-            for workers in [1, 2, 4] {
-                let engine = NoveltyEngine { index, workers };
-                let rho = engine.novelty_scores(&m, 8, 3);
-                let lc = engine.local_competition_scores(&m, &fits, 8, 3);
-                for i in 0..8 {
-                    assert_eq!(rho[i], novelty_score(i, &rows, 3), "{engine} rho {i}");
-                    assert_eq!(
-                        lc[i],
-                        local_competition_score(i, &rows, &fits, 3),
-                        "{engine} lc {i}"
-                    );
-                }
+        let engine = NoveltyEngine;
+        let [(_, picked), _] = both_paths(&m);
+        assert_eq!(
+            engine.novelty_scores(&m, 8, 3),
+            engine.novelty_scores_prepared(&picked, 8, 3)
+        );
+        assert_eq!(
+            engine.local_competition_scores(&m, &fits, 8, 3),
+            engine.local_competition_scores_prepared(&picked, &fits, 8, 3)
+        );
+        for (path, prepared) in both_paths(&m) {
+            let rho = engine.novelty_scores_prepared(&prepared, 8, 3);
+            let lc = engine.local_competition_scores_prepared(&prepared, &fits, 8, 3);
+            for i in 0..8 {
+                assert_eq!(rho[i], novelty_score(i, &rows, 3), "{path} rho {i}");
+                assert_eq!(
+                    lc[i],
+                    local_competition_score(i, &rows, &fits, 3),
+                    "{path} lc {i}"
+                );
             }
         }
     }
@@ -668,50 +533,20 @@ mod tests {
     #[test]
     fn single_row_reference_keeps_sentinels() {
         let m = matrix_1d(&[0.3]);
-        for index in [NoveltyIndex::SortedScan, NoveltyIndex::ChunkedBruteForce] {
-            let prepared = index.prepare(&m);
+        for (_, prepared) in both_paths(&m) {
             assert_eq!(prepared.novelty_of(0, 3), f64::MAX);
             assert_eq!(prepared.local_competition_of(0, &[0.5], 3), 1.0);
         }
     }
 
     #[test]
-    fn engine_specs_parse_and_round_trip() {
-        assert_eq!(
-            "sorted".parse::<NoveltyEngine>().unwrap(),
-            NoveltyEngine::indexed()
-        );
-        assert_eq!(
-            "brute".parse::<NoveltyEngine>().unwrap(),
-            NoveltyEngine::brute_force()
-        );
-        assert_eq!(
-            "SORTED-SCAN:4".parse::<NoveltyEngine>().unwrap(),
-            NoveltyEngine::indexed().with_workers(4)
-        );
-        assert_eq!(
-            "chunked:2".parse::<NoveltyEngine>().unwrap(),
-            NoveltyEngine::brute_force().with_workers(2)
-        );
-        for engine in [
-            NoveltyEngine::indexed(),
-            NoveltyEngine::brute_force(),
-            NoveltyEngine::indexed().with_workers(8),
-        ] {
-            assert_eq!(engine.name().parse::<NoveltyEngine>().unwrap(), engine);
-        }
-        assert!("kdtree".parse::<NoveltyEngine>().is_err());
-        assert!("sorted:0".parse::<NoveltyEngine>().is_err());
-        assert!("sorted:x".parse::<NoveltyEngine>().is_err());
-    }
-
-    #[test]
     fn brute_force_tolerates_nan_like_the_reference() {
-        // NaN descriptors are out of the engines' contract, but the brute
-        // path must still mirror the reference's total_cmp semantics.
+        // NaN descriptors are out of the engines' contract, but the
+        // exhaustive path must still mirror the reference's total_cmp
+        // semantics.
         let m = matrix_1d(&[f64::NAN, 1.0, 2.0, 5.0]);
         let rows = m.to_rows();
-        let prepared = NoveltyIndex::ChunkedBruteForce.prepare(&m);
+        let prepared = exhaustive(&m);
         for subject in 0..4 {
             let got = prepared.novelty_of(subject, 2);
             let expected = novelty_score(subject, &rows, 2);
@@ -723,12 +558,6 @@ mod tests {
     #[should_panic(expected = "finite behaviour values")]
     fn sorted_scan_rejects_nan_instead_of_diverging() {
         let m = matrix_1d(&[f64::NAN, 1.0, 2.0, 5.0]);
-        let _ = NoveltyIndex::SortedScan.prepare(&m);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        let _ = NoveltyEngine::indexed().with_workers(0);
+        let _ = PreparedIndex::new(&m);
     }
 }

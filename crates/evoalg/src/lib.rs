@@ -22,10 +22,9 @@
 //! * [`behaviour`] — [`behaviour::BehaviourMatrix`], the flat
 //!   structure-of-arrays descriptor store every novelty path reads;
 //! * [`knn`] — the batched novelty-scoring subsystem:
-//!   [`knn::NoveltyIndex`] (sorted-scan / chunked brute-force kNN
-//!   strategies, bit-identical to the reference functions by
-//!   construction) and [`knn::NoveltyEngine`] (the batch driver that can
-//!   fan subject chunks out over `parworker` scoped workers);
+//!   [`knn::PreparedIndex`] (sorted-scan kNN on 1-D behaviours, the
+//!   exhaustive scan otherwise — bit-identical to the reference functions
+//!   by construction) and [`knn::NoveltyEngine`] (the batch driver);
 //! * [`bestset`] — the bounded max-fitness memory `bestSet` that
 //!   Algorithm 1 returns;
 //! * [`diversity`] — population diversity statistics (E2 of the experiment
@@ -56,7 +55,7 @@ pub use de::{DeConfig, DeEngine};
 pub use ga::{GaConfig, GaEngine, GenStats};
 pub use genome::GenomeMatrix;
 pub use individual::{Individual, Population};
-pub use knn::{NoveltyEngine, NoveltyIndex, ParseNoveltyEngineError, PreparedIndex};
+pub use knn::{NoveltyEngine, PreparedIndex};
 pub use novelty::{novelty_score, novelty_score_external, NoveltyArchive};
 
 /// Batch fitness evaluation: maps a slice of genomes to their fitness

@@ -12,7 +12,7 @@
 //! The per-subject functions here ([`novelty_score`],
 //! [`novelty_score_external`], [`local_competition_score`]) are the
 //! **brute-force reference semantics**; the batched
-//! [`crate::knn::NoveltyIndex`] strategies reproduce them bit-identically
+//! [`crate::knn::PreparedIndex`] paths reproduce them bit-identically
 //! over a flat [`crate::behaviour::BehaviourMatrix`]. Two canonical
 //! choices make that identity hold *by construction* rather than by luck:
 //! the k smallest distances are summed in ascending `total_cmp` order (so

@@ -4,7 +4,7 @@
 //! dependencies, so the former proptest strategies are seeded loops).
 
 use evoalg::bestset::BestSet;
-use evoalg::knn::{NoveltyEngine, NoveltyIndex};
+use evoalg::knn::{NoveltyEngine, PreparedIndex};
 use evoalg::novelty::{
     behaviour_distance, local_competition_score, novelty_score, novelty_score_external,
     NoveltyArchive,
@@ -164,14 +164,24 @@ fn behaviour_set(rng: &mut StdRng, n: usize, dims: usize) -> Vec<Vec<f64>> {
     rows
 }
 
-/// Tentpole contract: every `NoveltyIndex` strategy, at every worker
-/// count, is **bit-identical** (`f64`-exact, not tolerance-based) to the
-/// brute-force reference `novelty_score` and `local_competition_score` —
-/// across random dims, k, duplicates, and archive sizes (the reference
-/// set is subjects + archive rows, subjects scored against all of it,
-/// exactly the Algorithm 1 lines 11–14 shape).
+/// Appends a zero coordinate to every 1-D row: the same points, now 2-D,
+/// so `PreparedIndex` takes the exhaustive scan over identical distances
+/// (`(dx² + 0²).sqrt()` has the bits of `(dx²).sqrt()`).
+fn zero_padded(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    rows.iter().map(|r| vec![r[0], 0.0]).collect()
+}
+
+/// Both index paths — the sorted scan `dim == 1` picks, the exhaustive
+/// scan every other shape gets — are **bit-identical** (`f64`-exact, not
+/// tolerance-based) to the brute-force reference `novelty_score` and
+/// `local_competition_score` — across random dims, k, duplicates, and
+/// archive sizes (the reference set is subjects + archive rows, subjects
+/// scored against all of it, exactly the Algorithm 1 lines 11–14 shape).
+/// 1-D sets are scored a second time zero-padded to 2-D, which pins
+/// sorted ≡ exhaustive on the same data, ties and duplicates included.
 #[test]
 fn novelty_index_bit_identical_to_brute_force() {
+    let engine = NoveltyEngine;
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1D_C0DE);
         let subjects = rng.random_range(1..24usize);
@@ -180,34 +190,37 @@ fn novelty_index_bit_identical_to_brute_force() {
         let k = rng.random_range(1..8usize);
         let rows = behaviour_set(&mut rng, subjects + archive, dims);
         let fitnesses: Vec<f64> = (0..rows.len()).map(|_| rng.random::<f64>()).collect();
-        let matrix = BehaviourMatrix::from_rows(&rows);
 
         let expected_rho: Vec<f64> = (0..subjects).map(|i| novelty_score(i, &rows, k)).collect();
         let expected_lc: Vec<f64> = (0..subjects)
             .map(|i| local_competition_score(i, &rows, &fitnesses, k))
             .collect();
-        for index in [NoveltyIndex::SortedScan, NoveltyIndex::ChunkedBruteForce] {
-            for workers in [1usize, 3] {
-                let engine = NoveltyEngine { index, workers };
-                assert_eq!(
-                    engine.novelty_scores(&matrix, subjects, k),
-                    expected_rho,
-                    "seed {seed}: {engine} ρ diverged (dims {dims}, k {k}, \
-                     {subjects}+{archive} rows)"
-                );
-                assert_eq!(
-                    engine.local_competition_scores(&matrix, &fitnesses, subjects, k),
-                    expected_lc,
-                    "seed {seed}: {engine} LC diverged (dims {dims}, k {k}, \
-                     {subjects}+{archive} rows)"
-                );
-            }
+        let mut matrices = vec![("as generated", BehaviourMatrix::from_rows(&rows))];
+        if dims == 1 {
+            matrices.push((
+                "zero-padded",
+                BehaviourMatrix::from_rows(&zero_padded(&rows)),
+            ));
+        }
+        for (shape, matrix) in &matrices {
+            assert_eq!(
+                engine.novelty_scores(matrix, subjects, k),
+                expected_rho,
+                "seed {seed}: {shape} ρ diverged (dims {dims}, k {k}, \
+                 {subjects}+{archive} rows)"
+            );
+            assert_eq!(
+                engine.local_competition_scores(matrix, &fitnesses, subjects, k),
+                expected_lc,
+                "seed {seed}: {shape} LC diverged (dims {dims}, k {k}, \
+                 {subjects}+{archive} rows)"
+            );
         }
     }
 }
 
 /// External (non-member) queries agree bit-for-bit too, including the
-/// empty-reference sentinel.
+/// empty-reference sentinel and the zero-padded form of 1-D sets.
 #[test]
 fn novelty_index_external_bit_identical() {
     for seed in 0..CASES {
@@ -218,15 +231,20 @@ fn novelty_index_external_bit_identical() {
         let rows = behaviour_set(&mut rng, n.max(1), dims);
         let rows = if n == 0 { Vec::new() } else { rows };
         let matrix = BehaviourMatrix::from_rows(&rows);
+        let padded = (dims == 1).then(|| BehaviourMatrix::from_rows(&zero_padded(&rows)));
         for _ in 0..4 {
             let query = genome(&mut rng, dims);
             let expected = novelty_score_external(&query, &rows, k);
-            for index in [NoveltyIndex::SortedScan, NoveltyIndex::ChunkedBruteForce] {
-                let prepared = index.prepare(&matrix);
+            assert_eq!(
+                PreparedIndex::new(&matrix).novelty_of_external(&query, k),
+                expected,
+                "seed {seed}: external ρ diverged (dims {dims}, k {k}, n {n})"
+            );
+            if let Some(padded) = &padded {
                 assert_eq!(
-                    prepared.novelty_of_external(&query, k),
+                    PreparedIndex::new(padded).novelty_of_external(&[query[0], 0.0], k),
                     expected,
-                    "seed {seed}: {index} external ρ diverged (dims {dims}, k {k}, n {n})"
+                    "seed {seed}: zero-padded external ρ diverged (k {k}, n {n})"
                 );
             }
         }

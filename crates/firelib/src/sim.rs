@@ -121,14 +121,13 @@ pub enum Kernel {
     },
 }
 
-/// Default spatial tile edge for [`Kernel::Tiled`] when a spec string does
-/// not pin one: big enough that a tile's pops share cache lines, small
-/// enough that an XL fire front spans many tiles.
+/// Default spatial tile edge for [`Kernel::Tiled`]: big enough that a
+/// tile's pops share cache lines, small enough that an XL fire front spans
+/// many tiles.
 pub const DEFAULT_TILE: usize = 128;
 
 impl Kernel {
-    /// The tiled kernel with the default tile size and auto worker count —
-    /// the spelling `"tiled"` parses to.
+    /// The tiled kernel with the default tile size and auto worker count.
     pub fn tiled_auto() -> Self {
         Kernel::Tiled {
             tile: DEFAULT_TILE,
@@ -145,59 +144,6 @@ impl std::fmt::Display for Kernel {
             Kernel::Tiled { tile, workers: 0 } => write!(f, "tiled:{tile}"),
             Kernel::Tiled { tile, workers } => write!(f, "tiled:{tile}x{workers}"),
         }
-    }
-}
-
-/// Error from parsing a [`Kernel`] spec string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseKernelError(String);
-
-impl std::fmt::Display for ParseKernelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid kernel '{}' (expected heap | bucket | tiled[:TILE[xWORKERS]])",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseKernelError {}
-
-impl std::str::FromStr for Kernel {
-    type Err = ParseKernelError;
-
-    /// Parses `heap`, `bucket`, `tiled`, `tiled:TILE` and
-    /// `tiled:TILExWORKERS` (`WORKERS = 0` meaning auto) in any letter
-    /// case, matching the `Display` form so kernel names printed in reports
-    /// round-trip back through configs.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let spec = s.trim().to_ascii_lowercase();
-        match spec.as_str() {
-            "heap" => return Ok(Kernel::Heap),
-            "bucket" => return Ok(Kernel::Bucket),
-            "tiled" => return Ok(Kernel::tiled_auto()),
-            _ => {}
-        }
-        let args = spec
-            .strip_prefix("tiled:")
-            .ok_or_else(|| ParseKernelError(s.into()))?;
-        let (tile_s, workers_s) = match args.split_once('x') {
-            Some((t, w)) => (t, Some(w)),
-            None => (args, None),
-        };
-        let tile: usize = tile_s
-            .trim()
-            .parse()
-            .map_err(|_| ParseKernelError(s.into()))?;
-        if tile == 0 {
-            return Err(ParseKernelError(s.into()));
-        }
-        let workers: usize = match workers_s {
-            Some(w) => w.trim().parse().map_err(|_| ParseKernelError(s.into()))?,
-            None => 0,
-        };
-        Ok(Kernel::Tiled { tile, workers })
     }
 }
 
@@ -2915,56 +2861,5 @@ mod tests {
                 workers: 1,
             },
         );
-    }
-
-    #[test]
-    fn kernel_spec_strings_round_trip() {
-        let cases = [
-            ("heap", Kernel::Heap),
-            ("bucket", Kernel::Bucket),
-            ("tiled", Kernel::tiled_auto()),
-            (
-                "tiled:64",
-                Kernel::Tiled {
-                    tile: 64,
-                    workers: 0,
-                },
-            ),
-            (
-                "tiled:32x4",
-                Kernel::Tiled {
-                    tile: 32,
-                    workers: 4,
-                },
-            ),
-            // The grammar folds case as a whole, arguments included.
-            ("HEAP", Kernel::Heap),
-            ("Bucket", Kernel::Bucket),
-            (
-                "Tiled:64",
-                Kernel::Tiled {
-                    tile: 64,
-                    workers: 0,
-                },
-            ),
-            (
-                " TILED:32X4 ",
-                Kernel::Tiled {
-                    tile: 32,
-                    workers: 4,
-                },
-            ),
-        ];
-        for (spec, kernel) in cases {
-            assert_eq!(spec.parse::<Kernel>().unwrap(), kernel, "parse {spec}");
-            assert_eq!(
-                kernel.to_string().parse::<Kernel>().unwrap(),
-                kernel,
-                "display round-trip {spec}"
-            );
-        }
-        for bad in ["", "tile", "tiled:0", "tiled:8x", "tiled:x2", "bucket:4"] {
-            assert!(bad.parse::<Kernel>().is_err(), "'{bad}' must not parse");
-        }
     }
 }

@@ -3,7 +3,6 @@
 //! spread rate at an arbitrary azimuth (fireLib's `Fire_SpreadNoWindNoSlope`,
 //! `Fire_SpreadWindSlopeMax` and `Fire_SpreadAtAzimuth`).
 
-use crate::catalog::FuelLife;
 use crate::combustion::FuelBed;
 use crate::moisture::MoistureRegime;
 use crate::SMIDGEN;
@@ -280,15 +279,6 @@ pub fn wind_slope_from_ros0(
 pub fn is_extinguished(bed: &FuelBed, moisture: &MoistureRegime) -> bool {
     let (ros0, _) = no_wind_no_slope(bed, moisture);
     ros0 <= SMIDGEN
-}
-
-/// Area-weighted dead moisture of a bed (exposed for diagnostics and tests).
-pub fn dead_moisture(bed: &FuelBed, moisture: &MoistureRegime) -> f64 {
-    bed.particles
-        .iter()
-        .filter(|p| p.life.is_dead())
-        .map(|p| p.area_wtg * moisture.for_particle(FuelLife::Dead, p.savr))
-        .sum()
 }
 
 #[cfg(test)]

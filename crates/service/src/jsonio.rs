@@ -9,6 +9,10 @@
 
 use std::fmt;
 
+/// The largest integer a [`Json`] number carries exactly: numbers are
+/// `f64`, so anything above 2^53 would parse back as a different value.
+pub(crate) const MAX_EXACT_INT: u64 = 1 << 53;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -67,11 +71,11 @@ impl Json {
         }
     }
 
-    /// The numeric payload as a non-negative integer (rejects fractions
-    /// and negatives).
+    /// The numeric payload as a non-negative integer (rejects fractions,
+    /// negatives and anything above 2^53, the largest exact integer).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
                 Some(*n as u64)
             }
             _ => None,

@@ -12,8 +12,8 @@
 //!   systems ([`systems::by_name`]) as budget-scalable `StepOptimizer`
 //!   factories;
 //! * [`RunSpec`] — one builder-style request type (system × case ×
-//!   backend × seed × replicates × weight × budgets) subsuming the
-//!   scattered per-system config structs, JSON-serializable for the wire
+//!   seed × replicates × weight × budgets: what to predict, never how to
+//!   run it), JSON-serializable for the wire
 //!   ([`RunSpec::to_json`]/[`RunSpec::from_json`]);
 //! * [`store`] — the process-wide case store: every session, replicate
 //!   and restore of one case shares a single built `BurnCase`;

@@ -94,13 +94,6 @@ impl Scheduler {
         Self::on_pool_with(Arc::new(SharedScenarioPool::new(spec)), policy.build())
     }
 
-    /// A round-robin scheduler over an existing shared pool (several
-    /// schedulers, or a scheduler plus ad-hoc sessions, can share one
-    /// substrate).
-    pub fn on_pool(pool: Arc<SharedScenarioPool>) -> Self {
-        Self::on_pool_with(pool, PolicyKind::RoundRobin.build())
-    }
-
     /// A scheduler running any [`SchedulePolicy`] object over an existing
     /// shared pool — the fully pluggable constructor.
     pub fn on_pool_with(pool: Arc<SharedScenarioPool>, policy: Box<dyn SchedulePolicy>) -> Self {
@@ -122,21 +115,6 @@ impl Scheduler {
     /// submission instead of `population`.
     pub fn set_fused(&mut self, fused: bool) {
         self.fused = fused;
-    }
-
-    /// Whether rounds fuse session batches.
-    pub fn is_fused(&self) -> bool {
-        self.fused
-    }
-
-    /// Report name of the scheduling policy in force.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    /// Swaps the scheduling policy between rounds.
-    pub fn set_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
-        self.policy = policy;
     }
 
     /// The shared evaluation pool.

@@ -19,9 +19,11 @@
 //!
 //! Execution always happens on the **server's** shared pool (every session
 //! of every client multiplexes one worker pool — that is the point of the
-//! serving layer), so a spec's `backend` member is ignored. The scheduling
-//! discipline is chosen per serve invocation ([`PolicyKind`], the harness
-//! `--policy` flag). End of input implies `drain` (pending sessions still
+//! serving layer): a spec says what to predict, and one that names a
+//! `backend`, `novelty` or `kernel` is rejected like any other unknown
+//! member. The pool and the scheduling discipline are chosen per serve
+//! invocation ([`EvalBackend`] and [`PolicyKind`], the harness `--backend`
+//! and `--policy` flags). End of input implies `drain` (pending sessions still
 //! run) and then `quit`, answered with correlation id 0, so piping a
 //! canned request file works without a trailing quit line. Malformed lines
 //! produce an `error` reply (the line's `id` when it has one, else 0) and
@@ -176,21 +178,16 @@ fn handle<W: Write>(
 ) -> io::Result<bool> {
     let id = req.id;
     match req.kind {
-        RequestKind::Run { spec, watch } => {
-            // The spec's `backend` member is ignored here: sessions share
-            // the server's pool (the member stays legal because snapshots
-            // carry it).
-            match scheduler.submit(&spec) {
-                Ok(ids) => {
-                    summary.accepted += ids.len();
-                    for &sid in &ids {
-                        streams.admit(sid, watch, 0, f64::NEG_INFINITY);
-                    }
-                    reply(out, id, Reply::Accepted { sessions: ids })?;
+        RequestKind::Run { spec, watch } => match scheduler.submit(&spec) {
+            Ok(ids) => {
+                summary.accepted += ids.len();
+                for &sid in &ids {
+                    streams.admit(sid, watch, 0, f64::NEG_INFINITY);
                 }
-                Err(e) => emit_error(out, summary, id, &e.to_string())?,
+                reply(out, id, Reply::Accepted { sessions: ids })?;
             }
-        }
+            Err(e) => emit_error(out, summary, id, &e.to_string())?,
+        },
         RequestKind::Restore { snapshot, watch } => match snapshot.restore_on(scheduler.pool()) {
             Ok(session) => {
                 let evaluations = session.evaluations_spent();

@@ -147,10 +147,9 @@ impl PredictionSession {
 
     /// Tags the session with the spec (and replicate index) that built it,
     /// enabling [`PredictionSession::snapshot`] — and applies the spec's
-    /// session-level knobs (fair-share weight, propagation kernel).
+    /// fair-share weight.
     pub(crate) fn set_provenance(&mut self, spec: RunSpec, replicate: usize) {
         self.weight = spec.share_weight();
-        self.driver.set_kernel(spec.sim_kernel());
         self.provenance = Some(Provenance { spec, replicate });
     }
 

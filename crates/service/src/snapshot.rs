@@ -21,7 +21,7 @@ use crate::jsonio::Json;
 use crate::session::PredictionSession;
 use crate::spec::RunSpec;
 use ess::error::ServiceError;
-use ess::fitness::SharedScenarioPool;
+use ess::fitness::{EvalBackend, SharedScenarioPool};
 use ess::pipeline::{EvalStrategy, StepReport};
 use evoalg::diversity::DiversityReport;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ pub struct SessionSnapshot {
 impl SessionSnapshot {
     /// Format tag embedded in the JSON form (`"format"` member), bumped on
     /// incompatible layout changes.
-    pub const FORMAT: &'static str = "ess-session-snapshot/1";
+    pub const FORMAT: &'static str = "ess-session-snapshot/2";
 
     pub(crate) fn new(
         spec: RunSpec,
@@ -104,13 +104,13 @@ impl SessionSnapshot {
         self.restore_with(EvalStrategy::Shared(Arc::clone(pool)))
     }
 
-    /// [`SessionSnapshot::restore_with`] on the spec's own private
-    /// backend — the standalone configuration.
+    /// [`SessionSnapshot::restore_with`] evaluating serially in the
+    /// caller — the standalone configuration.
     ///
     /// # Errors
     /// See [`SessionSnapshot::restore_with`].
     pub fn restore(&self) -> Result<PredictionSession, ServiceError> {
-        self.restore_with(EvalStrategy::PerStep(self.spec.backend_spec()))
+        self.restore_with(EvalStrategy::PerStep(EvalBackend::Serial))
     }
 
     /// Serializes the snapshot (spec, replicate, step reports, billed
@@ -266,6 +266,10 @@ mod tests {
 
         let json = snapshot.to_json();
         let compact = json.to_string();
+        assert!(compact.starts_with(r#"{"format":"ess-session-snapshot/2","#));
+        for retired in ["backend", "novelty", "kernel"] {
+            assert!(!compact.contains(retired), "snapshot names '{retired}'");
+        }
         let reparsed = SessionSnapshot::from_json(&Json::parse(&compact).expect("parses"))
             .expect("well-formed snapshot");
         assert_eq!(reparsed, snapshot, "compact round trip");
@@ -286,6 +290,10 @@ mod tests {
             .to_json();
         for (mutate, needle) in [
             (r#"{"format":"bogus/9"}"#, "unsupported snapshot format"),
+            (
+                r#"{"format":"ess-session-snapshot/1"}"#,
+                "unsupported snapshot format 'ess-session-snapshot/1'",
+            ),
             (r#"{}"#, "'format'"),
         ] {
             let err =
@@ -333,7 +341,6 @@ mod tests {
     #[test]
     fn hand_built_sessions_cannot_snapshot() {
         use ess::cases;
-        use ess::fitness::EvalBackend;
         let case = cases::by_name("meadow_small").expect("case");
         let optimizer = crate::systems::by_name("ESS").expect("system").make(0.2);
         let session = PredictionSession::new(

@@ -2,22 +2,23 @@
 //!
 //! A spec names a system (resolved through [`crate::systems::by_name`])
 //! and a case (taken from the process-wide [`crate::store`] over
-//! `ess::cases::by_name` — hand-built library or workload corpus), picks an execution backend, a novelty-scoring
-//! engine, seed, replicate count, budget scale, and optional stopping
-//! budgets. It subsumes the scattered
-//! per-system config wiring the old entry points needed: every way of
-//! running a prediction — batch, session, scheduler, serve protocol —
-//! starts from one of these.
+//! `ess::cases::by_name` — hand-built library or workload corpus), and
+//! sets the seed, replicate count, budget scale, fair-share weight and
+//! optional stopping budgets. Every way of running a prediction — batch,
+//! session, scheduler, serve protocol — starts from one of these.
+//!
+//! A spec says *what* to predict, never *how* to run it. Where a run
+//! executes is chosen once per process — `serve --backend`, `harness
+//! --backend`, or the pool handed to [`RunSpec::sessions_on`] — and a
+//! standalone [`RunSpec::session`] / [`RunSpec::run`] is serial.
 
-use crate::jsonio::Json;
+use crate::jsonio::{Json, MAX_EXACT_INT};
 use crate::session::{PredictionSession, Provenance};
 use crate::{store, systems};
 use ess::cases::BurnCase;
 use ess::error::ServiceError;
 use ess::fitness::{EvalBackend, SharedScenarioPool};
 use ess::pipeline::{EvalStrategy, RunReport, StepDriver, StepReport};
-use ess_ns::NoveltyEngine;
-use firelib::Kernel;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,21 +40,15 @@ impl Budget {
     pub fn unlimited() -> Self {
         Self::default()
     }
-
-    /// True when no budget is set.
-    pub fn is_unlimited(&self) -> bool {
-        *self == Self::default()
-    }
 }
 
-/// A builder-style run request: system × case × backend × seed ×
-/// replicates × budgets.
+/// A builder-style run request: system × case × seed × replicates ×
+/// budgets.
 ///
 /// ```no_run
 /// use ess_service::RunSpec;
 ///
 /// let report = RunSpec::new("ESS-NS", "meadow_small")
-///     .backend("worker-pool:4".parse().unwrap())
 ///     .seed(7)
 ///     .scale(0.5)
 ///     .max_steps(3)
@@ -65,9 +60,6 @@ impl Budget {
 pub struct RunSpec {
     system: String,
     case: String,
-    backend: EvalBackend,
-    novelty: NoveltyEngine,
-    kernel: Kernel,
     seed: u64,
     replicates: usize,
     scale: f64,
@@ -76,57 +68,18 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A spec for `system` on `case` with the defaults: serial backend,
-    /// seed 1, one replicate, unit budget scale, no stopping budgets.
+    /// A spec for `system` on `case` with the defaults: seed 1, one
+    /// replicate, unit budget scale and weight, no stopping budgets.
     pub fn new(system: impl Into<String>, case: impl Into<String>) -> Self {
         Self {
             system: system.into(),
             case: case.into(),
-            backend: EvalBackend::Serial,
-            novelty: NoveltyEngine::default(),
-            kernel: Kernel::Bucket,
             seed: 1,
             replicates: 1,
             scale: 1.0,
             weight: 1.0,
             budget: Budget::unlimited(),
         }
-    }
-
-    /// Execution backend for standalone sessions (ignored when building on
-    /// a shared pool — the pool already chose).
-    pub fn backend(mut self, backend: EvalBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Novelty-scoring engine (kNN index strategy × master-side scoring
-    /// workers), honoured by novelty-search systems and ignored by the
-    /// fitness-driven baselines. Results are engine-independent
-    /// (bit-identical novelty scores); only wall time changes — so unlike
-    /// [`RunSpec::backend`], this knob applies on shared pools too.
-    pub fn novelty(mut self, engine: NoveltyEngine) -> Self {
-        self.novelty = engine;
-        self
-    }
-
-    /// The configured novelty engine.
-    pub fn novelty_engine(&self) -> NoveltyEngine {
-        self.novelty
-    }
-
-    /// Fire-propagation kernel every simulation in the run uses (default
-    /// bucket). Like [`RunSpec::novelty`] this is purely a performance
-    /// knob: all kernels produce bit-identical rasters, so predictions
-    /// never depend on it — and it therefore applies on shared pools too.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The configured propagation kernel.
-    pub fn sim_kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// Base RNG seed of replicate 0; replicate `r` derives its own stream.
@@ -160,11 +113,6 @@ impl RunSpec {
     /// The configured fair-share weight.
     pub fn share_weight(&self) -> f64 {
         self.weight
-    }
-
-    /// The configured execution backend (for standalone sessions).
-    pub fn backend_spec(&self) -> EvalBackend {
-        self.backend
     }
 
     /// Stop after `n` prediction steps.
@@ -216,9 +164,10 @@ impl RunSpec {
     /// # Errors
     /// [`ServiceError::BadSpec`] on zero or more than
     /// [`RunSpec::MAX_REPLICATES`] replicates, a non-positive or
-    /// non-finite scale or weight, or a zero budget (a budget of 0 can
+    /// non-finite scale or weight, a zero budget (a budget of 0 can
     /// never admit a step, which is always a mistake — omit the budget
-    /// instead). Every message names the offending field.
+    /// instead), or a seed or budget above 2^53 (it would not survive the
+    /// wire or a snapshot). Every message names the offending field.
     pub fn validate(&self) -> Result<(), ServiceError> {
         if self.replicates == 0 {
             return Err(ServiceError::BadSpec("replicates must be ≥ 1".into()));
@@ -242,14 +191,19 @@ impl RunSpec {
                 self.weight
             )));
         }
-        if self.budget.max_steps == Some(0) {
-            return Err(ServiceError::BadSpec("max_steps must be ≥ 1".into()));
-        }
-        if self.budget.max_evaluations == Some(0) {
-            return Err(ServiceError::BadSpec("max_evaluations must be ≥ 1".into()));
-        }
-        if self.budget.deadline == Some(Duration::ZERO) {
-            return Err(ServiceError::BadSpec("deadline must be positive".into()));
+        let budget = self.budget;
+        for (field, min, value) in [
+            ("seed", 0, Some(self.seed)),
+            ("max_steps", 1, budget.max_steps.map(|n| n as u64)),
+            ("max_evaluations", 1, budget.max_evaluations),
+            ("deadline_ms", 1, self.deadline_millis()),
+        ] {
+            if let Some(v) = value.filter(|v| !(min..=MAX_EXACT_INT).contains(v)) {
+                return Err(ServiceError::BadSpec(format!(
+                    "{field} must be in {min}..={MAX_EXACT_INT} (got {v}; 2^53 is the largest \
+                     integer the JSON wire carries exactly)"
+                )));
+            }
         }
         Ok(())
     }
@@ -262,6 +216,11 @@ impl RunSpec {
         Ok((system, store::case(&self.case)?))
     }
 
+    /// The deadline budget in whole milliseconds, as the wire carries it.
+    fn deadline_millis(&self) -> Option<u64> {
+        self.budget.deadline.map(|d| d.as_millis() as u64)
+    }
+
     /// Seed of replicate `r` (replicate 0 uses the spec seed unchanged, so
     /// single-replicate sessions reproduce the batch path bit for bit).
     fn replicate_seed(&self, replicate: usize) -> u64 {
@@ -269,15 +228,15 @@ impl RunSpec {
             .wrapping_add((replicate as u64).wrapping_mul(0x9E3779B97F4A7C15))
     }
 
-    /// Builds the replicate-0 session on its own private backend.
+    /// Builds the replicate-0 session, evaluating serially in the caller.
     pub fn session(&self) -> Result<PredictionSession, ServiceError> {
         let (system, case) = self.resolve()?;
-        Ok(self.assemble(system, case, EvalStrategy::PerStep(self.backend), 0))
+        Ok(self.assemble(system, case, EvalStrategy::PerStep(EvalBackend::Serial), 0))
     }
 
-    /// Builds one session per replicate, each on its own private backend.
+    /// Builds one session per replicate, each evaluating serially.
     pub fn sessions(&self) -> Result<Vec<PredictionSession>, ServiceError> {
-        self.sessions_with(|| EvalStrategy::PerStep(self.backend))
+        self.sessions_with(|| EvalStrategy::PerStep(EvalBackend::Serial))
     }
 
     /// Builds one session per replicate, all multiplexing `pool` — the
@@ -308,7 +267,7 @@ impl RunSpec {
     ) -> PredictionSession {
         let mut session = PredictionSession::new(
             case,
-            system.make_tuned(self.scale, self.novelty),
+            system.make(self.scale),
             strategy,
             self.replicate_seed(replicate),
             self.budget,
@@ -364,11 +323,10 @@ impl RunSpec {
             self.replicate_seed(replicate),
             steps.len(),
             carried_kign,
-        )
-        .with_kernel(self.kernel);
+        );
         Ok(PredictionSession::restored(
             driver,
-            system.make_tuned(self.scale, self.novelty),
+            system.make(self.scale),
             self.budget,
             self.weight,
             steps,
@@ -385,9 +343,6 @@ impl RunSpec {
     const MEMBERS: &[&str] = &[
         "system",
         "case",
-        "backend",
-        "novelty",
-        "kernel",
         "seed",
         "replicates",
         "scale",
@@ -397,28 +352,22 @@ impl RunSpec {
         "deadline_ms",
     ];
 
-    /// Serializes the spec as the protocol-v2 / snapshot JSON object. The
-    /// `Display` names of the backend and novelty engine round-trip
-    /// through their `FromStr` impls, and unset budgets serialize as
-    /// `null`, so `RunSpec::from_json(spec.to_json())` reproduces the spec
+    /// Serializes the spec as the protocol-v2 / snapshot JSON object.
+    /// Unset budgets serialize as `null`, and [`RunSpec::validate`] keeps
+    /// every integer inside the range a JSON number carries exactly, so
+    /// `RunSpec::from_json(spec.to_json())` reproduces a valid spec
     /// exactly.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("system", self.system.as_str())
             .field("case", self.case.as_str())
-            .field("backend", self.backend.name())
-            .field("novelty", self.novelty.name())
-            .field("kernel", self.kernel.to_string().as_str())
             .field("seed", self.seed)
             .field("replicates", self.replicates)
             .field("scale", self.scale)
             .field("weight", self.weight)
             .field("max_steps", self.budget.max_steps)
             .field("max_evaluations", self.budget.max_evaluations)
-            .field(
-                "deadline_ms",
-                self.budget.deadline.map(|d| d.as_millis() as u64),
-            )
+            .field("deadline_ms", self.deadline_millis())
     }
 
     /// Parses a spec object (a `run` request's `spec` payload or a
@@ -445,41 +394,20 @@ impl RunSpec {
             .and_then(Json::as_str)
             .ok_or("spec needs a 'case' string")?;
         let mut spec = RunSpec::new(system, case);
-        if let Some(b) = present("backend") {
-            let name = b
-                .as_str()
-                .ok_or("'backend' must be a string like \"serial\" or \"worker-pool:4\"")?;
-            spec = spec.backend(
-                name.parse()
-                    .map_err(|e: parworker::ParseBackendError| e.to_string())?,
-            );
+        let int = |key: &str| {
+            present(key)
+                .map(|x| {
+                    x.as_u64().ok_or_else(|| {
+                        format!("'{key}' must be an integer in 0..={MAX_EXACT_INT} (2^53)")
+                    })
+                })
+                .transpose()
+        };
+        if let Some(n) = int("seed")? {
+            spec = spec.seed(n);
         }
-        if let Some(n) = present("novelty") {
-            let name = n
-                .as_str()
-                .ok_or("'novelty' must be a string like \"sorted\", \"brute\" or \"sorted:4\"")?;
-            spec = spec.novelty(
-                name.parse()
-                    .map_err(|e: ess_ns::ParseNoveltyEngineError| e.to_string())?,
-            );
-        }
-        if let Some(k) = present("kernel") {
-            let name = k
-                .as_str()
-                .ok_or("'kernel' must be a string like \"bucket\", \"heap\" or \"tiled:128x4\"")?;
-            spec = spec.kernel(
-                name.parse()
-                    .map_err(|e: firelib::ParseKernelError| e.to_string())?,
-            );
-        }
-        if let Some(x) = present("seed") {
-            spec = spec.seed(x.as_u64().ok_or("'seed' must be a non-negative integer")?);
-        }
-        if let Some(x) = present("replicates") {
-            spec = spec.replicates(
-                x.as_u64()
-                    .ok_or("'replicates' must be a positive integer")? as usize,
-            );
+        if let Some(n) = int("replicates")? {
+            spec = spec.replicates(n as usize);
         }
         if let Some(x) = present("scale") {
             spec = spec.scale(x.as_f64().ok_or("'scale' must be a number")?);
@@ -487,29 +415,21 @@ impl RunSpec {
         if let Some(x) = present("weight") {
             spec = spec.weight(x.as_f64().ok_or("'weight' must be a number")?);
         }
-        if let Some(x) = present("max_steps") {
-            spec = spec
-                .max_steps(x.as_u64().ok_or("'max_steps' must be a positive integer")? as usize);
+        if let Some(n) = int("max_steps")? {
+            spec = spec.max_steps(n as usize);
         }
-        if let Some(x) = present("max_evaluations") {
-            spec = spec.max_evaluations(
-                x.as_u64()
-                    .ok_or("'max_evaluations' must be a positive integer")?,
-            );
+        if let Some(n) = int("max_evaluations")? {
+            spec = spec.max_evaluations(n);
         }
-        if let Some(x) = present("deadline_ms") {
-            spec = spec.deadline_ms(
-                x.as_u64()
-                    .ok_or("'deadline_ms' must be a positive integer")?,
-            );
+        if let Some(n) = int("deadline_ms")? {
+            spec = spec.deadline_ms(n);
         }
         spec.validate().map_err(|e| e.to_string())?;
         Ok(spec)
     }
 
     /// The batch entry point: builds the replicate-0 session and drains
-    /// it. This is the old `run()`-to-completion API, now a thin wrapper
-    /// over a drained session.
+    /// it, serially.
     ///
     /// # Errors
     /// Name/spec errors from building, or
@@ -532,33 +452,8 @@ mod tests {
             .scale(0.5)
             .max_steps(2)
             .max_evaluations(1000)
-            .deadline_ms(5000)
-            .backend(EvalBackend::WorkerPool(2))
-            .novelty(NoveltyEngine::brute_force().with_workers(2))
-            .kernel(Kernel::Tiled {
-                tile: 64,
-                workers: 4,
-            });
+            .deadline_ms(5000);
         assert_eq!(spec.system_name(), "ESS-NS");
-        assert_eq!(
-            spec.sim_kernel(),
-            Kernel::Tiled {
-                tile: 64,
-                workers: 4
-            }
-        );
-        assert_eq!(
-            RunSpec::new("ESS", "meadow_small").sim_kernel(),
-            Kernel::Bucket
-        );
-        assert_eq!(
-            spec.novelty_engine(),
-            NoveltyEngine::brute_force().with_workers(2)
-        );
-        assert_eq!(
-            RunSpec::new("ESS", "meadow_small").novelty_engine(),
-            NoveltyEngine::default()
-        );
         assert_eq!(spec.case_name(), "meadow_small");
         assert_eq!(spec.replicate_count(), 3);
         assert_eq!(spec.budget().max_steps, Some(2));
@@ -583,6 +478,10 @@ mod tests {
             base.clone().weight(f64::INFINITY),
             base.clone().max_steps(0),
             base.clone().max_evaluations(0),
+            base.clone().seed((1 << 53) + 1),
+            base.clone().seed(1 << 60),
+            base.clone().seed(u64::MAX),
+            base.clone().max_evaluations((1 << 53) + 1),
         ] {
             assert!(matches!(bad.validate(), Err(ServiceError::BadSpec(_))));
             assert!(matches!(bad.run(), Err(ServiceError::BadSpec(_))));
@@ -600,6 +499,12 @@ mod tests {
             (base.clone().max_steps(0), "max_steps"),
             (base.clone().max_evaluations(0), "max_evaluations"),
             (base.clone().deadline_ms(0), "deadline"),
+            (base.clone().seed((1 << 53) + 1), "seed must be in 0..="),
+            (base.clone().seed(1 << 60), "seed must be in 0..="),
+            (base.clone().seed(u64::MAX), "..=9007199254740992 (got"),
+            (base.clone().max_evaluations(u64::MAX), "max_evaluations"),
+            (base.clone().max_steps(usize::MAX), "max_steps"),
+            (base.clone().deadline_ms(u64::MAX), "deadline_ms"),
         ] {
             let message = bad.validate().expect_err("must reject").to_string();
             assert!(
@@ -626,12 +531,6 @@ mod tests {
     #[test]
     fn spec_json_round_trips_exactly() {
         let full = RunSpec::new("ESS-NS", "meadow_small")
-            .backend(EvalBackend::WorkerPool(4))
-            .novelty(NoveltyEngine::brute_force().with_workers(2))
-            .kernel(Kernel::Tiled {
-                tile: 128,
-                workers: 0,
-            })
             .seed(99)
             .replicates(3)
             .scale(0.375)
@@ -640,7 +539,9 @@ mod tests {
             .max_evaluations(10_000)
             .deadline_ms(30_000);
         let minimal = RunSpec::new("ESS", "grass_uniform");
-        for spec in [full, minimal] {
+        // The largest seed the wire carries exactly is still a valid spec.
+        let boundary = minimal.clone().seed(1 << 53);
+        for spec in [full, minimal, boundary] {
             let round = RunSpec::from_json(&spec.to_json()).expect("own json parses");
             assert_eq!(round, spec);
             // And through the actual wire text, not just the value tree.
@@ -653,6 +554,7 @@ mod tests {
 
     #[test]
     fn from_json_names_the_offending_field() {
+        assert_eq!(RunSpec::MEMBERS.len(), 9);
         for (line, needle) in [
             (r#"{"case":"meadow_small"}"#, "'system'"),
             (r#"{"system":"ESS"}"#, "'case'"),
@@ -669,12 +571,20 @@ mod tests {
                 "weight",
             ),
             (
-                r#"{"system":"ESS","case":"meadow_small","backend":"gpu:9"}"#,
-                "backend",
+                r#"{"system":"ESS","case":"meadow_small","seed":1152921504606846976}"#,
+                "'seed' must be an integer in 0..=9007199254740992",
             ),
             (
-                r#"{"system":"ESS","case":"meadow_small","kernel":"quantum"}"#,
-                "kernel",
+                r#"{"system":"ESS","case":"meadow_small","backend":"serial"}"#,
+                "unknown spec member 'backend'",
+            ),
+            (
+                r#"{"system":"ESS","case":"meadow_small","novelty":"sorted"}"#,
+                "unknown spec member 'novelty'",
+            ),
+            (
+                r#"{"system":"ESS","case":"meadow_small","kernel":"bucket"}"#,
+                "unknown spec member 'kernel'",
             ),
             (
                 r#"{"system":"ESS","case":"meadow_small","max_step":1}"#,

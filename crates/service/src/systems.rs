@@ -17,7 +17,7 @@ use ess::essim_de::{EssimDe, EssimDeConfig, TuningConfig};
 use ess::essim_ea::{EssimEa, EssimEaConfig};
 use ess::pipeline::StepOptimizer;
 use ess::ServiceError;
-use ess_ns::{EssNs, EssNsConfig, InclusionPolicy, NoveltyEngine, NoveltyGaConfig};
+use ess_ns::{EssNs, EssNsConfig, InclusionPolicy, NoveltyGaConfig};
 
 /// A registered prediction system: canonical name, one-line description,
 /// and the optimizer factory.
@@ -27,23 +27,14 @@ pub struct SystemSpec {
     pub name: &'static str,
     /// One-line description for listings.
     pub description: &'static str,
-    make: fn(f64, NoveltyEngine) -> Box<dyn StepOptimizer>,
+    make: fn(f64) -> Box<dyn StepOptimizer>,
 }
 
 impl SystemSpec {
     /// Builds the optimizer with a per-step budget of roughly
-    /// `scale × 400` scenario evaluations, on the default novelty engine.
+    /// `scale × 400` scenario evaluations.
     pub fn make(&self, scale: f64) -> Box<dyn StepOptimizer> {
-        self.make_tuned(scale, NoveltyEngine::default())
-    }
-
-    /// [`SystemSpec::make`] with an explicit novelty-scoring engine — the
-    /// knob [`crate::RunSpec::novelty`] routes here. Novelty scores are
-    /// engine-independent (bit-identical), so the baselines that do no
-    /// novelty bookkeeping simply ignore it; for ESS-NS it selects the
-    /// kNN index and the master-side scoring worker count.
-    pub fn make_tuned(&self, scale: f64, novelty: NoveltyEngine) -> Box<dyn StepOptimizer> {
-        (self.make)(scale, novelty)
+        (self.make)(scale)
     }
 }
 
@@ -61,7 +52,7 @@ fn scaled(v: usize, scale: f64) -> usize {
     ((v as f64) * scale).round().max(4.0) as usize
 }
 
-fn make_ess(scale: f64, _novelty: NoveltyEngine) -> Box<dyn StepOptimizer> {
+fn make_ess(scale: f64) -> Box<dyn StepOptimizer> {
     Box::new(EssClassic::new(EssConfig {
         population_size: scaled(32, scale),
         offspring: scaled(32, scale),
@@ -72,7 +63,7 @@ fn make_ess(scale: f64, _novelty: NoveltyEngine) -> Box<dyn StepOptimizer> {
     }))
 }
 
-fn make_essim_ea(scale: f64, _novelty: NoveltyEngine) -> Box<dyn StepOptimizer> {
+fn make_essim_ea(scale: f64) -> Box<dyn StepOptimizer> {
     let island = scaled(12, scale);
     Box::new(EssimEa::new(EssimEaConfig {
         islands: 3,
@@ -87,7 +78,7 @@ fn make_essim_ea(scale: f64, _novelty: NoveltyEngine) -> Box<dyn StepOptimizer> 
     }))
 }
 
-fn make_essim_de(scale: f64, _novelty: NoveltyEngine) -> Box<dyn StepOptimizer> {
+fn make_essim_de(scale: f64) -> Box<dyn StepOptimizer> {
     let island = scaled(12, scale);
     Box::new(EssimDe::new(EssimDeConfig {
         islands: 3,
@@ -104,7 +95,7 @@ fn make_essim_de(scale: f64, _novelty: NoveltyEngine) -> Box<dyn StepOptimizer> 
     }))
 }
 
-fn make_ess_ns(scale: f64, novelty: NoveltyEngine) -> Box<dyn StepOptimizer> {
+fn make_ess_ns(scale: f64) -> Box<dyn StepOptimizer> {
     Box::new(EssNs::new(EssNsConfig {
         algorithm: NoveltyGaConfig {
             population_size: scaled(32, scale),
@@ -114,11 +105,9 @@ fn make_ess_ns(scale: f64, novelty: NoveltyEngine) -> Box<dyn StepOptimizer> {
             novelty_neighbours: 5,
             archive_capacity: 2 * scaled(32, scale),
             best_set_capacity: scaled(24, scale),
-            novelty,
             ..NoveltyGaConfig::default()
         },
         inclusion: InclusionPolicy::BestOnly,
-        ..EssNsConfig::default()
     }))
 }
 

@@ -13,8 +13,9 @@
 
 use ess::cases;
 use ess::fitness::EvalBackend;
+use ess::pipeline::PredictionPipeline;
 use ess::report::{f4, opt_f4, TextTable};
-use ess_ns::{EssNs, EssNsConfig};
+use ess_ns::EssNs;
 
 fn main() {
     let case = cases::shifting_wind();
@@ -25,19 +26,12 @@ fn main() {
         case.final_area()
     );
 
-    // Backend selection is a config value on the system: the same
-    // pipeline fans scenario evaluations out to a 2-worker farm for both
-    // runs (results are backend-independent, only wall time changes).
-    let mut essns = EssNs::new(EssNsConfig {
-        backend: EvalBackend::WorkerPool(2),
-        ..EssNsConfig::default()
-    });
-    let pipeline = essns.pipeline(2024);
-
-    let mut ess = ess::EssClassic::default();
-    let ess_report = pipeline.run(&case, &mut ess);
-
-    let ns_report = pipeline.run(&case, &mut essns);
+    // Where scenarios are evaluated belongs to the pipeline, not to a
+    // system: the same pipeline fans both runs out to a 2-worker farm
+    // (results are backend-independent, only wall time changes).
+    let pipeline = PredictionPipeline::new(EvalBackend::WorkerPool(2), 2024);
+    let ess_report = pipeline.run(&case, &mut ess::EssClassic::default());
+    let ns_report = pipeline.run(&case, &mut EssNs::baseline());
 
     let mut table = TextTable::new([
         "step",

@@ -8,7 +8,7 @@
 //! ```
 
 use ess::report::{f2, f4, TextTable};
-use ess_ns::{EssNs, EssNsConfig};
+use ess_service::RunSpec;
 use firelib::workload;
 use landscape::io::render_fire_line;
 
@@ -48,15 +48,14 @@ fn main() {
     );
 
     // --- 3. Calibrate + predict on a named workload -------------------------
-    // `EssNsConfig::workload` names a corpus workload (or a hand-built
-    // library case); `EssNs::run` resolves it and runs the Fig. 3 pipeline
-    // end to end on the configured backend. A misspelled name comes back
-    // as `Err(ServiceError::UnknownCase)`, not a silent skip.
-    let system = EssNs::new(EssNsConfig {
-        workload: Some("twin_fronts".to_string()),
-        ..EssNsConfig::default()
-    });
-    let report = system.run(7).expect("corpus workload resolves");
+    // A `RunSpec` names a system and a corpus workload (or a hand-built
+    // library case); `run` resolves both and runs the Fig. 3 pipeline end
+    // to end. A misspelled name comes back as
+    // `Err(ServiceError::UnknownCase)`, not a silent skip.
+    let report = RunSpec::new("ESS-NS", "twin_fronts")
+        .seed(7)
+        .run()
+        .expect("corpus workload resolves");
     println!(
         "pipeline on '{}': mean prediction quality {} over {} steps ({} evaluations)",
         report.case,

@@ -13,17 +13,14 @@
 //! and metrics).
 //!
 //! ```no_run
-//! use essns_repro::ess::{cases, fitness::EvalBackend};
-//! use essns_repro::ess_ns::{EssNs, EssNsConfig};
+//! use essns_repro::ess::{cases, fitness::EvalBackend, pipeline::PredictionPipeline};
+//! use essns_repro::ess_ns::EssNs;
 //!
 //! let case = cases::grass_uniform();
-//! // Backend choice is a runtime config value; every backend yields
-//! // bit-identical results, so this only changes wall time.
-//! let mut system = EssNs::new(EssNsConfig {
-//!     backend: EvalBackend::WorkerPool(2),
-//!     ..EssNsConfig::default()
-//! });
-//! let report = system.pipeline(7).run(&case, &mut system.clone());
+//! // Where scenarios are evaluated is the pipeline's choice; every backend
+//! // yields bit-identical results, so this only changes wall time.
+//! let pipeline = PredictionPipeline::new(EvalBackend::WorkerPool(2), 7);
+//! let report = pipeline.run(&case, &mut EssNs::baseline());
 //! println!("mean prediction quality: {:.3}", report.mean_quality());
 //! ```
 
