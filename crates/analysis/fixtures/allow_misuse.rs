@@ -1,5 +1,5 @@
 // Golden fixture: the unused-allow and invalid-allow meta-rules.
-// Lines are pinned by tests/lint_fixtures.rs — edit with care.
+// Lines are pinned by tests/fixtures.rs — edit with care.
 
 fn stale_allow() -> u32 {
     // lint: allow(wall-clock) — nothing on the next line reads a clock

@@ -1,5 +1,5 @@
 // Golden fixture: the hash-container rule (deterministic scope).
-// Lines are pinned by tests/lint_fixtures.rs — edit with care.
+// Lines are pinned by tests/fixtures.rs — edit with care.
 
 use std::collections::HashMap;
 

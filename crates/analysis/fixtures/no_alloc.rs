@@ -1,5 +1,5 @@
 // Golden fixture: the no-alloc fence.
-// Lines are pinned by tests/lint_fixtures.rs — edit with care.
+// Lines are pinned by tests/fixtures.rs — edit with care.
 
 // lint: no_alloc
 fn violating(n: usize) -> Vec<f64> {

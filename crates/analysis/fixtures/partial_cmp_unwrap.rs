@@ -1,5 +1,5 @@
 // Golden fixture: the partial-cmp-unwrap rule.
-// Lines are pinned by tests/lint_fixtures.rs — edit with care.
+// Lines are pinned by tests/fixtures.rs — edit with care.
 
 fn violating(xs: &[f64]) -> f64 {
     *xs.iter()

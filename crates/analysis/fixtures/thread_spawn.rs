@@ -1,5 +1,5 @@
 // Golden fixture: the thread-spawn rule (non-parworker scope).
-// Lines are pinned by tests/lint_fixtures.rs — edit with care.
+// Lines are pinned by tests/fixtures.rs — edit with care.
 
 fn violating() {
     let handle = std::thread::spawn(|| 42);

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone)]
 pub struct Sym {
     /// Owning crate's lib identifier.
-    pub krate: String,
+    pub krate: &'static str,
     /// `impl`/`trait` type, when a method.
     pub owner: Option<String>,
     /// Function name.
@@ -34,10 +34,6 @@ pub struct Sym {
     pub open_line: usize,
     /// Test-only code.
     pub is_test: bool,
-    /// Carries `#[deprecated]`.
-    pub deprecated: bool,
-    /// Carries/contains `#[allow(deprecated)]`.
-    pub allows_deprecated: bool,
     /// Panic seeds in the body.
     pub seeds: Vec<Seed>,
     /// Determinism-taint sources in the body.
@@ -45,6 +41,12 @@ pub struct Sym {
 }
 
 impl Sym {
+    /// The (first header line, opening-brace line) span in which an
+    /// allow is fn-level.
+    pub fn header_span(&self) -> (usize, usize) {
+        (self.header_line, self.open_line)
+    }
+
     /// `Owner::name` or `name`, for reports.
     pub fn display(&self) -> String {
         match &self.owner {
@@ -52,16 +54,6 @@ impl Sym {
             None => self.name.clone(),
         }
     }
-}
-
-/// One resolved call edge.
-#[derive(Debug, Clone, Copy)]
-pub struct Edge {
-    /// Callee symbol index.
-    pub callee: usize,
-    /// Resolved from an explicit path (`Type::name`, `krate::mod::name`)
-    /// rather than the method-name heuristic.
-    pub direct: bool,
 }
 
 /// A workspace-qualified path call that did not resolve.
@@ -80,8 +72,9 @@ pub struct Unresolved {
 pub struct Graph {
     /// All functions, in file/definition order.
     pub syms: Vec<Sym>,
-    /// Outgoing edges per symbol (deduplicated).
-    pub edges: Vec<Vec<Edge>>,
+    /// Outgoing edges per symbol: callee indices, sorted and
+    /// deduplicated.
+    pub edges: Vec<Vec<usize>>,
     /// Workspace-qualified calls that failed to resolve — the panic
     /// prover treats these as conservatively panicking.
     pub unresolved: Vec<Unresolved>,
@@ -105,12 +98,24 @@ impl Graph {
             .collect()
     }
 
+    /// Follows `parent` links from `from` to their end and names the
+    /// symbols visited, in walk order — the witness chain of a BFS.
+    pub fn chain(&self, parent: &[Option<usize>], from: usize) -> Vec<String> {
+        let mut names = vec![self.syms[from].display()];
+        let mut cur = from;
+        while let Some(p) = parent[cur] {
+            names.push(self.syms[p].display());
+            cur = p;
+        }
+        names
+    }
+
     /// Reverse adjacency (callee → callers).
     pub fn reverse_edges(&self) -> Vec<Vec<usize>> {
         let mut rev = vec![Vec::new(); self.syms.len()];
         for (caller, outs) in self.edges.iter().enumerate() {
-            for e in outs {
-                rev[e.callee].push(caller);
+            for &callee in outs {
+                rev[callee].push(caller);
             }
         }
         rev
@@ -133,7 +138,7 @@ pub fn build(files: &[ParsedFile]) -> Graph {
     for (fi, f) in files.iter().enumerate() {
         for (ni, item) in f.fns.iter().enumerate() {
             g.syms.push(Sym {
-                krate: f.krate.clone(),
+                krate: f.krate,
                 owner: item.owner.clone(),
                 name: item.name.clone(),
                 file: f.path.clone(),
@@ -141,8 +146,6 @@ pub fn build(files: &[ParsedFile]) -> Graph {
                 header_line: item.header_line,
                 open_line: item.open_line,
                 is_test: item.is_test,
-                deprecated: item.deprecated,
-                allows_deprecated: item.allows_deprecated,
                 seeds: item.seeds.clone(),
                 taints: item.taints.clone(),
             });
@@ -166,16 +169,13 @@ pub fn build(files: &[ParsedFile]) -> Graph {
                     .or_default()
                     .push(i);
             }
-            None => free
-                .entry((s.krate.as_str(), s.name.as_str()))
-                .or_default()
-                .push(i),
+            None => free.entry((s.krate, s.name.as_str())).or_default().push(i),
         }
     }
 
     // Crates whose sources were actually parsed — path calls into any
     // other crate are external by construction.
-    let scanned: BTreeSet<&str> = files.iter().map(|f| f.krate.as_str()).collect();
+    let scanned: BTreeSet<&str> = files.iter().map(|f| f.krate).collect();
 
     // Per-file import maps: local leaf name → root crate, and glob
     // roots.
@@ -185,7 +185,7 @@ pub fn build(files: &[ParsedFile]) -> Graph {
         let mut leaves = BTreeMap::new();
         let mut globs = Vec::new();
         for u in &f.uses {
-            let root = normalize_root(&u.root, &f.krate);
+            let root = normalize_root(&u.root, f.krate);
             for leaf in &u.leaves {
                 leaves.insert(leaf.as_str(), root.clone());
             }
@@ -208,10 +208,10 @@ pub fn build(files: &[ParsedFile]) -> Graph {
         if item.is_test {
             continue;
         }
-        let own = f.krate.as_str();
+        let own = f.krate;
         let leaves = &leaf_maps[fi];
         let globs = &glob_roots[fi];
-        let mut outs: BTreeSet<(usize, bool)> = BTreeSet::new();
+        let mut outs: BTreeSet<usize> = BTreeSet::new();
         let mut self_expect_resolved = false;
         for call in &item.calls {
             match call.kind {
@@ -219,8 +219,8 @@ pub fn build(files: &[ParsedFile]) -> Graph {
                     let mut hit = false;
                     if let Some(cands) = methods.get(call.name.as_str()) {
                         for &c in cands {
-                            if c != si && resolvable(own, &g.syms[c].krate) {
-                                outs.insert((c, false));
+                            if c != si && resolvable(own, g.syms[c].krate) {
+                                outs.insert(c);
                                 hit = true;
                             }
                         }
@@ -233,7 +233,7 @@ pub fn build(files: &[ParsedFile]) -> Graph {
                     if let Some(cands) = free.get(&(own, call.name.as_str())) {
                         for &c in cands {
                             if c != si {
-                                outs.insert((c, true));
+                                outs.insert(c);
                             }
                         }
                     }
@@ -245,9 +245,7 @@ pub fn build(files: &[ParsedFile]) -> Graph {
                     for r in roots {
                         if r != own && resolvable(own, r) {
                             if let Some(cands) = free.get(&(r, call.name.as_str())) {
-                                for &c in cands {
-                                    outs.insert((c, true));
-                                }
+                                outs.extend(cands);
                             }
                         }
                     }
@@ -271,21 +269,7 @@ pub fn build(files: &[ParsedFile]) -> Graph {
                 }
             }
         }
-        let mut edges: Vec<Edge> = outs
-            .into_iter()
-            .map(|(callee, direct)| Edge { callee, direct })
-            .collect();
-        // A symbol may appear with both direct and heuristic edges;
-        // keep the direct one.
-        edges.dedup_by(|b, a| {
-            if a.callee == b.callee {
-                a.direct |= b.direct;
-                true
-            } else {
-                false
-            }
-        });
-        g.edges[si] = edges;
+        g.edges[si] = outs.into_iter().collect();
 
         // `self.expect(..)` that resolved to a workspace method (the
         // jsonio parser) is a call, not an `Option::expect` seed.
@@ -337,7 +321,7 @@ fn resolve_path_call(
     path: &[String],
     name: &str,
     line: usize,
-    outs: &mut BTreeSet<(usize, bool)>,
+    outs: &mut BTreeSet<usize>,
     unresolved: &mut Vec<Unresolved>,
 ) {
     let first = path[0].as_str();
@@ -383,10 +367,10 @@ fn resolve_path_call(
             for &c in cands {
                 let ok = match &target_crate {
                     Some(t) => syms[c].krate == *t,
-                    None => resolvable(own, &syms[c].krate),
+                    None => resolvable(own, syms[c].krate),
                 };
                 if ok && c != caller {
-                    outs.insert((c, true));
+                    outs.insert(c);
                     hit = true;
                 }
             }
@@ -410,11 +394,7 @@ fn resolve_path_call(
     let Some(target) = target_crate else { return };
     match free.get(&(target.as_str(), name)) {
         Some(cands) => {
-            for &c in cands {
-                if c != caller {
-                    outs.insert((c, true));
-                }
-            }
+            outs.extend(cands.iter().filter(|&&c| c != caller));
         }
         None => unresolved.push(Unresolved {
             caller,
@@ -429,10 +409,10 @@ mod tests {
     use super::*;
     use crate::parse::parse_source;
 
-    fn graph(files: &[(&str, &str, &str)]) -> Graph {
+    fn graph(files: &[(&str, &str)]) -> Graph {
         let parsed: Vec<ParsedFile> = files
             .iter()
-            .map(|(path, krate, src)| parse_source(path, krate, src))
+            .map(|(path, src)| parse_source(path, src))
             .collect();
         build(&parsed)
     }
@@ -445,12 +425,10 @@ mod tests {
     fn free_and_path_calls_resolve_in_crate() {
         let g = graph(&[(
             "crates/ess/src/a.rs",
-            "ess",
             "fn top() { helper(); crate::other(); }\nfn helper() {}\nfn other() {}",
         )]);
         let top = idx(&g, "top");
-        let callees: Vec<_> = g.edges[top].iter().map(|e| e.callee).collect();
-        assert_eq!(callees, vec![idx(&g, "helper"), idx(&g, "other")]);
+        assert_eq!(g.edges[top], vec![idx(&g, "helper"), idx(&g, "other")]);
         assert!(g.unresolved.is_empty());
     }
 
@@ -459,25 +437,19 @@ mod tests {
         let g = graph(&[
             (
                 "crates/service/src/a.rs",
-                "ess_service",
                 "impl Sched { fn round(&self) { self.x.step(1); } }",
             ),
             (
                 "crates/ess/src/b.rs",
-                "ess",
                 "impl Driver { fn step(&self, n: u32) {} }",
             ),
-            (
-                "crates/bench/src/c.rs",
-                "ess_benches",
-                "impl Bench { fn step(&self) {} }",
-            ),
+            ("crates/bench/src/c.rs", "impl Bench { fn step(&self) {} }"),
         ]);
         let round = idx(&g, "round");
         // service resolves downward into ess, never upward into bench.
         let names: Vec<_> = g.edges[round]
             .iter()
-            .map(|e| g.syms[e.callee].krate.as_str())
+            .map(|&callee| g.syms[callee].krate)
             .collect();
         assert_eq!(names, vec!["ess"]);
     }
@@ -487,25 +459,21 @@ mod tests {
         let g = graph(&[
             (
                 "crates/analysis/src/a.rs",
-                "ess_analysis",
                 "use ess_service::jsonio::Json;\nfn render() { let j = Json::obj(); }",
             ),
             (
                 "crates/service/src/jsonio.rs",
-                "ess_service",
                 "impl Json { pub fn obj() -> Json { Json::Obj(Vec::new()) } }",
             ),
         ]);
         let render = idx(&g, "render");
-        assert_eq!(g.edges[render].len(), 1);
-        assert!(g.edges[render][0].direct);
+        assert_eq!(g.edges[render], vec![idx(&g, "obj")]);
     }
 
     #[test]
     fn workspace_qualified_miss_is_conservative() {
         let g = graph(&[(
             "crates/ess/src/a.rs",
-            "ess",
             "fn top() { crate::nonexistent_fn(); std::mem::drop(1); }",
         )]);
         assert_eq!(g.unresolved.len(), 1);
@@ -516,7 +484,6 @@ mod tests {
     fn self_expect_seed_drops_when_a_method_resolves() {
         let g = graph(&[(
             "crates/service/src/jsonio.rs",
-            "ess_service",
             "impl Parser {\n    fn expect(&mut self, b: u8) -> Result<(), E> { Ok(()) }\n    fn array(&mut self) { self.expect(b'['); }\n}",
         )]);
         let array = idx(&g, "array");
@@ -524,7 +491,6 @@ mod tests {
         // …but a real Option::expect on a non-self receiver stays.
         let g2 = graph(&[(
             "crates/service/src/x.rs",
-            "ess_service",
             "fn f(o: Option<u8>) { o.expect(\"present\"); }",
         )]);
         let f = idx(&g2, "f");

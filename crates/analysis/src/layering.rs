@@ -1,38 +1,115 @@
-//! Machine-checked crate layering: the README layer map as an asserted
-//! DAG.
+//! The crate table and the machine-checked layering pass: the README
+//! layer map as an asserted DAG.
 //!
-//! The declared order assigns every workspace crate a rank; a dependency
-//! edge (Cargo manifest `[dependencies]`, a cross-crate `use`, or an
-//! inline `other_crate::` qualification) is legal only when it points at
-//! a *strictly lower* rank. Same-rank crates are peers and may not
-//! depend on each other. On top of the DAG, one ownership rule: nothing
-//! outside `parworker` names the `std::thread` APIs that own threads
+//! [`CRATES`] is the one place that says what each workspace crate is:
+//! its directory, its lib identifier, its rank in the layer map and the
+//! [`Scope`] the rules read (deterministic, availability boundary,
+//! timing-exempt, thread-owning). A dependency edge (Cargo manifest
+//! `[dependencies]`, a cross-crate `use`, or an inline `other_crate::`
+//! qualification) is legal only when it points at a *strictly lower*
+//! rank. Same-rank crates are peers and may not depend on each other. On
+//! top of the DAG, one ownership rule: nothing outside the thread-owning
+//! crate names the `std::thread` APIs that own threads
 //! (`available_parallelism` — sizing, not owning — is exempt).
 
+use crate::lint::{Finding, Ledger, LAYER};
 use crate::parse::ParsedFile;
 
-/// The declared layer map, lowest first. Lib identifiers (underscored),
-/// matching both manifest names (after `-` → `_`) and source paths.
-pub const LAYERS: &[(&str, u32)] = &[
-    ("rand", 0),
-    ("parworker", 1),
-    ("landscape", 1),
-    ("evoalg", 2),
-    ("firelib", 2),
-    ("ess", 3),
-    ("ess_ns", 4),
-    ("ess_service", 5),
-    ("ess_client", 6),
-    ("ess_analysis", 6),
-    ("ess_benches", 7),
+/// What the rules need to know about the crate a file belongs to. Files
+/// outside `crates/` (the root package, `examples/`, `benchmark/`) get
+/// the default: every token rule armed, no exemption.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Scope {
+    /// Results must be bit-reproducible: hash containers are denied and
+    /// no nondeterminism source may be reachable from here.
+    pub deterministic: bool,
+    /// The serve availability boundary, where a panic kills the serve
+    /// loop: asserts and indexing count as panic seeds.
+    pub boundary: bool,
+    /// Wall-clock reads are fine (bench/harness timing code).
+    pub timing_exempt: bool,
+    /// Spawning and owning threads is this crate's job.
+    pub owns_threads: bool,
+}
+
+/// One workspace crate.
+#[derive(Debug, Clone, Copy)]
+pub struct CrateInfo {
+    /// Directory under `crates/` (`rand` lives under `vendor/` and is
+    /// never scanned; it is here for its rank).
+    pub dir: &'static str,
+    /// Lib identifier (underscored), matching both manifest names (after
+    /// `-` → `_`) and `use` roots.
+    pub lib: &'static str,
+    /// Rank in the declared layer map, lowest first.
+    pub rank: u32,
+    /// Which rule sets apply.
+    pub scope: Scope,
+}
+
+const PLAIN: Scope = Scope {
+    deterministic: false,
+    boundary: false,
+    timing_exempt: false,
+    owns_threads: false,
+};
+const THREAD_OWNER: Scope = Scope {
+    owns_threads: true,
+    ..PLAIN
+};
+const DETERMINISTIC: Scope = Scope {
+    deterministic: true,
+    ..PLAIN
+};
+const BOUNDARY: Scope = Scope {
+    boundary: true,
+    ..PLAIN
+};
+const DETERMINISTIC_BOUNDARY: Scope = Scope {
+    boundary: true,
+    ..DETERMINISTIC
+};
+const TIMING: Scope = Scope {
+    timing_exempt: true,
+    ..PLAIN
+};
+
+const fn krate(dir: &'static str, lib: &'static str, rank: u32, scope: Scope) -> CrateInfo {
+    CrateInfo {
+        dir,
+        lib,
+        rank,
+        scope,
+    }
+}
+
+/// The crate table, lowest layer first.
+pub const CRATES: &[CrateInfo] = &[
+    krate("rand", "rand", 0, PLAIN),
+    krate("parworker", "parworker", 1, THREAD_OWNER),
+    krate("landscape", "landscape", 1, PLAIN),
+    krate("evoalg", "evoalg", 2, DETERMINISTIC),
+    krate("firelib", "firelib", 2, DETERMINISTIC),
+    krate("ess", "ess", 3, DETERMINISTIC),
+    krate("core", "ess_ns", 4, DETERMINISTIC_BOUNDARY),
+    krate("service", "ess_service", 5, BOUNDARY),
+    krate("client", "ess_client", 6, BOUNDARY),
+    krate("analysis", "ess_analysis", 6, PLAIN),
+    krate("bench", "ess_benches", 7, TIMING),
 ];
 
+fn crate_named(lib: &str) -> Option<&'static CrateInfo> {
+    CRATES.iter().find(|c| c.lib == lib)
+}
+
 /// Rank of a crate in the declared map, by lib identifier.
-pub fn rank_of(name: &str) -> Option<u32> {
-    LAYERS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, rank)| rank)
+pub fn rank_of(lib: &str) -> Option<u32> {
+    crate_named(lib).map(|c| c.rank)
+}
+
+/// Scope of a crate, by lib identifier (the default outside the table).
+pub fn scope_of(lib: &str) -> Scope {
+    crate_named(lib).map(|c| c.scope).unwrap_or_default()
 }
 
 /// True when `from` may depend on `to`: strictly downward in the map.
@@ -43,22 +120,10 @@ pub fn edge_allowed(from: &str, to: &str) -> bool {
     }
 }
 
-/// Maps a workspace-relative source path to its crate's lib identifier.
-pub fn crate_of_path(rel: &str) -> Option<String> {
-    let rest = rel.replace('\\', "/");
-    let rest = rest.strip_prefix("crates/")?;
-    let dir = rest.split('/').next()?;
-    Some(
-        match dir {
-            "core" => "ess_ns",
-            "service" => "ess_service",
-            "client" => "ess_client",
-            "analysis" => "ess_analysis",
-            "bench" => "ess_benches",
-            other => other,
-        }
-        .to_string(),
-    )
+/// Maps a workspace-relative source path to its crate's table row.
+pub fn crate_of_path(rel: &str) -> Option<&'static CrateInfo> {
+    let dir = rel.strip_prefix("crates/")?.split('/').next()?;
+    CRATES.iter().find(|c| c.dir == dir)
 }
 
 /// One crate manifest's `[dependencies]` entries.
@@ -109,103 +174,78 @@ pub fn parse_manifest(file: &str, text: &str) -> Option<Manifest> {
     })
 }
 
-/// A raw layering violation, before allow resolution.
-#[derive(Debug, Clone)]
-pub struct LayerViolation {
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Description.
-    pub message: String,
-    /// Manifest findings have no comment syntax to carry an allow.
-    pub allowable: bool,
-}
-
 /// Checks every manifest and source edge against the declared DAG plus
-/// the `std::thread` ownership rule.
-pub fn check(files: &[ParsedFile], manifests: &[Manifest]) -> Vec<LayerViolation> {
-    let mut out = Vec::new();
+/// the `std::thread` ownership rule. Manifest findings are never
+/// allowed: a manifest has no comment syntax the ledger reads.
+pub fn check(
+    files: &[ParsedFile],
+    manifests: &[Manifest],
+    ledger: &mut Ledger,
+    out: &mut Vec<Finding>,
+) {
     for m in manifests {
         for (dep, line) in &m.deps {
-            if rank_of(dep).is_none() {
-                out.push(LayerViolation {
-                    file: m.file.clone(),
-                    line: *line,
-                    message: format!(
-                        "dependency `{dep}` is not in the declared layer map — add it to \
-                         LAYERS or remove it"
-                    ),
-                    allowable: false,
-                });
+            let message = if rank_of(dep).is_none() {
+                format!(
+                    "dependency `{dep}` is not in the declared layer map — add it to CRATES or \
+                     remove it"
+                )
             } else if !edge_allowed(&m.krate, dep) {
-                out.push(LayerViolation {
-                    file: m.file.clone(),
-                    line: *line,
-                    message: format!(
-                        "`{}` depends on `{dep}`, which is not strictly below it in the \
-                         layer map",
-                        m.krate
-                    ),
-                    allowable: false,
-                });
-            }
+                format!(
+                    "`{}` depends on `{dep}`, which is not strictly below it in the layer map",
+                    m.krate
+                )
+            } else {
+                continue;
+            };
+            out.push(Finding::new(LAYER, &m.file, *line, message, None));
         }
     }
     for f in files {
+        let mut site = |line: usize, message: String| {
+            let reason = ledger.check(&f.path, LAYER, line, None);
+            out.push(Finding::new(LAYER, &f.path, line, message, reason));
+        };
+        let upward = |root: &str| rank_of(root).is_some() && !edge_allowed(f.krate, root);
         let mut seen: Vec<(usize, &str)> = Vec::new();
         for u in &f.uses {
-            if u.in_test {
-                continue;
-            }
             let root = u.root.as_str();
-            if root != f.krate && rank_of(root).is_some() && !edge_allowed(&f.krate, root) {
-                out.push(LayerViolation {
-                    file: f.path.clone(),
-                    line: u.line,
-                    message: format!(
-                        "`use {root}::…` crosses the layer map upward (`{}` may only depend \
-                         on lower layers)",
+            if !u.in_test && root != f.krate && upward(root) {
+                site(
+                    u.line,
+                    format!(
+                        "`use {root}::…` crosses the layer map upward (`{}` may only depend on \
+                         lower layers)",
                         f.krate
                     ),
-                    allowable: true,
-                });
+                );
                 seen.push((u.line, root));
             }
         }
         for (line, root) in &f.crate_refs {
-            if seen.iter().any(|(l, r)| l == line && r == root) {
-                continue;
-            }
-            if rank_of(root).is_some() && !edge_allowed(&f.krate, root) {
-                out.push(LayerViolation {
-                    file: f.path.clone(),
-                    line: *line,
-                    message: format!(
-                        "`{root}::…` crosses the layer map upward (`{}` may only depend on \
-                         lower layers)",
+            if !seen.contains(&(*line, root.as_str())) && upward(root) {
+                site(
+                    *line,
+                    format!(
+                        "`{root}::…` crosses the layer map upward (`{}` may only depend on lower \
+                         layers)",
                         f.krate
                     ),
-                    allowable: true,
-                });
+                );
             }
         }
-        if f.krate != "parworker" {
+        if !scope_of(f.krate).owns_threads {
             for (line, api) in &f.thread_refs {
-                out.push(LayerViolation {
-                    file: f.path.clone(),
-                    line: *line,
-                    message: format!(
-                        "names `std::thread::{api}` outside parworker — thread ownership \
-                         flows through the pool"
+                site(
+                    *line,
+                    format!(
+                        "names `std::thread::{api}` outside parworker — thread ownership flows \
+                         through the pool"
                     ),
-                    allowable: true,
-                });
+                );
             }
         }
     }
-    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    out
 }
 
 #[cfg(test)]
@@ -248,11 +288,21 @@ mod tests {
         assert_eq!(m.deps[1].0, "rand");
     }
 
+    fn check_one(path: &str, src: &str) -> Vec<Finding> {
+        let mut out = Vec::new();
+        check(
+            &[parse_source(path, src)],
+            &[],
+            &mut Ledger::default(),
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn upward_use_is_flagged_and_test_use_is_not() {
         let src = "use ess_service::jsonio::Json;\n#[cfg(test)]\nmod tests { use ess_service::jsonio::Json; }";
-        let f = parse_source("crates/firelib/src/x.rs", "firelib", src);
-        let v = check(&[f], &[]);
+        let v = check_one("crates/firelib/src/x.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 1);
     }
@@ -260,22 +310,23 @@ mod tests {
     #[test]
     fn thread_rule_exempts_parworker() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
-        let inside = parse_source("crates/parworker/src/x.rs", "parworker", src);
-        assert!(check(&[inside], &[]).is_empty());
-        let outside = parse_source("crates/ess/src/x.rs", "ess", src);
-        assert_eq!(check(&[outside], &[]).len(), 1);
+        assert!(check_one("crates/parworker/src/x.rs", src).is_empty());
+        assert_eq!(check_one("crates/ess/src/x.rs", src).len(), 1);
     }
 
     #[test]
-    fn crate_paths() {
-        assert_eq!(
-            crate_of_path("crates/core/src/algorithm.rs").as_deref(),
-            Some("ess_ns")
-        );
-        assert_eq!(
-            crate_of_path("crates/firelib/src/sim.rs").as_deref(),
-            Some("firelib")
-        );
-        assert_eq!(crate_of_path("vendor/rand/src/lib.rs"), None);
+    fn crate_paths_and_scopes() {
+        let lib = |path| crate_of_path(path).map(|c| c.lib);
+        assert_eq!(lib("crates/core/src/algorithm.rs"), Some("ess_ns"));
+        assert_eq!(lib("crates/firelib/src/sim.rs"), Some("firelib"));
+        assert_eq!(lib("vendor/rand/src/lib.rs"), None);
+        assert_eq!(lib("benchmark/src/clock.rs"), None);
+        let scope = |path| crate_of_path(path).map(|c| c.scope).unwrap_or_default();
+        assert!(scope("crates/firelib/src/sim.rs").deterministic);
+        assert!(!scope("crates/service/src/serve.rs").deterministic);
+        assert!(scope("crates/service/src/serve.rs").boundary);
+        assert!(scope("crates/bench/src/bin/harness.rs").timing_exempt);
+        assert!(scope("crates/parworker/src/pool.rs").owns_threads);
+        assert_eq!(scope("examples/quickstart.rs"), Scope::default());
     }
 }

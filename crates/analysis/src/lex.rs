@@ -1,6 +1,7 @@
-//! A minimal Rust token scanner — just enough lexing for the lint pass.
+//! A minimal Rust token scanner — just enough lexing for the static
+//! analysis pipeline.
 //!
-//! The lint rules match on *token sequences* (`partial_cmp` followed by a
+//! The rules match on *token sequences* (`partial_cmp` followed by a
 //! call and `.unwrap`, `thread :: spawn`, …), so a character-level grep
 //! would false-positive inside strings, comments and doc text. This lexer
 //! classifies the source into identifiers, punctuation, literals and
@@ -8,7 +9,9 @@
 //! naive scanners: nested block comments, raw strings with arbitrary `#`
 //! fences, byte/char literals vs lifetimes, and numeric literals with
 //! embedded underscores and exponents. It deliberately does **not** parse:
-//! the lint engine works on the flat token stream plus brace matching.
+//! the token rules and the item parser work on the flat token stream plus
+//! the brace matching and `#[cfg(test)]` masking at the bottom of this
+//! file.
 
 /// One lexed token with the 1-based line it starts on.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,7 +22,7 @@ pub struct Token {
     pub kind: Tok,
 }
 
-/// Token classes the lint rules distinguish.
+/// Token classes the rules distinguish.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Tok {
     /// An identifier or keyword (`fn`, `spawn`, `HashMap`, …).
@@ -40,7 +43,7 @@ pub enum Tok {
 
 /// Lexes `src` into a flat token stream. Unterminated constructs (string
 /// or block comment running to EOF) terminate the stream gracefully — the
-/// lint pass runs on arbitrary fixture snippets, not only compiling code.
+/// pipeline runs on arbitrary fixture snippets, not only compiling code.
 pub fn lex(src: &str) -> Vec<Token> {
     Lexer {
         bytes: src.as_bytes(),
@@ -290,6 +293,88 @@ impl<'a> Lexer<'a> {
             }
         }
     }
+}
+
+/// The identifier at `i` of a comment-free token stream, if there is one.
+pub(crate) fn ident(sig: &[Token], i: usize) -> Option<&str> {
+    match sig.get(i).map(|t| &t.kind) {
+        Some(Tok::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// The punctuation byte at `i`, if there is one.
+pub(crate) fn punct(sig: &[Token], i: usize) -> Option<char> {
+    match sig.get(i).map(|t| &t.kind) {
+        Some(Tok::Punct(c)) => Some(*c),
+        _ => None,
+    }
+}
+
+/// Index of the token closing the delimiter opened at `open`, or `None`
+/// if unbalanced.
+pub(crate) fn match_delim(
+    sig: &[Token],
+    open: usize,
+    open_ch: char,
+    close_ch: char,
+) -> Option<usize> {
+    let mut depth = 0usize;
+    for (j, t) in sig.iter().enumerate().skip(open) {
+        match t.kind {
+            Tok::Punct(c) if c == open_ch => depth += 1,
+            Tok::Punct(c) if c == close_ch => {
+                depth = depth.checked_sub(1)?;
+                if depth == 0 {
+                    return Some(j);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Marks token ranges covered by `#[cfg(test)]` items (the attribute and
+/// the brace-matched item body) so test-only code is exempt from the
+/// production rules.
+pub(crate) fn test_region_mask(sig: &[Token]) -> Vec<bool> {
+    let mut skip = vec![false; sig.len()];
+    let mut i = 0;
+    while i < sig.len() {
+        let attr = punct(sig, i) == Some('#')
+            && punct(sig, i + 1) == Some('[')
+            && ident(sig, i + 2) == Some("cfg")
+            && punct(sig, i + 3) == Some('(')
+            && ident(sig, i + 4) == Some("test")
+            && punct(sig, i + 5) == Some(')')
+            && punct(sig, i + 6) == Some(']');
+        if !attr {
+            i += 1;
+            continue;
+        }
+        // Skip to the end of the attributed item: the first `;` (e.g.
+        // `mod tests;`) or the matching close of the first `{`.
+        let mut end = i + 7;
+        for j in i + 7..sig.len() {
+            match sig[j].kind {
+                Tok::Punct(';') => {
+                    end = j;
+                    break;
+                }
+                Tok::Punct('{') => {
+                    end = match_delim(sig, j, '{', '}').unwrap_or(sig.len() - 1);
+                    break;
+                }
+                _ => {}
+            }
+        }
+        for s in skip.iter_mut().take(end + 1).skip(i) {
+            *s = true;
+        }
+        i = end + 1;
+    }
+    skip
 }
 
 #[cfg(test)]

@@ -4,13 +4,23 @@
 //! Three prongs, surfaced through `harness lint` and
 //! `harness verify-invariants`:
 //!
-//! - [`lint`] (on top of the [`lex`] token scanner) — a hand-rolled,
-//!   offline, dependency-free source pass enforcing repo-specific rules:
-//!   total float comparisons, no hash-order iteration in deterministic
-//!   crates, no wall-clock reads outside bench timing, no thread spawns
-//!   outside `parworker`, and no allocation inside `// lint: no_alloc`
-//!   fenced hot paths — each with a justified-`allow` escape hatch and a
-//!   machine-readable findings report.
+//! - [`lint`] — the static-analysis pipeline behind `harness lint`: a
+//!   hand-rolled, offline, dependency-free source pass. One workspace
+//!   walk; each file is read and lexed once ([`lex`]) into a per-file
+//!   record that feeds both the five token rules (total float
+//!   comparisons, no hash-order iteration in deterministic crates, no
+//!   wall-clock reads outside bench timing, no thread spawns outside
+//!   `parworker`, no allocation inside `// lint: no_alloc` fenced hot
+//!   paths) and the item parser ([`parse`]); the [`callgraph`] resolver
+//!   then carries the three graph rules — the [`panics`] panic-path
+//!   prover walks from declared panic-free roots and demands a
+//!   justification for every reachable panic site, the [`layering`] pass
+//!   machine-checks the README layer map as a DAG over manifest and `use`
+//!   edges (plus `std::thread` ownership), and the [`taint`] pass proves
+//!   nondeterminism sources (clocks, seeded hashing, thread identity)
+//!   unreachable from the deterministic crates. One escape hatch for all
+//!   of them, `// lint: allow(<rule>) — <reason>`, resolved through one
+//!   ledger, and one machine-readable report (`ANALYSIS.json`).
 //! - [`schedule`] and [`protocol`] — bounded model checking: a loom-style
 //!   explorer enumerating every interleaving of small op scripts against
 //!   models of the MPMC channel, the steal pool and the fusion lane
@@ -24,21 +34,10 @@
 //!   heap≡bucket bit-identity under arena reuse) and for the two raster
 //!   shortcuts of the serve path (bucketed Voronoi ≡ all-sites scan,
 //!   span-bounded fitness ≡ full-raster Jaccard).
-//! - [`audit`] (on top of the [`parse`] item parser and the
-//!   [`callgraph`] resolver) — the semantic workspace auditor behind
-//!   `harness audit`: the [`panics`] panic-path prover walks the call
-//!   graph from declared panic-free roots and demands a justified
-//!   `// audit: allow(panic)` for every reachable panic site, the
-//!   [`layering`] pass machine-checks the README layer map as a DAG over
-//!   manifest and `use` edges (plus `std::thread` ownership), and the
-//!   [`taint`] pass proves nondeterminism sources (clocks, seeded
-//!   hashing, thread identity) unreachable from the deterministic
-//!   crates.
 //!
 //! Everything here is deterministic: same seeds, same schedules, same
 //! findings — a CI failure is a local repro by construction.
 
-pub mod audit;
 pub mod callgraph;
 pub mod fuzz;
 pub mod invariants;
@@ -192,7 +191,7 @@ impl VerifyBudget {
 /// The first violation any prong finds, as a printable description.
 pub fn verify_all(seed: u64, budget: VerifyBudget) -> Result<VerifyReport, String> {
     let mut report = VerifyReport {
-        concurrency: schedule::verify_concurrency(false).map_err(|v| v.to_string())?,
+        concurrency: schedule::verify_concurrency().map_err(|v| v.to_string())?,
         ..VerifyReport::default()
     };
     report.walk = protocol::walk_protocol(budget.walk_depth)?;

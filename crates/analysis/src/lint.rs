@@ -1,7 +1,12 @@
-//! The workspace lint pass: repo-specific determinism and hot-path rules.
+//! The static-analysis pipeline behind `harness lint`: one workspace
+//! walk, each file read and lexed once, ten rules over one namespace,
+//! one allow ledger, one report (`reports/ANALYSIS.json`).
 //!
 //! These are not style lints — each rule guards a property the system's
-//! reproducibility contract depends on:
+//! reproducibility contract depends on. Five match token sequences in
+//! one file (this module); three walk the workspace call graph
+//! ([`crate::panics`], [`crate::layering`], [`crate::taint`]); two keep
+//! the escape hatch honest:
 //!
 //! | rule | guards |
 //! |---|---|
@@ -10,14 +15,29 @@
 //! | `wall-clock` | `Instant::now`/`SystemTime` in simulation or search code makes results time-dependent |
 //! | `thread-spawn` | all parallelism flows through `parworker` so schedules stay controllable |
 //! | `no-alloc` | functions fenced with `// lint: no_alloc` are steady-state hot paths; allocation there breaks the arena contract |
+//! | `panic` | the declared panic-free roots must not reach a panic site |
+//! | `layer` | crates depend strictly downward in the layer map; only `parworker` owns threads |
+//! | `taint` | no clock, seeded hash or thread identity is reachable from a deterministic crate |
+//! | `invalid-allow` / `unused-allow` | a malformed directive, or an allow that justifies no finding |
 //!
-//! Escape hatch: `// lint: allow(<rule>) — <reason>` on the finding's line
-//! or the line above suppresses it. The reason is mandatory; a reasonless
-//! or unmatched allow is itself a finding (`invalid-allow` /
-//! `unused-allow`), so annotations cannot rot silently.
+//! Escape hatch, one grammar for every rule:
+//! `// lint: allow(<rule>) — <reason>`. It covers findings of `<rule>` on
+//! its own line (trailing comment), on the first code line below it
+//! (standalone comment; other comment-only lines may sit in between, so
+//! allows for different rules stack in any order), or — for findings
+//! inside a function the parser saw — anywhere in that function when the
+//! comment sits in the function's header span. The reason is mandatory; a
+//! malformed or stale allow is itself a finding, so annotations cannot
+//! rot silently.
 
-use crate::lex::{lex, Tok, Token};
+use crate::callgraph;
+use crate::layering::{self, Scope};
+use crate::lex::{ident, lex, match_delim, punct, test_region_mask, Tok, Token};
+use crate::panics::{self, RootSpec, RootStat};
+use crate::parse::parse_items;
+use crate::taint;
 use ess_service::jsonio::Json;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -32,12 +52,19 @@ pub const WALL_CLOCK: &str = "wall-clock";
 pub const THREAD_SPAWN: &str = "thread-spawn";
 /// Deny allocation inside `// lint: no_alloc`-fenced functions.
 pub const NO_ALLOC: &str = "no-alloc";
-/// An allow annotation that suppressed nothing.
-pub const UNUSED_ALLOW: &str = "unused-allow";
-/// A malformed allow annotation (unknown shape or missing reason).
+/// The panic-path prover ([`crate::panics`]).
+pub const PANIC: &str = "panic";
+/// The layering pass ([`crate::layering`]).
+pub const LAYER: &str = "layer";
+/// The determinism-taint pass ([`crate::taint`]).
+pub const TAINT: &str = "taint";
+/// A malformed directive (unknown shape, unknown rule or missing reason).
 pub const INVALID_ALLOW: &str = "invalid-allow";
+/// An allow annotation that justified no finding.
+pub const UNUSED_ALLOW: &str = "unused-allow";
 
-/// `(name, what it guards)` for every enforced rule, in report order.
+/// `(name, what it guards)` for every rule — the one namespace an allow
+/// may name.
 pub const RULES: &[(&str, &str)] = &[
     (
         PARTIAL_CMP_UNWRAP,
@@ -60,49 +87,110 @@ pub const RULES: &[(&str, &str)] = &[
         "fenced hot paths must not allocate (the simulate_arena steady-state contract)",
     ),
     (
-        UNUSED_ALLOW,
-        "an allow that suppresses nothing is stale and must be removed",
+        PANIC,
+        "the declared panic-free roots must not reach a panic site",
+    ),
+    (
+        LAYER,
+        "crates depend strictly downward in the layer map and only parworker owns threads",
+    ),
+    (
+        TAINT,
+        "no nondeterminism source is reachable from a deterministic crate",
     ),
     (
         INVALID_ALLOW,
         "allow annotations require a named rule and a non-empty reason",
     ),
+    (
+        UNUSED_ALLOW,
+        "an allow that justifies nothing is stale and must be removed",
+    ),
 ];
 
-/// One lint finding, allowed or not.
+/// One finding of any rule, allowed or not.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule identifier (one of the `pub const` rule names).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
-    /// 1-based line.
+    /// 1-based line (0 for workspace-level findings).
     pub line: usize,
     /// Human-readable description of the violation.
     pub message: String,
+    /// Call-chain evidence, when the rule walks the call graph.
+    pub witness: Option<String>,
     /// `true` when a `lint: allow` annotation covers it.
     pub allowed: bool,
     /// The annotation's justification, when allowed.
     pub reason: Option<String>,
 }
 
-/// The result of linting a file set.
+impl Finding {
+    /// A finding at `file:line`, allowed exactly when the ledger produced
+    /// a `reason` for it.
+    pub fn new(
+        rule: &'static str,
+        file: &str,
+        line: usize,
+        message: String,
+        reason: Option<String>,
+    ) -> Self {
+        Finding {
+            rule,
+            file: file.to_string(),
+            line,
+            message,
+            witness: None,
+            allowed: reason.is_some(),
+            reason,
+        }
+    }
+
+    /// Attaches the call chain that reaches the site.
+    pub fn with_witness(mut self, witness: String) -> Self {
+        self.witness = Some(witness);
+        self
+    }
+}
+
+/// The outcome of one pipeline run.
 #[derive(Debug, Default)]
-pub struct LintReport {
-    /// Number of `.rs` files scanned.
+pub struct Report {
+    /// `.rs` files walked and lexed.
     pub files_scanned: usize,
-    /// Every finding, allowed ones included (the report is the audit trail).
+    /// Functions in the call graph's symbol table.
+    pub symbols: usize,
+    /// Resolved call edges.
+    pub call_edges: usize,
+    /// Per-root panic-proof stats.
+    pub roots: Vec<RootStat>,
+    /// Every finding, allowed ones included (the report is the audit
+    /// trail), sorted by file, line and rule.
     pub findings: Vec<Finding>,
 }
 
-impl LintReport {
+impl Report {
     /// Findings not covered by an allow — these fail the build.
     pub fn unallowed(&self) -> Vec<&Finding> {
         self.findings.iter().filter(|f| !f.allowed).collect()
     }
 
-    /// Machine-readable report (written to `reports/LINT_findings.json`).
+    /// Machine-readable report (written to `reports/ANALYSIS.json`).
     pub fn to_json(&self) -> Json {
+        let roots = self
+            .roots
+            .iter()
+            .map(|r| {
+                Json::obj()
+                    .field("root", r.root.as_str())
+                    .field("resolved", r.resolved)
+                    .field("reachable_fns", r.reachable)
+                    .field("allowed_sites", r.allowed_sites)
+                    .field("unallowed_sites", r.unallowed_sites)
+            })
+            .collect::<Vec<_>>();
         let findings = self
             .findings
             .iter()
@@ -116,49 +204,396 @@ impl LintReport {
                 if let Some(reason) = &f.reason {
                     obj = obj.field("reason", reason.as_str());
                 }
+                if let Some(witness) = &f.witness {
+                    obj = obj.field("witness", witness.as_str());
+                }
                 obj
             })
             .collect::<Vec<_>>();
         Json::obj()
             .field("tool", "harness lint")
             .field("files_scanned", self.files_scanned)
+            .field("symbols", self.symbols)
+            .field("call_edges", self.call_edges)
+            .field("roots", Json::Arr(roots))
             .field("unallowed", self.unallowed().len())
             .field("findings", Json::Arr(findings))
     }
 }
 
-/// Which rule sets apply to a file, derived from its workspace path.
-#[derive(Debug, Clone, Copy)]
-pub struct Scope {
-    /// Hash containers are denied (firelib/evoalg/ess/core).
-    pub deterministic: bool,
-    /// Wall-clock reads are fine (bench/harness timing code).
-    pub timing_exempt: bool,
-    /// Spawning threads is this crate's job (parworker).
-    pub spawn_exempt: bool,
+/// A parsed `// lint: …` directive.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Directive {
+    /// `// lint: allow(<rule>) — <reason>`.
+    Allow {
+        /// The rule it suppresses (an entry of [`RULES`]).
+        rule: &'static str,
+        /// Mandatory justification.
+        reason: String,
+    },
+    /// `// lint: no_alloc` — fences the next function.
+    NoAlloc,
+    /// A directive-shaped comment that does not parse; the message says
+    /// why.
+    Invalid(String),
 }
 
-/// Maps a workspace-relative path to its rule scope.
-pub fn scope_for(rel_path: &str) -> Scope {
-    let p = rel_path.replace('\\', "/");
-    Scope {
-        deterministic: [
-            "crates/firelib/",
-            "crates/evoalg/",
-            "crates/ess/",
-            "crates/core/",
-        ]
+/// Parses the directive in a comment, if any. Comments that do not open
+/// with `lint:` return `None` — except the retired `audit:` prefix, which
+/// is reported instead of silently suppressing nothing.
+pub fn parse_directive(comment: &str) -> Option<Directive> {
+    let mut text = comment.trim();
+    if let Some(stripped) = text.strip_prefix("/*") {
+        text = stripped.strip_suffix("*/").unwrap_or(stripped);
+    }
+    let text = text.trim_start_matches(['/', '!', '*']).trim();
+    if text.starts_with("audit:") {
+        return Some(Directive::Invalid(
+            "the `audit:` prefix is retired — write `// lint: allow(<rule>) — <reason>`"
+                .to_string(),
+        ));
+    }
+    let rest = text.strip_prefix("lint:")?.trim();
+    if rest == "no_alloc" || rest.starts_with("no_alloc ") {
+        return Some(Directive::NoAlloc);
+    }
+    let Some(inner) = rest.strip_prefix("allow(") else {
+        return Some(Directive::Invalid(format!(
+            "unrecognized lint directive `{rest}`"
+        )));
+    };
+    let Some(close) = inner.find(')') else {
+        return Some(Directive::Invalid("allow(… missing `)`".to_string()));
+    };
+    let name = inner[..close].trim();
+    let reason = inner[close + 1..]
+        .trim_start_matches(|c: char| c.is_whitespace() || matches!(c, '-' | '—' | '–' | ':'))
+        .trim();
+    let Some(&(rule, _)) = RULES.iter().find(|(rule, _)| *rule == name) else {
+        return Some(Directive::Invalid(format!(
+            "allow names unknown rule `{name}`"
+        )));
+    };
+    if reason.is_empty() {
+        return Some(Directive::Invalid(format!(
+            "allow({rule}) has no justification — state why the rule does not apply"
+        )));
+    }
+    Some(Directive::Allow {
+        rule,
+        reason: reason.to_string(),
+    })
+}
+
+/// One source file, read and lexed once: what the token rules, the item
+/// parser and the ledger all consume.
+#[derive(Debug)]
+pub struct SourceFile {
+    /// Workspace-relative path.
+    pub path: String,
+    /// The significant (comment-free) token stream.
+    pub sig: Vec<Token>,
+    /// `#[cfg(test)]` mask over `sig`.
+    pub test: Vec<bool>,
+    /// Every directive, with the line of its comment.
+    pub directives: Vec<(usize, Directive)>,
+    /// Lines that hold comments and nothing else.
+    pub comment_only: BTreeSet<usize>,
+}
+
+impl SourceFile {
+    /// Lexes `src` — the pipeline's only call of [`lex`] — and splits the
+    /// stream into code tokens and directives.
+    pub fn new(path: &str, src: &str) -> Self {
+        let mut sig = Vec::new();
+        let mut directives = Vec::new();
+        let mut comment_only = BTreeSet::new();
+        for token in lex(src) {
+            if let Tok::Comment(text) = &token.kind {
+                directives.extend(parse_directive(text).map(|d| (token.line, d)));
+                comment_only.insert(token.line);
+            } else {
+                sig.push(token);
+            }
+        }
+        for token in &sig {
+            comment_only.remove(&token.line);
+        }
+        SourceFile {
+            path: path.to_string(),
+            test: test_region_mask(&sig),
+            sig,
+            directives,
+            comment_only,
+        }
+    }
+}
+
+struct Slot {
+    line: usize,
+    /// First code line at or below the comment — skips the comment-only
+    /// lines under it, so stacked directives all reach the code line.
+    anchor: usize,
+    rule: &'static str,
+    reason: String,
+    used: bool,
+}
+
+/// The allow ledger: every `lint: allow` in the scanned files, which
+/// findings each one justified, and — afterwards — which justified none.
+#[derive(Default)]
+pub struct Ledger {
+    by_file: BTreeMap<String, Vec<Slot>>,
+}
+
+impl Ledger {
+    /// Enters one file's allows; its malformed directives become
+    /// `invalid-allow` findings on the spot.
+    pub fn add(&mut self, file: &SourceFile, out: &mut Vec<Finding>) {
+        let mut slots = Vec::new();
+        for (line, directive) in &file.directives {
+            match directive {
+                Directive::Allow { rule, reason } => {
+                    let mut anchor = *line;
+                    while file.comment_only.contains(&anchor) {
+                        anchor += 1;
+                    }
+                    slots.push(Slot {
+                        line: *line,
+                        anchor,
+                        rule,
+                        reason: reason.clone(),
+                        used: false,
+                    });
+                }
+                Directive::Invalid(message) => out.push(Finding::new(
+                    INVALID_ALLOW,
+                    &file.path,
+                    *line,
+                    message.clone(),
+                    None,
+                )),
+                Directive::NoAlloc => {}
+            }
+        }
+        self.by_file.insert(file.path.clone(), slots);
+    }
+
+    /// The justification covering a `rule` finding at `file:line`, if
+    /// any, marking that allow used. `fn_range` is the (header, opening
+    /// brace) line span of the enclosing function, when the finding has
+    /// one.
+    pub fn check(
+        &mut self,
+        file: &str,
+        rule: &str,
+        line: usize,
+        fn_range: Option<(usize, usize)>,
+    ) -> Option<String> {
+        let slots = self.by_file.get_mut(file)?;
+        // Site-level wins over fn-level, so the reason points at the
+        // specific justification when both exist.
+        for site_pass in [true, false] {
+            for s in slots.iter_mut().filter(|s| s.rule == rule) {
+                let hit = if site_pass {
+                    s.line == line || s.anchor == line
+                } else {
+                    // The line immediately above the header counts: a
+                    // fn-level allow is written as the comment directly
+                    // before the item (or between its attributes).
+                    fn_range.is_some_and(|(from, to)| s.line + 1 >= from && s.line <= to)
+                };
+                if hit {
+                    s.used = true;
+                    return Some(s.reason.clone());
+                }
+            }
+        }
+        None
+    }
+
+    /// Pushes an `unused-allow` finding for every allow no finding used.
+    pub fn unused(&self, out: &mut Vec<Finding>) {
+        for (file, slots) in &self.by_file {
+            for s in slots.iter().filter(|s| !s.used) {
+                let message = format!("lint: allow({}) suppresses nothing — remove it", s.rule);
+                out.push(Finding::new(UNUSED_ALLOW, file, s.line, message, None));
+            }
+        }
+    }
+}
+
+/// The five token rules over one file's significant stream.
+fn token_rules(file: &SourceFile, scope: Scope, ledger: &mut Ledger, out: &mut Vec<Finding>) {
+    let sig = file.sig.as_slice();
+    let mut hit = |rule: &'static str, line: usize, message: String| {
+        let reason = ledger.check(&file.path, rule, line, None);
+        out.push(Finding::new(rule, &file.path, line, message, reason));
+    };
+
+    for i in 0..sig.len() {
+        if file.test[i] {
+            continue;
+        }
+        let line = sig[i].line;
+        let is_definition = i > 0 && ident(sig, i - 1) == Some("fn");
+        match ident(sig, i) {
+            // `fn partial_cmp` is the PartialOrd impl itself, not a call.
+            Some("partial_cmp") if !is_definition && punct(sig, i + 1) == Some('(') => {
+                let Some(close) = match_delim(sig, i + 1, '(', ')') else {
+                    continue;
+                };
+                if punct(sig, close + 1) == Some('.')
+                    && matches!(ident(sig, close + 2), Some("unwrap") | Some("expect"))
+                {
+                    hit(
+                        PARTIAL_CMP_UNWRAP,
+                        line,
+                        "partial_cmp(..).unwrap() panics on NaN — use total_cmp".to_string(),
+                    );
+                }
+            }
+            Some(name @ ("HashMap" | "HashSet")) if scope.deterministic => hit(
+                HASH_CONTAINER,
+                line,
+                format!("{name} in a deterministic crate — iteration order is per-process"),
+            ),
+            Some("Instant")
+                if !scope.timing_exempt
+                    && punct(sig, i + 1) == Some(':')
+                    && punct(sig, i + 2) == Some(':')
+                    && ident(sig, i + 3) == Some("now") =>
+            {
+                hit(
+                    WALL_CLOCK,
+                    line,
+                    "Instant::now outside bench timing code".to_string(),
+                );
+            }
+            Some("SystemTime") if !scope.timing_exempt => hit(
+                WALL_CLOCK,
+                line,
+                "SystemTime outside bench timing code".to_string(),
+            ),
+            // `fn spawn` is a spawn wrapper's own definition.
+            Some("spawn")
+                if !scope.owns_threads && !is_definition && punct(sig, i + 1) == Some('(') =>
+            {
+                hit(
+                    THREAD_SPAWN,
+                    line,
+                    "thread spawn outside parworker — parallelism must flow through the pool"
+                        .to_string(),
+                );
+            }
+            _ => {}
+        }
+    }
+
+    // no_alloc fences — deny allocation in the next fn's body.
+    for (fence_line, _) in file
+        .directives
         .iter()
-        .any(|prefix| p.starts_with(prefix)),
-        timing_exempt: p.starts_with("crates/bench/"),
-        spawn_exempt: p.starts_with("crates/parworker/"),
+        .filter(|(_, d)| *d == Directive::NoAlloc)
+    {
+        let Some(fn_idx) =
+            (0..sig.len()).find(|&i| sig[i].line >= *fence_line && ident(sig, i) == Some("fn"))
+        else {
+            hit(
+                NO_ALLOC,
+                *fence_line,
+                "no_alloc fence is not followed by a function".to_string(),
+            );
+            continue;
+        };
+        let fn_name = ident(sig, fn_idx + 1).unwrap_or("?");
+        let Some(open) = (fn_idx..sig.len()).find(|&i| matches!(punct(sig, i), Some('{' | ';')))
+        else {
+            continue;
+        };
+        if punct(sig, open) == Some(';') {
+            continue; // a bodiless declaration — nothing to check
+        }
+        let close = match_delim(sig, open, '{', '}').unwrap_or(sig.len() - 1);
+        for i in open + 1..close {
+            let what: Option<String> = match ident(sig, i) {
+                Some(root @ ("Vec" | "Box" | "String"))
+                    if punct(sig, i + 1) == Some(':') && punct(sig, i + 2) == Some(':') =>
+                {
+                    match (root, ident(sig, i + 3)) {
+                        ("Vec", Some(m @ ("new" | "with_capacity")))
+                        | ("Box", Some(m @ "new"))
+                        | ("String", Some(m @ ("new" | "with_capacity" | "from"))) => {
+                            Some(format!("{root}::{m}"))
+                        }
+                        _ => None,
+                    }
+                }
+                Some("vec") if punct(sig, i + 1) == Some('!') => Some("vec!".to_string()),
+                Some(m @ ("collect" | "to_vec")) if punct(sig, i - 1) == Some('.') => {
+                    Some(format!(".{m}()"))
+                }
+                _ => None,
+            };
+            if let Some(what) = what {
+                hit(
+                    NO_ALLOC,
+                    sig[i].line,
+                    format!("allocation `{what}` inside no_alloc-fenced fn `{fn_name}`"),
+                );
+            }
+        }
+    }
+}
+
+/// Runs the whole pipeline over an explicit file set — the testable
+/// core. `sources` are (workspace-relative path, contents) pairs;
+/// `manifests` likewise for `Cargo.toml` files; `roots` the panic-free
+/// roots to prove. Every file gets the token rules under its crate's
+/// [`Scope`]; files of a crate in [`layering::CRATES`] also join the
+/// call graph the three graph passes walk.
+pub fn analyze_files(
+    sources: &[(String, String)],
+    manifests: &[(String, String)],
+    roots: &[RootSpec],
+) -> Report {
+    let mut ledger = Ledger::default();
+    let mut findings = Vec::new();
+    let mut parsed = Vec::new();
+    for (path, src) in sources {
+        let file = SourceFile::new(path, src);
+        let krate = layering::crate_of_path(&file.path);
+        ledger.add(&file, &mut findings);
+        let scope = krate.map(|c| c.scope).unwrap_or_default();
+        token_rules(&file, scope, &mut ledger, &mut findings);
+        if let Some(krate) = krate {
+            parsed.push(parse_items(&file, krate.lib));
+        }
+    }
+    let manifests: Vec<_> = manifests
+        .iter()
+        .filter_map(|(path, text)| layering::parse_manifest(path, text))
+        .collect();
+
+    let graph = callgraph::build(&parsed);
+    let roots = panics::prove(&graph, roots, &mut ledger, &mut findings);
+    layering::check(&parsed, &manifests, &mut ledger, &mut findings);
+    taint::analyze(&graph, &mut ledger, &mut findings);
+    ledger.unused(&mut findings);
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    Report {
+        files_scanned: sources.len(),
+        symbols: graph.syms.len(),
+        call_edges: graph.edge_count(),
+        roots,
+        findings,
     }
 }
 
 /// Directories never scanned: build output, vendored third-party code,
 /// lint fixtures (they violate on purpose), generated reports, and
 /// integration-test trees (test code is exempt like `#[cfg(test)]` mods).
-pub(crate) const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "reports", "tests"];
+const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "reports", "tests"];
 
 /// Climbs from the current directory to the first `Cargo.toml` declaring
 /// `[workspace]`.
@@ -177,32 +612,38 @@ pub fn find_workspace_root() -> Option<PathBuf> {
     }
 }
 
-/// Lints every `.rs` file under `root` (skipping [`SKIP_DIRS`]), in
-/// path-sorted order so the report is deterministic.
+/// Analyzes the workspace under `root`: every `.rs` file outside
+/// [`SKIP_DIRS`], in path-sorted order so the report is deterministic,
+/// plus the `Cargo.toml` of every `crates/` directory the walk found
+/// sources in.
 ///
 /// # Errors
 /// Propagates filesystem errors from the walk or file reads.
-pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
+pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     collect_rs(root, &mut files)?;
     files.sort();
-    let mut report = LintReport::default();
+    let mut sources = Vec::new();
     for path in files {
-        let src = fs::read_to_string(&path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        report.files_scanned += 1;
-        report
-            .findings
-            .extend(lint_source(&rel, &src, scope_for(&rel)));
+        let rel = path.strip_prefix(root).unwrap_or(&path);
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        sources.push((rel, fs::read_to_string(&path)?));
     }
-    Ok(report)
+    let crate_dirs: BTreeSet<&str> = sources
+        .iter()
+        .filter_map(|(rel, _)| rel.strip_prefix("crates/")?.split('/').next())
+        .collect();
+    let mut manifests = Vec::new();
+    for dir in crate_dirs {
+        let rel = format!("crates/{dir}/Cargo.toml");
+        if let Ok(text) = fs::read_to_string(root.join(&rel)) {
+            manifests.push((rel, text));
+        }
+    }
+    Ok(analyze_files(&sources, &manifests, panics::ROOTS))
 }
 
-pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -219,386 +660,46 @@ pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// A parsed `// lint: …` directive.
-enum Directive {
-    Allow { rule: String, reason: String },
-    NoAlloc,
-    Invalid(String),
-}
-
-/// Parses the directive in a comment, if any. Non-`lint:` comments return
-/// `None`.
-fn parse_directive(comment: &str) -> Option<Directive> {
-    let mut text = comment.trim();
-    if let Some(stripped) = text.strip_prefix("/*") {
-        text = stripped.strip_suffix("*/").unwrap_or(stripped);
-    }
-    let text = text.trim_start_matches(['/', '!', '*']).trim();
-    let rest = text.strip_prefix("lint:")?.trim();
-    if rest == "no_alloc" || rest.starts_with("no_alloc ") {
-        return Some(Directive::NoAlloc);
-    }
-    let Some(inner) = rest.strip_prefix("allow(") else {
-        return Some(Directive::Invalid(format!(
-            "unrecognized lint directive `{rest}`"
-        )));
-    };
-    let Some(close) = inner.find(')') else {
-        return Some(Directive::Invalid("allow(… missing `)`".to_string()));
-    };
-    let rule = inner[..close].trim().to_string();
-    let reason = inner[close + 1..]
-        .trim_start_matches(|c: char| c.is_whitespace() || matches!(c, '-' | '—' | '–' | ':'))
-        .trim()
-        .to_string();
-    if rule.is_empty() || !RULES.iter().any(|(name, _)| *name == rule) {
-        return Some(Directive::Invalid(format!(
-            "allow names unknown rule `{rule}`"
-        )));
-    }
-    if reason.is_empty() {
-        return Some(Directive::Invalid(format!(
-            "allow({rule}) has no justification — state why the rule does not apply"
-        )));
-    }
-    Some(Directive::Allow { rule, reason })
-}
-
-struct Allow {
-    line: usize,
-    rule: String,
-    reason: String,
-    used: bool,
-}
-
-/// Lints one source file. Public so the fixture tests can drive single
-/// snippets without a filesystem walk.
-pub fn lint_source(file: &str, src: &str, scope: Scope) -> Vec<Finding> {
-    let tokens = lex(src);
-
-    // Pass 1: harvest directives from the comment tokens.
-    let mut allows: Vec<Allow> = Vec::new();
-    let mut fences: Vec<usize> = Vec::new(); // lines of `// lint: no_alloc`
-    let mut findings: Vec<Finding> = Vec::new();
-    for tok in &tokens {
-        let Tok::Comment(text) = &tok.kind else {
-            continue;
-        };
-        match parse_directive(text) {
-            Some(Directive::Allow { rule, reason }) => allows.push(Allow {
-                line: tok.line,
-                rule,
-                reason,
-                used: false,
-            }),
-            Some(Directive::NoAlloc) => fences.push(tok.line),
-            Some(Directive::Invalid(message)) => findings.push(Finding {
-                rule: INVALID_ALLOW,
-                file: file.to_string(),
-                line: tok.line,
-                message,
-                allowed: false,
-                reason: None,
-            }),
-            None => {}
-        }
-    }
-
-    // Pass 2: the significant (non-comment) token stream the matchers see.
-    let sig: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, Tok::Comment(_)))
-        .collect();
-    let skip = test_region_mask(&sig);
-
-    let ident = |i: usize| -> Option<&str> {
-        match sig.get(i).map(|t| &t.kind) {
-            Some(Tok::Ident(s)) => Some(s.as_str()),
-            _ => None,
-        }
-    };
-    let punct = |i: usize| -> Option<char> {
-        match sig.get(i).map(|t| &t.kind) {
-            Some(Tok::Punct(c)) => Some(*c),
-            _ => None,
-        }
-    };
-
-    let mut raw: Vec<(&'static str, usize, String)> = Vec::new();
-
-    for i in 0..sig.len() {
-        if skip[i] {
-            continue;
-        }
-        let line = sig[i].line;
-        match ident(i) {
-            Some("partial_cmp") => {
-                // `fn partial_cmp` is the PartialOrd impl itself, not a call.
-                if i > 0 && ident(i - 1) == Some("fn") {
-                    continue;
-                }
-                if punct(i + 1) != Some('(') {
-                    continue;
-                }
-                let Some(close) = match_delim(&sig, i + 1, '(', ')') else {
-                    continue;
-                };
-                if punct(close + 1) == Some('.')
-                    && matches!(ident(close + 2), Some("unwrap") | Some("expect"))
-                {
-                    raw.push((
-                        PARTIAL_CMP_UNWRAP,
-                        line,
-                        "partial_cmp(..).unwrap() panics on NaN — use total_cmp".to_string(),
-                    ));
-                }
-            }
-            Some(name @ ("HashMap" | "HashSet")) if scope.deterministic => {
-                raw.push((
-                    HASH_CONTAINER,
-                    line,
-                    format!("{name} in a deterministic crate — iteration order is per-process"),
-                ));
-            }
-            Some("Instant")
-                if !scope.timing_exempt
-                    && punct(i + 1) == Some(':')
-                    && punct(i + 2) == Some(':')
-                    && ident(i + 3) == Some("now") =>
-            {
-                raw.push((
-                    WALL_CLOCK,
-                    line,
-                    "Instant::now outside bench timing code".to_string(),
-                ));
-            }
-            Some("SystemTime") if !scope.timing_exempt => {
-                raw.push((
-                    WALL_CLOCK,
-                    line,
-                    "SystemTime outside bench timing code".to_string(),
-                ));
-            }
-            Some("spawn") if !scope.spawn_exempt => {
-                if i > 0 && ident(i - 1) == Some("fn") {
-                    continue; // a spawn wrapper's own definition
-                }
-                if punct(i + 1) == Some('(') {
-                    raw.push((
-                        THREAD_SPAWN,
-                        line,
-                        "thread spawn outside parworker — parallelism must flow through the pool"
-                            .to_string(),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // Pass 3: no_alloc fences — deny allocation in the next fn's body.
-    for &fence_line in &fences {
-        let Some(fn_idx) =
-            (0..sig.len()).find(|&i| sig[i].line >= fence_line && ident(i) == Some("fn"))
-        else {
-            raw.push((
-                NO_ALLOC,
-                fence_line,
-                "no_alloc fence is not followed by a function".to_string(),
-            ));
-            continue;
-        };
-        let fn_name = ident(fn_idx + 1).unwrap_or("?").to_string();
-        let Some(open) =
-            (fn_idx..sig.len()).find(|&i| punct(i) == Some('{') || punct(i) == Some(';'))
-        else {
-            continue;
-        };
-        if punct(open) == Some(';') {
-            continue; // a bodiless declaration — nothing to check
-        }
-        let close = match_delim(&sig, open, '{', '}').unwrap_or(sig.len() - 1);
-        // The matchers peek at neighbours (`i ± k`), so positional
-        // iteration is the natural shape here.
-        #[allow(clippy::needless_range_loop)]
-        for i in open + 1..close {
-            let line = sig[i].line;
-            let hit: Option<String> = match ident(i) {
-                Some(root @ ("Vec" | "Box" | "String"))
-                    if punct(i + 1) == Some(':') && punct(i + 2) == Some(':') =>
-                {
-                    match (root, ident(i + 3)) {
-                        ("Vec", Some(m @ ("new" | "with_capacity")))
-                        | ("Box", Some(m @ "new"))
-                        | ("String", Some(m @ ("new" | "with_capacity" | "from"))) => {
-                            Some(format!("{root}::{m}"))
-                        }
-                        _ => None,
-                    }
-                }
-                Some("vec") if punct(i + 1) == Some('!') => Some("vec!".to_string()),
-                Some(m @ ("collect" | "to_vec")) if i > 0 && punct(i - 1) == Some('.') => {
-                    Some(format!(".{m}()"))
-                }
-                _ => None,
-            };
-            if let Some(what) = hit {
-                raw.push((
-                    NO_ALLOC,
-                    line,
-                    format!("allocation `{what}` inside no_alloc-fenced fn `{fn_name}`"),
-                ));
-            }
-        }
-    }
-
-    // Pass 4: resolve allows. An annotation on line L covers findings on
-    // L (trailing comment) and L+1 (comment above the statement).
-    for (rule, line, message) in raw {
-        let mut allowed = false;
-        let mut reason = None;
-        for a in allows.iter_mut() {
-            if a.rule == rule && (a.line == line || a.line + 1 == line) {
-                a.used = true;
-                allowed = true;
-                reason = Some(a.reason.clone());
-                break;
-            }
-        }
-        findings.push(Finding {
-            rule,
-            file: file.to_string(),
-            line,
-            message,
-            allowed,
-            reason,
-        });
-    }
-
-    // Pass 5: stale annotations are findings too.
-    for a in &allows {
-        if !a.used {
-            findings.push(Finding {
-                rule: UNUSED_ALLOW,
-                file: file.to_string(),
-                line: a.line,
-                message: format!("lint: allow({}) suppresses nothing — remove it", a.rule),
-                allowed: false,
-                reason: None,
-            });
-        }
-    }
-
-    findings.sort_by_key(|f| f.line);
-    findings
-}
-
-/// Marks token ranges covered by `#[cfg(test)]` items (the attribute and
-/// the brace-matched item body) so test-only code is exempt from the
-/// production rules.
-pub(crate) fn test_region_mask(sig: &[&Token]) -> Vec<bool> {
-    let mut skip = vec![false; sig.len()];
-    let is = |i: usize, want: &Tok| sig.get(i).map(|t| &t.kind) == Some(want);
-    let mut i = 0;
-    while i < sig.len() {
-        let attr = is(i, &Tok::Punct('#'))
-            && is(i + 1, &Tok::Punct('['))
-            && is(i + 2, &Tok::Ident("cfg".into()))
-            && is(i + 3, &Tok::Punct('('))
-            && is(i + 4, &Tok::Ident("test".into()))
-            && is(i + 5, &Tok::Punct(')'))
-            && is(i + 6, &Tok::Punct(']'));
-        if !attr {
-            i += 1;
-            continue;
-        }
-        // Skip to the end of the attributed item: the first `;` (e.g.
-        // `mod tests;`) or the matching close of the first `{`.
-        let mut end = i + 7;
-        for j in i + 7..sig.len() {
-            match sig[j].kind {
-                Tok::Punct(';') => {
-                    end = j;
-                    break;
-                }
-                Tok::Punct('{') => {
-                    end = match_delim(sig, j, '{', '}').unwrap_or(sig.len() - 1);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        for s in skip.iter_mut().take(end + 1).skip(i) {
-            *s = true;
-        }
-        i = end + 1;
-    }
-    skip
-}
-
-/// Index of the token closing the delimiter opened at `open`, or `None`
-/// if unbalanced.
-pub(crate) fn match_delim(
-    sig: &[&Token],
-    open: usize,
-    open_ch: char,
-    close_ch: char,
-) -> Option<usize> {
-    let mut depth = 0usize;
-    for (j, t) in sig.iter().enumerate().skip(open) {
-        match t.kind {
-            Tok::Punct(c) if c == open_ch => depth += 1,
-            Tok::Punct(c) if c == close_ch => {
-                depth = depth.checked_sub(1)?;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const ALL: Scope = Scope {
-        deterministic: true,
-        timing_exempt: false,
-        spawn_exempt: false,
-    };
-
-    fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
-        findings
+    /// Unallowed rules for one snippet at a path outside `crates/`: every
+    /// token rule armed, no graph.
+    fn rules_at(path: &str, src: &str) -> Vec<&'static str> {
+        analyze_files(&[(path.to_string(), src.to_string())], &[], &[])
+            .unallowed()
             .iter()
-            .filter(|f| !f.allowed)
             .map(|f| f.rule)
             .collect()
+    }
+
+    fn rules_of(src: &str) -> Vec<&'static str> {
+        rules_at("examples/x.rs", src)
     }
 
     #[test]
     fn partial_cmp_unwrap_flagged_but_impl_is_not() {
         let bad = "let o = a.partial_cmp(&b).unwrap();";
-        assert_eq!(
-            rules_of(&lint_source("x.rs", bad, ALL)),
-            vec![PARTIAL_CMP_UNWRAP]
-        );
+        assert_eq!(rules_of(bad), vec![PARTIAL_CMP_UNWRAP]);
         let imp = "fn partial_cmp(&self, other: &Self) -> Option<Ordering> { None }";
-        assert!(lint_source("x.rs", imp, ALL).is_empty());
+        assert!(rules_of(imp).is_empty());
         let total = "items.sort_by(|a, b| a.total_cmp(b));";
-        assert!(lint_source("x.rs", total, ALL).is_empty());
+        assert!(rules_of(total).is_empty());
     }
 
     #[test]
     fn allow_with_reason_suppresses_and_is_not_stale() {
         let src = "// lint: allow(hash-container) — scratch map, drained and sorted before use\nlet m: HashMap<u32, u32> = make();";
-        let findings = lint_source("x.rs", src, ALL);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].allowed);
+        let report = analyze_files(
+            &[("crates/ess/src/x.rs".to_string(), src.to_string())],
+            &[],
+            &[],
+        );
+        assert_eq!(report.findings.len(), 1);
+        assert!(report.findings[0].allowed);
         assert_eq!(
-            findings[0].reason.as_deref(),
+            report.findings[0].reason.as_deref(),
             Some("scratch map, drained and sorted before use")
         );
     }
@@ -606,7 +707,7 @@ mod tests {
     #[test]
     fn reasonless_allow_is_invalid() {
         let src = "// lint: allow(hash-container)\nlet m: HashMap<u32, u32> = make();";
-        let rules = rules_of(&lint_source("x.rs", src, ALL));
+        let rules = rules_at("crates/ess/src/x.rs", src);
         assert!(rules.contains(&INVALID_ALLOW));
         assert!(rules.contains(&HASH_CONTAINER));
     }
@@ -614,50 +715,71 @@ mod tests {
     #[test]
     fn stale_allow_is_flagged() {
         let src = "// lint: allow(wall-clock) — left over after a refactor\nlet x = 1;";
-        assert_eq!(rules_of(&lint_source("x.rs", src, ALL)), vec![UNUSED_ALLOW]);
+        assert_eq!(rules_of(src), vec![UNUSED_ALLOW]);
     }
 
     #[test]
     fn cfg_test_regions_are_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { let h: HashSet<u8> = x(); spawn(f); }\n}\nfn prod() { let h: HashSet<u8> = x(); }";
-        assert_eq!(
-            rules_of(&lint_source("x.rs", src, ALL)),
-            vec![HASH_CONTAINER]
-        );
+        assert_eq!(rules_at("crates/ess/src/x.rs", src), vec![HASH_CONTAINER]);
     }
 
     #[test]
     fn no_alloc_fence_catches_the_deny_list() {
         let src = "// lint: no_alloc\nfn hot(xs: &mut Vec<u32>) {\n    let v = Vec::new();\n    let b = Box::new(1);\n    let c: Vec<_> = xs.iter().collect();\n    let d = vec![0; 4];\n}\nfn cold() { let v: Vec<u32> = Vec::new(); }";
-        let rules = rules_of(&lint_source("x.rs", src, ALL));
-        assert_eq!(rules, vec![NO_ALLOC; 4]);
+        assert_eq!(rules_of(src), vec![NO_ALLOC; 4]);
     }
 
     #[test]
-    fn spawn_and_wall_clock_scoping() {
-        let src = "fn go() { thread::spawn(f); let t = Instant::now(); }";
-        let strict = rules_of(&lint_source("x.rs", src, ALL));
-        assert!(strict.contains(&THREAD_SPAWN) && strict.contains(&WALL_CLOCK));
-        let bench = Scope {
-            timing_exempt: true,
-            ..ALL
-        };
+    fn spawn_and_wall_clock_follow_the_crate_table() {
+        let src = "fn go() { spawn(f); let t = Instant::now(); }";
+        assert_eq!(rules_of(src), vec![THREAD_SPAWN, WALL_CLOCK]);
+        assert_eq!(rules_at("crates/bench/src/x.rs", src), vec![THREAD_SPAWN]);
+        assert_eq!(rules_at("crates/parworker/src/x.rs", src), vec![WALL_CLOCK]);
+    }
+
+    #[test]
+    fn directive_grammar() {
+        assert_eq!(parse_directive("// just a comment"), None);
         assert_eq!(
-            rules_of(&lint_source("x.rs", src, bench)),
-            vec![THREAD_SPAWN]
+            parse_directive("// lint: no_alloc"),
+            Some(Directive::NoAlloc)
         );
-        let pool = Scope {
-            spawn_exempt: true,
-            ..ALL
-        };
-        assert_eq!(rules_of(&lint_source("x.rs", src, pool)), vec![WALL_CLOCK]);
+        assert!(matches!(
+            parse_directive("/* lint: allow(panic) — bounded by construction */"),
+            Some(Directive::Allow { rule: PANIC, reason }) if reason == "bounded by construction"
+        ));
+        for malformed in [
+            "// lint: allow(panic)",
+            "// lint: allow(nope) — x",
+            "// lint: allow(panic — x",
+            "// lint: deny(panic)",
+        ] {
+            assert!(
+                matches!(parse_directive(malformed), Some(Directive::Invalid(_))),
+                "{malformed}"
+            );
+        }
     }
 
     #[test]
-    fn scope_paths() {
-        assert!(scope_for("crates/firelib/src/sim.rs").deterministic);
-        assert!(!scope_for("crates/service/src/serve.rs").deterministic);
-        assert!(scope_for("crates/bench/src/bin/harness.rs").timing_exempt);
-        assert!(scope_for("crates/parworker/src/pool.rs").spawn_exempt);
+    fn report_json_shape() {
+        let j = analyze_files(
+            &[("crates/ess/src/x.rs".into(), "fn f() {}".into())],
+            &[],
+            &[],
+        )
+        .to_json();
+        assert_eq!(j.get("tool").and_then(Json::as_str), Some("harness lint"));
+        for member in [
+            "files_scanned",
+            "symbols",
+            "call_edges",
+            "roots",
+            "unallowed",
+            "findings",
+        ] {
+            assert!(j.get(member).is_some(), "{member}");
+        }
     }
 }

@@ -8,17 +8,20 @@
 //!   `unreachable!`, `todo!`, `unimplemented!`, and workspace-qualified
 //!   calls that fail to resolve — are seeds *everywhere*.
 //! - **Contract guards** — `assert!`-family and postfix indexing — are
-//!   seeds only in the availability boundary (`service`, `client`,
+//!   seeds only in the availability boundary (the crates
+//!   [`crate::layering::CRATES`] marks `boundary`: `service`, `client`,
 //!   `core`), where a panic kills the serve loop. In the numeric kernel
 //!   crates they are the repo's deliberate guard idiom, owned by the
 //!   invariant property suites and in-run oracles (`debug_assert` is
 //!   never a seed anywhere).
 //!
-//! A site is justified by `// audit: allow(panic) — <reason>` on its
-//! line, the line above, or at function level (between the first
+//! A site is justified by `// lint: allow(panic) — <reason>` on its
+//! line, directly above it, or at function level (between the first
 //! attribute and the opening brace).
 
 use crate::callgraph::Graph;
+use crate::layering;
+use crate::lint::{Finding, Ledger, PANIC};
 use crate::parse::SeedKind;
 use std::collections::BTreeSet;
 
@@ -84,38 +87,13 @@ pub const ROOTS: &[RootSpec] = &[
     },
 ];
 
-/// True for files where the full seed set (asserts + indexing) is
-/// enforced: the serve availability boundary.
-pub fn full_seed_scope(file: &str) -> bool {
-    let p = file.replace('\\', "/");
-    ["crates/service/", "crates/client/", "crates/core/"]
-        .iter()
-        .any(|prefix| p.starts_with(prefix))
-}
-
-/// True when this seed counts in this file.
-pub fn seed_enforced(kind: SeedKind, file: &str) -> bool {
+/// True when this seed counts in crate `krate`: the unconditional
+/// panics everywhere, the contract guards on the availability boundary.
+pub fn seed_enforced(kind: SeedKind, krate: &str) -> bool {
     match kind {
         SeedKind::Unwrap | SeedKind::Expect | SeedKind::PanicMacro => true,
-        SeedKind::Assert | SeedKind::Index => full_seed_scope(file),
+        SeedKind::Assert | SeedKind::Index => layering::scope_of(krate).boundary,
     }
-}
-
-/// One panic-pass finding, allow-resolved.
-#[derive(Debug, Clone)]
-pub struct PanicFinding {
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Description.
-    pub message: String,
-    /// Call chain from the first root that reaches the site.
-    pub witness: String,
-    /// Covered by a justified allow.
-    pub allowed: bool,
-    /// The allow's justification.
-    pub reason: Option<String>,
 }
 
 /// Per-root proof outcome.
@@ -134,18 +112,14 @@ pub struct RootStat {
     pub unallowed_sites: usize,
 }
 
-/// Proves the declared roots panic-free (or reports why not).
-///
-/// `seed_cover[sym][seed]` / `unresolved_cover[i]` carry the resolved
-/// allow reason, when any — allow bookkeeping lives with the caller so
-/// used/stale accounting spans all passes.
+/// Proves the declared roots panic-free, pushing every reachable panic
+/// site — resolved against the ledger — onto `out` once.
 pub fn prove(
     g: &Graph,
     roots: &[RootSpec],
-    seed_cover: &[Vec<Option<String>>],
-    unresolved_cover: &[Option<String>],
-) -> (Vec<PanicFinding>, Vec<RootStat>) {
-    let mut findings = Vec::new();
+    ledger: &mut Ledger,
+    out: &mut Vec<Finding>,
+) -> Vec<RootStat> {
     let mut stats = Vec::new();
     // (symbol, line) pairs already reported, so multi-root overlap does
     // not duplicate findings.
@@ -153,27 +127,22 @@ pub fn prove(
 
     for root in roots {
         let ids = g.find(root.krate, root.owner, root.name);
+        let mut stat = RootStat {
+            root: root.display(),
+            resolved: !ids.is_empty(),
+            reachable: 0,
+            allowed_sites: 0,
+            unallowed_sites: 0,
+        };
         if ids.is_empty() {
-            findings.push(PanicFinding {
-                file: format!("crates ({})", root.krate),
-                line: 0,
-                message: format!(
-                    "panic-free root `{}` not found in `{}` — renamed or removed? update \
-                     the root list",
-                    root.display(),
-                    root.krate
-                ),
-                witness: String::new(),
-                allowed: false,
-                reason: None,
-            });
-            stats.push(RootStat {
-                root: root.display(),
-                resolved: false,
-                reachable: 0,
-                allowed_sites: 0,
-                unallowed_sites: 0,
-            });
+            let message = format!(
+                "panic-free root `{}` not found in `{}` — renamed or removed? update the root \
+                 list",
+                stat.root, root.krate
+            );
+            let file = format!("crates ({})", root.krate);
+            out.push(Finding::new(PANIC, &file, 0, message, None));
+            stats.push(stat);
             continue;
         }
 
@@ -189,99 +158,60 @@ pub fn prove(
         while head < queue.len() {
             let cur = queue[head];
             head += 1;
-            for e in &g.edges[cur] {
-                if !seen[e.callee] {
-                    seen[e.callee] = true;
-                    parent[e.callee] = Some(cur);
-                    queue.push(e.callee);
+            for &callee in &g.edges[cur] {
+                if !seen[callee] {
+                    seen[callee] = true;
+                    parent[callee] = Some(cur);
+                    queue.push(callee);
                 }
             }
         }
+        stat.reachable = queue.len();
 
-        let witness_to = |sym: usize| -> String {
-            let mut chain = vec![sym];
-            let mut cur = sym;
-            while let Some(p) = parent[cur] {
-                chain.push(p);
-                cur = p;
-            }
-            chain.reverse();
-            chain
-                .iter()
-                .map(|&s| g.syms[s].display())
-                .collect::<Vec<_>>()
-                .join(" → ")
-        };
-
-        let mut allowed_sites = 0usize;
-        let mut unallowed_sites = 0usize;
         for &sym in &queue {
             let s = &g.syms[sym];
-            for (si, seed) in s.seeds.iter().enumerate() {
-                if !seed_enforced(seed.kind, &s.file) {
-                    continue;
-                }
-                let cover = seed_cover[sym][si].clone();
-                if cover.is_some() {
-                    allowed_sites += 1;
-                } else {
-                    unallowed_sites += 1;
-                }
-                if !reported.insert((sym, seed.line)) {
-                    continue;
-                }
-                findings.push(PanicFinding {
-                    file: s.file.clone(),
-                    line: seed.line,
-                    message: format!(
+            let mut sites: Vec<(usize, String)> = Vec::new();
+            for seed in &s.seeds {
+                if seed_enforced(seed.kind, s.krate) {
+                    let message = format!(
                         "`{}` in `{}` is reachable from panic-free root `{}`",
                         seed.what,
                         s.display(),
-                        root.display()
-                    ),
-                    witness: witness_to(sym),
-                    allowed: cover.is_some(),
-                    reason: cover,
-                });
+                        stat.root
+                    );
+                    sites.push((seed.line, message));
+                }
             }
-            for (ui, u) in g.unresolved.iter().enumerate() {
-                if u.caller != sym {
-                    continue;
-                }
-                let cover = unresolved_cover[ui].clone();
-                if cover.is_some() {
-                    allowed_sites += 1;
+            for u in g.unresolved.iter().filter(|u| u.caller == sym) {
+                let message = format!(
+                    "call to `{}` in `{}` does not resolve — conservatively treated as \
+                     panicking (reachable from root `{}`)",
+                    u.path,
+                    s.display(),
+                    stat.root
+                );
+                sites.push((u.line, message));
+            }
+            for (line, message) in sites {
+                let reason = ledger.check(&s.file, PANIC, line, Some(s.header_span()));
+                if reason.is_some() {
+                    stat.allowed_sites += 1;
                 } else {
-                    unallowed_sites += 1;
+                    stat.unallowed_sites += 1;
                 }
-                if !reported.insert((sym, u.line)) {
-                    continue;
+                if reported.insert((sym, line)) {
+                    let mut chain = g.chain(&parent, sym);
+                    chain.reverse();
+                    out.push(
+                        Finding::new(PANIC, &s.file, line, message, reason)
+                            .with_witness(chain.join(" → ")),
+                    );
                 }
-                findings.push(PanicFinding {
-                    file: s.file.clone(),
-                    line: u.line,
-                    message: format!(
-                        "call to `{}` in `{}` does not resolve — conservatively treated as \
-                         panicking (reachable from root `{}`)",
-                        u.path,
-                        s.display(),
-                        root.display()
-                    ),
-                    witness: witness_to(sym),
-                    allowed: cover.is_some(),
-                    reason: cover,
-                });
             }
         }
-        stats.push(RootStat {
-            root: root.display(),
-            resolved: true,
-            reachable: queue.len(),
-            allowed_sites,
-            unallowed_sites,
-        });
+        stats.push(stat);
     }
-    (findings, stats)
+    stats
 }
 
 #[cfg(test)]
@@ -296,13 +226,11 @@ mod tests {
         name: "round",
     }];
 
-    fn run(src: &str) -> (Vec<PanicFinding>, Vec<RootStat>) {
-        let f = parse_source("crates/service/src/scheduler.rs", "ess_service", src);
-        let g = build(&[f]);
-        let cover: Vec<Vec<Option<String>>> =
-            g.syms.iter().map(|s| vec![None; s.seeds.len()]).collect();
-        let ucover = vec![None; g.unresolved.len()];
-        prove(&g, ROOT, &cover, &ucover)
+    fn run(src: &str) -> (Vec<Finding>, Vec<RootStat>) {
+        let g = build(&[parse_source("crates/service/src/scheduler.rs", src)]);
+        let mut findings = Vec::new();
+        let stats = prove(&g, ROOT, &mut Ledger::default(), &mut findings);
+        (findings, stats)
     }
 
     #[test]
@@ -312,8 +240,8 @@ mod tests {
         assert_eq!(stats[0].unallowed_sites, 1);
         assert_eq!(findings.len(), 1);
         assert_eq!(
-            findings[0].witness,
-            "Scheduler::round → Scheduler::step_all"
+            findings[0].witness.as_deref(),
+            Some("Scheduler::round → Scheduler::step_all")
         );
     }
 
@@ -335,12 +263,10 @@ mod tests {
 
     #[test]
     fn index_seeds_enforced_only_on_the_availability_boundary() {
-        assert!(seed_enforced(
-            SeedKind::Index,
-            "crates/service/src/scheduler.rs"
-        ));
-        assert!(seed_enforced(SeedKind::Assert, "crates/client/src/lib.rs"));
-        assert!(!seed_enforced(SeedKind::Index, "crates/firelib/src/sim.rs"));
-        assert!(seed_enforced(SeedKind::Unwrap, "crates/firelib/src/sim.rs"));
+        assert!(seed_enforced(SeedKind::Index, "ess_service"));
+        assert!(seed_enforced(SeedKind::Assert, "ess_client"));
+        assert!(seed_enforced(SeedKind::Index, "ess_ns"));
+        assert!(!seed_enforced(SeedKind::Index, "firelib"));
+        assert!(seed_enforced(SeedKind::Unwrap, "firelib"));
     }
 }

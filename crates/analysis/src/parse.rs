@@ -1,21 +1,21 @@
-//! Item-level parsing on top of the [`crate::lex`] token scanner.
+//! Item-level parsing on top of the per-file record
+//! ([`crate::lint::SourceFile`]).
 //!
-//! This is deliberately *not* a Rust grammar: the audit passes only need
+//! This is deliberately *not* a Rust grammar: the graph passes only need
 //! item structure (`fn` / `impl` / `trait` / `use`) plus three kinds of
 //! facts extracted from function bodies in one linear token walk —
 //! outgoing calls (for the call graph), panic seeds (for the panic-path
 //! prover) and determinism-taint sources. Bodies stay token streams;
 //! expressions are never built.
 //!
-//! Escape hatch grammar, mirroring the lint pass:
-//! `// audit: allow(<rule>) — <reason>` with a mandatory reason. An
-//! allow on a finding's line (or the line above) covers that site; an
-//! allow between a function's first attribute and its opening brace
-//! covers every site of that rule in the function.
+//! Each function records its header span (first attribute, or the first
+//! of the comment-only lines stacked directly above it, down to the
+//! opening brace): a `// lint: allow(..)` inside that span is fn-level
+//! and covers every site of its rule in the body.
 
 use crate::layering;
-use crate::lex::{lex, Tok, Token};
-use crate::lint::{match_delim, test_region_mask};
+use crate::lex::{ident, match_delim, punct, Tok, Token};
+use crate::lint::SourceFile;
 
 /// One `use` declaration (possibly a nested group).
 #[derive(Debug, Clone)]
@@ -98,7 +98,7 @@ pub struct TaintSrc {
     pub line: usize,
 }
 
-/// One `fn` item with the facts the audit passes need.
+/// One `fn` item with the facts the graph passes need.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     /// Function name.
@@ -113,11 +113,6 @@ pub struct FnItem {
     pub open_line: usize,
     /// Inside `#[cfg(test)]` or carrying `#[test]`.
     pub is_test: bool,
-    /// Carries `#[deprecated]`.
-    pub deprecated: bool,
-    /// Carries or contains `#[allow(deprecated)]` — under `clippy -D
-    /// warnings` every real caller of a deprecated item must.
-    pub allows_deprecated: bool,
     /// Outgoing calls.
     pub calls: Vec<Call>,
     /// Panic seeds.
@@ -126,75 +121,22 @@ pub struct FnItem {
     pub taints: Vec<TaintSrc>,
 }
 
-/// A parsed `// audit: allow(..)` annotation.
-#[derive(Debug, Clone)]
-pub struct AuditAllow {
-    /// Line of the comment.
-    pub line: usize,
-    /// First code line at or below the comment — the line a site-level
-    /// allow covers. Skips over other comment-only lines so directive
-    /// comments can stack (`// audit:` above `// lint:` above the code).
-    pub anchor: usize,
-    /// Rule it suppresses.
-    pub rule: String,
-    /// Mandatory justification.
-    pub reason: String,
-}
-
-/// Everything the audit extracts from one source file.
+/// Everything the graph passes extract from one source file.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
     /// Workspace-relative path.
     pub path: String,
     /// Owning crate's lib identifier (`ess_service`, `firelib`, …).
-    pub krate: String,
+    pub krate: &'static str,
     /// `use` declarations.
     pub uses: Vec<UseDecl>,
     /// Function items.
     pub fns: Vec<FnItem>,
-    /// Valid `audit: allow` annotations.
-    pub allows: Vec<AuditAllow>,
-    /// Malformed `audit:` directives (line, message).
-    pub invalid: Vec<(usize, String)>,
     /// `std::thread::<api>` references outside test code (line, api).
     pub thread_refs: Vec<(usize, String)>,
     /// Inline foreign-workspace-crate qualifications outside test code
     /// (line, crate lib name).
     pub crate_refs: Vec<(usize, String)>,
-}
-
-/// Audit rule names an allow may suppress.
-pub const AUDIT_RULES: &[&str] = &["panic", "layer", "taint", "dead-api"];
-
-/// Parses an `audit:` directive out of a comment. `None` for ordinary
-/// comments, `Some(Err(..))` for malformed directives.
-pub fn parse_audit_directive(comment: &str) -> Option<Result<(String, String), String>> {
-    let mut text = comment.trim();
-    if let Some(stripped) = text.strip_prefix("/*") {
-        text = stripped.strip_suffix("*/").unwrap_or(stripped);
-    }
-    let text = text.trim_start_matches(['/', '!', '*']).trim();
-    let rest = text.strip_prefix("audit:")?.trim();
-    let Some(inner) = rest.strip_prefix("allow(") else {
-        return Some(Err(format!("unrecognized audit directive `{rest}`")));
-    };
-    let Some(close) = inner.find(')') else {
-        return Some(Err("allow(… missing `)`".to_string()));
-    };
-    let rule = inner[..close].trim().to_string();
-    let reason = inner[close + 1..]
-        .trim_start_matches(|c: char| c.is_whitespace() || matches!(c, '-' | '—' | '–' | ':'))
-        .trim()
-        .to_string();
-    if !AUDIT_RULES.contains(&rule.as_str()) {
-        return Some(Err(format!("allow names unknown audit rule `{rule}`")));
-    }
-    if reason.is_empty() {
-        return Some(Err(format!(
-            "allow({rule}) has no justification — state why the rule does not apply"
-        )));
-    }
-    Some(Ok((rule, reason)))
 }
 
 /// `std::thread` APIs the layering pass denies outside `parworker`.
@@ -227,30 +169,16 @@ const INDEX_PREV_SKIP: &[&str] = &[
     "type", "struct", "enum", "trait", "mod", "crate", "break", "continue", "true", "false",
 ];
 
-fn ident<'a>(sig: &'a [&Token], i: usize) -> Option<&'a str> {
-    match sig.get(i).map(|t| &t.kind) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct(sig: &[&Token], i: usize) -> Option<char> {
-    match sig.get(i).map(|t| &t.kind) {
-        Some(Tok::Punct(c)) => Some(*c),
-        _ => None,
-    }
-}
-
 /// `::` arrives from the lexer as two `:` puncts; true when the pair
 /// starts at `i`.
-fn path_sep(sig: &[&Token], i: usize) -> bool {
+fn path_sep(sig: &[Token], i: usize) -> bool {
     punct(sig, i) == Some(':') && punct(sig, i + 1) == Some(':')
 }
 
 /// Skips a balanced `<...>` group starting at `at` (which must be `<`),
 /// returning the index just past the matching `>`. The `>` of `->` and
 /// `=>` does not count as a closer.
-fn skip_angles(sig: &[&Token], at: usize) -> Option<usize> {
+fn skip_angles(sig: &[Token], at: usize) -> Option<usize> {
     let mut depth = 0usize;
     let mut k = at;
     while k < sig.len() {
@@ -272,7 +200,7 @@ fn skip_angles(sig: &[&Token], at: usize) -> Option<usize> {
 
 /// Reads a type path (`a::b::Name<T>`), returning its last identifier
 /// and advancing `j` past it.
-fn read_type_path(sig: &[&Token], j: &mut usize) -> Option<String> {
+fn read_type_path(sig: &[Token], j: &mut usize) -> Option<String> {
     let mut last = None;
     while let Some(seg) = ident(sig, *j) {
         last = Some(seg.to_string());
@@ -294,7 +222,7 @@ fn read_type_path(sig: &[&Token], j: &mut usize) -> Option<String> {
 
 /// Walks backward from the `fn` keyword over visibility, qualifiers and
 /// attributes to the first token of the item header.
-fn header_start(sig: &[&Token], fn_idx: usize) -> usize {
+fn header_start(sig: &[Token], fn_idx: usize) -> usize {
     let mut j = fn_idx;
     while j > 0 {
         match &sig[j - 1].kind {
@@ -361,35 +289,15 @@ fn header_start(sig: &[&Token], fn_idx: usize) -> usize {
     j
 }
 
-/// Parses one source file into the audit's item model.
-pub fn parse_source(path: &str, krate: &str, src: &str) -> ParsedFile {
-    let tokens = lex(src);
+/// Parses one lexed file of crate `krate` into the item model.
+pub fn parse_items(file: &SourceFile, krate: &'static str) -> ParsedFile {
+    let sig = file.sig.as_slice();
+    let test = file.test.as_slice();
     let mut out = ParsedFile {
-        path: path.to_string(),
-        krate: krate.to_string(),
+        path: file.path.clone(),
+        krate,
         ..ParsedFile::default()
     };
-
-    for t in &tokens {
-        if let Tok::Comment(text) = &t.kind {
-            match parse_audit_directive(text) {
-                Some(Ok((rule, reason))) => out.allows.push(AuditAllow {
-                    line: t.line,
-                    anchor: t.line,
-                    rule,
-                    reason,
-                }),
-                Some(Err(msg)) => out.invalid.push((t.line, msg)),
-                None => {}
-            }
-        }
-    }
-
-    let sig: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, Tok::Comment(_)))
-        .collect();
-    let test = test_region_mask(&sig);
 
     // Item walk: a stack of open `impl`/`trait` bodies supplies the
     // owner type for functions defined inside them.
@@ -399,26 +307,26 @@ pub fn parse_source(path: &str, krate: &str, src: &str) -> ParsedFile {
         while owners.last().is_some_and(|&(_, close)| close < i) {
             owners.pop();
         }
-        match ident(&sig, i) {
+        match ident(sig, i) {
             Some("use") => {
-                i = parse_use(&sig, i, test[i], &mut out);
+                i = parse_use(sig, i, test[i], &mut out);
                 continue;
             }
             Some("impl") => {
-                if let Some((owner, open, close)) = parse_impl_header(&sig, i) {
+                if let Some((owner, open, close)) = parse_impl_header(sig, i) {
                     owners.push((owner, close));
                     i = open + 1;
                     continue;
                 }
             }
             Some("trait") => {
-                if let Some(name) = ident(&sig, i + 1) {
+                if let Some(name) = ident(sig, i + 1) {
                     let name = name.to_string();
                     if let Some(open) =
-                        (i..sig.len()).find(|&k| matches!(punct(&sig, k), Some('{') | Some(';')))
+                        (i..sig.len()).find(|&k| matches!(punct(sig, k), Some('{') | Some(';')))
                     {
-                        if punct(&sig, open) == Some('{') {
-                            let close = match_delim(&sig, open, '{', '}').unwrap_or(sig.len() - 1);
+                        if punct(sig, open) == Some('{') {
+                            let close = match_delim(sig, open, '{', '}').unwrap_or(sig.len() - 1);
                             owners.push((Some(name), close));
                             i = open + 1;
                             continue;
@@ -428,7 +336,7 @@ pub fn parse_source(path: &str, krate: &str, src: &str) -> ParsedFile {
             }
             Some("fn") => {
                 let owner = owners.last().and_then(|(o, _)| o.clone());
-                if let Some(next) = parse_fn(&sig, &test, i, owner, &mut out) {
+                if let Some(next) = parse_fn(sig, test, i, owner, &mut out) {
                     i = next;
                     continue;
                 }
@@ -439,30 +347,11 @@ pub fn parse_source(path: &str, krate: &str, src: &str) -> ParsedFile {
     }
 
     // Fold the contiguous block of comment-only lines directly above
-    // each function header into the header span, so stacked directive
-    // comments (`// lint: allow(..)` over `// audit: allow(..)`) all
-    // count as fn-level regardless of order.
-    let code_lines: std::collections::BTreeSet<usize> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, Tok::Comment(_)))
-        .map(|t| t.line)
-        .collect();
-    let comment_only: std::collections::BTreeSet<usize> = tokens
-        .iter()
-        .filter(|t| matches!(t.kind, Tok::Comment(_)))
-        .map(|t| t.line)
-        .filter(|l| !code_lines.contains(l))
-        .collect();
+    // each function header into the header span, so a stack of directive
+    // comments all count as fn-level regardless of order.
     for f in &mut out.fns {
-        while f.header_line > 1 && comment_only.contains(&(f.header_line - 1)) {
+        while f.header_line > 1 && file.comment_only.contains(&(f.header_line - 1)) {
             f.header_line -= 1;
-        }
-    }
-    // Same skip, downward, for site allows: the covered line is the
-    // first code line at or below the comment.
-    for a in &mut out.allows {
-        while comment_only.contains(&a.anchor) {
-            a.anchor += 1;
         }
     }
     out
@@ -470,7 +359,7 @@ pub fn parse_source(path: &str, krate: &str, src: &str) -> ParsedFile {
 
 /// Parses a `use` declaration starting at `i`; returns the index past
 /// its `;`.
-fn parse_use(sig: &[&Token], i: usize, in_test: bool, out: &mut ParsedFile) -> usize {
+fn parse_use(sig: &[Token], i: usize, in_test: bool, out: &mut ParsedFile) -> usize {
     let line = sig[i].line;
     let mut segments: Vec<String> = Vec::new();
     let mut leaves: Vec<String> = Vec::new();
@@ -536,7 +425,7 @@ fn parse_use(sig: &[&Token], i: usize, in_test: bool, out: &mut ParsedFile) -> u
 
 /// Parses an `impl` header starting at `i` into (owner type, body open
 /// index, body close index).
-fn parse_impl_header(sig: &[&Token], i: usize) -> Option<(Option<String>, usize, usize)> {
+fn parse_impl_header(sig: &[Token], i: usize) -> Option<(Option<String>, usize, usize)> {
     let mut j = i + 1;
     if punct(sig, j) == Some('<') {
         j = skip_angles(sig, j)?;
@@ -565,7 +454,7 @@ fn parse_impl_header(sig: &[&Token], i: usize) -> Option<(Option<String>, usize,
 /// index to resume the item walk at, or `None` when this `fn` is a
 /// function-pointer type rather than an item.
 fn parse_fn(
-    sig: &[&Token],
+    sig: &[Token],
     test: &[bool],
     i: usize,
     owner: Option<String>,
@@ -602,8 +491,6 @@ fn parse_fn(
         header_line: sig[hstart].line,
         open_line: sig[open].line,
         is_test: test[i],
-        deprecated: false,
-        allows_deprecated: false,
         calls: Vec::new(),
         seeds: Vec::new(),
         taints: Vec::new(),
@@ -611,15 +498,6 @@ fn parse_fn(
     for k in hstart..i {
         if ident(sig, k) == Some("test") && punct(sig, k.wrapping_sub(1)) == Some('[') {
             item.is_test = true;
-        }
-        if ident(sig, k) == Some("deprecated") {
-            if punct(sig, k.wrapping_sub(1)) == Some('[') {
-                item.deprecated = true;
-            } else if punct(sig, k.wrapping_sub(1)) == Some('(')
-                && ident(sig, k.wrapping_sub(2)) == Some("allow")
-            {
-                item.allows_deprecated = true;
-            }
         }
     }
 
@@ -633,7 +511,7 @@ fn parse_fn(
 /// The linear body walk: calls, panic seeds, taint sources, and layer
 /// references, in one pass over `open..close`.
 fn scan_body(
-    sig: &[&Token],
+    sig: &[Token],
     test: &[bool],
     from: usize,
     to: usize,
@@ -663,14 +541,6 @@ fn scan_body(
             }
             Tok::Ident(s) => {
                 let s = s.as_str();
-                // `#[allow(deprecated)]` on an inner item/statement.
-                if s == "deprecated"
-                    && punct(sig, k.wrapping_sub(1)) == Some('(')
-                    && ident(sig, k.wrapping_sub(2)) == Some("allow")
-                {
-                    item.allows_deprecated = true;
-                    continue;
-                }
                 if punct(sig, k + 1) == Some('!') {
                     match s {
                         "panic" | "unreachable" | "todo" | "unimplemented" => {
@@ -816,12 +686,20 @@ fn scan_body(
     }
 }
 
+/// Lexes and parses one snippet, taking the crate from its path — the
+/// shape every pass's unit tests start from.
+#[cfg(test)]
+pub(crate) fn parse_source(path: &str, src: &str) -> ParsedFile {
+    let krate = layering::crate_of_path(path).expect("test path names a workspace crate");
+    parse_items(&SourceFile::new(path, src), krate.lib)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parse(src: &str) -> ParsedFile {
-        parse_source("crates/ess/src/x.rs", "ess", src)
+        parse_source("crates/ess/src/x.rs", src)
     }
 
     #[test]
@@ -911,30 +789,5 @@ mod tests {
         let p = parse(src);
         let whats: Vec<_> = p.fns[0].taints.iter().map(|t| t.what).collect();
         assert_eq!(whats, vec!["Instant::now", "SystemTime"]);
-    }
-
-    #[test]
-    fn directive_grammar() {
-        assert!(parse_audit_directive("// just a comment").is_none());
-        assert!(matches!(
-            parse_audit_directive("// audit: allow(panic) — bounded by construction"),
-            Some(Ok((r, _))) if r == "panic"
-        ));
-        assert!(matches!(
-            parse_audit_directive("// audit: allow(panic)"),
-            Some(Err(_))
-        ));
-        assert!(matches!(
-            parse_audit_directive("// audit: allow(nope) — x"),
-            Some(Err(_))
-        ));
-    }
-
-    #[test]
-    fn deprecated_flags() {
-        let src = "#[deprecated(note = \"old\")]\npub fn old() {}\n#[allow(deprecated)]\nfn caller() { old(); }";
-        let p = parse(src);
-        assert!(p.fns[0].deprecated);
-        assert!(p.fns[1].allows_deprecated);
     }
 }

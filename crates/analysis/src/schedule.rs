@@ -592,13 +592,12 @@ pub struct ModelRun {
     pub stats: ExploreStats,
 }
 
-/// Explores every concurrency scenario in the suite. `quick` currently
-/// runs the same set — the whole suite is sub-second — but is plumbed so
-/// CI and the full harness share one entry point.
+/// Explores every concurrency scenario in the suite — one set for CI and
+/// the full budget alike; the whole suite is sub-second.
 ///
 /// # Errors
 /// The first [`Violation`] any scenario finds.
-pub fn verify_concurrency(_quick: bool) -> Result<Vec<ModelRun>, Violation> {
+pub fn verify_concurrency() -> Result<Vec<ModelRun>, Violation> {
     use ChanOp::{DropReceiver, DropSender, Recv, Send};
     let mut runs = Vec::new();
     let mut run =
@@ -727,7 +726,7 @@ mod tests {
 
     #[test]
     fn suite_is_violation_free() {
-        let runs = verify_concurrency(true).expect("no violations");
+        let runs = verify_concurrency().expect("no violations");
         assert_eq!(runs.len(), 9);
         for r in &runs {
             assert!(r.stats.schedules > 0, "{} explored nothing", r.name);

@@ -5,64 +5,48 @@
 //! hashing (`RandomState`) and thread-identity observation
 //! (`thread::current`). A function is *tainted* when it can reach a
 //! source through the call graph; the pass fails when any non-test
-//! function in a deterministic crate (`firelib`, `evoalg`, `ess`,
-//! `core`) is tainted — three calls of indirection through a backend do
-//! not launder a clock read.
+//! function in a crate [`crate::layering::CRATES`] marks `deterministic`
+//! (`firelib`, `evoalg`, `ess`, `core`) is tainted — three calls of
+//! indirection through a backend do not launder a clock read.
 //!
-//! `// audit: allow(taint) — <reason>` on a source kills its taint at
+//! `// lint: allow(taint) — <reason>` on a source kills its taint at
 //! the source (e.g. the parworker telemetry stopwatches, whose readings
 //! are reported but never fed back into results). The justification is
 //! the proof obligation.
 
 use crate::callgraph::Graph;
+use crate::layering;
+use crate::lint::{Finding, Ledger, TAINT};
 
-/// Crates whose results must be bit-reproducible.
-pub const DETERMINISTIC_CRATES: &[&str] = &["firelib", "evoalg", "ess", "ess_ns"];
-
-/// One taint finding, anchored at the source site.
-#[derive(Debug, Clone)]
-pub struct TaintFinding {
-    /// Workspace-relative path of the source.
-    pub file: String,
-    /// 1-based line of the source.
-    pub line: usize,
-    /// Description.
-    pub message: String,
-    /// Call chain from an example deterministic-crate function to the
-    /// source (empty for allowed sources, which are not propagated).
-    pub witness: String,
-    /// Covered by a justified allow.
-    pub allowed: bool,
-    /// The allow's justification.
-    pub reason: Option<String>,
-}
-
-/// Runs the taint pass. `cover[sym][taint]` carries the resolved allow
-/// reason for each source, when any.
-pub fn analyze(g: &Graph, cover: &[Vec<Option<String>>]) -> Vec<TaintFinding> {
+/// Runs the taint pass: one finding per source, anchored at the source
+/// site — allowed (and not propagated) when the ledger justifies it,
+/// unallowed with a sink → … → source witness when a deterministic
+/// crate can reach it.
+pub fn analyze(g: &Graph, ledger: &mut Ledger, out: &mut Vec<Finding>) {
     let rev = g.reverse_edges();
-    let mut findings = Vec::new();
+    let deterministic = |sym: usize| layering::scope_of(g.syms[sym].krate).deterministic;
 
     for (sym, s) in g.syms.iter().enumerate() {
         if s.is_test {
             continue;
         }
-        for (ti, src) in s.taints.iter().enumerate() {
-            if let Some(reason) = &cover[sym][ti] {
+        for src in &s.taints {
+            let span = Some(s.header_span());
+            if let Some(reason) = ledger.check(&s.file, TAINT, src.line, span) {
                 // Justified: the taint dies here, but stays on the
                 // audit trail.
-                findings.push(TaintFinding {
-                    file: s.file.clone(),
-                    line: src.line,
-                    message: format!(
-                        "nondeterminism source `{}` in `{}` (taint killed by allow)",
-                        src.what,
-                        s.display()
-                    ),
-                    witness: String::new(),
-                    allowed: true,
-                    reason: Some(reason.clone()),
-                });
+                let message = format!(
+                    "nondeterminism source `{}` in `{}` (taint killed by allow)",
+                    src.what,
+                    s.display()
+                );
+                out.push(Finding::new(
+                    TAINT,
+                    &s.file,
+                    src.line,
+                    message,
+                    Some(reason),
+                ));
                 continue;
             }
             // Which deterministic-crate functions can reach this source?
@@ -75,9 +59,7 @@ pub fn analyze(g: &Graph, cover: &[Vec<Option<String>>]) -> Vec<TaintFinding> {
             while head < queue.len() {
                 let cur = queue[head];
                 head += 1;
-                if DETERMINISTIC_CRATES.contains(&g.syms[cur].krate.as_str())
-                    && !g.syms[cur].is_test
-                {
+                if deterministic(cur) && !g.syms[cur].is_test {
                     sinks.push(cur);
                 }
                 for &caller in &rev[cur] {
@@ -88,42 +70,23 @@ pub fn analyze(g: &Graph, cover: &[Vec<Option<String>>]) -> Vec<TaintFinding> {
                     }
                 }
             }
-            if sinks.is_empty() {
-                continue; // e.g. service-layer deadline clocks
-            }
-            // Witness: deterministic sink → … → source (parent chains
-            // point toward the source).
-            let example = sinks[0];
-            let mut chain = vec![example];
-            let mut cur = example;
-            while let Some(p) = parent[cur] {
-                chain.push(p);
-                cur = p;
-            }
-            let witness = chain
-                .iter()
-                .map(|&x| g.syms[x].display())
-                .collect::<Vec<_>>()
-                .join(" → ");
-            findings.push(TaintFinding {
-                file: s.file.clone(),
-                line: src.line,
-                message: format!(
-                    "nondeterminism source `{}` in `{}` is reachable from {} function(s) in \
-                     deterministic crates (e.g. `{}`)",
-                    src.what,
-                    s.display(),
-                    sinks.len(),
-                    g.syms[example].display()
-                ),
-                witness,
-                allowed: false,
-                reason: None,
-            });
+            // No sink: e.g. service-layer deadline clocks.
+            let Some(&example) = sinks.first() else {
+                continue;
+            };
+            let message = format!(
+                "nondeterminism source `{}` in `{}` is reachable from {} function(s) in \
+                 deterministic crates (e.g. `{}`)",
+                src.what,
+                s.display(),
+                sinks.len(),
+                g.syms[example].display()
+            );
+            // Parent chains point toward the source: sink → … → source.
+            let witness = g.chain(&parent, example).join(" → ");
+            out.push(Finding::new(TAINT, &s.file, src.line, message, None).with_witness(witness));
         }
     }
-    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    findings
 }
 
 #[cfg(test)]
@@ -132,65 +95,32 @@ mod tests {
     use crate::callgraph::build;
     use crate::parse::parse_source;
 
+    const SINK: &str = "pub fn evolve(b: &dyn Backend) { b.run_tasks(3); }";
+    const SOURCE: &str =
+        "impl Pool { pub fn run_tasks(&self, n: usize) { let t = Instant::now(); } }";
+
+    fn run(files: &[(&str, &str)]) -> Vec<Finding> {
+        let parsed: Vec<_> = files.iter().map(|(p, s)| parse_source(p, s)).collect();
+        let mut out = Vec::new();
+        analyze(&build(&parsed), &mut Ledger::default(), &mut out);
+        out
+    }
+
     #[test]
     fn clock_behind_a_backend_taints_the_kernel_caller() {
-        let files = [
-            parse_source(
-                "crates/evoalg/src/ga.rs",
-                "evoalg",
-                "pub fn evolve(b: &dyn Backend) { b.run_tasks(3); }",
-            ),
-            parse_source(
-                "crates/parworker/src/pool.rs",
-                "parworker",
-                "impl Pool { pub fn run_tasks(&self, n: usize) { let t = Instant::now(); } }",
-            ),
-        ];
-        let g = build(&files);
-        let cover: Vec<Vec<Option<String>>> =
-            g.syms.iter().map(|s| vec![None; s.taints.len()]).collect();
-        let f = analyze(&g, &cover);
+        let f = run(&[
+            ("crates/evoalg/src/ga.rs", SINK),
+            ("crates/parworker/src/pool.rs", SOURCE),
+        ]);
         assert_eq!(f.len(), 1);
         assert!(!f[0].allowed);
-        assert!(f[0].witness.contains("evolve"));
+        assert!(f[0].witness.as_deref().unwrap_or("").contains("evolve"));
         assert!(f[0].message.contains("Instant::now"));
     }
 
     #[test]
-    fn allowed_source_kills_the_taint() {
-        let files = [
-            parse_source(
-                "crates/evoalg/src/ga.rs",
-                "evoalg",
-                "pub fn evolve(b: &dyn Backend) { b.run_tasks(3); }",
-            ),
-            parse_source(
-                "crates/parworker/src/pool.rs",
-                "parworker",
-                "impl Pool { pub fn run_tasks(&self, n: usize) { let t = Instant::now(); } }",
-            ),
-        ];
-        let g = build(&files);
-        let cover: Vec<Vec<Option<String>>> = g
-            .syms
-            .iter()
-            .map(|s| vec![Some("telemetry only".to_string()); s.taints.len()])
-            .collect();
-        let f = analyze(&g, &cover);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].allowed);
-    }
-
-    #[test]
     fn service_layer_clock_with_no_deterministic_reach_is_clean() {
-        let files = [parse_source(
-            "crates/service/src/session.rs",
-            "ess_service",
-            "impl Session { fn plan(&mut self) { let t = Instant::now(); } }",
-        )];
-        let g = build(&files);
-        let cover: Vec<Vec<Option<String>>> =
-            g.syms.iter().map(|s| vec![None; s.taints.len()]).collect();
-        assert!(analyze(&g, &cover).is_empty());
+        let src = "impl Session { fn plan(&mut self) { let t = Instant::now(); } }";
+        assert!(run(&[("crates/service/src/session.rs", src)]).is_empty());
     }
 }

@@ -1,0 +1,525 @@
+//! Golden-fixture pins for every rule of the static-analysis pipeline: a
+//! violating form, an allowed-escape form, and a lookalike that must NOT
+//! be flagged — all driven through the one entry point,
+//! [`lint::analyze_files`], with workspace-style paths so the real scopes
+//! (crate-table flags, layer ranks, seed enforcement) apply. The token
+//! rules' fixtures live under `fixtures/` (excluded from the workspace
+//! walk) and their line numbers are pinned here; the graph rules'
+//! fixtures are inline. Any drift — a matcher that stops firing, fires on
+//! the lookalike, or stops honouring its escape hatch; a call-graph or
+//! ledger change — fails this suite with the exact finding that moved. A
+//! final pin runs the real workspace twice and requires a green,
+//! byte-identical report.
+
+use ess_analysis::lint::{
+    self, Report, HASH_CONTAINER, INVALID_ALLOW, LAYER, NO_ALLOC, PANIC, PARTIAL_CMP_UNWRAP, TAINT,
+    THREAD_SPAWN, UNUSED_ALLOW, WALL_CLOCK,
+};
+use ess_analysis::panics::RootSpec;
+
+/// One declared root: `Scheduler::round` in the service crate, the same
+/// shape the workspace proof uses.
+const ROOT: &[RootSpec] = &[RootSpec {
+    krate: "ess_service",
+    owner: Some("Scheduler"),
+    name: "round",
+}];
+
+fn analyze(sources: &[(&str, &str)], roots: &[RootSpec]) -> Report {
+    let owned: Vec<(String, String)> = sources
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+    lint::analyze_files(&owned, &[], roots)
+}
+
+/// (rule, line, allowed) triples for every finding in the report.
+fn shape(report: &Report) -> Vec<(&'static str, usize, bool)> {
+    report
+        .findings
+        .iter()
+        .map(|f| (f.rule, f.line, f.allowed))
+        .collect()
+}
+
+/// The shape of one file analyzed on its own, no roots.
+fn shape_at(path: &str, src: &str) -> Vec<(&'static str, usize, bool)> {
+    shape(&analyze(&[(path, src)], &[]))
+}
+
+/// A path outside `crates/`: every token rule armed, no exemption, and
+/// no call graph — how `examples/` and `benchmark/` are scanned.
+const STRICT: &str = "examples/fixture.rs";
+
+// ----------------------------------------------------------- token rules
+
+#[test]
+fn partial_cmp_unwrap_fixture() {
+    let src = include_str!("../fixtures/partial_cmp_unwrap.rs");
+    assert_eq!(
+        shape_at(STRICT, src),
+        vec![
+            (PARTIAL_CMP_UNWRAP, 6, false),
+            (PARTIAL_CMP_UNWRAP, 12, true),
+        ]
+    );
+}
+
+#[test]
+fn hash_container_fixture() {
+    let src = include_str!("../fixtures/hash_container.rs");
+    assert_eq!(
+        shape_at("crates/ess/src/fixture.rs", src),
+        vec![
+            (HASH_CONTAINER, 4, false),
+            (HASH_CONTAINER, 6, false),
+            (HASH_CONTAINER, 7, false),
+            (HASH_CONTAINER, 12, true),
+        ]
+    );
+    // Outside the deterministic crates the same source is clean (the
+    // stale-allow meta-finding replaces the suppressed one).
+    assert_eq!(shape_at(STRICT, src), vec![(UNUSED_ALLOW, 11, false)]);
+}
+
+#[test]
+fn wall_clock_fixture() {
+    let src = include_str!("../fixtures/wall_clock.rs");
+    assert_eq!(
+        shape_at(STRICT, src),
+        vec![
+            (WALL_CLOCK, 7, false),
+            (WALL_CLOCK, 11, false),
+            (WALL_CLOCK, 16, true),
+            // A trailing allow covers its own line only: the second read,
+            // one line down, is not hidden by it.
+            (WALL_CLOCK, 26, true),
+            (WALL_CLOCK, 27, false),
+        ]
+    );
+    // Bench scope: timing-exempt, so only the now-stale allows surface.
+    assert_eq!(
+        shape_at("crates/bench/src/fixture.rs", src),
+        vec![(UNUSED_ALLOW, 15, false), (UNUSED_ALLOW, 26, false)]
+    );
+}
+
+#[test]
+fn thread_spawn_fixture() {
+    let src = include_str!("../fixtures/thread_spawn.rs");
+    assert_eq!(
+        shape_at(STRICT, src),
+        vec![(THREAD_SPAWN, 5, false), (THREAD_SPAWN, 11, true)]
+    );
+    // parworker scope: spawning is that crate's job.
+    assert_eq!(
+        shape_at("crates/parworker/src/fixture.rs", src),
+        vec![(UNUSED_ALLOW, 10, false)]
+    );
+}
+
+#[test]
+fn no_alloc_fixture() {
+    let src = include_str!("../fixtures/no_alloc.rs");
+    assert_eq!(
+        shape_at(STRICT, src),
+        vec![
+            (NO_ALLOC, 6, false),
+            (NO_ALLOC, 7, false),
+            (NO_ALLOC, 24, true),
+        ]
+    );
+}
+
+#[test]
+fn allow_misuse_fixture() {
+    let src = include_str!("../fixtures/allow_misuse.rs");
+    assert_eq!(
+        shape_at(STRICT, src),
+        vec![
+            (UNUSED_ALLOW, 5, false),
+            (INVALID_ALLOW, 10, false),
+            (INVALID_ALLOW, 15, false),
+            (THREAD_SPAWN, 16, false),
+        ]
+    );
+}
+
+/// The frozen `benchmark/` sources are scanned like any other file
+/// outside `crates/`, and the three allows they carry keep resolving.
+#[test]
+fn frozen_benchmark_allows_still_resolve() {
+    let clock = include_str!("../../../benchmark/src/clock.rs");
+    assert_eq!(
+        shape_at("benchmark/src/clock.rs", clock),
+        vec![(WALL_CLOCK, 13, true)]
+    );
+    let spawn = include_str!("../../../benchmark/src/spawn.rs");
+    assert_eq!(
+        shape_at("benchmark/src/spawn.rs", spawn),
+        vec![(THREAD_SPAWN, 15, true), (THREAD_SPAWN, 22, true)]
+    );
+}
+
+// ---------------------------------------------------------------- panic
+
+const PANIC_VIOLATING: &str = "\
+pub struct Scheduler;
+impl Scheduler {
+    pub fn round(&mut self) {
+        helper();
+    }
+}
+fn helper() {
+    let v: Option<u32> = None;
+    let _ = v.unwrap();
+}
+";
+
+const PANIC_ALLOWED: &str = "\
+pub struct Scheduler;
+impl Scheduler {
+    pub fn round(&mut self) {
+        helper();
+    }
+}
+fn helper() {
+    let v: Option<u32> = Some(1);
+    // lint: allow(panic) — fixture: the value is constructed one line up
+    let _ = v.unwrap();
+}
+";
+
+const PANIC_LOOKALIKE: &str = "\
+pub struct Scheduler;
+impl Scheduler {
+    pub fn round(&mut self) {
+        helper();
+    }
+}
+fn helper() {
+    let v: Option<u32> = None;
+    let _ = v.unwrap_or_default();
+    let _ = v.unwrap_or_else(|| 7);
+}
+";
+
+#[test]
+fn panic_prover_flags_reachable_unwrap() {
+    let r = analyze(&[("crates/service/src/fx.rs", PANIC_VIOLATING)], ROOT);
+    assert_eq!(shape(&r), vec![(PANIC, 9, false)]);
+    assert_eq!(r.roots.len(), 1);
+    assert!(r.roots[0].resolved, "root must resolve to a symbol");
+    assert_eq!(r.roots[0].unallowed_sites, 1);
+}
+
+#[test]
+fn panic_prover_honours_site_allow() {
+    let r = analyze(&[("crates/service/src/fx.rs", PANIC_ALLOWED)], ROOT);
+    assert_eq!(shape(&r), vec![(PANIC, 10, true)]);
+    assert!(r.unallowed().is_empty());
+    assert_eq!(r.roots[0].allowed_sites, 1);
+}
+
+#[test]
+fn panic_prover_ignores_unwrap_or_lookalikes() {
+    let r = analyze(&[("crates/service/src/fx.rs", PANIC_LOOKALIKE)], ROOT);
+    assert_eq!(shape(&r), vec![]);
+    assert_eq!(r.roots[0].unallowed_sites, 0);
+}
+
+/// A panic seed in a fn the root never reaches stays silent — the
+/// prover is reachability-driven, not a grep.
+#[test]
+fn panic_prover_is_reachability_scoped() {
+    let src = "\
+pub struct Scheduler;
+impl Scheduler {
+    pub fn round(&mut self) {}
+}
+fn never_called() {
+    let v: Option<u32> = None;
+    let _ = v.unwrap();
+}
+";
+    let r = analyze(&[("crates/service/src/fx.rs", src)], ROOT);
+    assert_eq!(shape(&r), vec![]);
+    // So is the ledger: an allow on a site no root reaches justifies no
+    // finding, and is reported stale like any other.
+    let allowed = src.replace(
+        "    let _ = v.unwrap();",
+        "    // lint: allow(panic) — fixture: sound, but nothing reaches it\n    let _ = v.unwrap();",
+    );
+    let r = analyze(&[("crates/service/src/fx.rs", &allowed)], ROOT);
+    assert_eq!(shape(&r), vec![(UNUSED_ALLOW, 7, false)]);
+}
+
+/// A fn-level allow covers every site of its rule in the body —
+/// including ones added later, which is why site-level is preferred;
+/// this pins that the escape hatch works at all, written above the
+/// header or between the `impl` line and the `fn`.
+#[test]
+fn fn_level_allow_covers_body_sites() {
+    let above = "\
+pub struct Scheduler;
+impl Scheduler {
+    pub fn round(&mut self) {
+        helper();
+    }
+}
+// lint: allow(panic) — fixture: both unwraps guarded by construction
+fn helper() {
+    let v: Option<u32> = Some(1);
+    let _ = v.unwrap();
+    let w: Option<u32> = Some(2);
+    let _ = w.unwrap();
+}
+";
+    let r = analyze(&[("crates/service/src/fx.rs", above)], ROOT);
+    assert_eq!(shape(&r), vec![(PANIC, 10, true), (PANIC, 12, true)]);
+    assert!(r.unallowed().is_empty());
+
+    let in_impl = "\
+impl Scheduler {
+    // lint: allow(panic) — fixture: indices sanitized by planned_indices
+    pub fn round(&mut self) {
+        let a = self.live[0];
+        let b = self.live[1];
+    }
+}
+";
+    let r = analyze(&[("crates/service/src/scheduler.rs", in_impl)], ROOT);
+    assert_eq!(shape(&r), vec![(PANIC, 4, true), (PANIC, 5, true)]);
+}
+
+// ---------------------------------------------------------------- layer
+
+const LAYER_VIOLATING: &str = "\
+use ess::scenario::Scenario;
+pub fn ignite(_s: Scenario) {}
+";
+
+const LAYER_TEST_GATED: &str = "\
+pub fn ignite() {}
+#[cfg(test)]
+mod tests {
+    use ess::scenario::Scenario;
+    #[test]
+    fn smoke() {
+        let _ = std::mem::size_of::<Scenario>();
+    }
+}
+";
+
+const LAYER_DOWNWARD: &str = "\
+use firelib::sim::FireSim;
+pub fn evolve(_s: FireSim) {}
+";
+
+#[test]
+fn layering_flags_upward_use() {
+    // firelib (layer 2) importing ess (layer 3) crosses the DAG upward.
+    assert_eq!(
+        shape_at("crates/firelib/src/fx.rs", LAYER_VIOLATING),
+        vec![(LAYER, 1, false)]
+    );
+}
+
+#[test]
+fn layering_skips_test_gated_use() {
+    assert_eq!(
+        shape_at("crates/firelib/src/fx.rs", LAYER_TEST_GATED),
+        vec![]
+    );
+}
+
+#[test]
+fn layering_accepts_downward_use() {
+    // ess (layer 3) importing firelib (layer 2) is the declared flow.
+    assert_eq!(shape_at("crates/ess/src/fx.rs", LAYER_DOWNWARD), vec![]);
+}
+
+#[test]
+fn layering_reserves_thread_spawn_to_parworker() {
+    let src = "\
+pub fn run() {
+    std::thread::spawn(|| {}).join().ok();
+}
+";
+    // Outside parworker the graph rule fires, and so does the token rule
+    // it shadows.
+    assert_eq!(
+        shape_at("crates/core/src/fx.rs", src),
+        vec![(LAYER, 2, false), (THREAD_SPAWN, 2, false)]
+    );
+    // The identical source inside parworker is the one sanctioned home.
+    assert_eq!(shape_at("crates/parworker/src/fx.rs", src), vec![]);
+}
+
+// ---------------------------------------------------------------- taint
+
+const TAINT_SOURCE: &str = "\
+use std::time::Instant;
+pub fn clock_probe() -> u64 {
+    let t = Instant::now();
+    t.elapsed().as_millis() as u64
+}
+";
+
+const TAINT_SOURCE_ALLOWED: &str = "\
+use std::time::Instant;
+pub fn clock_probe() -> u64 {
+    // lint: allow(taint) — fixture: telemetry reading, never fed back
+    let t = Instant::now();
+    t.elapsed().as_millis() as u64
+}
+";
+
+const TAINT_SINK: &str = "\
+use parworker::clock_probe;
+pub fn fitness_step() -> u64 {
+    clock_probe()
+}
+";
+
+/// The source in `parworker`, reachable from a deterministic crate.
+fn tainted(source: &str) -> Report {
+    analyze(
+        &[
+            ("crates/parworker/src/fx.rs", source),
+            ("crates/evoalg/src/fx.rs", TAINT_SINK),
+        ],
+        &[],
+    )
+}
+
+#[test]
+fn taint_flags_clock_reachable_from_deterministic_crate() {
+    let r = tainted(TAINT_SOURCE);
+    // The graph rule fires, and so does the token rule it shadows.
+    assert_eq!(shape(&r), vec![(TAINT, 3, false), (WALL_CLOCK, 3, false)]);
+    let witness = r.findings[0].witness.as_deref().unwrap_or("");
+    assert!(
+        witness.contains("fitness_step"),
+        "witness must name the deterministic sink: {witness:?}"
+    );
+}
+
+#[test]
+fn taint_allow_kills_at_the_source() {
+    // The allowed source stays on the audit trail but fails nothing; an
+    // allow speaks for its own rule only, so the clock read still owes
+    // the token rule a justification.
+    assert_eq!(
+        shape(&tainted(TAINT_SOURCE_ALLOWED)),
+        vec![(TAINT, 4, true), (WALL_CLOCK, 4, false)]
+    );
+}
+
+#[test]
+fn taint_without_deterministic_sink_is_clean() {
+    // A service-layer clock with no deterministic-crate caller: no taint.
+    assert_eq!(
+        shape_at("crates/service/src/fx.rs", TAINT_SOURCE),
+        vec![(WALL_CLOCK, 3, false)]
+    );
+}
+
+/// Allows for different rules stack over one code line in either order:
+/// both findings are justified and neither allow is stale.
+#[test]
+fn stacked_allows_resolve_in_either_order() {
+    let taint = "// lint: allow(taint) — fixture: telemetry reading, never fed back";
+    let clock = "// lint: allow(wall-clock) — fixture: the telemetry stopwatch";
+    for (upper, lower) in [(taint, clock), (clock, taint)] {
+        let source = format!(
+            "pub fn clock_probe() -> u64 {{\n    {upper}\n    {lower}\n    let t = \
+             Instant::now();\n    t.elapsed().as_millis() as u64\n}}\n"
+        );
+        let r = tainted(&source);
+        assert_eq!(shape(&r), vec![(TAINT, 4, true), (WALL_CLOCK, 4, true)]);
+        assert!(r.unallowed().is_empty());
+    }
+}
+
+// ----------------------------------------------------------------- meta
+
+#[test]
+fn stale_allow_is_a_finding() {
+    let src = "\
+pub fn fine() {
+    // lint: allow(panic) — fixture: nothing here panics any more
+    let x = 1 + 1;
+    let _ = x;
+}
+";
+    assert_eq!(
+        shape_at("crates/service/src/fx.rs", src),
+        vec![(UNUSED_ALLOW, 2, false)]
+    );
+}
+
+#[test]
+fn malformed_allow_is_a_finding() {
+    let src = "\
+pub fn fine() {
+    // lint: allow(panics) — misspelled rule name
+    let x = 1 + 1;
+    let _ = x;
+}
+";
+    assert_eq!(
+        shape_at("crates/service/src/fx.rs", src),
+        vec![(INVALID_ALLOW, 2, false)]
+    );
+}
+
+/// The retired prefix fails loudly, naming the spelling that works,
+/// instead of silently suppressing nothing.
+#[test]
+fn retired_audit_prefix_is_an_invalid_allow() {
+    let src = "// audit: allow(panic) — written out of habit\nfn f() {}\n";
+    let r = analyze(&[("crates/service/src/fx.rs", src)], &[]);
+    assert_eq!(shape(&r), vec![(INVALID_ALLOW, 1, false)]);
+    assert!(r.findings[0].message.contains("// lint: allow(<rule>)"));
+}
+
+// ------------------------------------------------------------ workspace
+
+/// The real workspace ships green: every finding fixed or carrying a
+/// justified allow, every panic-free root resolved, and the run is
+/// deterministic — two back-to-back runs serialize byte-identically.
+/// This is the invariant `harness lint` enforces in CI, pinned here so
+/// `cargo test` alone catches a regression.
+#[test]
+fn workspace_ships_green() -> Result<(), String> {
+    let root = lint::find_workspace_root().ok_or("workspace root not found")?;
+    let a = lint::analyze_workspace(&root).map_err(|e| e.to_string())?;
+    let unallowed: Vec<String> = a
+        .unallowed()
+        .iter()
+        .map(|f| format!("  {}:{} [{}] {}", f.file, f.line, f.rule, f.message))
+        .collect();
+    assert!(
+        unallowed.is_empty(),
+        "the workspace must ship green:\n{}",
+        unallowed.join("\n")
+    );
+    assert!(a.files_scanned > 50, "walk collapsed: {}", a.files_scanned);
+    assert_eq!(a.roots.len(), 7);
+    for rs in &a.roots {
+        assert!(
+            rs.resolved,
+            "panic-free root `{}` no longer resolves",
+            rs.root
+        );
+        assert!(rs.reachable > 0, "root `{}` reaches nothing", rs.root);
+    }
+    let b = lint::analyze_workspace(&root).map_err(|e| e.to_string())?;
+    assert_eq!(
+        a.to_json().to_pretty(),
+        b.to_json().to_pretty(),
+        "the report must be deterministic"
+    );
+    Ok(())
+}

@@ -7,15 +7,15 @@ use ess::cases;
 use ess::fitness::EvalBackend;
 use ess::pipeline::PredictionPipeline;
 use ess_benches::microbench::{bench, group};
-use ess_benches::Method;
+use ess_service::systems;
 use std::hint::black_box;
 
 fn main() {
     let case = cases::tiny_test_case();
     group("prediction_run (tiny case, 0.25x budget)");
-    for method in Method::ALL {
-        bench(method.name(), 10, || {
-            let mut opt = method.make(0.25);
+    for system in systems::all() {
+        bench(system.name, 10, || {
+            let mut opt = system.make(0.25);
             let pipeline = PredictionPipeline::new(EvalBackend::Serial, 7);
             black_box(pipeline.run(&case, opt.as_mut()).mean_quality())
         });

@@ -22,8 +22,7 @@
 //!   e9-inclusion E9       — result-set composition under drift
 //!   e10-noise   E10       — robustness to observation noise
 //!   serve                 — line-delimited JSON prediction service on stdin/stdout
-//!   lint                  — workspace source lint pass (+ LINT_findings.json)
-//!   audit                 — semantic audit: panic prover, layering DAG, determinism taint (+ AUDIT.json)
+//!   lint                  — static analysis: token rules, panic prover, layering DAG, determinism taint (+ ANALYSIS.json)
 //!   verify-invariants     — model checking + adversarial invariant suite (+ INVARIANTS.json)
 //! ```
 //!
@@ -134,7 +133,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4 (e3-speedup only)] [--backend serial|worker-pool:N|rayon:N] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--out DIR]".to_string()
+    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|serve|lint|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4 (e3-speedup only)] [--backend serial|worker-pool:N|rayon:N] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--out DIR]".to_string()
 }
 
 fn emit(args: &Args, id: &str, title: &str, table: &TextTable) {
@@ -174,9 +173,6 @@ fn main() -> ExitCode {
     }
     if args.experiment == "lint" {
         return lint_main(&args);
-    }
-    if args.experiment == "audit" {
-        return audit_main(&args);
     }
     if args.experiment == "verify-invariants" {
         return verify_main(&args);
@@ -327,83 +323,35 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `harness lint`: the workspace source pass. Prints every finding
-/// (allowed ones as the audit trail, unallowed ones as errors), writes
-/// `reports/LINT_findings.json`, and fails the process when any finding
-/// lacks a justified `// lint: allow(...)`.
+/// `harness lint`: the static-analysis pipeline — the token rules plus
+/// the panic-path prover, the machine-checked layer map and the
+/// determinism-taint pass over the workspace call graph. Prints every
+/// finding (allowed ones as the audit trail, unallowed ones as errors)
+/// and the per-root proof stats, writes `reports/ANALYSIS.json`, and
+/// fails the process when any finding lacks a justified
+/// `// lint: allow(...)`.
 fn lint_main(args: &Args) -> ExitCode {
     use ess_analysis::lint;
-    let root = match lint::find_workspace_root() {
-        Some(root) => root,
-        None => {
-            eprintln!("lint: no enclosing Cargo workspace found");
-            return ExitCode::FAILURE;
-        }
+    let Some(root) = lint::find_workspace_root() else {
+        eprintln!("lint: no enclosing Cargo workspace found");
+        return ExitCode::FAILURE;
     };
-    let report = match lint::lint_workspace(&root) {
+    let report = match lint::analyze_workspace(&root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("lint: scan failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let allowed = report.findings.iter().filter(|f| f.allowed).count();
     for f in &report.findings {
         if f.allowed {
             let reason = f.reason.as_deref().unwrap_or("");
             println!("allow  {}:{} [{}] {reason}", f.file, f.line, f.rule);
-        }
-    }
-    for f in report.unallowed() {
-        eprintln!("error  {}:{} [{}] {}", f.file, f.line, f.rule, f.message);
-    }
-    let path = args.out.join("LINT_findings.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&path, report.to_json().to_pretty()) {
-        Ok(()) => println!("[written {}]", path.display()),
-        Err(e) => eprintln!("[warn] could not write {}: {e}", path.display()),
-    }
-    let unallowed = report.unallowed().len();
-    println!(
-        "lint: {} files scanned, {allowed} allowed finding(s), {unallowed} unallowed",
-        report.files_scanned
-    );
-    if unallowed > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// `harness audit`: the semantic workspace auditor — panic-path prover
-/// over the call graph, machine-checked layer map, determinism taint,
-/// and the dead-API sweep. Prints every finding (allowed ones as the
-/// audit trail), writes `reports/AUDIT.json`, and fails the process when
-/// any finding lacks a justified `// audit: allow(...)`.
-fn audit_main(args: &Args) -> ExitCode {
-    use ess_analysis::audit;
-    let started = std::time::Instant::now();
-    let report = match audit::audit_current_workspace() {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("audit: scan failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let elapsed = started.elapsed();
-    let allowed = report.findings.iter().filter(|f| f.allowed).count();
-    for f in &report.findings {
-        if f.allowed {
-            let reason = f.reason.as_deref().unwrap_or("");
-            println!("allow  {}:{} [{}] {reason}", f.file, f.line, f.rule);
-        }
-    }
-    for f in report.unallowed() {
-        eprintln!("error  {}:{} [{}] {}", f.file, f.line, f.rule, f.message);
-        if let Some(witness) = &f.witness {
-            eprintln!("       via {witness}");
+        } else {
+            eprintln!("error  {}:{} [{}] {}", f.file, f.line, f.rule, f.message);
+            if let Some(witness) = &f.witness {
+                eprintln!("       via {witness}");
+            }
         }
     }
     for r in &report.roots {
@@ -412,7 +360,7 @@ fn audit_main(args: &Args) -> ExitCode {
             r.root, r.reachable, r.allowed_sites, r.unallowed_sites
         );
     }
-    let path = args.out.join("AUDIT.json");
+    let path = args.out.join("ANALYSIS.json");
     if let Some(parent) = path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
@@ -422,12 +370,11 @@ fn audit_main(args: &Args) -> ExitCode {
     }
     let unallowed = report.unallowed().len();
     println!(
-        "audit: {} files, {} symbols, {} call edges, {allowed} allowed finding(s), \
-         {unallowed} unallowed in {} ms",
+        "lint: {} files, {} symbols, {} call edges, {} allowed finding(s), {unallowed} unallowed",
         report.files_scanned,
         report.symbols,
         report.call_edges,
-        elapsed.as_millis()
+        report.findings.len() - unallowed
     );
     if unallowed > 0 {
         ExitCode::FAILURE

@@ -1,7 +1,6 @@
 //! The experiment implementations behind the `harness` binary — one
 //! function per table/figure of DESIGN.md §4.
 
-use crate::methods::Method;
 use ess::calibration::skign_search;
 use ess::cases::{self, BurnCase};
 use ess::fitness::{EvalBackend, ScenarioEvaluator, StepContext};
@@ -11,6 +10,7 @@ use ess::stages::statistical_stage_genomes;
 use ess_ns::{
     BehaviourSpace, EssNs, EssNsConfig, InclusionPolicy, NoveltyGa, NoveltyGaConfig, ScoringPolicy,
 };
+use ess_service::systems::{self, SystemSpec};
 use evoalg::benchmarks::{deceptive_trap, two_peaks};
 use evoalg::{BatchEvaluator, GaConfig, GaEngine};
 use firelib::sim::centre_ignition;
@@ -67,7 +67,9 @@ pub fn fig1_trace() -> String {
 
     // OS-Master / OS-Workers: fitness GA over scenarios (PV{1..n} → FS → FF).
     let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::WorkerPool(2));
-    let mut ess = Method::Ess.make(1.0);
+    let mut ess = systems::resolve("ESS")
+        .expect("ESS is a registered system")
+        .make(1.0);
     let outcome = ess.optimize(&mut evaluator, 1);
     out.push_str(&format!(
         "[OS]         PEA evolved {} generations; {} scenario evaluations scattered to 2 workers; best FF = {}\n",
@@ -120,7 +122,9 @@ pub fn fig2_kign() -> TextTable {
     let case = cases::grass_uniform();
     let ctx = step1_context(&case);
     let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Serial);
-    let mut essns = Method::EssNs.make(1.0);
+    let mut essns = systems::resolve("ESS-NS")
+        .expect("ESS-NS is a registered system")
+        .make(1.0);
     let outcome = essns.optimize(&mut evaluator, 2);
     let matrix = statistical_stage_genomes(&ctx, &outcome.result_set);
     let cal = skign_search(&matrix, &case.fire_lines[1], Some(&case.fire_lines[0]));
@@ -197,9 +201,9 @@ pub fn fig3_trace() -> String {
     out
 }
 
-/// Runs one method over one case for several seeds.
+/// Runs one system over one case for several seeds.
 pub fn run_replicates(
-    method: Method,
+    system: &SystemSpec,
     case: &BurnCase,
     seeds: &[u64],
     scale: f64,
@@ -208,7 +212,7 @@ pub fn run_replicates(
     seeds
         .iter()
         .map(|&seed| {
-            let mut opt = method.make(scale);
+            let mut opt = system.make(scale);
             PredictionPipeline::new(backend, seed).run(case, opt.as_mut())
         })
         .collect()
@@ -243,8 +247,8 @@ pub fn e1_quality(
     ]);
     for name in case_names {
         let case = cases::by_name(name).unwrap_or_else(|| panic!("unknown case {name}"));
-        for method in Method::ALL {
-            let reports = run_replicates(method, &case, seeds, scale, backend);
+        for system in systems::all() {
+            let reports = run_replicates(system, &case, seeds, scale, backend);
             // Per predicted instant: collect quality across seeds.
             let n_steps = reports[0].steps.len();
             for si in 0..n_steps {
@@ -258,7 +262,7 @@ pub fn e1_quality(
                     .collect();
                 t.row([
                     case.name.to_string(),
-                    method.name().to_string(),
+                    system.name.to_string(),
                     format!("t{}", reports[0].steps[si].step + 1),
                     f4(mean_of(&qs)),
                     f4(qs.iter().copied().fold(f64::INFINITY, f64::min)),
@@ -270,7 +274,7 @@ pub fn e1_quality(
             let means: Vec<f64> = reports.iter().map(RunReport::mean_quality).collect();
             t.row([
                 case.name.to_string(),
-                method.name().to_string(),
+                system.name.to_string(),
                 "mean".to_string(),
                 f4(mean_of(&means)),
                 f4(means.iter().copied().fold(f64::INFINITY, f64::min)),
@@ -304,8 +308,8 @@ pub fn e2_diversity(
     ]);
     for name in case_names {
         let case = cases::by_name(name).unwrap_or_else(|| panic!("unknown case {name}"));
-        for method in Method::ALL {
-            let reports = run_replicates(method, &case, seeds, scale, backend);
+        for system in systems::all() {
+            let reports = run_replicates(system, &case, seeds, scale, backend);
             let mut pair = Vec::new();
             let mut gstd = Vec::new();
             let mut dfrac = Vec::new();
@@ -319,13 +323,13 @@ pub fn e2_diversity(
             // Fitness IQR of the result set on the first step of the first
             // seed (re-evaluated): spread of the *scores* in the set.
             let ctx = step1_context(&case);
-            let mut opt = method.make(scale);
+            let mut opt = system.make(scale);
             let mut ev = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Serial);
             let out = opt.optimize(&mut ev, seeds[0]);
             let fits = ev.evaluate(&out.result_set);
             t.row([
                 case.name.to_string(),
-                method.name().to_string(),
+                system.name.to_string(),
                 f4(mean_of(&pair)),
                 f4(mean_of(&gstd)),
                 f4(mean_of(&dfrac)),
@@ -360,7 +364,9 @@ fn speedup_context() -> Arc<StepContext> {
 pub fn e3_speedup(worker_counts: &[usize]) -> TextTable {
     let ctx = speedup_context();
     let run_with = |backend: EvalBackend| -> f64 {
-        let mut opt = Method::EssNs.make(1.0);
+        let mut opt = systems::resolve("ESS-NS")
+            .expect("ESS-NS is a registered system")
+            .make(1.0);
         let mut ev = ScenarioEvaluator::new(Arc::clone(&ctx), backend);
         let sw = Stopwatch::start();
         let _ = opt.optimize(&mut ev, 99);
@@ -824,9 +830,9 @@ pub fn e10_noise(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
         "mean_quality",
         "quality_drop_vs_clean",
     ]);
-    let mut clean_quality: Vec<(Method, f64)> = Vec::new();
+    let mut clean_quality: Vec<(&str, f64)> = Vec::new();
     for &flip in &[0.0, 0.10, 0.25] {
-        for method in Method::ALL {
+        for system in systems::all() {
             let mut qualities = Vec::new();
             for &seed in seeds {
                 let case = if flip > 0.0 {
@@ -834,21 +840,21 @@ pub fn e10_noise(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
                 } else {
                     clean.clone()
                 };
-                let mut opt = method.make(scale);
+                let mut opt = system.make(scale);
                 let r = PredictionPipeline::new(backend, seed).run(&case, opt.as_mut());
                 qualities.push(r.mean_quality());
             }
             let q = mean_of(&qualities);
             if flip == 0.0 {
-                clean_quality.push((method, q));
-                t.row([f2(flip), method.name().to_string(), f4(q), "-".to_string()]);
+                clean_quality.push((system.name, q));
+                t.row([f2(flip), system.name.to_string(), f4(q), "-".to_string()]);
             } else {
                 let base = clean_quality
                     .iter()
-                    .find(|(m, _)| *m == method)
+                    .find(|(name, _)| *name == system.name)
                     .map(|&(_, q0)| q0)
                     .unwrap_or(q);
-                t.row([f2(flip), method.name().to_string(), f4(q), f4(base - q)]);
+                t.row([f2(flip), system.name.to_string(), f4(q), f4(base - q)]);
             }
         }
     }

@@ -11,8 +11,5 @@
 //! choice only moves wall time.
 
 pub mod experiments;
-pub mod methods;
 pub mod microbench;
 pub mod smoke;
-
-pub use methods::{comparable_methods, Method};

@@ -67,7 +67,7 @@ fn smoke_transcript(
     let err = |e: ClientError| format!("smoke client: {e}");
     let (req_w, req_r) = duplex();
     let (resp_w, resp_r) = duplex();
-    // audit: allow(layer) — bench-only client/server harness threads; no evaluation work runs on them
+    // lint: allow(layer) — bench-only client/server harness threads; no evaluation work runs on them
     // lint: allow(thread-spawn) — smoke test hosts the serve loop on its own thread
     let server = thread::spawn(move || {
         serve_with(

@@ -32,3 +32,20 @@ fn retired_kernel_flag_is_an_unknown_flag() {
     assert!(stderr.starts_with("unknown flag --kernel\n"), "{stderr}");
     assert!(out.stdout.is_empty(), "no table was started");
 }
+
+#[test]
+fn retired_audit_subcommand_is_an_unknown_experiment() {
+    // The graph passes run under `harness lint`; there is no alias.
+    let out = Command::new(env!("CARGO_BIN_EXE_harness"))
+        .arg("audit")
+        .output()
+        .expect("harness binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("unknown experiment 'audit'\nusage: harness <"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("|audit|"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing ran");
+}

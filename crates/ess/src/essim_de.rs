@@ -250,7 +250,7 @@ impl StepOptimizer for EssimDe {
             .enumerate()
             .max_by(|(_, a), (_, b)| a.stats().best_fitness.total_cmp(&b.stats().best_fitness))
             .map(|(i, _)| i)
-            // audit: allow(panic) — island count is a positive compile-time constant of the topology
+            // lint: allow(panic) — island count is a positive compile-time constant of the topology
             .expect("at least one island");
 
         // Diversity-injected result set: elite members plus uniform draws

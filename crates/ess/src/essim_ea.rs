@@ -163,7 +163,7 @@ impl StepOptimizer for EssimEa {
             .enumerate()
             .max_by(|(_, a), (_, b)| a.stats().best_fitness.total_cmp(&b.stats().best_fitness))
             .map(|(i, _)| i)
-            // audit: allow(panic) — island count is a positive compile-time constant of the topology
+            // lint: allow(panic) — island count is a positive compile-time constant of the topology
             .expect("at least one island");
         let evaluations: u64 = islands.iter().map(|i| i.evaluations()).sum();
         OptimizeOutcome {

@@ -226,7 +226,7 @@ impl ArenaCache {
             Some(i) => &mut self.arenas[i].1,
             None => {
                 self.arenas.push(((rows, cols), SimArena::new(rows, cols)));
-                // audit: allow(panic) — last_mut() on the vec the previous line pushed into
+                // lint: allow(panic) — last_mut() on the vec the previous line pushed into
                 &mut self.arenas.last_mut().expect("just pushed").1
             }
         }
@@ -332,7 +332,7 @@ impl SharedScenarioPool {
     /// which loses to inline execution at typical per-step batch sizes.
     /// Both paths run the same pure work function in the same order, so
     /// results are bit-identical.
-    // audit: allow(panic) — pool-lock poisoning only follows a worker panic; amplifying it is the designed failure mode
+    // lint: allow(panic) — pool-lock poisoning only follows a worker panic; amplifying it is the designed failure mode
     pub fn evaluate_matrix(&self, ctx: &Arc<StepContext>, genomes: &GenomeMatrix) -> Vec<f64> {
         if genomes.len() <= self.inline_threshold() {
             let mut cache = self.fallback.lock().expect(POOL_POISONED);
@@ -357,7 +357,7 @@ impl SharedScenarioPool {
     ///
     /// # Panics
     /// Panics when the batches disagree on genome dimension.
-    // audit: allow(panic) — pool-lock poisoning only follows a worker panic; amplifying it is the designed failure mode
+    // lint: allow(panic) — pool-lock poisoning only follows a worker panic; amplifying it is the designed failure mode
     pub fn evaluate_fused(&self, batches: &[(Arc<StepContext>, &GenomeMatrix)]) -> Vec<Vec<f64>> {
         let total: usize = batches.iter().map(|(_, g)| g.len()).sum();
         let flat: Vec<f64> = if total <= self.inline_threshold() {

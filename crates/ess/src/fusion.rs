@@ -95,11 +95,11 @@ impl Backend<Vec<f64>, f64> for FusionLane {
                 genomes,
                 reply: reply_tx,
             })
-            // audit: allow(panic) — the coordinator outlives every lane by scope construction; a hangup means a coordinator panic, which must propagate
+            // lint: allow(panic) — the coordinator outlives every lane by scope construction; a hangup means a coordinator panic, which must propagate
             .expect("fusion coordinator hung up before the round finished");
         reply_rx
             .recv()
-            // audit: allow(panic) — the coordinator replies to every parked batch or panics; dropping a reply must propagate, not deadlock
+            // lint: allow(panic) — the coordinator replies to every parked batch or panics; dropping a reply must propagate, not deadlock
             .expect("fusion coordinator dropped a pending reply")
     }
 

@@ -145,8 +145,8 @@ impl BehaviourMatrix {
         m
     }
 
-    /// The nested-rows projection (compatibility with the deprecated
-    /// `Vec<Vec<f64>>` shape).
+    /// The nested-rows projection: the reference shape the kNN and
+    /// archive tests compare the flat matrix against.
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.rows().map(<[f64]>::to_vec).collect()
     }

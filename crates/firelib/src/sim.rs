@@ -300,7 +300,7 @@ impl BucketQueue {
         }
         self.len -= 1;
         let top = self.cur[0];
-        // audit: allow(panic) — pop() is only entered with len > 0, and the refill above just moved a bucket into cur
+        // lint: allow(panic) — pop() is only entered with len > 0, and the refill above just moved a bucket into cur
         let last = self.cur.pop().expect("cur is non-empty");
         if !self.cur.is_empty() {
             self.cur[0] = last;
@@ -728,7 +728,7 @@ impl SimArena {
     pub fn map(&self) -> &IgnitionMap {
         self.out
             .as_ref()
-            // audit: allow(panic) — documented `# Panics` contract: reading an arena before any run is caller error, pinned by the arena property suite
+            // lint: allow(panic) — documented `# Panics` contract: reading an arena before any run is caller error, pinned by the arena property suite
             .expect("SimArena::map: no simulation has run in this arena yet")
     }
 

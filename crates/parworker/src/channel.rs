@@ -70,7 +70,7 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
 
 impl<T> Sender<T> {
     /// Enqueues `value`; never blocks. Errors when all receivers dropped.
-    // audit: allow(panic) — channel lock poisoning only follows a worker panic; amplifying it is the pool's designed failure mode
+    // lint: allow(panic) — channel lock poisoning only follows a worker panic; amplifying it is the pool's designed failure mode
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let mut state = self.inner.state.lock().expect("channel lock poisoned");
         if state.receivers == 0 {
@@ -84,7 +84,7 @@ impl<T> Sender<T> {
 }
 
 impl<T> Clone for Sender<T> {
-    // audit: allow(panic) — channel lock poisoning only follows a worker panic; amplifying it is the pool's designed failure mode
+    // lint: allow(panic) — channel lock poisoning only follows a worker panic; amplifying it is the pool's designed failure mode
     fn clone(&self) -> Self {
         self.inner
             .state
@@ -111,7 +111,7 @@ impl<T> Drop for Sender<T> {
 
 impl<T> Receiver<T> {
     /// Blocks until a value arrives or every sender is gone.
-    // audit: allow(panic) — channel lock poisoning only follows a worker panic; amplifying it is the pool's designed failure mode
+    // lint: allow(panic) — channel lock poisoning only follows a worker panic; amplifying it is the pool's designed failure mode
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut state = self.inner.state.lock().expect("channel lock poisoned");
         loop {
@@ -127,7 +127,7 @@ impl<T> Receiver<T> {
 }
 
 impl<T> Clone for Receiver<T> {
-    // audit: allow(panic) — channel lock poisoning only follows a worker panic; amplifying it is the pool's designed failure mode
+    // lint: allow(panic) — channel lock poisoning only follows a worker panic; amplifying it is the pool's designed failure mode
     fn clone(&self) -> Self {
         self.inner
             .state

@@ -140,7 +140,7 @@ where
 /// Panics when `workers == 0` or `chunk_size == 0`, and re-raises a panic
 /// from `f` (first payload wins; remaining workers stop at the next chunk
 /// boundary).
-// audit: allow(panic) — bag/slot poisoning only follows a worker panic; re-raising the first payload is the documented contract
+// lint: allow(panic) — bag/slot poisoning only follows a worker panic; re-raising the first payload is the documented contract
 pub fn scoped_for_each_mut<T, F>(workers: usize, items: &mut [T], chunk_size: usize, f: F)
 where
     T: Send,

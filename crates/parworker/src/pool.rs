@@ -38,7 +38,7 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
     ///
     /// # Panics
     /// Panics when `workers == 0`.
-    // audit: allow(panic) — spawn failure and channel hangup only follow OS exhaustion or a worker panic; amplifying them is the pool's designed failure mode
+    // lint: allow(panic) — spawn failure and channel hangup only follow OS exhaustion or a worker panic; amplifying them is the pool's designed failure mode
     pub fn new<S, F, W>(workers: usize, state_factory: F, work: W) -> Self
     where
         S: Send + 'static,
@@ -71,7 +71,7 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
                         // The receive loop ends when every Sender is
                         // dropped (pool shutdown).
                         while let Ok((idx, task)) = task_rx.recv() {
-                            // audit: allow(taint) — per-task busy-time telemetry; readings are reported, never fed back into results
+                            // lint: allow(taint) — per-task busy-time telemetry; readings are reported, never fed back into results
                             // lint: allow(wall-clock) — per-task busy-time telemetry; never feeds back into results
                             let t = Instant::now();
                             // Catch panics so a crashing work function
@@ -115,7 +115,7 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
     /// # Panics
     /// Re-raises the first panic a worker's work function raised (the pool
     /// is then poisoned and must not be reused).
-    // audit: allow(panic) — hangup/poisoning only follow a worker panic; re-raising it here is the pool's designed failure mode
+    // lint: allow(panic) — hangup/poisoning only follow a worker panic; re-raising it here is the pool's designed failure mode
     pub fn map(&mut self, tasks: Vec<T>) -> Vec<R> {
         assert!(
             !self.poisoned,

@@ -51,7 +51,7 @@ impl<T: Send + 'static, R: Send + 'static> StealPool<T, R> {
     ///
     /// # Panics
     /// Panics when `workers == 0`.
-    // audit: allow(panic) — spawn failure and lock poisoning only follow OS exhaustion or a worker panic; amplifying them is the pool's designed failure mode
+    // lint: allow(panic) — spawn failure and lock poisoning only follow OS exhaustion or a worker panic; amplifying them is the pool's designed failure mode
     pub fn new<S, F, W>(workers: usize, state_factory: F, work: W) -> Self
     where
         S: Send + 'static,
@@ -148,7 +148,7 @@ impl<T: Send + 'static, R: Send + 'static> StealPool<T, R> {
     /// # Panics
     /// Re-raises the first panic a worker's work function raised (the pool
     /// is then poisoned and must not be reused).
-    // audit: allow(panic) — lock poisoning only follows a worker panic; re-raising it here is the pool's designed failure mode
+    // lint: allow(panic) — lock poisoning only follows a worker panic; re-raising it here is the pool's designed failure mode
     pub fn map(&mut self, tasks: Vec<T>) -> Vec<R> {
         assert!(
             !self.poisoned,

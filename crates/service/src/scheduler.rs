@@ -331,7 +331,7 @@ impl Scheduler {
             let lane_count = lanes.len();
             let (tx, rx) = std::sync::mpsc::channel();
             let (report_tx, report_rx) = std::sync::mpsc::channel();
-            // audit: allow(layer) — fused-round lanes are scoped threads joined before the round returns; evaluation still flows through the shared pool
+            // lint: allow(layer) — fused-round lanes are scoped threads joined before the round returns; evaluation still flows through the shared pool
             std::thread::scope(|scope| {
                 for (slot, session) in lanes {
                     let lane = tx.clone();
@@ -375,7 +375,7 @@ impl Scheduler {
                     let (step, elapsed) = stepped
                         .get_mut(slot)
                         .and_then(Option::take)
-                        // audit: allow(panic) — a missing lane report only follows a lane-thread panic mid-step; amplifying it is the designed failure mode
+                        // lint: allow(panic) — a missing lane report only follows a lane-thread panic mid-step; amplifying it is the designed failure mode
                         .expect("a planned Ready step always produces a report");
                     match self.live.get_mut(live_idx) {
                         Some(entry) => entry.1.complete_step(step, elapsed),
