@@ -1,8 +1,9 @@
 //! E4 — fire simulator kernel throughput: one full propagation per
 //! (grid size × fuel model), the cost model underneath every other
-//! experiment — plus the SimArena acceptance benchmark: the arena hot path
-//! against an emulation of the pre-arena per-cell evaluation on the
-//! 200×200 corpus workload.
+//! experiment (the one copy of that loop: the harness writes exact
+//! artifacts only) — plus the SimArena acceptance benchmark: the arena
+//! hot path against an emulation of the pre-arena per-cell evaluation on
+//! the 200×200 corpus workload.
 
 use ess_benches::microbench::{bench, group};
 use firelib::sim::centre_ignition;

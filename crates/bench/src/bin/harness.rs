@@ -3,32 +3,19 @@
 //! `reports/`.
 //!
 //! ```text
-//! harness <experiment|all> [--seeds N] [--scale F] [--cases a,b]
+//! harness <experiment|all|tool> [--seeds N] [--scale F] [--cases a,b]
 //!         [--backend serial|worker-pool:N|rayon:N] [--out DIR]
-//!
-//! experiments:
-//!   table1      Table I   — fireLib parameter space
-//!   fig1-trace  Fig. 1    — ESS dataflow trace
-//!   fig2-kign   Fig. 2    — SKign calibration curve
-//!   fig3-trace  Fig. 3    — ESS-NS dataflow trace (NS blocks visible)
-//!   e1-quality  E1        — quality per step, per case, per method
-//!   e2-diversity E2       — result-set diversity per method
-//!   e3-speedup  E3        — Master/Worker + rayon scaling
-//!   e4-throughput E4      — simulator throughput
-//!   e5-deceptive E5       — NS vs fitness GA on deceptive functions
-//!   e6-tuning   E6        — ESSIM-DE tuning operators
-//!   e7-hybrid   E7        — weighted fitness/novelty ablation
-//!   e8-ablation E8        — k / archive / bestSet / behaviour ablation
-//!   e9-inclusion E9       — result-set composition under drift
-//!   e10-noise   E10       — robustness to observation noise
-//!   serve                 — line-delimited JSON prediction service on stdin/stdout
-//!   lint                  — static analysis: token rules, panic prover, layering DAG, determinism taint (+ ANALYSIS.json)
-//!   verify-invariants     — model checking + adversarial invariant suite (+ INVARIANTS.json)
 //! ```
 //!
-//! `all` regenerates every paper artifact (table1 … e10). The engine
-//! itself is timed in one place, the `benchmark/` package
-//! (`BENCHMARK.json`), not here.
+//! The experiments are the rows of [`EXPERIMENTS`] and the tools (`serve`,
+//! `lint`, `verify-invariants`) the rows of [`TOOLS`]; running `harness`
+//! with no argument prints both lists, derived from those tables.
+//!
+//! `all` regenerates every paper artifact (table1 … e10). Every one of
+//! them is exact — nothing the harness writes depends on a clock, so the
+//! same command gives the same bytes twice and on any `--backend`. The
+//! engine itself is timed in one place, the `benchmark/` package
+//! (`BENCHMARK.json`), and by the `cargo bench` microbenchmarks, not here.
 //!
 //! `serve` turns the harness into a prediction server: each stdin line is
 //! a protocol-v2 JSON request (`{"v":2,"id":N,"kind":"run",...}`, with
@@ -43,20 +30,117 @@
 //!
 //! `--scale` shrinks every per-step evaluation budget proportionally
 //! (default 1.0); `--seeds` sets the replicate count (default 3);
-//! `--backend` selects the scenario-evaluation backend for the
-//! pipeline-driven experiments (results are backend-independent — every
-//! backend produces bit-identical fitness values — so this only changes
-//! wall time; default `serial`) and the pool `serve` shares among its
-//! sessions — where a run executes is a per-process setting, never part
-//! of a request; `--workers` lists the
-//! worker counts E3 scales over (default `2,4`; nothing else reads it);
-//! `--quick` shrinks `verify-invariants` to its CI budget.
+//! `--cases` is the task axis of E1 and E2 (E6–E10 declare their own);
+//! `--backend` selects the one pool the process evaluates on — every
+//! trial of the experiment plan, or every session `serve` accepts (results
+//! are backend-independent — every backend produces bit-identical fitness
+//! values — so this only changes wall time; default `serial`); where a run
+//! executes is a per-process setting, never part of a request; `--quick`
+//! shrinks `verify-invariants` to its CI budget.
 
 use ess::fitness::EvalBackend;
 use ess::report::TextTable;
-use ess_benches::experiments as exp;
+use ess_benches::experiments::{self as exp, Plan};
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// What an experiment produces: a table (printed aligned, written as
+/// CSV) or a narrated trace (printed and written as text).
+enum Artifact {
+    Table(TextTable),
+    Text(String),
+}
+use Artifact::{Table, Text};
+
+/// An experiment's body: the plan every experiment of the invocation
+/// shares, and the `--cases` list (only E1 and E2 read it).
+type Run = fn(&Plan, &[&str]) -> Artifact;
+
+/// Every paper artifact: id (also the output file's stem), title, body.
+/// `all` runs them top to bottom.
+const EXPERIMENTS: &[(&str, &str, Run)] = &[
+    (
+        "table1",
+        "Table I — fireLib scenario parameters",
+        |_, _| Table(exp::table1()),
+    ),
+    ("fig1-trace", "Fig. 1 — ESS dataflow trace", |_, _| {
+        Text(exp::fig1_trace())
+    }),
+    (
+        "fig2-kign",
+        "Fig. 2 — SKign calibration curve",
+        |plan, _| Table(exp::fig2_kign(plan)),
+    ),
+    (
+        "fig3-trace",
+        "Fig. 3 — ESS-NS dataflow trace (NS blocks visible)",
+        |_, _| Text(exp::fig3_trace()),
+    ),
+    (
+        "e1-quality",
+        "E1 — prediction quality per step (Jaccard), per case and method",
+        |plan, cases| Table(exp::e1_quality(plan, cases)),
+    ),
+    (
+        "e2-diversity",
+        "E2 — diversity of the result set fed to the Statistical Stage",
+        |plan, cases| Table(exp::e2_diversity(plan, cases)),
+    ),
+    (
+        "e5-deceptive",
+        "E5 — NS-GA vs fitness GA on deceptive landscapes",
+        |plan, _| Table(exp::e5_deceptive(&plan.seeds)),
+    ),
+    (
+        "e6-tuning",
+        "E6 — effect of the ESSIM-DE tuning operators",
+        |plan, _| Table(exp::e6_tuning(plan)),
+    ),
+    (
+        "e7-hybrid",
+        "E7 — weighted fitness/novelty scoring ablation",
+        |plan, _| Table(exp::e7_hybrid(plan)),
+    ),
+    (
+        "e8-ablation",
+        "E8 — NS hyper-parameter ablation (k, archive, bestSet, behaviour)",
+        |plan, _| Table(exp::e8_ablation(plan)),
+    ),
+    (
+        "e9-inclusion",
+        "E9 — result-set composition under a drifting truth",
+        |plan, _| Table(exp::e9_inclusion(plan)),
+    ),
+    (
+        "e10-noise",
+        "E10 — robustness to observation noise on the fire lines",
+        |plan, _| Table(exp::e10_noise(plan)),
+    ),
+];
+
+/// A tool's entry point; an `Err` is printed on stderr and exits 1.
+type Tool = fn(&Args) -> Result<(), String>;
+
+/// The prediction server and the correctness tools: not experiments, so
+/// `all` leaves them out.
+const TOOLS: &[(&str, &str, Tool)] = &[
+    (
+        "serve",
+        "line-delimited JSON prediction service on stdin/stdout",
+        serve_main,
+    ),
+    (
+        "lint",
+        "static analysis: token rules, panic prover, layering DAG, determinism taint (+ ANALYSIS.json)",
+        lint_main,
+    ),
+    (
+        "verify-invariants",
+        "model checking + adversarial invariant suite (+ INVARIANTS.json)",
+        verify_main,
+    ),
+];
 
 struct Args {
     experiment: String,
@@ -64,7 +148,6 @@ struct Args {
     scale: f64,
     cases: Vec<String>,
     out: PathBuf,
-    workers: Vec<usize>,
     backend: EvalBackend,
     policy: ess_service::PolicyKind,
     quick: bool,
@@ -87,7 +170,6 @@ fn parse_args() -> Result<Args, String> {
             "two_ridge".into(),
         ],
         out: PathBuf::from("reports"),
-        workers: vec![2, 4],
         backend: EvalBackend::Serial,
         policy: ess_service::PolicyKind::RoundRobin,
         quick: false,
@@ -114,213 +196,111 @@ fn parse_args() -> Result<Args, String> {
             "--quick" => args.quick = true,
             "--fused" => args.fused = true,
             "--self-test" => args.self_test = true,
-            "--workers" => {
-                args.workers = value()?
-                    .split(',')
-                    .map(|w| w.parse().map_err(|e| format!("--workers: {e}")))
-                    .collect::<Result<_, _>>()?
-            }
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
     if args.seeds == 0 {
         return Err("--seeds must be positive".into());
     }
-    if args.workers.contains(&0) {
-        return Err("--workers must be positive".into());
+    // The wire's rule (`RunSpec::validate`): a non-positive or NaN scale
+    // would silently run every system at the 4-genome floor.
+    if !(args.scale.is_finite() && args.scale > 0.0) {
+        return Err(format!(
+            "--scale must be a positive, finite number (got {})",
+            args.scale
+        ));
     }
     Ok(args)
 }
 
+/// The usage text: one synopsis line, then every experiment and tool with
+/// its title — all derived from [`EXPERIMENTS`] and [`TOOLS`].
 fn usage() -> String {
-    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|serve|lint|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4 (e3-speedup only)] [--backend serial|worker-pool:N|rayon:N] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--out DIR]".to_string()
+    let ids = EXPERIMENTS.iter().map(|(id, ..)| *id);
+    let tools = TOOLS.iter().map(|(id, ..)| *id);
+    let names: Vec<&str> = ids.chain(["all"]).chain(tools).collect();
+    let mut text = format!(
+        "usage: harness <{}> [--seeds N] [--scale F] [--cases a,b (E1 and E2 only; E6-E10 declare their own cases)] [--backend serial|worker-pool:N|rayon:N] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--out DIR]",
+        names.join("|")
+    );
+    let titles = EXPERIMENTS.iter().map(|(id, title, _)| (id, title));
+    for (id, title) in titles.chain(TOOLS.iter().map(|(id, title, _)| (id, title))) {
+        text.push_str(&format!("\n  {id:<18} {title}"));
+    }
+    text
 }
 
-fn emit(args: &Args, id: &str, title: &str, table: &TextTable) {
-    println!("== {id}: {title} ==\n");
-    println!("{}", table.render());
-    let path = args.out.join(format!("{id}.csv"));
-    match table.write_csv(&path) {
-        Ok(()) => println!("[written {}]\n", path.display()),
-        Err(e) => eprintln!("[warn] could not write {}: {e}\n", path.display()),
+/// Writes `contents` to `<--out>/<name>`, creating the directory. A report
+/// that cannot be written is a warning: stdout already carries it.
+fn write_out(args: &Args, name: &str, contents: &str) {
+    let path = args.out.join(name);
+    let written = std::fs::create_dir_all(&args.out).and_then(|()| std::fs::write(&path, contents));
+    match written {
+        Ok(()) => println!("[written {}]", path.display()),
+        Err(e) => eprintln!("[warn] could not write {}: {e}", path.display()),
     }
 }
 
-fn emit_text(args: &Args, id: &str, text: &str) {
-    println!("{text}");
-    let path = args.out.join(format!("{id}.txt"));
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
+fn emit(args: &Args, id: &str, title: &str, artifact: &Artifact) {
+    match artifact {
+        Table(table) => {
+            println!("== {id}: {title} ==\n\n{}", table.render());
+            write_out(args, &format!("{id}.csv"), &table.to_csv());
+        }
+        Text(text) => {
+            println!("{text}");
+            write_out(args, &format!("{id}.txt"), text);
+        }
     }
-    match std::fs::write(&path, text) {
-        Ok(()) => println!("[written {}]\n", path.display()),
-        Err(e) => eprintln!("[warn] could not write {}: {e}\n", path.display()),
-    }
+    println!();
 }
 
+/// The one place an error becomes a stderr message and exit 1.
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args().and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    // The prediction server and the correctness tools: not experiments,
-    // so they dispatch first.
-    if args.experiment == "serve" {
-        return serve_main(&args);
     }
-    if args.experiment == "lint" {
-        return lint_main(&args);
-    }
-    if args.experiment == "verify-invariants" {
-        return verify_main(&args);
-    }
+}
 
+fn run(args: &Args) -> Result<(), String> {
+    if let Some((.., tool)) = TOOLS.iter().find(|(id, ..)| *id == args.experiment) {
+        return tool(args);
+    }
+    let wanted: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(id, ..)| args.experiment == *id || args.experiment == "all")
+        .collect();
+    if wanted.is_empty() {
+        return Err(format!(
+            "unknown experiment '{}'\n{}",
+            args.experiment,
+            usage()
+        ));
+    }
     // Misspelled case names fail up front with a one-line error naming the
     // valid set, instead of panicking mid-experiment or silently skipping.
-    if let Some(unknown) = args
-        .cases
+    let cases: Vec<&str> = args.cases.iter().map(String::as_str).collect();
+    if let Some(unknown) = cases
         .iter()
         .find(|name| ess::cases::by_name(name).is_none())
     {
-        eprintln!(
+        return Err(format!(
             "{}\navailable cases: {}",
-            ess::ServiceError::UnknownCase(unknown.clone()),
+            ess::ServiceError::UnknownCase(unknown.to_string()),
             ess::cases::case_names().join(", ")
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-
-    let seeds: Vec<u64> = (0..args.seeds as u64).map(|i| 1000 + i).collect();
-    let case_refs: Vec<&str> = args.cases.iter().map(String::as_str).collect();
-
-    let mut ran = false;
-    let want = |id: &str| args.experiment == id || args.experiment == "all";
-
-    if want("table1") {
-        emit(
-            &args,
-            "table1",
-            "Table I — fireLib scenario parameters",
-            &exp::table1(),
-        );
-        ran = true;
+    // The one pool of the process: every trial of every experiment below
+    // evaluates on it.
+    let plan = Plan::new(args.backend, args.seeds, args.scale);
+    for (id, title, run) in wanted {
+        emit(args, id, title, &run(&plan, &cases));
     }
-    if want("fig1-trace") {
-        emit_text(&args, "fig1-trace", &exp::fig1_trace());
-        ran = true;
-    }
-    if want("fig2-kign") {
-        emit(
-            &args,
-            "fig2-kign",
-            "Fig. 2 — SKign calibration curve",
-            &exp::fig2_kign(),
-        );
-        ran = true;
-    }
-    if want("fig3-trace") {
-        emit_text(&args, "fig3-trace", &exp::fig3_trace());
-        ran = true;
-    }
-    if want("e1-quality") {
-        emit(
-            &args,
-            "e1-quality",
-            "E1 — prediction quality per step (Jaccard), per case and method",
-            &exp::e1_quality(&seeds, args.scale, &case_refs, args.backend),
-        );
-        ran = true;
-    }
-    if want("e2-diversity") {
-        emit(
-            &args,
-            "e2-diversity",
-            "E2 — diversity of the result set fed to the Statistical Stage",
-            &exp::e2_diversity(&seeds, args.scale, &case_refs, args.backend),
-        );
-        ran = true;
-    }
-    if want("e3-speedup") {
-        emit(
-            &args,
-            "e3-speedup",
-            "E3 — Optimization Stage scaling by backend and worker count",
-            &exp::e3_speedup(&args.workers),
-        );
-        ran = true;
-    }
-    if want("e4-throughput") {
-        emit(
-            &args,
-            "e4-throughput",
-            "E4 — fire simulator throughput",
-            &exp::e4_throughput(),
-        );
-        ran = true;
-    }
-    if want("e5-deceptive") {
-        emit(
-            &args,
-            "e5-deceptive",
-            "E5 — NS-GA vs fitness GA on deceptive landscapes",
-            &exp::e5_deceptive(&seeds),
-        );
-        ran = true;
-    }
-    if want("e6-tuning") {
-        emit(
-            &args,
-            "e6-tuning",
-            "E6 — effect of the ESSIM-DE tuning operators",
-            &exp::e6_tuning(&seeds, args.scale, args.backend),
-        );
-        ran = true;
-    }
-    if want("e7-hybrid") {
-        emit(
-            &args,
-            "e7-hybrid",
-            "E7 — weighted fitness/novelty scoring ablation",
-            &exp::e7_hybrid(&seeds, args.scale, args.backend),
-        );
-        ran = true;
-    }
-    if want("e8-ablation") {
-        emit(
-            &args,
-            "e8-ablation",
-            "E8 — NS hyper-parameter ablation (k, archive, bestSet, behaviour)",
-            &exp::e8_ablation(&seeds, args.scale, args.backend),
-        );
-        ran = true;
-    }
-    if want("e9-inclusion") {
-        emit(
-            &args,
-            "e9-inclusion",
-            "E9 — result-set composition under a drifting truth",
-            &exp::e9_inclusion(&seeds, args.scale, args.backend),
-        );
-        ran = true;
-    }
-    if want("e10-noise") {
-        emit(
-            &args,
-            "e10-noise",
-            "E10 — robustness to observation noise on the fire lines",
-            &exp::e10_noise(&seeds, args.scale, args.backend),
-        );
-        ran = true;
-    }
-
-    if !ran {
-        eprintln!("unknown experiment '{}'\n{}", args.experiment, usage());
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `harness lint`: the static-analysis pipeline — the token rules plus
@@ -330,19 +310,10 @@ fn main() -> ExitCode {
 /// and the per-root proof stats, writes `reports/ANALYSIS.json`, and
 /// fails the process when any finding lacks a justified
 /// `// lint: allow(...)`.
-fn lint_main(args: &Args) -> ExitCode {
+fn lint_main(args: &Args) -> Result<(), String> {
     use ess_analysis::lint;
-    let Some(root) = lint::find_workspace_root() else {
-        eprintln!("lint: no enclosing Cargo workspace found");
-        return ExitCode::FAILURE;
-    };
-    let report = match lint::analyze_workspace(&root) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("lint: scan failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let root = lint::find_workspace_root().ok_or("lint: no enclosing Cargo workspace found")?;
+    let report = lint::analyze_workspace(&root).map_err(|e| format!("lint: scan failed: {e}"))?;
     for f in &report.findings {
         if f.allowed {
             let reason = f.reason.as_deref().unwrap_or("");
@@ -360,14 +331,7 @@ fn lint_main(args: &Args) -> ExitCode {
             r.root, r.reachable, r.allowed_sites, r.unallowed_sites
         );
     }
-    let path = args.out.join("ANALYSIS.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&path, report.to_json().to_pretty()) {
-        Ok(()) => println!("[written {}]", path.display()),
-        Err(e) => eprintln!("[warn] could not write {}: {e}", path.display()),
-    }
+    write_out(args, "ANALYSIS.json", &report.to_json().to_pretty());
     let unallowed = report.unallowed().len();
     println!(
         "lint: {} files, {} symbols, {} call edges, {} allowed finding(s), {unallowed} unallowed",
@@ -377,29 +341,25 @@ fn lint_main(args: &Args) -> ExitCode {
         report.findings.len() - unallowed
     );
     if unallowed > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        return Err(format!(
+            "lint: {unallowed} finding(s) lack a justified allow"
+        ));
     }
+    Ok(())
 }
 
 /// `harness verify-invariants [--quick]`: bounded model checking of the
 /// concurrency and protocol layers plus the adversarial fuzz and firelib
 /// invariant drivers. Writes `reports/INVARIANTS.json`; any violation
 /// prints a reproducible description and fails the process.
-fn verify_main(args: &Args) -> ExitCode {
+fn verify_main(args: &Args) -> Result<(), String> {
     let budget = if args.quick {
         ess_analysis::VerifyBudget::quick()
     } else {
         ess_analysis::VerifyBudget::full()
     };
-    let report = match ess_analysis::verify_all(0x2022_1995, budget) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("verify-invariants: VIOLATION\n{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = ess_analysis::verify_all(0x2022_1995, budget)
+        .map_err(|e| format!("verify-invariants: VIOLATION\n{e}"))?;
     for run in &report.concurrency {
         println!(
             "checked {:<24} {:>8} schedules {:>10} steps",
@@ -427,16 +387,9 @@ fn verify_main(args: &Args) -> ExitCode {
          {} span-bounded fitness values match the full raster",
         report.shortcuts.mosaics, report.shortcuts.mosaic_cells, report.shortcuts.fitness_evals
     );
-    let path = args.out.join("INVARIANTS.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&path, report.to_json().to_pretty()) {
-        Ok(()) => println!("[written {}]", path.display()),
-        Err(e) => eprintln!("[warn] could not write {}: {e}", path.display()),
-    }
+    write_out(args, "INVARIANTS.json", &report.to_json().to_pretty());
     println!("verify-invariants: all invariants hold");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `harness serve`: the line-delimited JSON prediction service. Every
@@ -444,52 +397,38 @@ fn verify_main(args: &Args) -> ExitCode {
 /// `--self-test`, the recorded multi-client script (kill one session,
 /// resume it from its snapshot) runs through the same loop and the final
 /// reports are diffed against the uninterrupted golden transcript.
-fn serve_main(args: &Args) -> ExitCode {
+fn serve_main(args: &Args) -> Result<(), String> {
     use ess_service::serve;
-    let stdout = std::io::stdout();
     if args.self_test {
-        return match ess_benches::smoke::serve_self_test(args.backend) {
-            Ok(transcript) => {
-                println!("{transcript}");
-                eprintln!(
-                    "serve self-test OK on {}: kill/resume transcript matches golden",
-                    args.backend.name()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+        let transcript = ess_benches::smoke::serve_self_test(args.backend)?;
+        println!("{transcript}");
+        eprintln!(
+            "serve self-test OK on {}: kill/resume transcript matches golden",
+            args.backend.name()
+        );
+        return Ok(());
     }
-    let stdin = std::io::stdin();
-    match serve::serve_configured(
+    let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
+    let summary = serve::serve_configured(
         stdin.lock(),
         stdout.lock(),
         args.backend,
         args.policy,
         args.fused,
-    ) {
-        Ok(summary) => {
-            eprintln!(
-                "served {} sessions on {}{} under {} ({} finished, {} exhausted, {} cancelled, \
-                 {} restored, {} errors)",
-                summary.accepted,
-                args.backend.name(),
-                if args.fused { " (fused rounds)" } else { "" },
-                args.policy,
-                summary.finished,
-                summary.exhausted,
-                summary.cancelled,
-                summary.restored,
-                summary.errors
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("serve transport error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    )
+    .map_err(|e| format!("serve transport error: {e}"))?;
+    eprintln!(
+        "served {} sessions on {}{} under {} ({} finished, {} exhausted, {} cancelled, \
+         {} restored, {} errors)",
+        summary.accepted,
+        args.backend.name(),
+        if args.fused { " (fused rounds)" } else { "" },
+        args.policy,
+        summary.finished,
+        summary.exhausted,
+        summary.cancelled,
+        summary.restored,
+        summary.errors
+    );
+    Ok(())
 }

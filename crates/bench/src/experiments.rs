@@ -1,51 +1,222 @@
 //! The experiment implementations behind the `harness` binary — one
 //! function per table/figure of DESIGN.md §4.
+//!
+//! The pipeline-driven tables (E1, E2, E6–E10) are rows of one [`Plan`]:
+//! an experiment declares its *variants* (a label and an optimizer
+//! factory) and its *tasks* (a label and a case as a function of the
+//! seed), [`Plan::run`] drains one [`ess::pipeline::StepDriver`] per
+//! variant × task × seed on the plan's one pool and returns one [`Trial`]
+//! per run, and the experiment projects columns out of those records with
+//! [`fold`]. Nothing here reads a clock: every artifact is exact, so the
+//! same command writes the same bytes twice and on any backend.
 
 use ess::calibration::skign_search;
 use ess::cases::{self, BurnCase};
-use ess::fitness::{EvalBackend, ScenarioEvaluator, StepContext};
-use ess::pipeline::{PredictionPipeline, RunReport};
+use ess::fitness::{EvalBackend, ScenarioEvaluator, SharedScenarioPool};
+use ess::pipeline::{PredictionPipeline, RunReport, StepOptimizer, StepReport};
 use ess::report::{f2, f4, TextTable};
 use ess::stages::statistical_stage_genomes;
 use ess_ns::{
     BehaviourSpace, EssNs, EssNsConfig, InclusionPolicy, NoveltyGa, NoveltyGaConfig, ScoringPolicy,
 };
-use ess_service::systems::{self, SystemSpec};
+use ess_service::systems::{self, scaled};
 use evoalg::benchmarks::{deceptive_trap, two_peaks};
 use evoalg::{BatchEvaluator, GaConfig, GaEngine};
-use firelib::sim::centre_ignition;
-use firelib::{FireSim, Scenario, ScenarioSpace, Terrain};
-use parworker::{SpeedupRow, Stopwatch};
+use firelib::ScenarioSpace;
 use std::sync::Arc;
+
+/// What every experiment of one harness invocation shares: the one pool
+/// scenario batches are evaluated on (built from `--backend` at start-up,
+/// so its threads live for the process, not for a step), the replicate
+/// seeds and the evaluation-budget scale.
+pub struct Plan {
+    /// Where every trial's scenario batches run.
+    pub pool: Arc<SharedScenarioPool>,
+    /// One trial per variant × task for each of these.
+    pub seeds: Vec<u64>,
+    /// Per-step budget scale (see [`scaled`]).
+    pub scale: f64,
+}
+
+/// One optimizer configuration under comparison.
+pub struct Variant {
+    label: String,
+    make: Box<dyn Fn() -> Box<dyn StepOptimizer>>,
+}
+
+impl Variant {
+    fn new(label: &str, make: impl Fn() -> Box<dyn StepOptimizer> + 'static) -> Self {
+        Self {
+            label: label.to_string(),
+            make: Box::new(make),
+        }
+    }
+}
+
+/// One burn case under comparison, as a function of the trial's seed
+/// (E10's observation noise is drawn per seed; every other task ignores
+/// it).
+pub struct Task {
+    label: String,
+    case: Box<dyn Fn(u64) -> BurnCase>,
+}
+
+impl Task {
+    /// The registered case `name`, the same for every seed.
+    ///
+    /// # Panics
+    /// Panics on an unregistered name (the harness checks `--cases` up
+    /// front).
+    fn named(name: &str) -> Self {
+        let case = cases::by_name(name).unwrap_or_else(|| panic!("unknown case {name}"));
+        Self {
+            label: case.name.to_string(),
+            case: Box::new(move |_| case.clone()),
+        }
+    }
+}
+
+/// The result record of one trial: which variant ran which task under
+/// which seed, and the run's report.
+pub struct Trial {
+    /// The variant's label.
+    pub variant: String,
+    /// The task's label.
+    pub task: String,
+    /// The trial's seed.
+    pub seed: u64,
+    /// The drained run.
+    pub report: RunReport,
+}
+
+impl Plan {
+    /// A plan of `replicates` seeds (1000, 1001, …) at `scale` on a pool
+    /// built from `backend`.
+    pub fn new(backend: EvalBackend, replicates: usize, scale: f64) -> Self {
+        Self {
+            pool: Arc::new(SharedScenarioPool::new(backend)),
+            seeds: (0..replicates as u64).map(|i| 1000 + i).collect(),
+            scale,
+        }
+    }
+
+    /// Runs every variant on every task under every seed — task-major,
+    /// then variant, then seed — and returns one record per trial in that
+    /// order.
+    pub fn run(&self, tasks: &[Task], variants: &[Variant]) -> Vec<Trial> {
+        let mut trials = Vec::with_capacity(tasks.len() * variants.len() * self.seeds.len());
+        for task in tasks {
+            for variant in variants {
+                for &seed in &self.seeds {
+                    let mut optimizer = (variant.make)();
+                    let report = PredictionPipeline::on_pool(Arc::clone(&self.pool), seed)
+                        .run(&(task.case)(seed), optimizer.as_mut());
+                    trials.push(Trial {
+                        variant: variant.label.clone(),
+                        task: task.label.clone(),
+                        seed,
+                        report,
+                    });
+                }
+            }
+        }
+        trials
+    }
+
+    /// The records of [`Plan::run`] grouped per task × variant cell: one
+    /// slice per table row group, its trials in seed order.
+    pub fn cells<'a>(&self, trials: &'a [Trial]) -> std::slice::Chunks<'a, Trial> {
+        trials.chunks(self.seeds.len())
+    }
+
+    /// The four paper systems at this plan's budget scale — the variant
+    /// axis of E1, E2 and E10.
+    fn paper_systems(&self) -> Vec<Variant> {
+        let scale = self.scale;
+        systems::all()
+            .iter()
+            .map(|system| Variant::new(system.name, move || system.make(scale)))
+            .collect()
+    }
+
+    /// The scaled population, offspring and `bestSet` sizes every ESS-NS
+    /// variant of E7–E9 starts from.
+    fn ess_ns_base(&self) -> NoveltyGaConfig {
+        NoveltyGaConfig {
+            population_size: scaled(32, self.scale),
+            offspring: scaled(32, self.scale),
+            best_set_capacity: scaled(24, self.scale),
+            ..NoveltyGaConfig::default()
+        }
+    }
+}
+
+fn ess_ns(label: &str, algorithm: NoveltyGaConfig, inclusion: InclusionPolicy) -> Variant {
+    Variant::new(label, move || {
+        Box::new(EssNs::new(EssNsConfig {
+            algorithm,
+            inclusion,
+        }))
+    })
+}
+
+fn mean_of(v: &[f64]) -> f64 {
+    if v.is_empty() {
+        0.0
+    } else {
+        v.iter().sum::<f64>() / v.len() as f64
+    }
+}
+
+/// Mean, minimum and maximum of a projection over a cell's trials.
+pub struct Fold {
+    /// Arithmetic mean, summed in trial order.
+    pub mean: f64,
+    /// Smallest value.
+    pub min: f64,
+    /// Largest value.
+    pub max: f64,
+}
+
+/// Folds the values `project` yields for each trial of `cell`, in seed
+/// order — zero or more per trial, so an `Option` column (a step without
+/// a prediction) and a per-step column flatten the same way. `None` when
+/// no trial yields a value.
+pub fn fold<'a, I: IntoIterator<Item = f64>>(
+    cell: &'a [Trial],
+    project: impl Fn(&'a RunReport) -> I,
+) -> Option<Fold> {
+    let values: Vec<f64> = cell.iter().flat_map(|t| project(&t.report)).collect();
+    (!values.is_empty()).then(|| Fold {
+        mean: mean_of(&values),
+        min: values.iter().copied().fold(f64::INFINITY, f64::min),
+        max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+    })
+}
+
+/// The mean of one value per trial of `cell`.
+fn mean(cell: &[Trial], project: impl Fn(&RunReport) -> f64) -> f64 {
+    fold(cell, |r| Some(project(r))).map_or(0.0, |f| f.mean)
+}
+
+/// The mean of `project` over one run's steps.
+fn step_mean(report: &RunReport, project: impl Fn(&StepReport) -> f64) -> f64 {
+    mean_of(&report.steps.iter().map(project).collect::<Vec<_>>())
+}
 
 /// T1 — regenerates Table I from the in-code parameter definitions.
 pub fn table1() -> TextTable {
     let mut t = TextTable::new(["Parameter", "Description", "Range", "Unit"]);
     for d in ScenarioSpace.params() {
-        let range = if d.integer {
-            format!("{}-{}", d.lo as i64, d.hi as i64)
-        } else {
-            format!("{}-{}", d.lo, d.hi)
-        };
+        // `Display` prints an integer-valued bound without a fraction.
         t.row([
             d.name.to_string(),
             d.description.to_string(),
-            range,
+            format!("{}-{}", d.lo, d.hi),
             d.unit.to_string(),
         ]);
     }
     t
-}
-
-/// Builds the step-1 evaluation context of a case.
-fn step1_context(case: &BurnCase) -> Arc<StepContext> {
-    Arc::new(StepContext::new(
-        Arc::clone(&case.sim),
-        case.fire_lines[0].clone(),
-        case.fire_lines[1].clone(),
-        case.times[0],
-        case.times[1],
-    ))
 }
 
 /// F1 — a narrated trace of one ESS prediction step (the Fig. 1 dataflow).
@@ -56,7 +227,7 @@ pub fn fig1_trace() -> String {
         "Fig. 1 dataflow trace — one ESS prediction step on '{}'\n\n",
         case.name
     ));
-    let ctx = step1_context(&case);
+    let ctx = Arc::new(case.step_context(1));
     out.push_str(&format!(
         "[input]      RFL_0: {} burned cells at t={} min; RFL_1: {} cells at t={} min\n",
         case.fire_lines[0].burned_area(),
@@ -66,6 +237,8 @@ pub fn fig1_trace() -> String {
     ));
 
     // OS-Master / OS-Workers: fitness GA over scenarios (PV{1..n} → FS → FF).
+    // The figure's farm has two Workers whatever `--backend` says, so the
+    // narration below is the same text on every backend.
     let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::WorkerPool(2));
     let mut ess = systems::resolve("ESS")
         .expect("ESS is a registered system")
@@ -100,13 +273,7 @@ pub fn fig1_trace() -> String {
     ));
 
     // PS: prediction for t2 with the calibrated Kign.
-    let next_ctx = StepContext::new(
-        Arc::clone(&case.sim),
-        case.fire_lines[1].clone(),
-        case.fire_lines[2].clone(),
-        case.times[1],
-        case.times[2],
-    );
+    let next_ctx = case.step_context(2);
     let pred_matrix = statistical_stage_genomes(&next_ctx, &outcome.result_set);
     let ps = ess::calibration::PredictionStage::new(cal.kign);
     let quality = ps.quality(&pred_matrix, &case.fire_lines[2], Some(&case.fire_lines[1]));
@@ -118,10 +285,10 @@ pub fn fig1_trace() -> String {
 }
 
 /// F2 — the SKign calibration curve (threshold vs fitness) on one step.
-pub fn fig2_kign() -> TextTable {
+pub fn fig2_kign(plan: &Plan) -> TextTable {
     let case = cases::grass_uniform();
-    let ctx = step1_context(&case);
-    let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Serial);
+    let ctx = Arc::new(case.step_context(1));
+    let mut evaluator = ScenarioEvaluator::shared(Arc::clone(&ctx), Arc::clone(&plan.pool));
     let mut essns = systems::resolve("ESS-NS")
         .expect("ESS-NS is a registered system")
         .make(1.0);
@@ -130,15 +297,11 @@ pub fn fig2_kign() -> TextTable {
     let cal = skign_search(&matrix, &case.fire_lines[1], Some(&case.fire_lines[0]));
     let mut t = TextTable::new(["threshold", "fitness", "chosen"]);
     for (k, f) in &cal.curve {
+        let chosen = (*k - cal.kign).abs() < 1e-12;
         t.row([
             f4(*k),
             f4(*f),
-            if (*k - cal.kign).abs() < 1e-12 {
-                "<= Kign"
-            } else {
-                ""
-            }
-            .to_string(),
+            if chosen { "<= Kign" } else { "" }.to_string(),
         ]);
     }
     t
@@ -148,7 +311,7 @@ pub fn fig2_kign() -> TextTable {
 /// the NS-specific blocks: ρ(x), the archive, and bestSet.
 pub fn fig3_trace() -> String {
     let case = cases::grass_uniform();
-    let ctx = step1_context(&case);
+    let ctx = Arc::new(case.step_context(1));
     let mut out = String::new();
     out.push_str(&format!(
         "Fig. 3 dataflow trace — one ESS-NS prediction step on '{}'\n\n",
@@ -201,41 +364,10 @@ pub fn fig3_trace() -> String {
     out
 }
 
-/// Runs one system over one case for several seeds.
-pub fn run_replicates(
-    system: &SystemSpec,
-    case: &BurnCase,
-    seeds: &[u64],
-    scale: f64,
-    backend: EvalBackend,
-) -> Vec<RunReport> {
-    seeds
-        .iter()
-        .map(|&seed| {
-            let mut opt = system.make(scale);
-            PredictionPipeline::new(backend, seed).run(case, opt.as_mut())
-        })
-        .collect()
-}
-
-fn mean_of(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
-}
-
 /// E1 — prediction quality per step, per case, per method (the headline
 /// comparison; reproduces the quality-per-step evaluation protocol of the
-/// predecessor systems). `backend` selects where scenario batches run;
-/// results are backend-independent (only wall time changes).
-pub fn e1_quality(
-    seeds: &[u64],
-    scale: f64,
-    case_names: &[&str],
-    backend: EvalBackend,
-) -> TextTable {
+/// predecessor systems). Tasks: `case_names`; variants: the paper systems.
+pub fn e1_quality(plan: &Plan, case_names: &[&str]) -> TextTable {
     let mut t = TextTable::new([
         "case",
         "method",
@@ -245,59 +377,38 @@ pub fn e1_quality(
         "quality_max",
         "evals_mean",
     ]);
-    for name in case_names {
-        let case = cases::by_name(name).unwrap_or_else(|| panic!("unknown case {name}"));
-        for system in systems::all() {
-            let reports = run_replicates(system, &case, seeds, scale, backend);
-            // Per predicted instant: collect quality across seeds.
-            let n_steps = reports[0].steps.len();
-            for si in 0..n_steps {
-                let qs: Vec<f64> = reports.iter().filter_map(|r| r.steps[si].quality).collect();
-                if qs.is_empty() {
-                    continue; // the first step has no prediction
-                }
-                let evals: Vec<f64> = reports
-                    .iter()
-                    .map(|r| r.steps[si].evaluations as f64)
-                    .collect();
-                t.row([
-                    case.name.to_string(),
-                    system.name.to_string(),
-                    format!("t{}", reports[0].steps[si].step + 1),
-                    f4(mean_of(&qs)),
-                    f4(qs.iter().copied().fold(f64::INFINITY, f64::min)),
-                    f4(qs.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
-                    f2(mean_of(&evals)),
-                ]);
-            }
-            // Summary row.
-            let means: Vec<f64> = reports.iter().map(RunReport::mean_quality).collect();
+    let tasks: Vec<Task> = case_names.iter().map(|name| Task::named(name)).collect();
+    for cell in plan.cells(&plan.run(&tasks, &plan.paper_systems())) {
+        let first = &cell[0];
+        let mut row = |step: String, q: Fold, evals: f64| {
             t.row([
-                case.name.to_string(),
-                system.name.to_string(),
-                "mean".to_string(),
-                f4(mean_of(&means)),
-                f4(means.iter().copied().fold(f64::INFINITY, f64::min)),
-                f4(means.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
-                f2(mean_of(
-                    &reports
-                        .iter()
-                        .map(|r| r.total_evaluations() as f64)
-                        .collect::<Vec<_>>(),
-                )),
+                first.task.clone(),
+                first.variant.clone(),
+                step,
+                f4(q.mean),
+                f4(q.min),
+                f4(q.max),
+                f2(evals),
             ]);
+        };
+        for (si, step) in first.report.steps.iter().enumerate() {
+            // The first step has no prediction, under any seed.
+            if let Some(q) = fold(cell, |r| r.steps[si].quality) {
+                let evals = mean(cell, |r| r.steps[si].evaluations as f64);
+                row(format!("t{}", step.step + 1), q, evals);
+            }
+        }
+        if let Some(q) = fold(cell, |r| Some(r.mean_quality())) {
+            let evals = mean(cell, |r| r.total_evaluations() as f64);
+            row("mean".to_string(), q, evals);
         }
     }
     t
 }
 
-/// E2 — diversity of the result set fed to the Statistical Stage.
-pub fn e2_diversity(
-    seeds: &[u64],
-    scale: f64,
-    case_names: &[&str],
-    backend: EvalBackend,
-) -> TextTable {
+/// E2 — diversity of the result set fed to the Statistical Stage. Tasks:
+/// `case_names`; variants: the paper systems.
+pub fn e2_diversity(plan: &Plan, case_names: &[&str]) -> TextTable {
     let mut t = TextTable::new([
         "case",
         "method",
@@ -306,129 +417,33 @@ pub fn e2_diversity(
         "distinct_frac",
         "fitness_iqr_of_set",
     ]);
-    for name in case_names {
-        let case = cases::by_name(name).unwrap_or_else(|| panic!("unknown case {name}"));
-        for system in systems::all() {
-            let reports = run_replicates(system, &case, seeds, scale, backend);
-            let mut pair = Vec::new();
-            let mut gstd = Vec::new();
-            let mut dfrac = Vec::new();
-            for r in &reports {
-                for s in &r.steps {
-                    pair.push(s.diversity.mean_pairwise);
-                    gstd.push(s.diversity.mean_gene_std);
-                    dfrac.push(s.diversity.distinct as f64 / s.diversity.size.max(1) as f64);
-                }
-            }
-            // Fitness IQR of the result set on the first step of the first
-            // seed (re-evaluated): spread of the *scores* in the set.
-            let ctx = step1_context(&case);
-            let mut opt = system.make(scale);
-            let mut ev = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Serial);
-            let out = opt.optimize(&mut ev, seeds[0]);
-            let fits = ev.evaluate(&out.result_set);
-            t.row([
-                case.name.to_string(),
-                system.name.to_string(),
-                f4(mean_of(&pair)),
-                f4(mean_of(&gstd)),
-                f4(mean_of(&dfrac)),
-                f4(landscape::metrics::iqr(&fits)),
-            ]);
-        }
-    }
-    t
-}
-
-/// Builds the E3 scaling workload: a deployment-scale raster (128×128,
-/// hour-long step) so one simulation costs milliseconds, like the
-/// predecessor systems' maps — on toy grids the task farm's channel
-/// overhead would dominate and hide the scheduling behaviour.
-fn speedup_context() -> Arc<StepContext> {
-    let n = 128usize;
-    let sim = Arc::new(FireSim::new(Terrain::uniform(n, n, 100.0)));
-    let ignition = centre_ignition(n, n);
-    let truth = Scenario {
-        wind_speed_mph: 10.0,
-        wind_dir_deg: 45.0,
-        ..Scenario::reference()
-    };
-    let target = sim.simulate_fire_line(&truth, &ignition, 0.0, 60.0);
-    Arc::new(StepContext::new(sim, ignition, target, 0.0, 60.0))
-}
-
-/// E3 — Master/Worker scaling of one Optimization Stage. This is the
-/// apples-to-apples backend comparison: every configuration runs the
-/// identical search (bit-identical fitness values), so the table isolates
-/// pure scheduling cost.
-pub fn e3_speedup(worker_counts: &[usize]) -> TextTable {
-    let ctx = speedup_context();
-    let run_with = |backend: EvalBackend| -> f64 {
-        let mut opt = systems::resolve("ESS-NS")
-            .expect("ESS-NS is a registered system")
-            .make(1.0);
-        let mut ev = ScenarioEvaluator::new(Arc::clone(&ctx), backend);
-        let sw = Stopwatch::start();
-        let _ = opt.optimize(&mut ev, 99);
-        sw.elapsed_ms()
-    };
-    // Warm-up (page in the simulator paths).
-    let _ = run_with(EvalBackend::Serial);
-    let baseline_ms = run_with(EvalBackend::Serial);
-    let baseline = std::time::Duration::from_secs_f64(baseline_ms / 1e3);
-
-    let mut t = TextTable::new(["backend", "workers", "wall_ms", "speedup", "efficiency"]);
-    t.row([
-        "serial".to_string(),
-        "1".to_string(),
-        f2(baseline_ms),
-        f2(1.0),
-        f2(1.0),
-    ]);
-    for &w in worker_counts {
-        for backend in [EvalBackend::WorkerPool(w), EvalBackend::Rayon(w)] {
-            let ms = run_with(backend);
-            let row = SpeedupRow::new(w, std::time::Duration::from_secs_f64(ms / 1e3), baseline);
-            t.row([
-                backend.name(),
-                w.to_string(),
-                f2(ms),
-                f2(row.speedup),
-                f2(row.efficiency),
-            ]);
-        }
-    }
-    t
-}
-
-/// E4 — simulator throughput (cells/s) across grid sizes and fuel models.
-pub fn e4_throughput() -> TextTable {
-    let mut t = TextTable::new(["grid", "fuel_model", "wall_ms_per_sim", "kcells_per_s"]);
-    for &n in &[32usize, 64, 128] {
-        for &model in &[1u8, 4, 10] {
-            let sim = FireSim::new(Terrain::uniform(n, n, 100.0));
-            let scenario = Scenario {
-                model,
-                wind_speed_mph: 10.0,
-                ..Scenario::reference()
-            };
-            let ignition = centre_ignition(n, n);
-            // Warm-up + measure.
-            let _ = sim.simulate(&scenario, &ignition, 0.0, 500.0);
-            let reps = 20;
-            let sw = Stopwatch::start();
-            for _ in 0..reps {
-                std::hint::black_box(sim.simulate(&scenario, &ignition, 0.0, 500.0));
-            }
-            let ms = sw.elapsed_ms() / reps as f64;
-            let kcps = (n * n) as f64 / ms; // cells per ms = kcells/s
-            t.row([
-                format!("{n}x{n}"),
-                format!("NFFL{model:02}"),
-                f4(ms),
-                f2(kcps),
-            ]);
-        }
+    let tasks: Vec<Task> = case_names.iter().map(|name| Task::named(name)).collect();
+    let variants = plan.paper_systems();
+    let trials = plan.run(&tasks, &variants);
+    for (i, cell) in plan.cells(&trials).enumerate() {
+        // Task-major order, as `Plan::run` lays the cells out.
+        let (task, variant) = (&tasks[i / variants.len()], &variants[i % variants.len()]);
+        // Every step of every seed counts once.
+        let over_steps = |project: fn(&StepReport) -> f64| {
+            fold(cell, |r| r.steps.iter().map(project)).map_or(0.0, |f| f.mean)
+        };
+        // Fitness IQR of the result set on the first step of the first
+        // seed (re-evaluated): spread of the *scores* in the set.
+        let seed = plan.seeds[0];
+        let ctx = Arc::new((task.case)(seed).step_context(1));
+        let mut ev = ScenarioEvaluator::shared(ctx, Arc::clone(&plan.pool));
+        let out = (variant.make)().optimize(&mut ev, seed);
+        let fits = ev.evaluate(&out.result_set);
+        t.row([
+            task.label.clone(),
+            variant.label.clone(),
+            f4(over_steps(|s| s.diversity.mean_pairwise)),
+            f4(over_steps(|s| s.diversity.mean_gene_std)),
+            f4(over_steps(|s| {
+                s.diversity.distinct as f64 / s.diversity.size.max(1) as f64
+            })),
+            f4(landscape::metrics::iqr(&fits)),
+        ]);
     }
     t
 }
@@ -448,7 +463,7 @@ pub fn e4_throughput() -> TextTable {
 ///   acceptable fitness values that contribute to the prediction",
 ///   §II-B).
 pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
-    use evoalg::benchmarks::{covers_both_basins, twin_basins};
+    use evoalg::benchmarks::{self as bench, covers_both_basins, twin_basins};
     let mut t = TextTable::new([
         "function",
         "algorithm",
@@ -456,112 +471,91 @@ pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
         "set_success_rate",
         "evaluations",
     ]);
-    type SetPredicate = Box<dyn Fn(&[Vec<f64>]) -> bool>;
-    type Objective = (
-        &'static str,
-        Box<dyn Fn(&[f64]) -> f64>,
-        SetPredicate,
-        usize,
-    );
-    let objectives: Vec<Objective> = vec![
+    type Fitness = fn(&[f64]) -> f64;
+    type SetSuccess = fn(&[Vec<f64>]) -> bool;
+    // Name, objective, the result-set success criterion, dimensions.
+    let objectives: [(&str, Fitness, SetSuccess, usize); 4] = [
         (
             "sphere(6)",
-            Box::new(evoalg::benchmarks::sphere),
-            Box::new(|set: &[Vec<f64>]| set.iter().any(|g| evoalg::benchmarks::sphere(g) > 0.995)),
+            bench::sphere,
+            |set| set.iter().any(|g| bench::sphere(g) > 0.995),
             6,
         ),
         (
             "trap(16,b=4)",
-            Box::new(|g: &[f64]| deceptive_trap(g, 4)),
-            Box::new(|set: &[Vec<f64>]| set.iter().any(|g| evoalg::benchmarks::trap_is_optimal(g))),
+            |g| deceptive_trap(g, 4),
+            |set| set.iter().any(|g| bench::trap_is_optimal(g)),
             16,
         ),
         (
             "two_peaks(4)",
-            Box::new(|g: &[f64]| two_peaks(g, 0.6)),
-            Box::new(|set: &[Vec<f64>]| {
-                set.iter()
-                    .any(|g| evoalg::benchmarks::two_peaks_is_optimal(g, 0.05))
-            }),
+            |g| two_peaks(g, 0.6),
+            |set| set.iter().any(|g| bench::two_peaks_is_optimal(g, 0.05)),
             4,
         ),
-        (
-            "twin_basins(2)",
-            Box::new(twin_basins),
-            Box::new(|set: &[Vec<f64>]| covers_both_basins(set)),
-            2,
-        ),
+        ("twin_basins(2)", twin_basins, covers_both_basins, 2),
     ];
-    let gens = 60u32;
-    for (fname, f, set_success, dims) in &objectives {
-        // --- NS, with the paper's fitness-difference behaviour (Eq. 2) and
-        // with the standard genotypic behaviour (ablation) ---
-        for (label, behaviour) in [
-            ("NS-GA (Eq.2 dist)", BehaviourSpace::Fitness),
-            ("NS-GA (genotype)", BehaviourSpace::Genotype),
-        ] {
-            let mut ns_best = Vec::new();
-            let mut ns_success = 0usize;
-            let mut evals = 0u64;
-            for &seed in seeds {
-                let cfg = NoveltyGaConfig {
-                    population_size: 24,
-                    offspring: 24,
-                    max_generations: gens,
-                    fitness_threshold: 2.0,
-                    behaviour,
-                    seed,
-                    ..NoveltyGaConfig::default()
-                };
-                let mut eval = |gs: &[Vec<f64>]| -> Vec<f64> { gs.iter().map(|g| f(g)).collect() };
-                let out = NoveltyGa::new(*dims, cfg).run(&mut eval);
-                ns_best.push(out.best_set.max_fitness());
-                if set_success(&out.best_set.genomes()) {
-                    ns_success += 1;
-                }
-                evals = out.evaluations;
-            }
+    const GENERATIONS: u32 = 60;
+    // One search of `(objective, dims)` under a seed: the best fitness
+    // seen, the result set, the evaluations spent.
+    type Search = Box<dyn Fn(Fitness, usize, u64) -> (f64, Vec<Vec<f64>>, u64)>;
+    // NS, with the paper's fitness-difference behaviour (Eq. 2) and with
+    // the standard genotypic behaviour (ablation).
+    let novelty_ga = |behaviour: BehaviourSpace| -> Search {
+        Box::new(move |f, dims, seed| {
+            let cfg = NoveltyGaConfig {
+                population_size: 24,
+                offspring: 24,
+                max_generations: GENERATIONS,
+                fitness_threshold: 2.0,
+                behaviour,
+                seed,
+                ..NoveltyGaConfig::default()
+            };
+            let mut eval = |gs: &[Vec<f64>]| -> Vec<f64> { gs.iter().map(|g| f(g)).collect() };
+            let out = NoveltyGa::new(dims, cfg).run(&mut eval);
+            (
+                out.best_set.max_fitness(),
+                out.best_set.genomes(),
+                out.evaluations,
+            )
+        })
+    };
+    // Fitness GA: result set = final population (the ESS policy).
+    let fitness_ga: Search = Box::new(|f, dims, seed| {
+        let cfg = GaConfig {
+            population_size: 24,
+            offspring: 24,
+            seed,
+            ..GaConfig::default()
+        };
+        let mut engine = GaEngine::new(dims, cfg);
+        let mut eval = |gs: &[Vec<f64>]| -> Vec<f64> { gs.iter().map(|g| f(g)).collect() };
+        engine.evaluate_initial(&mut eval);
+        let mut best = f64::NEG_INFINITY;
+        for _ in 0..GENERATIONS {
+            best = best.max(engine.step(&mut eval).best_fitness);
+        }
+        (best, engine.population().genomes(), engine.evaluations())
+    });
+    let algorithms = [
+        ("NS-GA (Eq.2 dist)", novelty_ga(BehaviourSpace::Fitness)),
+        ("NS-GA (genotype)", novelty_ga(BehaviourSpace::Genotype)),
+        ("fitness-GA", fitness_ga),
+    ];
+    for (function, f, set_success, dims) in objectives {
+        for (algorithm, search) in &algorithms {
+            let runs: Vec<_> = seeds.iter().map(|&seed| search(f, dims, seed)).collect();
+            let best: Vec<f64> = runs.iter().map(|run| run.0).collect();
+            let successes = runs.iter().filter(|run| set_success(&run.1)).count();
             t.row([
-                fname.to_string(),
-                label.to_string(),
-                f4(mean_of(&ns_best)),
-                f2(ns_success as f64 / seeds.len() as f64),
-                evals.to_string(),
+                function.to_string(),
+                algorithm.to_string(),
+                f4(mean_of(&best)),
+                f2(successes as f64 / seeds.len() as f64),
+                runs.last().map_or(0, |run| run.2).to_string(),
             ]);
         }
-        // --- fitness GA: result set = final population (the ESS policy) ---
-        let mut ga_best = Vec::new();
-        let mut ga_success = 0usize;
-        let mut ga_evals = 0u64;
-        for &seed in seeds {
-            let mut engine = GaEngine::new(
-                *dims,
-                GaConfig {
-                    population_size: 24,
-                    offspring: 24,
-                    seed,
-                    ..GaConfig::default()
-                },
-            );
-            let mut eval = |gs: &[Vec<f64>]| -> Vec<f64> { gs.iter().map(|g| f(g)).collect() };
-            engine.evaluate_initial(&mut eval);
-            let mut best_f = f64::NEG_INFINITY;
-            for _ in 0..gens {
-                best_f = best_f.max(engine.step(&mut eval).best_fitness);
-            }
-            ga_best.push(best_f);
-            if set_success(&engine.population().genomes()) {
-                ga_success += 1;
-            }
-            ga_evals = engine.evaluations();
-        }
-        t.row([
-            fname.to_string(),
-            "fitness-GA".to_string(),
-            f4(mean_of(&ga_best)),
-            f2(ga_success as f64 / seeds.len() as f64),
-            ga_evals.to_string(),
-        ]);
     }
     t
 }
@@ -571,115 +565,82 @@ pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
 /// The tuning papers operate at generation budgets long enough for
 /// restarts to amortise (a restart spends evaluations re-seeding before it
 /// can recover), so this experiment runs ESSIM-DE with a 30-generation
-/// cap — roughly 3× the E1 budget — for both variants.
-pub fn e6_tuning(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
+/// cap — roughly 3× the E1 budget — for both variants. Tasks: the two
+/// drifting-truth cases; variants: tuning off / on.
+pub fn e6_tuning(plan: &Plan) -> TextTable {
     use ess::essim_de::{EssimDe, EssimDeConfig, TuningConfig};
-    let mut t = TextTable::new([
-        "case",
-        "variant",
-        "mean_quality",
-        "mean_evals",
-        "mean_wall_ms",
-    ]);
-    for name in ["shifting_wind", "moisture_front"] {
-        let case = cases::by_name(name).unwrap();
-        for (variant, tuning) in [
-            ("untuned", TuningConfig::disabled()),
-            ("tuned", TuningConfig::enabled()),
-        ] {
-            let mut qualities = Vec::new();
-            let mut evals = Vec::new();
-            let mut walls = Vec::new();
-            for &seed in seeds {
-                let s = |v: usize| ((v as f64) * scale).round().max(4.0) as usize;
-                let mut opt = EssimDe::new(EssimDeConfig {
-                    islands: 3,
-                    island_population: s(12),
-                    result_set_size: s(24),
-                    max_generations: 30,
-                    tuning,
-                    ..EssimDeConfig::default()
-                });
-                let r = PredictionPipeline::new(backend, seed).run(&case, &mut opt);
-                qualities.push(r.mean_quality());
-                evals.push(r.total_evaluations() as f64);
-                walls.push(r.total_ms);
-            }
-            t.row([
-                name.to_string(),
-                variant.to_string(),
-                f4(mean_of(&qualities)),
-                f2(mean_of(&evals)),
-                f2(mean_of(&walls)),
-            ]);
-        }
+    let mut t = TextTable::new(["case", "variant", "mean_quality", "mean_evals"]);
+    let tasks = ["shifting_wind", "moisture_front"].map(Task::named);
+    let scale = plan.scale;
+    let variants = [
+        ("untuned", TuningConfig::disabled()),
+        ("tuned", TuningConfig::enabled()),
+    ]
+    .map(|(label, tuning)| {
+        Variant::new(label, move || {
+            Box::new(EssimDe::new(EssimDeConfig {
+                islands: 3,
+                island_population: scaled(12, scale),
+                result_set_size: scaled(24, scale),
+                max_generations: 30,
+                tuning,
+                ..EssimDeConfig::default()
+            }))
+        })
+    });
+    for cell in plan.cells(&plan.run(&tasks, &variants)) {
+        t.row([
+            cell[0].task.clone(),
+            cell[0].variant.clone(),
+            f4(mean(cell, RunReport::mean_quality)),
+            f2(mean(cell, |r| r.total_evaluations() as f64)),
+        ]);
     }
     t
 }
 
 /// E7 — the hybrid fitness/novelty scoring ablation (§IV), plus the
-/// NSLC quality-diversity variant (\[26\]).
-pub fn e7_hybrid(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
-    let case = cases::shifting_wind();
+/// NSLC quality-diversity variant (\[26\]). Task: `shifting_wind`;
+/// variants: six scoring policies.
+pub fn e7_hybrid(plan: &Plan) -> TextTable {
     let mut t = TextTable::new([
         "scoring",
         "mean_quality",
         "mean_diversity",
         "mean_best_fitness",
     ]);
-    let mut policies: Vec<(String, ScoringPolicy)> =
-        vec![("w=1.00 (pure NS)".into(), ScoringPolicy::PureNovelty)];
-    for &w in &[0.75, 0.5, 0.25, 0.0] {
-        policies.push((
-            format!("w={w:.2}"),
-            ScoringPolicy::Weighted { novelty_weight: w },
-        ));
-    }
-    policies.push((
-        "NSLC (w=0.5)".into(),
-        ScoringPolicy::NoveltyLocalCompetition {
-            novelty_weight: 0.5,
-        },
-    ));
-    for (label, scoring) in policies {
-        let mut qualities = Vec::new();
-        let mut diversities = Vec::new();
-        let mut bests = Vec::new();
-        for &seed in seeds {
-            let s = |v: usize| ((v as f64) * scale).round().max(4.0) as usize;
-            let mut opt = EssNs::new(EssNsConfig {
-                algorithm: NoveltyGaConfig {
-                    population_size: s(32),
-                    offspring: s(32),
-                    best_set_capacity: s(24),
-                    scoring,
-                    ..NoveltyGaConfig::default()
-                },
-                inclusion: InclusionPolicy::BestOnly,
-            });
-            let r = PredictionPipeline::new(backend, seed).run(&case, &mut opt);
-            qualities.push(r.mean_quality());
-            diversities.push(r.mean_diversity());
-            bests.push(mean_of(
-                &r.steps
-                    .iter()
-                    .map(|st| st.os_best_fitness)
-                    .collect::<Vec<_>>(),
-            ));
-        }
+    let weighted = |novelty_weight| ScoringPolicy::Weighted { novelty_weight };
+    let nslc = ScoringPolicy::NoveltyLocalCompetition {
+        novelty_weight: 0.5,
+    };
+    let base = plan.ess_ns_base();
+    let variants = [
+        ("w=1.00 (pure NS)", ScoringPolicy::PureNovelty),
+        ("w=0.75", weighted(0.75)),
+        ("w=0.50", weighted(0.5)),
+        ("w=0.25", weighted(0.25)),
+        ("w=0.00", weighted(0.0)),
+        ("NSLC (w=0.5)", nslc),
+    ]
+    .map(|(label, scoring)| {
+        let algorithm = NoveltyGaConfig { scoring, ..base };
+        ess_ns(label, algorithm, InclusionPolicy::BestOnly)
+    });
+    for cell in plan.cells(&plan.run(&[Task::named("shifting_wind")], &variants)) {
         t.row([
-            label,
-            f4(mean_of(&qualities)),
-            f4(mean_of(&diversities)),
-            f4(mean_of(&bests)),
+            cell[0].variant.clone(),
+            f4(mean(cell, RunReport::mean_quality)),
+            f4(mean(cell, RunReport::mean_diversity)),
+            f4(mean(cell, |r| step_mean(r, |s| s.os_best_fitness))),
         ]);
     }
     t
 }
 
-/// E8 — NS hyper-parameter ablation: `k`, archive capacity, `bestSet` size.
-pub fn e8_ablation(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
-    let case = cases::two_ridge();
+/// E8 — NS hyper-parameter ablation: `k`, archive capacity, `bestSet`
+/// size, behaviour space. Task: `two_ridge`; variants: one `parameter=value`
+/// setting each, around one scaled base configuration.
+pub fn e8_ablation(plan: &Plan) -> TextTable {
     let mut t = TextTable::new([
         "parameter",
         "value",
@@ -687,131 +648,72 @@ pub fn e8_ablation(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable
         "mean_diversity",
         "mean_evals",
     ]);
-    let s = |v: usize| ((v as f64) * scale).round().max(4.0) as usize;
     let base = NoveltyGaConfig {
-        population_size: s(32),
-        offspring: s(32),
-        best_set_capacity: s(24),
-        archive_capacity: s(64),
-        ..NoveltyGaConfig::default()
+        archive_capacity: scaled(64, plan.scale),
+        ..plan.ess_ns_base()
     };
-    let mut run_cfg = |label: &str, value: String, algorithm: NoveltyGaConfig| {
-        let mut qualities = Vec::new();
-        let mut diversities = Vec::new();
-        let mut evals = Vec::new();
-        for &seed in seeds {
-            let mut opt = EssNs::new(EssNsConfig {
-                algorithm,
-                inclusion: InclusionPolicy::BestOnly,
-            });
-            let r = PredictionPipeline::new(backend, seed).run(&case, &mut opt);
-            qualities.push(r.mean_quality());
-            diversities.push(r.mean_diversity());
-            evals.push(r.total_evaluations() as f64);
-        }
-        t.row([
-            label.to_string(),
-            value,
-            f4(mean_of(&qualities)),
-            f4(mean_of(&diversities)),
-            f2(mean_of(&evals)),
-        ]);
+    let k = |novelty_neighbours| NoveltyGaConfig {
+        novelty_neighbours,
+        ..base
     };
-    for &k in &[3usize, 5, 10, 15] {
-        run_cfg(
-            "k",
-            k.to_string(),
-            NoveltyGaConfig {
-                novelty_neighbours: k,
-                ..base
-            },
-        );
-    }
-    for &cap in &[16usize, 64, 256] {
-        run_cfg(
-            "archive",
-            cap.to_string(),
-            NoveltyGaConfig {
-                archive_capacity: s(cap).max(4),
-                ..base
-            },
-        );
-    }
-    for &bs in &[8usize, 24, 48] {
-        run_cfg(
-            "bestSet",
-            bs.to_string(),
-            NoveltyGaConfig {
-                best_set_capacity: s(bs).max(4),
-                ..base
-            },
-        );
-    }
+    let archive = |capacity| NoveltyGaConfig {
+        archive_capacity: scaled(capacity, plan.scale),
+        ..base
+    };
+    let best_set = |capacity| NoveltyGaConfig {
+        best_set_capacity: scaled(capacity, plan.scale),
+        ..base
+    };
     // Behaviour-space ablation rides along (fitness vs genotype distance).
-    run_cfg(
-        "behaviour",
-        "genotype".to_string(),
-        NoveltyGaConfig {
-            behaviour: BehaviourSpace::Genotype,
-            ..base
-        },
-    );
+    let genotype = NoveltyGaConfig {
+        behaviour: BehaviourSpace::Genotype,
+        ..base
+    };
+    let variants = [
+        ("k=3", k(3)),
+        ("k=5", k(5)),
+        ("k=10", k(10)),
+        ("k=15", k(15)),
+        ("archive=16", archive(16)),
+        ("archive=64", archive(64)),
+        ("archive=256", archive(256)),
+        ("bestSet=8", best_set(8)),
+        ("bestSet=24", best_set(24)),
+        ("bestSet=48", best_set(48)),
+        ("behaviour=genotype", genotype),
+    ]
+    .map(|(label, algorithm)| ess_ns(label, algorithm, InclusionPolicy::BestOnly));
+    for cell in plan.cells(&plan.run(&[Task::named("two_ridge")], &variants)) {
+        let (parameter, value) = cell[0].variant.split_once('=').unwrap_or_default();
+        t.row([
+            parameter.to_string(),
+            value.to_string(),
+            f4(mean(cell, RunReport::mean_quality)),
+            f4(mean(cell, RunReport::mean_diversity)),
+            f2(mean(cell, |r| r.total_evaluations() as f64)),
+        ]);
+    }
     t
 }
 
-/// E9 — result-set composition under a drifting truth (§IV).
-pub fn e9_inclusion(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
-    let case = cases::shifting_wind();
+/// E9 — result-set composition under a drifting truth (§IV). Task:
+/// `shifting_wind`; variants: five inclusion policies.
+pub fn e9_inclusion(plan: &Plan) -> TextTable {
     let mut t = TextTable::new(["policy", "mean_quality", "mean_set_size", "mean_diversity"]);
-    let policies: Vec<(String, InclusionPolicy)> = vec![
-        ("best-only".into(), InclusionPolicy::BestOnly),
-        (
-            "novel-10%".into(),
-            InclusionPolicy::WithNovel { fraction: 0.10 },
-        ),
-        (
-            "novel-25%".into(),
-            InclusionPolicy::WithNovel { fraction: 0.25 },
-        ),
-        (
-            "random-10%".into(),
-            InclusionPolicy::WithRandom { fraction: 0.10 },
-        ),
-        (
-            "random-25%".into(),
-            InclusionPolicy::WithRandom { fraction: 0.25 },
-        ),
-    ];
-    let s = |v: usize| ((v as f64) * scale).round().max(4.0) as usize;
-    for (label, inclusion) in policies {
-        let mut qualities = Vec::new();
-        let mut sizes = Vec::new();
-        let mut diversities = Vec::new();
-        for &seed in seeds {
-            let mut opt = EssNs::new(EssNsConfig {
-                algorithm: NoveltyGaConfig {
-                    population_size: s(32),
-                    offspring: s(32),
-                    best_set_capacity: s(24),
-                    ..NoveltyGaConfig::default()
-                },
-                inclusion,
-            });
-            let r = PredictionPipeline::new(backend, seed).run(&case, &mut opt);
-            qualities.push(r.mean_quality());
-            sizes.push(mean_of(
-                &r.steps
-                    .iter()
-                    .map(|st| st.diversity.size as f64)
-                    .collect::<Vec<_>>(),
-            ));
-            diversities.push(r.mean_diversity());
-        }
+    let variants = [
+        ("best-only", InclusionPolicy::BestOnly),
+        ("novel-10%", InclusionPolicy::WithNovel { fraction: 0.10 }),
+        ("novel-25%", InclusionPolicy::WithNovel { fraction: 0.25 }),
+        ("random-10%", InclusionPolicy::WithRandom { fraction: 0.10 }),
+        ("random-25%", InclusionPolicy::WithRandom { fraction: 0.25 }),
+    ]
+    .map(|(label, inclusion)| ess_ns(label, plan.ess_ns_base(), inclusion));
+    for cell in plan.cells(&plan.run(&[Task::named("shifting_wind")], &variants)) {
         t.row([
-            label,
-            f4(mean_of(&qualities)),
-            f2(mean_of(&sizes)),
-            f4(mean_of(&diversities)),
+            cell[0].variant.clone(),
+            f4(mean(cell, RunReport::mean_quality)),
+            f2(mean(cell, |r| step_mean(r, |s| s.diversity.size as f64))),
+            f4(mean(cell, RunReport::mean_diversity)),
         ]);
     }
     t
@@ -822,63 +724,37 @@ pub fn e9_inclusion(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTabl
 /// sensor noise. The paper's whole premise is input uncertainty; this
 /// experiment injects it into the *observations* rather than the
 /// parameters and asks which result-set policy degrades most gracefully.
-pub fn e10_noise(seeds: &[u64], scale: f64, backend: EvalBackend) -> TextTable {
-    let clean = cases::shifting_wind();
+/// Tasks: `shifting_wind` observed at three flip probabilities, the noise
+/// drawn per seed (probability 0 flips nothing: the clean case); variants:
+/// the paper systems.
+pub fn e10_noise(plan: &Plan) -> TextTable {
     let mut t = TextTable::new([
         "flip_prob",
         "method",
         "mean_quality",
         "quality_drop_vs_clean",
     ]);
-    let mut clean_quality: Vec<(&str, f64)> = Vec::new();
-    for &flip in &[0.0, 0.10, 0.25] {
-        for system in systems::all() {
-            let mut qualities = Vec::new();
-            for &seed in seeds {
-                let case = if flip > 0.0 {
-                    cases::with_observation_noise(&clean, flip, seed)
-                } else {
-                    clean.clone()
-                };
-                let mut opt = system.make(scale);
-                let r = PredictionPipeline::new(backend, seed).run(&case, opt.as_mut());
-                qualities.push(r.mean_quality());
-            }
-            let q = mean_of(&qualities);
-            if flip == 0.0 {
-                clean_quality.push((system.name, q));
-                t.row([f2(flip), system.name.to_string(), f4(q), "-".to_string()]);
-            } else {
-                let base = clean_quality
-                    .iter()
-                    .find(|(name, _)| *name == system.name)
-                    .map(|&(_, q0)| q0)
-                    .unwrap_or(q);
-                t.row([f2(flip), system.name.to_string(), f4(q), f4(base - q)]);
-            }
+    let clean = cases::shifting_wind();
+    let tasks = [0.0, 0.10, 0.25].map(|flip| {
+        let clean = clean.clone();
+        Task {
+            label: f2(flip),
+            case: Box::new(move |seed| cases::with_observation_noise(&clean, flip, seed)),
         }
+    });
+    let variants = plan.paper_systems();
+    let trials = plan.run(&tasks, &variants);
+    let cells: Vec<&[Trial]> = plan.cells(&trials).collect();
+    for (i, cell) in cells.iter().enumerate() {
+        let q = mean(cell, RunReport::mean_quality);
+        // Task-major order: the first `variants.len()` cells are the clean
+        // observations, one per method.
+        let drop = if i < variants.len() {
+            "-".to_string()
+        } else {
+            f4(mean(cells[i % variants.len()], RunReport::mean_quality) - q)
+        };
+        t.row([cell[0].task.clone(), cell[0].variant.clone(), f4(q), drop]);
     }
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table1_matches_paper_rows() {
-        let t = table1();
-        assert_eq!(t.len(), 9);
-        let csv = t.to_csv();
-        assert!(csv.contains("WindSpd"));
-        assert!(csv.contains("0-80"));
-        assert!(csv.contains("Mherb"));
-        assert!(csv.contains("30-300"));
-    }
-
-    #[test]
-    fn e4_throughput_produces_nine_rows() {
-        let t = e4_throughput();
-        assert_eq!(t.len(), 9);
-    }
 }

@@ -3,12 +3,12 @@
 //!
 //! Every experiment in DESIGN.md §4 is a function here returning a
 //! [`ess::report::TextTable`], so the harness can print it and write the
-//! CSV, the benches can reuse the same workloads, and the integration
-//! tests can assert on the *shape* of the results without duplicating
-//! setup. The pipeline-driven experiments take a
-//! [`parworker::EvalBackend`], surfaced on the harness CLI as
-//! `--backend`; every backend yields bit-identical results, so backend
-//! choice only moves wall time.
+//! CSV, and `tests/paper_tables.rs` can regenerate the pinned tables
+//! (`golden/*.csv`) in-process. The pipeline-driven experiments are rows
+//! of one [`experiments::Plan`], whose one pool is built from the
+//! [`parworker::EvalBackend`] the harness CLI takes as `--backend`; every
+//! backend yields bit-identical results, so backend choice only moves
+//! wall time.
 
 pub mod experiments;
 pub mod microbench;

@@ -4,19 +4,70 @@
 use std::process::Command;
 
 #[test]
-fn zero_workers_is_rejected_before_any_experiment_runs() {
-    for workers in ["0", "2,0"] {
+fn retired_timing_experiments_and_their_flag_are_unknown() {
+    // E3 and E4 read a clock; they live in `cargo bench` and the
+    // benchmark's per-layer readings, and the harness keeps no alias.
+    for id in ["e3-speedup", "e4-throughput"] {
         let out = Command::new(env!("CARGO_BIN_EXE_harness"))
-            .args(["e3-speedup", "--workers", workers])
+            .arg(id)
             .output()
             .expect("harness binary runs");
-        assert_eq!(out.status.code(), Some(1), "--workers {workers}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stderr).trim(),
-            "--workers must be positive"
+        assert_eq!(out.status.code(), Some(1), "{id}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("unknown experiment '{id}'\nusage: harness <")),
+            "{stderr}"
         );
+        assert!(!stderr.contains("|e3-speedup|"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing ran");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_harness"))
+        .args(["e1-quality", "--workers", "2"])
+        .output()
+        .expect("harness binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("unknown flag --workers\n"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no table was started");
+}
+
+#[test]
+fn scales_the_wire_rejects_are_rejected_before_any_experiment_runs() {
+    // `RunSpec::validate` refuses these; the harness used to run every
+    // system at the 4-genome floor instead (`NaN.max(4.0) == 4.0`).
+    for scale in ["0", "-1", "nan", "inf"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_harness"))
+            .args(["e1-quality", "--scale", scale])
+            .output()
+            .expect("harness binary runs");
+        assert_eq!(out.status.code(), Some(1), "--scale {scale}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("--scale must be a positive, finite number (got "),
+            "{stderr}"
+        );
+        assert_eq!(stderr.trim().lines().count(), 1, "{stderr}");
         assert!(out.stdout.is_empty(), "no table was started");
     }
+}
+
+#[test]
+fn usage_lists_every_experiment_and_says_who_reads_cases() {
+    let out = Command::new(env!("CARGO_BIN_EXE_harness"))
+        .output()
+        .expect("harness binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let synopsis = stderr.lines().next().expect("a usage line");
+    assert!(
+        synopsis.contains("--cases a,b (E1 and E2 only"),
+        "{synopsis}"
+    );
+    for id in ["table1", "e1-quality", "e10-noise", "all", "serve", "lint"] {
+        assert!(synopsis.contains(id), "{id} missing from: {synopsis}");
+    }
+    // One titled line per experiment and tool under the synopsis.
+    assert_eq!(stderr.trim().lines().count(), 1 + 12 + 3, "{stderr}");
 }
 
 #[test]

@@ -119,21 +119,7 @@ impl StepOptimizer for EssNs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ess::cases::tiny_test_case;
-    use ess::fitness::{EvalBackend, StepContext};
-    use std::sync::Arc;
-
-    fn step_evaluator() -> ScenarioEvaluator {
-        let case = tiny_test_case();
-        let ctx = Arc::new(StepContext::new(
-            Arc::clone(&case.sim),
-            case.fire_lines[0].clone(),
-            case.fire_lines[1].clone(),
-            case.times[0],
-            case.times[1],
-        ));
-        ScenarioEvaluator::new(ctx, EvalBackend::Serial)
-    }
+    use ess::cases::tiny_step_evaluator;
 
     fn small_algo() -> NoveltyGaConfig {
         NoveltyGaConfig {
@@ -151,7 +137,7 @@ mod tests {
             algorithm: small_algo(),
             inclusion: InclusionPolicy::BestOnly,
         });
-        let mut eval = step_evaluator();
+        let mut eval = tiny_step_evaluator();
         let out = essns.optimize(&mut eval, 3);
         assert!(!out.result_set.is_empty());
         assert!(out.result_set.len() <= 10);
@@ -169,8 +155,8 @@ mod tests {
             algorithm: small_algo(),
             inclusion: InclusionPolicy::WithNovel { fraction: 0.3 },
         });
-        let mut e1 = step_evaluator();
-        let mut e2 = step_evaluator();
+        let mut e1 = tiny_step_evaluator();
+        let mut e2 = tiny_step_evaluator();
         let plain = base.optimize(&mut e1, 5);
         let extended = with_novel.optimize(&mut e2, 5);
         assert!(
@@ -187,7 +173,7 @@ mod tests {
             algorithm: small_algo(),
             inclusion: InclusionPolicy::WithRandom { fraction: 0.5 },
         });
-        let mut eval = step_evaluator();
+        let mut eval = tiny_step_evaluator();
         let out = essns.optimize(&mut eval, 7);
         for g in &out.result_set {
             assert_eq!(g.len(), GENE_COUNT);
@@ -215,8 +201,8 @@ mod tests {
             fitness_threshold: 2.0,
             ..EssConfig::default()
         });
-        let mut e1 = step_evaluator();
-        let mut e2 = step_evaluator();
+        let mut e1 = tiny_step_evaluator();
+        let mut e2 = tiny_step_evaluator();
         let ns_out = essns.optimize(&mut e1, 9);
         let ess_out = ess.optimize(&mut e2, 9);
         let ns_div = evoalg::diversity::mean_pairwise_distance(&ns_out.result_set);
@@ -234,7 +220,7 @@ mod tests {
                 algorithm: small_algo(),
                 inclusion: InclusionPolicy::BestOnly,
             });
-            let mut eval = step_evaluator();
+            let mut eval = tiny_step_evaluator();
             essns.optimize(&mut eval, seed).result_set
         };
         assert_eq!(run(11), run(11));

@@ -9,6 +9,7 @@
 //! that a perfect optimizer could reach fitness 1 (see DESIGN.md §1 for
 //! the substitution argument).
 
+use crate::fitness::{EvalBackend, ScenarioEvaluator, StepContext};
 use firelib::sim::centre_ignition;
 use firelib::workload::WorkloadSpec;
 use firelib::{FireSim, Scenario, Terrain};
@@ -89,6 +90,22 @@ impl BurnCase {
             fire_lines: Arc::new(fire_lines),
             truth,
         }
+    }
+
+    /// The evaluation context of interval `i ≥ 1`: from `RFL_{i-1}` at
+    /// `t_{i-1}` to the observed `RFL_i` at `t_i` — what prediction step
+    /// `i` optimizes on.
+    ///
+    /// # Panics
+    /// Panics when `i` is 0 or beyond the last instant.
+    pub fn step_context(&self, i: usize) -> StepContext {
+        StepContext::new(
+            Arc::clone(&self.sim),
+            self.fire_lines[i - 1].clone(),
+            self.fire_lines[i].clone(),
+            self.times[i - 1],
+            self.times[i],
+        )
     }
 
     /// Total burned area at the final instant.
@@ -432,6 +449,13 @@ pub fn tiny_test_case() -> BurnCase {
     )
 }
 
+/// A serial evaluator over the first interval of [`tiny_test_case`] — the
+/// fixture every optimizer's unit tests search on.
+pub fn tiny_step_evaluator() -> ScenarioEvaluator {
+    let ctx = Arc::new(tiny_test_case().step_context(1));
+    ScenarioEvaluator::new(ctx, EvalBackend::Serial)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,17 +512,9 @@ mod tests {
 
     #[test]
     fn truth_is_a_perfect_descriptor_of_its_own_interval() {
-        use crate::fitness::StepContext;
         let case = tiny_test_case();
         for i in 0..case.intervals() {
-            let ctx = StepContext::new(
-                Arc::clone(&case.sim),
-                case.fire_lines[i].clone(),
-                case.fire_lines[i + 1].clone(),
-                case.times[i],
-                case.times[i + 1],
-            );
-            let f = ctx.fitness_of(&case.truth[i]);
+            let f = case.step_context(i + 1).fitness_of(&case.truth[i]);
             assert!(
                 (f - 1.0).abs() < 1e-9,
                 "truth must score 1 on its own interval, got {f} at step {i}"
@@ -518,16 +534,9 @@ mod tests {
     fn stale_truth_degrades_on_shifting_wind() {
         // The §IV motivation, quantified: step 0's perfect scenario loses
         // fitness on a later interval.
-        use crate::fitness::StepContext;
         let case = shifting_wind();
         let last = case.intervals() - 1;
-        let ctx = StepContext::new(
-            Arc::clone(&case.sim),
-            case.fire_lines[last].clone(),
-            case.fire_lines[last + 1].clone(),
-            case.times[last],
-            case.times[last + 1],
-        );
+        let ctx = case.step_context(last + 1);
         let fresh = ctx.fitness_of(&case.truth[last]);
         let stale = ctx.fitness_of(&case.truth[0]);
         assert!((fresh - 1.0).abs() < 1e-9);
@@ -617,19 +626,11 @@ mod tests {
         // Reference lines must be nested/growing and the truth a perfect
         // descriptor of its own interval — same invariants as the hand
         // built library, now guaranteed by the workload generator.
-        use crate::fitness::StepContext;
         let case = workload_case(&firelib::workload::meadow_small());
         for w in case.fire_lines.windows(2) {
             assert!(w[0].is_subset_of(&w[1]), "workload fire must only grow");
         }
-        let ctx = StepContext::new(
-            Arc::clone(&case.sim),
-            case.fire_lines[0].clone(),
-            case.fire_lines[1].clone(),
-            case.times[0],
-            case.times[1],
-        );
-        let f = ctx.fitness_of(&case.truth[0]);
+        let f = case.step_context(1).fitness_of(&case.truth[0]);
         assert!((f - 1.0).abs() < 1e-9, "truth must score 1, got {f}");
     }
 

@@ -101,21 +101,7 @@ impl StepOptimizer for EssClassic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cases::tiny_test_case;
-    use crate::fitness::{EvalBackend, StepContext};
-    use std::sync::Arc;
-
-    fn step_evaluator() -> ScenarioEvaluator {
-        let case = tiny_test_case();
-        let ctx = Arc::new(StepContext::new(
-            Arc::clone(&case.sim),
-            case.fire_lines[0].clone(),
-            case.fire_lines[1].clone(),
-            case.times[0],
-            case.times[1],
-        ));
-        ScenarioEvaluator::new(ctx, EvalBackend::Serial)
-    }
+    use crate::cases::tiny_step_evaluator;
 
     #[test]
     fn finds_a_reasonable_scenario() {
@@ -128,7 +114,7 @@ mod tests {
             max_generations: 15,
             ..EssConfig::default()
         });
-        let mut eval = step_evaluator();
+        let mut eval = tiny_step_evaluator();
         let out = ess.optimize(&mut eval, 5);
         assert!(
             out.best_fitness > 0.25,
@@ -148,7 +134,7 @@ mod tests {
             fitness_threshold: 0.05, // trivially reachable
             ..EssConfig::default()
         });
-        let mut eval = step_evaluator();
+        let mut eval = tiny_step_evaluator();
         let out = ess.optimize(&mut eval, 6);
         assert!(
             out.generations < 50,
@@ -166,7 +152,7 @@ mod tests {
             fitness_threshold: 2.0, // unreachable
             ..EssConfig::default()
         });
-        let mut eval = step_evaluator();
+        let mut eval = tiny_step_evaluator();
         let out = ess.optimize(&mut eval, 7);
         assert_eq!(out.generations, 3);
         // initial N + 3 × m
@@ -177,7 +163,7 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed| {
             let mut ess = EssClassic::default();
-            let mut eval = step_evaluator();
+            let mut eval = tiny_step_evaluator();
             ess.optimize(&mut eval, seed).result_set
         };
         assert_eq!(run(9), run(9));

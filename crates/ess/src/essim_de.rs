@@ -281,21 +281,7 @@ impl StepOptimizer for EssimDe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cases::tiny_test_case;
-    use crate::fitness::{EvalBackend, StepContext};
-    use std::sync::Arc;
-
-    fn step_evaluator() -> ScenarioEvaluator {
-        let case = tiny_test_case();
-        let ctx = Arc::new(StepContext::new(
-            Arc::clone(&case.sim),
-            case.fire_lines[0].clone(),
-            case.fire_lines[1].clone(),
-            case.times[0],
-            case.times[1],
-        ));
-        ScenarioEvaluator::new(ctx, EvalBackend::Serial)
-    }
+    use crate::cases::tiny_step_evaluator;
 
     fn small_config(tuning: TuningConfig) -> EssimDeConfig {
         EssimDeConfig {
@@ -313,7 +299,7 @@ mod tests {
     #[test]
     fn produces_requested_result_set() {
         let mut de = EssimDe::new(small_config(TuningConfig::disabled()));
-        let mut eval = step_evaluator();
+        let mut eval = tiny_step_evaluator();
         let out = de.optimize(&mut eval, 17);
         assert_eq!(out.result_set.len(), 8);
         assert!(out.best_fitness > 0.0);
@@ -339,8 +325,8 @@ mod tests {
             },
             ..small_config(TuningConfig::disabled())
         });
-        let mut e1 = step_evaluator();
-        let mut e2 = step_evaluator();
+        let mut e1 = tiny_step_evaluator();
+        let mut e2 = tiny_step_evaluator();
         let out_plain = plain.optimize(&mut e1, 23);
         let out_tuned = tuned.optimize(&mut e2, 23);
         assert!(
@@ -357,7 +343,7 @@ mod tests {
             elite_fraction: 0.25,
             ..small_config(TuningConfig::disabled())
         });
-        let mut eval = step_evaluator();
+        let mut eval = tiny_step_evaluator();
         let out = de.optimize(&mut eval, 31);
         assert_eq!(out.result_set.len(), 8);
     }
@@ -366,7 +352,7 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed| {
             let mut de = EssimDe::new(small_config(TuningConfig::enabled()));
-            let mut eval = step_evaluator();
+            let mut eval = tiny_step_evaluator();
             de.optimize(&mut eval, seed).result_set
         };
         assert_eq!(run(41), run(41));

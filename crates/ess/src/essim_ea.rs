@@ -178,21 +178,7 @@ impl StepOptimizer for EssimEa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cases::tiny_test_case;
-    use crate::fitness::{EvalBackend, StepContext};
-    use std::sync::Arc;
-
-    fn step_evaluator() -> ScenarioEvaluator {
-        let case = tiny_test_case();
-        let ctx = Arc::new(StepContext::new(
-            Arc::clone(&case.sim),
-            case.fire_lines[0].clone(),
-            case.fire_lines[1].clone(),
-            case.times[0],
-            case.times[1],
-        ));
-        ScenarioEvaluator::new(ctx, EvalBackend::Serial)
-    }
+    use crate::cases::tiny_step_evaluator;
 
     fn small_config() -> EssimEaConfig {
         EssimEaConfig {
@@ -209,7 +195,7 @@ mod tests {
     #[test]
     fn returns_single_island_population() {
         let mut ea = EssimEa::new(small_config());
-        let mut eval = step_evaluator();
+        let mut eval = tiny_step_evaluator();
         let out = ea.optimize(&mut eval, 11);
         assert_eq!(out.result_set.len(), 8);
         assert!(out.best_fitness > 0.0);
@@ -218,7 +204,7 @@ mod tests {
     #[test]
     fn evaluations_cover_all_islands() {
         let mut ea = EssimEa::new(small_config());
-        let mut eval = step_evaluator();
+        let mut eval = tiny_step_evaluator();
         let out = ea.optimize(&mut eval, 12);
         // Unless the threshold fired early, 3 islands × (8 + gens × 8).
         assert!(out.evaluations >= 3 * 8);
@@ -266,7 +252,7 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed| {
             let mut ea = EssimEa::new(small_config());
-            let mut eval = step_evaluator();
+            let mut eval = tiny_step_evaluator();
             ea.optimize(&mut eval, seed).result_set
         };
         assert_eq!(run(13), run(13));

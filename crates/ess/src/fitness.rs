@@ -1,4 +1,4 @@
-//! The per-step evaluation context and the parallel scenario evaluators.
+//! The per-step evaluation context and the scenario evaluator.
 //!
 //! At prediction step `i` the Optimization Stage scores a scenario by
 //! simulating fire growth from the last known real fire line `RFL_{i-1}`
@@ -6,6 +6,14 @@
 //! with the Jaccard fitness of Eq. (3), excluding the cells already burned
 //! at the start ("previously burned cells are not considered", §III-B).
 //! This is the `PEA F` block of Figs. 1 and 3 — the work the Workers do.
+//!
+//! There is one way to evaluate: a [`SharedScenarioPool`], built once by
+//! whoever owns the process (pipeline, scheduler, `serve`, harness) and
+//! kept up for every step of every run on it. `score` is the only work
+//! function and [`SharedScenarioPool::new`] the only place under this
+//! crate that builds an [`EvalBackend`]; a [`ScenarioEvaluator`] is one
+//! step's view of a pool (or of an injected backend — fused lanes,
+//! tracers).
 
 use evoalg::{BatchEvaluator, GenomeMatrix};
 use firelib::{FireSim, Kernel, LitCells, Scenario, ScenarioSpace, SimArena};
@@ -178,25 +186,23 @@ impl StepContext {
     }
 }
 
-/// The boxed backend a [`ScenarioEvaluator`] runs on by default (built
-/// from an [`EvalBackend`] spec at runtime).
+/// The boxed backend a [`ScenarioEvaluator`] runs on: a view of a
+/// [`SharedScenarioPool`], or whatever [`ScenarioEvaluator::with_backend`]
+/// was handed.
 pub type DynBackend = Box<dyn Backend<Vec<f64>, f64>>;
 
-/// Batch scenario evaluator: decodes genomes, runs the fire simulations on
-/// the configured [`parworker::Backend`], and returns Eq. (3) fitness
-/// values. Implements [`evoalg::BatchEvaluator`], so it plugs into every
-/// engine; generic over the backend (defaulting to the runtime-selected
-/// boxed form the pipeline uses).
+/// One step's batch scenario evaluator: hands genome batches to its
+/// backend and counts them. Implements [`evoalg::BatchEvaluator`], so it
+/// plugs into every engine.
 ///
-/// Every backend runs the same pure work function — decode the genome,
-/// simulate into the worker's private [`SimArena`] via
-/// [`StepContext::fitness_with`] (zero steady-state allocations: spread
-/// cache, heap and arrival raster all live in the arena), score with
-/// Eq. (3) — so Serial, WorkerPool and Rayon produce bit-identical fitness
-/// vectors for the same genome batch.
-pub struct ScenarioEvaluator<B: Backend<Vec<f64>, f64> = DynBackend> {
+/// Every pool runs the same pure work function (`score`: decode the
+/// genome, simulate into the worker's cached [`SimArena`] via
+/// [`StepContext::fitness_with`], tally Eq. (3)) — so Serial, WorkerPool
+/// and Rayon pools produce bit-identical fitness vectors for the same
+/// genome batch.
+pub struct ScenarioEvaluator {
     ctx: Arc<StepContext>,
-    backend: B,
+    backend: DynBackend,
     evaluations: u64,
 }
 
@@ -233,11 +239,11 @@ impl ArenaCache {
     }
 }
 
-/// The pure per-genome work function every shared-pool path runs: decode
-/// the genome, simulate into the cached arena for the context's grid
-/// shape, score with Eq. (3). Worker dispatch, inline fallback and fused
-/// mega-batches all funnel through this one function, which is what makes
-/// their results bit-identical.
+/// The pure per-genome work function — the only one: decode the genome,
+/// simulate into the cached arena for the context's grid shape, score
+/// with Eq. (3). Worker dispatch, inline fallback and fused mega-batches
+/// all funnel through this one function, which is what makes their
+/// results bit-identical.
 fn score(cache: &mut ArenaCache, ctx: &StepContext, genes: &[f64]) -> f64 {
     let terrain = ctx.sim().terrain();
     let arena = cache.for_shape(terrain.rows(), terrain.cols());
@@ -252,19 +258,15 @@ fn score(cache: &mut ArenaCache, ctx: &StepContext, genes: &[f64]) -> f64 {
 /// `archipelago_large`) before this fallback existed.
 pub const DEFAULT_INLINE_THRESHOLD: usize = 16;
 
-/// A scenario-evaluation worker pool shared by many concurrent runs — the
-/// serving substrate. Where a per-run [`ScenarioEvaluator::new`] backend
-/// captures one step's context at build time (and therefore spawns fresh
-/// workers every step), the shared pool's task type carries the context,
-/// so one set of worker threads serves every step of every session for
-/// the lifetime of the process.
+/// The scenario evaluator: one set of workers that stays up for every
+/// step of every run on it. The task type carries the step context, so
+/// nothing is captured at build time and the same threads serve a
+/// standalone run's steps, a harness plan's trials and a server's
+/// concurrent sessions alike, whatever case (and grid shape) each is on.
 ///
-/// The work function is the same pure decode → [`StepContext::fitness_with`]
-/// → Eq. (3) path as the per-run backends, so shared and private execution
-/// produce bit-identical fitness vectors. Batches are serialised through a
-/// mutex ([`parworker::Backend::map`] needs `&mut self`); fairness between
-/// sessions is the scheduler's job — one *batch* is the unit of
-/// interleaving.
+/// Batches are serialised through a mutex ([`parworker::Backend::map`]
+/// needs `&mut self`); fairness between sessions is the scheduler's job —
+/// one *batch* is the unit of interleaving.
 pub struct SharedScenarioPool {
     inner: Mutex<DynSharedBackend>,
     /// Arena cache for the inline small-batch path. Never held together
@@ -416,7 +418,7 @@ impl Backend<Vec<f64>, f64> for SharedPoolBackend {
     }
 
     fn name(&self) -> String {
-        format!("shared:{}", self.pool.name())
+        self.pool.name()
     }
 
     fn workers(&self) -> usize {
@@ -425,38 +427,25 @@ impl Backend<Vec<f64>, f64> for SharedPoolBackend {
 }
 
 impl ScenarioEvaluator {
-    /// Builds an evaluator over `ctx` on the backend `spec` selects.
+    /// Builds an evaluator over `ctx` on a pool of its own built from
+    /// `spec` — for a one-off evaluation outside any run; a run shares one
+    /// pool across its steps through [`ScenarioEvaluator::shared`].
     pub fn new(ctx: Arc<StepContext>, spec: EvalBackend) -> Self {
-        let arena_ctx = Arc::clone(&ctx);
-        let worker_ctx = Arc::clone(&ctx);
-        // Each worker owns a private SimArena: the per-worker state of the
-        // farm (the `FS` instance of OS-Worker x). The terrain itself is
-        // never copied — every arena shares it through the simulator `Arc`.
-        let backend = spec.build(
-            move |_wid| arena_ctx.sim().arena(),
-            move |arena: &mut SimArena, genes: Vec<f64>| {
-                worker_ctx.fitness_with(&ScenarioSpace.decode(&genes), arena)
-            },
-        );
-        Self::with_backend(ctx, backend)
+        Self::shared(ctx, Arc::new(SharedScenarioPool::new(spec)))
     }
 
-    /// Builds an evaluator over `ctx` that runs its batches on a shared
-    /// [`SharedScenarioPool`] instead of spawning its own workers — the
-    /// serving configuration, where many sessions multiplex one pool.
+    /// Builds an evaluator over `ctx` that runs its batches on `pool`.
     pub fn shared(ctx: Arc<StepContext>, pool: Arc<SharedScenarioPool>) -> Self {
-        let backend: DynBackend = Box::new(SharedPoolBackend {
+        let backend = Box::new(SharedPoolBackend {
             ctx: Arc::clone(&ctx),
             pool,
         });
         Self::with_backend(ctx, backend)
     }
-}
 
-impl<B: Backend<Vec<f64>, f64>> ScenarioEvaluator<B> {
-    /// Wraps an already-built backend (static dispatch; `new` is the
-    /// config-driven entry point).
-    pub fn with_backend(ctx: Arc<StepContext>, backend: B) -> Self {
+    /// Wraps an injected backend — the fused round's lanes and the
+    /// benchmark's tracer score batches their own way.
+    pub fn with_backend(ctx: Arc<StepContext>, backend: DynBackend) -> Self {
         Self {
             ctx,
             backend,
@@ -480,7 +469,7 @@ impl<B: Backend<Vec<f64>, f64>> ScenarioEvaluator<B> {
     }
 }
 
-impl<B: Backend<Vec<f64>, f64>> BatchEvaluator for ScenarioEvaluator<B> {
+impl BatchEvaluator for ScenarioEvaluator {
     fn evaluate(&mut self, genomes: &[Vec<f64>]) -> Vec<f64> {
         self.evaluations += genomes.len() as u64;
         self.backend.map(genomes.to_vec())
@@ -513,6 +502,18 @@ mod tests {
             Arc::new(StepContext::new(sim, from, target, 0.0, 40.0)),
             truth,
         )
+    }
+
+    /// A second context on a different grid shape (33×33 against 25×25).
+    fn larger_context() -> Arc<StepContext> {
+        let truth = Scenario {
+            wind_speed_mph: 9.0,
+            ..Scenario::reference()
+        };
+        let sim = Arc::new(FireSim::new(Terrain::uniform(33, 33, 100.0)));
+        let from = centre_ignition(33, 33);
+        let target = sim.simulate_fire_line(&truth, &from, 0.0, 50.0);
+        Arc::new(StepContext::new(sim, from, target, 0.0, 50.0))
     }
 
     #[test]
@@ -606,84 +607,75 @@ mod tests {
         assert!((ctx.fitness_of_genome(&genes) - ctx.fitness_of(&truth)).abs() < 1e-12);
     }
 
-    #[test]
-    fn backends_agree_exactly() {
+    fn random_genomes(seed: u64, n: usize) -> Vec<Vec<f64>> {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let (ctx, _) = known_context();
-        let mut rng = StdRng::seed_from_u64(0);
-        let genomes: Vec<Vec<f64>> = (0..12)
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
             .map(|_| {
                 (0..firelib::GENE_COUNT)
                     .map(|_| rng.random::<f64>())
                     .collect()
             })
-            .collect();
-        let mut serial = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Serial);
-        let mut pool = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::WorkerPool(2));
-        let mut ray = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Rayon(2));
-        let fs = serial.evaluate(&genomes);
-        let fp = pool.evaluate(&genomes);
-        let fr = ray.evaluate(&genomes);
-        assert_eq!(fs, fp, "worker-pool backend diverged from serial");
-        assert_eq!(fs, fr, "rayon backend diverged from serial");
-        assert_eq!(serial.evaluation_count(), 12);
+            .collect()
     }
 
     #[test]
-    fn shared_pool_matches_private_backends_across_mixed_grids() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        // Two contexts on different grid shapes multiplexed over one pool:
-        // the per-worker arena cache must keep them apart, and fitness must
-        // stay bit-identical to a private serial evaluator.
-        let (small_ctx, _) = known_context();
-        let truth = Scenario {
-            wind_speed_mph: 9.0,
-            ..Scenario::reference()
-        };
-        let sim = Arc::new(FireSim::new(Terrain::uniform(33, 33, 100.0)));
-        let from = centre_ignition(33, 33);
-        let target = sim.simulate_fire_line(&truth, &from, 0.0, 50.0);
-        let big_ctx = Arc::new(StepContext::new(sim, from, target, 0.0, 50.0));
+    fn backends_agree_exactly() {
+        let (ctx, _) = known_context();
+        let mut serial = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Serial);
+        let mut pool = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::WorkerPool(2));
+        let mut ray = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Rayon(2));
+        // Both sides of the inline threshold: a multi-worker pool scores
+        // the first three batches on the calling thread and dispatches the
+        // last two.
+        let mut total = 0;
+        for n in [
+            0,
+            1,
+            DEFAULT_INLINE_THRESHOLD,
+            DEFAULT_INLINE_THRESHOLD + 1,
+            40,
+        ] {
+            let genomes = random_genomes(n as u64, n);
+            let fs = serial.evaluate(&genomes);
+            assert_eq!(fs.len(), n);
+            assert_eq!(fs, pool.evaluate(&genomes), "worker-pool, batch of {n}");
+            assert_eq!(fs, ray.evaluate(&genomes), "rayon, batch of {n}");
+            total += n as u64;
+        }
+        assert_eq!(serial.evaluation_count(), total);
+    }
 
-        let mut rng = StdRng::seed_from_u64(3);
-        let genomes: Vec<Vec<f64>> = (0..10)
-            .map(|_| {
-                (0..firelib::GENE_COUNT)
-                    .map(|_| rng.random::<f64>())
-                    .collect()
-            })
-            .collect();
+    #[test]
+    fn one_pool_keeps_mixed_grids_apart() {
+        // Two contexts on different grid shapes multiplexed over one pool:
+        // the per-worker arena caches (and the inline one) must keep them
+        // apart. The reference scores every genome in a fresh arena.
+        let (small_ctx, _) = known_context();
+        let big_ctx = larger_context();
 
         let pool = Arc::new(SharedScenarioPool::new(EvalBackend::WorkerPool(2)));
-        for ctx in [&small_ctx, &big_ctx] {
-            let mut private = ScenarioEvaluator::new(Arc::clone(ctx), EvalBackend::Serial);
-            let mut on_pool = ScenarioEvaluator::shared(Arc::clone(ctx), Arc::clone(&pool));
-            // Interleave rounds so worker arena caches see both shapes.
+        // 10 genomes stay inline, 24 are dispatched to the workers.
+        for n in [10, 24] {
+            let genomes = random_genomes(3, n);
+            // Interleave rounds so every arena cache sees both shapes.
             for _ in 0..2 {
-                assert_eq!(
-                    private.evaluate(&genomes),
-                    on_pool.evaluate(&genomes),
-                    "shared pool diverged from serial"
-                );
+                for ctx in [&small_ctx, &big_ctx] {
+                    let fresh: Vec<f64> =
+                        genomes.iter().map(|g| ctx.fitness_of_genome(g)).collect();
+                    let mut on_pool = ScenarioEvaluator::shared(Arc::clone(ctx), Arc::clone(&pool));
+                    assert_eq!(fresh, on_pool.evaluate(&genomes), "batch of {n}");
+                    assert_eq!(on_pool.backend_name(), "worker-pool(2)");
+                }
             }
-            assert!(on_pool.backend_name().starts_with("shared:"));
         }
         assert_eq!(pool.workers(), 2);
-        assert_eq!(pool.name(), "worker-pool(2)");
     }
 
     #[test]
     fn small_batches_run_inline_and_match_dispatch() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         let (ctx, _) = known_context();
-        let mut rng = StdRng::seed_from_u64(11);
-        let rows: Vec<Vec<f64>> = (0..20)
-            .map(|_| {
-                (0..firelib::GENE_COUNT)
-                    .map(|_| rng.random::<f64>())
-                    .collect()
-            })
-            .collect();
+        let rows = random_genomes(11, 20);
         let pool = SharedScenarioPool::new(EvalBackend::WorkerPool(2));
         assert_eq!(pool.inline_threshold(), DEFAULT_INLINE_THRESHOLD);
         // 10 ≤ 16: the threshold routes the first ten rows inline.
@@ -704,30 +696,11 @@ mod tests {
 
     #[test]
     fn fused_batches_match_per_session_evaluation() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         let (small_ctx, _) = known_context();
-        let truth = Scenario {
-            wind_speed_mph: 9.0,
-            ..Scenario::reference()
-        };
-        let sim = Arc::new(FireSim::new(Terrain::uniform(33, 33, 100.0)));
-        let from = centre_ignition(33, 33);
-        let target = sim.simulate_fire_line(&truth, &from, 0.0, 50.0);
-        let big_ctx = Arc::new(StepContext::new(sim, from, target, 0.0, 50.0));
+        let big_ctx = larger_context();
 
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut gen_batch = |n: usize| {
-            GenomeMatrix::from_rows(
-                &(0..n)
-                    .map(|_| {
-                        (0..firelib::GENE_COUNT)
-                            .map(|_| rng.random::<f64>())
-                            .collect::<Vec<f64>>()
-                    })
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let (a, b) = (gen_batch(5), gen_batch(20));
+        let a = GenomeMatrix::from_rows(&random_genomes(5, 5));
+        let b = GenomeMatrix::from_rows(&random_genomes(6, 20));
         let empty = GenomeMatrix::new();
 
         let pool = SharedScenarioPool::new(EvalBackend::WorkerPool(2));
@@ -747,13 +720,8 @@ mod tests {
 
     #[test]
     fn fitness_in_unit_interval() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         let (ctx, _) = known_context();
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..30 {
-            let genes: Vec<f64> = (0..firelib::GENE_COUNT)
-                .map(|_| rng.random::<f64>())
-                .collect();
+        for genes in random_genomes(7, 30) {
             let f = ctx.fitness_of_genome(&genes);
             assert!((0.0..=1.0).contains(&f), "fitness {f} out of range");
         }

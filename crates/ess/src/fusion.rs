@@ -207,7 +207,7 @@ mod tests {
                     let _done = LaneGuard::new(lane.clone());
                     let mut ev = ScenarioEvaluator::with_backend(
                         Arc::clone(ctx),
-                        FusionLane::new(Arc::clone(ctx), lane),
+                        Box::new(FusionLane::new(Arc::clone(ctx), lane)),
                     );
                     // Two sequential waves per lane, like a GA's
                     // parents-then-offspring evaluations.
@@ -245,7 +245,7 @@ mod tests {
                     let _done = LaneGuard::new(lane.clone());
                     let mut ev = ScenarioEvaluator::with_backend(
                         Arc::clone(&ctx),
-                        FusionLane::new(Arc::clone(&ctx), lane),
+                        Box::new(FusionLane::new(Arc::clone(&ctx), lane)),
                     );
                     for _ in 0..waves {
                         let fits = ev.evaluate(&batch);

@@ -12,10 +12,11 @@
 //! instantiations of the same [`pipeline::PredictionPipeline`]:
 //!
 //! * [`fitness`] — the per-step evaluation context (simulate a scenario
-//!   over the last known interval, score with Eq. (3)) and the
-//!   [`fitness::ScenarioEvaluator`], which runs batches on any
-//!   [`parworker::Backend`] (Serial / WorkerPool / Rayon, selected at
-//!   runtime by [`parworker::EvalBackend`]);
+//!   over the last known interval, score with Eq. (3)) and the one
+//!   evaluator, [`fitness::SharedScenarioPool`]: built once per process
+//!   from a [`parworker::EvalBackend`] (Serial / WorkerPool / Rayon) and
+//!   kept up for every step of every run; a
+//!   [`fitness::ScenarioEvaluator`] is one step's view of it;
 //! * [`fusion`] — cross-session batch fusion: per-session lanes park
 //!   their evaluation batches with a round coordinator, which fuses them
 //!   into one mega-batch on the shared pool and scatters results back;
@@ -24,9 +25,10 @@
 //! * [`calibration`] — the Calibration Stage's `SKign` search (Fig. 1) and
 //!   the Prediction Stage threshold application (Fig. 2);
 //! * [`pipeline`] — the prediction-step driver shared by every system
-//!   (the resumable [`pipeline::StepDriver`] plus the batch
-//!   [`pipeline::PredictionPipeline`] wrapper over it), producing per-step
-//!   quality/diversity/timing reports;
+//!   (the resumable [`pipeline::StepDriver`], which holds the pool its
+//!   steps evaluate on, plus the batch [`pipeline::PredictionPipeline`]
+//!   wrapper over it), producing per-step quality/diversity/timing
+//!   reports;
 //! * [`error`] — the [`ServiceError`] taxonomy every name-resolving or
 //!   budget-enforcing entry point reports through;
 //! * [`ess_classic`] — ESS: fitness-driven GA, result = final population;
@@ -70,6 +72,5 @@ pub use fitness::{
 };
 pub use fusion::{run_coordinator, FusionLane, LaneGuard, LaneMsg};
 pub use pipeline::{
-    EvalStrategy, OptimizeOutcome, PredictionPipeline, RunReport, StepDriver, StepOptimizer,
-    StepReport,
+    OptimizeOutcome, PredictionPipeline, RunReport, StepDriver, StepOptimizer, StepReport,
 };

@@ -17,6 +17,13 @@
 //!
 //! The first observed interval (step 1) only calibrates; predictions are
 //! emitted from instant `t_2` onwards.
+//!
+//! Scenario evaluation has one strategy: a [`StepDriver`] holds the
+//! [`SharedScenarioPool`] its steps evaluate on, and whoever owns the run
+//! built that pool once — [`PredictionPipeline::new`] for a standalone
+//! run, the scheduler for a server's sessions, the harness for a plan's
+//! trials. [`StepDriver::step_with`] is the one injection point (fused
+//! lanes, tracers).
 
 use crate::calibration::{skign_search, PredictionStage};
 use crate::cases::BurnCase;
@@ -120,41 +127,6 @@ impl RunReport {
     }
 }
 
-/// How a [`StepDriver`] obtains the scenario evaluator for each step:
-/// either by building a fresh backend from a spec per step (the classic
-/// batch behaviour — each run owns its workers), or by borrowing a
-/// [`SharedScenarioPool`] that many concurrent sessions multiplex over
-/// (the serving deployment — one worker pool for the whole process).
-///
-/// Both strategies run the identical pure work function, so for a given
-/// seed the produced reports are bit-identical; only thread ownership and
-/// wall time differ.
-#[derive(Clone)]
-pub enum EvalStrategy {
-    /// Build a private backend from this spec for every step.
-    PerStep(EvalBackend),
-    /// Evaluate on a process-wide shared pool.
-    Shared(Arc<SharedScenarioPool>),
-}
-
-impl EvalStrategy {
-    /// Builds the evaluator for one step's context.
-    fn evaluator(&self, ctx: Arc<StepContext>) -> ScenarioEvaluator {
-        match self {
-            EvalStrategy::PerStep(spec) => ScenarioEvaluator::new(ctx, *spec),
-            EvalStrategy::Shared(pool) => ScenarioEvaluator::shared(ctx, Arc::clone(pool)),
-        }
-    }
-
-    /// Report name of the underlying backend.
-    pub fn backend_name(&self) -> String {
-        match self {
-            EvalStrategy::PerStep(spec) => spec.name(),
-            EvalStrategy::Shared(pool) => format!("shared:{}", pool.name()),
-        }
-    }
-}
-
 /// Derives the per-step RNG seed (SplitMix64 over the packed indices, so
 /// neighbouring steps get uncorrelated streams).
 fn step_seed(base_seed: u64, step: usize) -> u64 {
@@ -172,7 +144,7 @@ fn step_seed(base_seed: u64, step: usize) -> u64 {
 /// session paths are bit-identical by construction.
 pub struct StepDriver {
     case: BurnCase,
-    strategy: EvalStrategy,
+    pool: Arc<SharedScenarioPool>,
     base_seed: u64,
     carried_kign: Option<f64>,
     /// Next interval index to observe (the loop variable `i`; starts at 1).
@@ -180,11 +152,12 @@ pub struct StepDriver {
 }
 
 impl StepDriver {
-    /// Builds a driver positioned before the first prediction step.
-    pub fn new(case: BurnCase, strategy: EvalStrategy, base_seed: u64) -> Self {
+    /// Builds a driver positioned before the first prediction step, its
+    /// steps evaluating on `pool`.
+    pub fn new(case: BurnCase, pool: Arc<SharedScenarioPool>, base_seed: u64) -> Self {
         Self {
             case,
-            strategy,
+            pool,
             base_seed,
             carried_kign: None,
             next: 1,
@@ -205,7 +178,7 @@ impl StepDriver {
     /// always calibrated a `Kign`; step 0 never has).
     pub fn restore(
         case: BurnCase,
-        strategy: EvalStrategy,
+        pool: Arc<SharedScenarioPool>,
         base_seed: u64,
         completed: usize,
         carried_kign: Option<f64>,
@@ -222,7 +195,7 @@ impl StepDriver {
         );
         Self {
             case,
-            strategy,
+            pool,
             base_seed,
             carried_kign,
             next: completed + 1,
@@ -239,11 +212,6 @@ impl StepDriver {
     /// The burn case being predicted.
     pub fn case(&self) -> &BurnCase {
         &self.case
-    }
-
-    /// How the driver evaluates scenario batches.
-    pub fn strategy(&self) -> &EvalStrategy {
-        &self.strategy
     }
 
     /// Total prediction steps a full run executes (`intervals − 1`).
@@ -270,8 +238,8 @@ impl StepDriver {
     /// prediction for `t_{i+1}` is only scored while `i+1` is still an
     /// observed interval.
     pub fn step(&mut self, optimizer: &mut dyn StepOptimizer) -> Option<StepReport> {
-        let strategy = self.strategy.clone();
-        self.step_with(optimizer, |ctx| strategy.evaluator(ctx))
+        let pool = Arc::clone(&self.pool);
+        self.step_with(optimizer, |ctx| ScenarioEvaluator::shared(ctx, pool))
     }
 
     /// [`StepDriver::step`] with the evaluator supplied by the caller —
@@ -293,13 +261,7 @@ impl StepDriver {
         let case = &self.case;
         let sw = Stopwatch::start();
         // --- Optimization Stage on [t_{i-1}, t_i] ------------------------
-        let observed_ctx = Arc::new(StepContext::new(
-            Arc::clone(&case.sim),
-            case.fire_lines[i - 1].clone(),
-            case.fire_lines[i].clone(),
-            case.times[i - 1],
-            case.times[i],
-        ));
+        let observed_ctx = Arc::new(case.step_context(i));
         let mut evaluator = make_evaluator(Arc::clone(&observed_ctx));
         let outcome = optimizer.optimize(&mut evaluator, step_seed(self.base_seed, i));
 
@@ -316,13 +278,7 @@ impl StepDriver {
         // --- Statistical + Prediction Stage for t_{i+1} ------------------
         let quality = match self.carried_kign {
             Some(kign) => {
-                let next_ctx = StepContext::new(
-                    Arc::clone(&case.sim),
-                    case.fire_lines[i].clone(),
-                    case.fire_lines[i + 1].clone(),
-                    case.times[i],
-                    case.times[i + 1],
-                );
+                let next_ctx = case.step_context(i + 1);
                 let pred_matrix = statistical_stage_genomes(&next_ctx, &outcome.result_set);
                 let ps = PredictionStage::new(kign);
                 Some(ps.quality(
@@ -351,30 +307,31 @@ impl StepDriver {
 }
 
 /// The prediction pipeline: drives a [`StepOptimizer`] across every
-/// interval of a burn case.
+/// interval of a burn case, every step of every run on one pool.
 pub struct PredictionPipeline {
-    backend: EvalBackend,
+    pool: Arc<SharedScenarioPool>,
     /// Base seed; step `i` of replicate `r` uses `base ⊕ hash(i, r)`.
     base_seed: u64,
 }
 
 impl PredictionPipeline {
-    /// Builds a pipeline running scenario evaluation on `backend`.
+    /// Builds a standalone pipeline: a pool of its own, built from
+    /// `backend` here and kept for every run.
     pub fn new(backend: EvalBackend, base_seed: u64) -> Self {
-        Self { backend, base_seed }
+        Self::on_pool(Arc::new(SharedScenarioPool::new(backend)), base_seed)
     }
 
-    /// A resumable [`StepDriver`] over `case` with this pipeline's backend
-    /// and seed — the incremental counterpart of [`PredictionPipeline::run`].
-    pub fn driver(&self, case: BurnCase) -> StepDriver {
-        StepDriver::new(case, EvalStrategy::PerStep(self.backend), self.base_seed)
+    /// Builds a pipeline on a pool someone else owns (the harness runs
+    /// every trial of a plan on one).
+    pub fn on_pool(pool: Arc<SharedScenarioPool>, base_seed: u64) -> Self {
+        Self { pool, base_seed }
     }
 
     /// Runs the full predictive process of one system over one case — a
     /// drained [`StepDriver`].
     pub fn run(&self, case: &BurnCase, optimizer: &mut dyn StepOptimizer) -> RunReport {
         let total = Stopwatch::start();
-        let mut driver = self.driver(case.clone());
+        let mut driver = StepDriver::new(case.clone(), Arc::clone(&self.pool), self.base_seed);
         let mut steps = Vec::with_capacity(driver.total_steps());
         while let Some(step) = driver.step(optimizer) {
             steps.push(step);
@@ -393,6 +350,10 @@ mod tests {
     use super::*;
     use crate::cases::tiny_test_case;
     use firelib::ScenarioSpace;
+
+    fn serial_pool() -> Arc<SharedScenarioPool> {
+        Arc::new(SharedScenarioPool::new(EvalBackend::Serial))
+    }
 
     /// An oracle optimizer that returns the hidden truth — the pipeline's
     /// upper bound. Used to validate the stage plumbing end to end.
@@ -513,10 +474,10 @@ mod tests {
     #[test]
     fn driver_steps_match_batch_run_bit_for_bit() {
         let case = tiny_test_case();
-        let pipeline = PredictionPipeline::new(EvalBackend::Serial, 5);
-        let batch = pipeline.run(&case, &mut RandomSearch { budget: 15 });
+        let batch = PredictionPipeline::new(EvalBackend::Serial, 5)
+            .run(&case, &mut RandomSearch { budget: 15 });
 
-        let mut driver = pipeline.driver(case.clone());
+        let mut driver = StepDriver::new(case.clone(), serial_pool(), 5);
         assert_eq!(driver.total_steps(), case.intervals() - 1);
         assert!(!driver.is_finished());
         let mut opt = RandomSearch { budget: 15 };
@@ -541,33 +502,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_strategy_matches_per_step_strategy() {
-        use crate::fitness::SharedScenarioPool;
-        let case = tiny_test_case();
-        let run_with = |strategy: EvalStrategy| {
-            let mut driver = StepDriver::new(case.clone(), strategy, 9);
-            let mut opt = RandomSearch { budget: 12 };
-            let mut out = Vec::new();
-            while let Some(s) = driver.step(&mut opt) {
-                out.push((s.quality, s.kign, s.os_best_fitness));
-            }
-            out
-        };
-        let private = run_with(EvalStrategy::PerStep(EvalBackend::Serial));
-        let pool = Arc::new(SharedScenarioPool::new(EvalBackend::WorkerPool(2)));
-        let shared = run_with(EvalStrategy::Shared(pool));
-        assert_eq!(private, shared, "shared pool diverged from private");
-    }
-
-    #[test]
     fn restored_driver_replays_the_remaining_steps_bit_for_bit() {
         let case = tiny_test_case();
+        let pool = serial_pool();
         let full = |seed| {
-            let mut driver = StepDriver::new(
-                case.clone(),
-                EvalStrategy::PerStep(EvalBackend::Serial),
-                seed,
-            );
+            let mut driver = StepDriver::new(case.clone(), Arc::clone(&pool), seed);
             let mut opt = RandomSearch { budget: 15 };
             let mut out = Vec::new();
             while let Some(s) = driver.step(&mut opt) {
@@ -577,8 +516,7 @@ mod tests {
         };
         let reference = full(11);
         for checkpoint in 0..reference.len() {
-            let mut driver =
-                StepDriver::new(case.clone(), EvalStrategy::PerStep(EvalBackend::Serial), 11);
+            let mut driver = StepDriver::new(case.clone(), Arc::clone(&pool), 11);
             let mut opt = RandomSearch { budget: 15 };
             for _ in 0..checkpoint {
                 driver.step(&mut opt).expect("prefix step");
@@ -587,7 +525,7 @@ mod tests {
             // checkpoint coordinates alone.
             let mut resumed = StepDriver::restore(
                 case.clone(),
-                EvalStrategy::PerStep(EvalBackend::Serial),
+                Arc::clone(&pool),
                 11,
                 driver.completed(),
                 driver.carried_kign(),
@@ -611,13 +549,7 @@ mod tests {
     fn restore_rejects_too_many_completed_steps() {
         let case = tiny_test_case();
         let total = case.intervals() - 1;
-        let _ = StepDriver::restore(
-            case.clone(),
-            EvalStrategy::PerStep(EvalBackend::Serial),
-            1,
-            total + 1,
-            Some(0.5),
-        );
+        let _ = StepDriver::restore(case.clone(), serial_pool(), 1, total + 1, Some(0.5));
     }
 
     #[test]

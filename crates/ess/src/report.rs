@@ -1,13 +1,10 @@
-//! Aligned text tables and CSV writers for the experiment harness.
+//! Aligned text tables and their CSV form for the experiment harness.
 //!
 //! Hand-rolled on purpose: the workspace's dependency policy (DESIGN.md §1)
 //! keeps serialisation crates out, and the harness only needs fixed-width
 //! tables and comma-separated files.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 /// A simple column-aligned text table with a CSV serialisation.
 #[derive(Debug, Clone, Default)]
@@ -101,17 +98,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Writes the CSV form to `path`, creating parent directories.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        if let Some(parent) = path.as_ref().parent() {
-            fs::create_dir_all(parent)?;
-        }
-        fs::write(path, self.to_csv())
-    }
 }
 
 /// Formats a float with 4 decimal places (the precision the reports use).
@@ -160,18 +146,6 @@ mod tests {
     fn ragged_row_rejected() {
         let mut t = TextTable::new(["a", "b"]);
         t.row(["only one"]);
-    }
-
-    #[test]
-    fn write_csv_creates_directories() {
-        let dir = std::env::temp_dir().join("essns_report_test");
-        let _ = fs::remove_dir_all(&dir);
-        let path = dir.join("nested/out.csv");
-        let mut t = TextTable::new(["h"]);
-        t.row(["v"]);
-        t.write_csv(&path).unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "h\nv\n");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,25 +1,21 @@
 //! The unified evaluation layer's core contract, as a property test:
-//! Serial, WorkerPool and Rayon backends are *interchangeable* — for any
-//! genome batch they return bit-identical fitness vectors and identical
-//! evaluation accounting, so backend choice can never change results, only
-//! wall time (the premise of the E3 speedup comparison).
+//! pools built on the Serial, WorkerPool and Rayon backends are
+//! *interchangeable* — for any genome batch they return bit-identical
+//! fitness vectors and identical evaluation accounting, so backend choice
+//! can never change results, only wall time (the premise of the E3 speedup
+//! comparison). A multi-worker pool scores batches of up to
+//! `DEFAULT_INLINE_THRESHOLD` genomes on the calling thread, so every
+//! comparison here takes batches on both sides of it.
 
 use ess::cases;
-use ess::fitness::{EvalBackend, ScenarioEvaluator, StepContext};
+use ess::fitness::{EvalBackend, ScenarioEvaluator, StepContext, DEFAULT_INLINE_THRESHOLD};
 use evoalg::BatchEvaluator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn step1_context() -> Arc<StepContext> {
-    let case = cases::tiny_test_case();
-    Arc::new(StepContext::new(
-        Arc::clone(&case.sim),
-        case.fire_lines[0].clone(),
-        case.fire_lines[1].clone(),
-        case.times[0],
-        case.times[1],
-    ))
+    Arc::new(cases::tiny_test_case().step_context(1))
 }
 
 fn random_batch(rng: &mut StdRng, len: usize) -> Vec<Vec<f64>> {
@@ -33,8 +29,9 @@ fn random_batch(rng: &mut StdRng, len: usize) -> Vec<Vec<f64>> {
 }
 
 /// The headline property: over many random batches (varying sizes,
-/// including the empty and single-genome edge cases), every backend
-/// returns bit-identical fitness vectors and the same evaluation count.
+/// including the empty and single-genome edge cases and the two sizes
+/// either side of the inline threshold), every backend returns
+/// bit-identical fitness vectors and the same evaluation count.
 #[test]
 fn all_backends_bit_identical_on_random_batches() {
     let ctx = step1_context();
@@ -56,6 +53,8 @@ fn all_backends_bit_identical_on_random_batches() {
         let len = match seed {
             0 => 0,
             1 => 1,
+            2 => DEFAULT_INLINE_THRESHOLD,
+            3 => DEFAULT_INLINE_THRESHOLD + 1,
             _ => rng.random_range(2..48usize),
         };
         let batch = random_batch(&mut rng, len);
@@ -91,15 +90,17 @@ fn all_backends_bit_identical_on_random_batches() {
 fn all_backends_produce_unit_interval_fitness() {
     let ctx = step1_context();
     let mut rng = StdRng::seed_from_u64(99);
-    let batch = random_batch(&mut rng, 16);
-    for spec in [
-        EvalBackend::Serial,
-        EvalBackend::WorkerPool(3),
-        EvalBackend::Rayon(3),
-    ] {
-        let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), spec);
-        for f in evaluator.evaluate(&batch) {
-            assert!((0.0..=1.0).contains(&f), "{spec}: fitness {f} out of range");
+    for len in [DEFAULT_INLINE_THRESHOLD, 2 * DEFAULT_INLINE_THRESHOLD] {
+        let batch = random_batch(&mut rng, len);
+        for spec in [
+            EvalBackend::Serial,
+            EvalBackend::WorkerPool(3),
+            EvalBackend::Rayon(3),
+        ] {
+            let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), spec);
+            for f in evaluator.evaluate(&batch) {
+                assert!((0.0..=1.0).contains(&f), "{spec}: fitness {f} out of range");
+            }
         }
     }
 }
@@ -110,7 +111,8 @@ fn all_backends_produce_unit_interval_fitness() {
 fn parsed_specs_match_programmatic_ones() {
     let ctx = step1_context();
     let mut rng = StdRng::seed_from_u64(7);
-    let batch = random_batch(&mut rng, 10);
+    // Large enough that every parsed multi-worker spec dispatches it.
+    let batch = random_batch(&mut rng, DEFAULT_INLINE_THRESHOLD + 4);
     let reference: Vec<u64> = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Serial)
         .evaluate(&batch)
         .iter()
@@ -137,9 +139,10 @@ fn parsed_specs_match_programmatic_ones() {
 /// The same interchangeability on every *heterogeneous* corpus workload
 /// (fuel mosaics, relief, gusty wind fields → the per-fuel and per-cell
 /// spread paths and the arena's spread cache), shrunk to ≤ 40 cells per
-/// side: every backend's worker arenas must reproduce the serial results
-/// bit for bit, including when the evaluators are reused across rounds
-/// with warm arenas.
+/// side: every backend's worker arenas (24-genome rounds) and every
+/// pool's inline arena (12-genome rounds) must reproduce the serial
+/// results bit for bit, including when the evaluators are reused across
+/// rounds with warm arenas.
 #[test]
 fn all_backends_bit_identical_on_heterogeneous_workload() {
     let specs = [
@@ -149,20 +152,14 @@ fn all_backends_bit_identical_on_heterogeneous_workload() {
     ];
     for workload in firelib::workload::corpus() {
         let case = cases::workload_case(&workload.shrunk(40));
-        let ctx = Arc::new(StepContext::new(
-            Arc::clone(&case.sim),
-            case.fire_lines[0].clone(),
-            case.fire_lines[1].clone(),
-            case.times[0],
-            case.times[1],
-        ));
+        let ctx = Arc::new(case.step_context(1));
         let mut evaluators: Vec<ScenarioEvaluator> = specs
             .iter()
             .map(|&s| ScenarioEvaluator::new(Arc::clone(&ctx), s))
             .collect();
         for round in 0..4u64 {
             let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ round);
-            let batch = random_batch(&mut rng, 24);
+            let batch = random_batch(&mut rng, if round % 2 == 0 { 24 } else { 12 });
             let reference: Vec<u64> = evaluators[0]
                 .evaluate(&batch)
                 .iter()

@@ -57,14 +57,7 @@ fn checked_fitness(ctx: &StepContext, s: &Scenario, arena: &mut SimArena, what: 
 }
 
 fn interval_context(case: &BurnCase, i: usize, kernel: Kernel) -> StepContext {
-    StepContext::new(
-        Arc::clone(&case.sim),
-        case.fire_lines[i].clone(),
-        case.fire_lines[i + 1].clone(),
-        case.times[i],
-        case.times[i + 1],
-    )
-    .with_kernel(kernel)
+    case.step_context(i + 1).with_kernel(kernel)
 }
 
 /// The interval's truth (scores 1), a scenario too damp to spread (scores

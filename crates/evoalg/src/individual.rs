@@ -158,23 +158,6 @@ impl Population {
             fb.total_cmp(&fa)
         });
     }
-
-    /// Sorts members by descending novelty (unscored members sink).
-    pub fn sort_by_novelty_desc(&mut self) {
-        self.members.sort_by(|a, b| {
-            let na = if a.novelty.is_finite() {
-                a.novelty
-            } else {
-                f64::NEG_INFINITY
-            };
-            let nb = if b.novelty.is_finite() {
-                b.novelty
-            } else {
-                f64::NEG_INFINITY
-            };
-            nb.total_cmp(&na)
-        });
-    }
 }
 
 #[cfg(test)]
@@ -238,13 +221,6 @@ mod tests {
         pop.sort_by_fitness_desc();
         let f: Vec<f64> = pop.members().iter().map(|m| m.fitness).collect();
         assert_eq!(f, vec![0.9, 0.6, 0.3]);
-
-        for (i, m) in pop.members_mut().iter_mut().enumerate() {
-            m.novelty = i as f64;
-        }
-        pop.sort_by_novelty_desc();
-        let n: Vec<f64> = pop.members().iter().map(|m| m.novelty).collect();
-        assert_eq!(n, vec![2.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -297,14 +297,6 @@ impl NoveltyArchive {
             .map(|e| e.novelty)
             .min_by(|a, b| a.total_cmp(b))
     }
-
-    /// Maximum novelty currently stored (`None` when empty).
-    pub fn max_novelty(&self) -> Option<f64> {
-        self.entries
-            .iter()
-            .map(|e| e.novelty)
-            .max_by(|a, b| a.total_cmp(b))
-    }
 }
 
 #[cfg(test)]
@@ -413,7 +405,6 @@ mod tests {
         assert!(a.offer(&[3.0], &[3.0], 0.9, 0.5)); // replaces 0.1
         assert!(!a.offer(&[4.0], &[4.0], 0.2, 0.5)); // below current min (0.5)
         assert_eq!(a.min_novelty(), Some(0.5));
-        assert_eq!(a.max_novelty(), Some(0.9));
     }
 
     #[test]

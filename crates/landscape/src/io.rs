@@ -1,8 +1,7 @@
 //! Plain-text raster IO: ASCII art for terminals, CSV for the harness.
 
-use crate::firemap::{FireLine, IgnitionMap, UNIGNITED};
+use crate::firemap::FireLine;
 use crate::grid::Grid;
-use crate::probability::ProbabilityMap;
 
 /// Renders a fire line as ASCII art: `#` burned, `.` unburned, `o` preburn.
 pub fn render_fire_line(line: &FireLine, preburn: Option<&FireLine>) -> String {
@@ -38,25 +37,6 @@ pub fn render_comparison(real: &FireLine, predicted: &FireLine) -> String {
                 (false, true) => '+', // false alarm (over-prediction)
                 (false, false) => '.',
             });
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders an ignition-probability map with a 0–9 digit ramp (`.` for zero).
-pub fn render_probability(pm: &ProbabilityMap) -> String {
-    let mut out = String::new();
-    for r in 0..pm.rows() {
-        for c in 0..pm.cols() {
-            let p = pm.probability(r, c);
-            if p <= 0.0 {
-                out.push('.');
-            } else {
-                // 0 < p <= 1 → digit 1..=9 rounding down, saturate at 9.
-                let d = ((p * 10.0).floor() as u8).min(9);
-                out.push((b'0' + d) as char);
-            }
         }
         out.push('\n');
     }
@@ -127,30 +107,6 @@ pub fn grid_from_csv(text: &str) -> Result<Grid<f64>, String> {
     Ok(Grid::from_vec(r, cols, data))
 }
 
-/// Serialises an ignition map as CSV with fireLib's convention: cells the
-/// fire never reaches are written as `0`, everything else as the ignition
-/// time (paper §III-A). Ambiguity with a genuine t=0 ignition is resolved on
-/// read by treating `0` as unignited, matching fireLib's output format.
-pub fn ignition_map_to_firelib_csv(map: &IgnitionMap) -> String {
-    let translated = map.grid().map(|&t| if t == UNIGNITED { 0.0 } else { t });
-    grid_to_csv(&translated)
-}
-
-/// Parses a fireLib-convention CSV back to an [`IgnitionMap`].
-///
-/// # Errors
-/// Propagates CSV parse failures.
-pub fn ignition_map_from_firelib_csv(text: &str) -> Result<IgnitionMap, String> {
-    let grid = grid_from_csv(text)?;
-    Ok(IgnitionMap::from_grid(grid.map(|&t| {
-        if t == 0.0 {
-            UNIGNITED
-        } else {
-            t
-        }
-    })))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,15 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn probability_ramp() {
-        let mut pm = ProbabilityMap::new(1, 3);
-        pm.accumulate(&FireLine::from_cells(1, 3, &[(0, 0), (0, 1)]));
-        pm.accumulate(&FireLine::from_cells(1, 3, &[(0, 0)]));
-        // p = 1.0, 0.5, 0.0 → '9', '5', '.'
-        assert_eq!(render_probability(&pm), "95.\n");
-    }
-
-    #[test]
     fn grid_csv_roundtrip() {
         let g = Grid::from_vec(2, 2, vec![1.5, 0.0, f64::INFINITY, -2.25]);
         let csv = grid_to_csv(&g);
@@ -195,15 +142,5 @@ mod tests {
         assert!(grid_from_csv("1,2\n3\n").is_err());
         assert!(grid_from_csv("").is_err());
         assert!(grid_from_csv("1,abc\n").is_err());
-    }
-
-    #[test]
-    fn firelib_csv_unignited_as_zero() {
-        let mut m = IgnitionMap::unignited(1, 2);
-        m.set_time(0, 0, 4.25);
-        let csv = ignition_map_to_firelib_csv(&m);
-        let back = ignition_map_from_firelib_csv(&csv).unwrap();
-        assert_eq!(back.time(0, 0), 4.25);
-        assert_eq!(back.time(0, 1), UNIGNITED);
     }
 }

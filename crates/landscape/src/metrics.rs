@@ -224,18 +224,6 @@ pub fn iqr(values: &[f64]) -> f64 {
     q(0.75) - q(0.25)
 }
 
-/// Sørensen–Dice coefficient, 2|A∩B| / (|A|+|B|) — reported alongside
-/// Jaccard by some of the predecessor papers; kept for the harness.
-pub fn dice(real: &FireLine, predicted: &FireLine, preburn: Option<&FireLine>) -> f64 {
-    let b = jaccard_breakdown(real, predicted, preburn);
-    let denom = 2 * b.hits + b.false_alarms + b.misses;
-    if denom == 0 {
-        1.0
-    } else {
-        2.0 * b.hits as f64 / denom as f64
-    }
-}
-
 /// Builds a [`FireLine`] difference map: cells burned in exactly one input.
 pub fn symmetric_difference(a: &FireLine, b: &FireLine) -> FireLine {
     assert!(
@@ -334,16 +322,6 @@ mod tests {
                 "t = {t} with preburn"
             );
         }
-    }
-
-    #[test]
-    fn dice_relates_to_jaccard() {
-        let real = fl(2, 3, &[(0, 0), (0, 1), (1, 2)]);
-        let pred = fl(2, 3, &[(0, 1), (1, 0), (1, 2)]);
-        let j = jaccard(&real, &pred, None);
-        let d = dice(&real, &pred, None);
-        // D = 2J / (1 + J)
-        assert!((d - 2.0 * j / (1.0 + j)).abs() < 1e-12);
     }
 
     #[test]

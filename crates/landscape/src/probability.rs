@@ -56,21 +56,6 @@ impl ProbabilityMap {
         }
     }
 
-    /// Accumulates one fire line with an integer weight (used by variants
-    /// that weight scenarios by fitness).
-    pub fn accumulate_weighted(&mut self, line: &FireLine, weight: u32) {
-        assert!(
-            self.counts.same_shape(line.mask()),
-            "probability map: fire line shape mismatch"
-        );
-        self.samples += weight;
-        for ((r, c), &burned) in line.mask().iter_cells() {
-            if burned {
-                *self.counts.get_mut(r, c) += weight;
-            }
-        }
-    }
-
     /// Aggregates a whole collection in one call.
     pub fn from_lines<'a>(
         rows: usize,
@@ -201,19 +186,6 @@ mod tests {
         pm.accumulate(&fl(&[(0, 0)]));
         let levels = pm.distinct_levels();
         assert_eq!(levels, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn weighted_accumulation_matches_repeats() {
-        let mut a = ProbabilityMap::new(2, 2);
-        a.accumulate_weighted(&fl(&[(0, 0)]), 3);
-        a.accumulate(&fl(&[(0, 1)]));
-        let mut b = ProbabilityMap::new(2, 2);
-        for _ in 0..3 {
-            b.accumulate(&fl(&[(0, 0)]));
-        }
-        b.accumulate(&fl(&[(0, 1)]));
-        assert_eq!(a, b);
     }
 
     #[test]

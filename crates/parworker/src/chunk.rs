@@ -49,12 +49,7 @@ where
 /// # Panics
 /// Panics when `workers == 0`, `chunk_size == 0`, or `f` returns a result
 /// batch whose length differs from its range; re-raises a panic from `f`.
-pub fn scoped_chunk_map_ranges<R, F>(
-    workers: usize,
-    items: usize,
-    chunk_size: usize,
-    f: F,
-) -> Vec<R>
+fn scoped_chunk_map_ranges<R, F>(workers: usize, items: usize, chunk_size: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> Vec<R> + Sync,

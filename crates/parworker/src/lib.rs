@@ -23,8 +23,6 @@
 //!   scheduling (idle workers pull from a shared bag), used to compare
 //!   scheduling strategies in the benches.
 //! * [`backend::SerialBackend`] — the in-master 1-worker baseline of E3.
-//! * [`pool::scoped_par_map`] — a one-shot scoped fork/join map for
-//!   borrowed data.
 //! * [`chunk::scoped_chunk_map`] — the self-scheduling scoped chunk map
 //!   (StealPool's dynamic scheduling over borrowed data); the batch
 //!   novelty-scoring path of the `evoalg` crate runs on it.
@@ -40,7 +38,7 @@ pub mod stats;
 pub mod steal;
 
 pub use backend::{Backend, EvalBackend, ParseBackendError, SerialBackend};
-pub use chunk::{scoped_chunk_map, scoped_chunk_map_ranges, scoped_for_each_mut};
-pub use pool::{scoped_par_map, WorkerPool};
+pub use chunk::{scoped_chunk_map, scoped_for_each_mut};
+pub use pool::WorkerPool;
 pub use stats::{PoolStats, SpeedupRow, Stopwatch};
 pub use steal::StealPool;

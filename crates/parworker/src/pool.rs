@@ -174,40 +174,6 @@ impl<T, R> Drop for WorkerPool<T, R> {
     }
 }
 
-/// One-shot scoped fork/join map: splits `tasks` into `workers` contiguous
-/// chunks and evaluates them on scoped threads, so `f` may borrow from the
-/// caller. Results come back in input order.
-///
-/// Used where building a persistent pool is not worth it (the calibration
-/// stage's threshold sweep, tests) and as the comparison point for the
-/// channel-based farm in the scheduling bench.
-pub fn scoped_par_map<T, R, F>(workers: usize, tasks: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    assert!(workers > 0, "scoped_par_map needs at least one worker");
-    if workers == 1 || tasks.len() <= 1 {
-        return tasks.iter().map(&f).collect();
-    }
-    let chunk = tasks.len().div_ceil(workers);
-    let mut out: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let f = &f;
-        for (slot_chunk, task_chunk) in out.chunks_mut(chunk).zip(tasks.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, task) in slot_chunk.iter_mut().zip(task_chunk) {
-                    *slot = Some(f(task));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("missing result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,23 +290,6 @@ mod tests {
             parallel < serial,
             "2-worker pool ({parallel:?}) should beat serial ({serial:?}) on sleep tasks"
         );
-    }
-
-    #[test]
-    fn scoped_map_matches_serial() {
-        let tasks: Vec<u32> = (0..37).collect();
-        let serial: Vec<u32> = tasks.iter().map(|x| x * x).collect();
-        for workers in [1, 2, 3, 8] {
-            assert_eq!(scoped_par_map(workers, &tasks, |x| x * x), serial);
-        }
-    }
-
-    #[test]
-    fn scoped_map_borrows_environment() {
-        let offset = 100u32;
-        let tasks = vec![1u32, 2, 3];
-        let out = scoped_par_map(2, &tasks, |x| x + offset);
-        assert_eq!(out, vec![101, 102, 103]);
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! * [`Scheduler`] — N concurrent sessions multiplexed over one
 //!   [`ess::fitness::SharedScenarioPool`] under a pluggable
 //!   [`SchedulePolicy`] ([`policy`]: round-robin, weighted fair share,
-//!   deadline first), so the whole process shares a single worker pool
-//!   instead of spawning one per run per step;
+//!   deadline first), so the whole process shares a single worker pool;
 //! * [`serve`](mod@serve) — the dependency-free line-delimited JSON loop
 //!   `harness serve` speaks: protocol v2 ([`proto`] — versioned typed
 //!   envelopes, streaming `progress` frames, snapshot/restore, bounded

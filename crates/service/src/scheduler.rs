@@ -3,8 +3,7 @@
 //!
 //! Each submitted [`RunSpec`] becomes one [`PredictionSession`] per
 //! replicate, all built on the scheduler's [`SharedScenarioPool`] — the
-//! sessions share the process's worker threads instead of each spawning
-//! their own (the old batch API built a fresh pool per run per step).
+//! sessions share the process's worker threads.
 //! [`Scheduler::round`] advances the sessions its [`SchedulePolicy`]
 //! plans — by default every live session, one step each, in submission
 //! order ([`crate::policy::RoundRobin`]), so no session can starve
@@ -91,15 +90,9 @@ impl Scheduler {
 
     /// A scheduler running `policy` over one pool built from `spec`.
     pub fn with_policy(spec: EvalBackend, policy: PolicyKind) -> Self {
-        Self::on_pool_with(Arc::new(SharedScenarioPool::new(spec)), policy.build())
-    }
-
-    /// A scheduler running any [`SchedulePolicy`] object over an existing
-    /// shared pool — the fully pluggable constructor.
-    pub fn on_pool_with(pool: Arc<SharedScenarioPool>, policy: Box<dyn SchedulePolicy>) -> Self {
         Self {
-            pool,
-            policy,
+            pool: Arc::new(SharedScenarioPool::new(spec)),
+            policy: policy.build(),
             next_id: 1,
             live: Vec::new(),
             done: Vec::new(),

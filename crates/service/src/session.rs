@@ -7,15 +7,18 @@
 //! emitted) and yields a [`SessionEvent`], so callers can interleave many
 //! runs, stream progress, stop early, or cancel between steps — none of
 //! which the old run-to-completion `run()` allowed. Draining a session to
-//! its terminal event is exactly the batch path (same driver, same seeds),
-//! so batch and session reports are bit-identical by construction.
+//! its terminal event is exactly the batch path (same driver, same seeds,
+//! and — like every driver — a pool to evaluate on), so batch and session
+//! reports are bit-identical by construction.
 
 use crate::snapshot::SessionSnapshot;
 use crate::spec::{Budget, RunSpec};
 use ess::cases::BurnCase;
 use ess::error::{BudgetReason, ServiceError};
-use ess::pipeline::{EvalStrategy, RunReport, StepDriver, StepOptimizer, StepReport};
+use ess::fitness::SharedScenarioPool;
+use ess::pipeline::{RunReport, StepDriver, StepOptimizer, StepReport};
 use parworker::Stopwatch;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Where a session came from: the spec that built it and which replicate
@@ -88,19 +91,18 @@ pub struct PredictionSession {
 }
 
 impl PredictionSession {
-    /// Builds a session positioned before the first prediction step.
-    /// `strategy` decides whether the session owns its workers
-    /// ([`EvalStrategy::PerStep`]) or multiplexes a shared pool
-    /// ([`EvalStrategy::Shared`] — the scheduler configuration).
+    /// Builds a session positioned before the first prediction step, its
+    /// steps evaluating on `pool` (the scheduler hands every session its
+    /// one pool; a standalone session gets a serial one).
     pub fn new(
         case: BurnCase,
         optimizer: Box<dyn StepOptimizer>,
-        strategy: EvalStrategy,
+        pool: Arc<SharedScenarioPool>,
         base_seed: u64,
         budget: Budget,
     ) -> Self {
         Self {
-            driver: StepDriver::new(case, strategy, base_seed),
+            driver: StepDriver::new(case, pool, base_seed),
             optimizer,
             budget,
             weight: 1.0,

@@ -16,13 +16,16 @@
 //! ([`SessionSnapshot::to_json`] / [`SessionSnapshot::from_json`]), so the
 //! v2 serve protocol can hand them to clients and accept them back —
 //! sessions survive server restarts and can migrate between processes.
+//! A snapshot records no pool: restoring names the one to continue on
+//! ([`SessionSnapshot::restore_on`]) or takes a serial one of its own
+//! ([`SessionSnapshot::restore`]).
 
 use crate::jsonio::Json;
 use crate::session::PredictionSession;
-use crate::spec::RunSpec;
+use crate::spec::{standalone_pool, RunSpec};
 use ess::error::ServiceError;
-use ess::fitness::{EvalBackend, SharedScenarioPool};
-use ess::pipeline::{EvalStrategy, StepReport};
+use ess::fitness::SharedScenarioPool;
+use ess::pipeline::StepReport;
 use evoalg::diversity::DiversityReport;
 use std::sync::Arc;
 
@@ -79,38 +82,34 @@ impl SessionSnapshot {
         self.driven_ms
     }
 
-    /// Rebuilds the session on `strategy`, positioned exactly where the
-    /// snapshot was taken. The deadline clock (if the spec set one)
-    /// restarts at the first post-restore `advance`.
+    /// Rebuilds the session on `pool` (the serve loop hands in its one
+    /// pool), positioned exactly where the snapshot was taken. The
+    /// deadline clock (if the spec set one) restarts at the first
+    /// post-restore `advance`.
     ///
     /// # Errors
     /// Name/spec resolution errors, and [`ServiceError::BadSpec`] when the
     /// checkpoint is inconsistent with the case (too many steps,
     /// non-sequential step indices, replicate out of range).
-    pub fn restore_with(&self, strategy: EvalStrategy) -> Result<PredictionSession, ServiceError> {
-        self.spec
-            .restore_session(self.replicate, self.steps.clone(), self.driven_ms, strategy)
-    }
-
-    /// [`SessionSnapshot::restore_with`] multiplexing an existing shared
-    /// pool — the serve-loop configuration.
-    ///
-    /// # Errors
-    /// See [`SessionSnapshot::restore_with`].
     pub fn restore_on(
         &self,
         pool: &Arc<SharedScenarioPool>,
     ) -> Result<PredictionSession, ServiceError> {
-        self.restore_with(EvalStrategy::Shared(Arc::clone(pool)))
+        self.spec.restore_session(
+            self.replicate,
+            self.steps.clone(),
+            self.driven_ms,
+            Arc::clone(pool),
+        )
     }
 
-    /// [`SessionSnapshot::restore_with`] evaluating serially in the
-    /// caller — the standalone configuration.
+    /// [`SessionSnapshot::restore_on`] a serial pool of its own — the
+    /// standalone configuration.
     ///
     /// # Errors
-    /// See [`SessionSnapshot::restore_with`].
+    /// See [`SessionSnapshot::restore_on`].
     pub fn restore(&self) -> Result<PredictionSession, ServiceError> {
-        self.restore_with(EvalStrategy::PerStep(EvalBackend::Serial))
+        self.restore_on(&standalone_pool())
     }
 
     /// Serializes the snapshot (spec, replicate, step reports, billed
@@ -346,7 +345,7 @@ mod tests {
         let session = PredictionSession::new(
             case,
             optimizer,
-            EvalStrategy::PerStep(EvalBackend::Serial),
+            standalone_pool(),
             1,
             crate::spec::Budget::unlimited(),
         );

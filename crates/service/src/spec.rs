@@ -7,10 +7,11 @@
 //! optional stopping budgets. Every way of running a prediction — batch,
 //! session, scheduler, serve protocol — starts from one of these.
 //!
-//! A spec says *what* to predict, never *how* to run it. Where a run
-//! executes is chosen once per process — `serve --backend`, `harness
-//! --backend`, or the pool handed to [`RunSpec::sessions_on`] — and a
-//! standalone [`RunSpec::session`] / [`RunSpec::run`] is serial.
+//! A spec says *what* to predict, never *how* to run it. Every session
+//! evaluates on a pool: the one chosen once per process — `serve
+//! --backend`, or whatever is handed to [`RunSpec::sessions_on`] — or,
+//! for a standalone [`RunSpec::session`] / [`RunSpec::sessions`] /
+//! [`RunSpec::run`], a serial pool built here, once per call.
 
 use crate::jsonio::{Json, MAX_EXACT_INT};
 use crate::session::{PredictionSession, Provenance};
@@ -18,7 +19,7 @@ use crate::{store, systems};
 use ess::cases::BurnCase;
 use ess::error::ServiceError;
 use ess::fitness::{EvalBackend, SharedScenarioPool};
-use ess::pipeline::{EvalStrategy, RunReport, StepDriver, StepReport};
+use ess::pipeline::{RunReport, StepDriver, StepReport};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -228,15 +229,15 @@ impl RunSpec {
             .wrapping_add((replicate as u64).wrapping_mul(0x9E3779B97F4A7C15))
     }
 
-    /// Builds the replicate-0 session, evaluating serially in the caller.
+    /// Builds the replicate-0 session on a serial pool of its own.
     pub fn session(&self) -> Result<PredictionSession, ServiceError> {
         let (system, case) = self.resolve()?;
-        Ok(self.assemble(system, case, EvalStrategy::PerStep(EvalBackend::Serial), 0))
+        Ok(self.assemble(system, case, standalone_pool(), 0))
     }
 
-    /// Builds one session per replicate, each evaluating serially.
+    /// Builds one session per replicate, all on one serial pool.
     pub fn sessions(&self) -> Result<Vec<PredictionSession>, ServiceError> {
-        self.sessions_with(|| EvalStrategy::PerStep(EvalBackend::Serial))
+        self.sessions_on(&standalone_pool())
     }
 
     /// Builds one session per replicate, all multiplexing `pool` — the
@@ -245,16 +246,9 @@ impl RunSpec {
         &self,
         pool: &Arc<SharedScenarioPool>,
     ) -> Result<Vec<PredictionSession>, ServiceError> {
-        self.sessions_with(|| EvalStrategy::Shared(Arc::clone(pool)))
-    }
-
-    fn sessions_with(
-        &self,
-        strategy: impl Fn() -> EvalStrategy,
-    ) -> Result<Vec<PredictionSession>, ServiceError> {
         let (system, case) = self.resolve()?;
         Ok((0..self.replicates)
-            .map(|r| self.assemble(system, case.clone(), strategy(), r))
+            .map(|r| self.assemble(system, case.clone(), Arc::clone(pool), r))
             .collect())
     }
 
@@ -262,13 +256,13 @@ impl RunSpec {
         &self,
         system: &systems::SystemSpec,
         case: BurnCase,
-        strategy: EvalStrategy,
+        pool: Arc<SharedScenarioPool>,
         replicate: usize,
     ) -> PredictionSession {
         let mut session = PredictionSession::new(
             case,
             system.make(self.scale),
-            strategy,
+            pool,
             self.replicate_seed(replicate),
             self.budget,
         );
@@ -280,7 +274,7 @@ impl RunSpec {
     /// after `steps.len()` completed steps (carrying the last step's
     /// `Kign`), a fresh optimizer, and the accumulated reports — the
     /// checkpoint/resume engine behind
-    /// [`crate::SessionSnapshot::restore_with`].
+    /// [`crate::SessionSnapshot::restore_on`].
     ///
     /// # Errors
     /// Name/spec errors from resolution, plus [`ServiceError::BadSpec`]
@@ -292,7 +286,7 @@ impl RunSpec {
         replicate: usize,
         steps: Vec<StepReport>,
         driven_ms: f64,
-        strategy: EvalStrategy,
+        pool: Arc<SharedScenarioPool>,
     ) -> Result<PredictionSession, ServiceError> {
         let (system, case) = self.resolve()?;
         if replicate >= self.replicates {
@@ -319,7 +313,7 @@ impl RunSpec {
         let carried_kign = steps.last().map(|s| s.kign);
         let driver = StepDriver::restore(
             case,
-            strategy,
+            pool,
             self.replicate_seed(replicate),
             steps.len(),
             carried_kign,
@@ -429,7 +423,7 @@ impl RunSpec {
     }
 
     /// The batch entry point: builds the replicate-0 session and drains
-    /// it, serially.
+    /// it, on a serial pool of its own.
     ///
     /// # Errors
     /// Name/spec errors from building, or
@@ -438,6 +432,13 @@ impl RunSpec {
     pub fn run(&self) -> Result<RunReport, ServiceError> {
         self.session()?.drain()
     }
+}
+
+/// The pool of the standalone configuration ([`RunSpec::session`],
+/// [`RunSpec::sessions`], [`RunSpec::run`],
+/// [`crate::SessionSnapshot::restore`]): serial, evaluating in the caller.
+pub(crate) fn standalone_pool() -> Arc<SharedScenarioPool> {
+    Arc::new(SharedScenarioPool::new(EvalBackend::Serial))
 }
 
 #[cfg(test)]

@@ -133,7 +133,7 @@ mod tests {
             let mut session = crate::PredictionSession::new(
                 cold,
                 systems::resolve(system).expect("registered").make(0.2),
-                ess::pipeline::EvalStrategy::PerStep(ess::fitness::EvalBackend::Serial),
+                crate::spec::standalone_pool(),
                 5,
                 crate::Budget::unlimited(),
             );

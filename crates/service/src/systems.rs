@@ -46,9 +46,10 @@ impl std::fmt::Debug for SystemSpec {
     }
 }
 
-/// Budget scaling shared by every factory: floors at 4 so tiny scales stay
-/// runnable.
-fn scaled(v: usize, scale: f64) -> usize {
+/// The budget-scaling rule, stated once: a size `v` at `scale`, floored at
+/// 4 so tiny scales stay runnable. Every factory here and every
+/// experiment-specific configuration of the harness sizes through it.
+pub fn scaled(v: usize, scale: f64) -> usize {
     ((v as f64) * scale).round().max(4.0) as usize
 }
 

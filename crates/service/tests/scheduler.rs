@@ -44,8 +44,8 @@ fn eight_concurrent_sessions_match_their_serial_runs() {
     assert_eq!(outcomes.len(), 8);
     assert!(outcomes.iter().all(|(_, o)| o.is_finished()));
 
-    // Each scheduled run must equal the same replicate run serially on a
-    // private backend (sessions() builds per-replicate seeds the same way).
+    // Each scheduled run must equal the same replicate run on a serial
+    // pool of its own (sessions() builds per-replicate seeds the same way).
     for (id, system, replicate) in submitted {
         let serial = spec_for(system, 21)
             .replicates(2)

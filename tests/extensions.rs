@@ -37,21 +37,10 @@ fn noise_degrades_the_oracle_quality() {
     // The hidden truth scores 1.0 on clean observations; with noisy
     // observations even the truth cannot score 1 — the gap measures the
     // injected observation error that E10 studies.
-    use essns_repro::ess::fitness::StepContext;
-    use std::sync::Arc;
     let clean = cases::tiny_test_case();
     let noisy = with_observation_noise(&clean, 0.3, 3);
-    let ctx = |case: &essns_repro::ess::BurnCase| {
-        StepContext::new(
-            Arc::clone(&case.sim),
-            case.fire_lines[0].clone(),
-            case.fire_lines[1].clone(),
-            case.times[0],
-            case.times[1],
-        )
-    };
-    let clean_f = ctx(&clean).fitness_of(&clean.truth[0]);
-    let noisy_f = ctx(&noisy).fitness_of(&noisy.truth[0]);
+    let clean_f = clean.step_context(1).fitness_of(&clean.truth[0]);
+    let noisy_f = noisy.step_context(1).fitness_of(&noisy.truth[0]);
     assert!((clean_f - 1.0).abs() < 1e-9);
     assert!(noisy_f < clean_f, "noise must cost the oracle some fitness");
     assert!(

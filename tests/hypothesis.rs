@@ -87,17 +87,9 @@ fn essns_is_comparable_or_better_under_drift() {
 fn stale_optimum_argument_holds() {
     // §IV: under drift, the scenario that was perfect for interval 0
     // degrades later — the reason remembering diverse solutions helps.
-    use essns_repro::ess::fitness::StepContext;
-    use std::sync::Arc;
     let case = cases::tiny_drift_case();
     let last = case.intervals() - 1;
-    let ctx = StepContext::new(
-        Arc::clone(&case.sim),
-        case.fire_lines[last].clone(),
-        case.fire_lines[last + 1].clone(),
-        case.times[last],
-        case.times[last + 1],
-    );
+    let ctx = case.step_context(last + 1);
     let fresh = ctx.fitness_of(&case.truth[last]);
     let stale = ctx.fitness_of(&case.truth[0]);
     assert!(fresh > stale, "drift did not degrade the stale optimum");
