@@ -173,6 +173,13 @@ pub fn build(files: &[ParsedFile]) -> Graph {
         }
     }
 
+    // `type Alias = Target;` — `Alias::name(..)` resolves by `Target`.
+    let aliases: BTreeMap<&str, &str> = files
+        .iter()
+        .flat_map(|f| &f.aliases)
+        .map(|(alias, target)| (alias.as_str(), target.as_str()))
+        .collect();
+
     // Crates whose sources were actually parsed — path calls into any
     // other crate are external by construction.
     let scanned: BTreeSet<&str> = files.iter().map(|f| f.krate).collect();
@@ -255,6 +262,7 @@ pub fn build(files: &[ParsedFile]) -> Graph {
                         &g.syms,
                         &free,
                         &owners,
+                        &aliases,
                         leaves,
                         &scanned,
                         own,
@@ -313,6 +321,7 @@ fn resolve_path_call(
     syms: &[Sym],
     free: &BTreeMap<(&str, &str), Vec<usize>>,
     owners: &BTreeMap<(&str, &str), Vec<usize>>,
+    aliases: &BTreeMap<&str, &str>,
     leaves: &BTreeMap<&str, String>,
     scanned: &BTreeSet<&str>,
     own: &str,
@@ -360,7 +369,7 @@ fn resolve_path_call(
                 None => return,
             }
         } else {
-            last
+            aliases.get(last).copied().unwrap_or(last)
         };
         if let Some(cands) = owners.get(&(ty, name)) {
             let mut hit = false;
@@ -468,6 +477,22 @@ mod tests {
         ]);
         let render = idx(&g, "render");
         assert_eq!(g.edges[render], vec![idx(&g, "obj")]);
+    }
+
+    #[test]
+    fn assoc_call_through_a_type_alias_resolves_to_the_target() {
+        let g = graph(&[
+            (
+                "crates/ess/src/a.rs",
+                "use evoalg::GaEngine;\nfn top() { GaEngine::new(1); }",
+            ),
+            (
+                "crates/evoalg/src/ga.rs",
+                "pub type GaEngine = Engine<GaConfig>;\nimpl<S: Scheme> Engine<S> { pub fn new(d: usize) {} }",
+            ),
+        ]);
+        assert_eq!(g.edges[idx(&g, "top")], vec![idx(&g, "new")]);
+        assert!(g.unresolved.is_empty());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! ([`crate::lint::SourceFile`]).
 //!
 //! This is deliberately *not* a Rust grammar: the graph passes only need
-//! item structure (`fn` / `impl` / `trait` / `use`) plus three kinds of
-//! facts extracted from function bodies in one linear token walk —
+//! item structure (`fn` / `impl` / `trait` / `use` / `type`) plus three
+//! kinds of facts extracted from function bodies in one linear token walk —
 //! outgoing calls (for the call graph), panic seeds (for the panic-path
 //! prover) and determinism-taint sources. Bodies stay token streams;
 //! expressions are never built.
@@ -132,6 +132,9 @@ pub struct ParsedFile {
     pub uses: Vec<UseDecl>,
     /// Function items.
     pub fns: Vec<FnItem>,
+    /// Module-level `type Alias = Target;` items outside test code:
+    /// (alias, last identifier of the target path).
+    pub aliases: Vec<(String, String)>,
     /// `std::thread::<api>` references outside test code (line, api).
     pub thread_refs: Vec<(usize, String)>,
     /// Inline foreign-workspace-crate qualifications outside test code
@@ -331,6 +334,19 @@ pub fn parse_items(file: &SourceFile, krate: &'static str) -> ParsedFile {
                             i = open + 1;
                             continue;
                         }
+                    }
+                }
+            }
+            // `type Alias<..> = path::Target<..>;` — an associated call on
+            // the alias is a call on the target (an `impl`'s associated
+            // types are not aliases anyone calls through).
+            Some("type") if owners.is_empty() && !test[i] => {
+                let mut j = i + 1;
+                let alias = read_type_path(sig, &mut j);
+                if let (Some(alias), Some('=')) = (alias, punct(sig, j)) {
+                    j += 1;
+                    if let Some(target) = read_type_path(sig, &mut j) {
+                        out.aliases.push((alias, target));
                     }
                 }
             }

@@ -45,14 +45,13 @@
 //! always bit-identical to the brute-force reference `novelty_score`.
 
 use crate::hybrid::{BehaviourSpace, ScoringPolicy};
+use evoalg::ga::{generate_offspring, replace_by_score};
 use evoalg::individual::{Individual, Population};
-use evoalg::operators::{one_point_crossover, uniform_mutation};
-use evoalg::selection::{elitist_merge_indices, roulette};
 use evoalg::{
     BatchEvaluator, BehaviourMatrix, BestSet, NoveltyArchive, NoveltyEngine, PreparedIndex,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Input parameters of Algorithm 1 (its `Input:` line plus the fixed sizes
 /// §III-B declares: "for the first version, we are considering a fixed size
@@ -77,9 +76,6 @@ pub struct NoveltyGaConfig {
     pub archive_capacity: usize,
     /// Fixed `bestSet` capacity.
     pub best_set_capacity: usize,
-    /// Optional archive admission threshold (§IV variant; `None` = the
-    /// baseline's pure novelty-replacement archive).
-    pub archive_threshold: Option<f64>,
     /// Search-score policy (pure novelty for the baseline, weighted for
     /// the E7 hybrid ablation).
     pub scoring: ScoringPolicy,
@@ -101,7 +97,6 @@ impl Default for NoveltyGaConfig {
             fitness_threshold: 0.95,
             archive_capacity: 64,
             best_set_capacity: 24,
-            archive_threshold: None,
             scoring: ScoringPolicy::PureNovelty,
             behaviour: BehaviourSpace::Fitness,
             seed: 0,
@@ -199,10 +194,7 @@ impl NoveltyGa {
         // Line 1: initializePopulation(N).
         let mut population = Population::random(cfg.population_size, self.dims, &mut rng);
         // Lines 2–5.
-        let mut archive = match cfg.archive_threshold {
-            Some(t) => NoveltyArchive::new(cfg.archive_capacity).with_threshold(t),
-            None => NoveltyArchive::new(cfg.archive_capacity),
-        };
+        let mut archive = NoveltyArchive::new(cfg.archive_capacity);
         let mut best_set = BestSet::new(cfg.best_set_capacity);
         let mut generations = 0u32;
         let mut max_fitness = 0.0f64;
@@ -213,6 +205,17 @@ impl NoveltyGa {
         // holding population ∪ offspring ∪ archive descriptors.
         let mut novelty_set = BehaviourMatrix::with_dim(cfg.behaviour.dim(self.dims));
 
+        // The search score of a scored individual (a member the NSLC pass
+        // did not reach competes with lc = 0).
+        let score = |ind: &Individual| {
+            let lc = if ind.local_comp.is_finite() {
+                ind.local_comp
+            } else {
+                0.0
+            };
+            cfg.scoring.score_with_lc(ind.fitness, ind.novelty, lc)
+        };
+
         // Line 6: the two stopping conditions.
         while generations < cfg.max_generations {
             if max_fitness >= cfg.fitness_threshold {
@@ -220,8 +223,29 @@ impl NoveltyGa {
                 break;
             }
 
-            // Line 7: generateOffspring(population, m, mR, cR).
-            let mut offspring = self.generate_offspring(&population, &mut rng);
+            // Line 7: generateOffspring(population, m, mR, cR) — roulette on
+            // the previous generation's search score. In the first
+            // generation no novelty exists yet, so selection is uniform
+            // (roulette over all-zero scores).
+            let scores: Vec<f64> = population
+                .members()
+                .iter()
+                .map(|m| {
+                    if m.novelty.is_finite() && m.fitness.is_finite() {
+                        score(m)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let mut offspring = generate_offspring(
+                &population,
+                &scores,
+                cfg.offspring,
+                cfg.mutation_rate,
+                cfg.crossover_rate,
+                &mut rng,
+            );
 
             // Lines 8–10: evaluate fitness of (population ∪ offspring).
             // Population members keep their cached deterministic fitness.
@@ -303,33 +327,13 @@ impl NoveltyGa {
             // Line 16: replaceByNovelty(population, offspring, N) — elitist
             // over the union by the search score (novelty for the
             // baseline; the hybrid/NSLC policies for E7).
-            let score = |ind: &Individual| {
-                let lc = if ind.local_comp.is_finite() {
-                    ind.local_comp
-                } else {
-                    0.0
-                };
-                cfg.scoring.score_with_lc(ind.fitness, ind.novelty, lc)
-            };
-            let pop_scores: Vec<f64> = population.members().iter().map(score).collect();
-            let off_scores: Vec<f64> = offspring.members().iter().map(score).collect();
-            let keep = elitist_merge_indices(&pop_scores, &off_scores, cfg.population_size);
-            let parents = std::mem::take(&mut population).into_members();
-            let off_members = offspring.members().to_vec();
-            let mut next = Vec::with_capacity(cfg.population_size);
-            for i in keep {
-                if i < parents.len() {
-                    next.push(parents[i].clone());
-                } else {
-                    next.push(off_members[i - parents.len()].clone());
-                }
-            }
-            population = Population::from_members(next);
+            let survivors = replace_by_score(&population, &offspring, score, cfg.population_size);
+            let parents = std::mem::replace(&mut population, survivors);
 
             // Line 17: updateBest — all evaluated individuals this
             // generation (see the module docs for why this supersets the
             // pseudocode's `offspring`).
-            for ind in off_members.iter().chain(parents.iter()) {
+            for ind in offspring.members().iter().chain(parents.members()) {
                 if ind.is_evaluated() {
                     best_set.offer(&ind.genes, ind.fitness);
                 }
@@ -360,54 +364,6 @@ impl NoveltyGa {
             stop_reason,
             history,
         }
-    }
-
-    /// Line 7: roulette selection on the previous generation's search
-    /// score, one-point crossover with probability `cR`, per-gene uniform
-    /// mutation `mR`. In the first generation no novelty exists yet, so
-    /// selection is uniform (roulette over all-zero scores).
-    fn generate_offspring(&self, population: &Population, rng: &mut StdRng) -> Population {
-        let cfg = &self.config;
-        let scores: Vec<f64> = population
-            .members()
-            .iter()
-            .map(|m| {
-                if m.novelty.is_finite() && m.fitness.is_finite() {
-                    let lc = if m.local_comp.is_finite() {
-                        m.local_comp
-                    } else {
-                        0.0
-                    };
-                    cfg.scoring.score_with_lc(m.fitness, m.novelty, lc)
-                } else {
-                    0.0 // first generation: uniform selection
-                }
-            })
-            .collect();
-        let mut out = Vec::with_capacity(cfg.offspring);
-        while out.len() < cfg.offspring {
-            let pa = roulette(&scores, rng);
-            let pb = roulette(&scores, rng);
-            let (mut c1, mut c2) = if rng.random::<f64>() < cfg.crossover_rate {
-                one_point_crossover(
-                    &population.members()[pa].genes,
-                    &population.members()[pb].genes,
-                    rng,
-                )
-            } else {
-                (
-                    population.members()[pa].genes.clone(),
-                    population.members()[pb].genes.clone(),
-                )
-            };
-            uniform_mutation(&mut c1, cfg.mutation_rate, rng);
-            uniform_mutation(&mut c2, cfg.mutation_rate, rng);
-            out.push(Individual::new(c1));
-            if out.len() < cfg.offspring {
-                out.push(Individual::new(c2));
-            }
-        }
-        Population::from_members(out)
     }
 
     /// Evaluates exactly the members without a cached fitness; returns how
@@ -708,28 +664,6 @@ mod tests {
             .members()
             .iter()
             .all(|m| m.local_comp.is_nan()));
-    }
-
-    #[test]
-    fn archive_threshold_variant_restricts_admissions() {
-        let base = NoveltyGaConfig {
-            max_generations: 10,
-            fitness_threshold: 2.0,
-            seed: 4,
-            ..NoveltyGaConfig::default()
-        };
-        let (open, _) = run_on(sphere, base, 4);
-        let strict = NoveltyGaConfig {
-            archive_threshold: Some(0.9),
-            ..base
-        };
-        let (gated, _) = run_on(sphere, strict, 4);
-        assert!(
-            gated.archive.len() < open.archive.len(),
-            "a 0.9 novelty gate should admit fewer entries ({} vs {})",
-            gated.archive.len(),
-            open.archive.len()
-        );
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::algorithm::{NoveltyGa, NoveltyGaConfig};
 use crate::hybrid::InclusionPolicy;
 use ess::fitness::ScenarioEvaluator;
 use ess::pipeline::{OptimizeOutcome, StepOptimizer};
+use evoalg::NoveltyArchive;
 use firelib::{ScenarioSpace, GENE_COUNT};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,17 +87,7 @@ impl StepOptimizer for EssNs {
             match self.config.inclusion {
                 InclusionPolicy::BestOnly => {}
                 InclusionPolicy::WithNovel { .. } => {
-                    // The most novel archive entries not already present.
-                    let mut entries: Vec<_> = outcome.archive.entries().to_vec();
-                    entries.sort_by(|a, b| b.novelty.total_cmp(&a.novelty));
-                    for e in entries {
-                        if result_set.len() >= outcome.best_set.capacity() + extra {
-                            break;
-                        }
-                        if !result_set.contains(&e.genes) {
-                            result_set.push(e.genes);
-                        }
-                    }
+                    append_most_novel(&mut result_set, &outcome.archive, extra);
                 }
                 InclusionPolicy::WithRandom { .. } => {
                     let mut rng = StdRng::seed_from_u64(seed ^ 0x5851F42D4C957F2D);
@@ -112,6 +103,21 @@ impl StepOptimizer for EssNs {
             best_fitness: outcome.best_set.max_fitness(),
             generations: outcome.generations,
             evaluations: outcome.evaluations,
+        }
+    }
+}
+
+/// Appends the `extra` most novel archive entries not already present.
+fn append_most_novel(result_set: &mut Vec<Vec<f64>>, archive: &NoveltyArchive, extra: usize) {
+    let mut entries = archive.entries().to_vec();
+    entries.sort_by(|a, b| b.novelty.total_cmp(&a.novelty));
+    let full = result_set.len() + extra;
+    for e in entries {
+        if result_set.len() >= full {
+            break;
+        }
+        if !result_set.contains(&e.genes) {
+            result_set.push(e.genes);
         }
     }
 }
@@ -165,6 +171,22 @@ mod tests {
             extended.result_set.len(),
             plain.result_set.len()
         );
+    }
+
+    #[test]
+    fn novel_inclusion_adds_exactly_extra_below_capacity() {
+        // A bestSet holding 4 of (say) 100: the cap is what it holds plus
+        // `extra`, not its capacity plus `extra`.
+        let mut result_set: Vec<Vec<f64>> = (0..4).map(|i| vec![f64::from(i)]).collect();
+        let mut archive = NoveltyArchive::new(16);
+        for i in 0..12 {
+            let x = f64::from(i);
+            archive.offer(&[10.0 + x], &[x], x, 0.5);
+        }
+        archive.offer(&[3.0], &[20.0], 20.0, 0.5); // most novel, already present
+        append_most_novel(&mut result_set, &archive, 2);
+        assert_eq!(result_set.len(), 6);
+        assert_eq!(result_set[4..], [vec![21.0], vec![20.0]]);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! the tuning papers compare against (experiment E6).
 
 use crate::fitness::ScenarioEvaluator;
+use crate::island::Ring;
 use crate::pipeline::{OptimizeOutcome, StepOptimizer};
 use evoalg::{DeConfig, DeEngine};
-use firelib::GENE_COUNT;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,10 +127,7 @@ impl EssimDe {
     /// # Panics
     /// Panics on degenerate configurations.
     pub fn new(config: EssimDeConfig) -> Self {
-        assert!(
-            config.islands >= 2,
-            "an island model needs at least 2 islands"
-        );
+        Self::ring(&config).validate();
         assert!(
             config.island_population >= 4,
             "DE islands need at least 4 members"
@@ -148,23 +145,15 @@ impl EssimDe {
         &self.config
     }
 
-    fn migrate(islands: &mut [DeEngine], migrants: usize) {
-        let n = islands.len();
-        let emigrants: Vec<Vec<evoalg::Individual>> = islands
-            .iter_mut()
-            .map(|isl| {
-                isl.population_mut().sort_by_fitness_desc();
-                isl.population().members()[..migrants].to_vec()
-            })
-            .collect();
-        for (src, group) in emigrants.into_iter().enumerate() {
-            let dst = (src + 1) % n;
-            let pop = islands[dst].population_mut();
-            pop.sort_by_fitness_desc();
-            let len = pop.len();
-            for (k, migrant) in group.into_iter().enumerate() {
-                pop.members_mut()[len - 1 - k] = migrant;
-            }
+    fn ring(config: &EssimDeConfig) -> Ring {
+        Ring {
+            islands: config.islands,
+            island_population: config.island_population,
+            migration_interval: config.migration_interval,
+            migrants: config.migrants,
+            max_generations: config.max_generations,
+            fitness_threshold: config.fitness_threshold,
+            seed_stride: 0xA24BAED4963EE407,
         }
     }
 }
@@ -182,80 +171,62 @@ impl StepOptimizer for EssimDe {
 
     fn optimize(&mut self, evaluator: &mut ScenarioEvaluator, seed: u64) -> OptimizeOutcome {
         let cfg = self.config;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1B54A32D192ED03);
-        let mut islands: Vec<DeEngine> = (0..cfg.islands)
-            .map(|i| {
-                DeEngine::new(
-                    GENE_COUNT,
-                    DeConfig {
-                        population_size: cfg.island_population,
-                        differential_weight: cfg.differential_weight,
-                        crossover_rate: cfg.crossover_rate,
-                        seed: seed.wrapping_add(0xA24BAED4963EE407u64.wrapping_mul(i as u64 + 1)),
-                    },
-                )
-            })
-            .collect();
-        for isl in &mut islands {
+        let tuning = cfg.tuning;
+        let last_restart_gen = (cfg.max_generations as f64 * tuning.last_restart_frac) as u32;
+        let restart = |isl: &mut DeEngine, evaluator: &mut ScenarioEvaluator| {
+            isl.restart_worst(tuning.restart_fraction);
             isl.evaluate_initial(evaluator);
-        }
-
-        let mut best = f64::NEG_INFINITY;
+        };
         let mut best_age = 0u32;
-        let mut generation = 0u32;
-        let last_restart_gen = (cfg.max_generations as f64 * cfg.tuning.last_restart_frac) as u32;
-        while generation < cfg.max_generations && best < cfg.fitness_threshold {
-            let restarts_allowed = generation < last_restart_gen;
-            let mut gen_best = f64::NEG_INFINITY;
-            for isl in &mut islands {
-                let s = isl.step(evaluator);
-                gen_best = gen_best.max(s.best_fitness);
-                // IQR metric: restart an island whose fitness spread
-                // collapsed early (premature convergence).
-                if cfg.tuning.iqr_enabled
+        let mut run = Self::ring(&cfg).run(
+            seed,
+            evaluator,
+            |island_seed| DeConfig {
+                population_size: cfg.island_population,
+                differential_weight: cfg.differential_weight,
+                crossover_rate: cfg.crossover_rate,
+                seed: island_seed,
+            },
+            |islands, generation, best, evaluator| {
+                let restarts_allowed = generation < last_restart_gen;
+                let mut gen_best = f64::NEG_INFINITY;
+                for isl in islands.iter_mut() {
+                    let s = isl.step(evaluator);
+                    gen_best = gen_best.max(s.best_fitness);
+                    // IQR metric: restart an island whose fitness spread
+                    // collapsed early (premature convergence).
+                    if tuning.iqr_enabled
+                        && restarts_allowed
+                        && s.fitness_iqr < tuning.iqr_threshold
+                        && isl.generation() > 1
+                    {
+                        restart(isl, evaluator);
+                    }
+                }
+                let improved = gen_best > best + 1e-12;
+                best_age = if improved { 0 } else { best_age + 1 };
+                // Restart metric: global stagnation.
+                if tuning.restart_enabled
                     && restarts_allowed
-                    && s.fitness_iqr < cfg.tuning.iqr_threshold
-                    && isl.generation() > 1
+                    && best_age >= tuning.stagnation_window
                 {
-                    isl.restart_worst(cfg.tuning.restart_fraction);
-                    isl.evaluate_initial(evaluator);
+                    for isl in islands {
+                        restart(isl, evaluator);
+                    }
+                    best_age = 0;
                 }
-            }
-            if gen_best > best + 1e-12 {
-                best = gen_best;
-                best_age = 0;
-            } else {
-                best_age += 1;
-            }
-            // Restart metric: global stagnation.
-            if cfg.tuning.restart_enabled
-                && restarts_allowed
-                && best_age >= cfg.tuning.stagnation_window
-            {
-                for isl in &mut islands {
-                    isl.restart_worst(cfg.tuning.restart_fraction);
-                    isl.evaluate_initial(evaluator);
+                if improved {
+                    gen_best
+                } else {
+                    best
                 }
-                best_age = 0;
-            }
-            generation += 1;
-            if cfg.migration_interval > 0 && generation.is_multiple_of(cfg.migration_interval) {
-                Self::migrate(&mut islands, cfg.migrants);
-            }
-        }
+            },
+        );
 
-        // Monitor: winning island by best fitness.
-        let winner = islands
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.stats().best_fitness.total_cmp(&b.stats().best_fitness))
-            .map(|(i, _)| i)
-            // lint: allow(panic) — island count is a positive compile-time constant of the topology
-            .expect("at least one island");
-
-        // Diversity-injected result set: elite members plus uniform draws
-        // regardless of fitness.
-        let mut pop = islands[winner].population().clone();
+        // Diversity-injected result set: elite members of the winning
+        // island plus uniform draws regardless of fitness.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1B54A32D192ED03);
+        let pop = run.winner.population_mut();
         pop.sort_by_fitness_desc();
         let n_elite = ((cfg.result_set_size as f64) * cfg.elite_fraction).round() as usize;
         let n_elite = n_elite.min(pop.len()).min(cfg.result_set_size);
@@ -268,12 +239,11 @@ impl StepOptimizer for EssimDe {
             result_set.push(pop.members()[pick].genes.clone());
         }
 
-        let evaluations: u64 = islands.iter().map(|i| i.evaluations()).sum();
         OptimizeOutcome {
             result_set,
-            best_fitness: best,
-            generations: generation,
-            evaluations,
+            best_fitness: run.best_fitness,
+            generations: run.generations,
+            evaluations: run.evaluations,
         }
     }
 }
@@ -359,10 +329,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 2 islands")]
-    fn single_island_rejected() {
+    #[should_panic(expected = "migrants must be fewer")]
+    fn whole_island_migration_rejected() {
         let _ = EssimDe::new(EssimDeConfig {
-            islands: 1,
+            migrants: 12, // the island population: every member replaced
             ..EssimDeConfig::default()
         });
     }

@@ -1,23 +1,15 @@
 //! ESSIM-EA — the island-model genetic algorithm baseline (paper §II-B).
 //!
-//! "The system uses a number of islands, each of which has a Master and a
-//! number of Workers; the Monitor acts as the Master process for the
-//! Masters of the islands." Each island evolves its own GA population;
-//! every `migration_interval` generations the islands exchange their best
-//! individuals along a ring; at the end the Monitor "receives all the
-//! probability matrices generated by the Masters, together with their Kign
-//! value and the associated fitness … then selects the best candidate".
-//!
-//! Process-level note: the original runs islands as MPI process groups;
-//! here each island is a [`GaEngine`] stepped round-robin by one thread,
-//! with the shared scenario evaluator doing the parallel work — the
-//! paper's own ESS-NS simplification argument (§III-A: the demanding part
-//! is scenario evaluation) applies equally to the baseline.
+//! The `island` model with a [`GaConfig`] engine per island; at
+//! the end the Monitor "receives all the probability matrices generated
+//! by the Masters, together with their Kign value and the associated
+//! fitness … then selects the best candidate": the winning island's final
+//! population is the result set.
 
 use crate::fitness::ScenarioEvaluator;
+use crate::island::Ring;
 use crate::pipeline::{OptimizeOutcome, StepOptimizer};
-use evoalg::{GaConfig, GaEngine};
-use firelib::GENE_COUNT;
+use evoalg::GaConfig;
 
 /// Configuration of the ESSIM-EA baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,16 +61,9 @@ impl EssimEa {
     ///
     /// # Panics
     /// Panics on degenerate configurations (fewer than 2 islands, migrants
-    /// exceeding the island population).
+    /// not fewer than the island population).
     pub fn new(config: EssimEaConfig) -> Self {
-        assert!(
-            config.islands >= 2,
-            "an island model needs at least 2 islands"
-        );
-        assert!(
-            config.migrants < config.island_population,
-            "migrants must be fewer than an island's population"
-        );
+        Self::ring(&config).validate();
         Self { config }
     }
 
@@ -87,27 +72,15 @@ impl EssimEa {
         &self.config
     }
 
-    /// Ring migration: each island sends clones of its `migrants` best to
-    /// the next island, replacing that island's worst members.
-    fn migrate(islands: &mut [GaEngine], migrants: usize) {
-        let n = islands.len();
-        // Collect emigrants first so the exchange is simultaneous (no
-        // island sees half-migrated state).
-        let emigrants: Vec<Vec<evoalg::Individual>> = islands
-            .iter_mut()
-            .map(|isl| {
-                isl.population_mut().sort_by_fitness_desc();
-                isl.population().members()[..migrants].to_vec()
-            })
-            .collect();
-        for (src, migrants_group) in emigrants.into_iter().enumerate() {
-            let dst = (src + 1) % n;
-            let pop = islands[dst].population_mut();
-            pop.sort_by_fitness_desc();
-            let len = pop.len();
-            for (k, migrant) in migrants_group.into_iter().enumerate() {
-                pop.members_mut()[len - 1 - k] = migrant;
-            }
+    fn ring(config: &EssimEaConfig) -> Ring {
+        Ring {
+            islands: config.islands,
+            island_population: config.island_population,
+            migration_interval: config.migration_interval,
+            migrants: config.migrants,
+            max_generations: config.max_generations,
+            fitness_threshold: config.fitness_threshold,
+            seed_stride: 0x9E3779B97F4A7C15,
         }
     }
 }
@@ -125,52 +98,27 @@ impl StepOptimizer for EssimEa {
 
     fn optimize(&mut self, evaluator: &mut ScenarioEvaluator, seed: u64) -> OptimizeOutcome {
         let cfg = &self.config;
-        let mut islands: Vec<GaEngine> = (0..cfg.islands)
-            .map(|i| {
-                GaEngine::new(
-                    GENE_COUNT,
-                    GaConfig {
-                        population_size: cfg.island_population,
-                        offspring: cfg.offspring,
-                        mutation_rate: cfg.mutation_rate,
-                        crossover_rate: cfg.crossover_rate,
-                        seed: seed.wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(i as u64 + 1)),
-                    },
-                )
-            })
-            .collect();
-        for isl in &mut islands {
-            isl.evaluate_initial(evaluator);
-        }
-
-        let mut best = f64::NEG_INFINITY;
-        let mut generation = 0u32;
-        while generation < cfg.max_generations && best < cfg.fitness_threshold {
-            for isl in &mut islands {
-                let s = isl.step(evaluator);
-                best = best.max(s.best_fitness);
-            }
-            generation += 1;
-            if cfg.migration_interval > 0 && generation.is_multiple_of(cfg.migration_interval) {
-                Self::migrate(&mut islands, cfg.migrants);
-            }
-        }
-
-        // Monitor stage: pick the island whose best fitness is highest and
-        // emit its final population as the result set.
-        let winner = islands
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.stats().best_fitness.total_cmp(&b.stats().best_fitness))
-            .map(|(i, _)| i)
-            // lint: allow(panic) — island count is a positive compile-time constant of the topology
-            .expect("at least one island");
-        let evaluations: u64 = islands.iter().map(|i| i.evaluations()).sum();
+        let run = Self::ring(cfg).run(
+            seed,
+            evaluator,
+            |island_seed| GaConfig {
+                population_size: cfg.island_population,
+                offspring: cfg.offspring,
+                mutation_rate: cfg.mutation_rate,
+                crossover_rate: cfg.crossover_rate,
+                seed: island_seed,
+            },
+            |islands, _, best, evaluator| {
+                islands
+                    .iter_mut()
+                    .fold(best, |best, isl| best.max(isl.step(evaluator).best_fitness))
+            },
+        );
         OptimizeOutcome {
-            result_set: islands[winner].population().genomes(),
-            best_fitness: best,
-            generations: generation,
-            evaluations,
+            result_set: run.winner.population().genomes(),
+            best_fitness: run.best_fitness,
+            generations: run.generations,
+            evaluations: run.evaluations,
         }
     }
 }
@@ -209,43 +157,6 @@ mod tests {
         // Unless the threshold fired early, 3 islands × (8 + gens × 8).
         assert!(out.evaluations >= 3 * 8);
         assert_eq!(out.evaluations, eval.evaluation_count());
-    }
-
-    #[test]
-    fn migration_spreads_best_genomes() {
-        // Build two tiny engines, make island 0 hold a known-best genome,
-        // migrate, and check island 1 received it.
-        let mk = |seed| {
-            GaEngine::new(
-                GENE_COUNT,
-                GaConfig {
-                    population_size: 4,
-                    offspring: 4,
-                    seed,
-                    ..GaConfig::default()
-                },
-            )
-        };
-        let mut islands = vec![mk(1), mk(2)];
-        let special = vec![0.123456; GENE_COUNT];
-        let mut eval = |gs: &[Vec<f64>]| -> Vec<f64> {
-            gs.iter()
-                .map(|g| if g == &special { 0.99 } else { 0.01 })
-                .collect()
-        };
-        for isl in &mut islands {
-            isl.evaluate_initial(&mut eval);
-        }
-        islands[0].population_mut().members_mut()[0] = {
-            let mut ind = evoalg::Individual::new(special.clone());
-            ind.fitness = 0.99;
-            ind
-        };
-        EssimEa::migrate(&mut islands, 1);
-        assert!(
-            islands[1].population().genomes().contains(&special),
-            "best genome did not migrate"
-        );
     }
 
     #[test]

@@ -32,8 +32,10 @@
 //! * [`error`] — the [`ServiceError`] taxonomy every name-resolving or
 //!   budget-enforcing entry point reports through;
 //! * [`ess_classic`] — ESS: fitness-driven GA, result = final population;
-//! * [`essim_ea`] — ESSIM-EA: island-model GA with migration and a Monitor
-//!   that selects the best island;
+//! * `island` — the island model the two ESSIM systems share: seeded
+//!   islands, the generation loop and its stopping rule, ring migration
+//!   and the Monitor that selects the best island;
+//! * [`essim_ea`] — ESSIM-EA: the island model over GA engines;
 //! * [`essim_de`] — ESSIM-DE: island-model Differential Evolution with the
 //!   diversity-injection result set and the published tuning operators
 //!   (population restart \[21\], IQR-based dynamic tuning \[22\]);
@@ -54,6 +56,7 @@ pub mod essim_de;
 pub mod essim_ea;
 pub mod fitness;
 pub mod fusion;
+mod island;
 pub mod pipeline;
 pub mod report;
 pub mod stages;

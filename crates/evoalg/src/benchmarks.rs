@@ -124,6 +124,13 @@ pub fn two_peaks_is_optimal(genes: &[f64], tol: f64) -> bool {
     genes.iter().all(|&g| (g - 0.9).abs() <= tol)
 }
 
+/// A batch evaluator scoring every genome with [`sphere`] — the engine
+/// tests' objective.
+#[cfg(test)]
+pub(crate) fn sphere_eval() -> impl FnMut(&[Vec<f64>]) -> Vec<f64> {
+    |gs: &[Vec<f64>]| gs.iter().map(|g| sphere(g)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -106,13 +106,6 @@ impl BestSet {
         true
     }
 
-    /// Offers a whole batch (Algorithm 1 line 17:
-    /// `bestSet ← updateBest(bestSet, offspring)`), returning how many were
-    /// retained.
-    pub fn update<'a>(&mut self, batch: impl IntoIterator<Item = (&'a [f64], f64)>) -> usize {
-        batch.into_iter().filter(|&(g, f)| self.offer(g, f)).count()
-    }
-
     /// The stored genomes, cloned (the scenario set handed to the
     /// Statistical Stage).
     pub fn genomes(&self) -> Vec<Vec<f64>> {
@@ -173,17 +166,6 @@ mod tests {
         assert!(!bs.offer(&[2.0], 0.5)); // equal to min: not better
         assert!(bs.offer(&[3.0], 0.55));
         assert_eq!(bs.fitness_values(), vec![0.6, 0.55]);
-    }
-
-    #[test]
-    fn update_batch_counts_retained() {
-        let mut bs = BestSet::new(2);
-        let g1 = [0.1];
-        let g2 = [0.2];
-        let g3 = [0.3];
-        let n = bs.update([(&g1[..], 0.3), (&g2[..], 0.7), (&g3[..], 0.1)]);
-        assert_eq!(n, 2); // 0.3 and 0.7 enter; then 0.1 is rejected (full, worse)
-        assert_eq!(bs.max_fitness(), 0.7);
     }
 
     #[test]

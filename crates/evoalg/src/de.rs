@@ -1,17 +1,14 @@
-//! A step-wise Differential Evolution engine (`rand/1/bin`).
-//!
-//! This is the per-island metaheuristic of ESSIM-DE (paper §II-B). The
-//! engine exposes one generation per [`DeEngine::step`] so the framework
-//! layer can interleave migration and the published tuning operators
-//! (population restart \[21\] and IQR-based dynamic tuning \[22\]) between
-//! generations.
+//! Differential Evolution (`rand/1/bin`) — the per-island metaheuristic
+//! of ESSIM-DE (paper §II-B), as a [`Scheme`] of the shared [`Engine`],
+//! whose one-generation-per-step shape lets the framework layer interleave
+//! migration and the published tuning operators (population restart
+//! \[21\] and IQR-based dynamic tuning \[22\]) between generations.
 
-use crate::ga::{iqr, GenStats};
-use crate::individual::{Individual, Population};
+use crate::engine::{Engine, Scheme};
+use crate::individual::Population;
 use crate::operators::{de_binomial_crossover, de_rand_1_donor};
 use crate::BatchEvaluator;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Differential Evolution parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,90 +34,51 @@ impl Default for DeConfig {
     }
 }
 
-/// The step-wise DE engine.
-#[derive(Debug)]
-pub struct DeEngine {
-    config: DeConfig,
-    dims: usize,
-    population: Population,
-    rng: StdRng,
-    generation: u32,
-    evaluations: u64,
-}
+/// The step-wise DE engine: one generation builds, per target, a `rand/1`
+/// donor and a binomial-crossover trial, evaluates all trials, and
+/// greedily replaces each target whose trial is at least as fit.
+pub type DeEngine = Engine<DeConfig>;
 
-impl DeEngine {
-    /// Creates an engine with a random initial population; call
-    /// [`DeEngine::evaluate_initial`] before the first [`DeEngine::step`].
-    ///
-    /// # Panics
-    /// Panics on invalid parameters.
-    pub fn new(dims: usize, config: DeConfig) -> Self {
+impl Scheme for DeConfig {
+    fn start(&self, dims: usize) -> (usize, u64) {
         assert!(
-            config.population_size >= 4,
+            self.population_size >= 4,
             "DE rand/1 needs at least 4 individuals"
         );
         assert!(
-            config.differential_weight > 0.0 && config.differential_weight <= 2.0,
+            self.differential_weight > 0.0 && self.differential_weight <= 2.0,
             "differential weight must be in (0, 2]"
         );
         assert!(
-            (0.0..=1.0).contains(&config.crossover_rate),
+            (0.0..=1.0).contains(&self.crossover_rate),
             "CR is a probability"
         );
         assert!(dims >= 1, "genome needs at least one gene");
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let population = Population::random(config.population_size, dims, &mut rng);
-        Self {
-            config,
-            dims,
-            population,
-            rng,
-            generation: 0,
-            evaluations: 0,
-        }
+        (self.population_size, self.seed)
     }
 
-    /// Evaluates the current population (initially, and after restarts or
-    /// migrations that introduced unevaluated members).
-    pub fn evaluate_initial<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {
-        let fitness = evaluator.evaluate(&self.population.genomes());
-        self.evaluations += fitness.len() as u64;
-        self.population.assign_fitness(&fitness);
-        self.stats()
-    }
-
-    /// One DE generation: per target, build a `rand/1` donor, binomial
-    /// crossover into a trial, evaluate all trials, and greedily replace
-    /// each target whose trial is at least as fit.
-    pub fn step<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {
-        assert!(
-            self.population
-                .members()
-                .iter()
-                .all(Individual::is_evaluated),
-            "call evaluate_initial before step"
-        );
-        let genomes = self.population.genomes();
+    fn generation<E: BatchEvaluator>(
+        &self,
+        population: &mut Population,
+        rng: &mut StdRng,
+        evaluator: &mut E,
+    ) -> u64 {
+        let genomes = population.genomes();
         let mut trials = Vec::with_capacity(genomes.len());
         for target in 0..genomes.len() {
-            let donor = de_rand_1_donor(
-                &genomes,
-                target,
-                self.config.differential_weight,
-                &mut self.rng,
-            );
+            let donor = de_rand_1_donor(&genomes, target, self.differential_weight, rng);
             trials.push(de_binomial_crossover(
                 &genomes[target],
                 &donor,
-                self.config.crossover_rate,
-                &mut self.rng,
+                self.crossover_rate,
+                rng,
             ));
         }
         let trial_fitness = evaluator.evaluate(&trials);
-        self.evaluations += trial_fitness.len() as u64;
+        let evaluations = trial_fitness.len() as u64;
         for (i, (trial, tf)) in trials.into_iter().zip(trial_fitness).enumerate() {
             assert!(tf.is_finite(), "fitness must be finite");
-            let m = &mut self.population.members_mut()[i];
+            let m = &mut population.members_mut()[i];
             // Greedy selection with >=: drifting across plateaus is what
             // lets DE escape flat fitness regions (important for J = 0
             // early fire-prediction populations).
@@ -129,77 +87,14 @@ impl DeEngine {
                 m.fitness = tf;
             }
         }
-        self.generation += 1;
-        self.stats()
-    }
-
-    /// Reinitialises the `frac` worst members uniformly at random — the
-    /// ESSIM-DE population restart operator (\[21\]). Restarted members are
-    /// unevaluated; call [`DeEngine::evaluate_initial`] before stepping.
-    pub fn restart_worst(&mut self, frac: f64) {
-        assert!(
-            (0.0..=1.0).contains(&frac),
-            "restart fraction is a probability"
-        );
-        let n = ((self.population.len() as f64) * frac).round() as usize;
-        if n == 0 {
-            return;
-        }
-        self.population.sort_by_fitness_desc();
-        let len = self.population.len();
-        let dims = self.dims;
-        for m in &mut self.population.members_mut()[len - n..] {
-            m.genes = (0..dims).map(|_| self.rng.random::<f64>()).collect();
-            m.fitness = f64::NAN;
-        }
-    }
-
-    /// Current population.
-    pub fn population(&self) -> &Population {
-        &self.population
-    }
-
-    /// Mutable population access (migration).
-    pub fn population_mut(&mut self) -> &mut Population {
-        &mut self.population
-    }
-
-    /// Generation counter.
-    pub fn generation(&self) -> u32 {
-        self.generation
-    }
-
-    /// Total evaluations so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Statistics of the current population.
-    pub fn stats(&self) -> GenStats {
-        let f = self.population.fitness_values();
-        let mean = if f.is_empty() {
-            0.0
-        } else {
-            f.iter().sum::<f64>() / f.len() as f64
-        };
-        GenStats {
-            generation: self.generation,
-            best_fitness: f.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            mean_fitness: mean,
-            fitness_iqr: iqr(&f),
-            evaluations: self.evaluations,
-        }
+        evaluations
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benchmarks::sphere;
-
-    fn sphere_eval() -> impl FnMut(&[Vec<f64>]) -> Vec<f64> {
-        |gs: &[Vec<f64>]| gs.iter().map(|g| sphere(g)).collect()
-    }
+    use crate::benchmarks::sphere_eval;
 
     #[test]
     fn de_converges_on_sphere() {
@@ -240,65 +135,6 @@ mod tests {
         for (b, a) in before.iter().zip(&after) {
             assert!(a >= b, "member regressed: {b} → {a}");
         }
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let run = |seed: u64| {
-            let mut e = DeEngine::new(
-                4,
-                DeConfig {
-                    seed,
-                    ..DeConfig::default()
-                },
-            );
-            let mut eval = sphere_eval();
-            e.evaluate_initial(&mut eval);
-            for _ in 0..10 {
-                e.step(&mut eval);
-            }
-            e.population().genomes()
-        };
-        assert_eq!(run(8), run(8));
-        assert_ne!(run(8), run(9));
-    }
-
-    #[test]
-    fn evaluations_accumulate() {
-        let cfg = DeConfig {
-            population_size: 12,
-            seed: 1,
-            ..DeConfig::default()
-        };
-        let mut e = DeEngine::new(3, cfg);
-        let mut eval = sphere_eval();
-        e.evaluate_initial(&mut eval);
-        e.step(&mut eval);
-        e.step(&mut eval);
-        assert_eq!(e.evaluations(), 36);
-    }
-
-    #[test]
-    fn restart_marks_worst_unevaluated() {
-        let mut e = DeEngine::new(
-            3,
-            DeConfig {
-                seed: 4,
-                ..DeConfig::default()
-            },
-        );
-        let mut eval = sphere_eval();
-        e.evaluate_initial(&mut eval);
-        e.restart_worst(0.25);
-        let fresh = e
-            .population()
-            .members()
-            .iter()
-            .filter(|m| !m.is_evaluated())
-            .count();
-        assert_eq!(fresh, 13); // round(50 × 0.25)
-        e.evaluate_initial(&mut eval);
-        e.step(&mut eval);
     }
 
     #[test]

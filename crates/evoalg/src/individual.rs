@@ -39,27 +39,15 @@ impl Individual {
     pub fn is_evaluated(&self) -> bool {
         self.fitness.is_finite()
     }
-
-    /// Number of genes.
-    pub fn dims(&self) -> usize {
-        self.genes.len()
-    }
 }
 
 /// A population of individuals with the bookkeeping the engines share.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Population {
     members: Vec<Individual>,
 }
 
 impl Population {
-    /// An empty population.
-    pub fn new() -> Self {
-        Self {
-            members: Vec::new(),
-        }
-    }
-
     /// Wraps existing members.
     pub fn from_members(members: Vec<Individual>) -> Self {
         Self { members }
@@ -91,16 +79,6 @@ impl Population {
     /// Mutable members.
     pub fn members_mut(&mut self) -> &mut [Individual] {
         &mut self.members
-    }
-
-    /// Adds a member.
-    pub fn push(&mut self, ind: Individual) {
-        self.members.push(ind);
-    }
-
-    /// Moves all members out.
-    pub fn into_members(self) -> Vec<Individual> {
-        self.members
     }
 
     /// The genomes, cloned into the shape batch evaluators take.
@@ -170,7 +148,6 @@ mod tests {
     fn new_individual_is_unevaluated() {
         let ind = Individual::new(vec![0.5, 0.5]);
         assert!(!ind.is_evaluated());
-        assert_eq!(ind.dims(), 2);
     }
 
     #[test]
@@ -179,7 +156,7 @@ mod tests {
         let pop = Population::random(20, 5, &mut rng);
         assert_eq!(pop.len(), 20);
         for m in pop.members() {
-            assert_eq!(m.dims(), 5);
+            assert_eq!(m.genes.len(), 5);
             assert!(m.genes.iter().all(|g| (0.0..=1.0).contains(g)));
         }
     }

@@ -5,8 +5,7 @@
 //! the one master-side O(n²) hot path of ESS-NS. This module is that
 //! path, in two layers:
 //!
-//! * **Layout** — scoring runs over a flat
-//!   [`BehaviourMatrix`](crate::behaviour::BehaviourMatrix) (one
+//! * **Layout** — scoring runs over a flat [`BehaviourMatrix`] (one
 //!   contiguous block) instead of `Vec<Vec<f64>>`;
 //! * **Index** — [`PreparedIndex`] picks the kNN strategy from the data:
 //!   on 1-D behaviours (the paper's Eq. (2) fitness behaviour is exactly
@@ -34,7 +33,7 @@
 //! loudly rather than diverging silently; the exhaustive scan stays
 //! NaN-tolerant and reference-identical.
 
-use crate::behaviour::BehaviourMatrix;
+use crate::matrix::BehaviourMatrix;
 use crate::novelty::{beaten_fraction, behaviour_distance, mean_of_k_smallest};
 
 /// The 1-D index state: rows sorted by `(value, index)` plus the inverse

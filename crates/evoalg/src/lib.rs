@@ -8,19 +8,25 @@
 //!
 //! * [`individual`] — genomes (normalised `f64` gene vectors), scored
 //!   individuals and populations;
-//! * [`selection`] — roulette-wheel (the paper's GA selection strategy,
-//!   §III-B) and tournament selection over arbitrary scores;
-//! * [`operators`] — crossover (one-point, uniform, BLX-α) and mutation
-//!   (uniform reset, Gaussian creep) over `[0, 1]` genes;
-//! * [`ga`] — a step-wise fitness-driven GA engine (the baseline systems);
-//! * [`de`] — a step-wise Differential Evolution engine (`rand/1/bin`,
-//!   the ESSIM-DE metaheuristic);
+//! * [`selection`] — roulette-wheel parent selection (the paper's GA
+//!   selection strategy, §III-B) over arbitrary scores, and the elitist
+//!   merge behind every replacement;
+//! * [`operators`] — one-point crossover and uniform-reset mutation over
+//!   `[0, 1]` genes, and DE's `rand/1` donor and binomial crossover;
+//! * [`engine`] — [`engine::Engine`], the step-wise engine core (seeded
+//!   population, evaluation, counters, restart, statistics), generic over
+//!   the [`engine::Scheme`] that varies and selects one generation;
+//! * [`ga`] — the GA scheme ([`GaEngine`], the baseline systems) and the
+//!   breeding and elitist-replacement steps it shares with Algorithm 1;
+//! * [`de`] — the Differential Evolution scheme (`rand/1/bin`,
+//!   [`DeEngine`], the ESSIM-DE metaheuristic);
 //! * [`novelty`] — the Novelty Search kit: the novelty score ρ(x) of
 //!   Eq. (1), behaviour distances including the paper's fitness-difference
 //!   measure of Eq. (2), and the novelty [`novelty::NoveltyArchive`]
 //!   (which maintains its descriptors incrementally in the flat layout);
-//! * [`behaviour`] — [`behaviour::BehaviourMatrix`], the flat
-//!   structure-of-arrays descriptor store every novelty path reads;
+//! * [`matrix`] — [`matrix::RowMatrix`], the flat row-major store behind
+//!   both [`GenomeMatrix`] (evaluation batches) and [`BehaviourMatrix`]
+//!   (the descriptors every novelty path reads);
 //! * [`knn`] — the batched novelty-scoring subsystem:
 //!   [`knn::PreparedIndex`] (sorted-scan kNN on 1-D behaviours, the
 //!   exhaustive scan otherwise — bit-identical to the reference functions
@@ -36,26 +42,26 @@
 //! fitness evaluation is abstracted behind [`BatchEvaluator`] so callers
 //! can plug the parallel Master/Worker engine in.
 
-pub mod behaviour;
 pub mod benchmarks;
 pub mod bestset;
 pub mod de;
 pub mod diversity;
+pub mod engine;
 pub mod ga;
-pub mod genome;
 pub mod individual;
 pub mod knn;
+pub mod matrix;
 pub mod novelty;
 pub mod operators;
 pub mod selection;
 
-pub use behaviour::BehaviourMatrix;
 pub use bestset::BestSet;
 pub use de::{DeConfig, DeEngine};
-pub use ga::{GaConfig, GaEngine, GenStats};
-pub use genome::GenomeMatrix;
+pub use engine::{Engine, GenStats, Scheme};
+pub use ga::{GaConfig, GaEngine};
 pub use individual::{Individual, Population};
 pub use knn::{NoveltyEngine, PreparedIndex};
+pub use matrix::{BehaviourMatrix, GenomeMatrix};
 pub use novelty::{novelty_score, novelty_score_external, NoveltyArchive};
 
 /// Batch fitness evaluation: maps a slice of genomes to their fitness

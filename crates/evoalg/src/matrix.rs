@@ -1,29 +1,43 @@
-//! [`BehaviourMatrix`] — the flat, structure-of-arrays store every
-//! behaviour descriptor flows through.
+//! [`RowMatrix`] — the flat, row-major `f64` store both dense batches of
+//! the Optimization Stage flow through, under the two names their callers
+//! use: [`GenomeMatrix`] (an evaluation batch) and [`BehaviourMatrix`]
+//! (a set of behaviour descriptors).
 //!
-//! The novelty computation of Eq. (1) is a dense kNN problem over the
-//! `noveltySet` (population ∪ offspring ∪ archive). Storing that set as
-//! `Vec<Vec<f64>>` costs one heap allocation per descriptor per
-//! generation and scatters the rows across the heap; a flat `Vec<f64>`
-//! with a fixed row width keeps the whole reference set in one contiguous
-//! block, so batch scoring streams it cache-line by cache-line and
-//! rebuilding the set each generation reuses one buffer. The
-//! [`crate::novelty::NoveltyArchive`] maintains its descriptors in this
-//! layout incrementally, and [`crate::knn::PreparedIndex`] scores directly
-//! against it.
+//! Storing such a set as `Vec<Vec<f64>>` costs one heap allocation per
+//! row and scatters the rows across the heap; a flat `Vec<f64>` with a
+//! fixed row width keeps the whole set in one contiguous block.
+//!
+//! * **Genomes.** The engines still submit nested rows through
+//!   [`crate::BatchEvaluator::evaluate`]; the `ess` crate's
+//!   `SharedScenarioPool` flattens them into this type once per batch, so
+//!   the pool carries **one** allocation per batch (or per fused
+//!   mega-batch) and workers slice their row straight out of it.
+//! * **Behaviours.** The novelty computation of Eq. (1) is a dense kNN
+//!   problem over the `noveltySet` (population ∪ offspring ∪ archive):
+//!   batch scoring streams the block cache-line by cache-line and
+//!   rebuilding the set each generation reuses one buffer. The
+//!   [`crate::novelty::NoveltyArchive`] maintains its descriptors in this
+//!   layout incrementally, and [`crate::knn::PreparedIndex`] scores
+//!   directly against it.
 
-/// A dense row-major matrix of behaviour descriptors: `len` rows of a
-/// fixed `dim` width in one contiguous `Vec<f64>`.
+/// A batch of genomes, one per row.
+pub type GenomeMatrix = RowMatrix;
+
+/// A set of behaviour descriptors, one per row.
+pub type BehaviourMatrix = RowMatrix;
+
+/// A dense row-major matrix: `len` rows of a fixed `dim` width in one
+/// contiguous `Vec<f64>`.
 ///
 /// The dimension is fixed by the first row pushed (or up front via
-/// [`BehaviourMatrix::with_dim`]); every later row must match it.
+/// [`RowMatrix::with_dim`]); every later row must match it.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct BehaviourMatrix {
+pub struct RowMatrix {
     data: Vec<f64>,
     dim: usize,
 }
 
-impl BehaviourMatrix {
+impl RowMatrix {
     /// An empty matrix whose dimension is inferred from the first push.
     pub fn new() -> Self {
         Self::default()
@@ -34,7 +48,7 @@ impl BehaviourMatrix {
     /// # Panics
     /// Panics when `dim == 0`.
     pub fn with_dim(dim: usize) -> Self {
-        assert!(dim > 0, "behaviour dimension must be positive");
+        assert!(dim > 0, "row dimension must be positive");
         Self {
             data: Vec::new(),
             dim,
@@ -64,7 +78,7 @@ impl BehaviourMatrix {
         }
     }
 
-    /// Appends one descriptor row.
+    /// Appends one row.
     ///
     /// # Panics
     /// Panics on a row-width mismatch or an empty row.
@@ -74,7 +88,7 @@ impl BehaviourMatrix {
     }
 
     /// Starts a new row and returns the writable slice for it — the
-    /// allocation-free way to build a descriptor in place (used by
+    /// allocation-free way to build a row in place (used by
     /// `BehaviourSpace::describe_into`-style writers).
     ///
     /// # Panics
@@ -91,7 +105,7 @@ impl BehaviourMatrix {
     /// # Panics
     /// Panics when `index` is out of bounds or the width mismatches.
     pub fn set_row(&mut self, index: usize, row: &[f64]) {
-        assert_eq!(row.len(), self.dim, "behaviour dimension mismatch");
+        assert_eq!(row.len(), self.dim, "row dimension mismatch");
         let start = index * self.dim;
         self.data[start..start + self.dim].copy_from_slice(row);
     }
@@ -114,7 +128,7 @@ impl BehaviourMatrix {
     ///
     /// # Panics
     /// Panics when the dimensions differ (an empty `other` always works).
-    pub fn extend_from(&mut self, other: &BehaviourMatrix) {
+    pub fn extend_from(&mut self, other: &RowMatrix) {
         if other.is_empty() {
             return;
         }
@@ -123,7 +137,7 @@ impl BehaviourMatrix {
     }
 
     /// Clears the rows, keeping the allocation and the dimension — the
-    /// per-generation reuse entry point.
+    /// per-batch / per-generation reuse entry point.
     pub fn clear(&mut self) {
         self.data.clear();
     }
@@ -133,7 +147,7 @@ impl BehaviourMatrix {
         &self.data
     }
 
-    /// Builds a matrix from nested rows (migration/test convenience).
+    /// Builds a matrix from nested rows — the once-per-batch flattening.
     ///
     /// # Panics
     /// Panics on ragged rows.
@@ -152,11 +166,11 @@ impl BehaviourMatrix {
     }
 
     fn set_dim(&mut self, dim: usize) {
-        assert!(dim > 0, "behaviour descriptors cannot be empty");
+        assert!(dim > 0, "rows cannot be empty");
         if self.dim == 0 {
             self.dim = dim;
         } else {
-            assert_eq!(dim, self.dim, "behaviour dimension mismatch");
+            assert_eq!(dim, self.dim, "row dimension mismatch");
         }
     }
 }
@@ -167,7 +181,7 @@ mod tests {
 
     #[test]
     fn push_and_row_round_trip() {
-        let mut m = BehaviourMatrix::new();
+        let mut m = RowMatrix::new();
         m.push(&[1.0, 2.0]);
         m.push(&[3.0, 4.0]);
         assert_eq!(m.len(), 2);
@@ -180,7 +194,7 @@ mod tests {
 
     #[test]
     fn rows_iterator_matches_indexing() {
-        let m = BehaviourMatrix::from_rows(&[[0.1], [0.2], [0.3]]);
+        let m = RowMatrix::from_rows(&[[0.1], [0.2], [0.3]]);
         let collected: Vec<&[f64]> = m.rows().collect();
         assert_eq!(collected.len(), 3);
         for (i, row) in collected.iter().enumerate() {
@@ -190,7 +204,7 @@ mod tests {
 
     #[test]
     fn set_row_overwrites_in_place() {
-        let mut m = BehaviourMatrix::from_rows(&[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]);
+        let mut m = RowMatrix::from_rows(&[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]);
         m.set_row(1, &[9.0, 9.0]);
         assert_eq!(m.len(), 3);
         assert_eq!(m.row(0), &[1.0, 1.0]);
@@ -200,7 +214,7 @@ mod tests {
 
     #[test]
     fn clear_keeps_dim_and_capacity() {
-        let mut m = BehaviourMatrix::with_dim(3);
+        let mut m = RowMatrix::with_dim(3);
         m.push(&[1.0, 2.0, 3.0]);
         let cap = m.data.capacity();
         m.clear();
@@ -210,37 +224,42 @@ mod tests {
     }
 
     #[test]
+    fn reserve_rows_preallocates() {
+        let mut m = RowMatrix::with_dim(4);
+        m.reserve_rows(10);
+        assert!(m.data.capacity() >= 40);
+        RowMatrix::new().reserve_rows(10); // dimension unknown: no-op
+    }
+
+    #[test]
     fn extend_from_is_a_bulk_append() {
-        let mut a = BehaviourMatrix::from_rows(&[[1.0], [2.0]]);
-        let b = BehaviourMatrix::from_rows(&[[3.0], [4.0]]);
+        let mut a = RowMatrix::from_rows(&[[1.0], [2.0]]);
+        let b = RowMatrix::from_rows(&[[3.0], [4.0]]);
         a.extend_from(&b);
-        assert_eq!(
-            a.to_rows(),
-            vec![vec![1.0], vec![2.0], vec![3.0], vec![4.0]]
-        );
-        a.extend_from(&BehaviourMatrix::new()); // empty other: no-op
+        assert_eq!(a.as_flat(), &[1.0, 2.0, 3.0, 4.0]);
+        a.extend_from(&RowMatrix::new()); // empty other: no-op
         assert_eq!(a.len(), 4);
     }
 
     #[test]
     fn push_uninit_exposes_writable_row() {
-        let mut m = BehaviourMatrix::new();
+        let mut m = RowMatrix::new();
         m.push_uninit(2).copy_from_slice(&[5.0, 6.0]);
         assert_eq!(m.row(0), &[5.0, 6.0]);
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch")]
+    #[should_panic(expected = "row dimension mismatch")]
     fn ragged_rows_rejected() {
-        let mut m = BehaviourMatrix::new();
+        let mut m = RowMatrix::new();
         m.push(&[1.0, 2.0]);
         m.push(&[1.0]);
     }
 
     #[test]
-    #[should_panic(expected = "cannot be empty")]
+    #[should_panic(expected = "rows cannot be empty")]
     fn empty_row_rejected() {
-        let mut m = BehaviourMatrix::new();
+        let mut m = RowMatrix::new();
         m.push(&[]);
     }
 }

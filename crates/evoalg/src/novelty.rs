@@ -13,7 +13,7 @@
 //! [`novelty_score_external`], [`local_competition_score`]) are the
 //! **brute-force reference semantics**; the batched
 //! [`crate::knn::PreparedIndex`] paths reproduce them bit-identically
-//! over a flat [`crate::behaviour::BehaviourMatrix`]. Two canonical
+//! over a flat [`crate::matrix::BehaviourMatrix`]. Two canonical
 //! choices make that identity hold *by construction* rather than by luck:
 //! the k smallest distances are summed in ascending `total_cmp` order (so
 //! any algorithm that finds the same k-smallest multiset produces the
@@ -26,7 +26,7 @@
 //! with one shared reduction every scoring path in the workspace agrees
 //! exactly.
 
-use crate::behaviour::BehaviourMatrix;
+use crate::matrix::BehaviourMatrix;
 
 /// Euclidean distance between two behaviour descriptors.
 ///
@@ -173,13 +173,10 @@ pub struct ArchiveEntry {
 /// The paper fixes a **fixed-size archive managed with replacement based on
 /// novelty only** ("as opposed to the pseudocode in \[29\], which uses a
 /// randomized approach", §III-B): when full, a candidate with a higher
-/// novelty score replaces the current minimum-novelty entry. An optional
-/// admission threshold (the `\[15\]`-style variant listed as future work) can
-/// be set for the ablation experiments.
+/// novelty score replaces the current minimum-novelty entry.
 #[derive(Debug, Clone)]
 pub struct NoveltyArchive {
     capacity: usize,
-    threshold: Option<f64>,
     entries: Vec<ArchiveEntry>,
     /// The stored behaviour descriptors, maintained *incrementally* in the
     /// flat layout the novelty computation consumes (row `i` ↔
@@ -198,18 +195,9 @@ impl NoveltyArchive {
         assert!(capacity > 0, "archive capacity must be positive");
         Self {
             capacity,
-            threshold: None,
             entries: Vec::with_capacity(capacity),
             behaviours: BehaviourMatrix::new(),
         }
-    }
-
-    /// Adds a minimum-novelty admission threshold (future-work variant;
-    /// candidates below it are rejected even when space is free).
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold >= 0.0, "novelty threshold must be non-negative");
-        self.threshold = Some(threshold);
-        self
     }
 
     /// Capacity.
@@ -240,27 +228,13 @@ impl NoveltyArchive {
         &self.behaviours
     }
 
-    /// The behaviour descriptor of `entries()[index]`.
-    ///
-    /// # Panics
-    /// Panics when `index` is out of bounds.
-    pub fn behaviour_of(&self, index: usize) -> &[f64] {
-        self.behaviours.row(index)
-    }
-
     /// Offers a candidate. Returns `true` when it entered the archive:
     ///
-    /// * below the admission threshold (if any) → rejected;
     /// * free space → accepted;
     /// * full → accepted iff its novelty exceeds the current minimum, which
     ///   it replaces (novelty-only replacement, §III-B).
     pub fn offer(&mut self, genes: &[f64], behaviour: &[f64], novelty: f64, fitness: f64) -> bool {
         assert!(novelty >= 0.0, "novelty scores are non-negative");
-        if let Some(t) = self.threshold {
-            if novelty < t {
-                return false;
-            }
-        }
         if self.entries.len() < self.capacity {
             self.entries.push(ArchiveEntry {
                 genes: genes.to_vec(),
@@ -416,20 +390,11 @@ mod tests {
     }
 
     #[test]
-    fn threshold_rejects_low_novelty_even_with_space() {
-        let mut a = NoveltyArchive::new(5).with_threshold(0.3);
-        assert!(!a.offer(&[1.0], &[1.0], 0.2, 0.5));
-        assert!(a.offer(&[2.0], &[2.0], 0.3, 0.5));
-        assert_eq!(a.len(), 1);
-    }
-
-    #[test]
     fn behaviour_matrix_tracks_entries_incrementally() {
         let mut a = NoveltyArchive::new(2);
         a.offer(&[1.0, 2.0], &[0.7], 1.0, 0.9);
         a.offer(&[3.0, 4.0], &[0.2], 2.0, 0.1);
         assert_eq!(a.behaviour_matrix().to_rows(), vec![vec![0.7], vec![0.2]]);
-        assert_eq!(a.behaviour_of(1), &[0.2]);
         // Replacement overwrites the evicted entry's row in place.
         assert!(a.offer(&[5.0, 6.0], &[0.9], 3.0, 0.5));
         assert_eq!(a.behaviour_matrix().to_rows(), vec![vec![0.9], vec![0.2]]);

@@ -21,47 +21,6 @@ pub fn one_point_crossover<R: Rng + ?Sized>(
     (c1, c2)
 }
 
-/// Uniform crossover: each gene independently swaps with probability ½.
-pub fn uniform_crossover<R: Rng + ?Sized>(
-    a: &[f64],
-    b: &[f64],
-    rng: &mut R,
-) -> (Vec<f64>, Vec<f64>) {
-    assert_eq!(a.len(), b.len(), "crossover parents must have equal length");
-    let mut c1 = a.to_vec();
-    let mut c2 = b.to_vec();
-    for i in 0..a.len() {
-        if rng.random::<bool>() {
-            c1[i] = b[i];
-            c2[i] = a[i];
-        }
-    }
-    (c1, c2)
-}
-
-/// BLX-α blend crossover: each child gene is drawn uniformly from the
-/// parents' interval extended by `alpha` on both sides, clamped to `[0, 1]`.
-pub fn blx_alpha_crossover<R: Rng + ?Sized>(
-    a: &[f64],
-    b: &[f64],
-    alpha: f64,
-    rng: &mut R,
-) -> (Vec<f64>, Vec<f64>) {
-    assert_eq!(a.len(), b.len(), "crossover parents must have equal length");
-    assert!(alpha >= 0.0, "alpha must be non-negative");
-    let mut sample = |x: f64, y: f64| {
-        let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-        let span = hi - lo;
-        let lo_e = lo - alpha * span;
-        let hi_e = hi + alpha * span;
-        let v = lo_e + rng.random::<f64>() * (hi_e - lo_e);
-        v.clamp(0.0, 1.0)
-    };
-    let c1: Vec<f64> = a.iter().zip(b).map(|(&x, &y)| sample(x, y)).collect();
-    let c2: Vec<f64> = a.iter().zip(b).map(|(&x, &y)| sample(x, y)).collect();
-    (c1, c2)
-}
-
 /// Uniform-reset mutation: each gene is independently resampled uniformly
 /// in `[0, 1]` with probability `rate`.
 pub fn uniform_mutation<R: Rng + ?Sized>(genes: &mut [f64], rate: f64, rng: &mut R) {
@@ -74,31 +33,6 @@ pub fn uniform_mutation<R: Rng + ?Sized>(genes: &mut [f64], rate: f64, rng: &mut
             *g = rng.random::<f64>();
         }
     }
-}
-
-/// Gaussian creep mutation: each gene is independently perturbed by
-/// `N(0, sigma)` with probability `rate`, clamped to `[0, 1]`.
-///
-/// Uses a Box–Muller draw so no external distribution crate is needed.
-pub fn gaussian_mutation<R: Rng + ?Sized>(genes: &mut [f64], rate: f64, sigma: f64, rng: &mut R) {
-    assert!(
-        (0.0..=1.0).contains(&rate),
-        "mutation rate must be a probability"
-    );
-    assert!(sigma >= 0.0, "sigma must be non-negative");
-    for g in genes {
-        if rng.random::<f64>() < rate {
-            *g = (*g + sigma * standard_normal(rng)).clamp(0.0, 1.0);
-        }
-    }
-}
-
-/// A standard normal draw via Box–Muller.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Avoid ln(0) by drawing u1 from (0, 1].
-    let u1 = 1.0 - rng.random::<f64>();
-    let u2 = rng.random::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// DE `rand/1` donor vector: `x_r1 + f × (x_r2 − x_r3)`, clamped to
@@ -191,32 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn uniform_crossover_positionwise_swap() {
-        let a = vec![0.0; 16];
-        let b = vec![1.0; 16];
-        let (c1, c2) = uniform_crossover(&a, &b, &mut rng());
-        for i in 0..16 {
-            assert!((c1[i] == 0.0 && c2[i] == 1.0) || (c1[i] == 1.0 && c2[i] == 0.0));
-        }
-    }
-
-    #[test]
-    fn blx_children_within_extended_interval() {
-        let a = vec![0.3; 8];
-        let b = vec![0.5; 8];
-        let (c1, c2) = blx_alpha_crossover(&a, &b, 0.5, &mut rng());
-        for g in c1.iter().chain(&c2) {
-            assert!((0.2..=0.6).contains(g), "gene {g} outside BLX interval");
-        }
-    }
-
-    #[test]
     fn mutation_rate_zero_is_identity() {
         let mut genes = vec![0.25, 0.5, 0.75];
         let orig = genes.clone();
         uniform_mutation(&mut genes, 0.0, &mut rng());
-        assert_eq!(genes, orig);
-        gaussian_mutation(&mut genes, 0.0, 0.1, &mut rng());
         assert_eq!(genes, orig);
     }
 
@@ -230,26 +142,6 @@ mod tests {
             "expected nearly all genes resampled, got {changed}"
         );
         assert!(genes.iter().all(|g| (0.0..=1.0).contains(g)));
-    }
-
-    #[test]
-    fn gaussian_mutation_stays_clamped() {
-        let mut genes = vec![0.01, 0.99];
-        for _ in 0..200 {
-            gaussian_mutation(&mut genes, 1.0, 0.5, &mut rng());
-            assert!(genes.iter().all(|g| (0.0..=1.0).contains(g)));
-        }
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut r = rng();
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| standard_normal(&mut r)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The paper fixes roulette-wheel selection for the NS-based GA ("the GA
 //! population selection strategy will be by roulette wheel selection",
-//! §III-B); tournament selection is provided for the baselines and
-//! ablations.
+//! §III-B); the baselines' GA selects the same way.
 
 use rand::Rng;
 
@@ -39,25 +38,6 @@ pub fn roulette<R: Rng + ?Sized>(scores: &[f64], rng: &mut R) -> usize {
         }
     }
     scores.len() - 1 // numeric edge: the ticket fell off the wheel's end
-}
-
-/// Tournament selection: draws `k` uniform entrants and returns the index
-/// of the one with the highest score. Unlike roulette it tolerates
-/// negative scores.
-///
-/// # Panics
-/// Panics on an empty slice or `k == 0`.
-pub fn tournament<R: Rng + ?Sized>(scores: &[f64], k: usize, rng: &mut R) -> usize {
-    assert!(!scores.is_empty(), "tournament over an empty slice");
-    assert!(k > 0, "tournament size must be positive");
-    let mut best = rng.random_range(0..scores.len());
-    for _ in 1..k {
-        let challenger = rng.random_range(0..scores.len());
-        if scores[challenger] > scores[best] {
-            best = challenger;
-        }
-    }
-    best
 }
 
 /// Elitist replacement shared by the engines: keeps the `capacity` entries
@@ -117,33 +97,6 @@ mod tests {
     fn roulette_rejects_negative() {
         let mut rng = StdRng::seed_from_u64(6);
         let _ = roulette(&[0.5, -0.1], &mut rng);
-    }
-
-    #[test]
-    fn tournament_full_size_is_argmax_often() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let scores = [0.2, 0.9, 0.4];
-        // P(max never drawn in 8 tries) = (2/3)^8 ≈ 3.9 %, so ≈ 480/500
-        // expected wins; 440 leaves ample slack while still proving strong
-        // selection pressure.
-        let mut wins = 0;
-        for _ in 0..500 {
-            if tournament(&scores, 8, &mut rng) == 1 {
-                wins += 1;
-            }
-        }
-        assert!(
-            wins > 440,
-            "k≫n tournament should almost always pick the max, got {wins}/500"
-        );
-    }
-
-    #[test]
-    fn tournament_handles_negative_scores() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let scores = [-5.0, -1.0, -9.0];
-        let pick = tournament(&scores, 16, &mut rng);
-        assert_eq!(pick, 1);
     }
 
     #[test]

@@ -56,9 +56,7 @@ fn crossover_closure() {
         let a = genome(&mut rng, 9);
         let b = genome(&mut rng, 9);
         let (c1, c2) = operators::one_point_crossover(&a, &b, &mut rng);
-        let (u1, u2) = operators::uniform_crossover(&a, &b, &mut rng);
-        let (b1, b2) = operators::blx_alpha_crossover(&a, &b, 0.3, &mut rng);
-        for child in [&c1, &c2, &u1, &u2, &b1, &b2] {
+        for child in [&c1, &c2] {
             assert_eq!(child.len(), 9);
             assert!(child.iter().all(|g| (0.0..=1.0).contains(g)));
         }
@@ -72,10 +70,7 @@ fn mutation_closure() {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut genes = genome(&mut rng, 9);
         let rate = rng.random::<f64>();
-        let sigma = rng.random::<f64>() * 2.0;
         operators::uniform_mutation(&mut genes, rate, &mut rng);
-        assert!(genes.iter().all(|g| (0.0..=1.0).contains(g)));
-        operators::gaussian_mutation(&mut genes, rate, sigma, &mut rng);
         assert!(genes.iter().all(|g| (0.0..=1.0).contains(g)));
     }
 }
@@ -287,7 +282,7 @@ fn archive_matrix_tracks_offers_exactly() {
                 "seed {seed}: archive matrix drifted"
             );
             for (i, entry) in archive.entries().iter().enumerate() {
-                assert_eq!(archive.behaviour_of(i).len(), dims);
+                assert_eq!(archive.behaviour_matrix().row(i).len(), dims);
                 assert!(entry.novelty >= 0.0);
             }
         }

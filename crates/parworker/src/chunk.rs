@@ -3,15 +3,15 @@
 //!
 //! The persistent pools fix their work function (and its `'static` captured
 //! state) at spawn time, which is the right shape for scenario evaluation:
-//! the simulator lives as long as the pool. Batch *scoring* work is
-//! different — novelty scoring reads a reference set (the generation's
-//! behaviour matrix) that is rebuilt every generation and only borrowed for
-//! the duration of one scoring round. [`scoped_chunk_map`] covers that
-//! case: scoped threads, so `f` may borrow from the caller, with the same
-//! dynamic scheduling discipline as the steal pool — workers pull the next
-//! contiguous chunk of indices from a shared counter, so an irregular cost
-//! profile (e.g. kNN subjects near dense clusters) cannot leave threads
-//! idle the way a static split would.
+//! the simulator lives as long as the pool. A one-off fan-out is
+//! different — the ensemble forecast of `ess::ensemble` (the one caller)
+//! runs its replicates over a workload it only borrows for the duration of
+//! the call. [`scoped_chunk_map`] covers that case: scoped threads, so `f`
+//! may borrow from the caller, with the same dynamic scheduling discipline
+//! as the steal pool — workers pull the next contiguous chunk of indices
+//! from a shared counter, so an irregular cost profile (replicates whose
+//! fires grow larger) cannot leave threads idle the way a static split
+//! would.
 
 use std::any::Any;
 use std::ops::Range;

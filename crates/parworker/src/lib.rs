@@ -24,8 +24,8 @@
 //!   scheduling strategies in the benches.
 //! * [`backend::SerialBackend`] — the in-master 1-worker baseline of E3.
 //! * [`chunk::scoped_chunk_map`] — the self-scheduling scoped chunk map
-//!   (StealPool's dynamic scheduling over borrowed data); the batch
-//!   novelty-scoring path of the `evoalg` crate runs on it.
+//!   (StealPool's dynamic scheduling over borrowed data); its one caller
+//!   is the replicate fan-out of `ess::ensemble`.
 //! * [`channel`] — the dependency-free MPMC channel under the farm.
 //! * [`stats`] — wall-clock / busy-time instrumentation feeding the
 //!   speedup experiment (E3).
