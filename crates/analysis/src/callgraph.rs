@@ -3,8 +3,13 @@
 //!
 //! The graph is deliberately **over-approximate** in the safe direction:
 //! a `.name(..)` call resolves to *every* workspace method of that name
-//! the caller's crate is allowed to see (covering trait-object and
-//! generic dispatch without type inference), and a workspace-qualified
+//! the caller's crate is allowed to see (covering generic dispatch
+//! without type inference); a workspace trait's method reaches *every*
+//! `impl` of it, wherever the implementing crate sits in the layer map
+//! (`StepOptimizer::optimize` is declared in `ess` and implemented above
+//! it); a function named as a value (`make: make_ess`,
+//! `.map(Task::named)`) is an edge like a call, and a `const` table of
+//! such names is a node its readers reach; and a workspace-qualified
 //! path call that fails to resolve is surfaced so the panic prover can
 //! treat it as conservatively panicking. External calls (`std`, vendored
 //! `rand`) are assumed non-panicking — their panic surfaces (`unwrap`,
@@ -34,6 +39,14 @@ pub struct Sym {
     pub open_line: usize,
     /// Test-only code.
     pub is_test: bool,
+    /// A `const`/`static` table, not a function.
+    pub is_const: bool,
+    /// A method called where no call edge is written: of an `impl` of a
+    /// trait the workspace does not declare (`Display::fmt`,
+    /// `Iterator::next`, `Drop::drop` — `std` calls it), or of a workspace
+    /// trait implemented by an application (the workspace dispatches to it,
+    /// and no workspace crate links the application).
+    pub implicit: bool,
     /// Panic seeds in the body.
     pub seeds: Vec<Seed>,
     /// Determinism-taint sources in the body.
@@ -98,6 +111,33 @@ impl Graph {
             .collect()
     }
 
+    /// Breadth-first walk along the edges from `from`: the symbols reached
+    /// in visit order (`from` first), and every symbol's parent link for
+    /// witness chains.
+    pub fn reach(&self, from: &[usize]) -> (Vec<usize>, Vec<Option<usize>>) {
+        let mut parent: Vec<Option<usize>> = vec![None; self.syms.len()];
+        let mut seen = vec![false; self.syms.len()];
+        let mut queue: Vec<usize> = Vec::new();
+        for &id in from {
+            if !std::mem::replace(&mut seen[id], true) {
+                queue.push(id);
+            }
+        }
+        let mut head = 0;
+        while head < queue.len() {
+            let cur = queue[head];
+            head += 1;
+            for &callee in &self.edges[cur] {
+                if !seen[callee] {
+                    seen[callee] = true;
+                    parent[callee] = Some(cur);
+                    queue.push(callee);
+                }
+            }
+        }
+        (queue, parent)
+    }
+
     /// Follows `parent` links from `from` to their end and names the
     /// symbols visited, in walk order — the witness chain of a BFS.
     pub fn chain(&self, parent: &[Option<usize>], from: usize) -> Vec<String> {
@@ -133,10 +173,20 @@ fn resolvable(from: &str, to: &str) -> bool {
 /// Builds the call graph over every parsed file.
 pub fn build(files: &[ParsedFile]) -> Graph {
     let mut g = Graph::default();
+    let traits: BTreeSet<&str> = files
+        .iter()
+        .flat_map(|f| &f.traits)
+        .map(String::as_str)
+        .collect();
     // (file index, fn index) per symbol, for the resolution pass.
     let mut origin: Vec<(usize, usize)> = Vec::new();
     for (fi, f) in files.iter().enumerate() {
         for (ni, item) in f.fns.iter().enumerate() {
+            let implemented = item
+                .trait_name
+                .as_deref()
+                .filter(|&t| item.owner.as_deref() != Some(t));
+            let app = layering::scope_of(f.krate).app;
             g.syms.push(Sym {
                 krate: f.krate,
                 owner: item.owner.clone(),
@@ -146,6 +196,8 @@ pub fn build(files: &[ParsedFile]) -> Graph {
                 header_line: item.header_line,
                 open_line: item.open_line,
                 is_test: item.is_test,
+                is_const: item.is_const,
+                implicit: implemented.is_some_and(|t| app || !traits.contains(t)),
                 seeds: item.seeds.clone(),
                 taints: item.taints.clone(),
             });
@@ -157,9 +209,21 @@ pub fn build(files: &[ParsedFile]) -> Graph {
     let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut free: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
     let mut owners: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-    for (i, s) in g.syms.iter().enumerate() {
+    let mut consts: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    // (trait, method) → every `impl Trait for Type`'s method of that name.
+    let mut impls: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+    for (i, (s, &(fi, ni))) in g.syms.iter().zip(&origin).enumerate() {
         if s.is_test {
             continue;
+        }
+        if s.is_const {
+            consts.entry(&s.name).or_default().push(i);
+            continue;
+        }
+        if let Some(t) = files[fi].fns[ni].trait_name.as_deref() {
+            if s.owner.as_deref() != Some(t) && !s.implicit {
+                impls.entry((t, s.name.as_str())).or_default().push(i);
+            }
         }
         match &s.owner {
             Some(o) => {
@@ -219,9 +283,24 @@ pub fn build(files: &[ParsedFile]) -> Graph {
         let leaves = &leaf_maps[fi];
         let globs = &glob_roots[fi];
         let mut outs: BTreeSet<usize> = BTreeSet::new();
+        // Dynamic and generic dispatch: a workspace trait's own method
+        // stands for every implementation of it.
+        if let Some(t) = item
+            .trait_name
+            .as_deref()
+            .filter(|_| item.trait_name == item.owner)
+        {
+            outs.extend(impls.get(&(t, item.name.as_str())).into_iter().flatten());
+        }
         let mut self_expect_resolved = false;
         for call in &item.calls {
             match call.kind {
+                CallKind::Const => {
+                    let cands = consts.get(call.name.as_str()).into_iter().flatten();
+                    outs.extend(cands.filter(|&&c| {
+                        c != si && (own == g.syms[c].krate || resolvable(own, g.syms[c].krate))
+                    }));
+                }
                 CallKind::Method => {
                     let mut hit = false;
                     if let Some(cands) = methods.get(call.name.as_str()) {
@@ -258,6 +337,7 @@ pub fn build(files: &[ParsedFile]) -> Graph {
                     }
                 }
                 CallKind::Path => {
+                    let known = g.unresolved.len();
                     resolve_path_call(
                         &g.syms,
                         &free,
@@ -274,6 +354,11 @@ pub fn build(files: &[ParsedFile]) -> Graph {
                         &mut outs,
                         &mut g.unresolved,
                     );
+                    // A value that misses is a local or a field, not a
+                    // workspace call gone missing.
+                    if call.value {
+                        g.unresolved.truncate(known);
+                    }
                 }
             }
         }
@@ -461,6 +546,69 @@ mod tests {
             .map(|&callee| g.syms[callee].krate)
             .collect();
         assert_eq!(names, vec!["ess"]);
+    }
+
+    /// Display names of everything `from` reaches, itself included.
+    fn reached(g: &Graph, from: &str) -> Vec<String> {
+        let (queue, _) = g.reach(&[idx(g, from)]);
+        queue.iter().map(|&sym| g.syms[sym].display()).collect()
+    }
+
+    #[test]
+    fn fn_named_in_a_const_table_or_as_an_argument_is_an_edge() {
+        let g = graph(&[(
+            "crates/service/src/systems.rs",
+            "const REGISTRY: &[Spec] = &[Spec { name: \"ESS\", make: make_ess }];\n\
+             fn make_ess() {}\n\
+             fn resolve() { REGISTRY.iter().map(Spec::label).count(); }\n\
+             impl Spec { fn label(&self) {} fn unused(&self) {} }\n\
+             fn idle() { let make_ess = 1; }",
+        )]);
+        // The table is a node: whoever reads it reaches what it names.
+        assert_eq!(
+            reached(&g, "resolve"),
+            ["resolve", "REGISTRY", "Spec::label", "make_ess"]
+        );
+        // A binding that merely shares the name is not a value position.
+        assert!(g.edges[idx(&g, "idle")].is_empty());
+        assert!(g.unresolved.is_empty());
+    }
+
+    #[test]
+    fn trait_method_reaches_every_impl_even_in_a_higher_crate() {
+        let g = graph(&[
+            (
+                "crates/ess/src/pipeline.rs",
+                "pub trait StepOptimizer { fn optimize(&mut self); }\n\
+                 fn step(o: &mut dyn StepOptimizer) { o.optimize(); }",
+            ),
+            (
+                "crates/core/src/system.rs",
+                "impl StepOptimizer for EssNs { fn optimize(&mut self) { run(); } }\n\
+                 fn run() {}\n\
+                 impl std::fmt::Display for EssNs { fn fmt(&self) {} }",
+            ),
+            // An inherent method of the same name above the caller stays
+            // out: only trait dispatch crosses the layer cone upward.
+            (
+                "crates/bench/src/x.rs",
+                "impl Bench { fn optimize(&mut self) {} }",
+            ),
+            // An application's impl is called by dispatch too, but no
+            // workspace crate links it: implicit, not an edge.
+            (
+                "benchmark/src/trace.rs",
+                "impl StepOptimizer for Traced { fn optimize(&mut self) {} }",
+            ),
+        ]);
+        assert_eq!(
+            reached(&g, "step"),
+            ["step", "StepOptimizer::optimize", "EssNs::optimize", "run"]
+        );
+        let implicit: Vec<String> = (g.syms.iter().filter(|s| s.implicit))
+            .map(Sym::display)
+            .collect();
+        assert_eq!(implicit, ["EssNs::fmt", "Traced::optimize"]);
     }
 
     #[test]

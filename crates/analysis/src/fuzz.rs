@@ -19,7 +19,7 @@
 use ess::fitness::EvalBackend;
 use ess_service::jsonio::Json;
 use ess_service::policy::PolicyKind;
-use ess_service::proto::{Frame, Request};
+use ess_service::proto::{Frame, Request, RequestKind};
 use ess_service::serve::serve_configured;
 use ess_service::spec::RunSpec;
 use rand::rngs::StdRng;
@@ -236,7 +236,7 @@ pub fn fuzz_jsonio(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
 /// A plausible v2 request line to mutate (ids and minor fields vary).
 fn gen_envelope(rng: &mut StdRng) -> String {
     let id = rng.random_range(0..100u64);
-    match rng.random_range(0..6u32) {
+    match rng.random_range(0..7u32) {
         0 => format!(
             r#"{{"v":2,"id":{id},"kind":"run","watch":true,"spec":{{"system":"ESS","case":"meadow_small","seed":7,"replicates":1,"scale":0.1,"max_steps":2}}}}"#
         ),
@@ -253,6 +253,9 @@ fn gen_envelope(rng: &mut StdRng) -> String {
             rng.random_range(0..9u32)
         ),
         4 => format!(r#"{{"v":2,"id":{id},"kind":"drain"}}"#),
+        5 => format!(
+            r#"{{"v":2,"id":{id},"kind":"run","watch":"yes","spec":{{"system":"ESS","case":"meadow_small"}}}}"#
+        ),
         _ => format!(
             r#"{{"v":2,"kind":"progress","session":{},"step":1,"evaluations":40,"best":-0.5}}"#,
             rng.random_range(0..9u32)
@@ -262,7 +265,9 @@ fn gen_envelope(rng: &mut StdRng) -> String {
 
 /// Mutated protocol envelopes through every typed `from_json` surface.
 /// Whatever the bytes, the decoders must answer `Ok` or `Err` — never
-/// panic, never decode an envelope `Json::parse` rejected.
+/// panic, never decode an envelope `Json::parse` rejected, and never take
+/// a `run`/`restore` whose `watch` is present but not a boolean (a silent
+/// `false` would unsubscribe the client).
 ///
 /// # Errors
 /// A description of the first panic, with the offending input.
@@ -279,18 +284,27 @@ pub fn fuzz_envelopes(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
         stats.inputs += 1;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let Ok(doc) = Json::parse(&input) else {
-                return false;
+                return Ok(false);
             };
             // Every typed decoder must tolerate every parsed document.
-            let _ = Request::from_json(&doc);
+            let request = Request::from_json(&doc);
             let _ = Frame::from_json(&doc);
             let _ = RunSpec::from_json(&doc);
-            true
+            let watched = matches!(
+                request.map(|r| r.kind),
+                Ok(RequestKind::Run { .. } | RequestKind::Restore { .. })
+            );
+            let mistyped = doc.get("watch").is_some_and(|w| w.as_bool().is_none());
+            if watched && mistyped {
+                return Err(());
+            }
+            Ok(true)
         }));
         match outcome {
             Err(_) => return Err(format!("envelope decoding panicked on: {input}")),
-            Ok(true) => stats.accepted += 1,
-            Ok(false) => stats.rejected += 1,
+            Ok(Err(())) => return Err(format!("a non-boolean 'watch' was accepted: {input}")),
+            Ok(Ok(true)) => stats.accepted += 1,
+            Ok(Ok(false)) => stats.rejected += 1,
         }
     }
     Ok(stats)

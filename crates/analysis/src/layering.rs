@@ -16,8 +16,8 @@ use crate::lint::{Finding, Ledger, LAYER};
 use crate::parse::ParsedFile;
 
 /// What the rules need to know about the crate a file belongs to. Files
-/// outside `crates/` (the root package, `examples/`, `benchmark/`) get
-/// the default: every token rule armed, no exemption.
+/// outside the table get the default: every token rule armed, no
+/// exemption, no call graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Scope {
     /// Results must be bit-reproducible: hash containers are denied and
@@ -30,13 +30,18 @@ pub struct Scope {
     pub timing_exempt: bool,
     /// Spawning and owning threads is this crate's job.
     pub owns_threads: bool,
+    /// A program on top of the workspace (`examples/`, `benchmark/src`,
+    /// the root facade): parsed for call edges only, so its `main` roots
+    /// the reachability walk. Its token rules are the default's; no graph
+    /// rule reports a finding in it.
+    pub app: bool,
 }
 
 /// One workspace crate.
 #[derive(Debug, Clone, Copy)]
 pub struct CrateInfo {
-    /// Directory under `crates/` (`rand` lives under `vendor/` and is
-    /// never scanned; it is here for its rank).
+    /// Workspace-relative source directory (`vendor/` is never scanned;
+    /// `rand` is here for its rank).
     pub dir: &'static str,
     /// Lib identifier (underscored), matching both manifest names (after
     /// `-` → `_`) and `use` roots.
@@ -52,7 +57,9 @@ const PLAIN: Scope = Scope {
     boundary: false,
     timing_exempt: false,
     owns_threads: false,
+    app: false,
 };
+const APP: Scope = Scope { app: true, ..PLAIN };
 const THREAD_OWNER: Scope = Scope {
     owns_threads: true,
     ..PLAIN
@@ -85,18 +92,25 @@ const fn krate(dir: &'static str, lib: &'static str, rank: u32, scope: Scope) ->
 
 /// The crate table, lowest layer first.
 pub const CRATES: &[CrateInfo] = &[
-    krate("rand", "rand", 0, PLAIN),
-    krate("parworker", "parworker", 1, THREAD_OWNER),
-    krate("landscape", "landscape", 1, PLAIN),
-    krate("evoalg", "evoalg", 2, DETERMINISTIC),
-    krate("firelib", "firelib", 2, DETERMINISTIC),
-    krate("ess", "ess", 3, DETERMINISTIC),
-    krate("core", "ess_ns", 4, DETERMINISTIC_BOUNDARY),
-    krate("service", "ess_service", 5, BOUNDARY),
-    krate("client", "ess_client", 6, BOUNDARY),
-    krate("analysis", "ess_analysis", 6, PLAIN),
-    krate("bench", "ess_benches", 7, TIMING),
+    krate("vendor/rand", "rand", 0, PLAIN),
+    krate("crates/parworker", "parworker", 1, THREAD_OWNER),
+    krate("crates/landscape", "landscape", 1, PLAIN),
+    krate("crates/evoalg", "evoalg", 2, DETERMINISTIC),
+    krate("crates/firelib", "firelib", 2, DETERMINISTIC),
+    krate("crates/ess", "ess", 3, DETERMINISTIC),
+    krate("crates/core", "ess_ns", 4, DETERMINISTIC_BOUNDARY),
+    krate("crates/service", "ess_service", 5, BOUNDARY),
+    krate("crates/client", "ess_client", 6, BOUNDARY),
+    krate("crates/analysis", "ess_analysis", 6, PLAIN),
+    krate("crates/bench", "ess_benches", 7, TIMING),
+    krate("src", FACADE, 8, APP),
+    krate("examples", "examples", 8, APP),
+    krate("benchmark/src", "benchmark", 8, APP),
 ];
+
+/// The root package: it re-exports every workspace crate under the
+/// crate's own name, so `essns_repro::ess::x` is `ess::x`.
+pub const FACADE: &str = "essns_repro";
 
 fn crate_named(lib: &str) -> Option<&'static CrateInfo> {
     CRATES.iter().find(|c| c.lib == lib)
@@ -122,8 +136,10 @@ pub fn edge_allowed(from: &str, to: &str) -> bool {
 
 /// Maps a workspace-relative source path to its crate's table row.
 pub fn crate_of_path(rel: &str) -> Option<&'static CrateInfo> {
-    let dir = rel.strip_prefix("crates/")?.split('/').next()?;
-    CRATES.iter().find(|c| c.dir == dir)
+    CRATES.iter().find(|c| {
+        rel.strip_prefix(c.dir)
+            .is_some_and(|rest| rest.starts_with('/'))
+    })
 }
 
 /// One crate manifest's `[dependencies]` entries.
@@ -201,7 +217,7 @@ pub fn check(
             out.push(Finding::new(LAYER, &m.file, *line, message, None));
         }
     }
-    for f in files {
+    for f in files.iter().filter(|f| !scope_of(f.krate).app) {
         let mut site = |line: usize, message: String| {
             let reason = ledger.check(&f.path, LAYER, line, None);
             out.push(Finding::new(LAYER, &f.path, line, message, reason));
@@ -319,14 +335,24 @@ mod tests {
         let lib = |path| crate_of_path(path).map(|c| c.lib);
         assert_eq!(lib("crates/core/src/algorithm.rs"), Some("ess_ns"));
         assert_eq!(lib("crates/firelib/src/sim.rs"), Some("firelib"));
-        assert_eq!(lib("vendor/rand/src/lib.rs"), None);
-        assert_eq!(lib("benchmark/src/clock.rs"), None);
+        assert_eq!(lib("benchmark/src/clock.rs"), Some("benchmark"));
+        assert_eq!(lib("examples/quickstart.rs"), Some("examples"));
+        assert_eq!(lib("src/lib.rs"), Some(FACADE));
+        assert_eq!(lib("crates/firelib/tests/properties.rs"), Some("firelib"));
+        assert_eq!(lib("scripts/x.rs"), None);
         let scope = |path| crate_of_path(path).map(|c| c.scope).unwrap_or_default();
         assert!(scope("crates/firelib/src/sim.rs").deterministic);
         assert!(!scope("crates/service/src/serve.rs").deterministic);
         assert!(scope("crates/service/src/serve.rs").boundary);
         assert!(scope("crates/bench/src/bin/harness.rs").timing_exempt);
         assert!(scope("crates/parworker/src/pool.rs").owns_threads);
-        assert_eq!(scope("examples/quickstart.rs"), Scope::default());
+        // Edges only: the token rules see the default scope's flags.
+        assert_eq!(
+            scope("examples/quickstart.rs"),
+            Scope {
+                app: true,
+                ..Scope::default()
+            }
+        );
     }
 }

@@ -12,15 +12,17 @@
 //!   wall-clock reads outside bench timing, no thread spawns outside
 //!   `parworker`, no allocation inside `// lint: no_alloc` fenced hot
 //!   paths) and the item parser ([`parse`]); the [`callgraph`] resolver
-//!   then carries the three graph rules — the [`panics`] panic-path
+//!   then carries the four graph rules — the [`panics`] panic-path
 //!   prover walks from declared panic-free roots and demands a
 //!   justification for every reachable panic site, the [`layering`] pass
 //!   machine-checks the README layer map as a DAG over manifest and `use`
-//!   edges (plus `std::thread` ownership), and the [`taint`] pass proves
+//!   edges (plus `std::thread` ownership), the [`taint`] pass proves
 //!   nondeterminism sources (clocks, seeded hashing, thread identity)
-//!   unreachable from the deterministic crates. One escape hatch for all
-//!   of them, `// lint: allow(<rule>) — <reason>`, resolved through one
-//!   ledger, and one machine-readable report (`ANALYSIS.json`).
+//!   unreachable from the deterministic crates, and the [`unreached`]
+//!   pass reports every function no shipped `main` can reach. One escape
+//!   hatch for all of them, `// lint: allow(<rule>) — <reason>`, resolved
+//!   through one ledger, and one machine-readable report
+//!   (`ANALYSIS.json`).
 //! - [`schedule`] and [`protocol`] — bounded model checking: a loom-style
 //!   explorer enumerating every interleaving of small op scripts against
 //!   models of the MPMC channel, the steal pool and the fusion lane
@@ -49,6 +51,7 @@ pub mod parse;
 pub mod protocol;
 pub mod schedule;
 pub mod taint;
+pub mod unreached;
 
 use ess_service::jsonio::Json;
 

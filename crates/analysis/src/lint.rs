@@ -1,12 +1,12 @@
 //! The static-analysis pipeline behind `harness lint`: one workspace
-//! walk, each file read and lexed once, ten rules over one namespace,
+//! walk, each file read and lexed once, eleven rules over one namespace,
 //! one allow ledger, one report (`reports/ANALYSIS.json`).
 //!
 //! These are not style lints — each rule guards a property the system's
 //! reproducibility contract depends on. Five match token sequences in
-//! one file (this module); three walk the workspace call graph
-//! ([`crate::panics`], [`crate::layering`], [`crate::taint`]); two keep
-//! the escape hatch honest:
+//! one file (this module); four walk the workspace call graph
+//! ([`crate::panics`], [`crate::layering`], [`crate::taint`],
+//! [`crate::unreached`]); two keep the escape hatch honest:
 //!
 //! | rule | guards |
 //! |---|---|
@@ -18,6 +18,7 @@
 //! | `panic` | the declared panic-free roots must not reach a panic site |
 //! | `layer` | crates depend strictly downward in the layer map; only `parworker` owns threads |
 //! | `taint` | no clock, seeded hash or thread identity is reachable from a deterministic crate |
+//! | `unreached` | every non-test function is reachable from some `fn main`; what only tests run is an oracle that says so, or goes |
 //! | `invalid-allow` / `unused-allow` | a malformed directive, or an allow that justifies no finding |
 //!
 //! Escape hatch, one grammar for every rule:
@@ -36,6 +37,7 @@ use crate::lex::{ident, lex, match_delim, punct, test_region_mask, Tok, Token};
 use crate::panics::{self, RootSpec, RootStat};
 use crate::parse::parse_items;
 use crate::taint;
+use crate::unreached::{self, UnreachedStat};
 use ess_service::jsonio::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -58,6 +60,8 @@ pub const PANIC: &str = "panic";
 pub const LAYER: &str = "layer";
 /// The determinism-taint pass ([`crate::taint`]).
 pub const TAINT: &str = "taint";
+/// The reachability pass ([`crate::unreached`]).
+pub const UNREACHED: &str = "unreached";
 /// A malformed directive (unknown shape, unknown rule or missing reason).
 pub const INVALID_ALLOW: &str = "invalid-allow";
 /// An allow annotation that justified no finding.
@@ -97,6 +101,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         TAINT,
         "no nondeterminism source is reachable from a deterministic crate",
+    ),
+    (
+        UNREACHED,
+        "a function no `main` reaches is an oracle a test names, or dead",
     ),
     (
         INVALID_ALLOW,
@@ -166,6 +174,8 @@ pub struct Report {
     pub call_edges: usize,
     /// Per-root panic-proof stats.
     pub roots: Vec<RootStat>,
+    /// The reachability rule's tally.
+    pub unreached: UnreachedStat,
     /// Every finding, allowed ones included (the report is the audit
     /// trail), sorted by file, line and rule.
     pub findings: Vec<Finding>,
@@ -216,6 +226,13 @@ impl Report {
             .field("symbols", self.symbols)
             .field("call_edges", self.call_edges)
             .field("roots", Json::Arr(roots))
+            .field(
+                "unreached",
+                Json::obj()
+                    .field("mains", self.unreached.mains)
+                    .field("allowed", self.unreached.allowed)
+                    .field("unallowed", self.unreached.unallowed),
+            )
             .field("unallowed", self.unallowed().len())
             .field("findings", Json::Arr(findings))
     }
@@ -551,7 +568,7 @@ fn token_rules(file: &SourceFile, scope: Scope, ledger: &mut Ledger, out: &mut V
 /// `manifests` likewise for `Cargo.toml` files; `roots` the panic-free
 /// roots to prove. Every file gets the token rules under its crate's
 /// [`Scope`]; files of a crate in [`layering::CRATES`] also join the
-/// call graph the three graph passes walk.
+/// call graph the four graph passes walk.
 pub fn analyze_files(
     sources: &[(String, String)],
     manifests: &[(String, String)],
@@ -579,6 +596,7 @@ pub fn analyze_files(
     let roots = panics::prove(&graph, roots, &mut ledger, &mut findings);
     layering::check(&parsed, &manifests, &mut ledger, &mut findings);
     taint::analyze(&graph, &mut ledger, &mut findings);
+    let unreached = unreached::check(&graph, &mut ledger, &mut findings);
     ledger.unused(&mut findings);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Report {
@@ -586,6 +604,7 @@ pub fn analyze_files(
         symbols: graph.syms.len(),
         call_edges: graph.edge_count(),
         roots,
+        unreached,
         findings,
     }
 }
@@ -612,14 +631,13 @@ pub fn find_workspace_root() -> Option<PathBuf> {
     }
 }
 
-/// Analyzes the workspace under `root`: every `.rs` file outside
-/// [`SKIP_DIRS`], in path-sorted order so the report is deterministic,
-/// plus the `Cargo.toml` of every `crates/` directory the walk found
-/// sources in.
+/// The (workspace-relative path, contents) of every `.rs` file under
+/// `root` outside [`SKIP_DIRS`], in path-sorted order so everything built
+/// on it is deterministic.
 ///
 /// # Errors
 /// Propagates filesystem errors from the walk or file reads.
-pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
+pub fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     collect_rs(root, &mut files)?;
     files.sort();
@@ -629,6 +647,16 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
         let rel = rel.to_string_lossy().replace('\\', "/");
         sources.push((rel, fs::read_to_string(&path)?));
     }
+    Ok(sources)
+}
+
+/// Analyzes the workspace under `root`: [`workspace_sources`] plus the
+/// `Cargo.toml` of every `crates/` directory the walk found sources in.
+///
+/// # Errors
+/// Propagates filesystem errors from the walk or file reads.
+pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
+    let sources = workspace_sources(root)?;
     let crate_dirs: BTreeSet<&str> = sources
         .iter()
         .filter_map(|(rel, _)| rel.strip_prefix("crates/")?.split('/').next())
@@ -776,6 +804,7 @@ mod tests {
             "symbols",
             "call_edges",
             "roots",
+            "unreached",
             "unallowed",
             "findings",
         ] {

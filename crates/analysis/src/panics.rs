@@ -146,26 +146,7 @@ pub fn prove(
             continue;
         }
 
-        // BFS with parent chains for witnesses.
-        let mut parent: Vec<Option<usize>> = vec![None; g.syms.len()];
-        let mut seen = vec![false; g.syms.len()];
-        let mut queue: Vec<usize> = Vec::new();
-        for &id in &ids {
-            seen[id] = true;
-            queue.push(id);
-        }
-        let mut head = 0;
-        while head < queue.len() {
-            let cur = queue[head];
-            head += 1;
-            for &callee in &g.edges[cur] {
-                if !seen[callee] {
-                    seen[callee] = true;
-                    parent[callee] = Some(cur);
-                    queue.push(callee);
-                }
-            }
-        }
+        let (queue, parent) = g.reach(&ids);
         stat.reachable = queue.len();
 
         for &sym in &queue {

@@ -2,11 +2,11 @@
 //! ([`crate::lint::SourceFile`]).
 //!
 //! This is deliberately *not* a Rust grammar: the graph passes only need
-//! item structure (`fn` / `impl` / `trait` / `use` / `type`) plus three
-//! kinds of facts extracted from function bodies in one linear token walk —
-//! outgoing calls (for the call graph), panic seeds (for the panic-path
-//! prover) and determinism-taint sources. Bodies stay token streams;
-//! expressions are never built.
+//! item structure (`fn` / `impl` / `trait` / `use` / `type` / `const`)
+//! plus three kinds of facts extracted from function bodies in one linear
+//! token walk — outgoing calls and functions named as values (for the call
+//! graph), panic seeds (for the panic-path prover) and determinism-taint
+//! sources. Bodies stay token streams; expressions are never built.
 //!
 //! Each function records its header span (first attribute, or the first
 //! of the comment-only lines stacked directly above it, down to the
@@ -44,13 +44,21 @@ pub enum CallKind {
     Method,
     /// `path::to::name(..)` — qualified call.
     Path,
+    /// `NAME` / `path::NAME` — a `const`/`static` named in an expression;
+    /// an edge to the table's initialiser when it calls or names functions.
+    Const,
 }
 
-/// One outgoing call recorded in a function body.
+/// One outgoing call — or a function named as a value — recorded in a
+/// function body.
 #[derive(Debug, Clone)]
 pub struct Call {
     /// Call syntax.
     pub kind: CallKind,
+    /// Named, not called (`make: make_ess`, `.map(Task::named)`): an edge
+    /// like a call, but a miss is a local binding, never an unresolved
+    /// workspace call.
+    pub value: bool,
     /// Qualifier segments for [`CallKind::Path`] (empty otherwise).
     pub path: Vec<String>,
     /// Called name.
@@ -98,13 +106,20 @@ pub struct TaintSrc {
     pub line: usize,
 }
 
-/// One `fn` item with the facts the graph passes need.
+/// One `fn` item — or one `const`/`static` table whose initialiser calls
+/// or names functions — with the facts the graph passes need.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     /// Function name.
     pub name: String,
     /// Enclosing `impl`/`trait` type, when any.
     pub owner: Option<String>,
+    /// The trait whose method this is: the enclosing `trait` block's name,
+    /// or the `Trait` of `impl Trait for Type`.
+    pub trait_name: Option<String>,
+    /// A `const`/`static` item, not a function: a node that carries its
+    /// initialiser's edges to whoever names it.
+    pub is_const: bool,
     /// Line of the `fn` keyword.
     pub line: usize,
     /// First line of the header (attributes / visibility).
@@ -132,6 +147,8 @@ pub struct ParsedFile {
     pub uses: Vec<UseDecl>,
     /// Function items.
     pub fns: Vec<FnItem>,
+    /// Traits declared outside test code.
+    pub traits: Vec<String>,
     /// Module-level `type Alias = Target;` items outside test code:
     /// (alias, last identifier of the target path).
     pub aliases: Vec<(String, String)>,
@@ -303,21 +320,37 @@ pub fn parse_items(file: &SourceFile, krate: &'static str) -> ParsedFile {
     };
 
     // Item walk: a stack of open `impl`/`trait` bodies supplies the
-    // owner type for functions defined inside them.
-    let mut owners: Vec<(Option<String>, usize)> = Vec::new();
+    // owner type (and the trait, when there is one) for functions defined
+    // inside them.
+    let mut owners: Vec<(Option<String>, Option<String>, usize)> = Vec::new();
     let mut i = 0usize;
     while i < sig.len() {
-        while owners.last().is_some_and(|&(_, close)| close < i) {
+        while owners.last().is_some_and(|&(_, _, close)| close < i) {
             owners.pop();
         }
+        let owner = || owners.last().and_then(|(o, _, _)| o.clone());
         match ident(sig, i) {
             Some("use") => {
                 i = parse_use(sig, i, test[i], &mut out);
                 continue;
             }
+            // `mod name` makes `name::f()` a path into this crate, as
+            // `use crate::name;` would.
+            Some("mod") => {
+                if let Some(name) = ident(sig, i + 1) {
+                    out.uses.push(UseDecl {
+                        line: sig[i].line,
+                        root: "crate".to_string(),
+                        segments: vec!["crate".to_string(), name.to_string()],
+                        leaves: vec![name.to_string()],
+                        glob: false,
+                        in_test: test[i],
+                    });
+                }
+            }
             Some("impl") => {
-                if let Some((owner, open, close)) = parse_impl_header(sig, i) {
-                    owners.push((owner, close));
+                if let Some((owner, trait_name, open, close)) = parse_impl_header(sig, i) {
+                    owners.push((owner, trait_name, close));
                     i = open + 1;
                     continue;
                 }
@@ -330,7 +363,10 @@ pub fn parse_items(file: &SourceFile, krate: &'static str) -> ParsedFile {
                     {
                         if punct(sig, open) == Some('{') {
                             let close = match_delim(sig, open, '{', '}').unwrap_or(sig.len() - 1);
-                            owners.push((Some(name), close));
+                            if !test[i] {
+                                out.traits.push(name.clone());
+                            }
+                            owners.push((Some(name.clone()), Some(name), close));
                             i = open + 1;
                             continue;
                         }
@@ -350,9 +386,15 @@ pub fn parse_items(file: &SourceFile, krate: &'static str) -> ParsedFile {
                     }
                 }
             }
+            Some("const" | "static") if !test[i] => {
+                if let Some(next) = parse_const(sig, test, i, owner(), &mut out) {
+                    i = next;
+                    continue;
+                }
+            }
             Some("fn") => {
-                let owner = owners.last().and_then(|(o, _)| o.clone());
-                if let Some(next) = parse_fn(sig, test, i, owner, &mut out) {
+                let trait_name = owners.last().and_then(|(_, t, _)| t.clone());
+                if let Some(next) = parse_fn(sig, test, i, owner(), trait_name, &mut out) {
                     i = next;
                     continue;
                 }
@@ -389,6 +431,10 @@ fn parse_use(sig: &[Token], i: usize, in_test: bool, out: &mut ParsedFile) -> us
                 pending_as = true;
                 prev = None;
             }
+            // `use a::b::{self, ..}` binds `b`.
+            Tok::Ident(s) if s == "self" && !segments.is_empty() => {
+                prev = segments.last().cloned();
+            }
             Tok::Ident(s) => {
                 if pending_as {
                     leaves.push(s.clone());
@@ -416,6 +462,9 @@ fn parse_use(sig: &[Token], i: usize, in_test: bool, out: &mut ParsedFile) -> us
         }
         j += 1;
     }
+    if segments.len() > 1 && segments[0] == layering::FACADE {
+        segments.remove(0);
+    }
     if let Some(root) = segments.first().cloned() {
         if !in_test && root == "std" && segments.iter().any(|s| s == "thread") {
             for deny in THREAD_DENY {
@@ -439,15 +488,19 @@ fn parse_use(sig: &[Token], i: usize, in_test: bool, out: &mut ParsedFile) -> us
     j + 1
 }
 
-/// Parses an `impl` header starting at `i` into (owner type, body open
-/// index, body close index).
-fn parse_impl_header(sig: &[Token], i: usize) -> Option<(Option<String>, usize, usize)> {
+/// Parses an `impl` header starting at `i` into (owner type, implemented
+/// trait, body open index, body close index).
+#[allow(clippy::type_complexity)]
+fn parse_impl_header(
+    sig: &[Token],
+    i: usize,
+) -> Option<(Option<String>, Option<String>, usize, usize)> {
     let mut j = i + 1;
     if punct(sig, j) == Some('<') {
         j = skip_angles(sig, j)?;
     }
     let first = read_type_path(sig, &mut j);
-    let owner = if ident(sig, j) == Some("for") {
+    let (owner, trait_name) = if ident(sig, j) == Some("for") {
         j += 1;
         loop {
             match sig.get(j).map(|t| &t.kind) {
@@ -457,13 +510,66 @@ fn parse_impl_header(sig: &[Token], i: usize) -> Option<(Option<String>, usize, 
                 _ => break,
             }
         }
-        read_type_path(sig, &mut j)
+        (read_type_path(sig, &mut j), first)
     } else {
-        first
+        (first, None)
     };
     let open = (j..sig.len()).find(|&k| punct(sig, k) == Some('{'))?;
     let close = match_delim(sig, open, '{', '}')?;
-    Some((owner, open, close))
+    Some((owner, trait_name, open, close))
+}
+
+/// Parses a `const NAME: T = init;` / `static NAME: T = init;` item
+/// starting at `i`, keeping it as a node when its initialiser calls or
+/// names functions (a table of fn pointers or closures); returns the
+/// index past its `;`, or `None` when this is `const fn`, `*const T` or
+/// a bodiless associated const.
+fn parse_const(
+    sig: &[Token],
+    test: &[bool],
+    i: usize,
+    owner: Option<String>,
+    out: &mut ParsedFile,
+) -> Option<usize> {
+    let name = ident(sig, i + 1)?.to_string();
+    if name == "fn" || punct(sig, i + 2) != Some(':') || path_sep(sig, i + 2) {
+        return None;
+    }
+    // The `=` and the `;` of this item, jumping over every bracketed group
+    // (array types and initialisers carry `;`s of their own).
+    let mut eq = None;
+    let mut k = i + 3;
+    let end = loop {
+        match sig.get(k).map(|t| &t.kind) {
+            None => return None,
+            Some(Tok::Punct(';')) => break k,
+            Some(Tok::Punct('=')) if eq.is_none() => eq = Some(k),
+            Some(Tok::Punct('(')) => k = match_delim(sig, k, '(', ')')?,
+            Some(Tok::Punct('[')) => k = match_delim(sig, k, '[', ']')?,
+            Some(Tok::Punct('{')) => k = match_delim(sig, k, '{', '}')?,
+            _ => {}
+        }
+        k += 1;
+    };
+    let line = sig[i].line;
+    let mut item = FnItem {
+        name,
+        owner,
+        trait_name: None,
+        is_const: true,
+        line,
+        header_line: line,
+        open_line: line,
+        is_test: false,
+        calls: Vec::new(),
+        seeds: Vec::new(),
+        taints: Vec::new(),
+    };
+    scan_body(sig, test, eq? + 1, end, &mut item, out);
+    if !item.calls.is_empty() {
+        out.fns.push(item);
+    }
+    Some(end + 1)
 }
 
 /// Parses a `fn` item starting at `i` (the `fn` keyword); returns the
@@ -474,6 +580,7 @@ fn parse_fn(
     test: &[bool],
     i: usize,
     owner: Option<String>,
+    trait_name: Option<String>,
     out: &mut ParsedFile,
 ) -> Option<usize> {
     let name = ident(sig, i + 1)?.to_string();
@@ -503,6 +610,8 @@ fn parse_fn(
     let mut item = FnItem {
         name,
         owner,
+        trait_name,
+        is_const: false,
         line: kw_line,
         header_line: sig[hstart].line,
         open_line: sig[open].line,
@@ -580,6 +689,11 @@ fn scan_body(
                     continue;
                 }
                 match s {
+                    // A function-local import scopes like a file-level one
+                    // here: one leaf map per file.
+                    "use" => {
+                        parse_use(sig, k, false, out);
+                    }
                     "Instant" if path_sep(sig, k + 1) && ident(sig, k + 3) == Some("now") => {
                         item.taints.push(TaintSrc {
                             what: "Instant::now",
@@ -616,14 +730,43 @@ fn scan_body(
                 {
                     out.crate_refs.push((line, s.to_string()));
                 }
-                if punct(sig, k + 1) != Some('(') {
+                // `name::<T>(..)`: the turbofish sits between the name and
+                // its argument list.
+                let after = if path_sep(sig, k + 1) && punct(sig, k + 3) == Some('<') {
+                    skip_angles(sig, k + 3).unwrap_or(k + 1)
+                } else {
+                    k + 1
+                };
+                let called = punct(sig, after) == Some('(');
+                // A `const`/`static` read (`TOOLS.iter()`, `&REGISTRY`):
+                // SCREAMING_CASE, so generic parameters and enum variants
+                // stay out.
+                let table = !called
+                    && s.len() > 1
+                    && !s.contains(|c: char| c.is_ascii_lowercase())
+                    && s.starts_with(|c: char| c.is_ascii_uppercase());
+                if !called && !table && !names_a_value(sig, after) {
                     continue;
                 }
                 if k > 0 && ident(sig, k - 1) == Some("fn") {
                     continue; // a nested fn's own definition
                 }
                 let lower = s.starts_with(|c: char| c.is_ascii_lowercase() || c == '_');
-                if punct(sig, k.wrapping_sub(1)) == Some('.') {
+                let mut call = |kind, path| {
+                    item.calls.push(Call {
+                        kind,
+                        value: !called,
+                        path,
+                        name: s.to_string(),
+                        line,
+                    });
+                };
+                if table {
+                    call(CallKind::Const, Vec::new());
+                } else if punct(sig, k.wrapping_sub(1)) == Some('.') {
+                    if !called {
+                        continue; // a field read
+                    }
                     if s == "unwrap" && punct(sig, k + 2) == Some(')') {
                         item.seeds.push(Seed {
                             kind: SeedKind::Unwrap,
@@ -639,12 +782,7 @@ fn scan_body(
                             // May be a workspace method (jsonio's
                             // `Parser::expect`); record the call and let
                             // resolution drop the seed if it lands.
-                            item.calls.push(Call {
-                                kind: CallKind::Method,
-                                path: Vec::new(),
-                                name: "expect".to_string(),
-                                line,
-                            });
+                            call(CallKind::Method, Vec::new());
                         }
                         item.seeds.push(Seed {
                             kind: SeedKind::Expect,
@@ -655,12 +793,7 @@ fn scan_body(
                         continue;
                     }
                     if lower {
-                        item.calls.push(Call {
-                            kind: CallKind::Method,
-                            path: Vec::new(),
-                            name: s.to_string(),
-                            line,
-                        });
+                        call(CallKind::Method, Vec::new());
                     }
                 } else if k >= 2 && path_sep(sig, k - 2) {
                     let mut path = Vec::new();
@@ -680,26 +813,30 @@ fn scan_body(
                         }
                     }
                     path.reverse();
+                    if path.len() > 1 && path[0] == layering::FACADE {
+                        path.remove(0);
+                    }
                     if !path.is_empty() && lower {
-                        item.calls.push(Call {
-                            kind: CallKind::Path,
-                            path,
-                            name: s.to_string(),
-                            line,
-                        });
+                        call(CallKind::Path, path);
                     }
                 } else if lower && !FREE_CALL_SKIP.contains(&s) {
-                    item.calls.push(Call {
-                        kind: CallKind::Free,
-                        path: Vec::new(),
-                        name: s.to_string(),
-                        line,
-                    });
+                    call(CallKind::Free, Vec::new());
                 }
             }
             _ => {}
         }
     }
+}
+
+/// True when an identifier followed by the token at `after`, which is not
+/// `(`, ends an expression — `make: make_ess,`, `.map(Task::named)`, `(id, serve_main)`,
+/// `f as Run` — so it may name a function or a table as a value. Every
+/// local binding in argument position passes too; those resolve to nothing
+/// unless a function of that name is in scope, which errs on the safe side
+/// (an edge too many, never one too few).
+fn names_a_value(sig: &[Token], after: usize) -> bool {
+    matches!(punct(sig, after), Some(',' | ')' | ']' | '}' | ';'))
+        || ident(sig, after) == Some("as")
 }
 
 /// Lexes and parses one snippet, taking the crate from its path — the
@@ -779,6 +916,42 @@ mod tests {
         assert_eq!(p.uses[0].leaves, vec!["Json", "JE"]);
         assert_eq!(p.crate_refs, vec![(1, "ess_service".to_string())]);
         assert!(p.thread_refs.is_empty()); // naming the module alone is fine
+    }
+
+    #[test]
+    fn self_imports_mod_items_and_local_uses_bind_names() {
+        let src = "use crate::layering::{self, Scope};\nmod schedule;\nfn f() { use ess_service::jsonio; }";
+        let p = parse(src);
+        let leaves: Vec<_> = p.uses.iter().map(|u| u.leaves.join(",")).collect();
+        assert_eq!(leaves, ["layering,Scope", "schedule", "jsonio"]);
+        assert_eq!(p.uses[1].root, "crate");
+    }
+
+    #[test]
+    fn values_tables_and_turbofish_calls_are_recorded() {
+        let src = "const TABLE: &[Run] = &[(\"a\", run_a)];\nconst PLAIN: usize = 3;\nfn f(xs: &[u8]) { let (tx, rx) = unbounded::<u8>(); xs.iter().map(Task::named); TABLE.len(); }";
+        let p = parse(src);
+        // A table is kept only when its initialiser names something.
+        assert_eq!(p.fns.len(), 2);
+        assert!(p.fns[0].is_const && p.fns[0].calls[0].value);
+        let calls: Vec<_> = (p.fns[1].calls.iter())
+            .map(|c| (c.kind, c.name.as_str(), c.value))
+            .collect();
+        assert!(calls.contains(&(CallKind::Free, "unbounded", false)));
+        assert!(calls.contains(&(CallKind::Path, "named", true)));
+        assert!(calls.contains(&(CallKind::Const, "TABLE", true)));
+        // A receiver is not a value position.
+        assert!(!calls.iter().any(|c| c.1 == "xs"));
+    }
+
+    #[test]
+    fn trait_blocks_and_impls_name_their_trait() {
+        let src =
+            "trait T { fn d(&self); }\nimpl T for X { fn d(&self) {} }\nimpl X { fn e(&self) {} }";
+        let p = parse(src);
+        let traits: Vec<_> = p.fns.iter().map(|f| f.trait_name.as_deref()).collect();
+        assert_eq!(traits, [Some("T"), Some("T"), None]);
+        assert_eq!(p.traits, ["T"]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub fn analyze(g: &Graph, ledger: &mut Ledger, out: &mut Vec<Finding>) {
     let deterministic = |sym: usize| layering::scope_of(g.syms[sym].krate).deterministic;
 
     for (sym, s) in g.syms.iter().enumerate() {
-        if s.is_test {
+        if s.is_test || layering::scope_of(s.krate).app {
             continue;
         }
         for src in &s.taints {

@@ -12,10 +12,11 @@
 //! byte-identical report.
 
 use ess_analysis::lint::{
-    self, Report, HASH_CONTAINER, INVALID_ALLOW, LAYER, NO_ALLOC, PANIC, PARTIAL_CMP_UNWRAP, TAINT,
-    THREAD_SPAWN, UNUSED_ALLOW, WALL_CLOCK,
+    self, Report, SourceFile, HASH_CONTAINER, INVALID_ALLOW, LAYER, NO_ALLOC, PANIC,
+    PARTIAL_CMP_UNWRAP, TAINT, THREAD_SPAWN, UNREACHED, UNUSED_ALLOW, WALL_CLOCK,
 };
-use ess_analysis::panics::RootSpec;
+use ess_analysis::panics::{RootSpec, ROOTS};
+use ess_analysis::{callgraph, layering, parse};
 
 /// One declared root: `Scheduler::round` in the service crate, the same
 /// shape the workspace proof uses.
@@ -47,8 +48,8 @@ fn shape_at(path: &str, src: &str) -> Vec<(&'static str, usize, bool)> {
     shape(&analyze(&[(path, src)], &[]))
 }
 
-/// A path outside `crates/`: every token rule armed, no exemption, and
-/// no call graph — how `examples/` and `benchmark/` are scanned.
+/// An application path: every token rule armed, no exemption, and no
+/// graph rule judging it — how `examples/` and `benchmark/` are scanned.
 const STRICT: &str = "examples/fixture.rs";
 
 // ----------------------------------------------------------- token rules
@@ -442,6 +443,62 @@ fn stacked_allows_resolve_in_either_order() {
     }
 }
 
+// ------------------------------------------------------------ unreached
+
+/// Where the fixture is analyzed: a harness-side binary, so its `main`
+/// roots the walk.
+const BIN: &str = "crates/bench/src/bin/fixture.rs";
+
+#[test]
+fn unreached_fixture() {
+    let src = include_str!("../fixtures/unreached.rs");
+    // Everything `main` reaches by a call, a fn-pointer table, a fn named
+    // as a value, a workspace-trait impl or a std-trait impl is silent;
+    // the test-only function is the finding, the oracle is ledgered and
+    // its helper is kept with it.
+    let r = analyze(&[(BIN, src)], &[]);
+    assert_eq!(
+        shape(&r),
+        vec![(UNREACHED, 56, false), (UNREACHED, 62, true)]
+    );
+    assert_eq!((r.unreached.mains, r.unreached.allowed), (1, 1));
+    assert!(r.findings[0].message.contains("`test_only`"));
+
+    // Mutation: delete the caller and the callee becomes a finding.
+    let uncalled = src.replace("    direct();\n", "");
+    assert_eq!(
+        shape_at(BIN, &uncalled),
+        vec![
+            (UNREACHED, 36, false),
+            (UNREACHED, 55, false),
+            (UNREACHED, 61, true)
+        ]
+    );
+
+    // Mutation: the allow ledgers the finding …
+    let allow = "// lint: allow(unreached) — fixture: kept for tests::uses_both\n";
+    let ledgered = src.replace("fn test_only()", &format!("{allow}fn test_only()"));
+    assert_eq!(
+        shape_at(BIN, &ledgered),
+        vec![(UNREACHED, 57, true), (UNREACHED, 63, true)]
+    );
+
+    // … and on a function `main` reaches it justifies nothing.
+    let stale = src.replace("fn direct()", &format!("{allow}fn direct()"));
+    assert_eq!(
+        shape_at(BIN, &stale),
+        vec![
+            (UNUSED_ALLOW, 37, false),
+            (UNREACHED, 57, false),
+            (UNREACHED, 63, true)
+        ]
+    );
+
+    // Without a `main` in the set there is nothing to be reached from.
+    let no_main = src.replace("fn main()", "fn not_main()");
+    assert_eq!(shape_at(BIN, &no_main), vec![(UNUSED_ALLOW, 61, false)]);
+}
+
 // ----------------------------------------------------------------- meta
 
 #[test]
@@ -506,6 +563,15 @@ fn workspace_ships_green() -> Result<(), String> {
         unallowed.join("\n")
     );
     assert!(a.files_scanned > 50, "walk collapsed: {}", a.files_scanned);
+    assert_eq!(a.unreached.mains, 14, "a `fn main` left the walk");
+    // An allowed unreached function says which test keeps it.
+    for f in a.findings.iter().filter(|f| f.rule == UNREACHED) {
+        let reason = f.reason.as_deref().unwrap_or_default();
+        let names_a_file = reason
+            .split(|c: char| !(c.is_alphanumeric() || "/_.".contains(c)))
+            .any(|word| word.ends_with(".rs") && root.join(word).is_file());
+        assert!(names_a_file, "{}:{} names no test file", f.file, f.line);
+    }
     assert_eq!(a.roots.len(), 7);
     for rs in &a.roots {
         assert!(
@@ -521,5 +587,55 @@ fn workspace_ships_green() -> Result<(), String> {
         b.to_json().to_pretty(),
         "the report must be deterministic"
     );
+    Ok(())
+}
+
+/// The serve path's panic proof covers the paper's own contribution: the
+/// `StepOptimizer` dispatch into `ess_ns` (a crate *above* the caller's)
+/// puts Algorithm 1 inside what a scheduler round reaches, and the serve
+/// loop — which also builds what a request names — reaches the registry's
+/// fn-pointer table and the case library's builder table on top.
+#[test]
+fn serve_roots_reach_algorithm_1_and_the_registries() -> Result<(), String> {
+    let root = lint::find_workspace_root().ok_or("workspace root not found")?;
+    let sources = lint::workspace_sources(&root).map_err(|e| e.to_string())?;
+    let parsed: Vec<_> = sources
+        .iter()
+        .filter_map(|(path, src)| {
+            let krate = layering::crate_of_path(path)?;
+            Some(parse::parse_items(&SourceFile::new(path, src), krate.lib))
+        })
+        .collect();
+    let graph = callgraph::build(&parsed);
+    let algorithm_1 = [
+        "EssNs::optimize",
+        "NoveltyGa::run",
+        "NoveltyGa::evaluate_missing",
+    ];
+    let registries = [
+        "make_ess_ns",
+        "make_essim_de",
+        "BurnCase::generate",
+        "workload_case",
+    ];
+    for (name, tables) in [("serve_configured", &registries[..]), ("round", &[])] {
+        let root = ROOTS
+            .iter()
+            .find(|r| r.name == name)
+            .ok_or("root left ROOTS")?;
+        let reached: Vec<String> = (graph
+            .reach(&graph.find(root.krate, root.owner, root.name))
+            .0)
+            .iter()
+            .map(|&sym| graph.syms[sym].display())
+            .collect();
+        for wanted in algorithm_1.iter().chain(tables) {
+            assert!(
+                reached.iter().any(|name| name == wanted),
+                "`{}` does not reach `{wanted}`",
+                root.display()
+            );
+        }
+    }
     Ok(())
 }

@@ -64,8 +64,8 @@ const EXPERIMENTS: &[(&str, &str, Run)] = &[
         "Table I — fireLib scenario parameters",
         |_, _| Table(exp::table1()),
     ),
-    ("fig1-trace", "Fig. 1 — ESS dataflow trace", |_, _| {
-        Text(exp::fig1_trace())
+    ("fig1-trace", "Fig. 1 — ESS dataflow trace", |plan, _| {
+        Text(exp::fig1_trace(plan))
     }),
     (
         "fig2-kign",
@@ -75,7 +75,7 @@ const EXPERIMENTS: &[(&str, &str, Run)] = &[
     (
         "fig3-trace",
         "Fig. 3 — ESS-NS dataflow trace (NS blocks visible)",
-        |_, _| Text(exp::fig3_trace()),
+        |plan, _| Text(exp::fig3_trace(plan)),
     ),
     (
         "e1-quality",
@@ -331,6 +331,10 @@ fn lint_main(args: &Args) -> Result<(), String> {
             r.root, r.reachable, r.allowed_sites, r.unallowed_sites
         );
     }
+    println!(
+        "reach  {} main(s): {} unreached fn(s) allowed, {} unallowed",
+        report.unreached.mains, report.unreached.allowed, report.unreached.unallowed
+    );
     write_out(args, "ANALYSIS.json", &report.to_json().to_pretty());
     let unallowed = report.unallowed().len();
     println!(

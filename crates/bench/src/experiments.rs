@@ -220,7 +220,7 @@ pub fn table1() -> TextTable {
 }
 
 /// F1 — a narrated trace of one ESS prediction step (the Fig. 1 dataflow).
-pub fn fig1_trace() -> String {
+pub fn fig1_trace(plan: &Plan) -> String {
     let case = cases::grass_uniform();
     let mut out = String::new();
     out.push_str(&format!(
@@ -237,9 +237,9 @@ pub fn fig1_trace() -> String {
     ));
 
     // OS-Master / OS-Workers: fitness GA over scenarios (PV{1..n} → FS → FF).
-    // The figure's farm has two Workers whatever `--backend` says, so the
-    // narration below is the same text on every backend.
-    let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::WorkerPool(2));
+    // The "2 workers" below is the figure's farm, not the plan's pool:
+    // results are backend-independent, so the text is the same on any.
+    let mut evaluator = ScenarioEvaluator::shared(Arc::clone(&ctx), Arc::clone(&plan.pool));
     let mut ess = systems::resolve("ESS")
         .expect("ESS is a registered system")
         .make(1.0);
@@ -309,7 +309,7 @@ pub fn fig2_kign(plan: &Plan) -> TextTable {
 
 /// F3 — a narrated trace of one ESS-NS step (the Fig. 3 dataflow), showing
 /// the NS-specific blocks: ρ(x), the archive, and bestSet.
-pub fn fig3_trace() -> String {
+pub fn fig3_trace(plan: &Plan) -> String {
     let case = cases::grass_uniform();
     let ctx = Arc::new(case.step_context(1));
     let mut out = String::new();
@@ -322,7 +322,7 @@ pub fn fig3_trace() -> String {
         ..NoveltyGaConfig::default()
     };
     let engine = NoveltyGa::new(firelib::GENE_COUNT, cfg);
-    let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::WorkerPool(2));
+    let mut evaluator = ScenarioEvaluator::shared(Arc::clone(&ctx), Arc::clone(&plan.pool));
     let outcome = engine.run(&mut evaluator);
     out.push_str(
         "[OS: NS-based GA] per-generation state (novelty-driven; fitness only recorded)\n",
@@ -569,6 +569,7 @@ pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
 /// drifting-truth cases; variants: tuning off / on.
 pub fn e6_tuning(plan: &Plan) -> TextTable {
     use ess::essim_de::{EssimDe, EssimDeConfig, TuningConfig};
+    use ess::Ring;
     let mut t = TextTable::new(["case", "variant", "mean_quality", "mean_evals"]);
     let tasks = ["shifting_wind", "moisture_front"].map(Task::named);
     let scale = plan.scale;
@@ -579,10 +580,13 @@ pub fn e6_tuning(plan: &Plan) -> TextTable {
     .map(|(label, tuning)| {
         Variant::new(label, move || {
             Box::new(EssimDe::new(EssimDeConfig {
-                islands: 3,
-                island_population: scaled(12, scale),
+                ring: Ring {
+                    islands: 3,
+                    island_population: scaled(12, scale),
+                    max_generations: 30,
+                    ..Ring::default()
+                },
                 result_set_size: scaled(24, scale),
-                max_generations: 30,
                 tuning,
                 ..EssimDeConfig::default()
             }))

@@ -165,6 +165,7 @@ impl NoveltyGa {
     ///
     /// # Panics
     /// Panics on degenerate parameters.
+    // lint: allow(panic) — the serve path builds configs in `systems::make_ess_ns` only: N and m are `scaled(..) ≥ 4`, k = 5, the rates are `NoveltyGaConfig::default()`'s constants in [0, 1], and dims is `GENE_COUNT` = 9
     pub fn new(dims: usize, config: NoveltyGaConfig) -> Self {
         assert!(dims >= 2, "genome needs at least two genes");
         assert!(config.population_size >= 2, "N must be at least 2");
@@ -179,11 +180,6 @@ impl NoveltyGa {
         );
         assert!(config.novelty_neighbours >= 1, "k must be at least 1");
         Self { config, dims }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &NoveltyGaConfig {
-        &self.config
     }
 
     /// Runs Algorithm 1 to completion against `evaluator`.
@@ -273,16 +269,13 @@ impl NoveltyGa {
             let prepared = PreparedIndex::new(&novelty_set);
             let scores =
                 NoveltyEngine.novelty_scores_prepared(&prepared, subjects, cfg.novelty_neighbours);
-            for (idx, rho) in scores.into_iter().enumerate() {
+            // Scores arrive in subject order: population, then offspring.
+            let members = (population.members_mut().iter_mut()).chain(offspring.members_mut());
+            for (member, rho) in members.zip(scores) {
                 // The sentinel for an empty reference cannot occur here
                 // (the reference always holds ≥ N+m−1 ≥ 3 entries), but
                 // clamp defensively for custom behaviour spaces.
-                let rho = if rho.is_finite() { rho } else { 1.0 };
-                if idx < population.len() {
-                    population.members_mut()[idx].novelty = rho;
-                } else {
-                    offspring.members_mut()[idx - population.len()].novelty = rho;
-                }
+                member.novelty = if rho.is_finite() { rho } else { 1.0 };
             }
 
             // NSLC extension: when the scoring policy competes locally,
@@ -303,12 +296,9 @@ impl NoveltyGa {
                     subjects,
                     cfg.novelty_neighbours,
                 );
-                for (idx, lc) in lcs.into_iter().enumerate() {
-                    if idx < population.len() {
-                        population.members_mut()[idx].local_comp = lc;
-                    } else {
-                        offspring.members_mut()[idx - population.len()].local_comp = lc;
-                    }
+                let members = (population.members_mut().iter_mut()).chain(offspring.members_mut());
+                for (member, lc) in members.zip(lcs) {
+                    member.local_comp = lc;
                 }
             }
 
@@ -369,31 +359,27 @@ impl NoveltyGa {
     /// Evaluates exactly the members without a cached fitness; returns how
     /// many evaluations were spent.
     fn evaluate_missing<E: BatchEvaluator>(pop: &mut Population, evaluator: &mut E) -> u64 {
-        let missing: Vec<usize> = pop
-            .members()
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !m.is_evaluated())
-            .map(|(i, _)| i)
+        let genomes: Vec<Vec<f64>> = (pop.members().iter())
+            .filter(|m| !m.is_evaluated())
+            .map(|m| m.genes.clone())
             .collect();
-        if missing.is_empty() {
+        if genomes.is_empty() {
             return 0;
         }
-        let genomes: Vec<Vec<f64>> = missing
-            .iter()
-            .map(|&i| pop.members()[i].genes.clone())
-            .collect();
         let fitness = evaluator.evaluate(&genomes);
+        // lint: allow(panic) — `BatchEvaluator::evaluate` returns one value per genome, in order: `Backend::map` is an ordered map, and `parworker` asserts the length itself
         assert_eq!(
             fitness.len(),
             genomes.len(),
             "evaluator returned wrong batch size"
         );
-        for (&i, f) in missing.iter().zip(&fitness) {
+        let missing = (pop.members_mut().iter_mut()).filter(|m| !m.is_evaluated());
+        for (member, f) in missing.zip(&fitness) {
+            // lint: allow(panic) — a scenario's fitness is a Jaccard index, a ratio of cell counts in [0, 1]; the empty union is defined as 1
             assert!(f.is_finite(), "fitness must be finite");
-            pop.members_mut()[i].fitness = *f;
+            member.fitness = *f;
         }
-        missing.len() as u64
+        genomes.len() as u64
     }
 }
 
@@ -643,7 +629,7 @@ mod tests {
         );
         let (pure, _) = run_on(|g| two_peaks(g, 0.6), mk(ScoringPolicy::PureNovelty), 4);
         assert!(!nslc.best_set.is_empty());
-        assert!(nslc.archive.len() <= nslc.archive.capacity());
+        assert!(nslc.archive.len() <= NoveltyGaConfig::default().archive_capacity);
         // The local-competition pressure must actually change the search
         // trajectory for the same seed.
         assert_ne!(

@@ -41,21 +41,13 @@ impl ScoringPolicy {
         matches!(self, ScoringPolicy::NoveltyLocalCompetition { .. })
     }
 
-    /// Combines a fitness and a novelty value into the search score.
+    /// Combines a fitness, a novelty and a local-competition value into
+    /// the search score (the last is ignored by the non-NSLC policies).
     /// Novelty is clamped into `[0, 1]` first: with the paper's
     /// fitness-difference behaviour it already lives there, and the clamp
     /// keeps the blend meaningful for other behaviour spaces (an archive
     /// seeded with `f64::MAX` sentinel novelty must not drown fitness).
-    ///
-    /// For [`ScoringPolicy::NoveltyLocalCompetition`] this is the
-    /// `lc = 0` projection; use [`ScoringPolicy::score_with_lc`] when the
-    /// term is available.
-    pub fn score(&self, fitness: f64, novelty: f64) -> f64 {
-        self.score_with_lc(fitness, novelty, 0.0)
-    }
-
-    /// Full scoring including the local-competition term (ignored by the
-    /// non-NSLC policies).
+    // lint: allow(panic) — the serve path scores with `ScoringPolicy::PureNovelty` (the registry's `NoveltyGaConfig::default()`), which reads no weight; the harness's E7 weights are literals in [0, 1], and a local-competition term is a fraction of k neighbours
     pub fn score_with_lc(&self, fitness: f64, novelty: f64, local_competition: f64) -> f64 {
         let n = novelty.clamp(0.0, 1.0);
         match *self {
@@ -97,6 +89,7 @@ pub enum BehaviourSpace {
 
 impl BehaviourSpace {
     /// Builds the behaviour descriptor of an individual.
+    // lint: allow(unreached) — the allocating reference `describe_into` is held against by the unit tests of crates/core/src/hybrid.rs
     pub fn describe(&self, genes: &[f64], fitness: f64) -> Vec<f64> {
         match self {
             BehaviourSpace::Fitness => vec![fitness],
@@ -164,6 +157,7 @@ impl InclusionPolicy {
                 fraction
             }
         };
+        // lint: allow(panic) — the registry's `InclusionPolicy::BestOnly` returned above; the harness's E9 fractions are literals in [0, 1]
         assert!(
             (0.0..=1.0).contains(&fraction),
             "inclusion fraction is a proportion"
@@ -179,8 +173,8 @@ mod tests {
     #[test]
     fn pure_novelty_ignores_fitness() {
         let p = ScoringPolicy::PureNovelty;
-        assert_eq!(p.score(0.9, 0.2), 0.2);
-        assert_eq!(p.score(0.0, 0.2), 0.2);
+        assert_eq!(p.score_with_lc(0.9, 0.2, 0.0), 0.2);
+        assert_eq!(p.score_with_lc(0.0, 0.2, 0.0), 0.2);
     }
 
     #[test]
@@ -188,21 +182,21 @@ mod tests {
         let p = ScoringPolicy::Weighted {
             novelty_weight: 0.25,
         };
-        let s = p.score(0.8, 0.4);
+        let s = p.score_with_lc(0.8, 0.4, 0.0);
         assert!((s - (0.25 * 0.4 + 0.75 * 0.8)).abs() < 1e-12);
         // Extremes recover the pure strategies.
         assert_eq!(
             ScoringPolicy::Weighted {
                 novelty_weight: 1.0
             }
-            .score(0.9, 0.3),
+            .score_with_lc(0.9, 0.3, 0.0),
             0.3
         );
         assert_eq!(
             ScoringPolicy::Weighted {
                 novelty_weight: 0.0
             }
-            .score(0.9, 0.3),
+            .score_with_lc(0.9, 0.3, 0.0),
             0.9
         );
     }
@@ -212,7 +206,7 @@ mod tests {
         let p = ScoringPolicy::Weighted {
             novelty_weight: 0.5,
         };
-        let s = p.score(0.6, f64::MAX);
+        let s = p.score_with_lc(0.6, f64::MAX, 0.0);
         assert!((s - (0.5 + 0.3)).abs() < 1e-12);
     }
 

@@ -53,11 +53,6 @@ impl EssNs {
     pub fn baseline() -> Self {
         Self::new(EssNsConfig::default())
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EssNsConfig {
-        &self.config
-    }
 }
 
 impl Default for EssNs {
@@ -148,7 +143,7 @@ mod tests {
         assert!(!out.result_set.is_empty());
         assert!(out.result_set.len() <= 10);
         assert!(out.best_fitness > 0.0);
-        assert_eq!(out.evaluations, eval.evaluation_count());
+        assert_eq!(out.evaluations, evoalg::BatchEvaluator::evaluations(&eval));
     }
 
     #[test]

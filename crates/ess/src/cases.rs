@@ -73,15 +73,16 @@ impl BurnCase {
             "one true scenario per interval"
         );
         let sim = Arc::new(FireSim::new(terrain));
-        let mut fire_lines = vec![ignition];
+        let mut fire_lines = Vec::with_capacity(times.len());
+        let mut front = ignition;
         for (i, scenario) in truth.iter().enumerate() {
-            let from = fire_lines.last().expect("non-empty");
-            let map = sim.simulate(scenario, from, times[i], times[i + 1] - times[i]);
+            let map = sim.simulate(scenario, &front, times[i], times[i + 1] - times[i]);
             // The fire state accumulates: everything burned before stays
             // burned (the map only covers this interval's growth).
-            let grown = map.fire_line_at(times[i + 1]);
-            fire_lines.push(from.union(&grown));
+            let grown = front.union(&map.fire_line_at(times[i + 1]));
+            fire_lines.push(std::mem::replace(&mut front, grown));
         }
+        fire_lines.push(front);
         Self {
             name,
             description,
@@ -365,11 +366,6 @@ const LIBRARY: &[(&str, CaseBuilder)] = &[
     ("two_ridge", two_ridge),
 ];
 
-/// The full standard case library.
-pub fn standard_cases() -> Vec<BurnCase> {
-    LIBRARY.iter().map(|(_, build)| build()).collect()
-}
-
 /// Every case name resolvable through [`by_name`]: the hand-built library
 /// plus the generated workload corpus (standard tier and the XL landscape
 /// tier — the latter expand to megacell rasters: a cold build takes tens
@@ -397,6 +393,7 @@ pub fn by_name(name: &str) -> Option<BurnCase> {
 /// A tiny *drifting-truth* case for fast tests of the §IV drift argument:
 /// the wind veers 90° and strengthens over four short intervals on a small
 /// grid.
+// lint: allow(unreached) — the drifting-truth fixture of tests/hypothesis.rs and tests/extensions.rs
 pub fn tiny_drift_case() -> BurnCase {
     let base = Scenario {
         model: 1,
@@ -451,6 +448,7 @@ pub fn tiny_test_case() -> BurnCase {
 
 /// A serial evaluator over the first interval of [`tiny_test_case`] — the
 /// fixture every optimizer's unit tests search on.
+// lint: allow(unreached) — the fixture the optimizers' unit tests share: crates/core/src/system.rs, crates/ess/src/ess_classic.rs, crates/ess/src/essim_ea.rs, crates/ess/src/essim_de.rs
 pub fn tiny_step_evaluator() -> ScenarioEvaluator {
     let ctx = Arc::new(tiny_test_case().step_context(1));
     ScenarioEvaluator::new(ctx, EvalBackend::Serial)
@@ -459,6 +457,10 @@ pub fn tiny_step_evaluator() -> ScenarioEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn standard_cases() -> Vec<BurnCase> {
+        LIBRARY.iter().map(|(_, build)| build()).collect()
+    }
 
     #[test]
     fn fire_lines_are_nested_and_growing() {

@@ -54,11 +54,6 @@ impl EssClassic {
     pub fn new(config: EssConfig) -> Self {
         Self { config }
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EssConfig {
-        &self.config
-    }
 }
 
 impl Default for EssClassic {

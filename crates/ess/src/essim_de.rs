@@ -72,22 +72,12 @@ impl TuningConfig {
 /// Configuration of the ESSIM-DE baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EssimDeConfig {
-    /// Number of islands.
-    pub islands: usize,
-    /// Population size per island.
-    pub island_population: usize,
+    /// Islands, migration and stopping rule.
+    pub ring: Ring,
     /// DE differential weight `F`.
     pub differential_weight: f64,
     /// DE crossover probability `CR`.
     pub crossover_rate: f64,
-    /// Generations between ring migrations.
-    pub migration_interval: u32,
-    /// Individuals sent per migration.
-    pub migrants: usize,
-    /// Maximum generations per prediction step.
-    pub max_generations: u32,
-    /// Early-stop fitness threshold.
-    pub fitness_threshold: f64,
     /// Fraction of the result set taken from the fittest members; the rest
     /// is drawn uniformly regardless of fitness (the diversity injection).
     pub elite_fraction: f64,
@@ -100,20 +90,18 @@ pub struct EssimDeConfig {
 impl Default for EssimDeConfig {
     fn default() -> Self {
         Self {
-            islands: 4,
-            island_population: 12,
+            ring: Ring::default(),
             differential_weight: 0.8,
             crossover_rate: 0.9,
-            migration_interval: 3,
-            migrants: 2,
-            max_generations: 12,
-            fitness_threshold: 0.95,
             elite_fraction: 0.5,
             result_set_size: 12,
             tuning: TuningConfig::enabled(),
         }
     }
 }
+
+/// Spaces the islands' seeds (see [`Ring::run`]).
+const SEED_STRIDE: u64 = 0xA24BAED4963EE407;
 
 /// The ESSIM-DE baseline optimizer.
 #[derive(Debug, Clone)]
@@ -127,9 +115,9 @@ impl EssimDe {
     /// # Panics
     /// Panics on degenerate configurations.
     pub fn new(config: EssimDeConfig) -> Self {
-        Self::ring(&config).validate();
+        config.ring.validate();
         assert!(
-            config.island_population >= 4,
+            config.ring.island_population >= 4,
             "DE islands need at least 4 members"
         );
         assert!(
@@ -138,23 +126,6 @@ impl EssimDe {
         );
         assert!(config.result_set_size >= 1, "result set must be non-empty");
         Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EssimDeConfig {
-        &self.config
-    }
-
-    fn ring(config: &EssimDeConfig) -> Ring {
-        Ring {
-            islands: config.islands,
-            island_population: config.island_population,
-            migration_interval: config.migration_interval,
-            migrants: config.migrants,
-            max_generations: config.max_generations,
-            fitness_threshold: config.fitness_threshold,
-            seed_stride: 0xA24BAED4963EE407,
-        }
     }
 }
 
@@ -172,17 +143,18 @@ impl StepOptimizer for EssimDe {
     fn optimize(&mut self, evaluator: &mut ScenarioEvaluator, seed: u64) -> OptimizeOutcome {
         let cfg = self.config;
         let tuning = cfg.tuning;
-        let last_restart_gen = (cfg.max_generations as f64 * tuning.last_restart_frac) as u32;
+        let last_restart_gen = (cfg.ring.max_generations as f64 * tuning.last_restart_frac) as u32;
         let restart = |isl: &mut DeEngine, evaluator: &mut ScenarioEvaluator| {
             isl.restart_worst(tuning.restart_fraction);
             isl.evaluate_initial(evaluator);
         };
         let mut best_age = 0u32;
-        let mut run = Self::ring(&cfg).run(
+        let mut run = cfg.ring.run(
             seed,
+            SEED_STRIDE,
             evaluator,
             |island_seed| DeConfig {
-                population_size: cfg.island_population,
+                population_size: cfg.ring.island_population,
                 differential_weight: cfg.differential_weight,
                 crossover_rate: cfg.crossover_rate,
                 seed: island_seed,
@@ -253,13 +225,20 @@ mod tests {
     use super::*;
     use crate::cases::tiny_step_evaluator;
 
-    fn small_config(tuning: TuningConfig) -> EssimDeConfig {
-        EssimDeConfig {
+    fn small_ring() -> Ring {
+        Ring {
             islands: 2,
             island_population: 8,
             migration_interval: 2,
             migrants: 1,
             max_generations: 6,
+            ..Ring::default()
+        }
+    }
+
+    fn small_config(tuning: TuningConfig) -> EssimDeConfig {
+        EssimDeConfig {
+            ring: small_ring(),
             result_set_size: 8,
             tuning,
             ..EssimDeConfig::default()
@@ -279,12 +258,16 @@ mod tests {
     fn tuned_variant_runs_and_spends_more_evaluations_under_stagnation() {
         // On a hard-to-improve tiny budget the tuned variant should trigger
         // restarts (hence extra evaluations) at equal generation counts.
+        let full_budget = Ring {
+            fitness_threshold: 2.0, // never reached
+            ..small_ring()
+        };
         let mut plain = EssimDe::new(EssimDeConfig {
-            fitness_threshold: 2.0, // force full budget
+            ring: full_budget,
             ..small_config(TuningConfig::disabled())
         });
         let mut tuned = EssimDe::new(EssimDeConfig {
-            fitness_threshold: 2.0,
+            ring: full_budget,
             tuning: TuningConfig {
                 restart_enabled: true,
                 stagnation_window: 1,
@@ -332,7 +315,10 @@ mod tests {
     #[should_panic(expected = "migrants must be fewer")]
     fn whole_island_migration_rejected() {
         let _ = EssimDe::new(EssimDeConfig {
-            migrants: 12, // the island population: every member replaced
+            ring: Ring {
+                migrants: 12, // the island population: every member replaced
+                ..Ring::default()
+            },
             ..EssimDeConfig::default()
         });
     }

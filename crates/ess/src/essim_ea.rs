@@ -14,41 +14,29 @@ use evoalg::GaConfig;
 /// Configuration of the ESSIM-EA baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EssimEaConfig {
-    /// Number of islands.
-    pub islands: usize,
-    /// Population size per island.
-    pub island_population: usize,
+    /// Islands, migration and stopping rule.
+    pub ring: Ring,
     /// Offspring per generation per island.
     pub offspring: usize,
     /// Per-gene mutation probability.
     pub mutation_rate: f64,
     /// Crossover probability.
     pub crossover_rate: f64,
-    /// Generations between migrations.
-    pub migration_interval: u32,
-    /// Individuals sent per migration.
-    pub migrants: usize,
-    /// Maximum generations per prediction step.
-    pub max_generations: u32,
-    /// Early-stop fitness threshold (any island).
-    pub fitness_threshold: f64,
 }
 
 impl Default for EssimEaConfig {
     fn default() -> Self {
         Self {
-            islands: 4,
-            island_population: 12,
+            ring: Ring::default(),
             offspring: 12,
             mutation_rate: 0.1,
             crossover_rate: 0.9,
-            migration_interval: 3,
-            migrants: 2,
-            max_generations: 12,
-            fitness_threshold: 0.95,
         }
     }
 }
+
+/// Spaces the islands' seeds (see [`Ring::run`]).
+const SEED_STRIDE: u64 = 0x9E3779B97F4A7C15;
 
 /// The ESSIM-EA baseline optimizer.
 #[derive(Debug, Clone)]
@@ -63,25 +51,8 @@ impl EssimEa {
     /// Panics on degenerate configurations (fewer than 2 islands, migrants
     /// not fewer than the island population).
     pub fn new(config: EssimEaConfig) -> Self {
-        Self::ring(&config).validate();
+        config.ring.validate();
         Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EssimEaConfig {
-        &self.config
-    }
-
-    fn ring(config: &EssimEaConfig) -> Ring {
-        Ring {
-            islands: config.islands,
-            island_population: config.island_population,
-            migration_interval: config.migration_interval,
-            migrants: config.migrants,
-            max_generations: config.max_generations,
-            fitness_threshold: config.fitness_threshold,
-            seed_stride: 0x9E3779B97F4A7C15,
-        }
     }
 }
 
@@ -98,11 +69,12 @@ impl StepOptimizer for EssimEa {
 
     fn optimize(&mut self, evaluator: &mut ScenarioEvaluator, seed: u64) -> OptimizeOutcome {
         let cfg = &self.config;
-        let run = Self::ring(cfg).run(
+        let run = cfg.ring.run(
             seed,
+            SEED_STRIDE,
             evaluator,
             |island_seed| GaConfig {
-                population_size: cfg.island_population,
+                population_size: cfg.ring.island_population,
                 offspring: cfg.offspring,
                 mutation_rate: cfg.mutation_rate,
                 crossover_rate: cfg.crossover_rate,
@@ -130,12 +102,15 @@ mod tests {
 
     fn small_config() -> EssimEaConfig {
         EssimEaConfig {
-            islands: 3,
-            island_population: 8,
+            ring: Ring {
+                islands: 3,
+                island_population: 8,
+                migration_interval: 2,
+                migrants: 2,
+                max_generations: 6,
+                ..Ring::default()
+            },
             offspring: 8,
-            migration_interval: 2,
-            migrants: 2,
-            max_generations: 6,
             ..EssimEaConfig::default()
         }
     }
@@ -156,7 +131,7 @@ mod tests {
         let out = ea.optimize(&mut eval, 12);
         // Unless the threshold fired early, 3 islands × (8 + gens × 8).
         assert!(out.evaluations >= 3 * 8);
-        assert_eq!(out.evaluations, eval.evaluation_count());
+        assert_eq!(out.evaluations, evoalg::BatchEvaluator::evaluations(&eval));
     }
 
     #[test]
@@ -173,7 +148,10 @@ mod tests {
     #[should_panic(expected = "at least 2 islands")]
     fn single_island_rejected() {
         let _ = EssimEa::new(EssimEaConfig {
-            islands: 1,
+            ring: Ring {
+                islands: 1,
+                ..Ring::default()
+            },
             ..EssimEaConfig::default()
         });
     }

@@ -23,9 +23,10 @@ use crate::fitness::ScenarioEvaluator;
 use evoalg::{Engine, Scheme};
 use firelib::GENE_COUNT;
 
-/// Topology, migration cadence and stopping rule of an island system.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Ring {
+/// Topology, migration cadence and stopping rule of an island system —
+/// the part of their configuration ESSIM-EA and ESSIM-DE share.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ring {
     /// Number of islands.
     pub islands: usize,
     /// Population size per island.
@@ -38,9 +39,19 @@ pub(crate) struct Ring {
     pub max_generations: u32,
     /// Early-stop fitness threshold (any island).
     pub fitness_threshold: f64,
-    /// Odd constant spacing the islands' seeds: island `i` (from 1) runs
-    /// on `seed + i × seed_stride`, one stream per island.
-    pub seed_stride: u64,
+}
+
+impl Default for Ring {
+    fn default() -> Self {
+        Self {
+            islands: 4,
+            island_population: 12,
+            migration_interval: 3,
+            migrants: 2,
+            max_generations: 12,
+            fitness_threshold: 0.95,
+        }
+    }
 }
 
 /// What the Monitor holds when the islands stop.
@@ -72,19 +83,23 @@ impl Ring {
         );
     }
 
-    /// Runs the islands to the stopping rule. `scheme` builds an island's
-    /// engine parameters from its seed; `generation(islands, g, best,
-    /// evaluator)` advances every island through generation `g` and
-    /// returns the run's best fitness so far (`best` is −∞ until then).
+    /// Runs the islands to the stopping rule. Island `i` (from 1) runs on
+    /// `seed + i × seed_stride` — an odd constant of the calling system, so
+    /// every island of every system has a stream of its own; `scheme`
+    /// builds an island's engine parameters from that seed;
+    /// `generation(islands, g, best, evaluator)` advances every island
+    /// through generation `g` and returns the run's best fitness so far
+    /// (`best` is −∞ until then).
     pub(crate) fn run<S: Scheme>(
         &self,
         seed: u64,
+        seed_stride: u64,
         evaluator: &mut ScenarioEvaluator,
         scheme: impl Fn(u64) -> S,
         mut generation: impl FnMut(&mut [Engine<S>], u32, f64, &mut ScenarioEvaluator) -> f64,
     ) -> IslandRun<S> {
         let mut islands: Vec<Engine<S>> = (1..=self.islands as u64)
-            .map(|i| seed.wrapping_add(self.seed_stride.wrapping_mul(i)))
+            .map(|i| seed.wrapping_add(seed_stride.wrapping_mul(i)))
             .map(|island_seed| Engine::new(GENE_COUNT, scheme(island_seed)))
             .collect();
         for isl in &mut islands {

@@ -32,8 +32,8 @@
 //! * [`error`] — the [`ServiceError`] taxonomy every name-resolving or
 //!   budget-enforcing entry point reports through;
 //! * [`ess_classic`] — ESS: fitness-driven GA, result = final population;
-//! * `island` — the island model the two ESSIM systems share: seeded
-//!   islands, the generation loop and its stopping rule, ring migration
+//! * `island` — the island model the two ESSIM systems share ([`Ring`],
+//!   the topology half of both configurations): seeded islands, the generation loop and its stopping rule, ring migration
 //!   and the Monitor that selects the best island;
 //! * [`essim_ea`] — ESSIM-EA: the island model over GA engines;
 //! * [`essim_de`] — ESSIM-DE: island-model Differential Evolution with the
@@ -42,14 +42,11 @@
 //! * [`cases`] — synthetic controlled burn cases with a *hidden* true
 //!   scenario (optionally drifting over time), standing in for the field
 //!   burn maps of the original evaluations (see DESIGN.md §1);
-//! * [`ensemble`] — ensemble burn-probability forecasts: N perturbed-seed
-//!   replicates of a workload folded into a [`landscape::ProbabilityMap`];
 //! * [`report`] — aligned text tables and CSV writers for the experiment
 //!   harness.
 
 pub mod calibration;
 pub mod cases;
-pub mod ensemble;
 pub mod error;
 pub mod ess_classic;
 pub mod essim_de;
@@ -63,9 +60,6 @@ pub mod stages;
 
 pub use calibration::{CalibrationOutcome, PredictionStage};
 pub use cases::BurnCase;
-pub use ensemble::{
-    ensemble_probability, ensemble_probability_par, perturbed_truth, EnsembleForecast,
-};
 pub use error::{BudgetReason, ServiceError};
 pub use ess_classic::EssClassic;
 pub use essim_de::{EssimDe, TuningConfig};
@@ -74,6 +68,7 @@ pub use fitness::{
     EvalBackend, ScenarioEvaluator, SharedScenarioPool, StepContext, DEFAULT_INLINE_THRESHOLD,
 };
 pub use fusion::{run_coordinator, FusionLane, LaneGuard, LaneMsg};
+pub use island::Ring;
 pub use pipeline::{
     OptimizeOutcome, PredictionPipeline, RunReport, StepDriver, StepOptimizer, StepReport,
 };

@@ -202,13 +202,6 @@ impl StepDriver {
         }
     }
 
-    /// The `Kign` calibrated by the last completed step (`None` before the
-    /// first step) — the only cross-step optimizer-independent state, so a
-    /// checkpoint is `(base_seed, completed, carried_kign)`.
-    pub fn carried_kign(&self) -> Option<f64> {
-        self.carried_kign
-    }
-
     /// The burn case being predicted.
     pub fn case(&self) -> &BurnCase {
         &self.case
@@ -367,7 +360,9 @@ mod tests {
         }
 
         fn optimize(&mut self, evaluator: &mut ScenarioEvaluator, _seed: u64) -> OptimizeOutcome {
-            let fit = evaluator.context().fitness_of_genome(&self.truth_genes);
+            let fit = evaluator
+                .context()
+                .fitness_of(&ScenarioSpace.decode(&self.truth_genes));
             OptimizeOutcome {
                 result_set: vec![self.truth_genes.clone()],
                 best_fitness: fit,
@@ -528,7 +523,7 @@ mod tests {
                 Arc::clone(&pool),
                 11,
                 driver.completed(),
-                driver.carried_kign(),
+                driver.carried_kign,
             );
             assert_eq!(resumed.completed(), checkpoint);
             let mut opt = RandomSearch { budget: 15 };

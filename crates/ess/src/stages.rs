@@ -103,11 +103,9 @@ mod tests {
             },
         ];
         let pm = statistical_stage(&c, &scenarios);
-        let grid = pm.to_grid();
-        let fractional = grid
-            .as_slice()
-            .iter()
-            .filter(|&&p| p > 0.0 && p < 1.0)
+        let fractional = (0..21 * 21)
+            .map(|i| pm.probability(i / 21, i % 21))
+            .filter(|&p| p > 0.0 && p < 1.0)
             .count();
         assert!(fractional > 0, "opposed winds must disagree somewhere");
     }

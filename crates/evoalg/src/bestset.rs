@@ -38,11 +38,6 @@ impl BestSet {
         }
     }
 
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of stored genomes.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -92,6 +92,7 @@ impl<'a> PreparedIndex<'a> {
 
     /// ρ(x) of reference row `subject` against all other rows —
     /// bit-identical to [`crate::novelty::novelty_score`].
+    // lint: allow(unreached) — the per-subject form the unit tests of crates/evoalg/src/knn.rs hold against the brute-force oracle on both index paths
     pub fn novelty_of(&self, subject: usize, k: usize) -> f64 {
         self.novelty_of_with(subject, k, &mut Vec::new())
     }
@@ -135,6 +136,7 @@ impl<'a> PreparedIndex<'a> {
     /// # Panics
     /// Panics on a dimension mismatch against a non-empty reference (the
     /// same contract `behaviour_distance` enforces on the brute path).
+    // lint: allow(unreached) — held against `novelty_score_external` by crates/evoalg/tests/properties.rs
     pub fn novelty_of_external(&self, behaviour: &[f64], k: usize) -> f64 {
         assert!(k > 0, "k must be positive");
         assert!(
@@ -165,13 +167,8 @@ impl<'a> PreparedIndex<'a> {
     }
 
     /// Local-competition score of reference row `subject` — bit-identical
-    /// to [`crate::novelty::local_competition_score`].
-    pub fn local_competition_of(&self, subject: usize, fitnesses: &[f64], k: usize) -> f64 {
-        self.local_competition_of_with(subject, fitnesses, k, &mut Vec::new())
-    }
-
-    /// [`PreparedIndex::local_competition_of`] with a caller-owned
-    /// neighbour scratch buffer.
+    /// to [`crate::novelty::local_competition_score`] — using a
+    /// caller-owned neighbour scratch buffer.
     pub fn local_competition_of_with(
         &self,
         subject: usize,
@@ -282,6 +279,7 @@ impl<'a> PreparedIndex<'a> {
                     left -= 1;
                     emit(d, sorted.order[left] as usize);
                 }
+                // lint: allow(panic) — every caller clamps k to the rows left to visit, so while fewer than k are emitted one side still has one
                 (None, None) => unreachable!("k is clamped to the neighbour count"),
             }
         }
@@ -346,31 +344,10 @@ impl NoveltyEngine {
             .collect()
     }
 
-    /// Local-competition scores of reference rows `0..subjects`, batched
-    /// like [`NoveltyEngine::novelty_scores`]; `result[i]` is
+    /// Local-competition scores of reference rows `0..subjects` over an
+    /// already-prepared index, batched like
+    /// [`NoveltyEngine::novelty_scores_prepared`]; `result[i]` is
     /// bit-identical to `local_competition_score(i, rows, fitnesses, k)`.
-    ///
-    /// # Panics
-    /// Panics when `subjects > reference.len()`, on a fitness-length
-    /// mismatch, or `k == 0`.
-    pub fn local_competition_scores(
-        &self,
-        reference: &BehaviourMatrix,
-        fitnesses: &[f64],
-        subjects: usize,
-        k: usize,
-    ) -> Vec<f64> {
-        self.local_competition_scores_prepared(
-            &PreparedIndex::new(reference),
-            fitnesses,
-            subjects,
-            k,
-        )
-    }
-
-    /// [`NoveltyEngine::local_competition_scores`] over an
-    /// already-prepared index (see
-    /// [`NoveltyEngine::novelty_scores_prepared`]).
     ///
     /// # Panics
     /// Panics when `subjects` exceeds the prepared reference's rows, on a
@@ -491,7 +468,7 @@ mod tests {
             for k in 1..=7 {
                 for subject in 0..rows.len() {
                     assert_eq!(
-                        prepared.local_competition_of(subject, &fits, k),
+                        prepared.local_competition_of_with(subject, &fits, k, &mut Vec::new()),
                         local_competition_score(subject, &rows, &fits, k),
                         "{path} subject {subject} k {k}"
                     );
@@ -510,10 +487,6 @@ mod tests {
         assert_eq!(
             engine.novelty_scores(&m, 8, 3),
             engine.novelty_scores_prepared(&picked, 8, 3)
-        );
-        assert_eq!(
-            engine.local_competition_scores(&m, &fits, 8, 3),
-            engine.local_competition_scores_prepared(&picked, &fits, 8, 3)
         );
         for (path, prepared) in both_paths(&m) {
             let rho = engine.novelty_scores_prepared(&prepared, 8, 3);
@@ -534,7 +507,10 @@ mod tests {
         let m = matrix_1d(&[0.3]);
         for (_, prepared) in both_paths(&m) {
             assert_eq!(prepared.novelty_of(0, 3), f64::MAX);
-            assert_eq!(prepared.local_competition_of(0, &[0.5], 3), 1.0);
+            assert_eq!(
+                prepared.local_competition_of_with(0, &[0.5], 3, &mut Vec::new()),
+                1.0
+            );
         }
     }
 

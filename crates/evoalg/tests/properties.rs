@@ -205,7 +205,12 @@ fn novelty_index_bit_identical_to_brute_force() {
                  {subjects}+{archive} rows)"
             );
             assert_eq!(
-                engine.local_competition_scores(matrix, &fitnesses, subjects, k),
+                engine.local_competition_scores_prepared(
+                    &PreparedIndex::new(matrix),
+                    &fitnesses,
+                    subjects,
+                    k
+                ),
                 expected_lc,
                 "seed {seed}: {shape} LC diverged (dims {dims}, k {k}, \
                  {subjects}+{archive} rows)"
@@ -305,7 +310,11 @@ fn archive_invariants() {
             archive.offer(&genes, &genes, novelty, 0.5);
             assert!(archive.len() <= capacity);
             if archive.len() == capacity {
-                let min = archive.min_novelty().unwrap();
+                let min = archive
+                    .entries()
+                    .iter()
+                    .map(|e| e.novelty)
+                    .fold(f64::INFINITY, f64::min);
                 if let Some(prev) = last_min {
                     assert!(min >= prev - 1e-12, "archive min regressed {prev} → {min}");
                 }

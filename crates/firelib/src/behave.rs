@@ -122,7 +122,9 @@ mod tests {
 
     #[test]
     fn extinguished_bed_has_zero_outputs() {
-        let b = fire_behaviour(&bed(1), &MoistureRegime::damp(), &windy(10.0));
+        // 18 % fine dead moisture: past model 1's 12 % extinction.
+        let damp = MoistureRegime::from_percent(18.0, 20.0, 22.0, 180.0, 180.0);
+        let b = fire_behaviour(&bed(1), &damp, &windy(10.0));
         assert_eq!(b.byram_intensity, 0.0);
         assert_eq!(b.flame_length_ft, 0.0);
         assert_eq!(b.ros_head_fpm, 0.0);

@@ -110,16 +110,6 @@ impl FuelModel {
     pub fn total_load(&self) -> f64 {
         self.particles.iter().map(|p| p.load).sum()
     }
-
-    /// `true` when the model carries any live (herb or woody) fuel.
-    pub fn has_live_fuel(&self) -> bool {
-        self.particles.iter().any(|p| !p.life.is_dead())
-    }
-
-    /// `true` when the bed can carry fire at all.
-    pub fn is_burnable(&self) -> bool {
-        self.depth > 0.0 && self.total_load() > 0.0
-    }
 }
 
 /// Surface-area-to-volume ratios fireLib assigns to the timelag classes.
@@ -450,7 +440,7 @@ mod tests {
         let m1 = cat.model(1).unwrap();
         assert_eq!(m1.particles.len(), 1);
         assert_eq!(m1.particles[0].savr, 3500.0);
-        assert!(!m1.has_live_fuel());
+        assert!(m1.particles[0].life.is_dead());
         assert!((m1.total_load() - 0.034).abs() < 1e-12);
     }
 
@@ -460,7 +450,7 @@ mod tests {
         let with_live: Vec<u8> = cat
             .models()
             .iter()
-            .filter(|m| m.has_live_fuel())
+            .filter(|m| m.particles.iter().any(|p| !p.life.is_dead()))
             .map(|m| m.number)
             .collect();
         assert_eq!(with_live, vec![2, 4, 5, 7, 10]);
@@ -491,14 +481,6 @@ mod tests {
         for (n, mx) in expect {
             assert_eq!(cat.model(n).unwrap().mext_dead, mx, "model {n}");
         }
-    }
-
-    #[test]
-    fn no_fuel_model_is_unburnable() {
-        let cat = FuelCatalog::standard();
-        let m0 = cat.model(0).unwrap();
-        assert!(!m0.is_burnable());
-        assert!(cat.model(1).unwrap().is_burnable());
     }
 
     #[test]

@@ -66,19 +66,10 @@ impl MoistureRegime {
         }
     }
 
-    /// A very dry reference regime (drought conditions).
-    pub fn very_dry() -> Self {
-        Self::from_percent(3.0, 4.0, 5.0, 70.0, 70.0)
-    }
-
     /// A moderate reference regime (the fireLib demo uses 1hr ≈ 5 %).
+    // lint: allow(unreached) — the reference regime of crates/firelib/tests/properties.rs and the unit tests of crates/firelib/src/spread.rs and crates/firelib/src/behave.rs
     pub fn moderate() -> Self {
         Self::from_percent(5.0, 7.0, 9.0, 100.0, 100.0)
-    }
-
-    /// A damp regime close to extinction for most models.
-    pub fn damp() -> Self {
-        Self::from_percent(18.0, 20.0, 22.0, 180.0, 180.0)
     }
 }
 
@@ -116,13 +107,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_moisture_rejected() {
         let _ = MoistureRegime::from_percent(-1.0, 2.0, 3.0, 50.0, 60.0);
-    }
-
-    #[test]
-    fn reference_regimes_ordered_by_dryness() {
-        let d = MoistureRegime::very_dry();
-        let m = MoistureRegime::moderate();
-        let w = MoistureRegime::damp();
-        assert!(d.m1 < m.m1 && m.m1 < w.m1);
     }
 }

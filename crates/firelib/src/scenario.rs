@@ -186,6 +186,7 @@ impl Scenario {
     }
 
     /// `true` when every parameter lies inside its Table I range.
+    // lint: allow(unreached) — the Table I range oracle of crates/firelib/tests/properties.rs and tests/table1_conformance.rs
     pub fn is_valid(&self) -> bool {
         self.values()
             .iter()
@@ -201,11 +202,6 @@ impl Scenario {
 pub struct ScenarioSpace;
 
 impl ScenarioSpace {
-    /// Number of genes.
-    pub fn dimensions(&self) -> usize {
-        GENE_COUNT
-    }
-
     /// Parameter metadata (Table I).
     pub fn params(&self) -> &'static [ParamDef; GENE_COUNT] {
         &PARAM_DEFS
@@ -249,6 +245,7 @@ impl ScenarioSpace {
     /// Encodes a scenario into its normalised gene vector. The fuel model
     /// encodes to the centre of its bin, so `decode(encode(s))` restores the
     /// model exactly.
+    // lint: allow(unreached) — builds genomes from named scenarios in tests/full_pipeline.rs and crates/firelib/tests/properties.rs
     pub fn encode(&self, s: &Scenario) -> [f64; GENE_COUNT] {
         let inv = |i: usize, v: f64| (v - PARAM_DEFS[i].lo) / (PARAM_DEFS[i].hi - PARAM_DEFS[i].lo);
         [
@@ -270,30 +267,15 @@ impl ScenarioSpace {
     }
 
     /// Uniformly samples a scenario.
+    // lint: allow(unreached) — the sampler tests/table1_conformance.rs checks against every Table I row
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Scenario {
         self.decode(&self.sample_genes(rng))
-    }
-
-    /// Normalised genotypic distance between two gene vectors: Euclidean
-    /// distance divided by √dim, so the result lies in `[0, 1]`. Used by the
-    /// diversity metrics (E2) and the genotypic-behaviour ablation.
-    pub fn gene_distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), GENE_COUNT);
-        assert_eq!(b.len(), GENE_COUNT);
-        let sq: f64 = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| {
-                let d = x.clamp(0.0, 1.0) - y.clamp(0.0, 1.0);
-                d * d
-            })
-            .sum();
-        (sq / GENE_COUNT as f64).sqrt()
     }
 }
 
 /// Renders Table I as an aligned text table (used by the report harness to
 /// regenerate the paper's Table I verbatim from the in-code definitions).
+// lint: allow(unreached) — the rendering tests/table1_conformance.rs reads row by row
 pub fn render_table1() -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -391,17 +373,6 @@ mod tests {
         for _ in 0..500 {
             assert!(sp.sample(&mut rng).is_valid());
         }
-    }
-
-    #[test]
-    fn gene_distance_normalised() {
-        let sp = ScenarioSpace;
-        let zero = [0.0; GENE_COUNT];
-        let one = [1.0; GENE_COUNT];
-        assert_eq!(sp.gene_distance(&zero, &zero), 0.0);
-        assert!((sp.gene_distance(&zero, &one) - 1.0).abs() < 1e-12);
-        let half = [0.5; GENE_COUNT];
-        assert!((sp.gene_distance(&zero, &half) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -663,15 +663,6 @@ impl SpreadScratch {
         }
     }
 
-    /// Total capacity across the gather buffers (allocation tracking).
-    fn gather_capacity(&self) -> usize {
-        self.codes.capacity()
-            + self.steep.capacity()
-            + self.aspect.capacity()
-            + self.wind_fpm.capacity()
-            + self.wind_az.capacity()
-    }
-
     /// Heap bytes currently held across all spread buffers.
     fn bytes(&self) -> usize {
         self.per_cell.capacity() * std::mem::size_of::<[f64; 8]>()
@@ -757,24 +748,6 @@ impl SimArena {
                 },
             ))
             .chain(strays.iter().map(|&s| s as usize..s as usize + 1))
-    }
-
-    /// Current capacity of the per-cell spread cache (allocation tracking
-    /// for the zero-allocation property tests).
-    pub fn spread_capacity(&self) -> usize {
-        self.spread.per_cell.capacity()
-    }
-
-    /// Total capacity of the flat SoA gather buffers feeding the per-cell
-    /// spread kernel (allocation tracking for the zero-allocation tests).
-    pub fn gather_capacity(&self) -> usize {
-        self.spread.gather_capacity()
-    }
-
-    /// Current capacity of the reference-kernel Dijkstra heap (allocation
-    /// tracking).
-    pub fn heap_capacity(&self) -> usize {
-        self.heap.capacity()
     }
 
     /// Heap bytes currently held by every scratch structure in the arena
@@ -965,11 +938,6 @@ impl FireSim {
     /// The terrain this simulator burns.
     pub fn terrain(&self) -> &Terrain {
         &self.terrain
-    }
-
-    /// The shared terrain handle (cheap to clone into other simulators).
-    pub fn terrain_shared(&self) -> Arc<Terrain> {
-        Arc::clone(&self.terrain)
     }
 
     /// A fresh [`SimArena`] sized for this terrain.
@@ -2376,7 +2344,6 @@ mod tests {
         let arena = SimArena::new(1000, 1000);
         assert_eq!(arena.scratch_bytes(), 0, "scratch allocated eagerly");
         assert_eq!(arena.raster_bytes(), 0, "raster allocated eagerly");
-        assert_eq!(arena.heap_capacity(), 0, "heap preallocated");
     }
 
     #[test]
@@ -2434,13 +2401,9 @@ mod tests {
             for &d in &durations {
                 sim.simulate_arena(&s, &centre_ignition(n, n), 0.0, d, &mut arena);
             }
-            let spread_cap = arena.spread_capacity();
-            let gather_cap = arena.gather_capacity();
             let scratch = arena.scratch_bytes();
             for &d in &durations {
                 sim.simulate_arena(&s, &centre_ignition(n, n), 0.0, d, &mut arena);
-                assert_eq!(arena.spread_capacity(), spread_cap, "spread cache grew");
-                assert_eq!(arena.gather_capacity(), gather_cap, "gather buffers grew");
                 assert_eq!(arena.scratch_bytes(), scratch, "arena scratch grew");
             }
         }
@@ -2464,7 +2427,7 @@ mod tests {
     fn cloned_sim_shares_terrain() {
         let sim = FireSim::new(Terrain::uniform(9, 9, 100.0));
         let clone = sim.clone();
-        assert!(Arc::ptr_eq(&sim.terrain_shared(), &clone.terrain_shared()));
+        assert!(Arc::ptr_eq(&sim.terrain, &clone.terrain));
     }
 
     #[test]

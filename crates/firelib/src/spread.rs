@@ -22,6 +22,7 @@ pub struct SpreadInputs {
 
 impl SpreadInputs {
     /// Calm, flat conditions.
+    // lint: allow(unreached) — the no-wind, no-slope input of crates/firelib/tests/properties.rs and the unit tests of crates/firelib/src/spread.rs and crates/firelib/src/behave.rs
     pub fn calm() -> Self {
         Self {
             wind_fpm: 0.0,
@@ -274,13 +275,6 @@ pub fn wind_slope_from_ros0(
     }
 }
 
-/// Convenience: `true` when the dead-fuel moisture regime extinguishes the
-/// bed (η_M = 0 for the dead category, which carries all standard models).
-pub fn is_extinguished(bed: &FuelBed, moisture: &MoistureRegime) -> bool {
-    let (ros0, _) = no_wind_no_slope(bed, moisture);
-    ros0 <= SMIDGEN
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,7 +297,8 @@ mod tests {
     #[test]
     fn ros_decreases_with_moisture() {
         let b = bed(1);
-        let dry = no_wind_no_slope(&b, &MoistureRegime::very_dry()).0;
+        let drought = MoistureRegime::from_percent(3.0, 4.0, 5.0, 70.0, 70.0);
+        let dry = no_wind_no_slope(&b, &drought).0;
         let mid = no_wind_no_slope(&b, &MoistureRegime::moderate()).0;
         assert!(dry > mid, "dry {dry} vs moderate {mid}");
     }
@@ -312,8 +307,9 @@ mod tests {
     fn beyond_extinction_no_spread() {
         // Model 1 extinction is 12 %: 18 % dead moisture kills it.
         let b = bed(1);
-        assert!(is_extinguished(&b, &MoistureRegime::damp()));
-        assert!(!is_extinguished(&b, &MoistureRegime::moderate()));
+        let damp = MoistureRegime::from_percent(18.0, 20.0, 22.0, 180.0, 180.0);
+        assert!(no_wind_no_slope(&b, &damp).0 <= SMIDGEN);
+        assert!(no_wind_no_slope(&b, &MoistureRegime::moderate()).0 > SMIDGEN);
     }
 
     #[test]
@@ -435,7 +431,7 @@ mod tests {
     fn unburnable_bed_never_spreads() {
         let v = wind_slope_max(
             &bed(0),
-            &MoistureRegime::very_dry(),
+            &MoistureRegime::moderate(),
             &SpreadInputs {
                 wind_fpm: 1000.0,
                 wind_azimuth: 0.0,

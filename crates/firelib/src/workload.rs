@@ -226,6 +226,7 @@ impl WorkloadSpec {
     /// multi-front workloads stay multi-front) — and the schedule at 3
     /// intervals. Names are preserved so quick runs report under the same
     /// keys.
+    // lint: allow(unreached) — the CI-sized corpus of tests/workload_corpus.rs, crates/firelib/tests/properties.rs and crates/ess/tests/backend_equivalence.rs
     pub fn shrunk(&self, max_dim: usize) -> WorkloadSpec {
         let dim = self.rows.max(self.cols);
         if dim <= max_dim && self.steps <= 3 {
@@ -284,33 +285,25 @@ impl Workload {
     /// interval, accumulating burned state (fire never regresses), and
     /// returns one reference fire line per instant — `reference[0]` is the
     /// ignition.
-    pub fn reference_lines(&self, sim: &FireSim) -> Vec<FireLine> {
-        self.lines_for(sim, &self.truth)
-    }
-
-    /// Simulates an arbitrary per-interval scenario sequence over this
-    /// workload's schedule (same accumulation rule as the reference: fire
-    /// never regresses). This is the replicate primitive of ensemble
-    /// forecasting — each perturbed truth runs through exactly the
-    /// machinery that generates the reference fire.
     ///
     /// # Panics
-    /// Panics when `truth` does not provide one scenario per interval.
-    pub fn lines_for(&self, sim: &FireSim, truth: &[Scenario]) -> Vec<FireLine> {
+    /// Panics when `truth` does not hold one scenario per interval.
+    pub fn reference_lines(&self, sim: &FireSim) -> Vec<FireLine> {
         assert_eq!(
-            truth.len(),
+            self.truth.len(),
             self.times.len() - 1,
             "one scenario per interval"
         );
-        let mut lines = vec![self.ignition.clone()];
+        let mut lines = Vec::with_capacity(self.times.len());
+        let mut front = self.ignition.clone();
         let mut arena = sim.arena();
-        for (i, scenario) in truth.iter().enumerate() {
-            let from = lines.last().expect("non-empty").clone();
+        for (i, scenario) in self.truth.iter().enumerate() {
             let dt = self.times[i + 1] - self.times[i];
-            let map = sim.simulate_arena(scenario, &from, self.times[i], dt, &mut arena);
-            let grown = map.fire_line_at(self.times[i + 1]);
-            lines.push(from.union(&grown));
+            let map = sim.simulate_arena(scenario, &front, self.times[i], dt, &mut arena);
+            let grown = front.union(&map.fire_line_at(self.times[i + 1]));
+            lines.push(std::mem::replace(&mut front, grown));
         }
+        lines.push(front);
         lines
     }
 

@@ -33,6 +33,7 @@ impl IgnitionMap {
     /// # Panics
     /// Panics if any time is negative or NaN — ignition times are physical
     /// instants and the propagation algorithms rely on their ordering.
+    // lint: allow(unreached) — hand-written arrival rasters for crates/landscape/tests/properties.rs
     pub fn from_grid(times: Grid<f64>) -> Self {
         for (_, &t) in times.iter_cells() {
             assert!(
@@ -93,11 +94,6 @@ impl IgnitionMap {
     /// Number of cells ignited at or before `t`.
     pub fn burned_count_at(&self, t: f64) -> usize {
         self.times.as_slice().iter().filter(|&&it| it <= t).count()
-    }
-
-    /// Latest finite ignition time, or `None` when nothing burned.
-    pub fn last_ignition(&self) -> Option<f64> {
-        self.times.max_finite()
     }
 }
 
@@ -188,6 +184,7 @@ impl FireLine {
     }
 
     /// `true` when every burned cell of `self` is burned in `other`.
+    // lint: allow(unreached) — the fire-only-grows oracle of crates/firelib/tests/properties.rs and crates/landscape/tests/properties.rs
     pub fn is_subset_of(&self, other: &FireLine) -> bool {
         assert!(
             self.burned.same_shape(&other.burned),
@@ -240,12 +237,6 @@ mod tests {
         let fl = m.fire_line_at(1e12);
         assert!(!fl.is_burned(0, 2));
         assert_eq!(m.burned_count_at(1e12), 5);
-    }
-
-    #[test]
-    fn last_ignition_is_max_finite() {
-        assert_eq!(sample_map().last_ignition(), Some(9.0));
-        assert_eq!(IgnitionMap::unignited(2, 2).last_ignition(), None);
     }
 
     #[test]

@@ -1,79 +1,10 @@
-//! Cell identifiers, compass directions and the 8-neighbour stencil.
+//! The 8-neighbour stencil and azimuth normalisation.
 
-/// Flat index of a cell inside a [`crate::Grid`] (row-major).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CellId(pub usize);
-
-/// The eight compass neighbours of a raster cell.
-///
-/// Azimuths follow the paper's convention for `WindDir`/`Aspect`:
-/// degrees clockwise from North, with grid north being decreasing row index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction8 {
-    North,
-    NorthEast,
-    East,
-    SouthEast,
-    South,
-    SouthWest,
-    West,
-    NorthWest,
-}
-
-impl Direction8 {
-    /// All eight directions, clockwise starting at North.
-    pub const ALL: [Direction8; 8] = [
-        Direction8::North,
-        Direction8::NorthEast,
-        Direction8::East,
-        Direction8::SouthEast,
-        Direction8::South,
-        Direction8::SouthWest,
-        Direction8::West,
-        Direction8::NorthWest,
-    ];
-
-    /// Azimuth of this direction in degrees clockwise from North.
-    pub fn azimuth_deg(self) -> f64 {
-        match self {
-            Direction8::North => 0.0,
-            Direction8::NorthEast => 45.0,
-            Direction8::East => 90.0,
-            Direction8::SouthEast => 135.0,
-            Direction8::South => 180.0,
-            Direction8::SouthWest => 225.0,
-            Direction8::West => 270.0,
-            Direction8::NorthWest => 315.0,
-        }
-    }
-
-    /// `(d_row, d_col)` offset of the neighbouring cell in this direction.
-    pub fn offset(self) -> (isize, isize) {
-        match self {
-            Direction8::North => (-1, 0),
-            Direction8::NorthEast => (-1, 1),
-            Direction8::East => (0, 1),
-            Direction8::SouthEast => (1, 1),
-            Direction8::South => (1, 0),
-            Direction8::SouthWest => (1, -1),
-            Direction8::West => (0, -1),
-            Direction8::NorthWest => (-1, -1),
-        }
-    }
-
-    /// Distance factor to the neighbour in this direction, in units of the
-    /// cell side (1 for the four orthogonal moves, √2 for diagonals).
-    pub fn distance_factor(self) -> f64 {
-        match self {
-            Direction8::North | Direction8::East | Direction8::South | Direction8::West => 1.0,
-            _ => std::f64::consts::SQRT_2,
-        }
-    }
-}
-
-/// `(d_row, d_col, distance_factor)` for the 8-neighbour stencil, in the
-/// clockwise order of [`Direction8::ALL`]. Kept as a flat table so the fire
-/// simulator's inner loop is a simple array walk.
+/// `(d_row, d_col, distance_factor)` for the 8-neighbour stencil,
+/// clockwise from North (grid north = decreasing row index; azimuths are
+/// degrees clockwise from North, the paper's `WindDir`/`Aspect`
+/// convention). Kept as a flat table so the fire simulator's inner loop is
+/// a simple array walk.
 pub const NEIGHBOUR_OFFSETS: [(isize, isize, f64); 8] = [
     (-1, 0, 1.0),
     (-1, 1, std::f64::consts::SQRT_2),
@@ -95,58 +26,14 @@ pub fn normalize_azimuth(deg: f64) -> f64 {
     }
 }
 
-/// Smallest absolute angle between two azimuths, in degrees (`[0, 180]`).
-pub fn azimuth_separation(a: f64, b: f64) -> f64 {
-    let d = (normalize_azimuth(a) - normalize_azimuth(b)).abs();
-    if d > 180.0 {
-        360.0 - d
-    } else {
-        d
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn offsets_table_matches_direction_enum() {
-        for (i, dir) in Direction8::ALL.iter().enumerate() {
-            let (dr, dc) = dir.offset();
-            let (tr, tc, td) = NEIGHBOUR_OFFSETS[i];
-            assert_eq!((dr, dc), (tr, tc), "offset mismatch for {dir:?}");
-            assert!((dir.distance_factor() - td).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn azimuths_are_clockwise_from_north() {
-        let az: Vec<f64> = Direction8::ALL.iter().map(|d| d.azimuth_deg()).collect();
-        for w in az.windows(2) {
-            assert!((w[1] - w[0] - 45.0).abs() < 1e-12);
-        }
-        assert_eq!(az[0], 0.0);
-    }
-
-    #[test]
-    fn north_decreases_row() {
-        // Grid north = up = decreasing row index.
-        assert_eq!(Direction8::North.offset(), (-1, 0));
-        assert_eq!(Direction8::East.offset(), (0, 1));
-    }
 
     #[test]
     fn normalize_handles_negatives_and_wraps() {
         assert_eq!(normalize_azimuth(-90.0), 270.0);
         assert_eq!(normalize_azimuth(725.0), 5.0);
         assert_eq!(normalize_azimuth(360.0), 0.0);
-    }
-
-    #[test]
-    fn separation_is_symmetric_and_bounded() {
-        assert_eq!(azimuth_separation(10.0, 350.0), 20.0);
-        assert_eq!(azimuth_separation(350.0, 10.0), 20.0);
-        assert_eq!(azimuth_separation(0.0, 180.0), 180.0);
-        assert_eq!(azimuth_separation(90.0, 90.0), 0.0);
     }
 }

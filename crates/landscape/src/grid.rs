@@ -1,7 +1,5 @@
 //! Generic row-major raster grid.
 
-use crate::geometry::CellId;
-
 /// A dense, row-major 2-D raster of `T` values.
 ///
 /// Rows index latitude (north → south), columns index longitude
@@ -46,6 +44,7 @@ impl<T: Clone> Grid<T> {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
+    // lint: allow(unreached) — literal rasters for crates/landscape/tests/properties.rs
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
         assert_eq!(
             data.len(),
@@ -93,19 +92,6 @@ impl<T> Grid<T> {
     #[inline]
     pub fn same_shape<U>(&self, other: &Grid<U>) -> bool {
         self.rows == other.rows && self.cols == other.cols
-    }
-
-    /// Converts `(row, col)` to a flat [`CellId`].
-    #[inline]
-    pub fn id(&self, row: usize, col: usize) -> CellId {
-        debug_assert!(row < self.rows && col < self.cols);
-        CellId(row * self.cols + col)
-    }
-
-    /// Converts a flat [`CellId`] back to `(row, col)`.
-    #[inline]
-    pub fn coords(&self, id: CellId) -> (usize, usize) {
-        (id.0 / self.cols, id.0 % self.cols)
     }
 
     /// `true` when `(row, col)` lies inside the raster.
@@ -194,36 +180,6 @@ impl<T: Copy> Grid<T> {
     }
 }
 
-impl Grid<f64> {
-    /// Minimum finite value, or `None` when every cell is non-finite.
-    pub fn min_finite(&self) -> Option<f64> {
-        self.data
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .fold(None, |acc, v| {
-                Some(match acc {
-                    Some(m) if m <= v => m,
-                    _ => v,
-                })
-            })
-    }
-
-    /// Maximum finite value, or `None` when every cell is non-finite.
-    pub fn max_finite(&self) -> Option<f64> {
-        self.data
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .fold(None, |acc, v| {
-                Some(match acc {
-                    Some(m) if m >= v => m,
-                    _ => v,
-                })
-            })
-    }
-}
-
 impl Grid<bool> {
     /// Number of `true` cells.
     pub fn count_true(&self) -> usize {
@@ -250,16 +206,6 @@ mod tests {
         assert_eq!(*g.get(0, 2), (0, 2));
         assert_eq!(*g.get(1, 1), (1, 1));
         assert_eq!(g.as_slice()[3], (1, 0));
-    }
-
-    #[test]
-    fn id_coords_roundtrip() {
-        let g = Grid::filled(5, 7, 0u8);
-        for r in 0..5 {
-            for c in 0..7 {
-                assert_eq!(g.coords(g.id(r, c)), (r, c));
-            }
-        }
     }
 
     #[test]
@@ -307,15 +253,6 @@ mod tests {
         let doubled = g.map(|v| v * 2);
         assert_eq!(doubled.shape(), (3, 2));
         assert_eq!(*doubled.get(2, 1), 6);
-    }
-
-    #[test]
-    fn min_max_finite_ignore_infinities() {
-        let g = Grid::from_vec(1, 4, vec![f64::INFINITY, 3.0, -1.0, f64::NAN]);
-        assert_eq!(g.min_finite(), Some(-1.0));
-        assert_eq!(g.max_finite(), Some(3.0));
-        let all_inf = Grid::filled(2, 2, f64::INFINITY);
-        assert_eq!(all_inf.min_finite(), None);
     }
 
     #[test]

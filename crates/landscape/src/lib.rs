@@ -16,7 +16,7 @@
 //!   pre-burned cells;
 //! * [`synth`] — seeded procedural raster generators (noise fields, fuel
 //!   mosaics, DEM-style slope/aspect) behind the workload corpus;
-//! * ASCII / CSV raster IO for the examples and the report harness.
+//! * ASCII raster rendering for the examples and the report harness.
 
 pub mod firemap;
 pub mod geometry;
@@ -28,7 +28,7 @@ pub mod probability;
 pub mod synth;
 
 pub use firemap::{FireLine, IgnitionMap, UNIGNITED};
-pub use geometry::{CellId, Direction8, NEIGHBOUR_OFFSETS};
+pub use geometry::NEIGHBOUR_OFFSETS;
 pub use grid::Grid;
 pub use metrics::{jaccard, jaccard_at_time, tally_ranges, JaccardBreakdown};
 pub use perimeter::{perimeter_cells, shape_stats, ShapeStats};

@@ -1,7 +1,6 @@
 //! Map-comparison metrics — the fitness function of the ESS family.
 
 use crate::firemap::{FireLine, IgnitionMap};
-use crate::grid::Grid;
 use std::ops::Range;
 
 /// Cell-level contingency counts behind a Jaccard evaluation.
@@ -189,20 +188,6 @@ pub fn jaccard_at_time(
     .index()
 }
 
-/// Mean and population standard deviation of a sample.
-///
-/// Shared by the diversity/quality reporting across crates; lives here so
-/// every consumer agrees on the definition (population, not sample, σ).
-pub fn mean_std(values: &[f64]) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-    (mean, var.sqrt())
-}
-
 /// Interquartile range (Q3 − Q1) using the nearest-rank method.
 ///
 /// This is the population-spread statistic used by ESSIM-DE's dynamic
@@ -222,23 +207,6 @@ pub fn iqr(values: &[f64]) -> f64 {
         sorted[lo] * (1.0 - w) + sorted[hi] * w
     };
     q(0.75) - q(0.25)
-}
-
-/// Builds a [`FireLine`] difference map: cells burned in exactly one input.
-pub fn symmetric_difference(a: &FireLine, b: &FireLine) -> FireLine {
-    assert!(
-        a.mask().same_shape(b.mask()),
-        "symmetric_difference: shape mismatch"
-    );
-    let rows = a.rows();
-    let cols = a.cols();
-    let mut g = Grid::filled(rows, cols, false);
-    for r in 0..rows {
-        for c in 0..cols {
-            g.set(r, c, a.is_burned(r, c) != b.is_burned(r, c));
-        }
-    }
-    FireLine::from_mask(g)
 }
 
 #[cfg(test)]
@@ -305,7 +273,7 @@ mod tests {
     #[test]
     fn jaccard_at_time_matches_materialised_fire_line() {
         use crate::firemap::UNIGNITED;
-        let times = Grid::from_vec(2, 3, vec![0.0, 5.0, UNIGNITED, 2.0, 7.0, 9.0]);
+        let times = crate::Grid::from_vec(2, 3, vec![0.0, 5.0, UNIGNITED, 2.0, 7.0, 9.0]);
         let map = IgnitionMap::from_grid(times);
         let real = fl(2, 3, &[(0, 0), (0, 1), (1, 2)]);
         let pre = fl(2, 3, &[(0, 0)]);
@@ -322,25 +290,6 @@ mod tests {
                 "t = {t} with preburn"
             );
         }
-    }
-
-    #[test]
-    fn symmetric_difference_is_xor() {
-        let a = fl(2, 2, &[(0, 0), (0, 1)]);
-        let b = fl(2, 2, &[(0, 1), (1, 1)]);
-        let d = symmetric_difference(&a, &b);
-        assert!(d.is_burned(0, 0));
-        assert!(!d.is_burned(0, 1));
-        assert!(d.is_burned(1, 1));
-        assert_eq!(d.burned_area(), 2);
-    }
-
-    #[test]
-    fn mean_std_basic() {
-        let (m, s) = mean_std(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((m - 5.0).abs() < 1e-12);
-        assert!((s - 2.0).abs() < 1e-12);
-        assert_eq!(mean_std(&[]), (0.0, 0.0));
     }
 
     #[test]

@@ -56,21 +56,9 @@ impl ProbabilityMap {
         }
     }
 
-    /// Aggregates a whole collection in one call.
-    pub fn from_lines<'a>(
-        rows: usize,
-        cols: usize,
-        lines: impl IntoIterator<Item = &'a FireLine>,
-    ) -> Self {
-        let mut pm = Self::new(rows, cols);
-        for l in lines {
-            pm.accumulate(l);
-        }
-        pm
-    }
-
     /// Ignition probability of `(row, col)` ∈ `[0, 1]`; 0 when no samples
     /// have been accumulated yet.
+    // lint: allow(unreached) — how the unit tests of crates/ess/src/stages.rs read the Statistical Stage's matrix
     #[inline]
     pub fn probability(&self, row: usize, col: usize) -> f64 {
         if self.samples == 0 {
@@ -78,13 +66,6 @@ impl ProbabilityMap {
         } else {
             self.counts.at(row, col) as f64 / self.samples as f64
         }
-    }
-
-    /// The full probability raster.
-    pub fn to_grid(&self) -> Grid<f64> {
-        let s = self.samples;
-        self.counts
-            .map(|&c| if s == 0 { 0.0 } else { c as f64 / s as f64 })
     }
 
     /// Applies the Key Ignition Value: a cell is predicted burned when its

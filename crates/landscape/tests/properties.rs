@@ -87,7 +87,8 @@ fn threshold_antitone() {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.random_range(1..8usize);
         let lines: Vec<FireLine> = (0..n).map(|_| mask(&mut rng)).collect();
-        let pm = ProbabilityMap::from_lines(ROWS, COLS, lines.iter());
+        let mut pm = ProbabilityMap::new(ROWS, COLS);
+        lines.iter().for_each(|l| pm.accumulate(l));
         let k1 = rng.random::<f64>();
         let k2 = rng.random::<f64>();
         let (lo, hi) = if k1 <= k2 { (k1, k2) } else { (k2, k1) };
@@ -103,33 +104,14 @@ fn threshold_extremes_bracket_inputs() {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.random_range(1..8usize);
         let lines: Vec<FireLine> = (0..n).map(|_| mask(&mut rng)).collect();
-        let pm = ProbabilityMap::from_lines(ROWS, COLS, lines.iter());
+        let mut pm = ProbabilityMap::new(ROWS, COLS);
+        lines.iter().for_each(|l| pm.accumulate(l));
         let consensus = pm.threshold(1.0);
         let eps = 1.0 / (lines.len() as f64 * 2.0);
         let union = pm.threshold(eps);
         for l in &lines {
             assert!(consensus.is_subset_of(l));
             assert!(l.is_subset_of(&union));
-        }
-    }
-}
-
-/// CSV round-trip preserves grids within formatting precision (the
-/// written precision is 1e-6 absolute).
-#[test]
-fn csv_roundtrip() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let v: Vec<f64> = (0..ROWS * COLS)
-            .map(|_| -1e6 + rng.random::<f64>() * 2e6)
-            .collect();
-        let g = Grid::from_vec(ROWS, COLS, v);
-        let back = landscape::io::grid_from_csv(&landscape::io::grid_to_csv(&g)).unwrap();
-        assert_eq!(back.shape(), (ROWS, COLS));
-        for r in 0..ROWS {
-            for c in 0..COLS {
-                assert!((back.at(r, c) - g.at(r, c)).abs() < 1e-5);
-            }
         }
     }
 }

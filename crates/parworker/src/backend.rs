@@ -203,10 +203,9 @@ impl std::error::Error for ParseBackendError {}
 impl FromStr for EvalBackend {
     type Err = ParseBackendError;
 
-    /// Parses `serial`, `worker-pool:N` (aliases `pool:N`,
-    /// `master-worker:N`, `mw:N`) and `rayon:N` (alias `steal:N`). The
-    /// `Display` form `worker-pool(N)` / `rayon(N)` is accepted too, so
-    /// backend names printed in reports round-trip back through configs.
+    /// Parses `serial`, `worker-pool:N` and `rayon:N`. The `Display` form
+    /// `worker-pool(N)` / `rayon(N)` is accepted too, so backend names
+    /// printed in reports round-trip back through configs.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let spec = s.trim();
         if spec.eq_ignore_ascii_case("serial") {
@@ -226,8 +225,8 @@ impl FromStr for EvalBackend {
             return Err(ParseBackendError(s.into()));
         }
         match kind.trim().to_ascii_lowercase().as_str() {
-            "worker-pool" | "pool" | "master-worker" | "mw" => Ok(EvalBackend::WorkerPool(n)),
-            "rayon" | "steal" => Ok(EvalBackend::Rayon(n)),
+            "worker-pool" => Ok(EvalBackend::WorkerPool(n)),
+            "rayon" => Ok(EvalBackend::Rayon(n)),
             _ => Err(ParseBackendError(s.into())),
         }
     }
@@ -290,24 +289,21 @@ mod tests {
             EvalBackend::WorkerPool(4)
         );
         assert_eq!(
-            "pool:2".parse::<EvalBackend>().unwrap(),
-            EvalBackend::WorkerPool(2)
-        );
-        assert_eq!(
-            "mw:8".parse::<EvalBackend>().unwrap(),
-            EvalBackend::WorkerPool(8)
-        );
-        assert_eq!(
             "rayon:2".parse::<EvalBackend>().unwrap(),
             EvalBackend::Rayon(2)
         );
-        assert_eq!(
-            "steal:3".parse::<EvalBackend>().unwrap(),
-            EvalBackend::Rayon(3)
-        );
-        assert!("bogus".parse::<EvalBackend>().is_err());
-        assert!("rayon:0".parse::<EvalBackend>().is_err());
-        assert!("pool:x".parse::<EvalBackend>().is_err());
+        // One spelling per backend: the retired aliases are errors.
+        for rejected in [
+            "pool:2",
+            "master-worker:2",
+            "mw:8",
+            "steal:3",
+            "bogus",
+            "rayon:0",
+            "worker-pool:x",
+        ] {
+            assert!(rejected.parse::<EvalBackend>().is_err(), "{rejected}");
+        }
     }
 
     #[test]

@@ -23,9 +23,8 @@
 //!   scheduling (idle workers pull from a shared bag), used to compare
 //!   scheduling strategies in the benches.
 //! * [`backend::SerialBackend`] — the in-master 1-worker baseline of E3.
-//! * [`chunk::scoped_chunk_map`] — the self-scheduling scoped chunk map
-//!   (StealPool's dynamic scheduling over borrowed data); its one caller
-//!   is the replicate fan-out of `ess::ensemble`.
+//! * [`chunk::scoped_for_each_mut`] — StealPool's dynamic scheduling over
+//!   borrowed, mutable items; its one caller is the tiled fire kernel.
 //! * [`channel`] — the dependency-free MPMC channel under the farm.
 //! * [`stats`] — wall-clock / busy-time instrumentation feeding the
 //!   speedup experiment (E3).
@@ -38,7 +37,7 @@ pub mod stats;
 pub mod steal;
 
 pub use backend::{Backend, EvalBackend, ParseBackendError, SerialBackend};
-pub use chunk::{scoped_chunk_map, scoped_for_each_mut};
+pub use chunk::scoped_for_each_mut;
 pub use pool::WorkerPool;
 pub use stats::{PoolStats, SpeedupRow, Stopwatch};
 pub use steal::StealPool;

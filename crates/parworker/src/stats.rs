@@ -21,6 +21,7 @@ impl PoolStats {
     }
 
     /// Total tasks completed.
+    // lint: allow(unreached) — the completed-task count the unit tests of crates/parworker/src/pool.rs check after every batch
     pub fn total_tasks(&self) -> u64 {
         self.tasks_done.iter().sum()
     }

@@ -20,9 +20,8 @@
 //! * [`PredictionSession`] — the re-entrant step driver:
 //!   [`PredictionSession::advance`] executes one prediction step and
 //!   yields a [`SessionEvent`]; budgets stop runs between steps,
-//!   cancellation and observers come for free, and a drained session is
-//!   bit-identical to the old batch path (same `ess::StepDriver`
-//!   underneath);
+//!   cancellation comes for free, and a drained session is bit-identical
+//!   to the old batch path (same `ess::StepDriver` underneath);
 //! * [`SessionSnapshot`] — checkpoint/resume:
 //!   [`PredictionSession::snapshot`] serializes a live run's
 //!   deterministic coordinates through [`jsonio`], and restoring replays

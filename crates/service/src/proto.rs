@@ -139,7 +139,12 @@ impl Request {
             .get("id")
             .and_then(Json::as_u64)
             .ok_or("request needs a non-negative 'id' integer")?;
-        let watch = || v.get("watch").and_then(Json::as_bool).unwrap_or(false);
+        // Absent means unwatched; a mistyped value must not silently
+        // unsubscribe the client.
+        let watch = || match v.get("watch") {
+            None => Ok(false),
+            Some(w) => w.as_bool().ok_or("'watch' must be a boolean"),
+        };
         let session = || {
             v.get("session")
                 .and_then(Json::as_u64)
@@ -148,14 +153,14 @@ impl Request {
         let kind = match v.get("kind").and_then(Json::as_str) {
             Some("run") => RequestKind::Run {
                 spec: RunSpec::from_json(v.get("spec").ok_or("run needs a 'spec' object")?)?,
-                watch: watch(),
+                watch: watch()?,
             },
             Some("restore") => RequestKind::Restore {
                 snapshot: SessionSnapshot::from_json(
                     v.get("snapshot")
                         .ok_or("restore needs a 'snapshot' object")?,
                 )?,
-                watch: watch(),
+                watch: watch()?,
             },
             Some("advance") => RequestKind::Advance {
                 rounds: v
@@ -478,6 +483,24 @@ mod tests {
             let parsed = Request::from_json(&Json::parse(&line).expect("valid line"))
                 .expect("request parses");
             assert_eq!(parsed, request, "{line}");
+        }
+    }
+
+    #[test]
+    fn mistyped_watch_is_an_error_not_a_silent_unsubscribe() {
+        for (watch, expect) in [
+            ("", Ok(false)),
+            (r#""watch":true,"#, Ok(true)),
+            (r#""watch":"yes","#, Err("'watch' must be a boolean")),
+            (r#""watch":1,"#, Err("'watch' must be a boolean")),
+            (r#""watch":null,"#, Err("'watch' must be a boolean")),
+        ] {
+            let line = format!(
+                r#"{{"v":2,"id":1,"kind":"run",{watch}"spec":{{"system":"ESS","case":"meadow_small"}}}}"#
+            );
+            let got = Request::from_json(&Json::parse(&line).expect("valid line"));
+            let got = got.map(|r| matches!(r.kind, RequestKind::Run { watch: true, .. }));
+            assert_eq!(got, expect.map_err(str::to_string), "{line}");
         }
     }
 

@@ -270,15 +270,15 @@ impl Scheduler {
     ///    would).
     /// 2. **Fuse**: each `Ready` session's step runs on its own scoped
     ///    lane thread ([`PredictionSession::step_parts`] moves only the
-    ///    driver and optimizer across; observers stay here), with a
+    ///    driver and optimizer across; bookkeeping stays here), with a
     ///    [`FusionLane`] backend that parks each evaluation batch with the
     ///    round coordinator running on this thread. The coordinator fuses
     ///    the parked batches into one mega-batch per wave on the shared
     ///    pool and scatters the fitness vectors back, so every lane sees
     ///    private-evaluator semantics.
     /// 3. **Scatter** the step reports back in plan order via
-    ///    [`PredictionSession::complete_step`], which notifies observers
-    ///    and books budgets on the scheduler thread.
+    ///    [`PredictionSession::complete_step`], which books budgets on
+    ///    the scheduler thread.
     fn round_fused(&mut self) -> Vec<(SessionId, SessionEvent)> {
         enum Planned {
             Settled(SessionEvent),

@@ -1,8 +1,8 @@
 //! Re-entrant prediction sessions: the online run API.
 //!
 //! A [`PredictionSession`] wraps the `ess` crate's resumable
-//! [`StepDriver`] together with its optimizer, a [`Budget`] and observer
-//! callbacks. Each [`PredictionSession::advance`] call executes **one**
+//! [`StepDriver`] together with its optimizer and a [`Budget`]. Each
+//! [`PredictionSession::advance`] call executes **one**
 //! prediction step (one observed fire interval consumed, one forecast
 //! emitted) and yields a [`SessionEvent`], so callers can interleave many
 //! runs, stream progress, stop early, or cancel between steps — none of
@@ -71,10 +71,6 @@ pub enum StepPlan {
     Settled(SessionEvent),
 }
 
-/// Observer callback invoked after every fresh event (steps and the
-/// terminal event; replayed terminal events do not re-notify).
-pub type Observer = Box<dyn FnMut(&SessionEvent)>;
-
 /// A resumable prediction run over one burn case.
 pub struct PredictionSession {
     driver: StepDriver,
@@ -86,7 +82,6 @@ pub struct PredictionSession {
     driven_ms: f64,
     started: Option<Instant>,
     terminal: Option<SessionEvent>,
-    observers: Vec<Observer>,
     provenance: Option<Provenance>,
 }
 
@@ -111,7 +106,6 @@ impl PredictionSession {
             driven_ms: 0.0,
             started: None,
             terminal: None,
-            observers: Vec::new(),
             provenance: None,
         }
     }
@@ -142,7 +136,6 @@ impl PredictionSession {
             driven_ms,
             started: None,
             terminal: None,
-            observers: Vec::new(),
             provenance: Some(provenance),
         }
     }
@@ -159,11 +152,6 @@ impl PredictionSession {
     /// knob `WeightedFairShare` scheduling reads.
     pub fn weight(&self) -> f64 {
         self.weight
-    }
-
-    /// The stopping budgets in force.
-    pub fn budget(&self) -> Budget {
-        self.budget
     }
 
     /// Wall-clock time left before the deadline budget fires (`None`
@@ -236,11 +224,6 @@ impl PredictionSession {
         self.terminal.is_some()
     }
 
-    /// Registers an observer notified after every fresh event.
-    pub fn observe(&mut self, observer: impl FnMut(&SessionEvent) + 'static) {
-        self.observers.push(Box::new(observer));
-    }
-
     /// Snapshot of the run so far (the full report once finished).
     /// `total_ms` counts time spent inside `advance` only, so multiplexed
     /// sessions are not billed for time spent waiting on their peers.
@@ -307,15 +290,15 @@ impl PredictionSession {
 
     /// Disjoint mutable access to the driver and its optimizer, so a
     /// planned step can run on a worker thread (both halves are `Send`;
-    /// observers and bookkeeping stay behind on the session).
+    /// bookkeeping stays behind on the session).
     pub fn step_parts(&mut self) -> (&mut StepDriver, &mut dyn StepOptimizer) {
         (&mut self.driver, self.optimizer.as_mut())
     }
 
     /// The post-step half of [`PredictionSession::advance`]: books a step
-    /// executed externally (evaluation counts, report, billed time) and
-    /// notifies observers. `elapsed_ms` is the wall time the step itself
-    /// took, so multiplexed sessions are still not billed for peers.
+    /// executed externally (evaluation counts, report, billed time).
+    /// `elapsed_ms` is the wall time the step itself took, so multiplexed
+    /// sessions are still not billed for peers.
     ///
     /// A session cancelled between plan and complete keeps its terminal
     /// event and discards the step — the cancellation won the race.
@@ -326,9 +309,7 @@ impl PredictionSession {
         self.evaluations_spent += step.evaluations;
         self.steps.push(step.clone());
         self.driven_ms += elapsed_ms;
-        let event = SessionEvent::StepCompleted(step);
-        self.notify(&event);
-        event
+        SessionEvent::StepCompleted(step)
     }
 
     /// Cancels the session between steps: the terminal event becomes
@@ -341,7 +322,6 @@ impl PredictionSession {
                 reason: BudgetReason::Cancelled,
                 partial: self.report(),
             };
-            self.notify(&event);
             self.terminal = Some(event);
         }
     }
@@ -386,8 +366,8 @@ impl PredictionSession {
         None
     }
 
-    /// Records the terminal event (`None` reason = finished), bills the
-    /// time, notifies observers.
+    /// Records the terminal event (`None` reason = finished) and bills the
+    /// time.
     fn settle(&mut self, sw: Stopwatch, reason: Option<BudgetReason>) -> SessionEvent {
         self.driven_ms += sw.elapsed_ms();
         let event = match reason {
@@ -397,15 +377,8 @@ impl PredictionSession {
                 partial: self.report(),
             },
         };
-        self.notify(&event);
         self.terminal = Some(event.clone());
         event
-    }
-
-    fn notify(&mut self, event: &SessionEvent) {
-        for observer in &mut self.observers {
-            observer(event);
-        }
     }
 }
 

@@ -62,11 +62,6 @@ impl SessionSnapshot {
         &self.spec
     }
 
-    /// Which replicate of the spec this session is.
-    pub fn replicate(&self) -> usize {
-        self.replicate
-    }
-
     /// Steps completed at checkpoint time.
     pub fn completed(&self) -> usize {
         self.steps.len()
@@ -75,11 +70,6 @@ impl SessionSnapshot {
     /// The accumulated step reports.
     pub fn steps(&self) -> &[StepReport] {
         &self.steps
-    }
-
-    /// Wall-clock milliseconds billed before the checkpoint.
-    pub fn driven_ms(&self) -> f64 {
-        self.driven_ms
     }
 
     /// Rebuilds the session on `pool` (the serve loop hands in its one
@@ -255,12 +245,15 @@ mod tests {
             .scale(0.25)
             .weight(2.0)
             .max_steps(3);
-        let mut session = spec.sessions().expect("sessions build").remove(1);
+        let mut session = spec
+            .sessions_on(&crate::spec::standalone_pool())
+            .expect("sessions build")
+            .remove(1);
         while !session.is_done() {
             session.advance();
         }
         let snapshot = session.snapshot().expect("spec-built session snapshots");
-        assert_eq!(snapshot.replicate(), 1);
+        assert_eq!(snapshot.replicate, 1);
         assert_eq!(snapshot.completed(), 3);
 
         let json = snapshot.to_json();

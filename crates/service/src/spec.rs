@@ -10,8 +10,8 @@
 //! A spec says *what* to predict, never *how* to run it. Every session
 //! evaluates on a pool: the one chosen once per process — `serve
 //! --backend`, or whatever is handed to [`RunSpec::sessions_on`] — or,
-//! for a standalone [`RunSpec::session`] / [`RunSpec::sessions`] /
-//! [`RunSpec::run`], a serial pool built here, once per call.
+//! for a standalone [`RunSpec::session`] / [`RunSpec::run`], a serial
+//! pool built here, once per call.
 
 use crate::jsonio::{Json, MAX_EXACT_INT};
 use crate::session::{PredictionSession, Provenance};
@@ -134,24 +134,9 @@ impl RunSpec {
         self
     }
 
-    /// The requested system name.
-    pub fn system_name(&self) -> &str {
-        &self.system
-    }
-
     /// The requested case name.
     pub fn case_name(&self) -> &str {
         &self.case
-    }
-
-    /// The configured budgets.
-    pub fn budget(&self) -> Budget {
-        self.budget
-    }
-
-    /// The configured replicate count.
-    pub fn replicate_count(&self) -> usize {
-        self.replicates
     }
 
     /// The most replicates one spec may request. Sessions are materialised
@@ -233,11 +218,6 @@ impl RunSpec {
     pub fn session(&self) -> Result<PredictionSession, ServiceError> {
         let (system, case) = self.resolve()?;
         Ok(self.assemble(system, case, standalone_pool(), 0))
-    }
-
-    /// Builds one session per replicate, all on one serial pool.
-    pub fn sessions(&self) -> Result<Vec<PredictionSession>, ServiceError> {
-        self.sessions_on(&standalone_pool())
     }
 
     /// Builds one session per replicate, all multiplexing `pool` — the
@@ -435,7 +415,7 @@ impl RunSpec {
 }
 
 /// The pool of the standalone configuration ([`RunSpec::session`],
-/// [`RunSpec::sessions`], [`RunSpec::run`],
+/// [`RunSpec::run`],
 /// [`crate::SessionSnapshot::restore`]): serial, evaluating in the caller.
 pub(crate) fn standalone_pool() -> Arc<SharedScenarioPool> {
     Arc::new(SharedScenarioPool::new(EvalBackend::Serial))
@@ -454,10 +434,10 @@ mod tests {
             .max_steps(2)
             .max_evaluations(1000)
             .deadline_ms(5000);
-        assert_eq!(spec.system_name(), "ESS-NS");
+        assert_eq!(spec.system, "ESS-NS");
         assert_eq!(spec.case_name(), "meadow_small");
-        assert_eq!(spec.replicate_count(), 3);
-        assert_eq!(spec.budget().max_steps, Some(2));
+        assert_eq!(spec.replicates, 3);
+        assert_eq!(spec.budget.max_steps, Some(2));
         assert!(spec.validate().is_ok());
         assert_eq!(spec.replicate_seed(0), 9);
         assert_ne!(spec.replicate_seed(1), 9);

@@ -68,7 +68,12 @@ mod tests {
             first.step_parts().0.case(),
             second.step_parts().0.case()
         ));
-        for mut replicate in spec.replicates(3).sessions().expect("spec resolves") {
+        let pool = crate::spec::standalone_pool();
+        for mut replicate in spec
+            .replicates(3)
+            .sessions_on(&pool)
+            .expect("spec resolves")
+        {
             assert!(shares(
                 first.step_parts().0.case(),
                 replicate.step_parts().0.case()

@@ -16,7 +16,7 @@ use ess::ess_classic::{EssClassic, EssConfig};
 use ess::essim_de::{EssimDe, EssimDeConfig, TuningConfig};
 use ess::essim_ea::{EssimEa, EssimEaConfig};
 use ess::pipeline::StepOptimizer;
-use ess::ServiceError;
+use ess::{Ring, ServiceError};
 use ess_ns::{EssNs, EssNsConfig, InclusionPolicy, NoveltyGaConfig};
 
 /// A registered prediction system: canonical name, one-line description,
@@ -64,32 +64,34 @@ fn make_ess(scale: f64) -> Box<dyn StepOptimizer> {
     }))
 }
 
+/// The island topology both ESSIM systems serve with.
+fn island_ring(island_population: usize) -> Ring {
+    Ring {
+        islands: 3,
+        island_population,
+        migration_interval: 3,
+        migrants: 2.min(island_population - 1),
+        max_generations: 11,
+        fitness_threshold: 0.95,
+    }
+}
+
 fn make_essim_ea(scale: f64) -> Box<dyn StepOptimizer> {
     let island = scaled(12, scale);
     Box::new(EssimEa::new(EssimEaConfig {
-        islands: 3,
-        island_population: island,
+        ring: island_ring(island),
         offspring: island,
         mutation_rate: 0.1,
         crossover_rate: 0.9,
-        migration_interval: 3,
-        migrants: 2.min(island - 1),
-        max_generations: 11,
-        fitness_threshold: 0.95,
     }))
 }
 
 fn make_essim_de(scale: f64) -> Box<dyn StepOptimizer> {
     let island = scaled(12, scale);
     Box::new(EssimDe::new(EssimDeConfig {
-        islands: 3,
-        island_population: island,
+        ring: island_ring(island),
         differential_weight: 0.8,
         crossover_rate: 0.9,
-        migration_interval: 3,
-        migrants: 2.min(island - 1),
-        max_generations: 11,
-        fitness_threshold: 0.95,
         elite_fraction: 0.5,
         result_set_size: scaled(24, scale),
         tuning: TuningConfig::enabled(),

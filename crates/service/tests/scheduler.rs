@@ -3,7 +3,7 @@
 //! fairly, and survive mid-flight cancellation without deadlock — under
 //! every scheduling policy.
 
-use ess::fitness::EvalBackend;
+use ess::fitness::{EvalBackend, SharedScenarioPool};
 use ess::pipeline::StepReport;
 use ess_service::jsonio::Json;
 use ess_service::proto::{Frame, Request, RequestKind};
@@ -12,6 +12,7 @@ use ess_service::{
     SessionEvent, SessionOutcome,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const CASE: &str = "meadow_small";
 const SCALE: f64 = 0.25;
@@ -45,11 +46,12 @@ fn eight_concurrent_sessions_match_their_serial_runs() {
     assert!(outcomes.iter().all(|(_, o)| o.is_finished()));
 
     // Each scheduled run must equal the same replicate run on a serial
-    // pool of its own (sessions() builds per-replicate seeds the same way).
+    // pool of its own (`sessions_on` builds per-replicate seeds the same
+    // way whatever the pool).
     for (id, system, replicate) in submitted {
         let serial = spec_for(system, 21)
             .replicates(2)
-            .sessions()
+            .sessions_on(&Arc::new(SharedScenarioPool::new(EvalBackend::Serial)))
             .expect("spec resolves")
             .remove(replicate)
             .drain()

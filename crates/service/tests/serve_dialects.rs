@@ -1,7 +1,7 @@
 //! Wire conformance: every output line is a v2 frame — replies, async
 //! events, the EOF-implied drain/quit (also on an empty input) and the
-//! answers to garbage, envelope-less objects, retired v1 lines and specs
-//! naming a retired execution member.
+//! answers to garbage, envelope-less objects, retired v1 lines, specs
+//! naming a retired execution member and a mistyped `watch`.
 
 use ess::fitness::EvalBackend;
 use ess_service::jsonio::Json;
@@ -59,10 +59,11 @@ fn dialectless_garbage_does_not_flip_a_v2_connection_to_v1() {
 
 #[test]
 fn retired_v1_lines_and_stray_objects_get_v2_error_frames() {
-    // An old v1 request, an envelope-less object and three `run`s whose
-    // spec says how to execute (a request may only say what to predict)
-    // between valid v2 requests: one v2 `error` frame each, no session
-    // created, and the v2 session is unharmed.
+    // An old v1 request, an envelope-less object, three `run`s whose spec
+    // says how to execute (a request may only say what to predict) and one
+    // whose `watch` is not a boolean, between valid v2 requests: one v2
+    // `error` frame each, no session created, and the v2 session is
+    // unharmed.
     let script = concat!(
         r#"{"v":2,"id":1,"kind":"run","spec":{"system":"ESS","case":"meadow_small","scale":0.15,"max_steps":1}}"#,
         "\n",
@@ -76,12 +77,14 @@ fn retired_v1_lines_and_stray_objects_get_v2_error_frames() {
         "\n",
         r#"{"v":2,"id":10,"kind":"run","spec":{"system":"ESS","case":"meadow_small","backend":"serial"}}"#,
         "\n",
+        r#"{"v":2,"id":11,"kind":"run","watch":"yes","spec":{"system":"ESS","case":"meadow_small"}}"#,
+        "\n",
         r#"{"v":2,"id":2,"kind":"drain"}"#,
         "\n",
     );
     let mut out = Vec::new();
     let summary = serve(script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve I/O");
-    assert_eq!(summary.errors, 5);
+    assert_eq!(summary.errors, 6);
     assert_eq!((summary.accepted, summary.exhausted), (1, 1));
     let text = String::from_utf8(out).expect("utf-8");
     let errors: Vec<(u64, String)> = frames(&text)
@@ -96,15 +99,16 @@ fn retired_v1_lines_and_stray_objects_get_v2_error_frames() {
         .collect();
     // The line's own id is echoed when it has one, else 0.
     let ids: Vec<u64> = errors.iter().map(|(id, _)| *id).collect();
-    assert_eq!(ids, [7, 0, 8, 9, 10], "{text}");
+    assert_eq!(ids, [7, 0, 8, 9, 10, 11], "{text}");
     for (_, message) in &errors[..2] {
         assert!(message.contains("v1 was retired"), "{message}");
         assert!(message.contains(r#"{"v":2,"#), "{message}");
     }
-    for ((_, message), member) in errors[2..].iter().zip(["kernel", "novelty", "backend"]) {
+    for ((_, message), member) in errors[2..5].iter().zip(["kernel", "novelty", "backend"]) {
         let needle = format!("unknown spec member '{member}'");
         assert!(message.contains(&needle), "{message}");
     }
+    assert_eq!(errors[5].1, "'watch' must be a boolean");
     assert!(text.contains(r#""kind":"done","session":1"#), "{text}");
     assert!(!text.contains(r#""session":2"#), "{text}");
 }

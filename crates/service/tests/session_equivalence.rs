@@ -156,30 +156,3 @@ fn evaluation_budget_and_drain_error_carry_the_partial_report() {
         other => panic!("expected budget exhaustion, got {other}"),
     }
 }
-
-#[test]
-fn observers_see_every_fresh_event_once() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    let seen: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-    let sink = Rc::clone(&seen);
-    let mut session = RunSpec::new("ESS", CASE)
-        .scale(SCALE)
-        .seed(2)
-        .session()
-        .expect("spec resolves");
-    session.observe(move |event| {
-        sink.borrow_mut().push(match event {
-            SessionEvent::StepCompleted(s) => format!("step{}", s.step),
-            SessionEvent::Finished(_) => "finished".to_string(),
-            SessionEvent::BudgetExhausted { .. } => "exhausted".to_string(),
-        });
-    });
-    let total = session.total_steps();
-    while !session.advance().is_terminal() {}
-    // Replaying the terminal event must not re-notify.
-    let _ = session.advance();
-    let log = seen.borrow();
-    assert_eq!(log.len(), total + 1);
-    assert_eq!(log.last().map(String::as_str), Some("finished"));
-}
