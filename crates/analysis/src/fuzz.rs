@@ -236,7 +236,7 @@ pub fn fuzz_jsonio(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
 /// A plausible v2 request line to mutate (ids and minor fields vary).
 fn gen_envelope(rng: &mut StdRng) -> String {
     let id = rng.random_range(0..100u64);
-    match rng.random_range(0..7u32) {
+    match rng.random_range(0..8u32) {
         0 => format!(
             r#"{{"v":2,"id":{id},"kind":"run","watch":true,"spec":{{"system":"ESS","case":"meadow_small","seed":7,"replicates":1,"scale":0.1,"max_steps":2}}}}"#
         ),
@@ -256,6 +256,23 @@ fn gen_envelope(rng: &mut StdRng) -> String {
         5 => format!(
             r#"{{"v":2,"id":{id},"kind":"run","watch":"yes","spec":{{"system":"ESS","case":"meadow_small"}}}}"#
         ),
+        6 => {
+            // A checkpoint whose one completed step carries a `kign` that
+            // may or may not be a probability.
+            const KIGNS: &[&str] = &[
+                "0.5",
+                "0",
+                "1",
+                "7.5",
+                "-0.25",
+                "1.0000000000000002",
+                "1e308",
+            ];
+            format!(
+                r#"{{"v":2,"id":{id},"kind":"restore","snapshot":{{"format":"ess-session-snapshot/2","spec":{{"system":"ESS","case":"meadow_small","seed":7,"replicates":1,"scale":0.1,"max_steps":2}},"replicate":0,"driven_ms":1.5,"steps":[{{"step":1,"quality":null,"kign":{},"calibration_fitness":0.5,"os_best_fitness":0.5,"diversity":{{"mean_pairwise":0.1,"mean_gene_std":0.1,"distinct":4,"size":4}},"evaluations":40,"generations":3,"wall_ms":1.5}}]}}}}"#,
+                KIGNS[rng.random_range(0..KIGNS.len())]
+            )
+        }
         _ => format!(
             r#"{{"v":2,"kind":"progress","session":{},"step":1,"evaluations":40,"best":-0.5}}"#,
             rng.random_range(0..9u32)
@@ -267,10 +284,14 @@ fn gen_envelope(rng: &mut StdRng) -> String {
 /// Whatever the bytes, the decoders must answer `Ok` or `Err` — never
 /// panic, never decode an envelope `Json::parse` rejected, and never take
 /// a `run`/`restore` whose `watch` is present but not a boolean (a silent
-/// `false` would unsubscribe the client).
+/// `false` would unsubscribe the client). A decoded `restore` is also
+/// restored: whatever the checkpoint says, that answers `Ok` or `Err`, and
+/// never `Ok` with a carried `kign` the next step's Prediction Stage would
+/// panic on.
 ///
 /// # Errors
-/// A description of the first panic, with the offending input.
+/// A description of the first panic or contract violation, with the
+/// offending input.
 pub fn fuzz_envelopes(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = FuzzStats::default();
@@ -290,19 +311,26 @@ pub fn fuzz_envelopes(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
             let request = Request::from_json(&doc);
             let _ = Frame::from_json(&doc);
             let _ = RunSpec::from_json(&doc);
+            let kind = request.map(|r| r.kind);
+            if let Ok(RequestKind::Restore { snapshot, .. }) = &kind {
+                let in_range = |s: &ess::pipeline::StepReport| (0.0..=1.0).contains(&s.kign);
+                if snapshot.restore().is_ok() && !snapshot.steps().iter().all(in_range) {
+                    return Err("a 'kign' outside [0, 1] was restored");
+                }
+            }
             let watched = matches!(
-                request.map(|r| r.kind),
+                kind,
                 Ok(RequestKind::Run { .. } | RequestKind::Restore { .. })
             );
             let mistyped = doc.get("watch").is_some_and(|w| w.as_bool().is_none());
             if watched && mistyped {
-                return Err(());
+                return Err("a non-boolean 'watch' was accepted");
             }
             Ok(true)
         }));
         match outcome {
             Err(_) => return Err(format!("envelope decoding panicked on: {input}")),
-            Ok(Err(())) => return Err(format!("a non-boolean 'watch' was accepted: {input}")),
+            Ok(Err(what)) => return Err(format!("{what}: {input}")),
             Ok(Ok(true)) => stats.accepted += 1,
             Ok(Ok(false)) => stats.rejected += 1,
         }

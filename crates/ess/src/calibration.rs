@@ -8,8 +8,16 @@
 //! the best prediction in terms of the fitness function for the current
 //! time step" (§II-A). The found `Kign_n` is then used by the Prediction
 //! Stage of the *next* step (Fig. 2).
+//!
+//! Neither stage materialises a thresholded raster. A threshold burns
+//! whole *levels* of the matrix — every cell some fixed number of runs
+//! burned — so one walk of the cells the matrix touched bins them by level
+//! against the observation ([`ProbabilityMap::histogram_into`]), and the
+//! Eq. (3) score of every threshold is then a sum over at most `n + 1`
+//! integers: the same integers, hence the same `f64`, as
+//! [`ProbabilityMap::threshold`] followed by [`landscape::jaccard`].
 
-use landscape::{jaccard, FireLine, ProbabilityMap};
+use landscape::{FireLine, LevelHistogram, Observed, ProbabilityMap};
 
 /// The result of one `SKign` search.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,34 +48,39 @@ pub fn skign_search(
     observed: &FireLine,
     preburn: Option<&FireLine>,
 ) -> CalibrationOutcome {
-    let mut best_kign = 1.0;
-    let mut best_fitness = f64::NEG_INFINITY;
-    let mut curve = Vec::new();
-    for level in matrix.distinct_levels() {
-        // Skip the all-cells threshold at exactly 0 (it predicts the whole
-        // map burned); the smallest positive level already covers "every
-        // cell any scenario burned".
-        if level <= 0.0 {
-            continue;
-        }
-        let predicted = matrix.threshold(level);
-        let f = jaccard(observed, &predicted, preburn);
-        curve.push((level, f));
-        if f > best_fitness || (f == best_fitness && level > best_kign) {
-            best_fitness = f;
-            best_kign = level;
-        }
-    }
+    skign_search_against(matrix, &Observed::scan(observed, preburn))
+}
+
+/// [`skign_search`] against an observation whose whole-raster counts are
+/// already known (a step context's are, see `StepContext::observed`): the
+/// search then visits only the cells the matrix touched.
+pub fn skign_search_against(
+    matrix: &ProbabilityMap,
+    observed: &Observed<'_>,
+) -> CalibrationOutcome {
+    let mut hist = LevelHistogram::default();
+    matrix.histogram_into(observed, &mut hist);
+    // Skip the all-cells threshold at exactly 0 (it predicts the whole map
+    // burned); the smallest positive level already covers "every cell any
+    // scenario burned".
+    let curve: Vec<(f64, f64)> = hist.levels().filter(|&(level, _)| level > 0.0).collect();
     if curve.is_empty() {
         // Degenerate matrix (no samples or nothing burned anywhere): fall
         // back to the most conservative threshold.
-        let predicted = matrix.threshold(1.0);
-        let f = jaccard(observed, &predicted, preburn);
+        let f = hist.breakdown_where(|p| p >= 1.0).index();
         return CalibrationOutcome {
             kign: 1.0,
             fitness: f,
             curve: vec![(1.0, f)],
         };
+    }
+    let mut best_kign = 1.0;
+    let mut best_fitness = f64::NEG_INFINITY;
+    for &(level, f) in &curve {
+        if f > best_fitness || (f == best_fitness && level > best_kign) {
+            best_fitness = f;
+            best_kign = level;
+        }
     }
     CalibrationOutcome {
         kign: best_kign,
@@ -96,7 +109,9 @@ impl PredictionStage {
         Self { kign }
     }
 
-    /// Produces the predicted fire line from the next interval's matrix.
+    /// Produces the predicted fire line from the next interval's matrix,
+    /// as a raster.
+    // lint: allow(unreached) — the dense oracle of the unit tests in crates/ess/src/calibration.rs
     pub fn predict(&self, matrix: &ProbabilityMap) -> FireLine {
         matrix.threshold(self.kign)
     }
@@ -108,7 +123,19 @@ impl PredictionStage {
         observed: &FireLine,
         preburn: Option<&FireLine>,
     ) -> f64 {
-        jaccard(observed, &self.predict(matrix), preburn)
+        self.quality_against(matrix, &Observed::scan(observed, preburn))
+    }
+
+    /// [`PredictionStage::quality`] against an observation whose
+    /// whole-raster counts are already known: `Kign` is compared with each
+    /// level's probability — the comparison [`ProbabilityMap::threshold`]
+    /// makes per cell — and `Kign = 0` ("everything burns") is answered
+    /// from the counts, not by a walk.
+    pub fn quality_against(&self, matrix: &ProbabilityMap, observed: &Observed<'_>) -> f64 {
+        let mut hist = LevelHistogram::default();
+        matrix.histogram_into(observed, &mut hist);
+        let kign = self.kign.clamp(0.0, 1.0);
+        hist.breakdown_where(|p| p >= kign).index()
     }
 }
 

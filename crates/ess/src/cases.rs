@@ -12,9 +12,56 @@
 use crate::fitness::{EvalBackend, ScenarioEvaluator, StepContext};
 use firelib::sim::centre_ignition;
 use firelib::workload::WorkloadSpec;
-use firelib::{FireSim, Scenario, Terrain};
-use landscape::{FireLine, Grid};
+use firelib::{FireSim, LitCells, Scenario, Terrain};
+use landscape::{FireLine, Grid, Observed};
 use std::sync::Arc;
+
+/// The observed fire lines of a burn, `RFL_0..RFL_T`, with what scoring on
+/// each interval needs besides the two rasters: the burned cells of the
+/// start line as a list (a run is seeded from it instead of re-scanning
+/// the mask) and the number of `target ∧ ¬from` cells (what Eq. (3) can
+/// hit or miss, so a tally visits only the cells a run wrote). Both are
+/// raster scans; taken here, once per case, every [`StepContext`] of every
+/// session on the case is a view. Reads as the slice of lines it wraps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Observations {
+    lines: Vec<FireLine>,
+    /// `seeds[i − 1]` belongs to interval `i`: the lit cells of line
+    /// `i − 1` and the count of `line i ∧ ¬line (i − 1)`.
+    seeds: Vec<(LitCells, usize)>,
+}
+
+impl Observations {
+    /// Wraps a fire-line sequence, scanning each interval once.
+    ///
+    /// # Panics
+    /// Panics when neighbouring lines differ in shape.
+    pub fn new(lines: Vec<FireLine>) -> Self {
+        let seeds = lines.windows(2).map(|w| {
+            let target_new = Observed::scan(&w[1], Some(&w[0])).real_new();
+            (LitCells::from_line(&w[0]), target_new)
+        });
+        Self {
+            seeds: seeds.collect(),
+            lines,
+        }
+    }
+
+    /// The lit cells of the start line of interval `i ≥ 1`, and how many
+    /// cells its target line adds to them.
+    pub(crate) fn seed_of(&self, i: usize) -> (&LitCells, usize) {
+        let (lit, target_new) = &self.seeds[i - 1];
+        (lit, *target_new)
+    }
+}
+
+impl std::ops::Deref for Observations {
+    type Target = [FireLine];
+
+    fn deref(&self) -> &[FireLine] {
+        &self.lines
+    }
+}
 
 /// A controlled burn: terrain plus the observed fire-line sequence.
 #[derive(Debug, Clone)]
@@ -29,9 +76,10 @@ pub struct BurnCase {
     pub times: Vec<f64>,
     /// Real fire lines, one per instant (`fire_lines[i]` at `times[i]`).
     /// Shared, because the lines are the heavy part of a case (one raster
-    /// per instant): cloning a case — which every session owns — is then
-    /// reference bumps, not raster copies.
-    pub fire_lines: Arc<Vec<FireLine>>,
+    /// per instant): cloning a case — which every session owns — and
+    /// cutting a step context from it are then reference bumps, not raster
+    /// copies.
+    pub fire_lines: Arc<Observations>,
     /// The hidden truth per interval: `truth[i]` generated
     /// `fire_lines[i+1]` from `fire_lines[i]`. Hidden from optimizers;
     /// exposed for validation and oracle experiments.
@@ -88,22 +136,23 @@ impl BurnCase {
             description,
             sim,
             times,
-            fire_lines: Arc::new(fire_lines),
+            fire_lines: Arc::new(Observations::new(fire_lines)),
             truth,
         }
     }
 
     /// The evaluation context of interval `i ≥ 1`: from `RFL_{i-1}` at
     /// `t_{i-1}` to the observed `RFL_i` at `t_i` — what prediction step
-    /// `i` optimizes on.
+    /// `i` optimizes on. A view of the case: no raster is copied or
+    /// scanned.
     ///
     /// # Panics
     /// Panics when `i` is 0 or beyond the last instant.
     pub fn step_context(&self, i: usize) -> StepContext {
-        StepContext::new(
+        StepContext::of_interval(
             Arc::clone(&self.sim),
-            self.fire_lines[i - 1].clone(),
-            self.fire_lines[i].clone(),
+            Arc::clone(&self.fire_lines),
+            i,
             self.times[i - 1],
             self.times[i],
         )
@@ -328,7 +377,7 @@ pub fn with_observation_noise(case: &BurnCase, flip_prob: f64, seed: u64) -> Bur
         description: case.description,
         sim: Arc::clone(&case.sim),
         times: case.times.clone(),
-        fire_lines: Arc::new(noisy),
+        fire_lines: Arc::new(Observations::new(noisy)),
         truth: case.truth.clone(),
     }
 }
@@ -347,7 +396,7 @@ pub fn workload_case(spec: &WorkloadSpec) -> BurnCase {
         description: w.description,
         sim,
         times: w.times,
-        fire_lines: Arc::new(fire_lines),
+        fire_lines: Arc::new(Observations::new(fire_lines)),
         truth: w.truth,
     }
 }

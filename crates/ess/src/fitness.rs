@@ -15,23 +15,28 @@
 //! step's view of a pool (or of an injected backend — fused lanes,
 //! tracers).
 
+use crate::cases::Observations;
 use evoalg::{BatchEvaluator, GenomeMatrix};
-use firelib::{FireSim, Kernel, LitCells, Scenario, ScenarioSpace, SimArena};
-use landscape::{tally_ranges, FireLine};
+use firelib::{FireSim, Kernel, Scenario, ScenarioSpace, SimArena};
+use landscape::{tally_ranges, FireLine, IgnitionMap, Observed};
 use parworker::Backend;
 use std::sync::{Arc, Mutex};
 
 pub use parworker::EvalBackend;
 
-/// Everything needed to score scenarios on one prediction interval.
+/// Everything needed to score scenarios on one prediction interval: a
+/// view of one interval of a case's [`Observations`]. Nothing here is a
+/// raster of its own — the fire lines, the lit-cell list and the
+/// `target ∧ ¬from` count all live in the case, built once — so making a
+/// context is reference bumps, whatever the grid size.
 #[derive(Debug, Clone)]
 pub struct StepContext {
     sim: Arc<FireSim>,
-    /// Fire state at the start of the interval (`RFL_{i-1}`), which is also
-    /// the pre-burn exclusion mask of Eq. (3).
-    from: FireLine,
-    /// Observed fire state at the end of the interval (`RFL_i`).
-    target: FireLine,
+    /// The observed fire lines this interval is cut from.
+    lines: Arc<Observations>,
+    /// Which interval: from `RFL_{i-1}` (also the pre-burn exclusion mask
+    /// of Eq. (3)) to the observed `RFL_i`.
+    interval: usize,
     /// Start instant (minutes).
     t0: f64,
     /// End instant (minutes).
@@ -40,48 +45,54 @@ pub struct StepContext {
     /// always get the default; [`StepContext::with_kernel`] is for the
     /// suites that compare kernels (all are bit-identical).
     kernel: Kernel,
-    /// The burned cells of `from`, listed once per step so an evaluation
-    /// seeds its run from the list instead of re-scanning the mask.
-    lit: LitCells,
-    /// Number of `target ∧ ¬from` cells — what Eq. (3) can hit or miss.
-    /// Lets an evaluation tally only the cells its run wrote: every such
-    /// cell elsewhere is a miss, and needs no visit to be counted.
-    target_new: usize,
 }
 
 impl StepContext {
-    /// Builds a context for the interval `[t0, t1]`.
+    /// Builds a context for the interval `[t0, t1]` between two fire lines
+    /// that belong to no case.
     ///
     /// # Panics
     /// Panics when shapes mismatch or `t1 <= t0`.
     pub fn new(sim: Arc<FireSim>, from: FireLine, target: FireLine, t0: f64, t1: f64) -> Self {
-        assert!(t1 > t0, "step interval must have positive duration");
-        assert_eq!(
-            (from.rows(), from.cols()),
-            (sim.terrain().rows(), sim.terrain().cols()),
-            "fire line shape must match terrain"
-        );
         assert!(
             from.mask().same_shape(target.mask()),
             "interval endpoints shape mismatch"
         );
-        let lit = LitCells::from_line(&from);
-        let target_new = target
-            .mask()
-            .as_slice()
-            .iter()
-            .zip(from.mask().as_slice())
-            .filter(|&(&target, &from)| target && !from)
-            .count();
+        let lines = Arc::new(Observations::new(vec![from, target]));
+        Self::of_interval(sim, lines, 1, t0, t1)
+    }
+
+    /// The context of interval `i ≥ 1` of `lines`: from line `i − 1` at
+    /// `t0` to line `i` at `t1`.
+    ///
+    /// # Panics
+    /// Panics when `i` is 0 or beyond the last line, the lines are not the
+    /// terrain's shape, or `t1 <= t0`.
+    pub fn of_interval(
+        sim: Arc<FireSim>,
+        lines: Arc<Observations>,
+        i: usize,
+        t0: f64,
+        t1: f64,
+    ) -> Self {
+        assert!(t1 > t0, "step interval must have positive duration");
+        assert!(
+            (1..lines.len()).contains(&i),
+            "interval {i} of {} fire lines",
+            lines.len()
+        );
+        assert_eq!(
+            (lines[i].rows(), lines[i].cols()),
+            (sim.terrain().rows(), sim.terrain().cols()),
+            "fire line shape must match terrain"
+        );
         Self {
             sim,
-            from,
-            target,
+            lines,
+            interval: i,
             t0,
             t1,
             kernel: Kernel::Bucket,
-            lit,
-            target_new,
         }
     }
 
@@ -105,12 +116,12 @@ impl StepContext {
 
     /// Start fire line (`RFL_{i-1}`).
     pub fn from_line(&self) -> &FireLine {
-        &self.from
+        &self.lines[self.interval - 1]
     }
 
     /// Target fire line (`RFL_i`).
     pub fn target_line(&self) -> &FireLine {
-        &self.target
+        &self.lines[self.interval]
     }
 
     /// Interval start (minutes).
@@ -128,33 +139,54 @@ impl StepContext {
         self.t1 - self.t0
     }
 
+    /// What a prediction for this interval is scored against: the target
+    /// line less the start line, with the two whole-raster counts the case
+    /// took at build.
+    pub fn observed(&self) -> Observed<'_> {
+        let (lit, target_new) = self.lines.seed_of(self.interval);
+        Observed::counted(
+            self.target_line(),
+            Some(self.from_line()),
+            target_new,
+            lit.as_slice().len(),
+        )
+    }
+
+    /// Runs one scenario over this interval into `arena` — the one place a
+    /// simulation of the Optimization or the Statistical Stage starts. The
+    /// run is seeded from the interval's lit-cell list, so it costs what
+    /// the fire costs, not what the raster does, and a reused arena makes
+    /// it allocation-free in steady state.
+    // lint: no_alloc
+    pub fn simulate_into<'a>(
+        &self,
+        scenario: &Scenario,
+        arena: &'a mut SimArena,
+    ) -> &'a IgnitionMap {
+        let (lit, _) = self.lines.seed_of(self.interval);
+        self.sim
+            .simulate_arena_seeded(scenario, lit, self.t0, self.duration(), arena, self.kernel)
+    }
+
     /// Simulates one scenario into the worker's private [`SimArena`] and
-    /// returns its Eq. (3) fitness — the Workers' hot path. The arena is
-    /// reused across evaluations, so a steady-state evaluation allocates
-    /// nothing; and it costs what the fire costs, not what the raster
-    /// does: the run is seeded from the step's lit-cell list, and the score
-    /// is tallied over the cells the run wrote
-    /// ([`SimArena::written_ranges`]), with the misses outside them taken
-    /// from the step's `target ∧ ¬from` count. Bit-identical to
-    /// `jaccard_at_time(target, map, t1, Some(from))` on the same map.
+    /// returns its Eq. (3) fitness — the Workers' hot path
+    /// ([`StepContext::simulate_into`]). The score is tallied over the
+    /// cells the run wrote ([`SimArena::written_ranges`]), with the misses
+    /// outside them taken from the interval's `target ∧ ¬from` count.
+    /// Bit-identical to `jaccard_at_time(target, map, t1, Some(from))` on
+    /// the same map.
     // lint: no_alloc
     pub fn fitness_with(&self, scenario: &Scenario, arena: &mut SimArena) -> f64 {
-        self.sim.simulate_arena_seeded(
-            scenario,
-            &self.lit,
-            self.t0,
-            self.duration(),
-            arena,
-            self.kernel,
-        );
+        self.simulate_into(scenario, arena);
+        let (_, target_new) = self.lines.seed_of(self.interval);
         tally_ranges(
-            self.target.mask().as_slice(),
+            self.target_line().mask().as_slice(),
             arena.map().grid().as_slice(),
             |&arrival| arrival <= self.t1,
-            Some(self.from.mask().as_slice()),
+            Some(self.from_line().mask().as_slice()),
             arena.written_ranges(),
         )
-        .index_with_real_total(self.target_new)
+        .index_with_real_total(target_new)
     }
 
     /// Fitness of one scenario (allocating convenience).
@@ -163,20 +195,11 @@ impl StepContext {
         self.fitness_with(scenario, &mut arena)
     }
 
-    /// The simulated fire line a scenario produces over this interval
-    /// (used by the Statistical Stage): the same seeded run on the same
-    /// kernel as [`StepContext::fitness_with`], in a fresh arena.
+    /// The simulated fire line a scenario produces over this interval, as
+    /// a raster of its own: [`StepContext::simulate_into`] a fresh arena.
     pub fn simulate_line(&self, scenario: &Scenario) -> FireLine {
         let mut arena = self.sim.arena();
-        self.sim
-            .simulate_arena_seeded(
-                scenario,
-                &self.lit,
-                self.t0,
-                self.duration(),
-                &mut arena,
-                self.kernel,
-            )
+        self.simulate_into(scenario, &mut arena)
             .fire_line_at(self.t1)
     }
 }

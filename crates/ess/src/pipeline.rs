@@ -25,10 +25,10 @@
 //! trials. [`StepDriver::step_with`] is the one injection point (fused
 //! lanes, tracers).
 
-use crate::calibration::{skign_search, PredictionStage};
+use crate::calibration::{skign_search_against, PredictionStage};
 use crate::cases::BurnCase;
 use crate::fitness::{EvalBackend, ScenarioEvaluator, SharedScenarioPool, StepContext};
-use crate::stages::statistical_stage_genomes;
+use crate::stages::{decode_result_set, statistical_stage_in};
 use evoalg::diversity::{self, DiversityReport};
 use parworker::Stopwatch;
 use std::sync::Arc;
@@ -259,29 +259,22 @@ impl StepDriver {
         let outcome = optimizer.optimize(&mut evaluator, step_seed(self.base_seed, i));
 
         // --- Statistical Stage (calibration matrix) ----------------------
-        let cal_matrix = statistical_stage_genomes(&observed_ctx, &outcome.result_set);
+        // One arena for the whole stage tail: both matrices fold the
+        // result set's runs through it, one matrix alive at a time.
+        let scenarios = decode_result_set(&outcome.result_set);
+        let mut arena = case.sim.arena();
+        let cal_matrix = statistical_stage_in(&observed_ctx, &scenarios, &mut arena);
 
         // --- Calibration Stage: SKign on the observed interval -----------
-        let cal = skign_search(
-            &cal_matrix,
-            &case.fire_lines[i],
-            Some(&case.fire_lines[i - 1]),
-        );
+        let cal = skign_search_against(&cal_matrix, &observed_ctx.observed());
+        drop(cal_matrix);
 
         // --- Statistical + Prediction Stage for t_{i+1} ------------------
-        let quality = match self.carried_kign {
-            Some(kign) => {
-                let next_ctx = case.step_context(i + 1);
-                let pred_matrix = statistical_stage_genomes(&next_ctx, &outcome.result_set);
-                let ps = PredictionStage::new(kign);
-                Some(ps.quality(
-                    &pred_matrix,
-                    &case.fire_lines[i + 1],
-                    Some(&case.fire_lines[i]),
-                ))
-            }
-            None => None,
-        };
+        let quality = self.carried_kign.map(|kign| {
+            let next_ctx = case.step_context(i + 1);
+            let pred_matrix = statistical_stage_in(&next_ctx, &scenarios, &mut arena);
+            PredictionStage::new(kign).quality_against(&pred_matrix, &next_ctx.observed())
+        });
 
         self.carried_kign = Some(cal.kign);
         self.next = i + 1;

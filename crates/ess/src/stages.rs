@@ -5,32 +5,57 @@
 //! region" (§II-A). The resulting matrix is used twice: by the Calibration
 //! Stage (on the just-observed interval) and by the Prediction Stage (on
 //! the next interval).
+//!
+//! The matrix is a fold over the cells the result set burned, which is the
+//! paper's own dataflow (workers return maps, the Master aggregates): every
+//! scenario runs into *one* lent [`SimArena`] — seeded from the interval's
+//! lit-cell list exactly as an Optimization Stage evaluation is — and the
+//! matrix takes its counts straight from the cells that run wrote
+//! ([`SimArena::written_ranges`], arrival ≤ `t₁`). No per-scenario arena,
+//! no burned-mask raster per scenario, no walk of the raster: a step's two
+//! Statistical Stages cost what its result set burned. (The scenarios *are*
+//! re-simulated — the Optimization Stage keeps fitness values, not maps —
+//! but on a warm arena that is a few evaluations' worth of work.)
 
 use crate::fitness::StepContext;
-use firelib::{Scenario, ScenarioSpace};
+use firelib::{Scenario, ScenarioSpace, SimArena};
 use landscape::ProbabilityMap;
 
 /// Aggregates the simulated fire lines of a scenario result set over the
 /// context's interval into an ignition-probability matrix.
-///
-/// Every scenario is re-simulated on `ctx`'s interval; with result sets of
-/// tens of scenarios this is a negligible fraction of the Optimization
-/// Stage's thousands of simulations, and it keeps the stage independent of
-/// whatever the optimizer cached.
 pub fn statistical_stage(ctx: &StepContext, scenarios: &[Scenario]) -> ProbabilityMap {
-    let rows = ctx.from_line().rows();
-    let cols = ctx.from_line().cols();
-    let mut pm = ProbabilityMap::new(rows, cols);
-    for s in scenarios {
-        pm.accumulate(&ctx.simulate_line(s));
-    }
-    pm
+    statistical_stage_in(ctx, scenarios, &mut ctx.sim().arena())
 }
 
 /// Genome-level convenience: decodes then aggregates.
 pub fn statistical_stage_genomes(ctx: &StepContext, genomes: &[Vec<f64>]) -> ProbabilityMap {
-    let scenarios: Vec<Scenario> = genomes.iter().map(|g| ScenarioSpace.decode(g)).collect();
-    statistical_stage(ctx, &scenarios)
+    statistical_stage(ctx, &decode_result_set(genomes))
+}
+
+/// The scenarios a result set of genomes stands for.
+pub fn decode_result_set(genomes: &[Vec<f64>]) -> Vec<Scenario> {
+    genomes.iter().map(|g| ScenarioSpace.decode(g)).collect()
+}
+
+/// [`statistical_stage`] on a lent arena — the fold itself. A prediction
+/// step lends one arena to both of its Statistical Stages, so the arena's
+/// raster is filled once per step, not once per scenario.
+pub fn statistical_stage_in(
+    ctx: &StepContext,
+    scenarios: &[Scenario],
+    arena: &mut SimArena,
+) -> ProbabilityMap {
+    let terrain = ctx.sim().terrain();
+    let mut pm = ProbabilityMap::new(terrain.rows(), terrain.cols());
+    for s in scenarios {
+        ctx.simulate_into(s, arena);
+        pm.accumulate_ranges(
+            arena.map().grid().as_slice(),
+            |&arrival| arrival <= ctx.t1(),
+            arena.written_ranges(),
+        );
+    }
+    pm
 }
 
 #[cfg(test)]

@@ -644,15 +644,22 @@ struct Band<'a> {
 impl SpreadScratch {
     /// Sizes every buffer to `n` cells and lends them as one band. What
     /// the previous run left in them stays (only growth is initialised):
-    /// the gather overwrites every cell it is handed.
+    /// the gather overwrites every cell it is handed. Growth is to exactly
+    /// `n`: windows vary run to run, and amortised doubling would leave an
+    /// arena reused across runs holding up to twice its high-water mark —
+    /// 97 bytes a cell, times every arena live at once.
     // lint: no_alloc
     fn band(&mut self, n: usize) -> Band<'_> {
-        self.codes.resize(n, 0);
-        self.steep.resize(n, 0.0);
-        self.aspect.resize(n, 0.0);
-        self.wind_fpm.resize(n, 0.0);
-        self.wind_az.resize(n, 0.0);
-        self.per_cell.resize(n, [0.0; 8]);
+        fn size<T: Copy>(buffer: &mut Vec<T>, n: usize, fill: T) {
+            buffer.reserve_exact(n.saturating_sub(buffer.len()));
+            buffer.resize(n, fill);
+        }
+        size(&mut self.codes, n, 0);
+        size(&mut self.steep, n, 0.0);
+        size(&mut self.aspect, n, 0.0);
+        size(&mut self.wind_fpm, n, 0.0);
+        size(&mut self.wind_az, n, 0.0);
+        size(&mut self.per_cell, n, [0.0; 8]);
         Band {
             codes: &mut self.codes,
             steep: &mut self.steep,

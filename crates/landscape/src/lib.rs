@@ -11,7 +11,8 @@
 //! * [`FireLine`] — the burned-cell set at a given instant (the `RFL`/`PFL`
 //!   objects of Figs. 1–3);
 //! * [`ProbabilityMap`] — the aggregated ignition-probability matrix built by
-//!   the Statistical Stage and thresholded by the Key Ignition Value;
+//!   the Statistical Stage and thresholded by the Key Ignition Value, read
+//!   by the later stages through a [`LevelHistogram`];
 //! * [`metrics::jaccard`] — the fitness function of Eq. (3), excluding
 //!   pre-burned cells;
 //! * [`synth`] — seeded procedural raster generators (noise fields, fuel
@@ -32,4 +33,4 @@ pub use geometry::NEIGHBOUR_OFFSETS;
 pub use grid::Grid;
 pub use metrics::{jaccard, jaccard_at_time, tally_ranges, JaccardBreakdown};
 pub use perimeter::{perimeter_cells, shape_stats, ShapeStats};
-pub use probability::ProbabilityMap;
+pub use probability::{LevelHistogram, Observed, ProbabilityMap};

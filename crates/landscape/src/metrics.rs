@@ -60,13 +60,20 @@ impl JaccardBreakdown {
 ///
 /// Returns a value in `[0, 1]`: 1 is a perfect prediction, 0 the worst.
 ///
+/// This is the definition, over two whole rasters; the stack scores
+/// through [`tally_ranges`] (an evaluation) and the level histogram of a
+/// probability map (the stages), which visit only burned cells and are
+/// held against this.
+///
 /// # Panics
 /// Panics when the maps (or mask) differ in shape.
+// lint: allow(unreached) — the whole-raster definition of Eq. (3): the oracle of crates/landscape/tests/properties.rs and crates/ess/tests/stage_tail.rs
 pub fn jaccard(real: &FireLine, predicted: &FireLine, preburn: Option<&FireLine>) -> f64 {
     jaccard_breakdown(real, predicted, preburn).index()
 }
 
 /// Like [`jaccard`] but returns the full contingency counts.
+// lint: allow(unreached) — the whole-raster tally crates/landscape/tests/properties.rs holds every histogram score against
 pub fn jaccard_breakdown(
     real: &FireLine,
     predicted: &FireLine,

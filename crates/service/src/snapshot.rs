@@ -328,6 +328,35 @@ mod tests {
             bad.restore(),
             Err(ServiceError::BadSpec(ref m)) if m.contains("replicate")
         ));
+
+        // A carried Kign that is no probability → BadSpec naming the step
+        // and the value, not a panic in the next step's Prediction Stage.
+        for kign in [7.5, -0.25, f64::NAN] {
+            let mut bad = snapshot.clone();
+            bad.steps[1].kign = kign;
+            let needle = format!("step 2 carries kign {kign}");
+            assert!(matches!(
+                bad.restore(),
+                Err(ServiceError::BadSpec(ref m)) if m.contains(&needle)
+            ));
+        }
+        // Both ends of the range are thresholds the next step predicts
+        // with ("everything burns" and "only the consensus").
+        let mut session = RunSpec::new("ESS", "meadow_small")
+            .scale(0.15)
+            .session()
+            .expect("session");
+        session.advance();
+        let snapshot = session.snapshot().expect("snapshot");
+        for kign in [0.0, 1.0] {
+            let mut edge = snapshot.clone();
+            edge.steps[0].kign = kign;
+            let mut restored = edge.restore().expect("a probability restores");
+            let crate::SessionEvent::StepCompleted(step) = restored.advance() else {
+                panic!("the restored session has steps left");
+            };
+            assert!(step.quality.is_some_and(|q| (0.0..=1.0).contains(&q)));
+        }
     }
 
     #[test]

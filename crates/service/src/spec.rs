@@ -259,8 +259,9 @@ impl RunSpec {
     /// # Errors
     /// Name/spec errors from resolution, plus [`ServiceError::BadSpec`]
     /// when the checkpoint does not fit the case (more completed steps
-    /// than the case has, non-sequential step indices) or `replicate`
-    /// exceeds the spec's replicate count.
+    /// than the case has, non-sequential step indices, a `kign` that is
+    /// not a probability) or `replicate` exceeds the spec's replicate
+    /// count.
     pub(crate) fn restore_session(
         &self,
         replicate: usize,
@@ -288,6 +289,14 @@ impl RunSpec {
             return Err(ServiceError::BadSpec(format!(
                 "snapshot steps must be sequential from 1 (entry {} reports step {})",
                 i, s.step
+            )));
+        }
+        // The last step's Kign is carried into the next step's Prediction
+        // Stage, which takes a probability threshold and nothing else.
+        if let Some(s) = steps.iter().find(|s| !(0.0..=1.0).contains(&s.kign)) {
+            return Err(ServiceError::BadSpec(format!(
+                "snapshot step {} carries kign {} outside [0, 1]",
+                s.step, s.kign
             )));
         }
         let carried_kign = steps.last().map(|s| s.kign);

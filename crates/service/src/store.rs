@@ -7,7 +7,7 @@
 //! process is asked for the same few cases over and over: every submit,
 //! every replicate, every `restore` of a checkpoint. A built case is
 //! immutable and already shared internally (`Arc<FireSim>`,
-//! `Arc<Vec<FireLine>>`), so the store keeps the first build of each name
+//! `Arc<Observations>`), so the store keeps the first build of each name
 //! and hands out clones, which are reference bumps.
 //!
 //! The store needs no eviction and no configuration because the registry
@@ -163,7 +163,10 @@ mod tests {
         }
     }
 
-    /// Heap bytes of the rasters a resident case keeps alive.
+    /// Heap bytes of the rasters a resident case keeps alive, plus the
+    /// lit-cell list of every interval's start line (one `u32` per burned
+    /// cell) — step contexts are views of the case, so nothing else of a
+    /// fire line is ever resident.
     fn raster_bytes(case: &BurnCase) -> usize {
         let terrain = case.sim.terrain();
         let cells = terrain.rows() * terrain.cols();
@@ -173,19 +176,29 @@ mod tests {
         usize::from(terrain.fuel_layer().is_some()) * cells
             + f64s * cells * std::mem::size_of::<f64>()
             + case.fire_lines.len() * cells
+            + lit_bytes(case)
+    }
+
+    fn lit_bytes(case: &BurnCase) -> usize {
+        let starts = &case.fire_lines[..case.intervals()];
+        let lit: usize = starts.iter().map(|line| line.burned_area()).sum();
+        lit * std::mem::size_of::<u32>()
     }
 
     #[test]
     fn registry_residency_is_bounded() {
         // Every name the store can ever hold, built cold: the worst case
         // is all of them resident at once — 46.9 MiB, of which the three
-        // XL landscapes are all but ~1 MiB.
+        // XL landscapes are all but ~1 MiB and the lit-cell lists 132 KiB.
         let names = cases::case_names();
         assert_eq!(names.len(), 15, "a new case changes the store's bound");
-        let total: usize = names
+        let built: Vec<BurnCase> = names
             .iter()
-            .map(|name| raster_bytes(&cases::by_name(name).expect("registered")))
-            .sum();
-        assert_eq!(total, 49_196_288, "worst-case resident raster bytes");
+            .map(|name| cases::by_name(name).expect("registered"))
+            .collect();
+        let lit: usize = built.iter().map(lit_bytes).sum();
+        assert_eq!(lit, 134_836, "resident lit-cell list bytes");
+        let total: usize = built.iter().map(raster_bytes).sum();
+        assert_eq!(total, 49_196_288 + lit, "worst-case resident raster bytes");
     }
 }

@@ -1,12 +1,14 @@
 //! Wire conformance: every output line is a v2 frame — replies, async
 //! events, the EOF-implied drain/quit (also on an empty input) and the
 //! answers to garbage, envelope-less objects, retired v1 lines, specs
-//! naming a retired execution member and a mistyped `watch`.
+//! naming a retired execution member, a mistyped `watch` and a snapshot
+//! whose carried `kign` is no probability.
 
 use ess::fitness::EvalBackend;
 use ess_service::jsonio::Json;
 use ess_service::proto::{Frame, Reply};
 use ess_service::serve::serve;
+use ess_service::RunSpec;
 
 /// The output split into frames; any line that is not a v2 frame fails
 /// the test.
@@ -111,6 +113,45 @@ fn retired_v1_lines_and_stray_objects_get_v2_error_frames() {
     assert_eq!(errors[5].1, "'watch' must be a boolean");
     assert!(text.contains(r#""kind":"done","session":1"#), "{text}");
     assert!(!text.contains(r#""session":2"#), "{text}");
+}
+
+#[test]
+fn a_snapshot_with_a_corrupt_kign_is_one_error_frame_and_the_loop_carries_on() {
+    // A checkpoint edited so that its last step carries `kign` 7.5 must be
+    // refused at `restore` — not accepted and left to panic the serve
+    // thread in the next step's Prediction Stage. The untouched snapshot
+    // on the next line restores and drains as usual.
+    let mut session = RunSpec::new("ESS", "meadow_small")
+        .scale(0.15)
+        .max_steps(2)
+        .session()
+        .expect("spec resolves");
+    session.advance();
+    let good = session.snapshot().expect("snapshots").to_json().to_string();
+    let kign = good.find(r#""kign":"#).expect("a step carries kign") + r#""kign":"#.len();
+    let end = kign + good[kign..].find(',').expect("more members follow");
+    let corrupt = format!("{}7.5{}", &good[..kign], &good[end..]);
+    let script = format!(
+        "{{\"v\":2,\"id\":1,\"kind\":\"restore\",\"snapshot\":{corrupt}}}\n\
+         {{\"v\":2,\"id\":2,\"kind\":\"restore\",\"snapshot\":{good}}}\n\
+         {{\"v\":2,\"id\":3,\"kind\":\"drain\"}}\n"
+    );
+    let mut out = Vec::new();
+    let summary = serve(script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve I/O");
+    assert_eq!(summary.errors, 1);
+    assert_eq!((summary.accepted, summary.restored), (1, 1));
+    let text = String::from_utf8(out).expect("utf-8");
+    let frames = frames(&text);
+    assert!(
+        matches!(
+            &frames[0],
+            Frame::Reply { id: 1, reply: Reply::Error { message } }
+                if message.contains("step 1 carries kign 7.5 outside [0, 1]")
+        ),
+        "{text}"
+    );
+    assert!(text.contains(r#""kind":"done","session":1"#), "{text}");
+    assert!(text.contains(r#""kind":"drained""#), "{text}");
 }
 
 #[test]
