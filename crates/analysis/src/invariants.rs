@@ -61,8 +61,8 @@ fn gen_scenario(rng: &mut StdRng) -> Scenario {
 }
 
 /// A random heterogeneous terrain: each override layer is present with
-/// probability ~0.7, so homogeneous fast paths and fully layered SoA
-/// gathers both stay covered.
+/// probability ~0.7, so the shared-table fast paths and fully layered
+/// per-cell tables both stay covered.
 fn gen_terrain(rng: &mut StdRng) -> Terrain {
     let rows = rng.random_range(5..28usize);
     let cols = rng.random_range(5..31usize);

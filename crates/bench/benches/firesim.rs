@@ -1,14 +1,15 @@
 //! E4 — fire simulator kernel throughput: one full propagation per
 //! (grid size × fuel model), the cost model underneath every other
 //! experiment (the one copy of that loop: the harness writes exact
-//! artifacts only) — plus the SimArena acceptance benchmark: the arena
-//! hot path against an emulation of the pre-arena per-cell evaluation on
-//! the 200×200 corpus workload.
+//! artifacts only) — two evaluations seeded from a case's observed line,
+//! as a prediction step makes them — plus the SimArena acceptance
+//! benchmark: the arena hot path against an emulation of the pre-arena
+//! per-cell evaluation on the 200×200 corpus workload.
 
 use ess_benches::microbench::{bench, group};
 use firelib::sim::centre_ignition;
 use firelib::spread::{wind_slope_max, SpreadInputs};
-use firelib::{FireSim, Scenario, Terrain};
+use firelib::{FireSim, Kernel, LitCells, Scenario, Terrain};
 use std::hint::black_box;
 
 fn main() {
@@ -55,6 +56,34 @@ fn main() {
         sim.simulate_arena(&scenario, &ignition, 0.0, 500.0, &mut arena);
         black_box(arena.map().burned_count_at(500.0))
     });
+
+    // One evaluation the way a prediction step makes it: seeded from a
+    // case's observed line, over one interval. The kernel's two costs,
+    // each where it dominates — a spread table per popped cell on
+    // gusty_channel (per-cell wind), the frontier queue on
+    // archipelago_large, whose step-4 line is mostly interior.
+    group("firesim_seeded (one interval from the observed line)");
+    for (spec, interval) in [
+        (firelib::workload::gusty_channel(), 3usize),
+        (firelib::workload::archipelago_large(), 4),
+    ] {
+        let workload = spec.build();
+        let sim = workload.sim();
+        let lines = workload.reference_lines(&sim);
+        let lit = LitCells::from_line(&lines[interval - 1]);
+        let (t0, t1) = (workload.times[interval - 1], workload.times[interval]);
+        let truth = workload.truth[interval - 1];
+        let mut arena = sim.arena();
+        let label = format!(
+            "{} interval {interval} ({} lit)",
+            spec.name,
+            lit.as_slice().len()
+        );
+        bench(&label, 200, || {
+            sim.simulate_arena_seeded(&truth, &lit, t0, t1 - t0, &mut arena, Kernel::Bucket);
+            black_box(arena.written_ranges().count())
+        });
+    }
 
     // The acceptance benchmark: one scenario evaluation on the 200×200
     // corpus workload, (a) emulating the pre-arena evaluation — a fresh

@@ -11,8 +11,14 @@
 //!
 //! Three kernels implement the sweep. They differ only in how they keep
 //! the frontier; one prelude (`FireSim::run_kernel`) checks the run's
-//! preconditions, resets the raster, picks the burnable seeds and resolves
-//! the spread tables for all of them:
+//! preconditions, resets the raster, picks the burnable seeds, hoists the
+//! per-fuel-model half of the spread math and says how a popped cell
+//! resolves its spread table, for all of them. **A run costs ∝ cells
+//! popped**: on a fully heterogeneous terrain a cell's directional table
+//! is built when that cell pops (its one live pop is the table's only
+//! reader, so nothing is cached), a pop that can no longer improve any
+//! neighbour builds none, and of the lit cells only those on the front —
+//! with a neighbour still to burn — are queued at all.
 //!
 //! * [`Kernel::Heap`] — the reference implementation: a classic Dijkstra
 //!   over a `BinaryHeap<(Reverse<Time>, u32)>` whose window is the whole
@@ -23,10 +29,10 @@
 //!   bounding**. Arrival times live in `[t0, t0 + duration]`, so the
 //!   frontier is kept in an array of buckets keyed by quantized arrival
 //!   time (O(1) push, cache-friendly per-bucket drains); the raster keeps
-//!   exact `f64` arrival times — buckets only order the frontier. Spread
-//!   inputs are gathered and the output raster reset only inside the
-//!   window the fire can actually reach within the horizon, so one
-//!   evaluation costs proportional-to-burned-area instead of O(rows×cols).
+//!   exact `f64` arrival times — buckets only order the frontier. The
+//!   window the fire can reach within the horizon bounds only the
+//!   dirty-span bookkeeping, so the next run resets what this one wrote
+//!   instead of O(rows×cols).
 //! * [`Kernel::Tiled`] — the bucket kernel's levels drained by several
 //!   cores at once and merged back in pop order (`Sweep::run_tiled`).
 //!
@@ -43,13 +49,14 @@
 //!    (`audit_pop_order`).
 //! 2. *The table.* `Sweep::table` resolves a cell's directional spread
 //!    table the same way for every kernel, and a cell's table depends on
-//!    that cell alone — not on the window or row band it was gathered
-//!    through, nor on whether the lazy out-of-window fallback computed it.
+//!    that cell alone — not on when, or on which thread, it was built.
 //! 3. *The relaxation.* `Sweep::relax` is the one step that turns a pop
 //!    into neighbour arrivals: the staleness test, the edge cost `t +
 //!    distance / ros`, the horizon and `SMIDGEN`-tolerance comparisons, the
 //!    burnability of the neighbour. The reference kernel spells the same
-//!    step out independently.
+//!    step out independently, without the step's early outs: it builds a
+//!    table for every live pop and queues every seed, which is what the
+//!    frontier filter (`Sweep::front`) is checked against.
 //!
 //! Same pops in the same order, through the same tables and the same step,
 //! is the same execution — every relaxation decision, every tolerance
@@ -63,7 +70,6 @@
 //! computation. Cells whose own fuel bed cannot burn are never ignited.
 
 use crate::combustion::{standard_beds, FuelBed};
-use crate::moisture::MoistureRegime;
 use crate::scenario::Scenario;
 use crate::spread::{
     no_wind_no_slope, wind_slope_from_ros0, wind_slope_max, SpreadInputs, SpreadVector,
@@ -71,7 +77,7 @@ use crate::spread::{
 use crate::terrain::Terrain;
 use crate::SMIDGEN;
 use landscape::geometry::normalize_azimuth;
-use landscape::{FireLine, Grid, IgnitionMap, UNIGNITED};
+use landscape::{FireLine, IgnitionMap, UNIGNITED};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -100,7 +106,8 @@ impl Ord for Time {
 /// Which propagation kernel a `simulate_arena_kernel` call runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Reference Dijkstra over a binary heap, full-raster gather and reset.
+    /// Reference Dijkstra over a binary heap, every seed queued, full-raster
+    /// reset.
     Heap,
     /// Monotone bucket-queue wavefront sweep with active-front bounding —
     /// the default hot path; bit-identical to [`Kernel::Heap`].
@@ -148,9 +155,9 @@ impl std::fmt::Display for Kernel {
 }
 
 /// Number of arrival-time buckets the monotone queue quantizes the horizon
-/// into. More buckets → smaller per-bucket mini-heaps; the array itself is
-/// reset in O(`BUCKETS`) per run, which is negligible against any real
-/// sweep.
+/// into. More buckets → smaller per-bucket mini-heaps; a run walks the
+/// array once as it drains, O(`BUCKETS`), which is negligible against any
+/// real sweep.
 const BUCKETS: usize = 2048;
 
 /// Minimum epoch size (frontier entries) the tiled kernel aims for when it
@@ -209,15 +216,20 @@ impl BucketQueue {
 
     /// Prepares the queue for one run over `[t0, t0 + duration]`. Bucket
     /// `Vec`s keep their capacity across runs (the allocation-free
-    /// steady-state property).
+    /// steady-state property). A run that returned drained the queue, so
+    /// there is nothing to clear — 2048 stores that were a third of a
+    /// `meadow_small` evaluation; only a run abandoned by a panic leaves
+    /// entries behind.
     fn reset(&mut self, t0: f64, duration: f64) {
         if self.buckets.len() != BUCKETS {
             self.buckets.resize_with(BUCKETS, Vec::new);
         }
-        for b in &mut self.buckets {
-            b.clear();
+        if self.len != 0 {
+            for b in &mut self.buckets {
+                b.clear();
+            }
+            self.cur.clear();
         }
-        self.cur.clear();
         self.cursor = 0;
         self.len = 0;
         self.base = t0;
@@ -365,7 +377,9 @@ impl BucketQueue {
 /// ignition bounding box expanded by the farthest distance the fire can
 /// travel within the horizon (Chebyshev metric — every neighbour step,
 /// diagonal included, advances at most one Chebyshev unit and costs at
-/// least `cell_ft / ros_cap` minutes).
+/// least `cell_ft / ros_cap` minutes). It bounds bookkeeping, not work:
+/// writes inside it are recorded as per-row spans, and the tiled kernel
+/// partitions it into tiles.
 #[derive(Debug, Clone, Copy)]
 struct Window {
     r0: usize,
@@ -378,16 +392,6 @@ impl Window {
     #[inline]
     fn contains(&self, r: usize, c: usize) -> bool {
         r.wrapping_sub(self.r0) < self.rows && c.wrapping_sub(self.c0) < self.cols
-    }
-
-    /// Row-major index into window-local storage.
-    #[inline]
-    fn local(&self, r: usize, c: usize) -> usize {
-        (r - self.r0) * self.cols + (c - self.c0)
-    }
-
-    fn cells(&self) -> usize {
-        self.rows * self.cols
     }
 }
 
@@ -498,28 +502,25 @@ fn dedup_strays(stray: &mut Vec<u32>) {
 ///
 /// `FireSim` is immutable shared state (terrain + fuel beds behind `Arc`s);
 /// a `SimArena` is the *mutable* counterpart one worker owns privately. It
-/// holds the per-cell directional-spread cache, the frontier queues and the
-/// arrival-time raster. Construction is O(1): nothing is allocated until
-/// the first run, and from then on every buffer is retained at its
-/// high-water mark, so once capacities have grown to cover the scenarios a
-/// worker evaluates, [`FireSim::simulate_arena`] performs **zero further
-/// allocations** — construct one arena per worker (see [`FireSim::arena`])
-/// and reuse it for every scenario. On the default bucket kernel the
-/// high-water mark tracks the *active-front window*, not the raster: a
-/// short burn on a 1000×1000 map holds window-sized scratch plus the
-/// (mandatory) full arrival raster, instead of the former eager
-/// `rows*cols` heap reservation.
+/// holds the frontier queues, the seed lists, the dirty-span bookkeeping
+/// and the arrival-time raster — no spread tables beyond the 14 inline
+/// per-fuel ones: a per-cell table lives for the one pop that reads it.
+/// Construction is O(1): nothing is allocated until the first run, and
+/// from then on every buffer is retained at its high-water mark, so once
+/// capacities have grown to cover the scenarios a worker evaluates,
+/// [`FireSim::simulate_arena`] performs **zero further allocations** —
+/// construct one arena per worker (see [`FireSim::arena`]) and reuse it
+/// for every scenario. On the default bucket kernel the high-water mark
+/// tracks the *fire*: a short burn on a 1000×1000 map holds the frontier
+/// it queued and eight bytes per window row of spans, plus the (mandatory)
+/// full arrival raster.
 #[derive(Debug, Clone)]
 pub struct SimArena {
     rows: usize,
     cols: usize,
-    /// Per-cell spread scratch: the directional tables plus the flat SoA
-    /// gather buffers that feed them (filled only on terrains where spread
-    /// varies with more than the fuel code; window-sized on the bucket
-    /// kernel).
-    spread: SpreadScratch,
     /// Per-fuel-code directional spread tables (filled only on fuel-only
-    /// mosaics); inline, so the fast path never touches the heap.
+    /// mosaics, and only for the codes the fuel layer holds); inline, so
+    /// the fast path never touches the heap.
     per_fuel: [[f64; 8]; 14],
     /// Reference-kernel Dijkstra frontier; empty unless [`Kernel::Heap`]
     /// runs, capacity persists.
@@ -531,6 +532,9 @@ pub struct SimArena {
     lit: Vec<u32>,
     /// Burnable ignition cells of the current run (index scratch).
     seeds: Vec<u32>,
+    /// The seeds the bucket and tiled kernels queue: those with a
+    /// neighbour still to burn (index scratch; see [`Sweep::front`]).
+    front: Vec<u32>,
     /// Per-window-row dirty column spans of the last bucket run
     /// (inclusive; `lo > hi` means the row was never written).
     span_lo: Vec<u32>,
@@ -605,83 +609,6 @@ struct TileScratch {
     head: usize,
 }
 
-/// Scratch for the fully heterogeneous (per-cell) spread path, laid out as
-/// structure-of-arrays: each terrain input is gathered into its own flat
-/// buffer once per run (raster-order on the reference kernel,
-/// window-order on the bucket kernel), then the spread kernel walks the
-/// buffers linearly. Keeping the inputs in separate contiguous arrays (and
-/// hoisting the layer-presence branches out of the cell loop) is what lets
-/// the compiler vectorize the gather loops and keeps the kernel loop free
-/// of per-cell `Option` checks.
-#[derive(Debug, Clone, Default)]
-struct SpreadScratch {
-    /// The output: per-cell directional spread tables.
-    per_cell: Vec<[f64; 8]>,
-    /// Effective fuel code per cell.
-    codes: Vec<u8>,
-    /// Slope steepness (`tan` of the slope angle) per cell.
-    steep: Vec<f64>,
-    /// Aspect azimuth (degrees) per cell.
-    aspect: Vec<f64>,
-    /// Midflame wind speed (ft/min) per cell.
-    wind_fpm: Vec<f64>,
-    /// Wind azimuth (degrees) per cell.
-    wind_az: Vec<f64>,
-}
-
-/// A run of whole window rows of the [`SpreadScratch`] buffers, cell for
-/// cell: what one call of the gather fills. Bands of one scratch are
-/// disjoint, which is what lets row bands fill concurrently.
-struct Band<'a> {
-    codes: &'a mut [u8],
-    steep: &'a mut [f64],
-    aspect: &'a mut [f64],
-    wind_fpm: &'a mut [f64],
-    wind_az: &'a mut [f64],
-    per_cell: &'a mut [[f64; 8]],
-}
-
-impl SpreadScratch {
-    /// Sizes every buffer to `n` cells and lends them as one band. What
-    /// the previous run left in them stays (only growth is initialised):
-    /// the gather overwrites every cell it is handed. Growth is to exactly
-    /// `n`: windows vary run to run, and amortised doubling would leave an
-    /// arena reused across runs holding up to twice its high-water mark —
-    /// 97 bytes a cell, times every arena live at once.
-    // lint: no_alloc
-    fn band(&mut self, n: usize) -> Band<'_> {
-        fn size<T: Copy>(buffer: &mut Vec<T>, n: usize, fill: T) {
-            buffer.reserve_exact(n.saturating_sub(buffer.len()));
-            buffer.resize(n, fill);
-        }
-        size(&mut self.codes, n, 0);
-        size(&mut self.steep, n, 0.0);
-        size(&mut self.aspect, n, 0.0);
-        size(&mut self.wind_fpm, n, 0.0);
-        size(&mut self.wind_az, n, 0.0);
-        size(&mut self.per_cell, n, [0.0; 8]);
-        Band {
-            codes: &mut self.codes,
-            steep: &mut self.steep,
-            aspect: &mut self.aspect,
-            wind_fpm: &mut self.wind_fpm,
-            wind_az: &mut self.wind_az,
-            per_cell: &mut self.per_cell,
-        }
-    }
-
-    /// Heap bytes currently held across all spread buffers.
-    fn bytes(&self) -> usize {
-        self.per_cell.capacity() * std::mem::size_of::<[f64; 8]>()
-            + self.codes.capacity()
-            + (self.steep.capacity()
-                + self.aspect.capacity()
-                + self.wind_fpm.capacity()
-                + self.wind_az.capacity())
-                * std::mem::size_of::<f64>()
-    }
-}
-
 impl SimArena {
     /// An arena for `rows × cols` rasters. Construction allocates nothing
     /// — every buffer (arrival raster included) is grown on first use and
@@ -693,12 +620,12 @@ impl SimArena {
         Self {
             rows,
             cols,
-            spread: SpreadScratch::default(),
             per_fuel: [[0.0; 8]; 14],
             heap: BinaryHeap::new(),
             queue: BucketQueue::default(),
             lit: Vec::new(),
             seeds: Vec::new(),
+            front: Vec::new(),
             span_lo: Vec::new(),
             span_hi: Vec::new(),
             stray: Vec::new(),
@@ -758,21 +685,20 @@ impl SimArena {
     }
 
     /// Heap bytes currently held by every scratch structure in the arena
-    /// — frontier queues, SoA gather buffers, per-cell tables, dirty-span
-    /// bookkeeping — **excluding** the arrival raster itself (which is the
-    /// mandatory output, reported by [`SimArena::raster_bytes`]). This is
-    /// the number the landscape bench tracks against the old eager
-    /// `rows*cols` heap preallocation.
+    /// — frontier queues, seed lists, dirty-span bookkeeping —
+    /// **excluding** the arrival raster itself (which is the mandatory
+    /// output, reported by [`SimArena::raster_bytes`]). It scales with the
+    /// fire a run queued, not with the raster or the window.
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
         self.heap.capacity() * size_of::<(Reverse<Time>, u32)>()
             + self.queue.bytes()
-            + self.spread.bytes()
             + (self.span_lo.capacity()
                 + self.span_hi.capacity()
                 + self.stray.capacity()
                 + self.lit.capacity()
-                + self.seeds.capacity())
+                + self.seeds.capacity()
+                + self.front.capacity())
                 * size_of::<u32>()
             + self.epochs.bytes()
     }
@@ -792,11 +718,11 @@ enum Tables<'a> {
     /// Fuel mosaic with globally uniform slope/aspect/wind: one table per
     /// fuel code, looked up through the fuel layer.
     PerFuel(&'a [[f64; 8]; 14], &'a [u8]),
-    /// Fully heterogeneous terrain: one table per cell of the run's window,
-    /// in window order (see [`Window::local`]), plus the hoisted base the
-    /// lazy fallback computes a cell beyond the window from.
+    /// Fully heterogeneous terrain: a cell's table is built when the cell
+    /// pops ([`FireSim::cell_table_at`]), from the scenario's global
+    /// inputs and the hoisted per-model base.
     PerCell {
-        cells: &'a [[f64; 8]],
+        globals: SpreadInputs,
         base: [(f64, f64); 14],
     },
 }
@@ -805,7 +731,8 @@ enum Tables<'a> {
 /// cells are firebreaks). With no fuel layer burnability is global, and
 /// only then is the scenario's model consulted — a layered terrain makes
 /// it irrelevant, and must not panic on an out-of-catalog value it never
-/// uses.
+/// uses; without a layer an out-of-catalog model burns nowhere, as
+/// [`Terrain::fuel_code_mask`] and the spread-rate bound already say.
 #[derive(Clone, Copy)]
 struct Burnable<'a> {
     fuel: Option<&'a [u8]>,
@@ -830,8 +757,9 @@ struct Sweep<'a> {
     sim: &'a FireSim,
     scenario: &'a Scenario,
     burnable: Burnable<'a>,
-    /// The active-front window: the cells `tables` was gathered for and
-    /// writes are span-tracked in; the whole raster on [`Kernel::Heap`].
+    /// The active-front window: the cells writes are span-tracked in and
+    /// the tiled kernel cuts into tiles; the whole raster on
+    /// [`Kernel::Heap`].
     win: Window,
     tables: Tables<'a>,
     rows: usize,
@@ -890,30 +818,6 @@ fn audit_pop_order(prev: &mut Option<(f64, u32)>, t: f64, idx: u32) {
     *prev = Some((t, idx));
 }
 
-/// One layer of the per-cell gather: `dst` — whole window rows, `src`
-/// naming each row's cells in the raster-order `layer` — becomes `f` of the
-/// layer's values, or `uniform` throughout on a terrain without that layer.
-// lint: no_alloc
-fn gather_layer<S: Copy, D: Copy>(
-    dst: &mut [D],
-    layer: Option<&Grid<S>>,
-    src: impl Iterator<Item = std::ops::Range<usize>>,
-    uniform: D,
-    f: impl Fn(S) -> D,
-) {
-    let Some(layer) = layer else {
-        return dst.fill(uniform);
-    };
-    let mut filled = 0;
-    for row in src {
-        let into = &mut dst[filled..filled + row.len()];
-        filled += row.len();
-        for (d, &s) in into.iter_mut().zip(&layer.as_slice()[row]) {
-            *d = f(s);
-        }
-    }
-}
-
 /// The fire propagation simulator for one terrain.
 ///
 /// A `FireSim` is *immutable shared state*: the terrain and the precomputed
@@ -952,13 +856,15 @@ impl FireSim {
         SimArena::new(self.terrain.rows(), self.terrain.cols())
     }
 
-    /// Directional spread rates for one cell under `scenario`.
+    /// Directional spread rates for one cell under `scenario`, through the
+    /// [`Terrain`] accessors and the unsplit [`wind_slope_max`] — the
+    /// independent statement of what a cell's table is, which
+    /// [`FireSim::cell_table_at`] is pinned against bit for bit.
     fn cell_spread(&self, row: usize, col: usize, scenario: &Scenario) -> SpreadVector {
         let fuel = self.terrain.fuel_at(row, col, scenario.model);
-        let bed = &self.beds[fuel as usize];
-        if !bed.burnable {
+        let Some(bed) = self.beds.get(fuel as usize).filter(|bed| bed.burnable) else {
             return SpreadVector::no_spread();
-        }
+        };
         let slope_deg = self.terrain.slope_at(row, col, scenario.slope_deg);
         let aspect = self.terrain.aspect_at(row, col, scenario.aspect_deg);
         let (wind_mph, wind_dir) =
@@ -973,32 +879,21 @@ impl FireSim {
         wind_slope_max(bed, &scenario.moisture(), &inputs)
     }
 
-    /// Directional table for fuel model `code` under the scenario's global
-    /// slope/aspect/wind — the per-fuel cache entry. Bit-identical to
-    /// [`FireSim::cell_spread`] on a terrain whose only override layer is
-    /// the fuel mosaic.
-    fn fuel_table(&self, code: usize, scenario: &Scenario, moisture: &MoistureRegime) -> [f64; 8] {
-        let bed = &self.beds[code];
-        if !bed.burnable {
-            return [0.0; 8];
-        }
-        let inputs = SpreadInputs {
-            wind_fpm: scenario.wind_speed_mph * crate::MPH_TO_FPM,
-            wind_azimuth: scenario.wind_dir_deg,
-            slope_steepness: scenario.slope_deg.to_radians().tan(),
-            aspect_azimuth: scenario.aspect_deg,
-        };
-        wind_slope_max(bed, moisture, &inputs).compass_ros()
-    }
-
     /// The per-catalog-model `(ros0, reaction intensity)` hoist:
     /// [`no_wind_no_slope`] runs the fuel-particle loops and depends only
-    /// on (fuel code, moisture), so it is computed once per model (≤ 14
-    /// calls) instead of once per cell.
-    fn hoisted_base(&self, moisture: &MoistureRegime) -> [(f64, f64); 14] {
+    /// on (fuel code, moisture), so a run computes it once for each model
+    /// the terrain can show the fire ([`Terrain::fuel_code_mask`]) — never
+    /// per cell — and both the window's spread-rate bound and every spread
+    /// table start from it. A model outside the mask (or outside the
+    /// catalog) keeps `(0, 0)`, which reads as "does not spread".
+    fn hoisted_base(&self, scenario: &Scenario) -> [(f64, f64); 14] {
+        let mask = self.terrain.fuel_code_mask(scenario.model);
+        let moisture = scenario.moisture();
         let mut base = [(0.0f64, 0.0f64); 14];
-        for (bed, slot) in self.beds.iter().zip(base.iter_mut()) {
-            *slot = no_wind_no_slope(bed, moisture);
+        for (code, (bed, slot)) in self.beds.iter().zip(base.iter_mut()).enumerate() {
+            if mask & (1 << code) != 0 {
+                *slot = no_wind_no_slope(bed, &moisture);
+            }
         }
         base
     }
@@ -1015,16 +910,16 @@ impl FireSim {
     /// `rv = √((slp + wnd·cosθ)² + (wnd·sinθ)²) ≤ slp + wnd`, and the
     /// effective-wind cap only lowers `ros_max`. `φ_w = k·U^b` and
     /// `φ_s = k·tan²` are monotone in wind speed and slope, so evaluating
-    /// them at the terrain-wide maxima bounds every cell. (The bucket
-    /// kernel additionally tolerates the bound being off by floating-point
-    /// slack: cells popped outside the gathered window fall back to an
-    /// exact lazy per-cell table.)
+    /// them at the terrain-wide maxima bounds every cell. (The bound sizes
+    /// bookkeeping only: a cell written beyond the window through
+    /// floating-point slack is tracked on the stray list instead.)
     pub fn spread_rate_bound(&self, scenario: &Scenario) -> f64 {
-        let mask = self.terrain.fuel_code_mask(scenario.model);
-        if mask == 0 {
-            return 0.0;
-        }
-        let moisture = scenario.moisture();
+        self.rate_bound(scenario, &self.hoisted_base(scenario))
+    }
+
+    /// [`FireSim::spread_rate_bound`] from the run's hoisted `base`.
+    // lint: no_alloc
+    fn rate_bound(&self, scenario: &Scenario, base: &[(f64, f64); 14]) -> f64 {
         let wind_fpm = self.terrain.max_wind_speed(scenario.wind_speed_mph) * crate::MPH_TO_FPM;
         let steep = self
             .terrain
@@ -1032,11 +927,9 @@ impl FireSim {
             .to_radians()
             .tan();
         let mut cap = 0.0f64;
-        for (code, bed) in self.beds.iter().enumerate() {
-            if mask & (1 << code) == 0 || !bed.burnable {
-                continue;
-            }
-            let (ros0, _) = no_wind_no_slope(bed, &moisture);
+        for (bed, &(ros0, _)) in self.beds.iter().zip(base) {
+            // Absent, unburnable and extinguished models all hoist to a
+            // `ros0` of zero.
             if ros0 <= SMIDGEN {
                 continue;
             }
@@ -1055,200 +948,57 @@ impl FireSim {
         cap
     }
 
-    /// The wind/slope half of the spread math, one linear pass over a
-    /// gathered band: `per_cell[i]` becomes the directional table of the
-    /// cell whose inputs sit at index `i`.
-    // lint: no_alloc
-    fn spread_kernel(band: &mut Band<'_>, beds: &[FuelBed], base: &[(f64, f64); 14]) {
-        for (idx, slot) in band.per_cell.iter_mut().enumerate() {
-            let code = band.codes[idx] as usize;
-            // Unburnable beds hoist to `(0.0, 0.0)`, so the `ros0` guard
-            // covers both the unburnable and the extinguished case — the
-            // same two paths `cell_spread` resolves to `no_spread`.
-            let (ros0, rx_int) = base[code];
-            let v = if ros0 <= SMIDGEN {
-                SpreadVector::no_spread()
-            } else {
-                let inputs = SpreadInputs {
-                    wind_fpm: band.wind_fpm[idx],
-                    wind_azimuth: band.wind_az[idx],
-                    slope_steepness: band.steep[idx],
-                    aspect_azimuth: band.aspect[idx],
-                };
-                wind_slope_from_ros0(&beds[code], ros0, rx_int, &inputs)
-            };
-            let table = v.compass_ros();
-            debug_assert!(
-                table.iter().all(|ros| ros.is_finite() && *ros >= 0.0),
-                "non-finite or negative ROS in spread table at SoA index {idx}: {table:?}"
-            );
-            *slot = table;
-        }
-    }
-
-    /// The per-cell gather: fills `band` — window rows `rows` of `win`,
-    /// in window-row order — with the directional-spread tables of a fully
-    /// heterogeneous terrain via the flat SoA path. Three phases:
-    ///
-    /// 1. **Gather** — resolve each override layer into its own contiguous
-    ///    buffer ([`gather_layer`]), hoisting the layer-presence branch
-    ///    (and the per-layer transforms: `tan`, mph→fpm, azimuth wrap) out
-    ///    of the cell loop into simple vectorizable map/splat loops.
-    /// 2. **Hoist** — `base`, from [`FireSim::hoisted_base`].
-    /// 3. **Kernel** — [`FireSim::spread_kernel`].
-    ///
-    /// Every cell's table depends on that cell alone, so it does not
-    /// matter which window or row range a cell is gathered through: the
-    /// serial fill is the whole window as one range, the tiled kernel's
-    /// parallel fill ([`FireSim::gather_banded`]) is this function per row
-    /// band, and the reference kernel's window is the raster. Bit-identity
-    /// with the per-cell [`FireSim::cell_spread`]: the gathered inputs are
-    /// computed by the same expressions the [`Terrain`] accessors use,
-    /// `no_wind_no_slope` is pure in (bed, moisture), and
+    /// The directional table of fuel model `code` under `inputs`: the
+    /// wind/slope half of the spread math over the hoisted `base`.
     /// [`wind_slope_max`] is exactly `no_wind_no_slope` composed with
-    /// [`wind_slope_from_ros0`] — pinned by the arena regression suite.
+    /// [`wind_slope_from_ros0`], so this is bit-identical to
+    /// [`FireSim::cell_spread`] for a cell with that model and those inputs.
     // lint: no_alloc
-    fn gather_rows(
-        &self,
-        scenario: &Scenario,
-        base: &[(f64, f64); 14],
-        win: &Window,
-        rows: std::ops::Range<usize>,
-        band: &mut Band<'_>,
-    ) {
-        let t = &*self.terrain;
-        // Where each window row of the band sits in a raster-order layer.
-        let src = rows.map(|wr| {
-            let off = (win.r0 + wr) * t.cols() + win.c0;
-            off..off + win.cols
-        });
-        let wind = t.wind_layer();
-        let (speed, dir) = (scenario.wind_speed_mph, scenario.wind_dir_deg);
-        gather_layer(
-            band.codes,
-            t.fuel_layer(),
-            src.clone(),
-            scenario.model,
-            |code| code,
+    #[inline]
+    fn code_table(&self, code: usize, base: &[(f64, f64); 14], inputs: &SpreadInputs) -> [f64; 8] {
+        let (ros0, rx_int) = base[code];
+        let table = wind_slope_from_ros0(&self.beds[code], ros0, rx_int, inputs).compass_ros();
+        debug_assert!(
+            table.iter().all(|ros| ros.is_finite() && *ros >= 0.0),
+            "non-finite or negative ROS in the spread table of model {code}: {table:?}"
         );
-        gather_layer(
-            band.steep,
-            t.slope_layer(),
-            src.clone(),
-            scenario.slope_deg.to_radians().tan(),
-            |deg: f64| deg.to_radians().tan(),
-        );
-        gather_layer(
-            band.aspect,
-            t.aspect_layer(),
-            src.clone(),
-            scenario.aspect_deg,
-            |azimuth| azimuth,
-        );
-        gather_layer(
-            band.wind_fpm,
-            wind.map(|(factor, _)| factor),
-            src.clone(),
-            speed * crate::MPH_TO_FPM,
-            |factor| (speed * factor) * crate::MPH_TO_FPM,
-        );
-        gather_layer(
-            band.wind_az,
-            wind.map(|(_, offset)| offset),
-            src,
-            dir,
-            |offset| normalize_azimuth(dir + offset),
-        );
-        Self::spread_kernel(band, &self.beds, base);
+        table
     }
 
-    /// [`FireSim::gather_rows`] over the whole window, split into
-    /// contiguous row bands that fill *disjoint sub-slices* of the shared
-    /// buffers concurrently. Same function, same cells, so the tables are
-    /// bit-identical to the single-range fill.
-    fn gather_banded(
-        &self,
-        scenario: &Scenario,
-        base: &[(f64, f64); 14],
-        win: &Window,
-        workers: usize,
-        whole: Band<'_>,
-    ) {
-        let band_rows = win.rows.div_ceil((workers * 4).min(win.rows));
-        let cut = band_rows * win.cols;
-        let mut bands: Vec<Band<'_>> = (whole.codes.chunks_mut(cut))
-            .zip(whole.steep.chunks_mut(cut))
-            .zip(whole.aspect.chunks_mut(cut))
-            .zip(whole.wind_fpm.chunks_mut(cut))
-            .zip(whole.wind_az.chunks_mut(cut))
-            .zip(whole.per_cell.chunks_mut(cut))
-            .map(
-                |(((((codes, steep), aspect), wind_fpm), wind_az), per_cell)| Band {
-                    codes,
-                    steep,
-                    aspect,
-                    wind_fpm,
-                    wind_az,
-                    per_cell,
-                },
-            )
-            .collect();
-        parworker::scoped_for_each_mut(workers, &mut bands, 1, |i, band| {
-            let rows = i * band_rows..i * band_rows + band.codes.len() / win.cols;
-            self.gather_rows(scenario, base, win, rows, band);
-        });
-    }
-
-    /// Lazy single-cell fallback for bucket-kernel pops that land outside
-    /// the gathered window (possible only through floating-point slack in
-    /// [`FireSim::spread_rate_bound`]). Resolves the cell's inputs with
-    /// the exact expressions the SoA gather uses and runs the same
-    /// wind/slope kernel, so the result is bit-identical to the table the
-    /// full gather would have produced — pinned by the
-    /// `fallback_cell_table_matches_gathered_fill` test.
+    /// The directional table of cell `idx` on a fully heterogeneous
+    /// terrain, built when the cell pops: `globals` (the scenario's own
+    /// inputs) with each override layer's value for the cell in place of
+    /// the global one, resolved by the same expressions the [`Terrain`]
+    /// accessors use — bit-identical to [`FireSim::cell_spread`], pinned by
+    /// the `cell_table_matches_the_terrain_accessor_path` test.
     // lint: no_alloc
     fn cell_table_at(
         &self,
-        r: usize,
-        c: usize,
+        idx: usize,
         scenario: &Scenario,
+        globals: &SpreadInputs,
         base: &[(f64, f64); 14],
     ) -> [f64; 8] {
         let t = &*self.terrain;
-        let idx = r * t.cols() + c;
         let code = match t.fuel_layer() {
             Some(g) => g.as_slice()[idx],
             None => scenario.model,
         } as usize;
-        let (ros0, rx_int) = base[code];
-        if ros0 <= SMIDGEN {
-            return SpreadVector::no_spread().compass_ros();
+        if base[code].0 <= SMIDGEN {
+            return [0.0; 8]; // nothing spreads: skip the layer reads
         }
-        let steep = match t.slope_layer() {
-            Some(g) => g.as_slice()[idx].to_radians().tan(),
-            None => scenario.slope_deg.to_radians().tan(),
-        };
-        let aspect = match t.aspect_layer() {
-            Some(g) => g.as_slice()[idx],
-            None => scenario.aspect_deg,
-        };
-        let (wind_fpm, wind_azimuth) = match t.wind_layer() {
-            Some((f, o)) => (
-                (scenario.wind_speed_mph * f.as_slice()[idx]) * crate::MPH_TO_FPM,
-                normalize_azimuth(scenario.wind_dir_deg + o.as_slice()[idx]),
-            ),
-            None => (
-                scenario.wind_speed_mph * crate::MPH_TO_FPM,
-                scenario.wind_dir_deg,
-            ),
-        };
-        let inputs = SpreadInputs {
-            wind_fpm,
-            wind_azimuth,
-            slope_steepness: steep,
-            aspect_azimuth: aspect,
-        };
-        wind_slope_from_ros0(&self.beds[code], ros0, rx_int, &inputs).compass_ros()
+        let mut inputs = *globals;
+        if let Some(g) = t.slope_layer() {
+            inputs.slope_steepness = g.as_slice()[idx].to_radians().tan();
+        }
+        if let Some(g) = t.aspect_layer() {
+            inputs.aspect_azimuth = g.as_slice()[idx];
+        }
+        if let Some((f, o)) = t.wind_layer() {
+            inputs.wind_fpm = (scenario.wind_speed_mph * f.as_slice()[idx]) * crate::MPH_TO_FPM;
+            inputs.wind_azimuth = normalize_azimuth(scenario.wind_dir_deg + o.as_slice()[idx]);
+        }
+        self.code_table(code, base, &inputs)
     }
 
     /// Simulates fire growth from `initial` (cells burning at `t0`) for
@@ -1376,8 +1126,9 @@ impl FireSim {
     }
 
     /// One run of `kernel` from the lit cells `lit` into `arena`: the
-    /// prelude every kernel shares — preconditions, raster reset, burnable
-    /// seeds, window, spread tables, seed writes — then the kernel's own
+    /// prelude every kernel shares — preconditions, raster reset, the
+    /// per-model hoist, burnable seeds, window, how a pop resolves its
+    /// table, seed writes, the seeds on the front — then the kernel's own
     /// frontier loop over the resulting [`Sweep`] and [`Trail`].
     // lint: no_alloc
     fn run_kernel(
@@ -1412,11 +1163,11 @@ impl FireSim {
         };
 
         let SimArena {
-            spread,
             per_fuel,
             heap,
             queue,
             seeds,
+            front,
             span_lo,
             span_hi,
             stray,
@@ -1432,43 +1183,38 @@ impl FireSim {
         let burnable = Burnable {
             fuel,
             beds: &self.beds,
-            global: fuel.is_none() && self.beds[scenario.model as usize].burnable,
+            global: fuel.is_none()
+                && (self.beds.get(scenario.model as usize)).is_some_and(|bed| bed.burnable),
         };
-        let whole = kernel == Kernel::Heap;
-        let Some(win) = self.seed_window(scenario, lit, duration, whole, seeds, &burnable) else {
+        let base = self.hoisted_base(scenario);
+        // The reference kernel's window is the whole raster: no bound on
+        // how fast its fire may go.
+        let cap = match kernel {
+            Kernel::Heap => f64::INFINITY,
+            Kernel::Bucket | Kernel::Tiled { .. } => self.rate_bound(scenario, &base),
+        };
+        let Some(win) = self.seed_window(lit, duration, cap, seeds, &burnable) else {
             return; // nothing written; the raster stays clean
         };
 
         // Uniform terrains share one table; fuel-only mosaics share one
-        // table per fuel code (≤ 14 spread computations instead of one per
-        // cell); anything else gets the per-cell cache in the arena,
-        // gathered for the window only. The gather is the one place tiling
-        // parallelizes *outside* the sweep, when the window is big enough
-        // for row bands to pay.
+        // table per fuel code present (≤ 14 spread computations instead of
+        // one per cell); anything else builds a cell's table when it pops.
+        let globals = scenario.spread_inputs();
         let tables = match fuel {
             _ if !t.has_overrides() => {
-                Tables::Uniform(self.cell_spread(0, 0, scenario).compass_ros())
+                Tables::Uniform(self.code_table(scenario.model as usize, &base, &globals))
             }
             Some(fuel) if t.fuel_is_only_override() => {
-                let moisture = scenario.moisture();
+                let mask = t.fuel_code_mask(scenario.model);
                 for (code, table) in per_fuel.iter_mut().enumerate() {
-                    *table = self.fuel_table(code, scenario, &moisture);
+                    if mask & (1 << code) != 0 {
+                        *table = self.code_table(code, &base, &globals);
+                    }
                 }
                 Tables::PerFuel(per_fuel, fuel)
             }
-            _ => {
-                let base = self.hoisted_base(&scenario.moisture());
-                let mut band = spread.band(win.cells());
-                if workers <= 1 || win.cells() < 16_384 || win.rows < 2 {
-                    self.gather_rows(scenario, &base, &win, 0..win.rows, &mut band);
-                } else {
-                    self.gather_banded(scenario, &base, &win, workers, band);
-                }
-                Tables::PerCell {
-                    cells: &spread.per_cell,
-                    base,
-                }
-            }
+            _ => Tables::PerCell { globals, base },
         };
         let sweep = Sweep {
             sim: self,
@@ -1509,9 +1255,13 @@ impl FireSim {
                 // The reference kernel tracks nothing beyond its seeds.
                 *dirty = Dirty::All;
             }
-            Kernel::Bucket => sweep.run_bucket(seeds, queue, &mut trail),
+            Kernel::Bucket => {
+                sweep.front(seeds, trail.out, front);
+                sweep.run_bucket(front, queue, &mut trail)
+            }
             Kernel::Tiled { tile, .. } => {
-                sweep.run_tiled(seeds, queue, &mut trail, epochs, tile, workers)
+                sweep.front(seeds, trail.out, front);
+                sweep.run_tiled(front, queue, &mut trail, epochs, tile, workers)
             }
         }
         dedup_strays(trail.stray);
@@ -1519,22 +1269,22 @@ impl FireSim {
 
     /// The start of a run: filters `lit` down to the cells that can burn
     /// (into `seeds`) and returns the active-front window around them —
-    /// their bounding box expanded by the farthest whole-cell distance the
-    /// fire can cross within the horizon, or the `whole` raster when asked
-    /// for it — or `None` when nothing burnable is lit.
+    /// their bounding box expanded by the farthest whole-cell distance a
+    /// fire spreading at most `cap` ft/min can cross within the horizon
+    /// (the whole raster for an unbounded `cap`) — or `None` when nothing
+    /// burnable is lit.
     ///
     /// A diagonal step advances one Chebyshev unit and costs `√2 · cell_ft
     /// / ros ≥ cell_ft / ros_cap`, so `ros_cap · duration / cell_ft`
     /// Chebyshev units bound the reach; +2 cells and a tiny relative
     /// inflation absorb floating-point slack in the bound (and any
-    /// remainder is caught by the lazy out-of-window fallback).
+    /// remainder is tracked on the stray list).
     // lint: no_alloc
     fn seed_window(
         &self,
-        scenario: &Scenario,
         lit: &[u32],
         duration: f64,
-        whole: bool,
+        cap: f64,
         seeds: &mut Vec<u32>,
         burnable: &Burnable<'_>,
     ) -> Option<Window> {
@@ -1557,23 +1307,15 @@ impl FireSim {
         if seeds.is_empty() {
             return None;
         }
-        let reach = if whole {
-            rows.max(cols)
+        let reach = if cap <= SMIDGEN {
+            0
         } else {
-            let cap = self.spread_rate_bound(scenario);
-            let reach = if cap <= SMIDGEN {
-                0
-            } else {
-                let cells =
-                    (cap * duration / self.terrain.cell_size_ft() * (1.0 + 1e-9)).ceil() + 2.0;
-                cells.min(rows.max(cols) as f64) as usize
-            };
-            // Tests shrink the window to force the out-of-window (stray)
-            // paths.
-            #[cfg(test)]
-            let reach = reach.min(tests::REACH_CAP.with(std::cell::Cell::get));
-            reach
+            let cells = (cap * duration / self.terrain.cell_size_ft() * (1.0 + 1e-9)).ceil() + 2.0;
+            cells.min(rows.max(cols) as f64) as usize
         };
+        // Tests shrink the window to force the out-of-window (stray) paths.
+        #[cfg(test)]
+        let reach = reach.min(tests::REACH_CAP.with(std::cell::Cell::get));
         let r0 = br0.saturating_sub(reach);
         let c0 = bc0.saturating_sub(reach);
         let r1 = (br1 + reach).min(rows - 1);
@@ -1607,24 +1349,63 @@ impl FireSim {
 }
 
 impl Sweep<'_> {
-    /// The directional spread table of cell `idx` = `(r, c)`, by reference
-    /// wherever one is stored. A per-cell run that pops a cell beyond its
-    /// gathered window (possible only through floating-point slack in
-    /// [`FireSim::spread_rate_bound`]) computes that cell's table on the
-    /// spot, bit-identical to what the gather would have stored.
+    /// The directional spread table of cell `idx`: by reference where one
+    /// is shared, built on the spot on a fully heterogeneous terrain — the
+    /// caller is the cell's one live pop, so there is no one to keep it for.
     // lint: no_alloc
     #[inline]
-    fn table(&self, idx: usize, r: usize, c: usize) -> Cow<'_, [f64; 8]> {
+    fn table(&self, idx: usize) -> Cow<'_, [f64; 8]> {
         Cow::Borrowed(match &self.tables {
             Tables::Uniform(table) => table,
             Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize],
-            Tables::PerCell { cells, .. } if self.win.contains(r, c) => {
-                &cells[self.win.local(r, c)]
-            }
-            Tables::PerCell { base, .. } => {
-                return Cow::Owned(self.sim.cell_table_at(r, c, self.scenario, base))
+            Tables::PerCell { globals, base } => {
+                #[cfg(test)]
+                tests::TABLES_BUILT.with(|n| n.set(n.get() + 1));
+                return Cow::Owned(self.sim.cell_table_at(idx, self.scenario, globals, base));
             }
         })
+    }
+
+    /// The neighbour of `at` in direction `dir`
+    /// ([`landscape::NEIGHBOUR_OFFSETS`]) if a pop of `at` at `t` could
+    /// still improve it: inside the raster and holding an arrival more
+    /// than `SMIDGEN` after `t`. Every edge costs `d ≥ 0`, so `t + d`
+    /// cannot beat a neighbour that `t` itself does not.
+    // lint: no_alloc
+    #[inline]
+    fn open_at(
+        &self,
+        t: f64,
+        (r, c): (usize, usize),
+        dir: usize,
+        raster: &IgnitionMap,
+    ) -> Option<(usize, usize)> {
+        let (dr, dc, _) = landscape::NEIGHBOUR_OFFSETS[dir];
+        let (nr, nc) = (r as isize + dr, c as isize + dc);
+        if nr < 0 || nc < 0 || nr as usize >= self.rows || nc as usize >= self.cols {
+            return None;
+        }
+        let (nr, nc) = (nr as usize, nc as usize);
+        (t < raster.time(nr, nc) - SMIDGEN).then_some((nr, nc))
+    }
+
+    /// The seeds the bucket and tiled kernels queue, into `front`: those
+    /// with an open neighbour once every seed is written at `t0`. A seed
+    /// with none would pop, emit nothing and change nothing — arrivals only
+    /// fall, so a neighbour closed at `t0` stays closed — which makes a
+    /// filled blob cost its rim, not its area. The reference kernel queues
+    /// them all.
+    // lint: no_alloc
+    // Out of line on purpose: it runs once per run, and inlined into the
+    // prelude it cost the smallest uniform evaluations ≈ 0.2 µs each.
+    #[inline(never)]
+    fn front(&self, seeds: &[u32], raster: &IgnitionMap, front: &mut Vec<u32>) {
+        let on_front = |&sidx: &u32| {
+            let at = (sidx as usize / self.cols, sidx as usize % self.cols);
+            (0..8).any(|dir| self.open_at(self.t0, at, dir, raster).is_some())
+        };
+        front.clear();
+        front.extend(seeds.iter().copied().filter(on_front));
     }
 
     /// The one relaxation step behind the bucket and tiled kernels: the
@@ -1632,10 +1413,13 @@ impl Sweep<'_> {
     /// arrival that survives — an edge that spreads, inside the horizon,
     /// beating the neighbour's current arrival by more than `SMIDGEN`, into
     /// a cell that can burn. A stale pop (`t` already beaten at `idx`)
-    /// emits nothing. `emit` gets the raster back, so a caller that applies
-    /// its candidates writes them there ([`Trail::mark_written`]) and one
-    /// that defers them reads a snapshot; the eight neighbours are distinct
-    /// cells, so a write for one never changes the verdict on another.
+    /// emits nothing, and neither does one with no open neighbour — the
+    /// interior of a front — which is found out before the cell's table is
+    /// asked for, so only a pop that can move the front pays for one.
+    /// `emit` gets the raster back, so a caller that applies its candidates
+    /// writes them there ([`Trail::mark_written`]) and one that defers them
+    /// reads a snapshot; the eight neighbours are distinct cells, so a
+    /// write for one never changes the verdict on another.
     // lint: no_alloc
     #[inline]
     fn relax<R: std::ops::Deref<Target = IgnitionMap>>(
@@ -1646,29 +1430,32 @@ impl Sweep<'_> {
         mut emit: impl FnMut(&mut R, f64, usize, (usize, usize)),
     ) {
         let &Sweep {
-            rows,
             cols,
             cell_ft,
             t_end,
             ..
         } = self;
-        let (r, c) = (idx / cols, idx % cols);
-        if t > raster.time(r, c) + SMIDGEN {
+        let at = (idx / cols, idx % cols);
+        if t > raster.time(at.0, at.1) + SMIDGEN {
             return; // stale entry
         }
-        let table = self.table(idx, r, c);
+        let Some(first) = (0..8).find(|&dir| self.open_at(t, at, dir, raster).is_some()) else {
+            return;
+        };
+        let table = self.table(idx);
         let table: &[f64; 8] = &table;
-        for (dir, &(dr, dc, dist_factor)) in landscape::NEIGHBOUR_OFFSETS.iter().enumerate() {
-            let (nr, nc) = (r as isize + dr, c as isize + dc);
-            if nr < 0 || nc < 0 || nr as usize >= rows || nc as usize >= cols {
+        // `dir` names a direction: it indexes the table and the offsets and
+        // is what `open_at` takes.
+        #[allow(clippy::needless_range_loop)]
+        for dir in first..8 {
+            let Some((nr, nc)) = self.open_at(t, at, dir, raster) else {
                 continue;
-            }
-            let (nr, nc) = (nr as usize, nc as usize);
+            };
             let ros = table[dir];
             if ros <= SMIDGEN {
                 continue;
             }
-            let arrival = t + dist_factor * cell_ft / ros;
+            let arrival = t + landscape::NEIGHBOUR_OFFSETS[dir].2 * cell_ft / ros;
             if arrival > t_end || arrival >= raster.time(nr, nc) - SMIDGEN {
                 continue;
             }
@@ -1706,7 +1493,7 @@ impl Sweep<'_> {
             if t > out.time(r, c) + SMIDGEN {
                 continue; // stale entry
             }
-            let table = self.table(idx, r, c);
+            let table = self.table(idx);
             for (dir, &(dr, dc, dist_factor)) in landscape::NEIGHBOUR_OFFSETS.iter().enumerate() {
                 let (nr, nc) = (r as isize + dr, c as isize + dc);
                 if nr < 0 || nc < 0 || nr as usize >= rows || nc as usize >= cols {
@@ -1966,6 +1753,10 @@ mod tests {
         /// past the window, i.e. through the stray / fallback paths.
         pub(super) static REACH_CAP: std::cell::Cell<usize> =
             const { std::cell::Cell::new(usize::MAX) };
+        /// Per-cell spread tables built by runs on this thread — see
+        /// `Sweep::table`. (A tiled run's worker threads count on their own.)
+        pub(super) static TABLES_BUILT: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
     }
 
     fn flat_sim(n: usize) -> FireSim {
@@ -1991,28 +1782,24 @@ mod tests {
         )
     }
 
-    /// The per-cell tables of `win` through the unified gather: as one
-    /// row range (`workers == 1`) or in concurrent row bands.
-    fn gathered(sim: &FireSim, s: &Scenario, win: &Window, workers: usize) -> Vec<[f64; 8]> {
-        let base = sim.hoisted_base(&s.moisture());
-        let mut scratch = SpreadScratch::default();
-        let mut band = scratch.band(win.cells());
-        if workers == 1 {
-            sim.gather_rows(s, &base, win, 0..win.rows, &mut band);
-        } else {
-            sim.gather_banded(s, &base, win, workers, band);
+    #[test]
+    fn queue_reset_clears_what_an_abandoned_run_left() {
+        let mut queue = BucketQueue::default();
+        queue.reset(0.0, 100.0);
+        for (t, idx) in [(0.0, 3), (40.0, 1), (99.0, 2)] {
+            queue.push(t, idx);
         }
-        scratch.per_cell
-    }
-
-    /// The window that covers `sim`'s raster — the reference kernel's.
-    fn whole_raster(sim: &FireSim) -> Window {
-        Window {
-            r0: 0,
-            c0: 0,
-            rows: sim.terrain().rows(),
-            cols: sim.terrain().cols(),
-        }
+        assert_eq!(queue.pop(), Some((0.0, 3)));
+        // The run stops here (a panic unwinding through the pool): two
+        // entries are still queued, one of them in a future bucket.
+        queue.reset(5.0, 10.0);
+        assert_eq!(queue.pop(), None);
+        queue.push(7.0, 9);
+        assert_eq!(queue.pop(), Some((7.0, 9)));
+        assert_eq!(queue.pop(), None);
+        // Drained: the next reset has nothing to clear, and clears nothing.
+        queue.reset(0.0, 1.0);
+        assert!(queue.buckets.iter().all(Vec::is_empty) && queue.cur.is_empty());
     }
 
     #[test]
@@ -2290,42 +2077,6 @@ mod tests {
     }
 
     #[test]
-    fn fallback_cell_table_matches_gathered_fill() {
-        // The lazy out-of-window fallback must reproduce the SoA fill
-        // bit-for-bit on every cell (it is the safety net that keeps the
-        // window bound a performance decision, not a correctness one).
-        let sim = FireSim::new(
-            Terrain::uniform(9, 13, 100.0)
-                .with_fuel(Grid::from_fn(9, 13, |r, c| [1u8, 4, 8, 0][(r + c) % 4]))
-                .with_slope(Grid::from_fn(9, 13, |r, c| ((r * 5 + c * 3) % 40) as f64))
-                .with_wind(
-                    Grid::from_fn(9, 13, |r, c| ((r + c) % 5) as f64 * 0.5),
-                    Grid::from_fn(9, 13, |r, c| ((r * c) % 60) as f64),
-                ),
-        );
-        let s = Scenario {
-            wind_speed_mph: 11.0,
-            wind_dir_deg: 210.0,
-            ..Scenario::reference()
-        };
-        let tables = gathered(&sim, &s, &whole_raster(&sim), 1);
-        let base = sim.hoisted_base(&s.moisture());
-        for r in 0..9 {
-            for c in 0..13 {
-                let lazy = sim.cell_table_at(r, c, &s, &base);
-                let gathered = tables[r * 13 + c];
-                for d in 0..8 {
-                    assert_eq!(
-                        lazy[d].to_bits(),
-                        gathered[d].to_bits(),
-                        "cell ({r},{c}) dir {d}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn spread_rate_bound_dominates_every_cell() {
         let sim = layered_sim(19, 19);
         let s = Scenario {
@@ -2333,16 +2084,161 @@ mod tests {
             ..Scenario::reference()
         };
         let bound = sim.spread_rate_bound(&s);
-        for (idx, table) in gathered(&sim, &s, &whole_raster(&sim), 1)
-            .iter()
-            .enumerate()
-        {
+        let base = sim.hoisted_base(&s);
+        for idx in 0..19 * 19 {
+            let table = sim.cell_table_at(idx, &s, &s.spread_inputs(), &base);
             for (d, &ros) in table.iter().enumerate() {
                 assert!(
                     ros <= bound * (1.0 + 1e-12),
                     "cell {idx} dir {d}: ros {ros} exceeds bound {bound}"
                 );
             }
+        }
+    }
+
+    /// `cell_table_at` against the `Terrain`-accessor path, every cell of
+    /// `sim`, exact bits.
+    fn assert_tables_match_the_accessor_path(sim: &FireSim, s: &Scenario, what: &str) {
+        let base = sim.hoisted_base(s);
+        let globals = s.spread_inputs();
+        let cols = sim.terrain.cols();
+        for idx in 0..sim.terrain.rows() * cols {
+            let built = sim.cell_table_at(idx, s, &globals, &base);
+            let oracle = sim.cell_spread(idx / cols, idx % cols, s).compass_ros();
+            assert_eq!(
+                built.map(f64::to_bits),
+                oracle.map(f64::to_bits),
+                "{what}: cell {idx} under {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cell_table_matches_the_terrain_accessor_path() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        let mut scenario = || {
+            let genes: Vec<f64> = (0..crate::GENE_COUNT).map(|_| rng.random()).collect();
+            crate::ScenarioSpace.decode(&genes)
+        };
+        // Every layered corpus terrain (the XL tier shrunk), under its own
+        // truth and under a random scenario.
+        let mut specs = crate::workload::corpus();
+        specs.extend(crate::workload::xl_corpus().iter().map(|s| s.shrunk(96)));
+        for spec in &specs {
+            let w = spec.build();
+            if !w.terrain.has_overrides() {
+                continue;
+            }
+            let sim = w.sim();
+            assert_tables_match_the_accessor_path(&sim, &w.truth[0], spec.name);
+            assert_tables_match_the_accessor_path(&sim, &scenario(), spec.name);
+        }
+        // Random terrains, each override layer present or absent.
+        for layers in 0..16u32 {
+            let mut rng = StdRng::seed_from_u64(0x1A7E5 + layers as u64);
+            let (rows, cols) = (rng.random_range(5..28usize), rng.random_range(5..31usize));
+            let mut terrain = Terrain::uniform(rows, cols, rng.random_range(30.0..150.0));
+            if layers & 1 != 0 {
+                terrain = terrain.with_fuel(Grid::from_fn(rows, cols, |_, _| {
+                    rng.random_range(0..14u32) as u8
+                }));
+            }
+            if layers & 2 != 0 {
+                terrain = terrain.with_slope(Grid::from_fn(rows, cols, |_, _| {
+                    rng.random_range(0.0..50.0)
+                }));
+            }
+            if layers & 4 != 0 {
+                terrain = terrain.with_aspect(Grid::from_fn(rows, cols, |_, _| {
+                    rng.random_range(0.0..360.0)
+                }));
+            }
+            if layers & 8 != 0 {
+                let speed = Grid::from_fn(rows, cols, |_, _| rng.random_range(0.0..2.5));
+                let dir = Grid::from_fn(rows, cols, |_, _| rng.random_range(-120.0..120.0));
+                terrain = terrain.with_wind(speed, dir);
+            }
+            let sim = FireSim::new(terrain);
+            for _ in 0..4 {
+                assert_tables_match_the_accessor_path(&sim, &scenario(), &format!("{layers:04b}"));
+            }
+        }
+    }
+
+    /// Lit cells of `lit` with an in-bounds neighbour that is not lit: the
+    /// most the frontier filter may queue.
+    fn rim(lit: &FireLine) -> usize {
+        let mask = lit.mask();
+        let unlit_beside = |r, c| mask.neighbours8(r, c).any(|(nr, nc, _)| !mask.at(nr, nc));
+        let cells = lit.burned_cells();
+        cells.iter().filter(|&&(r, c)| unlit_beside(r, c)).count()
+    }
+
+    #[test]
+    fn a_run_pays_for_the_fire_not_the_window() {
+        // gusty_channel (per-cell tables) from its observed line at the
+        // start of interval 3: tables are built for popped cells only, a
+        // small part of the window, and only the line's rim is queued.
+        let w = crate::workload::gusty_channel().build();
+        let sim = w.sim();
+        let lines = w.reference_lines(&sim);
+        let (from, t0, dt) = (&lines[2], w.times[2], w.times[3] - w.times[2]);
+        let lit = LitCells::from_line(from);
+        let mut arena = sim.arena();
+        TABLES_BUILT.with(|n| n.set(0));
+        let map = sim.simulate_arena_seeded(&w.truth[2], &lit, t0, dt, &mut arena, Kernel::Bucket);
+        let built = TABLES_BUILT.with(std::cell::Cell::get);
+        let written = map
+            .grid()
+            .as_slice()
+            .iter()
+            .filter(|&&t| t != UNIGNITED)
+            .count();
+        let win = window_of(&sim, &w.truth[2], &lit, dt);
+        assert!(
+            built > 0 && built <= written,
+            "{built} tables for {written} cells"
+        );
+        assert!(
+            written < win.rows * win.cols / 4,
+            "{written} cells written in a {}x{} window",
+            win.rows,
+            win.cols
+        );
+        let (queued, rim) = (arena.front.len(), rim(from));
+        assert!(
+            queued <= rim && queued < lit.as_slice().len(),
+            "{queued} seeds queued of {} lit, {rim} on the rim",
+            lit.as_slice().len()
+        );
+
+        // A line that fills the raster has no rim: nothing is queued, no
+        // table is built, and every seed is still written and reported.
+        let all = FireLine::from_mask(Grid::filled(96, 96, true));
+        TABLES_BUILT.with(|n| n.set(0));
+        sim.simulate_arena_kernel(&w.truth[2], &all, t0, dt, &mut arena, Kernel::Bucket);
+        assert_eq!(TABLES_BUILT.with(std::cell::Cell::get), 0);
+        assert!(arena.front.is_empty(), "{} seeds queued", arena.front.len());
+        assert_eq!(arena.seeds.len(), 96 * 96);
+        assert!(arena.map().grid().as_slice().iter().all(|&t| t == t0));
+        assert_eq!(
+            arena.written_ranges().map(|r| r.len()).sum::<usize>(),
+            96 * 96
+        );
+
+        // Uniform and per-fuel terrains never build a per-cell table.
+        for name in ["meadow_small", "patchwork_mosaic"] {
+            let w = crate::workload::by_name(name).expect("corpus name").build();
+            let sim = w.sim();
+            assert!(!sim.terrain.has_overrides() || sim.terrain.fuel_is_only_override());
+            TABLES_BUILT.with(|n| n.set(0));
+            let dt = w.times[1] - w.times[0];
+            let mut arena = sim.arena();
+            let map = sim.simulate_arena(&w.truth[0], &w.ignition, w.times[0], dt, &mut arena);
+            assert!(map.burned_count_at(w.times[1]) > 1, "{name}: no fire");
+            assert_eq!(TABLES_BUILT.with(std::cell::Cell::get), 0, "{name}");
         }
     }
 
@@ -2360,37 +2256,77 @@ mod tests {
         let _ = arena.map();
     }
 
+    /// The window a bucket run of `s` from `lit` over `duration` tracks its
+    /// writes in.
+    fn window_of(sim: &FireSim, s: &Scenario, lit: &LitCells, duration: f64) -> Window {
+        let fuel = sim.terrain.fuel_layer().map(|g| g.as_slice());
+        let burnable = Burnable {
+            fuel,
+            beds: &sim.beds,
+            global: fuel.is_none(),
+        };
+        let cap = sim.spread_rate_bound(s);
+        sim.seed_window(lit.as_slice(), duration, cap, &mut Vec::new(), &burnable)
+            .expect("a burnable seed")
+    }
+
     #[test]
     fn window_bounds_scratch_on_large_grid() {
-        // A short burn in the middle of a big per-cell terrain: scratch
-        // must track the active window, not the raster.
+        // A short burn in the middle of a big per-cell terrain whose wind
+        // layer has one far-off gale: the spread-rate bound, and so the
+        // window, covers the raster, but the fire stays small — and scratch
+        // must follow the fire. What is held is the frontier queue and the
+        // index lists, nothing per window cell.
         let n = 201usize;
-        let sim = FireSim::new(Terrain::uniform(n, n, 100.0).with_slope(Grid::from_fn(
-            n,
-            n,
-            |r, c| ((r + c) % 30) as f64,
-        )));
-        let s = calm_scenario();
+        let gale = Grid::from_fn(n, n, |r, c| if (r, c) == (0, 0) { 40.0 } else { 0.5 });
+        let sim = FireSim::new(
+            Terrain::uniform(n, n, 100.0)
+                .with_slope(Grid::from_fn(n, n, |r, c| ((r + c) % 30) as f64))
+                .with_wind(gale, Grid::filled(n, n, 0.0)),
+        );
+        let s = Scenario {
+            wind_speed_mph: 4.0,
+            ..calm_scenario()
+        };
+        let ignition = centre_ignition(n, n);
+        let win = window_of(&sim, &s, &LitCells::from_line(&ignition), 30.0);
+        assert_eq!(
+            (win.rows, win.cols),
+            (n, n),
+            "the gale must blow the window up"
+        );
         let mut arena = sim.arena();
         let via_arena = sim
-            .simulate_arena(&s, &centre_ignition(n, n), 0.0, 30.0, &mut arena)
+            .simulate_arena(&s, &ignition, 0.0, 30.0, &mut arena)
             .clone();
-        let full_tables = n * n * std::mem::size_of::<[f64; 8]>();
+        let burned = via_arena.burned_count_at(30.0);
+        assert!(burned > 1 && burned < n * n / 100, "burned {burned} cells");
+        let index_lists = [
+            &arena.span_lo,
+            &arena.span_hi,
+            &arena.stray,
+            &arena.lit,
+            &arena.seeds,
+            &arena.front,
+        ];
+        let index_bytes = index_lists.iter().map(|v| v.capacity() * 4).sum::<usize>();
+        let scratch = arena.scratch_bytes();
+        assert_eq!(scratch, arena.queue.bytes() + index_bytes);
         assert!(
-            arena.scratch_bytes() < full_tables / 4,
-            "scratch {} not window-bounded (full tables {})",
-            arena.scratch_bytes(),
-            full_tables
+            scratch < n * n * 4,
+            "scratch {scratch} B scales with the {n}x{n} window"
         );
-        let fresh = sim.simulate(&s, &centre_ignition(n, n), 0.0, 30.0);
+        let fresh = sim.simulate(&s, &ignition, 0.0, 30.0);
         assert_eq!(fresh, via_arena);
+        sim.simulate_arena(&s, &ignition, 0.0, 30.0, &mut arena);
+        assert_eq!(arena.scratch_bytes(), scratch, "second pass moved scratch");
     }
 
     #[test]
     fn arena_is_allocation_free_in_steady_state() {
-        // Two table modes: a slope terrain (per-cell path, the worst case
-        // for buffer growth) and a fuel-only mosaic (per-fuel path, whose
-        // tables live inline in the arena). The warm-up pass runs every
+        // Two table modes: a slope terrain (per-cell path: a table per
+        // pop, none of them kept) and a fuel-only mosaic (per-fuel path,
+        // whose tables live inline in the arena). The warm-up pass runs every
         // duration once; the second identical pass must not move any
         // capacity (identical inputs → identical windows, bucket layouts
         // and frontier sizes).
@@ -2428,6 +2364,45 @@ mod tests {
         };
         let map = sim.simulate(&s, &centre_ignition(7, 7), 0.0, 120.0);
         assert!(map.burned_count_at(120.0) > 1, "layered fuel must burn");
+    }
+
+    #[test]
+    fn out_of_catalog_model_without_a_fuel_layer_burns_nothing() {
+        // No layer shadows the model, so it is consulted — and says what
+        // `fuel_code_mask` and the rate bound say: nothing burns. Uniform
+        // and per-cell table modes, every kernel, a dirty arena.
+        let slope = Grid::from_fn(7, 7, |r, c| ((r + c) % 30) as f64);
+        for terrain in [
+            Terrain::uniform(7, 7, 100.0),
+            Terrain::uniform(7, 7, 100.0).with_slope(slope),
+        ] {
+            let sim = FireSim::new(terrain);
+            let s = Scenario {
+                model: 99,
+                ..calm_scenario()
+            };
+            assert_eq!(sim.terrain().fuel_code_mask(s.model), 0);
+            assert_eq!(sim.spread_rate_bound(&s), 0.0);
+            assert_eq!(sim.max_ros(&s), 0.0);
+            let mut arena = sim.arena();
+            sim.simulate_arena(
+                &calm_scenario(),
+                &centre_ignition(7, 7),
+                0.0,
+                120.0,
+                &mut arena,
+            );
+            for kernel in ALL_KERNELS {
+                let ignition = centre_ignition(7, 7);
+                let map = sim.simulate_arena_kernel(&s, &ignition, 0.0, 120.0, &mut arena, kernel);
+                assert_eq!(map.burned_count_at(120.0), 0, "{kernel}: something burned");
+                assert_eq!(
+                    arena.written_ranges().count(),
+                    0,
+                    "{kernel}: raster not clean"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2749,47 +2724,6 @@ mod tests {
             let fresh = sim.simulate(&s, &ign, 0.0, 90.0);
             let got = sim.simulate_arena_kernel(&s, &ign, 0.0, 90.0, &mut arena, *kernel);
             assert_rasters_identical(&fresh, got, &format!("interleaved run {i}"));
-        }
-    }
-
-    #[test]
-    fn parallel_window_fill_matches_serial() {
-        let sim = FireSim::new(
-            Terrain::uniform(140, 130, 100.0)
-                .with_slope(Grid::from_fn(140, 130, |r, c| {
-                    ((r * 5 + c * 3) % 40) as f64
-                }))
-                .with_wind(
-                    Grid::from_fn(140, 130, |r, c| ((r + c) % 5) as f64 * 0.5),
-                    Grid::from_fn(140, 130, |r, c| ((r * c) % 60) as f64),
-                ),
-        );
-        let s = Scenario {
-            wind_speed_mph: 11.0,
-            wind_dir_deg: 210.0,
-            ..Scenario::reference()
-        };
-        // 133 rows split into 8 bands of 17 (last: 14) and 27 of 5 (last:
-        // 3): neither band height divides the window.
-        let win = Window {
-            r0: 3,
-            c0: 1,
-            rows: 133,
-            cols: 127,
-        };
-        let serial = gathered(&sim, &s, &win, 1);
-        for workers in [2, 8] {
-            let par = gathered(&sim, &s, &win, workers);
-            assert_eq!(serial.len(), par.len());
-            for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-                for d in 0..8 {
-                    assert_eq!(
-                        a[d].to_bits(),
-                        b[d].to_bits(),
-                        "workers={workers} window cell {i} dir {d}"
-                    );
-                }
-            }
         }
     }
 

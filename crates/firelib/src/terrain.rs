@@ -196,8 +196,7 @@ impl Terrain {
     }
 
     /// The slope override layer (degrees), when present. Exposed so the
-    /// simulator's SoA gather can walk the raster linearly instead of
-    /// branching per cell in [`Terrain::slope_at`].
+    /// simulator can read a popped cell's value by flat index.
     pub fn slope_layer(&self) -> Option<&Grid<f64>> {
         self.slope_override.as_ref()
     }
@@ -216,7 +215,7 @@ impl Terrain {
     /// Bitmask of fuel codes the fire can encounter anywhere on the map:
     /// the layer's cached code mask when a fuel layer is present, otherwise
     /// the scenario's single global model (empty for an out-of-catalog
-    /// model, which a layer-less simulation rejects anyway). Bit `c` ↔ NFFL
+    /// model, which burns nowhere on a layer-less terrain). Bit `c` ↔ NFFL
     /// code `c`.
     pub fn fuel_code_mask(&self, scenario_fuel: u8) -> u16 {
         match &self.fuel_override {

@@ -655,8 +655,8 @@ pub fn breaks_mosaic_xl() -> WorkloadSpec {
         ignitions: 1,
         steps: 3,
         // Short intervals keep the active front (and so the bucket
-        // kernel's gather window) a small fraction of the 1024² raster —
-        // the short-duration-burn memory profile the arena is sized for.
+        // kernel's dirty spans) a small fraction of the 1024² raster —
+        // the short-duration-burn profile the arena is sized for.
         step_minutes: 15.0,
         truth: TruthDrift::Static(Scenario {
             wind_speed_mph: 8.0,

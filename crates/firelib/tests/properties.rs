@@ -561,3 +561,104 @@ fn fuel_cache_path_bit_identical() {
         assert_eq!(&fresh, via_arena, "seed {seed}");
     }
 }
+
+/// Frontier seeding is exact: the bucket and tiled kernels, which queue
+/// only the seeds with a neighbour still to burn, are bit-identical to the
+/// reference heap, which queues them all — on runs seeded the way a
+/// prediction step seeds them, from a *previous run's burned mask*. Three
+/// fire lines per landscape: the mask itself (ignited on the raster edge,
+/// so lit cells sit there), its row-hull fill (a filled blob with
+/// lit-but-unburnable and never-reached cells inside) and the whole raster
+/// (all interior: nothing to queue). Every burnable lit cell must still be
+/// written at `t0` and lie inside `written_ranges`; the bucket and tiled
+/// arenas are reused dirty throughout.
+#[test]
+fn frontier_seeded_kernels_match_the_all_seeds_heap_on_burned_masks() {
+    use firelib::combustion::standard_beds;
+    use firelib::sim::Kernel;
+    use landscape::{FireLine, Grid};
+    let beds = standard_beds();
+    for seed in 0..CASES / 2 {
+        let mut rng = StdRng::seed_from_u64(0xF207 + seed);
+        let (rows, cols) = (rng.random_range(9..26usize), rng.random_range(9..30usize));
+        // Each layer present or absent, so all three table modes occur.
+        let mut terrain = Terrain::uniform(rows, cols, 60.0 + rng.random::<f64>() * 80.0);
+        if rng.random_bool(0.7) {
+            let fuel = Grid::from_fn(rows, cols, |_, _| rng.random_range(0..14u32) as u8);
+            terrain = terrain.with_fuel(fuel);
+        }
+        if rng.random_bool(0.6) {
+            let slope = Grid::from_fn(rows, cols, |_, _| rng.random::<f64>() * 40.0);
+            terrain = terrain.with_slope(slope);
+        }
+        if rng.random_bool(0.6) {
+            let speed = Grid::from_fn(rows, cols, |_, _| 0.25 + rng.random::<f64>() * 1.75);
+            let dir = Grid::from_fn(rows, cols, |_, _| (rng.random::<f64>() - 0.5) * 90.0);
+            terrain = terrain.with_wind(speed, dir);
+        }
+        let s = scenario(&mut rng);
+        let burns = |r: usize, c: usize| beds[terrain.fuel_at(r, c, s.model) as usize].burnable;
+        let mut ignition = FireLine::empty(rows, cols);
+        ignition.set_burned(rng.random_range(0..rows), 0, true);
+        ignition.set_burned(rows - 1, rng.random_range(0..cols), true);
+        ignition.set_burned(rng.random_range(0..rows), rng.random_range(0..cols), true);
+        let (t0, d1, d2) = (
+            rng.random::<f64>() * 30.0,
+            20.0 + rng.random::<f64>() * 200.0,
+            10.0 + rng.random::<f64>() * 120.0,
+        );
+
+        let sim = FireSim::new(terrain.clone());
+        let t1 = t0 + d1;
+        let burned = ignition.union(&sim.simulate(&s, &ignition, t0, d1).fire_line_at(t1));
+        let mut hull = burned.clone();
+        for r in 0..rows {
+            let lit: Vec<usize> = (0..cols).filter(|&c| burned.mask().at(r, c)).collect();
+            if let (Some(&lo), Some(&hi)) = (lit.first(), lit.last()) {
+                (lo..=hi).for_each(|c| hull.set_burned(r, c, true));
+            }
+        }
+        let all = FireLine::from_mask(Grid::filled(rows, cols, true));
+
+        let mut heap_arena = sim.arena();
+        let mut bucket_arena = sim.arena();
+        let mut tiled_arena = sim.arena();
+        let tiled = Kernel::Tiled {
+            tile: 1 + seed as usize % 7,
+            workers: 2,
+        };
+        for (what, line) in [("mask", &burned), ("hull", &hull), ("all", &all)] {
+            let what = format!("seed {seed} ({rows}x{cols}), {what}");
+            let bits = |m: &landscape::IgnitionMap| -> Vec<u64> {
+                m.grid().as_slice().iter().map(|t| t.to_bits()).collect()
+            };
+            let reference =
+                bits(sim.simulate_arena_kernel(&s, line, t1, d2, &mut heap_arena, Kernel::Heap));
+            for (kernel, arena) in [
+                (Kernel::Bucket, &mut bucket_arena),
+                (tiled, &mut tiled_arena),
+            ] {
+                let map = sim.simulate_arena_kernel(&s, line, t1, d2, arena, kernel);
+                assert_eq!(reference, bits(map), "{what}: {kernel} diverged");
+                let mut reported = vec![false; rows * cols];
+                for range in arena.written_ranges() {
+                    reported[range].fill(true);
+                }
+                for (r, c) in line.burned_cells() {
+                    let t = arena.map().time(r, c);
+                    if burns(r, c) {
+                        assert_eq!(t, t1, "{what}: {kernel} lost seed ({r},{c})");
+                    } else {
+                        assert_eq!(t, UNIGNITED, "{what}: {kernel} lit rock ({r},{c})");
+                    }
+                }
+                for ((r, c), &t) in arena.map().grid().iter_cells() {
+                    assert!(
+                        t == UNIGNITED || reported[r * cols + c],
+                        "{what}: {kernel} wrote ({r},{c}) outside written_ranges"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -18,8 +18,8 @@ use std::sync::Mutex;
 
 /// Scoped, self-scheduling parallel mutation of a slice of work items,
 /// added for per-tile simulation state: each item owns mutable scratch (a
-/// tile's frontier queue, its outbox, its gather buffers) that exactly one
-/// worker may touch at a time. Items are handed out dynamically in
+/// tile's frontier queue, its outbox) that exactly one worker may touch at
+/// a time. Items are handed out dynamically in
 /// contiguous chunks from a shared bag (same discipline as the steal
 /// pool), `f` receives `(item_index, &mut item)`, and with one worker — or
 /// a single chunk — everything runs inline in the caller with no thread
