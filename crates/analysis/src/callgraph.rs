@@ -4,11 +4,13 @@
 //! The graph is deliberately **over-approximate** in the safe direction:
 //! a `.name(..)` call resolves to *every* workspace method of that name
 //! the caller's crate is allowed to see (covering generic dispatch
-//! without type inference); a workspace trait's method reaches *every*
+//! without type inference; a function that takes no `self` is no method,
+//! so `scheme.start(..)` is not a call of `Stopwatch::start()`); a
+//! workspace trait's method reaches *every*
 //! `impl` of it, wherever the implementing crate sits in the layer map
 //! (`StepOptimizer::optimize` is declared in `ess` and implemented above
-//! it); a function named as a value (`make: make_ess`,
-//! `.map(Task::named)`) is an edge like a call, and a `const` table of
+//! it); a function named as a value (`(id, serve_main)`,
+//! `.map(Spec::label)`) is an edge like a call, and a `const` table of
 //! such names is a node its readers reach; and a workspace-qualified
 //! path call that fails to resolve is surfaced so the panic prover can
 //! treat it as conservatively panicking. External calls (`std`, vendored
@@ -227,7 +229,11 @@ pub fn build(files: &[ParsedFile]) -> Graph {
         }
         match &s.owner {
             Some(o) => {
-                methods.entry(&s.name).or_default().push(i);
+                // `x.name(..)` calls a function that takes `self`; one that
+                // does not (`Stopwatch::start()`) is reached by path only.
+                if files[fi].fns[ni].has_receiver {
+                    methods.entry(&s.name).or_default().push(i);
+                }
                 owners
                     .entry((o.as_str(), s.name.as_str()))
                     .or_default()
@@ -538,6 +544,12 @@ mod tests {
                 "impl Driver { fn step(&self, n: u32) {} }",
             ),
             ("crates/bench/src/c.rs", "impl Bench { fn step(&self) {} }"),
+            // Below the caller, but it takes no `self`: `x.step(..)` cannot
+            // be a call of it, whatever bound its generics spell with `(`.
+            (
+                "crates/parworker/src/d.rs",
+                "impl Watch { fn step<F: Fn(&mut Self)>(n: u32) -> Self { Instant::now() } }",
+            ),
         ]);
         let round = idx(&g, "round");
         // service resolves downward into ess, never upward into bench.

@@ -22,6 +22,7 @@ use ess_service::policy::PolicyKind;
 use ess_service::proto::{Frame, Request, RequestKind};
 use ess_service::serve::serve_configured;
 use ess_service::spec::RunSpec;
+use ess_service::systems;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -233,13 +234,31 @@ pub fn fuzz_jsonio(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
     Ok(stats)
 }
 
+/// The name of every registry row: paper systems, then variants.
+fn registry_rows() -> Vec<&'static str> {
+    let rows = [systems::all(), &systems::variants().concat()].concat();
+    rows.iter().map(|row| row.name).collect()
+}
+
 /// A plausible v2 request line to mutate (ids and minor fields vary).
 fn gen_envelope(rng: &mut StdRng) -> String {
     let id = rng.random_range(0..100u64);
     match rng.random_range(0..8u32) {
-        0 => format!(
-            r#"{{"v":2,"id":{id},"kind":"run","watch":true,"spec":{{"system":"ESS","case":"meadow_small","seed":7,"replicates":1,"scale":0.1,"max_steps":2}}}}"#
-        ),
+        0 => {
+            // Any registry row, spelt canonically, in an accepted alias, or
+            // mangled into a name no row has.
+            let rows = registry_rows();
+            let row = rows[rng.random_range(0..rows.len())];
+            let system = match rng.random_range(0..4u32) {
+                0 => row.to_lowercase().replace('-', "_"),
+                1 => format!("{row}/k=3"),
+                2 => row.replacen(|c: char| c.is_ascii_digit(), "7", 1),
+                _ => row.to_string(),
+            };
+            format!(
+                r#"{{"v":2,"id":{id},"kind":"run","watch":true,"spec":{{"system":"{system}","case":"meadow_small","seed":7,"replicates":1,"scale":0.1,"max_steps":2}}}}"#
+            )
+        }
         1 => format!(
             r#"{{"v":2,"id":{id},"kind":"advance","rounds":{}}}"#,
             rng.random_range(0..9u32)
@@ -287,7 +306,9 @@ fn gen_envelope(rng: &mut StdRng) -> String {
 /// `false` would unsubscribe the client). A decoded `restore` is also
 /// restored: whatever the checkpoint says, that answers `Ok` or `Err`, and
 /// never `Ok` with a carried `kign` the next step's Prediction Stage would
-/// panic on.
+/// panic on. And whatever string a spec names as its system, the
+/// registry's allocation-free lookup answers as the plain one would: a hit
+/// is the row whose name, lower-cased with `_` read as `-`, is the string's.
 ///
 /// # Errors
 /// A description of the first panic or contract violation, with the
@@ -295,6 +316,7 @@ fn gen_envelope(rng: &mut StdRng) -> String {
 pub fn fuzz_envelopes(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = FuzzStats::default();
+    let rows = registry_rows();
     for i in 0..iterations {
         let line = gen_envelope(&mut rng);
         let input = if i % 4 == 0 {
@@ -312,6 +334,14 @@ pub fn fuzz_envelopes(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
             let _ = Frame::from_json(&doc);
             let _ = RunSpec::from_json(&doc);
             let kind = request.map(|r| r.kind);
+            let system = doc.get("spec").and_then(|spec| spec.get("system"));
+            if let Some(name) = system.and_then(Json::as_str) {
+                let plain = |s: &str| s.trim().to_ascii_lowercase().replace('_', "-");
+                let expected = rows.iter().find(|row| plain(row) == plain(name));
+                if systems::by_name(name).map(|row| row.name) != expected.copied() {
+                    return Err("the registry lookup disagrees with plain normalisation");
+                }
+            }
             if let Ok(RequestKind::Restore { snapshot, .. }) = &kind {
                 let in_range = |s: &ess::pipeline::StepReport| (0.0..=1.0).contains(&s.kign);
                 if snapshot.restore().is_ok() && !snapshot.steps().iter().all(in_range) {

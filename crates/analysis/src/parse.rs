@@ -55,7 +55,7 @@ pub enum CallKind {
 pub struct Call {
     /// Call syntax.
     pub kind: CallKind,
-    /// Named, not called (`make: make_ess`, `.map(Task::named)`): an edge
+    /// Named, not called (`(id, serve_main)`, `.map(Spec::label)`): an edge
     /// like a call, but a miss is a local binding, never an unresolved
     /// workspace call.
     pub value: bool,
@@ -120,6 +120,8 @@ pub struct FnItem {
     /// A `const`/`static` item, not a function: a node that carries its
     /// initialiser's edges to whoever names it.
     pub is_const: bool,
+    /// Takes `self`: only such a function can be what `x.name(..)` calls.
+    pub has_receiver: bool,
     /// Line of the `fn` keyword.
     pub line: usize,
     /// First line of the header (attributes / visibility).
@@ -557,6 +559,7 @@ fn parse_const(
         owner,
         trait_name: None,
         is_const: true,
+        has_receiver: false,
         line,
         header_line: line,
         open_line: line,
@@ -612,6 +615,7 @@ fn parse_fn(
         owner,
         trait_name,
         is_const: false,
+        has_receiver: takes_self(sig, i + 1, open),
         line: kw_line,
         header_line: sig[hstart].line,
         open_line: sig[open].line,
@@ -631,6 +635,20 @@ fn parse_fn(
     }
     out.fns.push(item);
     Some(close + 1)
+}
+
+/// Whether the header `from..open` declares a receiver: one of its `(`
+/// opens on `self`, `&self`, `&'a mut self` or `mut self` — the parameter
+/// list of a method; a bound's `Fn(..)` never does.
+fn takes_self(sig: &[Token], from: usize, open: usize) -> bool {
+    let mut parens = (from..open).filter(|&k| punct(sig, k) == Some('('));
+    parens.any(|k| {
+        let qualifier = |j: usize| {
+            matches!(sig[j].kind, Tok::Punct('&') | Tok::Lifetime) || ident(sig, j) == Some("mut")
+        };
+        let first = (k + 1..open).find(|&j| !qualifier(j));
+        first.is_some_and(|j| ident(sig, j) == Some("self"))
+    })
 }
 
 /// The linear body walk: calls, panic seeds, taint sources, and layer
@@ -829,7 +847,7 @@ fn scan_body(
 }
 
 /// True when an identifier followed by the token at `after`, which is not
-/// `(`, ends an expression — `make: make_ess,`, `.map(Task::named)`, `(id, serve_main)`,
+/// `(`, ends an expression — `make: make_ess,`, `.map(Spec::label)`, `(id, serve_main)`,
 /// `f as Run` — so it may name a function or a table as a value. Every
 /// local binding in argument position passes too; those resolve to nothing
 /// unless a function of that name is in scope, which errs on the safe side

@@ -10,8 +10,9 @@
 //! indirection through a backend do not launder a clock read.
 //!
 //! `// lint: allow(taint) — <reason>` on a source kills its taint at
-//! the source (e.g. the parworker telemetry stopwatches, whose readings
-//! are reported but never fed back into results). The justification is
+//! the source (the worker pool's per-task busy-time telemetry, whose
+//! readings are reported but never fed back into results; the
+//! `Stopwatch` needs none — no deterministic crate starts one). The justification is
 //! the proof obligation.
 
 use crate::callgraph::Graph;

@@ -593,8 +593,8 @@ fn workspace_ships_green() -> Result<(), String> {
 /// The serve path's panic proof covers the paper's own contribution: the
 /// `StepOptimizer` dispatch into `ess_ns` (a crate *above* the caller's)
 /// puts Algorithm 1 inside what a scheduler round reaches, and the serve
-/// loop — which also builds what a request names — reaches the registry's
-/// fn-pointer table and the case library's builder table on top.
+/// loop — which also builds what a request names — reaches what the
+/// registry's rows build and the case library's builder table on top.
 #[test]
 fn serve_roots_reach_algorithm_1_and_the_registries() -> Result<(), String> {
     let root = lint::find_workspace_root().ok_or("workspace root not found")?;
@@ -613,8 +613,9 @@ fn serve_roots_reach_algorithm_1_and_the_registries() -> Result<(), String> {
         "NoveltyGa::evaluate_missing",
     ];
     let registries = [
-        "make_ess_ns",
-        "make_essim_de",
+        "SystemSpec::make",
+        "ess_ns",
+        "EssimDe::new",
         "BurnCase::generate",
         "workload_case",
     ];

@@ -1,6 +1,6 @@
 //! The report harness: regenerates every table and figure of the
-//! reproduction (DESIGN.md §4) as aligned text on stdout plus CSV files in
-//! `reports/`.
+//! reproduction (README § "Experiments") as aligned text on stdout plus CSV
+//! files in `reports/`.
 //!
 //! ```text
 //! harness <experiment|all|tool> [--seeds N] [--scale F] [--cases a,b]
@@ -9,10 +9,12 @@
 //!
 //! The experiments are the rows of [`EXPERIMENTS`] and the tools (`serve`,
 //! `lint`, `verify-invariants`) the rows of [`TOOLS`]; running `harness`
-//! with no argument prints both lists, derived from those tables.
+//! with no argument prints both lists, derived from those tables, and the
+//! system registry: the four paper systems, each with the variant rows
+//! (`ESS-NS/k=3`, …) E6–E9 compare and `serve` accepts.
 //!
 //! `all` regenerates every paper artifact (table1 … e10). Every one of
-//! them is exact — nothing the harness writes depends on a clock, so the
+//! them is exact — no artifact the harness writes carries a clock reading, so the
 //! same command gives the same bytes twice and on any `--backend`. The
 //! engine itself is timed in one place, the `benchmark/` package
 //! (`BENCHMARK.json`), and by the `cargo bench` microbenchmarks, not here.
@@ -41,6 +43,7 @@
 use ess::fitness::EvalBackend;
 use ess::report::TextTable;
 use ess_benches::experiments::{self as exp, Plan};
+use ess_service::systems;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -214,7 +217,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// The usage text: one synopsis line, then every experiment and tool with
-/// its title — all derived from [`EXPERIMENTS`] and [`TOOLS`].
+/// its title, then every registered system — all derived from
+/// [`EXPERIMENTS`], [`TOOLS`] and the registry.
 fn usage() -> String {
     let ids = EXPERIMENTS.iter().map(|(id, ..)| *id);
     let tools = TOOLS.iter().map(|(id, ..)| *id);
@@ -226,6 +230,15 @@ fn usage() -> String {
     let titles = EXPERIMENTS.iter().map(|(id, title, _)| (id, title));
     for (id, title) in titles.chain(TOOLS.iter().map(|(id, title, _)| (id, title))) {
         text.push_str(&format!("\n  {id:<18} {title}"));
+    }
+    text.push_str("\nsystems a spec may name, then the variant rows E6-E9 compare:");
+    for system in systems::all() {
+        text.push_str(&format!("\n  {:<18} {}", system.name, system.description));
+    }
+    for set in systems::variants() {
+        let names: Vec<&str> = set.iter().map(|row| row.name).collect();
+        let names = names.join(" ");
+        text.push_str(&format!("\n  {}\n    {names}", set[0].description));
     }
     text
 }

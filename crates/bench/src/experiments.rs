@@ -1,25 +1,26 @@
 //! The experiment implementations behind the `harness` binary — one
-//! function per table/figure of DESIGN.md §4.
+//! function per table/figure of README § "Experiments".
 //!
-//! The pipeline-driven tables (E1, E2, E6–E10) are rows of one [`Plan`]:
-//! an experiment declares its *variants* (a label and an optimizer
-//! factory) and its *tasks* (a label and a case as a function of the
-//! seed), [`Plan::run`] drains one [`ess::pipeline::StepDriver`] per
-//! variant × task × seed on the plan's one pool and returns one [`Trial`]
-//! per run, and the experiment projects columns out of those records with
-//! [`fold`]. Nothing here reads a clock: every artifact is exact, so the
-//! same command writes the same bytes twice and on any backend.
+//! The pipeline-driven tables (E1, E2, E6–E9) are rows of one [`Plan`]: an
+//! experiment declares its trials as data — one [`RunSpec`] per registry
+//! row × case × seed, at the plan's scale ([`Plan::specs`]) — and
+//! [`Plan::run`] builds every trial with [`RunSpec::sessions_on`] on the
+//! plan's one pool and drains it: the path `serve` runs, cases shared
+//! through `ess_service::store`. It returns one [`Trial`] per run, and the
+//! experiment projects columns out of those records with [`fold`]. E5 and
+//! the three narrated traces drive engines directly, and E10 assembles its
+//! sessions by hand (its observation noise is drawn per seed, which a case
+//! name cannot say). No artifact carries a clock reading, so the same
+//! command writes the same bytes twice and on any backend.
 
 use ess::calibration::skign_search;
-use ess::cases::{self, BurnCase};
+use ess::cases;
 use ess::fitness::{EvalBackend, ScenarioEvaluator, SharedScenarioPool};
-use ess::pipeline::{PredictionPipeline, RunReport, StepOptimizer, StepReport};
+use ess::pipeline::{RunReport, StepReport};
 use ess::report::{f2, f4, TextTable};
 use ess::stages::statistical_stage_genomes;
-use ess_ns::{
-    BehaviourSpace, EssNs, EssNsConfig, InclusionPolicy, NoveltyGa, NoveltyGaConfig, ScoringPolicy,
-};
-use ess_service::systems::{self, scaled};
+use ess_service::systems::{self, SystemSpec};
+use ess_service::{Budget, PredictionSession, RunSpec};
 use evoalg::benchmarks::{deceptive_trap, two_peaks};
 use evoalg::{BatchEvaluator, GaConfig, GaEngine};
 use firelib::ScenarioSpace;
@@ -32,61 +33,39 @@ use std::sync::Arc;
 pub struct Plan {
     /// Where every trial's scenario batches run.
     pub pool: Arc<SharedScenarioPool>,
-    /// One trial per variant × task for each of these.
+    /// One trial per row × case for each of these.
     pub seeds: Vec<u64>,
-    /// Per-step budget scale (see [`scaled`]).
+    /// Per-step budget scale of every trial.
     pub scale: f64,
 }
 
-/// One optimizer configuration under comparison.
-pub struct Variant {
-    label: String,
-    make: Box<dyn Fn() -> Box<dyn StepOptimizer>>,
-}
-
-impl Variant {
-    fn new(label: &str, make: impl Fn() -> Box<dyn StepOptimizer> + 'static) -> Self {
-        Self {
-            label: label.to_string(),
-            make: Box::new(make),
-        }
-    }
-}
-
-/// One burn case under comparison, as a function of the trial's seed
-/// (E10's observation noise is drawn per seed; every other task ignores
-/// it).
-pub struct Task {
-    label: String,
-    case: Box<dyn Fn(u64) -> BurnCase>,
-}
-
-impl Task {
-    /// The registered case `name`, the same for every seed.
-    ///
-    /// # Panics
-    /// Panics on an unregistered name (the harness checks `--cases` up
-    /// front).
-    fn named(name: &str) -> Self {
-        let case = cases::by_name(name).unwrap_or_else(|| panic!("unknown case {name}"));
-        Self {
-            label: case.name.to_string(),
-            case: Box::new(move |_| case.clone()),
-        }
-    }
-}
-
-/// The result record of one trial: which variant ran which task under
-/// which seed, and the run's report.
+/// The result record of one trial: the spec that says what ran (row, case,
+/// seed, scale), and the run's report — whose `system` and `case` are the
+/// canonical names the spec resolved to.
 pub struct Trial {
-    /// The variant's label.
-    pub variant: String,
-    /// The task's label.
-    pub task: String,
-    /// The trial's seed.
-    pub seed: u64,
+    /// The trial, as it could be sent to `serve`.
+    pub spec: RunSpec,
     /// The drained run.
     pub report: RunReport,
+}
+
+/// What an experiment compares: registry rows × the cases they run on.
+pub type Design<'a> = (&'a [SystemSpec], &'a [&'a str]);
+
+/// The designs fixed here (E1 and E2 run the paper systems on `--cases`):
+/// tuning on the two drifting-truth cases, the §IV variants on the
+/// drifting wind, the hyper-parameters on the two-ridge relief.
+const E6: Design = (systems::TUNING, &["shifting_wind", "moisture_front"]);
+const E7: Design = (systems::SCORING, &["shifting_wind"]);
+const E8: Design = (systems::HYPER_PARAMETERS, &["two_ridge"]);
+const E9: Design = (systems::INCLUSION, &["shifting_wind"]);
+
+impl Trial {
+    /// The row's name within its family: `k=3` of `ESS-NS/k=3`.
+    fn variant(&self) -> &'static str {
+        let system = self.report.system;
+        system.split_once('/').map_or(system, |(_, v)| v)
+    }
 }
 
 impl Plan {
@@ -100,64 +79,45 @@ impl Plan {
         }
     }
 
-    /// Runs every variant on every task under every seed — task-major,
-    /// then variant, then seed — and returns one record per trial in that
-    /// order.
-    pub fn run(&self, tasks: &[Task], variants: &[Variant]) -> Vec<Trial> {
-        let mut trials = Vec::with_capacity(tasks.len() * variants.len() * self.seeds.len());
-        for task in tasks {
-            for variant in variants {
-                for &seed in &self.seeds {
-                    let mut optimizer = (variant.make)();
-                    let report = PredictionPipeline::on_pool(Arc::clone(&self.pool), seed)
-                        .run(&(task.case)(seed), optimizer.as_mut());
-                    trials.push(Trial {
-                        variant: variant.label.clone(),
-                        task: task.label.clone(),
-                        seed,
-                        report,
-                    });
-                }
+    /// The trials of a design: one per case × row × seed — case-major,
+    /// then row, then seed — at this plan's scale.
+    pub fn specs(&self, (rows, cases): Design) -> Vec<RunSpec> {
+        let mut specs = Vec::with_capacity(cases.len() * rows.len() * self.seeds.len());
+        for case in cases {
+            for row in rows {
+                let spec = RunSpec::new(row.name, *case).scale(self.scale);
+                specs.extend(self.seeds.iter().map(|&seed| spec.clone().seed(seed)));
+            }
+        }
+        specs
+    }
+
+    /// Runs every trial to its end on the plan's pool and returns one
+    /// record per trial, in the order given.
+    ///
+    /// # Panics
+    /// Panics on a spec that does not resolve or that a budget stops (the
+    /// experiments name registered rows and set no budget; the harness
+    /// checks `--cases` up front).
+    pub fn run(&self, specs: Vec<RunSpec>) -> Vec<Trial> {
+        let mut trials = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let sessions = spec.sessions_on(&self.pool);
+            for mut session in sessions.unwrap_or_else(|e| panic!("{e}")) {
+                trials.push(Trial {
+                    spec: spec.clone(),
+                    report: session.drain().unwrap_or_else(|e| panic!("{e}")),
+                });
             }
         }
         trials
     }
 
-    /// The records of [`Plan::run`] grouped per task × variant cell: one
-    /// slice per table row group, its trials in seed order.
+    /// The records of [`Plan::run`] grouped per case × row cell: one slice
+    /// per table row group, its trials in seed order.
     pub fn cells<'a>(&self, trials: &'a [Trial]) -> std::slice::Chunks<'a, Trial> {
         trials.chunks(self.seeds.len())
     }
-
-    /// The four paper systems at this plan's budget scale — the variant
-    /// axis of E1, E2 and E10.
-    fn paper_systems(&self) -> Vec<Variant> {
-        let scale = self.scale;
-        systems::all()
-            .iter()
-            .map(|system| Variant::new(system.name, move || system.make(scale)))
-            .collect()
-    }
-
-    /// The scaled population, offspring and `bestSet` sizes every ESS-NS
-    /// variant of E7–E9 starts from.
-    fn ess_ns_base(&self) -> NoveltyGaConfig {
-        NoveltyGaConfig {
-            population_size: scaled(32, self.scale),
-            offspring: scaled(32, self.scale),
-            best_set_capacity: scaled(24, self.scale),
-            ..NoveltyGaConfig::default()
-        }
-    }
-}
-
-fn ess_ns(label: &str, algorithm: NoveltyGaConfig, inclusion: InclusionPolicy) -> Variant {
-    Variant::new(label, move || {
-        Box::new(EssNs::new(EssNsConfig {
-            algorithm,
-            inclusion,
-        }))
-    })
 }
 
 fn mean_of(v: &[f64]) -> f64 {
@@ -310,6 +270,7 @@ pub fn fig2_kign(plan: &Plan) -> TextTable {
 /// F3 — a narrated trace of one ESS-NS step (the Fig. 3 dataflow), showing
 /// the NS-specific blocks: ρ(x), the archive, and bestSet.
 pub fn fig3_trace(plan: &Plan) -> String {
+    use ess_ns::{NoveltyGa, NoveltyGaConfig};
     let case = cases::grass_uniform();
     let ctx = Arc::new(case.step_context(1));
     let mut out = String::new();
@@ -366,7 +327,7 @@ pub fn fig3_trace(plan: &Plan) -> String {
 
 /// E1 — prediction quality per step, per case, per method (the headline
 /// comparison; reproduces the quality-per-step evaluation protocol of the
-/// predecessor systems). Tasks: `case_names`; variants: the paper systems.
+/// predecessor systems). Cases: `case_names`; rows: the paper systems.
 pub fn e1_quality(plan: &Plan, case_names: &[&str]) -> TextTable {
     let mut t = TextTable::new([
         "case",
@@ -377,13 +338,12 @@ pub fn e1_quality(plan: &Plan, case_names: &[&str]) -> TextTable {
         "quality_max",
         "evals_mean",
     ]);
-    let tasks: Vec<Task> = case_names.iter().map(|name| Task::named(name)).collect();
-    for cell in plan.cells(&plan.run(&tasks, &plan.paper_systems())) {
+    for cell in plan.cells(&plan.run(plan.specs((systems::all(), case_names)))) {
         let first = &cell[0];
         let mut row = |step: String, q: Fold, evals: f64| {
             t.row([
-                first.task.clone(),
-                first.variant.clone(),
+                first.report.case.to_string(),
+                first.report.system.to_string(),
                 step,
                 f4(q.mean),
                 f4(q.min),
@@ -406,8 +366,8 @@ pub fn e1_quality(plan: &Plan, case_names: &[&str]) -> TextTable {
     t
 }
 
-/// E2 — diversity of the result set fed to the Statistical Stage. Tasks:
-/// `case_names`; variants: the paper systems.
+/// E2 — diversity of the result set fed to the Statistical Stage. Cases:
+/// `case_names`; rows: the paper systems.
 pub fn e2_diversity(plan: &Plan, case_names: &[&str]) -> TextTable {
     let mut t = TextTable::new([
         "case",
@@ -417,26 +377,23 @@ pub fn e2_diversity(plan: &Plan, case_names: &[&str]) -> TextTable {
         "distinct_frac",
         "fitness_iqr_of_set",
     ]);
-    let tasks: Vec<Task> = case_names.iter().map(|name| Task::named(name)).collect();
-    let variants = plan.paper_systems();
-    let trials = plan.run(&tasks, &variants);
-    for (i, cell) in plan.cells(&trials).enumerate() {
-        // Task-major order, as `Plan::run` lays the cells out.
-        let (task, variant) = (&tasks[i / variants.len()], &variants[i % variants.len()]);
+    for cell in plan.cells(&plan.run(plan.specs((systems::all(), case_names)))) {
         // Every step of every seed counts once.
         let over_steps = |project: fn(&StepReport) -> f64| {
             fold(cell, |r| r.steps.iter().map(project)).map_or(0.0, |f| f.mean)
         };
         // Fitness IQR of the result set on the first step of the first
-        // seed (re-evaluated): spread of the *scores* in the set.
-        let seed = plan.seeds[0];
-        let ctx = Arc::new((task.case)(seed).step_context(1));
+        // seed (re-evaluated): spread of the *scores* in the set. The
+        // trial's spec rebuilds its case and optimizer.
+        let mut first = cell[0].spec.session().expect("the trial ran");
+        let (driver, optimizer) = first.step_parts();
+        let ctx = Arc::new(driver.case().step_context(1));
         let mut ev = ScenarioEvaluator::shared(ctx, Arc::clone(&plan.pool));
-        let out = (variant.make)().optimize(&mut ev, seed);
+        let out = optimizer.optimize(&mut ev, plan.seeds[0]);
         let fits = ev.evaluate(&out.result_set);
         t.row([
-            task.label.clone(),
-            variant.label.clone(),
+            cell[0].report.case.to_string(),
+            cell[0].report.system.to_string(),
             f4(over_steps(|s| s.diversity.mean_pairwise)),
             f4(over_steps(|s| s.diversity.mean_gene_std)),
             f4(over_steps(|s| {
@@ -463,6 +420,7 @@ pub fn e2_diversity(plan: &Plan, case_names: &[&str]) -> TextTable {
 ///   acceptable fitness values that contribute to the prediction",
 ///   §II-B).
 pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
+    use ess_ns::{BehaviourSpace, NoveltyGa, NoveltyGaConfig};
     use evoalg::benchmarks::{self as bench, covers_both_basins, twin_basins};
     let mut t = TextTable::new([
         "function",
@@ -496,33 +454,32 @@ pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
         ("twin_basins(2)", twin_basins, covers_both_basins, 2),
     ];
     const GENERATIONS: u32 = 60;
-    // One search of `(objective, dims)` under a seed: the best fitness
-    // seen, the result set, the evaluations spent.
-    type Search = Box<dyn Fn(Fitness, usize, u64) -> (f64, Vec<Vec<f64>>, u64)>;
+    // One search of `(objective, dims)` under a seed finds: the best
+    // fitness seen, the result set, the evaluations spent.
+    type Found = (f64, Vec<Vec<f64>>, u64);
+    type Search = fn(Fitness, usize, u64) -> Found;
     // NS, with the paper's fitness-difference behaviour (Eq. 2) and with
     // the standard genotypic behaviour (ablation).
-    let novelty_ga = |behaviour: BehaviourSpace| -> Search {
-        Box::new(move |f, dims, seed| {
-            let cfg = NoveltyGaConfig {
-                population_size: 24,
-                offspring: 24,
-                max_generations: GENERATIONS,
-                fitness_threshold: 2.0,
-                behaviour,
-                seed,
-                ..NoveltyGaConfig::default()
-            };
-            let mut eval = |gs: &[Vec<f64>]| -> Vec<f64> { gs.iter().map(|g| f(g)).collect() };
-            let out = NoveltyGa::new(dims, cfg).run(&mut eval);
-            (
-                out.best_set.max_fitness(),
-                out.best_set.genomes(),
-                out.evaluations,
-            )
-        })
-    };
+    fn novelty_ga(behaviour: BehaviourSpace, f: Fitness, dims: usize, seed: u64) -> Found {
+        let cfg = NoveltyGaConfig {
+            population_size: 24,
+            offspring: 24,
+            max_generations: GENERATIONS,
+            fitness_threshold: 2.0,
+            behaviour,
+            seed,
+            ..NoveltyGaConfig::default()
+        };
+        let mut eval = |gs: &[Vec<f64>]| -> Vec<f64> { gs.iter().map(|g| f(g)).collect() };
+        let out = NoveltyGa::new(dims, cfg).run(&mut eval);
+        (
+            out.best_set.max_fitness(),
+            out.best_set.genomes(),
+            out.evaluations,
+        )
+    }
     // Fitness GA: result set = final population (the ESS policy).
-    let fitness_ga: Search = Box::new(|f, dims, seed| {
+    let fitness_ga: Search = |f, dims, seed| {
         let cfg = GaConfig {
             population_size: 24,
             offspring: 24,
@@ -537,10 +494,14 @@ pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
             best = best.max(engine.step(&mut eval).best_fitness);
         }
         (best, engine.population().genomes(), engine.evaluations())
-    });
-    let algorithms = [
-        ("NS-GA (Eq.2 dist)", novelty_ga(BehaviourSpace::Fitness)),
-        ("NS-GA (genotype)", novelty_ga(BehaviourSpace::Genotype)),
+    };
+    let algorithms: [(&str, Search); 3] = [
+        ("NS-GA (Eq.2 dist)", |f, dims, seed| {
+            novelty_ga(BehaviourSpace::Fitness, f, dims, seed)
+        }),
+        ("NS-GA (genotype)", |f, dims, seed| {
+            novelty_ga(BehaviourSpace::Genotype, f, dims, seed)
+        }),
         ("fitness-GA", fitness_ga),
     ];
     for (function, f, set_success, dims) in objectives {
@@ -564,38 +525,15 @@ pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
 ///
 /// The tuning papers operate at generation budgets long enough for
 /// restarts to amortise (a restart spends evaluations re-seeding before it
-/// can recover), so this experiment runs ESSIM-DE with a 30-generation
-/// cap — roughly 3× the E1 budget — for both variants. Tasks: the two
-/// drifting-truth cases; variants: tuning off / on.
+/// can recover), so both rows run ESSIM-DE with a 30-generation cap —
+/// roughly 3× the E1 budget. Cases: the two drifting-truth cases; rows:
+/// tuning off / on.
 pub fn e6_tuning(plan: &Plan) -> TextTable {
-    use ess::essim_de::{EssimDe, EssimDeConfig, TuningConfig};
-    use ess::Ring;
     let mut t = TextTable::new(["case", "variant", "mean_quality", "mean_evals"]);
-    let tasks = ["shifting_wind", "moisture_front"].map(Task::named);
-    let scale = plan.scale;
-    let variants = [
-        ("untuned", TuningConfig::disabled()),
-        ("tuned", TuningConfig::enabled()),
-    ]
-    .map(|(label, tuning)| {
-        Variant::new(label, move || {
-            Box::new(EssimDe::new(EssimDeConfig {
-                ring: Ring {
-                    islands: 3,
-                    island_population: scaled(12, scale),
-                    max_generations: 30,
-                    ..Ring::default()
-                },
-                result_set_size: scaled(24, scale),
-                tuning,
-                ..EssimDeConfig::default()
-            }))
-        })
-    });
-    for cell in plan.cells(&plan.run(&tasks, &variants)) {
+    for cell in plan.cells(&plan.run(plan.specs(E6))) {
         t.row([
-            cell[0].task.clone(),
-            cell[0].variant.clone(),
+            cell[0].report.case.to_string(),
+            cell[0].variant().to_string(),
             f4(mean(cell, RunReport::mean_quality)),
             f2(mean(cell, |r| r.total_evaluations() as f64)),
         ]);
@@ -604,8 +542,8 @@ pub fn e6_tuning(plan: &Plan) -> TextTable {
 }
 
 /// E7 — the hybrid fitness/novelty scoring ablation (§IV), plus the
-/// NSLC quality-diversity variant (\[26\]). Task: `shifting_wind`;
-/// variants: six scoring policies.
+/// NSLC quality-diversity variant (\[26\]). Case: `shifting_wind`; rows:
+/// six scoring policies.
 pub fn e7_hybrid(plan: &Plan) -> TextTable {
     let mut t = TextTable::new([
         "scoring",
@@ -613,26 +551,14 @@ pub fn e7_hybrid(plan: &Plan) -> TextTable {
         "mean_diversity",
         "mean_best_fitness",
     ]);
-    let weighted = |novelty_weight| ScoringPolicy::Weighted { novelty_weight };
-    let nslc = ScoringPolicy::NoveltyLocalCompetition {
-        novelty_weight: 0.5,
-    };
-    let base = plan.ess_ns_base();
-    let variants = [
-        ("w=1.00 (pure NS)", ScoringPolicy::PureNovelty),
-        ("w=0.75", weighted(0.75)),
-        ("w=0.50", weighted(0.5)),
-        ("w=0.25", weighted(0.25)),
-        ("w=0.00", weighted(0.0)),
-        ("NSLC (w=0.5)", nslc),
-    ]
-    .map(|(label, scoring)| {
-        let algorithm = NoveltyGaConfig { scoring, ..base };
-        ess_ns(label, algorithm, InclusionPolicy::BestOnly)
-    });
-    for cell in plan.cells(&plan.run(&[Task::named("shifting_wind")], &variants)) {
+    for cell in plan.cells(&plan.run(plan.specs(E7))) {
+        let scoring = match cell[0].variant() {
+            "w=1.00" => "w=1.00 (pure NS)",
+            "nslc" => "NSLC (w=0.5)",
+            weighted => weighted,
+        };
         t.row([
-            cell[0].variant.clone(),
+            scoring.to_string(),
             f4(mean(cell, RunReport::mean_quality)),
             f4(mean(cell, RunReport::mean_diversity)),
             f4(mean(cell, |r| step_mean(r, |s| s.os_best_fitness))),
@@ -642,7 +568,7 @@ pub fn e7_hybrid(plan: &Plan) -> TextTable {
 }
 
 /// E8 — NS hyper-parameter ablation: `k`, archive capacity, `bestSet`
-/// size, behaviour space. Task: `two_ridge`; variants: one `parameter=value`
+/// size, behaviour space. Case: `two_ridge`; rows: one `parameter=value`
 /// setting each, around one scaled base configuration.
 pub fn e8_ablation(plan: &Plan) -> TextTable {
     let mut t = TextTable::new([
@@ -652,43 +578,8 @@ pub fn e8_ablation(plan: &Plan) -> TextTable {
         "mean_diversity",
         "mean_evals",
     ]);
-    let base = NoveltyGaConfig {
-        archive_capacity: scaled(64, plan.scale),
-        ..plan.ess_ns_base()
-    };
-    let k = |novelty_neighbours| NoveltyGaConfig {
-        novelty_neighbours,
-        ..base
-    };
-    let archive = |capacity| NoveltyGaConfig {
-        archive_capacity: scaled(capacity, plan.scale),
-        ..base
-    };
-    let best_set = |capacity| NoveltyGaConfig {
-        best_set_capacity: scaled(capacity, plan.scale),
-        ..base
-    };
-    // Behaviour-space ablation rides along (fitness vs genotype distance).
-    let genotype = NoveltyGaConfig {
-        behaviour: BehaviourSpace::Genotype,
-        ..base
-    };
-    let variants = [
-        ("k=3", k(3)),
-        ("k=5", k(5)),
-        ("k=10", k(10)),
-        ("k=15", k(15)),
-        ("archive=16", archive(16)),
-        ("archive=64", archive(64)),
-        ("archive=256", archive(256)),
-        ("bestSet=8", best_set(8)),
-        ("bestSet=24", best_set(24)),
-        ("bestSet=48", best_set(48)),
-        ("behaviour=genotype", genotype),
-    ]
-    .map(|(label, algorithm)| ess_ns(label, algorithm, InclusionPolicy::BestOnly));
-    for cell in plan.cells(&plan.run(&[Task::named("two_ridge")], &variants)) {
-        let (parameter, value) = cell[0].variant.split_once('=').unwrap_or_default();
+    for cell in plan.cells(&plan.run(plan.specs(E8))) {
+        let (parameter, value) = cell[0].variant().split_once('=').unwrap_or_default();
         t.row([
             parameter.to_string(),
             value.to_string(),
@@ -700,21 +591,13 @@ pub fn e8_ablation(plan: &Plan) -> TextTable {
     t
 }
 
-/// E9 — result-set composition under a drifting truth (§IV). Task:
-/// `shifting_wind`; variants: five inclusion policies.
+/// E9 — result-set composition under a drifting truth (§IV). Case:
+/// `shifting_wind`; rows: five inclusion policies.
 pub fn e9_inclusion(plan: &Plan) -> TextTable {
     let mut t = TextTable::new(["policy", "mean_quality", "mean_set_size", "mean_diversity"]);
-    let variants = [
-        ("best-only", InclusionPolicy::BestOnly),
-        ("novel-10%", InclusionPolicy::WithNovel { fraction: 0.10 }),
-        ("novel-25%", InclusionPolicy::WithNovel { fraction: 0.25 }),
-        ("random-10%", InclusionPolicy::WithRandom { fraction: 0.10 }),
-        ("random-25%", InclusionPolicy::WithRandom { fraction: 0.25 }),
-    ]
-    .map(|(label, inclusion)| ess_ns(label, plan.ess_ns_base(), inclusion));
-    for cell in plan.cells(&plan.run(&[Task::named("shifting_wind")], &variants)) {
+    for cell in plan.cells(&plan.run(plan.specs(E9))) {
         t.row([
-            cell[0].variant.clone(),
+            cell[0].variant().to_string(),
             f4(mean(cell, RunReport::mean_quality)),
             f2(mean(cell, |r| step_mean(r, |s| s.diversity.size as f64))),
             f4(mean(cell, RunReport::mean_diversity)),
@@ -728,9 +611,10 @@ pub fn e9_inclusion(plan: &Plan) -> TextTable {
 /// sensor noise. The paper's whole premise is input uncertainty; this
 /// experiment injects it into the *observations* rather than the
 /// parameters and asks which result-set policy degrades most gracefully.
-/// Tasks: `shifting_wind` observed at three flip probabilities, the noise
-/// drawn per seed (probability 0 flips nothing: the clean case); variants:
-/// the paper systems.
+/// Cases: `shifting_wind` observed at three flip probabilities, the noise
+/// drawn per seed (probability 0 flips nothing: the clean case) — which no
+/// case name says, so these sessions are assembled by hand around
+/// registry-made optimizers; rows: the paper systems.
 pub fn e10_noise(plan: &Plan) -> TextTable {
     let mut t = TextTable::new([
         "flip_prob",
@@ -739,26 +623,72 @@ pub fn e10_noise(plan: &Plan) -> TextTable {
         "quality_drop_vs_clean",
     ]);
     let clean = cases::shifting_wind();
-    let tasks = [0.0, 0.10, 0.25].map(|flip| {
-        let clean = clean.clone();
-        Task {
-            label: f2(flip),
-            case: Box::new(move |seed| cases::with_observation_noise(&clean, flip, seed)),
+    // Mean quality per method on the clean observations (the first flip).
+    let mut clean_quality = Vec::new();
+    for flip in [0.0, 0.10, 0.25] {
+        for (i, system) in systems::all().iter().enumerate() {
+            let qualities = plan.seeds.iter().map(|&seed| {
+                let mut session = PredictionSession::new(
+                    cases::with_observation_noise(&clean, flip, seed),
+                    system.make(plan.scale),
+                    Arc::clone(&plan.pool),
+                    seed,
+                    Budget::unlimited(),
+                );
+                session
+                    .drain()
+                    .expect("no budget to exhaust")
+                    .mean_quality()
+            });
+            let q = mean_of(&qualities.collect::<Vec<_>>());
+            let drop = match clean_quality.get(i) {
+                Some(clean) => f4(clean - q),
+                None => {
+                    clean_quality.push(q);
+                    "-".to_string()
+                }
+            };
+            t.row([f2(flip), system.name.to_string(), f4(q), drop]);
         }
-    });
-    let variants = plan.paper_systems();
-    let trials = plan.run(&tasks, &variants);
-    let cells: Vec<&[Trial]> = plan.cells(&trials).collect();
-    for (i, cell) in cells.iter().enumerate() {
-        let q = mean(cell, RunReport::mean_quality);
-        // Task-major order: the first `variants.len()` cells are the clean
-        // observations, one per method.
-        let drop = if i < variants.len() {
-            "-".to_string()
-        } else {
-            f4(mean(cells[i % variants.len()], RunReport::mean_quality) - q)
-        };
-        t.row([cell[0].task.clone(), cell[0].variant.clone(), f4(q), drop]);
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ess_service::jsonio::Json;
+
+    #[test]
+    fn every_plan_is_data_the_service_accepts() {
+        // Each trial validates, survives the wire's own encoding and
+        // resolves to a session naming the row and the case it was
+        // declared with — nothing about a trial lives outside its spec.
+        let plan = Plan::new(EvalBackend::Serial, 2, 0.25);
+        let library = ["grass_uniform", "two_ridge"];
+        for design in [(systems::all(), &library[..]), E6, E7, E8, E9] {
+            let specs = plan.specs(design);
+            assert_eq!(specs.len(), design.0.len() * design.1.len() * 2);
+            for (i, spec) in specs.iter().enumerate() {
+                spec.validate().expect("valid");
+                let text = spec.to_json().to_string();
+                let wire = RunSpec::from_json(&Json::parse(&text).expect("json")).expect("spec");
+                assert_eq!(&wire, spec, "{text}");
+                let session = wire.session().expect("resolves");
+                let (case, row) = (i / 2 / design.0.len(), i / 2 % design.0.len());
+                assert_eq!(session.system(), design.0[row].name, "{text}");
+                assert_eq!(session.case_name(), design.1[case], "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_variant_trial_reports_its_row() {
+        let plan = Plan::new(EvalBackend::Serial, 1, 0.05);
+        let trials = plan.run(plan.specs((&systems::INCLUSION[1..2], &["meadow_small"])));
+        assert_eq!(trials.len(), 1);
+        assert_eq!(trials[0].report.system, "ESS-NS/novel-10%");
+        assert_eq!(trials[0].variant(), "novel-10%");
+        assert_eq!(trials[0].spec.case_name(), trials[0].report.case);
+    }
 }

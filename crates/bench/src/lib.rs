@@ -1,7 +1,7 @@
 //! `ess-benches` — shared experiment machinery behind the `harness` binary
 //! and the microbenchmarks.
 //!
-//! Every experiment in DESIGN.md §4 is a function here returning a
+//! Every experiment of README § "Experiments" is a function here returning a
 //! [`ess::report::TextTable`], so the harness can print it and write the
 //! CSV, and `tests/paper_tables.rs` can regenerate the pinned tables
 //! (`golden/*.csv`) in-process. The pipeline-driven experiments are rows

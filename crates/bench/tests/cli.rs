@@ -66,8 +66,18 @@ fn usage_lists_every_experiment_and_says_who_reads_cases() {
     for id in ["table1", "e1-quality", "e10-noise", "all", "serve", "lint"] {
         assert!(synopsis.contains(id), "{id} missing from: {synopsis}");
     }
-    // One titled line per experiment and tool under the synopsis.
-    assert_eq!(stderr.trim().lines().count(), 1 + 12 + 3, "{stderr}");
+    // One titled line per experiment and tool under the synopsis, then
+    // the registry: a heading, the four paper systems, and per comparison
+    // set what it varies and its rows.
+    assert_eq!(
+        stderr.trim().lines().count(),
+        1 + 12 + 3 + 1 + 4 + 2 * 4,
+        "{stderr}"
+    );
+    assert!(stderr.contains("\n    ESSIM-DE/untuned ESSIM-DE/tuned\n"));
+    for row in ess_service::systems::variants().concat() {
+        assert!(stderr.contains(row.name), "{} missing: {stderr}", row.name);
+    }
 }
 
 #[test]

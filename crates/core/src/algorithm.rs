@@ -165,7 +165,7 @@ impl NoveltyGa {
     ///
     /// # Panics
     /// Panics on degenerate parameters.
-    // lint: allow(panic) — the serve path builds configs in `systems::make_ess_ns` only: N and m are `scaled(..) ≥ 4`, k = 5, the rates are `NoveltyGaConfig::default()`'s constants in [0, 1], and dims is `GENE_COUNT` = 9
+    // lint: allow(panic) — the serve path builds configs from the closed row table of `ess_service::systems` only, and no row holds a value that arrived from the wire: N and m are `scaled(32, ..) ≥ 4`, k ∈ {3, 5, 10, 15}, the rates are `NoveltyGaConfig::default()`'s constants in [0, 1], the archive and `bestSet` capacities are 64, twice N or `scaled(..) ≥ 4`, and dims is `GENE_COUNT` = 9
     pub fn new(dims: usize, config: NoveltyGaConfig) -> Self {
         assert!(dims >= 2, "genome needs at least two genes");
         assert!(config.population_size >= 2, "N must be at least 2");

@@ -47,7 +47,7 @@ impl ScoringPolicy {
     /// fitness-difference behaviour it already lives there, and the clamp
     /// keeps the blend meaningful for other behaviour spaces (an archive
     /// seeded with `f64::MAX` sentinel novelty must not drown fitness).
-    // lint: allow(panic) — the serve path scores with `ScoringPolicy::PureNovelty` (the registry's `NoveltyGaConfig::default()`), which reads no weight; the harness's E7 weights are literals in [0, 1], and a local-competition term is a fraction of k neighbours
+    // lint: allow(panic) — a policy reaches the serve path only as a row of `ess_service::systems`: `PureNovelty` reads no weight, the `SCORING` rows' weights are the literals 0.75, 0.5, 0.25, 0 and NSLC's 0.5, all in [0, 1], and a local-competition term is a fraction of k neighbours
     pub fn score_with_lc(&self, fitness: f64, novelty: f64, local_competition: f64) -> f64 {
         let n = novelty.clamp(0.0, 1.0);
         match *self {
@@ -157,7 +157,7 @@ impl InclusionPolicy {
                 fraction
             }
         };
-        // lint: allow(panic) — the registry's `InclusionPolicy::BestOnly` returned above; the harness's E9 fractions are literals in [0, 1]
+        // lint: allow(panic) — `InclusionPolicy::BestOnly` returned above; a fraction reaches the serve path only as an `INCLUSION` row of `ess_service::systems`, and those are the literals 0.10 and 0.25
         assert!(
             (0.0..=1.0).contains(&fraction),
             "inclusion fraction is a proportion"

@@ -6,8 +6,8 @@
 //! (optionally drifting between steps — wind shifts, fuel drying) on a
 //! terrain. The prediction systems only ever see the fire lines, exactly
 //! like the originals; the hidden truth additionally lets tests verify
-//! that a perfect optimizer could reach fitness 1 (see DESIGN.md §1 for
-//! the substitution argument).
+//! that a perfect optimizer could reach fitness 1 (README § "The workload
+//! corpus" has the substitution argument).
 
 use crate::fitness::{EvalBackend, ScenarioEvaluator, StepContext};
 use firelib::sim::centre_ignition;
@@ -497,7 +497,7 @@ pub fn tiny_test_case() -> BurnCase {
 
 /// A serial evaluator over the first interval of [`tiny_test_case`] — the
 /// fixture every optimizer's unit tests search on.
-// lint: allow(unreached) — the fixture the optimizers' unit tests share: crates/core/src/system.rs, crates/ess/src/ess_classic.rs, crates/ess/src/essim_ea.rs, crates/ess/src/essim_de.rs
+// lint: allow(unreached) — the fixture the optimizers' unit tests share: crates/core/src/system.rs, crates/ess/src/ess_classic.rs, crates/ess/src/essim_ea.rs, crates/ess/src/essim_de.rs, crates/service/src/systems.rs
 pub fn tiny_step_evaluator() -> ScenarioEvaluator {
     let ctx = Arc::new(tiny_test_case().step_context(1));
     ScenarioEvaluator::new(ctx, EvalBackend::Serial)

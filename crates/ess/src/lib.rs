@@ -41,7 +41,8 @@
 //!   (population restart \[21\], IQR-based dynamic tuning \[22\]);
 //! * [`cases`] — synthetic controlled burn cases with a *hidden* true
 //!   scenario (optionally drifting over time), standing in for the field
-//!   burn maps of the original evaluations (see DESIGN.md §1);
+//!   burn maps of the original evaluations (README § "The workload
+//!   corpus");
 //! * [`report`] — aligned text tables and CSV writers for the experiment
 //!   harness.
 

@@ -30,7 +30,6 @@ use crate::cases::BurnCase;
 use crate::fitness::{EvalBackend, ScenarioEvaluator, SharedScenarioPool, StepContext};
 use crate::stages::{decode_result_set, statistical_stage_in};
 use evoalg::diversity::{self, DiversityReport};
-use parworker::Stopwatch;
 use std::sync::Arc;
 
 /// What an Optimization Stage hands back to the pipeline.
@@ -81,7 +80,9 @@ pub struct StepReport {
     pub evaluations: u64,
     /// Generations the optimizer ran.
     pub generations: u32,
-    /// Wall-clock milliseconds of the whole step.
+    /// Wall-clock milliseconds of the whole step, stamped by whoever ran
+    /// and timed it (`PredictionSession::complete_step`); `0.0` as the
+    /// driver returns it — this crate reads no clock.
     pub wall_ms: f64,
 }
 
@@ -94,7 +95,8 @@ pub struct RunReport {
     pub case: &'static str,
     /// Per-step records.
     pub steps: Vec<StepReport>,
-    /// Total wall-clock milliseconds.
+    /// Total wall-clock milliseconds a session billed the run; `0.0`
+    /// from [`PredictionPipeline::run`], which does not time itself.
     pub total_ms: f64,
 }
 
@@ -252,7 +254,6 @@ impl StepDriver {
         }
         let i = self.next;
         let case = &self.case;
-        let sw = Stopwatch::start();
         // --- Optimization Stage on [t_{i-1}, t_i] ------------------------
         let observed_ctx = Arc::new(case.step_context(i));
         let mut evaluator = make_evaluator(Arc::clone(&observed_ctx));
@@ -287,7 +288,7 @@ impl StepDriver {
             diversity: diversity::report(&outcome.result_set),
             evaluations: outcome.evaluations,
             generations: outcome.generations,
-            wall_ms: sw.elapsed_ms(),
+            wall_ms: 0.0,
         })
     }
 }
@@ -316,7 +317,6 @@ impl PredictionPipeline {
     /// Runs the full predictive process of one system over one case — a
     /// drained [`StepDriver`].
     pub fn run(&self, case: &BurnCase, optimizer: &mut dyn StepOptimizer) -> RunReport {
-        let total = Stopwatch::start();
         let mut driver = StepDriver::new(case.clone(), Arc::clone(&self.pool), self.base_seed);
         let mut steps = Vec::with_capacity(driver.total_steps());
         while let Some(step) = driver.step(optimizer) {
@@ -326,7 +326,7 @@ impl PredictionPipeline {
             system: optimizer.name(),
             case: case.name,
             steps,
-            total_ms: total.elapsed_ms(),
+            total_ms: 0.0,
         }
     }
 }
@@ -448,15 +448,16 @@ mod tests {
     #[test]
     fn pipeline_is_deterministic_given_seed() {
         let case = tiny_test_case();
+        // Whole records, `wall_ms` included: the driver reads no clock, so
+        // nothing in a step report differs between two runs of one seed.
         let run = |seed| {
             let mut rs = RandomSearch { budget: 20 };
-            let r = PredictionPipeline::new(EvalBackend::Serial, seed).run(&case, &mut rs);
-            r.steps
-                .iter()
-                .map(|s| (s.quality, s.kign))
-                .collect::<Vec<_>>()
+            PredictionPipeline::new(EvalBackend::Serial, seed)
+                .run(&case, &mut rs)
+                .steps
         };
         assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8));
     }
 
     #[test]
@@ -477,16 +478,7 @@ mod tests {
         assert!(driver.is_finished());
         assert!(driver.step(&mut opt).is_none(), "finished driver must idle");
 
-        assert_eq!(steps.len(), batch.steps.len());
-        for (a, b) in steps.iter().zip(&batch.steps) {
-            assert_eq!(a.step, b.step);
-            assert_eq!(a.quality, b.quality);
-            assert_eq!(a.kign, b.kign);
-            assert_eq!(a.calibration_fitness, b.calibration_fitness);
-            assert_eq!(a.os_best_fitness, b.os_best_fitness);
-            assert_eq!(a.evaluations, b.evaluations);
-            assert_eq!(a.generations, b.generations);
-        }
+        assert_eq!(steps, batch.steps);
     }
 
     #[test]

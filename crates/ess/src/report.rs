@@ -1,8 +1,8 @@
 //! Aligned text tables and their CSV form for the experiment harness.
 //!
-//! Hand-rolled on purpose: the workspace's dependency policy (DESIGN.md §1)
-//! keeps serialisation crates out, and the harness only needs fixed-width
-//! tables and comma-separated files.
+//! Hand-rolled on purpose: the workspace's dependency policy (none — the
+//! README's opening section) keeps serialisation crates out, and the
+//! harness only needs fixed-width tables and comma-separated files.
 
 use std::fmt::Write as _;
 

@@ -95,7 +95,6 @@ impl Stopwatch {
     /// Starts timing.
     pub fn start() -> Self {
         Self {
-            // lint: allow(taint) — elapsed-time telemetry is reported, never fed back into fitness or scheduling decisions inside deterministic crates
             // lint: allow(wall-clock) — the Stopwatch IS the telemetry primitive the rule funnels callers into
             start: Instant::now(),
         }

@@ -8,9 +8,10 @@
 //! no way to interleave runs. This crate is the serving layer that
 //! replaces it:
 //!
-//! * [`systems`] — the registry mirroring `ess::cases`: all four paper
-//!   systems ([`systems::by_name`]) as budget-scalable `StepOptimizer`
-//!   factories;
+//! * [`systems`] — the registry mirroring `ess::cases`: the four paper
+//!   systems and the `<family>/<variant>` rows the harness's ablations
+//!   compare ([`systems::by_name`]), each building a budget-scalable
+//!   `StepOptimizer`;
 //! * [`RunSpec`] — one builder-style request type (system × case ×
 //!   seed × replicates × weight × budgets: what to predict, never how to
 //!   run it), JSON-serializable for the wire

@@ -22,9 +22,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Where a session came from: the spec that built it and which replicate
-/// it is — everything a [`SessionSnapshot`] needs to rebuild the run.
+/// it is — everything a [`SessionSnapshot`] needs to rebuild the run — and
+/// the registry row the spec's system resolved to.
 #[derive(Debug, Clone)]
 pub(crate) struct Provenance {
+    /// Canonical name of the registry row (`"ESS-NS/k=3"`): what the
+    /// session's reports call the system.
+    pub system: &'static str,
     /// The originating request.
     pub spec: RunSpec,
     /// Replicate index within the request.
@@ -140,12 +144,12 @@ impl PredictionSession {
         }
     }
 
-    /// Tags the session with the spec (and replicate index) that built it,
-    /// enabling [`PredictionSession::snapshot`] — and applies the spec's
-    /// fair-share weight.
-    pub(crate) fn set_provenance(&mut self, spec: RunSpec, replicate: usize) {
-        self.weight = spec.share_weight();
-        self.provenance = Some(Provenance { spec, replicate });
+    /// Tags the session with the spec (its registry row and replicate
+    /// index) that built it, enabling [`PredictionSession::snapshot`] — and
+    /// applies the spec's fair-share weight.
+    pub(crate) fn set_provenance(&mut self, provenance: Provenance) {
+        self.weight = provenance.spec.share_weight();
+        self.provenance = Some(provenance);
     }
 
     /// Fair-share weight (1 unless the originating spec set one) — the
@@ -193,9 +197,14 @@ impl PredictionSession {
         ))
     }
 
-    /// The system being run.
+    /// The system being run: the registry row a spec-built session was
+    /// resolved to (a variant's own name, not its family's), the
+    /// optimizer's name for a hand-assembled one.
     pub fn system(&self) -> &'static str {
-        self.optimizer.name()
+        match &self.provenance {
+            Some(p) => p.system,
+            None => self.optimizer.name(),
+        }
     }
 
     /// The case being predicted.
@@ -229,7 +238,7 @@ impl PredictionSession {
     /// sessions are not billed for time spent waiting on their peers.
     pub fn report(&self) -> RunReport {
         RunReport {
-            system: self.optimizer.name(),
+            system: self.system(),
             case: self.driver.case().name,
             steps: self.steps.clone(),
             total_ms: self.driven_ms,
@@ -298,14 +307,17 @@ impl PredictionSession {
     /// The post-step half of [`PredictionSession::advance`]: books a step
     /// executed externally (evaluation counts, report, billed time).
     /// `elapsed_ms` is the wall time the step itself took, so multiplexed
-    /// sessions are still not billed for peers.
+    /// sessions are still not billed for peers; it becomes the step's
+    /// `wall_ms` — the driver below reads no clock, whoever ran the step
+    /// timed it.
     ///
     /// A session cancelled between plan and complete keeps its terminal
     /// event and discards the step — the cancellation won the race.
-    pub fn complete_step(&mut self, step: StepReport, elapsed_ms: f64) -> SessionEvent {
+    pub fn complete_step(&mut self, mut step: StepReport, elapsed_ms: f64) -> SessionEvent {
         if let Some(done) = &self.terminal {
             return done.clone();
         }
+        step.wall_ms = elapsed_ms;
         self.evaluations_spent += step.evaluations;
         self.steps.push(step.clone());
         self.driven_ms += elapsed_ms;

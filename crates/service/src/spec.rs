@@ -246,7 +246,11 @@ impl RunSpec {
             self.replicate_seed(replicate),
             self.budget,
         );
-        session.set_provenance(self.clone(), replicate);
+        session.set_provenance(Provenance {
+            system: system.name,
+            spec: self.clone(),
+            replicate,
+        });
         session
     }
 
@@ -315,6 +319,7 @@ impl RunSpec {
             steps,
             driven_ms,
             Provenance {
+                system: system.name,
                 spec: self.clone(),
                 replicate,
             },

@@ -1,7 +1,7 @@
 //! The fusion-equivalence suite: a scheduler round that fuses every
 //! planned session's evaluation batches into shared-pool mega-batches
 //! must be **bit-identical** to the unfused per-session path — for every
-//! registered system, under every scheduling policy, across mixed
+//! paper system and a §IV variant row, under every scheduling policy, across mixed
 //! workloads and grid shapes in one round, with sessions finishing
 //! mid-round and sessions cancelled between plan and complete.
 
@@ -57,6 +57,7 @@ fn submit_mixed_fleet(scheduler: &mut Scheduler) {
         ("ESS-NS", "grass_uniform", 24, None, 1.5),
         ("ESS", "grass_uniform", 25, Some(2), 2.5),
         ("ESS-NS", "meadow_small", 26, Some(1), 1.0),
+        ("ESS-NS/w=0.50", "meadow_small", 27, None, 2.0),
     ];
     for (i, (system, case, seed, max_steps, weight)) in mixes.into_iter().enumerate() {
         let mut spec = RunSpec::new(system, case)
@@ -94,7 +95,7 @@ fn fused_rounds_match_unfused_for_every_policy() {
             unfused, fused,
             "fused rounds diverged from unfused under {policy}"
         );
-        assert_eq!(unfused.len(), 6, "every fleet session reached an outcome");
+        assert_eq!(unfused.len(), 7, "every fleet session reached an outcome");
     }
 }
 
@@ -137,7 +138,7 @@ fn fused_drain_survives_mid_drain_cancellation() {
     assert!(scheduler.cancel(victim), "victim was live");
     scheduler.drain();
     let outcomes = scheduler.take_outcomes();
-    assert_eq!(outcomes.len(), 6);
+    assert_eq!(outcomes.len(), 7);
     let cancelled = outcomes
         .iter()
         .find(|(id, _)| *id == victim)

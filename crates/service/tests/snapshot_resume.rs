@@ -1,7 +1,7 @@
-//! Resume bit-identity: for every paper system, a session checkpointed at
-//! step k, serialized through jsonio, and restored from the parsed
-//! snapshot produces a final `RunReport` bit-identical (deterministic
-//! fields) to the uninterrupted run — at every possible k.
+//! Resume bit-identity: for every paper system and one §IV variant row, a
+//! session checkpointed at step k, serialized through jsonio, and restored
+//! from the parsed snapshot produces a final `RunReport` bit-identical
+//! (deterministic fields) to the uninterrupted run — at every possible k.
 
 use ess::pipeline::{RunReport, StepReport};
 use ess_service::jsonio::Json;
@@ -36,7 +36,8 @@ fn report_fingerprint(r: &RunReport) -> Vec<StepBits> {
 
 #[test]
 fn checkpoint_resume_is_bit_identical_for_every_system_at_every_step() {
-    for system in systems::all() {
+    let hybrid = systems::resolve("ESS-NS/w=0.50").expect("a registry row");
+    for system in systems::all().iter().chain([hybrid]) {
         let spec = RunSpec::new(system.name, CASE).scale(SCALE).seed(SEED);
 
         // The uninterrupted reference run.
@@ -67,6 +68,8 @@ fn checkpoint_resume_is_bit_identical_for_every_system_at_every_step() {
                 Ok(report) => report,
                 Err(e) => panic!("{}: resumed run failed: {e}", system.name),
             };
+            // A variant's reports name its row, before and after a resume.
+            assert_eq!(reference.system, system.name);
             assert_eq!(resumed.system, reference.system);
             assert_eq!(resumed.case, reference.case);
             assert_eq!(

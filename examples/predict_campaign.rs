@@ -16,6 +16,7 @@ use ess::fitness::EvalBackend;
 use ess::pipeline::PredictionPipeline;
 use ess::report::{f4, opt_f4, TextTable};
 use ess_ns::EssNs;
+use parworker::Stopwatch;
 
 fn main() {
     let case = cases::shifting_wind();
@@ -29,9 +30,14 @@ fn main() {
     // Where scenarios are evaluated belongs to the pipeline, not to a
     // system: the same pipeline fans both runs out to a 2-worker farm
     // (results are backend-independent, only wall time changes).
+    // The pipeline reads no clock; whoever wants a run timed times it.
     let pipeline = PredictionPipeline::new(EvalBackend::WorkerPool(2), 2024);
+    let sw = Stopwatch::start();
     let ess_report = pipeline.run(&case, &mut ess::EssClassic::default());
+    let ess_ms = sw.elapsed_ms();
+    let sw = Stopwatch::start();
     let ns_report = pipeline.run(&case, &mut EssNs::baseline());
+    let ns_ms = sw.elapsed_ms();
 
     let mut table = TextTable::new([
         "step",
@@ -61,8 +67,8 @@ fn main() {
         "evaluations: ESS {}, ESS-NS {}; wall: ESS {:.0} ms, ESS-NS {:.0} ms",
         ess_report.total_evaluations(),
         ns_report.total_evaluations(),
-        ess_report.total_ms,
-        ns_report.total_ms,
+        ess_ms,
+        ns_ms,
     );
     println!(
         "\nThe drifting wind punishes converged populations: ESS-NS's bestSet keeps\n\
