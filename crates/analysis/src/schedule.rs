@@ -18,9 +18,13 @@
 //!   `pending` decremented before panic recording, first panic wins,
 //!   panicking workers retire, the master observes the panic, clears the
 //!   bag and poisons the pool.
-//! - [`LaneGuardModel`] — the fusion coordinator's Drop guard: a lane
-//!   thread sends `Done` even when it panics mid-batch, so the
-//!   coordinator's drain loop always terminates.
+//! - [`LaneGuardModel`] — the fusion coordinator and its lanes' Drop
+//!   guards: a lane blocks on each parked batch until the coordinator
+//!   flushes (when every still-live lane has parked one); its guard
+//!   sends `Done` exactly once — when the lane releases its backend
+//!   after the search and keeps running, or when it finishes or panics —
+//!   so the drain loop always terminates and a lane busy after its
+//!   release never holds up a peer's flush.
 
 /// What one virtual-thread step did. `step` must be deterministic and
 /// must leave the state untouched for `Blocked` / `Finished`.
@@ -470,17 +474,26 @@ impl Model for StealPoolModel {
 /// One scripted lane op for [`LaneGuardModel`].
 #[derive(Debug, Clone, Copy)]
 pub enum LaneOp {
-    /// Send one scored batch to the coordinator.
+    /// Park one batch with the coordinator and block until a flush
+    /// scores it.
     Batch(u32),
-    /// Finish cleanly — the guard drops and sends `Done`.
+    /// Drop the lane's backend after its search: the guard inside it
+    /// sends `Done` and the lane keeps running (its stage tail). No batch
+    /// may follow.
+    Release,
+    /// Block until lane `n` (counting lanes from 0) has run its whole
+    /// script — a lane that waits on a peer.
+    AwaitLane(usize),
+    /// Finish cleanly — an unreleased guard drops and sends `Done`.
     Finish,
-    /// Panic mid-lane — the guard *still* drops and sends `Done`.
+    /// Panic mid-lane — an unreleased guard *still* drops and sends
+    /// `Done`; ops after the panic never run.
     Panic,
 }
 
 /// The fusion coordinator with `lanes.len()` lane threads. Thread 0 is
-/// the coordinator; it drains batches until every lane has delivered its
-/// `Done` marker.
+/// the coordinator: it flushes whenever every still-live lane has parked
+/// a batch and stops once every lane has delivered its `Done` marker.
 pub struct LaneGuardModel {
     /// Per-lane scripts; each must end with `Finish` or `Panic`.
     pub lanes: Vec<Vec<LaneOp>>,
@@ -499,10 +512,37 @@ enum LaneMsg {
 #[derive(Debug, Clone)]
 pub struct LaneState {
     pc: Vec<usize>,
-    queue: std::collections::VecDeque<LaneMsg>,
-    done_seen: usize,
+    /// Lane blocked on the reply to its parked batch.
+    awaiting: Vec<bool>,
+    /// `Done` markers each lane's guard sent.
+    done_sent: Vec<u32>,
+    /// A lane parked a batch after its `Done`.
+    batch_after_done: bool,
+    queue: std::collections::VecDeque<(usize, LaneMsg)>,
+    /// Lanes the coordinator still counts as live.
+    live: usize,
+    /// Parked batches awaiting the next flush: (lane, batch id).
+    pending: Vec<(usize, u32)>,
     scored: Vec<u32>,
     sent: Vec<u32>,
+}
+
+impl LaneState {
+    /// Scores every parked batch and wakes its lane.
+    fn flush(&mut self) {
+        for (lane, id) in self.pending.drain(..) {
+            self.scored.push(id);
+            self.awaiting[lane] = false;
+        }
+    }
+
+    /// The lane's guard drops: `Done` goes out unless it already did.
+    fn release(&mut self, lane: usize) {
+        if self.done_sent[lane] == 0 {
+            self.queue.push_back((lane, LaneMsg::Done));
+        }
+        self.done_sent[lane] += 1;
+    }
 }
 
 impl Model for LaneGuardModel {
@@ -517,10 +557,15 @@ impl Model for LaneGuardModel {
     }
 
     fn initial(&self) -> LaneState {
+        let n = self.lanes.len();
         LaneState {
-            pc: vec![0; self.lanes.len()],
+            pc: vec![0; n],
+            awaiting: vec![false; n],
+            done_sent: vec![0; n],
+            batch_after_done: false,
             queue: std::collections::VecDeque::new(),
-            done_seen: 0,
+            live: n,
+            pending: Vec::new(),
             scored: Vec::new(),
             sent: Vec::new(),
         }
@@ -528,44 +573,80 @@ impl Model for LaneGuardModel {
 
     fn step(&self, s: &mut LaneState, tid: usize) -> Step {
         if tid == 0 {
-            if s.done_seen == self.lanes.len() {
-                return Step::Finished;
+            if s.live == 0 {
+                // The defensive flush after the drain loop, then exit.
+                if s.pending.is_empty() {
+                    return Step::Finished;
+                }
+                s.flush();
+                return Step::Progressed;
             }
-            let Some(msg) = s.queue.pop_front() else {
+            let Some((lane, msg)) = s.queue.pop_front() else {
                 return Step::Blocked;
             };
             match msg {
-                LaneMsg::Batch(id) => s.scored.push(id),
-                LaneMsg::Done => s.done_seen += 1,
+                LaneMsg::Batch(id) => s.pending.push((lane, id)),
+                LaneMsg::Done => s.live -= 1,
+            }
+            if s.live > 0 && !s.pending.is_empty() && s.pending.len() == s.live {
+                s.flush();
             }
             return Step::Progressed;
         }
         let lane = tid - 1;
+        if s.awaiting[lane] {
+            return Step::Blocked;
+        }
         let Some(op) = self.lanes[lane].get(s.pc[lane]) else {
             return Step::Finished;
         };
         match *op {
             LaneOp::Batch(id) => {
-                s.queue.push_back(LaneMsg::Batch(id));
+                s.batch_after_done |= s.done_sent[lane] > 0;
+                s.queue.push_back((lane, LaneMsg::Batch(id)));
                 s.sent.push(id);
+                s.awaiting[lane] = true;
+                s.pc[lane] += 1;
+            }
+            LaneOp::Release => {
+                s.release(lane);
+                s.pc[lane] += 1;
+            }
+            LaneOp::AwaitLane(peer) => {
+                if s.pc[peer] < self.lanes[peer].len() {
+                    return Step::Blocked;
+                }
                 s.pc[lane] += 1;
             }
             LaneOp::Finish | LaneOp::Panic => {
-                // Either way the Drop guard fires: Done is delivered and
-                // any ops after a panic never run.
-                s.queue.push_back(LaneMsg::Done);
+                // A guard not yet released drops here either way.
+                if s.done_sent[lane] == 0 {
+                    s.release(lane);
+                }
                 s.pc[lane] = self.lanes[lane].len();
             }
         }
         Step::Progressed
     }
 
-    fn check_final(&self, s: &LaneState) -> Result<(), String> {
-        if s.done_seen != self.lanes.len() {
+    fn check(&self, s: &LaneState) -> Result<(), String> {
+        if let Some(lane) = s.done_sent.iter().position(|&n| n > 1) {
             return Err(format!(
-                "coordinator saw {} Done markers for {} lanes",
-                s.done_seen,
-                self.lanes.len()
+                "lane {lane} sent {} Done markers",
+                s.done_sent[lane]
+            ));
+        }
+        if s.batch_after_done {
+            return Err("a lane parked a batch after its Done".to_string());
+        }
+        Ok(())
+    }
+
+    fn check_final(&self, s: &LaneState) -> Result<(), String> {
+        if let Some(lane) = s.done_sent.iter().position(|&n| n != 1) {
+            return Err(format!(
+                "lane {lane} sent {} Done markers, not one",
+                s.done_sent[lane]
             ));
         }
         let mut scored = s.scored.clone();
@@ -717,6 +798,27 @@ pub fn verify_concurrency() -> Result<Vec<ModelRun>, Violation> {
         }),
     )?;
 
+    // Lane guard, release before finish: lane 0's search ends after one
+    // batch and it releases its backend, then waits on lane 1 (a stage
+    // tail outlasting a peer's search) and panics at the end. Lane 1's
+    // second batch must still flush, and the panic must send no second
+    // Done.
+    run(
+        "fusion/release-before-finish",
+        explore(&LaneGuardModel {
+            scenario: "fusion/release-before-finish",
+            lanes: vec![
+                vec![
+                    LaneOp::Batch(1),
+                    LaneOp::Release,
+                    LaneOp::AwaitLane(1),
+                    LaneOp::Panic,
+                ],
+                vec![LaneOp::Batch(2), LaneOp::Batch(3), LaneOp::Finish],
+            ],
+        }),
+    )?;
+
     Ok(runs)
 }
 
@@ -727,7 +829,7 @@ mod tests {
     #[test]
     fn suite_is_violation_free() {
         let runs = verify_concurrency().expect("no violations");
-        assert_eq!(runs.len(), 9);
+        assert_eq!(runs.len(), 10);
         for r in &runs {
             assert!(r.stats.schedules > 0, "{} explored nothing", r.name);
         }
@@ -750,6 +852,32 @@ mod tests {
         };
         let err = explore(&m).unwrap_err();
         assert!(err.message.contains("deadlock"), "{err}");
+    }
+
+    #[test]
+    fn a_lane_holding_its_guard_through_a_peer_wait_deadlocks() {
+        // The release scenario without the release: lane 0 keeps its
+        // guard while it waits on lane 1, whose second batch can never
+        // flush (two live lanes, one parked batch).
+        let err = explore(&LaneGuardModel {
+            scenario: "test/held-guard",
+            lanes: vec![
+                vec![LaneOp::Batch(1), LaneOp::AwaitLane(1), LaneOp::Finish],
+                vec![LaneOp::Batch(2), LaneOp::Batch(3), LaneOp::Finish],
+            ],
+        })
+        .unwrap_err();
+        assert!(err.message.contains("deadlock"), "{err}");
+    }
+
+    #[test]
+    fn a_batch_after_release_is_a_violation() {
+        let err = explore(&LaneGuardModel {
+            scenario: "test/batch-after-done",
+            lanes: vec![vec![LaneOp::Release, LaneOp::Batch(1), LaneOp::Finish]],
+        })
+        .unwrap_err();
+        assert!(err.message.contains("after its Done"), "{err}");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! the tuning papers compare against (experiment E6).
 
 use crate::fitness::ScenarioEvaluator;
-use crate::island::Ring;
+use crate::island::{restart, Ring};
 use crate::pipeline::{OptimizeOutcome, StepOptimizer};
-use evoalg::{DeConfig, DeEngine};
+use evoalg::{DeConfig, Population};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -100,6 +100,36 @@ impl Default for EssimDeConfig {
     }
 }
 
+impl EssimDeConfig {
+    /// The DE of the island seeded with `seed`.
+    fn island(&self, seed: u64) -> DeConfig {
+        DeConfig {
+            population_size: self.ring.island_population,
+            differential_weight: self.differential_weight,
+            crossover_rate: self.crossover_rate,
+            seed,
+        }
+    }
+
+    /// Diversity-injected result set: elite members of the winning
+    /// island's population `pop` plus uniform draws regardless of fitness.
+    fn result_set(&self, pop: &mut Population, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1B54A32D192ED03);
+        pop.sort_by_fitness_desc();
+        let n_elite = ((self.result_set_size as f64) * self.elite_fraction).round() as usize;
+        let n_elite = n_elite.min(pop.len()).min(self.result_set_size);
+        let mut result_set: Vec<Vec<f64>> = pop.members()[..n_elite]
+            .iter()
+            .map(|m| m.genes.clone())
+            .collect();
+        while result_set.len() < self.result_set_size.min(pop.len()) {
+            let pick = rng.random_range(0..pop.len());
+            result_set.push(pop.members()[pick].genes.clone());
+        }
+        result_set
+    }
+}
+
 /// Spaces the islands' seeds (see [`Ring::run`]).
 const SEED_STRIDE: u64 = 0xA24BAED4963EE407;
 
@@ -144,36 +174,25 @@ impl StepOptimizer for EssimDe {
         let cfg = self.config;
         let tuning = cfg.tuning;
         let last_restart_gen = (cfg.ring.max_generations as f64 * tuning.last_restart_frac) as u32;
-        let restart = |isl: &mut DeEngine, evaluator: &mut ScenarioEvaluator| {
-            isl.restart_worst(tuning.restart_fraction);
-            isl.evaluate_initial(evaluator);
-        };
         let mut best_age = 0u32;
         let mut run = cfg.ring.run(
             seed,
             SEED_STRIDE,
             evaluator,
-            |island_seed| DeConfig {
-                population_size: cfg.ring.island_population,
-                differential_weight: cfg.differential_weight,
-                crossover_rate: cfg.crossover_rate,
-                seed: island_seed,
-            },
-            |islands, generation, best, evaluator| {
+            |island_seed| cfg.island(island_seed),
+            |islands, stats, generation, best, evaluator| {
                 let restarts_allowed = generation < last_restart_gen;
-                let mut gen_best = f64::NEG_INFINITY;
-                for isl in islands.iter_mut() {
-                    let s = isl.step(evaluator);
-                    gen_best = gen_best.max(s.best_fitness);
-                    // IQR metric: restart an island whose fitness spread
-                    // collapsed early (premature convergence).
-                    if tuning.iqr_enabled
-                        && restarts_allowed
-                        && s.fitness_iqr < tuning.iqr_threshold
-                        && isl.generation() > 1
-                    {
-                        restart(isl, evaluator);
-                    }
+                let gen_best = stats
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |b, s| b.max(s.best_fitness));
+                // IQR metric: restart every island whose fitness spread
+                // collapsed early (premature convergence), as one wave.
+                if tuning.iqr_enabled && restarts_allowed {
+                    let converged = islands.iter_mut().zip(stats).filter_map(|(isl, s)| {
+                        (s.fitness_iqr < tuning.iqr_threshold && isl.generation() > 1)
+                            .then_some(isl)
+                    });
+                    restart(converged, tuning.restart_fraction, evaluator);
                 }
                 let improved = gen_best > best + 1e-12;
                 best_age = if improved { 0 } else { best_age + 1 };
@@ -182,9 +201,7 @@ impl StepOptimizer for EssimDe {
                     && restarts_allowed
                     && best_age >= tuning.stagnation_window
                 {
-                    for isl in islands {
-                        restart(isl, evaluator);
-                    }
+                    restart(islands.iter_mut(), tuning.restart_fraction, evaluator);
                     best_age = 0;
                 }
                 if improved {
@@ -195,24 +212,8 @@ impl StepOptimizer for EssimDe {
             },
         );
 
-        // Diversity-injected result set: elite members of the winning
-        // island plus uniform draws regardless of fitness.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1B54A32D192ED03);
-        let pop = run.winner.population_mut();
-        pop.sort_by_fitness_desc();
-        let n_elite = ((cfg.result_set_size as f64) * cfg.elite_fraction).round() as usize;
-        let n_elite = n_elite.min(pop.len()).min(cfg.result_set_size);
-        let mut result_set: Vec<Vec<f64>> = pop.members()[..n_elite]
-            .iter()
-            .map(|m| m.genes.clone())
-            .collect();
-        while result_set.len() < cfg.result_set_size.min(pop.len()) {
-            let pick = rng.random_range(0..pop.len());
-            result_set.push(pop.members()[pick].genes.clone());
-        }
-
         OptimizeOutcome {
-            result_set,
+            result_set: cfg.result_set(run.winner.population_mut(), seed),
             best_fitness: run.best_fitness,
             generations: run.generations,
             evaluations: run.evaluations,
@@ -224,6 +225,7 @@ impl StepOptimizer for EssimDe {
 mod tests {
     use super::*;
     use crate::cases::tiny_step_evaluator;
+    use crate::island::reference::{counting_evaluator, one_at_a_time};
 
     fn small_ring() -> Ring {
         Ring {
@@ -288,6 +290,93 @@ mod tests {
             out_tuned.evaluations,
             out_plain.evaluations
         );
+    }
+
+    #[test]
+    fn islands_evaluated_together_match_islands_stepped_one_at_a_time() {
+        // Tuning that trips both restart kinds (the IQR floor above any
+        // early spread, a one-generation stagnation window).
+        let tuning = TuningConfig {
+            restart_enabled: true,
+            stagnation_window: 1,
+            restart_fraction: 0.5,
+            iqr_enabled: true,
+            iqr_threshold: 0.5,
+            last_restart_frac: 1.0,
+        };
+        let cfg = EssimDeConfig {
+            ring: Ring {
+                islands: 3,
+                fitness_threshold: 2.0, // never reached
+                ..small_ring()
+            },
+            ..small_config(tuning)
+        };
+        let (islands, pop) = (cfg.ring.islands, cfg.ring.island_population);
+        for seed in [23, 24] {
+            let (mut eval, batches) = counting_evaluator();
+            let out = EssimDe::new(cfg).optimize(&mut eval, seed);
+
+            // The parent's generation body: each island steps, and an
+            // IQR-converged island restarts and re-evaluates at once.
+            // `waves` is what a batching ring must submit instead.
+            let mut waves = vec![islands * pop];
+            let (mut iqr_restarts, mut global_restarts) = (0, 0);
+            let mut best_age = 0u32;
+            let mut run = one_at_a_time(
+                &cfg.ring,
+                seed,
+                SEED_STRIDE,
+                &mut tiny_step_evaluator(),
+                |island_seed| cfg.island(island_seed),
+                |islands, _, best, evaluator| {
+                    waves.push(islands.len() * pop);
+                    let mut gen_best = f64::NEG_INFINITY;
+                    let mut converged = 0;
+                    for isl in islands.iter_mut() {
+                        let s = isl.step(evaluator);
+                        gen_best = gen_best.max(s.best_fitness);
+                        if s.fitness_iqr < tuning.iqr_threshold && isl.generation() > 1 {
+                            isl.restart_worst(tuning.restart_fraction);
+                            isl.evaluate_initial(evaluator);
+                            converged += 1;
+                        }
+                    }
+                    if converged > 0 {
+                        waves.push(converged * pop);
+                        iqr_restarts += 1;
+                    }
+                    let improved = gen_best > best + 1e-12;
+                    best_age = if improved { 0 } else { best_age + 1 };
+                    if best_age >= tuning.stagnation_window {
+                        for isl in islands.iter_mut() {
+                            isl.restart_worst(tuning.restart_fraction);
+                            isl.evaluate_initial(evaluator);
+                        }
+                        waves.push(islands.len() * pop);
+                        global_restarts += 1;
+                        best_age = 0;
+                    }
+                    if improved {
+                        gen_best
+                    } else {
+                        best
+                    }
+                },
+            );
+            assert!(
+                iqr_restarts > 0 && global_restarts > 0,
+                "seed {seed}: both restart kinds must fire ({iqr_restarts} IQR, {global_restarts} global)"
+            );
+            let result_set = cfg.result_set(run.winner.population_mut(), seed);
+            assert_eq!(out.result_set, result_set, "seed {seed}");
+            assert_eq!(out.best_fitness.to_bits(), run.best_fitness.to_bits());
+            assert_eq!(
+                (out.generations, out.evaluations),
+                (run.generations, run.evaluations)
+            );
+            assert_eq!(*batches.lock().unwrap(), waves, "seed {seed}");
+        }
     }
 
     #[test]

@@ -35,6 +35,19 @@ impl Default for EssimEaConfig {
     }
 }
 
+impl EssimEaConfig {
+    /// The GA of the island seeded with `seed`.
+    fn island(&self, seed: u64) -> GaConfig {
+        GaConfig {
+            population_size: self.ring.island_population,
+            offspring: self.offspring,
+            mutation_rate: self.mutation_rate,
+            crossover_rate: self.crossover_rate,
+            seed,
+        }
+    }
+}
+
 /// Spaces the islands' seeds (see [`Ring::run`]).
 const SEED_STRIDE: u64 = 0x9E3779B97F4A7C15;
 
@@ -73,18 +86,8 @@ impl StepOptimizer for EssimEa {
             seed,
             SEED_STRIDE,
             evaluator,
-            |island_seed| GaConfig {
-                population_size: cfg.ring.island_population,
-                offspring: cfg.offspring,
-                mutation_rate: cfg.mutation_rate,
-                crossover_rate: cfg.crossover_rate,
-                seed: island_seed,
-            },
-            |islands, _, best, evaluator| {
-                islands
-                    .iter_mut()
-                    .fold(best, |best, isl| best.max(isl.step(evaluator).best_fitness))
-            },
+            |island_seed| cfg.island(island_seed),
+            |_, stats, _, best, _| stats.iter().fold(best, |best, s| best.max(s.best_fitness)),
         );
         OptimizeOutcome {
             result_set: run.winner.population().genomes(),
@@ -99,6 +102,7 @@ impl StepOptimizer for EssimEa {
 mod tests {
     use super::*;
     use crate::cases::tiny_step_evaluator;
+    use crate::island::reference::{counting_evaluator, one_at_a_time};
 
     fn small_config() -> EssimEaConfig {
         EssimEaConfig {
@@ -132,6 +136,53 @@ mod tests {
         // Unless the threshold fired early, 3 islands × (8 + gens × 8).
         assert!(out.evaluations >= 3 * 8);
         assert_eq!(out.evaluations, evoalg::BatchEvaluator::evaluations(&eval));
+    }
+
+    #[test]
+    fn islands_evaluated_together_match_islands_stepped_one_at_a_time() {
+        let ring = Ring {
+            fitness_threshold: 2.0, // never reached: the whole budget runs
+            ..small_config().ring
+        };
+        // The early stop too: the default threshold fires on some seeds.
+        for cfg in [
+            small_config(),
+            EssimEaConfig {
+                ring,
+                ..small_config()
+            },
+        ] {
+            for seed in [12, 13] {
+                let (mut eval, batches) = counting_evaluator();
+                let out = EssimEa::new(cfg).optimize(&mut eval, seed);
+                let run = one_at_a_time(
+                    &cfg.ring,
+                    seed,
+                    SEED_STRIDE,
+                    &mut tiny_step_evaluator(),
+                    |island_seed| cfg.island(island_seed),
+                    |islands, _, best, evaluator| {
+                        islands
+                            .iter_mut()
+                            .fold(best, |best, isl| best.max(isl.step(evaluator).best_fitness))
+                    },
+                );
+                assert_eq!(out.result_set, run.winner.population().genomes());
+                assert_eq!(out.best_fitness.to_bits(), run.best_fitness.to_bits());
+                assert_eq!(
+                    (out.generations, out.evaluations),
+                    (run.generations, run.evaluations)
+                );
+                // One submission for the initial populations and one per
+                // generation, every island's rows in each (offspring =
+                // island population here).
+                let rows = cfg.ring.islands * cfg.ring.island_population;
+                assert_eq!(
+                    *batches.lock().unwrap(),
+                    vec![rows; 1 + out.generations as usize]
+                );
+            }
+        }
     }
 
     #[test]

@@ -271,9 +271,14 @@ fn score(cache: &mut ArenaCache, ctx: &StepContext, genes: &[f64]) -> f64 {
 /// Default small-batch threshold of the shared pool: batches at or below
 /// this many genomes run inline on the calling thread. Pool dispatch
 /// (task fan-out, worker wake-ups, result collection) costs more than it
-/// buys at the typical per-step batch size of ~12 genomes, where the
-/// worker pool measured *slower* than serial (0.875× on
-/// `archipelago_large`) before this fallback existed.
+/// buys at ~12 genomes, where the worker pool measured *slower* than
+/// serial (0.875× on `archipelago_large`) before this fallback existed.
+/// The rule counts rows, not cost. What falls under it: an ESS or ESS-NS
+/// generation is one population-sized batch (8 at `--scale 0.25`, 32 at
+/// scale 1); an ESSIM generation is `3 × island_population` since the
+/// ring evaluates its islands together (12 at 0.25, 36 at 1 — before,
+/// three batches of 4 or 12), so ESSIM batches stay inline only up to
+/// scale ≈ 0.4 (island population 5).
 pub const DEFAULT_INLINE_THRESHOLD: usize = 16;
 
 /// The scenario evaluator: one set of workers that stays up for every

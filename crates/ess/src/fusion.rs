@@ -16,11 +16,19 @@
 //! to stepping the sessions one at a time.
 //!
 //! Liveness invariant: a lane blocked on a reply cannot send
-//! [`LaneMsg::Done`], and every lane thread owns a [`LaneGuard`] whose
-//! `Drop` sends `Done` when the thread exits — normally or by panic, and
-//! even when the step never constructed its evaluator. The coordinator
-//! flushes whenever all still-live lanes have parked a batch and exits
-//! when no lane is live — no state where both sides wait on each other.
+//! [`LaneMsg::Done`], and every lane owns exactly one [`LaneGuard`] whose
+//! `Drop` sends `Done`. The guard lives inside the lane's [`FusionLane`],
+//! so `Done` goes out the moment the lane's evaluator drops — which
+//! `StepDriver::step_with` does as soon as the Optimization Stage
+//! returns, before the Statistical/Calibration tail — and a lane whose
+//! evaluator was never built, or whose thread panicked, sends it when
+//! the guard is dropped with the unused closure or by unwinding. A lane
+//! sends no batch after `Done`: the backend that would carry it is gone.
+//! The coordinator flushes whenever all still-live lanes have parked a
+//! batch and exits when no lane is live, so a lane still busy in its
+//! stage tail (or waiting on anything at all) no longer counts towards
+//! the flush rule and cannot hold up its peers' waves — no state where
+//! both sides wait on each other.
 
 use crate::fitness::{SharedScenarioPool, StepContext};
 use evoalg::GenomeMatrix;
@@ -40,16 +48,19 @@ pub enum LaneMsg {
         /// Where the lane blocks for its fitness vector.
         reply: Sender<Vec<f64>>,
     },
-    /// The lane is finished for this round (sent by [`LaneGuard`]'s
-    /// `Drop`, so it also fires when a lane's step panics).
+    /// The lane will park no more batches this round (sent by
+    /// [`LaneGuard`]'s `Drop` — when the lane's evaluator drops, or when
+    /// its step panics or never built one).
     Done,
 }
 
-/// Sends [`LaneMsg::Done`] when dropped. Create one at the top of each
-/// lane thread: however the thread exits — step complete, step panicked,
-/// evaluator never even built — the coordinator learns the lane is done.
-/// Without this, a lane dying silently leaves the coordinator waiting for
-/// a batch that never comes while the surviving lanes block on a flush.
+/// Sends [`LaneMsg::Done`] when dropped. Create one per lane and move it
+/// into the closure that builds the lane's [`FusionLane`]: however the
+/// lane ends its evaluations — evaluator dropped after the search, step
+/// panicked, evaluator never even built — the coordinator learns of it
+/// exactly once. Without this, a lane dying silently leaves the
+/// coordinator waiting for a batch that never comes while the surviving
+/// lanes block on a flush.
 pub struct LaneGuard {
     lane: Sender<LaneMsg>,
 }
@@ -72,15 +83,17 @@ impl Drop for LaneGuard {
 /// coordinator and blocks until the fused results come back. Plugs into
 /// `ScenarioEvaluator::with_backend`, so the whole `StepDriver` machinery
 /// runs unchanged on a fused round; the step context rides along with
-/// every batch.
+/// every batch. It owns the lane's [`LaneGuard`], so dropping it releases
+/// the lane from the round's waves.
 pub struct FusionLane {
     ctx: Arc<StepContext>,
-    lane: Sender<LaneMsg>,
+    lane: LaneGuard,
 }
 
 impl FusionLane {
-    /// A lane backend scoring everything against `ctx`.
-    pub fn new(ctx: Arc<StepContext>, lane: Sender<LaneMsg>) -> Self {
+    /// A lane backend scoring everything against `ctx`, parking batches
+    /// on the channel `lane` guards.
+    pub fn new(ctx: Arc<StepContext>, lane: LaneGuard) -> Self {
         Self { ctx, lane }
     }
 }
@@ -90,6 +103,7 @@ impl Backend<Vec<f64>, f64> for FusionLane {
         let genomes = GenomeMatrix::from_rows(&tasks);
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         self.lane
+            .lane
             .send(LaneMsg::Batch {
                 ctx: Arc::clone(&self.ctx),
                 genomes,
@@ -131,8 +145,8 @@ pub fn run_coordinator(pool: &SharedScenarioPool, rx: &Receiver<LaneMsg>, lanes:
                 reply,
             }) => pending.push((ctx, genomes, reply)),
             Ok(LaneMsg::Done) => live -= 1,
-            // All senders dropped without Done — lanes panicked before
-            // constructing their backends; nothing left to coordinate.
+            // All senders dropped without Done — no guard was ever armed
+            // for the missing lanes; nothing left to coordinate.
             Err(_) => break,
         }
         if live > 0 && !pending.is_empty() && pending.len() == live {
@@ -164,10 +178,13 @@ fn flush(pool: &SharedScenarioPool, pending: &mut Vec<ParkedBatch>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cases::tiny_test_case;
     use crate::fitness::{EvalBackend, ScenarioEvaluator};
+    use crate::pipeline::{OptimizeOutcome, StepDriver, StepOptimizer};
     use evoalg::BatchEvaluator;
     use firelib::sim::centre_ignition;
     use firelib::{FireSim, Scenario, Terrain};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn context(n: usize, wind: f64) -> Arc<StepContext> {
         let truth = Scenario {
@@ -204,10 +221,9 @@ mod tests {
             for ((ctx, batch), slot) in contexts.iter().zip(&batches).zip(fused.iter_mut()) {
                 let lane = tx.clone();
                 scope.spawn(move || {
-                    let _done = LaneGuard::new(lane.clone());
                     let mut ev = ScenarioEvaluator::with_backend(
                         Arc::clone(ctx),
-                        Box::new(FusionLane::new(Arc::clone(ctx), lane)),
+                        Box::new(FusionLane::new(Arc::clone(ctx), LaneGuard::new(lane))),
                     );
                     // Two sequential waves per lane, like a GA's
                     // parents-then-offspring evaluations.
@@ -242,10 +258,9 @@ mod tests {
                 let ctx = Arc::clone(&ctx);
                 let batch = batch.clone();
                 scope.spawn(move || {
-                    let _done = LaneGuard::new(lane.clone());
                     let mut ev = ScenarioEvaluator::with_backend(
                         Arc::clone(&ctx),
-                        Box::new(FusionLane::new(Arc::clone(&ctx), lane)),
+                        Box::new(FusionLane::new(Arc::clone(&ctx), LaneGuard::new(lane))),
                     );
                     for _ in 0..waves {
                         let fits = ev.evaluate(&batch);
@@ -255,5 +270,103 @@ mod tests {
             }
             run_coordinator(&pool, &rx, 3);
         });
+    }
+
+    /// A lane whose search ends while a peer's continues: its evaluator
+    /// drops after one wave and it then waits on the peer (a stage tail
+    /// that outlasts the peer's search). The peer's later waves must
+    /// still flush — with the guard held to the end of the lane thread
+    /// they would park forever, so the wait is bounded and fails the test
+    /// instead of hanging it.
+    #[test]
+    fn a_released_lane_waiting_on_a_peer_does_not_stall_its_flushes() {
+        let pool = SharedScenarioPool::new(EvalBackend::Serial);
+        let ctx = context(15, 5.0);
+        let batch = genomes(4, 3);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (peer_tx, peer_rx) = std::sync::mpsc::channel::<()>();
+        let lane = |tx: &Sender<LaneMsg>| {
+            ScenarioEvaluator::with_backend(
+                Arc::clone(&ctx),
+                Box::new(FusionLane::new(
+                    Arc::clone(&ctx),
+                    LaneGuard::new(tx.clone()),
+                )),
+            )
+        };
+        let (mut early, mut late) = (lane(&tx), lane(&tx));
+        drop(tx);
+        let batch = &batch;
+        std::thread::scope(|scope| {
+            let waited = scope.spawn(move || {
+                early.evaluate(batch);
+                drop(early);
+                peer_rx.recv_timeout(std::time::Duration::from_secs(20))
+            });
+            scope.spawn(move || {
+                for _ in 0..3 {
+                    assert_eq!(late.evaluate(batch).len(), batch.len());
+                }
+                let _ = peer_tx.send(());
+            });
+            run_coordinator(&pool, &rx, 2);
+            assert!(
+                waited.join().expect("lane thread").is_ok(),
+                "the peer's waves stalled behind a released lane"
+            );
+        });
+    }
+
+    /// A search that scores nothing: what is under test is the lane
+    /// guard, not the fire.
+    struct Unscored;
+
+    impl StepOptimizer for Unscored {
+        fn name(&self) -> &'static str {
+            "unscored"
+        }
+
+        fn optimize(&mut self, _: &mut ScenarioEvaluator, _: u64) -> OptimizeOutcome {
+            OptimizeOutcome {
+                result_set: vec![vec![0.5; firelib::GENE_COUNT]],
+                best_fitness: 0.0,
+                generations: 0,
+                evaluations: 0,
+            }
+        }
+    }
+
+    #[test]
+    fn a_lane_sends_done_exactly_once_whether_or_not_it_built_an_evaluator() {
+        let case = tiny_test_case();
+        let pool = Arc::new(SharedScenarioPool::new(EvalBackend::Serial));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let fused = |built: &Arc<AtomicBool>| {
+            let (guard, built) = (LaneGuard::new(tx.clone()), Arc::clone(built));
+            move |ctx: Arc<StepContext>| {
+                built.store(true, Ordering::SeqCst);
+                let backend = FusionLane::new(Arc::clone(&ctx), guard);
+                ScenarioEvaluator::with_backend(ctx, Box::new(backend))
+            }
+        };
+        let dones =
+            |rx: &Receiver<LaneMsg>| rx.try_iter().filter(|m| matches!(m, LaneMsg::Done)).count();
+
+        // Built: the step builds its evaluator, searches, drops it.
+        let built = Arc::new(AtomicBool::new(false));
+        let mut driver = StepDriver::new(case.clone(), Arc::clone(&pool), 1);
+        assert!(driver.step_with(&mut Unscored, fused(&built)).is_some());
+        assert!(built.load(Ordering::SeqCst));
+        assert_eq!(dones(&rx), 1);
+
+        // Not built: a finished driver returns before building one.
+        let built = Arc::new(AtomicBool::new(false));
+        let total = driver.total_steps();
+        let mut finished = StepDriver::restore(case, pool, 1, total, Some(0.5));
+        assert!(finished.step_with(&mut Unscored, fused(&built)).is_none());
+        assert!(!built.load(Ordering::SeqCst));
+        assert_eq!(dones(&rx), 1);
+        drop(tx);
+        assert!(rx.try_recv().is_err(), "nothing but one Done per lane");
     }
 }

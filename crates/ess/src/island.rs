@@ -8,19 +8,24 @@
 //! budget or the fitness threshold stops the run, the Monitor "selects
 //! the best candidate" among the islands.
 //!
-//! Process-level note: the original runs islands as MPI process groups;
-//! here each island is an [`Engine`] stepped round-robin by one thread,
-//! with the shared scenario evaluator doing the parallel work — the
-//! paper's own ESS-NS simplification argument (§III-A: the demanding part
-//! is scenario evaluation) applies equally to the baselines.
+//! Process-level note: the original runs islands as MPI process groups,
+//! side by side. Here each island is an [`Engine`] and one thread breeds
+//! them in turn, but their candidates are *evaluated together*: the
+//! initial populations, every generation and every restart wave are one
+//! submission to the shared scenario evaluator, rows concatenated in
+//! island order — so the evaluator (and a fused scheduler round above
+//! it) sees `islands × island_population` scenarios at once, as the
+//! paper's Workers would. Each island draws only from its own stream and
+//! fitness is a pure function of one genome, so this is bit-identical to
+//! stepping the islands one after another, evaluation counts included.
 //!
-//! A system supplies the engine [`Scheme`] of its islands, what one
-//! generation does across them (stepping each island, and whatever it
-//! interleaves — ESSIM-DE's tuning operators), and the result-set policy
-//! it applies to the winning island.
+//! A system supplies the engine [`Scheme`] of its islands, what it does
+//! after each generation (ESSIM-DE's tuning operators, which restart
+//! islands through [`restart`]), and the result-set policy it applies to
+//! the winning island.
 
 use crate::fitness::ScenarioEvaluator;
-use evoalg::{Engine, Scheme};
+use evoalg::{BatchEvaluator, Engine, GenStats, Scheme};
 use firelib::GENE_COUNT;
 
 /// Topology, migration cadence and stopping rule of an island system —
@@ -86,30 +91,37 @@ impl Ring {
     /// Runs the islands to the stopping rule. Island `i` (from 1) runs on
     /// `seed + i × seed_stride` — an odd constant of the calling system, so
     /// every island of every system has a stream of its own; `scheme`
-    /// builds an island's engine parameters from that seed;
-    /// `generation(islands, g, best, evaluator)` advances every island
-    /// through generation `g` and returns the run's best fitness so far
-    /// (`best` is −∞ until then).
+    /// builds an island's engine parameters from that seed. Each
+    /// generation breeds every island in turn and scores all their
+    /// candidates in one `evaluator` call; then
+    /// `after_generation(islands, stats, g, best, evaluator)` sees each
+    /// island's statistics of generation `g` and returns the run's best
+    /// fitness so far (`best` is −∞ until then).
     pub(crate) fn run<S: Scheme>(
         &self,
         seed: u64,
         seed_stride: u64,
         evaluator: &mut ScenarioEvaluator,
         scheme: impl Fn(u64) -> S,
-        mut generation: impl FnMut(&mut [Engine<S>], u32, f64, &mut ScenarioEvaluator) -> f64,
+        mut after_generation: impl FnMut(
+            &mut [Engine<S>],
+            &[GenStats],
+            u32,
+            f64,
+            &mut ScenarioEvaluator,
+        ) -> f64,
     ) -> IslandRun<S> {
         let mut islands: Vec<Engine<S>> = (1..=self.islands as u64)
             .map(|i| seed.wrapping_add(seed_stride.wrapping_mul(i)))
             .map(|island_seed| Engine::new(GENE_COUNT, scheme(island_seed)))
             .collect();
-        for isl in &mut islands {
-            isl.evaluate_initial(evaluator);
-        }
+        evaluate_populations(islands.iter_mut().collect(), evaluator);
 
         let mut best = f64::NEG_INFINITY;
         let mut generations = 0u32;
         while generations < self.max_generations && best < self.fitness_threshold {
-            best = generation(&mut islands, generations, best, evaluator);
+            let stats = step_together(&mut islands, evaluator);
+            best = after_generation(&mut islands, &stats, generations, best, evaluator);
             generations += 1;
             if self.migration_interval > 0 && generations.is_multiple_of(self.migration_interval) {
                 migrate(&mut islands, self.migrants);
@@ -135,6 +147,75 @@ impl Ring {
     }
 }
 
+/// One generation of every island as one batch: each island breeds on its
+/// own stream, the candidates are moved into one batch in island order,
+/// scored by one `evaluator` call and moved back to their islands.
+fn step_together<S: Scheme>(
+    islands: &mut [Engine<S>],
+    evaluator: &mut ScenarioEvaluator,
+) -> Vec<GenStats> {
+    let mut sizes = Vec::with_capacity(islands.len());
+    let mut batch = Vec::new();
+    for isl in islands.iter_mut() {
+        let candidates = isl.propose();
+        sizes.push(candidates.len());
+        batch.extend(candidates);
+    }
+    let fitness = evaluator.evaluate(&batch);
+    let mut rows = batch.into_iter();
+    let mut offset = 0;
+    islands
+        .iter_mut()
+        .zip(sizes)
+        .map(|(isl, n)| {
+            let stats = isl.accept(
+                rows.by_ref().take(n).collect(),
+                &fitness[offset..offset + n],
+            );
+            offset += n;
+            stats
+        })
+        .collect()
+}
+
+/// Scores the whole population of every island in `islands` as one batch
+/// (nothing is submitted when there is none) — the initial evaluation and
+/// a restart wave's re-evaluation.
+fn evaluate_populations<S: Scheme>(
+    islands: Vec<&mut Engine<S>>,
+    evaluator: &mut ScenarioEvaluator,
+) {
+    if islands.is_empty() {
+        return;
+    }
+    let batch: Vec<Vec<f64>> = islands
+        .iter()
+        .flat_map(|isl| isl.population().genomes())
+        .collect();
+    let fitness = evaluator.evaluate(&batch);
+    let mut offset = 0;
+    for isl in islands {
+        let n = isl.population().len();
+        isl.score_population(&fitness[offset..offset + n]);
+        offset += n;
+    }
+}
+
+/// One restart wave: the `fraction` worst members of every island
+/// `islands` yields are redrawn ([`Engine::restart_worst`], each on its
+/// island's stream), then those islands are re-evaluated in one batch.
+pub(crate) fn restart<'a, S: Scheme + 'a>(
+    islands: impl Iterator<Item = &'a mut Engine<S>>,
+    fraction: f64,
+    evaluator: &mut ScenarioEvaluator,
+) {
+    let mut restarted: Vec<&mut Engine<S>> = islands.collect();
+    for isl in &mut restarted {
+        isl.restart_worst(fraction);
+    }
+    evaluate_populations(restarted, evaluator);
+}
+
 /// Ring migration: each island sends clones of its `migrants` best to
 /// the next island, replacing that island's worst members.
 fn migrate<S: Scheme>(islands: &mut [Engine<S>], migrants: usize) {
@@ -155,6 +236,100 @@ fn migrate<S: Scheme>(islands: &mut [Engine<S>], migrants: usize) {
         for (k, migrant) in group.into_iter().enumerate() {
             pop.members_mut()[len - 1 - k] = migrant;
         }
+    }
+}
+
+/// The oracle the batched ring is checked against (the ESSIM-EA and
+/// ESSIM-DE unit tests): the ring as it ran before its islands were
+/// evaluated together, and an evaluator that records its submissions.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::cases::tiny_test_case;
+    use crate::fitness::DynBackend;
+    use firelib::ScenarioSpace;
+    use parworker::Backend;
+    use std::sync::{Arc, Mutex};
+
+    /// [`Ring::run`] with every island stepped and evaluated on its own,
+    /// one after another: `generation(islands, g, best, evaluator)`
+    /// advances every island through generation `g` (calling
+    /// [`Engine::step`] itself) and returns the run's best fitness so far.
+    pub(crate) fn one_at_a_time<S: Scheme>(
+        ring: &Ring,
+        seed: u64,
+        seed_stride: u64,
+        evaluator: &mut ScenarioEvaluator,
+        scheme: impl Fn(u64) -> S,
+        mut generation: impl FnMut(&mut [Engine<S>], u32, f64, &mut ScenarioEvaluator) -> f64,
+    ) -> IslandRun<S> {
+        let mut islands: Vec<Engine<S>> = (1..=ring.islands as u64)
+            .map(|i| seed.wrapping_add(seed_stride.wrapping_mul(i)))
+            .map(|island_seed| Engine::new(GENE_COUNT, scheme(island_seed)))
+            .collect();
+        for isl in &mut islands {
+            isl.evaluate_initial(evaluator);
+        }
+        let mut best = f64::NEG_INFINITY;
+        let mut generations = 0u32;
+        while generations < ring.max_generations && best < ring.fitness_threshold {
+            best = generation(&mut islands, generations, best, evaluator);
+            generations += 1;
+            if ring.migration_interval > 0 && generations.is_multiple_of(ring.migration_interval) {
+                migrate(&mut islands, ring.migrants);
+            }
+        }
+        let evaluations = islands.iter().map(Engine::evaluations).sum();
+        let winner = islands
+            .iter()
+            .map(|isl| isl.stats().best_fitness)
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, _)| i)
+            .expect("at least one island");
+        IslandRun {
+            winner: islands.swap_remove(winner),
+            best_fitness: best,
+            generations,
+            evaluations,
+        }
+    }
+
+    /// Scores like [`crate::cases::tiny_step_evaluator`] and records the
+    /// row count of every submission.
+    struct Counting {
+        ctx: Arc<crate::fitness::StepContext>,
+        batches: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Backend<Vec<f64>, f64> for Counting {
+        fn map(&mut self, tasks: Vec<Vec<f64>>) -> Vec<f64> {
+            self.batches.lock().unwrap().push(tasks.len());
+            tasks
+                .iter()
+                .map(|g| self.ctx.fitness_of(&ScenarioSpace.decode(g)))
+                .collect()
+        }
+
+        fn name(&self) -> String {
+            "counting".into()
+        }
+
+        fn workers(&self) -> usize {
+            1
+        }
+    }
+
+    /// An evaluator over the first interval of the tiny test case, and the
+    /// row counts of the batches it was handed, in submission order.
+    pub(crate) fn counting_evaluator() -> (ScenarioEvaluator, Arc<Mutex<Vec<usize>>>) {
+        let ctx = Arc::new(tiny_test_case().step_context(1));
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let backend: DynBackend = Box::new(Counting {
+            ctx: Arc::clone(&ctx),
+            batches: Arc::clone(&batches),
+        });
+        (ScenarioEvaluator::with_backend(ctx, backend), batches)
     }
 }
 

@@ -243,7 +243,9 @@ impl StepDriver {
     /// fusion coordinator instead of dispatching them itself. Everything
     /// else (seeding, stages, reporting) is the `step` body, so a fused
     /// step is bit-identical to an unfused one whenever the supplied
-    /// evaluator scores batches identically.
+    /// evaluator scores batches identically. `make_evaluator` is called at
+    /// most once (not at all on a finished driver), and the evaluator it
+    /// returns is dropped as soon as the Optimization Stage returns.
     pub fn step_with(
         &mut self,
         optimizer: &mut dyn StepOptimizer,
@@ -258,6 +260,11 @@ impl StepDriver {
         let observed_ctx = Arc::new(case.step_context(i));
         let mut evaluator = make_evaluator(Arc::clone(&observed_ctx));
         let outcome = optimizer.optimize(&mut evaluator, step_seed(self.base_seed, i));
+        // The search is over: let the evaluator go before the stage tail,
+        // so a fused lane leaves its round's waves now (its backend's
+        // drop tells the coordinator) instead of holding every peer's
+        // next flush until the tail is done.
+        drop(evaluator);
 
         // --- Statistical Stage (calibration matrix) ----------------------
         // One arena for the whole stage tail: both matrices fold the

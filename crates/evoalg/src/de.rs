@@ -7,7 +7,6 @@
 use crate::engine::{Engine, Scheme};
 use crate::individual::Population;
 use crate::operators::{de_binomial_crossover, de_rand_1_donor};
-use crate::BatchEvaluator;
 use rand::rngs::StdRng;
 
 /// Differential Evolution parameters.
@@ -57,12 +56,7 @@ impl Scheme for DeConfig {
         (self.population_size, self.seed)
     }
 
-    fn generation<E: BatchEvaluator>(
-        &self,
-        population: &mut Population,
-        rng: &mut StdRng,
-        evaluator: &mut E,
-    ) -> u64 {
+    fn breed(&self, population: &Population, rng: &mut StdRng) -> Vec<Vec<f64>> {
         let genomes = population.genomes();
         let mut trials = Vec::with_capacity(genomes.len());
         for target in 0..genomes.len() {
@@ -74,11 +68,13 @@ impl Scheme for DeConfig {
                 rng,
             ));
         }
-        let trial_fitness = evaluator.evaluate(&trials);
-        let evaluations = trial_fitness.len() as u64;
-        for (i, (trial, tf)) in trials.into_iter().zip(trial_fitness).enumerate() {
+        trials
+    }
+
+    fn absorb(&self, population: &mut Population, candidates: Vec<Vec<f64>>, fitness: &[f64]) {
+        let members = population.members_mut();
+        for ((m, trial), &tf) in members.iter_mut().zip(candidates).zip(fitness) {
             assert!(tf.is_finite(), "fitness must be finite");
-            let m = &mut population.members_mut()[i];
             // Greedy selection with >=: drifting across plateaus is what
             // lets DE escape flat fitness regions (important for J = 0
             // early fire-prediction populations).
@@ -87,7 +83,6 @@ impl Scheme for DeConfig {
                 m.fitness = tf;
             }
         }
-        evaluations
     }
 }
 

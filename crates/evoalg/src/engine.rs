@@ -6,8 +6,11 @@
 //! per-generation statistics — and exposes one generation per
 //! [`Engine::step`] call so the framework layer can interleave migration
 //! (islands), tuning actions and statistics collection between
-//! generations. How a generation varies and selects is the [`Scheme`]:
-//! [`crate::GaConfig`] (the GA of ESS and ESSIM-EA) and
+//! generations. A step is [`Engine::propose`] → evaluate →
+//! [`Engine::accept`]; callers that hold several engines (the island
+//! model) call the two halves themselves and score every engine's
+//! candidates in one batch. How a generation varies and selects is the
+//! [`Scheme`]: [`crate::GaConfig`] (the GA of ESS and ESSIM-EA) and
 //! [`crate::DeConfig`] (`rand/1/bin`, ESSIM-DE) are the two in the tree.
 
 use crate::individual::{Individual, Population};
@@ -24,14 +27,13 @@ pub trait Scheme {
     /// Panics on parameters the scheme cannot run with.
     fn start(&self, dims: usize) -> (usize, u64);
 
-    /// Runs one generation over an evaluated `population` and returns the
-    /// number of evaluations it spent.
-    fn generation<E: BatchEvaluator>(
-        &self,
-        population: &mut Population,
-        rng: &mut StdRng,
-        evaluator: &mut E,
-    ) -> u64;
+    /// Breeds one generation's unevaluated candidates from an evaluated
+    /// `population`, drawing only from `rng`.
+    fn breed(&self, population: &Population, rng: &mut StdRng) -> Vec<Vec<f64>>;
+
+    /// Selects the next population from `population` and the bred
+    /// `candidates`, `fitness[i]` being the score of `candidates[i]`.
+    fn absorb(&self, population: &mut Population, candidates: Vec<Vec<f64>>, fitness: &[f64]);
 }
 
 /// Per-generation statistics (feeds the tuning metrics and the E-series
@@ -85,13 +87,36 @@ impl<S: Scheme> Engine<S> {
     /// after a restart or a migration introduced unevaluated members.
     pub fn evaluate_initial<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {
         let fitness = evaluator.evaluate(&self.population.genomes());
+        self.score_population(&fitness)
+    }
+
+    /// Writes `fitness[i]` into member `i` of the whole population — the
+    /// second half of [`Engine::evaluate_initial`], for a caller that
+    /// scored several engines' populations in one batch.
+    ///
+    /// # Panics
+    /// Panics on a length mismatch or a non-finite fitness.
+    pub fn score_population(&mut self, fitness: &[f64]) -> GenStats {
+        self.population.assign_fitness(fitness);
         self.evaluations += fitness.len() as u64;
-        self.population.assign_fitness(&fitness);
         self.stats()
     }
 
-    /// Runs one generation of the scheme.
+    /// Runs one generation of the scheme: [`Engine::propose`], one
+    /// evaluation, [`Engine::accept`].
     pub fn step<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {
+        let candidates = self.propose();
+        let fitness = evaluator.evaluate(&candidates);
+        self.accept(candidates, &fitness)
+    }
+
+    /// The first half of a generation: breeds its candidates on this
+    /// engine's own stream. Score them and hand them to
+    /// [`Engine::accept`] before proposing again.
+    ///
+    /// # Panics
+    /// Panics when the population holds unevaluated members.
+    pub fn propose(&mut self) -> Vec<Vec<f64>> {
         assert!(
             self.population
                 .members()
@@ -99,9 +124,24 @@ impl<S: Scheme> Engine<S> {
                 .all(Individual::is_evaluated),
             "call evaluate_initial before step"
         );
-        self.evaluations += self
-            .scheme
-            .generation(&mut self.population, &mut self.rng, evaluator);
+        self.scheme.breed(&self.population, &mut self.rng)
+    }
+
+    /// The second half of a generation: selects with the scored
+    /// `candidates` of the last [`Engine::propose`] (`fitness[i]` scores
+    /// `candidates[i]`) and closes the generation.
+    ///
+    /// # Panics
+    /// Panics when `fitness` and `candidates` differ in length.
+    pub fn accept(&mut self, candidates: Vec<Vec<f64>>, fitness: &[f64]) -> GenStats {
+        assert_eq!(
+            candidates.len(),
+            fitness.len(),
+            "fitness batch length mismatch"
+        );
+        self.evaluations += fitness.len() as u64;
+        self.scheme
+            .absorb(&mut self.population, candidates, fitness);
         self.generation += 1;
         self.stats()
     }
@@ -249,6 +289,45 @@ mod tests {
     fn core_contract_holds_for_both_schemes() {
         core_contract(ga, 24);
         core_contract(de, 12);
+    }
+
+    /// Two engines scored in one shared batch per generation end where
+    /// two engines stepped one at a time do: each breeds on its own
+    /// stream and the fitness is a pure function of the genome.
+    fn halves_in_one_batch_match_step<S: Scheme>(make: fn(usize, u64) -> S) {
+        let mut eval = sphere_eval();
+        let mut stepped = [Engine::new(5, make(8, 1)), Engine::new(5, make(8, 2))];
+        let mut batched = [Engine::new(5, make(8, 1)), Engine::new(5, make(8, 2))];
+        for e in &mut stepped {
+            e.evaluate_initial(&mut eval);
+        }
+        let rows: Vec<Vec<f64>> = batched
+            .iter()
+            .flat_map(|e| e.population().genomes())
+            .collect();
+        let fitness = eval(&rows);
+        batched[0].score_population(&fitness[..8]);
+        batched[1].score_population(&fitness[8..]);
+        for _ in 0..6 {
+            for e in &mut stepped {
+                e.step(&mut eval);
+            }
+            let (a, b) = (batched[0].propose(), batched[1].propose());
+            let split = a.len();
+            let fitness = eval(&[a.clone(), b.clone()].concat());
+            batched[0].accept(a, &fitness[..split]);
+            batched[1].accept(b, &fitness[split..]);
+        }
+        for (s, b) in stepped.iter().zip(&batched) {
+            assert_eq!(s.population().genomes(), b.population().genomes());
+            assert_eq!(s.stats(), b.stats());
+        }
+    }
+
+    #[test]
+    fn propose_and_accept_in_one_batch_match_step_for_both_schemes() {
+        halves_in_one_batch_match_step(ga);
+        halves_in_one_batch_match_step(de);
     }
 
     #[test]

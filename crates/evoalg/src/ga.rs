@@ -13,7 +13,6 @@ use crate::engine::{Engine, Scheme};
 use crate::individual::{Individual, Population};
 use crate::operators::{one_point_crossover, uniform_mutation};
 use crate::selection::{elitist_merge_indices, roulette};
-use crate::BatchEvaluator;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -47,8 +46,8 @@ impl Default for GaConfig {
 }
 
 /// The step-wise GA engine: one generation selects parents by fitness
-/// roulette, produces `m` offspring, evaluates them, and keeps the best
-/// `N` of parents ∪ offspring.
+/// roulette and breeds `m` offspring, which are evaluated; then the best
+/// `N` of parents ∪ offspring survive.
 pub type GaEngine = Engine<GaConfig>;
 
 impl Scheme for GaConfig {
@@ -73,24 +72,23 @@ impl Scheme for GaConfig {
         (self.population_size, self.seed)
     }
 
-    fn generation<E: BatchEvaluator>(
-        &self,
-        population: &mut Population,
-        rng: &mut StdRng,
-        evaluator: &mut E,
-    ) -> u64 {
-        let mut offspring = generate_offspring(
+    fn breed(&self, population: &Population, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        generate_offspring(
             population,
             &population.fitness_values(),
             self.offspring,
             self.mutation_rate,
             self.crossover_rate,
             rng,
-        );
-        let fitness = evaluator.evaluate(&offspring.genomes());
-        offspring.assign_fitness(&fitness);
+        )
+        .into_genomes()
+    }
+
+    fn absorb(&self, population: &mut Population, candidates: Vec<Vec<f64>>, fitness: &[f64]) {
+        let mut offspring =
+            Population::from_members(candidates.into_iter().map(Individual::new).collect());
+        offspring.assign_fitness(fitness);
         *population = replace_by_score(population, &offspring, |m| m.fitness, self.population_size);
-        fitness.len() as u64
     }
 }
 

@@ -86,6 +86,11 @@ impl Population {
         self.members.iter().map(|m| m.genes.clone()).collect()
     }
 
+    /// The genomes, moved out of the members.
+    pub fn into_genomes(self) -> Vec<Vec<f64>> {
+        self.members.into_iter().map(|m| m.genes).collect()
+    }
+
     /// Writes `fitness[i]` into member `i`.
     ///
     /// # Panics

@@ -275,7 +275,10 @@ impl Scheduler {
     ///    round coordinator running on this thread. The coordinator fuses
     ///    the parked batches into one mega-batch per wave on the shared
     ///    pool and scatters the fitness vectors back, so every lane sees
-    ///    private-evaluator semantics.
+    ///    private-evaluator semantics. A lane leaves the waves when its
+    ///    search ends, so its stage tail overlaps its peers' searches. A
+    ///    round with a single `Ready` session has nothing to fuse: that
+    ///    step runs here, through the pool, exactly as `advance` runs it.
     /// 3. **Scatter** the step reports back in plan order via
     ///    [`PredictionSession::complete_step`], which books budgets on
     ///    the scheduler thread.
@@ -305,7 +308,15 @@ impl Scheduler {
 
         let mut stepped: Vec<Option<(StepReport, f64)>> = Vec::new();
         stepped.resize_with(runnable.len(), || None);
-        if !runnable.is_empty() {
+        if let ([only], Some(slot)) = (runnable.as_slice(), stepped.first_mut()) {
+            // One runnable session has no peer to fuse with: step it here,
+            // through the pool, with no lane thread and no coordinator.
+            if let Some((_, session)) = self.live.get_mut(*only) {
+                let (driver, optimizer) = session.step_parts();
+                let sw = Stopwatch::start();
+                *slot = driver.step(optimizer).map(|step| (step, sw.elapsed_ms()));
+            }
+        } else if !runnable.is_empty() {
             let mut slot_of: Vec<Option<usize>> = vec![None; self.live.len()];
             for (slot, &i) in runnable.iter().enumerate() {
                 if let Some(entry) = slot_of.get_mut(i) {
@@ -332,15 +343,17 @@ impl Scheduler {
                     let (driver, optimizer) = session.step_parts();
                     // lint: allow(thread-spawn) — fused-round lanes are scoped threads joined before the round returns; evaluation still flows through the shared pool
                     scope.spawn(move || {
-                        // However this thread exits — step done, step
-                        // panicked, no evaluator ever built — tell the
-                        // coordinator the lane is finished, or its peers
-                        // would wait on a flush forever.
-                        let _done = LaneGuard::new(lane.clone());
+                        // The guard rides in the lane's backend: the lane
+                        // leaves the waves when its search ends and the
+                        // evaluator drops — or, if the step panics or
+                        // never builds one, when the closure holding the
+                        // guard drops. Either way exactly one `Done`, or
+                        // the peers would wait on a flush forever.
+                        let done = LaneGuard::new(lane);
                         let sw = Stopwatch::start();
                         let step = driver.step_with(optimizer, move |ctx| {
                             let backend: DynBackend =
-                                Box::new(FusionLane::new(Arc::clone(&ctx), lane));
+                                Box::new(FusionLane::new(Arc::clone(&ctx), done));
                             ScenarioEvaluator::with_backend(ctx, backend)
                         });
                         let elapsed = sw.elapsed_ms();

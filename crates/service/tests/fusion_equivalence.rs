@@ -99,6 +99,42 @@ fn fused_rounds_match_unfused_for_every_policy() {
     }
 }
 
+/// A fused round with one runnable session steps it on the scheduler
+/// thread through the pool — no lane, no coordinator — and must still be
+/// the unfused run, step for step.
+#[test]
+fn a_lone_session_runs_the_same_fused_and_unfused() {
+    for system in ["ESSIM-DE", "ESS-NS"] {
+        let spec = RunSpec::new(system, "meadow_small").scale(0.15).seed(31);
+        let drain = |fused: bool| {
+            let mut scheduler = Scheduler::new(EvalBackend::WorkerPool(2));
+            scheduler.set_fused(fused);
+            scheduler.submit(&spec).expect("spec resolves");
+            let mut steps = Vec::new();
+            while scheduler.live_count() > 0 {
+                let events = scheduler.round();
+                assert_eq!(events.len(), 1, "one session, one event a round");
+                if let SessionEvent::StepCompleted(s) = &events[0].1 {
+                    steps.push(step_fingerprint(s));
+                }
+            }
+            let outcomes: Vec<OutcomeDigest> = scheduler
+                .outcomes()
+                .iter()
+                .map(|(_, o)| outcome_digest(o))
+                .collect();
+            (steps, outcomes)
+        };
+        let unfused = drain(false);
+        assert!(!unfused.0.is_empty(), "{system}: the session stepped");
+        assert_eq!(
+            unfused,
+            drain(true),
+            "{system}: a lone fused session diverged"
+        );
+    }
+}
+
 #[test]
 fn fused_round_robin_streams_the_same_events_round_by_round() {
     let mut unfused = Scheduler::new(EvalBackend::WorkerPool(2));
