@@ -197,8 +197,8 @@ pub struct ShortcutStats {
 /// include single-row and single-column rasters and more sites than cells.
 ///
 /// *Fitness*: on a random landscape with random (unrelated) `from` and
-/// `target` lines, `StepContext::fitness_with` — seeded from the lit-cell
-/// list, scored over the arena's written spans — must equal
+/// `target` lines, `StepContext::fitness_with` — seeded from the interval's
+/// resolved seeds, scored over the arena's written spans — must equal
 /// `jaccard_at_time` over the whole raster of the map it left in the
 /// arena, for every kernel, on one arena that is reused dirty throughout.
 ///

@@ -9,7 +9,7 @@
 use ess_benches::microbench::{bench, group};
 use firelib::sim::centre_ignition;
 use firelib::spread::{wind_slope_max, SpreadInputs};
-use firelib::{FireSim, Kernel, LitCells, Scenario, Terrain};
+use firelib::{FireSim, Kernel, Scenario, Terrain};
 use std::hint::black_box;
 
 fn main() {
@@ -57,11 +57,12 @@ fn main() {
         black_box(arena.map().burned_count_at(500.0))
     });
 
-    // One evaluation the way a prediction step makes it: seeded from a
-    // case's observed line, over one interval. The kernel's two costs,
-    // each where it dominates — a spread table per popped cell on
-    // gusty_channel (per-cell wind), the frontier queue on
-    // archipelago_large, whose step-4 line is mostly interior.
+    // One evaluation the way a prediction step makes it: seeded from the
+    // seeds a case resolves once per interval, over that interval. The
+    // kernel's two costs, each where it dominates — a spread table per
+    // popped cell on gusty_channel (per-cell wind), the seeds on
+    // archipelago_large, whose step-4 line is mostly interior (every seed
+    // written, the front alone queued).
     group("firesim_seeded (one interval from the observed line)");
     for (spec, interval) in [
         (firelib::workload::gusty_channel(), 3usize),
@@ -70,17 +71,18 @@ fn main() {
         let workload = spec.build();
         let sim = workload.sim();
         let lines = workload.reference_lines(&sim);
-        let lit = LitCells::from_line(&lines[interval - 1]);
+        let seeds = sim.seeds(&lines[interval - 1]);
         let (t0, t1) = (workload.times[interval - 1], workload.times[interval]);
         let truth = workload.truth[interval - 1];
         let mut arena = sim.arena();
         let label = format!(
-            "{} interval {interval} ({} lit)",
+            "{} interval {interval} ({} lit, {} on the front)",
             spec.name,
-            lit.as_slice().len()
+            seeds.cells().len(),
+            seeds.front().len()
         );
         bench(&label, 200, || {
-            sim.simulate_arena_seeded(&truth, &lit, t0, t1 - t0, &mut arena, Kernel::Bucket);
+            sim.simulate_arena_seeded(&truth, &seeds, t0, t1 - t0, &mut arena, Kernel::Bucket);
             black_box(arena.written_ranges().count())
         });
     }

@@ -12,46 +12,93 @@
 use crate::fitness::{EvalBackend, ScenarioEvaluator, StepContext};
 use firelib::sim::centre_ignition;
 use firelib::workload::WorkloadSpec;
-use firelib::{FireSim, LitCells, Scenario, Terrain};
+use firelib::{FireSim, Scenario, Seeds, Terrain};
 use landscape::{FireLine, Grid, Observed};
 use std::sync::Arc;
 
 /// The observed fire lines of a burn, `RFL_0..RFL_T`, with what scoring on
-/// each interval needs besides the two rasters: the burned cells of the
-/// start line as a list (a run is seeded from it instead of re-scanning
-/// the mask) and the number of `target ∧ ¬from` cells (what Eq. (3) can
-/// hit or miss, so a tally visits only the cells a run wrote). Both are
-/// raster scans; taken here, once per case, every [`StepContext`] of every
-/// session on the case is a view. Reads as the slice of lines it wraps.
-#[derive(Debug, Clone, PartialEq)]
+/// each interval needs besides the two rasters, resolved against the
+/// case's simulator when the case is built:
+///
+/// * the [`Seeds`] of the start line — the lit cells that can burn, the
+///   ones among them on the front, their bounding box — so a run is
+///   seeded from them instead of re-scanning the mask, and queues the
+///   front without reading a neighbour to find it;
+/// * the number of `target ∧ ¬from` cells (what Eq. (3) can hit or miss,
+///   so a tally visits only the cells a run wrote) and of `from` cells
+///   (what it leaves out).
+///
+/// The counts are raster scans and the seeds one pass over the lit cells;
+/// taken here, once per case, every [`StepContext`] of every session on
+/// the case is a view. Reads as the slice of lines it wraps.
+#[derive(Debug, Clone)]
 pub struct Observations {
+    /// The simulator every interval's seeds were resolved against — and
+    /// so the one every [`StepContext`] cut from these lines runs.
+    sim: Arc<FireSim>,
     lines: Vec<FireLine>,
-    /// `seeds[i − 1]` belongs to interval `i`: the lit cells of line
-    /// `i − 1` and the count of `line i ∧ ¬line (i − 1)`.
-    seeds: Vec<(LitCells, usize)>,
+    /// `intervals[i − 1]` belongs to interval `i`, from line `i − 1` to
+    /// line `i`.
+    intervals: Vec<Interval>,
+}
+
+/// What scoring one interval takes from the case, beside its two lines.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Interval {
+    /// The seeds of the start line.
+    pub(crate) seeds: Seeds,
+    /// Cells of `line i ∧ ¬line (i − 1)`.
+    pub(crate) target_new: usize,
+    /// Cells of `line (i − 1)`.
+    pub(crate) preburned: usize,
 }
 
 impl Observations {
-    /// Wraps a fire-line sequence, scanning each interval once.
+    /// Wraps a fire-line sequence on `sim`'s terrain, resolving each
+    /// interval once.
     ///
     /// # Panics
-    /// Panics when neighbouring lines differ in shape.
-    pub fn new(lines: Vec<FireLine>) -> Self {
-        let seeds = lines.windows(2).map(|w| {
-            let target_new = Observed::scan(&w[1], Some(&w[0])).real_new();
-            (LitCells::from_line(&w[0]), target_new)
+    /// Panics when a line does not match the terrain's shape.
+    pub fn new(sim: Arc<FireSim>, lines: Vec<FireLine>) -> Self {
+        let shape = (sim.terrain().rows(), sim.terrain().cols());
+        for line in &lines {
+            assert_eq!(
+                (line.rows(), line.cols()),
+                shape,
+                "fire line shape must match terrain"
+            );
+        }
+        let intervals = lines.windows(2).map(|w| {
+            let observed = Observed::scan(&w[1], Some(&w[0]));
+            Interval {
+                seeds: sim.seeds(&w[0]),
+                target_new: observed.real_new(),
+                preburned: observed.preburned(),
+            }
         });
         Self {
-            seeds: seeds.collect(),
+            intervals: intervals.collect(),
+            sim,
             lines,
         }
     }
 
-    /// The lit cells of the start line of interval `i ≥ 1`, and how many
-    /// cells its target line adds to them.
-    pub(crate) fn seed_of(&self, i: usize) -> (&LitCells, usize) {
-        let (lit, target_new) = &self.seeds[i - 1];
-        (lit, *target_new)
+    /// The simulator the lines were resolved against.
+    pub fn sim(&self) -> &Arc<FireSim> {
+        &self.sim
+    }
+
+    /// What interval `i ≥ 1` takes from the case.
+    pub(crate) fn interval(&self, i: usize) -> &Interval {
+        &self.intervals[i - 1]
+    }
+}
+
+/// Two observation sets are equal when their lines are, and the lines were
+/// resolved to the same seeds.
+impl PartialEq for Observations {
+    fn eq(&self, other: &Self) -> bool {
+        self.lines == other.lines && self.intervals == other.intervals
     }
 }
 
@@ -134,9 +181,9 @@ impl BurnCase {
         Self {
             name,
             description,
-            sim,
             times,
-            fire_lines: Arc::new(Observations::new(fire_lines)),
+            fire_lines: Arc::new(Observations::new(Arc::clone(&sim), fire_lines)),
+            sim,
             truth,
         }
     }
@@ -150,7 +197,6 @@ impl BurnCase {
     /// Panics when `i` is 0 or beyond the last instant.
     pub fn step_context(&self, i: usize) -> StepContext {
         StepContext::of_interval(
-            Arc::clone(&self.sim),
             Arc::clone(&self.fire_lines),
             i,
             self.times[i - 1],
@@ -377,7 +423,7 @@ pub fn with_observation_noise(case: &BurnCase, flip_prob: f64, seed: u64) -> Bur
         description: case.description,
         sim: Arc::clone(&case.sim),
         times: case.times.clone(),
-        fire_lines: Arc::new(Observations::new(noisy)),
+        fire_lines: Arc::new(Observations::new(Arc::clone(&case.sim), noisy)),
         truth: case.truth.clone(),
     }
 }
@@ -394,9 +440,9 @@ pub fn workload_case(spec: &WorkloadSpec) -> BurnCase {
     BurnCase {
         name: w.name,
         description: w.description,
+        fire_lines: Arc::new(Observations::new(Arc::clone(&sim), fire_lines)),
         sim,
         times: w.times,
-        fire_lines: Arc::new(Observations::new(fire_lines)),
         truth: w.truth,
     }
 }

@@ -26,13 +26,13 @@ pub use parworker::EvalBackend;
 
 /// Everything needed to score scenarios on one prediction interval: a
 /// view of one interval of a case's [`Observations`]. Nothing here is a
-/// raster of its own — the fire lines, the lit-cell list and the
-/// `target ∧ ¬from` count all live in the case, built once — so making a
-/// context is reference bumps, whatever the grid size.
+/// raster of its own — the simulator, the fire lines, the start line's
+/// seeds and the two counts all live in the case, built once — so making
+/// a context is reference bumps, whatever the grid size.
 #[derive(Debug, Clone)]
 pub struct StepContext {
-    sim: Arc<FireSim>,
-    /// The observed fire lines this interval is cut from.
+    /// The observed fire lines this interval is cut from, and the
+    /// simulator they were resolved against.
     lines: Arc<Observations>,
     /// Which interval: from `RFL_{i-1}` (also the pre-burn exclusion mask
     /// of Eq. (3)) to the observed `RFL_i`.
@@ -58,36 +58,25 @@ impl StepContext {
             from.mask().same_shape(target.mask()),
             "interval endpoints shape mismatch"
         );
-        let lines = Arc::new(Observations::new(vec![from, target]));
-        Self::of_interval(sim, lines, 1, t0, t1)
+        let lines = Arc::new(Observations::new(sim, vec![from, target]));
+        Self::of_interval(lines, 1, t0, t1)
     }
 
     /// The context of interval `i ≥ 1` of `lines`: from line `i − 1` at
-    /// `t0` to line `i` at `t1`.
+    /// `t0` to line `i` at `t1`, on the simulator the lines were resolved
+    /// against — the seeds are that terrain's, so there is no other one
+    /// to take.
     ///
     /// # Panics
-    /// Panics when `i` is 0 or beyond the last line, the lines are not the
-    /// terrain's shape, or `t1 <= t0`.
-    pub fn of_interval(
-        sim: Arc<FireSim>,
-        lines: Arc<Observations>,
-        i: usize,
-        t0: f64,
-        t1: f64,
-    ) -> Self {
+    /// Panics when `i` is 0 or beyond the last line, or `t1 <= t0`.
+    pub fn of_interval(lines: Arc<Observations>, i: usize, t0: f64, t1: f64) -> Self {
         assert!(t1 > t0, "step interval must have positive duration");
         assert!(
             (1..lines.len()).contains(&i),
             "interval {i} of {} fire lines",
             lines.len()
         );
-        assert_eq!(
-            (lines[i].rows(), lines[i].cols()),
-            (sim.terrain().rows(), sim.terrain().cols()),
-            "fire line shape must match terrain"
-        );
         Self {
-            sim,
             lines,
             interval: i,
             t0,
@@ -111,7 +100,7 @@ impl StepContext {
 
     /// The simulator.
     pub fn sim(&self) -> &Arc<FireSim> {
-        &self.sim
+        self.lines.sim()
     }
 
     /// Start fire line (`RFL_{i-1}`).
@@ -143,29 +132,35 @@ impl StepContext {
     /// line less the start line, with the two whole-raster counts the case
     /// took at build.
     pub fn observed(&self) -> Observed<'_> {
-        let (lit, target_new) = self.lines.seed_of(self.interval);
+        let interval = self.lines.interval(self.interval);
         Observed::counted(
             self.target_line(),
             Some(self.from_line()),
-            target_new,
-            lit.as_slice().len(),
+            interval.target_new,
+            interval.preburned,
         )
     }
 
     /// Runs one scenario over this interval into `arena` — the one place a
     /// simulation of the Optimization or the Statistical Stage starts. The
-    /// run is seeded from the interval's lit-cell list, so it costs what
-    /// the fire costs, not what the raster does, and a reused arena makes
-    /// it allocation-free in steady state.
+    /// run is seeded from the interval's resolved seeds, so it costs what
+    /// the fire costs — not what the raster does, nor a search for the
+    /// front — and a reused arena makes it allocation-free in steady state.
     // lint: no_alloc
     pub fn simulate_into<'a>(
         &self,
         scenario: &Scenario,
         arena: &'a mut SimArena,
     ) -> &'a IgnitionMap {
-        let (lit, _) = self.lines.seed_of(self.interval);
-        self.sim
-            .simulate_arena_seeded(scenario, lit, self.t0, self.duration(), arena, self.kernel)
+        let seeds = &self.lines.interval(self.interval).seeds;
+        self.sim().simulate_arena_seeded(
+            scenario,
+            seeds,
+            self.t0,
+            self.duration(),
+            arena,
+            self.kernel,
+        )
     }
 
     /// Simulates one scenario into the worker's private [`SimArena`] and
@@ -178,7 +173,7 @@ impl StepContext {
     // lint: no_alloc
     pub fn fitness_with(&self, scenario: &Scenario, arena: &mut SimArena) -> f64 {
         self.simulate_into(scenario, arena);
-        let (_, target_new) = self.lines.seed_of(self.interval);
+        let target_new = self.lines.interval(self.interval).target_new;
         tally_ranges(
             self.target_line().mask().as_slice(),
             arena.map().grid().as_slice(),
@@ -191,14 +186,14 @@ impl StepContext {
 
     /// Fitness of one scenario (allocating convenience).
     pub fn fitness_of(&self, scenario: &Scenario) -> f64 {
-        let mut arena = self.sim.arena();
+        let mut arena = self.sim().arena();
         self.fitness_with(scenario, &mut arena)
     }
 
     /// The simulated fire line a scenario produces over this interval, as
     /// a raster of its own: [`StepContext::simulate_into`] a fresh arena.
     pub fn simulate_line(&self, scenario: &Scenario) -> FireLine {
-        let mut arena = self.sim.arena();
+        let mut arena = self.sim().arena();
         self.simulate_into(scenario, &mut arena)
             .fire_line_at(self.t1)
     }

@@ -9,7 +9,7 @@
 //! The matrix is a fold over the cells the result set burned, which is the
 //! paper's own dataflow (workers return maps, the Master aggregates): every
 //! scenario runs into *one* lent [`SimArena`] — seeded from the interval's
-//! lit-cell list exactly as an Optimization Stage evaluation is — and the
+//! seeds exactly as an Optimization Stage evaluation is — and the
 //! matrix takes its counts straight from the cells that run wrote
 //! ([`SimArena::written_ranges`], arrival ≤ `t₁`). No per-scenario arena,
 //! no burned-mask raster per scenario, no walk of the raster: a step's two

@@ -1,6 +1,6 @@
 //! Span-bounded fitness ≡ full-raster fitness, bit for bit.
 //!
-//! `StepContext::fitness_with` seeds its run from a per-step lit-cell list
+//! `StepContext::fitness_with` seeds its run from a per-step `Seeds` value
 //! and scores Eq. (3) over the cells the run wrote, taking the misses
 //! outside them from a per-step count. This suite holds it against the
 //! definition — `jaccard_at_time` over the whole raster of the same arena

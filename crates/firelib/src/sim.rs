@@ -11,14 +11,18 @@
 //!
 //! Three kernels implement the sweep. They differ only in how they keep
 //! the frontier; one prelude (`FireSim::run_kernel`) checks the run's
-//! preconditions, resets the raster, picks the burnable seeds, hoists the
+//! preconditions, resets the raster, writes the seeds, hoists the
 //! per-fuel-model half of the spread math and says how a popped cell
 //! resolves its spread table, for all of them. **A run costs ∝ cells
-//! popped**: on a fully heterogeneous terrain a cell's directional table
-//! is built when that cell pops (its one live pop is the table's only
-//! reader, so nothing is cached), a pop that can no longer improve any
-//! neighbour builds none, and of the lit cells only those on the front —
-//! with a neighbour still to burn — are queued at all.
+//! popped plus seeds written**: on a fully heterogeneous terrain a cell's
+//! directional table is built when that cell pops (its one live pop is the
+//! table's only reader, so nothing is cached), a pop that can no longer
+//! improve any neighbour builds none, and a pop reads each of its eight
+//! neighbours once. What depends on the start line alone — which lit
+//! cells can burn, which of them are on the front (a neighbour still to
+//! burn, so worth queueing), their bounding box — is a [`Seeds`] value,
+//! resolved once per fire line (once per interval of a case) rather than
+//! once per run.
 //!
 //! * [`Kernel::Heap`] — the reference implementation: a classic Dijkstra
 //!   over a `BinaryHeap<(Reverse<Time>, u32)>` whose window is the whole
@@ -56,7 +60,7 @@
 //!    burnability of the neighbour. The reference kernel spells the same
 //!    step out independently, without the step's early outs: it builds a
 //!    table for every live pop and queues every seed, which is what the
-//!    frontier filter (`Sweep::front`) is checked against.
+//!    front of a [`Seeds`] is checked against.
 //!
 //! Same pops in the same order, through the same tables and the same step,
 //! is the same execution — every relaxation decision, every tolerance
@@ -380,7 +384,7 @@ impl BucketQueue {
 /// least `cell_ft / ros_cap` minutes). It bounds bookkeeping, not work:
 /// writes inside it are recorded as per-row spans, and the tiled kernel
 /// partitions it into tiles.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Window {
     r0: usize,
     c0: usize,
@@ -393,50 +397,70 @@ impl Window {
     fn contains(&self, r: usize, c: usize) -> bool {
         r.wrapping_sub(self.r0) < self.rows && c.wrapping_sub(self.c0) < self.cols
     }
+
+    /// This window grown by `reach` cells on every side, clipped to a
+    /// `rows × cols` raster.
+    fn grown(&self, reach: usize, rows: usize, cols: usize) -> Window {
+        let (r0, c0) = (self.r0.saturating_sub(reach), self.c0.saturating_sub(reach));
+        let r1 = (self.r0 + self.rows - 1 + reach).min(rows - 1);
+        let c1 = (self.c0 + self.cols - 1 + reach).min(cols - 1);
+        Window {
+            r0,
+            c0,
+            rows: r1 - r0 + 1,
+            cols: c1 - c0 + 1,
+        }
+    }
 }
 
-/// The burning cells of a fire line as ascending row-major indices — what a
-/// run is seeded from. Scanning a megacell mask for a few hundred lit cells
-/// costs more than a short burn, so a caller that evaluates many scenarios
-/// from one fire line builds this once (see
-/// [`FireSim::simulate_arena_seeded`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LitCells {
+/// What every run from one fire line starts from, resolved against one
+/// terrain by [`FireSim::seeds`]. Nothing in it depends on the scenario,
+/// so a caller that evaluates many scenarios from one line resolves it
+/// once — `ess` does, per interval of a case — and each run goes straight
+/// to writing the seeds and queueing the front
+/// ([`FireSim::simulate_arena_seeded`]). The `&FireLine` entry points
+/// resolve one per call through the same function.
+///
+/// * **The seeds:** the lit cells that can burn, ascending. With a fuel
+///   layer that is the cells whose own fuel bed burns. Without one every
+///   lit cell is listed: burnability is then global, and each run's
+///   scenario model decides between all of them and none.
+/// * **The front:** the seeds with an in-raster neighbour that is not a
+///   seed, ascending. Once every seed holds `t0`, a seed off the front
+///   would pop, emit nothing and change nothing (arrivals only fall, so a
+///   neighbour closed at `t0` stays closed), so the bucket and tiled
+///   kernels queue the front alone and a filled blob costs its rim, not
+///   its area. The reference heap queues every seed.
+/// * **The bounding box** of the seeds, which a run grows by the
+///   scenario's reach into its active-front window.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Seeds {
     rows: usize,
     cols: usize,
     cells: Vec<u32>,
+    front: Vec<u32>,
+    /// Bounding box of `cells`; meaningless when there are none.
+    bbox: Window,
+    /// Burnability came from the terrain's fuel layer (else it is the
+    /// scenario model's, decided per run).
+    fuel_layer: bool,
 }
 
-impl LitCells {
-    /// The burned cells of `line`.
-    pub fn from_line(line: &FireLine) -> Self {
-        let mut cells = Vec::new();
-        collect_lit(line, &mut cells);
-        Self {
-            rows: line.rows(),
-            cols: line.cols(),
-            cells,
-        }
-    }
-
-    /// The cell indices, ascending.
-    pub fn as_slice(&self) -> &[u32] {
+impl Seeds {
+    /// The seed cells (row-major indices), ascending.
+    pub fn cells(&self) -> &[u32] {
         &self.cells
     }
-}
 
-/// Replaces `into` with the indices of the burned cells of `line`,
-/// ascending.
-fn collect_lit(line: &FireLine, into: &mut Vec<u32>) {
-    const BLOCK: usize = 64;
-    into.clear();
-    // Block by block: on a landscape raster nearly every block is unlit,
-    // and `contains` over a short slice compiles to a few vector compares.
-    for (b, block) in line.mask().as_slice().chunks(BLOCK).enumerate() {
-        if block.contains(&true) {
-            let lit = block.iter().enumerate().filter(|&(_, &lit)| lit);
-            into.extend(lit.map(|(i, _)| (b * BLOCK + i) as u32));
-        }
+    /// The seeds on the front — the ones the bucket and tiled kernels
+    /// queue — ascending.
+    pub fn front(&self) -> &[u32] {
+        &self.front
+    }
+
+    /// Heap bytes held by the two index lists.
+    fn bytes(&self) -> usize {
+        (self.cells.capacity() + self.front.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -527,14 +551,9 @@ pub struct SimArena {
     heap: BinaryHeap<(Reverse<Time>, u32)>,
     /// Bucket-kernel frontier.
     queue: BucketQueue,
-    /// Lit cells of the current run's initial fire line, when the run was
-    /// handed a mask rather than a [`LitCells`] (index scratch).
-    lit: Vec<u32>,
-    /// Burnable ignition cells of the current run (index scratch).
-    seeds: Vec<u32>,
-    /// The seeds the bucket and tiled kernels queue: those with a
-    /// neighbour still to burn (index scratch; see [`Sweep::front`]).
-    front: Vec<u32>,
+    /// The seeds of the last run that was handed a fire line rather than
+    /// resolved [`Seeds`] (index scratch).
+    line_seeds: Seeds,
     /// Per-window-row dirty column spans of the last bucket run
     /// (inclusive; `lo > hi` means the row was never written).
     span_lo: Vec<u32>,
@@ -623,9 +642,7 @@ impl SimArena {
             per_fuel: [[0.0; 8]; 14],
             heap: BinaryHeap::new(),
             queue: BucketQueue::default(),
-            lit: Vec::new(),
-            seeds: Vec::new(),
-            front: Vec::new(),
+            line_seeds: Seeds::default(),
             span_lo: Vec::new(),
             span_hi: Vec::new(),
             stray: Vec::new(),
@@ -693,13 +710,9 @@ impl SimArena {
         use std::mem::size_of;
         self.heap.capacity() * size_of::<(Reverse<Time>, u32)>()
             + self.queue.bytes()
-            + (self.span_lo.capacity()
-                + self.span_hi.capacity()
-                + self.stray.capacity()
-                + self.lit.capacity()
-                + self.seeds.capacity()
-                + self.front.capacity())
+            + (self.span_lo.capacity() + self.span_hi.capacity() + self.stray.capacity())
                 * size_of::<u32>()
+            + self.line_seeds.bytes()
             + self.epochs.bytes()
     }
 
@@ -764,6 +777,9 @@ struct Sweep<'a> {
     tables: Tables<'a>,
     rows: usize,
     cols: usize,
+    /// Row-major index offset of each [`landscape::NEIGHBOUR_OFFSETS`]
+    /// direction: how an interior pop reaches its neighbours.
+    steps: [isize; 8],
     cell_ft: f64,
     t0: f64,
     duration: f64,
@@ -1085,36 +1101,108 @@ impl FireSim {
         arena: &'a mut SimArena,
         kernel: Kernel,
     ) -> &'a IgnitionMap {
-        self.check_shape("initial fire line", initial.rows(), initial.cols());
-        // The scan lands in arena scratch (the arena is lent to the run, so
-        // the list leaves it for the duration).
-        let mut lit = std::mem::take(&mut arena.lit);
-        collect_lit(initial, &mut lit);
-        self.run_kernel(scenario, &lit, t0, duration, arena, kernel);
-        arena.lit = lit;
+        // The seeds land in arena scratch (the arena is lent to the run, so
+        // they leave it for the duration).
+        let mut seeds = std::mem::take(&mut arena.line_seeds);
+        self.resolve_seeds(initial, &mut seeds);
+        self.run_kernel(scenario, &seeds, t0, duration, arena, kernel);
+        arena.line_seeds = seeds;
         arena.map()
     }
 
-    /// [`FireSim::simulate_arena_kernel`] from a precomputed [`LitCells`]:
-    /// the same run, minus the scan of the initial mask — the entry point
-    /// for evaluating many scenarios from one fire line, where that scan
-    /// (raster-proportional) would otherwise be paid per scenario.
+    /// [`FireSim::simulate_arena_kernel`] from [`Seeds`] resolved earlier
+    /// by [`FireSim::seeds`]: the same run, minus the scan of the initial
+    /// mask and the search for its front — the entry point for evaluating
+    /// many scenarios from one fire line, where both (the scan
+    /// raster-proportional, the search eight reads a seed) would otherwise
+    /// be paid per scenario.
     ///
     /// # Panics
-    /// As [`FireSim::simulate_arena`], with `lit` in place of `initial`.
+    /// As [`FireSim::simulate_arena`], with `seeds` in place of `initial`,
+    /// and when `seeds` was resolved against a terrain that differs from
+    /// this one in shape or in having a fuel layer.
     // lint: no_alloc
     pub fn simulate_arena_seeded<'a>(
         &self,
         scenario: &Scenario,
-        lit: &LitCells,
+        seeds: &Seeds,
         t0: f64,
         duration: f64,
         arena: &'a mut SimArena,
         kernel: Kernel,
     ) -> &'a IgnitionMap {
-        self.check_shape("lit cells", lit.rows, lit.cols);
-        self.run_kernel(scenario, lit.as_slice(), t0, duration, arena, kernel);
+        self.run_kernel(scenario, seeds, t0, duration, arena, kernel);
         arena.map()
+    }
+
+    /// Resolves the [`Seeds`] of `line` on this terrain — the one
+    /// resolution every run goes through, whether its caller holds the
+    /// result across runs or not.
+    ///
+    /// # Panics
+    /// Panics when `line` does not match the terrain shape.
+    pub fn seeds(&self, line: &FireLine) -> Seeds {
+        let mut seeds = Seeds::default();
+        self.resolve_seeds(line, &mut seeds);
+        seeds
+    }
+
+    /// [`FireSim::seeds`] into the buffers of `seeds`. One pass over the
+    /// mask collects the lit cells that can burn (block by block: on a
+    /// landscape raster nearly every block is unlit, and `contains` over a
+    /// short slice compiles to a few vector compares), and one pass over
+    /// them reads each seed's neighbours in the mask and the fuel layer —
+    /// no raster, no scratch — to find the front.
+    // lint: no_alloc
+    fn resolve_seeds(&self, line: &FireLine, seeds: &mut Seeds) {
+        const BLOCK: usize = 64;
+        self.check_shape("initial fire line", line.rows(), line.cols());
+        let (rows, cols) = (line.rows(), line.cols());
+        let mask = line.mask().as_slice();
+        let fuel = self.terrain.fuel_layer().map(|g| g.as_slice());
+        let burns = |idx: usize| fuel.is_none_or(|f| self.beds[f[idx] as usize].burnable);
+        let Seeds {
+            cells, front, bbox, ..
+        } = seeds;
+        cells.clear();
+        for (b, block) in mask.chunks(BLOCK).enumerate() {
+            if block.contains(&true) {
+                let lit = block.iter().enumerate().filter(|&(_, &lit)| lit);
+                let lit = lit.map(|(i, _)| b * BLOCK + i);
+                cells.extend(lit.filter(|&idx| burns(idx)).map(|idx| idx as u32));
+            }
+        }
+        let (mut r0, mut c0, mut r1, mut c1) = (usize::MAX, usize::MAX, 0, 0);
+        front.clear();
+        for &sidx in cells.iter() {
+            let (r, c) = (sidx as usize / cols, sidx as usize % cols);
+            (r0, c0, r1, c1) = (r0.min(r), c0.min(c), r1.max(r), c1.max(c));
+            let on_front = landscape::NEIGHBOUR_OFFSETS.iter().any(|&(dr, dc, _)| {
+                let (nr, nc) = (r.wrapping_add_signed(dr), c.wrapping_add_signed(dc));
+                if nr >= rows || nc >= cols {
+                    return false;
+                }
+                #[cfg(test)]
+                tests::FRONT_READS.with(|n| n.set(n.get() + 1));
+                let nidx = nr * cols + nc;
+                !(mask[nidx] && burns(nidx))
+            });
+            if on_front {
+                front.push(sidx);
+            }
+        }
+        *bbox = if cells.is_empty() {
+            Window::default()
+        } else {
+            Window {
+                r0,
+                c0,
+                rows: r1 - r0 + 1,
+                cols: c1 - c0 + 1,
+            }
+        };
+        (seeds.rows, seeds.cols) = (rows, cols);
+        seeds.fuel_layer = fuel.is_some();
     }
 
     fn check_shape(&self, what: &str, rows: usize, cols: usize) {
@@ -1125,16 +1213,17 @@ impl FireSim {
         );
     }
 
-    /// One run of `kernel` from the lit cells `lit` into `arena`: the
-    /// prelude every kernel shares — preconditions, raster reset, the
-    /// per-model hoist, burnable seeds, window, how a pop resolves its
-    /// table, seed writes, the seeds on the front — then the kernel's own
-    /// frontier loop over the resulting [`Sweep`] and [`Trail`].
+    /// One run of `kernel` from `seeds` into `arena`: the prelude every
+    /// kernel shares — preconditions, raster reset, the per-model hoist,
+    /// window, how a pop resolves its table, seed writes — then the
+    /// kernel's own frontier loop over the resulting [`Sweep`] and
+    /// [`Trail`], queueing every seed on the reference heap and the front
+    /// alone on the other two.
     // lint: no_alloc
     fn run_kernel(
         &self,
         scenario: &Scenario,
-        lit: &[u32],
+        seeds: &Seeds,
         t0: f64,
         duration: f64,
         arena: &mut SimArena,
@@ -1143,6 +1232,13 @@ impl FireSim {
         let t = &*self.terrain;
         let (rows, cols) = (t.rows(), t.cols());
         self.check_shape("arena", arena.rows, arena.cols);
+        self.check_shape("seeds", seeds.rows, seeds.cols);
+        let fuel = t.fuel_layer().map(|g| g.as_slice());
+        assert_eq!(
+            seeds.fuel_layer,
+            fuel.is_some(),
+            "seeds resolved against another terrain"
+        );
         assert!(
             t0.is_finite() && t0 >= 0.0,
             "t0 must be a non-negative instant"
@@ -1166,8 +1262,6 @@ impl FireSim {
             per_fuel,
             heap,
             queue,
-            seeds,
-            front,
             span_lo,
             span_hi,
             stray,
@@ -1179,13 +1273,17 @@ impl FireSim {
         let out = out.get_or_insert_with(|| IgnitionMap::unignited(rows, cols));
         reset_raster(dirty, out, span_lo, span_hi, stray, cols);
 
-        let fuel = t.fuel_layer().map(|g| g.as_slice());
         let burnable = Burnable {
             fuel,
             beds: &self.beds,
             global: fuel.is_none()
                 && (self.beds.get(scenario.model as usize)).is_some_and(|bed| bed.burnable),
         };
+        // Without a fuel layer the scenario's model decides for every seed
+        // at once.
+        if seeds.cells.is_empty() || !(seeds.fuel_layer || burnable.global) {
+            return; // nothing written; the raster stays clean
+        }
         let base = self.hoisted_base(scenario);
         // The reference kernel's window is the whole raster: no bound on
         // how fast its fire may go.
@@ -1193,9 +1291,7 @@ impl FireSim {
             Kernel::Heap => f64::INFINITY,
             Kernel::Bucket | Kernel::Tiled { .. } => self.rate_bound(scenario, &base),
         };
-        let Some(win) = self.seed_window(lit, duration, cap, seeds, &burnable) else {
-            return; // nothing written; the raster stays clean
-        };
+        let win = self.seed_window(seeds, duration, cap);
 
         // Uniform terrains share one table; fuel-only mosaics share one
         // table per fuel code present (≤ 14 spread computations instead of
@@ -1224,6 +1320,7 @@ impl FireSim {
             tables,
             rows,
             cols,
+            steps: landscape::NEIGHBOUR_OFFSETS.map(|(dr, dc, _)| dr * cols as isize + dc),
             cell_ft: t.cell_size_ft(),
             t0,
             duration,
@@ -1245,34 +1342,28 @@ impl FireSim {
             stray,
             win,
         };
-        for &sidx in seeds.iter() {
+        for &sidx in &seeds.cells {
             let idx = sidx as usize;
             trail.mark_written(idx, (idx / cols, idx % cols), t0);
         }
         match kernel {
             Kernel::Heap => {
-                sweep.run_dijkstra(seeds, heap, trail.out);
+                sweep.run_dijkstra(&seeds.cells, heap, trail.out);
                 // The reference kernel tracks nothing beyond its seeds.
                 *dirty = Dirty::All;
             }
-            Kernel::Bucket => {
-                sweep.front(seeds, trail.out, front);
-                sweep.run_bucket(front, queue, &mut trail)
-            }
+            Kernel::Bucket => sweep.run_bucket(&seeds.front, queue, &mut trail),
             Kernel::Tiled { tile, .. } => {
-                sweep.front(seeds, trail.out, front);
-                sweep.run_tiled(front, queue, &mut trail, epochs, tile, workers)
+                sweep.run_tiled(&seeds.front, queue, &mut trail, epochs, tile, workers)
             }
         }
         dedup_strays(trail.stray);
     }
 
-    /// The start of a run: filters `lit` down to the cells that can burn
-    /// (into `seeds`) and returns the active-front window around them —
-    /// their bounding box expanded by the farthest whole-cell distance a
-    /// fire spreading at most `cap` ft/min can cross within the horizon
-    /// (the whole raster for an unbounded `cap`) — or `None` when nothing
-    /// burnable is lit.
+    /// The active-front window of a run from `seeds`: their bounding box
+    /// expanded by the farthest whole-cell distance a fire spreading at
+    /// most `cap` ft/min can cross within the horizon (the whole raster
+    /// for an unbounded `cap`).
     ///
     /// A diagonal step advances one Chebyshev unit and costs `√2 · cell_ft
     /// / ros ≥ cell_ft / ros_cap`, so `ros_cap · duration / cell_ft`
@@ -1280,33 +1371,8 @@ impl FireSim {
     /// inflation absorb floating-point slack in the bound (and any
     /// remainder is tracked on the stray list).
     // lint: no_alloc
-    fn seed_window(
-        &self,
-        lit: &[u32],
-        duration: f64,
-        cap: f64,
-        seeds: &mut Vec<u32>,
-        burnable: &Burnable<'_>,
-    ) -> Option<Window> {
-        let rows = self.terrain.rows();
-        let cols = self.terrain.cols();
-        seeds.clear();
-        let (mut br0, mut bc0, mut br1, mut bc1) = (usize::MAX, usize::MAX, 0usize, 0usize);
-        for &sidx in lit {
-            let idx = sidx as usize;
-            if !burnable.at(idx) {
-                continue;
-            }
-            seeds.push(sidx);
-            let (r, c) = (idx / cols, idx % cols);
-            br0 = br0.min(r);
-            bc0 = bc0.min(c);
-            br1 = br1.max(r);
-            bc1 = bc1.max(c);
-        }
-        if seeds.is_empty() {
-            return None;
-        }
+    fn seed_window(&self, seeds: &Seeds, duration: f64, cap: f64) -> Window {
+        let (rows, cols) = (self.terrain.rows(), self.terrain.cols());
         let reach = if cap <= SMIDGEN {
             0
         } else {
@@ -1316,16 +1382,7 @@ impl FireSim {
         // Tests shrink the window to force the out-of-window (stray) paths.
         #[cfg(test)]
         let reach = reach.min(tests::REACH_CAP.with(std::cell::Cell::get));
-        let r0 = br0.saturating_sub(reach);
-        let c0 = bc0.saturating_sub(reach);
-        let r1 = (br1 + reach).min(rows - 1);
-        let c1 = (bc1 + reach).min(cols - 1);
-        Some(Window {
-            r0,
-            c0,
-            rows: r1 - r0 + 1,
-            cols: c1 - c0 + 1,
-        })
+        seeds.bbox.grown(reach, rows, cols)
     }
 
     /// Convenience: simulates and returns the fire line at the end of the
@@ -1366,11 +1423,12 @@ impl Sweep<'_> {
         })
     }
 
-    /// The neighbour of `at` in direction `dir`
+    /// The arrival at the neighbour of `at` in direction `dir`
     /// ([`landscape::NEIGHBOUR_OFFSETS`]) if a pop of `at` at `t` could
     /// still improve it: inside the raster and holding an arrival more
     /// than `SMIDGEN` after `t`. Every edge costs `d ≥ 0`, so `t + d`
-    /// cannot beat a neighbour that `t` itself does not.
+    /// cannot beat a neighbour that `t` itself does not. The checked path,
+    /// for pops on the raster border.
     // lint: no_alloc
     #[inline]
     fn open_at(
@@ -1379,47 +1437,63 @@ impl Sweep<'_> {
         (r, c): (usize, usize),
         dir: usize,
         raster: &IgnitionMap,
-    ) -> Option<(usize, usize)> {
+    ) -> Option<f64> {
         let (dr, dc, _) = landscape::NEIGHBOUR_OFFSETS[dir];
-        let (nr, nc) = (r as isize + dr, c as isize + dc);
-        if nr < 0 || nc < 0 || nr as usize >= self.rows || nc as usize >= self.cols {
+        let (nr, nc) = (r.wrapping_add_signed(dr), c.wrapping_add_signed(dc));
+        if nr >= self.rows || nc >= self.cols {
             return None;
         }
-        let (nr, nc) = (nr as usize, nc as usize);
-        (t < raster.time(nr, nc) - SMIDGEN).then_some((nr, nc))
+        let arrival = raster.time(nr, nc);
+        (t < arrival - SMIDGEN).then_some(arrival)
     }
 
-    /// The seeds the bucket and tiled kernels queue, into `front`: those
-    /// with an open neighbour once every seed is written at `t0`. A seed
-    /// with none would pop, emit nothing and change nothing — arrivals only
-    /// fall, so a neighbour closed at `t0` stays closed — which makes a
-    /// filled blob cost its rim, not its area. The reference kernel queues
-    /// them all.
+    /// Which neighbours a pop of cell `idx` = `at` at `t` could still
+    /// improve, as a bit per direction, with each open neighbour's arrival
+    /// in `times` — every neighbour read once. An interior cell reaches
+    /// its eight through the run's flat index steps with no bounds test;
+    /// a border cell goes through [`Sweep::open_at`].
     // lint: no_alloc
-    // Out of line on purpose: it runs once per run, and inlined into the
-    // prelude it cost the smallest uniform evaluations ≈ 0.2 µs each.
-    #[inline(never)]
-    fn front(&self, seeds: &[u32], raster: &IgnitionMap, front: &mut Vec<u32>) {
-        let on_front = |&sidx: &u32| {
-            let at = (sidx as usize / self.cols, sidx as usize % self.cols);
-            (0..8).any(|dir| self.open_at(self.t0, at, dir, raster).is_some())
-        };
-        front.clear();
-        front.extend(seeds.iter().copied().filter(on_front));
+    #[inline]
+    fn open_mask(
+        &self,
+        t: f64,
+        idx: usize,
+        (r, c): (usize, usize),
+        raster: &IgnitionMap,
+        times: &mut [f64; 8],
+    ) -> u8 {
+        let mut open = 0u8;
+        let interior = r.wrapping_sub(1) < self.rows.saturating_sub(2)
+            && c.wrapping_sub(1) < self.cols.saturating_sub(2);
+        if interior {
+            let arrivals = raster.grid().as_slice();
+            for (dir, (&step, slot)) in self.steps.iter().zip(times.iter_mut()).enumerate() {
+                *slot = arrivals[idx.wrapping_add_signed(step)];
+                open |= u8::from(t < *slot - SMIDGEN) << dir;
+            }
+        } else {
+            for (dir, slot) in times.iter_mut().enumerate() {
+                if let Some(arrival) = self.open_at(t, (r, c), dir, raster) {
+                    *slot = arrival;
+                    open |= 1 << dir;
+                }
+            }
+        }
+        open
     }
 
     /// The one relaxation step behind the bucket and tiled kernels: the
     /// pop of `(t, idx)` against `raster`, handing `emit` every neighbour
     /// arrival that survives — an edge that spreads, inside the horizon,
     /// beating the neighbour's current arrival by more than `SMIDGEN`, into
-    /// a cell that can burn. A stale pop (`t` already beaten at `idx`)
-    /// emits nothing, and neither does one with no open neighbour — the
-    /// interior of a front — which is found out before the cell's table is
-    /// asked for, so only a pop that can move the front pays for one.
-    /// `emit` gets the raster back, so a caller that applies its candidates
-    /// writes them there ([`Trail::mark_written`]) and one that defers them
-    /// reads a snapshot; the eight neighbours are distinct cells, so a
-    /// write for one never changes the verdict on another.
+    /// a cell that can burn — in direction order. A stale pop (`t` already
+    /// beaten at `idx`) emits nothing, and neither does one with no open
+    /// neighbour — the interior of a front — which is found out before the
+    /// cell's table is asked for, so only a pop that can move the front
+    /// pays for one. The eight neighbours are read once, before any emit:
+    /// they are distinct cells, so a write for one (a caller that applies
+    /// its candidates writes them back, [`Trail::mark_written`]; one that
+    /// defers them reads a snapshot) never changes the verdict on another.
     // lint: no_alloc
     #[inline]
     fn relax<R: std::ops::Deref<Target = IgnitionMap>>(
@@ -1439,31 +1513,31 @@ impl Sweep<'_> {
         if t > raster.time(at.0, at.1) + SMIDGEN {
             return; // stale entry
         }
-        let Some(first) = (0..8).find(|&dir| self.open_at(t, at, dir, raster).is_some()) else {
+        let mut times = [0.0; 8];
+        let mut open = self.open_mask(t, idx, at, raster, &mut times);
+        if open == 0 {
             return;
-        };
+        }
         let table = self.table(idx);
         let table: &[f64; 8] = &table;
-        // `dir` names a direction: it indexes the table and the offsets and
-        // is what `open_at` takes.
-        #[allow(clippy::needless_range_loop)]
-        for dir in first..8 {
-            let Some((nr, nc)) = self.open_at(t, at, dir, raster) else {
-                continue;
-            };
+        while open != 0 {
+            let dir = open.trailing_zeros() as usize;
+            open &= open - 1;
             let ros = table[dir];
             if ros <= SMIDGEN {
                 continue;
             }
-            let arrival = t + landscape::NEIGHBOUR_OFFSETS[dir].2 * cell_ft / ros;
-            if arrival > t_end || arrival >= raster.time(nr, nc) - SMIDGEN {
+            let (dr, dc, dist_factor) = landscape::NEIGHBOUR_OFFSETS[dir];
+            let arrival = t + dist_factor * cell_ft / ros;
+            if arrival > t_end || arrival >= times[dir] - SMIDGEN {
                 continue;
             }
-            let nidx = nr * cols + nc;
+            let nidx = idx.wrapping_add_signed(self.steps[dir]);
             if !self.burnable.at(nidx) {
                 continue;
             }
-            emit(raster, arrival, nidx, (nr, nc));
+            let to = (at.0.wrapping_add_signed(dr), at.1.wrapping_add_signed(dc));
+            emit(raster, arrival, nidx, to);
         }
     }
 
@@ -1527,6 +1601,8 @@ impl Sweep<'_> {
         for &sidx in seeds {
             queue.push(self.t0, sidx);
         }
+        #[cfg(test)]
+        tests::SEEDS_QUEUED.with(|n| n.set(n.get() + seeds.len()));
         let mut prev_pop = None;
         while let Some((t, idx)) = queue.pop() {
             audit_pop_order(&mut prev_pop, t, idx);
@@ -1590,6 +1666,8 @@ impl Sweep<'_> {
         for &sidx in seeds {
             queue.stage(self.t0, sidx);
         }
+        #[cfg(test)]
+        tests::SEEDS_QUEUED.with(|n| n.set(n.get() + seeds.len()));
 
         // Tile ownership of a cell: its `tile × tile` block of the active
         // window, strays clamped to the nearest window cell (deterministic
@@ -1756,6 +1834,13 @@ mod tests {
         /// Per-cell spread tables built by runs on this thread — see
         /// `Sweep::table`. (A tiled run's worker threads count on their own.)
         pub(super) static TABLES_BUILT: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+        /// Neighbour reads spent finding the front of a fire line on this
+        /// thread — see `FireSim::resolve_seeds`.
+        pub(super) static FRONT_READS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+        /// Seeds the bucket and tiled kernels queued on this thread.
+        pub(super) static SEEDS_QUEUED: std::cell::Cell<usize> =
             const { std::cell::Cell::new(0) };
     }
 
@@ -2185,10 +2270,11 @@ mod tests {
         let sim = w.sim();
         let lines = w.reference_lines(&sim);
         let (from, t0, dt) = (&lines[2], w.times[2], w.times[3] - w.times[2]);
-        let lit = LitCells::from_line(from);
+        let seeds = sim.seeds(from);
         let mut arena = sim.arena();
         TABLES_BUILT.with(|n| n.set(0));
-        let map = sim.simulate_arena_seeded(&w.truth[2], &lit, t0, dt, &mut arena, Kernel::Bucket);
+        let map =
+            sim.simulate_arena_seeded(&w.truth[2], &seeds, t0, dt, &mut arena, Kernel::Bucket);
         let built = TABLES_BUILT.with(std::cell::Cell::get);
         let written = map
             .grid()
@@ -2196,7 +2282,7 @@ mod tests {
             .iter()
             .filter(|&&t| t != UNIGNITED)
             .count();
-        let win = window_of(&sim, &w.truth[2], &lit, dt);
+        let win = window_of(&sim, &w.truth[2], &seeds, dt);
         assert!(
             built > 0 && built <= written,
             "{built} tables for {written} cells"
@@ -2207,11 +2293,11 @@ mod tests {
             win.rows,
             win.cols
         );
-        let (queued, rim) = (arena.front.len(), rim(from));
+        let (queued, rim) = (seeds.front().len(), rim(from));
         assert!(
-            queued <= rim && queued < lit.as_slice().len(),
+            queued <= rim && queued < seeds.cells().len(),
             "{queued} seeds queued of {} lit, {rim} on the rim",
-            lit.as_slice().len()
+            seeds.cells().len()
         );
 
         // A line that fills the raster has no rim: nothing is queued, no
@@ -2220,8 +2306,13 @@ mod tests {
         TABLES_BUILT.with(|n| n.set(0));
         sim.simulate_arena_kernel(&w.truth[2], &all, t0, dt, &mut arena, Kernel::Bucket);
         assert_eq!(TABLES_BUILT.with(std::cell::Cell::get), 0);
-        assert!(arena.front.is_empty(), "{} seeds queued", arena.front.len());
-        assert_eq!(arena.seeds.len(), 96 * 96);
+        let line_seeds = &arena.line_seeds;
+        assert!(
+            line_seeds.front().is_empty(),
+            "{} seeds queued",
+            line_seeds.front().len()
+        );
+        assert_eq!(line_seeds.cells().len(), 96 * 96);
         assert!(arena.map().grid().as_slice().iter().all(|&t| t == t0));
         assert_eq!(
             arena.written_ranges().map(|r| r.len()).sum::<usize>(),
@@ -2243,6 +2334,54 @@ mod tests {
     }
 
     #[test]
+    fn a_run_from_resolved_seeds_reads_no_neighbour_to_find_its_front() {
+        // The front of an interval's start line is found once, when the
+        // seeds are resolved; every run from them after that queues
+        // exactly that front and spends no neighbour read finding it.
+        for (spec, interval) in [
+            (crate::workload::archipelago_large(), 3usize),
+            (crate::workload::gusty_channel(), 3),
+        ] {
+            let w = spec.build();
+            let sim = w.sim();
+            let lines = w.reference_lines(&sim);
+            let (t0, dt) = (
+                w.times[interval - 1],
+                w.times[interval] - w.times[interval - 1],
+            );
+            FRONT_READS.with(|n| n.set(0));
+            let seeds = sim.seeds(&lines[interval - 1]);
+            let reads = FRONT_READS.with(std::cell::Cell::get);
+            assert!(
+                !seeds.front().is_empty() && reads >= seeds.cells().len(),
+                "{}: resolving {} seeds read {reads} neighbours",
+                spec.name,
+                seeds.cells().len()
+            );
+            let mut arena = sim.arena();
+            let tiled = Kernel::Tiled {
+                tile: 16,
+                workers: 2,
+            };
+            for (kernel, s) in [Kernel::Bucket, tiled, Kernel::Bucket]
+                .into_iter()
+                .zip(&w.truth)
+            {
+                FRONT_READS.with(|n| n.set(0));
+                SEEDS_QUEUED.with(|n| n.set(0));
+                sim.simulate_arena_seeded(s, &seeds, t0, dt, &mut arena, kernel);
+                let what = format!("{} interval {interval}, {kernel}", spec.name);
+                assert_eq!(FRONT_READS.with(std::cell::Cell::get), 0, "{what}");
+                assert_eq!(
+                    SEEDS_QUEUED.with(std::cell::Cell::get),
+                    seeds.front().len(),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn lazy_arena_allocates_nothing_until_first_run() {
         let arena = SimArena::new(1000, 1000);
         assert_eq!(arena.scratch_bytes(), 0, "scratch allocated eagerly");
@@ -2256,18 +2395,10 @@ mod tests {
         let _ = arena.map();
     }
 
-    /// The window a bucket run of `s` from `lit` over `duration` tracks its
+    /// The window a bucket run of `s` from `seeds` over `duration` tracks its
     /// writes in.
-    fn window_of(sim: &FireSim, s: &Scenario, lit: &LitCells, duration: f64) -> Window {
-        let fuel = sim.terrain.fuel_layer().map(|g| g.as_slice());
-        let burnable = Burnable {
-            fuel,
-            beds: &sim.beds,
-            global: fuel.is_none(),
-        };
-        let cap = sim.spread_rate_bound(s);
-        sim.seed_window(lit.as_slice(), duration, cap, &mut Vec::new(), &burnable)
-            .expect("a burnable seed")
+    fn window_of(sim: &FireSim, s: &Scenario, seeds: &Seeds, duration: f64) -> Window {
+        sim.seed_window(seeds, duration, sim.spread_rate_bound(s))
     }
 
     #[test]
@@ -2289,7 +2420,7 @@ mod tests {
             ..calm_scenario()
         };
         let ignition = centre_ignition(n, n);
-        let win = window_of(&sim, &s, &LitCells::from_line(&ignition), 30.0);
+        let win = window_of(&sim, &s, &sim.seeds(&ignition), 30.0);
         assert_eq!(
             (win.rows, win.cols),
             (n, n),
@@ -2305,9 +2436,8 @@ mod tests {
             &arena.span_lo,
             &arena.span_hi,
             &arena.stray,
-            &arena.lit,
-            &arena.seeds,
-            &arena.front,
+            &arena.line_seeds.cells,
+            &arena.line_seeds.front,
         ];
         let index_bytes = index_lists.iter().map(|v| v.capacity() * 4).sum::<usize>();
         let scratch = arena.scratch_bytes();
@@ -2560,9 +2690,9 @@ mod tests {
             for (k, &kernel) in ALL_KERNELS.iter().cycle().skip(i).take(3).enumerate() {
                 let what = format!("ignition {i}, {kernel} (slot {k})");
                 let fresh = sim.simulate(&s, ign, 5.0, 90.0);
-                let lit = LitCells::from_line(ign);
+                let seeds = sim.seeds(ign);
                 let seeded = sim
-                    .simulate_arena_seeded(&s, &lit, 5.0, 90.0, &mut arena, kernel)
+                    .simulate_arena_seeded(&s, &seeds, 5.0, 90.0, &mut arena, kernel)
                     .clone();
                 assert_rasters_identical(&fresh, &seeded, &what);
                 assert_ranges_account_for_the_raster(&arena, 95.0, &what);

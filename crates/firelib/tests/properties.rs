@@ -569,21 +569,27 @@ fn fuel_cache_path_bit_identical() {
 /// fire lines per landscape: the mask itself (ignited on the raster edge,
 /// so lit cells sit there), its row-hull fill (a filled blob with
 /// lit-but-unburnable and never-reached cells inside) and the whole raster
-/// (all interior: nothing to queue). Every burnable lit cell must still be
-/// written at `t0` and lie inside `written_ranges`; the bucket and tiled
-/// arenas are reused dirty throughout.
+/// (all interior: nothing to queue). Each line is resolved into `Seeds`
+/// once and reused across four scenarios, alternating with the per-call
+/// resolution of the `&FireLine` entry point, so seeds resolved once ≡
+/// seeds resolved per run. Every fourth landscape has no fuel layer, and
+/// its fourth scenario burns model 0: burnability is then global, and the
+/// model turns every seed off at once. Every burnable lit cell must still
+/// be written at `t0` and lie inside `written_ranges`; all three arenas
+/// are reused dirty throughout.
 #[test]
 fn frontier_seeded_kernels_match_the_all_seeds_heap_on_burned_masks() {
     use firelib::combustion::standard_beds;
     use firelib::sim::Kernel;
     use landscape::{FireLine, Grid};
     let beds = standard_beds();
+    let mut switched_off = 0;
     for seed in 0..CASES / 2 {
         let mut rng = StdRng::seed_from_u64(0xF207 + seed);
         let (rows, cols) = (rng.random_range(9..26usize), rng.random_range(9..30usize));
         // Each layer present or absent, so all three table modes occur.
         let mut terrain = Terrain::uniform(rows, cols, 60.0 + rng.random::<f64>() * 80.0);
-        if rng.random_bool(0.7) {
+        if seed % 4 != 0 && rng.random_bool(0.7) {
             let fuel = Grid::from_fn(rows, cols, |_, _| rng.random_range(0..14u32) as u8);
             terrain = terrain.with_fuel(fuel);
         }
@@ -597,7 +603,6 @@ fn frontier_seeded_kernels_match_the_all_seeds_heap_on_burned_masks() {
             terrain = terrain.with_wind(speed, dir);
         }
         let s = scenario(&mut rng);
-        let burns = |r: usize, c: usize| beds[terrain.fuel_at(r, c, s.model) as usize].burnable;
         let mut ignition = FireLine::empty(rows, cols);
         ignition.set_burned(rng.random_range(0..rows), 0, true);
         ignition.set_burned(rows - 1, rng.random_range(0..cols), true);
@@ -607,6 +612,11 @@ fn frontier_seeded_kernels_match_the_all_seeds_heap_on_burned_masks() {
             20.0 + rng.random::<f64>() * 200.0,
             10.0 + rng.random::<f64>() * 120.0,
         );
+        let no_fuel = Scenario { model: 0, ..s };
+        let scenarios = [s, scenario(&mut rng), scenario(&mut rng), no_fuel];
+        let burns = |sc: &Scenario, r: usize, c: usize| {
+            beds[terrain.fuel_at(r, c, sc.model) as usize].burnable
+        };
 
         let sim = FireSim::new(terrain.clone());
         let t1 = t0 + d1;
@@ -627,36 +637,174 @@ fn frontier_seeded_kernels_match_the_all_seeds_heap_on_burned_masks() {
             tile: 1 + seed as usize % 7,
             workers: 2,
         };
+        let bits = |m: &landscape::IgnitionMap| -> Vec<u64> {
+            m.grid().as_slice().iter().map(|t| t.to_bits()).collect()
+        };
         for (what, line) in [("mask", &burned), ("hull", &hull), ("all", &all)] {
-            let what = format!("seed {seed} ({rows}x{cols}), {what}");
-            let bits = |m: &landscape::IgnitionMap| -> Vec<u64> {
-                m.grid().as_slice().iter().map(|t| t.to_bits()).collect()
-            };
-            let reference =
-                bits(sim.simulate_arena_kernel(&s, line, t1, d2, &mut heap_arena, Kernel::Heap));
-            for (kernel, arena) in [
-                (Kernel::Bucket, &mut bucket_arena),
-                (tiled, &mut tiled_arena),
-            ] {
-                let map = sim.simulate_arena_kernel(&s, line, t1, d2, arena, kernel);
-                assert_eq!(reference, bits(map), "{what}: {kernel} diverged");
-                let mut reported = vec![false; rows * cols];
-                for range in arena.written_ranges() {
-                    reported[range].fill(true);
+            let seeds = sim.seeds(line);
+            for (k, sc) in scenarios.iter().enumerate() {
+                let what = format!("seed {seed} ({rows}x{cols}), {what}, scenario {k}");
+                let reference = bits(sim.simulate_arena_kernel(
+                    sc,
+                    line,
+                    t1,
+                    d2,
+                    &mut heap_arena,
+                    Kernel::Heap,
+                ));
+                let heap =
+                    sim.simulate_arena_seeded(sc, &seeds, t1, d2, &mut heap_arena, Kernel::Heap);
+                assert_eq!(
+                    reference,
+                    bits(heap),
+                    "{what}: resolved seeds moved the heap"
+                );
+                let any_burns = line.burned_cells().iter().any(|&(r, c)| burns(sc, r, c));
+                if terrain.fuel_layer().is_none() && !any_burns {
+                    assert!(
+                        reference.iter().all(|&t| t == UNIGNITED.to_bits()),
+                        "{what}"
+                    );
+                    switched_off += 1;
                 }
-                for (r, c) in line.burned_cells() {
-                    let t = arena.map().time(r, c);
-                    if burns(r, c) {
-                        assert_eq!(t, t1, "{what}: {kernel} lost seed ({r},{c})");
-                    } else {
-                        assert_eq!(t, UNIGNITED, "{what}: {kernel} lit rock ({r},{c})");
+                for (kernel, arena) in [
+                    (Kernel::Bucket, &mut bucket_arena),
+                    (tiled, &mut tiled_arena),
+                ] {
+                    let per_call = sim.simulate_arena_kernel(sc, line, t1, d2, arena, kernel);
+                    assert_eq!(reference, bits(per_call), "{what}: {kernel} diverged");
+                    let map = sim.simulate_arena_seeded(sc, &seeds, t1, d2, arena, kernel);
+                    assert_eq!(reference, bits(map), "{what}: {kernel} from resolved seeds");
+                    let mut reported = vec![false; rows * cols];
+                    for range in arena.written_ranges() {
+                        reported[range].fill(true);
+                    }
+                    for (r, c) in line.burned_cells() {
+                        let t = arena.map().time(r, c);
+                        if burns(sc, r, c) {
+                            assert_eq!(t, t1, "{what}: {kernel} lost seed ({r},{c})");
+                            assert!(
+                                reported[r * cols + c],
+                                "{what}: {kernel} hid seed ({r},{c})"
+                            );
+                        } else {
+                            assert_eq!(t, UNIGNITED, "{what}: {kernel} lit rock ({r},{c})");
+                        }
+                    }
+                    for ((r, c), &t) in arena.map().grid().iter_cells() {
+                        assert!(
+                            t == UNIGNITED || reported[r * cols + c],
+                            "{what}: {kernel} wrote ({r},{c}) outside written_ranges"
+                        );
                     }
                 }
-                for ((r, c), &t) in arena.map().grid().iter_cells() {
+            }
+        }
+    }
+    assert!(
+        switched_off > 0,
+        "no run had its seeds switched off by the model"
+    );
+}
+
+/// A pop reads its neighbours through flat index steps in the interior and
+/// through the bounds-checked path on the raster border; both must relax
+/// exactly as the reference heap does. Rasters with no interior at all (one
+/// row, one column, two rows or columns), with one interior cell (3×3) and
+/// with plenty, each ignited at every corner and edge midpoint, on all four
+/// corners at once, along the whole border ring and — where there is room —
+/// from a dense interior blob; uniform and fully layered terrains, bucket
+/// and tiled against the heap, exact bits, arenas reused dirty.
+#[test]
+fn border_and_interior_relaxations_match_the_heap() {
+    use firelib::sim::Kernel;
+    use landscape::{FireLine, Grid};
+    let shapes = [
+        (1usize, 23usize),
+        (19, 1),
+        (2, 17),
+        (15, 2),
+        (3, 3),
+        (3, 14),
+        (13, 11),
+        (24, 31),
+    ];
+    for (i, &(rows, cols)) in shapes.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(0xB0DE + i as u64);
+        let fuel = Grid::from_fn(rows, cols, |_, _| {
+            [1u8, 2, 4, 10, 0][rng.random_range(0..5usize)]
+        });
+        let slope = Grid::from_fn(rows, cols, |_, _| rng.random::<f64>() * 40.0);
+        let speed = Grid::from_fn(rows, cols, |_, _| 0.25 + rng.random::<f64>() * 1.75);
+        let dir = Grid::from_fn(rows, cols, |_, _| (rng.random::<f64>() - 0.5) * 90.0);
+        let terrains = [
+            Terrain::uniform(rows, cols, 80.0),
+            Terrain::uniform(rows, cols, 80.0)
+                .with_fuel(fuel)
+                .with_slope(slope)
+                .with_wind(speed, dir),
+        ];
+        let (r1, c1) = (rows - 1, cols - 1);
+        let points = [
+            (0, 0),
+            (0, c1),
+            (r1, 0),
+            (r1, c1),
+            (0, cols / 2),
+            (r1, cols / 2),
+            (rows / 2, 0),
+            (rows / 2, c1),
+        ];
+        let mut lines: Vec<FireLine> = points
+            .iter()
+            .map(|&p| FireLine::from_cells(rows, cols, &[p]))
+            .collect();
+        lines.push(FireLine::from_cells(rows, cols, &points[..4]));
+        lines.push(FireLine::from_mask(Grid::from_fn(rows, cols, |r, c| {
+            r == 0 || c == 0 || r == r1 || c == c1
+        })));
+        if rows >= 5 && cols >= 5 {
+            lines.push(FireLine::from_mask(Grid::from_fn(rows, cols, |r, c| {
+                (rows / 3..=2 * rows / 3).contains(&r) && (cols / 3..=2 * cols / 3).contains(&c)
+            })));
+        }
+        let scenarios = [scenario(&mut rng), scenario(&mut rng)];
+        let duration = 30.0 + rng.random::<f64>() * 300.0;
+        let bits = |m: &landscape::IgnitionMap| -> Vec<u64> {
+            m.grid().as_slice().iter().map(|t| t.to_bits()).collect()
+        };
+        for (k, terrain) in terrains.into_iter().enumerate() {
+            let sim = FireSim::new(terrain);
+            let mut heap_arena = sim.arena();
+            let mut bucket_arena = sim.arena();
+            let mut tiled_arena = sim.arena();
+            let tiled = Kernel::Tiled {
+                tile: 1 + i % 3,
+                workers: 2,
+            };
+            for (l, line) in lines.iter().enumerate() {
+                for (j, s) in scenarios.iter().enumerate() {
+                    let what = format!("{rows}x{cols} terrain {k}, line {l}, scenario {j}");
+                    let reference = bits(sim.simulate_arena_kernel(
+                        s,
+                        line,
+                        5.0,
+                        duration,
+                        &mut heap_arena,
+                        Kernel::Heap,
+                    ));
+                    // Firebreaks may sit under a layered terrain's ignition.
                     assert!(
-                        t == UNIGNITED || reported[r * cols + c],
-                        "{what}: {kernel} wrote ({r},{c}) outside written_ranges"
+                        k == 1 || reference.iter().any(|&t| t == 5.0f64.to_bits()),
+                        "{what}: no seed burned"
                     );
+                    for (kernel, arena) in [
+                        (Kernel::Bucket, &mut bucket_arena),
+                        (tiled, &mut tiled_arena),
+                    ] {
+                        let map = sim.simulate_arena_kernel(s, line, 5.0, duration, arena, kernel);
+                        assert_eq!(reference, bits(map), "{what}: {kernel} diverged");
+                    }
                 }
             }
         }

@@ -347,6 +347,11 @@ impl<'a> Observed<'a> {
         self.real_new
     }
 
+    /// Cells of `preburn` — what Eq. (3) leaves out.
+    pub fn preburned(&self) -> usize {
+        self.preburned
+    }
+
     /// Takes the two counts from a caller that already holds them (a step
     /// context counts them once per case): `real_new` cells of `real ∧
     /// ¬preburn`, `preburned` cells of `preburn`.

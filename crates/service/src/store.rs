@@ -164,8 +164,9 @@ mod tests {
     }
 
     /// Heap bytes of the rasters a resident case keeps alive, plus the
-    /// lit-cell list of every interval's start line (one `u32` per burned
-    /// cell) — step contexts are views of the case, so nothing else of a
+    /// lit cells of every interval's start line (one `u32` per burned cell,
+    /// which bounds its seed list; the front, a subset of the seeds, is not
+    /// counted) — step contexts are views of the case, so nothing else of a
     /// fire line is ever resident.
     fn raster_bytes(case: &BurnCase) -> usize {
         let terrain = case.sim.terrain();
