@@ -276,8 +276,9 @@ fn gen_envelope(rng: &mut StdRng) -> String {
             r#"{{"v":2,"id":{id},"kind":"run","watch":"yes","spec":{{"system":"ESS","case":"meadow_small"}}}}"#
         ),
         6 => {
-            // A checkpoint whose one completed step carries a `kign` that
-            // may or may not be a probability.
+            // A checkpoint whose one completed step carries a `kign`, a
+            // `generations` count and billed times that may or may not be
+            // in range.
             const KIGNS: &[&str] = &[
                 "0.5",
                 "0",
@@ -287,9 +288,13 @@ fn gen_envelope(rng: &mut StdRng) -> String {
                 "1.0000000000000002",
                 "1e308",
             ];
+            const GENERATIONS: &[&str] = &["3", "4294967295", "4294967296", "9007199254740992"];
+            const MILLIS: &[&str] = &["1.5", "0", "-0.5", "-1e308", "1e999"];
+            let mut pick = |values: &[&'static str]| values[rng.random_range(0..values.len())];
+            let (kign, generations) = (pick(KIGNS), pick(GENERATIONS));
+            let (driven_ms, wall_ms) = (pick(MILLIS), pick(MILLIS));
             format!(
-                r#"{{"v":2,"id":{id},"kind":"restore","snapshot":{{"format":"ess-session-snapshot/2","spec":{{"system":"ESS","case":"meadow_small","seed":7,"replicates":1,"scale":0.1,"max_steps":2}},"replicate":0,"driven_ms":1.5,"steps":[{{"step":1,"quality":null,"kign":{},"calibration_fitness":0.5,"os_best_fitness":0.5,"diversity":{{"mean_pairwise":0.1,"mean_gene_std":0.1,"distinct":4,"size":4}},"evaluations":40,"generations":3,"wall_ms":1.5}}]}}}}"#,
-                KIGNS[rng.random_range(0..KIGNS.len())]
+                r#"{{"v":2,"id":{id},"kind":"restore","snapshot":{{"format":"ess-session-snapshot/2","spec":{{"system":"ESS","case":"meadow_small","seed":7,"replicates":1,"scale":0.1,"max_steps":2}},"replicate":0,"driven_ms":{driven_ms},"steps":[{{"step":1,"quality":null,"kign":{kign},"calibration_fitness":0.5,"os_best_fitness":0.5,"diversity":{{"mean_pairwise":0.1,"mean_gene_std":0.1,"distinct":4,"size":4}},"evaluations":40,"generations":{generations},"wall_ms":{wall_ms}}}]}}}}"#
             )
         }
         _ => format!(
@@ -306,9 +311,11 @@ fn gen_envelope(rng: &mut StdRng) -> String {
 /// `false` would unsubscribe the client). A decoded `restore` is also
 /// restored: whatever the checkpoint says, that answers `Ok` or `Err`, and
 /// never `Ok` with a carried `kign` the next step's Prediction Stage would
-/// panic on. And whatever string a spec names as its system, the
-/// registry's allocation-free lookup answers as the plain one would: a hit
-/// is the row whose name, lower-cased with `_` read as `-`, is the string's.
+/// panic on, a negative or infinite billed time, or a `generations` count
+/// other than the one sent. And whatever string a spec names as its
+/// system, the registry's allocation-free lookup answers as the plain one
+/// would: a hit is the row whose name, lower-cased with `_` read as `-`,
+/// is the string's.
 ///
 /// # Errors
 /// A description of the first panic or contract violation, with the
@@ -343,9 +350,26 @@ pub fn fuzz_envelopes(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
                 }
             }
             if let Ok(RequestKind::Restore { snapshot, .. }) = &kind {
-                let in_range = |s: &ess::pipeline::StepReport| (0.0..=1.0).contains(&s.kign);
-                if snapshot.restore().is_ok() && !snapshot.steps().iter().all(in_range) {
-                    return Err("a 'kign' outside [0, 1] was restored");
+                if let Ok(session) = snapshot.restore() {
+                    let steps = session.steps();
+                    if !steps.iter().all(|s| (0.0..=1.0).contains(&s.kign)) {
+                        return Err("a 'kign' outside [0, 1] was restored");
+                    }
+                    let billed = |ms: f64| ms.is_finite() && ms >= 0.0;
+                    let report = session.report();
+                    if !(billed(report.total_ms) && steps.iter().all(|s| billed(s.wall_ms))) {
+                        return Err("a negative or infinite billed time was restored");
+                    }
+                    let sent = doc
+                        .get("snapshot")
+                        .and_then(|s| s.get("steps"))
+                        .and_then(Json::as_arr)
+                        .unwrap_or_default()
+                        .iter()
+                        .map(|s| s.get("generations").and_then(Json::as_u64));
+                    if !sent.eq(steps.iter().map(|s| Some(u64::from(s.generations)))) {
+                        return Err("a 'generations' count other than the one sent was restored");
+                    }
                 }
             }
             let watched = matches!(

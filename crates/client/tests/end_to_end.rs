@@ -1,27 +1,15 @@
 //! End-to-end protocol v2: a typed [`Client`] driving a real serve loop
 //! in another thread over in-memory pipes — submit, stream, checkpoint,
-//! kill, resume, and verify the resumed session's final report matches an
-//! uninterrupted run of the same spec bit for bit (deterministic fields).
+//! kill and resume. That the resumed run's `done` frame is the
+//! uninterrupted run's is the wire column of `tests/conformance.rs`.
 
 use ess::fitness::EvalBackend;
 use ess_client::{pipe, Client};
-use ess_service::proto::{DoneFrame, Frame};
+use ess_service::proto::Frame;
 use ess_service::serve::serve_with;
 use ess_service::{PolicyKind, RunSpec};
 use std::io::BufReader;
 use std::thread;
-
-/// The deterministic fields of a done frame (wall time excluded).
-fn fingerprint(d: &DoneFrame) -> (String, String, String, usize, u64, u64) {
-    (
-        d.status.clone(),
-        d.system.clone(),
-        d.case.clone(),
-        d.steps,
-        d.mean_quality.to_bits(),
-        d.total_evaluations,
-    )
-}
 
 fn spawn_server(
     policy: PolicyKind,
@@ -43,26 +31,11 @@ fn spawn_server(
 }
 
 #[test]
-fn kill_and_resume_matches_the_uninterrupted_run() {
+fn kill_and_resume_continues_where_the_checkpoint_stopped() {
     let (mut client, server) = spawn_server(PolicyKind::RoundRobin);
     let spec = RunSpec::new("ESS-NS", "meadow_small").seed(5).scale(0.2);
 
-    // Reference: the same spec, never interrupted.
-    let reference_ids = client.run(&spec, true).expect("reference accepted");
-    assert_eq!(reference_ids.len(), 1);
-    client.drain().expect("reference drains");
-    let reference: Vec<DoneFrame> = client
-        .take_events()
-        .into_iter()
-        .filter_map(|f| match f {
-            Frame::Done(d) => Some(d),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(reference.len(), 1);
-    assert_eq!(reference[0].status, "finished");
-
-    // Interrupted: advance a little, checkpoint, kill, resume, drain.
+    // Advance a little, checkpoint, kill, resume, drain.
     let ids = client.run(&spec, true).expect("accepted");
     let (ran, live) = client.advance(2).expect("advance");
     assert_eq!(ran, 2);
@@ -75,56 +48,41 @@ fn kill_and_resume_matches_the_uninterrupted_run() {
     client.drain().expect("drain");
 
     let events = client.take_events();
-    let done: Vec<&DoneFrame> = events
+    let done: Vec<&str> = events
         .iter()
         .filter_map(|f| match f {
-            Frame::Done(d) if d.session == resumed => Some(d),
+            Frame::Done(d) if d.session == resumed => Some(d.status.as_str()),
             _ => None,
         })
         .collect();
-    assert_eq!(done.len(), 1, "exactly one terminal frame for the resume");
     assert_eq!(
-        fingerprint(done[0]),
-        fingerprint(&reference[0]),
-        "resumed run diverged from the uninterrupted reference"
+        done,
+        ["finished"],
+        "exactly one terminal frame for the resume"
     );
 
-    // Progress frames streamed for the watched sessions, with cumulative
-    // evaluation counters.
-    let progress: Vec<(u64, usize, u64)> = events
+    // The watched resume streams progress from the checkpointed step on,
+    // not from scratch.
+    let resumed_steps: Vec<usize> = events
         .iter()
         .filter_map(|f| match f {
-            Frame::Progress {
-                session,
-                step,
-                evaluations,
-                ..
-            } => Some((*session, *step, *evaluations)),
+            Frame::Progress { session, step, .. } if *session == resumed => Some(*step),
             _ => None,
         })
         .collect();
-    assert!(
-        !progress.is_empty(),
-        "watched sessions must stream progress"
-    );
-    let resumed_steps: Vec<usize> = progress
-        .iter()
-        .filter(|(s, _, _)| *s == resumed)
-        .map(|(_, step, _)| *step)
-        .collect();
     assert_eq!(
-        resumed_steps.first().copied(),
-        Some(3),
-        "resume continues at the checkpointed step, not from scratch"
+        resumed_steps,
+        [3],
+        "resume continues at the checkpointed step"
     );
 
     client.quit().expect("quit");
     let summary = server.join().expect("server thread").expect("serve I/O");
-    assert_eq!(summary.accepted, 3);
+    assert_eq!(summary.accepted, 2);
     assert_eq!(summary.restored, 1);
     assert_eq!(summary.snapshots, 1);
     assert_eq!(summary.cancelled, 1);
-    assert_eq!(summary.finished, 2);
+    assert_eq!(summary.finished, 1);
 }
 
 #[test]

@@ -17,9 +17,9 @@
 //! Sessions are deterministic given their spec and seed — per-step seeds
 //! depend only on the session's own seed stream, never on scheduling
 //! order — so every policy produces bit-identical per-session reports;
-//! policies change *latency and fairness*, not results.
-//! `tests/scheduler.rs` asserts exactly that, at the scheduler and at the
-//! wire.
+//! policies change *latency and fairness*, not results. The fleet column
+//! of the workspace's `tests/conformance.rs` asserts exactly that on every
+//! backend, and its wire column again over the protocol.
 
 use crate::scheduler::SessionId;
 use std::fmt;

@@ -9,8 +9,8 @@
 //! last step report. Restoring therefore replays the exact seed stream the
 //! uninterrupted run would have used: the remaining steps, and the final
 //! `RunReport`'s deterministic fields, are **bit-identical** to never
-//! having stopped (`crates/service/tests/snapshot_resume.rs` pins this for
-//! all four paper systems).
+//! having stopped (the checkpoint column of `tests/conformance.rs` pins
+//! this at every step of every paper system and a §IV variant row).
 //!
 //! Snapshots round-trip through [`crate::jsonio`]
 //! ([`SessionSnapshot::to_json`] / [`SessionSnapshot::from_json`]), so the
@@ -137,10 +137,7 @@ impl SessionSnapshot {
             v.get("replicate")
                 .and_then(Json::as_u64)
                 .ok_or("snapshot needs a non-negative 'replicate' integer")? as usize;
-        let driven_ms = v
-            .get("driven_ms")
-            .and_then(Json::as_f64)
-            .ok_or("snapshot needs a numeric 'driven_ms'")?;
+        let driven_ms = billed_ms(v, "driven_ms", "snapshot")?;
         let steps = v
             .get("steps")
             .and_then(Json::as_arr)
@@ -226,11 +223,19 @@ pub(crate) fn step_from_json(v: &Json) -> Result<StepReport, String> {
             .ok_or("step report needs a non-negative 'evaluations' integer")?,
         generations: v
             .get("generations")
-            .and_then(Json::as_u64)
-            .ok_or("step report needs a non-negative 'generations' integer")?
-            as u32,
-        wall_ms: num("wall_ms")?,
+            .and_then(|g| u32::try_from(g.as_u64()?).ok())
+            .ok_or("step report needs a 'generations' integer in 0..=4294967295")?,
+        wall_ms: billed_ms(v, "wall_ms", "step report")?,
     })
+}
+
+/// A billed wall time: a finite, non-negative number of milliseconds —
+/// it is summed into the `done` frame's `wall_ms`.
+fn billed_ms(v: &Json, key: &str, owner: &str) -> Result<f64, String> {
+    v.get(key)
+        .and_then(Json::as_f64)
+        .filter(|ms| ms.is_finite() && *ms >= 0.0)
+        .ok_or_else(|| format!("{owner} needs a finite, non-negative '{key}'"))
 }
 
 #[cfg(test)]
@@ -271,15 +276,22 @@ mod tests {
         assert_eq!(reparsed, snapshot, "pretty round trip");
     }
 
+    /// The member `key` of object `doc`.
+    fn member<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+        match doc {
+            Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            other => panic!("not an object: {other}"),
+        }
+    }
+
     #[test]
     fn malformed_snapshots_name_the_offending_member() {
-        let good = RunSpec::new("ESS", "meadow_small")
-            .max_steps(1)
+        let mut session = RunSpec::new("ESS", "meadow_small")
+            .scale(0.15)
             .session()
-            .expect("session")
-            .snapshot()
-            .expect("snapshot")
-            .to_json();
+            .expect("session");
+        session.advance();
+        let good = session.snapshot().expect("snapshot").to_json();
         for (mutate, needle) in [
             (r#"{"format":"bogus/9"}"#, "unsupported snapshot format"),
             (
@@ -294,14 +306,27 @@ mod tests {
         }
         // A hand-corrupted steps array is rejected, not trusted.
         let mut broken = good.clone();
-        if let Json::Obj(pairs) = &mut broken {
-            for (k, v) in pairs.iter_mut() {
-                if k == "steps" {
-                    *v = Json::Arr(vec![Json::obj().field("step", 1u64)]);
-                }
-            }
-        }
+        *member(&mut broken, "steps") = Json::Arr(vec![Json::obj().field("step", 1u64)]);
         assert!(SessionSnapshot::from_json(&broken).is_err());
+        // Out-of-range members are rejected by name, not truncated or
+        // billed: a `generations` past u32 (JSON carries integers to
+        // 2^53) and negative or infinite billed time.
+        for (in_step, key, value) in [
+            (true, "generations", 4_294_967_296.0),
+            (false, "driven_ms", -1.0),
+            (false, "driven_ms", f64::INFINITY),
+            (true, "wall_ms", -0.5),
+            (true, "wall_ms", f64::INFINITY),
+        ] {
+            let mut bad = good.clone();
+            let owner = match member(&mut bad, "steps") {
+                Json::Arr(steps) if in_step => &mut steps[0],
+                _ => &mut bad,
+            };
+            *member(owner, key) = Json::Num(value);
+            let err = SessionSnapshot::from_json(&bad).expect_err(key);
+            assert!(err.contains(&format!("'{key}'")), "{key} = {value}: {err}");
+        }
     }
 
     #[test]

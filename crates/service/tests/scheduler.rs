@@ -1,77 +1,21 @@
-//! Scheduler fairness/soundness: many sessions on one shared worker pool
-//! all finish, produce exactly the reports of serial runs, interleave
-//! fairly, and survive mid-flight cancellation without deadlock — under
-//! every scheduling policy.
+//! Scheduler behaviour: many sessions on one shared worker pool all
+//! finish, interleave fairly, honour weights, and survive mid-flight
+//! cancellation without deadlock — under every scheduling policy. That
+//! they also reproduce their serial runs bit for bit is the fleet column
+//! of `tests/conformance.rs`.
 
-use ess::fitness::{EvalBackend, SharedScenarioPool};
-use ess::pipeline::StepReport;
-use ess_service::jsonio::Json;
-use ess_service::proto::{Frame, Request, RequestKind};
+use ess::fitness::EvalBackend;
+use ess_service::proto::{Request, RequestKind};
 use ess_service::{
-    serve_configured, systems, DrainSignal, PolicyKind, RunSpec, Scheduler, ServeSummary,
-    SessionEvent, SessionOutcome,
+    serve_configured, DrainSignal, PolicyKind, RunSpec, Scheduler, ServeSummary, SessionEvent,
+    SessionOutcome,
 };
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 const CASE: &str = "meadow_small";
 const SCALE: f64 = 0.25;
 
-fn fingerprint(s: &StepReport) -> (usize, Option<f64>, f64, f64, u64) {
-    (s.step, s.quality, s.kign, s.os_best_fitness, s.evaluations)
-}
-
 fn spec_for(system: &str, seed: u64) -> RunSpec {
     RunSpec::new(system, CASE).scale(SCALE).seed(seed)
-}
-
-#[test]
-fn eight_concurrent_sessions_match_their_serial_runs() {
-    // 4 systems × 2 replicates multiplexed over one 2-worker pool.
-    let mut scheduler = Scheduler::new(EvalBackend::WorkerPool(2));
-    let mut submitted = Vec::new();
-    for system in systems::all() {
-        let ids = scheduler
-            .submit(&spec_for(system.name, 21).replicates(2))
-            .expect("spec resolves");
-        assert_eq!(ids.len(), 2);
-        for (replicate, id) in ids.into_iter().enumerate() {
-            submitted.push((id, system.name, replicate));
-        }
-    }
-    assert_eq!(scheduler.live_count(), 8);
-
-    let outcomes = scheduler.drain().to_vec();
-    assert_eq!(outcomes.len(), 8);
-    assert!(outcomes.iter().all(|(_, o)| o.is_finished()));
-
-    // Each scheduled run must equal the same replicate run on a serial
-    // pool of its own (`sessions_on` builds per-replicate seeds the same
-    // way whatever the pool).
-    for (id, system, replicate) in submitted {
-        let serial = spec_for(system, 21)
-            .replicates(2)
-            .sessions_on(&Arc::new(SharedScenarioPool::new(EvalBackend::Serial)))
-            .expect("spec resolves")
-            .remove(replicate)
-            .drain()
-            .expect("serial run finishes");
-        let outcome = &outcomes
-            .iter()
-            .find(|(oid, _)| *oid == id)
-            .expect("outcome present")
-            .1;
-        let shared = outcome.report();
-        assert_eq!(shared.system, system);
-        assert_eq!(shared.steps.len(), serial.steps.len());
-        for (a, b) in shared.steps.iter().zip(&serial.steps) {
-            assert_eq!(
-                fingerprint(a),
-                fingerprint(b),
-                "{system} replicate {replicate} diverged on the shared pool"
-            );
-        }
-    }
 }
 
 #[test]
@@ -103,7 +47,7 @@ fn rounds_are_fair_one_step_per_live_session() {
 }
 
 #[test]
-fn cancelling_mid_flight_neither_deadlocks_nor_perturbs_peers() {
+fn cancelling_mid_flight_neither_deadlocks_nor_stops_the_peer() {
     let mut scheduler = Scheduler::new(EvalBackend::WorkerPool(2));
     let victim = scheduler.submit(&spec_for("ESS", 9)).expect("ok")[0];
     let survivor = scheduler.submit(&spec_for("ESS-NS", 9)).expect("ok")[0];
@@ -126,12 +70,6 @@ fn cancelling_mid_flight_neither_deadlocks_nor_perturbs_peers() {
     }
     let survivor_outcome = &outcomes.iter().find(|(id, _)| *id == survivor).unwrap().1;
     assert!(survivor_outcome.is_finished());
-
-    // The survivor still matches its serial run exactly.
-    let serial = spec_for("ESS-NS", 9).run().expect("serial run");
-    for (a, b) in survivor_outcome.report().steps.iter().zip(&serial.steps) {
-        assert_eq!(fingerprint(a), fingerprint(b));
-    }
 }
 
 #[test]
@@ -174,51 +112,10 @@ fn drain_callback_can_cancel_a_session_mid_drain() {
         other => panic!("victim reported {other:?}"),
     }
 
-    // Remaining sessions are unaffected: both finish and match serial.
+    // The remaining sessions both finish.
     for (id, system) in [(bystander, "ESS-NS"), (trigger, "ESSIM-EA")] {
         let outcome = &outcomes.iter().find(|(oid, _)| *oid == id).unwrap().1;
         assert!(outcome.is_finished(), "{system} must finish");
-        let serial = spec_for(system, 31).run().expect("serial run");
-        for (a, b) in outcome.report().steps.iter().zip(&serial.steps) {
-            assert_eq!(fingerprint(a), fingerprint(b), "{system} perturbed");
-        }
-    }
-}
-
-#[test]
-fn every_policy_produces_identical_reports() {
-    let run_under = |policy: PolicyKind| {
-        let mut scheduler = Scheduler::with_policy(EvalBackend::WorkerPool(2), policy);
-        for (i, system) in systems::all().iter().enumerate() {
-            scheduler
-                .submit(
-                    &spec_for(system.name, 40 + i as u64)
-                        .weight(1.0 + i as f64)
-                        .deadline_ms(600_000),
-                )
-                .expect("spec resolves");
-        }
-        let mut outcomes: Vec<_> = scheduler
-            .drain()
-            .iter()
-            .map(|(_, o)| {
-                let r = o.report();
-                (
-                    r.system,
-                    r.steps.iter().map(fingerprint).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        outcomes.sort_by_key(|(system, _)| *system);
-        outcomes
-    };
-    let reference = run_under(PolicyKind::RoundRobin);
-    for policy in [PolicyKind::WeightedFairShare, PolicyKind::DeadlineFirst] {
-        assert_eq!(
-            run_under(policy),
-            reference,
-            "{policy} changed results — policies must only reorder work"
-        );
     }
 }
 
@@ -298,14 +195,13 @@ fn serve_protocol_self_test_passes_on_a_shared_pool() {
         .map(|(kind, id)| format!("{}\n", Request { id, kind }.to_json()))
         .collect();
     // The identical script under every policy, fused and unfused: the
-    // scheduler may reorder frames, never change a session's result.
-    let mut reference = None;
+    // scheduler may reorder frames, never change how many sessions end
+    // which way.
     for policy in PolicyKind::ALL {
         for fused in [false, true] {
-            let mut transcript = Vec::new();
             let summary = serve_configured(
                 script.as_bytes(),
-                &mut transcript,
+                &mut Vec::new(),
                 EvalBackend::WorkerPool(2),
                 policy,
                 fused,
@@ -323,39 +219,6 @@ fn serve_protocol_self_test_passes_on_a_shared_pool() {
                 },
                 "{policy} fused={fused}"
             );
-            // Every line of the transcript is a v2 frame; the `done`
-            // frames carry each session's deterministic fingerprint.
-            let text = String::from_utf8(transcript).expect("utf-8 protocol");
-            let mut done = BTreeMap::new();
-            for line in text.lines() {
-                let json = Json::parse(line).expect("valid JSON line");
-                let frame = Frame::from_json(&json)
-                    .unwrap_or_else(|e| panic!("not a v2 frame: {line} ({e})"));
-                if let Frame::Done(d) = frame {
-                    let bits = d.mean_quality.to_bits();
-                    done.insert(
-                        d.session,
-                        (
-                            d.status,
-                            d.system,
-                            d.case,
-                            d.steps,
-                            bits,
-                            d.total_evaluations,
-                        ),
-                    );
-                }
-            }
-            // Session 8 was cancelled before it ran: a `cancelled` reply,
-            // no `done` frame.
-            assert_eq!(done.len(), 7, "{policy} fused={fused}");
-            match &reference {
-                None => reference = Some(done),
-                Some(expected) => assert_eq!(
-                    expected, &done,
-                    "{policy} fused={fused} changed a session's result"
-                ),
-            }
         }
     }
 }

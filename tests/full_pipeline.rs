@@ -1,5 +1,7 @@
 //! End-to-end integration: every system through the full prediction
-//! pipeline (Figs. 1–3 dataflow) on a small burn case.
+//! pipeline (Figs. 1–3 dataflow) on a small burn case. That a run is the
+//! same on every backend, and again on the same seed, is
+//! `tests/conformance.rs`.
 
 use essns_repro::ess::cases;
 use essns_repro::ess::fitness::EvalBackend;
@@ -50,48 +52,6 @@ fn every_system_completes_a_prediction_run() {
             assert!(s.diversity.size > 0, "{}: empty result set", report.system);
         }
     }
-}
-
-#[test]
-fn pipeline_deterministic_per_seed_for_every_system() {
-    let case = cases::tiny_test_case();
-    for make in [0usize, 1, 2, 3] {
-        let run = |seed: u64| {
-            let mut sys = all_systems().remove(make);
-            let r = PredictionPipeline::new(EvalBackend::Serial, seed).run(&case, sys.as_mut());
-            r.steps
-                .iter()
-                .map(|s| (s.quality.map(f64::to_bits), s.kign.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(9), run(9), "system #{make} not deterministic");
-    }
-}
-
-#[test]
-fn backends_produce_identical_predictions() {
-    // The parallel backends must not change results, only wall time
-    // (evaluation is pure; the master's RNG stream is untouched).
-    let case = cases::tiny_test_case();
-    let quality_with = |backend| {
-        let mut sys = EssNs::baseline();
-        let r = PredictionPipeline::new(backend, 31).run(&case, &mut sys);
-        r.steps
-            .iter()
-            .map(|s| (s.quality.map(f64::to_bits), s.kign.to_bits()))
-            .collect::<Vec<_>>()
-    };
-    let serial = quality_with(EvalBackend::Serial);
-    assert_eq!(
-        serial,
-        quality_with(EvalBackend::WorkerPool(2)),
-        "master-worker diverged"
-    );
-    assert_eq!(
-        serial,
-        quality_with(EvalBackend::Rayon(2)),
-        "rayon diverged"
-    );
 }
 
 #[test]
