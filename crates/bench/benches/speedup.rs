@@ -2,14 +2,16 @@
 //! the unified evaluation layer: serial, the channel Master/Worker farm,
 //! and work stealing. The three produce bit-identical fitness vectors, so
 //! this isolates pure scheduling cost. Each backend is one pool built
-//! before the loop and kept up across batches, as every run does. (The
-//! harness writes exact artifacts only; E3 lives here and in
-//! `examples/parallel_scaling.rs`.)
+//! before the loop and kept up across batches, as every run does. Timing
+//! goes straight to the pool, not through a `ScenarioEvaluator`: an
+//! evaluator answers a genome it has scored from its table, so a repeated
+//! batch would time lookups, not simulations. (The harness writes exact
+//! artifacts only; E3 lives here and in `examples/parallel_scaling.rs`.)
 
 use ess::cases;
-use ess::fitness::{EvalBackend, ScenarioEvaluator};
+use ess::fitness::{EvalBackend, SharedScenarioPool};
 use ess_benches::microbench::{bench, group};
-use evoalg::BatchEvaluator;
+use evoalg::GenomeMatrix;
 use firelib::ScenarioSpace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,9 +21,10 @@ fn main() {
     let case = cases::chaparral_slope();
     let ctx = Arc::new(case.step_context(1));
     let mut rng = StdRng::seed_from_u64(11);
-    let batch: Vec<Vec<f64>> = (0..64)
+    let rows: Vec<Vec<f64>> = (0..64)
         .map(|_| ScenarioSpace.sample_genes(&mut rng).to_vec())
         .collect();
+    let batch = GenomeMatrix::from_rows(&rows);
 
     group("eval_backends (64 scenarios/batch)");
     let mut reference: Option<Vec<u64>> = None;
@@ -30,13 +33,13 @@ fn main() {
         EvalBackend::WorkerPool(2),
         EvalBackend::Rayon(2),
     ] {
-        let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), backend);
-        let fitness = evaluator.evaluate(&batch);
+        let pool = SharedScenarioPool::new(backend);
+        let fitness = pool.evaluate_matrix(&ctx, &batch);
         let bits: Vec<u64> = fitness.iter().map(|f| f.to_bits()).collect();
         match &reference {
             None => reference = Some(bits),
             Some(r) => assert_eq!(r, &bits, "{backend} diverged from serial"),
         }
-        bench(&backend.name(), 10, || evaluator.evaluate(&batch));
+        bench(&backend.name(), 10, || pool.evaluate_matrix(&ctx, &batch));
     }
 }

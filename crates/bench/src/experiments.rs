@@ -218,7 +218,7 @@ pub fn fig1_trace(plan: &Plan) -> String {
     // SS: aggregation into the probability matrix.
     let matrix = statistical_stage_genomes(&ctx, &outcome.result_set);
     out.push_str(&format!(
-        "[SS]         aggregated {} simulated maps into an ignition-probability matrix ({} distinct levels)\n",
+        "[SS]         aggregated the maps of {} result-set members into an ignition-probability matrix ({} distinct levels)\n",
         matrix.samples(),
         matrix.distinct_levels().len(),
     ));

@@ -129,7 +129,8 @@ pub struct NsGenStats {
     pub archive_len: usize,
     /// `bestSet` occupancy.
     pub best_set_len: usize,
-    /// Cumulative evaluations (simulations).
+    /// Cumulative evaluations: fitnesses the search asked for, repeats
+    /// included (a simulation-backed evaluator may run fewer simulations).
     pub evaluations: u64,
 }
 

@@ -225,7 +225,7 @@ impl StepOptimizer for EssimDe {
 mod tests {
     use super::*;
     use crate::cases::tiny_step_evaluator;
-    use crate::island::reference::{counting_evaluator, one_at_a_time};
+    use crate::island::reference::{counting_evaluator, one_at_a_time, rows_since};
 
     fn small_ring() -> Ring {
         Ring {
@@ -312,38 +312,44 @@ mod tests {
             },
             ..small_config(tuning)
         };
-        let (islands, pop) = (cfg.ring.islands, cfg.ring.island_population);
         for seed in [23, 24] {
             let (mut eval, batches) = counting_evaluator();
             let out = EssimDe::new(cfg).optimize(&mut eval, seed);
 
             // The parent's generation body: each island steps, and an
             // IQR-converged island restarts and re-evaluates at once.
-            // `waves` is what a batching ring must submit instead.
-            let mut waves = vec![islands * pop];
+            // `waves` is what a batching ring must submit instead: the
+            // rows of each wave the table has not scored.
+            let (mut reference, log) = counting_evaluator();
+            let (mut waves, mut seen) = (Vec::new(), 0);
             let (mut iqr_restarts, mut global_restarts) = (0, 0);
             let mut best_age = 0u32;
             let mut run = one_at_a_time(
                 &cfg.ring,
                 seed,
                 SEED_STRIDE,
-                &mut tiny_step_evaluator(),
+                &mut reference,
                 |island_seed| cfg.island(island_seed),
-                |islands, _, best, evaluator| {
-                    waves.push(islands.len() * pop);
+                |islands, generation, best, evaluator| {
+                    if generation == 0 {
+                        waves.push(rows_since(&log, &mut seen));
+                    }
                     let mut gen_best = f64::NEG_INFINITY;
-                    let mut converged = 0;
+                    let (mut converged, mut stepped, mut restarted) = (0, 0, 0);
                     for isl in islands.iter_mut() {
                         let s = isl.step(evaluator);
+                        stepped += rows_since(&log, &mut seen);
                         gen_best = gen_best.max(s.best_fitness);
                         if s.fitness_iqr < tuning.iqr_threshold && isl.generation() > 1 {
                             isl.restart_worst(tuning.restart_fraction);
                             isl.evaluate_initial(evaluator);
+                            restarted += rows_since(&log, &mut seen);
                             converged += 1;
                         }
                     }
+                    waves.push(stepped);
                     if converged > 0 {
-                        waves.push(converged * pop);
+                        waves.push(restarted);
                         iqr_restarts += 1;
                     }
                     let improved = gen_best > best + 1e-12;
@@ -353,7 +359,7 @@ mod tests {
                             isl.restart_worst(tuning.restart_fraction);
                             isl.evaluate_initial(evaluator);
                         }
-                        waves.push(islands.len() * pop);
+                        waves.push(rows_since(&log, &mut seen));
                         global_restarts += 1;
                         best_age = 0;
                     }
@@ -375,6 +381,8 @@ mod tests {
                 (out.generations, out.evaluations),
                 (run.generations, run.evaluations)
             );
+            // A wave the table answers whole never reaches the backend.
+            waves.retain(|&rows| rows > 0);
             assert_eq!(*batches.lock().unwrap(), waves, "seed {seed}");
         }
     }

@@ -102,7 +102,7 @@ impl StepOptimizer for EssimEa {
 mod tests {
     use super::*;
     use crate::cases::tiny_step_evaluator;
-    use crate::island::reference::{counting_evaluator, one_at_a_time};
+    use crate::island::reference::{counting_evaluator, one_at_a_time, rows_since};
 
     fn small_config() -> EssimEaConfig {
         EssimEaConfig {
@@ -155,16 +155,25 @@ mod tests {
             for seed in [12, 13] {
                 let (mut eval, batches) = counting_evaluator();
                 let out = EssimEa::new(cfg).optimize(&mut eval, seed);
+                // The rows of each wave the table has not scored: what the
+                // batching ring must submit for it.
+                let (mut reference, log) = counting_evaluator();
+                let (mut waves, mut seen) = (Vec::new(), 0);
                 let run = one_at_a_time(
                     &cfg.ring,
                     seed,
                     SEED_STRIDE,
-                    &mut tiny_step_evaluator(),
+                    &mut reference,
                     |island_seed| cfg.island(island_seed),
-                    |islands, _, best, evaluator| {
-                        islands
+                    |islands, generation, best, evaluator| {
+                        if generation == 0 {
+                            waves.push(rows_since(&log, &mut seen));
+                        }
+                        let best = islands
                             .iter_mut()
-                            .fold(best, |best, isl| best.max(isl.step(evaluator).best_fitness))
+                            .fold(best, |best, isl| best.max(isl.step(evaluator).best_fitness));
+                        waves.push(rows_since(&log, &mut seen));
+                        best
                     },
                 );
                 assert_eq!(out.result_set, run.winner.population().genomes());
@@ -174,13 +183,11 @@ mod tests {
                     (run.generations, run.evaluations)
                 );
                 // One submission for the initial populations and one per
-                // generation, every island's rows in each (offspring =
-                // island population here).
-                let rows = cfg.ring.islands * cfg.ring.island_population;
-                assert_eq!(
-                    *batches.lock().unwrap(),
-                    vec![rows; 1 + out.generations as usize]
-                );
+                // generation, every island's unscored rows in each — none
+                // for a wave the table answers whole.
+                assert_eq!(waves.len(), 1 + out.generations as usize);
+                waves.retain(|&rows| rows > 0);
+                assert_eq!(*batches.lock().unwrap(), waves);
             }
         }
     }

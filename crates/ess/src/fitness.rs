@@ -14,15 +14,31 @@
 //! crate that builds an [`EvalBackend`]; a [`ScenarioEvaluator`] is one
 //! step's view of a pool (or of an injected backend — fused lanes,
 //! tracers).
+//!
+//! Fitness is a pure function of (interval, genome), and an evaluator
+//! lives for one step on one interval, so it keeps a table of every
+//! genome it has scored: a genome the search asks for again is answered
+//! from the table, and only the unscored ones reach the backend, each
+//! once. An *evaluation* is a fitness the search asked for — the unit
+//! every count, budget and report uses — and a step runs at most that
+//! many *simulations*.
 
 use crate::cases::Observations;
 use evoalg::{BatchEvaluator, GenomeMatrix};
-use firelib::{FireSim, Kernel, Scenario, ScenarioSpace, SimArena};
+use firelib::{FireSim, Kernel, Scenario, ScenarioSpace, SimArena, GENE_COUNT};
 use landscape::{tally_ranges, FireLine, IgnitionMap, Observed};
 use parworker::Backend;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 pub use parworker::EvalBackend;
+
+#[cfg(test)]
+thread_local! {
+    /// Simulations started on this thread ([`StepContext::simulate_into`])
+    /// — what the stage tail's count guard in `crate::pipeline` reads.
+    pub(crate) static SIMULATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Everything needed to score scenarios on one prediction interval: a
 /// view of one interval of a case's [`Observations`]. Nothing here is a
@@ -152,6 +168,8 @@ impl StepContext {
         scenario: &Scenario,
         arena: &'a mut SimArena,
     ) -> &'a IgnitionMap {
+        #[cfg(test)]
+        SIMULATIONS.with(|n| n.set(n.get() + 1));
         let seeds = &self.lines.interval(self.interval).seeds;
         self.sim().simulate_arena_seeded(
             scenario,
@@ -199,24 +217,55 @@ impl StepContext {
     }
 }
 
-/// The boxed backend a [`ScenarioEvaluator`] runs on: a view of a
-/// [`SharedScenarioPool`], or whatever [`ScenarioEvaluator::with_backend`]
-/// was handed.
+/// The boxed backend [`ScenarioEvaluator::with_backend`] takes — a fused
+/// lane, a tracer.
 pub type DynBackend = Box<dyn Backend<Vec<f64>, f64>>;
 
-/// One step's batch scenario evaluator: hands genome batches to its
-/// backend and counts them. Implements [`evoalg::BatchEvaluator`], so it
-/// plugs into every engine.
+/// Where a [`ScenarioEvaluator`] sends the rows its table cannot answer.
+enum Route {
+    /// A shared pool, handed each batch as one flat matrix.
+    Pool(Arc<SharedScenarioPool>),
+    /// An injected backend, handed the rows.
+    Backend(DynBackend),
+}
+
+/// One step's batch scenario evaluator: answers genome batches, from its
+/// table where it can and from its pool or backend where it must, and
+/// counts them. Implements [`evoalg::BatchEvaluator`], so it plugs into
+/// every engine.
 ///
 /// Every pool runs the same pure work function (`score`: decode the
 /// genome, simulate into the worker's cached [`SimArena`] via
 /// [`StepContext::fitness_with`], tally Eq. (3)) — so Serial, WorkerPool
 /// and Rayon pools produce bit-identical fitness vectors for the same
-/// genome batch.
+/// genome batch. The table sits above the route, so every pool and
+/// backend — inline, dispatched, fused lane, tracer — sees the same
+/// distinct rows, and a batch the table answers whole reaches none.
 pub struct ScenarioEvaluator {
     ctx: Arc<StepContext>,
-    backend: DynBackend,
+    route: Route,
     evaluations: u64,
+    /// Every genome scored on this step, by its bits: where its fitness
+    /// sits in `scores`.
+    table: BTreeMap<RowKey, usize>,
+    /// The backend's answers, in submission order.
+    scores: Vec<f64>,
+}
+
+/// A row of `GENE_COUNT` values as its bits — this crate's one test of
+/// "the same run": an evaluator's table keys genomes by it, and the stage
+/// tail ([`crate::stages::distinct_members`]) groups a result set's
+/// scenarios by it. Bits, not values: `0.0` and `-0.0` are two keys
+/// (scored alike, each once), and so are two NaN payloads.
+pub(crate) type RowKey = [u64; GENE_COUNT];
+
+pub(crate) fn row_key(values: &[f64]) -> RowKey {
+    assert_eq!(
+        values.len(),
+        GENE_COUNT,
+        "scenario gene vector must have {GENE_COUNT} entries"
+    );
+    std::array::from_fn(|i| values[i].to_bits())
 }
 
 /// One scenario evaluation on a shared pool: the step context and the flat
@@ -268,12 +317,16 @@ fn score(cache: &mut ArenaCache, ctx: &StepContext, genes: &[f64]) -> f64 {
 /// (task fan-out, worker wake-ups, result collection) costs more than it
 /// buys at ~12 genomes, where the worker pool measured *slower* than
 /// serial (0.875× on `archipelago_large`) before this fallback existed.
-/// The rule counts rows, not cost. What falls under it: an ESS or ESS-NS
-/// generation is one population-sized batch (8 at `--scale 0.25`, 32 at
-/// scale 1); an ESSIM generation is `3 × island_population` since the
-/// ring evaluates its islands together (12 at 0.25, 36 at 1 — before,
-/// three batches of 4 or 12), so ESSIM batches stay inline only up to
-/// scale ≈ 0.4 (island population 5).
+/// The rule counts rows, not cost — and the rows it counts are the
+/// distinct unscored ones a [`ScenarioEvaluator`] submits, not the rows
+/// the search asked for, so a generation whose repeats the evaluator's
+/// table answers can fall under it where its full batch would not. What
+/// falls under it, before repeats: an ESS or ESS-NS generation is one
+/// population-sized batch (8 at `--scale 0.25`, 32 at scale 1); an ESSIM
+/// generation is `3 × island_population` since the ring evaluates its
+/// islands together (12 at 0.25, 36 at 1 — before, three batches of 4 or
+/// 12), so ESSIM batches stay inline only up to scale ≈ 0.4 (island
+/// population 5).
 pub const DEFAULT_INLINE_THRESHOLD: usize = 16;
 
 /// The scenario evaluator: one set of workers that stays up for every
@@ -419,31 +472,6 @@ impl SharedScenarioPool {
     }
 }
 
-/// Adapter that lets a [`ScenarioEvaluator`] run its batches on a
-/// [`SharedScenarioPool`]: implements the plain genome backend contract by
-/// pairing every genome with the evaluator's step context.
-struct SharedPoolBackend {
-    ctx: Arc<StepContext>,
-    pool: Arc<SharedScenarioPool>,
-}
-
-impl Backend<Vec<f64>, f64> for SharedPoolBackend {
-    fn map(&mut self, tasks: Vec<Vec<f64>>) -> Vec<f64> {
-        // Flatten once: the whole batch becomes one allocation, and the
-        // pool's tasks borrow rows from it instead of owning genome Vecs.
-        self.pool
-            .evaluate_matrix(&self.ctx, &GenomeMatrix::from_rows(&tasks))
-    }
-
-    fn name(&self) -> String {
-        self.pool.name()
-    }
-
-    fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-}
-
 impl ScenarioEvaluator {
     /// Builds an evaluator over `ctx` on a pool of its own built from
     /// `spec` — for a one-off evaluation outside any run; a run shares one
@@ -454,20 +482,22 @@ impl ScenarioEvaluator {
 
     /// Builds an evaluator over `ctx` that runs its batches on `pool`.
     pub fn shared(ctx: Arc<StepContext>, pool: Arc<SharedScenarioPool>) -> Self {
-        let backend = Box::new(SharedPoolBackend {
-            ctx: Arc::clone(&ctx),
-            pool,
-        });
-        Self::with_backend(ctx, backend)
+        Self::routed(ctx, Route::Pool(pool))
     }
 
     /// Wraps an injected backend — the fused round's lanes and the
     /// benchmark's tracer score batches their own way.
     pub fn with_backend(ctx: Arc<StepContext>, backend: DynBackend) -> Self {
+        Self::routed(ctx, Route::Backend(backend))
+    }
+
+    fn routed(ctx: Arc<StepContext>, route: Route) -> Self {
         Self {
             ctx,
-            backend,
+            route,
             evaluations: 0,
+            table: BTreeMap::new(),
+            scores: Vec::new(),
         }
     }
 
@@ -479,11 +509,46 @@ impl ScenarioEvaluator {
 }
 
 impl BatchEvaluator for ScenarioEvaluator {
+    /// Scores `genomes` in row order. One table operation per row: a
+    /// scored genome is answered from the table; an unscored one is
+    /// submitted once, in first-occurrence order, however often the batch
+    /// repeats it. Nothing is submitted when every row is scored.
     fn evaluate(&mut self, genomes: &[Vec<f64>]) -> Vec<f64> {
         self.evaluations += genomes.len() as u64;
-        self.backend.map(genomes.to_vec())
+        let scored = self.scores.len();
+        // The rows to submit, by index into `genomes`.
+        let mut fresh = Vec::new();
+        let slots: Vec<usize> = genomes
+            .iter()
+            .enumerate()
+            .map(|(row, genes)| {
+                let next = scored + fresh.len();
+                *self.table.entry(row_key(genes)).or_insert_with(|| {
+                    fresh.push(row);
+                    next
+                })
+            })
+            .collect();
+        if !fresh.is_empty() {
+            let fitness = match &mut self.route {
+                Route::Pool(pool) => {
+                    let mut batch = GenomeMatrix::with_dim(GENE_COUNT);
+                    batch.reserve_rows(fresh.len());
+                    for &row in &fresh {
+                        batch.push(&genomes[row]);
+                    }
+                    pool.evaluate_matrix(&self.ctx, &batch)
+                }
+                Route::Backend(backend) => {
+                    backend.map(fresh.iter().map(|&row| genomes[row].clone()).collect())
+                }
+            };
+            self.scores.extend(fitness);
+        }
+        slots.into_iter().map(|slot| self.scores[slot]).collect()
     }
 
+    /// Every row asked for, repeats included — not the simulations run.
     fn evaluations(&self) -> u64 {
         self.evaluations
     }

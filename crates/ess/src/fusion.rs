@@ -28,7 +28,9 @@
 //! batch and exits when no lane is live, so a lane still busy in its
 //! stage tail (or waiting on anything at all) no longer counts towards
 //! the flush rule and cannot hold up its peers' waves — no state where
-//! both sides wait on each other.
+//! both sides wait on each other. A wave the lane's evaluator answers
+//! from its table parks nothing at all: the lane is simply busy until its
+//! next batch or its `Done`, like a lane breeding its next generation.
 
 use crate::fitness::{SharedScenarioPool, StepContext};
 use evoalg::GenomeMatrix;
@@ -185,6 +187,7 @@ mod tests {
     use firelib::sim::centre_ignition;
     use firelib::{FireSim, Scenario, Terrain};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::thread::{Scope, ScopedJoinHandle};
 
     fn context(n: usize, wind: f64) -> Arc<StepContext> {
         let truth = Scenario {
@@ -209,40 +212,63 @@ mod tests {
             .collect()
     }
 
+    /// Stands between the lanes and the coordinator: forwards every lane
+    /// message to `coordinator` and counts the parked batches. A test whose
+    /// waves are all unscored asserts the count, so a wave its evaluator's
+    /// table answers cannot quietly stop reaching the coordinator.
+    fn tap<'scope>(
+        scope: &'scope Scope<'scope, '_>,
+        coordinator: Sender<LaneMsg>,
+    ) -> (Sender<LaneMsg>, ScopedJoinHandle<'scope, usize>) {
+        let (tx, rx) = std::sync::mpsc::channel::<LaneMsg>();
+        let parked = scope.spawn(move || {
+            let mut parked = 0;
+            for msg in rx {
+                parked += usize::from(matches!(msg, LaneMsg::Batch { .. }));
+                if coordinator.send(msg).is_err() {
+                    break;
+                }
+            }
+            parked
+        });
+        (tx, parked)
+    }
+
     #[test]
     fn fused_lanes_match_private_evaluation() {
         let pool = SharedScenarioPool::new(EvalBackend::WorkerPool(2));
         let contexts = [context(21, 4.0), context(27, 8.0), context(21, 12.0)];
-        let batches = [genomes(1, 6), genomes(2, 9), genomes(3, 4)];
+        // Two sequential waves per lane, like a GA's parents-then-offspring
+        // evaluations; every wave is new to the lane's table.
+        let plans = [
+            [genomes(1, 6), genomes(11, 5)],
+            [genomes(2, 9), genomes(12, 7)],
+            [genomes(3, 4), genomes(13, 4)],
+        ];
 
         let (tx, rx) = std::sync::mpsc::channel();
-        let mut fused: Vec<Option<Vec<f64>>> = vec![None; contexts.len()];
-        std::thread::scope(|scope| {
-            for ((ctx, batch), slot) in contexts.iter().zip(&batches).zip(fused.iter_mut()) {
-                let lane = tx.clone();
+        let mut fused: Vec<Vec<Vec<f64>>> = vec![Vec::new(); contexts.len()];
+        let parked = std::thread::scope(|scope| {
+            let (lanes, parked) = tap(scope, tx);
+            for ((ctx, waves), slot) in contexts.iter().zip(&plans).zip(fused.iter_mut()) {
+                let lane = LaneGuard::new(lanes.clone());
                 scope.spawn(move || {
-                    let mut ev = ScenarioEvaluator::with_backend(
-                        Arc::clone(ctx),
-                        Box::new(FusionLane::new(Arc::clone(ctx), LaneGuard::new(lane))),
-                    );
-                    // Two sequential waves per lane, like a GA's
-                    // parents-then-offspring evaluations.
-                    let first = ev.evaluate(batch);
-                    let second = ev.evaluate(batch);
-                    assert_eq!(first, second, "same batch, same fitness");
-                    *slot = Some(first);
+                    let backend = FusionLane::new(Arc::clone(ctx), lane);
+                    let mut ev =
+                        ScenarioEvaluator::with_backend(Arc::clone(ctx), Box::new(backend));
+                    *slot = waves.iter().map(|w| ev.evaluate(w)).collect();
                 });
             }
+            drop(lanes);
             run_coordinator(&pool, &rx, contexts.len());
+            parked.join().expect("tap thread")
         });
+        assert_eq!(parked, 6, "every wave of every lane parks");
 
-        for ((ctx, batch), got) in contexts.iter().zip(&batches).zip(fused) {
+        for ((ctx, waves), got) in contexts.iter().zip(&plans).zip(fused) {
             let mut private = ScenarioEvaluator::new(Arc::clone(ctx), EvalBackend::Serial);
-            assert_eq!(
-                got.expect("lane completed"),
-                private.evaluate(batch),
-                "fused lane diverged from private evaluation"
-            );
+            let want: Vec<Vec<f64>> = waves.iter().map(|w| private.evaluate(w)).collect();
+            assert_eq!(got, want, "fused lane diverged from private evaluation");
         }
     }
 
@@ -250,26 +276,26 @@ mod tests {
     fn coordinator_survives_lanes_with_unequal_wave_counts() {
         let pool = SharedScenarioPool::new(EvalBackend::Serial);
         let ctx = context(15, 5.0);
-        let batch = genomes(9, 3);
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            for waves in [0usize, 1, 3] {
-                let lane = tx.clone();
+        let parked = std::thread::scope(|scope| {
+            let (lanes, parked) = tap(scope, tx);
+            for waves in [0u64, 1, 3] {
+                let lane = LaneGuard::new(lanes.clone());
                 let ctx = Arc::clone(&ctx);
-                let batch = batch.clone();
                 scope.spawn(move || {
-                    let mut ev = ScenarioEvaluator::with_backend(
-                        Arc::clone(&ctx),
-                        Box::new(FusionLane::new(Arc::clone(&ctx), LaneGuard::new(lane))),
-                    );
-                    for _ in 0..waves {
-                        let fits = ev.evaluate(&batch);
-                        assert_eq!(fits.len(), batch.len());
+                    let backend = FusionLane::new(Arc::clone(&ctx), lane);
+                    let mut ev = ScenarioEvaluator::with_backend(ctx, Box::new(backend));
+                    for w in 0..waves {
+                        let batch = genomes(9 + w, 3);
+                        assert_eq!(ev.evaluate(&batch).len(), batch.len());
                     }
                 });
             }
+            drop(lanes);
             run_coordinator(&pool, &rx, 3);
+            parked.join().expect("tap thread")
         });
+        assert_eq!(parked, 4, "0 + 1 + 3 waves, each parked");
     }
 
     /// A lane whose search ends while a peer's continues: its evaluator
@@ -282,30 +308,26 @@ mod tests {
     fn a_released_lane_waiting_on_a_peer_does_not_stall_its_flushes() {
         let pool = SharedScenarioPool::new(EvalBackend::Serial);
         let ctx = context(15, 5.0);
-        let batch = genomes(4, 3);
         let (tx, rx) = std::sync::mpsc::channel();
         let (peer_tx, peer_rx) = std::sync::mpsc::channel::<()>();
-        let lane = |tx: &Sender<LaneMsg>| {
-            ScenarioEvaluator::with_backend(
-                Arc::clone(&ctx),
-                Box::new(FusionLane::new(
-                    Arc::clone(&ctx),
-                    LaneGuard::new(tx.clone()),
-                )),
-            )
+        let lane = |lanes: &Sender<LaneMsg>| {
+            let backend = FusionLane::new(Arc::clone(&ctx), LaneGuard::new(lanes.clone()));
+            ScenarioEvaluator::with_backend(Arc::clone(&ctx), Box::new(backend))
         };
-        let (mut early, mut late) = (lane(&tx), lane(&tx));
-        drop(tx);
-        let batch = &batch;
-        std::thread::scope(|scope| {
+        let parked = std::thread::scope(|scope| {
+            let (lanes, parked) = tap(scope, tx);
+            let (mut early, mut late) = (lane(&lanes), lane(&lanes));
+            drop(lanes);
             let waited = scope.spawn(move || {
-                early.evaluate(batch);
+                early.evaluate(&genomes(4, 3));
                 drop(early);
                 peer_rx.recv_timeout(std::time::Duration::from_secs(20))
             });
             scope.spawn(move || {
-                for _ in 0..3 {
-                    assert_eq!(late.evaluate(batch).len(), batch.len());
+                // A new batch each wave, so each one parks and needs a flush.
+                for w in 0..3 {
+                    let batch = genomes(5 + w, 3);
+                    assert_eq!(late.evaluate(&batch).len(), batch.len());
                 }
                 let _ = peer_tx.send(());
             });
@@ -314,7 +336,52 @@ mod tests {
                 waited.join().expect("lane thread").is_ok(),
                 "the peer's waves stalled behind a released lane"
             );
+            parked.join().expect("tap thread")
         });
+        assert_eq!(parked, 4, "the early lane's wave and the late lane's three");
+    }
+
+    /// A lane whose wave its evaluator's table answers whole parks nothing
+    /// for it and goes straight on to its next wave: the round completes,
+    /// every lane gets what a private evaluator gives it, and the
+    /// coordinator sees one batch fewer.
+    #[test]
+    fn a_wave_the_table_answers_whole_parks_nothing_and_the_round_completes() {
+        let pool = SharedScenarioPool::new(EvalBackend::WorkerPool(2));
+        let ctx = context(17, 6.0);
+        let (first, second) = (genomes(21, 5), genomes(22, 4));
+        let reversed: Vec<Vec<f64>> = first.iter().rev().cloned().collect();
+        // Lane 0's second wave is its first, reordered: table only.
+        let plans = [
+            vec![first.clone(), reversed, second.clone()],
+            vec![second, first, genomes(23, 3)],
+        ];
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut fused: Vec<Vec<Vec<f64>>> = vec![Vec::new(); plans.len()];
+        let parked = std::thread::scope(|scope| {
+            let (lanes, parked) = tap(scope, tx);
+            for (waves, slot) in plans.iter().zip(fused.iter_mut()) {
+                let lane = LaneGuard::new(lanes.clone());
+                let ctx = Arc::clone(&ctx);
+                scope.spawn(move || {
+                    let backend = FusionLane::new(Arc::clone(&ctx), lane);
+                    let mut ev = ScenarioEvaluator::with_backend(ctx, Box::new(backend));
+                    *slot = waves.iter().map(|w| ev.evaluate(w)).collect();
+                });
+            }
+            drop(lanes);
+            run_coordinator(&pool, &rx, plans.len());
+            parked.join().expect("tap thread")
+        });
+        assert_eq!(
+            parked, 5,
+            "lane 0 parks two of its three waves, lane 1 all three"
+        );
+        for (waves, got) in plans.iter().zip(fused) {
+            let mut private = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Serial);
+            let want: Vec<Vec<f64>> = waves.iter().map(|w| private.evaluate(w)).collect();
+            assert_eq!(got, want, "fused lane diverged from private evaluation");
+        }
     }
 
     /// A search that scores nothing: what is under test is the lane

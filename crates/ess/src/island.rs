@@ -203,7 +203,10 @@ fn evaluate_populations<S: Scheme>(
 
 /// One restart wave: the `fraction` worst members of every island
 /// `islands` yields are redrawn ([`Engine::restart_worst`], each on its
-/// island's stream), then those islands are re-evaluated in one batch.
+/// island's stream), then those islands are re-evaluated in one batch —
+/// every member counts as an evaluation, but the evaluator's table
+/// answers the ones the restart left as they were, so only the redrawn
+/// ones are simulated.
 pub(crate) fn restart<'a, S: Scheme + 'a>(
     islands: impl Iterator<Item = &'a mut Engine<S>>,
     fraction: f64,
@@ -321,7 +324,8 @@ pub(crate) mod reference {
     }
 
     /// An evaluator over the first interval of the tiny test case, and the
-    /// row counts of the batches it was handed, in submission order.
+    /// row counts of the batches its backend was handed, in submission
+    /// order: the rows its table had not scored yet, each once.
     pub(crate) fn counting_evaluator() -> (ScenarioEvaluator, Arc<Mutex<Vec<usize>>>) {
         let ctx = Arc::new(tiny_test_case().step_context(1));
         let batches = Arc::new(Mutex::new(Vec::new()));
@@ -330,6 +334,19 @@ pub(crate) mod reference {
             batches: Arc::clone(&batches),
         });
         (ScenarioEvaluator::with_backend(ctx, backend), batches)
+    }
+
+    /// Rows a [`counting_evaluator`]'s backend received since `seen`, which
+    /// then moves to the end of the log. A one-at-a-time run sums these
+    /// over the calls of a wave to get what a batching ring must submit
+    /// for it: both runs score the same genomes, so their tables agree at
+    /// every wave's end and a wave's unscored rows are the rows of its
+    /// one-at-a-time calls.
+    pub(crate) fn rows_since(log: &Mutex<Vec<usize>>, seen: &mut usize) -> usize {
+        let log = log.lock().unwrap();
+        let rows = log[*seen..].iter().sum();
+        *seen = log.len();
+        rows
     }
 }
 

@@ -16,12 +16,14 @@
 //!   evaluator, [`fitness::SharedScenarioPool`]: built once per process
 //!   from a [`parworker::EvalBackend`] (Serial / WorkerPool / Rayon) and
 //!   kept up for every step of every run; a
-//!   [`fitness::ScenarioEvaluator`] is one step's view of it;
+//!   [`fitness::ScenarioEvaluator`] is one step's view of it, answering
+//!   a genome it has already scored this step from its own table;
 //! * [`fusion`] — cross-session batch fusion: per-session lanes park
 //!   their evaluation batches with a round coordinator, which fuses them
 //!   into one mega-batch on the shared pool and scatters results back;
 //! * [`stages`] — the Statistical Stage (probability-matrix aggregation,
-//!   Figs. 1–2 `SS`);
+//!   Figs. 1–2 `SS`), folding a result set's distinct members with their
+//!   multiplicities;
 //! * [`calibration`] — the Calibration Stage's `SKign` search (Fig. 1) and
 //!   the Prediction Stage threshold application (Fig. 2);
 //! * [`pipeline`] — the prediction-step driver shared by every system

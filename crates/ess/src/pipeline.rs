@@ -28,7 +28,7 @@
 use crate::calibration::{skign_search_against, PredictionStage};
 use crate::cases::BurnCase;
 use crate::fitness::{EvalBackend, ScenarioEvaluator, SharedScenarioPool, StepContext};
-use crate::stages::{decode_result_set, statistical_stage_in};
+use crate::stages::{decode_result_set, distinct_members, statistical_stage_in};
 use evoalg::diversity::{self, DiversityReport};
 use std::sync::Arc;
 
@@ -42,7 +42,9 @@ pub struct OptimizeOutcome {
     pub best_fitness: f64,
     /// Generations executed.
     pub generations: u32,
-    /// Scenario evaluations (simulations) performed.
+    /// Scenario evaluations the search asked for, repeats included. The
+    /// step's evaluator simulates each distinct genome once, so it ran at
+    /// most this many simulations.
     pub evaluations: u64,
 }
 
@@ -268,10 +270,11 @@ impl StepDriver {
 
         // --- Statistical Stage (calibration matrix) ----------------------
         // One arena for the whole stage tail: both matrices fold the
-        // result set's runs through it, one matrix alive at a time.
-        let scenarios = decode_result_set(&outcome.result_set);
+        // result set's distinct members through it, each simulated once
+        // and counted with its multiplicity, one matrix alive at a time.
+        let members = distinct_members(&decode_result_set(&outcome.result_set));
         let mut arena = case.sim.arena();
-        let cal_matrix = statistical_stage_in(&observed_ctx, &scenarios, &mut arena);
+        let cal_matrix = statistical_stage_in(&observed_ctx, &members, &mut arena);
 
         // --- Calibration Stage: SKign on the observed interval -----------
         let cal = skign_search_against(&cal_matrix, &observed_ctx.observed());
@@ -280,7 +283,7 @@ impl StepDriver {
         // --- Statistical + Prediction Stage for t_{i+1} ------------------
         let quality = self.carried_kign.map(|kign| {
             let next_ctx = case.step_context(i + 1);
-            let pred_matrix = statistical_stage_in(&next_ctx, &scenarios, &mut arena);
+            let pred_matrix = statistical_stage_in(&next_ctx, &members, &mut arena);
             PredictionStage::new(kign).quality_against(&pred_matrix, &next_ctx.observed())
         });
 
@@ -528,6 +531,57 @@ mod tests {
                 reference[checkpoint..],
                 "resume at step {checkpoint} diverged"
             );
+        }
+    }
+
+    /// A search that scores nothing and hands back a fixed result set.
+    struct Fixed(Vec<Vec<f64>>);
+
+    impl StepOptimizer for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+
+        fn optimize(&mut self, _: &mut ScenarioEvaluator, _: u64) -> OptimizeOutcome {
+            OptimizeOutcome {
+                result_set: self.0.clone(),
+                best_fitness: 0.0,
+                generations: 0,
+                evaluations: 0,
+            }
+        }
+    }
+
+    #[test]
+    fn the_stage_tail_simulates_each_distinct_member_once_per_matrix() {
+        use crate::fitness::SIMULATIONS;
+        use landscape::ProbabilityMap;
+        let case = tiny_test_case();
+        let genes = |wind: f64| {
+            let s = firelib::Scenario {
+                wind_speed_mph: wind,
+                ..case.truth[0]
+            };
+            ScenarioSpace.encode(&s).to_vec()
+        };
+        let (a, b, c) = (genes(2.0), genes(6.0), genes(12.0));
+        let set = vec![a.clone(), b.clone(), a.clone(), c, a, b];
+        let mut driver = StepDriver::new(case.clone(), serial_pool(), 3);
+        // Step 1 folds one matrix; step 2 has a carried Kign, so two.
+        for (step, matrices) in [(1, 1), (2, 2)] {
+            SIMULATIONS.with(|n| n.set(0));
+            let report = driver.step(&mut Fixed(set.clone())).expect("a step");
+            assert_eq!(SIMULATIONS.with(|n| n.get()), 3 * matrices, "step {step}");
+            // The per-member matrix: every member simulated and folded.
+            let ctx = case.step_context(step);
+            let mut per_member =
+                ProbabilityMap::new(ctx.target_line().rows(), ctx.target_line().cols());
+            for g in &set {
+                per_member.accumulate(&ctx.simulate_line(&ScenarioSpace.decode(g)));
+            }
+            let cal = skign_search_against(&per_member, &ctx.observed());
+            assert_eq!(report.kign.to_bits(), cal.kign.to_bits(), "step {step}");
+            assert_eq!(report.calibration_fitness.to_bits(), cal.fitness.to_bits());
         }
     }
 

@@ -16,15 +16,21 @@
 //! Statistical Stages cost what its result set burned. (The scenarios *are*
 //! re-simulated — the Optimization Stage keeps fitness values, not maps —
 //! but on a warm arena that is a few evaluations' worth of work.)
+//!
+//! The result set is folded as a multiset ([`distinct_members`]): a
+//! member that repeats — a converged population holds many copies — is
+//! simulated once per matrix and counted with its multiplicity. Counts
+//! and samples are integer sums, so the matrix is the per-member one.
 
-use crate::fitness::StepContext;
+use crate::fitness::{row_key, RowKey, StepContext};
 use firelib::{Scenario, ScenarioSpace, SimArena};
 use landscape::ProbabilityMap;
+use std::collections::BTreeMap;
 
 /// Aggregates the simulated fire lines of a scenario result set over the
 /// context's interval into an ignition-probability matrix.
 pub fn statistical_stage(ctx: &StepContext, scenarios: &[Scenario]) -> ProbabilityMap {
-    statistical_stage_in(ctx, scenarios, &mut ctx.sim().arena())
+    statistical_stage_in(ctx, &distinct_members(scenarios), &mut ctx.sim().arena())
 }
 
 /// Genome-level convenience: decodes then aggregates.
@@ -37,22 +43,43 @@ pub fn decode_result_set(genomes: &[Vec<f64>]) -> Vec<Scenario> {
     genomes.iter().map(|g| ScenarioSpace.decode(g)).collect()
 }
 
-/// [`statistical_stage`] on a lent arena — the fold itself. A prediction
-/// step lends one arena to both of its Statistical Stages, so the arena's
-/// raster is filled once per step, not once per scenario.
+/// A result set as the Statistical Stage folds it: each distinct scenario
+/// once, in first-occurrence order, with the number of members it stands
+/// for. Distinct is bit for bit over the Table I values (the evaluator
+/// table's key), so two members are merged only when every
+/// simulation of them is the same run.
+pub fn distinct_members(scenarios: &[Scenario]) -> Vec<(Scenario, u32)> {
+    let mut seen: BTreeMap<RowKey, usize> = BTreeMap::new();
+    let mut members: Vec<(Scenario, u32)> = Vec::new();
+    for s in scenarios {
+        let next = members.len();
+        let slot = *seen.entry(row_key(&s.values())).or_insert(next);
+        if slot == next {
+            members.push((*s, 0));
+        }
+        members[slot].1 += 1;
+    }
+    members
+}
+
+/// The fold itself, over a result set's [`distinct_members`]: each member
+/// is simulated once on a lent arena and counted with its multiplicity. A
+/// prediction step lends one arena to both of its Statistical Stages, so
+/// the arena's raster is filled once per step, not once per scenario.
 pub fn statistical_stage_in(
     ctx: &StepContext,
-    scenarios: &[Scenario],
+    members: &[(Scenario, u32)],
     arena: &mut SimArena,
 ) -> ProbabilityMap {
     let terrain = ctx.sim().terrain();
     let mut pm = ProbabilityMap::new(terrain.rows(), terrain.cols());
-    for s in scenarios {
+    for (s, runs) in members {
         ctx.simulate_into(s, arena);
         pm.accumulate_ranges(
             arena.map().grid().as_slice(),
             |&arrival| arrival <= ctx.t1(),
             arena.written_ranges(),
+            *runs,
         );
     }
     pm

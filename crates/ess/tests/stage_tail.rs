@@ -18,10 +18,16 @@
 //! no more than the map touched, and the lent arena stops growing after
 //! the first pass — so a regression to a raster walk or to an arena per
 //! scenario fails here deterministically.
+//!
+//! (c) A result set with repeats is folded as a multiset: its distinct
+//! members, each simulated once with its multiplicity, give the
+//! per-member matrix on every case, interval and kernel of (a). (The
+//! driver's tail is counted in simulations by a unit test of
+//! `ess::pipeline`.)
 
 use ess::calibration::{skign_search, skign_search_against, CalibrationOutcome, PredictionStage};
 use ess::cases::{self, BurnCase};
-use ess::stages::{statistical_stage, statistical_stage_in};
+use ess::stages::{distinct_members, statistical_stage, statistical_stage_in};
 use firelib::{Kernel, Scenario};
 use landscape::{jaccard, FireLine, LevelHistogram, ProbabilityMap};
 use rand::rngs::StdRng;
@@ -37,8 +43,9 @@ const KERNELS: [Kernel; 3] = [
 ];
 
 /// Result sets around an interval's truth: empty, the truth alone, one
-/// that barely spreads (so members disagree on most cells), and a spread
-/// of bent truths whose burns overlap only partly.
+/// that barely spreads (so members disagree on most cells), a converged
+/// one (three members repeated 4, 2 and 1 times, folded as a multiset),
+/// and a spread of bent truths whose burns overlap only partly.
 fn result_sets(truth: &Scenario) -> Vec<Vec<Scenario>> {
     let damp = Scenario {
         m1_pct: 60.0,
@@ -55,6 +62,7 @@ fn result_sets(truth: &Scenario) -> Vec<Vec<Scenario>> {
         vec![],
         vec![*truth],
         vec![*truth, damp, *truth],
+        vec![*truth, damp, *truth, *truth, bent(1), damp, *truth],
         (0..5).map(bent).chain([damp]).collect(),
     ]
 }
@@ -118,7 +126,7 @@ fn the_fold_and_the_histogram_stages_equal_the_dense_definition() {
                 let (target, from) = (ctx.target_line(), ctx.from_line());
                 for set in result_sets(&case.truth[i - 1]) {
                     let what = format!("{} interval {i} {kernel} ×{}", case.name, set.len());
-                    let folded = statistical_stage_in(&ctx, &set, &mut arena);
+                    let folded = statistical_stage_in(&ctx, &distinct_members(&set), &mut arena);
                     let mut dense = ProbabilityMap::new(target.rows(), target.cols());
                     for s in &set {
                         dense.accumulate(&ctx.simulate_line(s));
@@ -181,7 +189,7 @@ fn random_matrix(rng: &mut StdRng) -> ProbabilityMap {
         cuts.sort_unstable();
         let pieces = cuts.windows(2).map(|w| w[0]..w[1]);
         let written = pieces.filter(|p| mask[p.clone()].contains(&true));
-        matrix.accumulate_ranges(&mask, |&burned| burned, written);
+        matrix.accumulate_ranges(&mask, |&burned| burned, written, 1);
     }
     matrix
 }
@@ -220,6 +228,28 @@ fn random_result_sets_calibrate_and_predict_as_the_dense_definition_does() {
     assert!(degenerate > 0 && searched > 0, "{degenerate} {searched}");
 }
 
+/// A result set with repeats is its distinct members with their
+/// multiplicities, in first-occurrence order — one entry, so one
+/// simulation per matrix, for each. (That the multiset's fold is the
+/// per-member matrix is the converged set of [`result_sets`] above.)
+#[test]
+fn a_result_set_with_repeats_is_its_distinct_members_with_multiplicities() {
+    let truth = cases::tiny_test_case().truth[0];
+    let converged = result_sets(&truth).swap_remove(3);
+    let (a, damp, bent) = (converged[0], converged[1], converged[4]);
+    assert_eq!(distinct_members(&converged), [(a, 4), (damp, 2), (bent, 1)]);
+    // Bit for bit: a member equal to another only as a float is its own.
+    let plain = Scenario::reference();
+    let signed = Scenario {
+        slope_deg: -0.0,
+        ..plain
+    };
+    let grouped = distinct_members(&[plain, signed, plain]);
+    assert_eq!(grouped.len(), 2);
+    assert_eq!((grouped[0].1, grouped[1].1), (2, 1));
+    assert_eq!(grouped[1].0.slope_deg.to_bits(), (-0.0f64).to_bits());
+}
+
 #[test]
 fn the_stage_tail_costs_what_the_result_set_burned() {
     let case = cases::by_name("archipelago_xl").expect("registered");
@@ -232,13 +262,13 @@ fn the_stage_tail_costs_what_the_result_set_burned() {
     // counted; the second, identical pass must leave the arena as it is.
     let mut written = 0;
     for s in &set {
-        statistical_stage_in(&ctx, std::slice::from_ref(s), &mut arena);
+        statistical_stage_in(&ctx, &[(*s, 1)], &mut arena);
         written += arena.written_ranges().map(|r| r.len()).sum::<usize>();
     }
     let (raster, scratch) = (arena.raster_bytes(), arena.scratch_bytes());
     assert_eq!(raster, cells * std::mem::size_of::<f64>(), "one raster");
     for s in &set {
-        statistical_stage_in(&ctx, std::slice::from_ref(s), &mut arena);
+        statistical_stage_in(&ctx, &[(*s, 1)], &mut arena);
         assert_eq!(
             (arena.raster_bytes(), arena.scratch_bytes()),
             (raster, scratch),
@@ -246,7 +276,7 @@ fn the_stage_tail_costs_what_the_result_set_burned() {
         );
     }
 
-    let matrix = statistical_stage_in(&ctx, &set, &mut arena);
+    let matrix = statistical_stage_in(&ctx, &distinct_members(&set), &mut arena);
     let touched: usize = matrix.touched_ranges().map(|r| r.len()).sum();
     assert!(touched > 0, "the result set must burn something");
     assert!(

@@ -7,8 +7,9 @@
 //!
 //! The matrix is a *fold over burned cells*, not a raster product: each
 //! aggregated run raises counts only where it burned
-//! ([`ProbabilityMap::accumulate_ranges`] takes the cells the run wrote),
-//! and the map keeps the union of those stretches as its cover. Everything
+//! ([`ProbabilityMap::accumulate_ranges`] takes the cells the run wrote,
+//! and how many identical runs it stands for), and the map keeps the
+//! union of those stretches as its cover. Everything
 //! outside the cover is count 0 by construction, so the Calibration and
 //! Prediction stages read the map through one walk of the cover
 //! ([`ProbabilityMap::histogram_into`]) that bins the cells by count — at
@@ -100,16 +101,18 @@ impl ProbabilityMap {
             "probability map: fire line shape mismatch"
         );
         let mask = line.mask().as_slice();
-        self.accumulate_ranges(mask, |&burned| burned, std::iter::once(0..mask.len()));
+        self.accumulate_ranges(mask, |&burned| burned, std::iter::once(0..mask.len()), 1);
     }
 
-    /// Accumulates one run from the cells it wrote: `predicted` is the
-    /// run's row-major raster (a mask, or arrival times read against an
-    /// instant by `burned`), `ranges` the index ranges outside which it
-    /// burned nothing — for an arena run,
+    /// Accumulates `runs` identical runs from the cells one of them wrote:
+    /// `predicted` is the run's row-major raster (a mask, or arrival times
+    /// read against an instant by `burned`), `ranges` the index ranges
+    /// outside which it burned nothing — for an arena run,
     /// `SimArena::written_ranges`. Only those cells are visited, so a run
-    /// costs what it burned. The ranges must not overlap, or the shared
-    /// cells count twice.
+    /// costs what it burned, and a result set member that repeats `k`
+    /// times is one visit with `runs = k`: counts and samples are integer
+    /// sums, so that is the map `k` single folds give. The ranges must not
+    /// overlap, or the shared cells count twice.
     ///
     /// # Panics
     /// Panics when the raster is not the map's size or a range reaches
@@ -120,13 +123,14 @@ impl ProbabilityMap {
         predicted: &[P],
         burned: impl Fn(&P) -> bool,
         ranges: impl IntoIterator<Item = Range<usize>>,
+        runs: u32,
     ) {
         assert_eq!(
             predicted.len(),
             self.counts.len(),
             "probability map: raster size mismatch"
         );
-        self.samples += 1;
+        self.samples += runs;
         let counts = self.counts.as_mut_slice();
         self.incoming.clear();
         for range in ranges {
@@ -136,7 +140,7 @@ impl ProbabilityMap {
             let mut stretch: Option<(usize, usize)> = None;
             for (i, (count, p)) in cells.enumerate() {
                 if burned(p) {
-                    *count += 1;
+                    *count += runs;
                     stretch = Some((stretch.map_or(i, |(first, _)| first), i));
                 }
             }
@@ -526,7 +530,7 @@ mod tests {
         // reports the range 1..7 — crossing a row boundary — plus a stray.
         let times = [9.0, 1.0, 2.0, 9.0, 9.0, 9.0, 3.0, 9.0, 9.0, 9.0, 9.0, 4.0];
         let mut fed = ProbabilityMap::new(3, 4);
-        fed.accumulate_ranges(&times, |&t| t <= 5.0, [1..7, 11..12]);
+        fed.accumulate_ranges(&times, |&t| t <= 5.0, [1..7, 11..12], 1);
         let mut dense = ProbabilityMap::new(3, 4);
         dense.accumulate(&FireLine::from_cells(
             3,

@@ -194,7 +194,7 @@ fn folded(rng: &mut StdRng) -> (ProbabilityMap, ProbabilityMap, Vec<FireLine>) {
     let mut dense = ProbabilityMap::new(ROWS, COLS);
     let mut lines = Vec::new();
     for run in &runs {
-        spans.accumulate_ranges(&run.arrivals, |&t| t <= T1, run.ranges.iter().cloned());
+        spans.accumulate_ranges(&run.arrivals, |&t| t <= T1, run.ranges.iter().cloned(), 1);
         let map = IgnitionMap::from_grid(Grid::from_vec(ROWS, COLS, run.arrivals.clone()));
         lines.push(map.fire_line_at(T1));
         dense.accumulate(lines.last().expect("just pushed"));
@@ -241,6 +241,36 @@ fn span_fed_map_equals_the_dense_fold() {
     }
     // The stream reaches the shapes the fold could get wrong.
     assert!(empty > 0 && overlapping > 0 && single > 0);
+}
+
+/// A run folded once with multiplicity `k` is the same run folded `k`
+/// times: the same counts, samples and cover, whatever was folded before
+/// it — so the stage tail may simulate a repeated result set member once.
+#[test]
+fn a_fold_with_multiplicity_k_is_k_unit_folds() {
+    let mut repeated = 0;
+    for seed in 0..4 * CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut once, _, _) = folded(&mut rng);
+        let mut unit = once.clone();
+        for _ in 0..rng.random_range(1..4usize) {
+            let run = run(&mut rng);
+            let k = rng.random_range(1..5u32);
+            let burned = |&t: &f64| t <= T1;
+            once.accumulate_ranges(&run.arrivals, burned, run.ranges.iter().cloned(), k);
+            for _ in 0..k {
+                unit.accumulate_ranges(&run.arrivals, burned, run.ranges.iter().cloned(), 1);
+            }
+            repeated += usize::from(k > 1);
+        }
+        assert_eq!(once, unit, "seed {seed}: counts or samples");
+        assert_eq!(once.samples(), unit.samples(), "seed {seed}");
+        assert!(
+            once.touched_ranges().eq(unit.touched_ranges()),
+            "seed {seed}: cover"
+        );
+    }
+    assert!(repeated > 0);
 }
 
 /// Every threshold scored from the histogram — `Kign` 0, each level, a

@@ -30,7 +30,7 @@ fn main() {
     };
     let target = sim.simulate_fire_line(&truth, &ignition, 0.0, 60.0);
     let ctx = Arc::new(StepContext::new(sim, ignition, target, 0.0, 60.0));
-    println!("one ESS-NS Optimization Stage on a {n}x{n} raster (~420 simulations)\n");
+    println!("one ESS-NS Optimization Stage on a {n}x{n} raster (~420 evaluations)\n");
 
     let time_backend = |backend: EvalBackend| -> Duration {
         let mut optimizer = EssNs::baseline();

@@ -344,6 +344,55 @@ fn submit(scheduler: &mut Scheduler, rows: &[&Row]) -> Vec<SessionId> {
         .collect()
 }
 
+/// FNV-1a over a digest: names, ending and every step's bits.
+fn fingerprint(digest: &Digest) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(digest.system.as_bytes());
+    eat(digest.case.as_bytes());
+    eat(format!("{:?}", digest.end).as_bytes());
+    for (quality, bits) in &digest.steps {
+        eat(&quality.map_or([0xff; 8], u64::to_le_bytes));
+        for b in bits {
+            eat(&b.to_le_bytes());
+        }
+    }
+    hash
+}
+
+/// Every row's expected digest, fingerprinted, in plan order. A change
+/// that moves every column at once — how the evaluator answers a genome,
+/// how the stage tail folds a result set — passes every differential
+/// cell, so the references themselves are pinned. When the numbers are
+/// meant to move, the failure prints the new list.
+const PINNED: [u64; 11] = [
+    0x0c19_df63_4862_30a4,
+    0xc66f_b771_3578_2a94,
+    0x6c2e_5e11_1cb3_7aa3,
+    0xafae_667b_b446_1f3d,
+    0x9f27_e026_f564_b9d4,
+    0x8b4d_2764_b30f_1677,
+    0x97c7_d44a_bd18_4d0e,
+    0x214e_44ba_b371_7b39,
+    0x82a6_3ead_dea2_f71f,
+    0xe474_c798_422c_bad5,
+    0x0044_087f_5287_6ee5,
+];
+
+/// The references: each row's expected digest is the pinned one.
+#[test]
+fn every_reference_is_pinned() {
+    let got: Vec<u64> = rows()
+        .iter()
+        .map(|row| fingerprint(&row.expected()))
+        .collect();
+    assert_eq!(got, PINNED, "reference fingerprints moved: {got:#018x?}");
+}
+
 /// Column: the row's session drained on its own serial pool.
 #[test]
 fn a_drained_session_is_its_reference() {
