@@ -25,10 +25,10 @@
 //!   (`ANALYSIS.json`).
 //! - [`schedule`] and [`protocol`] — bounded model checking: a loom-style
 //!   explorer enumerating every interleaving of small op scripts against
-//!   models of the MPMC channel, the steal pool and the fusion lane
-//!   guard, plus an exhaustive depth-bounded walk of the v2 session
-//!   lifecycle and a conformance replay of generated request scripts
-//!   through the real serve loop.
+//!   models of the steal pool and the fusion lane guard, plus an
+//!   exhaustive depth-bounded walk of the v2 session lifecycle and a
+//!   conformance replay of generated request scripts through the real
+//!   serve loop.
 //! - [`fuzz`] and [`invariants`] — adversarial input hardening: seeded
 //!   structured-mutation fuzzing of the strict JSON parser, the protocol
 //!   envelopes and the serve loop, and randomized-landscape drivers for

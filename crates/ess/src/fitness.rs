@@ -405,17 +405,8 @@ impl SharedScenarioPool {
     /// which loses to inline execution at typical per-step batch sizes.
     /// Both paths run the same pure work function in the same order, so
     /// results are bit-identical.
-    // lint: allow(panic) — pool-lock poisoning only follows a worker panic; amplifying it is the designed failure mode
     pub fn evaluate_matrix(&self, ctx: &Arc<StepContext>, genomes: &GenomeMatrix) -> Vec<f64> {
-        if genomes.len() <= self.inline_threshold() {
-            let mut cache = self.fallback.lock().expect(POOL_POISONED);
-            return genomes.rows().map(|g| score(&mut cache, ctx, g)).collect();
-        }
-        let batch = Arc::new(genomes.clone());
-        let tasks: Vec<SharedTask> = (0..batch.len())
-            .map(|row| (Arc::clone(ctx), Arc::clone(&batch), row))
-            .collect();
-        self.inner.lock().expect(POOL_POISONED).map(tasks)
+        self.score_rows(&[(Arc::clone(ctx), genomes)])
     }
 
     /// Evaluates many sessions' pending batches as **one fused mega-batch**
@@ -430,38 +421,8 @@ impl SharedScenarioPool {
     ///
     /// # Panics
     /// Panics when the batches disagree on genome dimension.
-    // lint: allow(panic) — pool-lock poisoning only follows a worker panic; amplifying it is the designed failure mode
     pub fn evaluate_fused(&self, batches: &[(Arc<StepContext>, &GenomeMatrix)]) -> Vec<Vec<f64>> {
-        let total: usize = batches.iter().map(|(_, g)| g.len()).sum();
-        let flat: Vec<f64> = if total <= self.inline_threshold() {
-            let mut cache = self.fallback.lock().expect(POOL_POISONED);
-            let mut flat = Vec::with_capacity(total);
-            for (ctx, g) in batches {
-                for genes in g.rows() {
-                    flat.push(score(&mut cache, ctx, genes));
-                }
-            }
-            flat
-        } else {
-            let mut mega = match batches.iter().find(|(_, g)| !g.is_empty()) {
-                Some((_, g)) => GenomeMatrix::with_dim(g.dim()),
-                None => GenomeMatrix::new(),
-            };
-            mega.reserve_rows(total);
-            for (_, g) in batches {
-                mega.extend_from(g);
-            }
-            let mega = Arc::new(mega);
-            let mut tasks: Vec<SharedTask> = Vec::with_capacity(total);
-            let mut row = 0;
-            for (ctx, g) in batches {
-                for _ in 0..g.len() {
-                    tasks.push((Arc::clone(ctx), Arc::clone(&mega), row));
-                    row += 1;
-                }
-            }
-            self.inner.lock().expect(POOL_POISONED).map(tasks)
-        };
+        let flat = self.score_rows(batches);
         let mut out = Vec::with_capacity(batches.len());
         let mut offset = 0;
         for (_, g) in batches {
@@ -469,6 +430,40 @@ impl SharedScenarioPool {
             offset += g.len();
         }
         out
+    }
+
+    /// Scores every row of `batches`, batch after batch, into one flat
+    /// vector: inline on the calling thread when the total is at or below
+    /// the threshold, else as one backend submission over a single
+    /// contiguous copy of the rows.
+    // lint: allow(panic) — pool-lock poisoning only follows a worker panic; amplifying it is the designed failure mode
+    fn score_rows(&self, batches: &[(Arc<StepContext>, &GenomeMatrix)]) -> Vec<f64> {
+        let total: usize = batches.iter().map(|(_, g)| g.len()).sum();
+        if total <= self.inline_threshold() {
+            let mut cache = self.fallback.lock().expect(POOL_POISONED);
+            let mut flat = Vec::with_capacity(total);
+            for (ctx, g) in batches {
+                flat.extend(g.rows().map(|genes| score(&mut cache, ctx, genes)));
+            }
+            return flat;
+        }
+        let mut mega = match batches.iter().find(|(_, g)| !g.is_empty()) {
+            Some((_, g)) => GenomeMatrix::with_dim(g.dim()),
+            None => GenomeMatrix::new(),
+        };
+        mega.reserve_rows(total);
+        for (_, g) in batches {
+            mega.extend_from(g);
+        }
+        let mega = Arc::new(mega);
+        let mut tasks: Vec<SharedTask> = Vec::with_capacity(total);
+        for (ctx, g) in batches {
+            let first = tasks.len();
+            tasks.extend(
+                (first..first + g.len()).map(|row| (Arc::clone(ctx), Arc::clone(&mega), row)),
+            );
+        }
+        self.inner.lock().expect(POOL_POISONED).map(tasks)
     }
 }
 

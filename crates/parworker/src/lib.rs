@@ -16,7 +16,8 @@
 //!   single seam between the metaheuristics and the hardware: algorithm
 //!   code depends on the trait only, and backend choice is a config value.
 //! * [`pool::WorkerPool`] — a persistent Master/Worker task farm. The
-//!   master scatters indexed tasks over a shared channel; workers own
+//!   master scatters indexed tasks over one `std::sync::mpsc` channel
+//!   whose receiver the workers share behind a mutex; workers own
 //!   per-worker mutable state (e.g. a simulator with scratch buffers),
 //!   compute, and send results back; the master gathers and reorders.
 //! * [`steal::StealPool`] — the same contract with work-stealing
@@ -25,12 +26,10 @@
 //! * [`backend::SerialBackend`] — the in-master 1-worker baseline of E3.
 //! * [`chunk::scoped_for_each_mut`] — StealPool's dynamic scheduling over
 //!   borrowed, mutable items; its one caller is the tiled fire kernel.
-//! * [`channel`] — the dependency-free MPMC channel under the farm.
 //! * [`stats`] — wall-clock / busy-time instrumentation feeding the
 //!   speedup experiment (E3).
 
 pub mod backend;
-pub mod channel;
 pub mod chunk;
 pub mod pool;
 pub mod stats;

@@ -1,9 +1,9 @@
 //! The persistent Master/Worker task farm.
 
-use crate::channel::{unbounded, Receiver, Sender};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -12,11 +12,11 @@ use crate::stats::PoolStats;
 /// A persistent Master/Worker pool.
 ///
 /// The master (the thread calling [`WorkerPool::map`]) scatters indexed
-/// tasks onto a shared channel; each worker owns mutable per-worker state
-/// built once by the state factory (the fire-prediction systems put a
-/// simulator with reusable scratch rasters there), computes results, and
-/// sends them back tagged with their index; the master gathers and restores
-/// submission order. This mirrors the OS-Master / OS-Worker split of
+/// tasks onto one channel whose receiver the workers share; each worker
+/// owns mutable per-worker state built once by the state factory (the
+/// fire-prediction systems put a simulator with reusable scratch rasters
+/// there), computes results, and sends them back tagged with their index;
+/// the master gathers and restores submission order. This mirrors the OS-Master / OS-Worker split of
 /// Figs. 1 and 3.
 ///
 /// Workers live until the pool is dropped, so repeated generations of an
@@ -46,8 +46,9 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
         W: Fn(&mut S, T) -> R + Send + Sync + 'static,
     {
         assert!(workers > 0, "a worker pool needs at least one worker");
-        let (task_tx, task_rx) = unbounded::<(usize, T)>();
-        let (result_tx, result_rx) = unbounded::<(usize, std::thread::Result<R>)>();
+        let (task_tx, task_rx) = channel::<(usize, T)>();
+        let task_rx = Arc::new(Mutex::new(task_rx));
+        let (result_tx, result_rx) = channel::<(usize, std::thread::Result<R>)>();
         let busy_nanos: Arc<Vec<AtomicU64>> =
             Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
         let tasks_done: Arc<Vec<AtomicU64>> =
@@ -57,7 +58,7 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
 
         let mut handles = Vec::with_capacity(workers);
         for wid in 0..workers {
-            let task_rx: Receiver<(usize, T)> = task_rx.clone();
+            let task_rx = Arc::clone(&task_rx);
             let result_tx = result_tx.clone();
             let work = Arc::clone(&work);
             let state_factory = Arc::clone(&state_factory);
@@ -68,9 +69,16 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
                     .name(format!("parworker-{wid}"))
                     .spawn(move || {
                         let mut state = state_factory(wid);
-                        // The receive loop ends when every Sender is
-                        // dropped (pool shutdown).
-                        while let Ok((idx, task)) = task_rx.recv() {
+                        loop {
+                            // The guard drops at the end of this statement,
+                            // so peers take tasks while this one runs. The
+                            // loop ends when the Sender is dropped (pool
+                            // shutdown) or a peer poisoned the lock.
+                            let next = match task_rx.lock() {
+                                Ok(rx) => rx.recv(),
+                                Err(_) => break,
+                            };
+                            let Ok((idx, task)) = next else { break };
                             // lint: allow(taint) — per-task busy-time telemetry; readings are reported, never fed back into results
                             // lint: allow(wall-clock) — per-task busy-time telemetry; never feeds back into results
                             let t = Instant::now();
@@ -290,6 +298,59 @@ mod tests {
             parallel < serial,
             "2-worker pool ({parallel:?}) should beat serial ({serial:?}) on sleep tasks"
         );
+    }
+
+    #[test]
+    fn a_running_task_leaves_the_queue_free() {
+        // Two tasks that can only finish together: each signals its
+        // arrival, then waits for the other. A worker holding the
+        // receiver's lock through its task keeps the peer from taking the
+        // second one, and the bounded wait turns that into a panic.
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        let meet = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let mut pool: WorkerPool<u32, u32> = WorkerPool::new(
+            2,
+            |_| (),
+            move |_, x| {
+                let (arrived, cv) = &*meet;
+                let mut n = arrived.lock().unwrap();
+                *n += 1;
+                cv.notify_all();
+                let (n, wait) = cv
+                    .wait_timeout_while(n, Duration::from_secs(5), |n| *n < 2)
+                    .unwrap();
+                assert!(
+                    !wait.timed_out(),
+                    "task {x} waited alone: the queue lock is held"
+                );
+                *n
+            },
+        );
+        assert_eq!(pool.map(vec![0, 1]), vec![2, 2]);
+    }
+
+    #[test]
+    fn many_more_tasks_than_workers_each_run_once_in_order() {
+        let mut pool: WorkerPool<u64, u64> = WorkerPool::new(3, |_| (), |_, x| x * 3);
+        let out = pool.map((0..1000).collect());
+        assert_eq!(out, (0..1000).map(|x| x * 3).collect::<Vec<_>>());
+        assert_eq!(pool.stats().total_tasks(), 1000);
+    }
+
+    #[test]
+    fn dropping_a_pool_of_parked_workers_returns() {
+        let mut pool: WorkerPool<u32, u32> = WorkerPool::new(3, |_| (), |_, x| x);
+        assert_eq!(pool.map(vec![1, 2, 3]), vec![1, 2, 3]);
+        // Let every worker park on the empty queue before the drop.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(pool);
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(5))
+            .expect("dropping the pool did not join its parked workers");
     }
 
     #[test]
