@@ -29,7 +29,7 @@ use firelib::{FireSim, Kernel, Scenario, ScenarioSpace, SimArena, GENE_COUNT};
 use landscape::{tally_ranges, FireLine, IgnitionMap, Observed};
 use parworker::Backend;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 pub use parworker::EvalBackend;
 
@@ -275,10 +275,11 @@ pub(crate) fn row_key(values: &[f64]) -> RowKey {
 /// single [`GenomeMatrix`] allocation instead of owning a genome `Vec`.
 pub type SharedTask = (Arc<StepContext>, Arc<GenomeMatrix>, usize);
 
-/// Per-worker arena store for the shared pool: one [`SimArena`] per grid
-/// shape seen by this worker. Arenas are pure per-call scratch (every
-/// `simulate_arena` refills them), so keying by shape is sound even when
-/// tasks from different simulators interleave on one worker.
+/// Arena store for the shared pool — one per worker, plus the pool's
+/// spare: one [`SimArena`] per grid shape seen. Arenas are pure per-call
+/// scratch (every `simulate_arena` refills them), so keying by shape is
+/// sound even when tasks from different simulators interleave on one
+/// store.
 #[derive(Default)]
 struct ArenaCache {
     arenas: Vec<((usize, usize), SimArena)>,
@@ -286,18 +287,18 @@ struct ArenaCache {
 
 impl ArenaCache {
     fn for_shape(&mut self, rows: usize, cols: usize) -> &mut SimArena {
-        match self
+        let i = match self
             .arenas
             .iter()
             .position(|((r, c), _)| (*r, *c) == (rows, cols))
         {
-            Some(i) => &mut self.arenas[i].1,
+            Some(i) => i,
             None => {
                 self.arenas.push(((rows, cols), SimArena::new(rows, cols)));
-                // lint: allow(panic) — last_mut() on the vec the previous line pushed into
-                &mut self.arenas.last_mut().expect("just pushed").1
+                self.arenas.len() - 1
             }
-        }
+        };
+        &mut self.arenas[i].1
     }
 }
 
@@ -337,12 +338,17 @@ pub const DEFAULT_INLINE_THRESHOLD: usize = 16;
 ///
 /// Batches are serialised through a mutex ([`parworker::Backend::map`]
 /// needs `&mut self`); fairness between sessions is the scheduler's job —
-/// one *batch* is the unit of interleaving.
+/// one *batch* is the unit of interleaving. Work on the calling thread —
+/// inline batches and, through [`SharedScenarioPool::with_arena`], a
+/// step's Statistical Stages — runs on the pool's one spare arena store,
+/// so a serial run keeps a single warm raster per grid shape.
 pub struct SharedScenarioPool {
     inner: Mutex<DynSharedBackend>,
-    /// Arena cache for the inline small-batch path. Never held together
-    /// with `inner` — the two paths are disjoint — so no lock nesting.
-    fallback: Mutex<ArenaCache>,
+    /// The arena store lent to calling-thread work, checked out for the
+    /// duration of one use: the lock is held only to take or return it,
+    /// never while anything runs, so it never nests with `inner`. A user
+    /// that finds it out builds a store of its own, dropped afterwards.
+    spare: Mutex<Option<ArenaCache>>,
     /// Batches at or below this size skip pool dispatch (see
     /// [`DEFAULT_INLINE_THRESHOLD`]); `usize::MAX` on a serial spec,
     /// where dispatch can never win.
@@ -371,7 +377,7 @@ impl SharedScenarioPool {
         };
         Self {
             inner: Mutex::new(backend),
-            fallback: Mutex::new(ArenaCache::default()),
+            spare: Mutex::new(None),
             inline_threshold,
             spec,
         }
@@ -432,6 +438,26 @@ impl SharedScenarioPool {
         out
     }
 
+    /// Runs `f` on an arena for `sim`'s grid shape from the pool's spare
+    /// store — warm after the first use on that shape. The arena is
+    /// scratch: whatever it held, every run refills what it reads.
+    pub fn with_arena<R>(&self, sim: &FireSim, f: impl FnOnce(&mut SimArena) -> R) -> R {
+        let terrain = sim.terrain();
+        self.with_cache(|cache| f(cache.for_shape(terrain.rows(), terrain.cols())))
+    }
+
+    /// Lends the spare arena store to `f`: taken under the lock, run with
+    /// no lock held, and put back unless another user's store got there
+    /// first. A user that finds the spare out starts an empty store; one
+    /// that panics loses the store it held, never the pool.
+    fn with_cache<R>(&self, f: impl FnOnce(&mut ArenaCache) -> R) -> R {
+        let spare = || self.spare.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut cache = spare().take().unwrap_or_default();
+        let out = f(&mut cache);
+        spare().get_or_insert(cache);
+        out
+    }
+
     /// Scores every row of `batches`, batch after batch, into one flat
     /// vector: inline on the calling thread when the total is at or below
     /// the threshold, else as one backend submission over a single
@@ -440,12 +466,13 @@ impl SharedScenarioPool {
     fn score_rows(&self, batches: &[(Arc<StepContext>, &GenomeMatrix)]) -> Vec<f64> {
         let total: usize = batches.iter().map(|(_, g)| g.len()).sum();
         if total <= self.inline_threshold() {
-            let mut cache = self.fallback.lock().expect(POOL_POISONED);
-            let mut flat = Vec::with_capacity(total);
-            for (ctx, g) in batches {
-                flat.extend(g.rows().map(|genes| score(&mut cache, ctx, genes)));
-            }
-            return flat;
+            return self.with_cache(|cache| {
+                let mut flat = Vec::with_capacity(total);
+                for (ctx, g) in batches {
+                    flat.extend(g.rows().map(|genes| score(cache, ctx, genes)));
+                }
+                flat
+            });
         }
         let mut mega = match batches.iter().find(|(_, g)| !g.is_empty()) {
             Some((_, g)) => GenomeMatrix::with_dim(g.dim()),
@@ -788,6 +815,54 @@ mod tests {
         assert_eq!(fused[0], pool.evaluate_matrix(&small_ctx, &a));
         assert_eq!(fused[1], pool.evaluate_matrix(&big_ctx, &b));
         assert!(fused[2].is_empty());
+    }
+
+    #[test]
+    fn the_spare_is_checked_out_not_locked() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        let (ctx, truth) = known_context();
+        let pool = SharedScenarioPool::new(EvalBackend::Serial);
+        let inside = AtomicUsize::new(0);
+        // Each thread runs in an arena, then waits (bounded) for the other
+        // to be inside too: a lock held across `f` would time one out.
+        let meet = || {
+            pool.with_arena(ctx.sim(), |arena| {
+                ctx.simulate_into(&truth, arena);
+                inside.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while inside.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                inside.load(Ordering::SeqCst) == 2
+            })
+        };
+        let (x, y) = std::thread::scope(|s| {
+            let x = s.spawn(meet);
+            let y = s.spawn(meet);
+            (x.join().expect("thread x"), y.join().expect("thread y"))
+        });
+        assert!(x && y, "both users must be inside at once");
+        let spare = pool.spare.lock().expect("spare lock");
+        let cache = spare.as_ref().expect("one store is put back");
+        assert_eq!(cache.arenas.len(), 1, "one arena for the one shape");
+    }
+
+    #[test]
+    fn a_panic_in_a_lent_arena_leaves_the_pool_scoring_as_fresh() {
+        let (ctx, truth) = known_context();
+        let batch = GenomeMatrix::from_rows(&random_genomes(13, 6));
+        let pool = SharedScenarioPool::new(EvalBackend::Serial);
+        pool.evaluate_matrix(&ctx, &batch);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.with_arena(ctx.sim(), |arena| {
+                ctx.simulate_into(&truth, arena);
+                panic!("mid-tail failure");
+            })
+        }));
+        assert!(caught.is_err());
+        let fresh = SharedScenarioPool::new(EvalBackend::Serial).evaluate_matrix(&ctx, &batch);
+        assert_eq!(pool.evaluate_matrix(&ctx, &batch), fresh);
     }
 
     #[test]

@@ -268,23 +268,27 @@ impl StepDriver {
         // next flush until the tail is done.
         drop(evaluator);
 
-        // --- Statistical Stage (calibration matrix) ----------------------
-        // One arena for the whole stage tail: both matrices fold the
-        // result set's distinct members through it, each simulated once
-        // and counted with its multiplicity, one matrix alive at a time.
+        // One arena for the whole stage tail, lent by the pool (warm from
+        // the search's inline batches or the previous step): both matrices
+        // fold the result set's distinct members through it, each
+        // simulated once and counted with its multiplicity, one matrix
+        // alive at a time.
         let members = distinct_members(&decode_result_set(&outcome.result_set));
-        let mut arena = case.sim.arena();
-        let cal_matrix = statistical_stage_in(&observed_ctx, &members, &mut arena);
+        let (cal, quality) = self.pool.with_arena(&case.sim, |arena| {
+            // --- Statistical Stage (calibration matrix) ------------------
+            let cal_matrix = statistical_stage_in(&observed_ctx, &members, arena);
 
-        // --- Calibration Stage: SKign on the observed interval -----------
-        let cal = skign_search_against(&cal_matrix, &observed_ctx.observed());
-        drop(cal_matrix);
+            // --- Calibration Stage: SKign on the observed interval -------
+            let cal = skign_search_against(&cal_matrix, &observed_ctx.observed());
+            drop(cal_matrix);
 
-        // --- Statistical + Prediction Stage for t_{i+1} ------------------
-        let quality = self.carried_kign.map(|kign| {
-            let next_ctx = case.step_context(i + 1);
-            let pred_matrix = statistical_stage_in(&next_ctx, &members, &mut arena);
-            PredictionStage::new(kign).quality_against(&pred_matrix, &next_ctx.observed())
+            // --- Statistical + Prediction Stage for t_{i+1} --------------
+            let quality = self.carried_kign.map(|kign| {
+                let next_ctx = case.step_context(i + 1);
+                let pred_matrix = statistical_stage_in(&next_ctx, &members, arena);
+                PredictionStage::new(kign).quality_against(&pred_matrix, &next_ctx.observed())
+            });
+            (cal, quality)
         });
 
         self.carried_kign = Some(cal.kign);
@@ -583,6 +587,29 @@ mod tests {
             assert_eq!(report.kign.to_bits(), cal.kign.to_bits(), "step {step}");
             assert_eq!(report.calibration_fitness.to_bits(), cal.fitness.to_bits());
         }
+    }
+
+    #[test]
+    fn the_stage_tail_runs_on_the_pools_spare_arena() {
+        let case = tiny_test_case();
+        let genes = |wind: f64| {
+            let s = firelib::Scenario {
+                wind_speed_mph: wind,
+                ..case.truth[0]
+            };
+            ScenarioSpace.encode(&s).to_vec()
+        };
+        let (a, b) = (genes(3.0), genes(9.0));
+        let pool = serial_pool();
+        let mut driver = StepDriver::new(case.clone(), Arc::clone(&pool), 3);
+        // Step 1 folds the calibration matrix only; `Fixed` scores
+        // nothing, so the tail is the spare's one user.
+        driver
+            .step(&mut Fixed(vec![a.clone(), b.clone(), a]))
+            .expect("a step");
+        let ctx = case.step_context(1);
+        let last = pool.with_arena(&case.sim, |arena| arena.map().fire_line_at(ctx.t1()));
+        assert_eq!(last, ctx.simulate_line(&ScenarioSpace.decode(&b)));
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! no burned-mask raster per scenario, no walk of the raster: a step's two
 //! Statistical Stages cost what its result set burned. (The scenarios *are*
 //! re-simulated — the Optimization Stage keeps fitness values, not maps —
-//! but on a warm arena that is a few evaluations' worth of work.)
+//! but on a warm arena that is a few evaluations' worth of work.) In a
+//! run, the arena is the spare of the step's pool
+//! (`SharedScenarioPool::with_arena`), warm from the search's inline
+//! batches and earlier steps; [`statistical_stage`] builds its own.
 //!
 //! The result set is folded as a multiset ([`distinct_members`]): a
 //! member that repeats — a converged population holds many copies — is
@@ -28,7 +31,8 @@ use landscape::ProbabilityMap;
 use std::collections::BTreeMap;
 
 /// Aggregates the simulated fire lines of a scenario result set over the
-/// context's interval into an ignition-probability matrix.
+/// context's interval into an ignition-probability matrix, on a fresh
+/// arena of its own (a run's steps lend the pool's instead).
 pub fn statistical_stage(ctx: &StepContext, scenarios: &[Scenario]) -> ProbabilityMap {
     statistical_stage_in(ctx, &distinct_members(scenarios), &mut ctx.sim().arena())
 }
@@ -64,8 +68,10 @@ pub fn distinct_members(scenarios: &[Scenario]) -> Vec<(Scenario, u32)> {
 
 /// The fold itself, over a result set's [`distinct_members`]: each member
 /// is simulated once on a lent arena and counted with its multiplicity. A
-/// prediction step lends one arena to both of its Statistical Stages, so
-/// the arena's raster is filled once per step, not once per scenario.
+/// prediction step lends both of its Statistical Stages the pool's spare
+/// arena ([`crate::fitness::SharedScenarioPool::with_arena`]), so the
+/// arena's raster is filled once per pool and grid shape, not once per
+/// step or scenario.
 pub fn statistical_stage_in(
     ctx: &StepContext,
     members: &[(Scenario, u32)],

@@ -15,9 +15,9 @@
 //!
 //! (b) A count guard, not a clock: on `archipelago_xl` step 1 the map
 //! touches no more cells than the runs wrote, the calibration walk visits
-//! no more than the map touched, and the lent arena stops growing after
-//! the first pass — so a regression to a raster walk or to an arena per
-//! scenario fails here deterministically.
+//! no more than the map touched, and the arena the pool lends the tail
+//! stops growing after the first pass — so a regression to a raster walk
+//! or to an arena per scenario fails here deterministically.
 //!
 //! (c) A result set with repeats is folded as a multiset: its distinct
 //! members, each simulated once with its multiplicity, give the
@@ -27,6 +27,7 @@
 
 use ess::calibration::{skign_search, skign_search_against, CalibrationOutcome, PredictionStage};
 use ess::cases::{self, BurnCase};
+use ess::fitness::{EvalBackend, SharedScenarioPool};
 use ess::stages::{distinct_members, statistical_stage, statistical_stage_in};
 use firelib::{Kernel, Scenario};
 use landscape::{jaccard, FireLine, LevelHistogram, ProbabilityMap};
@@ -256,46 +257,48 @@ fn the_stage_tail_costs_what_the_result_set_burned() {
     let ctx = case.step_context(1);
     let set = result_sets(&case.truth[0]).pop().expect("non-empty");
     let cells = ctx.target_line().mask().len();
-    let mut arena = case.sim.arena();
+    // The arena a run's stage tail folds on: the pool's spare.
+    let pool = SharedScenarioPool::new(EvalBackend::Serial);
+    pool.with_arena(&case.sim, |arena| {
+        // Warm-up pass, one scenario at a time so each run's write set can be
+        // counted; the second, identical pass must leave the arena as it is.
+        let mut written = 0;
+        for s in &set {
+            statistical_stage_in(&ctx, &[(*s, 1)], arena);
+            written += arena.written_ranges().map(|r| r.len()).sum::<usize>();
+        }
+        let (raster, scratch) = (arena.raster_bytes(), arena.scratch_bytes());
+        assert_eq!(raster, cells * std::mem::size_of::<f64>(), "one raster");
+        for s in &set {
+            statistical_stage_in(&ctx, &[(*s, 1)], arena);
+            assert_eq!(
+                (arena.raster_bytes(), arena.scratch_bytes()),
+                (raster, scratch),
+                "the lent arena grew in steady state"
+            );
+        }
 
-    // Warm-up pass, one scenario at a time so each run's write set can be
-    // counted; the second, identical pass must leave the arena as it is.
-    let mut written = 0;
-    for s in &set {
-        statistical_stage_in(&ctx, &[(*s, 1)], &mut arena);
-        written += arena.written_ranges().map(|r| r.len()).sum::<usize>();
-    }
-    let (raster, scratch) = (arena.raster_bytes(), arena.scratch_bytes());
-    assert_eq!(raster, cells * std::mem::size_of::<f64>(), "one raster");
-    for s in &set {
-        statistical_stage_in(&ctx, &[(*s, 1)], &mut arena);
-        assert_eq!(
-            (arena.raster_bytes(), arena.scratch_bytes()),
-            (raster, scratch),
-            "the lent arena grew in steady state"
+        let matrix = statistical_stage_in(&ctx, &distinct_members(&set), arena);
+        let touched: usize = matrix.touched_ranges().map(|r| r.len()).sum();
+        assert!(touched > 0, "the result set must burn something");
+        assert!(
+            touched <= written,
+            "the map touched {touched} cells, the runs wrote {written}"
         );
-    }
-
-    let matrix = statistical_stage_in(&ctx, &distinct_members(&set), &mut arena);
-    let touched: usize = matrix.touched_ranges().map(|r| r.len()).sum();
-    assert!(touched > 0, "the result set must burn something");
-    assert!(
-        touched <= written,
-        "the map touched {touched} cells, the runs wrote {written}"
-    );
-    assert!(
-        written * 10 < cells,
-        "the guard needs a fire much smaller than the raster ({written} of {cells} cells)"
-    );
-    let mut hist = LevelHistogram::default();
-    matrix.histogram_into(&ctx.observed(), &mut hist);
-    assert!(
-        hist.visited() <= touched,
-        "the calibration walk left the spans"
-    );
-    // And the walk's answer is the dense one.
-    assert_eq!(
-        skign_search_against(&matrix, &ctx.observed()),
-        skign_search_dense(&matrix, ctx.target_line(), Some(ctx.from_line()))
-    );
+        assert!(
+            written * 10 < cells,
+            "the guard needs a fire much smaller than the raster ({written} of {cells} cells)"
+        );
+        let mut hist = LevelHistogram::default();
+        matrix.histogram_into(&ctx.observed(), &mut hist);
+        assert!(
+            hist.visited() <= touched,
+            "the calibration walk left the spans"
+        );
+        // And the walk's answer is the dense one.
+        assert_eq!(
+            skign_search_against(&matrix, &ctx.observed()),
+            skign_search_dense(&matrix, ctx.target_line(), Some(ctx.from_line()))
+        );
+    });
 }
