@@ -32,8 +32,9 @@
 //! - [`fuzz`] and [`invariants`] — adversarial input hardening: seeded
 //!   structured-mutation fuzzing of the strict JSON parser, the protocol
 //!   envelopes and the serve loop, and randomized-landscape drivers for
-//!   the fire kernels (finite non-negative rates, in-horizon arrivals,
-//!   heap≡bucket bit-identity under arena reuse) and for the two raster
+//!   the fire kernels (finite non-negative rates, in-horizon arrivals
+//!   under arena reuse; kernel bit-identity is firelib's conformance
+//!   matrix) and for the two raster
 //!   shortcuts of the serve path (bucketed Voronoi ≡ all-sites scan,
 //!   span-bounded fitness ≡ full-raster Jaccard).
 //!

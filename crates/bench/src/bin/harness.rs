@@ -396,7 +396,7 @@ fn verify_main(args: &Args) -> Result<(), String> {
         report.jsonio.inputs, report.jsonio.accepted, report.envelopes.inputs, report.serve.inputs
     );
     println!(
-        "firelib: {} landscapes / {} cells bit-identical across kernels, {} hostile samples",
+        "firelib: {} landscapes / {} cells inside their arrival windows, {} hostile samples",
         report.firelib.terrains, report.firelib.cells, report.hostile.ros_samples
     );
     println!(

@@ -1,0 +1,208 @@
+use super::{bucket::BucketQueue, heap::Time, tiled::EpochScratch, Seeds};
+use landscape::{IgnitionMap, UNIGNITED};
+use std::{cmp::Reverse, collections::BinaryHeap};
+
+/// Which cells of the arena's arrival raster may differ from `UNIGNITED`
+/// after the previous run — the next run resets exactly this set instead
+/// of the whole raster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Dirty {
+    /// Fresh raster (or already reset): all cells hold `UNIGNITED`.
+    Clean,
+    /// Unknown write set (reference kernel ran): full reset required.
+    All,
+    /// Bucket run: writes confined to the per-row spans recorded in
+    /// `span_lo`/`span_hi` for `rows` window rows starting at `r0`, plus
+    /// the explicit `stray` overflow list.
+    Spans { r0: usize, rows: usize },
+}
+
+/// Restores the all-`UNIGNITED` invariant of `out` by resetting exactly
+/// what the previous run wrote: nothing for a fresh raster, the recorded
+/// per-row spans (plus strays) after a span-tracked run, or a full clear
+/// after a reference-kernel run.
+// lint: no_alloc
+#[inline]
+pub(super) fn reset_raster(
+    dirty: &mut Dirty,
+    out: &mut IgnitionMap,
+    span_lo: &[u32],
+    span_hi: &[u32],
+    stray: &mut Vec<u32>,
+    cols: usize,
+) {
+    match *dirty {
+        Dirty::Clean => {}
+        Dirty::All => out.clear(),
+        Dirty::Spans { r0, rows: drows } => {
+            let slice = out.grid_mut().as_mut_slice();
+            for (i, (&lo, &hi)) in span_lo.iter().zip(span_hi.iter()).enumerate().take(drows) {
+                if lo <= hi {
+                    let off = (r0 + i) * cols;
+                    slice[off + lo as usize..=off + hi as usize].fill(UNIGNITED);
+                }
+            }
+            for &sidx in stray.iter() {
+                slice[sidx as usize] = UNIGNITED;
+            }
+        }
+    }
+    stray.clear();
+    *dirty = Dirty::Clean;
+}
+
+/// Leaves each out-of-window cell of a finished run listed once (a cell
+/// relaxed twice was pushed twice), so the stray list is a set of disjoint
+/// single-cell ranges for [`SimArena::written_ranges`].
+// lint: no_alloc
+pub(super) fn dedup_strays(stray: &mut Vec<u32>) {
+    stray.sort_unstable();
+    stray.dedup();
+}
+
+/// The worker-owned simulation arena: every buffer the propagation engine
+/// needs across evaluations, allocated once and reused.
+///
+/// `FireSim` is immutable shared state (terrain + fuel beds behind `Arc`s);
+/// a `SimArena` is the *mutable* counterpart one worker owns privately. It
+/// holds the frontier queues, the seed lists, the dirty-span bookkeeping
+/// and the arrival-time raster — no spread tables beyond the 14 inline
+/// per-fuel ones: a per-cell table lives for the one pop that reads it.
+/// Construction is O(1): nothing is allocated until the first run, and
+/// from then on every buffer is retained at its high-water mark, so once
+/// capacities have grown to cover the scenarios a worker evaluates,
+/// [`FireSim::simulate_arena`](super::FireSim::simulate_arena) performs
+/// **zero further allocations** — construct one arena per worker (see
+/// `FireSim::arena`) and reuse it for every scenario. On the default
+/// bucket kernel the high-water mark tracks the *fire*: a short burn on a
+/// 1000×1000 map holds the frontier it queued and eight bytes per window
+/// row of spans, plus the (mandatory) full arrival raster.
+#[derive(Debug, Clone)]
+pub struct SimArena {
+    pub(super) rows: usize,
+    pub(super) cols: usize,
+    /// Per-fuel-code directional spread tables (filled only on fuel-only
+    /// mosaics, and only for the codes the fuel layer holds); inline, so
+    /// the fast path never touches the heap.
+    pub(super) per_fuel: [[f64; 8]; 14],
+    /// Reference-kernel Dijkstra frontier; empty unless
+    /// [`Kernel::Heap`](super::Kernel::Heap) runs, capacity persists.
+    pub(super) heap: BinaryHeap<(Reverse<Time>, u32)>,
+    /// Bucket-kernel frontier.
+    pub(super) queue: BucketQueue,
+    /// The seeds of the last run that was handed a fire line rather than
+    /// resolved [`Seeds`] (index scratch).
+    pub(super) line_seeds: Seeds,
+    /// Per-window-row dirty column spans of the last bucket run
+    /// (inclusive; `lo > hi` means the row was never written).
+    pub(super) span_lo: Vec<u32>,
+    pub(super) span_hi: Vec<u32>,
+    /// Cells written outside the active window (possible only through
+    /// floating-point slack in the spread-rate bound; reset individually),
+    /// each listed once when a run returns.
+    pub(super) stray: Vec<u32>,
+    /// What the next run must reset before writing.
+    pub(super) dirty: Dirty,
+    /// Tiled-kernel epoch scratch; empty unless the tiled kernel runs.
+    pub(super) epochs: EpochScratch,
+    /// The arrival raster of the most recent evaluation; allocated on
+    /// first use.
+    pub(super) out: Option<IgnitionMap>,
+}
+
+impl SimArena {
+    /// An arena for `rows × cols` rasters. Construction allocates nothing
+    /// — every buffer (arrival raster included) is grown on first use and
+    /// then retained at its high-water mark — so arenas for shapes that
+    /// are never evaluated cost no memory (the per-worker `ArenaCache`
+    /// keys arenas by shape).
+    pub fn new(rows: usize, cols: usize) -> Self {
+        assert!(rows > 0 && cols > 0, "arena dimensions must be non-zero");
+        Self {
+            rows,
+            cols,
+            per_fuel: [[0.0; 8]; 14],
+            heap: BinaryHeap::new(),
+            queue: BucketQueue::default(),
+            line_seeds: Seeds::default(),
+            span_lo: Vec::new(),
+            span_hi: Vec::new(),
+            stray: Vec::new(),
+            dirty: Dirty::Clean,
+            epochs: EpochScratch::default(),
+            out: None,
+        }
+    }
+
+    /// Raster rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Raster columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The arrival map written by the last
+    /// [`FireSim::simulate_arena`](super::FireSim::simulate_arena) run.
+    ///
+    /// # Panics
+    /// Panics when no simulation has run in this arena yet (the raster is
+    /// allocated lazily on first use).
+    pub fn map(&self) -> &IgnitionMap {
+        self.out
+            .as_ref()
+            // lint: allow(panic) — documented `# Panics` contract: reading an arena before any run is caller error, pinned by the `fresh_arena_map_panics` test
+            .expect("SimArena::map: no simulation has run in this arena yet")
+    }
+
+    /// The index ranges of [`SimArena::map`] the last run may have written:
+    /// disjoint, and every cell outside them holds `UNIGNITED`. After a
+    /// bucket or tiled run these are the per-row spans of the active-front
+    /// window plus any stray cells beyond it, so a consumer that only cares
+    /// about ignited cells (Eq. (3) scoring) pays for the fire, not the
+    /// raster; after a reference-kernel run, which tracks nothing, the one
+    /// range is the whole raster.
+    // lint: no_alloc
+    pub fn written_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let cols = self.cols;
+        let (whole, r0, span_rows, strays) = match self.dirty {
+            Dirty::Clean => (None, 0, 0, &[][..]),
+            Dirty::All => (Some(0..self.rows * cols), 0, 0, &[][..]),
+            Dirty::Spans { r0, rows } => (None, r0, rows, &self.stray[..]),
+        };
+        let spans = self.span_lo.iter().zip(&self.span_hi).take(span_rows);
+        whole
+            .into_iter()
+            .chain(spans.enumerate().filter(|(_, (lo, hi))| lo <= hi).map(
+                move |(i, (&lo, &hi))| {
+                    let off = (r0 + i) * cols;
+                    off + lo as usize..off + hi as usize + 1
+                },
+            ))
+            .chain(strays.iter().map(|&s| s as usize..s as usize + 1))
+    }
+
+    /// Heap bytes currently held by every scratch structure in the arena
+    /// — frontier queues, seed lists, dirty-span bookkeeping —
+    /// **excluding** the arrival raster itself (which is the mandatory
+    /// output, reported by [`SimArena::raster_bytes`]). It scales with the
+    /// fire a run queued, not with the raster or the window.
+    pub fn scratch_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.heap.capacity() * size_of::<(Reverse<Time>, u32)>()
+            + self.queue.bytes()
+            + (self.span_lo.capacity() + self.span_hi.capacity() + self.stray.capacity())
+                * size_of::<u32>()
+            + self.line_seeds.bytes()
+            + self.epochs.bytes()
+    }
+
+    /// Heap bytes held by the arrival raster (0 until the first run).
+    pub fn raster_bytes(&self) -> usize {
+        self.out
+            .as_ref()
+            .map_or(0, |m| m.rows() * m.cols() * std::mem::size_of::<f64>())
+    }
+}

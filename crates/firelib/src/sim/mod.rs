@@ -1,0 +1,713 @@
+//! Cell-to-cell fire propagation — the `FS` block of Figs. 1–3.
+//!
+//! fireLib propagates fire over a raster of square cells by repeatedly
+//! sweeping the map and assigning each cell the earliest arrival time from
+//! any burning neighbour until a fixpoint is reached. Because every
+//! cell-to-cell traversal time is non-negative and fixed for a given
+//! scenario, that fixpoint is exactly the shortest-path (minimum travel
+//! time) solution, which we compute directly with a shortest-path sweep —
+//! same result, deterministic, and frontier-proportional instead of
+//! repeated full-map sweeps.
+//!
+//! Three kernels implement the sweep. They differ only in how they keep
+//! the frontier; one prelude (`FireSim::run_kernel`) checks the run's
+//! preconditions, resets the raster, writes the seeds, hoists the
+//! per-fuel-model half of the spread math and says how a popped cell
+//! resolves its spread table, for all of them. **A run costs ∝ cells
+//! popped plus seeds written**: on a fully heterogeneous terrain a cell's
+//! directional table is built when that cell pops (its one live pop is the
+//! table's only reader, so nothing is cached), a pop that can no longer
+//! improve any neighbour builds none, and a pop reads each of its eight
+//! neighbours once. What depends on the start line alone — which lit
+//! cells can burn, which of them are on the front (a neighbour still to
+//! burn, so worth queueing), their bounding box — is a [`Seeds`] value,
+//! resolved once per fire line (once per interval of a case) rather than
+//! once per run.
+//!
+//! * [`Kernel::Heap`] — the reference implementation: a classic Dijkstra
+//!   over a `BinaryHeap<(Reverse<Time>, u32)>` whose window is the whole
+//!   raster. Simple, and kept as the oracle every other path is pinned
+//!   against — which is why it has its own pop-and-relax loop.
+//! * [`Kernel::Bucket`] — the landscape-scale hot path: a monotone
+//!   bucket-queue (Dial-style) wavefront sweep with **active-front
+//!   bounding**. Arrival times live in `[t0, t0 + duration]`, so the
+//!   frontier is kept in an array of buckets keyed by quantized arrival
+//!   time (O(1) push, cache-friendly per-bucket drains); the raster keeps
+//!   exact `f64` arrival times — buckets only order the frontier. The
+//!   window the fire can reach within the horizon bounds only the
+//!   dirty-span bookkeeping, so the next run resets what this one wrote
+//!   instead of O(rows×cols).
+//! * [`Kernel::Tiled`] — the bucket kernel's levels drained by several
+//!   cores at once and merged back in pop order (`Sweep::run_tiled`).
+//!
+//! **Why the kernels are bit-identical.** A run is a sequence of pops, and
+//! three things fix everything a pop does:
+//!
+//! 1. *The pop order.* Every kernel pops in the strict total order of the
+//!    reference heap's `(Reverse<Time>, u32)` tuples: ascending time, ties
+//!    by descending cell index. The bucket queue drains each bucket
+//!    through a mini-heap in exactly that order, and every traversal cost
+//!    is positive, so an entry pushed while draining bucket `k` can never
+//!    belong to a bucket `< k` (quantization is monotone in the arrival
+//!    time). Debug builds audit the realized order of all three kernels
+//!    (`audit_pop_order`).
+//! 2. *The table.* `Sweep::table` resolves a cell's directional spread
+//!    table the same way for every kernel, and a cell's table depends on
+//!    that cell alone — not on when, or on which thread, it was built.
+//! 3. *The relaxation.* `Sweep::relax` is the one step that turns a pop
+//!    into neighbour arrivals: the staleness test, the edge cost `t +
+//!    distance / ros`, the horizon and `SMIDGEN`-tolerance comparisons, the
+//!    burnability of the neighbour. The reference kernel spells the same
+//!    step out independently, without the step's early outs: it builds a
+//!    table for every live pop and queues every seed, which is what the
+//!    front of a [`Seeds`] is checked against.
+//!
+//! Same pops in the same order, through the same tables and the same step,
+//! is the same execution — every relaxation decision, every tolerance
+//! comparison, every `f64` written. The kernel conformance matrix
+//! (`sim/tests/conformance.rs`) pins this with exact raster bits.
+//!
+//! The traversal time of the edge from a burning cell to a neighbour is
+//! `distance / ros_source(azimuth)`, i.e. the fire crosses the source cell's
+//! fuel towards the neighbour, matching fireLib's per-cell spread
+//! computation. Cells whose own fuel bed cannot burn are never ignited.
+
+mod arena;
+mod bucket;
+mod heap;
+mod seeds;
+mod sweep;
+#[cfg(test)]
+mod tests;
+mod tiled;
+
+pub use {arena::SimArena, seeds::Seeds};
+
+use crate::combustion::{standard_beds, FuelBed};
+use crate::scenario::Scenario;
+use crate::spread::{
+    no_wind_no_slope, wind_slope_from_ros0, wind_slope_max, SpreadInputs, SpreadVector,
+};
+use crate::terrain::Terrain;
+use crate::SMIDGEN;
+use arena::{dedup_strays, reset_raster, Dirty};
+use landscape::geometry::normalize_azimuth;
+use landscape::{FireLine, IgnitionMap};
+use seeds::Window;
+use std::sync::Arc;
+use sweep::{Burnable, Sweep, Tables, Trail};
+
+/// Which propagation kernel a `simulate_arena_kernel` call runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// Reference Dijkstra over a binary heap, every seed queued, full-raster
+    /// reset.
+    Heap,
+    /// Monotone bucket-queue wavefront sweep with active-front bounding —
+    /// the default hot path; bit-identical to [`Kernel::Heap`].
+    Bucket,
+    /// Multi-core tiled wavefront (`sim/tiled.rs`); bit-identical to the heap.
+    Tiled {
+        /// Spatial tile edge in cells; must be non-zero.
+        tile: usize,
+        /// Drain threads; `0` means `std::thread::available_parallelism`.
+        workers: usize,
+    },
+}
+
+/// Default spatial tile edge for [`Kernel::Tiled`]: big enough that a
+/// tile's pops share cache lines, small enough that an XL fire front spans
+/// many tiles.
+pub const DEFAULT_TILE: usize = 128;
+
+impl Kernel {
+    /// The tiled kernel with the default tile size and auto worker count.
+    pub fn tiled_auto() -> Self {
+        Kernel::Tiled {
+            tile: DEFAULT_TILE,
+            workers: 0,
+        }
+    }
+}
+
+impl std::fmt::Display for Kernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Kernel::Heap => write!(f, "heap"),
+            Kernel::Bucket => write!(f, "bucket"),
+            Kernel::Tiled { tile, workers: 0 } => write!(f, "tiled:{tile}"),
+            Kernel::Tiled { tile, workers } => write!(f, "tiled:{tile}x{workers}"),
+        }
+    }
+}
+
+/// The fire propagation simulator for one terrain.
+///
+/// A `FireSim` is *immutable shared state*: the terrain and the precomputed
+/// NFFL fuel beds both live behind `Arc`s, so cloning is two reference
+/// bumps and workers never copy a raster. All mutable evaluation state
+/// lives in a worker-owned [`SimArena`]; the allocation-free hot path is
+/// [`FireSim::simulate_arena`].
+#[derive(Debug, Clone)]
+pub struct FireSim {
+    terrain: Arc<Terrain>,
+    beds: Arc<[FuelBed]>,
+}
+
+impl FireSim {
+    /// Builds a simulator over `terrain` with the standard NFFL catalog
+    /// (the fuel-bed table is process-wide shared, not rebuilt per call).
+    pub fn new(terrain: Terrain) -> Self {
+        Self::shared(Arc::new(terrain))
+    }
+
+    /// Builds a simulator over an already-shared terrain (no copy).
+    pub fn shared(terrain: Arc<Terrain>) -> Self {
+        Self {
+            terrain,
+            beds: standard_beds(),
+        }
+    }
+
+    /// The terrain this simulator burns.
+    pub fn terrain(&self) -> &Terrain {
+        &self.terrain
+    }
+
+    /// A fresh [`SimArena`] sized for this terrain.
+    pub fn arena(&self) -> SimArena {
+        SimArena::new(self.terrain.rows(), self.terrain.cols())
+    }
+
+    /// Directional spread rates for one cell under `scenario`, through the
+    /// [`Terrain`] accessors and the unsplit [`wind_slope_max`] — the
+    /// independent statement of what a cell's table is, which
+    /// [`FireSim::cell_table_at`] is pinned against bit for bit.
+    fn cell_spread(&self, row: usize, col: usize, scenario: &Scenario) -> SpreadVector {
+        let fuel = self.terrain.fuel_at(row, col, scenario.model);
+        let Some(bed) = self.beds.get(fuel as usize).filter(|bed| bed.burnable) else {
+            return SpreadVector::no_spread();
+        };
+        let slope_deg = self.terrain.slope_at(row, col, scenario.slope_deg);
+        let aspect = self.terrain.aspect_at(row, col, scenario.aspect_deg);
+        let (wind_mph, wind_dir) =
+            self.terrain
+                .wind_at(row, col, scenario.wind_speed_mph, scenario.wind_dir_deg);
+        let inputs = SpreadInputs {
+            wind_fpm: wind_mph * crate::MPH_TO_FPM,
+            wind_azimuth: wind_dir,
+            slope_steepness: slope_deg.to_radians().tan(),
+            aspect_azimuth: aspect,
+        };
+        wind_slope_max(bed, &scenario.moisture(), &inputs)
+    }
+
+    /// The per-catalog-model `(ros0, reaction intensity)` hoist:
+    /// [`no_wind_no_slope`] runs the fuel-particle loops and depends only
+    /// on (fuel code, moisture), so a run computes it once for each model
+    /// the terrain can show the fire ([`Terrain::fuel_code_mask`]) — never
+    /// per cell — and both the window's spread-rate bound and every spread
+    /// table start from it. A model outside the mask (or outside the
+    /// catalog) keeps `(0, 0)`, which reads as "does not spread".
+    fn hoisted_base(&self, scenario: &Scenario) -> [(f64, f64); 14] {
+        let mask = self.terrain.fuel_code_mask(scenario.model);
+        let moisture = scenario.moisture();
+        let mut base = [(0.0f64, 0.0f64); 14];
+        for (code, (bed, slot)) in self.beds.iter().zip(base.iter_mut()).enumerate() {
+            if mask & (1 << code) != 0 {
+                *slot = no_wind_no_slope(bed, &moisture);
+            }
+        }
+        base
+    }
+
+    /// An upper bound (ft/min) on the spread rate any cell of this terrain
+    /// can reach under `scenario`, used to size the active-front window.
+    /// O(catalog size) per call: the terrain caches its per-layer maxima
+    /// (fuel-code mask, max slope, max wind factor) at construction.
+    ///
+    /// Soundness: for every cell, `ros_at_azimuth ≤ ros_max` and the
+    /// spread analysis yields `ros_max ≤ ros0 · (1 + φ_w + φ_s)` — the
+    /// wind-only and slope-only branches are exactly that, the combined
+    /// branch vector-adds to `ros0 + rv` with
+    /// `rv = √((slp + wnd·cosθ)² + (wnd·sinθ)²) ≤ slp + wnd`, and the
+    /// effective-wind cap only lowers `ros_max`. `φ_w = k·U^b` and
+    /// `φ_s = k·tan²` are monotone in wind speed and slope, so evaluating
+    /// them at the terrain-wide maxima bounds every cell. (The bound sizes
+    /// bookkeeping only: a cell written beyond the window through
+    /// floating-point slack is tracked on the stray list instead.)
+    pub fn spread_rate_bound(&self, scenario: &Scenario) -> f64 {
+        self.rate_bound(scenario, &self.hoisted_base(scenario))
+    }
+
+    /// [`FireSim::spread_rate_bound`] from the run's hoisted `base`.
+    // lint: no_alloc
+    fn rate_bound(&self, scenario: &Scenario, base: &[(f64, f64); 14]) -> f64 {
+        let wind_fpm = self.terrain.max_wind_speed(scenario.wind_speed_mph) * crate::MPH_TO_FPM;
+        let steep = self
+            .terrain
+            .max_slope_deg(scenario.slope_deg)
+            .to_radians()
+            .tan();
+        let mut cap = 0.0f64;
+        for (bed, &(ros0, _)) in self.beds.iter().zip(base) {
+            // Absent, unburnable and extinguished models all hoist to a
+            // `ros0` of zero.
+            if ros0 <= SMIDGEN {
+                continue;
+            }
+            let phi_w = if wind_fpm <= SMIDGEN {
+                0.0
+            } else {
+                bed.wind_k * wind_fpm.powf(bed.wind_b)
+            };
+            let phi_s = if steep <= SMIDGEN {
+                0.0
+            } else {
+                bed.slope_k * steep * steep
+            };
+            cap = cap.max(ros0 * (1.0 + phi_w + phi_s));
+        }
+        cap
+    }
+
+    /// The directional table of fuel model `code` under `inputs`: the
+    /// wind/slope half of the spread math over the hoisted `base`.
+    /// [`wind_slope_max`] is exactly `no_wind_no_slope` composed with
+    /// [`wind_slope_from_ros0`], so this is bit-identical to
+    /// [`FireSim::cell_spread`] for a cell with that model and those inputs.
+    // lint: no_alloc
+    #[inline]
+    fn code_table(&self, code: usize, base: &[(f64, f64); 14], inputs: &SpreadInputs) -> [f64; 8] {
+        let (ros0, rx_int) = base[code];
+        let table = wind_slope_from_ros0(&self.beds[code], ros0, rx_int, inputs).compass_ros();
+        debug_assert!(
+            table.iter().all(|ros| ros.is_finite() && *ros >= 0.0),
+            "non-finite or negative ROS in the spread table of model {code}: {table:?}"
+        );
+        table
+    }
+
+    /// The directional table of cell `idx` on a fully heterogeneous
+    /// terrain, built when the cell pops: `globals` (the scenario's own
+    /// inputs) with each override layer's value for the cell in place of
+    /// the global one, resolved by the same expressions the [`Terrain`]
+    /// accessors use — bit-identical to [`FireSim::cell_spread`], pinned by
+    /// the `cell_table_matches_the_terrain_accessor_path` test.
+    // lint: no_alloc
+    #[inline]
+    fn cell_table_at(
+        &self,
+        idx: usize,
+        scenario: &Scenario,
+        globals: &SpreadInputs,
+        base: &[(f64, f64); 14],
+    ) -> [f64; 8] {
+        let t = &*self.terrain;
+        let code = match t.fuel_layer() {
+            Some(g) => g.as_slice()[idx],
+            None => scenario.model,
+        } as usize;
+        if base[code].0 <= SMIDGEN {
+            return [0.0; 8]; // nothing spreads: skip the layer reads
+        }
+        let mut inputs = *globals;
+        if let Some(g) = t.slope_layer() {
+            inputs.slope_steepness = g.as_slice()[idx].to_radians().tan();
+        }
+        if let Some(g) = t.aspect_layer() {
+            inputs.aspect_azimuth = g.as_slice()[idx];
+        }
+        if let Some((f, o)) = t.wind_layer() {
+            inputs.wind_fpm = (scenario.wind_speed_mph * f.as_slice()[idx]) * crate::MPH_TO_FPM;
+            inputs.wind_azimuth = normalize_azimuth(scenario.wind_dir_deg + o.as_slice()[idx]);
+        }
+        self.code_table(code, base, &inputs)
+    }
+
+    /// Simulates fire growth from `initial` (cells burning at `t0`) for
+    /// `duration` minutes, returning the ignition-time map. Cells the fire
+    /// does not reach within the horizon hold [`landscape::UNIGNITED`];
+    /// initial cells hold `t0`.
+    ///
+    /// # Panics
+    /// Panics when `initial` does not match the terrain shape, `t0` is
+    /// negative/non-finite or `duration` is not positive.
+    pub fn simulate(
+        &self,
+        scenario: &Scenario,
+        initial: &FireLine,
+        t0: f64,
+        duration: f64,
+    ) -> IgnitionMap {
+        let mut out = IgnitionMap::unignited(self.terrain.rows(), self.terrain.cols());
+        self.simulate_into(scenario, initial, t0, duration, &mut out);
+        out
+    }
+
+    /// Output-reusing variant of [`FireSim::simulate`]: `out` is cleared
+    /// and refilled, keeping its buffer. Runs the reference heap kernel
+    /// (scratch is allocated per call) — workers that evaluate in a loop
+    /// should hold a [`SimArena`] and call [`FireSim::simulate_arena`]
+    /// instead.
+    ///
+    /// # Panics
+    /// As [`FireSim::simulate`], and when `out` does not match the terrain
+    /// shape. A run that panics on its own preconditions leaves `out`
+    /// unspecified.
+    pub fn simulate_into(
+        &self,
+        scenario: &Scenario,
+        initial: &FireLine,
+        t0: f64,
+        duration: f64,
+        out: &mut IgnitionMap,
+    ) {
+        self.check_shape("output map", out.rows(), out.cols());
+        // The caller's map is lent to a throwaway arena as a raster of
+        // unknown content, and taken back once the run has refilled it.
+        let mut arena = self.arena();
+        arena.dirty = Dirty::All;
+        arena.out = Some(std::mem::replace(out, IgnitionMap::unignited(1, 1)));
+        self.simulate_arena_kernel(scenario, initial, t0, duration, &mut arena, Kernel::Heap);
+        if let Some(refilled) = arena.out.take() {
+            *out = refilled;
+        }
+    }
+
+    /// The allocation-free hot path: simulates into the arena's buffers and
+    /// returns the arrival map. Runs the bucket kernel ([`Kernel::Bucket`],
+    /// bit-identical to the reference) — the arena's buffers persist at
+    /// their high-water mark, so repeated calls stop allocating once that
+    /// mark covers the scenarios being evaluated (the property the
+    /// `arena_is_allocation_free_in_steady_state` test pins).
+    ///
+    /// # Panics
+    /// Panics when the arena or `initial` does not match the terrain shape,
+    /// `t0` is negative/non-finite or `duration` is not positive.
+    pub fn simulate_arena<'a>(
+        &self,
+        scenario: &Scenario,
+        initial: &FireLine,
+        t0: f64,
+        duration: f64,
+        arena: &'a mut SimArena,
+    ) -> &'a IgnitionMap {
+        self.simulate_arena_kernel(scenario, initial, t0, duration, arena, Kernel::Bucket)
+    }
+
+    /// [`FireSim::simulate_arena`] with an explicit kernel choice —
+    /// exposed so benches and the kernel conformance matrix can run the
+    /// reference heap kernel against the others on the same arena API.
+    /// All three kernels produce bit-identical rasters.
+    pub fn simulate_arena_kernel<'a>(
+        &self,
+        scenario: &Scenario,
+        initial: &FireLine,
+        t0: f64,
+        duration: f64,
+        arena: &'a mut SimArena,
+        kernel: Kernel,
+    ) -> &'a IgnitionMap {
+        // The seeds land in arena scratch (the arena is lent to the run, so
+        // they leave it for the duration).
+        let mut seeds = std::mem::take(&mut arena.line_seeds);
+        self.resolve_seeds(initial, &mut seeds);
+        self.run_kernel(scenario, &seeds, t0, duration, arena, kernel);
+        arena.line_seeds = seeds;
+        arena.map()
+    }
+
+    /// [`FireSim::simulate_arena_kernel`] from [`Seeds`] resolved earlier
+    /// by [`FireSim::seeds`]: the same run, minus the scan of the initial
+    /// mask and the search for its front — the entry point for evaluating
+    /// many scenarios from one fire line, where both (the scan
+    /// raster-proportional, the search eight reads a seed) would otherwise
+    /// be paid per scenario.
+    ///
+    /// # Panics
+    /// As [`FireSim::simulate_arena`], with `seeds` in place of `initial`,
+    /// and when `seeds` was resolved against a terrain that differs from
+    /// this one in shape or in having a fuel layer.
+    // lint: no_alloc
+    pub fn simulate_arena_seeded<'a>(
+        &self,
+        scenario: &Scenario,
+        seeds: &Seeds,
+        t0: f64,
+        duration: f64,
+        arena: &'a mut SimArena,
+        kernel: Kernel,
+    ) -> &'a IgnitionMap {
+        self.run_kernel(scenario, seeds, t0, duration, arena, kernel);
+        arena.map()
+    }
+
+    /// Resolves the [`Seeds`] of `line` on this terrain — the one
+    /// resolution every run goes through, whether its caller holds the
+    /// result across runs or not.
+    ///
+    /// # Panics
+    /// Panics when `line` does not match the terrain shape.
+    pub fn seeds(&self, line: &FireLine) -> Seeds {
+        let mut seeds = Seeds::default();
+        self.resolve_seeds(line, &mut seeds);
+        seeds
+    }
+
+    /// [`FireSim::seeds`] into the buffers of `seeds`. One pass over the
+    /// mask collects the lit cells that can burn (block by block: on a
+    /// landscape raster nearly every block is unlit, and `contains` over a
+    /// short slice compiles to a few vector compares), and one pass over
+    /// them reads each seed's neighbours in the mask and the fuel layer —
+    /// no raster, no scratch — to find the front.
+    // lint: no_alloc
+    fn resolve_seeds(&self, line: &FireLine, seeds: &mut Seeds) {
+        const BLOCK: usize = 64;
+        self.check_shape("initial fire line", line.rows(), line.cols());
+        let (rows, cols) = (line.rows(), line.cols());
+        let mask = line.mask().as_slice();
+        let fuel = self.terrain.fuel_layer().map(|g| g.as_slice());
+        let burns = |idx: usize| fuel.is_none_or(|f| self.beds[f[idx] as usize].burnable);
+        let Seeds {
+            cells, front, bbox, ..
+        } = seeds;
+        cells.clear();
+        for (b, block) in mask.chunks(BLOCK).enumerate() {
+            if block.contains(&true) {
+                let lit = block.iter().enumerate().filter(|&(_, &lit)| lit);
+                let lit = lit.map(|(i, _)| b * BLOCK + i);
+                cells.extend(lit.filter(|&idx| burns(idx)).map(|idx| idx as u32));
+            }
+        }
+        let (mut r0, mut c0, mut r1, mut c1) = (usize::MAX, usize::MAX, 0, 0);
+        front.clear();
+        for &sidx in cells.iter() {
+            let (r, c) = (sidx as usize / cols, sidx as usize % cols);
+            (r0, c0, r1, c1) = (r0.min(r), c0.min(c), r1.max(r), c1.max(c));
+            let on_front = landscape::NEIGHBOUR_OFFSETS.iter().any(|&(dr, dc, _)| {
+                let (nr, nc) = (r.wrapping_add_signed(dr), c.wrapping_add_signed(dc));
+                if nr >= rows || nc >= cols {
+                    return false;
+                }
+                #[cfg(test)]
+                tests::FRONT_READS.with(|n| n.set(n.get() + 1));
+                let nidx = nr * cols + nc;
+                !(mask[nidx] && burns(nidx))
+            });
+            if on_front {
+                front.push(sidx);
+            }
+        }
+        *bbox = if cells.is_empty() {
+            Window::default()
+        } else {
+            Window {
+                r0,
+                c0,
+                rows: r1 - r0 + 1,
+                cols: c1 - c0 + 1,
+            }
+        };
+        (seeds.rows, seeds.cols) = (rows, cols);
+        seeds.fuel_layer = fuel.is_some();
+    }
+
+    fn check_shape(&self, what: &str, rows: usize, cols: usize) {
+        assert_eq!(
+            (rows, cols),
+            (self.terrain.rows(), self.terrain.cols()),
+            "{what} shape mismatch"
+        );
+    }
+
+    /// One run of `kernel` from `seeds` into `arena`: the prelude every
+    /// kernel shares — preconditions, raster reset, the per-model hoist,
+    /// window, how a pop resolves its table, seed writes — then the
+    /// kernel's own frontier loop over the resulting [`Sweep`] and
+    /// [`Trail`], queueing every seed on the reference heap and the front
+    /// alone on the other two.
+    // lint: no_alloc
+    fn run_kernel(
+        &self,
+        scenario: &Scenario,
+        seeds: &Seeds,
+        t0: f64,
+        duration: f64,
+        arena: &mut SimArena,
+        kernel: Kernel,
+    ) {
+        let t = &*self.terrain;
+        let (rows, cols) = (t.rows(), t.cols());
+        self.check_shape("arena", arena.rows, arena.cols);
+        self.check_shape("seeds", seeds.rows, seeds.cols);
+        let fuel = t.fuel_layer().map(|g| g.as_slice());
+        assert_eq!(
+            seeds.fuel_layer,
+            fuel.is_some(),
+            "seeds resolved against another terrain"
+        );
+        assert!(
+            t0.is_finite() && t0 >= 0.0,
+            "t0 must be a non-negative instant"
+        );
+        assert!(
+            duration.is_finite() && duration > 0.0,
+            "duration must be positive"
+        );
+        let zero_tile = matches!(kernel, Kernel::Tiled { tile: 0, .. });
+        assert!(!zero_tile, "tile size must be non-zero");
+
+        let SimArena {
+            per_fuel,
+            heap,
+            queue,
+            span_lo,
+            span_hi,
+            stray,
+            dirty,
+            epochs,
+            out,
+            ..
+        } = arena;
+        let out = out.get_or_insert_with(|| IgnitionMap::unignited(rows, cols));
+        reset_raster(dirty, out, span_lo, span_hi, stray, cols);
+
+        let burnable = Burnable {
+            fuel,
+            beds: &self.beds,
+            global: fuel.is_none()
+                && (self.beds.get(scenario.model as usize)).is_some_and(|bed| bed.burnable),
+        };
+        // Without a fuel layer the scenario's model decides for every seed
+        // at once.
+        if seeds.cells.is_empty() || !(seeds.fuel_layer || burnable.global) {
+            return; // nothing written; the raster stays clean
+        }
+        let base = self.hoisted_base(scenario);
+        // The reference kernel's window is the whole raster: no bound on
+        // how fast its fire may go.
+        let cap = match kernel {
+            Kernel::Heap => f64::INFINITY,
+            _ => self.rate_bound(scenario, &base),
+        };
+        let win = self.seed_window(seeds, duration, cap);
+
+        // Uniform terrains share one table; fuel-only mosaics share one
+        // table per fuel code present (≤ 14 spread computations instead of
+        // one per cell); anything else builds a cell's table when it pops.
+        let globals = scenario.spread_inputs();
+        let tables = match fuel {
+            _ if !t.has_overrides() => {
+                Tables::Uniform(self.code_table(scenario.model as usize, &base, &globals))
+            }
+            Some(fuel) if t.fuel_is_only_override() => {
+                let mask = t.fuel_code_mask(scenario.model);
+                for (code, table) in per_fuel.iter_mut().enumerate() {
+                    if mask & (1 << code) != 0 {
+                        *table = self.code_table(code, &base, &globals);
+                    }
+                }
+                Tables::PerFuel(per_fuel, fuel)
+            }
+            _ => Tables::PerCell { globals, base },
+        };
+        let sweep = Sweep {
+            sim: self,
+            scenario,
+            burnable,
+            win,
+            tables,
+            rows,
+            cols,
+            steps: landscape::NEIGHBOUR_OFFSETS.map(|(dr, dc, _)| dr * cols as isize + dc),
+            cell_ft: t.cell_size_ft(),
+            t0,
+            duration,
+            t_end: t0 + duration,
+        };
+
+        span_lo.clear();
+        span_lo.resize(win.rows, u32::MAX);
+        span_hi.clear();
+        span_hi.resize(win.rows, 0);
+        *dirty = Dirty::Spans {
+            r0: win.r0,
+            rows: win.rows,
+        };
+        let mut trail = Trail {
+            out,
+            span_lo,
+            span_hi,
+            stray,
+            win,
+        };
+        for &sidx in &seeds.cells {
+            let idx = sidx as usize;
+            trail.mark_written(idx, (idx / cols, idx % cols), t0);
+        }
+        match kernel {
+            Kernel::Heap => {
+                sweep.run_dijkstra(&seeds.cells, heap, trail.out);
+                // The reference kernel tracks nothing beyond its seeds.
+                *dirty = Dirty::All;
+            }
+            Kernel::Bucket => sweep.run_bucket(&seeds.front, queue, &mut trail),
+            Kernel::Tiled { tile, workers } => {
+                sweep.run_tiled(&seeds.front, queue, &mut trail, epochs, tile, workers)
+            }
+        }
+        dedup_strays(trail.stray);
+    }
+
+    /// The active-front window of a run from `seeds`: their bounding box
+    /// expanded by the farthest whole-cell distance a fire spreading at
+    /// most `cap` ft/min can cross within the horizon (the whole raster
+    /// for an unbounded `cap`).
+    ///
+    /// A diagonal step advances one Chebyshev unit and costs `√2 · cell_ft
+    /// / ros ≥ cell_ft / ros_cap`, so `ros_cap · duration / cell_ft`
+    /// Chebyshev units bound the reach; +2 cells and a tiny relative
+    /// inflation absorb floating-point slack in the bound (and any
+    /// remainder is tracked on the stray list).
+    // lint: no_alloc
+    fn seed_window(&self, seeds: &Seeds, duration: f64, cap: f64) -> Window {
+        let (rows, cols) = (self.terrain.rows(), self.terrain.cols());
+        let reach = if cap <= SMIDGEN {
+            0
+        } else {
+            let cells = (cap * duration / self.terrain.cell_size_ft() * (1.0 + 1e-9)).ceil() + 2.0;
+            cells.min(rows.max(cols) as f64) as usize
+        };
+        // Tests shrink the window to force the out-of-window (stray) paths.
+        #[cfg(test)]
+        let reach = reach.min(tests::REACH_CAP.with(std::cell::Cell::get));
+        seeds.bbox.grown(reach, rows, cols)
+    }
+
+    /// Convenience: simulates and returns the fire line at the end of the
+    /// horizon (burned cells at `t0 + duration`).
+    pub fn simulate_fire_line(
+        &self,
+        scenario: &Scenario,
+        initial: &FireLine,
+        t0: f64,
+        duration: f64,
+    ) -> FireLine {
+        self.simulate(scenario, initial, t0, duration)
+            .fire_line_at(t0 + duration)
+    }
+
+    /// Maximum spread rate (ft/min) of `scenario` on a uniform cell of this
+    /// terrain — the exact per-cell rate the invariant drivers hold
+    /// [`FireSim::spread_rate_bound`] against.
+    pub fn max_ros(&self, scenario: &Scenario) -> f64 {
+        self.cell_spread(0, 0, scenario).ros_max
+    }
+}
+
+/// Builds the single-cell ignition used by most examples: the map centre
+/// burning at `t = 0`.
+pub fn centre_ignition(rows: usize, cols: usize) -> FireLine {
+    FireLine::from_cells(rows, cols, &[(rows / 2, cols / 2)])
+}

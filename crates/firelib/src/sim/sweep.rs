@@ -1,0 +1,252 @@
+use super::{seeds::Window, FireSim};
+use crate::{combustion::FuelBed, scenario::Scenario, spread::SpreadInputs, SMIDGEN};
+use landscape::IgnitionMap;
+use std::borrow::Cow;
+
+/// How a run resolves a cell's directional spread table.
+pub(super) enum Tables<'a> {
+    /// Uniform terrain: one table for the whole map.
+    Uniform([f64; 8]),
+    /// Fuel mosaic with globally uniform slope/aspect/wind: one table per
+    /// fuel code, looked up through the fuel layer.
+    PerFuel(&'a [[f64; 8]; 14], &'a [u8]),
+    /// Fully heterogeneous terrain: a cell's table is built when the cell
+    /// pops ([`FireSim::cell_table_at`]), from the scenario's global
+    /// inputs and the hoisted per-model base.
+    PerCell {
+        globals: SpreadInputs,
+        base: [(f64, f64); 14],
+    },
+}
+
+/// Which cells can ignite: a cell burns iff its own fuel bed can (no-fuel
+/// cells are firebreaks). With no fuel layer burnability is global, and
+/// only then is the scenario's model consulted — a layered terrain makes
+/// it irrelevant, and must not panic on an out-of-catalog value it never
+/// uses; without a layer an out-of-catalog model burns nowhere, as
+/// [`Terrain::fuel_code_mask`](crate::Terrain::fuel_code_mask) and the
+/// spread-rate bound already say.
+#[derive(Clone, Copy)]
+pub(super) struct Burnable<'a> {
+    pub(super) fuel: Option<&'a [u8]>,
+    pub(super) beds: &'a [FuelBed],
+    pub(super) global: bool,
+}
+
+impl Burnable<'_> {
+    #[inline]
+    pub(super) fn at(&self, idx: usize) -> bool {
+        match self.fuel {
+            Some(fuel) => self.beds[fuel[idx] as usize].burnable,
+            None => self.global,
+        }
+    }
+}
+
+/// The read-only half of one run, built once by [`FireSim::run_kernel`] and
+/// shared by all three kernels: everything a pop needs to turn into
+/// arrival candidates for its neighbours.
+pub(super) struct Sweep<'a> {
+    pub(super) sim: &'a FireSim,
+    pub(super) scenario: &'a Scenario,
+    pub(super) burnable: Burnable<'a>,
+    /// The active-front window: the cells writes are span-tracked in and
+    /// the tiled kernel cuts into tiles; the whole raster on
+    /// [`Kernel::Heap`](super::Kernel::Heap).
+    pub(super) win: Window,
+    pub(super) tables: Tables<'a>,
+    pub(super) rows: usize,
+    pub(super) cols: usize,
+    /// Row-major index offset of each [`landscape::NEIGHBOUR_OFFSETS`]
+    /// direction: how an interior pop reaches its neighbours.
+    pub(super) steps: [isize; 8],
+    pub(super) cell_ft: f64,
+    pub(super) t0: f64,
+    pub(super) duration: f64,
+    pub(super) t_end: f64,
+}
+
+/// The written half of one run: the arrival raster plus the record of
+/// where the run wrote it, which is what the next run resets and what
+/// [`SimArena::written_ranges`](super::SimArena::written_ranges) reports.
+pub(super) struct Trail<'a> {
+    pub(super) out: &'a mut IgnitionMap,
+    pub(super) span_lo: &'a mut [u32],
+    pub(super) span_hi: &'a mut [u32],
+    pub(super) stray: &'a mut Vec<u32>,
+    pub(super) win: Window,
+}
+
+impl std::ops::Deref for Trail<'_> {
+    type Target = IgnitionMap;
+
+    fn deref(&self) -> &IgnitionMap {
+        self.out
+    }
+}
+
+impl Trail<'_> {
+    /// Writes `arrival` into cell `idx` = `(r, c)` and records the write:
+    /// in the row's span inside the window, on the stray list beyond it.
+    // lint: no_alloc
+    #[inline]
+    pub(super) fn mark_written(&mut self, idx: usize, (r, c): (usize, usize), arrival: f64) {
+        self.out.set_time(r, c, arrival);
+        if self.win.contains(r, c) {
+            let wr = r - self.win.r0;
+            self.span_lo[wr] = self.span_lo[wr].min(c as u32);
+            self.span_hi[wr] = self.span_hi[wr].max(c as u32);
+        } else {
+            self.stray.push(idx as u32);
+        }
+    }
+}
+
+/// Debug-build audit of the pop order every kernel must realize —
+/// ascending time, ties broken by larger cell index. That order is the
+/// whole bit-identity argument (see the module docs).
+#[inline]
+pub(super) fn audit_pop_order(prev: &mut Option<(f64, u32)>, t: f64, idx: u32) {
+    debug_assert!(
+        prev.is_none_or(|(pt, pi)| pt < t || (pt == t && pi >= idx)),
+        "pop order regressed: {prev:?} then ({t}, {idx})"
+    );
+    *prev = Some((t, idx));
+}
+
+impl Sweep<'_> {
+    /// The directional spread table of cell `idx`: by reference where one
+    /// is shared, built on the spot on a fully heterogeneous terrain — the
+    /// caller is the cell's one live pop, so there is no one to keep it for.
+    // lint: no_alloc
+    #[inline]
+    pub(super) fn table(&self, idx: usize) -> Cow<'_, [f64; 8]> {
+        Cow::Borrowed(match &self.tables {
+            Tables::Uniform(table) => table,
+            Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize],
+            Tables::PerCell { globals, base } => {
+                #[cfg(test)]
+                super::tests::TABLES_BUILT.with(|n| n.set(n.get() + 1));
+                return Cow::Owned(self.sim.cell_table_at(idx, self.scenario, globals, base));
+            }
+        })
+    }
+
+    /// The arrival at the neighbour of `at` in direction `dir`
+    /// ([`landscape::NEIGHBOUR_OFFSETS`]) if a pop of `at` at `t` could
+    /// still improve it: inside the raster and holding an arrival more
+    /// than `SMIDGEN` after `t`. Every edge costs `d ≥ 0`, so `t + d`
+    /// cannot beat a neighbour that `t` itself does not. The checked path,
+    /// for pops on the raster border.
+    // lint: no_alloc
+    #[inline]
+    fn open_at(
+        &self,
+        t: f64,
+        (r, c): (usize, usize),
+        dir: usize,
+        raster: &IgnitionMap,
+    ) -> Option<f64> {
+        let (dr, dc, _) = landscape::NEIGHBOUR_OFFSETS[dir];
+        let (nr, nc) = (r.wrapping_add_signed(dr), c.wrapping_add_signed(dc));
+        if nr >= self.rows || nc >= self.cols {
+            return None;
+        }
+        let arrival = raster.time(nr, nc);
+        (t < arrival - SMIDGEN).then_some(arrival)
+    }
+
+    /// Which neighbours a pop of cell `idx` = `at` at `t` could still
+    /// improve, as a bit per direction, with each open neighbour's arrival
+    /// in `times` — every neighbour read once. An interior cell reaches
+    /// its eight through the run's flat index steps with no bounds test;
+    /// a border cell goes through [`Sweep::open_at`].
+    // lint: no_alloc
+    #[inline]
+    fn open_mask(
+        &self,
+        t: f64,
+        idx: usize,
+        (r, c): (usize, usize),
+        raster: &IgnitionMap,
+        times: &mut [f64; 8],
+    ) -> u8 {
+        let mut open = 0u8;
+        let interior = r.wrapping_sub(1) < self.rows.saturating_sub(2)
+            && c.wrapping_sub(1) < self.cols.saturating_sub(2);
+        if interior {
+            let arrivals = raster.grid().as_slice();
+            for (dir, (&step, slot)) in self.steps.iter().zip(times.iter_mut()).enumerate() {
+                *slot = arrivals[idx.wrapping_add_signed(step)];
+                open |= u8::from(t < *slot - SMIDGEN) << dir;
+            }
+        } else {
+            for (dir, slot) in times.iter_mut().enumerate() {
+                if let Some(arrival) = self.open_at(t, (r, c), dir, raster) {
+                    *slot = arrival;
+                    open |= 1 << dir;
+                }
+            }
+        }
+        open
+    }
+
+    /// The one relaxation step behind the bucket and tiled kernels: the
+    /// pop of `(t, idx)` against `raster`, handing `emit` every neighbour
+    /// arrival that survives — an edge that spreads, inside the horizon,
+    /// beating the neighbour's current arrival by more than `SMIDGEN`, into
+    /// a cell that can burn — in direction order. A stale pop (`t` already
+    /// beaten at `idx`) emits nothing, and neither does one with no open
+    /// neighbour — the interior of a front — which is found out before the
+    /// cell's table is asked for, so only a pop that can move the front
+    /// pays for one. The eight neighbours are read once, before any emit:
+    /// they are distinct cells, so a write for one (a caller that applies
+    /// its candidates writes them back, [`Trail::mark_written`]; one that
+    /// defers them reads a snapshot) never changes the verdict on another.
+    // lint: no_alloc
+    #[inline]
+    pub(super) fn relax<R: std::ops::Deref<Target = IgnitionMap>>(
+        &self,
+        t: f64,
+        idx: usize,
+        raster: &mut R,
+        mut emit: impl FnMut(&mut R, f64, usize, (usize, usize)),
+    ) {
+        let &Sweep {
+            cols,
+            cell_ft,
+            t_end,
+            ..
+        } = self;
+        let at = (idx / cols, idx % cols);
+        if t > raster.time(at.0, at.1) + SMIDGEN {
+            return; // stale entry
+        }
+        let mut times = [0.0; 8];
+        let mut open = self.open_mask(t, idx, at, raster, &mut times);
+        if open == 0 {
+            return;
+        }
+        let table = self.table(idx);
+        let table: &[f64; 8] = &table;
+        while open != 0 {
+            let dir = open.trailing_zeros() as usize;
+            open &= open - 1;
+            let ros = table[dir];
+            if ros <= SMIDGEN {
+                continue;
+            }
+            let (dr, dc, dist_factor) = landscape::NEIGHBOUR_OFFSETS[dir];
+            let arrival = t + dist_factor * cell_ft / ros;
+            if arrival > t_end || arrival >= times[dir] - SMIDGEN {
+                continue;
+            }
+            let nidx = idx.wrapping_add_signed(self.steps[dir]);
+            if !self.burnable.at(nidx) {
+                continue;
+            }
+            let to = (at.0.wrapping_add_signed(dr), at.1.wrapping_add_signed(dc));
+            emit(raster, arrival, nidx, to);
+        }
+    }
+}

@@ -1,0 +1,653 @@
+//! The propagation engine's unit tests: physics, counters, arena
+//! bookkeeping and preconditions. Kernel bit-identity is the generated
+//! matrix of [`conformance`].
+
+mod conformance;
+
+use super::bucket::BucketQueue;
+use super::*;
+use landscape::{Grid, UNIGNITED};
+
+thread_local! {
+    /// Upper bound on the active-front window's reach (cells) for runs
+    /// on this thread — see `seed_window`. Shrinking it forces fire
+    /// past the window, i.e. through the stray / fallback paths.
+    pub(super) static REACH_CAP: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(usize::MAX) };
+    /// Per-cell spread tables built by runs on this thread — see
+    /// `Sweep::table`. (A tiled run's worker threads count on their own.)
+    pub(super) static TABLES_BUILT: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+    /// Neighbour reads spent finding the front of a fire line on this
+    /// thread — see `FireSim::resolve_seeds`.
+    pub(super) static FRONT_READS: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+    /// Seeds the bucket and tiled kernels queued on this thread.
+    pub(super) static SEEDS_QUEUED: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
+fn flat_sim(n: usize) -> FireSim {
+    FireSim::new(Terrain::uniform(n, n, 100.0))
+}
+
+fn calm_scenario() -> Scenario {
+    Scenario {
+        wind_speed_mph: 0.0,
+        slope_deg: 0.0,
+        ..Scenario::reference()
+    }
+}
+
+#[test]
+fn queue_reset_clears_what_an_abandoned_run_left() {
+    let mut queue = BucketQueue::default();
+    queue.reset(0.0, 100.0);
+    for (t, idx) in [(0.0, 3), (40.0, 1), (99.0, 2)] {
+        queue.push(t, idx);
+    }
+    assert_eq!(queue.pop(), Some((0.0, 3)));
+    // The run stops here (a panic unwinding through the pool): two
+    // entries are still queued, one of them in a future bucket.
+    queue.reset(5.0, 10.0);
+    assert_eq!(queue.pop(), None);
+    queue.push(7.0, 9);
+    assert_eq!(queue.pop(), Some((7.0, 9)));
+    assert_eq!(queue.pop(), None);
+    // Drained: the next reset has nothing to clear, and clears nothing.
+    queue.reset(0.0, 1.0);
+    assert!(queue.buckets.iter().all(Vec::is_empty) && queue.cur.is_empty());
+}
+
+#[test]
+fn fire_grows_from_ignition_point() {
+    let sim = flat_sim(21);
+    let map = sim.simulate(&calm_scenario(), &centre_ignition(21, 21), 0.0, 300.0);
+    assert_eq!(map.time(10, 10), 0.0);
+    assert!(
+        map.burned_count_at(300.0) > 1,
+        "fire must spread beyond the ignition"
+    );
+}
+
+#[test]
+fn calm_flat_fire_is_symmetric() {
+    let sim = flat_sim(21);
+    let map = sim.simulate(&calm_scenario(), &centre_ignition(21, 21), 0.0, 500.0);
+    for d in 1..=5usize {
+        let north = map.time(10 - d, 10);
+        let south = map.time(10 + d, 10);
+        let east = map.time(10, 10 + d);
+        let west = map.time(10, 10 - d);
+        assert!((north - south).abs() < 1e-9);
+        assert!((east - west).abs() < 1e-9);
+        assert!((north - east).abs() < 1e-9);
+    }
+}
+
+#[test]
+fn ignition_times_increase_with_distance() {
+    let sim = flat_sim(21);
+    let map = sim.simulate(&calm_scenario(), &centre_ignition(21, 21), 0.0, 2000.0);
+    let mut prev = 0.0;
+    for d in 1..=8usize {
+        let t = map.time(10, 10 + d);
+        assert!(t > prev, "time must increase along a ray");
+        prev = t;
+    }
+}
+
+#[test]
+fn wind_skews_fire_downwind() {
+    let sim = flat_sim(31);
+    let scenario = Scenario {
+        wind_speed_mph: 10.0,
+        wind_dir_deg: 90.0,
+        ..calm_scenario()
+    };
+    let map = sim.simulate(&scenario, &centre_ignition(31, 31), 0.0, 120.0);
+    // Wind blows east: the eastern cell ignites earlier than the western.
+    let east = map.time(15, 20);
+    let west = map.time(15, 10);
+    assert!(east < west, "east {east} < west {west} expected");
+}
+
+#[test]
+fn slope_skews_fire_upslope() {
+    let sim = flat_sim(31);
+    // Aspect 180° (south-facing) → upslope north (decreasing row).
+    let scenario = Scenario {
+        slope_deg: 30.0,
+        aspect_deg: 180.0,
+        ..calm_scenario()
+    };
+    let map = sim.simulate(&scenario, &centre_ignition(31, 31), 0.0, 300.0);
+    let north = map.time(10, 15);
+    let south = map.time(20, 15);
+    assert!(north < south, "north {north} < south {south} expected");
+}
+
+#[test]
+fn horizon_bounds_ignition_times() {
+    let sim = flat_sim(41);
+    let map = sim.simulate(&calm_scenario(), &centre_ignition(41, 41), 0.0, 60.0);
+    for ((_, _), &t) in map.grid().iter_cells() {
+        assert!(t == UNIGNITED || t <= 60.0 + 1e-9);
+    }
+}
+
+#[test]
+fn longer_horizon_extends_shorter_map() {
+    let sim = flat_sim(31);
+    let s = calm_scenario();
+    let short = sim.simulate(&s, &centre_ignition(31, 31), 0.0, 100.0);
+    let long = sim.simulate(&s, &centre_ignition(31, 31), 0.0, 300.0);
+    for r in 0..31 {
+        for c in 0..31 {
+            if short.time(r, c) != UNIGNITED {
+                assert!((short.time(r, c) - long.time(r, c)).abs() < 1e-9);
+            }
+        }
+    }
+    assert!(long.burned_count_at(300.0) > short.burned_count_at(100.0));
+}
+
+#[test]
+fn t0_offsets_all_times() {
+    let sim = flat_sim(21);
+    let s = calm_scenario();
+    let at0 = sim.simulate(&s, &centre_ignition(21, 21), 0.0, 200.0);
+    let at50 = sim.simulate(&s, &centre_ignition(21, 21), 50.0, 200.0);
+    for r in 0..21 {
+        for c in 0..21 {
+            if at0.time(r, c) != UNIGNITED {
+                assert!((at50.time(r, c) - (at0.time(r, c) + 50.0)).abs() < 1e-9);
+            }
+        }
+    }
+}
+
+#[test]
+fn firebreak_stops_spread() {
+    // A vertical stripe of no-fuel cells splits the map; fire ignited on
+    // the left must never reach the right side.
+    let mut fuel = Grid::filled(15, 15, 1u8);
+    for r in 0..15 {
+        fuel.set(r, 7, 0);
+    }
+    let sim = FireSim::new(Terrain::uniform(15, 15, 100.0).with_fuel(fuel));
+    let ignition = FireLine::from_cells(15, 15, &[(7, 2)]);
+    let map = sim.simulate(&calm_scenario(), &ignition, 0.0, 1e5);
+    for r in 0..15 {
+        assert_eq!(map.time(r, 7), UNIGNITED, "firebreak cell ({r},7) ignited");
+        for c in 8..15 {
+            assert_eq!(
+                map.time(r, c),
+                UNIGNITED,
+                "cell ({r},{c}) behind the break ignited"
+            );
+        }
+    }
+    assert!(map.burned_count_at(1e5) > 10);
+}
+
+#[test]
+fn damp_fuel_never_ignites_neighbours() {
+    let sim = flat_sim(11);
+    let scenario = Scenario {
+        m1_pct: 30.0,
+        m10_pct: 30.0,
+        m100_pct: 30.0,
+        ..calm_scenario()
+    }; // far beyond model 1 extinction (12 %)
+    let map = sim.simulate(&scenario, &centre_ignition(11, 11), 0.0, 1e6);
+    assert_eq!(
+        map.burned_count_at(1e6),
+        1,
+        "only the ignition cell may burn"
+    );
+}
+
+#[test]
+fn unburnable_ignition_cell_is_ignored() {
+    let mut fuel = Grid::filled(5, 5, 1u8);
+    fuel.set(2, 2, 0);
+    let sim = FireSim::new(Terrain::uniform(5, 5, 100.0).with_fuel(fuel));
+    let map = sim.simulate(&calm_scenario(), &centre_ignition(5, 5), 0.0, 1e4);
+    assert_eq!(map.burned_count_at(1e4), 0);
+}
+
+#[test]
+fn spread_rate_bound_dominates_every_cell() {
+    // Fuel and slope layers: the per-cell table path.
+    let fuel = Grid::from_fn(19, 19, |r, c| [1u8, 2, 4, 0][(r * 3 + c) % 4]);
+    let slope = Grid::from_fn(19, 19, |r, c| ((r * 7 + c * 5) % 35) as f64);
+    let sim = FireSim::new(
+        Terrain::uniform(19, 19, 100.0)
+            .with_fuel(fuel)
+            .with_slope(slope),
+    );
+    let s = Scenario {
+        wind_speed_mph: 9.0,
+        ..Scenario::reference()
+    };
+    let bound = sim.spread_rate_bound(&s);
+    let base = sim.hoisted_base(&s);
+    for idx in 0..19 * 19 {
+        let table = sim.cell_table_at(idx, &s, &s.spread_inputs(), &base);
+        for (d, &ros) in table.iter().enumerate() {
+            assert!(
+                ros <= bound * (1.0 + 1e-12),
+                "cell {idx} dir {d}: ros {ros} exceeds bound {bound}"
+            );
+        }
+    }
+}
+
+/// `cell_table_at` against the `Terrain`-accessor path, every cell of
+/// `sim`, exact bits.
+fn assert_tables_match_the_accessor_path(sim: &FireSim, s: &Scenario, what: &str) {
+    let base = sim.hoisted_base(s);
+    let globals = s.spread_inputs();
+    let cols = sim.terrain.cols();
+    for idx in 0..sim.terrain.rows() * cols {
+        let built = sim.cell_table_at(idx, s, &globals, &base);
+        let oracle = sim.cell_spread(idx / cols, idx % cols, s).compass_ros();
+        assert_eq!(
+            built.map(f64::to_bits),
+            oracle.map(f64::to_bits),
+            "{what}: cell {idx} under {s:?}"
+        );
+    }
+}
+
+#[test]
+fn cell_table_matches_the_terrain_accessor_path() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x7AB1E);
+    let mut scenario = || conformance::scenario(&mut rng);
+    // Every layered corpus terrain (the XL tier shrunk), under its own
+    // truth and under a random scenario.
+    let mut specs = crate::workload::corpus();
+    specs.extend(crate::workload::xl_corpus().iter().map(|s| s.shrunk(96)));
+    for spec in &specs {
+        let w = spec.build();
+        if !w.terrain.has_overrides() {
+            continue;
+        }
+        let sim = w.sim();
+        assert_tables_match_the_accessor_path(&sim, &w.truth[0], spec.name);
+        assert_tables_match_the_accessor_path(&sim, &scenario(), spec.name);
+    }
+    // Random terrains, each override layer present or absent.
+    for layers in 0..16u32 {
+        let mut rng = StdRng::seed_from_u64(0x1A7E5 + layers as u64);
+        let (rows, cols) = (rng.random_range(5..28usize), rng.random_range(5..31usize));
+        let sim = FireSim::new(conformance::random_terrain(&mut rng, rows, cols, layers));
+        for _ in 0..4 {
+            assert_tables_match_the_accessor_path(&sim, &scenario(), &format!("{layers:04b}"));
+        }
+    }
+}
+
+/// Lit cells of `lit` with an in-bounds neighbour that is not lit: the
+/// most the frontier filter may queue.
+fn rim(lit: &FireLine) -> usize {
+    let mask = lit.mask();
+    let unlit_beside = |r, c| mask.neighbours8(r, c).any(|(nr, nc, _)| !mask.at(nr, nc));
+    let cells = lit.burned_cells();
+    cells.iter().filter(|&&(r, c)| unlit_beside(r, c)).count()
+}
+
+#[test]
+fn a_run_pays_for_the_fire_not_the_window() {
+    // gusty_channel (per-cell tables) from its observed line at the
+    // start of interval 3: tables are built for popped cells only, a
+    // small part of the window, and only the line's rim is queued.
+    let w = crate::workload::gusty_channel().build();
+    let sim = w.sim();
+    let lines = w.reference_lines(&sim);
+    let (from, t0, dt) = (&lines[2], w.times[2], w.times[3] - w.times[2]);
+    let seeds = sim.seeds(from);
+    let mut arena = sim.arena();
+    TABLES_BUILT.with(|n| n.set(0));
+    let map = sim.simulate_arena_seeded(&w.truth[2], &seeds, t0, dt, &mut arena, Kernel::Bucket);
+    let built = TABLES_BUILT.with(std::cell::Cell::get);
+    let written = map
+        .grid()
+        .as_slice()
+        .iter()
+        .filter(|&&t| t != UNIGNITED)
+        .count();
+    let win = window_of(&sim, &w.truth[2], &seeds, dt);
+    assert!(
+        built > 0 && built <= written,
+        "{built} tables for {written} cells"
+    );
+    assert!(
+        written < win.rows * win.cols / 4,
+        "{written} cells written in a {}x{} window",
+        win.rows,
+        win.cols
+    );
+    let (queued, rim) = (seeds.front().len(), rim(from));
+    assert!(
+        queued <= rim && queued < seeds.cells().len(),
+        "{queued} seeds queued of {} lit, {rim} on the rim",
+        seeds.cells().len()
+    );
+
+    // A line that fills the raster has no rim: nothing is queued, no
+    // table is built, and every seed is still written and reported.
+    let all = FireLine::from_mask(Grid::filled(96, 96, true));
+    TABLES_BUILT.with(|n| n.set(0));
+    sim.simulate_arena_kernel(&w.truth[2], &all, t0, dt, &mut arena, Kernel::Bucket);
+    assert_eq!(TABLES_BUILT.with(std::cell::Cell::get), 0);
+    let line_seeds = &arena.line_seeds;
+    assert!(
+        line_seeds.front().is_empty(),
+        "{} seeds queued",
+        line_seeds.front().len()
+    );
+    assert_eq!(line_seeds.cells().len(), 96 * 96);
+    assert!(arena.map().grid().as_slice().iter().all(|&t| t == t0));
+    assert_eq!(
+        arena.written_ranges().map(|r| r.len()).sum::<usize>(),
+        96 * 96
+    );
+
+    // Uniform and per-fuel terrains never build a per-cell table.
+    for name in ["meadow_small", "patchwork_mosaic"] {
+        let w = crate::workload::by_name(name).expect("corpus name").build();
+        let sim = w.sim();
+        assert!(!sim.terrain.has_overrides() || sim.terrain.fuel_is_only_override());
+        TABLES_BUILT.with(|n| n.set(0));
+        let dt = w.times[1] - w.times[0];
+        let mut arena = sim.arena();
+        let map = sim.simulate_arena(&w.truth[0], &w.ignition, w.times[0], dt, &mut arena);
+        assert!(map.burned_count_at(w.times[1]) > 1, "{name}: no fire");
+        assert_eq!(TABLES_BUILT.with(std::cell::Cell::get), 0, "{name}");
+    }
+}
+
+#[test]
+fn a_run_from_resolved_seeds_reads_no_neighbour_to_find_its_front() {
+    // The front of an interval's start line is found once, when the
+    // seeds are resolved; every run from them after that queues
+    // exactly that front and spends no neighbour read finding it.
+    for (spec, interval) in [
+        (crate::workload::archipelago_large(), 3usize),
+        (crate::workload::gusty_channel(), 3),
+    ] {
+        let w = spec.build();
+        let sim = w.sim();
+        let lines = w.reference_lines(&sim);
+        let (t0, dt) = (
+            w.times[interval - 1],
+            w.times[interval] - w.times[interval - 1],
+        );
+        FRONT_READS.with(|n| n.set(0));
+        let seeds = sim.seeds(&lines[interval - 1]);
+        let reads = FRONT_READS.with(std::cell::Cell::get);
+        assert!(
+            !seeds.front().is_empty() && reads >= seeds.cells().len(),
+            "{}: resolving {} seeds read {reads} neighbours",
+            spec.name,
+            seeds.cells().len()
+        );
+        let mut arena = sim.arena();
+        for (kernel, s) in [Kernel::Bucket, Kernel::tiled_auto(), Kernel::Bucket]
+            .into_iter()
+            .zip(&w.truth)
+        {
+            FRONT_READS.with(|n| n.set(0));
+            SEEDS_QUEUED.with(|n| n.set(0));
+            sim.simulate_arena_seeded(s, &seeds, t0, dt, &mut arena, kernel);
+            let what = format!("{} interval {interval}, {kernel}", spec.name);
+            assert_eq!(FRONT_READS.with(std::cell::Cell::get), 0, "{what}");
+            assert_eq!(
+                SEEDS_QUEUED.with(std::cell::Cell::get),
+                seeds.front().len(),
+                "{what}"
+            );
+        }
+    }
+}
+
+#[test]
+fn lazy_arena_allocates_nothing_until_first_run() {
+    let arena = SimArena::new(1000, 1000);
+    assert_eq!(arena.scratch_bytes(), 0, "scratch allocated eagerly");
+    assert_eq!(arena.raster_bytes(), 0, "raster allocated eagerly");
+}
+
+#[test]
+#[should_panic(expected = "no simulation has run")]
+fn fresh_arena_map_panics() {
+    let arena = SimArena::new(4, 4);
+    let _ = arena.map();
+}
+
+/// The window a bucket run of `s` from `seeds` over `duration` tracks its
+/// writes in.
+fn window_of(sim: &FireSim, s: &Scenario, seeds: &Seeds, duration: f64) -> Window {
+    sim.seed_window(seeds, duration, sim.spread_rate_bound(s))
+}
+
+#[test]
+fn window_bounds_scratch_on_large_grid() {
+    // A short burn in the middle of a big per-cell terrain whose wind
+    // layer has one far-off gale: the spread-rate bound, and so the
+    // window, covers the raster, but the fire stays small — and scratch
+    // must follow the fire. What is held is the frontier queue and the
+    // index lists, nothing per window cell.
+    let n = 201usize;
+    let gale = Grid::from_fn(n, n, |r, c| if (r, c) == (0, 0) { 40.0 } else { 0.5 });
+    let sim = FireSim::new(
+        Terrain::uniform(n, n, 100.0)
+            .with_slope(Grid::from_fn(n, n, |r, c| ((r + c) % 30) as f64))
+            .with_wind(gale, Grid::filled(n, n, 0.0)),
+    );
+    let s = Scenario {
+        wind_speed_mph: 4.0,
+        ..calm_scenario()
+    };
+    let ignition = centre_ignition(n, n);
+    let win = window_of(&sim, &s, &sim.seeds(&ignition), 30.0);
+    assert_eq!(
+        (win.rows, win.cols),
+        (n, n),
+        "the gale must blow the window up"
+    );
+    let mut arena = sim.arena();
+    let via_arena = sim
+        .simulate_arena(&s, &ignition, 0.0, 30.0, &mut arena)
+        .clone();
+    let burned = via_arena.burned_count_at(30.0);
+    assert!(burned > 1 && burned < n * n / 100, "burned {burned} cells");
+    let index_lists = [
+        &arena.span_lo,
+        &arena.span_hi,
+        &arena.stray,
+        &arena.line_seeds.cells,
+        &arena.line_seeds.front,
+    ];
+    let index_bytes = index_lists.iter().map(|v| v.capacity() * 4).sum::<usize>();
+    let scratch = arena.scratch_bytes();
+    assert_eq!(scratch, arena.queue.bytes() + index_bytes);
+    assert!(
+        scratch < n * n * 4,
+        "scratch {scratch} B scales with the {n}x{n} window"
+    );
+    let fresh = sim.simulate(&s, &ignition, 0.0, 30.0);
+    assert_eq!(fresh, via_arena);
+    sim.simulate_arena(&s, &ignition, 0.0, 30.0, &mut arena);
+    assert_eq!(arena.scratch_bytes(), scratch, "second pass moved scratch");
+}
+
+/// Runs `kernel` from the centre over `runs` horizons, then over the same
+/// ones again on the same arena: the second pass must not move any
+/// capacity (identical inputs → identical windows, bucket layouts and
+/// frontier sizes).
+pub(super) fn assert_allocation_free(sim: &FireSim, kernel: Kernel, runs: usize) {
+    let ignition = centre_ignition(sim.terrain.rows(), sim.terrain.cols());
+    let mut arena = sim.arena();
+    let mut run = |d| {
+        sim.simulate_arena_kernel(&calm_scenario(), &ignition, 0.0, d, &mut arena, kernel);
+        arena.scratch_bytes()
+    };
+    let durations = (0..runs).map(|i| 400.0 + i as f64);
+    let warm = durations.clone().map(&mut run).last();
+    for d in durations {
+        assert_eq!(Some(run(d)), warm, "{kernel}: arena scratch grew");
+    }
+}
+
+#[test]
+fn arena_is_allocation_free_in_steady_state() {
+    // Two table modes: a slope terrain (per-cell path: a table per
+    // pop, none of them kept) and a fuel-only mosaic (per-fuel path,
+    // whose tables live inline in the arena).
+    let n = 31usize;
+    let slope = Grid::from_fn(n, n, |r, c| ((r + c) % 30) as f64);
+    let fuel = Grid::from_fn(n, n, |r, c| [1u8, 2, 4][(r + c) % 3]);
+    let uniform = Terrain::uniform(n, n, 100.0);
+    for terrain in [uniform.clone().with_slope(slope), uniform.with_fuel(fuel)] {
+        assert_allocation_free(&FireSim::new(terrain), Kernel::Bucket, 10);
+    }
+}
+
+#[test]
+fn out_of_catalog_model_is_ignored_when_fuel_layer_overrides_it() {
+    // With a fuel layer the scenario's global model is never consulted,
+    // so even an out-of-catalog value must not panic.
+    let fuel = Grid::filled(7, 7, 1u8);
+    let sim = FireSim::new(Terrain::uniform(7, 7, 100.0).with_fuel(fuel));
+    let s = Scenario {
+        model: 99,
+        ..calm_scenario()
+    };
+    let map = sim.simulate(&s, &centre_ignition(7, 7), 0.0, 120.0);
+    assert!(map.burned_count_at(120.0) > 1, "layered fuel must burn");
+}
+
+#[test]
+fn out_of_catalog_model_without_a_fuel_layer_burns_nothing() {
+    // No layer shadows the model, so it is consulted — and says what
+    // `fuel_code_mask` and the rate bound say: nothing burns. Uniform
+    // and per-cell table modes, every kernel, a dirty arena.
+    let slope = Grid::from_fn(7, 7, |r, c| ((r + c) % 30) as f64);
+    for terrain in [
+        Terrain::uniform(7, 7, 100.0),
+        Terrain::uniform(7, 7, 100.0).with_slope(slope),
+    ] {
+        let sim = FireSim::new(terrain);
+        let s = Scenario {
+            model: 99,
+            ..calm_scenario()
+        };
+        assert_eq!(sim.terrain().fuel_code_mask(s.model), 0);
+        assert_eq!(sim.spread_rate_bound(&s), 0.0);
+        assert_eq!(sim.max_ros(&s), 0.0);
+        let mut arena = sim.arena();
+        sim.simulate_arena(
+            &calm_scenario(),
+            &centre_ignition(7, 7),
+            0.0,
+            120.0,
+            &mut arena,
+        );
+        for kernel in [Kernel::Heap, Kernel::Bucket, Kernel::tiled_auto()] {
+            let ignition = centre_ignition(7, 7);
+            let map = sim.simulate_arena_kernel(&s, &ignition, 0.0, 120.0, &mut arena, kernel);
+            assert_eq!(map.burned_count_at(120.0), 0, "{kernel}: something burned");
+            assert_eq!(
+                arena.written_ranges().count(),
+                0,
+                "{kernel}: raster not clean"
+            );
+        }
+    }
+}
+
+#[test]
+fn cloned_sim_shares_terrain() {
+    let sim = FireSim::new(Terrain::uniform(9, 9, 100.0));
+    let clone = sim.clone();
+    assert!(Arc::ptr_eq(&sim.terrain, &clone.terrain));
+}
+
+#[test]
+fn wind_layer_changes_propagation() {
+    let n = 21usize;
+    // Wind dead in the west half, doubled in the east half.
+    let factor = Grid::from_fn(n, n, |_, c| if c < n / 2 { 0.0 } else { 2.0 });
+    let offset = Grid::filled(n, n, 0.0);
+    let sim = FireSim::new(Terrain::uniform(n, n, 100.0).with_wind(factor, offset));
+    let s = Scenario {
+        wind_speed_mph: 12.0,
+        wind_dir_deg: 90.0,
+        ..calm_scenario()
+    };
+    let map = sim.simulate(&s, &centre_ignition(n, n), 0.0, 60.0);
+    let east = map.time(n / 2, n / 2 + 4);
+    let west = map.time(n / 2, n / 2 - 4);
+    assert!(
+        east < west,
+        "downwind east cell must ignite first ({east} vs {west})"
+    );
+}
+
+#[test]
+fn fire_line_convenience_matches_map() {
+    let sim = flat_sim(15);
+    let s = calm_scenario();
+    let map = sim.simulate(&s, &centre_ignition(15, 15), 0.0, 150.0);
+    let fl = sim.simulate_fire_line(&s, &centre_ignition(15, 15), 0.0, 150.0);
+    assert_eq!(fl, map.fire_line_at(150.0));
+}
+
+#[test]
+#[should_panic(expected = "duration must be positive")]
+fn zero_duration_rejected() {
+    let sim = flat_sim(5);
+    let _ = sim.simulate(&calm_scenario(), &centre_ignition(5, 5), 0.0, 0.0);
+}
+
+#[test]
+fn every_kernel_rejects_bad_instants_and_horizons() {
+    // One prelude checks the run's preconditions for all three kernels.
+    const T0: &str = "t0 must be a non-negative instant";
+    const DURATION: &str = "duration must be positive";
+    let sim = flat_sim(5);
+    let ignition = centre_ignition(5, 5);
+    for kernel in [Kernel::Heap, Kernel::Bucket, Kernel::tiled_auto()] {
+        for (t0, duration, expected) in [
+            (0.0, 0.0, DURATION),
+            (0.0, -1.0, DURATION),
+            (0.0, f64::NAN, DURATION),
+            (0.0, f64::INFINITY, DURATION),
+            (-1.0, 10.0, T0),
+            (f64::NAN, 10.0, T0),
+            (f64::INFINITY, 10.0, T0),
+        ] {
+            let run = std::panic::AssertUnwindSafe(|| {
+                let mut arena = sim.arena();
+                let s = calm_scenario();
+                sim.simulate_arena_kernel(&s, &ignition, t0, duration, &mut arena, kernel);
+            });
+            let payload = std::panic::catch_unwind(run)
+                .expect_err(&format!("{kernel} accepted t0={t0} duration={duration}"));
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                message.contains(expected),
+                "{kernel} t0={t0} duration={duration}: panicked with '{message}'"
+            );
+        }
+    }
+}

@@ -9,13 +9,13 @@
 //! error (the constants were generated on glibc; transcendental last bits
 //! vary per libm). If any future change to the spread table caching, heap
 //! handling or traversal order shifts an arrival time, this fails; the
-//! structural bit-identity across simulate/simulate_into/simulate_arena is
-//! pinned separately in `properties.rs`.
+//! structural bit-identity across kernels and the simulate /
+//! simulate_into / simulate_arena entry points is the kernel conformance
+//! matrix of `src/sim/tests/conformance.rs`.
 //!
 //! The pinned constants were produced by this same terrain/scenario pair
 //! at the time the arena refactor landed (they matched the pre-refactor
-//! engine bit for bit; see `simulate_variants_bit_identical_*` in
-//! `properties.rs` for the structural equivalence tests).
+//! engine bit for bit).
 
 use firelib::{FireSim, Scenario, Terrain};
 use landscape::{FireLine, Grid, UNIGNITED};
