@@ -67,7 +67,8 @@ pub(super) fn dedup_strays(stray: &mut Vec<u32>) {
 /// a `SimArena` is the *mutable* counterpart one worker owns privately. It
 /// holds the frontier queues, the seed lists, the dirty-span bookkeeping
 /// and the arrival-time raster — no spread tables beyond the 14 inline
-/// per-fuel ones: a per-cell table lives for the one pop that reads it.
+/// per-fuel ones: a per-cell table or ellipse lives for the one pop that
+/// reads it.
 /// Construction is O(1): nothing is allocated until the first run, and
 /// from then on every buffer is retained at its high-water mark, so once
 /// capacities have grown to cover the scenarios a worker evaluates,

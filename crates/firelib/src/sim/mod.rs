@@ -15,8 +15,12 @@
 //! per-fuel-model half of the spread math and says how a popped cell
 //! resolves its spread table, for all of them. **A run costs ∝ cells
 //! popped plus seeds written**: on a fully heterogeneous terrain a cell's
-//! directional table is built when that cell pops (its one live pop is the
-//! table's only reader, so nothing is cached), a pop that can no longer
+//! spread ellipse is built when that cell pops (its one live pop is the
+//! ellipse's only reader, so nothing is cached), from what the run hoists
+//! (the scenario-only wind and slope factors per fuel model, the global
+//! upslope) and what the terrain caches (the `tan` of its slope layer,
+//! the upslope of its aspect layer); the pop reads a rate off it only
+//! towards an open neighbour that can burn, a pop that can no longer
 //! improve any neighbour builds none, and a pop reads each of its eight
 //! neighbours once. What depends on the start line alone — which lit
 //! cells can burn, which of them are on the front (a neighbour still to
@@ -51,9 +55,15 @@
 //!    belong to a bucket `< k` (quantization is monotone in the arrival
 //!    time). Debug builds audit the realized order of all three kernels
 //!    (`audit_pop_order`).
-//! 2. *The table.* `Sweep::table` resolves a cell's directional spread
-//!    table the same way for every kernel, and a cell's table depends on
-//!    that cell alone — not on when, or on which thread, it was built.
+//! 2. *The table.* A cell's directional spread rates depend on that cell
+//!    alone — not on when, or on which thread, they were computed. The
+//!    bucket and tiled kernels read them the same way (`Sweep::relax`); on
+//!    a per-cell terrain that is one rate at a time off the cell's hoisted
+//!    ellipse, while the reference kernel builds the full table by the
+//!    unhoisted expressions (`Sweep::table`). Each rate has the same bits
+//!    on both paths: the `cell_table_matches_the_terrain_accessor_path`
+//!    test checks both against the `Terrain` accessors, direction by
+//!    direction.
 //! 3. *The relaxation.* `Sweep::relax` is the one step that turns a pop
 //!    into neighbour arrivals: the staleness test, the edge cost `t +
 //!    distance / ros`, the horizon and `SMIDGEN`-tolerance comparisons, the
@@ -86,16 +96,17 @@ pub use {arena::SimArena, seeds::Seeds};
 use crate::combustion::{standard_beds, FuelBed};
 use crate::scenario::Scenario;
 use crate::spread::{
-    no_wind_no_slope, wind_slope_from_ros0, wind_slope_max, SpreadInputs, SpreadVector,
+    no_wind_no_slope, slope_factor, spread_from_factors, wind_factor, wind_slope_from_ros0,
+    wind_slope_max, SpreadInputs, SpreadVector,
 };
-use crate::terrain::Terrain;
+use crate::terrain::{upslope_azimuth, Terrain};
 use crate::SMIDGEN;
 use arena::{dedup_strays, reset_raster, Dirty};
 use landscape::geometry::normalize_azimuth;
 use landscape::{FireLine, IgnitionMap};
 use seeds::Window;
 use std::sync::Arc;
-use sweep::{Burnable, Sweep, Tables, Trail};
+use sweep::{Burnable, CellFactors, Sweep, Tables, Trail};
 
 /// Which propagation kernel a `simulate_arena_kernel` call runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,16 +267,7 @@ impl FireSim {
             if ros0 <= SMIDGEN {
                 continue;
             }
-            let phi_w = if wind_fpm <= SMIDGEN {
-                0.0
-            } else {
-                bed.wind_k * wind_fpm.powf(bed.wind_b)
-            };
-            let phi_s = if steep <= SMIDGEN {
-                0.0
-            } else {
-                bed.slope_k * steep * steep
-            };
+            let (phi_w, phi_s) = (wind_factor(bed, wind_fpm), slope_factor(bed, steep));
             cap = cap.max(ros0 * (1.0 + phi_w + phi_s));
         }
         cap
@@ -289,11 +291,12 @@ impl FireSim {
     }
 
     /// The directional table of cell `idx` on a fully heterogeneous
-    /// terrain, built when the cell pops: `globals` (the scenario's own
-    /// inputs) with each override layer's value for the cell in place of
-    /// the global one, resolved by the same expressions the [`Terrain`]
-    /// accessors use — bit-identical to [`FireSim::cell_spread`], pinned by
-    /// the `cell_table_matches_the_terrain_accessor_path` test.
+    /// terrain, built when the cell pops on the reference kernel: `globals`
+    /// (the scenario's own inputs) with each override layer's value for the
+    /// cell in place of the global one, resolved by the same expressions
+    /// the [`Terrain`] accessors use — bit-identical to
+    /// [`FireSim::cell_spread`], pinned by the
+    /// `cell_table_matches_the_terrain_accessor_path` test.
     // lint: no_alloc
     #[inline]
     fn cell_table_at(
@@ -323,6 +326,75 @@ impl FireSim {
             inputs.wind_azimuth = normalize_azimuth(scenario.wind_dir_deg + o.as_slice()[idx]);
         }
         self.code_table(code, base, &inputs)
+    }
+
+    /// The run's [`CellFactors`] over its hoisted `base`: φ_w and φ_s of
+    /// every model that spreads at the scenario's wind and slope, for the
+    /// layers the terrain lacks, and the scenario's upslope — each by the
+    /// call [`wind_slope_from_ros0`] makes for them.
+    // lint: no_alloc
+    fn cell_factors(&self, scenario: &Scenario, base: [(f64, f64); 14]) -> CellFactors {
+        let t = &*self.terrain;
+        let globals = scenario.spread_inputs();
+        let (mut phi_w, mut phi_s) = ([0.0; 14], [0.0; 14]);
+        for (code, (bed, &(ros0, _))) in self.beds.iter().zip(&base).enumerate() {
+            if ros0 <= SMIDGEN {
+                continue;
+            }
+            if t.wind_layer().is_none() {
+                phi_w[code] = wind_factor(bed, globals.wind_fpm);
+            }
+            if t.slope_tan_layer().is_none() {
+                phi_s[code] = slope_factor(bed, globals.slope_steepness);
+            }
+        }
+        CellFactors {
+            base,
+            phi_w,
+            phi_s,
+            upslope: upslope_azimuth(globals.aspect_azimuth),
+        }
+    }
+
+    /// The spread ellipse of cell `idx` on a fully heterogeneous terrain:
+    /// the run's `factors`, with the cell's own factor for each layer the
+    /// terrain has — wind through [`Terrain::wind_at`]'s expressions, slope
+    /// and upslope from the terrain's cached `tan` and upslope layers. Its
+    /// `ros_at_azimuth(45·dir)` is [`FireSim::cell_table_at`]'s entry
+    /// `dir`, bit for bit (the `cell_table_matches_the_terrain_accessor_path`
+    /// test).
+    // lint: no_alloc
+    #[inline]
+    fn cell_ellipse_at(
+        &self,
+        idx: usize,
+        scenario: &Scenario,
+        factors: &CellFactors,
+    ) -> SpreadVector {
+        let t = &*self.terrain;
+        let code = match t.fuel_layer() {
+            Some(g) => g.as_slice()[idx],
+            None => scenario.model,
+        } as usize;
+        let base = factors.base[code];
+        if base.0 <= SMIDGEN {
+            return SpreadVector::no_spread();
+        }
+        let bed = &self.beds[code];
+        let (phi_w, wind_azimuth) = match t.wind_layer() {
+            Some((f, o)) => {
+                let wind_fpm = (scenario.wind_speed_mph * f.as_slice()[idx]) * crate::MPH_TO_FPM;
+                let azimuth = normalize_azimuth(scenario.wind_dir_deg + o.as_slice()[idx]);
+                (wind_factor(bed, wind_fpm), azimuth)
+            }
+            None => (factors.phi_w[code], scenario.wind_dir_deg),
+        };
+        let phi_s = match t.slope_tan_layer() {
+            Some(tan) => slope_factor(bed, tan[idx]),
+            None => factors.phi_s[code],
+        };
+        let upslope = t.upslope_layer().map_or(factors.upslope, |g| g[idx]);
+        spread_from_factors(bed, base, phi_w, phi_s, wind_azimuth, upslope)
     }
 
     /// Simulates fire growth from `initial` (cells burning at `t0`) for
@@ -595,8 +667,10 @@ impl FireSim {
 
         // Uniform terrains share one table; fuel-only mosaics share one
         // table per fuel code present (≤ 14 spread computations instead of
-        // one per cell); anything else builds a cell's table when it pops.
+        // one per cell); anything else builds a cell's spread ellipse when
+        // it pops.
         let globals = scenario.spread_inputs();
+        let factors;
         let tables = match fuel {
             _ if !t.has_overrides() => {
                 Tables::Uniform(self.code_table(scenario.model as usize, &base, &globals))
@@ -610,7 +684,13 @@ impl FireSim {
                 }
                 Tables::PerFuel(per_fuel, fuel)
             }
-            _ => Tables::PerCell { globals, base },
+            _ => {
+                factors = self.cell_factors(scenario, base);
+                Tables::PerCell {
+                    globals,
+                    factors: &factors,
+                }
+            }
         };
         let sweep = Sweep {
             sim: self,

@@ -10,13 +10,31 @@ pub(super) enum Tables<'a> {
     /// Fuel mosaic with globally uniform slope/aspect/wind: one table per
     /// fuel code, looked up through the fuel layer.
     PerFuel(&'a [[f64; 8]; 14], &'a [u8]),
-    /// Fully heterogeneous terrain: a cell's table is built when the cell
-    /// pops ([`FireSim::cell_table_at`]), from the scenario's global
-    /// inputs and the hoisted per-model base.
+    /// Fully heterogeneous terrain: a popped cell's spread ellipse is built
+    /// from the run's [`CellFactors`] and the terrain's layers
+    /// ([`FireSim::cell_ellipse_at`]), and [`Sweep::relax`] reads a rate
+    /// off it only for a direction it can spread into. The reference
+    /// kernel builds the cell's whole table instead
+    /// ([`FireSim::cell_table_at`], from the scenario's global inputs).
     PerCell {
         globals: SpreadInputs,
-        base: [(f64, f64); 14],
+        factors: &'a CellFactors,
     },
+}
+
+/// What a cell's spread ellipse takes from the scenario but not from the
+/// cell, hoisted once per run ([`FireSim::cell_factors`]). The factor an
+/// override layer replaces is read per cell instead, and its slot here is
+/// left at zero.
+pub(super) struct CellFactors {
+    /// `(ros0, rx_int)` per fuel code ([`FireSim::hoisted_base`]).
+    pub(super) base: [(f64, f64); 14],
+    /// φ_w per fuel code at the scenario's wind, without a wind layer.
+    pub(super) phi_w: [f64; 14],
+    /// φ_s per fuel code at the scenario's slope, without a slope layer.
+    pub(super) phi_s: [f64; 14],
+    /// The scenario's upslope azimuth, without an aspect layer.
+    pub(super) upslope: f64,
 }
 
 /// Which cells can ignite: a cell burns iff its own fuel bed can (no-fuel
@@ -115,19 +133,25 @@ pub(super) fn audit_pop_order(prev: &mut Option<(f64, u32)>, t: f64, idx: u32) {
 }
 
 impl Sweep<'_> {
-    /// The directional spread table of cell `idx`: by reference where one
-    /// is shared, built on the spot on a fully heterogeneous terrain — the
-    /// caller is the cell's one live pop, so there is no one to keep it for.
+    /// The directional spread table of cell `idx` as the reference kernel
+    /// reads it: by reference where one is shared, all eight rates built on
+    /// the spot on a fully heterogeneous terrain — the caller is the cell's
+    /// one live pop, so there is no one to keep it for. [`Sweep::relax`]
+    /// resolves a shared table itself and, on a per-cell terrain, reads
+    /// single rates off the cell's ellipse instead ([`Sweep::relax_cell`]).
     // lint: no_alloc
     #[inline]
     pub(super) fn table(&self, idx: usize) -> Cow<'_, [f64; 8]> {
         Cow::Borrowed(match &self.tables {
             Tables::Uniform(table) => table,
             Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize],
-            Tables::PerCell { globals, base } => {
+            Tables::PerCell { globals, factors } => {
                 #[cfg(test)]
                 super::tests::TABLES_BUILT.with(|n| n.set(n.get() + 1));
-                return Cow::Owned(self.sim.cell_table_at(idx, self.scenario, globals, base));
+                let table = self
+                    .sim
+                    .cell_table_at(idx, self.scenario, globals, &factors.base);
+                return Cow::Owned(table);
             }
         })
     }
@@ -199,7 +223,9 @@ impl Sweep<'_> {
     /// beaten at `idx`) emits nothing, and neither does one with no open
     /// neighbour — the interior of a front — which is found out before the
     /// cell's table is asked for, so only a pop that can move the front
-    /// pays for one. The eight neighbours are read once, before any emit:
+    /// pays for one; on a per-cell terrain that pop pays for one ellipse
+    /// and one rate per open direction ([`Sweep::relax_cell`]), not for a
+    /// table. The eight neighbours are read once, before any emit:
     /// they are distinct cells, so a write for one (a caller that applies
     /// its candidates writes them back, [`Trail::mark_written`]; one that
     /// defers them reads a snapshot) never changes the verdict on another.
@@ -227,8 +253,16 @@ impl Sweep<'_> {
         if open == 0 {
             return;
         }
-        let table = self.table(idx);
-        let table: &[f64; 8] = &table;
+        // The shared lookup is resolved here, not through `Sweep::table`:
+        // a call per pop costs the small uniform-terrain workloads a few
+        // per cent.
+        let table: &[f64; 8] = match &self.tables {
+            Tables::Uniform(table) => table,
+            Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize],
+            Tables::PerCell { factors, .. } => {
+                return self.relax_cell(factors, (t, idx, at), (open, &times), raster, emit);
+            }
+        };
         while open != 0 {
             let dir = open.trailing_zeros() as usize;
             open &= open - 1;
@@ -243,6 +277,55 @@ impl Sweep<'_> {
             }
             let nidx = idx.wrapping_add_signed(self.steps[dir]);
             if !self.burnable.at(nidx) {
+                continue;
+            }
+            let to = (at.0.wrapping_add_signed(dr), at.1.wrapping_add_signed(dc));
+            emit(raster, arrival, nidx, to);
+        }
+    }
+
+    /// [`Sweep::relax`] on a per-cell terrain, for a live pop of `(t, idx)`
+    /// at `at` with neighbours `open` and their arrivals `times`: builds
+    /// the cell's spread ellipse once and reads its rate towards an open
+    /// neighbour only when that neighbour can burn — the rate
+    /// `compass_ros` puts in the full table, by the same expression. The
+    /// guards are the shared loop's with the burnability test moved first;
+    /// each only skips a direction, so the emits, in direction order, are
+    /// the same.
+    // lint: no_alloc
+    // Out of line, so the shared loop every kernel inlines stays as small
+    // as it was.
+    #[inline(never)]
+    fn relax_cell<R: std::ops::Deref<Target = IgnitionMap>>(
+        &self,
+        factors: &CellFactors,
+        (t, idx, at): (f64, usize, (usize, usize)),
+        (mut open, times): (u8, &[f64; 8]),
+        raster: &mut R,
+        mut emit: impl FnMut(&mut R, f64, usize, (usize, usize)),
+    ) {
+        #[cfg(test)]
+        super::tests::TABLES_BUILT.with(|n| n.set(n.get() + 1));
+        let ellipse = self.sim.cell_ellipse_at(idx, self.scenario, factors);
+        if ellipse.ros_max <= SMIDGEN {
+            return; // nothing spreads from this cell
+        }
+        while open != 0 {
+            let dir = open.trailing_zeros() as usize;
+            open &= open - 1;
+            let nidx = idx.wrapping_add_signed(self.steps[dir]);
+            if !self.burnable.at(nidx) {
+                continue;
+            }
+            #[cfg(test)]
+            super::tests::RATES_READ.with(|n| n.set(n.get() + 1));
+            let ros = ellipse.ros_at_azimuth(45.0 * dir as f64);
+            if ros <= SMIDGEN {
+                continue;
+            }
+            let (dr, dc, dist_factor) = landscape::NEIGHBOUR_OFFSETS[dir];
+            let arrival = t + dist_factor * self.cell_ft / ros;
+            if arrival > self.t_end || arrival >= times[dir] - SMIDGEN {
                 continue;
             }
             let to = (at.0.wrapping_add_signed(dr), at.1.wrapping_add_signed(dc));

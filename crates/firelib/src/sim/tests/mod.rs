@@ -18,6 +18,10 @@ thread_local! {
     /// `Sweep::table`. (A tiled run's worker threads count on their own.)
     pub(super) static TABLES_BUILT: std::cell::Cell<usize> =
         const { std::cell::Cell::new(0) };
+    /// Single rates read off per-cell spread ellipses by runs on this
+    /// thread — see `Sweep::relax_cell`.
+    pub(super) static RATES_READ: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
     /// Neighbour reads spent finding the front of a fire line on this
     /// thread — see `FireSim::resolve_seeds`.
     pub(super) static FRONT_READS: std::cell::Cell<usize> =
@@ -244,11 +248,13 @@ fn spread_rate_bound_dominates_every_cell() {
     }
 }
 
-/// `cell_table_at` against the `Terrain`-accessor path, every cell of
-/// `sim`, exact bits.
+/// `cell_table_at`, and each direction's rate read off the hoisted
+/// `cell_ellipse_at` alone, against the `Terrain`-accessor path, every
+/// cell of `sim`, exact bits.
 fn assert_tables_match_the_accessor_path(sim: &FireSim, s: &Scenario, what: &str) {
     let base = sim.hoisted_base(s);
     let globals = s.spread_inputs();
+    let factors = sim.cell_factors(s, base);
     let cols = sim.terrain.cols();
     for idx in 0..sim.terrain.rows() * cols {
         let built = sim.cell_table_at(idx, s, &globals, &base);
@@ -258,6 +264,14 @@ fn assert_tables_match_the_accessor_path(sim: &FireSim, s: &Scenario, what: &str
             oracle.map(f64::to_bits),
             "{what}: cell {idx} under {s:?}"
         );
+        let ellipse = sim.cell_ellipse_at(idx, s, &factors);
+        for (dir, ros) in oracle.iter().enumerate() {
+            assert_eq!(
+                ellipse.ros_at_azimuth(45.0 * dir as f64).to_bits(),
+                ros.to_bits(),
+                "{what}: cell {idx} direction {dir} off the ellipse under {s:?}"
+            );
+        }
     }
 }
 
@@ -304,7 +318,8 @@ fn rim(lit: &FireLine) -> usize {
 fn a_run_pays_for_the_fire_not_the_window() {
     // gusty_channel (per-cell tables) from its observed line at the
     // start of interval 3: tables are built for popped cells only, a
-    // small part of the window, and only the line's rim is queued.
+    // small part of the window, each reads a rate only for the open
+    // directions it can spread into, and only the line's rim is queued.
     let w = crate::workload::gusty_channel().build();
     let sim = w.sim();
     let lines = w.reference_lines(&sim);
@@ -312,8 +327,10 @@ fn a_run_pays_for_the_fire_not_the_window() {
     let seeds = sim.seeds(from);
     let mut arena = sim.arena();
     TABLES_BUILT.with(|n| n.set(0));
+    RATES_READ.with(|n| n.set(0));
     let map = sim.simulate_arena_seeded(&w.truth[2], &seeds, t0, dt, &mut arena, Kernel::Bucket);
     let built = TABLES_BUILT.with(std::cell::Cell::get);
+    let rates = RATES_READ.with(std::cell::Cell::get);
     let written = map
         .grid()
         .as_slice()
@@ -324,6 +341,12 @@ fn a_run_pays_for_the_fire_not_the_window() {
     assert!(
         built > 0 && built <= written,
         "{built} tables for {written} cells"
+    );
+    // 120 ellipses, 393 rates: a full table would be 960.
+    assert_eq!(built, 120, "tables built");
+    assert!(
+        built <= rates && rates < 8 * built,
+        "{rates} rates read off {built} ellipses"
     );
     assert!(
         written < win.rows * win.cols / 4,

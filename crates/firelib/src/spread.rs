@@ -195,21 +195,58 @@ pub fn wind_slope_from_ros0(
     if ros0 <= SMIDGEN {
         return SpreadVector::no_spread();
     }
+    spread_from_factors(
+        bed,
+        (ros0, rx_int),
+        wind_factor(bed, inputs.wind_fpm),
+        slope_factor(bed, inputs.slope_steepness),
+        inputs.wind_azimuth,
+        crate::terrain::upslope_azimuth(inputs.aspect_azimuth),
+    )
+}
 
-    // Wind and slope factors.
-    let phi_w = if inputs.wind_fpm <= SMIDGEN {
+/// Rothermel's wind factor `φ_w = k·U^b` of `bed` at midflame wind
+/// `wind_fpm` (ft/min); zero in calm air.
+// lint: no_alloc
+#[inline]
+pub(crate) fn wind_factor(bed: &FuelBed, wind_fpm: f64) -> f64 {
+    if wind_fpm <= SMIDGEN {
         0.0
     } else {
-        bed.wind_k * inputs.wind_fpm.powf(bed.wind_b)
-    };
-    let phi_s = if inputs.slope_steepness <= SMIDGEN {
+        bed.wind_k * wind_fpm.powf(bed.wind_b)
+    }
+}
+
+/// Rothermel's slope factor `φ_s = k·tan²` of `bed` on a slope of
+/// `steepness` (rise/reach); zero on the flat.
+// lint: no_alloc
+#[inline]
+pub(crate) fn slope_factor(bed: &FuelBed, steepness: f64) -> f64 {
+    if steepness <= SMIDGEN {
         0.0
     } else {
-        bed.slope_k * inputs.slope_steepness * inputs.slope_steepness
-    };
+        bed.slope_k * steepness * steepness
+    }
+}
 
-    let upslope = crate::terrain::upslope_azimuth(inputs.aspect_azimuth);
-
+/// [`wind_slope_from_ros0`] from its factors: the hoisted `(ros0, rx_int)`
+/// of `bed` (with `ros0 > SMIDGEN` — a caller answers the no-spread case
+/// first), [`wind_factor`], [`slope_factor`], the wind azimuth and the
+/// upslope azimuth ([`upslope_azimuth`](crate::terrain::upslope_azimuth)
+/// of the aspect). Each input is the value that function computes, so a
+/// caller that caches one — per fuel model, per run, per terrain — gets
+/// the same vector bit for bit.
+// lint: no_alloc
+#[inline]
+pub(crate) fn spread_from_factors(
+    bed: &FuelBed,
+    (ros0, rx_int): (f64, f64),
+    phi_w: f64,
+    phi_s: f64,
+    wind_azimuth: f64,
+    upslope: f64,
+) -> SpreadVector {
+    debug_assert!(ros0 > SMIDGEN, "no-spread bed reached the wind/slope math");
     // Situation analysis mirrors fireLib: combine the two virtual spread
     // vectors (slope along upslope, wind along wind_azimuth).
     let (mut ros_max, mut azimuth_max, mut phi_ew) = if phi_w <= SMIDGEN && phi_s <= SMIDGEN {
@@ -217,12 +254,12 @@ pub fn wind_slope_from_ros0(
     } else if phi_w <= SMIDGEN {
         (ros0 * (1.0 + phi_s), upslope, phi_s)
     } else if phi_s <= SMIDGEN {
-        (ros0 * (1.0 + phi_w), inputs.wind_azimuth, phi_w)
+        (ros0 * (1.0 + phi_w), wind_azimuth, phi_w)
     } else {
         // Both present: vector-add the slope and wind spread contributions.
         let slp_rate = ros0 * phi_s;
         let wnd_rate = ros0 * phi_w;
-        let split = (inputs.wind_azimuth - upslope).to_radians();
+        let split = (wind_azimuth - upslope).to_radians();
         let x = slp_rate + wnd_rate * split.cos();
         let y = wnd_rate * split.sin();
         let rv = (x * x + y * y).sqrt();

@@ -22,6 +22,14 @@ pub struct Terrain {
     slope_override: Option<Grid<f64>>,
     /// Aspect override in degrees clockwise from north.
     aspect_override: Option<Grid<f64>>,
+    /// `tan` of the slope layer (rise/reach), cached when that layer is
+    /// attached: the steepness a cell's spread ellipse reads, by the
+    /// expression [`Scenario::spread_inputs`](crate::Scenario::spread_inputs)
+    /// applies to a global slope.
+    slope_tan: Option<Grid<f64>>,
+    /// [`upslope_azimuth`] of the (normalised) aspect layer, cached when
+    /// that layer is attached.
+    upslope: Option<Grid<f64>>,
     /// Wind modulation, always set as a pair: a multiplier on the
     /// scenario's wind speed (terrain channelling/gusts) and an additive
     /// offset on its direction (degrees).
@@ -55,6 +63,8 @@ impl Terrain {
             fuel_override: None,
             slope_override: None,
             aspect_override: None,
+            slope_tan: None,
+            upslope: None,
             wind_override: None,
             fuel_code_mask: 0,
             slope_max_deg: 0.0,
@@ -99,6 +109,7 @@ impl Terrain {
             "slope must be in [0, 90) degrees"
         );
         self.slope_max_deg = slope_deg.as_slice().iter().fold(0.0f64, |m, &s| m.max(s));
+        self.slope_tan = Some(slope_deg.map(|&s| s.to_radians().tan()));
         self.slope_override = Some(slope_deg);
         self
     }
@@ -113,7 +124,9 @@ impl Terrain {
             (self.rows, self.cols),
             "aspect layer shape mismatch"
         );
-        self.aspect_override = Some(aspect_deg.map(|&a| normalize_azimuth(a)));
+        let aspect = aspect_deg.map(|&a| normalize_azimuth(a));
+        self.upslope = Some(aspect.map(|&a| upslope_azimuth(a)));
+        self.aspect_override = Some(aspect);
         self
     }
 
@@ -204,6 +217,17 @@ impl Terrain {
     /// The aspect override layer (degrees, pre-normalized), when present.
     pub fn aspect_layer(&self) -> Option<&Grid<f64>> {
         self.aspect_override.as_ref()
+    }
+
+    /// `tan` of the slope layer, by flat index, when that layer is present.
+    pub(crate) fn slope_tan_layer(&self) -> Option<&[f64]> {
+        self.slope_tan.as_ref().map(Grid::as_slice)
+    }
+
+    /// The upslope azimuth of the aspect layer, by flat index, when that
+    /// layer is present.
+    pub(crate) fn upslope_layer(&self) -> Option<&[f64]> {
+        self.upslope.as_ref().map(Grid::as_slice)
     }
 
     /// The wind modulation layers `(speed_factor, dir_offset_deg)`, when
