@@ -16,6 +16,7 @@
 //!   serve loop; it must answer every line and reach the EOF path without
 //!   admitting a session or dying.
 
+use super::SEED;
 use ess::fitness::EvalBackend;
 use ess_service::jsonio::Json;
 use ess_service::policy::PolicyKind;
@@ -29,13 +30,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Counters from one fuzz loop.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FuzzStats {
+struct FuzzStats {
     /// Inputs fed to the target.
-    pub inputs: u64,
+    inputs: u64,
     /// Inputs the parser accepted.
-    pub accepted: u64,
+    accepted: u64,
     /// Inputs the parser rejected with a clean error.
-    pub rejected: u64,
+    rejected: u64,
 }
 
 /// Key alphabet for generated objects. Deliberately disjoint from every
@@ -193,7 +194,7 @@ fn mutate(rng: &mut StdRng, text: &str) -> String {
 /// # Errors
 /// A description of the first panic or round-trip failure, with the
 /// offending input.
-pub fn fuzz_jsonio(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
+fn fuzz_jsonio(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = FuzzStats::default();
     for i in 0..iterations {
@@ -320,7 +321,7 @@ fn gen_envelope(rng: &mut StdRng) -> String {
 /// # Errors
 /// A description of the first panic or contract violation, with the
 /// offending input.
-pub fn fuzz_envelopes(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
+fn fuzz_envelopes(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = FuzzStats::default();
     let rows = registry_rows();
@@ -399,7 +400,7 @@ pub fn fuzz_envelopes(seed: u64, iterations: u64) -> Result<FuzzStats, String> {
 ///
 /// # Errors
 /// A description of the first transport failure or contract violation.
-pub fn fuzz_serve_loop(seed: u64, lines: u64) -> Result<FuzzStats, String> {
+fn fuzz_serve_loop(seed: u64, lines: u64) -> Result<FuzzStats, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = FuzzStats::default();
     let mut script = String::new();
@@ -440,48 +441,46 @@ pub fn fuzz_serve_loop(seed: u64, lines: u64) -> Result<FuzzStats, String> {
         if line.trim().is_empty() {
             continue;
         }
-        crate::protocol::parse_frame(line)
+        super::protocol::parse_frame(line)
             .map_err(|e| format!("serve emitted a non-v2 line ({e}): {line}"))?;
     }
     stats.rejected = summary.errors as u64;
     Ok(stats)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+#[test]
+fn jsonio_survives_a_seeded_burst() {
+    let stats = fuzz_jsonio(SEED, 20_000).expect("no panics");
+    assert_eq!(stats.inputs, 20_000);
+    // Both outcomes must actually occur or the generator is broken.
+    assert!(stats.accepted > 1_000, "{stats:?}");
+    assert!(stats.rejected > 1_000, "{stats:?}");
+}
 
-    #[test]
-    fn jsonio_survives_a_seeded_burst() {
-        let stats = fuzz_jsonio(0xF00D, 5_000).expect("no panics");
-        assert_eq!(stats.inputs, 5_000);
-        // Both outcomes must actually occur or the generator is broken.
-        assert!(stats.accepted > 100, "{stats:?}");
-        assert!(stats.rejected > 100, "{stats:?}");
-    }
+#[test]
+fn envelopes_survive_a_seeded_burst() {
+    let stats = fuzz_envelopes(SEED ^ 0x1111, 10_000).expect("no panics");
+    assert_eq!(stats.inputs, 10_000);
+    assert!(
+        stats.accepted > 1_000 && stats.rejected > 1_000,
+        "{stats:?}"
+    );
+}
 
-    #[test]
-    fn envelopes_survive_a_seeded_burst() {
-        let stats = fuzz_envelopes(0xBEEF, 3_000).expect("no panics");
-        assert_eq!(stats.inputs, 3_000);
-        assert!(stats.accepted > 100 && stats.rejected > 100, "{stats:?}");
-    }
+#[test]
+fn serve_loop_survives_hostile_lines() {
+    let stats = fuzz_serve_loop(SEED ^ 0x2222, 400).expect("loop survives");
+    assert_eq!(stats.inputs, 400, "{stats:?}");
+    assert!(stats.rejected > 0, "{stats:?}");
+}
 
-    #[test]
-    fn serve_loop_survives_hostile_lines() {
-        let stats = fuzz_serve_loop(0xCAFE, 300).expect("loop survives");
-        assert!(stats.inputs > 200);
-        assert!(stats.rejected > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn determinism_same_seed_same_outcome() {
-        let a = fuzz_jsonio(42, 2_000).unwrap();
-        let b = fuzz_jsonio(42, 2_000).unwrap();
-        assert_eq!(
-            (a.accepted, a.rejected),
-            (b.accepted, b.rejected),
-            "fuzz stream must be reproducible"
-        );
-    }
+#[test]
+fn determinism_same_seed_same_outcome() {
+    let a = fuzz_jsonio(42, 2_000).unwrap();
+    let b = fuzz_jsonio(42, 2_000).unwrap();
+    assert_eq!(
+        (a.accepted, a.rejected),
+        (b.accepted, b.rejected),
+        "fuzz stream must be reproducible"
+    );
 }

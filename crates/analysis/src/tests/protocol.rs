@@ -1,25 +1,18 @@
-//! Bounded model checking of the v2 protocol session lifecycle.
+//! Conformance replay of the v2 session lifecycle through the real serve
+//! loop.
 //!
-//! Two halves, deliberately separate:
-//!
-//! 1. **The abstract walk** ([`walk_protocol`]): a state machine encoding
-//!    the *specified* lifecycle rules of `ess_service::serve` — every
-//!    live session steps once per scheduler round, the terminal frame
-//!    lands one round after the last step, cancel removes a session
-//!    without a terminal frame, restore admits a brand-new session
-//!    carrying the snapshot's progress, drain leaves nothing live. The
-//!    walk exhaustively applies every legal operation sequence up to a
-//!    depth bound and checks the lifecycle invariants (sticky terminal
-//!    events, snapshot/restore closure, exactly one terminal frame per
-//!    non-cancelled session) at every reachable state.
-//!
-//! 2. **The conformance replay** ([`replay_conformance`]): the same
-//!    operation alphabet rendered into real request lines and fed through
-//!    the real `serve_configured` loop on an in-memory transport, with
-//!    the model predicting what the output stream must contain. This
-//!    closes the gap a hand-written model always leaves: the walk proves
-//!    the rules consistent, the replay proves the implementation follows
-//!    them.
+//! A small state machine ([`MState`]) encodes the specified lifecycle
+//! rules of `ess_service::serve` — every live session steps once per
+//! scheduler round, the terminal frame lands one round after the last
+//! step, cancel removes a session without a terminal frame, drain leaves
+//! nothing live — and checks them after every operation.
+//! [`replay_conformance`] renders generated operation scripts into real
+//! request lines, feeds them through the real `serve_configured` loop on
+//! an in-memory transport, and holds the output stream to what the model
+//! predicts. Restore is not in the alphabet: a pre-rendered input buffer
+//! cannot feed a captured snapshot back in, and the checkpoint and wire
+//! columns of the run-level conformance matrix (`tests/conformance.rs`)
+//! cover it.
 
 use ess::fitness::EvalBackend;
 use ess_service::jsonio::Json;
@@ -27,8 +20,8 @@ use ess_service::policy::PolicyKind;
 use ess_service::proto::{Frame, Reply};
 use ess_service::serve::serve_configured;
 
-/// Steps every model session runs; 2 keeps the walk small while still
-/// exposing the partially-advanced states snapshot/restore care about.
+/// Steps every model session runs; 2 keeps the scripts short while still
+/// exposing the partially-advanced states a snapshot cares about.
 const TOTAL_STEPS: u32 = 2;
 /// Live-session cap: bounds the branching factor without losing the
 /// multi-session interleavings.
@@ -36,12 +29,9 @@ const MAX_LIVE: usize = 2;
 /// A session id no admission can produce.
 const UNKNOWN_SID: u64 = 9999;
 
-/// The operation alphabet of the walk (and, minus `Restore`, of the
-/// replay — a replay script cannot feed a captured snapshot back in
-/// through a pre-rendered input buffer; restore conformance is covered by
-/// the service crate's own round-trip tests).
+/// The operation alphabet of a replay script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum POp {
+enum POp {
     /// `run` with `watch: true`.
     SubmitWatched,
     /// `run` with `watch: false`.
@@ -50,8 +40,6 @@ pub enum POp {
     Advance,
     /// `snapshot` of the oldest live session.
     Snapshot,
-    /// `restore` of the held snapshot (walk only).
-    Restore,
     /// `cancel` of the oldest live session.
     CancelFirst,
     /// `cancel` of a session id that does not exist.
@@ -66,7 +54,6 @@ struct MSession {
     sid: u64,
     watch: bool,
     steps_done: u32,
-    total_steps: u32,
     live: bool,
     cancelled: bool,
     done: bool,
@@ -87,8 +74,8 @@ enum Ev {
 struct MState {
     next_sid: u64,
     sessions: Vec<MSession>,
-    /// At most one held snapshot: (steps_done, total_steps) at capture.
-    snap: Option<(u32, u32)>,
+    /// Whether a snapshot was taken: a script takes at most one.
+    snapped: bool,
     audit: Vec<Ev>,
     errors: u64,
     cancels: u64,
@@ -110,26 +97,23 @@ impl MState {
         self.sessions.iter().find(|s| s.live).map(|s| s.sid)
     }
 
-    fn admit(&mut self, watch: bool, steps_done: u32, total_steps: u32) -> u64 {
-        let sid = self.next_sid;
-        self.next_sid += 1;
+    fn admit(&mut self, watch: bool, steps_done: u32) {
         self.sessions.push(MSession {
-            sid,
+            sid: self.next_sid,
             watch,
             steps_done,
-            total_steps,
             live: true,
             cancelled: false,
             done: false,
         });
-        sid
+        self.next_sid += 1;
     }
 
     /// One scheduler round: every live session steps; a session whose
     /// steps are already spent emits its terminal frame instead.
     fn round(&mut self) -> Result<(), String> {
         for s in self.sessions.iter_mut().filter(|s| s.live) {
-            if s.steps_done < s.total_steps {
+            if s.steps_done < TOTAL_STEPS {
                 s.steps_done += 1;
                 self.audit.push(Ev::Step {
                     sid: s.sid,
@@ -154,11 +138,8 @@ impl MState {
             ops.extend([POp::SubmitWatched, POp::Submit]);
         }
         ops.push(POp::Advance);
-        if self.snap.is_none() && self.first_live().is_some() {
+        if !self.snapped && self.first_live().is_some() {
             ops.push(POp::Snapshot);
-        }
-        if self.snap.is_some() && self.live_count() < MAX_LIVE {
-            ops.push(POp::Restore);
         }
         if self.first_live().is_some() {
             ops.push(POp::CancelFirst);
@@ -171,27 +152,15 @@ impl MState {
     fn apply(&mut self, op: POp) -> Result<(), String> {
         match op {
             POp::SubmitWatched => {
-                self.admit(true, 0, TOTAL_STEPS);
+                self.admit(true, 0);
             }
             POp::Submit => {
-                self.admit(false, 0, TOTAL_STEPS);
+                self.admit(false, 0);
             }
             POp::Advance => self.round()?,
             POp::Snapshot => {
-                let sid = self.first_live().ok_or("snapshot with nothing live")?;
-                let s = self.sessions.iter().find(|s| s.sid == sid).unwrap();
-                self.snap = Some((s.steps_done, s.total_steps));
-            }
-            POp::Restore => {
-                let (steps_done, total_steps) =
-                    self.snap.take().ok_or("restore with no snapshot")?;
-                let sid = self.admit(false, steps_done, total_steps);
-                let s = self.sessions.iter().find(|s| s.sid == sid).unwrap();
-                // Closure: the restored session has exactly the captured
-                // amount of work left.
-                if s.total_steps - s.steps_done != total_steps - steps_done {
-                    return Err(format!("restore changed remaining work for session {sid}"));
-                }
+                self.first_live().ok_or("snapshot with nothing live")?;
+                self.snapped = true;
             }
             POp::CancelFirst => {
                 let sid = self.first_live().ok_or("cancel with nothing live")?;
@@ -201,8 +170,7 @@ impl MState {
                 self.cancels += 1;
             }
             POp::CancelUnknown => {
-                // An error reply; nothing else may change. (The walk
-                // asserts that by construction — no state is touched.)
+                // An error reply; nothing else may change.
                 self.errors += 1;
             }
             POp::Drain => {
@@ -228,7 +196,7 @@ impl MState {
             if s.cancelled && s.done {
                 return Err(format!("cancelled session {} got a terminal frame", s.sid));
             }
-            if s.steps_done > s.total_steps {
+            if s.steps_done > TOTAL_STEPS {
                 return Err(format!("session {} overran its step budget", s.sid));
             }
             // Watch discipline + terminal stickiness over the audit stream.
@@ -273,67 +241,15 @@ impl MState {
     }
 }
 
-/// Counters from an exhaustive walk.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WalkStats {
-    /// The depth bound used.
-    pub depth: usize,
-    /// Complete operation sequences enumerated.
-    pub sequences: u64,
-    /// States visited (tree nodes, root excluded).
-    pub states: u64,
-}
-
-/// Exhaustively applies every legal operation sequence up to `depth`,
-/// checking the lifecycle invariants at every state.
-///
-/// # Errors
-/// The first invariant violation, prefixed with the operation sequence
-/// that reached it.
-pub fn walk_protocol(depth: usize) -> Result<WalkStats, String> {
-    let mut stats = WalkStats {
-        depth,
-        ..WalkStats::default()
-    };
-    let mut trace = Vec::new();
-    walk(&MState::new(), depth, &mut trace, &mut stats)?;
-    Ok(stats)
-}
-
-fn walk(
-    state: &MState,
-    remaining: usize,
-    trace: &mut Vec<POp>,
-    stats: &mut WalkStats,
-) -> Result<(), String> {
-    if remaining == 0 {
-        stats.sequences += 1;
-        return Ok(());
-    }
-    for op in state.available() {
-        let mut next = state.clone();
-        trace.push(op);
-        next.apply(op).map_err(|e| format!("{trace:?}: {e}"))?;
-        stats.states += 1;
-        walk(&next, remaining - 1, trace, stats)?;
-        trace.pop();
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Conformance replay against the real serve loop
-// ---------------------------------------------------------------------------
-
 /// Counters from a conformance replay.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReplayStats {
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct ReplayStats {
     /// Scripts driven through the real serve loop.
-    pub scripts: u64,
+    scripts: u64,
     /// Request lines across all scripts.
-    pub requests: u64,
+    requests: u64,
     /// Output lines checked across all scripts.
-    pub frames: u64,
+    frames: u64,
 }
 
 /// Renders one model op into a request line, with the 1-based request
@@ -350,7 +266,6 @@ fn render(op: POp, id: usize, target: Option<u64>) -> String {
             r#"{{"v":2,"id":{id},"kind":"snapshot","session":{}}}"#,
             target.expect("snapshot needs a live target")
         ),
-        POp::Restore => unreachable!("replay scripts never restore"),
         POp::CancelFirst => format!(
             r#"{{"v":2,"id":{id},"kind":"cancel","session":{}}}"#,
             target.expect("cancel needs a live target")
@@ -397,7 +312,7 @@ fn predict(ops: &[POp]) -> (String, Prediction) {
 }
 
 /// Parses one output line of the serve loop as a v2 [`Frame`].
-pub(crate) fn parse_frame(line: &str) -> Result<Frame, String> {
+pub(super) fn parse_frame(line: &str) -> Result<Frame, String> {
     let json = Json::parse(line).map_err(|e| e.to_string())?;
     Frame::from_json(&json)
 }
@@ -456,18 +371,15 @@ fn check_output(script: &str, output: &str, p: &Prediction) -> Result<u64, Strin
 ///
 /// # Errors
 /// The first conformance mismatch, with the offending script and output.
-pub fn replay_conformance(sampled: usize) -> Result<ReplayStats, String> {
+fn replay_conformance(sampled: usize) -> Result<ReplayStats, String> {
     let mut stats = ReplayStats::default();
     let mut scripts: Vec<Vec<POp>> = vec![vec![]];
-    // Exhaustive depth ≤ 2 over the replay alphabet (no Restore).
+    // Exhaustive depth ≤ 2.
     let mut frontier: Vec<(MState, Vec<POp>)> = vec![(MState::new(), vec![])];
     for _ in 0..2 {
         let mut next_frontier = Vec::new();
         for (state, ops) in &frontier {
             for op in state.available() {
-                if op == POp::Restore {
-                    continue;
-                }
                 let mut ns = state.clone();
                 ns.apply(op).map_err(|e| format!("generator: {e}"))?;
                 let mut nops = ops.clone();
@@ -484,11 +396,7 @@ pub fn replay_conformance(sampled: usize) -> Result<ReplayStats, String> {
         let mut ops = Vec::new();
         let mut pick = k as u64;
         for _ in 0..4 {
-            let avail: Vec<POp> = state
-                .available()
-                .into_iter()
-                .filter(|&op| op != POp::Restore)
-                .collect();
+            let avail = state.available();
             let op = avail[(pick % avail.len() as u64) as usize];
             pick = pick
                 .wrapping_mul(6364136223846793005)
@@ -537,51 +445,44 @@ pub fn replay_conformance(sampled: usize) -> Result<ReplayStats, String> {
     Ok(stats)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+#[test]
+fn the_serve_loop_follows_the_lifecycle_model() {
+    // Every ≤ 2-op script plus eight seeded depth-4 ones, each predicted
+    // by the model and replayed through the real serve loop.
+    let stats = replay_conformance(8).expect("conformance");
+    let want = ReplayStats {
+        scripts: 43,
+        requests: 95,
+        frames: 240,
+    };
+    assert_eq!(stats, want, "the generated scripts changed");
+}
 
-    #[test]
-    fn walk_depth_5_is_clean() {
-        let stats = walk_protocol(5).expect("no violations");
-        // Measured: the walk is deterministic, so the 8-op alphabet reaches
-        // exactly this many sequences; a change means the model changed.
-        assert_eq!(stats.sequences, 5_523, "walk changed size: {stats:?}");
-    }
+#[test]
+fn model_catches_double_done() {
+    // Force the bug by hand: a session marked not-done after its
+    // terminal frame must trip the audit.
+    let mut s = MState::new();
+    s.admit(false, TOTAL_STEPS);
+    s.apply(POp::Advance).unwrap(); // emits the terminal frame
+    s.sessions[0].done = false;
+    s.sessions[0].live = true;
+    let err = s.apply(POp::Advance).unwrap_err();
+    assert!(err.contains("two terminal frames"), "{err}");
+}
 
-    #[test]
-    fn model_catches_double_done() {
-        // Force the bug by hand: a session marked not-done after its
-        // terminal frame must trip the audit.
-        let mut s = MState::new();
-        s.admit(false, TOTAL_STEPS, TOTAL_STEPS);
-        s.apply(POp::Advance).unwrap(); // emits the terminal frame
-        s.sessions[0].done = false;
-        s.sessions[0].live = true;
-        let err = s.apply(POp::Advance).unwrap_err();
-        assert!(err.contains("two terminal frames"), "{err}");
-    }
-
-    #[test]
-    fn drain_invariant_catches_stranded_sessions() {
-        let mut s = MState::new();
-        s.admit(false, 0, TOTAL_STEPS);
-        s.apply(POp::Drain).unwrap();
-        // Resurrect a drained session illegally: the next drain check
-        // must notice a live session remains after drain.
-        s.sessions[0].live = true;
-        s.sessions[0].done = false;
-        let err = s.check(POp::Drain).unwrap_err();
-        assert!(
-            err.contains("done flag out of sync") || err.contains("still live"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn replay_small_sample_conforms() {
-        let stats = replay_conformance(2).expect("conformance");
-        assert!(stats.scripts > 20);
-        assert!(stats.frames > stats.scripts);
-    }
+#[test]
+fn drain_invariant_catches_stranded_sessions() {
+    let mut s = MState::new();
+    s.admit(false, 0);
+    s.apply(POp::Drain).unwrap();
+    // Resurrect a drained session illegally: the next drain check
+    // must notice a live session remains after drain.
+    s.sessions[0].live = true;
+    s.sessions[0].done = false;
+    let err = s.check(POp::Drain).unwrap_err();
+    assert!(
+        err.contains("done flag out of sync") || err.contains("still live"),
+        "{err}"
+    );
 }

@@ -26,7 +26,7 @@
 /// What one virtual-thread step did. `step` must be deterministic and
 /// must leave the state untouched for `Blocked` / `Finished`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
+enum Step {
     /// The thread took a step; the state changed.
     Progressed,
     /// The thread is waiting on another thread (condvar wait, full stop).
@@ -36,11 +36,11 @@ pub enum Step {
 }
 
 /// A small concurrent system the explorer can enumerate.
-pub trait Model {
+trait Model {
     /// Cloneable snapshot of the whole system.
     type State: Clone;
 
-    /// Display name used in violations and reports.
+    /// Display name used in violations.
     fn name(&self) -> &'static str;
     /// Number of virtual threads.
     fn threads(&self) -> usize;
@@ -56,24 +56,24 @@ pub trait Model {
     fn check_final(&self, state: &Self::State) -> Result<(), String>;
 }
 
-/// Exploration counters for the report.
+/// Exploration counters.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ExploreStats {
+struct ExploreStats {
     /// Complete schedules (paths to a terminal state) enumerated.
-    pub schedules: u64,
+    schedules: u64,
     /// Individual thread steps taken across all schedules.
-    pub steps: u64,
+    steps: u64,
 }
 
 /// An invariant failure, with the schedule that reached it.
 #[derive(Debug, Clone)]
-pub struct Violation {
+struct Violation {
     /// Which model failed.
-    pub model: String,
+    model: String,
     /// What went wrong.
-    pub message: String,
+    message: String,
     /// The thread-id sequence that reproduces it.
-    pub schedule: Vec<usize>,
+    schedule: Vec<usize>,
 }
 
 impl std::fmt::Display for Violation {
@@ -96,7 +96,7 @@ const STEP_BUDGET: u64 = 50_000_000;
 /// # Errors
 /// The first [`Violation`] found: a failed `check`/`check_final`, a
 /// deadlock (some thread blocked, none runnable), or a blown step budget.
-pub fn explore<M: Model>(m: &M) -> Result<ExploreStats, Violation> {
+fn explore<M: Model>(m: &M) -> Result<ExploreStats, Violation> {
     let mut stats = ExploreStats::default();
     let mut trace = Vec::new();
     dfs(m, &m.initial(), &mut trace, &mut stats)?;
@@ -153,13 +153,13 @@ fn dfs<M: Model>(
 
 /// The StealPool's publish/execute/wait round with optional task panics.
 /// Thread 0 is the master; threads `1..=workers` are workers.
-pub struct StealPoolModel {
+struct StealPoolModel {
     /// Number of worker threads.
-    pub workers: usize,
+    workers: usize,
     /// `tasks[slot]` is `true` when that task panics during execution.
-    pub tasks: Vec<bool>,
+    tasks: Vec<bool>,
     /// Display name for the scenario.
-    pub scenario: &'static str,
+    scenario: &'static str,
 }
 
 /// Master progress through its script.
@@ -173,7 +173,7 @@ enum MasterPc {
 
 /// Snapshot of one pool round.
 #[derive(Debug, Clone)]
-pub struct StealState {
+struct StealState {
     master: MasterPc,
     bag: std::collections::VecDeque<u32>,
     pending: usize,
@@ -315,7 +315,7 @@ impl Model for StealPoolModel {
 
 /// One scripted lane op for [`LaneGuardModel`].
 #[derive(Debug, Clone, Copy)]
-pub enum LaneOp {
+enum LaneOp {
     /// Park one batch with the coordinator and block until a flush
     /// scores it.
     Batch(u32),
@@ -336,11 +336,11 @@ pub enum LaneOp {
 /// The fusion coordinator with `lanes.len()` lane threads. Thread 0 is
 /// the coordinator: it flushes whenever every still-live lane has parked
 /// a batch and stops once every lane has delivered its `Done` marker.
-pub struct LaneGuardModel {
+struct LaneGuardModel {
     /// Per-lane scripts; each must end with `Finish` or `Panic`.
-    pub lanes: Vec<Vec<LaneOp>>,
+    lanes: Vec<Vec<LaneOp>>,
     /// Display name for the scenario.
-    pub scenario: &'static str,
+    scenario: &'static str,
 }
 
 /// A coordinator-queue message.
@@ -352,7 +352,7 @@ enum LaneMsg {
 
 /// Snapshot of the fused scoring round.
 #[derive(Debug, Clone)]
-pub struct LaneState {
+struct LaneState {
     pc: Vec<usize>,
     /// Lane blocked on the reply to its parked batch.
     awaiting: Vec<bool>,
@@ -506,21 +506,21 @@ impl Model for LaneGuardModel {
 // The scenario suite
 // ---------------------------------------------------------------------------
 
-/// One explored scenario's counters, for the report.
+/// One explored scenario's counters.
 #[derive(Debug, Clone)]
-pub struct ModelRun {
+struct ModelRun {
     /// Scenario name.
-    pub name: &'static str,
+    name: &'static str,
     /// Counters from the exhaustive exploration.
-    pub stats: ExploreStats,
+    stats: ExploreStats,
 }
 
-/// Explores every concurrency scenario in the suite — one set for CI and
-/// the full budget alike; the whole suite is sub-second.
+/// Explores every concurrency scenario in the suite; the whole suite is
+/// sub-second.
 ///
 /// # Errors
 /// The first [`Violation`] any scenario finds.
-pub fn verify_concurrency() -> Result<Vec<ModelRun>, Violation> {
+fn verify_concurrency() -> Result<Vec<ModelRun>, Violation> {
     let mut runs = Vec::new();
     let mut run =
         |name: &'static str, stats: Result<ExploreStats, Violation>| -> Result<(), Violation> {
@@ -613,103 +613,108 @@ pub fn verify_concurrency() -> Result<Vec<ModelRun>, Violation> {
     Ok(runs)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+#[test]
+fn every_scenario_explores_its_pinned_schedule_count() {
+    // Exhaustive and deterministic: a moved count means a model changed.
+    let runs = verify_concurrency().expect("no violations");
+    let counts: Vec<_> = runs
+        .iter()
+        .map(|r| (r.name, r.stats.schedules, r.stats.steps))
+        .collect();
+    let want = [
+        ("steal/clean-round", 128, 639),
+        ("steal/panic-round", 60, 205),
+        ("steal/1-worker-panic", 1, 5),
+        ("fusion/lanes-clean", 64, 294),
+        ("fusion/lane-panics", 16, 70),
+        ("fusion/release-before-finish", 48, 214),
+    ];
+    assert_eq!(counts, want);
+}
 
-    #[test]
-    fn suite_is_violation_free() {
-        let runs = verify_concurrency().expect("no violations");
-        assert_eq!(runs.len(), 6);
-        for r in &runs {
-            assert!(r.stats.schedules > 0, "{} explored nothing", r.name);
+#[test]
+fn a_lane_holding_its_guard_through_a_peer_wait_deadlocks() {
+    // The release scenario without the release: lane 0 keeps its
+    // guard while it waits on lane 1, whose second batch can never
+    // flush (two live lanes, one parked batch).
+    let err = explore(&LaneGuardModel {
+        scenario: "test/held-guard",
+        lanes: vec![
+            vec![LaneOp::Batch(1), LaneOp::AwaitLane(1), LaneOp::Finish],
+            vec![LaneOp::Batch(2), LaneOp::Batch(3), LaneOp::Finish],
+        ],
+    })
+    .unwrap_err();
+    assert!(err.message.contains("deadlock"), "{err}");
+}
+
+#[test]
+fn a_batch_after_release_is_a_violation() {
+    let err = explore(&LaneGuardModel {
+        scenario: "test/batch-after-done",
+        lanes: vec![vec![LaneOp::Release, LaneOp::Batch(1), LaneOp::Finish]],
+    })
+    .unwrap_err();
+    assert!(err.message.contains("after its Done"), "{err}");
+}
+
+#[test]
+fn explorer_detects_double_delivery() {
+    // A deliberately broken queue: a take peeks instead of popping.
+    struct Broken;
+    #[derive(Clone)]
+    struct S {
+        pc: Vec<usize>,
+        queue: Vec<u32>,
+        got: Vec<u32>,
+    }
+    impl Model for Broken {
+        type State = S;
+        fn name(&self) -> &'static str {
+            "test/broken"
         }
-    }
-
-    #[test]
-    fn a_lane_holding_its_guard_through_a_peer_wait_deadlocks() {
-        // The release scenario without the release: lane 0 keeps its
-        // guard while it waits on lane 1, whose second batch can never
-        // flush (two live lanes, one parked batch).
-        let err = explore(&LaneGuardModel {
-            scenario: "test/held-guard",
-            lanes: vec![
-                vec![LaneOp::Batch(1), LaneOp::AwaitLane(1), LaneOp::Finish],
-                vec![LaneOp::Batch(2), LaneOp::Batch(3), LaneOp::Finish],
-            ],
-        })
-        .unwrap_err();
-        assert!(err.message.contains("deadlock"), "{err}");
-    }
-
-    #[test]
-    fn a_batch_after_release_is_a_violation() {
-        let err = explore(&LaneGuardModel {
-            scenario: "test/batch-after-done",
-            lanes: vec![vec![LaneOp::Release, LaneOp::Batch(1), LaneOp::Finish]],
-        })
-        .unwrap_err();
-        assert!(err.message.contains("after its Done"), "{err}");
-    }
-
-    #[test]
-    fn explorer_detects_double_delivery() {
-        // A deliberately broken queue: a take peeks instead of popping.
-        struct Broken;
-        #[derive(Clone)]
-        struct S {
-            pc: Vec<usize>,
-            queue: Vec<u32>,
-            got: Vec<u32>,
+        fn threads(&self) -> usize {
+            2
         }
-        impl Model for Broken {
-            type State = S;
-            fn name(&self) -> &'static str {
-                "test/broken"
-            }
-            fn threads(&self) -> usize {
-                2
-            }
-            fn initial(&self) -> S {
-                S {
-                    pc: vec![0; 2],
-                    queue: vec![7],
-                    got: Vec::new(),
-                }
-            }
-            fn step(&self, s: &mut S, tid: usize) -> Step {
-                if s.pc[tid] >= 1 {
-                    return Step::Finished;
-                }
-                if let Some(v) = s.queue.first().copied() {
-                    s.got.push(v); // bug: no pop
-                }
-                s.pc[tid] += 1;
-                Step::Progressed
-            }
-            fn check_final(&self, s: &S) -> Result<(), String> {
-                if s.got.len() > 1 {
-                    return Err(format!("value delivered {} times", s.got.len()));
-                }
-                Ok(())
+        fn initial(&self) -> S {
+            S {
+                pc: vec![0; 2],
+                queue: vec![7],
+                got: Vec::new(),
             }
         }
-        let err = explore(&Broken).unwrap_err();
-        assert!(err.message.contains("delivered"), "{err}");
-        assert_eq!(err.schedule.len(), 2);
+        fn step(&self, s: &mut S, tid: usize) -> Step {
+            if s.pc[tid] >= 1 {
+                return Step::Finished;
+            }
+            if let Some(v) = s.queue.first().copied() {
+                s.got.push(v); // bug: no pop
+            }
+            s.pc[tid] += 1;
+            Step::Progressed
+        }
+        fn check_final(&self, s: &S) -> Result<(), String> {
+            if s.got.len() > 1 {
+                return Err(format!("value delivered {} times", s.got.len()));
+            }
+            Ok(())
+        }
     }
+    let err = explore(&Broken).unwrap_err();
+    assert!(err.message.contains("delivered"), "{err}");
+    assert_eq!(err.schedule.len(), 2);
+}
 
-    #[test]
-    fn steal_pool_counts_match_hand_enumeration() {
-        // 1 worker, 1 task: publish → take → execute → (wait) → shutdown
-        // → worker sees shutdown. Exactly one schedule modulo the
-        // blocked-master reorderings the explorer prunes.
-        let stats = explore(&StealPoolModel {
-            scenario: "test/tiny",
-            workers: 1,
-            tasks: vec![false],
-        })
-        .unwrap();
-        assert_eq!(stats.schedules, 1);
-    }
+#[test]
+fn steal_pool_counts_match_hand_enumeration() {
+    // 1 worker, 1 task: publish → take → execute → (wait) → shutdown
+    // → worker sees shutdown. Exactly one schedule modulo the
+    // blocked-master reorderings the explorer prunes.
+    let stats = explore(&StealPoolModel {
+        scenario: "test/tiny",
+        workers: 1,
+        tasks: vec![false],
+    })
+    .unwrap();
+    assert_eq!(stats.schedules, 1);
 }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! The experiments are the rows of [`EXPERIMENTS`] and the tools (`serve`,
-//! `lint`, `verify-invariants`) the rows of [`TOOLS`]; running `harness`
+//! `lint`) the rows of [`TOOLS`]; running `harness`
 //! with no argument prints both lists, derived from those tables, and the
 //! system registry: the four paper systems, each with the variant rows
 //! (`ESS-NS/k=3`, …) E6–E9 compare and `serve` accepts.
@@ -25,10 +25,6 @@
 //! each stdout line a JSON frame; every accepted session multiplexes the
 //! one shared backend selected with `--backend`, scheduled under
 //! `--policy` (round-robin, weighted-fair-share or deadline-first).
-//! `serve --self-test` runs the recorded multi-client script, kills one
-//! session mid-script, resumes it from its snapshot, and diffs the final
-//! reports against the uninterrupted golden transcript (the CI smoke
-//! configuration).
 //!
 //! `--scale` shrinks every per-step evaluation budget proportionally
 //! (default 1.0); `--seeds` sets the replicate count (default 3);
@@ -37,8 +33,7 @@
 //! trial of the experiment plan, or every session `serve` accepts (results
 //! are backend-independent — every backend produces bit-identical fitness
 //! values — so this only changes wall time; default `serial`); where a run
-//! executes is a per-process setting, never part of a request; `--quick`
-//! shrinks `verify-invariants` to its CI budget.
+//! executes is a per-process setting, never part of a request.
 
 use ess::fitness::EvalBackend;
 use ess::report::TextTable;
@@ -125,7 +120,7 @@ const EXPERIMENTS: &[(&str, &str, Run)] = &[
 /// A tool's entry point; an `Err` is printed on stderr and exits 1.
 type Tool = fn(&Args) -> Result<(), String>;
 
-/// The prediction server and the correctness tools: not experiments, so
+/// The prediction server and the static analysis: not experiments, so
 /// `all` leaves them out.
 const TOOLS: &[(&str, &str, Tool)] = &[
     (
@@ -138,11 +133,6 @@ const TOOLS: &[(&str, &str, Tool)] = &[
         "static analysis: token rules, panic prover, layering DAG, determinism taint (+ ANALYSIS.json)",
         lint_main,
     ),
-    (
-        "verify-invariants",
-        "model checking + adversarial invariant suite (+ INVARIANTS.json)",
-        verify_main,
-    ),
 ];
 
 struct Args {
@@ -153,9 +143,7 @@ struct Args {
     out: PathBuf,
     backend: EvalBackend,
     policy: ess_service::PolicyKind,
-    quick: bool,
     fused: bool,
-    self_test: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -175,9 +163,7 @@ fn parse_args() -> Result<Args, String> {
         out: PathBuf::from("reports"),
         backend: EvalBackend::Serial,
         policy: ess_service::PolicyKind::RoundRobin,
-        quick: false,
         fused: false,
-        self_test: false,
     };
     while let Some(flag) = argv.next() {
         let mut value = || argv.next().ok_or(format!("missing value for {flag}"));
@@ -196,9 +182,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e: ess_service::policy::ParsePolicyError| e.to_string())?
             }
-            "--quick" => args.quick = true,
             "--fused" => args.fused = true,
-            "--self-test" => args.self_test = true,
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
@@ -224,7 +208,7 @@ fn usage() -> String {
     let tools = TOOLS.iter().map(|(id, ..)| *id);
     let names: Vec<&str> = ids.chain(["all"]).chain(tools).collect();
     let mut text = format!(
-        "usage: harness <{}> [--seeds N] [--scale F] [--cases a,b (E1 and E2 only; E6-E10 declare their own cases)] [--backend serial|worker-pool:N|rayon:N] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--out DIR]",
+        "usage: harness <{}> [--seeds N] [--scale F] [--cases a,b (E1 and E2 only; E6-E10 declare their own cases)] [--backend serial|worker-pool:N|rayon:N] [--policy round-robin|weighted-fair-share|deadline-first] [--fused] [--out DIR]",
         names.join("|")
     );
     let titles = EXPERIMENTS.iter().map(|(id, title, _)| (id, title));
@@ -365,66 +349,10 @@ fn lint_main(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `harness verify-invariants [--quick]`: bounded model checking of the
-/// concurrency and protocol layers plus the adversarial fuzz and firelib
-/// invariant drivers. Writes `reports/INVARIANTS.json`; any violation
-/// prints a reproducible description and fails the process.
-fn verify_main(args: &Args) -> Result<(), String> {
-    let budget = if args.quick {
-        ess_analysis::VerifyBudget::quick()
-    } else {
-        ess_analysis::VerifyBudget::full()
-    };
-    let report = ess_analysis::verify_all(0x2022_1995, budget)
-        .map_err(|e| format!("verify-invariants: VIOLATION\n{e}"))?;
-    for run in &report.concurrency {
-        println!(
-            "checked {:<24} {:>8} schedules {:>10} steps",
-            run.name, run.stats.schedules, run.stats.steps
-        );
-    }
-    println!(
-        "protocol walk: depth {} → {} op sequences over {} states",
-        report.walk.depth, report.walk.sequences, report.walk.states
-    );
-    println!(
-        "serve conformance: {} scripts, {} requests, {} frames checked",
-        report.replay.scripts, report.replay.requests, report.replay.frames
-    );
-    println!(
-        "fuzz: jsonio {} inputs ({} accepted), envelopes {}, serve lines {}",
-        report.jsonio.inputs, report.jsonio.accepted, report.envelopes.inputs, report.serve.inputs
-    );
-    println!(
-        "firelib: {} landscapes / {} cells inside their arrival windows, {} hostile samples",
-        report.firelib.terrains, report.firelib.cells, report.hostile.ros_samples
-    );
-    println!(
-        "raster shortcuts: {} mosaics / {} cells match the all-sites scan, \
-         {} span-bounded fitness values match the full raster",
-        report.shortcuts.mosaics, report.shortcuts.mosaic_cells, report.shortcuts.fitness_evals
-    );
-    write_out(args, "INVARIANTS.json", &report.to_json().to_pretty());
-    println!("verify-invariants: all invariants hold");
-    Ok(())
-}
-
 /// `harness serve`: the line-delimited JSON prediction service. Every
-/// accepted session multiplexes the one shared `--backend` pool. With
-/// `--self-test`, the recorded multi-client script (kill one session,
-/// resume it from its snapshot) runs through the same loop and the final
-/// reports are diffed against the uninterrupted golden transcript.
+/// accepted session multiplexes the one shared `--backend` pool.
 fn serve_main(args: &Args) -> Result<(), String> {
     use ess_service::serve;
-    if args.self_test {
-        let transcript = ess_benches::smoke::serve_self_test(args.backend)?;
-        println!("{transcript}");
-        eprintln!(
-            "serve self-test OK on {}: kill/resume transcript matches golden",
-            args.backend.name()
-        );
-        return Ok(());
-    }
     let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
     let summary = serve::serve_configured(
         stdin.lock(),

@@ -12,4 +12,3 @@
 
 pub mod experiments;
 pub mod microbench;
-pub mod smoke;

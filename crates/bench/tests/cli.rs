@@ -71,7 +71,7 @@ fn usage_lists_every_experiment_and_says_who_reads_cases() {
     // set what it varies and its rows.
     assert_eq!(
         stderr.trim().lines().count(),
-        1 + 12 + 3 + 1 + 4 + 2 * 4,
+        1 + 12 + 2 + 1 + 4 + 2 * 4,
         "{stderr}"
     );
     assert!(stderr.contains("\n    ESSIM-DE/untuned ESSIM-DE/tuned\n"));
@@ -81,32 +81,43 @@ fn usage_lists_every_experiment_and_says_who_reads_cases() {
 }
 
 #[test]
-fn retired_kernel_flag_is_an_unknown_flag() {
+fn retired_flags_are_unknown_flags() {
     // Kernels are compared at `simulate_arena_kernel`, never selected per
-    // run: the flag is gone, not ignored.
-    let out = Command::new(env!("CARGO_BIN_EXE_harness"))
-        .args(["e1-quality", "--kernel", "bucket"])
-        .output()
-        .expect("harness binary runs");
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.starts_with("unknown flag --kernel\n"), "{stderr}");
-    assert!(out.stdout.is_empty(), "no table was started");
+    // run; the invariant drivers and the serve kill/resume check are
+    // `cargo test`s. Each flag is gone, not ignored.
+    for args in [
+        &["e1-quality", "--kernel", "bucket"][..],
+        &["lint", "--quick"],
+        &["serve", "--self-test"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_harness"))
+            .args(args)
+            .output()
+            .expect("harness binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let line = format!("unknown flag {}\n", args[1]);
+        assert!(stderr.starts_with(&line), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing was started");
+    }
 }
 
 #[test]
-fn retired_audit_subcommand_is_an_unknown_experiment() {
-    // The graph passes run under `harness lint`; there is no alias.
-    let out = Command::new(env!("CARGO_BIN_EXE_harness"))
-        .arg("audit")
-        .output()
-        .expect("harness binary runs");
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.starts_with("unknown experiment 'audit'\nusage: harness <"),
-        "{stderr}"
-    );
-    assert!(!stderr.contains("|audit|"), "{stderr}");
-    assert!(out.stdout.is_empty(), "nothing ran");
+fn retired_tools_are_unknown_experiments() {
+    // The graph passes run under `harness lint` and the invariant drivers
+    // under `cargo test`; there is no alias.
+    for id in ["audit", "verify-invariants"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_harness"))
+            .arg(id)
+            .output()
+            .expect("harness binary runs");
+        assert_eq!(out.status.code(), Some(1), "{id}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("unknown experiment '{id}'\nusage: harness <")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains(&format!("|{id}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing ran");
+    }
 }

@@ -3,9 +3,9 @@
 //!
 //! A [`Client`] speaks the versioned envelope of `ess_service::proto`
 //! over **any** `BufRead`/`Write` pair: a child process's stdin/stdout,
-//! an in-memory [`pipe`] to a serve loop in another thread (the serve
-//! self-test and benchmark configuration), or any socket-like transport the caller
-//! wraps. Every request gets a correlation id; the client reads frames
+//! an in-memory [`pipe`] to a serve loop in another thread (the wire
+//! column of the run-level conformance matrix and the benchmark's
+//! configuration), or any socket-like transport the caller wraps. Every request gets a correlation id; the client reads frames
 //! until the matching reply arrives, stashing the async `progress`/`done`
 //! frames that stream in between (retrieve them with
 //! [`Client::take_events`]).

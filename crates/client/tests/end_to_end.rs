@@ -6,7 +6,7 @@
 use ess::fitness::EvalBackend;
 use ess_client::{pipe, Client};
 use ess_service::proto::Frame;
-use ess_service::serve::serve_with;
+use ess_service::serve::serve_configured;
 use ess_service::{PolicyKind, RunSpec};
 use std::io::BufReader;
 use std::thread;
@@ -20,11 +20,12 @@ fn spawn_server(
     let (req_w, req_r) = pipe::duplex();
     let (resp_w, resp_r) = pipe::duplex();
     let server = thread::spawn(move || {
-        serve_with(
+        serve_configured(
             BufReader::new(req_r),
             resp_w,
             EvalBackend::WorkerPool(2),
             policy,
+            false,
         )
     });
     (Client::new(BufReader::new(resp_r), req_w), server)

@@ -104,6 +104,7 @@ impl StepContext {
     /// Same context, evaluating through `kernel` instead of the default
     /// [`Kernel::Bucket`]. Kernels are bit-identical, so swapping one in
     /// changes wall-clock only, never a fitness value.
+    // lint: allow(unreached) — the kernel axis of crates/ess/tests/span_fitness.rs, crates/ess/tests/stage_tail.rs and the unit tests of crates/ess/src/fitness.rs
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self

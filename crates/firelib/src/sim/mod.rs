@@ -194,6 +194,7 @@ impl FireSim {
     /// [`Terrain`] accessors and the unsplit [`wind_slope_max`] — the
     /// independent statement of what a cell's table is, which
     /// [`FireSim::cell_table_at`] is pinned against bit for bit.
+    // lint: allow(unreached) — the oracle of cell_table_matches_the_terrain_accessor_path in crates/firelib/src/sim/tests/mod.rs, and what `max_ros` reads
     fn cell_spread(&self, row: usize, col: usize, scenario: &Scenario) -> SpreadVector {
         let fuel = self.terrain.fuel_at(row, col, scenario.model);
         let Some(bed) = self.beds.get(fuel as usize).filter(|bed| bed.burnable) else {
@@ -247,6 +248,7 @@ impl FireSim {
     /// them at the terrain-wide maxima bounds every cell. (The bound sizes
     /// bookkeeping only: a cell written beyond the window through
     /// floating-point slack is tracked on the stray list instead.)
+    // lint: allow(unreached) — the bound spread_rate_bound_dominates_every_cell and the kernel conformance matrix (crates/firelib/src/sim/tests/) and the hostile sweep of crates/analysis/src/tests/hostile.rs check
     pub fn spread_rate_bound(&self, scenario: &Scenario) -> f64 {
         self.rate_bound(scenario, &self.hoisted_base(scenario))
     }
@@ -779,8 +781,9 @@ impl FireSim {
     }
 
     /// Maximum spread rate (ft/min) of `scenario` on a uniform cell of this
-    /// terrain — the exact per-cell rate the invariant drivers hold
+    /// terrain — the exact per-cell rate the hostile sweep holds
     /// [`FireSim::spread_rate_bound`] against.
+    // lint: allow(unreached) — the oracle of the hostile sweep in crates/analysis/src/tests/hostile.rs
     pub fn max_ros(&self, scenario: &Scenario) -> f64 {
         self.cell_spread(0, 0, scenario).ros_max
     }

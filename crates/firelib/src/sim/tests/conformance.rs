@@ -358,12 +358,21 @@ fn crosses_capped_window(reference: &IgnitionMap, seeds: &Seeds) -> bool {
 }
 
 /// What every run must satisfy, on the arena it left: the reference's
-/// bits, ranges that account for them, lit cells that burn at `t0` and lit
-/// rock unignited, nothing written when nothing burns, strays listed once.
+/// bits, every arrival finite and inside `[t0, t0 + duration]`, ranges
+/// that account for them, lit cells that burn at `t0` and lit rock
+/// unignited, nothing written when nothing burns, strays listed once.
 fn check(arena: &SimArena, reference: &IgnitionMap, g: &Group<'_>, sim: &FireSim, what: &str) {
     let Run(s, t0, duration) = g.run;
     let map = arena.map();
     assert_rasters_identical(reference, map, what);
+    let window = *t0..=t0 + duration;
+    for (i, t) in map.grid().as_slice().iter().enumerate() {
+        let inside = *t == UNIGNITED || window.contains(t);
+        assert!(
+            inside,
+            "{what}: cell {i} arrives at {t}, outside {window:?}"
+        );
+    }
     assert_ranges_account_for_the_raster(arena, t0 + duration, what);
     let mut any = false;
     for (r, c) in g.fire.burned_cells() {
@@ -393,6 +402,8 @@ fn conform(land: Land) {
             let mut fresh = sim.arena();
             sim.simulate_arena_kernel(s, fire, t0, duration, &mut fresh, Kernel::Heap);
             let reference = fresh.map();
+            let bound = sim.spread_rate_bound(s);
+            assert!(bound.is_finite() && bound >= 0.0, "{group}: bound {bound}");
             if g.index % 5 == 2 {
                 let entry = |name| format!("{group}, {name}");
                 let map = sim.simulate(s, fire, t0, duration);

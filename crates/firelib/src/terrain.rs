@@ -278,6 +278,7 @@ impl Terrain {
     }
 
     /// Effective slope (degrees) of a cell given the scenario's value.
+    // lint: allow(unreached) — read by `FireSim::cell_spread`, the oracle of cell_table_matches_the_terrain_accessor_path, and by the unit tests of crates/firelib/src/terrain.rs
     #[inline]
     pub fn slope_at(&self, row: usize, col: usize, scenario_slope_deg: f64) -> f64 {
         self.slope_override
@@ -286,6 +287,7 @@ impl Terrain {
     }
 
     /// Effective aspect (degrees) of a cell given the scenario's value.
+    // lint: allow(unreached) — read by `FireSim::cell_spread`, the oracle of cell_table_matches_the_terrain_accessor_path, and by the unit tests of crates/firelib/src/terrain.rs
     #[inline]
     pub fn aspect_at(&self, row: usize, col: usize, scenario_aspect_deg: f64) -> f64 {
         self.aspect_override
@@ -296,6 +298,7 @@ impl Terrain {
     /// Effective `(wind speed, wind direction)` of a cell given the
     /// scenario's global wind. Without a wind layer the scenario values pass
     /// through untouched.
+    // lint: allow(unreached) — read by `FireSim::cell_spread`, the oracle of cell_table_matches_the_terrain_accessor_path, and by the unit tests of crates/firelib/src/terrain.rs
     #[inline]
     pub fn wind_at(
         &self,

@@ -57,7 +57,7 @@ pub mod systems;
 pub use ess::error::{BudgetReason, ServiceError};
 pub use policy::{PolicyKind, SchedulePolicy, SessionMeta};
 pub use scheduler::{DrainSignal, Scheduler, SessionId, SessionOutcome};
-pub use serve::{serve, serve_configured, serve_with, ServeSummary};
+pub use serve::{serve_configured, ServeSummary};
 pub use session::{PredictionSession, SessionEvent, StepPlan};
 pub use snapshot::SessionSnapshot;
 pub use spec::{Budget, RunSpec};

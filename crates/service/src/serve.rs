@@ -83,43 +83,14 @@ impl Streams {
     }
 }
 
-/// Runs the serve loop with the default round-robin policy: reads
-/// requests from `input` until `quit` or end of input, writes frames
-/// to `out`, executes every session on one shared pool built from
-/// `backend`.
-///
-/// # Errors
-/// Propagates I/O errors from the transport; protocol-level problems are
-/// reported in-band as error replies.
-pub fn serve<R: BufRead, W: Write>(
-    input: R,
-    out: W,
-    backend: EvalBackend,
-) -> io::Result<ServeSummary> {
-    serve_with(input, out, backend, PolicyKind::RoundRobin)
-}
-
-/// [`serve`] with an explicit scheduling policy — the `harness serve
-/// --policy` entry point.
-///
-/// # Errors
-/// Propagates I/O errors from the transport; protocol-level problems are
-/// reported in-band as error replies.
-pub fn serve_with<R: BufRead, W: Write>(
-    input: R,
-    out: W,
-    backend: EvalBackend,
-    policy: PolicyKind,
-) -> io::Result<ServeSummary> {
-    serve_configured(input, out, backend, policy, false)
-}
-
-/// [`serve_with`] plus the fusion switch: with `fused` on, every
-/// scheduler round runs its planned sessions' steps concurrently and
-/// fuses their evaluation batches into one shared-pool mega-batch per
-/// wave ([`Scheduler::set_fused`]) — the protocol stream is identical,
-/// frame for frame, because fused rounds are bit-identical to unfused
-/// ones. The `harness serve --fused` entry point.
+/// Runs the serve loop: reads requests from `input` until `quit` or end
+/// of input, writes frames to `out`, and executes every session on one
+/// shared pool built from `backend`, scheduled under `policy` — the
+/// `harness serve` entry point. With `fused` on, every scheduler round
+/// runs its planned sessions' steps concurrently and fuses their
+/// evaluation batches into one shared-pool mega-batch per wave
+/// ([`Scheduler::set_fused`]) — the protocol stream is identical, frame
+/// for frame, because fused rounds are bit-identical to unfused ones.
 ///
 /// # Errors
 /// Propagates I/O errors from the transport; protocol-level problems are

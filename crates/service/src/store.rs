@@ -128,7 +128,7 @@ mod tests {
 
     #[test]
     fn store_built_sessions_reproduce_cold_built_ones() {
-        for system in systems::names() {
+        for system in systems::all().iter().map(|s| s.name) {
             let from_store = RunSpec::new(system, "meadow_small")
                 .scale(0.2)
                 .seed(5)

@@ -259,11 +259,6 @@ pub fn all() -> &'static [SystemSpec] {
     PAPER_SYSTEMS
 }
 
-/// Canonical names of the four paper systems, baseline order.
-pub fn names() -> Vec<&'static str> {
-    PAPER_SYSTEMS.iter().map(|s| s.name).collect()
-}
-
 /// The `<family>/<variant>` rows, as the four comparison sets above.
 pub fn variants() -> [&'static [SystemSpec]; 4] {
     [TUNING, SCORING, HYPER_PARAMETERS, INCLUSION]
@@ -309,7 +304,8 @@ mod tests {
                 assert!(outcome.evaluations > 0, "{} at {scale}", spec.name);
             }
         }
-        assert_eq!(names(), vec!["ESS", "ESSIM-EA", "ESSIM-DE", "ESS-NS"]);
+        let names: Vec<&str> = all().iter().map(|s| s.name).collect();
+        assert_eq!(names, ["ESS", "ESSIM-EA", "ESSIM-DE", "ESS-NS"]);
         assert_eq!(variants().map(<[SystemSpec]>::len), [2, 6, 11, 5]);
     }
 

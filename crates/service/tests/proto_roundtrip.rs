@@ -40,16 +40,19 @@ fn finite_f64(rng: &mut StdRng) -> f64 {
 /// Seeds cover the whole range the wire carries exactly, 2^53 — the
 /// largest one `RunSpec::validate` admits — included.
 fn random_spec(rng: &mut StdRng) -> RunSpec {
-    let names = systems::names();
+    let systems = systems::all();
     let seed = match rng.random_range(0..8u32) {
         0 => 1 << 53,
         _ => rng.random::<u64>() >> 11,
     };
-    let mut spec = RunSpec::new(names[rng.random_range(0..names.len())], "meadow_small")
-        .seed(seed)
-        .replicates(1 + rng.random_range(0..4usize))
-        .scale(0.05 + rng.random::<f64>())
-        .weight(0.5 + rng.random::<f64>() * 4.0);
+    let mut spec = RunSpec::new(
+        systems[rng.random_range(0..systems.len())].name,
+        "meadow_small",
+    )
+    .seed(seed)
+    .replicates(1 + rng.random_range(0..4usize))
+    .scale(0.05 + rng.random::<f64>())
+    .weight(0.5 + rng.random::<f64>() * 4.0);
     if rng.random_bool(0.5) {
         spec = spec.max_steps(1 + rng.random_range(0..9usize));
     }

@@ -168,7 +168,7 @@ fn bad_submissions_enqueue_nothing() {
 }
 
 #[test]
-fn serve_protocol_self_test_passes_on_a_shared_pool() {
+fn a_mixed_serve_script_ends_every_session_alike_under_every_policy() {
     // Eight sessions (every registered system × two replicates) on one
     // pool, plus an unknown system, an unknown case and a cancellation.
     let pair = |system: &str, seed: u64| {

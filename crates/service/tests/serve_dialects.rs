@@ -7,8 +7,20 @@
 use ess::fitness::EvalBackend;
 use ess_service::jsonio::Json;
 use ess_service::proto::{Frame, Reply};
-use ess_service::serve::serve;
-use ess_service::RunSpec;
+use ess_service::serve::{serve_configured, ServeSummary};
+use ess_service::{PolicyKind, RunSpec};
+
+/// One serve run on a serial pool under the default policy, unfused.
+fn serve(script: &[u8], out: &mut Vec<u8>) -> ServeSummary {
+    serve_configured(
+        script,
+        out,
+        EvalBackend::Serial,
+        PolicyKind::RoundRobin,
+        false,
+    )
+    .expect("serve I/O")
+}
 
 /// The output split into frames; any line that is not a v2 frame fails
 /// the test.
@@ -29,7 +41,7 @@ fn pure_v2_connections_get_v2_frames_even_at_eof() {
         "\n",
     );
     let mut out = Vec::new();
-    let summary = serve(script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve I/O");
+    let summary = serve(script.as_bytes(), &mut out);
     assert_eq!(summary.accepted, 1);
     assert_eq!(summary.exhausted, 1);
     let text = String::from_utf8(out).expect("utf-8");
@@ -52,7 +64,7 @@ fn dialectless_garbage_does_not_flip_a_v2_connection_to_v1() {
         "\n",
     );
     let mut out = Vec::new();
-    let summary = serve(script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve I/O");
+    let summary = serve(script.as_bytes(), &mut out);
     assert_eq!(summary.errors, 2);
     let text = String::from_utf8(out).expect("utf-8");
     frames(&text);
@@ -85,7 +97,7 @@ fn retired_v1_lines_and_stray_objects_get_v2_error_frames() {
         "\n",
     );
     let mut out = Vec::new();
-    let summary = serve(script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve I/O");
+    let summary = serve(script.as_bytes(), &mut out);
     assert_eq!(summary.errors, 6);
     assert_eq!((summary.accepted, summary.exhausted), (1, 1));
     let text = String::from_utf8(out).expect("utf-8");
@@ -137,7 +149,7 @@ fn a_snapshot_with_a_corrupt_kign_is_one_error_frame_and_the_loop_carries_on() {
          {{\"v\":2,\"id\":3,\"kind\":\"drain\"}}\n"
     );
     let mut out = Vec::new();
-    let summary = serve(script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve I/O");
+    let summary = serve(script.as_bytes(), &mut out);
     assert_eq!(summary.errors, 1);
     assert_eq!((summary.accepted, summary.restored), (1, 1));
     let text = String::from_utf8(out).expect("utf-8");
@@ -157,7 +169,7 @@ fn a_snapshot_with_a_corrupt_kign_is_one_error_frame_and_the_loop_carries_on() {
 #[test]
 fn empty_input_still_answers_in_v2() {
     let mut out = Vec::new();
-    let summary = serve(&b""[..], &mut out, EvalBackend::Serial).expect("serve I/O");
+    let summary = serve(b"", &mut out);
     assert_eq!(summary, Default::default());
     assert_eq!(
         frames(&String::from_utf8(out).expect("utf-8")),

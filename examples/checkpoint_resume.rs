@@ -11,7 +11,7 @@
 use essns_repro::ess::fitness::EvalBackend;
 use essns_repro::ess_client::{pipe, Client};
 use essns_repro::ess_service::proto::Frame;
-use essns_repro::ess_service::serve::serve_with;
+use essns_repro::ess_service::serve::serve_configured;
 use essns_repro::ess_service::{PolicyKind, RunSpec};
 use std::io::BufReader;
 
@@ -21,11 +21,12 @@ fn main() {
     let (resp_w, resp_r) = pipe::duplex();
     // lint: allow(thread-spawn) — the example hosts the server on a helper thread to drive it in-process
     let server = std::thread::spawn(move || {
-        serve_with(
+        serve_configured(
             BufReader::new(req_r),
             resp_w,
             EvalBackend::WorkerPool(2),
             PolicyKind::WeightedFairShare,
+            false,
         )
     });
     let mut client = Client::new(BufReader::new(resp_r), req_w);
