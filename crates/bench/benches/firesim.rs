@@ -58,15 +58,20 @@ fn main() {
     });
 
     // One evaluation the way a prediction step makes it: seeded from the
-    // seeds a case resolves once per interval, over that interval. The
-    // kernel's two costs, each where it dominates — a spread ellipse per
+    // seeds a case resolves once per interval, over that interval. Each
+    // way a pop resolves its table, and the kernel's costs where each
+    // dominates — the one shared table of a uniform terrain on
+    // meadow_small and one per fuel code on patchwork_mosaic (an addition
+    // an edge, off the run's traversal times), a spread ellipse per
     // popped cell on gusty_channel (per-cell wind) and ridged_foothills
     // (per-cell slope and aspect under a global wind), the seeds on
     // archipelago_large, whose step-4 line is mostly interior (every seed
     // written, the front alone queued).
     group("firesim_seeded (one interval from the observed line)");
     for (spec, interval) in [
-        (firelib::workload::gusty_channel(), 3usize),
+        (firelib::workload::meadow_small(), 3usize),
+        (firelib::workload::patchwork_mosaic(), 3),
+        (firelib::workload::gusty_channel(), 3),
         (firelib::workload::ridged_foothills(), 3),
         (firelib::workload::archipelago_large(), 4),
     ] {

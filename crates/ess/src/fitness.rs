@@ -15,11 +15,13 @@
 //! step's view of a pool (or of an injected backend — fused lanes,
 //! tracers).
 //!
-//! Fitness is a pure function of (interval, genome), and an evaluator
-//! lives for one step on one interval, so it keeps a table of every
-//! genome it has scored: a genome the search asks for again is answered
-//! from the table, and only the unscored ones reach the backend, each
-//! once. An *evaluation* is a fitness the search asked for — the unit
+//! Fitness is a pure function of (interval, genome) — of the genes the
+//! terrain does not override, in fact — and an evaluator lives for one
+//! step on one interval, so it keeps a table of every run it has scored:
+//! a genome the search asks for again, or one that differs from a scored
+//! one only in a gene the terrain's layers replace, is answered from the
+//! table, and only the unscored runs reach the backend, each once. An
+//! *evaluation* is a fitness the search asked for — the unit
 //! every count, budget and report uses — and a step runs at most that
 //! many *simulations*.
 
@@ -246,18 +248,22 @@ pub struct ScenarioEvaluator {
     ctx: Arc<StepContext>,
     route: Route,
     evaluations: u64,
-    /// Every genome scored on this step, by its bits: where its fitness
-    /// sits in `scores`.
+    /// The genes the context's terrain overrides on every cell
+    /// ([`firelib::Terrain::overridden_genes`]): left out of a row's key.
+    overridden: [bool; GENE_COUNT],
+    /// Every run scored on this step, by its [`run_key`]: where its
+    /// fitness sits in `scores`.
     table: BTreeMap<RowKey, usize>,
     /// The backend's answers, in submission order.
     scores: Vec<f64>,
 }
 
-/// A row of `GENE_COUNT` values as its bits — this crate's one test of
-/// "the same run": an evaluator's table keys genomes by it, and the stage
-/// tail ([`crate::stages::distinct_members`]) groups a result set's
-/// scenarios by it. Bits, not values: `0.0` and `-0.0` are two keys
-/// (scored alike, each once), and so are two NaN payloads.
+/// A row of `GENE_COUNT` values as its bits — this crate's test of "the
+/// same run" on any terrain: the stage tail
+/// ([`crate::stages::distinct_members`]) groups a result set's scenarios
+/// by it, and an evaluator's table keys genomes by it less what the
+/// terrain ignores ([`run_key`]). Bits, not values: `0.0` and `-0.0` are
+/// two keys (scored alike, each once), and so are two NaN payloads.
 pub(crate) type RowKey = [u64; GENE_COUNT];
 
 pub(crate) fn row_key(values: &[f64]) -> RowKey {
@@ -267,6 +273,16 @@ pub(crate) fn row_key(values: &[f64]) -> RowKey {
         "scenario gene vector must have {GENE_COUNT} entries"
     );
     std::array::from_fn(|i| values[i].to_bits())
+}
+
+/// "The same run" on one terrain: a genome's [`row_key`] with the genes
+/// the terrain overrides on every cell set to zero. Two genomes that
+/// differ only there — the fuel model under a fuel layer, the slope or
+/// the aspect under theirs — are one simulation, bit for bit
+/// ([`firelib::Terrain::overridden_genes`]), so they share a key.
+fn run_key(values: &[f64], overridden: &[bool; GENE_COUNT]) -> RowKey {
+    let key = row_key(values);
+    std::array::from_fn(|i| if overridden[i] { 0 } else { key[i] })
 }
 
 /// One scenario evaluation on a shared pool: the step context and the flat
@@ -516,6 +532,7 @@ impl ScenarioEvaluator {
 
     fn routed(ctx: Arc<StepContext>, route: Route) -> Self {
         Self {
+            overridden: ctx.sim().terrain().overridden_genes(),
             ctx,
             route,
             evaluations: 0,
@@ -533,9 +550,11 @@ impl ScenarioEvaluator {
 
 impl BatchEvaluator for ScenarioEvaluator {
     /// Scores `genomes` in row order. One table operation per row: a
-    /// scored genome is answered from the table; an unscored one is
-    /// submitted once, in first-occurrence order, however often the batch
-    /// repeats it. Nothing is submitted when every row is scored.
+    /// genome whose run is scored is answered from the table; an unscored
+    /// run is submitted once, as its first-occurring genome, however often
+    /// the batch repeats it — or asks for it again through a gene the
+    /// terrain overrides ([`firelib::Terrain::overridden_genes`]). Nothing
+    /// is submitted when every row is scored.
     fn evaluate(&mut self, genomes: &[Vec<f64>]) -> Vec<f64> {
         self.evaluations += genomes.len() as u64;
         let scored = self.scores.len();
@@ -546,7 +565,8 @@ impl BatchEvaluator for ScenarioEvaluator {
             .enumerate()
             .map(|(row, genes)| {
                 let next = scored + fresh.len();
-                *self.table.entry(row_key(genes)).or_insert_with(|| {
+                let key = run_key(genes, &self.overridden);
+                *self.table.entry(key).or_insert_with(|| {
                     fresh.push(row);
                     next
                 })
@@ -872,6 +892,90 @@ mod tests {
         for genes in random_genomes(7, 30) {
             let f = ctx.fitness_of(&ScenarioSpace.decode(&genes));
             assert!((0.0..=1.0).contains(&f), "fitness {f} out of range");
+        }
+    }
+
+    /// The arrival raster of `genes` on `ctx`, as bits, and its fitness.
+    fn run_bits(ctx: &StepContext, genes: &[f64], arena: &mut SimArena) -> (Vec<u64>, u64) {
+        let scenario = ScenarioSpace.decode(genes);
+        let map = ctx.simulate_into(&scenario, arena);
+        let raster = map.grid().as_slice().iter().map(|t| t.to_bits()).collect();
+        (raster, ctx.fitness_with(&scenario, arena).to_bits())
+    }
+
+    #[test]
+    fn an_overridden_gene_changes_no_raster_and_no_fitness() {
+        use crate::cases;
+        let kernels = [
+            Kernel::Heap,
+            Kernel::Bucket,
+            Kernel::Tiled {
+                tile: 16,
+                workers: 2,
+            },
+        ];
+        let xl = firelib::workload::xl_names();
+        let mut layered = Vec::new();
+        for name in cases::case_names() {
+            // The XL tier shrunk, as firelib's own table tests take it.
+            let case = match firelib::workload::by_name(name) {
+                Some(spec) if xl.contains(&name) => cases::workload_case(&spec.shrunk(96)),
+                _ => cases::by_name(name).expect("a listed case"),
+            };
+            let overridden = case.sim.terrain().overridden_genes();
+            if !overridden.contains(&true) {
+                continue;
+            }
+            layered.push(name);
+            let mut genomes = random_genomes(name.len() as u64, 3);
+            genomes.push(ScenarioSpace.encode(&case.truth[0]).to_vec());
+            for kernel in kernels {
+                let ctx = case.step_context(1).with_kernel(kernel);
+                let mut arena = ctx.sim().arena();
+                for (g, genes) in genomes.iter().enumerate() {
+                    let run = run_bits(&ctx, genes, &mut arena);
+                    if g == genomes.len() - 1 {
+                        let fitness = f64::from_bits(run.1);
+                        assert!(fitness > 0.0, "{name}: the truth burns nothing");
+                    }
+                    // Each overridden gene alone moved to either end of its
+                    // range and to NaN, then all of them at once.
+                    let mut variants: Vec<Vec<f64>> = Vec::new();
+                    for i in (0..GENE_COUNT).filter(|&i| overridden[i]) {
+                        for v in [0.0, 1.0, f64::NAN] {
+                            let mut moved = genes.clone();
+                            moved[i] = v;
+                            variants.push(moved);
+                        }
+                    }
+                    let mut all = genes.clone();
+                    for (gene, _) in all.iter_mut().zip(overridden).filter(|(_, o)| *o) {
+                        *gene = 1.0 - *gene;
+                    }
+                    variants.push(all);
+                    for moved in &variants {
+                        assert!(
+                            run_bits(&ctx, moved, &mut arena) == run,
+                            "{name} on {kernel}: genome {g} moved to {moved:?}"
+                        );
+                        assert_eq!(
+                            run_key(moved, &overridden),
+                            run_key(genes, &overridden),
+                            "{name}: one run, one key"
+                        );
+                    }
+                }
+            }
+        }
+        // The library's relief case, and the corpus's fuel mosaics and
+        // relief tiers.
+        for name in [
+            "two_ridge",
+            "patchwork_mosaic",
+            "ridged_foothills",
+            "breaks_mosaic_xl",
+        ] {
+            assert!(layered.contains(&name), "{name} not among {layered:?}");
         }
     }
 

@@ -28,7 +28,9 @@
 use crate::calibration::{skign_search_against, PredictionStage};
 use crate::cases::BurnCase;
 use crate::fitness::{EvalBackend, ScenarioEvaluator, SharedScenarioPool, StepContext};
-use crate::stages::{decode_result_set, distinct_members, statistical_stage_in};
+use crate::stages::{
+    decode_result_set, distinct_members, statistical_stage_in, statistical_stage_into,
+};
 use evoalg::diversity::{self, DiversityReport};
 use std::sync::Arc;
 
@@ -271,22 +273,22 @@ impl StepDriver {
         // One arena for the whole stage tail, lent by the pool (warm from
         // the search's inline batches or the previous step): both matrices
         // fold the result set's distinct members through it, each
-        // simulated once and counted with its multiplicity, one matrix
-        // alive at a time.
+        // simulated once and counted with its multiplicity, into one count
+        // grid — the prediction matrix is the calibration matrix cleared
+        // and refolded.
         let members = distinct_members(&decode_result_set(&outcome.result_set));
         let (cal, quality) = self.pool.with_arena(&case.sim, |arena| {
             // --- Statistical Stage (calibration matrix) ------------------
-            let cal_matrix = statistical_stage_in(&observed_ctx, &members, arena);
+            let mut matrix = statistical_stage_in(&observed_ctx, &members, arena);
 
             // --- Calibration Stage: SKign on the observed interval -------
-            let cal = skign_search_against(&cal_matrix, &observed_ctx.observed());
-            drop(cal_matrix);
+            let cal = skign_search_against(&matrix, &observed_ctx.observed());
 
             // --- Statistical + Prediction Stage for t_{i+1} --------------
             let quality = self.carried_kign.map(|kign| {
                 let next_ctx = case.step_context(i + 1);
-                let pred_matrix = statistical_stage_in(&next_ctx, &members, arena);
-                PredictionStage::new(kign).quality_against(&pred_matrix, &next_ctx.observed())
+                statistical_stage_into(&next_ctx, &members, arena, &mut matrix);
+                PredictionStage::new(kign).quality_against(&matrix, &next_ctx.observed())
             });
             (cal, quality)
         });

@@ -79,6 +79,31 @@ pub fn statistical_stage_in(
 ) -> ProbabilityMap {
     let terrain = ctx.sim().terrain();
     let mut pm = ProbabilityMap::new(terrain.rows(), terrain.cols());
+    statistical_stage_into(ctx, members, arena, &mut pm);
+    pm
+}
+
+/// [`statistical_stage_in`] into a map of the context's shape that held
+/// an earlier fold — a step's prediction matrix reuses its calibration
+/// matrix's grid. The map is cleared first
+/// ([`ProbabilityMap::clear`]: the earlier fold's cover, not the raster),
+/// so the counts are a fresh map's.
+///
+/// # Panics
+/// Panics when `pm` is not the context's shape.
+pub fn statistical_stage_into(
+    ctx: &StepContext,
+    members: &[(Scenario, u32)],
+    arena: &mut SimArena,
+    pm: &mut ProbabilityMap,
+) {
+    let terrain = ctx.sim().terrain();
+    assert_eq!(
+        (pm.rows(), pm.cols()),
+        (terrain.rows(), terrain.cols()),
+        "probability map: terrain shape mismatch"
+    );
+    pm.clear();
     for (s, runs) in members {
         ctx.simulate_into(s, arena);
         pm.accumulate_ranges(
@@ -88,7 +113,6 @@ pub fn statistical_stage_in(
             *runs,
         );
     }
-    pm
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-use super::{bucket::BucketQueue, heap::Time, tiled::EpochScratch, Seeds};
+use super::{bucket::BucketQueue, heap::Time, sweep::FuelTable, tiled::EpochScratch, Seeds};
 use landscape::{IgnitionMap, UNIGNITED};
 use std::{cmp::Reverse, collections::BinaryHeap};
 
@@ -67,8 +67,8 @@ pub(super) fn dedup_strays(stray: &mut Vec<u32>) {
 /// a `SimArena` is the *mutable* counterpart one worker owns privately. It
 /// holds the frontier queues, the seed lists, the dirty-span bookkeeping
 /// and the arrival-time raster — no spread tables beyond the 14 inline
-/// per-fuel ones: a per-cell table or ellipse lives for the one pop that
-/// reads it.
+/// per-fuel ones and their traversal times: a per-cell table or ellipse
+/// lives for the one pop that reads it.
 /// Construction is O(1): nothing is allocated until the first run, and
 /// from then on every buffer is retained at its high-water mark, so once
 /// capacities have grown to cover the scenarios a worker evaluates,
@@ -82,10 +82,10 @@ pub(super) fn dedup_strays(stray: &mut Vec<u32>) {
 pub struct SimArena {
     pub(super) rows: usize,
     pub(super) cols: usize,
-    /// Per-fuel-code directional spread tables (filled only on fuel-only
-    /// mosaics, and only for the codes the fuel layer holds); inline, so
-    /// the fast path never touches the heap.
-    pub(super) per_fuel: [[f64; 8]; 14],
+    /// Per-fuel-code directional spread tables and their traversal times
+    /// (filled only on fuel-only mosaics, and only for the codes the fuel
+    /// layer holds); inline, so the fast path never touches the heap.
+    pub(super) per_fuel: [FuelTable; 14],
     /// Reference-kernel Dijkstra frontier; empty unless
     /// [`Kernel::Heap`](super::Kernel::Heap) runs, capacity persists.
     pub(super) heap: BinaryHeap<(Reverse<Time>, u32)>,
@@ -122,7 +122,7 @@ impl SimArena {
         Self {
             rows,
             cols,
-            per_fuel: [[0.0; 8]; 14],
+            per_fuel: [FuelTable::default(); 14],
             heap: BinaryHeap::new(),
             queue: BucketQueue::default(),
             line_seeds: Seeds::default(),

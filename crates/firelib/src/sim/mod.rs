@@ -22,7 +22,16 @@
 //! the upslope of its aspect layer); the pop reads a rate off it only
 //! towards an open neighbour that can burn, a pop that can no longer
 //! improve any neighbour builds none, and a pop reads each of its eight
-//! neighbours once. What depends on the start line alone — which lit
+//! neighbours once. Where a table is shared — one on a uniform terrain,
+//! one per fuel code present on a fuel-only mosaic — the run builds the
+//! table's **traversal times** beside it (`dist_factor · cell_ft / ros`
+//! per direction, `+∞` where nothing spreads), so an edge of the shared
+//! loop costs one addition, no division; the division is the one the
+//! per-edge path evaluates, so every arrival keeps its bits
+//! (`traversal_times_match_the_per_edge_division`). A pop splits its
+//! index into row and column with one `u32` division — a terrain holds at
+//! most `u32::MAX` cells — and reads and writes arrivals by flat index.
+//! What depends on the start line alone — which lit
 //! cells can burn, which of them are on the front (a neighbour still to
 //! burn, so worth queueing), their bounding box — is a [`Seeds`] value,
 //! resolved once per fire line (once per interval of a case) rather than
@@ -66,11 +75,14 @@
 //!    direction.
 //! 3. *The relaxation.* `Sweep::relax` is the one step that turns a pop
 //!    into neighbour arrivals: the staleness test, the edge cost `t +
-//!    distance / ros`, the horizon and `SMIDGEN`-tolerance comparisons, the
-//!    burnability of the neighbour. The reference kernel spells the same
-//!    step out independently, without the step's early outs: it builds a
-//!    table for every live pop and queues every seed, which is what the
-//!    front of a [`Seeds`] is checked against.
+//!    distance / ros` (off a shared table, `t` plus the run's precomputed
+//!    traversal time — the same `f64`), the horizon and
+//!    `SMIDGEN`-tolerance comparisons, the burnability of the neighbour.
+//!    The reference kernel spells the same step out independently,
+//!    without the step's early outs or the traversal times: it reads the
+//!    rates, divides per edge, builds a table for every live pop and
+//!    queues every seed, which is what the front of a [`Seeds`] is checked
+//!    against.
 //!
 //! Same pops in the same order, through the same tables and the same step,
 //! is the same execution — every relaxation decision, every tolerance
@@ -93,6 +105,7 @@ mod tiled;
 
 pub use {arena::SimArena, seeds::Seeds};
 
+use self::sweep::{Burnable, CellFactors, FuelTable, Sweep, Tables, Trail};
 use crate::combustion::{standard_beds, FuelBed};
 use crate::scenario::Scenario;
 use crate::spread::{
@@ -106,7 +119,6 @@ use landscape::geometry::normalize_azimuth;
 use landscape::{FireLine, IgnitionMap};
 use seeds::Window;
 use std::sync::Arc;
-use sweep::{Burnable, CellFactors, Sweep, Tables, Trail};
 
 /// Which propagation kernel a `simulate_arena_kernel` call runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -667,33 +679,8 @@ impl FireSim {
         };
         let win = self.seed_window(seeds, duration, cap);
 
-        // Uniform terrains share one table; fuel-only mosaics share one
-        // table per fuel code present (≤ 14 spread computations instead of
-        // one per cell); anything else builds a cell's spread ellipse when
-        // it pops.
-        let globals = scenario.spread_inputs();
-        let factors;
-        let tables = match fuel {
-            _ if !t.has_overrides() => {
-                Tables::Uniform(self.code_table(scenario.model as usize, &base, &globals))
-            }
-            Some(fuel) if t.fuel_is_only_override() => {
-                let mask = t.fuel_code_mask(scenario.model);
-                for (code, table) in per_fuel.iter_mut().enumerate() {
-                    if mask & (1 << code) != 0 {
-                        *table = self.code_table(code, &base, &globals);
-                    }
-                }
-                Tables::PerFuel(per_fuel, fuel)
-            }
-            _ => {
-                factors = self.cell_factors(scenario, base);
-                Tables::PerCell {
-                    globals,
-                    factors: &factors,
-                }
-            }
-        };
+        let mut factors = None;
+        let tables = self.tables(scenario, base, per_fuel, &mut factors);
         let sweep = Sweep {
             sim: self,
             scenario,
@@ -740,6 +727,45 @@ impl FireSim {
             }
         }
         dedup_strays(trail.stray);
+    }
+
+    /// How a run of `scenario` over its hoisted `base` resolves a cell's
+    /// spread table. A uniform terrain shares one [`FuelTable`]; a
+    /// fuel-only mosaic shares one per fuel code present, written into
+    /// `per_fuel` (≤ 14 spread computations instead of one per cell); each
+    /// carries its traversal times, so the sweep's edges divide nothing.
+    /// Anything else builds a cell's spread ellipse when it pops, from the
+    /// run's [`CellFactors`], kept in `factors`.
+    // lint: no_alloc
+    fn tables<'a>(
+        &'a self,
+        scenario: &Scenario,
+        base: [(f64, f64); 14],
+        per_fuel: &'a mut [FuelTable; 14],
+        factors: &'a mut Option<CellFactors>,
+    ) -> Tables<'a> {
+        let t = &*self.terrain;
+        let (globals, cell_ft) = (scenario.spread_inputs(), t.cell_size_ft());
+        match t.fuel_layer() {
+            _ if !t.has_overrides() => {
+                let ros = self.code_table(scenario.model as usize, &base, &globals);
+                Tables::Uniform(FuelTable::new(ros, cell_ft))
+            }
+            Some(fuel) if t.fuel_is_only_override() => {
+                let mask = t.fuel_code_mask(scenario.model);
+                for (code, table) in per_fuel.iter_mut().enumerate() {
+                    if mask & (1 << code) != 0 {
+                        let ros = self.code_table(code, &base, &globals);
+                        *table = FuelTable::new(ros, cell_ft);
+                    }
+                }
+                Tables::PerFuel(per_fuel, fuel.as_slice())
+            }
+            _ => Tables::PerCell {
+                globals,
+                factors: factors.insert(self.cell_factors(scenario, base)),
+            },
+        }
     }
 
     /// The active-front window of a run from `seeds`: their bounding box

@@ -5,11 +5,13 @@ use std::borrow::Cow;
 
 /// How a run resolves a cell's directional spread table.
 pub(super) enum Tables<'a> {
-    /// Uniform terrain: one table for the whole map.
-    Uniform([f64; 8]),
+    /// Uniform terrain: one table for the whole map, with its traversal
+    /// times.
+    Uniform(FuelTable),
     /// Fuel mosaic with globally uniform slope/aspect/wind: one table per
-    /// fuel code, looked up through the fuel layer.
-    PerFuel(&'a [[f64; 8]; 14], &'a [u8]),
+    /// fuel code, with its traversal times, looked up through the fuel
+    /// layer.
+    PerFuel(&'a [FuelTable; 14], &'a [u8]),
     /// Fully heterogeneous terrain: a popped cell's spread ellipse is built
     /// from the run's [`CellFactors`] and the terrain's layers
     /// ([`FireSim::cell_ellipse_at`]), and [`Sweep::relax`] reads a rate
@@ -20,6 +22,42 @@ pub(super) enum Tables<'a> {
         globals: SpreadInputs,
         factors: &'a CellFactors,
     },
+}
+
+/// One fuel model's directional spread rates under a run's scenario, and
+/// what [`Sweep::relax`] reads instead of them: the time the fire takes to
+/// cross a cell towards each neighbour. Built once per run (once per code
+/// present, on a fuel mosaic), so an edge costs an addition, not a
+/// division.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct FuelTable {
+    /// Rate of spread (ft/min) towards each
+    /// [`landscape::NEIGHBOUR_OFFSETS`] direction — what the reference
+    /// kernel reads ([`Sweep::table`]).
+    pub(super) ros: [f64; 8],
+    /// Minutes from a cell's centre to its neighbour in each direction:
+    /// `dist_factor · cell_ft / ros`, by the expression the per-edge path
+    /// evaluates, so `t + cost` is that path's arrival bit for bit — or
+    /// `+∞` where the rate is at most `SMIDGEN`, which the per-edge path
+    /// skips and `t + ∞` fails the horizon test for.
+    pub(super) cost: [f64; 8],
+}
+
+impl FuelTable {
+    /// The table of rates `ros` on cells `cell_ft` feet wide.
+    // lint: no_alloc
+    #[inline]
+    pub(super) fn new(ros: [f64; 8], cell_ft: f64) -> Self {
+        let cost = std::array::from_fn(|dir| {
+            let (_, _, dist_factor) = landscape::NEIGHBOUR_OFFSETS[dir];
+            if ros[dir] <= SMIDGEN {
+                f64::INFINITY
+            } else {
+                dist_factor * cell_ft / ros[dir]
+            }
+        });
+        Self { ros, cost }
+    }
 }
 
 /// What a cell's spread ellipse takes from the scenario but not from the
@@ -104,12 +142,14 @@ impl std::ops::Deref for Trail<'_> {
 }
 
 impl Trail<'_> {
-    /// Writes `arrival` into cell `idx` = `(r, c)` and records the write:
-    /// in the row's span inside the window, on the stray list beyond it.
+    /// Writes `arrival` into cell `idx` = `(r, c)`, by its flat index, and
+    /// records the write: in the row's span inside the window, on the
+    /// stray list beyond it.
     // lint: no_alloc
     #[inline]
     pub(super) fn mark_written(&mut self, idx: usize, (r, c): (usize, usize), arrival: f64) {
-        self.out.set_time(r, c, arrival);
+        debug_assert!(!arrival.is_nan() && arrival >= 0.0);
+        self.out.grid_mut().as_mut_slice()[idx] = arrival;
         if self.win.contains(r, c) {
             let wr = r - self.win.r0;
             self.span_lo[wr] = self.span_lo[wr].min(c as u32);
@@ -143,8 +183,8 @@ impl Sweep<'_> {
     #[inline]
     pub(super) fn table(&self, idx: usize) -> Cow<'_, [f64; 8]> {
         Cow::Borrowed(match &self.tables {
-            Tables::Uniform(table) => table,
-            Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize],
+            Tables::Uniform(table) => &table.ros,
+            Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize].ros,
             Tables::PerCell { globals, factors } => {
                 #[cfg(test)]
                 super::tests::TABLES_BUILT.with(|n| n.set(n.get() + 1));
@@ -225,10 +265,15 @@ impl Sweep<'_> {
     /// cell's table is asked for, so only a pop that can move the front
     /// pays for one; on a per-cell terrain that pop pays for one ellipse
     /// and one rate per open direction ([`Sweep::relax_cell`]), not for a
-    /// table. The eight neighbours are read once, before any emit:
-    /// they are distinct cells, so a write for one (a caller that applies
-    /// its candidates writes them back, [`Trail::mark_written`]; one that
-    /// defers them reads a snapshot) never changes the verdict on another.
+    /// table. On a shared table an edge costs one addition: the run's
+    /// [`FuelTable::cost`] holds each direction's traversal time, `+∞`
+    /// where nothing spreads. The eight neighbours are read once, before
+    /// any emit: they are distinct cells, so a write for one (a caller
+    /// that applies its candidates writes them back,
+    /// [`Trail::mark_written`]; one that defers them reads a snapshot)
+    /// never changes the verdict on another. The cell's row and column
+    /// come from one `u32` division (a terrain holds at most `u32::MAX`
+    /// cells), and its arrival is read by flat index.
     // lint: no_alloc
     #[inline]
     pub(super) fn relax<R: std::ops::Deref<Target = IgnitionMap>>(
@@ -238,14 +283,10 @@ impl Sweep<'_> {
         raster: &mut R,
         mut emit: impl FnMut(&mut R, f64, usize, (usize, usize)),
     ) {
-        let &Sweep {
-            cols,
-            cell_ft,
-            t_end,
-            ..
-        } = self;
-        let at = (idx / cols, idx % cols);
-        if t > raster.time(at.0, at.1) + SMIDGEN {
+        let (t_end, cell, cols) = (self.t_end, idx as u32, self.cols as u32);
+        let r = cell / cols;
+        let at = (r as usize, (cell - r * cols) as usize);
+        if t > raster.grid().as_slice()[idx] + SMIDGEN {
             return; // stale entry
         }
         let mut times = [0.0; 8];
@@ -256,9 +297,9 @@ impl Sweep<'_> {
         // The shared lookup is resolved here, not through `Sweep::table`:
         // a call per pop costs the small uniform-terrain workloads a few
         // per cent.
-        let table: &[f64; 8] = match &self.tables {
-            Tables::Uniform(table) => table,
-            Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize],
+        let cost: &[f64; 8] = match &self.tables {
+            Tables::Uniform(table) => &table.cost,
+            Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize].cost,
             Tables::PerCell { factors, .. } => {
                 return self.relax_cell(factors, (t, idx, at), (open, &times), raster, emit);
             }
@@ -266,12 +307,8 @@ impl Sweep<'_> {
         while open != 0 {
             let dir = open.trailing_zeros() as usize;
             open &= open - 1;
-            let ros = table[dir];
-            if ros <= SMIDGEN {
-                continue;
-            }
-            let (dr, dc, dist_factor) = landscape::NEIGHBOUR_OFFSETS[dir];
-            let arrival = t + dist_factor * cell_ft / ros;
+            // `+∞` where the rate is at most `SMIDGEN`: past any horizon.
+            let arrival = t + cost[dir];
             if arrival > t_end || arrival >= times[dir] - SMIDGEN {
                 continue;
             }
@@ -279,6 +316,7 @@ impl Sweep<'_> {
             if !self.burnable.at(nidx) {
                 continue;
             }
+            let (dr, dc, _) = landscape::NEIGHBOUR_OFFSETS[dir];
             let to = (at.0.wrapping_add_signed(dr), at.1.wrapping_add_signed(dc));
             emit(raster, arrival, nidx, to);
         }

@@ -305,6 +305,94 @@ fn cell_table_matches_the_terrain_accessor_path() {
     }
 }
 
+/// Every shared table a run of `s` on `sim` builds — the uniform one, or
+/// one per code of the fuel layer — against the `Terrain`-accessor path
+/// at a cell it serves: the rates exact, each traversal time the per-edge
+/// `dist_factor * cell_ft / ros` bit for bit, and `+∞` exactly where
+/// `ros ≤ SMIDGEN`. Returns how many uniform and per-fuel tables it
+/// checked (none on a per-cell terrain, which shares none).
+fn assert_traversal_times_match(sim: &FireSim, s: &Scenario, what: &str) -> (usize, usize) {
+    let (cols, cell_ft) = (sim.terrain.cols(), sim.terrain.cell_size_ft());
+    let (mut per_fuel, mut factors) = ([FuelTable::default(); 14], None);
+    let tables = sim.tables(s, sim.hoisted_base(s), &mut per_fuel, &mut factors);
+    // Each table with the first cell it serves.
+    let shared: Vec<(usize, &FuelTable)> = match &tables {
+        Tables::Uniform(table) => vec![(0, table)],
+        Tables::PerFuel(by_code, fuel) => (0..by_code.len())
+            .filter_map(|code| {
+                let idx = fuel.iter().position(|&f| f as usize == code)?;
+                Some((idx, &by_code[code]))
+            })
+            .collect(),
+        Tables::PerCell { .. } => return (0, 0),
+    };
+    for &(idx, table) in &shared {
+        let oracle = sim.cell_spread(idx / cols, idx % cols, s).compass_ros();
+        assert_eq!(
+            table.ros.map(f64::to_bits),
+            oracle.map(f64::to_bits),
+            "{what}: rates at cell {idx} under {s:?}"
+        );
+        for (dir, (&cost, &ros)) in table.cost.iter().zip(&oracle).enumerate() {
+            let (_, _, dist_factor) = landscape::NEIGHBOUR_OFFSETS[dir];
+            assert_eq!(
+                cost.is_infinite(),
+                ros <= SMIDGEN,
+                "{what}: cell {idx} direction {dir}: cost {cost} at rate {ros}"
+            );
+            if ros > SMIDGEN {
+                assert_eq!(
+                    cost.to_bits(),
+                    (dist_factor * cell_ft / ros).to_bits(),
+                    "{what}: cell {idx} direction {dir} under {s:?}"
+                );
+            }
+        }
+    }
+    match tables {
+        Tables::Uniform(_) => (1, 0),
+        _ => (0, shared.len()),
+    }
+}
+
+#[test]
+fn traversal_times_match_the_per_edge_division() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(0xC057);
+    // Dead fuel far past every model's extinction moisture: nothing
+    // spreads, every traversal time is `+∞`.
+    let extinguished = Scenario {
+        m1_pct: 60.0,
+        m10_pct: 60.0,
+        m100_pct: 60.0,
+        ..Scenario::reference()
+    };
+    let mut specs = crate::workload::corpus();
+    specs.extend(crate::workload::xl_corpus().iter().map(|s| s.shrunk(96)));
+    let mut sims: Vec<(String, FireSim)> = specs
+        .iter()
+        .map(|spec| (spec.name.to_string(), spec.build().sim()))
+        .collect();
+    // A mosaic holding the unburnable code 0 beside three that burn.
+    let mosaic = Grid::from_fn(12, 17, |r, c| [0u8, 1, 4, 10][(r * 5 + c) % 4]);
+    let terrain = Terrain::uniform(12, 17, 75.0).with_fuel(mosaic);
+    sims.push(("mosaic".into(), FireSim::new(terrain)));
+    let (mut uniform, mut per_fuel) = (0, 0);
+    for (name, sim) in sims {
+        let mut scenarios = vec![extinguished, Scenario::reference()];
+        scenarios.extend((0..6).map(|_| conformance::scenario(&mut rng)));
+        for s in &scenarios {
+            let (u, f) = assert_traversal_times_match(&sim, s, &name);
+            (uniform, per_fuel) = (uniform + u, per_fuel + f);
+        }
+    }
+    assert!(
+        uniform > 0 && per_fuel > 0,
+        "shared tables checked: {uniform} uniform, {per_fuel} per fuel code"
+    );
+}
+
 /// Lit cells of `lit` with an in-bounds neighbour that is not lit: the
 /// most the frontier filter may queue.
 fn rim(lit: &FireLine) -> usize {

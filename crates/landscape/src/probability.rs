@@ -73,6 +73,19 @@ impl ProbabilityMap {
         }
     }
 
+    /// Empties the map for another fold of the same shape: the map
+    /// [`ProbabilityMap::new`] gives, at the cost of the cover — every
+    /// non-zero count lies in it — not of the raster. The buffers keep
+    /// their storage.
+    // lint: no_alloc
+    pub fn clear(&mut self) {
+        let counts = self.counts.as_mut_slice();
+        for range in self.cover.drain(..) {
+            counts[range].fill(0);
+        }
+        self.samples = 0;
+    }
+
     /// Number of aggregated fire lines.
     pub fn samples(&self) -> u32 {
         self.samples
@@ -541,6 +554,23 @@ mod tests {
         let touched: Vec<_> = fed.touched_ranges().collect();
         assert_eq!(touched, [1..7, 11..12]);
         assert_eq!(fed.distinct_levels(), vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn a_cleared_map_is_a_new_one_and_folds_like_one() {
+        let times = [9.0, 1.0, 2.0, 9.0, 9.0, 9.0, 3.0, 9.0, 9.0, 9.0, 9.0, 4.0];
+        let mut pm = ProbabilityMap::new(3, 4);
+        pm.accumulate_ranges(&times, |&t| t <= 5.0, [1..7, 11..12], 3);
+        pm.accumulate(&FireLine::from_cells(3, 4, &[(2, 0)]));
+        pm.clear();
+        assert_eq!(pm, ProbabilityMap::new(3, 4));
+        assert_eq!(pm.touched_ranges().count(), 0);
+        assert_eq!(pm.distinct_levels(), vec![0.0]);
+        pm.accumulate_ranges(&times, |&t| t <= 2.5, [0..6, 9..12], 2);
+        let mut fresh = ProbabilityMap::new(3, 4);
+        fresh.accumulate_ranges(&times, |&t| t <= 2.5, [0..6, 9..12], 2);
+        assert_eq!(pm, fresh);
+        assert!(pm.touched_ranges().eq(fresh.touched_ranges()));
     }
 
     #[test]

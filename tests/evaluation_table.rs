@@ -7,7 +7,9 @@
 //! Batch level: every answer is bitwise the plain fitness of its row, the
 //! backend sees each distinct genome exactly once in first-occurrence
 //! order (a batch of repeats not at all), and `evaluations()` counts every
-//! row. Pipeline level: every paper system's run on `meadow_small` is the
+//! row — on a layered case, where genomes that differ only in a gene the
+//! terrain overrides are one run, the backend sees one row per run. Pipeline
+//! level: every paper system's run on `meadow_small` is the
 //! one a pool gives, and its simulations against its evaluations, step by
 //! step, are reported (`--nocapture`) and pinned by system — a change that
 //! adds simulations, or stops saving them, fails here on any host.
@@ -105,6 +107,57 @@ fn the_backend_sees_each_distinct_genome_once_and_every_row_is_counted() {
     // batch is all repeats and never reaches the backend.
     let seen = log.lock().unwrap().clone();
     assert_eq!(seen, [vec![a, b, c], vec![d], vec![zero, negative_zero]]);
+}
+
+#[test]
+fn on_a_layered_case_the_backend_sees_one_row_per_run_and_every_row_is_counted() {
+    // patchwork_mosaic has a fuel layer, two_ridge slope and aspect ones:
+    // the model gene, and the slope and aspect genes, are not the run's.
+    for (name, ignored) in [("patchwork_mosaic", &[0][..]), ("two_ridge", &[7, 8])] {
+        let case = cases::by_name(name).expect("a library or corpus case");
+        let ctx = Arc::new(case.step_context(1));
+        let log = Log::default();
+        let mut evaluator = counting(Arc::clone(&ctx), &log);
+        let moved = |g: &[f64], v: f64| {
+            let mut g = g.to_vec();
+            for &i in ignored {
+                g[i] = v;
+            }
+            g
+        };
+        let (a, b) = (genome(0.1), genome(0.2));
+        let (a2, a3, b2) = (moved(&a, 0.9), moved(&a, -0.0), moved(&b, 0.05));
+        // A gene the terrain does not override still makes its own run.
+        let mut c = a.clone();
+        c[3] = 0.6;
+        let batches = [
+            vec![a.clone(), a2.clone(), b.clone()],
+            vec![b2.clone(), a3.clone(), c.clone(), a2.clone()],
+            vec![a3, b2],
+        ];
+        let mut rows = 0;
+        for (i, batch) in batches.iter().enumerate() {
+            let got: Vec<u64> = evaluator
+                .evaluate(batch)
+                .iter()
+                .map(|f| f.to_bits())
+                .collect();
+            let plain: Vec<u64> = batch
+                .iter()
+                .map(|g| ctx.fitness_of(&ScenarioSpace.decode(g)).to_bits())
+                .collect();
+            assert_eq!(got, plain, "{name} batch {i}: the plain fitness");
+            rows += batch.len() as u64;
+            assert_eq!(
+                evaluator.evaluations(),
+                rows,
+                "{name} batch {i}: every row counts"
+            );
+        }
+        // One row per run, as its first-occurring genome.
+        let seen = log.lock().unwrap().clone();
+        assert_eq!(seen, [vec![a, b], vec![c]], "{name}");
+    }
 }
 
 /// Per system: total evaluations and simulations of its `meadow_small`
