@@ -2,22 +2,22 @@
 // Lines are pinned by tests/fixtures.rs — edit with care.
 
 fn stale_allow() -> u32 {
-    // lint: allow(wall-clock) — nothing on the next line reads a clock
+    // lint: allow(no-alloc) — nothing on the next line allocates
     1 + 1
 }
 
 fn unknown_rule() {
-    // lint: allow(clock-wall) — the rule name is misspelled
+    // lint: allow(alloc-free) — the rule name is misspelled
     let _ = 2;
 }
-
+// lint: no_alloc
 fn missing_reason() {
-    // lint: allow(thread-spawn)
-    let _ = std::thread::spawn(|| ());
+    // lint: allow(no-alloc)
+    let _: Vec<u8> = Vec::new();
 }
 
 fn lookalike_prose() {
-    // Mentioning lint rules in prose, like wall-clock or allow lists,
+    // Mentioning lint rules in prose, like no-alloc or allow lists,
     // is not a directive; only `lint:`-prefixed comments are parsed.
     let _ = 3;
 }

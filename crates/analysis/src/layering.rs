@@ -4,36 +4,30 @@
 //! [`CRATES`] is the one place that says what each workspace crate is:
 //! its directory, its lib identifier, its rank in the layer map and the
 //! [`Scope`] the rules read (deterministic, availability boundary,
-//! timing-exempt, thread-owning). A dependency edge (Cargo manifest
-//! `[dependencies]`, a cross-crate `use`, or an inline `other_crate::`
-//! qualification) is legal only when it points at a *strictly lower*
-//! rank. Same-rank crates are peers and may not depend on each other. On
-//! top of the DAG, one ownership rule: nothing outside the thread-owning
-//! crate names the `std::thread` APIs that own threads
-//! (`available_parallelism` — sizing, not owning — is exempt).
+//! application). A dependency edge (Cargo manifest `[dependencies]`, a
+//! cross-crate `use`, or an inline `other_crate::` qualification) is legal
+//! only when it points at a *strictly lower* rank. Same-rank crates are
+//! peers and may not depend on each other. Which crate may own threads or
+//! read the clock is clippy's to enforce (`clippy.toml`), not this pass's.
 
 use crate::lint::{Finding, Ledger, LAYER};
 use crate::parse::ParsedFile;
 
 /// What the rules need to know about the crate a file belongs to. Files
-/// outside the table get the default: every token rule armed, no
-/// exemption, no call graph.
+/// outside the table get the default: no call graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Scope {
-    /// Results must be bit-reproducible: hash containers are denied and
-    /// no nondeterminism source may be reachable from here.
+    /// Results must be bit-reproducible: no nondeterminism source may be
+    /// reachable from here (and the crate's `clippy.toml` bans hash
+    /// containers).
     pub deterministic: bool,
     /// The serve availability boundary, where a panic kills the serve
     /// loop: asserts and indexing count as panic seeds.
     pub boundary: bool,
-    /// Wall-clock reads are fine (bench/harness timing code).
-    pub timing_exempt: bool,
-    /// Spawning and owning threads is this crate's job.
-    pub owns_threads: bool,
     /// A program on top of the workspace (`examples/`, `benchmark/src`,
     /// the root facade): parsed for call edges only, so its `main` roots
-    /// the reachability walk. Its token rules are the default's; no graph
-    /// rule reports a finding in it.
+    /// the reachability walk. Its directives are not read, and no rule
+    /// reports a finding in it.
     pub app: bool,
 }
 
@@ -55,15 +49,9 @@ pub struct CrateInfo {
 const PLAIN: Scope = Scope {
     deterministic: false,
     boundary: false,
-    timing_exempt: false,
-    owns_threads: false,
     app: false,
 };
 const APP: Scope = Scope { app: true, ..PLAIN };
-const THREAD_OWNER: Scope = Scope {
-    owns_threads: true,
-    ..PLAIN
-};
 const DETERMINISTIC: Scope = Scope {
     deterministic: true,
     ..PLAIN
@@ -75,10 +63,6 @@ const BOUNDARY: Scope = Scope {
 const DETERMINISTIC_BOUNDARY: Scope = Scope {
     boundary: true,
     ..DETERMINISTIC
-};
-const TIMING: Scope = Scope {
-    timing_exempt: true,
-    ..PLAIN
 };
 
 const fn krate(dir: &'static str, lib: &'static str, rank: u32, scope: Scope) -> CrateInfo {
@@ -93,7 +77,7 @@ const fn krate(dir: &'static str, lib: &'static str, rank: u32, scope: Scope) ->
 /// The crate table, lowest layer first.
 pub const CRATES: &[CrateInfo] = &[
     krate("vendor/rand", "rand", 0, PLAIN),
-    krate("crates/parworker", "parworker", 1, THREAD_OWNER),
+    krate("crates/parworker", "parworker", 1, PLAIN),
     krate("crates/landscape", "landscape", 1, PLAIN),
     krate("crates/evoalg", "evoalg", 2, DETERMINISTIC),
     krate("crates/firelib", "firelib", 2, DETERMINISTIC),
@@ -102,7 +86,7 @@ pub const CRATES: &[CrateInfo] = &[
     krate("crates/service", "ess_service", 5, BOUNDARY),
     krate("crates/client", "ess_client", 6, BOUNDARY),
     krate("crates/analysis", "ess_analysis", 6, PLAIN),
-    krate("crates/bench", "ess_benches", 7, TIMING),
+    krate("crates/bench", "ess_benches", 7, PLAIN),
     krate("src", FACADE, 8, APP),
     krate("examples", "examples", 8, APP),
     krate("benchmark/src", "benchmark", 8, APP),
@@ -190,9 +174,9 @@ pub fn parse_manifest(file: &str, text: &str) -> Option<Manifest> {
     })
 }
 
-/// Checks every manifest and source edge against the declared DAG plus
-/// the `std::thread` ownership rule. Manifest findings are never
-/// allowed: a manifest has no comment syntax the ledger reads.
+/// Checks every manifest and source edge against the declared DAG.
+/// Manifest findings are never allowed: a manifest has no comment syntax
+/// the ledger reads.
 pub fn check(
     files: &[ParsedFile],
     manifests: &[Manifest],
@@ -246,17 +230,6 @@ pub fn check(
                         "`{root}::…` crosses the layer map upward (`{}` may only depend on lower \
                          layers)",
                         f.krate
-                    ),
-                );
-            }
-        }
-        if !scope_of(f.krate).owns_threads {
-            for (line, api) in &f.thread_refs {
-                site(
-                    *line,
-                    format!(
-                        "names `std::thread::{api}` outside parworker — thread ownership flows \
-                         through the pool"
                     ),
                 );
             }
@@ -324,13 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_rule_exempts_parworker() {
-        let src = "fn f() { std::thread::spawn(|| {}); }";
-        assert!(check_one("crates/parworker/src/x.rs", src).is_empty());
-        assert_eq!(check_one("crates/ess/src/x.rs", src).len(), 1);
-    }
-
-    #[test]
     fn crate_paths_and_scopes() {
         let lib = |path| crate_of_path(path).map(|c| c.lib);
         assert_eq!(lib("crates/core/src/algorithm.rs"), Some("ess_ns"));
@@ -344,9 +310,7 @@ mod tests {
         assert!(scope("crates/firelib/src/sim.rs").deterministic);
         assert!(!scope("crates/service/src/serve.rs").deterministic);
         assert!(scope("crates/service/src/serve.rs").boundary);
-        assert!(scope("crates/bench/src/bin/harness.rs").timing_exempt);
-        assert!(scope("crates/parworker/src/pool.rs").owns_threads);
-        // Edges only: the token rules see the default scope's flags.
+        // Edges only: no other flag.
         assert_eq!(
             scope("examples/quickstart.rs"),
             Scope {

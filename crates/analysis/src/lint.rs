@@ -1,25 +1,26 @@
 //! The static-analysis pipeline behind `harness lint`: one workspace
-//! walk, each file read and lexed once, eleven rules over one namespace,
+//! walk, each file read and lexed once, seven rules over one namespace,
 //! one allow ledger, one report (`reports/ANALYSIS.json`).
 //!
 //! These are not style lints — each rule guards a property the system's
-//! reproducibility contract depends on. Five match token sequences in
-//! one file (this module); four walk the workspace call graph
-//! ([`crate::panics`], [`crate::layering`], [`crate::taint`],
-//! [`crate::unreached`]); two keep the escape hatch honest:
+//! reproducibility contract depends on. One matches tokens in one file
+//! (this module); four walk the workspace call graph ([`crate::panics`],
+//! [`crate::layering`], [`crate::taint`], [`crate::unreached`]); two keep
+//! the escape hatch honest:
 //!
 //! | rule | guards |
 //! |---|---|
-//! | `partial-cmp-unwrap` | float comparisons must be total (`total_cmp`), or a NaN panics a worker mid-round |
-//! | `hash-container` | `HashMap`/`HashSet` iteration order is seeded per-process; deterministic crates must use `BTreeMap` or indexed storage |
-//! | `wall-clock` | `Instant::now`/`SystemTime` in simulation or search code makes results time-dependent |
-//! | `thread-spawn` | all parallelism flows through `parworker` so schedules stay controllable |
 //! | `no-alloc` | functions fenced with `// lint: no_alloc` are steady-state hot paths; allocation there breaks the arena contract |
 //! | `panic` | the declared panic-free roots must not reach a panic site |
-//! | `layer` | crates depend strictly downward in the layer map; only `parworker` owns threads |
+//! | `layer` | crates depend strictly downward in the layer map |
 //! | `taint` | no clock, seeded hash or thread identity is reachable from a deterministic crate |
 //! | `unreached` | every non-test function is reachable from some `fn main`; what only tests run is an oracle that says so, or goes |
 //! | `invalid-allow` / `unused-allow` | a malformed directive, or an allow that justifies no finding |
+//!
+//! The bans a single token decides — clock reads, raw thread APIs,
+//! `partial_cmp`, hash-ordered containers in the deterministic crates —
+//! are clippy's `disallowed-methods` / `disallowed-types`, configured per
+//! crate in `clippy.toml`, and excused with `#[expect]`.
 //!
 //! Escape hatch, one grammar for every rule:
 //! `// lint: allow(<rule>) — <reason>`. It covers findings of `<rule>` on
@@ -32,7 +33,7 @@
 //! rot silently.
 
 use crate::callgraph;
-use crate::layering::{self, Scope};
+use crate::layering;
 use crate::lex::{ident, lex, match_delim, punct, test_region_mask, Tok, Token};
 use crate::panics::{self, RootSpec, RootStat};
 use crate::parse::parse_items;
@@ -44,14 +45,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Deny `partial_cmp(..).unwrap()` / `.expect(..)` — use `total_cmp`.
-pub const PARTIAL_CMP_UNWRAP: &str = "partial-cmp-unwrap";
-/// Deny `HashMap`/`HashSet` in deterministic crates.
-pub const HASH_CONTAINER: &str = "hash-container";
-/// Deny `Instant::now` / `SystemTime` outside bench/harness timing code.
-pub const WALL_CLOCK: &str = "wall-clock";
-/// Deny `spawn(..)` outside `parworker`.
-pub const THREAD_SPAWN: &str = "thread-spawn";
 /// Deny allocation inside `// lint: no_alloc`-fenced functions.
 pub const NO_ALLOC: &str = "no-alloc";
 /// The panic-path prover ([`crate::panics`]).
@@ -71,22 +64,6 @@ pub const UNUSED_ALLOW: &str = "unused-allow";
 /// may name.
 pub const RULES: &[(&str, &str)] = &[
     (
-        PARTIAL_CMP_UNWRAP,
-        "float comparisons must be total (`total_cmp`); a NaN would panic",
-    ),
-    (
-        HASH_CONTAINER,
-        "hash iteration order is per-process; deterministic crates need BTreeMap or indexed storage",
-    ),
-    (
-        WALL_CLOCK,
-        "wall-clock reads outside bench timing make results time-dependent",
-    ),
-    (
-        THREAD_SPAWN,
-        "all parallelism flows through parworker so schedules stay controllable",
-    ),
-    (
         NO_ALLOC,
         "fenced hot paths must not allocate (the simulate_arena steady-state contract)",
     ),
@@ -94,10 +71,7 @@ pub const RULES: &[(&str, &str)] = &[
         PANIC,
         "the declared panic-free roots must not reach a panic site",
     ),
-    (
-        LAYER,
-        "crates depend strictly downward in the layer map and only parworker owns threads",
-    ),
+    (LAYER, "crates depend strictly downward in the layer map"),
     (
         TAINT,
         "no nondeterminism source is reachable from a deterministic crate",
@@ -302,8 +276,8 @@ pub fn parse_directive(comment: &str) -> Option<Directive> {
     })
 }
 
-/// One source file, read and lexed once: what the token rules, the item
-/// parser and the ledger all consume.
+/// One source file, read and lexed once: what the `no-alloc` fences, the
+/// item parser and the ledger all consume.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path.
@@ -440,74 +414,14 @@ impl Ledger {
     }
 }
 
-/// The five token rules over one file's significant stream.
-fn token_rules(file: &SourceFile, scope: Scope, ledger: &mut Ledger, out: &mut Vec<Finding>) {
+/// The `no-alloc` rule: every `// lint: no_alloc` fence denies allocation
+/// in the body of the function below it.
+fn no_alloc(file: &SourceFile, ledger: &mut Ledger, out: &mut Vec<Finding>) {
     let sig = file.sig.as_slice();
-    let mut hit = |rule: &'static str, line: usize, message: String| {
-        let reason = ledger.check(&file.path, rule, line, None);
-        out.push(Finding::new(rule, &file.path, line, message, reason));
+    let mut hit = |line: usize, message: String| {
+        let reason = ledger.check(&file.path, NO_ALLOC, line, None);
+        out.push(Finding::new(NO_ALLOC, &file.path, line, message, reason));
     };
-
-    for i in 0..sig.len() {
-        if file.test[i] {
-            continue;
-        }
-        let line = sig[i].line;
-        let is_definition = i > 0 && ident(sig, i - 1) == Some("fn");
-        match ident(sig, i) {
-            // `fn partial_cmp` is the PartialOrd impl itself, not a call.
-            Some("partial_cmp") if !is_definition && punct(sig, i + 1) == Some('(') => {
-                let Some(close) = match_delim(sig, i + 1, '(', ')') else {
-                    continue;
-                };
-                if punct(sig, close + 1) == Some('.')
-                    && matches!(ident(sig, close + 2), Some("unwrap") | Some("expect"))
-                {
-                    hit(
-                        PARTIAL_CMP_UNWRAP,
-                        line,
-                        "partial_cmp(..).unwrap() panics on NaN — use total_cmp".to_string(),
-                    );
-                }
-            }
-            Some(name @ ("HashMap" | "HashSet")) if scope.deterministic => hit(
-                HASH_CONTAINER,
-                line,
-                format!("{name} in a deterministic crate — iteration order is per-process"),
-            ),
-            Some("Instant")
-                if !scope.timing_exempt
-                    && punct(sig, i + 1) == Some(':')
-                    && punct(sig, i + 2) == Some(':')
-                    && ident(sig, i + 3) == Some("now") =>
-            {
-                hit(
-                    WALL_CLOCK,
-                    line,
-                    "Instant::now outside bench timing code".to_string(),
-                );
-            }
-            Some("SystemTime") if !scope.timing_exempt => hit(
-                WALL_CLOCK,
-                line,
-                "SystemTime outside bench timing code".to_string(),
-            ),
-            // `fn spawn` is a spawn wrapper's own definition.
-            Some("spawn")
-                if !scope.owns_threads && !is_definition && punct(sig, i + 1) == Some('(') =>
-            {
-                hit(
-                    THREAD_SPAWN,
-                    line,
-                    "thread spawn outside parworker — parallelism must flow through the pool"
-                        .to_string(),
-                );
-            }
-            _ => {}
-        }
-    }
-
-    // no_alloc fences — deny allocation in the next fn's body.
     for (fence_line, _) in file
         .directives
         .iter()
@@ -517,7 +431,6 @@ fn token_rules(file: &SourceFile, scope: Scope, ledger: &mut Ledger, out: &mut V
             (0..sig.len()).find(|&i| sig[i].line >= *fence_line && ident(sig, i) == Some("fn"))
         else {
             hit(
-                NO_ALLOC,
                 *fence_line,
                 "no_alloc fence is not followed by a function".to_string(),
             );
@@ -554,7 +467,6 @@ fn token_rules(file: &SourceFile, scope: Scope, ledger: &mut Ledger, out: &mut V
             };
             if let Some(what) = what {
                 hit(
-                    NO_ALLOC,
                     sig[i].line,
                     format!("allocation `{what}` inside no_alloc-fenced fn `{fn_name}`"),
                 );
@@ -566,9 +478,10 @@ fn token_rules(file: &SourceFile, scope: Scope, ledger: &mut Ledger, out: &mut V
 /// Runs the whole pipeline over an explicit file set — the testable
 /// core. `sources` are (workspace-relative path, contents) pairs;
 /// `manifests` likewise for `Cargo.toml` files; `roots` the panic-free
-/// roots to prove. Every file gets the token rules under its crate's
-/// [`Scope`]; files of a crate in [`layering::CRATES`] also join the
-/// call graph the four graph passes walk.
+/// roots to prove. Files of a crate in [`layering::CRATES`] join the call
+/// graph the four graph passes walk. Every file but an application's
+/// ([`layering::Scope::app`], parsed for call edges only) has its
+/// directives read and its `no-alloc` fences checked.
 pub fn analyze_files(
     sources: &[(String, String)],
     manifests: &[(String, String)],
@@ -580,9 +493,10 @@ pub fn analyze_files(
     for (path, src) in sources {
         let file = SourceFile::new(path, src);
         let krate = layering::crate_of_path(&file.path);
-        ledger.add(&file, &mut findings);
-        let scope = krate.map(|c| c.scope).unwrap_or_default();
-        token_rules(&file, scope, &mut ledger, &mut findings);
+        if !krate.is_some_and(|c| c.scope.app) {
+            ledger.add(&file, &mut findings);
+            no_alloc(&file, &mut ledger, &mut findings);
+        }
         if let Some(krate) = krate {
             parsed.push(parse_items(&file, krate.lib));
         }
@@ -692,78 +606,32 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    /// Unallowed rules for one snippet at a path outside `crates/`: every
-    /// token rule armed, no graph.
-    fn rules_at(path: &str, src: &str) -> Vec<&'static str> {
-        analyze_files(&[(path.to_string(), src.to_string())], &[], &[])
+    /// Unallowed rules for one snippet at a path outside the crate table:
+    /// the ledger and the `no-alloc` fences armed, no graph.
+    fn rules_of(src: &str) -> Vec<&'static str> {
+        analyze_files(&[("scripts/x.rs".to_string(), src.to_string())], &[], &[])
             .unallowed()
             .iter()
             .map(|f| f.rule)
             .collect()
     }
 
-    fn rules_of(src: &str) -> Vec<&'static str> {
-        rules_at("examples/x.rs", src)
-    }
-
-    #[test]
-    fn partial_cmp_unwrap_flagged_but_impl_is_not() {
-        let bad = "let o = a.partial_cmp(&b).unwrap();";
-        assert_eq!(rules_of(bad), vec![PARTIAL_CMP_UNWRAP]);
-        let imp = "fn partial_cmp(&self, other: &Self) -> Option<Ordering> { None }";
-        assert!(rules_of(imp).is_empty());
-        let total = "items.sort_by(|a, b| a.total_cmp(b));";
-        assert!(rules_of(total).is_empty());
-    }
-
     #[test]
     fn allow_with_reason_suppresses_and_is_not_stale() {
-        let src = "// lint: allow(hash-container) — scratch map, drained and sorted before use\nlet m: HashMap<u32, u32> = make();";
-        let report = analyze_files(
-            &[("crates/ess/src/x.rs".to_string(), src.to_string())],
-            &[],
-            &[],
-        );
+        let src = "// lint: no_alloc\nfn hot() {\n    // lint: allow(no-alloc) — cold path, once per arena\n    let v: Vec<u8> = Vec::new();\n}";
+        let report = analyze_files(&[("scripts/x.rs".to_string(), src.to_string())], &[], &[]);
         assert_eq!(report.findings.len(), 1);
         assert!(report.findings[0].allowed);
         assert_eq!(
             report.findings[0].reason.as_deref(),
-            Some("scratch map, drained and sorted before use")
+            Some("cold path, once per arena")
         );
-    }
-
-    #[test]
-    fn reasonless_allow_is_invalid() {
-        let src = "// lint: allow(hash-container)\nlet m: HashMap<u32, u32> = make();";
-        let rules = rules_at("crates/ess/src/x.rs", src);
-        assert!(rules.contains(&INVALID_ALLOW));
-        assert!(rules.contains(&HASH_CONTAINER));
-    }
-
-    #[test]
-    fn stale_allow_is_flagged() {
-        let src = "// lint: allow(wall-clock) — left over after a refactor\nlet x = 1;";
-        assert_eq!(rules_of(src), vec![UNUSED_ALLOW]);
-    }
-
-    #[test]
-    fn cfg_test_regions_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let h: HashSet<u8> = x(); spawn(f); }\n}\nfn prod() { let h: HashSet<u8> = x(); }";
-        assert_eq!(rules_at("crates/ess/src/x.rs", src), vec![HASH_CONTAINER]);
     }
 
     #[test]
     fn no_alloc_fence_catches_the_deny_list() {
         let src = "// lint: no_alloc\nfn hot(xs: &mut Vec<u32>) {\n    let v = Vec::new();\n    let b = Box::new(1);\n    let c: Vec<_> = xs.iter().collect();\n    let d = vec![0; 4];\n}\nfn cold() { let v: Vec<u32> = Vec::new(); }";
         assert_eq!(rules_of(src), vec![NO_ALLOC; 4]);
-    }
-
-    #[test]
-    fn spawn_and_wall_clock_follow_the_crate_table() {
-        let src = "fn go() { spawn(f); let t = Instant::now(); }";
-        assert_eq!(rules_of(src), vec![THREAD_SPAWN, WALL_CLOCK]);
-        assert_eq!(rules_at("crates/bench/src/x.rs", src), vec![THREAD_SPAWN]);
-        assert_eq!(rules_at("crates/parworker/src/x.rs", src), vec![WALL_CLOCK]);
     }
 
     #[test]
@@ -782,6 +650,8 @@ mod tests {
             "// lint: allow(nope) — x",
             "// lint: allow(panic — x",
             "// lint: deny(panic)",
+            // A rule clippy owns now: a leftover allow fails loudly.
+            "// lint: allow(wall-clock) — x",
         ] {
             assert!(
                 matches!(parse_directive(malformed), Some(Directive::Invalid(_))),

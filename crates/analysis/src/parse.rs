@@ -154,26 +154,10 @@ pub struct ParsedFile {
     /// Module-level `type Alias = Target;` items outside test code:
     /// (alias, last identifier of the target path).
     pub aliases: Vec<(String, String)>,
-    /// `std::thread::<api>` references outside test code (line, api).
-    pub thread_refs: Vec<(usize, String)>,
     /// Inline foreign-workspace-crate qualifications outside test code
     /// (line, crate lib name).
     pub crate_refs: Vec<(usize, String)>,
 }
-
-/// `std::thread` APIs the layering pass denies outside `parworker`.
-/// `available_parallelism` is deliberately absent: sizing worker counts
-/// is allowed everywhere, owning threads is not.
-pub const THREAD_DENY: &[&str] = &[
-    "spawn",
-    "scope",
-    "sleep",
-    "Builder",
-    "current",
-    "park",
-    "yield_now",
-    "JoinHandle",
-];
 
 /// Keywords that look like a call when followed by `(`.
 const FREE_CALL_SKIP: &[&str] = &[
@@ -468,13 +452,6 @@ fn parse_use(sig: &[Token], i: usize, in_test: bool, out: &mut ParsedFile) -> us
         segments.remove(0);
     }
     if let Some(root) = segments.first().cloned() {
-        if !in_test && root == "std" && segments.iter().any(|s| s == "thread") {
-            for deny in THREAD_DENY {
-                if segments.iter().any(|s| s == deny) {
-                    out.thread_refs.push((line, (*deny).to_string()));
-                }
-            }
-        }
         if !in_test && layering::rank_of(&root).is_some() && root != out.krate && root != "std" {
             out.crate_refs.push((line, root.clone()));
         }
@@ -726,18 +703,11 @@ fn scan_body(
                         what: "RandomState",
                         line,
                     }),
-                    "thread" if path_sep(sig, k + 1) => {
-                        if let Some(api) = ident(sig, k + 3) {
-                            if api == "current" {
-                                item.taints.push(TaintSrc {
-                                    what: "thread::current",
-                                    line,
-                                });
-                            }
-                            if THREAD_DENY.contains(&api) {
-                                out.thread_refs.push((line, api.to_string()));
-                            }
-                        }
+                    "thread" if path_sep(sig, k + 1) && ident(sig, k + 3) == Some("current") => {
+                        item.taints.push(TaintSrc {
+                            what: "thread::current",
+                            line,
+                        });
                     }
                     _ => {}
                 }
@@ -933,7 +903,6 @@ mod tests {
         assert_eq!(p.uses[0].root, "ess_service");
         assert_eq!(p.uses[0].leaves, vec!["Json", "JE"]);
         assert_eq!(p.crate_refs, vec![(1, "ess_service".to_string())]);
-        assert!(p.thread_refs.is_empty()); // naming the module alone is fine
     }
 
     #[test]
@@ -970,15 +939,6 @@ mod tests {
         let traits: Vec<_> = p.fns.iter().map(|f| f.trait_name.as_deref()).collect();
         assert_eq!(traits, [Some("T"), Some("T"), None]);
         assert_eq!(p.traits, ["T"]);
-    }
-
-    #[test]
-    fn thread_refs_flag_denied_apis_only() {
-        let src =
-            "fn f() { std::thread::scope(|s| {}); let n = std::thread::available_parallelism(); }";
-        let p = parse(src);
-        assert_eq!(p.thread_refs.len(), 1);
-        assert_eq!(p.thread_refs[0].1, "scope");
     }
 
     #[test]

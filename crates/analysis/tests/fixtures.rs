@@ -2,18 +2,17 @@
 //! violating form, an allowed-escape form, and a lookalike that must NOT
 //! be flagged — all driven through the one entry point,
 //! [`lint::analyze_files`], with workspace-style paths so the real scopes
-//! (crate-table flags, layer ranks, seed enforcement) apply. The token
-//! rules' fixtures live under `fixtures/` (excluded from the workspace
-//! walk) and their line numbers are pinned here; the graph rules'
-//! fixtures are inline. Any drift — a matcher that stops firing, fires on
+//! (crate-table flags, layer ranks, seed enforcement) apply. The
+//! `no-alloc` and allow-grammar fixtures live under `fixtures/` (excluded
+//! from the workspace walk) and their line numbers are pinned here; the
+//! graph rules' fixtures are inline. Any drift — a matcher that stops firing, fires on
 //! the lookalike, or stops honouring its escape hatch; a call-graph or
 //! ledger change — fails this suite with the exact finding that moved. A
 //! final pin runs the real workspace twice and requires a green,
 //! byte-identical report.
 
 use ess_analysis::lint::{
-    self, Report, SourceFile, HASH_CONTAINER, INVALID_ALLOW, LAYER, NO_ALLOC, PANIC,
-    PARTIAL_CMP_UNWRAP, TAINT, THREAD_SPAWN, UNREACHED, UNUSED_ALLOW, WALL_CLOCK,
+    self, Report, SourceFile, INVALID_ALLOW, LAYER, NO_ALLOC, PANIC, TAINT, UNREACHED, UNUSED_ALLOW,
 };
 use ess_analysis::panics::{RootSpec, ROOTS};
 use ess_analysis::{callgraph, layering, parse};
@@ -48,76 +47,11 @@ fn shape_at(path: &str, src: &str) -> Vec<(&'static str, usize, bool)> {
     shape(&analyze(&[(path, src)], &[]))
 }
 
-/// An application path: every token rule armed, no exemption, and no
-/// graph rule judging it — how `examples/` and `benchmark/` are scanned.
-const STRICT: &str = "examples/fixture.rs";
+/// A path outside the crate table: the ledger and the `no-alloc` fences
+/// read, no graph rule judging it.
+const STRICT: &str = "scripts/fixture.rs";
 
-// ----------------------------------------------------------- token rules
-
-#[test]
-fn partial_cmp_unwrap_fixture() {
-    let src = include_str!("../fixtures/partial_cmp_unwrap.rs");
-    assert_eq!(
-        shape_at(STRICT, src),
-        vec![
-            (PARTIAL_CMP_UNWRAP, 6, false),
-            (PARTIAL_CMP_UNWRAP, 12, true),
-        ]
-    );
-}
-
-#[test]
-fn hash_container_fixture() {
-    let src = include_str!("../fixtures/hash_container.rs");
-    assert_eq!(
-        shape_at("crates/ess/src/fixture.rs", src),
-        vec![
-            (HASH_CONTAINER, 4, false),
-            (HASH_CONTAINER, 6, false),
-            (HASH_CONTAINER, 7, false),
-            (HASH_CONTAINER, 12, true),
-        ]
-    );
-    // Outside the deterministic crates the same source is clean (the
-    // stale-allow meta-finding replaces the suppressed one).
-    assert_eq!(shape_at(STRICT, src), vec![(UNUSED_ALLOW, 11, false)]);
-}
-
-#[test]
-fn wall_clock_fixture() {
-    let src = include_str!("../fixtures/wall_clock.rs");
-    assert_eq!(
-        shape_at(STRICT, src),
-        vec![
-            (WALL_CLOCK, 7, false),
-            (WALL_CLOCK, 11, false),
-            (WALL_CLOCK, 16, true),
-            // A trailing allow covers its own line only: the second read,
-            // one line down, is not hidden by it.
-            (WALL_CLOCK, 26, true),
-            (WALL_CLOCK, 27, false),
-        ]
-    );
-    // Bench scope: timing-exempt, so only the now-stale allows surface.
-    assert_eq!(
-        shape_at("crates/bench/src/fixture.rs", src),
-        vec![(UNUSED_ALLOW, 15, false), (UNUSED_ALLOW, 26, false)]
-    );
-}
-
-#[test]
-fn thread_spawn_fixture() {
-    let src = include_str!("../fixtures/thread_spawn.rs");
-    assert_eq!(
-        shape_at(STRICT, src),
-        vec![(THREAD_SPAWN, 5, false), (THREAD_SPAWN, 11, true)]
-    );
-    // parworker scope: spawning is that crate's job.
-    assert_eq!(
-        shape_at("crates/parworker/src/fixture.rs", src),
-        vec![(UNUSED_ALLOW, 10, false)]
-    );
-}
+// ------------------------------------------------------------- no-alloc
 
 #[test]
 fn no_alloc_fixture() {
@@ -141,25 +75,20 @@ fn allow_misuse_fixture() {
             (UNUSED_ALLOW, 5, false),
             (INVALID_ALLOW, 10, false),
             (INVALID_ALLOW, 15, false),
-            (THREAD_SPAWN, 16, false),
+            (NO_ALLOC, 16, false),
         ]
     );
 }
 
-/// The frozen `benchmark/` sources are scanned like any other file
-/// outside `crates/`, and the three allows they carry keep resolving.
+/// The frozen `benchmark/` sources are an application: parsed for call
+/// edges only, so the allows they still carry for the retired clock and
+/// thread rules are inert comments, neither stale nor invalid.
 #[test]
-fn frozen_benchmark_allows_still_resolve() {
+fn benchmark_sources_analyze_clean() {
     let clock = include_str!("../../../benchmark/src/clock.rs");
-    assert_eq!(
-        shape_at("benchmark/src/clock.rs", clock),
-        vec![(WALL_CLOCK, 13, true)]
-    );
+    assert_eq!(shape_at("benchmark/src/clock.rs", clock), vec![]);
     let spawn = include_str!("../../../benchmark/src/spawn.rs");
-    assert_eq!(
-        shape_at("benchmark/src/spawn.rs", spawn),
-        vec![(THREAD_SPAWN, 15, true), (THREAD_SPAWN, 22, true)]
-    );
+    assert_eq!(shape_at("benchmark/src/spawn.rs", spawn), vec![]);
 }
 
 // ---------------------------------------------------------------- panic
@@ -227,6 +156,14 @@ fn panic_prover_ignores_unwrap_or_lookalikes() {
     let r = analyze(&[("crates/service/src/fx.rs", PANIC_LOOKALIKE)], ROOT);
     assert_eq!(shape(&r), vec![]);
     assert_eq!(r.roots[0].unallowed_sites, 0);
+}
+
+/// The same panic site again, inside `#[cfg(test)]`: no seed there.
+#[test]
+fn cfg_test_regions_are_exempt() {
+    let src = format!("{PANIC_VIOLATING}#[cfg(test)]\nmod tests {{\n    fn helper() {{ None::<u8>.unwrap(); }}\n}}\n");
+    let r = analyze(&[("crates/service/src/fx.rs", &src)], ROOT);
+    assert_eq!(shape(&r), vec![(PANIC, 9, false)]);
 }
 
 /// A panic seed in a fn the root never reaches stays silent — the
@@ -340,23 +277,6 @@ fn layering_accepts_downward_use() {
     assert_eq!(shape_at("crates/ess/src/fx.rs", LAYER_DOWNWARD), vec![]);
 }
 
-#[test]
-fn layering_reserves_thread_spawn_to_parworker() {
-    let src = "\
-pub fn run() {
-    std::thread::spawn(|| {}).join().ok();
-}
-";
-    // Outside parworker the graph rule fires, and so does the token rule
-    // it shadows.
-    assert_eq!(
-        shape_at("crates/core/src/fx.rs", src),
-        vec![(LAYER, 2, false), (THREAD_SPAWN, 2, false)]
-    );
-    // The identical source inside parworker is the one sanctioned home.
-    assert_eq!(shape_at("crates/parworker/src/fx.rs", src), vec![]);
-}
-
 // ---------------------------------------------------------------- taint
 
 const TAINT_SOURCE: &str = "\
@@ -397,8 +317,7 @@ fn tainted(source: &str) -> Report {
 #[test]
 fn taint_flags_clock_reachable_from_deterministic_crate() {
     let r = tainted(TAINT_SOURCE);
-    // The graph rule fires, and so does the token rule it shadows.
-    assert_eq!(shape(&r), vec![(TAINT, 3, false), (WALL_CLOCK, 3, false)]);
+    assert_eq!(shape(&r), vec![(TAINT, 3, false)]);
     let witness = r.findings[0].witness.as_deref().unwrap_or("");
     assert!(
         witness.contains("fitness_step"),
@@ -408,22 +327,17 @@ fn taint_flags_clock_reachable_from_deterministic_crate() {
 
 #[test]
 fn taint_allow_kills_at_the_source() {
-    // The allowed source stays on the audit trail but fails nothing; an
-    // allow speaks for its own rule only, so the clock read still owes
-    // the token rule a justification.
+    // The allowed source stays on the audit trail but fails nothing.
     assert_eq!(
         shape(&tainted(TAINT_SOURCE_ALLOWED)),
-        vec![(TAINT, 4, true), (WALL_CLOCK, 4, false)]
+        vec![(TAINT, 4, true)]
     );
 }
 
 #[test]
 fn taint_without_deterministic_sink_is_clean() {
     // A service-layer clock with no deterministic-crate caller: no taint.
-    assert_eq!(
-        shape_at("crates/service/src/fx.rs", TAINT_SOURCE),
-        vec![(WALL_CLOCK, 3, false)]
-    );
+    assert_eq!(shape_at("crates/service/src/fx.rs", TAINT_SOURCE), vec![]);
 }
 
 /// Allows for different rules stack over one code line in either order:
@@ -431,14 +345,15 @@ fn taint_without_deterministic_sink_is_clean() {
 #[test]
 fn stacked_allows_resolve_in_either_order() {
     let taint = "// lint: allow(taint) — fixture: telemetry reading, never fed back";
-    let clock = "// lint: allow(wall-clock) — fixture: the telemetry stopwatch";
-    for (upper, lower) in [(taint, clock), (clock, taint)] {
+    let alloc = "// lint: allow(no-alloc) — fixture: one buffer per probe";
+    for (upper, lower) in [(taint, alloc), (alloc, taint)] {
         let source = format!(
-            "pub fn clock_probe() -> u64 {{\n    {upper}\n    {lower}\n    let t = \
-             Instant::now();\n    t.elapsed().as_millis() as u64\n}}\n"
+            "// lint: no_alloc\npub fn clock_probe() -> u64 {{\n    {upper}\n    {lower}\n    \
+             let (t, v): (_, Vec<u8>) = (Instant::now(), Vec::new());\n    \
+             t.elapsed().as_millis() as u64 + v.len() as u64\n}}\n"
         );
         let r = tainted(&source);
-        assert_eq!(shape(&r), vec![(TAINT, 4, true), (WALL_CLOCK, 4, true)]);
+        assert_eq!(shape(&r), vec![(NO_ALLOC, 5, true), (TAINT, 5, true)]);
         assert!(r.unallowed().is_empty());
     }
 }

@@ -130,7 +130,7 @@ const TOOLS: &[(&str, &str, Tool)] = &[
     ),
     (
         "lint",
-        "static analysis: token rules, panic prover, layering DAG, determinism taint (+ ANALYSIS.json)",
+        "static analysis: no-alloc fences, panic prover, layering DAG, determinism taint, reachability (+ ANALYSIS.json)",
         lint_main,
     ),
 ];
@@ -300,9 +300,11 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `harness lint`: the static-analysis pipeline — the token rules plus
-/// the panic-path prover, the machine-checked layer map and the
-/// determinism-taint pass over the workspace call graph. Prints every
+/// `harness lint`: the static-analysis pipeline — the `no-alloc` fences
+/// plus the panic-path prover, the machine-checked layer map, the
+/// determinism-taint pass and the reachability rule over the workspace
+/// call graph. (The single-token bans — clocks, threads, `partial_cmp`,
+/// hash containers — are clippy's, in `clippy.toml`.) Prints every
 /// finding (allowed ones as the audit trail, unallowed ones as errors)
 /// and the per-root proof stats, writes `reports/ANALYSIS.json`, and
 /// fails the process when any finding lacks a justified

@@ -52,6 +52,10 @@ pub fn group(name: &str) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the timing tests sleep a known interval to check the measurement"
+)]
 mod tests {
     use super::*;
 

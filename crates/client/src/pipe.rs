@@ -79,6 +79,10 @@ pub fn duplex() -> (PipeWriter, PipeReader) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pipe tests drive each end from its own thread"
+)]
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};

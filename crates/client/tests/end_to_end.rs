@@ -3,6 +3,11 @@
 //! kill and resume. That the resumed run's `done` frame is the
 //! uninterrupted run's is the wire column of `tests/conformance.rs`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the serve loop runs on its own thread beside the client, as a deployment would"
+)]
+
 use ess::fitness::EvalBackend;
 use ess_client::{pipe, Client};
 use ess_service::proto::Frame;

@@ -598,6 +598,10 @@ impl BatchEvaluator for ScenarioEvaluator {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the concurrency tests meet two evaluations on scoped threads under a clock-bounded wait"
+)]
 mod tests {
     use super::*;
     use firelib::sim::centre_ignition;

@@ -178,6 +178,10 @@ fn flush(pool: &SharedScenarioPool, pending: &mut Vec<ParkedBatch>) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the lane tests run each lane on a scoped thread, as the fused round does"
+)]
 mod tests {
     use super::*;
     use crate::cases::tiny_test_case;

@@ -79,8 +79,11 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
                                 Err(_) => break,
                             };
                             let Ok((idx, task)) = next else { break };
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "per-task busy-time telemetry; never feeds back into results"
+                            )]
                             // lint: allow(taint) — per-task busy-time telemetry; readings are reported, never fed back into results
-                            // lint: allow(wall-clock) — per-task busy-time telemetry; never feeds back into results
                             let t = Instant::now();
                             // Catch panics so a crashing work function
                             // surfaces in the master instead of deadlocking
@@ -183,6 +186,10 @@ impl<T, R> Drop for WorkerPool<T, R> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the speed-up and busy-time tests time the pool against the clock"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;

@@ -93,9 +93,12 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts timing.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the Stopwatch is the telemetry primitive the clock ban funnels callers into"
+    )]
     pub fn start() -> Self {
         Self {
-            // lint: allow(wall-clock) — the Stopwatch IS the telemetry primitive the rule funnels callers into
             start: Instant::now(),
         }
     }

@@ -335,13 +335,16 @@ impl Scheduler {
             let lane_count = lanes.len();
             let (tx, rx) = std::sync::mpsc::channel();
             let (report_tx, report_rx) = std::sync::mpsc::channel();
-            // lint: allow(layer) — fused-round lanes are scoped threads joined before the round returns; evaluation still flows through the shared pool
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "fused-round lanes are scoped threads joined before the round returns; \
+                          evaluation still flows through the shared pool"
+            )]
             std::thread::scope(|scope| {
                 for (slot, session) in lanes {
                     let lane = tx.clone();
                     let reports = report_tx.clone();
                     let (driver, optimizer) = session.step_parts();
-                    // lint: allow(thread-spawn) — fused-round lanes are scoped threads joined before the round returns; evaluation still flows through the shared pool
                     scope.spawn(move || {
                         // The guard rides in the lane's backend: the lane
                         // leaves the waves when its search ends and the

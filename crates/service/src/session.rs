@@ -285,7 +285,12 @@ impl PredictionSession {
             return StepPlan::Settled(done.clone());
         }
         let sw = Stopwatch::start();
-        // lint: allow(wall-clock) — the `deadline` stopping budget (`budget_fired`, under every policy) and deadline-first scheduling need real elapsed time; fitness results never depend on it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the `deadline` stopping budget (`budget_fired`, under every policy) and \
+                      deadline-first scheduling need real elapsed time; fitness results never \
+                      depend on it"
+        )]
         let started = *self.started.get_or_insert_with(Instant::now);
 
         if self.driver.is_finished() {

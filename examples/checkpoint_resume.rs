@@ -19,7 +19,10 @@ fn main() {
     // One serve loop, weighted-fair-share scheduling, a 2-worker pool.
     let (req_w, req_r) = pipe::duplex();
     let (resp_w, resp_r) = pipe::duplex();
-    // lint: allow(thread-spawn) — the example hosts the server on a helper thread to drive it in-process
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the example hosts the server on a helper thread to drive it in-process"
+    )]
     let server = std::thread::spawn(move || {
         serve_configured(
             BufReader::new(req_r),

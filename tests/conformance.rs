@@ -20,6 +20,11 @@
 //! fleets whose pool dispatches, under the first policy: scheduling order
 //! does not depend on batch size.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the wire column hosts the serve loop on its own thread beside the client"
+)]
+
 use essns_repro::ess::cases;
 use essns_repro::ess::fitness::{EvalBackend, SharedScenarioPool};
 use essns_repro::ess::pipeline::{PredictionPipeline, RunReport, StepReport};
