@@ -66,7 +66,8 @@ fn main() {
     // popped cell on gusty_channel (per-cell wind) and ridged_foothills
     // (per-cell slope and aspect under a global wind), the seeds on
     // archipelago_large, whose step-4 line is mostly interior (every seed
-    // written, the front alone queued).
+    // written, the front alone queued), and the megacell raster of
+    // archipelago_xl, where a cost on the push side of the queue shows.
     group("firesim_seeded (one interval from the observed line)");
     for (spec, interval) in [
         (firelib::workload::meadow_small(), 3usize),
@@ -74,6 +75,7 @@ fn main() {
         (firelib::workload::gusty_channel(), 3),
         (firelib::workload::ridged_foothills(), 3),
         (firelib::workload::archipelago_large(), 4),
+        (firelib::workload::archipelago_xl(), 1),
     ] {
         let workload = spec.build();
         let sim = workload.sim();

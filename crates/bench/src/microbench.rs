@@ -40,7 +40,7 @@ pub fn bench<T, F: FnMut() -> T>(label: &str, iters: u32, mut f: F) -> Measureme
         mean_ms: total / iters as f64,
     };
     println!(
-        "{label:<44} {:>10.4} ms min {:>10.4} ms mean  ({iters} iters)",
+        "{label:<60} {:>10.4} ms min {:>10.4} ms mean  ({iters} iters)",
         m.min_ms, m.mean_ms
     );
     m

@@ -1,9 +1,11 @@
 use super::sweep::{audit_pop_order, Sweep, Trail};
 
 /// Number of arrival-time buckets the monotone queue quantizes the horizon
-/// into. More buckets → smaller per-bucket mini-heaps; a run walks the
-/// array once as it drains, O(`BUCKETS`), which is negligible against any
-/// real sweep.
+/// into. More buckets → smaller per-bucket mini-heaps. The drain does not
+/// walk them: it finds the next occupied one through
+/// [`BucketQueue::occupied`], so a run costs its pops and pushes plus one
+/// word read per 64 buckets it skips; walking them one by one visits
+/// 20–64× as many buckets as a `meadow_small` run pops cells.
 pub(super) const BUCKETS: usize = 2048;
 
 /// Monotone bucket queue (Dial's algorithm) over the arrival-time horizon
@@ -21,10 +23,19 @@ pub(super) const BUCKETS: usize = 2048;
 /// constant are monotone). Pushes therefore never target a past bucket,
 /// and the realized global pop order is the strict `(time, index)` total
 /// order — identical to the reference heap's, entry for entry.
+///
+/// The occupancy bitmap's invariant: a set bit means a non-empty bucket
+/// ahead of the cursor, and between runs every bucket is empty and every
+/// bit clear. The tiled kernel's `stage`/`take_levels` leave the bitmap
+/// alone (they walk the buckets themselves), which keeps every bit clear.
 #[derive(Debug, Clone, Default)]
 pub(super) struct BucketQueue {
     /// Future frontier entries, bucketed by quantized arrival time.
     pub(super) buckets: Vec<Vec<(f64, u32)>>,
+    /// One bit per bucket of [`BucketQueue::buckets`], set by `push` when
+    /// an entry lands ahead of the cursor and cleared by `pop` when the
+    /// bucket moves into `cur`.
+    pub(super) occupied: [u64; BUCKETS / 64],
     /// The bucket currently being drained, as a mini-heap in pop order.
     pub(super) cur: Vec<(f64, u32)>,
     /// Index of the bucket `cur` was filled from; pushes quantizing to
@@ -53,7 +64,7 @@ impl BucketQueue {
     /// steady-state property). A run that returned drained the queue, so
     /// there is nothing to clear — 2048 stores that were a third of a
     /// `meadow_small` evaluation; only a run abandoned by a panic leaves
-    /// entries behind.
+    /// entries (and their bits) behind.
     #[inline]
     pub(super) fn reset(&mut self, t0: f64, duration: f64) {
         if self.buckets.len() != BUCKETS {
@@ -64,6 +75,7 @@ impl BucketQueue {
                 b.clear();
             }
             self.cur.clear();
+            self.occupied = [0; BUCKETS / 64];
         }
         self.cursor = 0;
         self.len = 0;
@@ -97,6 +109,9 @@ impl BucketQueue {
             }
         } else {
             self.buckets[b].push((t, idx));
+            // Set even when the bucket already held an entry: one OR is
+            // cheaper than the branch that would skip it.
+            self.occupied[b / 64] |= 1 << (b % 64);
         }
     }
 
@@ -129,20 +144,23 @@ impl BucketQueue {
             return None;
         }
         if self.cur.is_empty() {
-            loop {
-                // len > 0 and every queued entry lives in cur or a bucket
-                // > cursor, so a non-empty bucket exists ahead of the cursor.
-                self.cursor += 1;
-                debug_assert!(self.cursor < BUCKETS, "bucket queue lost entries");
-                if !self.buckets[self.cursor].is_empty() {
-                    // Move elements out rather than swap the `Vec`s so every
-                    // bucket keeps its own high-water capacity (swapping
-                    // shuffles capacities between slots and defeats the
-                    // steady-state allocation-free property).
-                    self.cur.append(&mut self.buckets[self.cursor]);
-                    break;
-                }
+            // len > 0 and every queued entry lives in cur or a bucket
+            // > cursor, so a set bit exists ahead of the cursor; no bit at
+            // or behind it is set, so the scan needs no mask.
+            let mut w = self.cursor / 64;
+            while self.occupied[w] == 0 {
+                w += 1;
+                debug_assert!(w < BUCKETS / 64, "bucket queue lost entries");
             }
+            let bit = self.occupied[w].trailing_zeros() as usize;
+            self.occupied[w] &= !(1 << bit);
+            debug_assert!(w * 64 + bit > self.cursor, "a bit behind the cursor");
+            self.cursor = w * 64 + bit;
+            // Move elements out rather than swap the `Vec`s so every
+            // bucket keeps its own high-water capacity (swapping shuffles
+            // capacities between slots and defeats the steady-state
+            // allocation-free property).
+            self.cur.append(&mut self.buckets[self.cursor]);
             for i in (0..self.cur.len() / 2).rev() {
                 self.sift_down(i);
             }

@@ -45,11 +45,13 @@
 //!   bucket-queue (Dial-style) wavefront sweep with **active-front
 //!   bounding**. Arrival times live in `[t0, t0 + duration]`, so the
 //!   frontier is kept in an array of buckets keyed by quantized arrival
-//!   time (O(1) push, cache-friendly per-bucket drains); the raster keeps
-//!   exact `f64` arrival times — buckets only order the frontier. The
-//!   window the fire can reach within the horizon bounds only the
-//!   dirty-span bookkeeping, so the next run resets what this one wrote
-//!   instead of O(rows×cols).
+//!   time (O(1) push, cache-friendly per-bucket drains) with an occupancy
+//!   bitmap, so the drain jumps to the next non-empty bucket and a run
+//!   pays for the buckets its fire occupies, not for the horizon; the
+//!   raster keeps exact `f64` arrival times — buckets only order the
+//!   frontier. The window the fire can reach within the horizon bounds
+//!   only the dirty-span bookkeeping, so the next run resets what this
+//!   one wrote instead of O(rows×cols).
 //! * [`Kernel::Tiled`] — the bucket kernel's levels drained by several
 //!   cores at once and merged back in pop order (`Sweep::run_tiled`).
 //!

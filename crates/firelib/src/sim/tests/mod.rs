@@ -4,7 +4,7 @@
 
 mod conformance;
 
-use super::bucket::BucketQueue;
+use super::bucket::{BucketQueue, BUCKETS};
 use super::*;
 use landscape::{Grid, UNIGNITED};
 
@@ -43,24 +43,123 @@ fn calm_scenario() -> Scenario {
     }
 }
 
+/// A time in the middle of bucket `k` of a run over `[t0, t0 + duration]`.
+fn mid_bucket(t0: f64, duration: f64, k: usize) -> f64 {
+    t0 + (k as f64 + 0.5) * duration / (BUCKETS - 1) as f64
+}
+
+/// Every bucket empty and every occupancy bit clear: the state a drained
+/// (or reset) queue must be in between runs.
+fn assert_drained(queue: &BucketQueue) {
+    assert!(queue.buckets.iter().all(Vec::is_empty) && queue.cur.is_empty());
+    assert_eq!(queue.occupied, [0; BUCKETS / 64], "a stale occupancy bit");
+}
+
 #[test]
 fn queue_reset_clears_what_an_abandoned_run_left() {
     let mut queue = BucketQueue::default();
     queue.reset(0.0, 100.0);
-    for (t, idx) in [(0.0, 3), (40.0, 1), (99.0, 2)] {
+    // Entries in buckets on both sides of the first word edge, and far out.
+    let (at63, at64) = (mid_bucket(0.0, 100.0, 63), mid_bucket(0.0, 100.0, 64));
+    assert_eq!((queue.bucket_of(at63), queue.bucket_of(at64)), (63, 64));
+    for (t, idx) in [(0.0, 3), (at64, 5), (at63, 4), (40.0, 1), (99.0, 2)] {
         queue.push(t, idx);
     }
     assert_eq!(queue.pop(), Some((0.0, 3)));
-    // The run stops here (a panic unwinding through the pool): two
-    // entries are still queued, one of them in a future bucket.
+    assert_eq!(queue.pop(), Some((at63, 4)));
+    // The run stops here (a panic unwinding through the pool): three
+    // entries are still queued in future buckets, bucket 64's among them.
+    assert_ne!(queue.occupied, [0; BUCKETS / 64]);
     queue.reset(5.0, 10.0);
+    assert_drained(&queue);
     assert_eq!(queue.pop(), None);
-    queue.push(7.0, 9);
-    assert_eq!(queue.pop(), Some((7.0, 9)));
+    // A stale bit would send the next run's refill to an empty bucket.
+    let (at63, at64) = (mid_bucket(5.0, 10.0, 63), mid_bucket(5.0, 10.0, 64));
+    for (t, idx) in [(5.0, 8), (at64, 6), (7.0, 9), (at63, 7)] {
+        queue.push(t, idx);
+    }
+    for want in [(5.0, 8), (at63, 7), (at64, 6), (7.0, 9)] {
+        assert_eq!(queue.pop(), Some(want));
+    }
     assert_eq!(queue.pop(), None);
+    assert_drained(&queue);
     // Drained: the next reset has nothing to clear, and clears nothing.
     queue.reset(0.0, 1.0);
-    assert!(queue.buckets.iter().all(Vec::is_empty) && queue.cur.is_empty());
+    assert_drained(&queue);
+}
+
+/// Seeded random push/pop interleavings, each push at or after the last
+/// pop's time as a sweep makes them, pop for pop against the reference
+/// kernel's `BinaryHeap<(Reverse<Time>, u32)>`. The pushes hit bucket 0,
+/// the word edges 63/64 and 127/128, the clamped last bucket (an arrival
+/// at `t_end`) and equal times under different indices; every drained
+/// run leaves every bucket empty and every occupancy bit clear.
+#[test]
+fn queue_pops_what_the_reference_heap_pops() {
+    use super::heap::Time;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    const EDGES: [usize; 6] = [0, 63, 64, 127, 128, BUCKETS - 1];
+    let mut rng = StdRng::seed_from_u64(0xb1_7a_9e);
+    let mut queue = BucketQueue::default();
+    let mut hit = [false; BUCKETS];
+    for run in 0..300 {
+        let t0 = if run % 3 == 0 {
+            0.0
+        } else {
+            rng.random_range(0.0..2000.0)
+        };
+        let duration = rng.random_range(1.0..6000.0);
+        let t_end = t0 + duration;
+        queue.reset(t0, duration);
+        let mut reference = BinaryHeap::new();
+        let (mut floor, mut last_pushed, mut budget) = (t0, t0, rng.random_range(1..400usize));
+        for _ in 0..rng.random_range(1..4usize) {
+            let idx = rng.random_range(0..16u32);
+            hit[queue.bucket_of(t0)] = true;
+            queue.push(t0, idx);
+            reference.push((Reverse(Time(t0)), idx));
+        }
+        loop {
+            let pushes = rng.random_range(0..4usize).min(budget);
+            budget -= pushes;
+            for _ in 0..pushes {
+                let t = match rng.random_range(0..6u32) {
+                    0 => floor,
+                    1 => t_end,
+                    2 => last_pushed.max(floor),
+                    3 => {
+                        let k = EDGES[rng.random_range(0..EDGES.len())];
+                        mid_bucket(t0, duration, k).clamp(floor, t_end)
+                    }
+                    _ => floor + rng.random::<f64>() * (t_end - floor),
+                };
+                let idx = rng.random_range(0..16u32);
+                hit[queue.bucket_of(t)] = true;
+                last_pushed = t;
+                queue.push(t, idx);
+                reference.push((Reverse(Time(t)), idx));
+            }
+            let want = reference.pop().map(|(Reverse(Time(t)), idx)| (t, idx));
+            let got = queue.pop();
+            assert_eq!(
+                got.map(|(t, i)| (t.to_bits(), i)),
+                want.map(|(t, i)| (t.to_bits(), i)),
+                "run {run}: the queue left the reference heap's order"
+            );
+            match got {
+                Some((t, _)) => floor = t,
+                None => break,
+            }
+        }
+        assert_drained(&queue);
+    }
+    for k in EDGES {
+        assert!(hit[k], "no push landed in bucket {k}");
+    }
 }
 
 #[test]
