@@ -1,17 +1,16 @@
-//! The crate table and the machine-checked layering pass: the README
-//! layer map as an asserted DAG.
+//! The crate table: the README layer map, and the scopes the rules read.
 //!
 //! [`CRATES`] is the one place that says what each workspace crate is:
 //! its directory, its lib identifier, its rank in the layer map and the
 //! [`Scope`] the rules read (deterministic, availability boundary,
-//! application). A dependency edge (Cargo manifest `[dependencies]`, a
-//! cross-crate `use`, or an inline `other_crate::` qualification) is legal
-//! only when it points at a *strictly lower* rank. Same-rank crates are
-//! peers and may not depend on each other. Which crate may own threads or
-//! read the clock is clippy's to enforce (`clippy.toml`), not this pass's.
-
-use crate::lint::{Finding, Ledger, LAYER};
-use crate::parse::ParsedFile;
+//! application). A dependency is legal only when it points at a
+//! *strictly lower* rank; same-rank crates are peers and may not depend
+//! on each other. The map is checked where it is declared: the
+//! `[dependencies]` of every row's `Cargo.toml`, by
+//! `tests/clippy_bans.rs`. A source edge needs no check of its own, since
+//! outside test code rustc refuses a `use` or path of a crate the manifest
+//! does not list. Which crate may own threads or read the clock is
+//! clippy's to enforce (`clippy.toml`).
 
 /// What the rules need to know about the crate a file belongs to. Files
 /// outside the table get the default: no call graph.
@@ -126,121 +125,9 @@ pub fn crate_of_path(rel: &str) -> Option<&'static CrateInfo> {
     })
 }
 
-/// One crate manifest's `[dependencies]` entries.
-#[derive(Debug, Clone)]
-pub struct Manifest {
-    /// Manifest path, workspace-relative.
-    pub file: String,
-    /// Owning crate's lib identifier.
-    pub krate: String,
-    /// Dependency lib identifiers with their manifest lines.
-    pub deps: Vec<(String, usize)>,
-}
-
-/// Parses the `[package] name` and `[dependencies]` entries out of one
-/// crate manifest. `[dev-dependencies]` are test-only and exempt, like
-/// `#[cfg(test)]` code.
-pub fn parse_manifest(file: &str, text: &str) -> Option<Manifest> {
-    let mut krate = None;
-    let mut deps = Vec::new();
-    let mut section = "";
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.starts_with('[') {
-            section = line;
-            continue;
-        }
-        if section == "[package]" {
-            if let Some(rest) = line.strip_prefix("name") {
-                let rest = rest.trim_start_matches([' ', '=', '"']);
-                let name = rest.trim_end_matches('"');
-                krate = Some(name.replace('-', "_"));
-            }
-        }
-        if section == "[dependencies]" && !line.is_empty() && !line.starts_with('#') {
-            let name: String = line
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_'))
-                .collect();
-            if !name.is_empty() {
-                deps.push((name.replace('-', "_"), idx + 1));
-            }
-        }
-    }
-    Some(Manifest {
-        file: file.to_string(),
-        krate: krate?,
-        deps,
-    })
-}
-
-/// Checks every manifest and source edge against the declared DAG.
-/// Manifest findings are never allowed: a manifest has no comment syntax
-/// the ledger reads.
-pub fn check(
-    files: &[ParsedFile],
-    manifests: &[Manifest],
-    ledger: &mut Ledger,
-    out: &mut Vec<Finding>,
-) {
-    for m in manifests {
-        for (dep, line) in &m.deps {
-            let message = if rank_of(dep).is_none() {
-                format!(
-                    "dependency `{dep}` is not in the declared layer map — add it to CRATES or \
-                     remove it"
-                )
-            } else if !edge_allowed(&m.krate, dep) {
-                format!(
-                    "`{}` depends on `{dep}`, which is not strictly below it in the layer map",
-                    m.krate
-                )
-            } else {
-                continue;
-            };
-            out.push(Finding::new(LAYER, &m.file, *line, message, None));
-        }
-    }
-    for f in files.iter().filter(|f| !scope_of(f.krate).app) {
-        let mut site = |line: usize, message: String| {
-            let reason = ledger.check(&f.path, LAYER, line, None);
-            out.push(Finding::new(LAYER, &f.path, line, message, reason));
-        };
-        let upward = |root: &str| rank_of(root).is_some() && !edge_allowed(f.krate, root);
-        let mut seen: Vec<(usize, &str)> = Vec::new();
-        for u in &f.uses {
-            let root = u.root.as_str();
-            if !u.in_test && root != f.krate && upward(root) {
-                site(
-                    u.line,
-                    format!(
-                        "`use {root}::…` crosses the layer map upward (`{}` may only depend on \
-                         lower layers)",
-                        f.krate
-                    ),
-                );
-                seen.push((u.line, root));
-            }
-        }
-        for (line, root) in &f.crate_refs {
-            if !seen.contains(&(*line, root.as_str())) && upward(root) {
-                site(
-                    *line,
-                    format!(
-                        "`{root}::…` crosses the layer map upward (`{}` may only depend on lower \
-                         layers)",
-                        f.krate
-                    ),
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_source;
 
     #[test]
     fn ranks_are_a_dag_over_the_real_workspace_edges() {
@@ -265,35 +152,6 @@ mod tests {
         ] {
             assert!(!edge_allowed(from, to), "{from} -> {to} should be denied");
         }
-    }
-
-    #[test]
-    fn manifest_parsing() {
-        let text = "[package]\nname = \"ess-service\"\n\n[dependencies]\ness.workspace = true\nrand = { path = \"../../vendor/rand\" }\n\n[dev-dependencies]\ness-benches.workspace = true\n";
-        let m = parse_manifest("crates/service/Cargo.toml", text).unwrap();
-        assert_eq!(m.krate, "ess_service");
-        assert_eq!(m.deps.len(), 2);
-        assert_eq!(m.deps[0].0, "ess");
-        assert_eq!(m.deps[1].0, "rand");
-    }
-
-    fn check_one(path: &str, src: &str) -> Vec<Finding> {
-        let mut out = Vec::new();
-        check(
-            &[parse_source(path, src)],
-            &[],
-            &mut Ledger::default(),
-            &mut out,
-        );
-        out
-    }
-
-    #[test]
-    fn upward_use_is_flagged_and_test_use_is_not() {
-        let src = "use ess_service::jsonio::Json;\n#[cfg(test)]\nmod tests { use ess_service::jsonio::Json; }";
-        let v = check_one("crates/firelib/src/x.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 1);
     }
 
     #[test]

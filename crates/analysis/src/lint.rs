@@ -1,18 +1,17 @@
 //! The static-analysis pipeline behind `harness lint`: one workspace
-//! walk, each file read and lexed once, seven rules over one namespace,
+//! walk, each file read and lexed once, six rules over one namespace,
 //! one allow ledger, one report (`reports/ANALYSIS.json`).
 //!
 //! These are not style lints — each rule guards a property the system's
 //! reproducibility contract depends on. One matches tokens in one file
-//! (this module); four walk the workspace call graph ([`crate::panics`],
-//! [`crate::layering`], [`crate::taint`], [`crate::unreached`]); two keep
-//! the escape hatch honest:
+//! (this module); three walk the workspace call graph ([`crate::panics`],
+//! [`crate::taint`], [`crate::unreached`]); two keep the escape hatch
+//! honest:
 //!
 //! | rule | guards |
 //! |---|---|
 //! | `no-alloc` | functions fenced with `// lint: no_alloc` are steady-state hot paths; allocation there breaks the arena contract |
 //! | `panic` | the declared panic-free roots must not reach a panic site |
-//! | `layer` | crates depend strictly downward in the layer map |
 //! | `taint` | no clock, seeded hash or thread identity is reachable from a deterministic crate |
 //! | `unreached` | every non-test function is reachable from some `fn main`; what only tests run is an oracle that says so, or goes |
 //! | `invalid-allow` / `unused-allow` | a malformed directive, or an allow that justifies no finding |
@@ -20,7 +19,9 @@
 //! The bans a single token decides — clock reads, raw thread APIs,
 //! `partial_cmp`, hash-ordered containers in the deterministic crates —
 //! are clippy's `disallowed-methods` / `disallowed-types`, configured per
-//! crate in `clippy.toml`, and excused with `#[expect]`.
+//! crate in `clippy.toml`, and excused with `#[expect]`. The layer map
+//! is held where it is declared, in each crate's `Cargo.toml`, by
+//! `tests/clippy_bans.rs`; the pass reads no manifest.
 //!
 //! Escape hatch, one grammar for every rule:
 //! `// lint: allow(<rule>) — <reason>`. It covers findings of `<rule>` on
@@ -49,8 +50,6 @@ use std::path::{Path, PathBuf};
 pub const NO_ALLOC: &str = "no-alloc";
 /// The panic-path prover ([`crate::panics`]).
 pub const PANIC: &str = "panic";
-/// The layering pass ([`crate::layering`]).
-pub const LAYER: &str = "layer";
 /// The determinism-taint pass ([`crate::taint`]).
 pub const TAINT: &str = "taint";
 /// The reachability pass ([`crate::unreached`]).
@@ -71,7 +70,6 @@ pub const RULES: &[(&str, &str)] = &[
         PANIC,
         "the declared panic-free roots must not reach a panic site",
     ),
-    (LAYER, "crates depend strictly downward in the layer map"),
     (
         TAINT,
         "no nondeterminism source is reachable from a deterministic crate",
@@ -230,20 +228,13 @@ pub enum Directive {
 }
 
 /// Parses the directive in a comment, if any. Comments that do not open
-/// with `lint:` return `None` — except the retired `audit:` prefix, which
-/// is reported instead of silently suppressing nothing.
+/// with `lint:` return `None`.
 pub fn parse_directive(comment: &str) -> Option<Directive> {
     let mut text = comment.trim();
     if let Some(stripped) = text.strip_prefix("/*") {
         text = stripped.strip_suffix("*/").unwrap_or(stripped);
     }
     let text = text.trim_start_matches(['/', '!', '*']).trim();
-    if text.starts_with("audit:") {
-        return Some(Directive::Invalid(
-            "the `audit:` prefix is retired — write `// lint: allow(<rule>) — <reason>`"
-                .to_string(),
-        ));
-    }
     let rest = text.strip_prefix("lint:")?.trim();
     if rest == "no_alloc" || rest.starts_with("no_alloc ") {
         return Some(Directive::NoAlloc);
@@ -477,16 +468,12 @@ fn no_alloc(file: &SourceFile, ledger: &mut Ledger, out: &mut Vec<Finding>) {
 
 /// Runs the whole pipeline over an explicit file set — the testable
 /// core. `sources` are (workspace-relative path, contents) pairs;
-/// `manifests` likewise for `Cargo.toml` files; `roots` the panic-free
-/// roots to prove. Files of a crate in [`layering::CRATES`] join the call
-/// graph the four graph passes walk. Every file but an application's
-/// ([`layering::Scope::app`], parsed for call edges only) has its
-/// directives read and its `no-alloc` fences checked.
-pub fn analyze_files(
-    sources: &[(String, String)],
-    manifests: &[(String, String)],
-    roots: &[RootSpec],
-) -> Report {
+/// `roots` the panic-free roots to prove. Files of a crate in
+/// [`layering::CRATES`] join the call graph the three graph passes walk.
+/// Every file but an application's ([`layering::Scope::app`], parsed for
+/// call edges only) has its directives read and its `no-alloc` fences
+/// checked.
+pub fn analyze_files(sources: &[(String, String)], roots: &[RootSpec]) -> Report {
     let mut ledger = Ledger::default();
     let mut findings = Vec::new();
     let mut parsed = Vec::new();
@@ -501,14 +488,9 @@ pub fn analyze_files(
             parsed.push(parse_items(&file, krate.lib));
         }
     }
-    let manifests: Vec<_> = manifests
-        .iter()
-        .filter_map(|(path, text)| layering::parse_manifest(path, text))
-        .collect();
 
     let graph = callgraph::build(&parsed);
     let roots = panics::prove(&graph, roots, &mut ledger, &mut findings);
-    layering::check(&parsed, &manifests, &mut ledger, &mut findings);
     taint::analyze(&graph, &mut ledger, &mut findings);
     let unreached = unreached::check(&graph, &mut ledger, &mut findings);
     ledger.unused(&mut findings);
@@ -564,25 +546,13 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     Ok(sources)
 }
 
-/// Analyzes the workspace under `root`: [`workspace_sources`] plus the
-/// `Cargo.toml` of every `crates/` directory the walk found sources in.
+/// Analyzes the workspace under `root`: [`workspace_sources`] through
+/// [`analyze_files`] with the declared [`panics::ROOTS`].
 ///
 /// # Errors
 /// Propagates filesystem errors from the walk or file reads.
 pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
-    let sources = workspace_sources(root)?;
-    let crate_dirs: BTreeSet<&str> = sources
-        .iter()
-        .filter_map(|(rel, _)| rel.strip_prefix("crates/")?.split('/').next())
-        .collect();
-    let mut manifests = Vec::new();
-    for dir in crate_dirs {
-        let rel = format!("crates/{dir}/Cargo.toml");
-        if let Ok(text) = fs::read_to_string(root.join(&rel)) {
-            manifests.push((rel, text));
-        }
-    }
-    Ok(analyze_files(&sources, &manifests, panics::ROOTS))
+    Ok(analyze_files(&workspace_sources(root)?, panics::ROOTS))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -609,7 +579,7 @@ mod tests {
     /// Unallowed rules for one snippet at a path outside the crate table:
     /// the ledger and the `no-alloc` fences armed, no graph.
     fn rules_of(src: &str) -> Vec<&'static str> {
-        analyze_files(&[("scripts/x.rs".to_string(), src.to_string())], &[], &[])
+        analyze_files(&[("scripts/x.rs".to_string(), src.to_string())], &[])
             .unallowed()
             .iter()
             .map(|f| f.rule)
@@ -619,7 +589,7 @@ mod tests {
     #[test]
     fn allow_with_reason_suppresses_and_is_not_stale() {
         let src = "// lint: no_alloc\nfn hot() {\n    // lint: allow(no-alloc) — cold path, once per arena\n    let v: Vec<u8> = Vec::new();\n}";
-        let report = analyze_files(&[("scripts/x.rs".to_string(), src.to_string())], &[], &[]);
+        let report = analyze_files(&[("scripts/x.rs".to_string(), src.to_string())], &[]);
         assert_eq!(report.findings.len(), 1);
         assert!(report.findings[0].allowed);
         assert_eq!(
@@ -650,8 +620,10 @@ mod tests {
             "// lint: allow(nope) — x",
             "// lint: allow(panic — x",
             "// lint: deny(panic)",
-            // A rule clippy owns now: a leftover allow fails loudly.
+            // Retired rules (clippy's now; rustc's and the manifest
+            // test's): a leftover allow fails loudly.
             "// lint: allow(wall-clock) — x",
+            "// lint: allow(layer) — x",
         ] {
             assert!(
                 matches!(parse_directive(malformed), Some(Directive::Invalid(_))),
@@ -662,12 +634,7 @@ mod tests {
 
     #[test]
     fn report_json_shape() {
-        let j = analyze_files(
-            &[("crates/ess/src/x.rs".into(), "fn f() {}".into())],
-            &[],
-            &[],
-        )
-        .to_json();
+        let j = analyze_files(&[("crates/ess/src/x.rs".into(), "fn f() {}".into())], &[]).to_json();
         assert_eq!(j.get("tool").and_then(Json::as_str), Some("harness lint"));
         for member in [
             "files_scanned",

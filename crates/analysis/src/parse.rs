@@ -20,19 +20,13 @@ use crate::lint::SourceFile;
 /// One `use` declaration (possibly a nested group).
 #[derive(Debug, Clone)]
 pub struct UseDecl {
-    /// Line of the `use` keyword.
-    pub line: usize,
     /// First path segment (`crate`/`self`/`super` left raw; the call
     /// graph normalizes them to the file's own crate).
     pub root: String,
-    /// Every path segment, in order (for `std::thread` detection).
-    pub segments: Vec<String>,
     /// Local binding names this declaration introduces.
     pub leaves: Vec<String>,
     /// `use foo::*`.
     pub glob: bool,
-    /// Declared inside a `#[cfg(test)]` region.
-    pub in_test: bool,
 }
 
 /// How a call site names its target.
@@ -154,9 +148,6 @@ pub struct ParsedFile {
     /// Module-level `type Alias = Target;` items outside test code:
     /// (alias, last identifier of the target path).
     pub aliases: Vec<(String, String)>,
-    /// Inline foreign-workspace-crate qualifications outside test code
-    /// (line, crate lib name).
-    pub crate_refs: Vec<(usize, String)>,
 }
 
 /// Keywords that look like a call when followed by `(`.
@@ -317,7 +308,7 @@ pub fn parse_items(file: &SourceFile, krate: &'static str) -> ParsedFile {
         let owner = || owners.last().and_then(|(o, _, _)| o.clone());
         match ident(sig, i) {
             Some("use") => {
-                i = parse_use(sig, i, test[i], &mut out);
+                i = parse_use(sig, i, &mut out);
                 continue;
             }
             // `mod name` makes `name::f()` a path into this crate, as
@@ -325,12 +316,9 @@ pub fn parse_items(file: &SourceFile, krate: &'static str) -> ParsedFile {
             Some("mod") => {
                 if let Some(name) = ident(sig, i + 1) {
                     out.uses.push(UseDecl {
-                        line: sig[i].line,
                         root: "crate".to_string(),
-                        segments: vec!["crate".to_string(), name.to_string()],
                         leaves: vec![name.to_string()],
                         glob: false,
-                        in_test: test[i],
                     });
                 }
             }
@@ -403,8 +391,7 @@ pub fn parse_items(file: &SourceFile, krate: &'static str) -> ParsedFile {
 
 /// Parses a `use` declaration starting at `i`; returns the index past
 /// its `;`.
-fn parse_use(sig: &[Token], i: usize, in_test: bool, out: &mut ParsedFile) -> usize {
-    let line = sig[i].line;
+fn parse_use(sig: &[Token], i: usize, out: &mut ParsedFile) -> usize {
     let mut segments: Vec<String> = Vec::new();
     let mut leaves: Vec<String> = Vec::new();
     let mut glob = false;
@@ -452,17 +439,7 @@ fn parse_use(sig: &[Token], i: usize, in_test: bool, out: &mut ParsedFile) -> us
         segments.remove(0);
     }
     if let Some(root) = segments.first().cloned() {
-        if !in_test && layering::rank_of(&root).is_some() && root != out.krate && root != "std" {
-            out.crate_refs.push((line, root.clone()));
-        }
-        out.uses.push(UseDecl {
-            line,
-            root,
-            segments,
-            leaves,
-            glob,
-            in_test,
-        });
+        out.uses.push(UseDecl { root, leaves, glob });
     }
     j + 1
 }
@@ -628,8 +605,8 @@ fn takes_self(sig: &[Token], from: usize, open: usize) -> bool {
     })
 }
 
-/// The linear body walk: calls, panic seeds, taint sources, and layer
-/// references, in one pass over `open..close`.
+/// The linear body walk: calls, panic seeds and taint sources, in one
+/// pass over `open..close`.
 fn scan_body(
     sig: &[Token],
     test: &[bool],
@@ -687,7 +664,7 @@ fn scan_body(
                     // A function-local import scopes like a file-level one
                     // here: one leaf map per file.
                     "use" => {
-                        parse_use(sig, k, false, out);
+                        parse_use(sig, k, out);
                     }
                     "Instant" if path_sep(sig, k + 1) && ident(sig, k + 3) == Some("now") => {
                         item.taints.push(TaintSrc {
@@ -710,13 +687,6 @@ fn scan_body(
                         });
                     }
                     _ => {}
-                }
-                if path_sep(sig, k + 1)
-                    && s != out.krate
-                    && layering::rank_of(s).is_some()
-                    && s != "std"
-                {
-                    out.crate_refs.push((line, s.to_string()));
                 }
                 // `name::<T>(..)`: the turbofish sits between the name and
                 // its argument list.
@@ -902,7 +872,6 @@ mod tests {
         let p = parse(src);
         assert_eq!(p.uses[0].root, "ess_service");
         assert_eq!(p.uses[0].leaves, vec!["Json", "JE"]);
-        assert_eq!(p.crate_refs, vec![(1, "ess_service".to_string())]);
     }
 
     #[test]
@@ -945,7 +914,6 @@ mod tests {
     fn test_code_is_invisible() {
         let src = "#[cfg(test)]\nmod tests {\n    use ess_benches::x;\n    #[test]\n    fn t() { foo().unwrap(); }\n}";
         let p = parse(src);
-        assert!(p.crate_refs.is_empty());
         assert!(p.fns[0].is_test);
         assert!(p.fns[0].seeds.is_empty());
     }

@@ -12,7 +12,7 @@
 //! byte-identical report.
 
 use ess_analysis::lint::{
-    self, Report, SourceFile, INVALID_ALLOW, LAYER, NO_ALLOC, PANIC, TAINT, UNREACHED, UNUSED_ALLOW,
+    self, Report, SourceFile, INVALID_ALLOW, NO_ALLOC, PANIC, TAINT, UNREACHED, UNUSED_ALLOW,
 };
 use ess_analysis::panics::{RootSpec, ROOTS};
 use ess_analysis::{callgraph, layering, parse};
@@ -30,7 +30,7 @@ fn analyze(sources: &[(&str, &str)], roots: &[RootSpec]) -> Report {
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect();
-    lint::analyze_files(&owned, &[], roots)
+    lint::analyze_files(&owned, roots)
 }
 
 /// (rule, line, allowed) triples for every finding in the report.
@@ -230,53 +230,6 @@ impl Scheduler {
     assert_eq!(shape(&r), vec![(PANIC, 4, true), (PANIC, 5, true)]);
 }
 
-// ---------------------------------------------------------------- layer
-
-const LAYER_VIOLATING: &str = "\
-use ess::scenario::Scenario;
-pub fn ignite(_s: Scenario) {}
-";
-
-const LAYER_TEST_GATED: &str = "\
-pub fn ignite() {}
-#[cfg(test)]
-mod tests {
-    use ess::scenario::Scenario;
-    #[test]
-    fn smoke() {
-        let _ = std::mem::size_of::<Scenario>();
-    }
-}
-";
-
-const LAYER_DOWNWARD: &str = "\
-use firelib::sim::FireSim;
-pub fn evolve(_s: FireSim) {}
-";
-
-#[test]
-fn layering_flags_upward_use() {
-    // firelib (layer 2) importing ess (layer 3) crosses the DAG upward.
-    assert_eq!(
-        shape_at("crates/firelib/src/fx.rs", LAYER_VIOLATING),
-        vec![(LAYER, 1, false)]
-    );
-}
-
-#[test]
-fn layering_skips_test_gated_use() {
-    assert_eq!(
-        shape_at("crates/firelib/src/fx.rs", LAYER_TEST_GATED),
-        vec![]
-    );
-}
-
-#[test]
-fn layering_accepts_downward_use() {
-    // ess (layer 3) importing firelib (layer 2) is the declared flow.
-    assert_eq!(shape_at("crates/ess/src/fx.rs", LAYER_DOWNWARD), vec![]);
-}
-
 // ---------------------------------------------------------------- taint
 
 const TAINT_SOURCE: &str = "\
@@ -444,16 +397,6 @@ pub fn fine() {
         shape_at("crates/service/src/fx.rs", src),
         vec![(INVALID_ALLOW, 2, false)]
     );
-}
-
-/// The retired prefix fails loudly, naming the spelling that works,
-/// instead of silently suppressing nothing.
-#[test]
-fn retired_audit_prefix_is_an_invalid_allow() {
-    let src = "// audit: allow(panic) — written out of habit\nfn f() {}\n";
-    let r = analyze(&[("crates/service/src/fx.rs", src)], &[]);
-    assert_eq!(shape(&r), vec![(INVALID_ALLOW, 1, false)]);
-    assert!(r.findings[0].message.contains("// lint: allow(<rule>)"));
 }
 
 // ------------------------------------------------------------ workspace
