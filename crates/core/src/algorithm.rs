@@ -34,8 +34,16 @@
 //!   highest fitness found **during the search**"; offering the evaluated
 //!   initial population as well (its members would otherwise be the only
 //!   evaluated individuals that can never be recorded) is a strict
-//!   superset that matches the stated contract. `BestSet` dedupes, so this
-//!   costs nothing.
+//!   superset that matches the stated contract. `BestSet` dedupes, so the
+//!   parents change no result. They are not free: an offer at or below a
+//!   full set's fitness bound costs one comparison, and one above it
+//!   compares its genes with every entry.
+//!
+//! The master's bookkeeping between batches costs what it decides, not
+//! what its containers hold: the roulette wheel of line 7 is built once a
+//! generation, an archive offer the archive turns away is one comparison
+//! against its cached minimum (line 15), and line 16 moves its survivors
+//! instead of cloning them.
 //!
 //! Lines 11–14 run as one *batched* pass: the noveltySet is assembled in
 //! a generation-reused flat [`evoalg::BehaviourMatrix`] (each individual
@@ -315,20 +323,21 @@ impl NoveltyGa {
                 );
             }
 
-            // Line 16: replaceByNovelty(population, offspring, N) — elitist
-            // over the union by the search score (novelty for the
-            // baseline; the hybrid/NSLC policies for E7).
-            let survivors = replace_by_score(&population, &offspring, score, cfg.population_size);
-            let parents = std::mem::replace(&mut population, survivors);
-
             // Line 17: updateBest — all evaluated individuals this
-            // generation (see the module docs for why this supersets the
-            // pseudocode's `offspring`).
-            for ind in offspring.members().iter().chain(parents.members()) {
+            // generation, offspring first, then parents (see the module
+            // docs for why this supersets the pseudocode's `offspring`).
+            // It reads no score line 16 writes, so it runs first: line 16
+            // consumes both populations.
+            for ind in offspring.members().iter().chain(population.members()) {
                 if ind.is_evaluated() {
                     best_set.offer(&ind.genes, ind.fitness);
                 }
             }
+
+            // Line 16: replaceByNovelty(population, offspring, N) — elitist
+            // over the union by the search score (novelty for the
+            // baseline; the hybrid/NSLC policies for E7).
+            population = replace_by_score(population, offspring, score, cfg.population_size);
 
             // Lines 18–19.
             max_fitness = best_set.max_fitness();

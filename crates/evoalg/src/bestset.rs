@@ -73,20 +73,31 @@ impl BestSet {
     /// scenarios would defeat the uncertainty-reduction purpose of the
     /// Statistical Stage.
     ///
+    /// A full set tests its fitness bound (one comparison with its last
+    /// entry) before the duplicate scan: both tests only reject, so the
+    /// order changes no outcome, and an offer that cannot enter reads no
+    /// genome. An offer that passes the bound compares its genes with
+    /// every entry once.
+    ///
     /// # Panics
     /// Panics on non-finite fitness.
     pub fn offer(&mut self, genes: &[f64], fitness: f64) -> bool {
         assert!(fitness.is_finite(), "fitness must be finite");
+        let full = self.entries.len() == self.capacity;
+        if full {
+            debug_assert!(
+                (self.entries.windows(2)).all(|w| w[0].fitness >= w[1].fitness),
+                "the last entry is the minimum"
+            );
+            if !self.min_fitness().is_some_and(|min| fitness > min) {
+                return false;
+            }
+        }
         if self.entries.iter().any(|e| e.genes == genes) {
             return false;
         }
-        if self.entries.len() == self.capacity {
-            match self.min_fitness() {
-                Some(min) if fitness > min => {
-                    self.entries.pop();
-                }
-                _ => return false,
-            }
+        if full {
+            self.entries.pop();
         }
         // Insert keeping descending order (stable: later equal-fitness
         // entries go after earlier ones).

@@ -12,7 +12,7 @@
 use crate::engine::{Engine, Scheme};
 use crate::individual::{Individual, Population};
 use crate::operators::{one_point_crossover, uniform_mutation};
-use crate::selection::{elitist_merge_indices, roulette};
+use crate::selection::{elitist_merge_indices, RouletteWheel};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -88,15 +88,20 @@ impl Scheme for GaConfig {
         let mut offspring =
             Population::from_members(candidates.into_iter().map(Individual::new).collect());
         offspring.assign_fitness(fitness);
-        *population = replace_by_score(population, &offspring, |m| m.fitness, self.population_size);
+        let parents = std::mem::replace(population, Population::from_members(Vec::new()));
+        *population = replace_by_score(parents, offspring, |m| m.fitness, self.population_size);
     }
 }
 
 /// `generateOffspring(population, m, mR, cR)`: until `m` children exist,
-/// roulette two parents from `scores` (one score per member; all-zero
-/// scores select uniformly), cross them at one point with probability
-/// `cR` (clone them otherwise) and mutate every gene with probability
-/// `mR`. The children are unevaluated.
+/// spin two parents off one roulette wheel over `scores` (one score per
+/// member; all-zero scores select uniformly), cross them at one point with
+/// probability `cR` (clone them otherwise) and mutate every gene with
+/// probability `mR`. The children are unevaluated.
+///
+/// # Panics
+/// Panics when `scores` is empty, negative or non-finite
+/// ([`RouletteWheel::new`]).
 pub fn generate_offspring(
     population: &Population,
     scores: &[f64],
@@ -106,10 +111,11 @@ pub fn generate_offspring(
     rng: &mut StdRng,
 ) -> Population {
     let parents = population.members();
+    let wheel = RouletteWheel::new(scores);
     let mut out = Vec::with_capacity(m);
     while out.len() < m {
-        let pa = &parents[roulette(scores, rng)].genes;
-        let pb = &parents[roulette(scores, rng)].genes;
+        let pa = &parents[wheel.spin(rng)].genes;
+        let pb = &parents[wheel.spin(rng)].genes;
         let (mut c1, mut c2) = if rng.random::<f64>() < crossover_rate {
             one_point_crossover(pa, pb, rng)
         } else {
@@ -127,23 +133,24 @@ pub fn generate_offspring(
 
 /// Elitist replacement: the `n` best of `population ∪ offspring` by
 /// `score`, best first, ties in favour of the incumbent population
-/// ([`elitist_merge_indices`]).
+/// ([`elitist_merge_indices`]). Survivors move out of the two populations
+/// uncloned; the rest drop with them.
 pub fn replace_by_score(
-    population: &Population,
-    offspring: &Population,
+    population: Population,
+    offspring: Population,
     score: impl Fn(&Individual) -> f64,
     n: usize,
 ) -> Population {
-    let (parents, children) = (population.members(), offspring.members());
-    let parent_scores: Vec<f64> = parents.iter().map(&score).collect();
-    let child_scores: Vec<f64> = children.iter().map(&score).collect();
-    let survivors = elitist_merge_indices(&parent_scores, &child_scores, n)
-        .into_iter()
-        .map(|i| match i.checked_sub(parents.len()) {
-            None => parents[i].clone(),
-            Some(j) => children[j].clone(),
-        })
+    let parent_scores: Vec<f64> = population.members().iter().map(&score).collect();
+    let child_scores: Vec<f64> = offspring.members().iter().map(&score).collect();
+    let kept = elitist_merge_indices(&parent_scores, &child_scores, n);
+    let mut pool: Vec<Option<Individual>> = (population.into_members().into_iter())
+        .chain(offspring.into_members())
+        .map(Some)
         .collect();
+    // The indices are distinct, so each `take` finds its member.
+    let survivors: Vec<Individual> = kept.iter().filter_map(|&i| pool[i].take()).collect();
+    debug_assert_eq!(survivors.len(), kept.len(), "a survivor was taken twice");
     Population::from_members(survivors)
 }
 

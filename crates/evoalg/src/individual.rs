@@ -86,6 +86,11 @@ impl Population {
         self.members.iter().map(|m| m.genes.clone()).collect()
     }
 
+    /// The members, moved out.
+    pub fn into_members(self) -> Vec<Individual> {
+        self.members
+    }
+
     /// The genomes, moved out of the members.
     pub fn into_genomes(self) -> Vec<Vec<f64>> {
         self.members.into_iter().map(|m| m.genes).collect()

@@ -8,7 +8,7 @@
 //!
 //! * [`individual`] — genomes (normalised `f64` gene vectors), scored
 //!   individuals and populations;
-//! * [`selection`] — roulette-wheel parent selection (the paper's GA
+//! * [`selection`] — the roulette wheel of parent selection (the paper's GA
 //!   selection strategy, §III-B) over arbitrary scores, and the elitist
 //!   merge behind every replacement;
 //! * [`operators`] — one-point crossover and uniform-reset mutation over

@@ -176,6 +176,11 @@ pub struct ArchiveEntry {
 /// novelty only** ("as opposed to the pseudocode in \[29\], which uses a
 /// randomized approach", §III-B): when full, a candidate with a higher
 /// novelty score replaces the current minimum-novelty entry.
+///
+/// An offer costs what it decides. The archive caches the slot and novelty
+/// of its minimum, so an offer a full archive turns away is one
+/// comparison; only a replacement, the one event that can move the
+/// minimum, rescans the entries.
 #[derive(Debug, Clone)]
 pub struct NoveltyArchive {
     capacity: usize,
@@ -186,6 +191,10 @@ pub struct NoveltyArchive {
     /// building each generation's noveltySet is a single bulk copy instead
     /// of a per-entry `Vec<Vec<f64>>` clone.
     behaviours: BehaviourMatrix,
+    /// Slot and novelty of the entry the next replacement evicts: the
+    /// first minimum by `total_cmp` ([`least_novel`]). `None` while the
+    /// archive has room; set when it fills, rescanned after a replacement.
+    least: Option<(usize, f64)>,
 }
 
 impl NoveltyArchive {
@@ -199,6 +208,7 @@ impl NoveltyArchive {
             capacity,
             entries: Vec::with_capacity(capacity),
             behaviours: BehaviourMatrix::new(),
+            least: None,
         }
     }
 
@@ -229,37 +239,45 @@ impl NoveltyArchive {
     ///
     /// * free space → accepted;
     /// * full → accepted iff its novelty exceeds the current minimum, which
-    ///   it replaces (novelty-only replacement, §III-B).
+    ///   it replaces (novelty-only replacement, §III-B). On ties the
+    ///   lowest slot holding the minimum is replaced.
+    ///
+    /// A rejection reads no entry; an admission that fills the archive or
+    /// replaces an entry scans them once for the new minimum.
     pub fn offer(&mut self, genes: &[f64], behaviour: &[f64], novelty: f64, fitness: f64) -> bool {
         assert!(novelty >= 0.0, "novelty scores are non-negative");
-        if self.entries.len() < self.capacity {
-            self.entries.push(ArchiveEntry {
-                genes: genes.to_vec(),
-                novelty,
-                fitness,
-            });
-            self.behaviours.push(behaviour);
-            return true;
-        }
-        let least = (self.entries.iter().enumerate())
-            .map(|(i, e)| (i, e.novelty))
-            .min_by(|a, b| a.1.total_cmp(&b.1));
-        // A zero-capacity archive holds nothing to replace.
-        let Some((min_idx, min_novelty)) = least else {
-            return false;
+        let entry = || ArchiveEntry {
+            genes: genes.to_vec(),
+            novelty,
+            fitness,
         };
-        if novelty > min_novelty {
-            self.entries[min_idx] = ArchiveEntry {
-                genes: genes.to_vec(),
-                novelty,
-                fitness,
-            };
-            self.behaviours.set_row(min_idx, behaviour);
-            true
-        } else {
-            false
+        let Some((slot, least)) = self.least else {
+            self.entries.push(entry());
+            self.behaviours.push(behaviour);
+            if self.entries.len() == self.capacity {
+                self.least = least_novel(&self.entries);
+            }
+            return true;
+        };
+        debug_assert_eq!(
+            self.least,
+            least_novel(&self.entries),
+            "the cached minimum is the scanned one"
+        );
+        if novelty <= least {
+            return false;
         }
+        self.entries[slot] = entry();
+        self.behaviours.set_row(slot, behaviour);
+        self.least = least_novel(&self.entries);
+        true
     }
+}
+
+/// Slot and novelty of the first minimum-novelty entry by `total_cmp`
+/// (`min_by` keeps the first of equal minima), `None` when empty.
+fn least_novel(entries: &[ArchiveEntry]) -> Option<(usize, f64)> {
+    (entries.iter().map(|e| e.novelty).enumerate()).min_by(|a, b| a.1.total_cmp(&b.1))
 }
 
 #[cfg(test)]

@@ -6,38 +6,62 @@
 
 use rand::Rng;
 
-/// Roulette-wheel (fitness-proportionate) selection over arbitrary
-/// non-negative scores. Returns the index of the selected entry.
+/// A roulette wheel (fitness-proportionate selection) over arbitrary
+/// non-negative scores, built once per generation and spun once per
+/// parent: building it validates and sums the scores, so a spin reads
+/// only the scores its ticket walks past.
 ///
 /// Scores may be any finite non-negative values (fitness for the baseline
 /// GA, novelty for Algorithm 1). When every score is zero — common in the
 /// first generations of a fire-prediction run, where most scenarios score
 /// J = 0 — selection degrades gracefully to uniform, which matches how the
 /// ESS implementations seed their searches.
-///
-/// # Panics
-/// Panics on an empty slice or on negative/non-finite scores.
-pub fn roulette<R: Rng + ?Sized>(scores: &[f64], rng: &mut R) -> usize {
-    assert!(!scores.is_empty(), "roulette over an empty slice");
-    let mut total = 0.0;
-    for &s in scores {
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "roulette scores must be finite and non-negative"
-        );
-        total += s;
-    }
-    if total <= 0.0 {
-        return rng.random_range(0..scores.len());
-    }
-    let mut ticket = rng.random::<f64>() * total;
-    for (i, &s) in scores.iter().enumerate() {
-        ticket -= s;
-        if ticket <= 0.0 {
-            return i;
+#[derive(Debug)]
+pub struct RouletteWheel<'a> {
+    scores: &'a [f64],
+    /// The scores summed in index order.
+    total: f64,
+}
+
+impl<'a> RouletteWheel<'a> {
+    /// The wheel over `scores`.
+    ///
+    /// # Panics
+    /// Panics on an empty slice or on negative/non-finite scores.
+    pub fn new(scores: &'a [f64]) -> Self {
+        assert!(!scores.is_empty(), "roulette over an empty slice");
+        let mut total = 0.0;
+        for &s in scores {
+            assert!(
+                s.is_finite() && s >= 0.0,
+                "roulette scores must be finite and non-negative"
+            );
+            total += s;
         }
+        Self { scores, total }
     }
-    scores.len() - 1 // numeric edge: the ticket fell off the wheel's end
+
+    /// One spin: the index of the selected entry. An all-zero wheel draws
+    /// an index uniformly; otherwise one `f64` ticket in `[0, total)` walks
+    /// the scores in index order.
+    pub fn spin<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        debug_assert_eq!(
+            self.total.to_bits(),
+            self.scores.iter().fold(0.0, |t, &s| t + s).to_bits(),
+            "the wheel's total is its scores summed in index order"
+        );
+        if self.total <= 0.0 {
+            return rng.random_range(0..self.scores.len());
+        }
+        let mut ticket = rng.random::<f64>() * self.total;
+        for (i, &s) in self.scores.iter().enumerate() {
+            ticket -= s;
+            if ticket <= 0.0 {
+                return i;
+            }
+        }
+        self.scores.len() - 1 // numeric edge: the ticket fell off the wheel's end
+    }
 }
 
 /// Elitist replacement shared by the engines: keeps the `capacity` entries
@@ -65,8 +89,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let scores = [1.0, 0.0, 9.0];
         let mut counts = [0usize; 3];
+        let wheel = RouletteWheel::new(&scores);
         for _ in 0..10_000 {
-            counts[roulette(&scores, &mut rng)] += 1;
+            counts[wheel.spin(&mut rng)] += 1;
         }
         assert_eq!(counts[1], 0, "zero-score entry must never win");
         let ratio = counts[2] as f64 / counts[0] as f64;
@@ -78,8 +103,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let scores = [0.0, 0.0, 0.0, 0.0];
         let mut counts = [0usize; 4];
+        let wheel = RouletteWheel::new(&scores);
         for _ in 0..8_000 {
-            counts[roulette(&scores, &mut rng)] += 1;
+            counts[wheel.spin(&mut rng)] += 1;
         }
         for c in counts {
             assert!(c > 1_600, "uniform fallback skewed: {counts:?}");
@@ -89,14 +115,19 @@ mod tests {
     #[test]
     fn roulette_single_entry() {
         let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(roulette(&[0.7], &mut rng), 0);
+        assert_eq!(RouletteWheel::new(&[0.7]).spin(&mut rng), 0);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn roulette_rejects_negative() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let _ = roulette(&[0.5, -0.1], &mut rng);
+        let _ = RouletteWheel::new(&[0.5, -0.1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn roulette_rejects_an_empty_wheel() {
+        let _ = RouletteWheel::new(&[]);
     }
 
     #[test]

@@ -3,17 +3,19 @@
 //! deterministic seed stream (the workspace builds without external
 //! dependencies, so the former proptest strategies are seeded loops).
 
-use evoalg::bestset::BestSet;
+use evoalg::bestset::{BestSet, ScoredGenome};
+use evoalg::ga::replace_by_score;
+use evoalg::individual::{Individual, Population};
 use evoalg::knn::{NoveltyEngine, PreparedIndex};
 use evoalg::novelty::{
     behaviour_distance, local_competition_score, novelty_score, novelty_score_external,
-    NoveltyArchive,
+    ArchiveEntry, NoveltyArchive,
 };
 use evoalg::operators;
-use evoalg::selection;
+use evoalg::selection::{self, RouletteWheel};
 use evoalg::BehaviourMatrix;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const CASES: u64 = 64;
 
@@ -37,7 +39,7 @@ fn roulette_valid_and_zero_excluded() {
                 }
             })
             .collect();
-        let i = selection::roulette(&scores, &mut rng);
+        let i = RouletteWheel::new(&scores).spin(&mut rng);
         assert!(i < scores.len());
         if scores.iter().any(|&s| s > 0.0) {
             assert!(
@@ -251,49 +253,6 @@ fn novelty_index_external_bit_identical() {
     }
 }
 
-/// The archive's incrementally maintained `BehaviourMatrix` always equals
-/// the matrix rebuilt from scratch out of the offered descriptors — i.e.
-/// the incremental bookkeeping (push on admit, overwrite on replace)
-/// never drifts from the nested-projection semantics it replaced.
-#[test]
-fn archive_matrix_tracks_offers_exactly() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA2C);
-        let capacity = rng.random_range(1..10usize);
-        let dims = rng.random_range(1..4usize);
-        let mut archive = NoveltyArchive::new(capacity);
-        // Shadow model: (behaviour, novelty) pairs maintained naively.
-        let mut shadow: Vec<Vec<f64>> = Vec::new();
-        for _ in 0..rng.random_range(1..60usize) {
-            let genes = genome(&mut rng, 3);
-            let behaviour = genome(&mut rng, dims);
-            let novelty = rng.random::<f64>() * 10.0;
-            let accepted = archive.offer(&genes, &behaviour, novelty, 0.5);
-            if accepted {
-                if shadow.len() < capacity {
-                    shadow.push(behaviour);
-                } else {
-                    // Novelty-only replacement of the (unique) minimum:
-                    // mirror via the archive's own entry novelties.
-                    let min_idx = (0..archive.len())
-                        .find(|&i| archive.entries()[i].novelty == novelty)
-                        .expect("accepted offer must be stored");
-                    shadow[min_idx] = behaviour;
-                }
-            }
-            assert_eq!(
-                archive.behaviour_matrix().to_rows(),
-                shadow,
-                "seed {seed}: archive matrix drifted"
-            );
-            for (i, entry) in archive.entries().iter().enumerate() {
-                assert_eq!(archive.behaviour_matrix().row(i).len(), dims);
-                assert!(entry.novelty >= 0.0);
-            }
-        }
-    }
-}
-
 /// The archive never exceeds capacity and its minimum novelty is
 /// monotonically non-decreasing once full (novelty-only replacement).
 #[test]
@@ -380,5 +339,315 @@ fn elitist_merge_valid() {
         sorted.dedup();
         assert_eq!(sorted.len(), kept.len(), "duplicate indices");
         assert!(kept.iter().all(|&i| i < a.len() + b.len()));
+    }
+}
+
+// ---------------------------------------------------------------------
+// The master's bookkeeping against copies of the code it replaced: each
+// reference below rescans, re-sums or clones on every call, as the
+// search master once did. Streams draw from small discrete sets, so ties
+// are the common case rather than the rare one.
+// ---------------------------------------------------------------------
+
+/// The archive before it cached its minimum: an offer to a full archive
+/// rescans every entry. `tied` counts replacements made while more than
+/// one entry held the minimum.
+struct RescanningArchive {
+    capacity: usize,
+    entries: Vec<ArchiveEntry>,
+    rows: Vec<Vec<f64>>,
+    tied: usize,
+}
+
+impl RescanningArchive {
+    fn offer(&mut self, genes: &[f64], behaviour: &[f64], novelty: f64, fitness: f64) -> bool {
+        let entry = ArchiveEntry {
+            genes: genes.to_vec(),
+            novelty,
+            fitness,
+        };
+        if self.entries.len() < self.capacity {
+            self.entries.push(entry);
+            self.rows.push(behaviour.to_vec());
+            return true;
+        }
+        let least = (self.entries.iter().enumerate())
+            .map(|(i, e)| (i, e.novelty))
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        let Some((min_idx, min_novelty)) = least else {
+            return false;
+        };
+        if novelty > min_novelty {
+            let holders = (self.entries.iter())
+                .filter(|e| e.novelty.total_cmp(&min_novelty).is_eq())
+                .count();
+            self.tied += usize::from(holders > 1);
+            self.entries[min_idx] = entry;
+            self.rows[min_idx] = behaviour.to_vec();
+            true
+        } else {
+            false
+        }
+    }
+}
+
+/// The archive's cached minimum evicts exactly the entry a rescan picks —
+/// the first minimum by `total_cmp`, `-0.0` below `0.0` — at every
+/// capacity from 1 to 10, through the offer that fills it and every
+/// replacement after, ties included; and its incrementally maintained
+/// `BehaviourMatrix` (push on admit, overwrite on replace) stays the
+/// reference's rows. Every fourth stream draws continuous novelty, where
+/// ties are rare.
+#[test]
+fn master_archive_matches_the_rescanning_archive_under_ties() {
+    const NOVELTY: [f64; 5] = [-0.0, 0.0, 0.25, 0.5, 0.75];
+    let (mut fills, mut tied) = (0, 0);
+    for seed in 0..4 * CASES {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7135);
+        let capacity = rng.random_range(1..11usize);
+        let dims = rng.random_range(1..4usize);
+        let levels = rng.random_range(1..NOVELTY.len() + 1);
+        let continuous = seed % 4 == 3;
+        let mut archive = NoveltyArchive::new(capacity);
+        let mut reference = RescanningArchive {
+            capacity,
+            entries: Vec::new(),
+            rows: Vec::new(),
+            tied: 0,
+        };
+        for offer in 0..rng.random_range(capacity..4 * capacity + 20) {
+            let genes = genome(&mut rng, 2);
+            let behaviour = genome(&mut rng, dims);
+            let novelty = if continuous {
+                rng.random::<f64>() * 10.0
+            } else {
+                NOVELTY[rng.random_range(0..levels)]
+            };
+            let fitness = f64::from(rng.random_range(0..3u32)) * 0.5;
+            let expected = reference.offer(&genes, &behaviour, novelty, fitness);
+            assert_eq!(
+                archive.offer(&genes, &behaviour, novelty, fitness),
+                expected,
+                "seed {seed} offer {offer}: verdicts differ"
+            );
+            assert_eq!(
+                archive.entries(),
+                &reference.entries[..],
+                "seed {seed} offer {offer}: entries differ"
+            );
+            assert_eq!(
+                archive.behaviour_matrix().to_rows(),
+                reference.rows,
+                "seed {seed} offer {offer}: matrix rows differ"
+            );
+            fills += usize::from(offer + 1 == capacity);
+        }
+        tied += reference.tied;
+    }
+    assert!(fills > 0, "no stream filled its archive");
+    assert!(tied > 0, "no replacement chose among tied minima");
+}
+
+/// `bestSet` before it tested the bound first: every offer scans for a
+/// duplicate, then a full set tests its bound.
+struct ScanFirstBestSet {
+    capacity: usize,
+    entries: Vec<ScoredGenome>,
+}
+
+impl ScanFirstBestSet {
+    fn offer(&mut self, genes: &[f64], fitness: f64) -> bool {
+        if self.entries.iter().any(|e| e.genes == genes) {
+            return false;
+        }
+        if self.entries.len() == self.capacity {
+            match self.entries.last().map(|e| e.fitness) {
+                Some(min) if fitness > min => {
+                    self.entries.pop();
+                }
+                _ => return false,
+            }
+        }
+        let pos = self.entries.partition_point(|e| e.fitness >= fitness);
+        self.entries.insert(
+            pos,
+            ScoredGenome {
+                genes: genes.to_vec(),
+                fitness,
+            },
+        );
+        true
+    }
+}
+
+/// Testing the full-set bound before the duplicate scan accepts, rejects
+/// and orders exactly as scanning first did: duplicates above and at or
+/// below the minimum, the same genes refit, ties on fitness.
+#[test]
+fn master_bestset_bound_first_matches_scan_first_under_ties() {
+    let (mut above, mut below, mut refit) = (0, 0, 0);
+    for seed in 0..4 * CASES {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBE57);
+        let capacity = rng.random_range(1..11usize);
+        // A small genome pool makes duplicates common, a small fitness
+        // set makes ties common, and drawing them apart refits genomes.
+        let pool: Vec<Vec<f64>> = (0..rng.random_range(1..3 * capacity + 2))
+            .map(|_| {
+                vec![
+                    f64::from(rng.random_range(0..4u32)),
+                    f64::from(rng.random_range(0..4u32)),
+                ]
+            })
+            .collect();
+        let mut bs = BestSet::new(capacity);
+        let mut reference = ScanFirstBestSet {
+            capacity,
+            entries: Vec::new(),
+        };
+        for offer in 0..rng.random_range(1..8 * capacity + 8) {
+            let genes = &pool[rng.random_range(0..pool.len())];
+            let fitness = f64::from(rng.random_range(0..5u32)) * 0.25;
+            if let Some(dup) = reference.entries.iter().find(|e| &e.genes == genes) {
+                refit += usize::from(dup.fitness != fitness);
+                if reference.entries.len() == capacity {
+                    match reference.entries.last() {
+                        Some(min) if fitness > min.fitness => above += 1,
+                        _ => below += 1,
+                    }
+                }
+            }
+            let expected = reference.offer(genes, fitness);
+            assert_eq!(
+                bs.offer(genes, fitness),
+                expected,
+                "seed {seed} offer {offer}: verdicts differ"
+            );
+            assert_eq!(
+                bs.entries(),
+                &reference.entries[..],
+                "seed {seed} offer {offer}: entries differ"
+            );
+        }
+    }
+    assert!(above > 0, "no duplicate above a full set's minimum");
+    assert!(below > 0, "no duplicate at or below a full set's minimum");
+    assert!(refit > 0, "no genome offered again at another fitness");
+}
+
+/// Roulette before the wheel: validate and sum every score on every spin.
+/// `fell_off` counts spins whose ticket outlived the whole walk.
+fn roulette_per_spin<R: Rng + ?Sized>(scores: &[f64], rng: &mut R, fell_off: &mut usize) -> usize {
+    assert!(!scores.is_empty(), "roulette over an empty slice");
+    let mut total = 0.0;
+    for &s in scores {
+        assert!(s.is_finite() && s >= 0.0);
+        total += s;
+    }
+    if total <= 0.0 {
+        return rng.random_range(0..scores.len());
+    }
+    let mut ticket = rng.random::<f64>() * total;
+    for (i, &s) in scores.iter().enumerate() {
+        ticket -= s;
+        if ticket <= 0.0 {
+            return i;
+        }
+    }
+    *fell_off += 1;
+    scores.len() - 1
+}
+
+/// A seeded stream that often yields the extreme draws: `0` (a ticket of
+/// exactly zero) and `u64::MAX` (the largest ticket below the total, the
+/// one that falls off a wheel with trailing zeros).
+#[derive(Debug, Clone, PartialEq)]
+struct EdgeRng(StdRng);
+
+impl RngCore for EdgeRng {
+    fn next_u64(&mut self) -> u64 {
+        match self.0.next_u64() % 4 {
+            0 => 0,
+            1 => u64::MAX,
+            _ => self.0.next_u64(),
+        }
+    }
+}
+
+/// The wheel built once per generation spins the index the per-spin
+/// roulette did and leaves the generator in the same state, on all-zero
+/// wheels, single entries and trailing zeros where the ticket falls off
+/// the end.
+#[test]
+fn master_wheel_matches_the_per_spin_roulette() {
+    const SCORES: [f64; 8] = [0.0, 0.05, 0.1, 0.2, 0.3, 0.7, 1.1, 3.3];
+    let mut fell_off = 0;
+    for seed in 0..16 * CASES {
+        let mut rng = EdgeRng(StdRng::seed_from_u64(seed ^ 0x3EE1));
+        let n = rng.0.random_range(1..8usize);
+        let draw = |rng: &mut EdgeRng| SCORES[rng.0.random_range(0..SCORES.len())];
+        let scores: Vec<f64> = match seed % 4 {
+            0 => vec![0.0; n],
+            1 => vec![draw(&mut rng)],
+            2 => {
+                let mut s: Vec<f64> = (0..n).map(|_| draw(&mut rng)).collect();
+                s.extend(std::iter::repeat_n(0.0, 1 + n % 3));
+                s
+            }
+            _ => (0..n).map(|_| draw(&mut rng)).collect(),
+        };
+        let wheel = RouletteWheel::new(&scores);
+        let mut old = rng.clone();
+        for spin in 0..32 {
+            let expected = roulette_per_spin(&scores, &mut old, &mut fell_off);
+            assert_eq!(
+                wheel.spin(&mut rng),
+                expected,
+                "seed {seed} spin {spin}: index differs on {scores:?}"
+            );
+            assert_eq!(rng, old, "seed {seed} spin {spin}: generator state differs");
+        }
+    }
+    assert!(fell_off > 0, "no ticket fell off a wheel");
+}
+
+/// Replacement by value keeps the members, in the order, that replacement
+/// by clone did, tied scores included.
+#[test]
+fn master_replacement_by_move_matches_replacement_by_clone() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let population = |rng: &mut StdRng, sizes: std::ops::Range<usize>| {
+            let n = rng.random_range(sizes);
+            let members: Vec<Individual> =
+                (0..n).map(|_| Individual::new(genome(rng, 2))).collect();
+            let mut p = Population::from_members(members);
+            let f: Vec<f64> = (0..n)
+                .map(|_| f64::from(rng.random_range(0..3u32)))
+                .collect();
+            p.assign_fitness(&f);
+            p
+        };
+        let parents = population(&mut rng, 0..12);
+        let offspring = population(&mut rng, 1..12);
+        let n = rng.random_range(1..20usize);
+        let scores =
+            |p: &Population| -> Vec<f64> { p.members().iter().map(|m| m.fitness).collect() };
+        let all: Vec<&Individual> = parents
+            .members()
+            .iter()
+            .chain(offspring.members())
+            .collect();
+        let expected: Vec<(Vec<f64>, f64)> =
+            selection::elitist_merge_indices(&scores(&parents), &scores(&offspring), n)
+                .into_iter()
+                .map(|i| (all[i].genes.clone(), all[i].fitness))
+                .collect();
+        let got: Vec<(Vec<f64>, f64)> =
+            replace_by_score(parents.clone(), offspring.clone(), |m| m.fitness, n)
+                .into_members()
+                .into_iter()
+                .map(|m| (m.genes, m.fitness))
+                .collect();
+        assert_eq!(got, expected, "seed {seed}: survivors differ");
     }
 }
