@@ -2,7 +2,7 @@
 // Lines are pinned by tests/fixtures.rs — edit with care.
 
 fn stale_allow() -> u32 {
-    // lint: allow(no-alloc) — nothing on the next line allocates
+    // lint: allow(panic) — nothing on the next line panics
     1 + 1
 }
 
@@ -10,14 +10,21 @@ fn unknown_rule() {
     // lint: allow(alloc-free) — the rule name is misspelled
     let _ = 2;
 }
-// lint: no_alloc
+
 fn missing_reason() {
-    // lint: allow(no-alloc)
-    let _: Vec<u8> = Vec::new();
+    // lint: allow(panic)
+    let _ = None::<u8>.unwrap();
 }
 
 fn lookalike_prose() {
-    // Mentioning lint rules in prose, like no-alloc or allow lists,
+    // Mentioning lint rules in prose, like panic or allow lists,
     // is not a directive; only `lint:`-prefixed comments are parsed.
     let _ = 3;
+}
+
+pub struct Scheduler;
+impl Scheduler {
+    pub fn round(&mut self) {
+        missing_reason();
+    }
 }

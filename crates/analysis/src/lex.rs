@@ -1,15 +1,15 @@
 //! A minimal Rust token scanner — just enough lexing for the static
 //! analysis pipeline.
 //!
-//! The rules match on *token sequences* (`Vec :: new` inside a fenced
-//! function, `Instant :: now` as a taint source, …), so a character-level
+//! The rules match on *token sequences* (`Instant :: now` as a taint
+//! source, `. unwrap (` as a panic site, …), so a character-level
 //! grep would false-positive inside strings, comments and doc text. This lexer
 //! classifies the source into identifiers, punctuation, literals and
 //! comments with line numbers, handling the Rust constructs that trip
 //! naive scanners: nested block comments, raw strings with arbitrary `#`
 //! fences, byte/char literals vs lifetimes, and numeric literals with
 //! embedded underscores and exponents. It deliberately does **not** parse:
-//! the `no-alloc` rule and the item parser work on the flat token stream plus
+//! the item parser works on the flat token stream plus
 //! the brace matching and `#[cfg(test)]` masking at the bottom of this
 //! file.
 

@@ -3,9 +3,8 @@
 //!
 //! [`lint`] is a hand-rolled, offline, dependency-free source pass. One
 //! workspace walk; each file is read and lexed once ([`lex`]) into a
-//! per-file record that feeds both the `no-alloc` rule (no allocation
-//! inside `// lint: no_alloc` fenced hot paths) and the item parser
-//! ([`parse`]); the [`callgraph`] resolver then carries the three graph
+//! per-file record that feeds the item parser ([`parse`]) and the allow
+//! ledger; the [`callgraph`] resolver then carries the three graph
 //! rules — the [`panics`] panic-path prover walks from declared
 //! panic-free roots and demands a justification for every reachable panic
 //! site, the [`taint`] pass proves nondeterminism sources (clocks, seeded

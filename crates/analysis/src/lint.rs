@@ -1,16 +1,14 @@
 //! The static-analysis pipeline behind `harness lint`: one workspace
-//! walk, each file read and lexed once, six rules over one namespace,
+//! walk, each file read and lexed once, five rules over one namespace,
 //! one allow ledger, one report (`reports/ANALYSIS.json`).
 //!
 //! These are not style lints — each rule guards a property the system's
-//! reproducibility contract depends on. One matches tokens in one file
-//! (this module); three walk the workspace call graph ([`crate::panics`],
-//! [`crate::taint`], [`crate::unreached`]); two keep the escape hatch
-//! honest:
+//! reproducibility contract depends on. Three walk the workspace call
+//! graph ([`crate::panics`], [`crate::taint`], [`crate::unreached`]); two
+//! keep the escape hatch honest:
 //!
 //! | rule | guards |
 //! |---|---|
-//! | `no-alloc` | functions fenced with `// lint: no_alloc` are steady-state hot paths; allocation there breaks the arena contract |
 //! | `panic` | the declared panic-free roots must not reach a panic site |
 //! | `taint` | no clock, seeded hash or thread identity is reachable from a deterministic crate |
 //! | `unreached` | every non-test function is reachable from some `fn main`; what only tests run is an oracle that says so, or goes |
@@ -21,7 +19,10 @@
 //! are clippy's `disallowed-methods` / `disallowed-types`, configured per
 //! crate in `clippy.toml`, and excused with `#[expect]`. The layer map
 //! is held where it is declared, in each crate's `Cargo.toml`, by
-//! `tests/clippy_bans.rs`; the pass reads no manifest.
+//! `tests/clippy_bans.rs`; the pass reads no manifest. That a warm
+//! evaluation allocates nothing is counted, not scanned for: the root
+//! package's `tests/allocations.rs` runs the hot paths under a counting
+//! allocator.
 //!
 //! Escape hatch, one grammar for every rule:
 //! `// lint: allow(<rule>) — <reason>`. It covers findings of `<rule>` on
@@ -35,7 +36,7 @@
 
 use crate::callgraph;
 use crate::layering;
-use crate::lex::{ident, lex, match_delim, punct, test_region_mask, Tok, Token};
+use crate::lex::{lex, test_region_mask, Tok, Token};
 use crate::panics::{self, RootSpec, RootStat};
 use crate::parse::parse_items;
 use crate::taint;
@@ -46,8 +47,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Deny allocation inside `// lint: no_alloc`-fenced functions.
-pub const NO_ALLOC: &str = "no-alloc";
 /// The panic-path prover ([`crate::panics`]).
 pub const PANIC: &str = "panic";
 /// The determinism-taint pass ([`crate::taint`]).
@@ -62,10 +61,6 @@ pub const UNUSED_ALLOW: &str = "unused-allow";
 /// `(name, what it guards)` for every rule — the one namespace an allow
 /// may name.
 pub const RULES: &[(&str, &str)] = &[
-    (
-        NO_ALLOC,
-        "fenced hot paths must not allocate (the simulate_arena steady-state contract)",
-    ),
     (
         PANIC,
         "the declared panic-free roots must not reach a panic site",
@@ -220,8 +215,6 @@ pub enum Directive {
         /// Mandatory justification.
         reason: String,
     },
-    /// `// lint: no_alloc` — fences the next function.
-    NoAlloc,
     /// A directive-shaped comment that does not parse; the message says
     /// why.
     Invalid(String),
@@ -236,9 +229,6 @@ pub fn parse_directive(comment: &str) -> Option<Directive> {
     }
     let text = text.trim_start_matches(['/', '!', '*']).trim();
     let rest = text.strip_prefix("lint:")?.trim();
-    if rest == "no_alloc" || rest.starts_with("no_alloc ") {
-        return Some(Directive::NoAlloc);
-    }
     let Some(inner) = rest.strip_prefix("allow(") else {
         return Some(Directive::Invalid(format!(
             "unrecognized lint directive `{rest}`"
@@ -267,8 +257,8 @@ pub fn parse_directive(comment: &str) -> Option<Directive> {
     })
 }
 
-/// One source file, read and lexed once: what the `no-alloc` fences, the
-/// item parser and the ledger all consume.
+/// One source file, read and lexed once: what the item parser and the
+/// ledger both consume.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path.
@@ -355,7 +345,6 @@ impl Ledger {
                     message.clone(),
                     None,
                 )),
-                Directive::NoAlloc => {}
             }
         }
         self.by_file.insert(file.path.clone(), slots);
@@ -405,74 +394,12 @@ impl Ledger {
     }
 }
 
-/// The `no-alloc` rule: every `// lint: no_alloc` fence denies allocation
-/// in the body of the function below it.
-fn no_alloc(file: &SourceFile, ledger: &mut Ledger, out: &mut Vec<Finding>) {
-    let sig = file.sig.as_slice();
-    let mut hit = |line: usize, message: String| {
-        let reason = ledger.check(&file.path, NO_ALLOC, line, None);
-        out.push(Finding::new(NO_ALLOC, &file.path, line, message, reason));
-    };
-    for (fence_line, _) in file
-        .directives
-        .iter()
-        .filter(|(_, d)| *d == Directive::NoAlloc)
-    {
-        let Some(fn_idx) =
-            (0..sig.len()).find(|&i| sig[i].line >= *fence_line && ident(sig, i) == Some("fn"))
-        else {
-            hit(
-                *fence_line,
-                "no_alloc fence is not followed by a function".to_string(),
-            );
-            continue;
-        };
-        let fn_name = ident(sig, fn_idx + 1).unwrap_or("?");
-        let Some(open) = (fn_idx..sig.len()).find(|&i| matches!(punct(sig, i), Some('{' | ';')))
-        else {
-            continue;
-        };
-        if punct(sig, open) == Some(';') {
-            continue; // a bodiless declaration — nothing to check
-        }
-        let close = match_delim(sig, open, '{', '}').unwrap_or(sig.len() - 1);
-        for i in open + 1..close {
-            let what: Option<String> = match ident(sig, i) {
-                Some(root @ ("Vec" | "Box" | "String"))
-                    if punct(sig, i + 1) == Some(':') && punct(sig, i + 2) == Some(':') =>
-                {
-                    match (root, ident(sig, i + 3)) {
-                        ("Vec", Some(m @ ("new" | "with_capacity")))
-                        | ("Box", Some(m @ "new"))
-                        | ("String", Some(m @ ("new" | "with_capacity" | "from"))) => {
-                            Some(format!("{root}::{m}"))
-                        }
-                        _ => None,
-                    }
-                }
-                Some("vec") if punct(sig, i + 1) == Some('!') => Some("vec!".to_string()),
-                Some(m @ ("collect" | "to_vec")) if punct(sig, i - 1) == Some('.') => {
-                    Some(format!(".{m}()"))
-                }
-                _ => None,
-            };
-            if let Some(what) = what {
-                hit(
-                    sig[i].line,
-                    format!("allocation `{what}` inside no_alloc-fenced fn `{fn_name}`"),
-                );
-            }
-        }
-    }
-}
-
 /// Runs the whole pipeline over an explicit file set — the testable
 /// core. `sources` are (workspace-relative path, contents) pairs;
 /// `roots` the panic-free roots to prove. Files of a crate in
 /// [`layering::CRATES`] join the call graph the three graph passes walk.
 /// Every file but an application's ([`layering::Scope::app`], parsed for
-/// call edges only) has its directives read and its `no-alloc` fences
-/// checked.
+/// call edges only) has its directives read.
 pub fn analyze_files(sources: &[(String, String)], roots: &[RootSpec]) -> Report {
     let mut ledger = Ledger::default();
     let mut findings = Vec::new();
@@ -482,7 +409,6 @@ pub fn analyze_files(sources: &[(String, String)], roots: &[RootSpec]) -> Report
         let krate = layering::crate_of_path(&file.path);
         if !krate.is_some_and(|c| c.scope.app) {
             ledger.add(&file, &mut findings);
-            no_alloc(&file, &mut ledger, &mut findings);
         }
         if let Some(krate) = krate {
             parsed.push(parse_items(&file, krate.lib));
@@ -576,41 +502,29 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    /// Unallowed rules for one snippet at a path outside the crate table:
-    /// the ledger and the `no-alloc` fences armed, no graph.
-    fn rules_of(src: &str) -> Vec<&'static str> {
-        analyze_files(&[("scripts/x.rs".to_string(), src.to_string())], &[])
-            .unallowed()
-            .iter()
-            .map(|f| f.rule)
-            .collect()
-    }
-
     #[test]
     fn allow_with_reason_suppresses_and_is_not_stale() {
-        let src = "// lint: no_alloc\nfn hot() {\n    // lint: allow(no-alloc) — cold path, once per arena\n    let v: Vec<u8> = Vec::new();\n}";
-        let report = analyze_files(&[("scripts/x.rs".to_string(), src.to_string())], &[]);
+        let src = "fn hot() {\n    // lint: allow(panic) — the literal is always set\n    let _ = Some(1).unwrap();\n}";
+        let root = RootSpec {
+            krate: "ess_service",
+            owner: None,
+            name: "hot",
+        };
+        let report = analyze_files(
+            &[("crates/service/src/x.rs".to_string(), src.to_string())],
+            &[root],
+        );
         assert_eq!(report.findings.len(), 1);
         assert!(report.findings[0].allowed);
         assert_eq!(
             report.findings[0].reason.as_deref(),
-            Some("cold path, once per arena")
+            Some("the literal is always set")
         );
-    }
-
-    #[test]
-    fn no_alloc_fence_catches_the_deny_list() {
-        let src = "// lint: no_alloc\nfn hot(xs: &mut Vec<u32>) {\n    let v = Vec::new();\n    let b = Box::new(1);\n    let c: Vec<_> = xs.iter().collect();\n    let d = vec![0; 4];\n}\nfn cold() { let v: Vec<u32> = Vec::new(); }";
-        assert_eq!(rules_of(src), vec![NO_ALLOC; 4]);
     }
 
     #[test]
     fn directive_grammar() {
         assert_eq!(parse_directive("// just a comment"), None);
-        assert_eq!(
-            parse_directive("// lint: no_alloc"),
-            Some(Directive::NoAlloc)
-        );
         assert!(matches!(
             parse_directive("/* lint: allow(panic) — bounded by construction */"),
             Some(Directive::Allow { rule: PANIC, reason }) if reason == "bounded by construction"
@@ -621,9 +535,12 @@ mod tests {
             "// lint: allow(panic — x",
             "// lint: deny(panic)",
             // Retired rules (clippy's now; rustc's and the manifest
-            // test's): a leftover allow fails loudly.
+            // test's; the allocation count's): a leftover allow or fence
+            // fails loudly.
             "// lint: allow(wall-clock) — x",
             "// lint: allow(layer) — x",
+            "// lint: allow(no-alloc) — x",
+            "// lint: no_alloc",
         ] {
             assert!(
                 matches!(parse_directive(malformed), Some(Directive::Invalid(_))),

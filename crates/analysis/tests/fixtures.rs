@@ -3,16 +3,16 @@
 //! be flagged — all driven through the one entry point,
 //! [`lint::analyze_files`], with workspace-style paths so the real scopes
 //! (crate-table flags, layer ranks, seed enforcement) apply. The
-//! `no-alloc` and allow-grammar fixtures live under `fixtures/` (excluded
+//! allow-grammar and `unreached` fixtures live under `fixtures/` (excluded
 //! from the workspace walk) and their line numbers are pinned here; the
-//! graph rules' fixtures are inline. Any drift — a matcher that stops firing, fires on
+//! other graph rules' fixtures are inline. Any drift — a matcher that stops firing, fires on
 //! the lookalike, or stops honouring its escape hatch; a call-graph or
 //! ledger change — fails this suite with the exact finding that moved. A
 //! final pin runs the real workspace twice and requires a green,
 //! byte-identical report.
 
 use ess_analysis::lint::{
-    self, Report, SourceFile, INVALID_ALLOW, NO_ALLOC, PANIC, TAINT, UNREACHED, UNUSED_ALLOW,
+    self, Report, SourceFile, INVALID_ALLOW, PANIC, TAINT, UNREACHED, UNUSED_ALLOW,
 };
 use ess_analysis::panics::{RootSpec, ROOTS};
 use ess_analysis::{callgraph, layering, parse};
@@ -47,35 +47,21 @@ fn shape_at(path: &str, src: &str) -> Vec<(&'static str, usize, bool)> {
     shape(&analyze(&[(path, src)], &[]))
 }
 
-/// A path outside the crate table: the ledger and the `no-alloc` fences
-/// read, no graph rule judging it.
-const STRICT: &str = "scripts/fixture.rs";
+// ---------------------------------------------------------------- allow
 
-// ------------------------------------------------------------- no-alloc
-
-#[test]
-fn no_alloc_fixture() {
-    let src = include_str!("../fixtures/no_alloc.rs");
-    assert_eq!(
-        shape_at(STRICT, src),
-        vec![
-            (NO_ALLOC, 6, false),
-            (NO_ALLOC, 7, false),
-            (NO_ALLOC, 24, true),
-        ]
-    );
-}
-
+/// A stale allow, an allow naming no rule and an allow without a reason
+/// are findings; the reasonless one also suppresses nothing, so the panic
+/// below it stands.
 #[test]
 fn allow_misuse_fixture() {
     let src = include_str!("../fixtures/allow_misuse.rs");
     assert_eq!(
-        shape_at(STRICT, src),
+        shape(&analyze(&[("crates/service/src/fx.rs", src)], ROOT)),
         vec![
             (UNUSED_ALLOW, 5, false),
             (INVALID_ALLOW, 10, false),
             (INVALID_ALLOW, 15, false),
-            (NO_ALLOC, 16, false),
+            (PANIC, 16, false),
         ]
     );
 }
@@ -298,15 +284,26 @@ fn taint_without_deterministic_sink_is_clean() {
 #[test]
 fn stacked_allows_resolve_in_either_order() {
     let taint = "// lint: allow(taint) — fixture: telemetry reading, never fed back";
-    let alloc = "// lint: allow(no-alloc) — fixture: one buffer per probe";
-    for (upper, lower) in [(taint, alloc), (alloc, taint)] {
+    let panic = "// lint: allow(panic) — fixture: the probe is always set";
+    let root = RootSpec {
+        krate: "parworker",
+        owner: None,
+        name: "clock_probe",
+    };
+    for (upper, lower) in [(taint, panic), (panic, taint)] {
         let source = format!(
-            "// lint: no_alloc\npub fn clock_probe() -> u64 {{\n    {upper}\n    {lower}\n    \
-             let (t, v): (_, Vec<u8>) = (Instant::now(), Vec::new());\n    \
-             t.elapsed().as_millis() as u64 + v.len() as u64\n}}\n"
+            "\npub fn clock_probe() -> u64 {{\n    {upper}\n    {lower}\n    \
+             let (t, v) = (Instant::now(), Some(1u64).unwrap());\n    \
+             t.elapsed().as_millis() as u64 + v\n}}\n"
         );
-        let r = tainted(&source);
-        assert_eq!(shape(&r), vec![(NO_ALLOC, 5, true), (TAINT, 5, true)]);
+        let r = analyze(
+            &[
+                ("crates/parworker/src/fx.rs", &source),
+                ("crates/evoalg/src/fx.rs", TAINT_SINK),
+            ],
+            &[root],
+        );
+        assert_eq!(shape(&r), vec![(PANIC, 5, true), (TAINT, 5, true)]);
         assert!(r.unallowed().is_empty());
     }
 }

@@ -130,7 +130,7 @@ const TOOLS: &[(&str, &str, Tool)] = &[
     ),
     (
         "lint",
-        "static analysis: no-alloc fences, panic prover, determinism taint, reachability (+ ANALYSIS.json)",
+        "static analysis: panic prover, determinism taint, reachability (+ ANALYSIS.json)",
         lint_main,
     ),
 ];
@@ -300,12 +300,13 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `harness lint`: the static-analysis pipeline — the `no-alloc` fences
-/// plus the panic-path prover, the determinism-taint pass and the
-/// reachability rule over the workspace call graph. (The single-token
-/// bans — clocks, threads, `partial_cmp`, hash containers — are clippy's,
-/// in `clippy.toml`; the layer map is each `Cargo.toml`'s, checked by
-/// `cargo test -p ess-analysis --test clippy_bans`.) Prints every
+/// `harness lint`: the static-analysis pipeline — the panic-path prover,
+/// the determinism-taint pass and the reachability rule over the
+/// workspace call graph. (The single-token bans — clocks, threads,
+/// `partial_cmp`, hash containers — are clippy's, in `clippy.toml`; the
+/// layer map is each `Cargo.toml`'s, checked by `cargo test -p
+/// ess-analysis --test clippy_bans`; that a warm evaluation allocates
+/// nothing is counted by the root package's `tests/allocations.rs`.) Prints every
 /// finding (allowed ones as the audit trail, unallowed ones as errors)
 /// and the per-root proof stats, writes `reports/ANALYSIS.json`, and
 /// fails the process when any finding lacks a justified

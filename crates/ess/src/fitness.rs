@@ -106,7 +106,7 @@ impl StepContext {
     /// Same context, evaluating through `kernel` instead of the default
     /// [`Kernel::Bucket`]. Kernels are bit-identical, so swapping one in
     /// changes wall-clock only, never a fitness value.
-    // lint: allow(unreached) — the kernel axis of crates/ess/tests/span_fitness.rs, crates/ess/tests/stage_tail.rs and the unit tests of crates/ess/src/fitness.rs
+    // lint: allow(unreached) — the kernel axis of crates/ess/tests/span_fitness.rs, crates/ess/tests/stage_tail.rs, tests/allocations.rs and the unit tests of crates/ess/src/fitness.rs
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self
@@ -164,8 +164,7 @@ impl StepContext {
     /// simulation of the Optimization or the Statistical Stage starts. The
     /// run is seeded from the interval's resolved seeds, so it costs what
     /// the fire costs — not what the raster does, nor a search for the
-    /// front — and a reused arena makes it allocation-free in steady state.
-    // lint: no_alloc
+    /// front — and on a reused arena a repeated scenario allocates nothing.
     pub fn simulate_into<'a>(
         &self,
         scenario: &Scenario,
@@ -191,7 +190,6 @@ impl StepContext {
     /// outside them taken from the interval's `target ∧ ¬from` count.
     /// Bit-identical to `jaccard_at_time(target, map, t1, Some(from))` on
     /// the same map.
-    // lint: no_alloc
     pub fn fitness_with(&self, scenario: &Scenario, arena: &mut SimArena) -> f64 {
         self.simulate_into(scenario, arena);
         let target_new = self.lines.interval(self.interval).target_new;

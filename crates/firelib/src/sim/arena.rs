@@ -21,7 +21,6 @@ pub(super) enum Dirty {
 /// what the previous run wrote: nothing for a fresh raster, the recorded
 /// per-row spans (plus strays) after a span-tracked run, or a full clear
 /// after a reference-kernel run.
-// lint: no_alloc
 #[inline]
 pub(super) fn reset_raster(
     dirty: &mut Dirty,
@@ -54,7 +53,6 @@ pub(super) fn reset_raster(
 /// Leaves each out-of-window cell of a finished run listed once (a cell
 /// relaxed twice was pushed twice), so the stray list is a set of disjoint
 /// single-cell ranges for [`SimArena::written_ranges`].
-// lint: no_alloc
 pub(super) fn dedup_strays(stray: &mut Vec<u32>) {
     stray.sort_unstable();
     stray.dedup();
@@ -70,11 +68,11 @@ pub(super) fn dedup_strays(stray: &mut Vec<u32>) {
 /// per-fuel ones and their traversal times: a per-cell table or ellipse
 /// lives for the one pop that reads it.
 /// Construction is O(1): nothing is allocated until the first run, and
-/// from then on every buffer is retained at its high-water mark, so once
-/// capacities have grown to cover the scenarios a worker evaluates,
-/// [`FireSim::simulate_arena`](super::FireSim::simulate_arena) performs
-/// **zero further allocations** — construct one arena per worker (see
-/// `FireSim::arena`) and reuse it for every scenario. On the default
+/// from then on every buffer is retained at its high-water mark, so a
+/// repeated scenario allocates nothing on
+/// [`FireSim::simulate_arena`](super::FireSim::simulate_arena) — construct
+/// one arena per worker (see `FireSim::arena`) and reuse it for every
+/// scenario. On the default
 /// bucket kernel the high-water mark tracks the *fire*: a short burn on a
 /// 1000×1000 map holds the frontier it queued and eight bytes per window
 /// row of spans, plus the (mandatory) full arrival raster.
@@ -165,7 +163,6 @@ impl SimArena {
     /// about ignited cells (Eq. (3) scoring) pays for the fire, not the
     /// raster; after a reference-kernel run, which tracks nothing, the one
     /// range is the whole raster.
-    // lint: no_alloc
     pub fn written_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         let cols = self.cols;
         let (whole, r0, span_rows, strays) = match self.dirty {

@@ -60,8 +60,9 @@ impl BucketQueue {
     }
 
     /// Prepares the queue for one run over `[t0, t0 + duration]`. Bucket
-    /// `Vec`s keep their capacity across runs (the allocation-free
-    /// steady-state property). A run that returned drained the queue, so
+    /// `Vec`s keep their capacity across runs, so a repeated run allocates
+    /// nothing; a fresh one allocates whenever it fills a bucket past that
+    /// bucket's own high-water mark. A run that returned drained the queue, so
     /// there is nothing to clear — 2048 stores that were a third of a
     /// `meadow_small` evaluation; only a run abandoned by a panic leaves
     /// entries (and their bits) behind.
@@ -90,7 +91,6 @@ impl BucketQueue {
         (((t - self.base) * self.inv_delta) as usize).min(BUCKETS - 1)
     }
 
-    // lint: no_alloc
     #[inline]
     pub(super) fn push(&mut self, t: f64, idx: u32) {
         self.len += 1;
@@ -137,7 +137,6 @@ impl BucketQueue {
         }
     }
 
-    // lint: no_alloc
     #[inline]
     pub(super) fn pop(&mut self) -> Option<(f64, u32)> {
         if self.len == 0 {
@@ -158,8 +157,8 @@ impl BucketQueue {
             self.cursor = w * 64 + bit;
             // Move elements out rather than swap the `Vec`s so every
             // bucket keeps its own high-water capacity (swapping shuffles
-            // capacities between slots and defeats the steady-state
-            // allocation-free property).
+            // capacities between slots, so even a repeated run would
+            // allocate).
             self.cur.append(&mut self.buckets[self.cursor]);
             for i in (0..self.cur.len() / 2).rev() {
                 self.sift_down(i);
@@ -189,7 +188,6 @@ impl Sweep<'_> {
     /// The bucket kernel: the frontier lives in a monotone
     /// [`BucketQueue`], every pop goes through [`Sweep::relax`], and every
     /// surviving arrival is written and pushed at once.
-    // lint: no_alloc
     #[inline]
     pub(super) fn run_bucket(&self, seeds: &[u32], queue: &mut BucketQueue, trail: &mut Trail<'_>) {
         queue.reset(self.t0, self.duration);

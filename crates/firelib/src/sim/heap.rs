@@ -30,7 +30,6 @@ impl Sweep<'_> {
     /// their prelude but deliberately keeps its own pop-and-relax loop
     /// instead of calling [`Sweep::relax`] — a reference that shared the
     /// step it checks would check nothing.
-    // lint: no_alloc
     #[inline]
     pub(super) fn run_dijkstra(
         &self,

@@ -132,6 +132,9 @@ pub enum Kernel {
     /// the default hot path; bit-identical to [`Kernel::Heap`].
     Bucket,
     /// Multi-core tiled wavefront (`sim/tiled.rs`); bit-identical to the heap.
+    /// An epoch of at least `TILE_INLINE` entries forks its drain through
+    /// parworker's scoped fork/join, which allocates (the chunk bag, the
+    /// threads); a smaller epoch drains inline.
     Tiled {
         /// Spatial tile edge in cells; must be non-zero.
         tile: usize,
@@ -171,7 +174,7 @@ impl std::fmt::Display for Kernel {
 /// A `FireSim` is *immutable shared state*: the terrain and the precomputed
 /// NFFL fuel beds both live behind `Arc`s, so cloning is two reference
 /// bumps and workers never copy a raster. All mutable evaluation state
-/// lives in a worker-owned [`SimArena`]; the allocation-free hot path is
+/// lives in a worker-owned [`SimArena`]; the hot path is
 /// [`FireSim::simulate_arena`].
 #[derive(Debug, Clone)]
 pub struct FireSim {
@@ -268,7 +271,6 @@ impl FireSim {
     }
 
     /// [`FireSim::spread_rate_bound`] from the run's hoisted `base`.
-    // lint: no_alloc
     fn rate_bound(&self, scenario: &Scenario, base: &[(f64, f64); 14]) -> f64 {
         let wind_fpm = self.terrain.max_wind_speed(scenario.wind_speed_mph) * crate::MPH_TO_FPM;
         let steep = self
@@ -294,7 +296,6 @@ impl FireSim {
     /// [`wind_slope_max`] is exactly `no_wind_no_slope` composed with
     /// [`wind_slope_from_ros0`], so this is bit-identical to
     /// [`FireSim::cell_spread`] for a cell with that model and those inputs.
-    // lint: no_alloc
     #[inline]
     fn code_table(&self, code: usize, base: &[(f64, f64); 14], inputs: &SpreadInputs) -> [f64; 8] {
         let (ros0, rx_int) = base[code];
@@ -313,7 +314,6 @@ impl FireSim {
     /// the [`Terrain`] accessors use — bit-identical to
     /// [`FireSim::cell_spread`], pinned by the
     /// `cell_table_matches_the_terrain_accessor_path` test.
-    // lint: no_alloc
     #[inline]
     fn cell_table_at(
         &self,
@@ -348,7 +348,6 @@ impl FireSim {
     /// every model that spreads at the scenario's wind and slope, for the
     /// layers the terrain lacks, and the scenario's upslope — each by the
     /// call [`wind_slope_from_ros0`] makes for them.
-    // lint: no_alloc
     fn cell_factors(&self, scenario: &Scenario, base: [(f64, f64); 14]) -> CellFactors {
         let t = &*self.terrain;
         let globals = scenario.spread_inputs();
@@ -379,7 +378,6 @@ impl FireSim {
     /// `ros_at_azimuth(45·dir)` is [`FireSim::cell_table_at`]'s entry
     /// `dir`, bit for bit (the `cell_table_matches_the_terrain_accessor_path`
     /// test).
-    // lint: no_alloc
     #[inline]
     fn cell_ellipse_at(
         &self,
@@ -463,12 +461,15 @@ impl FireSim {
         }
     }
 
-    /// The allocation-free hot path: simulates into the arena's buffers and
-    /// returns the arrival map. Runs the bucket kernel ([`Kernel::Bucket`],
+    /// The hot path: simulates into the arena's buffers and returns the
+    /// arrival map. Runs the bucket kernel ([`Kernel::Bucket`],
     /// bit-identical to the reference) — the arena's buffers persist at
-    /// their high-water mark, so repeated calls stop allocating once that
-    /// mark covers the scenarios being evaluated (the property the
-    /// `arena_is_allocation_free_in_steady_state` test pins).
+    /// their high-water mark, so a repeated stream of runs allocates
+    /// nothing (counted by the root package's `tests/allocations.rs`). A
+    /// fresh stream still allocates: each of the queue's 2 048 buckets
+    /// grows to its own high-water mark, so on `meadow_small` step 1 about
+    /// one fresh evaluation in six allocates after a 64-scenario warm-up
+    /// (the heap kernel: 2 in 704).
     ///
     /// # Panics
     /// Panics when the arena or `initial` does not match the terrain shape,
@@ -517,7 +518,6 @@ impl FireSim {
     /// As [`FireSim::simulate_arena`], with `seeds` in place of `initial`,
     /// and when `seeds` was resolved against a terrain that differs from
     /// this one in shape or in having a fuel layer.
-    // lint: no_alloc
     pub fn simulate_arena_seeded<'a>(
         &self,
         scenario: &Scenario,
@@ -549,7 +549,6 @@ impl FireSim {
     /// short slice compiles to a few vector compares), and one pass over
     /// them reads each seed's neighbours in the mask and the fuel layer —
     /// no raster, no scratch — to find the front.
-    // lint: no_alloc
     fn resolve_seeds(&self, line: &FireLine, seeds: &mut Seeds) {
         const BLOCK: usize = 64;
         self.check_shape("initial fire line", line.rows(), line.cols());
@@ -615,7 +614,6 @@ impl FireSim {
     /// kernel's own frontier loop over the resulting [`Sweep`] and
     /// [`Trail`], queueing every seed on the reference heap and the front
     /// alone on the other two.
-    // lint: no_alloc
     fn run_kernel(
         &self,
         scenario: &Scenario,
@@ -738,7 +736,6 @@ impl FireSim {
     /// carries its traversal times, so the sweep's edges divide nothing.
     /// Anything else builds a cell's spread ellipse when it pops, from the
     /// run's [`CellFactors`], kept in `factors`.
-    // lint: no_alloc
     fn tables<'a>(
         &'a self,
         scenario: &Scenario,
@@ -780,7 +777,6 @@ impl FireSim {
     /// Chebyshev units bound the reach; +2 cells and a tiny relative
     /// inflation absorb floating-point slack in the bound (and any
     /// remainder is tracked on the stray list).
-    // lint: no_alloc
     fn seed_window(&self, seeds: &Seeds, duration: f64, cap: f64) -> Window {
         let (rows, cols) = (self.terrain.rows(), self.terrain.cols());
         let reach = if cap <= SMIDGEN {

@@ -45,7 +45,6 @@ pub(super) struct FuelTable {
 
 impl FuelTable {
     /// The table of rates `ros` on cells `cell_ft` feet wide.
-    // lint: no_alloc
     #[inline]
     pub(super) fn new(ros: [f64; 8], cell_ft: f64) -> Self {
         let cost = std::array::from_fn(|dir| {
@@ -145,7 +144,6 @@ impl Trail<'_> {
     /// Writes `arrival` into cell `idx` = `(r, c)`, by its flat index, and
     /// records the write: in the row's span inside the window, on the
     /// stray list beyond it.
-    // lint: no_alloc
     #[inline]
     pub(super) fn mark_written(&mut self, idx: usize, (r, c): (usize, usize), arrival: f64) {
         debug_assert!(!arrival.is_nan() && arrival >= 0.0);
@@ -179,7 +177,6 @@ impl Sweep<'_> {
     /// one live pop, so there is no one to keep it for. [`Sweep::relax`]
     /// resolves a shared table itself and, on a per-cell terrain, reads
     /// single rates off the cell's ellipse instead ([`Sweep::relax_cell`]).
-    // lint: no_alloc
     #[inline]
     pub(super) fn table(&self, idx: usize) -> Cow<'_, [f64; 8]> {
         Cow::Borrowed(match &self.tables {
@@ -202,7 +199,6 @@ impl Sweep<'_> {
     /// than `SMIDGEN` after `t`. Every edge costs `d ≥ 0`, so `t + d`
     /// cannot beat a neighbour that `t` itself does not. The checked path,
     /// for pops on the raster border.
-    // lint: no_alloc
     #[inline]
     fn open_at(
         &self,
@@ -225,7 +221,6 @@ impl Sweep<'_> {
     /// in `times` — every neighbour read once. An interior cell reaches
     /// its eight through the run's flat index steps with no bounds test;
     /// a border cell goes through [`Sweep::open_at`].
-    // lint: no_alloc
     #[inline]
     fn open_mask(
         &self,
@@ -274,7 +269,6 @@ impl Sweep<'_> {
     /// never changes the verdict on another. The cell's row and column
     /// come from one `u32` division (a terrain holds at most `u32::MAX`
     /// cells), and its arrival is read by flat index.
-    // lint: no_alloc
     #[inline]
     pub(super) fn relax<R: std::ops::Deref<Target = IgnitionMap>>(
         &self,
@@ -330,7 +324,6 @@ impl Sweep<'_> {
     /// guards are the shared loop's with the burnability test moved first;
     /// each only skips a direction, so the emits, in direction order, are
     /// the same.
-    // lint: no_alloc
     // Out of line, so the shared loop every kernel inlines stays as small
     // as it was.
     #[inline(never)]

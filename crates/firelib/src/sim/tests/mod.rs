@@ -696,38 +696,6 @@ fn window_bounds_scratch_on_large_grid() {
     assert_eq!(arena.scratch_bytes(), scratch, "second pass moved scratch");
 }
 
-/// Runs `kernel` from the centre over `runs` horizons, then over the same
-/// ones again on the same arena: the second pass must not move any
-/// capacity (identical inputs → identical windows, bucket layouts and
-/// frontier sizes).
-pub(super) fn assert_allocation_free(sim: &FireSim, kernel: Kernel, runs: usize) {
-    let ignition = centre_ignition(sim.terrain.rows(), sim.terrain.cols());
-    let mut arena = sim.arena();
-    let mut run = |d| {
-        sim.simulate_arena_kernel(&calm_scenario(), &ignition, 0.0, d, &mut arena, kernel);
-        arena.scratch_bytes()
-    };
-    let durations = (0..runs).map(|i| 400.0 + i as f64);
-    let warm = durations.clone().map(&mut run).last();
-    for d in durations {
-        assert_eq!(Some(run(d)), warm, "{kernel}: arena scratch grew");
-    }
-}
-
-#[test]
-fn arena_is_allocation_free_in_steady_state() {
-    // Two table modes: a slope terrain (per-cell path: a table per
-    // pop, none of them kept) and a fuel-only mosaic (per-fuel path,
-    // whose tables live inline in the arena).
-    let n = 31usize;
-    let slope = Grid::from_fn(n, n, |r, c| ((r + c) % 30) as f64);
-    let fuel = Grid::from_fn(n, n, |r, c| [1u8, 2, 4][(r + c) % 3]);
-    let uniform = Terrain::uniform(n, n, 100.0);
-    for terrain in [uniform.clone().with_slope(slope), uniform.with_fuel(fuel)] {
-        assert_allocation_free(&FireSim::new(terrain), Kernel::Bucket, 10);
-    }
-}
-
 #[test]
 fn out_of_catalog_model_is_ignored_when_fuel_layer_overrides_it() {
     // With a fuel layer the scenario's global model is never consulted,

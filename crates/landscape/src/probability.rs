@@ -77,7 +77,6 @@ impl ProbabilityMap {
     /// [`ProbabilityMap::new`] gives, at the cost of the cover — every
     /// non-zero count lies in it — not of the raster. The buffers keep
     /// their storage.
-    // lint: no_alloc
     pub fn clear(&mut self) {
         let counts = self.counts.as_mut_slice();
         for range in self.cover.drain(..) {
@@ -130,7 +129,6 @@ impl ProbabilityMap {
     /// # Panics
     /// Panics when the raster is not the map's size or a range reaches
     /// past it.
-    // lint: no_alloc
     pub fn accumulate_ranges<P>(
         &mut self,
         predicted: &[P],
@@ -169,7 +167,6 @@ impl ProbabilityMap {
     }
 
     /// Replaces the cover with its union with `incoming` (both ascending).
-    // lint: no_alloc
     fn merge_incoming(&mut self) {
         self.merged.clear();
         let (mut held, mut new) = (
@@ -195,7 +192,6 @@ impl ProbabilityMap {
     /// every cell has probability 0. They are what the aggregated runs
     /// reported, narrowed to where each burned, so their total length is
     /// at most the number of cells those runs wrote.
-    // lint: no_alloc
     pub fn touched_ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         self.cover.iter().cloned()
     }
@@ -256,7 +252,6 @@ impl ProbabilityMap {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    // lint: no_alloc
     pub fn histogram_into(&self, observed: &Observed<'_>, hist: &mut LevelHistogram) {
         assert!(
             self.counts.same_shape(observed.real.mask()),
