@@ -11,7 +11,7 @@
 
 use crate::fitness::{EvalBackend, ScenarioEvaluator, StepContext};
 use firelib::sim::centre_ignition;
-use firelib::workload::WorkloadSpec;
+use firelib::workload::{reference_lines, WorkloadSpec};
 use firelib::{FireSim, Scenario, Seeds, Terrain};
 use landscape::{FireLine, Grid, Observed};
 use std::sync::Arc;
@@ -20,8 +20,8 @@ use std::sync::Arc;
 /// each interval needs besides the two rasters, resolved against the
 /// case's simulator when the case is built:
 ///
-/// * the [`Seeds`] of the start line — the lit cells that can burn, the
-///   ones among them on the front, their bounding box — so a run is
+/// * the [`Seeds`] of the start line — the lit cells that can burn and
+///   the ones among them on the front — so a run is
 ///   seeded from them instead of re-scanning the mask, and queues the
 ///   front without reading a neighbour to find it;
 /// * the number of `target ∧ ¬from` cells (what Eq. (3) can hit or miss,
@@ -139,7 +139,8 @@ impl BurnCase {
         self.times.len() - 1
     }
 
-    /// Generates a case by simulating `truth[i]` over each interval.
+    /// Generates a case by simulating `truth[i]` over each interval
+    /// ([`reference_lines`]).
     ///
     /// # Panics
     /// Panics when fewer than 3 instants are given (prediction needs one
@@ -162,22 +163,8 @@ impl BurnCase {
             times.windows(2).all(|w| w[1] > w[0]),
             "observation instants must be strictly increasing"
         );
-        assert_eq!(
-            truth.len(),
-            times.len() - 1,
-            "one true scenario per interval"
-        );
         let sim = Arc::new(FireSim::new(terrain));
-        let mut fire_lines = Vec::with_capacity(times.len());
-        let mut front = ignition;
-        for (i, scenario) in truth.iter().enumerate() {
-            let map = sim.simulate(scenario, &front, times[i], times[i + 1] - times[i]);
-            // The fire state accumulates: everything burned before stays
-            // burned (the map only covers this interval's growth).
-            let grown = front.union(&map.fire_line_at(times[i + 1]));
-            fire_lines.push(std::mem::replace(&mut front, grown));
-        }
-        fire_lines.push(front);
+        let fire_lines = reference_lines(&sim, &ignition, &times, &truth);
         Self {
             name,
             description,

@@ -9,53 +9,46 @@ use std::{cmp::Reverse, collections::BinaryHeap};
 pub(super) enum Dirty {
     /// Fresh raster (or already reset): all cells hold `UNIGNITED`.
     Clean,
-    /// Unknown write set (reference kernel ran): full reset required.
+    /// Unknown write set (reference kernel ran, or a run did not return):
+    /// full reset required.
     All,
-    /// Bucket run: writes confined to the per-row spans recorded in
-    /// `span_lo`/`span_hi` for `rows` window rows starting at `r0`, plus
-    /// the explicit `stray` overflow list.
-    Spans { r0: usize, rows: usize },
+    /// Bucket or tiled run: writes confined to the per-row spans recorded
+    /// in `span_lo`/`span_hi` of raster rows `first..=last`, the rows the
+    /// run wrote.
+    Spans { first: usize, last: usize },
 }
 
-/// Restores the all-`UNIGNITED` invariant of `out` by resetting exactly
-/// what the previous run wrote: nothing for a fresh raster, the recorded
-/// per-row spans (plus strays) after a span-tracked run, or a full clear
-/// after a reference-kernel run.
+/// Restores the all-`UNIGNITED` invariant of `out`, and the all-empty one
+/// of the row spans, by resetting exactly what the previous run wrote:
+/// nothing for a fresh raster, the recorded spans of the rows a
+/// span-tracked run wrote, or everything after a reference-kernel run.
 #[inline]
 pub(super) fn reset_raster(
     dirty: &mut Dirty,
     out: &mut IgnitionMap,
-    span_lo: &[u32],
-    span_hi: &[u32],
-    stray: &mut Vec<u32>,
+    span_lo: &mut [u32],
+    span_hi: &mut [u32],
     cols: usize,
 ) {
     match *dirty {
         Dirty::Clean => {}
-        Dirty::All => out.clear(),
-        Dirty::Spans { r0, rows: drows } => {
+        Dirty::All => {
+            out.clear();
+            span_lo.fill(u32::MAX);
+            span_hi.fill(0);
+        }
+        Dirty::Spans { first, last } => {
             let slice = out.grid_mut().as_mut_slice();
-            for (i, (&lo, &hi)) in span_lo.iter().zip(span_hi.iter()).enumerate().take(drows) {
+            for r in first..=last {
+                let (lo, hi) = (span_lo[r], span_hi[r]);
                 if lo <= hi {
-                    let off = (r0 + i) * cols;
-                    slice[off + lo as usize..=off + hi as usize].fill(UNIGNITED);
+                    slice[r * cols + lo as usize..=r * cols + hi as usize].fill(UNIGNITED);
+                    (span_lo[r], span_hi[r]) = (u32::MAX, 0);
                 }
-            }
-            for &sidx in stray.iter() {
-                slice[sidx as usize] = UNIGNITED;
             }
         }
     }
-    stray.clear();
     *dirty = Dirty::Clean;
-}
-
-/// Leaves each out-of-window cell of a finished run listed once (a cell
-/// relaxed twice was pushed twice), so the stray list is a set of disjoint
-/// single-cell ranges for [`SimArena::written_ranges`].
-pub(super) fn dedup_strays(stray: &mut Vec<u32>) {
-    stray.sort_unstable();
-    stray.dedup();
 }
 
 /// The worker-owned simulation arena: every buffer the propagation engine
@@ -63,10 +56,10 @@ pub(super) fn dedup_strays(stray: &mut Vec<u32>) {
 ///
 /// `FireSim` is immutable shared state (terrain + fuel beds behind `Arc`s);
 /// a `SimArena` is the *mutable* counterpart one worker owns privately. It
-/// holds the frontier queues, the seed lists, the dirty-span bookkeeping
-/// and the arrival-time raster — no spread tables beyond the 14 inline
-/// per-fuel ones and their traversal times: a per-cell table or ellipse
-/// lives for the one pop that reads it.
+/// holds the frontier queues, the seed lists, the per-row spans of what
+/// the last run wrote and the arrival-time raster — no spread tables
+/// beyond the 14 inline per-fuel ones and their traversal times: a
+/// per-cell table or ellipse lives for the one pop that reads it.
 /// Construction is O(1): nothing is allocated until the first run, and
 /// from then on every buffer is retained at its high-water mark, so a
 /// repeated scenario allocates nothing on
@@ -74,7 +67,7 @@ pub(super) fn dedup_strays(stray: &mut Vec<u32>) {
 /// one arena per worker (see `FireSim::arena`) and reuse it for every
 /// scenario. On the default
 /// bucket kernel the high-water mark tracks the *fire*: a short burn on a
-/// 1000×1000 map holds the frontier it queued and eight bytes per window
+/// 1000×1000 map holds the frontier it queued and eight bytes per raster
 /// row of spans, plus the (mandatory) full arrival raster.
 #[derive(Debug, Clone)]
 pub struct SimArena {
@@ -92,14 +85,12 @@ pub struct SimArena {
     /// The seeds of the last run that was handed a fire line rather than
     /// resolved [`Seeds`] (index scratch).
     pub(super) line_seeds: Seeds,
-    /// Per-window-row dirty column spans of the last bucket run
-    /// (inclusive; `lo > hi` means the row was never written).
+    /// Per-raster-row column spans the last run wrote (inclusive; `lo >
+    /// hi` means the row was not written). Sized on the first run; between
+    /// runs every row but the ones [`Dirty::Spans`] names holds
+    /// `(u32::MAX, 0)`.
     pub(super) span_lo: Vec<u32>,
     pub(super) span_hi: Vec<u32>,
-    /// Cells written outside the active window (possible only through
-    /// floating-point slack in the spread-rate bound; reset individually),
-    /// each listed once when a run returns.
-    pub(super) stray: Vec<u32>,
     /// What the next run must reset before writing.
     pub(super) dirty: Dirty,
     /// Tiled-kernel epoch scratch; empty unless the tiled kernel runs.
@@ -126,7 +117,6 @@ impl SimArena {
             line_seeds: Seeds::default(),
             span_lo: Vec::new(),
             span_hi: Vec::new(),
-            stray: Vec::new(),
             dirty: Dirty::Clean,
             epochs: EpochScratch::default(),
             out: None,
@@ -157,42 +147,36 @@ impl SimArena {
     }
 
     /// The index ranges of [`SimArena::map`] the last run may have written:
-    /// disjoint, and every cell outside them holds `UNIGNITED`. After a
-    /// bucket or tiled run these are the per-row spans of the active-front
-    /// window plus any stray cells beyond it, so a consumer that only cares
-    /// about ignited cells (Eq. (3) scoring) pays for the fire, not the
-    /// raster; after a reference-kernel run, which tracks nothing, the one
-    /// range is the whole raster.
+    /// ascending and disjoint, and every cell outside them holds
+    /// `UNIGNITED`. After a bucket or tiled run they are the column spans
+    /// of the rows it wrote, one range a row, so a consumer that only
+    /// cares about ignited cells (Eq. (3) scoring) pays for the fire, not
+    /// the raster; after a reference-kernel run, which tracks nothing, the
+    /// one range is the whole raster.
     pub fn written_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         let cols = self.cols;
-        let (whole, r0, span_rows, strays) = match self.dirty {
-            Dirty::Clean => (None, 0, 0, &[][..]),
-            Dirty::All => (Some(0..self.rows * cols), 0, 0, &[][..]),
-            Dirty::Spans { r0, rows } => (None, r0, rows, &self.stray[..]),
+        // `first > last`: no span-tracked row.
+        let (whole, (first, last)) = match self.dirty {
+            Dirty::Clean => (None, (1, 0)),
+            Dirty::All => (Some(0..self.rows * cols), (1, 0)),
+            Dirty::Spans { first, last } => (None, (first, last)),
         };
-        let spans = self.span_lo.iter().zip(&self.span_hi).take(span_rows);
-        whole
-            .into_iter()
-            .chain(spans.enumerate().filter(|(_, (lo, hi))| lo <= hi).map(
-                move |(i, (&lo, &hi))| {
-                    let off = (r0 + i) * cols;
-                    off + lo as usize..off + hi as usize + 1
-                },
-            ))
-            .chain(strays.iter().map(|&s| s as usize..s as usize + 1))
+        whole.into_iter().chain((first..=last).filter_map(move |r| {
+            let (lo, hi) = (self.span_lo[r] as usize, self.span_hi[r] as usize);
+            (lo <= hi).then(|| r * cols + lo..r * cols + hi + 1)
+        }))
     }
 
     /// Heap bytes currently held by every scratch structure in the arena
-    /// — frontier queues, seed lists, dirty-span bookkeeping —
+    /// — frontier queues, seed lists, row spans —
     /// **excluding** the arrival raster itself (which is the mandatory
     /// output, reported by [`SimArena::raster_bytes`]). It scales with the
-    /// fire a run queued, not with the raster or the window.
+    /// fire a run queued, plus eight bytes a raster row.
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
         self.heap.capacity() * size_of::<(Reverse<Time>, u32)>()
             + self.queue.bytes()
-            + (self.span_lo.capacity() + self.span_hi.capacity() + self.stray.capacity())
-                * size_of::<u32>()
+            + (self.span_lo.capacity() + self.span_hi.capacity()) * size_of::<u32>()
             + self.line_seeds.bytes()
             + self.epochs.bytes()
     }

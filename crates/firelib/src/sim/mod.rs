@@ -32,26 +32,26 @@
 //! index into row and column with one `u32` division — a terrain holds at
 //! most `u32::MAX` cells — and reads and writes arrivals by flat index.
 //! What depends on the start line alone — which lit
-//! cells can burn, which of them are on the front (a neighbour still to
-//! burn, so worth queueing), their bounding box — is a [`Seeds`] value,
-//! resolved once per fire line (once per interval of a case) rather than
-//! once per run.
+//! cells can burn, and which of them are on the front (a neighbour still
+//! to burn, so worth queueing) — is a [`Seeds`] value, resolved once per
+//! fire line (once per interval of a case) rather than once per run.
 //!
 //! * [`Kernel::Heap`] — the reference implementation: a classic Dijkstra
-//!   over a `BinaryHeap<(Reverse<Time>, u32)>` whose window is the whole
-//!   raster. Simple, and kept as the oracle every other path is pinned
-//!   against — which is why it has its own pop-and-relax loop.
+//!   over a `BinaryHeap<(Reverse<Time>, u32)>` that tracks none of its
+//!   writes, so the next run resets the whole raster. Simple, and kept as
+//!   the oracle every other path is pinned against — which is why it has
+//!   its own pop-and-relax loop.
 //! * [`Kernel::Bucket`] — the landscape-scale hot path: a monotone
-//!   bucket-queue (Dial-style) wavefront sweep with **active-front
-//!   bounding**. Arrival times live in `[t0, t0 + duration]`, so the
-//!   frontier is kept in an array of buckets keyed by quantized arrival
-//!   time (O(1) push, cache-friendly per-bucket drains) with an occupancy
-//!   bitmap, so the drain jumps to the next non-empty bucket and a run
-//!   pays for the buckets its fire occupies, not for the horizon; the
-//!   raster keeps exact `f64` arrival times — buckets only order the
-//!   frontier. The window the fire can reach within the horizon bounds
-//!   only the dirty-span bookkeeping, so the next run resets what this
-//!   one wrote instead of O(rows×cols).
+//!   bucket-queue (Dial-style) wavefront sweep. Arrival times live in
+//!   `[t0, t0 + duration]`, so the frontier is kept in an array of
+//!   buckets keyed by quantized arrival time (O(1) push, cache-friendly
+//!   per-bucket drains) with an occupancy bitmap, so the drain jumps to
+//!   the next non-empty bucket and a run pays for the buckets its fire
+//!   occupies, not for the horizon; the raster keeps exact `f64` arrival
+//!   times — buckets only order the frontier. **A run tracks the rows it
+//!   wrote**: each write widens its row's column span, so the next run
+//!   resets, and a scorer reads, the rows the fire touched instead of
+//!   O(rows×cols).
 //! * [`Kernel::Tiled`] — the bucket kernel's levels drained by several
 //!   cores at once and merged back in pop order (`Sweep::run_tiled`).
 //!
@@ -112,14 +112,13 @@ use crate::combustion::{standard_beds, FuelBed};
 use crate::scenario::Scenario;
 use crate::spread::{
     no_wind_no_slope, slope_factor, spread_from_factors, wind_factor, wind_slope_from_ros0,
-    wind_slope_max, SpreadInputs, SpreadVector,
+    SpreadInputs, SpreadVector,
 };
 use crate::terrain::{upslope_azimuth, Terrain};
 use crate::SMIDGEN;
-use arena::{dedup_strays, reset_raster, Dirty};
+use arena::{reset_raster, Dirty};
 use landscape::geometry::normalize_azimuth;
 use landscape::{FireLine, IgnitionMap};
-use seeds::Window;
 use std::sync::Arc;
 
 /// Which propagation kernel a `simulate_arena_kernel` call runs.
@@ -128,8 +127,8 @@ pub enum Kernel {
     /// Reference Dijkstra over a binary heap, every seed queued, full-raster
     /// reset.
     Heap,
-    /// Monotone bucket-queue wavefront sweep with active-front bounding —
-    /// the default hot path; bit-identical to [`Kernel::Heap`].
+    /// Monotone bucket-queue wavefront sweep that tracks the rows it
+    /// writes — the default hot path; bit-identical to [`Kernel::Heap`].
     Bucket,
     /// Multi-core tiled wavefront (`sim/tiled.rs`); bit-identical to the heap.
     /// An epoch of at least `TILE_INLINE` entries forks its drain through
@@ -207,37 +206,13 @@ impl FireSim {
         SimArena::new(self.terrain.rows(), self.terrain.cols())
     }
 
-    /// Directional spread rates for one cell under `scenario`, through the
-    /// [`Terrain`] accessors and the unsplit [`wind_slope_max`] — the
-    /// independent statement of what a cell's table is, which
-    /// [`FireSim::cell_table_at`] is pinned against bit for bit.
-    // lint: allow(unreached) — the oracle of cell_table_matches_the_terrain_accessor_path in crates/firelib/src/sim/tests/mod.rs, and what `max_ros` reads
-    fn cell_spread(&self, row: usize, col: usize, scenario: &Scenario) -> SpreadVector {
-        let fuel = self.terrain.fuel_at(row, col, scenario.model);
-        let Some(bed) = self.beds.get(fuel as usize).filter(|bed| bed.burnable) else {
-            return SpreadVector::no_spread();
-        };
-        let slope_deg = self.terrain.slope_at(row, col, scenario.slope_deg);
-        let aspect = self.terrain.aspect_at(row, col, scenario.aspect_deg);
-        let (wind_mph, wind_dir) =
-            self.terrain
-                .wind_at(row, col, scenario.wind_speed_mph, scenario.wind_dir_deg);
-        let inputs = SpreadInputs {
-            wind_fpm: wind_mph * crate::MPH_TO_FPM,
-            wind_azimuth: wind_dir,
-            slope_steepness: slope_deg.to_radians().tan(),
-            aspect_azimuth: aspect,
-        };
-        wind_slope_max(bed, &scenario.moisture(), &inputs)
-    }
-
     /// The per-catalog-model `(ros0, reaction intensity)` hoist:
     /// [`no_wind_no_slope`] runs the fuel-particle loops and depends only
     /// on (fuel code, moisture), so a run computes it once for each model
     /// the terrain can show the fire ([`Terrain::fuel_code_mask`]) — never
-    /// per cell — and both the window's spread-rate bound and every spread
-    /// table start from it. A model outside the mask (or outside the
-    /// catalog) keeps `(0, 0)`, which reads as "does not spread".
+    /// per cell — and every spread table starts from it. A model outside
+    /// the mask (or outside the catalog) keeps `(0, 0)`, which reads as
+    /// "does not spread".
     fn hoisted_base(&self, scenario: &Scenario) -> [(f64, f64); 14] {
         let mask = self.terrain.fuel_code_mask(scenario.model);
         let moisture = scenario.moisture();
@@ -250,52 +225,12 @@ impl FireSim {
         base
     }
 
-    /// An upper bound (ft/min) on the spread rate any cell of this terrain
-    /// can reach under `scenario`, used to size the active-front window.
-    /// O(catalog size) per call: the terrain caches its per-layer maxima
-    /// (fuel-code mask, max slope, max wind factor) at construction.
-    ///
-    /// Soundness: for every cell, `ros_at_azimuth ≤ ros_max` and the
-    /// spread analysis yields `ros_max ≤ ros0 · (1 + φ_w + φ_s)` — the
-    /// wind-only and slope-only branches are exactly that, the combined
-    /// branch vector-adds to `ros0 + rv` with
-    /// `rv = √((slp + wnd·cosθ)² + (wnd·sinθ)²) ≤ slp + wnd`, and the
-    /// effective-wind cap only lowers `ros_max`. `φ_w = k·U^b` and
-    /// `φ_s = k·tan²` are monotone in wind speed and slope, so evaluating
-    /// them at the terrain-wide maxima bounds every cell. (The bound sizes
-    /// bookkeeping only: a cell written beyond the window through
-    /// floating-point slack is tracked on the stray list instead.)
-    // lint: allow(unreached) — the bound spread_rate_bound_dominates_every_cell and the kernel conformance matrix (crates/firelib/src/sim/tests/) and the hostile sweep of crates/analysis/src/tests/hostile.rs check
-    pub fn spread_rate_bound(&self, scenario: &Scenario) -> f64 {
-        self.rate_bound(scenario, &self.hoisted_base(scenario))
-    }
-
-    /// [`FireSim::spread_rate_bound`] from the run's hoisted `base`.
-    fn rate_bound(&self, scenario: &Scenario, base: &[(f64, f64); 14]) -> f64 {
-        let wind_fpm = self.terrain.max_wind_speed(scenario.wind_speed_mph) * crate::MPH_TO_FPM;
-        let steep = self
-            .terrain
-            .max_slope_deg(scenario.slope_deg)
-            .to_radians()
-            .tan();
-        let mut cap = 0.0f64;
-        for (bed, &(ros0, _)) in self.beds.iter().zip(base) {
-            // Absent, unburnable and extinguished models all hoist to a
-            // `ros0` of zero.
-            if ros0 <= SMIDGEN {
-                continue;
-            }
-            let (phi_w, phi_s) = (wind_factor(bed, wind_fpm), slope_factor(bed, steep));
-            cap = cap.max(ros0 * (1.0 + phi_w + phi_s));
-        }
-        cap
-    }
-
     /// The directional table of fuel model `code` under `inputs`: the
     /// wind/slope half of the spread math over the hoisted `base`.
-    /// [`wind_slope_max`] is exactly `no_wind_no_slope` composed with
+    /// [`wind_slope_max`](crate::spread::wind_slope_max) is exactly
+    /// `no_wind_no_slope` composed with
     /// [`wind_slope_from_ros0`], so this is bit-identical to
-    /// [`FireSim::cell_spread`] for a cell with that model and those inputs.
+    /// `wind_slope_max` for a cell with that model and those inputs.
     #[inline]
     fn code_table(&self, code: usize, base: &[(f64, f64); 14], inputs: &SpreadInputs) -> [f64; 8] {
         let (ros0, rx_int) = base[code];
@@ -311,8 +246,8 @@ impl FireSim {
     /// terrain, built when the cell pops on the reference kernel: `globals`
     /// (the scenario's own inputs) with each override layer's value for the
     /// cell in place of the global one, resolved by the same expressions
-    /// the [`Terrain`] accessors use — bit-identical to
-    /// [`FireSim::cell_spread`], pinned by the
+    /// the [`Terrain`] accessors use — bit-identical to `wind_slope_max`
+    /// over those accessors, pinned by the
     /// `cell_table_matches_the_terrain_accessor_path` test.
     #[inline]
     fn cell_table_at(
@@ -556,9 +491,7 @@ impl FireSim {
         let mask = line.mask().as_slice();
         let fuel = self.terrain.fuel_layer().map(|g| g.as_slice());
         let burns = |idx: usize| fuel.is_none_or(|f| self.beds[f[idx] as usize].burnable);
-        let Seeds {
-            cells, front, bbox, ..
-        } = seeds;
+        let Seeds { cells, front, .. } = seeds;
         cells.clear();
         for (b, block) in mask.chunks(BLOCK).enumerate() {
             if block.contains(&true) {
@@ -567,11 +500,9 @@ impl FireSim {
                 cells.extend(lit.filter(|&idx| burns(idx)).map(|idx| idx as u32));
             }
         }
-        let (mut r0, mut c0, mut r1, mut c1) = (usize::MAX, usize::MAX, 0, 0);
         front.clear();
         for &sidx in cells.iter() {
             let (r, c) = (sidx as usize / cols, sidx as usize % cols);
-            (r0, c0, r1, c1) = (r0.min(r), c0.min(c), r1.max(r), c1.max(c));
             let on_front = landscape::NEIGHBOUR_OFFSETS.iter().any(|&(dr, dc, _)| {
                 let (nr, nc) = (r.wrapping_add_signed(dr), c.wrapping_add_signed(dc));
                 if nr >= rows || nc >= cols {
@@ -586,16 +517,6 @@ impl FireSim {
                 front.push(sidx);
             }
         }
-        *bbox = if cells.is_empty() {
-            Window::default()
-        } else {
-            Window {
-                r0,
-                c0,
-                rows: r1 - r0 + 1,
-                cols: c1 - c0 + 1,
-            }
-        };
         (seeds.rows, seeds.cols) = (rows, cols);
         seeds.fuel_layer = fuel.is_some();
     }
@@ -610,7 +531,7 @@ impl FireSim {
 
     /// One run of `kernel` from `seeds` into `arena`: the prelude every
     /// kernel shares — preconditions, raster reset, the per-model hoist,
-    /// window, how a pop resolves its table, seed writes — then the
+    /// how a pop resolves its table, seed writes — then the
     /// kernel's own frontier loop over the resulting [`Sweep`] and
     /// [`Trail`], queueing every seed on the reference heap and the front
     /// alone on the other two.
@@ -650,14 +571,17 @@ impl FireSim {
             queue,
             span_lo,
             span_hi,
-            stray,
             dirty,
             epochs,
             out,
             ..
         } = arena;
         let out = out.get_or_insert_with(|| IgnitionMap::unignited(rows, cols));
-        reset_raster(dirty, out, span_lo, span_hi, stray, cols);
+        if span_lo.len() != rows {
+            span_lo.resize(rows, u32::MAX);
+            span_hi.resize(rows, 0);
+        }
+        reset_raster(dirty, out, span_lo, span_hi, cols);
 
         let burnable = Burnable {
             fuel,
@@ -671,21 +595,12 @@ impl FireSim {
             return; // nothing written; the raster stays clean
         }
         let base = self.hoisted_base(scenario);
-        // The reference kernel's window is the whole raster: no bound on
-        // how fast its fire may go.
-        let cap = match kernel {
-            Kernel::Heap => f64::INFINITY,
-            _ => self.rate_bound(scenario, &base),
-        };
-        let win = self.seed_window(seeds, duration, cap);
-
         let mut factors = None;
         let tables = self.tables(scenario, base, per_fuel, &mut factors);
         let sweep = Sweep {
             sim: self,
             scenario,
             burnable,
-            win,
             tables,
             rows,
             cols,
@@ -696,37 +611,32 @@ impl FireSim {
             t_end: t0 + duration,
         };
 
-        span_lo.clear();
-        span_lo.resize(win.rows, u32::MAX);
-        span_hi.clear();
-        span_hi.resize(win.rows, 0);
-        *dirty = Dirty::Spans {
-            r0: win.r0,
-            rows: win.rows,
-        };
+        // Until the run returns what it wrote is unknown: one that does
+        // not return leaves the next a full reset. The reference kernel
+        // tracks nothing beyond its seeds, so it leaves one too.
+        *dirty = Dirty::All;
         let mut trail = Trail {
             out,
             span_lo,
             span_hi,
-            stray,
-            win,
+            first: usize::MAX,
+            last: 0,
         };
-        for &sidx in &seeds.cells {
-            let idx = sidx as usize;
-            trail.mark_written(idx, (idx / cols, idx % cols), t0);
-        }
+        trail.write_seeds(&seeds.cells, t0);
         match kernel {
             Kernel::Heap => {
                 sweep.run_dijkstra(&seeds.cells, heap, trail.out);
-                // The reference kernel tracks nothing beyond its seeds.
-                *dirty = Dirty::All;
+                return;
             }
             Kernel::Bucket => sweep.run_bucket(&seeds.front, queue, &mut trail),
             Kernel::Tiled { tile, workers } => {
                 sweep.run_tiled(&seeds.front, queue, &mut trail, epochs, tile, workers)
             }
         }
-        dedup_strays(trail.stray);
+        *dirty = Dirty::Spans {
+            first: trail.first,
+            last: trail.last,
+        };
     }
 
     /// How a run of `scenario` over its hoisted `base` resolves a cell's
@@ -767,30 +677,6 @@ impl FireSim {
         }
     }
 
-    /// The active-front window of a run from `seeds`: their bounding box
-    /// expanded by the farthest whole-cell distance a fire spreading at
-    /// most `cap` ft/min can cross within the horizon (the whole raster
-    /// for an unbounded `cap`).
-    ///
-    /// A diagonal step advances one Chebyshev unit and costs `√2 · cell_ft
-    /// / ros ≥ cell_ft / ros_cap`, so `ros_cap · duration / cell_ft`
-    /// Chebyshev units bound the reach; +2 cells and a tiny relative
-    /// inflation absorb floating-point slack in the bound (and any
-    /// remainder is tracked on the stray list).
-    fn seed_window(&self, seeds: &Seeds, duration: f64, cap: f64) -> Window {
-        let (rows, cols) = (self.terrain.rows(), self.terrain.cols());
-        let reach = if cap <= SMIDGEN {
-            0
-        } else {
-            let cells = (cap * duration / self.terrain.cell_size_ft() * (1.0 + 1e-9)).ceil() + 2.0;
-            cells.min(rows.max(cols) as f64) as usize
-        };
-        // Tests shrink the window to force the out-of-window (stray) paths.
-        #[cfg(test)]
-        let reach = reach.min(tests::REACH_CAP.with(std::cell::Cell::get));
-        seeds.bbox.grown(reach, rows, cols)
-    }
-
     /// Convenience: simulates and returns the fire line at the end of the
     /// horizon (burned cells at `t0 + duration`).
     pub fn simulate_fire_line(
@@ -802,14 +688,6 @@ impl FireSim {
     ) -> FireLine {
         self.simulate(scenario, initial, t0, duration)
             .fire_line_at(t0 + duration)
-    }
-
-    /// Maximum spread rate (ft/min) of `scenario` on a uniform cell of this
-    /// terrain — the exact per-cell rate the hostile sweep holds
-    /// [`FireSim::spread_rate_bound`] against.
-    // lint: allow(unreached) — the oracle of the hostile sweep in crates/analysis/src/tests/hostile.rs
-    pub fn max_ros(&self, scenario: &Scenario) -> f64 {
-        self.cell_spread(0, 0, scenario).ros_max
     }
 }
 

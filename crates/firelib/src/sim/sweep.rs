@@ -1,4 +1,4 @@
-use super::{seeds::Window, FireSim};
+use super::FireSim;
 use crate::{combustion::FuelBed, scenario::Scenario, spread::SpreadInputs, SMIDGEN};
 use landscape::IgnitionMap;
 use std::borrow::Cow;
@@ -79,8 +79,8 @@ pub(super) struct CellFactors {
 /// only then is the scenario's model consulted — a layered terrain makes
 /// it irrelevant, and must not panic on an out-of-catalog value it never
 /// uses; without a layer an out-of-catalog model burns nowhere, as
-/// [`Terrain::fuel_code_mask`](crate::Terrain::fuel_code_mask) and the
-/// spread-rate bound already say.
+/// [`Terrain::fuel_code_mask`](crate::Terrain::fuel_code_mask) already
+/// says.
 #[derive(Clone, Copy)]
 pub(super) struct Burnable<'a> {
     pub(super) fuel: Option<&'a [u8]>,
@@ -105,10 +105,6 @@ pub(super) struct Sweep<'a> {
     pub(super) sim: &'a FireSim,
     pub(super) scenario: &'a Scenario,
     pub(super) burnable: Burnable<'a>,
-    /// The active-front window: the cells writes are span-tracked in and
-    /// the tiled kernel cuts into tiles; the whole raster on
-    /// [`Kernel::Heap`](super::Kernel::Heap).
-    pub(super) win: Window,
     pub(super) tables: Tables<'a>,
     pub(super) rows: usize,
     pub(super) cols: usize,
@@ -128,8 +124,11 @@ pub(super) struct Trail<'a> {
     pub(super) out: &'a mut IgnitionMap,
     pub(super) span_lo: &'a mut [u32],
     pub(super) span_hi: &'a mut [u32],
-    pub(super) stray: &'a mut Vec<u32>,
-    pub(super) win: Window,
+    /// The first and last raster row written so far (`first > last`
+    /// until the first write). A row is written iff its span is not
+    /// empty, so only a row's first write can move them.
+    pub(super) first: usize,
+    pub(super) last: usize,
 }
 
 impl std::ops::Deref for Trail<'_> {
@@ -142,18 +141,40 @@ impl std::ops::Deref for Trail<'_> {
 
 impl Trail<'_> {
     /// Writes `arrival` into cell `idx` = `(r, c)`, by its flat index, and
-    /// records the write: in the row's span inside the window, on the
-    /// stray list beyond it.
+    /// records the write in row `r`'s span — and, on the row's first
+    /// write, in the run's written rows.
     #[inline]
     pub(super) fn mark_written(&mut self, idx: usize, (r, c): (usize, usize), arrival: f64) {
         debug_assert!(!arrival.is_nan() && arrival >= 0.0);
         self.out.grid_mut().as_mut_slice()[idx] = arrival;
-        if self.win.contains(r, c) {
-            let wr = r - self.win.r0;
-            self.span_lo[wr] = self.span_lo[wr].min(c as u32);
-            self.span_hi[wr] = self.span_hi[wr].max(c as u32);
-        } else {
-            self.stray.push(idx as u32);
+        let lo = self.span_lo[r];
+        if lo == u32::MAX {
+            self.first = self.first.min(r);
+            self.last = self.last.max(r);
+        }
+        self.span_lo[r] = lo.min(c as u32);
+        self.span_hi[r] = self.span_hi[r].max(c as u32);
+    }
+
+    /// Writes `t0` into every cell of `seeds` (ascending) and records the
+    /// writes: the seeds' rows run from the first seed's to the last's, so
+    /// a seed pays for its span alone.
+    #[inline]
+    pub(super) fn write_seeds(&mut self, seeds: &[u32], t0: f64) {
+        let cols = self.out.cols();
+        // Borrowed once, so the loop keeps the three slices in registers.
+        let (span_lo, span_hi) = (&mut *self.span_lo, &mut *self.span_hi);
+        let arrivals = self.out.grid_mut().as_mut_slice();
+        for &sidx in seeds {
+            let idx = sidx as usize;
+            let (r, c) = (idx / cols, idx % cols);
+            arrivals[idx] = t0;
+            span_lo[r] = span_lo[r].min(c as u32);
+            span_hi[r] = span_hi[r].max(c as u32);
+        }
+        if let (Some(&first), Some(&last)) = (seeds.first(), seeds.last()) {
+            self.first = self.first.min(first as usize / cols);
+            self.last = self.last.max(last as usize / cols);
         }
     }
 }

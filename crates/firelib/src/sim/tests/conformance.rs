@@ -35,8 +35,6 @@ enum History {
     Fresh,
     Moving,
     AfterHeap,
-    Strayed,
-    AfterStrays,
 }
 
 /// A scenario, `t0` and horizon.
@@ -266,12 +264,11 @@ fn rows(land: Land) -> Vec<Row> {
 
 /// Walks `row`'s groups in order. Each runs the bucket column and the next
 /// tiled one (the bucket again in a row with no other). A column's first
-/// run is on a fresh arena and the one after a capped run is uncapped;
-/// otherwise one column a group cycles through a long heap run before its
-/// own and a reach cap of one cell.
+/// run is on a fresh arena; otherwise one column a group cycles through a
+/// long heap run before its own.
 fn walk(row: &Row, mut visit: impl FnMut(&Group<'_>)) {
     let n = row.kernels.len();
-    let (mut used, mut capped) = (vec![false; n], vec![false; n]);
+    let mut used = vec![false; n];
     let mut index = 0;
     for (line, fire) in &row.lines {
         let seeds = row.sim.seeds(fire);
@@ -280,13 +277,11 @@ fn walk(row: &Row, mut visit: impl FnMut(&Group<'_>)) {
             let columns = [0, tiled].map(|column| {
                 let history = match index % 7 {
                     _ if !used[column] => History::Fresh,
-                    _ if capped[column] => History::AfterStrays,
                     _ if (column == 0) != (index % 2 == 0) => History::Moving,
                     3 => History::AfterHeap,
-                    5 => History::Strayed,
                     _ => History::Moving,
                 };
-                (used[column], capped[column]) = (true, history == History::Strayed);
+                used[column] = true;
                 (column, history, (index + column) % 2 == 1)
             });
             let seeds = &seeds;
@@ -310,17 +305,29 @@ fn assert_rasters_identical(a: &IgnitionMap, b: &IgnitionMap, what: &str) {
     }
 }
 
-/// `written_ranges` must be disjoint and contain every ignited cell, and
-/// an Eq. (3) tally over them must give the full-raster score.
+/// After a bucket or tiled run, `written_ranges` must be ascending and
+/// disjoint, each range a span of one row that starts and ends on a cell
+/// the run wrote, and together they must contain every ignited cell; an
+/// Eq. (3) tally over them must give the full-raster score.
 fn assert_ranges_account_for_the_raster(arena: &SimArena, t1: f64, what: &str) {
     let map = arena.map();
-    let times = map.grid().as_slice();
+    let (times, cols) = (map.grid().as_slice(), map.cols());
     let mut covered = vec![false; times.len()];
+    let mut end = 0;
     for range in arena.written_ranges() {
-        for i in range {
-            assert!(!covered[i], "{what}: cell {i} lies in two written ranges");
-            covered[i] = true;
-        }
+        assert!(range.start >= end, "{what}: {range:?} after {end}");
+        assert_eq!(
+            range.start / cols,
+            (range.end - 1) / cols,
+            "{what}: {range:?}"
+        );
+        let ends = [range.start, range.end - 1];
+        assert!(
+            ends.iter().all(|&i| times[i] != UNIGNITED),
+            "{what}: {range:?} ends on a cell the run did not write"
+        );
+        end = range.end;
+        range.for_each(|i| covered[i] = true);
     }
     for (i, &t) in times.iter().enumerate() {
         assert!(
@@ -345,22 +352,10 @@ fn assert_ranges_account_for_the_raster(arena: &SimArena, t1: f64, what: &str) {
     );
 }
 
-/// Does the fire of `reference` reach past the window a reach cap of one
-/// cell leaves a run from `seeds`?
-fn crosses_capped_window(reference: &IgnitionMap, seeds: &Seeds) -> bool {
-    if seeds.cells.is_empty() {
-        return false;
-    }
-    let (rows, cols) = (reference.rows(), reference.cols());
-    let win = seeds.bbox.grown(1, rows, cols);
-    let mut cells = reference.grid().as_slice().iter().enumerate();
-    cells.any(|(i, &t)| t != UNIGNITED && !win.contains(i / cols, i % cols))
-}
-
 /// What every run must satisfy, on the arena it left: the reference's
 /// bits, every arrival finite and inside `[t0, t0 + duration]`, ranges
 /// that account for them, lit cells that burn at `t0` and lit rock
-/// unignited, nothing written when nothing burns, strays listed once.
+/// unignited, nothing written when nothing burns.
 fn check(arena: &SimArena, reference: &IgnitionMap, g: &Group<'_>, sim: &FireSim, what: &str) {
     let Run(s, t0, duration) = g.run;
     let map = arena.map();
@@ -383,8 +378,6 @@ fn check(arena: &SimArena, reference: &IgnitionMap, g: &Group<'_>, sim: &FireSim
     }
     let clean = arena.written_ranges().next().is_none();
     assert!(any || clean, "{what}: nothing burns, something written");
-    let once = arena.stray.windows(2).all(|w| w[0] < w[1]);
-    assert!(once, "{what}: strays listed twice");
 }
 
 /// Runs every group of every row of `land` and checks each column run.
@@ -402,8 +395,6 @@ fn conform(land: Land) {
             let mut fresh = sim.arena();
             sim.simulate_arena_kernel(s, fire, t0, duration, &mut fresh, Kernel::Heap);
             let reference = fresh.map();
-            let bound = sim.spread_rate_bound(s);
-            assert!(bound.is_finite() && bound >= 0.0, "{group}: bound {bound}");
             if g.index % 5 == 2 {
                 let entry = |name| format!("{group}, {name}");
                 let map = sim.simulate(s, fire, t0, duration);
@@ -423,17 +414,12 @@ fn conform(land: Land) {
                     sim.simulate_arena_kernel(&s, &whole, 0.0, 5000.0, arena, Kernel::Heap);
                     assert_eq!(arena.dirty, Dirty::All, "{what}");
                 }
-                let strayed = history == History::Strayed;
-                REACH_CAP.with(|c| c.set(if strayed { 1 } else { usize::MAX }));
                 if seeded {
                     sim.simulate_arena_seeded(s, seeds, t0, duration, arena, kernel);
                 } else {
                     sim.simulate_arena_kernel(s, fire, t0, duration, arena, kernel);
                 }
-                REACH_CAP.with(|c| c.set(usize::MAX));
                 check(arena, reference, g, sim, &what);
-                let crossed = strayed && crosses_capped_window(reference, seeds);
-                assert!(!crossed || !arena.stray.is_empty(), "{what}: no strays");
             }
         });
     }
@@ -477,17 +463,13 @@ fn every_factor_is_reached() {
             count("shrunk corpus", land == Land::Corpus);
             count("tiled_auto", row.kernels.contains(&Kernel::tiled_auto()));
             walk(&row, |g| {
-                let (Run(s, t0, duration), seeds) = (g.run, g.seeds);
+                let (Run(s, ..), seeds) = (g.run, g.seeds);
                 let off = t.fuel_layer().is_none() && !sim.beds[s.model as usize].burnable;
                 count("border ring", g.line == "border ring");
                 count("empty seed set", seeds.cells.is_empty());
                 count("model switched off", off && !seeds.cells.is_empty());
                 for (_, history, _) in g.columns {
                     count("after a heap run", history == History::AfterHeap);
-                    if history == History::Strayed {
-                        let reference = sim.simulate(s, g.fire, *t0, *duration);
-                        count("strayed", crosses_capped_window(&reference, seeds));
-                    }
                 }
             });
         }

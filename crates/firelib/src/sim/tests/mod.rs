@@ -6,14 +6,10 @@ mod conformance;
 
 use super::bucket::{BucketQueue, BUCKETS};
 use super::*;
+use crate::spread::wind_slope_max;
 use landscape::{Grid, UNIGNITED};
 
 thread_local! {
-    /// Upper bound on the active-front window's reach (cells) for runs
-    /// on this thread — see `seed_window`. Shrinking it forces fire
-    /// past the window, i.e. through the stray / fallback paths.
-    pub(super) static REACH_CAP: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(usize::MAX) };
     /// Per-cell spread tables built by runs on this thread — see
     /// `Sweep::table`. (A tiled run's worker threads count on their own.)
     pub(super) static TABLES_BUILT: std::cell::Cell<usize> =
@@ -320,31 +316,26 @@ fn unburnable_ignition_cell_is_ignored() {
     assert_eq!(map.burned_count_at(1e4), 0);
 }
 
-#[test]
-fn spread_rate_bound_dominates_every_cell() {
-    // Fuel and slope layers: the per-cell table path.
-    let fuel = Grid::from_fn(19, 19, |r, c| [1u8, 2, 4, 0][(r * 3 + c) % 4]);
-    let slope = Grid::from_fn(19, 19, |r, c| ((r * 7 + c * 5) % 35) as f64);
-    let sim = FireSim::new(
-        Terrain::uniform(19, 19, 100.0)
-            .with_fuel(fuel)
-            .with_slope(slope),
-    );
-    let s = Scenario {
-        wind_speed_mph: 9.0,
-        ..Scenario::reference()
+/// Directional spread rates for one cell under `scenario`, through the
+/// [`Terrain`] accessors and the unsplit [`wind_slope_max`] — the
+/// independent statement of what a cell's table is, which
+/// `FireSim::cell_table_at` is pinned against bit for bit.
+fn cell_spread(sim: &FireSim, row: usize, col: usize, scenario: &Scenario) -> SpreadVector {
+    let t = sim.terrain();
+    let fuel = t.fuel_at(row, col, scenario.model);
+    let Some(bed) = sim.beds.get(fuel as usize).filter(|bed| bed.burnable) else {
+        return SpreadVector::no_spread();
     };
-    let bound = sim.spread_rate_bound(&s);
-    let base = sim.hoisted_base(&s);
-    for idx in 0..19 * 19 {
-        let table = sim.cell_table_at(idx, &s, &s.spread_inputs(), &base);
-        for (d, &ros) in table.iter().enumerate() {
-            assert!(
-                ros <= bound * (1.0 + 1e-12),
-                "cell {idx} dir {d}: ros {ros} exceeds bound {bound}"
-            );
-        }
-    }
+    let slope_deg = t.slope_at(row, col, scenario.slope_deg);
+    let aspect = t.aspect_at(row, col, scenario.aspect_deg);
+    let (wind_mph, wind_dir) = t.wind_at(row, col, scenario.wind_speed_mph, scenario.wind_dir_deg);
+    let inputs = SpreadInputs {
+        wind_fpm: wind_mph * crate::MPH_TO_FPM,
+        wind_azimuth: wind_dir,
+        slope_steepness: slope_deg.to_radians().tan(),
+        aspect_azimuth: aspect,
+    };
+    wind_slope_max(bed, &scenario.moisture(), &inputs)
 }
 
 /// `cell_table_at`, and each direction's rate read off the hoisted
@@ -357,7 +348,7 @@ fn assert_tables_match_the_accessor_path(sim: &FireSim, s: &Scenario, what: &str
     let cols = sim.terrain.cols();
     for idx in 0..sim.terrain.rows() * cols {
         let built = sim.cell_table_at(idx, s, &globals, &base);
-        let oracle = sim.cell_spread(idx / cols, idx % cols, s).compass_ros();
+        let oracle = cell_spread(sim, idx / cols, idx % cols, s).compass_ros();
         assert_eq!(
             built.map(f64::to_bits),
             oracle.map(f64::to_bits),
@@ -426,7 +417,7 @@ fn assert_traversal_times_match(sim: &FireSim, s: &Scenario, what: &str) -> (usi
         Tables::PerCell { .. } => return (0, 0),
     };
     for &(idx, table) in &shared {
-        let oracle = sim.cell_spread(idx / cols, idx % cols, s).compass_ros();
+        let oracle = cell_spread(sim, idx / cols, idx % cols, s).compass_ros();
         assert_eq!(
             table.ros.map(f64::to_bits),
             oracle.map(f64::to_bits),
@@ -502,11 +493,11 @@ fn rim(lit: &FireLine) -> usize {
 }
 
 #[test]
-fn a_run_pays_for_the_fire_not_the_window() {
+fn a_run_pays_for_the_cells_it_pops() {
     // gusty_channel (per-cell tables) from its observed line at the
-    // start of interval 3: tables are built for popped cells only, a
-    // small part of the window, each reads a rate only for the open
-    // directions it can spread into, and only the line's rim is queued.
+    // start of interval 3: tables are built for popped cells only, each
+    // reads a rate only for the open directions it can spread into, and
+    // only the line's rim is queued.
     let w = crate::workload::gusty_channel().build();
     let sim = w.sim();
     let lines = w.reference_lines(&sim);
@@ -524,7 +515,6 @@ fn a_run_pays_for_the_fire_not_the_window() {
         .iter()
         .filter(|&&t| t != UNIGNITED)
         .count();
-    let win = window_of(&sim, &w.truth[2], &seeds, dt);
     assert!(
         built > 0 && built <= written,
         "{built} tables for {written} cells"
@@ -534,12 +524,6 @@ fn a_run_pays_for_the_fire_not_the_window() {
     assert!(
         built <= rates && rates < 8 * built,
         "{rates} rates read off {built} ellipses"
-    );
-    assert!(
-        written < win.rows * win.cols / 4,
-        "{written} cells written in a {}x{} window",
-        win.rows,
-        win.cols
     );
     let (queued, rim) = (seeds.front().len(), rim(from));
     assert!(
@@ -639,19 +623,14 @@ fn fresh_arena_map_panics() {
     let _ = arena.map();
 }
 
-/// The window a bucket run of `s` from `seeds` over `duration` tracks its
-/// writes in.
-fn window_of(sim: &FireSim, s: &Scenario, seeds: &Seeds, duration: f64) -> Window {
-    sim.seed_window(seeds, duration, sim.spread_rate_bound(s))
-}
-
 #[test]
-fn window_bounds_scratch_on_large_grid() {
+fn a_run_records_only_the_rows_its_fire_wrote() {
     // A short burn in the middle of a big per-cell terrain whose wind
-    // layer has one far-off gale: the spread-rate bound, and so the
-    // window, covers the raster, but the fire stays small — and scratch
-    // must follow the fire. What is held is the frontier queue and the
-    // index lists, nothing per window cell.
+    // layer has one gale cell in a far corner: the terrain's fastest cell
+    // is nowhere near the fire, which stays small — and the record of its
+    // writes, the reset and the scratch must follow the fire. What is
+    // held is the frontier queue, the index lists and eight bytes a
+    // raster row of spans, nothing per cell.
     let n = 201usize;
     let gale = Grid::from_fn(n, n, |r, c| if (r, c) == (0, 0) { 40.0 } else { 0.5 });
     let sim = FireSim::new(
@@ -664,36 +643,57 @@ fn window_bounds_scratch_on_large_grid() {
         ..calm_scenario()
     };
     let ignition = centre_ignition(n, n);
-    let win = window_of(&sim, &s, &sim.seeds(&ignition), 30.0);
-    assert_eq!(
-        (win.rows, win.cols),
-        (n, n),
-        "the gale must blow the window up"
-    );
     let mut arena = sim.arena();
     let via_arena = sim
         .simulate_arena(&s, &ignition, 0.0, 30.0, &mut arena)
         .clone();
     let burned = via_arena.burned_count_at(30.0);
     assert!(burned > 1 && burned < n * n / 100, "burned {burned} cells");
+    let fresh = sim.simulate(&s, &ignition, 0.0, 30.0);
+    assert_eq!(fresh, via_arena);
+    // The touched rows are exactly the rows holding an arrival.
+    let written: Vec<usize> = (0..n)
+        .filter(|&r| (0..n).any(|c| via_arena.time(r, c) != UNIGNITED))
+        .collect();
+    let (first, last) = (written[0], written[written.len() - 1]);
+    assert_eq!(written.len(), last - first + 1, "a gap in a convex burn");
+    assert!(written.len() < n / 4, "{} rows written", written.len());
+    assert_eq!(arena.dirty, Dirty::Spans { first, last });
+    let ranges: Vec<_> = arena.written_ranges().collect();
+    assert_eq!(ranges.len(), written.len());
     let index_lists = [
         &arena.span_lo,
         &arena.span_hi,
-        &arena.stray,
         &arena.line_seeds.cells,
         &arena.line_seeds.front,
     ];
     let index_bytes = index_lists.iter().map(|v| v.capacity() * 4).sum::<usize>();
+    assert_eq!(arena.span_lo.capacity() + arena.span_hi.capacity(), 2 * n);
     let scratch = arena.scratch_bytes();
     assert_eq!(scratch, arena.queue.bytes() + index_bytes);
-    assert!(
-        scratch < n * n * 4,
-        "scratch {scratch} B scales with the {n}x{n} window"
-    );
-    let fresh = sim.simulate(&s, &ignition, 0.0, 30.0);
-    assert_eq!(fresh, via_arena);
     sim.simulate_arena(&s, &ignition, 0.0, 30.0, &mut arena);
-    assert_eq!(arena.scratch_bytes(), scratch, "second pass moved scratch");
+    assert_eq!(
+        arena.scratch_bytes(),
+        scratch,
+        "a second pass moved scratch"
+    );
+    assert_eq!(arena.dirty, Dirty::Spans { first, last });
+    // The next run resets those rows alone: every other row's span is
+    // already empty, and after it the raster holds this run's fire only.
+    let untouched = |arena: &SimArena, first: usize, last: usize| {
+        (0..n)
+            .filter(|r| !(first..=last).contains(r))
+            .all(|r| (arena.span_lo[r], arena.span_hi[r]) == (u32::MAX, 0))
+    };
+    assert!(untouched(&arena, first, last));
+    let far = FireLine::from_cells(n, n, &[(3, 3)]);
+    let map = sim.simulate_arena(&s, &far, 0.0, 30.0, &mut arena).clone();
+    assert_eq!(map, sim.simulate(&s, &far, 0.0, 30.0));
+    let Dirty::Spans { first, last } = arena.dirty else {
+        panic!("a bucket run left {:?}", arena.dirty);
+    };
+    assert!(last < n / 10, "rows {first}..={last} after a corner burn");
+    assert!(untouched(&arena, first, last));
 }
 
 #[test]
@@ -713,7 +713,7 @@ fn out_of_catalog_model_is_ignored_when_fuel_layer_overrides_it() {
 #[test]
 fn out_of_catalog_model_without_a_fuel_layer_burns_nothing() {
     // No layer shadows the model, so it is consulted — and says what
-    // `fuel_code_mask` and the rate bound say: nothing burns. Uniform
+    // `fuel_code_mask` says: nothing burns. Uniform
     // and per-cell table modes, every kernel, a dirty arena.
     let slope = Grid::from_fn(7, 7, |r, c| ((r + c) % 30) as f64);
     for terrain in [
@@ -726,8 +726,6 @@ fn out_of_catalog_model_without_a_fuel_layer_burns_nothing() {
             ..calm_scenario()
         };
         assert_eq!(sim.terrain().fuel_code_mask(s.model), 0);
-        assert_eq!(sim.spread_rate_bound(&s), 0.0);
-        assert_eq!(sim.max_ros(&s), 0.0);
         let mut arena = sim.arena();
         sim.simulate_arena(
             &calm_scenario(),

@@ -125,8 +125,8 @@ impl Sweep<'_> {
     /// hand. Each epoch runs in two phases:
     ///
     /// 1. **Parallel drain** (defer-all): the epoch's entries are grouped
-    ///    by spatial tile (`tile × tile` blocks of the active window, pop
-    ///    order within each tile) and the tiles drain concurrently via
+    ///    by spatial tile (`tile × tile` blocks of the raster, pop order
+    ///    within each tile) and the tiles drain concurrently via
     ///    [`parworker::scoped_for_each_mut`]. A drain never writes the
     ///    raster: it runs [`Sweep::relax`] against a snapshot and keeps
     ///    each pop's candidates in a per-tile outbox
@@ -171,7 +171,7 @@ impl Sweep<'_> {
             tile_ranges,
             merge,
         } = scratch;
-        let (win, cols) = (self.win, self.cols);
+        let cols = self.cols;
         queue.reset(self.t0, self.duration);
         for &sidx in seeds {
             queue.stage(self.t0, sidx);
@@ -179,15 +179,11 @@ impl Sweep<'_> {
         #[cfg(test)]
         super::tests::SEEDS_QUEUED.with(|n| n.set(n.get() + seeds.len()));
 
-        // Tile ownership of a cell: its `tile × tile` block of the active
-        // window, strays clamped to the nearest window cell (deterministic
-        // and cheap; strays are a floating-point-slack corner case).
-        let tiles_x = win.cols.div_ceil(tile);
+        // Tile ownership of a cell: its `tile × tile` block of the raster.
+        let tiles_x = cols.div_ceil(tile);
         let tile_of = |idx: u32| -> u32 {
             let (r, c) = ((idx as usize) / cols, (idx as usize) % cols);
-            let wr = r.clamp(win.r0, win.r0 + win.rows - 1) - win.r0;
-            let wc = c.clamp(win.c0, win.c0 + win.cols - 1) - win.c0;
-            ((wr / tile) * tiles_x + wc / tile) as u32
+            ((r / tile) * tiles_x + c / tile) as u32
         };
         // Merge-frontier source marker for in-epoch cascade entries.
         const CASCADE: u32 = u32::MAX;

@@ -36,13 +36,10 @@ pub struct Terrain {
     /// offset on its direction (degrees).
     wind_override: Option<(Grid<f64>, Grid<f64>)>,
     /// Bitmask of fuel codes present in the fuel layer (bit `c` set iff
-    /// code `c` occurs); cached at layer attach so the simulator's
-    /// spread-rate upper bound is O(catalog) per run, not O(cells).
+    /// code `c` occurs); cached at layer attach so a run hoists the spread
+    /// math of the fuel models the map holds, and builds a per-fuel table
+    /// for each of them, in O(catalog), not O(cells).
     fuel_code_mask: u16,
-    /// Maximum of the slope layer (degrees); 0 without a layer.
-    slope_max_deg: f64,
-    /// Maximum of the wind speed-factor layer; 1 without a layer.
-    wind_factor_max: f64,
 }
 
 impl Terrain {
@@ -75,8 +72,6 @@ impl Terrain {
             upslope: None,
             wind_override: None,
             fuel_code_mask: 0,
-            slope_max_deg: 0.0,
-            wind_factor_max: 1.0,
         }
     }
 
@@ -116,7 +111,6 @@ impl Terrain {
                 .all(|&s| (0.0..90.0).contains(&s)),
             "slope must be in [0, 90) degrees"
         );
-        self.slope_max_deg = slope_deg.as_slice().iter().fold(0.0f64, |m, &s| m.max(s));
         self.slope_tan = Some(slope_deg.map(|&s| s.to_radians().tan()));
         self.slope_override = Some(slope_deg);
         self
@@ -142,9 +136,8 @@ impl Terrain {
     /// [`PARAM_DEFS`](crate::scenario::PARAM_DEFS)) this terrain's layers override
     /// on every cell: the fuel model (gene 0) under a fuel layer, the
     /// slope (gene 7) under a slope layer, the aspect (gene 8) under an
-    /// aspect layer. A run never reads an overridden gene — burnability,
-    /// the spread-rate bound and every spread table take the layer's value
-    /// instead — so two scenarios that differ only there burn alike, bit
+    /// aspect layer. A run never reads an overridden gene — burnability
+    /// and every spread table take the layer's value instead — so two scenarios that differ only there burn alike, bit
     /// for bit. A wind layer modulates the scenario's wind rather than
     /// replacing it, and overrides nothing.
     pub fn overridden_genes(&self) -> [bool; GENE_COUNT] {
@@ -201,10 +194,6 @@ impl Terrain {
             dir_offset_deg.as_slice().iter().all(|&d| d.is_finite()),
             "wind direction offsets must be finite"
         );
-        self.wind_factor_max = speed_factor
-            .as_slice()
-            .iter()
-            .fold(0.0f64, |m, &f| m.max(f));
         self.wind_override = Some((speed_factor, dir_offset_deg));
         self
     }
@@ -274,26 +263,6 @@ impl Terrain {
         }
     }
 
-    /// Upper bound on the effective slope (degrees) over the whole map:
-    /// the slope layer's cached maximum when present, otherwise the
-    /// scenario's global slope.
-    pub fn max_slope_deg(&self, scenario_slope_deg: f64) -> f64 {
-        match &self.slope_override {
-            Some(_) => self.slope_max_deg,
-            None => scenario_slope_deg,
-        }
-    }
-
-    /// Upper bound on the effective wind speed over the whole map: the
-    /// scenario's speed times the wind layer's cached maximum factor
-    /// (1 without a layer).
-    pub fn max_wind_speed(&self, scenario_speed: f64) -> f64 {
-        match &self.wind_override {
-            Some(_) => scenario_speed * self.wind_factor_max,
-            None => scenario_speed,
-        }
-    }
-
     /// Effective fuel model of a cell given the scenario's global value.
     #[inline]
     pub fn fuel_at(&self, row: usize, col: usize, scenario_fuel: u8) -> u8 {
@@ -303,7 +272,7 @@ impl Terrain {
     }
 
     /// Effective slope (degrees) of a cell given the scenario's value.
-    // lint: allow(unreached) — read by `FireSim::cell_spread`, the oracle of cell_table_matches_the_terrain_accessor_path, and by the unit tests of crates/firelib/src/terrain.rs
+    // lint: allow(unreached) — read by `cell_spread` in crates/firelib/src/sim/tests/mod.rs, the oracle of cell_table_matches_the_terrain_accessor_path, and by the unit tests of crates/firelib/src/terrain.rs
     #[inline]
     pub fn slope_at(&self, row: usize, col: usize, scenario_slope_deg: f64) -> f64 {
         self.slope_override
@@ -312,7 +281,7 @@ impl Terrain {
     }
 
     /// Effective aspect (degrees) of a cell given the scenario's value.
-    // lint: allow(unreached) — read by `FireSim::cell_spread`, the oracle of cell_table_matches_the_terrain_accessor_path, and by the unit tests of crates/firelib/src/terrain.rs
+    // lint: allow(unreached) — read by `cell_spread` in crates/firelib/src/sim/tests/mod.rs, the oracle of cell_table_matches_the_terrain_accessor_path, and by the unit tests of crates/firelib/src/terrain.rs
     #[inline]
     pub fn aspect_at(&self, row: usize, col: usize, scenario_aspect_deg: f64) -> f64 {
         self.aspect_override
@@ -323,7 +292,7 @@ impl Terrain {
     /// Effective `(wind speed, wind direction)` of a cell given the
     /// scenario's global wind. Without a wind layer the scenario values pass
     /// through untouched.
-    // lint: allow(unreached) — read by `FireSim::cell_spread`, the oracle of cell_table_matches_the_terrain_accessor_path, and by the unit tests of crates/firelib/src/terrain.rs
+    // lint: allow(unreached) — read by `cell_spread` in crates/firelib/src/sim/tests/mod.rs, the oracle of cell_table_matches_the_terrain_accessor_path, and by the unit tests of crates/firelib/src/terrain.rs
     #[inline]
     pub fn wind_at(
         &self,
@@ -411,8 +380,6 @@ mod tests {
         let t = Terrain::uniform(2, 2, 50.0);
         assert_eq!(t.fuel_code_mask(3), 1 << 3);
         assert_eq!(t.fuel_code_mask(99), 0);
-        assert_eq!(t.max_slope_deg(17.0), 17.0);
-        assert_eq!(t.max_wind_speed(8.0), 8.0);
 
         let t = Terrain::uniform(2, 2, 50.0)
             .with_fuel(Grid::from_vec(2, 2, vec![1u8, 4, 0, 1]))
@@ -422,8 +389,6 @@ mod tests {
                 Grid::filled(2, 2, 0.0),
             );
         assert_eq!(t.fuel_code_mask(9), (1 << 0) | (1 << 1) | (1 << 4));
-        assert_eq!(t.max_slope_deg(80.0), 40.0);
-        assert_eq!(t.max_wind_speed(10.0), 25.0);
     }
 
     #[test]

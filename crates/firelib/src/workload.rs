@@ -281,30 +281,13 @@ impl Workload {
         FireSim::shared(Arc::clone(&self.terrain))
     }
 
-    /// The synthetic "real fire": simulates the hidden truth over every
-    /// interval, accumulating burned state (fire never regresses), and
-    /// returns one reference fire line per instant — `reference[0]` is the
-    /// ignition.
+    /// The synthetic "real fire" of this workload: [`reference_lines`]
+    /// from its ignition under its hidden truth.
     ///
     /// # Panics
     /// Panics when `truth` does not hold one scenario per interval.
     pub fn reference_lines(&self, sim: &FireSim) -> Vec<FireLine> {
-        assert_eq!(
-            self.truth.len(),
-            self.times.len() - 1,
-            "one scenario per interval"
-        );
-        let mut lines = Vec::with_capacity(self.times.len());
-        let mut front = self.ignition.clone();
-        let mut arena = sim.arena();
-        for (i, scenario) in self.truth.iter().enumerate() {
-            let dt = self.times[i + 1] - self.times[i];
-            let map = sim.simulate_arena(scenario, &front, self.times[i], dt, &mut arena);
-            let grown = front.union(&map.fire_line_at(self.times[i + 1]));
-            lines.push(std::mem::replace(&mut front, grown));
-        }
-        lines.push(front);
-        lines
+        reference_lines(sim, &self.ignition, &self.times, &self.truth)
     }
 
     /// Fraction of cells whose fuel bed can burn under the first truth
@@ -324,6 +307,34 @@ impl Workload {
         }
         burnable as f64 / total as f64
     }
+}
+
+/// The synthetic "real fire": simulates `truth[i]` over each interval
+/// `times[i]..times[i + 1]` from the fire line burned so far, accumulating
+/// burned state (fire never regresses, and each run's map only covers its
+/// own interval's growth), and returns one reference fire line per
+/// instant — `reference[0]` is `ignition`.
+///
+/// # Panics
+/// Panics when `truth` does not hold one scenario per interval.
+pub fn reference_lines(
+    sim: &FireSim,
+    ignition: &FireLine,
+    times: &[f64],
+    truth: &[Scenario],
+) -> Vec<FireLine> {
+    assert_eq!(truth.len(), times.len() - 1, "one scenario per interval");
+    let mut lines = Vec::with_capacity(times.len());
+    let mut front = ignition.clone();
+    let mut arena = sim.arena();
+    for (i, scenario) in truth.iter().enumerate() {
+        let dt = times[i + 1] - times[i];
+        let map = sim.simulate_arena(scenario, &front, times[i], dt, &mut arena);
+        let grown = front.union(&map.fire_line_at(times[i + 1]));
+        lines.push(std::mem::replace(&mut front, grown));
+    }
+    lines.push(front);
+    lines
 }
 
 /// Deterministically places `count` ignition points on burnable cells,
@@ -602,7 +613,8 @@ pub fn corpus() -> Vec<WorkloadSpec> {
 /// 1000×1000 ridge-and-valley terrain: fractal DEM relief expanded into
 /// per-cell slope/aspect layers (the fully heterogeneous, per-cell
 /// spread-table path at landscape scale), single ignition so the burn stays
-/// a compact front — the active-front window workload.
+/// a compact front — a run's bookkeeping follows the rows it burns, not
+/// the megacell raster.
 pub fn ridge_valley_xl() -> WorkloadSpec {
     WorkloadSpec {
         name: "ridge_valley_xl",

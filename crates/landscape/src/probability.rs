@@ -160,8 +160,8 @@ impl ProbabilityMap {
                     .push(range.start + first..range.start + last + 1);
             }
         }
-        // An arena reports its row spans in order and its few stray cells
-        // after them: nearly sorted already.
+        // An arena reports its row spans in order, so this is sorted
+        // already; another caller's ranges may come in any order.
         self.incoming.sort_unstable_by_key(|r| r.start);
         self.merge_incoming();
     }
@@ -535,7 +535,7 @@ mod tests {
     #[test]
     fn ranges_feed_the_same_map_as_whole_lines_and_record_the_spans() {
         // 3×4 raster; one run burned cells 1, 2 (row 0) and 6 (row 1), and
-        // reports the range 1..7 — crossing a row boundary — plus a stray.
+        // reports the range 1..7 — crossing a row boundary — plus a lone cell.
         let times = [9.0, 1.0, 2.0, 9.0, 9.0, 9.0, 3.0, 9.0, 9.0, 9.0, 9.0, 4.0];
         let mut fed = ProbabilityMap::new(3, 4);
         fed.accumulate_ranges(&times, |&t| t <= 5.0, [1..7, 11..12], 1);

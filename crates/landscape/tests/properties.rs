@@ -139,10 +139,10 @@ struct Run {
 /// The instant the runs are read at.
 const T1: f64 = 50.0;
 
-/// A run in one of the shapes an arena reports: per-row spans of a window
-/// (some cells inside them unignited or later than [`T1`]) plus stray
-/// single cells beyond it, the whole raster as one range (a reference
-/// kernel run, which tracks nothing), or nothing at all.
+/// A run in one of the shapes a caller may report: per-row spans of a
+/// window (some cells inside them unignited or later than [`T1`]) plus
+/// single cells beyond it, out of order; the whole raster as one range (a
+/// reference kernel run, which tracks nothing); or nothing at all.
 fn run(rng: &mut StdRng) -> Run {
     let n = ROWS * COLS;
     let mut arrivals = vec![UNIGNITED; n];
