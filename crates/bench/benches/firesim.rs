@@ -1,15 +1,19 @@
 //! E4 — fire simulator kernel throughput: one full propagation per
 //! (grid size × fuel model), the cost model underneath every other
 //! experiment (the one copy of that loop: the harness writes exact
-//! artifacts only) — two evaluations seeded from a case's observed line,
-//! as a prediction step makes them — plus the SimArena acceptance
-//! benchmark: the arena hot path against an emulation of the pre-arena
-//! per-cell evaluation on the 200×200 corpus workload.
+//! artifacts only) — evaluations seeded from a case's observed line, as a
+//! prediction step makes them, of one repeated scenario and of a fresh
+//! sampled stream, and a megacell fire in a few huge queue buckets —
+//! plus the SimArena acceptance benchmark: the arena hot path against an
+//! emulation of the pre-arena per-cell evaluation on the 200×200 corpus
+//! workload.
 
 use ess_benches::microbench::{bench, group};
 use firelib::sim::centre_ignition;
 use firelib::spread::{wind_slope_max, SpreadInputs};
-use firelib::{FireSim, Kernel, Scenario, Terrain};
+use firelib::{FireSim, Kernel, Scenario, ScenarioSpace, Terrain};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn main() {
@@ -67,31 +71,74 @@ fn main() {
     // (per-cell slope and aspect under a global wind), the seeds on
     // archipelago_large, whose step-4 line is mostly interior (every seed
     // written, the front alone queued), and the megacell raster of
-    // archipelago_xl, where a cost on the push side of the queue shows.
-    group("firesim_seeded (one interval from the observed line)");
-    for (spec, interval) in [
+    // archipelago_xl, whose fronts are the largest the queue loads.
+    // `firesim_seeded` repeats the case's truth scenario; `firesim_fresh`
+    // is the search's traffic — a pass over 256 scenarios sampled once
+    // with a fixed seed, none repeated back to back — where the frontier
+    // queue's share of a run shows.
+    let cases = [
         (firelib::workload::meadow_small(), 3usize),
         (firelib::workload::patchwork_mosaic(), 3),
         (firelib::workload::gusty_channel(), 3),
         (firelib::workload::ridged_foothills(), 3),
         (firelib::workload::archipelago_large(), 4),
         (firelib::workload::archipelago_xl(), 1),
+    ];
+    let mut rng = StdRng::seed_from_u64(7);
+    let fresh: Vec<Scenario> = (0..256).map(|_| ScenarioSpace.sample(&mut rng)).collect();
+    for (title, stream) in [
+        ("firesim_seeded (one interval from the observed line)", None),
+        (
+            "firesim_fresh (256 sampled scenarios from the observed line)",
+            Some(&fresh),
+        ),
     ] {
-        let workload = spec.build();
-        let sim = workload.sim();
-        let lines = workload.reference_lines(&sim);
-        let seeds = sim.seeds(&lines[interval - 1]);
-        let (t0, t1) = (workload.times[interval - 1], workload.times[interval]);
-        let truth = workload.truth[interval - 1];
-        let mut arena = sim.arena();
-        let label = format!(
-            "{} interval {interval} ({} lit, {} on the front)",
-            spec.name,
-            seeds.cells().len(),
-            seeds.front().len()
-        );
-        bench(&label, 200, || {
-            sim.simulate_arena_seeded(&truth, &seeds, t0, t1 - t0, &mut arena, Kernel::Bucket);
+        group(title);
+        for &(ref spec, interval) in &cases {
+            let workload = spec.build();
+            let sim = workload.sim();
+            let lines = workload.reference_lines(&sim);
+            let seeds = sim.seeds(&lines[interval - 1]);
+            let (t0, t1) = (workload.times[interval - 1], workload.times[interval]);
+            let truth = [workload.truth[interval - 1]];
+            let mut arena = sim.arena();
+            let label = format!(
+                "{} interval {interval} ({} lit, {} on the front)",
+                spec.name,
+                seeds.cells().len(),
+                seeds.front().len()
+            );
+            let (scenarios, iters) = stream.map_or((&truth[..], 200), |s| (&s[..], 20));
+            bench(&label, iters, || {
+                scenarios.iter().fold(0, |n, s| {
+                    sim.simulate_arena_seeded(s, &seeds, t0, t1 - t0, &mut arena, Kernel::Bucket);
+                    n + arena.written_ranges().count()
+                })
+            });
+        }
+    }
+
+    // Few buckets, each huge: the grass fire takes 5 000–8 000 min to
+    // burn the raster, so a 10^6-min horizon (489-min buckets) puts it in
+    // about 16 buckets of up to ~150 000 entries, each sorted once when
+    // the cursor opens it, and a 10^8-min horizon puts it all in bucket
+    // 0, where every push after the front goes to the queue's `late` heap.
+    group("firesim_one_bucket (1000x1000 NFFL01 10 mph, centre ignition)");
+    let n = 1000usize;
+    let sim = FireSim::new(Terrain::uniform(n, n, 100.0));
+    let scenario = Scenario {
+        model: 1,
+        wind_speed_mph: 10.0,
+        ..Scenario::reference()
+    };
+    let ignition = centre_ignition(n, n);
+    let mut arena = sim.arena();
+    for (label, horizon) in [
+        ("horizon 10^6 min", 1e6),
+        ("horizon 10^8 min (bucket 0 only)", 1e8),
+    ] {
+        bench(label, 5, || {
+            sim.simulate_arena(&scenario, &ignition, 0.0, horizon, &mut arena);
             black_box(arena.written_ranges().count())
         });
     }

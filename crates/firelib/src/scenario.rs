@@ -267,7 +267,6 @@ impl ScenarioSpace {
     }
 
     /// Uniformly samples a scenario.
-    // lint: allow(unreached) — the sampler tests/table1_conformance.rs checks against every Table I row
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Scenario {
         self.decode(&self.sample_genes(rng))
     }

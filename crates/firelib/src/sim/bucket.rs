@@ -1,8 +1,9 @@
 use super::sweep::{audit_pop_order, Sweep, Trail};
+use std::cmp::Ordering;
 
 /// Number of arrival-time buckets the monotone queue quantizes the horizon
-/// into. More buckets → smaller per-bucket mini-heaps. The drain does not
-/// walk them: it finds the next occupied one through
+/// into. More buckets → fewer entries to sort per refill. The drain does
+/// not walk them: it finds the next occupied one through
 /// [`BucketQueue::occupied`], so a run costs its pops and pushes plus one
 /// word read per 64 buckets it skips; walking them one by one visits
 /// 20–64× as many buckets as a `meadow_small` run pops cells.
@@ -10,11 +11,17 @@ pub(super) const BUCKETS: usize = 2048;
 
 /// Monotone bucket queue (Dial's algorithm) over the arrival-time horizon
 /// `[t0, t0 + duration]`, with one twist that buys exactness: the bucket
-/// currently being drained is kept as a binary mini-heap ordered by the
-/// *same* total order the reference `BinaryHeap<(Reverse<Time>, u32)>`
-/// pops in (ascending time via `total_cmp`, ties by descending index).
-/// Future buckets are plain unsorted `Vec`s — O(1) push — and are
-/// heapified once when the drain cursor reaches them.
+/// currently being drained is popped in the *same* total order the
+/// reference `BinaryHeap<(Reverse<Time>, u32)>` pops in (ascending time
+/// via `total_cmp`, ties by descending index). Future buckets are plain
+/// unsorted `Vec`s — O(1) push. When the drain cursor reaches one, it
+/// becomes a **sorted run** with the next pop last, sorted once, so a pop
+/// is a `Vec::pop`; the front a run starts from already is bucket 0's run
+/// (ascending indices, one time), so it loads without a compare. Entries
+/// pushed into the cursor's bucket after it was opened go to a small
+/// **`late` mini-heap** in the same order, and a pop takes the earlier of
+/// the run's last entry and `late`'s root — so a fire that lands in one
+/// bucket whole still pops in O(log n).
 ///
 /// Every traversal cost is positive, so a push performed while draining
 /// bucket `k` has an arrival time ≥ the time of some entry in bucket `k`,
@@ -26,46 +33,54 @@ pub(super) const BUCKETS: usize = 2048;
 ///
 /// The occupancy bitmap's invariant: a set bit means a non-empty bucket
 /// ahead of the cursor, and between runs every bucket is empty and every
-/// bit clear. The tiled kernel's `stage`/`take_levels` leave the bitmap
-/// alone (they walk the buckets themselves), which keeps every bit clear.
+/// bit clear. The tiled kernel's `stage`/`take_levels` leave the bitmap,
+/// the run and `late` alone (they walk the buckets themselves), which
+/// keeps every bit clear.
 #[derive(Debug, Clone, Default)]
 pub(super) struct BucketQueue {
     /// Future frontier entries, bucketed by quantized arrival time.
     pub(super) buckets: Vec<Vec<(f64, u32)>>,
     /// One bit per bucket of [`BucketQueue::buckets`], set by `push` when
     /// an entry lands ahead of the cursor and cleared by `pop` when the
-    /// bucket moves into `cur`.
+    /// bucket moves into `run`.
     pub(super) occupied: [u64; BUCKETS / 64],
-    /// The bucket currently being drained, as a mini-heap in pop order.
-    pub(super) cur: Vec<(f64, u32)>,
-    /// Index of the bucket `cur` was filled from; pushes quantizing to
-    /// `<= cursor` (only possible for `== cursor`) join the mini-heap.
+    /// The cursor's bucket as it was when opened, sorted in reverse pop
+    /// order: the next pop is last.
+    pub(super) run: Vec<(f64, u32)>,
+    /// Entries pushed into the cursor's bucket after it was opened, as a
+    /// mini-heap in pop order.
+    pub(super) late: Vec<(f64, u32)>,
+    /// Index of the bucket being drained; pushes quantizing to
+    /// `<= cursor` (only possible for `== cursor`) join `late`.
     pub(super) cursor: usize,
-    /// Entries currently queued across `cur` and all future buckets.
+    /// Entries currently queued across `run`, `late` and all future
+    /// buckets.
     pub(super) len: usize,
     base: f64,
     inv_delta: f64,
 }
 
 impl BucketQueue {
-    /// `true` when `a` pops before `b` under the reference heap's order:
-    /// smaller time first, equal times broken by larger cell index.
+    /// The reference heap's pop order: smaller time first, equal times
+    /// broken by larger cell index (`Less` pops first).
+    #[inline]
+    fn pop_order(a: (f64, u32), b: (f64, u32)) -> Ordering {
+        a.0.total_cmp(&b.0).then(b.1.cmp(&a.1))
+    }
+
+    /// `true` when `a` pops before `b`.
     #[inline]
     fn before(a: (f64, u32), b: (f64, u32)) -> bool {
-        match a.0.total_cmp(&b.0) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => a.1 > b.1,
-        }
+        Self::pop_order(a, b).is_lt()
     }
 
     /// Prepares the queue for one run over `[t0, t0 + duration]`. Bucket
-    /// `Vec`s keep their capacity across runs, so a repeated run allocates
-    /// nothing; a fresh one allocates whenever it fills a bucket past that
-    /// bucket's own high-water mark. A run that returned drained the queue, so
-    /// there is nothing to clear — 2048 stores that were a third of a
-    /// `meadow_small` evaluation; only a run abandoned by a panic leaves
-    /// entries (and their bits) behind.
+    /// `Vec`s, the run and `late` keep their capacity across runs, so a
+    /// repeated run allocates nothing; a fresh one allocates whenever it
+    /// fills one of them past its own high-water mark. A run that returned
+    /// drained the queue, so there is nothing to clear — 2048 stores that
+    /// were a third of a `meadow_small` evaluation; only a run abandoned by
+    /// a panic leaves entries (and their bits) behind.
     #[inline]
     pub(super) fn reset(&mut self, t0: f64, duration: f64) {
         if self.buckets.len() != BUCKETS {
@@ -75,13 +90,34 @@ impl BucketQueue {
             for b in &mut self.buckets {
                 b.clear();
             }
-            self.cur.clear();
+            self.run.clear();
+            self.late.clear();
             self.occupied = [0; BUCKETS / 64];
         }
         self.cursor = 0;
         self.len = 0;
         self.base = t0;
         self.inv_delta = (BUCKETS - 1) as f64 / duration;
+    }
+
+    /// Queues a run's front, all at `t0`, on a freshly reset queue. `front`
+    /// is ascending by index (a [`Seeds`](super::Seeds) front is), and at
+    /// one time the largest index pops first, so `front` already is bucket
+    /// 0's run in reverse pop order: one `extend`, no compare.
+    #[inline]
+    pub(super) fn load_front(&mut self, t0: f64, front: &[u32]) {
+        debug_assert!(
+            self.len == 0 && t0 == self.base,
+            "load_front on a used queue"
+        );
+        debug_assert!(
+            front.is_sorted_by(|a, b| a < b),
+            "front not strictly ascending"
+        );
+        self.run.extend(front.iter().map(|&idx| (t0, idx)));
+        self.len = front.len();
+        #[cfg(test)]
+        super::tests::SEEDS_QUEUED.with(|n| n.set(n.get() + front.len()));
     }
 
     #[inline]
@@ -96,12 +132,12 @@ impl BucketQueue {
         self.len += 1;
         let b = self.bucket_of(t);
         if b <= self.cursor {
-            self.cur.push((t, idx));
-            let mut i = self.cur.len() - 1;
+            self.late.push((t, idx));
+            let mut i = self.late.len() - 1;
             while i > 0 {
                 let p = (i - 1) / 2;
-                if Self::before(self.cur[i], self.cur[p]) {
-                    self.cur.swap(i, p);
+                if Self::before(self.late[i], self.late[p]) {
+                    self.late.swap(i, p);
                     i = p;
                 } else {
                     break;
@@ -115,9 +151,12 @@ impl BucketQueue {
         }
     }
 
+    /// Removes and returns `late`'s root; `late` must be non-empty.
     #[inline]
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.cur.len();
+    fn pop_late(&mut self) -> (f64, u32) {
+        let top = self.late.swap_remove(0);
+        let n = self.late.len();
+        let mut i = 0;
         loop {
             let l = 2 * i + 1;
             if l >= n {
@@ -125,16 +164,17 @@ impl BucketQueue {
             }
             let mut best = l;
             let r = l + 1;
-            if r < n && Self::before(self.cur[r], self.cur[l]) {
+            if r < n && Self::before(self.late[r], self.late[l]) {
                 best = r;
             }
-            if Self::before(self.cur[best], self.cur[i]) {
-                self.cur.swap(i, best);
+            if Self::before(self.late[best], self.late[i]) {
+                self.late.swap(i, best);
                 i = best;
             } else {
                 break;
             }
         }
+        top
     }
 
     #[inline]
@@ -142,44 +182,56 @@ impl BucketQueue {
         if self.len == 0 {
             return None;
         }
-        if self.cur.is_empty() {
-            // len > 0 and every queued entry lives in cur or a bucket
-            // > cursor, so a set bit exists ahead of the cursor; no bit at
-            // or behind it is set, so the scan needs no mask.
-            let mut w = self.cursor / 64;
-            while self.occupied[w] == 0 {
-                w += 1;
-                debug_assert!(w < BUCKETS / 64, "bucket queue lost entries");
-            }
-            let bit = self.occupied[w].trailing_zeros() as usize;
-            self.occupied[w] &= !(1 << bit);
-            debug_assert!(w * 64 + bit > self.cursor, "a bit behind the cursor");
-            self.cursor = w * 64 + bit;
-            // Move elements out rather than swap the `Vec`s so every
-            // bucket keeps its own high-water capacity (swapping shuffles
-            // capacities between slots, so even a repeated run would
-            // allocate).
-            self.cur.append(&mut self.buckets[self.cursor]);
-            for i in (0..self.cur.len() / 2).rev() {
-                self.sift_down(i);
-            }
-        }
         self.len -= 1;
-        let top = self.cur[0];
-        // lint: allow(panic) — pop() is only entered with len > 0, and the refill above just moved a bucket into cur
-        let last = self.cur.pop().expect("cur is non-empty");
-        if !self.cur.is_empty() {
-            self.cur[0] = last;
-            self.sift_down(0);
+        if let Some(&first) = self.late.first() {
+            if self
+                .run
+                .last()
+                .is_none_or(|&next| Self::before(first, next))
+            {
+                return Some(self.pop_late());
+            }
         }
-        Some(top)
+        if let Some(next) = self.run.pop() {
+            return Some(next);
+        }
+        self.refill()
+    }
+
+    /// Opens the next occupied bucket once `run` and `late` are both
+    /// drained, and pops its first entry.
+    #[inline]
+    fn refill(&mut self) -> Option<(f64, u32)> {
+        // An entry is queued and every queued entry lives in a bucket
+        // > cursor, so a set bit exists ahead of the cursor; no bit at or
+        // behind it is set, so the scan needs no mask.
+        let mut w = self.cursor / 64;
+        while self.occupied[w] == 0 {
+            w += 1;
+            debug_assert!(w < BUCKETS / 64, "bucket queue lost entries");
+        }
+        let bit = self.occupied[w].trailing_zeros() as usize;
+        self.occupied[w] &= !(1 << bit);
+        debug_assert!(w * 64 + bit > self.cursor, "a bit behind the cursor");
+        self.cursor = w * 64 + bit;
+        let bucket = &mut self.buckets[self.cursor];
+        if bucket.len() == 1 {
+            return bucket.pop();
+        }
+        // Move elements out rather than swap the `Vec`s so every bucket
+        // keeps its own high-water capacity (swapping shuffles capacities
+        // between slots, so even a repeated run would allocate).
+        self.run.append(bucket);
+        self.run.sort_unstable_by(|&a, &b| Self::pop_order(b, a));
+        self.run.pop()
     }
 
     /// Heap bytes currently held across all bucket storage.
     pub(super) fn bytes(&self) -> usize {
         let entry = std::mem::size_of::<(f64, u32)>();
-        let entries: usize =
-            self.cur.capacity() + self.buckets.iter().map(Vec::capacity).sum::<usize>();
+        let entries = self.run.capacity()
+            + self.late.capacity()
+            + self.buckets.iter().map(Vec::capacity).sum::<usize>();
         entries * entry + self.buckets.capacity() * std::mem::size_of::<Vec<(f64, u32)>>()
     }
 }
@@ -189,13 +241,9 @@ impl Sweep<'_> {
     /// [`BucketQueue`], every pop goes through [`Sweep::relax`], and every
     /// surviving arrival is written and pushed at once.
     #[inline]
-    pub(super) fn run_bucket(&self, seeds: &[u32], queue: &mut BucketQueue, trail: &mut Trail<'_>) {
+    pub(super) fn run_bucket(&self, front: &[u32], queue: &mut BucketQueue, trail: &mut Trail<'_>) {
         queue.reset(self.t0, self.duration);
-        for &sidx in seeds {
-            queue.push(self.t0, sidx);
-        }
-        #[cfg(test)]
-        super::tests::SEEDS_QUEUED.with(|n| n.set(n.get() + seeds.len()));
+        queue.load_front(self.t0, front);
         let mut prev_pop = None;
         while let Some((t, idx)) = queue.pop() {
             audit_pop_order(&mut prev_pop, t, idx);

@@ -61,10 +61,11 @@
 //! 1. *The pop order.* Every kernel pops in the strict total order of the
 //!    reference heap's `(Reverse<Time>, u32)` tuples: ascending time, ties
 //!    by descending cell index. The bucket queue drains each bucket
-//!    through a mini-heap in exactly that order, and every traversal cost
-//!    is positive, so an entry pushed while draining bucket `k` can never
-//!    belong to a bucket `< k` (quantization is monotone in the arrival
-//!    time). Debug builds audit the realized order of all three kernels
+//!    in exactly that order — a run sorted once when the bucket opens,
+//!    merged pop by pop with a mini-heap of the entries pushed into the
+//!    bucket after that — and every traversal cost is positive, so an
+//!    entry pushed while draining bucket `k` can never belong to a bucket
+//!    `< k` (quantization is monotone in the arrival time). Debug builds audit the realized order of all three kernels
 //!    (`audit_pop_order`).
 //! 2. *The table.* A cell's directional spread rates depend on that cell
 //!    alone — not on when, or on which thread, they were computed. The
@@ -129,6 +130,8 @@ pub enum Kernel {
     Heap,
     /// Monotone bucket-queue wavefront sweep that tracks the rows it
     /// writes — the default hot path; bit-identical to [`Kernel::Heap`].
+    /// It queues the front only, in one pass, and drains each bucket as a
+    /// run sorted once, beside a mini-heap of the bucket's late pushes.
     Bucket,
     /// Multi-core tiled wavefront (`sim/tiled.rs`); bit-identical to the heap.
     /// An epoch of at least `TILE_INLINE` entries forks its drain through

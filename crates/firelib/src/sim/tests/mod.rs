@@ -44,10 +44,11 @@ fn mid_bucket(t0: f64, duration: f64, k: usize) -> f64 {
     t0 + (k as f64 + 0.5) * duration / (BUCKETS - 1) as f64
 }
 
-/// Every bucket empty and every occupancy bit clear: the state a drained
-/// (or reset) queue must be in between runs.
+/// Every bucket, the run and `late` empty and every occupancy bit clear:
+/// the state a drained (or reset) queue must be in between runs.
 fn assert_drained(queue: &BucketQueue) {
-    assert!(queue.buckets.iter().all(Vec::is_empty) && queue.cur.is_empty());
+    assert!(queue.buckets.iter().all(Vec::is_empty) && queue.run.is_empty());
+    assert!(queue.late.is_empty(), "a stale late entry");
     assert_eq!(queue.occupied, [0; BUCKETS / 64], "a stale occupancy bit");
 }
 
@@ -86,10 +87,15 @@ fn queue_reset_clears_what_an_abandoned_run_left() {
 
 /// Seeded random push/pop interleavings, each push at or after the last
 /// pop's time as a sweep makes them, pop for pop against the reference
-/// kernel's `BinaryHeap<(Reverse<Time>, u32)>`. The pushes hit bucket 0,
-/// the word edges 63/64 and 127/128, the clamped last bucket (an arrival
-/// at `t_end`) and equal times under different indices; every drained
-/// run leaves every bucket empty and every occupancy bit clear.
+/// kernel's `BinaryHeap<(Reverse<Time>, u32)>`. A third of the runs queue
+/// their `t0` entries through `load_front`, as distinct ascending indices;
+/// the rest push them. The pushes hit bucket 0, the word edges 63/64 and
+/// 127/128, the clamped last bucket (an arrival at `t_end`), equal times
+/// under different indices, and the last pop's time under a larger index
+/// than its own: a tie that must pop before the rest of the run. One run
+/// in four has a horizon that puts every push in bucket 0, so its whole
+/// fire goes through `late`. Every drained run leaves the queue empty and
+/// every occupancy bit clear.
 #[test]
 fn queue_pops_what_the_reference_heap_pops() {
     use super::heap::Time;
@@ -102,43 +108,72 @@ fn queue_pops_what_the_reference_heap_pops() {
     let mut rng = StdRng::seed_from_u64(0xb1_7a_9e);
     let mut queue = BucketQueue::default();
     let mut hit = [false; BUCKETS];
-    for run in 0..300 {
+    let (mut fronts, mut late_peak) = (0, 0);
+    for run in 0..400 {
         let t0 = if run % 3 == 0 {
             0.0
         } else {
             rng.random_range(0.0..2000.0)
         };
-        let duration = rng.random_range(1.0..6000.0);
-        let t_end = t0 + duration;
+        let one_bucket = run % 4 == 3;
+        let duration = if one_bucket {
+            rng.random_range(1e5..1e7)
+        } else {
+            rng.random_range(1.0..6000.0)
+        };
+        // The latest a push may land: the horizon's end, or the middle of
+        // bucket 0 when the whole run must stay there.
+        let reach = if one_bucket {
+            mid_bucket(t0, duration, 0)
+        } else {
+            t0 + duration
+        };
         queue.reset(t0, duration);
         let mut reference = BinaryHeap::new();
-        let (mut floor, mut last_pushed, mut budget) = (t0, t0, rng.random_range(1..400usize));
-        for _ in 0..rng.random_range(1..4usize) {
-            let idx = rng.random_range(0..16u32);
-            hit[queue.bucket_of(t0)] = true;
-            queue.push(t0, idx);
-            reference.push((Reverse(Time(t0)), idx));
+        if run % 3 == 1 {
+            let front: Vec<u32> = (0..16).filter(|_| rng.random_bool(0.3)).collect();
+            queue.load_front(t0, &front);
+            reference.extend(front.iter().map(|&idx| (Reverse(Time(t0)), idx)));
+            fronts += 1;
+        } else {
+            for _ in 0..rng.random_range(1..4usize) {
+                let idx = rng.random_range(0..16u32);
+                queue.push(t0, idx);
+                reference.push((Reverse(Time(t0)), idx));
+            }
         }
+        hit[queue.bucket_of(t0)] = true;
+        let (mut floor, mut last_pushed, mut last_idx) = (t0, t0, 0);
+        let mut budget = rng.random_range(1..400usize);
         loop {
             let pushes = rng.random_range(0..4usize).min(budget);
             budget -= pushes;
             for _ in 0..pushes {
-                let t = match rng.random_range(0..6u32) {
+                let mut idx = rng.random_range(0..16u32);
+                let t = match rng.random_range(0..7u32) {
                     0 => floor,
-                    1 => t_end,
+                    1 => reach,
                     2 => last_pushed.max(floor),
                     3 => {
                         let k = EDGES[rng.random_range(0..EDGES.len())];
-                        mid_bucket(t0, duration, k).clamp(floor, t_end)
+                        mid_bucket(t0, duration, k).clamp(floor, reach)
                     }
-                    _ => floor + rng.random::<f64>() * (t_end - floor),
+                    4 => {
+                        idx = last_idx + rng.random_range(1..8u32);
+                        floor
+                    }
+                    _ => floor + rng.random::<f64>() * (reach - floor),
                 };
-                let idx = rng.random_range(0..16u32);
                 hit[queue.bucket_of(t)] = true;
+                assert!(
+                    !one_bucket || queue.bucket_of(t) == 0,
+                    "run {run} left bucket 0"
+                );
                 last_pushed = t;
                 queue.push(t, idx);
                 reference.push((Reverse(Time(t)), idx));
             }
+            late_peak = late_peak.max(queue.late.len());
             let want = reference.pop().map(|(Reverse(Time(t)), idx)| (t, idx));
             let got = queue.pop();
             assert_eq!(
@@ -147,7 +182,7 @@ fn queue_pops_what_the_reference_heap_pops() {
                 "run {run}: the queue left the reference heap's order"
             );
             match got {
-                Some((t, _)) => floor = t,
+                Some((t, idx)) => (floor, last_idx) = (t, idx),
                 None => break,
             }
         }
@@ -156,6 +191,10 @@ fn queue_pops_what_the_reference_heap_pops() {
     for k in EDGES {
         assert!(hit[k], "no push landed in bucket {k}");
     }
+    assert!(
+        fronts > 100 && late_peak > 100,
+        "{fronts} fronts, late peaked at {late_peak}"
+    );
 }
 
 #[test]

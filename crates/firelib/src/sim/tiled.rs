@@ -76,10 +76,10 @@ struct TileScratch {
 
 impl BucketQueue {
     /// Tiled-kernel entry point: queues `(t, idx)` for a *future* epoch
-    /// without touching the drain mini-heap. The tiled kernel only calls
-    /// this for arrivals quantizing past the current epoch's last bucket
-    /// (in-epoch arrivals go to the merge cascade instead), so the entry
-    /// always lands at or ahead of the cursor.
+    /// without touching the drain's run or its `late` heap. The tiled
+    /// kernel only calls this for arrivals quantizing past the current
+    /// epoch's last bucket (in-epoch arrivals go to the merge cascade
+    /// instead), so the entry always lands at or ahead of the cursor.
     #[inline]
     fn stage(&mut self, t: f64, idx: u32) {
         let b = self.bucket_of(t);
