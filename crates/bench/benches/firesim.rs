@@ -111,7 +111,15 @@ fn main() {
             let (scenarios, iters) = stream.map_or((&truth[..], 200), |s| (&s[..], 20));
             bench(&label, iters, || {
                 scenarios.iter().fold(0, |n, s| {
-                    sim.simulate_arena_seeded(s, &seeds, t0, t1 - t0, &mut arena, Kernel::Bucket);
+                    sim.simulate_arena_seeded(
+                        s,
+                        &seeds,
+                        t0,
+                        t1 - t0,
+                        &mut arena,
+                        Kernel::Bucket,
+                        None,
+                    );
                     n + arena.written_ranges().count()
                 })
             });

@@ -25,8 +25,10 @@ use std::sync::Arc;
 ///   seeded from them instead of re-scanning the mask, and queues the
 ///   front without reading a neighbour to find it;
 /// * the number of `target ∧ ¬from` cells (what Eq. (3) can hit or miss,
-///   so a tally visits only the cells a run wrote) and of `from` cells
-///   (what it leaves out).
+///   so an evaluation takes its misses from it and its hits and false
+///   alarms from what the run counted as it wrote, and a stage's
+///   histogram visits only the cells the result set burned) and of `from`
+///   cells (what it leaves out).
 ///
 /// The counts are raster scans and the seeds one pass over the lit cells;
 /// taken here, once per case, every [`StepContext`] of every session on

@@ -27,8 +27,8 @@
 
 use crate::cases::Observations;
 use evoalg::{BatchEvaluator, GenomeMatrix};
-use firelib::{FireSim, Kernel, Scenario, ScenarioSpace, SimArena, GENE_COUNT};
-use landscape::{tally_ranges, FireLine, IgnitionMap, Observed};
+use firelib::{BurnCount, FireSim, Kernel, Scenario, ScenarioSpace, SimArena, GENE_COUNT};
+use landscape::{FireLine, IgnitionMap, JaccardBreakdown, Observed, ProbabilityMap};
 use parworker::Backend;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -160,15 +160,26 @@ impl StepContext {
         )
     }
 
-    /// Runs one scenario over this interval into `arena` — the one place a
-    /// simulation of the Optimization or the Statistical Stage starts. The
-    /// run is seeded from the interval's resolved seeds, so it costs what
-    /// the fire costs — not what the raster does, nor a search for the
-    /// front — and on a reused arena a repeated scenario allocates nothing.
+    /// Runs one scenario over this interval into `arena`, uncounted — a
+    /// Statistical Stage fold, [`StepContext::simulate_line`].
     pub fn simulate_into<'a>(
         &self,
         scenario: &Scenario,
         arena: &'a mut SimArena,
+    ) -> &'a IgnitionMap {
+        self.run(scenario, arena, None)
+    }
+
+    /// The one place a simulation of the Optimization or the Statistical
+    /// Stage starts. The run is seeded from the interval's resolved seeds,
+    /// so it costs what the fire costs — not what the raster does, nor a
+    /// search for the front — and on a reused arena a repeated scenario
+    /// allocates nothing.
+    fn run<'a>(
+        &self,
+        scenario: &Scenario,
+        arena: &'a mut SimArena,
+        count: Option<&mut BurnCount<'_>>,
     ) -> &'a IgnitionMap {
         #[cfg(test)]
         SIMULATIONS.with(|n| n.set(n.get() + 1));
@@ -180,27 +191,28 @@ impl StepContext {
             self.duration(),
             arena,
             self.kernel,
+            count,
         )
     }
 
     /// Simulates one scenario into the worker's private [`SimArena`] and
-    /// returns its Eq. (3) fitness — the Workers' hot path
-    /// ([`StepContext::simulate_into`]). The score is tallied over the
-    /// cells the run wrote ([`SimArena::written_ranges`]), with the misses
-    /// outside them taken from the interval's `target ∧ ¬from` count.
-    /// Bit-identical to `jaccard_at_time(target, map, t1, Some(from))` on
-    /// the same map.
+    /// returns its Eq. (3) fitness — the Workers' hot path. The run counts
+    /// its hits and false alarms as it writes ([`BurnCount`], the target
+    /// line as the mask, `t1` as the instant), and the misses are the
+    /// interval's `target ∧ ¬from` count less the hits, so no cell is read
+    /// after the run. Bit-identical to `jaccard_at_time(target, map, t1,
+    /// Some(from))` on the same map.
     pub fn fitness_with(&self, scenario: &Scenario, arena: &mut SimArena) -> f64 {
-        self.simulate_into(scenario, arena);
-        let target_new = self.lines.interval(self.interval).target_new;
-        tally_ranges(
-            self.target_line().mask().as_slice(),
-            arena.map().grid().as_slice(),
-            |&arrival| arrival <= self.t1,
-            Some(self.from_line().mask().as_slice()),
-            arena.written_ranges(),
-        )
-        .index_with_real_total(target_new)
+        let mut count = BurnCount::new(self.target_line().mask().as_slice(), self.t1);
+        self.run(scenario, arena, Some(&mut count));
+        let interval = self.lines.interval(self.interval);
+        JaccardBreakdown {
+            hits: count.in_mask(),
+            false_alarms: count.outside(),
+            misses: interval.target_new - count.in_mask(),
+            excluded: interval.preburned,
+        }
+        .index_with_real_total(interval.target_new)
     }
 
     /// Fitness of one scenario (allocating convenience).
@@ -237,7 +249,8 @@ enum Route {
 ///
 /// Every pool runs the same pure work function (`score`: decode the
 /// genome, simulate into the worker's cached [`SimArena`] via
-/// [`StepContext::fitness_with`], tally Eq. (3)) — so Serial, WorkerPool
+/// [`StepContext::fitness_with`], Eq. (3) from what the run counted as it
+/// wrote) — so Serial, WorkerPool
 /// and Rayon pools produce bit-identical fitness vectors for the same
 /// genome batch. The table sits above the route, so every pool and
 /// backend — inline, dispatched, fused lane, tracer — sees the same
@@ -291,29 +304,38 @@ fn run_key(values: &[f64], overridden: &[bool; GENE_COUNT]) -> RowKey {
 pub type SharedTask = (Arc<StepContext>, Arc<GenomeMatrix>, usize);
 
 /// Arena store for the shared pool — one per worker, plus the pool's
-/// spare: one [`SimArena`] per grid shape seen. Arenas are pure per-call
-/// scratch (every `simulate_arena` refills them), so keying by shape is
-/// sound even when tasks from different simulators interleave on one
-/// store.
+/// spare: per grid shape seen, one [`SimArena`] and, in the spare, the
+/// stage tail's [`ProbabilityMap`]. Both are pure per-call scratch (every
+/// `simulate_arena` refills an arena, every fold clears the map's cover
+/// first), so keying by shape is sound even when tasks from different
+/// simulators interleave on one store.
 #[derive(Default)]
 struct ArenaCache {
-    arenas: Vec<((usize, usize), SimArena)>,
+    slots: Vec<Slot>,
+}
+
+/// One grid shape's scratch in an [`ArenaCache`].
+struct Slot {
+    shape: (usize, usize),
+    arena: SimArena,
+    /// Built on the shape's first fold: a worker's store never folds.
+    map: Option<ProbabilityMap>,
 }
 
 impl ArenaCache {
-    fn for_shape(&mut self, rows: usize, cols: usize) -> &mut SimArena {
-        let i = match self
-            .arenas
-            .iter()
-            .position(|((r, c), _)| (*r, *c) == (rows, cols))
-        {
+    fn for_shape(&mut self, rows: usize, cols: usize) -> &mut Slot {
+        let i = match self.slots.iter().position(|s| s.shape == (rows, cols)) {
             Some(i) => i,
             None => {
-                self.arenas.push(((rows, cols), SimArena::new(rows, cols)));
-                self.arenas.len() - 1
+                self.slots.push(Slot {
+                    shape: (rows, cols),
+                    arena: SimArena::new(rows, cols),
+                    map: None,
+                });
+                self.slots.len() - 1
             }
         };
-        &mut self.arenas[i].1
+        &mut self.slots[i]
     }
 }
 
@@ -324,8 +346,8 @@ impl ArenaCache {
 /// results bit-identical.
 fn score(cache: &mut ArenaCache, ctx: &StepContext, genes: &[f64]) -> f64 {
     let terrain = ctx.sim().terrain();
-    let arena = cache.for_shape(terrain.rows(), terrain.cols());
-    ctx.fitness_with(&ScenarioSpace.decode(genes), arena)
+    let slot = cache.for_shape(terrain.rows(), terrain.cols());
+    ctx.fitness_with(&ScenarioSpace.decode(genes), &mut slot.arena)
 }
 
 /// Default small-batch threshold of the shared pool: batches at or below
@@ -354,15 +376,18 @@ pub const DEFAULT_INLINE_THRESHOLD: usize = 16;
 /// Batches are serialised through a mutex ([`parworker::Backend::map`]
 /// needs `&mut self`); fairness between sessions is the scheduler's job —
 /// one *batch* is the unit of interleaving. Work on the calling thread —
-/// inline batches and, through [`SharedScenarioPool::with_arena`], a
+/// inline batches and, through [`SharedScenarioPool::with_spare`], a
 /// step's Statistical Stages — runs on the pool's one spare arena store,
-/// so a serial run keeps a single warm raster per grid shape.
+/// so a serial run keeps a single warm raster per grid shape, and the
+/// stage tail a single probability map per grid shape: no step builds or
+/// zeroes a raster-sized grid.
 pub struct SharedScenarioPool {
     inner: Mutex<DynSharedBackend>,
-    /// The arena store lent to calling-thread work, checked out for the
-    /// duration of one use: the lock is held only to take or return it,
-    /// never while anything runs, so it never nests with `inner`. A user
-    /// that finds it out builds a store of its own, dropped afterwards.
+    /// The arena store lent to calling-thread work — with the stage
+    /// tail's probability maps — checked out for the duration of one use:
+    /// the lock is held only to take or return it, never while anything
+    /// runs, so it never nests with `inner`. A user that finds it out
+    /// builds a store of its own, dropped afterwards.
     spare: Mutex<Option<ArenaCache>>,
     /// Batches at or below this size skip pool dispatch (see
     /// [`DEFAULT_INLINE_THRESHOLD`]); `usize::MAX` on a serial spec,
@@ -453,12 +478,24 @@ impl SharedScenarioPool {
         out
     }
 
-    /// Runs `f` on an arena for `sim`'s grid shape from the pool's spare
-    /// store — warm after the first use on that shape. The arena is
-    /// scratch: whatever it held, every run refills what it reads.
-    pub fn with_arena<R>(&self, sim: &FireSim, f: impl FnOnce(&mut SimArena) -> R) -> R {
-        let terrain = sim.terrain();
-        self.with_cache(|cache| f(cache.for_shape(terrain.rows(), terrain.cols())))
+    /// Runs `f` on the arena and the probability map for `sim`'s grid
+    /// shape from the pool's spare store — warm after the first use on
+    /// that shape. Both are scratch: whatever they held, every run refills
+    /// what it reads, and [`crate::stages::statistical_stage_into`] clears
+    /// the map's last fold (its cover, not the raster) before folding.
+    pub fn with_spare<R>(
+        &self,
+        sim: &FireSim,
+        f: impl FnOnce(&mut SimArena, &mut ProbabilityMap) -> R,
+    ) -> R {
+        let (rows, cols) = (sim.terrain().rows(), sim.terrain().cols());
+        self.with_cache(|cache| {
+            let slot = cache.for_shape(rows, cols);
+            let map = slot
+                .map
+                .get_or_insert_with(|| ProbabilityMap::new(rows, cols));
+            f(&mut slot.arena, map)
+        })
     }
 
     /// Lends the spare arena store to `f`: taken under the lock, run with
@@ -850,7 +887,7 @@ mod tests {
         // Each thread runs in an arena, then waits (bounded) for the other
         // to be inside too: a lock held across `f` would time one out.
         let meet = || {
-            pool.with_arena(ctx.sim(), |arena| {
+            pool.with_spare(ctx.sim(), |arena, _| {
                 ctx.simulate_into(&truth, arena);
                 inside.fetch_add(1, Ordering::SeqCst);
                 let deadline = Instant::now() + Duration::from_secs(10);
@@ -868,7 +905,7 @@ mod tests {
         assert!(x && y, "both users must be inside at once");
         let spare = pool.spare.lock().expect("spare lock");
         let cache = spare.as_ref().expect("one store is put back");
-        assert_eq!(cache.arenas.len(), 1, "one arena for the one shape");
+        assert_eq!(cache.slots.len(), 1, "one arena for the one shape");
     }
 
     #[test]
@@ -878,7 +915,7 @@ mod tests {
         let pool = SharedScenarioPool::new(EvalBackend::Serial);
         pool.evaluate_matrix(&ctx, &batch);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.with_arena(ctx.sim(), |arena| {
+            pool.with_spare(ctx.sim(), |arena, _| {
                 ctx.simulate_into(&truth, arena);
                 panic!("mid-tail failure");
             })

@@ -28,9 +28,7 @@
 use crate::calibration::{skign_search_against, PredictionStage};
 use crate::cases::BurnCase;
 use crate::fitness::{EvalBackend, ScenarioEvaluator, SharedScenarioPool, StepContext};
-use crate::stages::{
-    decode_result_set, distinct_members, statistical_stage_in, statistical_stage_into,
-};
+use crate::stages::{decode_result_set, distinct_members, statistical_stage_into};
 use evoalg::diversity::{self, DiversityReport};
 use std::sync::Arc;
 
@@ -270,25 +268,25 @@ impl StepDriver {
         // next flush until the tail is done.
         drop(evaluator);
 
-        // One arena for the whole stage tail, lent by the pool (warm from
-        // the search's inline batches or the previous step): both matrices
-        // fold the result set's distinct members through it, each
-        // simulated once and counted with its multiplicity, into one count
-        // grid — the prediction matrix is the calibration matrix cleared
-        // and refolded.
+        // One arena and one count grid for the whole stage tail, lent by
+        // the pool (warm from the search's inline batches or the previous
+        // step): both matrices fold the result set's distinct members
+        // through the arena, each simulated once and counted with its
+        // multiplicity, into the grid — each fold clears the last one's
+        // cover, so no step zeroes a raster.
         let members = distinct_members(&decode_result_set(&outcome.result_set));
-        let (cal, quality) = self.pool.with_arena(&case.sim, |arena| {
+        let (cal, quality) = self.pool.with_spare(&case.sim, |arena, matrix| {
             // --- Statistical Stage (calibration matrix) ------------------
-            let mut matrix = statistical_stage_in(&observed_ctx, &members, arena);
+            statistical_stage_into(&observed_ctx, &members, arena, matrix);
 
             // --- Calibration Stage: SKign on the observed interval -------
-            let cal = skign_search_against(&matrix, &observed_ctx.observed());
+            let cal = skign_search_against(matrix, &observed_ctx.observed());
 
             // --- Statistical + Prediction Stage for t_{i+1} --------------
             let quality = self.carried_kign.map(|kign| {
                 let next_ctx = case.step_context(i + 1);
-                statistical_stage_into(&next_ctx, &members, arena, &mut matrix);
-                PredictionStage::new(kign).quality_against(&matrix, &next_ctx.observed())
+                statistical_stage_into(&next_ctx, &members, arena, matrix);
+                PredictionStage::new(kign).quality_against(matrix, &next_ctx.observed())
             });
             (cal, quality)
         });
@@ -607,11 +605,18 @@ mod tests {
         // Step 1 folds the calibration matrix only; `Fixed` scores
         // nothing, so the tail is the spare's one user.
         driver
-            .step(&mut Fixed(vec![a.clone(), b.clone(), a]))
+            .step(&mut Fixed(vec![a.clone(), b.clone(), a.clone()]))
             .expect("a step");
         let ctx = case.step_context(1);
-        let last = pool.with_arena(&case.sim, |arena| arena.map().fire_line_at(ctx.t1()));
+        let (last, matrix) = pool.with_spare(&case.sim, |arena, matrix| {
+            (arena.map().fire_line_at(ctx.t1()), matrix.clone())
+        });
         assert_eq!(last, ctx.simulate_line(&ScenarioSpace.decode(&b)));
+        // The calibration matrix was folded into the pool's map.
+        let set = [a, b].map(|g| ScenarioSpace.decode(&g));
+        let set = [set[0], set[1], set[0]];
+        assert_eq!(matrix, crate::stages::statistical_stage(&ctx, &set));
+        assert_eq!(matrix.samples(), 3);
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! scenario runs into *one* lent [`SimArena`] — seeded from the interval's
 //! seeds exactly as an Optimization Stage evaluation is — and the
 //! matrix takes its counts straight from the cells that run wrote
-//! ([`SimArena::written_ranges`], arrival ≤ `t₁`). No per-scenario arena,
-//! no burned-mask raster per scenario, no walk of the raster: a step's two
-//! Statistical Stages cost what its result set burned. (The scenarios *are*
-//! re-simulated — the Optimization Stage keeps fitness values, not maps —
-//! but on a warm arena that is a few evaluations' worth of work.) In a
-//! run, the arena is the spare of the step's pool
-//! (`SharedScenarioPool::with_arena`), warm from the search's inline
+//! ([`SimArena::written_ranges`], arrival ≤ `t₁`), into a map that held
+//! an earlier fold and is cleared over that fold's cover. No per-scenario
+//! arena, no burned-mask raster per scenario, no walk or zeroing of the
+//! raster: a step's two Statistical Stages cost what its result set burned.
+//! (The scenarios *are* re-simulated — the Optimization Stage keeps fitness
+//! values, not maps — but on a warm arena that is a few evaluations' worth
+//! of work.) In a run, the arena and the map are the spares of the step's
+//! pool (`SharedScenarioPool::with_spare`), warm from the search's inline
 //! batches and earlier steps; [`statistical_stage`] builds its own.
 //!
 //! The result set is folded as a multiset ([`distinct_members`]): a
@@ -32,9 +33,13 @@ use std::collections::BTreeMap;
 
 /// Aggregates the simulated fire lines of a scenario result set over the
 /// context's interval into an ignition-probability matrix, on a fresh
-/// arena of its own (a run's steps lend the pool's instead).
+/// arena and map of its own (a run's steps lend the pool's instead).
 pub fn statistical_stage(ctx: &StepContext, scenarios: &[Scenario]) -> ProbabilityMap {
-    statistical_stage_in(ctx, &distinct_members(scenarios), &mut ctx.sim().arena())
+    let terrain = ctx.sim().terrain();
+    let mut pm = ProbabilityMap::new(terrain.rows(), terrain.cols());
+    let members = distinct_members(scenarios);
+    statistical_stage_into(ctx, &members, &mut ctx.sim().arena(), &mut pm);
+    pm
 }
 
 /// Genome-level convenience: decodes then aggregates.
@@ -67,27 +72,15 @@ pub fn distinct_members(scenarios: &[Scenario]) -> Vec<(Scenario, u32)> {
 }
 
 /// The fold itself, over a result set's [`distinct_members`]: each member
-/// is simulated once on a lent arena and counted with its multiplicity. A
-/// prediction step lends both of its Statistical Stages the pool's spare
-/// arena ([`crate::fitness::SharedScenarioPool::with_arena`]), so the
-/// arena's raster is filled once per pool and grid shape, not once per
-/// step or scenario.
-pub fn statistical_stage_in(
-    ctx: &StepContext,
-    members: &[(Scenario, u32)],
-    arena: &mut SimArena,
-) -> ProbabilityMap {
-    let terrain = ctx.sim().terrain();
-    let mut pm = ProbabilityMap::new(terrain.rows(), terrain.cols());
-    statistical_stage_into(ctx, members, arena, &mut pm);
-    pm
-}
-
-/// [`statistical_stage_in`] into a map of the context's shape that held
-/// an earlier fold — a step's prediction matrix reuses its calibration
-/// matrix's grid. The map is cleared first
-/// ([`ProbabilityMap::clear`]: the earlier fold's cover, not the raster),
-/// so the counts are a fresh map's.
+/// is simulated once on a lent arena and counted with its multiplicity,
+/// into `pm`, a map of the context's shape that held an earlier fold. The
+/// map is cleared first ([`ProbabilityMap::clear`]: the earlier fold's
+/// cover, not the raster), so the counts are a fresh map's. A prediction
+/// step lends both of its Statistical Stages the pool's spare arena and
+/// map ([`crate::fitness::SharedScenarioPool::with_spare`]) — the
+/// prediction matrix is the calibration matrix refolded — so neither the
+/// arena's raster nor the map's grid is filled more than once per pool
+/// and grid shape.
 ///
 /// # Panics
 /// Panics when `pm` is not the context's shape.

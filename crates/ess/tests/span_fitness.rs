@@ -1,13 +1,14 @@
-//! Span-bounded fitness ≡ full-raster fitness, bit for bit.
+//! Counted fitness ≡ full-raster fitness, bit for bit.
 //!
 //! `StepContext::fitness_with` seeds its run from a per-step `Seeds` value
-//! and scores Eq. (3) over the cells the run wrote, taking the misses
-//! outside them from a per-step count. This suite holds it against the
-//! definition — `jaccard_at_time` over the whole raster of the same arena
-//! map, and a run seeded by scanning the mask — on every registered
-//! non-XL case, every kernel, and the inputs where the shortcut could
-//! plausibly go wrong: dirty arenas, moving ignitions, unburnable lit
-//! cells, an empty seed set.
+//! and scores Eq. (3) from the hits and false alarms the run counts as it
+//! writes (`firelib::BurnCount`), taking the misses from a per-step count
+//! of the target's new cells: it reads no cell after the run. This suite
+//! holds it against the definition — `jaccard_at_time` over the whole
+//! raster of the same arena map, and a run seeded by scanning the mask —
+//! on every registered non-XL case, every kernel, and the inputs where the
+//! shortcut could plausibly go wrong: dirty arenas, moving ignitions,
+//! unburnable lit cells, an empty seed set.
 
 use ess::cases::{self, BurnCase};
 use ess::fitness::StepContext;

@@ -29,7 +29,7 @@
 use ess::calibration::{skign_search, skign_search_against, CalibrationOutcome, PredictionStage};
 use ess::cases::{self, BurnCase};
 use ess::fitness::{EvalBackend, SharedScenarioPool};
-use ess::stages::{distinct_members, statistical_stage, statistical_stage_in};
+use ess::stages::{distinct_members, statistical_stage, statistical_stage_into};
 use firelib::{Kernel, Scenario};
 use landscape::{jaccard, FireLine, LevelHistogram, ProbabilityMap};
 use rand::rngs::StdRng;
@@ -117,9 +117,11 @@ fn non_xl_cases() -> Vec<BurnCase> {
 fn the_fold_and_the_histogram_stages_equal_the_dense_definition() {
     let (mut sets, mut fractional) = (0, 0);
     for case in non_xl_cases() {
-        // One arena per case, lent to every stage on every kernel: each
-        // fold inherits whatever the previous one left in it.
+        // One arena and one map per case, lent to every stage on every
+        // kernel: each fold inherits whatever the previous one left in them.
         let mut arena = case.sim.arena();
+        let terrain = case.sim.terrain();
+        let mut folded = ProbabilityMap::new(terrain.rows(), terrain.cols());
         for i in 1..case.intervals() {
             // Every kernel on the first interval, the serve path's after.
             let kernels = if i == 1 { &KERNELS[..] } else { &KERNELS[1..2] };
@@ -128,7 +130,8 @@ fn the_fold_and_the_histogram_stages_equal_the_dense_definition() {
                 let (target, from) = (ctx.target_line(), ctx.from_line());
                 for set in result_sets(&case.truth[i - 1]) {
                     let what = format!("{} interval {i} {kernel} ×{}", case.name, set.len());
-                    let folded = statistical_stage_in(&ctx, &distinct_members(&set), &mut arena);
+                    let members = distinct_members(&set);
+                    statistical_stage_into(&ctx, &members, &mut arena, &mut folded);
                     let mut dense = ProbabilityMap::new(target.rows(), target.cols());
                     for s in &set {
                         dense.accumulate(&ctx.simulate_line(s));
@@ -260,11 +263,11 @@ fn the_stage_tail_costs_what_the_result_set_burned() {
     let cells = ctx.target_line().mask().len();
     // The arena a run's stage tail folds on: the pool's spare.
     let pool = SharedScenarioPool::new(EvalBackend::Serial);
-    pool.with_arena(&case.sim, |arena| {
+    pool.with_spare(&case.sim, |arena, matrix| {
         // One scenario at a time, so each run's write set can be counted.
         let mut written = 0;
         for s in &set {
-            statistical_stage_in(&ctx, &[(*s, 1)], arena);
+            statistical_stage_into(&ctx, &[(*s, 1)], arena, matrix);
             written += arena.written_ranges().map(|r| r.len()).sum::<usize>();
         }
         assert_eq!(
@@ -273,7 +276,7 @@ fn the_stage_tail_costs_what_the_result_set_burned() {
             "one raster"
         );
 
-        let matrix = statistical_stage_in(&ctx, &distinct_members(&set), arena);
+        statistical_stage_into(&ctx, &distinct_members(&set), arena, matrix);
         let touched: usize = matrix.touched_ranges().map(|r| r.len()).sum();
         assert!(touched > 0, "the result set must burn something");
         assert!(
@@ -292,8 +295,8 @@ fn the_stage_tail_costs_what_the_result_set_burned() {
         );
         // And the walk's answer is the dense one.
         assert_eq!(
-            skign_search_against(&matrix, &ctx.observed()),
-            skign_search_dense(&matrix, ctx.target_line(), Some(ctx.from_line()))
+            skign_search_against(matrix, &ctx.observed()),
+            skign_search_dense(matrix, ctx.target_line(), Some(ctx.from_line()))
         );
     });
 }

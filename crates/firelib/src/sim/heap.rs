@@ -1,4 +1,4 @@
-use super::sweep::{audit_pop_order, Sweep};
+use super::sweep::{audit_pop_order, BurnCount, Sweep};
 use crate::SMIDGEN;
 use landscape::IgnitionMap;
 use std::{cmp::Reverse, collections::BinaryHeap};
@@ -29,13 +29,15 @@ impl Sweep<'_> {
     /// kernel conformance matrix compares the other kernels against, so it shares
     /// their prelude but deliberately keeps its own pop-and-relax loop
     /// instead of calling [`Sweep::relax`] — a reference that shared the
-    /// step it checks would check nothing.
+    /// step it checks would check nothing. It counts its writes into
+    /// `count` at the write itself, as [`Trail`](super::sweep::Trail) does.
     #[inline]
     pub(super) fn run_dijkstra(
         &self,
         seeds: &[u32],
         heap: &mut BinaryHeap<(Reverse<Time>, u32)>,
         out: &mut IgnitionMap,
+        count: &mut BurnCount<'_>,
     ) {
         let (rows, cols) = (self.rows, self.cols);
         heap.clear();
@@ -62,13 +64,15 @@ impl Sweep<'_> {
                     continue;
                 }
                 let arrival = t + dist_factor * self.cell_ft / ros;
-                if arrival > self.t_end || arrival >= out.time(nr, nc) - SMIDGEN {
+                let old = out.time(nr, nc);
+                if arrival > self.t_end || arrival >= old - SMIDGEN {
                     continue;
                 }
                 let nidx = nr * cols + nc;
                 if !self.burnable.at(nidx) {
                     continue;
                 }
+                count.record(nidx, old, arrival);
                 out.set_time(nr, nc, arrival);
                 heap.push((Reverse(Time(arrival)), nidx as u32));
             }

@@ -50,10 +50,16 @@
 //!   occupies, not for the horizon; the raster keeps exact `f64` arrival
 //!   times — buckets only order the frontier. **A run tracks the rows it
 //!   wrote**: each write widens its row's column span, so the next run
-//!   resets, and a scorer reads, the rows the fire touched instead of
+//!   resets, and a fold reads, the rows the fire touched instead of
 //!   O(rows×cols).
 //! * [`Kernel::Tiled`] — the bucket kernel's levels drained by several
 //!   cores at once and merged back in pop order (`Sweep::run_tiled`).
+//!
+//! A run from resolved [`Seeds`] can also **count as it writes**
+//! ([`BurnCount`]): every kernel hands each write's old and new arrival to
+//! the count, which keeps the cells that burn by an instant `t1`, split
+//! by a mask — Eq. (3)'s hits and false alarms when the mask is the
+//! observed target, so a scorer reads no cell after the run.
 //!
 //! **Why the kernels are bit-identical.** A run is a sequence of pops, and
 //! three things fix everything a pop does:
@@ -106,6 +112,7 @@ mod sweep;
 mod tests;
 mod tiled;
 
+pub use self::sweep::BurnCount;
 pub use {arena::SimArena, seeds::Seeds};
 
 use self::sweep::{Burnable, CellFactors, FuelTable, Sweep, Tables, Trail};
@@ -440,7 +447,8 @@ impl FireSim {
         // they leave it for the duration).
         let mut seeds = std::mem::take(&mut arena.line_seeds);
         self.resolve_seeds(initial, &mut seeds);
-        self.run_kernel(scenario, &seeds, t0, duration, arena, kernel);
+        let off = &mut BurnCount::off();
+        self.run_kernel(scenario, &seeds, t0, duration, arena, kernel, off);
         arena.line_seeds = seeds;
         arena.map()
     }
@@ -450,12 +458,16 @@ impl FireSim {
     /// mask and the search for its front — the entry point for evaluating
     /// many scenarios from one fire line, where both (the scan
     /// raster-proportional, the search eight reads a seed) would otherwise
-    /// be paid per scenario.
+    /// be paid per scenario. Given a [`BurnCount`], the run starts it at
+    /// zero and counts into it as it writes, on every kernel, so a scorer
+    /// reads no cell after the run.
     ///
     /// # Panics
     /// As [`FireSim::simulate_arena`], with `seeds` in place of `initial`,
-    /// and when `seeds` was resolved against a terrain that differs from
-    /// this one in shape or in having a fuel layer.
+    /// when `seeds` was resolved against a terrain that differs from
+    /// this one in shape or in having a fuel layer, and when the count's
+    /// mask is not the terrain's size.
+    #[allow(clippy::too_many_arguments)]
     pub fn simulate_arena_seeded<'a>(
         &self,
         scenario: &Scenario,
@@ -464,8 +476,11 @@ impl FireSim {
         duration: f64,
         arena: &'a mut SimArena,
         kernel: Kernel,
+        count: Option<&mut BurnCount<'_>>,
     ) -> &'a IgnitionMap {
-        self.run_kernel(scenario, seeds, t0, duration, arena, kernel);
+        let mut off = BurnCount::off();
+        let count = count.unwrap_or(&mut off);
+        self.run_kernel(scenario, seeds, t0, duration, arena, kernel, count);
         arena.map()
     }
 
@@ -537,7 +552,8 @@ impl FireSim {
     /// how a pop resolves its table, seed writes — then the
     /// kernel's own frontier loop over the resulting [`Sweep`] and
     /// [`Trail`], queueing every seed on the reference heap and the front
-    /// alone on the other two.
+    /// alone on the other two, and counting its writes into `count`.
+    #[allow(clippy::too_many_arguments)]
     fn run_kernel(
         &self,
         scenario: &Scenario,
@@ -546,6 +562,7 @@ impl FireSim {
         duration: f64,
         arena: &mut SimArena,
         kernel: Kernel,
+        count: &mut BurnCount<'_>,
     ) {
         let t = &*self.terrain;
         let (rows, cols) = (t.rows(), t.cols());
@@ -567,6 +584,8 @@ impl FireSim {
         );
         let zero_tile = matches!(kernel, Kernel::Tiled { tile: 0, .. });
         assert!(!zero_tile, "tile size must be non-zero");
+        assert!(count.fits(rows * cols), "count mask shape mismatch");
+        (count.in_mask, count.outside) = (0, 0);
 
         let SimArena {
             per_fuel,
@@ -624,22 +643,23 @@ impl FireSim {
             span_hi,
             first: usize::MAX,
             last: 0,
+            count: *count,
         };
         trail.write_seeds(&seeds.cells, t0);
         match kernel {
-            Kernel::Heap => {
-                sweep.run_dijkstra(&seeds.cells, heap, trail.out);
-                return;
-            }
+            Kernel::Heap => sweep.run_dijkstra(&seeds.cells, heap, trail.out, &mut trail.count),
             Kernel::Bucket => sweep.run_bucket(&seeds.front, queue, &mut trail),
             Kernel::Tiled { tile, workers } => {
                 sweep.run_tiled(&seeds.front, queue, &mut trail, epochs, tile, workers)
             }
         }
-        *dirty = Dirty::Spans {
-            first: trail.first,
-            last: trail.last,
-        };
+        (count.in_mask, count.outside) = (trail.count.in_mask, trail.count.outside);
+        if kernel != Kernel::Heap {
+            *dirty = Dirty::Spans {
+                first: trail.first,
+                last: trail.last,
+            };
+        }
     }
 
     /// How a run of `scenario` over its hoisted `base` resolves a cell's

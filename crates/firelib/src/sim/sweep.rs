@@ -117,9 +117,77 @@ pub(super) struct Sweep<'a> {
     pub(super) t_end: f64,
 }
 
+/// What a counted run ([`FireSim::simulate_arena_seeded`]) tallies as it
+/// writes: the cells it burns by the instant `t1`, split by a mask's bit.
+///
+/// A write is counted when the cell's old arrival is after `t1` and its
+/// new one is not. Arrivals only fall, so a cell is counted once, exactly
+/// when its final arrival is `≤ t1` — whatever `t1` is, the run's horizon
+/// `t0 + duration` included or not. Seeds are written without a count,
+/// and a lit cell that cannot burn is never written. So with the
+/// interval's target as the mask and seeds resolved from its start line,
+/// [`BurnCount::in_mask`] and [`BurnCount::outside`] are Eq. (3)'s hits
+/// and false alarms over the whole raster with the start line excluded,
+/// and no cell is read after the run to find them.
+#[derive(Debug, Clone, Copy)]
+pub struct BurnCount<'a> {
+    pub(super) mask: &'a [bool],
+    pub(super) t1: f64,
+    pub(super) in_mask: usize,
+    pub(super) outside: usize,
+}
+
+impl<'a> BurnCount<'a> {
+    /// A count of the cells a run burns by `t1`, split by `mask` (row-major,
+    /// the terrain's shape).
+    pub fn new(mask: &'a [bool], t1: f64) -> Self {
+        Self {
+            mask,
+            t1,
+            in_mask: 0,
+            outside: 0,
+        }
+    }
+
+    /// The count an uncounted run carries: no arrival is `≤ −∞`, so it
+    /// never reads its (empty) mask.
+    pub(super) fn off() -> BurnCount<'static> {
+        BurnCount::new(&[], f64::NEG_INFINITY)
+    }
+
+    /// Cells burned by `t1` whose mask bit is set.
+    pub fn in_mask(&self) -> usize {
+        self.in_mask
+    }
+
+    /// Cells burned by `t1` whose mask bit is clear.
+    pub fn outside(&self) -> usize {
+        self.outside
+    }
+
+    /// Whether the count reads a mask of `len` cells: an uncounted run's
+    /// reads none.
+    pub(super) fn fits(&self, len: usize) -> bool {
+        self.t1 == f64::NEG_INFINITY || self.mask.len() == len
+    }
+
+    /// Counts the write of `arrival` over `old` into cell `idx`.
+    #[inline]
+    pub(super) fn record(&mut self, idx: usize, old: f64, arrival: f64) {
+        if arrival <= self.t1 && old > self.t1 {
+            if self.mask[idx] {
+                self.in_mask += 1;
+            } else {
+                self.outside += 1;
+            }
+        }
+    }
+}
+
 /// The written half of one run: the arrival raster plus the record of
 /// where the run wrote it, which is what the next run resets and what
-/// [`SimArena::written_ranges`](super::SimArena::written_ranges) reports.
+/// [`SimArena::written_ranges`](super::SimArena::written_ranges) reports,
+/// and the run's [`BurnCount`].
 pub(super) struct Trail<'a> {
     pub(super) out: &'a mut IgnitionMap,
     pub(super) span_lo: &'a mut [u32],
@@ -129,6 +197,7 @@ pub(super) struct Trail<'a> {
     /// empty, so only a row's first write can move them.
     pub(super) first: usize,
     pub(super) last: usize,
+    pub(super) count: BurnCount<'a>,
 }
 
 impl std::ops::Deref for Trail<'_> {
@@ -140,13 +209,16 @@ impl std::ops::Deref for Trail<'_> {
 }
 
 impl Trail<'_> {
-    /// Writes `arrival` into cell `idx` = `(r, c)`, by its flat index, and
-    /// records the write in row `r`'s span — and, on the row's first
-    /// write, in the run's written rows.
+    /// Writes `arrival` into cell `idx` = `(r, c)`, by its flat index,
+    /// counts it ([`BurnCount::record`]) and records the write in row
+    /// `r`'s span — and, on the row's first write, in the run's written
+    /// rows.
     #[inline]
     pub(super) fn mark_written(&mut self, idx: usize, (r, c): (usize, usize), arrival: f64) {
         debug_assert!(!arrival.is_nan() && arrival >= 0.0);
-        self.out.grid_mut().as_mut_slice()[idx] = arrival;
+        let cell = &mut self.out.grid_mut().as_mut_slice()[idx];
+        self.count.record(idx, *cell, arrival);
+        *cell = arrival;
         let lo = self.span_lo[r];
         if lo == u32::MAX {
             self.first = self.first.min(r);
@@ -157,8 +229,8 @@ impl Trail<'_> {
     }
 
     /// Writes `t0` into every cell of `seeds` (ascending) and records the
-    /// writes: the seeds' rows run from the first seed's to the last's, so
-    /// a seed pays for its span alone.
+    /// writes, uncounted: the seeds' rows run from the first seed's to the
+    /// last's, so a seed pays for its span alone.
     #[inline]
     pub(super) fn write_seeds(&mut self, seeds: &[u32], t0: f64) {
         let cols = self.out.cols();

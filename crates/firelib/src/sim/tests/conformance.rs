@@ -2,16 +2,19 @@
 //! point and arena history writes the reference heap's raster bit for bit.
 //!
 //! A **row** is a landscape with the fire lines and runs (scenario, `t0`,
-//! horizon) it burns; each (line, run) pair is a **group**, whose
-//! reference is a [`Kernel::Heap`] run on a fresh arena. A row's
-//! **columns** are [`Kernel::Bucket`] and tiled kernels with a one-cell
-//! tile, a tile dividing neither side and one past the grid, at 1, 2 and 8
-//! workers. A group runs the bucket column and one tiled column, each on
+//! horizon, count instant) it burns; each (line, run) pair is a
+//! **group**, whose reference is a [`Kernel::Heap`] run from the line's
+//! resolved seeds on a fresh arena. A row's **columns** are
+//! [`Kernel::Bucket`] and tiled kernels with a one-cell tile, a tile
+//! dividing neither side and one past the grid, at 1, 2 and 8 workers. A group runs the bucket column and one tiled column, each on
 //! the arena the row keeps for it, through the fire line or through seeds
 //! resolved once per line; [`walk`] gives each run its arena history, and
 //! every fifth group also goes through `simulate`, `simulate_into` on a
 //! polluted buffer and `simulate_arena`. [`check`] is what every run must
-//! satisfy; [`every_factor_is_reached`] holds the generator to its levels.
+//! satisfy, and every run from seeds — the reference included — counts
+//! what it burns by the run's instant against a stripe mask, which
+//! [`assert_count_is_the_tally`] holds to the raster it left;
+//! [`every_factor_is_reached`] holds the generator to its levels.
 
 use super::*;
 use crate::{ScenarioSpace, GENE_COUNT};
@@ -37,8 +40,23 @@ enum History {
     AfterHeap,
 }
 
-/// A scenario, `t0` and horizon.
-struct Run(Scenario, f64, f64);
+/// A scenario, `t0`, horizon, and the instant `t1` its counted runs count
+/// at: mostly `t0 + horizon`, but mid-horizon on one run of a generic row,
+/// and on two more an instant the horizon misses by one ulp.
+struct Run(Scenario, f64, f64, f64);
+
+impl Run {
+    /// A run counted at its horizon's end.
+    fn to_end(s: Scenario, t0: f64, duration: f64) -> Self {
+        Run(s, t0, duration, t0 + duration)
+    }
+
+    /// A run from `t0` to `t1` as a step runs it, over `t1 − t0`: its
+    /// horizon ends at `t0 + (t1 − t0)`, which need not be `t1`.
+    fn step(s: Scenario, t0: f64, t1: f64) -> Self {
+        Run(s, t0, t1 - t0, t1)
+    }
+}
 
 type Lines = Vec<(&'static str, FireLine)>;
 
@@ -116,16 +134,31 @@ fn generic_row(i: usize, name: String, terrain: Terrain, rng: &mut StdRng) -> Ro
     let mut windy = Scenario::reference();
     (windy.wind_speed_mph, windy.wind_dir_deg) = (9.0, rng.random_range(0.0..360.0));
     let long = [5.0..500.0, 2000.0..5000.0][i % 2].clone();
-    let mut runs = vec![
-        Run(windy, t0(rng), rng.random_range(5.0..500.0)),
-        Run(scenario(rng), t0(rng), rng.random_range(long)),
-    ];
+    let windy_run = Run::to_end(windy, t0(rng), rng.random_range(5.0..500.0));
+    let (s, start, duration) = (scenario(rng), t0(rng), rng.random_range(long));
+    let mut runs = vec![windy_run, Run(s, start, duration, start + duration / 2.0)];
     let fuel = sim.terrain().fuel_layer().map(|g| g.as_slice());
     if fuel.is_none() {
         let mut s = scenario(rng);
         s.model = 0;
-        runs.push(Run(s, t0(rng), rng.random_range(5.0..500.0)));
+        runs.push(Run::to_end(s, t0(rng), rng.random_range(5.0..500.0)));
     }
+    // Steps whose horizon ends one ulp past `t1` and one ulp short of it
+    // (`0.3 + (0.9 − 0.3)` and `0.2 + (0.9 − 0.2)`, scaled by 2⁸ — exact,
+    // so the rounding is the same — for minutes the fire crosses cells in).
+    let [past, short] = [(0.3, 0.9), (0.2, 0.9)].map(|(t0, t1)| (t0 * 256.0, t1 * 256.0));
+    let end = |(t0, t1): (f64, f64)| (t0 + (t1 - t0)).to_bits();
+    assert_eq!(
+        end(past),
+        past.1.to_bits() + 1,
+        "{past:?} ends one ulp past t1"
+    );
+    assert_eq!(
+        end(short) + 1,
+        short.1.to_bits(),
+        "{short:?} ends one ulp short"
+    );
+    runs.extend([past, short].map(|(t0, t1)| Run::step(windy, t0, t1)));
     let scattered: Vec<_> = (0..rng.random_range(1..5))
         .map(|_| (rng.random_range(0..rows), rng.random_range(0..cols)))
         .collect();
@@ -250,7 +283,7 @@ fn rows(land: Land) -> Vec<Row> {
                     wind_dir_deg: dir,
                     ..truth
                 };
-                let runs = vec![Run(truth, t0, dt), Run(gust, t0, dt)];
+                let runs = vec![Run::to_end(truth, t0, dt), Run::to_end(gust, t0, dt)];
                 let mut row = Row::new(i, spec.name.into(), sim, lines, runs);
                 if i == 1 {
                     row.kernels.insert(1, Kernel::tiled_auto());
@@ -352,12 +385,35 @@ fn assert_ranges_account_for_the_raster(arena: &SimArena, t1: f64, what: &str) {
     );
 }
 
+/// The stripe mask a counted run counts against: it cuts across any fire
+/// shape, so both counts occur.
+fn stripes(rows: usize, cols: usize) -> Vec<bool> {
+    let mask = Grid::from_fn(rows, cols, |r, c| (r + 2 * c) % 5 < 2);
+    mask.as_slice().to_vec()
+}
+
+/// A counted run's [`BurnCount`] is the Eq. (3) tally of the raster it
+/// left, over the ranges it wrote, with its own start line excluded: the
+/// hits and the false alarms at the count's instant `t1`.
+fn assert_count_is_the_tally(arena: &SimArena, count: &BurnCount<'_>, g: &Group<'_>, what: &str) {
+    let (mask, t1) = (count.mask, g.run.3);
+    let times = arena.map().grid().as_slice();
+    let pre = Some(g.fire.mask().as_slice());
+    let ranges = arena.written_ranges();
+    let tally = landscape::tally_ranges(mask, times, |&a| a <= t1, pre, ranges);
+    assert_eq!(
+        (count.in_mask(), count.outside()),
+        (tally.hits, tally.false_alarms),
+        "{what}: counted at {t1} against the tally"
+    );
+}
+
 /// What every run must satisfy, on the arena it left: the reference's
 /// bits, every arrival finite and inside `[t0, t0 + duration]`, ranges
 /// that account for them, lit cells that burn at `t0` and lit rock
 /// unignited, nothing written when nothing burns.
 fn check(arena: &SimArena, reference: &IgnitionMap, g: &Group<'_>, sim: &FireSim, what: &str) {
-    let Run(s, t0, duration) = g.run;
+    let Run(s, t0, duration, _) = g.run;
     let map = arena.map();
     assert_rasters_identical(reference, map, what);
     let window = *t0..=t0 + duration;
@@ -388,12 +444,16 @@ fn conform(land: Land) {
         let mut entry_arena = sim.arena();
         let (rows, cols) = (sim.terrain().rows(), sim.terrain().cols());
         let mut polluted = IgnitionMap::unignited(rows, cols);
+        let mask = stripes(rows, cols);
         walk(&row, |g| {
-            let (Run(s, t0, duration), fire, seeds) = (g.run, g.fire, g.seeds);
+            let (Run(s, t0, duration, t1), fire, seeds) = (g.run, g.fire, g.seeds);
             let (t0, duration) = (*t0, *duration);
             let group = format!("{} {} line, group {}", row.name, g.line, g.index);
             let mut fresh = sim.arena();
-            sim.simulate_arena_kernel(s, fire, t0, duration, &mut fresh, Kernel::Heap);
+            let mut count = BurnCount::new(&mask, *t1);
+            let heap = Some(&mut count);
+            sim.simulate_arena_seeded(s, seeds, t0, duration, &mut fresh, Kernel::Heap, heap);
+            assert_count_is_the_tally(&fresh, &count, g, &format!("{group}, heap"));
             let reference = fresh.map();
             if g.index % 5 == 2 {
                 let entry = |name| format!("{group}, {name}");
@@ -415,7 +475,9 @@ fn conform(land: Land) {
                     assert_eq!(arena.dirty, Dirty::All, "{what}");
                 }
                 if seeded {
-                    sim.simulate_arena_seeded(s, seeds, t0, duration, arena, kernel);
+                    let counted = Some(&mut count);
+                    sim.simulate_arena_seeded(s, seeds, t0, duration, arena, kernel, counted);
+                    assert_count_is_the_tally(arena, &count, g, &what);
                 } else {
                     sim.simulate_arena_kernel(s, fire, t0, duration, arena, kernel);
                 }
@@ -463,7 +525,8 @@ fn every_factor_is_reached() {
             count("shrunk corpus", land == Land::Corpus);
             count("tiled_auto", row.kernels.contains(&Kernel::tiled_auto()));
             walk(&row, |g| {
-                let (Run(s, ..), seeds) = (g.run, g.seeds);
+                let (Run(s, t0, duration, t1), seeds) = (g.run, g.seeds);
+                count("counted mid-horizon", *t1 < t0 + duration - 1.0);
                 let off = t.fuel_layer().is_none() && !sim.beds[s.model as usize].burnable;
                 count("border ring", g.line == "border ring");
                 count("empty seed set", seeds.cells.is_empty());

@@ -545,7 +545,15 @@ fn a_run_pays_for_the_cells_it_pops() {
     let mut arena = sim.arena();
     TABLES_BUILT.with(|n| n.set(0));
     RATES_READ.with(|n| n.set(0));
-    let map = sim.simulate_arena_seeded(&w.truth[2], &seeds, t0, dt, &mut arena, Kernel::Bucket);
+    let map = sim.simulate_arena_seeded(
+        &w.truth[2],
+        &seeds,
+        t0,
+        dt,
+        &mut arena,
+        Kernel::Bucket,
+        None,
+    );
     let built = TABLES_BUILT.with(std::cell::Cell::get);
     let rates = RATES_READ.with(std::cell::Cell::get);
     let written = map
@@ -636,7 +644,7 @@ fn a_run_from_resolved_seeds_reads_no_neighbour_to_find_its_front() {
         {
             FRONT_READS.with(|n| n.set(0));
             SEEDS_QUEUED.with(|n| n.set(0));
-            sim.simulate_arena_seeded(s, &seeds, t0, dt, &mut arena, kernel);
+            sim.simulate_arena_seeded(s, &seeds, t0, dt, &mut arena, kernel, None);
             let what = format!("{} interval {interval}, {kernel}", spec.name);
             assert_eq!(FRONT_READS.with(std::cell::Cell::get), 0, "{what}");
             assert_eq!(

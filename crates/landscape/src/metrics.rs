@@ -60,10 +60,11 @@ impl JaccardBreakdown {
 ///
 /// Returns a value in `[0, 1]`: 1 is a perfect prediction, 0 the worst.
 ///
-/// This is the definition, over two whole rasters; the stack scores
-/// through [`tally_ranges`] (an evaluation) and the level histogram of a
-/// probability map (the stages), which visit only burned cells and are
-/// held against this.
+/// This is the definition, over two whole rasters; the stack scores an
+/// evaluation from the counts its run keeps as it writes
+/// (`firelib::BurnCount`) and the stages from the level histogram of a
+/// probability map, which visit only burned cells; both are held against
+/// this.
 ///
 /// # Panics
 /// Panics when the maps (or mask) differ in shape.
@@ -105,7 +106,8 @@ fn preburn_slice<'a>(real: &FireLine, preburn: Option<&'a FireLine>) -> Option<&
 }
 
 /// The Eq. (3) contingency counts over the cells of `ranges` only — the
-/// one tally behind every Jaccard in the stack. `real`, `predicted` and
+/// one tally behind the whole-raster Jaccards, and the oracle a counted
+/// run (`firelib::BurnCount`) is held to. `real`, `predicted` and
 /// `preburn` are row-major rasters of one shape; `burned` reads a
 /// predicted cell (a mask bit, or an arrival time against an instant);
 /// `ranges` are index ranges into them and must not overlap, or the
@@ -169,7 +171,8 @@ pub fn tally_ranges<P>(
 /// streaming — no burned-mask raster is materialised. This is the
 /// whole-raster form; an evaluator that knows which cells its run wrote
 /// tallies only those ([`tally_ranges`] +
-/// [`JaccardBreakdown::index_with_real_total`]) and gets the same `f64`.
+/// [`JaccardBreakdown::index_with_real_total`]), or counts them as the run
+/// writes them, and gets the same `f64`.
 ///
 /// # Panics
 /// Panics when the rasters differ in shape.

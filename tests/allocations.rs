@@ -10,8 +10,11 @@
 //!    bucket and the tiled kernel (one and two drain workers).
 //! 2. `FireSim::simulate_arena_kernel` from a `FireLine`, so the run
 //!    resolves its seeds, on the bucket and the tiled kernel.
-//! 3. `statistical_stage_into` and `ProbabilityMap::histogram_into` on a
-//!    warm map, histogram and arena, over a 24-member multiset.
+//! 3. The stage tail as a prediction step runs it: the arena and the
+//!    probability map the pool lends (`SharedScenarioPool::with_spare`),
+//!    a 24-member multiset folded by `statistical_stage_into` into the
+//!    calibration and then the prediction matrix, each read by
+//!    `ProbabilityMap::histogram_into` — the same step repeated.
 //!
 //! One exception is reported, not asserted: on `archipelago_large` the
 //! two-worker tiled kernel meets epochs of at least `TILE_INLINE` entries,
@@ -24,11 +27,11 @@
 //! kernel's per-bucket storage keeps growing to new high-water marks.
 
 use essns_repro::ess::cases::{self, BurnCase};
-use essns_repro::ess::fitness::StepContext;
+use essns_repro::ess::fitness::{EvalBackend, SharedScenarioPool, StepContext};
 use essns_repro::ess::stages::{distinct_members, statistical_stage_into};
 use essns_repro::firelib::sim::centre_ignition;
 use essns_repro::firelib::{FireSim, Kernel, Scenario, ScenarioSpace, SimArena, Terrain};
-use essns_repro::landscape::{Grid, LevelHistogram, ProbabilityMap};
+use essns_repro::landscape::{Grid, LevelHistogram};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -155,23 +158,28 @@ fn runs_from_a_fire_line() {
     }
 }
 
-/// Input 3: the Statistical Stage's fold and the calibration histogram
-/// over a 24-member multiset (8 distinct members, 3 copies each).
+/// Input 3: the stage tail of a step on a serial pool's spare — the
+/// calibration matrix of step 1 and the prediction matrix of step 2,
+/// folded over a 24-member multiset (8 distinct members, 3 copies each)
+/// into the one map the pool lends with the arena, each read by the
+/// calibration histogram.
 fn the_stage_tail(case: &BurnCase) {
-    let ctx = case.step_context(1);
+    let pool = SharedScenarioPool::new(EvalBackend::Serial);
+    let contexts = [case.step_context(1), case.step_context(2)];
     let members = stream(24, 8);
     let members: Vec<Scenario> = (0..24).map(|i| members[i % 8]).collect();
     let members = distinct_members(&members);
-    let terrain = case.sim.terrain();
-    let mut map = ProbabilityMap::new(terrain.rows(), terrain.cols());
     let mut hist = LevelHistogram::default();
-    let mut arena = case.sim.arena();
-    let mut pass = || {
-        statistical_stage_into(&ctx, &members, &mut arena, &mut map);
-        map.histogram_into(&ctx.observed(), &mut hist);
+    let mut step = || {
+        pool.with_spare(&case.sim, |arena, map| {
+            for ctx in &contexts {
+                statistical_stage_into(ctx, &members, arena, map);
+                map.histogram_into(&ctx.observed(), &mut hist);
+            }
+        })
     };
-    pass();
-    let count = allocations_in(pass);
+    step();
+    let count = allocations_in(step);
     assert_eq!(count, 0, "{}: the repeated stage tail allocated", case.name);
 }
 
