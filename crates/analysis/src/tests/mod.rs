@@ -1,6 +1,5 @@
 //! The dynamic drivers, as test code: `cargo test -p ess-analysis` runs
-//! each at a fixed budget and seed, and `harness lint` skips this
-//! directory like every other `tests` directory.
+//! each at a fixed budget and seed.
 
 mod fuzz;
 mod hostile;

@@ -8,6 +8,11 @@
 //! emulation of the pre-arena per-cell evaluation on the 200×200 corpus
 //! workload.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a bench stops at its first failure, with its message"
+)]
+
 use ess_benches::microbench::{bench, group};
 use firelib::sim::centre_ignition;
 use firelib::spread::{wind_slope_max, SpreadInputs};

@@ -7,9 +7,9 @@
 //!         [--backend serial|worker-pool:N|rayon:N] [--out DIR]
 //! ```
 //!
-//! The experiments are the rows of [`EXPERIMENTS`] and the tools (`serve`,
-//! `lint`) the rows of [`TOOLS`]; running `harness`
-//! with no argument prints both lists, derived from those tables, and the
+//! The experiments are the rows of [`EXPERIMENTS`] and the tool (`serve`)
+//! the row of [`TOOLS`]; running `harness` with no argument prints both
+//! lists, derived from those tables, and the
 //! system registry: the four paper systems, each with the variant rows
 //! (`ESS-NS/k=3`, …) E6–E9 compare and `serve` accepts.
 //!
@@ -120,20 +120,12 @@ const EXPERIMENTS: &[(&str, &str, Run)] = &[
 /// A tool's entry point; an `Err` is printed on stderr and exits 1.
 type Tool = fn(&Args) -> Result<(), String>;
 
-/// The prediction server and the static analysis: not experiments, so
-/// `all` leaves them out.
-const TOOLS: &[(&str, &str, Tool)] = &[
-    (
-        "serve",
-        "line-delimited JSON prediction service on stdin/stdout",
-        serve_main,
-    ),
-    (
-        "lint",
-        "static analysis: panic prover, determinism taint, reachability (+ ANALYSIS.json)",
-        lint_main,
-    ),
-];
+/// The prediction server: not an experiment, so `all` leaves it out.
+const TOOLS: &[(&str, &str, Tool)] = &[(
+    "serve",
+    "line-delimited JSON prediction service on stdin/stdout",
+    serve_main,
+)];
 
 struct Args {
     experiment: String,
@@ -296,59 +288,6 @@ fn run(args: &Args) -> Result<(), String> {
     let plan = Plan::new(args.backend, args.seeds, args.scale);
     for (id, title, run) in wanted {
         emit(args, id, title, &run(&plan, &cases));
-    }
-    Ok(())
-}
-
-/// `harness lint`: the static-analysis pipeline — the panic-path prover,
-/// the determinism-taint pass and the reachability rule over the
-/// workspace call graph. (The single-token bans — clocks, threads,
-/// `partial_cmp`, hash containers — are clippy's, in `clippy.toml`; the
-/// layer map is each `Cargo.toml`'s, checked by `cargo test -p
-/// ess-analysis --test clippy_bans`; that a warm evaluation allocates
-/// nothing is counted by the root package's `tests/allocations.rs`.) Prints every
-/// finding (allowed ones as the audit trail, unallowed ones as errors)
-/// and the per-root proof stats, writes `reports/ANALYSIS.json`, and
-/// fails the process when any finding lacks a justified
-/// `// lint: allow(...)`.
-fn lint_main(args: &Args) -> Result<(), String> {
-    use ess_analysis::lint;
-    let root = lint::find_workspace_root().ok_or("lint: no enclosing Cargo workspace found")?;
-    let report = lint::analyze_workspace(&root).map_err(|e| format!("lint: scan failed: {e}"))?;
-    for f in &report.findings {
-        if f.allowed {
-            let reason = f.reason.as_deref().unwrap_or("");
-            println!("allow  {}:{} [{}] {reason}", f.file, f.line, f.rule);
-        } else {
-            eprintln!("error  {}:{} [{}] {}", f.file, f.line, f.rule, f.message);
-            if let Some(witness) = &f.witness {
-                eprintln!("       via {witness}");
-            }
-        }
-    }
-    for r in &report.roots {
-        println!(
-            "root   {:<32} {} reachable fn(s), {} allowed site(s), {} unallowed",
-            r.root, r.reachable, r.allowed_sites, r.unallowed_sites
-        );
-    }
-    println!(
-        "reach  {} main(s): {} unreached fn(s) allowed, {} unallowed",
-        report.unreached.mains, report.unreached.allowed, report.unreached.unallowed
-    );
-    write_out(args, "ANALYSIS.json", &report.to_json().to_pretty());
-    let unallowed = report.unallowed().len();
-    println!(
-        "lint: {} files, {} symbols, {} call edges, {} allowed finding(s), {unallowed} unallowed",
-        report.files_scanned,
-        report.symbols,
-        report.call_edges,
-        report.findings.len() - unallowed
-    );
-    if unallowed > 0 {
-        return Err(format!(
-            "lint: {unallowed} finding(s) lack a justified allow"
-        ));
     }
     Ok(())
 }

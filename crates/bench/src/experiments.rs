@@ -99,6 +99,10 @@ impl Plan {
     /// Panics on a spec that does not resolve or that a budget stops (the
     /// experiments name registered rows and set no budget; the harness
     /// checks `--cases` up front).
+    #[expect(
+        clippy::panic,
+        reason = "the experiments name registered rows and set no budget, and the harness checks `--cases` up front"
+    )]
     pub fn run(&self, specs: Vec<RunSpec>) -> Vec<Trial> {
         let mut trials = Vec::with_capacity(specs.len());
         for spec in specs {
@@ -200,6 +204,7 @@ pub fn fig1_trace(plan: &Plan) -> String {
     // The "2 workers" below is the figure's farm, not the plan's pool:
     // results are backend-independent, so the text is the same on any.
     let mut evaluator = ScenarioEvaluator::shared(Arc::clone(&ctx), Arc::clone(&plan.pool));
+    #[expect(clippy::expect_used, reason = "a registry row")]
     let mut ess = systems::resolve("ESS")
         .expect("ESS is a registered system")
         .make(1.0);
@@ -249,6 +254,7 @@ pub fn fig2_kign(plan: &Plan) -> TextTable {
     let case = cases::grass_uniform();
     let ctx = Arc::new(case.step_context(1));
     let mut evaluator = ScenarioEvaluator::shared(Arc::clone(&ctx), Arc::clone(&plan.pool));
+    #[expect(clippy::expect_used, reason = "a registry row")]
     let mut essns = systems::resolve("ESS-NS")
         .expect("ESS-NS is a registered system")
         .make(1.0);
@@ -385,6 +391,7 @@ pub fn e2_diversity(plan: &Plan, case_names: &[&str]) -> TextTable {
         // Fitness IQR of the result set on the first step of the first
         // seed (re-evaluated): spread of the *scores* in the set. The
         // trial's spec rebuilds its case and optimizer.
+        #[expect(clippy::expect_used, reason = "the trial's spec already ran")]
         let mut first = cell[0].spec.session().expect("the trial ran");
         let (driver, optimizer) = first.step_parts();
         let ctx = Arc::new(driver.case().step_context(1));
@@ -615,6 +622,10 @@ pub fn e9_inclusion(plan: &Plan) -> TextTable {
 /// drawn per seed (probability 0 flips nothing: the clean case) — which no
 /// case name says, so these sessions are assembled by hand around
 /// registry-made optimizers; rows: the paper systems.
+#[expect(
+    clippy::expect_used,
+    reason = "a session with an unlimited budget drains to its report"
+)]
 pub fn e10_noise(plan: &Plan) -> TextTable {
     let mut t = TextTable::new([
         "flip_prob",

@@ -4,6 +4,12 @@
 //! alternated pairs also carries the host fingerprint the benchmark
 //! prints, its seed and seconds, and pair counts no larger than its pairs.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "helpers outside a #[test] fn fail the test they serve, as an assert in it would"
+)]
+
 use ess_service::jsonio::Json;
 use std::path::{Path, PathBuf};
 

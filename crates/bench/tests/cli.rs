@@ -63,7 +63,7 @@ fn usage_lists_every_experiment_and_says_who_reads_cases() {
         synopsis.contains("--cases a,b (E1 and E2 only"),
         "{synopsis}"
     );
-    for id in ["table1", "e1-quality", "e10-noise", "all", "serve", "lint"] {
+    for id in ["table1", "e1-quality", "e10-noise", "all", "serve"] {
         assert!(synopsis.contains(id), "{id} missing from: {synopsis}");
     }
     // One titled line per experiment and tool under the synopsis, then
@@ -71,7 +71,7 @@ fn usage_lists_every_experiment_and_says_who_reads_cases() {
     // set what it varies and its rows.
     assert_eq!(
         stderr.trim().lines().count(),
-        1 + 12 + 2 + 1 + 4 + 2 * 4,
+        1 + 12 + 1 + 1 + 4 + 2 * 4,
         "{stderr}"
     );
     assert!(stderr.contains("\n    ESSIM-DE/untuned ESSIM-DE/tuned\n"));
@@ -87,7 +87,6 @@ fn retired_flags_are_unknown_flags() {
     // `cargo test`s. Each flag is gone, not ignored.
     for args in [
         &["e1-quality", "--kernel", "bucket"][..],
-        &["lint", "--quick"],
         &["serve", "--self-test"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_harness"))
@@ -104,9 +103,9 @@ fn retired_flags_are_unknown_flags() {
 
 #[test]
 fn retired_tools_are_unknown_experiments() {
-    // The graph passes run under `harness lint` and the invariant drivers
-    // under `cargo test`; there is no alias.
-    for id in ["audit", "verify-invariants"] {
+    // The static rules are clippy's and the invariant drivers run under
+    // `cargo test`; there is no alias.
+    for id in ["audit", "lint", "verify-invariants"] {
         let out = Command::new(env!("CARGO_BIN_EXE_harness"))
             .arg(id)
             .output()

@@ -9,6 +9,12 @@
 //! bytes to match. An optimizer change then shows up as a reviewed diff of
 //! a golden, not silently.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "helpers outside a #[test] fn fail the test they serve, as an assert in it would"
+)]
+
 use ess::fitness::EvalBackend;
 use ess::report::TextTable;
 use ess_benches::experiments::{self as exp, Plan};

@@ -29,6 +29,12 @@
 //! # let _ = resumed;
 //! ```
 
+// The serve availability boundary, where a panic ends the serve loop:
+// no unchecked index, and no `assert` family (banned in this crate's
+// `clippy.toml`) outside unit tests.
+#![deny(clippy::indexing_slicing)]
+#![cfg_attr(test, allow(clippy::disallowed_macros))]
+
 pub mod pipe;
 
 use ess_service::jsonio::Json;

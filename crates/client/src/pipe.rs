@@ -58,8 +58,8 @@ impl Read for PipeReader {
                 Err(_) => return Ok(0), // every writer dropped: EOF
             }
         }
-        let n = buf.len().min(self.pending.len() - self.pos);
-        buf[..n].copy_from_slice(&self.pending[self.pos..self.pos + n]);
+        let mut rest = self.pending.get(self.pos..).unwrap_or_default();
+        let n = rest.read(buf)?;
         self.pos += n;
         Ok(n)
     }

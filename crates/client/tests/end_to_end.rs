@@ -3,6 +3,7 @@
 //! kill and resume. That the resumed run's `done` frame is the
 //! uninterrupted run's is the wire column of `tests/conformance.rs`.
 
+#![allow(clippy::disallowed_macros, reason = "a test's asserts are its checks")]
 #![expect(
     clippy::disallowed_methods,
     reason = "the serve loop runs on its own thread beside the client, as a deployment would"

@@ -174,7 +174,10 @@ impl NoveltyGa {
     ///
     /// # Panics
     /// Panics on degenerate parameters.
-    // lint: allow(panic) — the serve path builds configs from the closed row table of `ess_service::systems` only, and no row holds a value that arrived from the wire: N and m are `scaled(32, ..) ≥ 4`, k ∈ {3, 5, 10, 15}, the rates are `NoveltyGaConfig::default()`'s constants in [0, 1], the archive and `bestSet` capacities are 64, twice N or `scaled(..) ≥ 4`, and dims is `GENE_COUNT` = 9
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the serve path builds configs from the closed row table of `ess_service::systems` only, and no row holds a value that arrived from the wire: N and m are `scaled(32, ..) ≥ 4`, k ∈ {3, 5, 10, 15}, the rates are `NoveltyGaConfig::default()`'s constants in [0, 1], the archive and `bestSet` capacities are 64, twice N or `scaled(..) ≥ 4`, and dims is `GENE_COUNT` = 9"
+    )]
     pub fn new(dims: usize, config: NoveltyGaConfig) -> Self {
         assert!(dims >= 2, "genome needs at least two genes");
         assert!(config.population_size >= 2, "N must be at least 2");
@@ -368,6 +371,10 @@ impl NoveltyGa {
 
     /// Evaluates exactly the members without a cached fitness; returns how
     /// many evaluations were spent.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "`BatchEvaluator::evaluate` returns one value per genome, in order (`Backend::map` is an ordered map, and `parworker` asserts the length itself), and a scenario's fitness is a Jaccard index, a ratio of cell counts in [0, 1] with the empty union defined as 1"
+    )]
     fn evaluate_missing<E: BatchEvaluator>(pop: &mut Population, evaluator: &mut E) -> u64 {
         let genomes: Vec<Vec<f64>> = (pop.members().iter())
             .filter(|m| !m.is_evaluated())
@@ -377,7 +384,6 @@ impl NoveltyGa {
             return 0;
         }
         let fitness = evaluator.evaluate(&genomes);
-        // lint: allow(panic) — `BatchEvaluator::evaluate` returns one value per genome, in order: `Backend::map` is an ordered map, and `parworker` asserts the length itself
         assert_eq!(
             fitness.len(),
             genomes.len(),
@@ -385,7 +391,6 @@ impl NoveltyGa {
         );
         let missing = (pop.members_mut().iter_mut()).filter(|m| !m.is_evaluated());
         for (member, f) in missing.zip(&fitness) {
-            // lint: allow(panic) — a scenario's fitness is a Jaccard index, a ratio of cell counts in [0, 1]; the empty union is defined as 1
             assert!(f.is_finite(), "fitness must be finite");
             member.fitness = *f;
         }

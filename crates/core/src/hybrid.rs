@@ -47,7 +47,10 @@ impl ScoringPolicy {
     /// fitness-difference behaviour it already lives there, and the clamp
     /// keeps the blend meaningful for other behaviour spaces (an archive
     /// seeded with `f64::MAX` sentinel novelty must not drown fitness).
-    // lint: allow(panic) — a policy reaches the serve path only as a row of `ess_service::systems`: `PureNovelty` reads no weight, the `SCORING` rows' weights are the literals 0.75, 0.5, 0.25, 0 and NSLC's 0.5, all in [0, 1], and a local-competition term is a fraction of k neighbours
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a policy reaches the serve path only as a row of `ess_service::systems`: `PureNovelty` reads no weight, the `SCORING` rows' weights are the literals 0.75, 0.5, 0.25, 0 and NSLC's 0.5, all in [0, 1], and a local-competition term is a fraction of k neighbours"
+    )]
     pub fn score_with_lc(&self, fitness: f64, novelty: f64, local_competition: f64) -> f64 {
         let n = novelty.clamp(0.0, 1.0);
         match *self {
@@ -89,7 +92,6 @@ pub enum BehaviourSpace {
 
 impl BehaviourSpace {
     /// Builds the behaviour descriptor of an individual.
-    // lint: allow(unreached) — the allocating reference `describe_into` is held against by the unit tests of crates/core/src/hybrid.rs
     pub fn describe(&self, genes: &[f64], fitness: f64) -> Vec<f64> {
         match self {
             BehaviourSpace::Fitness => vec![fitness],
@@ -150,6 +152,10 @@ pub enum InclusionPolicy {
 
 impl InclusionPolicy {
     /// Number of extra (novel/random) members for a result set of `size`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "`BestOnly` returns before the assert; a fraction reaches the serve path only as an `INCLUSION` row of `ess_service::systems`, and those are the literals 0.10 and 0.25"
+    )]
     pub fn extra_count(&self, size: usize) -> usize {
         let fraction = match *self {
             InclusionPolicy::BestOnly => return 0,
@@ -157,7 +163,6 @@ impl InclusionPolicy {
                 fraction
             }
         };
-        // lint: allow(panic) — `InclusionPolicy::BestOnly` returned above; a fraction reaches the serve path only as an `INCLUSION` row of `ess_service::systems`, and those are the literals 0.10 and 0.25
         assert!(
             (0.0..=1.0).contains(&fraction),
             "inclusion fraction is a proportion"

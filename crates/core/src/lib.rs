@@ -24,6 +24,12 @@
 //! * [`system`] — [`system::EssNs`], the [`ess::StepOptimizer`] wiring of
 //!   Algorithm 1 into the Fig. 3 prediction pipeline.
 
+// The serve availability boundary, where a panic ends the serve loop:
+// no unchecked index, and no `assert` family (banned in this crate's
+// `clippy.toml`) outside unit tests.
+#![deny(clippy::indexing_slicing)]
+#![cfg_attr(test, allow(clippy::disallowed_macros))]
+
 pub mod algorithm;
 pub mod hybrid;
 pub mod system;

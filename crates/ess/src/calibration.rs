@@ -111,7 +111,6 @@ impl PredictionStage {
 
     /// Produces the predicted fire line from the next interval's matrix,
     /// as a raster.
-    // lint: allow(unreached) — the dense oracle of the unit tests in crates/ess/src/calibration.rs
     pub fn predict(&self, matrix: &ProbabilityMap) -> FireLine {
         matrix.threshold(self.kign)
     }

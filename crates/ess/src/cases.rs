@@ -195,7 +195,7 @@ impl BurnCase {
 
     /// Total burned area at the final instant.
     pub fn final_area(&self) -> usize {
-        self.fire_lines.last().expect("non-empty").burned_area()
+        self.fire_lines.last().map_or(0, FireLine::burned_area)
     }
 }
 
@@ -404,7 +404,10 @@ pub fn with_observation_noise(case: &BurnCase, flip_prob: f64, seed: u64) -> Bur
             }
         }
         // Observations never regress behind the previous observation.
-        let merged = observed.union(noisy.last().expect("non-empty"));
+        let merged = match noisy.last() {
+            Some(prev) => observed.union(prev),
+            None => observed,
+        };
         noisy.push(merged);
     }
     BurnCase {
@@ -477,7 +480,6 @@ pub fn by_name(name: &str) -> Option<BurnCase> {
 /// A tiny *drifting-truth* case for fast tests of the §IV drift argument:
 /// the wind veers 90° and strengthens over four short intervals on a small
 /// grid.
-// lint: allow(unreached) — the drifting-truth fixture of tests/hypothesis.rs and tests/extensions.rs
 pub fn tiny_drift_case() -> BurnCase {
     let base = Scenario {
         model: 1,
@@ -532,7 +534,6 @@ pub fn tiny_test_case() -> BurnCase {
 
 /// A serial evaluator over the first interval of [`tiny_test_case`] — the
 /// fixture every optimizer's unit tests search on.
-// lint: allow(unreached) — the fixture the optimizers' unit tests share: crates/core/src/system.rs, crates/ess/src/ess_classic.rs, crates/ess/src/essim_ea.rs, crates/ess/src/essim_de.rs, crates/service/src/systems.rs
 pub fn tiny_step_evaluator() -> ScenarioEvaluator {
     let ctx = Arc::new(tiny_test_case().step_context(1));
     ScenarioEvaluator::new(ctx, EvalBackend::Serial)

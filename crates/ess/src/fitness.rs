@@ -106,7 +106,6 @@ impl StepContext {
     /// Same context, evaluating through `kernel` instead of the default
     /// [`Kernel::Bucket`]. Kernels are bit-identical, so swapping one in
     /// changes wall-clock only, never a fitness value.
-    // lint: allow(unreached) — the kernel axis of crates/ess/tests/span_fitness.rs, crates/ess/tests/stage_tail.rs, tests/allocations.rs and the unit tests of crates/ess/src/fitness.rs
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self
@@ -514,7 +513,10 @@ impl SharedScenarioPool {
     /// vector: inline on the calling thread when the total is at or below
     /// the threshold, else as one backend submission over a single
     /// contiguous copy of the rows.
-    // lint: allow(panic) — pool-lock poisoning only follows a worker panic; amplifying it is the designed failure mode
+    #[expect(
+        clippy::expect_used,
+        reason = "pool-lock poisoning only follows a worker panic; amplifying it is the designed failure mode"
+    )]
     fn score_rows(&self, batches: &[(Arc<StepContext>, &GenomeMatrix)]) -> Vec<f64> {
         let total: usize = batches.iter().map(|(_, g)| g.len()).sum();
         if total <= self.inline_threshold() {
@@ -577,7 +579,6 @@ impl ScenarioEvaluator {
     }
 
     /// The evaluation context.
-    // lint: allow(unreached) — how the oracle optimizer of the unit tests in crates/ess/src/pipeline.rs scores the hidden truth
     pub fn context(&self) -> &Arc<StepContext> {
         &self.ctx
     }

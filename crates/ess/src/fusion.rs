@@ -101,6 +101,10 @@ impl FusionLane {
 }
 
 impl Backend<Vec<f64>, f64> for FusionLane {
+    #[expect(
+        clippy::expect_used,
+        reason = "the coordinator outlives every lane by scope construction and replies to every parked batch or panics; a hangup or a dropped reply means a coordinator panic, which must propagate, not deadlock"
+    )]
     fn map(&mut self, tasks: Vec<Vec<f64>>) -> Vec<f64> {
         let genomes = GenomeMatrix::from_rows(&tasks);
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
@@ -111,11 +115,9 @@ impl Backend<Vec<f64>, f64> for FusionLane {
                 genomes,
                 reply: reply_tx,
             })
-            // lint: allow(panic) — the coordinator outlives every lane by scope construction; a hangup means a coordinator panic, which must propagate
             .expect("fusion coordinator hung up before the round finished");
         reply_rx
             .recv()
-            // lint: allow(panic) — the coordinator replies to every parked batch or panics; dropping a reply must propagate, not deadlock
             .expect("fusion coordinator dropped a pending reply")
     }
 

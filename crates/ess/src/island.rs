@@ -130,13 +130,16 @@ impl Ring {
 
         // Monitor stage: the island whose best fitness is highest wins.
         let evaluations = islands.iter().map(Engine::evaluations).sum();
+        #[expect(
+            clippy::expect_used,
+            reason = "`validate` admits no topology without islands"
+        )]
         let winner = islands
             .iter()
             .map(|isl| isl.stats().best_fitness)
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(i, _)| i)
-            // lint: allow(panic) — `validate` admits no topology without islands
             .expect("at least one island");
         IslandRun {
             winner: islands.swap_remove(winner),

@@ -26,6 +26,11 @@
 //! driver's tail is counted in simulations by a unit test of
 //! `ess::pipeline`.)
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside a #[test] fn expect on fixtures the suite itself registers"
+)]
+
 use ess::calibration::{skign_search, skign_search_against, CalibrationOutcome, PredictionStage};
 use ess::cases::{self, BurnCase};
 use ess::fitness::{EvalBackend, SharedScenarioPool};

@@ -92,7 +92,6 @@ impl<'a> PreparedIndex<'a> {
 
     /// ρ(x) of reference row `subject` against all other rows —
     /// bit-identical to [`crate::novelty::novelty_score`].
-    // lint: allow(unreached) — the per-subject form the unit tests of crates/evoalg/src/knn.rs hold against the brute-force oracle on both index paths
     pub fn novelty_of(&self, subject: usize, k: usize) -> f64 {
         self.novelty_of_with(subject, k, &mut Vec::new())
     }
@@ -136,7 +135,6 @@ impl<'a> PreparedIndex<'a> {
     /// # Panics
     /// Panics on a dimension mismatch against a non-empty reference (the
     /// same contract `behaviour_distance` enforces on the brute path).
-    // lint: allow(unreached) — held against `novelty_score_external` by crates/evoalg/tests/properties.rs
     pub fn novelty_of_external(&self, behaviour: &[f64], k: usize) -> f64 {
         assert!(k > 0, "k must be positive");
         assert!(
@@ -279,7 +277,10 @@ impl<'a> PreparedIndex<'a> {
                     left -= 1;
                     emit(d, sorted.order[left] as usize);
                 }
-                // lint: allow(panic) — every caller clamps k to the rows left to visit, so while fewer than k are emitted one side still has one
+                #[expect(
+                    clippy::unreachable,
+                    reason = "every caller clamps k to the rows left to visit, so while fewer than k are emitted one side still has one"
+                )]
                 (None, None) => unreachable!("k is clamped to the neighbour count"),
             }
         }

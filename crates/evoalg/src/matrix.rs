@@ -161,7 +161,6 @@ impl RowMatrix {
 
     /// The nested-rows projection: the reference shape the kNN and
     /// archive tests compare the flat matrix against.
-    // lint: allow(unreached) — feeds the nested-rows oracles in crates/evoalg/tests/properties.rs
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.rows().map(<[f64]>::to_vec).collect()
     }

@@ -73,7 +73,6 @@ pub fn novelty_score(subject: usize, behaviours: &[Vec<f64>], k: usize) -> f64 {
 
 /// ρ(x) for a behaviour that is *not* a member of the reference set (used
 /// when scoring archive candidates against an external reference).
-// lint: allow(unreached) — the brute-force oracle crates/evoalg/tests/properties.rs holds `PreparedIndex::novelty_of_external` against
 pub fn novelty_score_external(behaviour: &[f64], reference: &[Vec<f64>], k: usize) -> f64 {
     assert!(k > 0, "k must be positive");
     let mut dists: Vec<f64> = reference
@@ -91,7 +90,6 @@ pub fn novelty_score_external(behaviour: &[f64], reference: &[Vec<f64>], k: usiz
 ///
 /// # Panics
 /// Panics on index/length mismatches or `k == 0`.
-// lint: allow(unreached) — the brute-force oracle crates/evoalg/tests/properties.rs holds the batched local-competition scores against
 pub fn local_competition_score(
     subject: usize,
     behaviours: &[Vec<f64>],

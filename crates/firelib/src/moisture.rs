@@ -67,7 +67,6 @@ impl MoistureRegime {
     }
 
     /// A moderate reference regime (the fireLib demo uses 1hr ≈ 5 %).
-    // lint: allow(unreached) — the reference regime of crates/firelib/tests/properties.rs and the unit tests of crates/firelib/src/spread.rs and crates/firelib/src/behave.rs
     pub fn moderate() -> Self {
         Self::from_percent(5.0, 7.0, 9.0, 100.0, 100.0)
     }

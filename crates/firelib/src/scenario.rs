@@ -186,7 +186,6 @@ impl Scenario {
     }
 
     /// `true` when every parameter lies inside its Table I range.
-    // lint: allow(unreached) — the Table I range oracle of crates/firelib/tests/properties.rs and tests/table1_conformance.rs
     pub fn is_valid(&self) -> bool {
         self.values()
             .iter()
@@ -245,7 +244,6 @@ impl ScenarioSpace {
     /// Encodes a scenario into its normalised gene vector. The fuel model
     /// encodes to the centre of its bin, so `decode(encode(s))` restores the
     /// model exactly.
-    // lint: allow(unreached) — builds genomes from named scenarios in tests/full_pipeline.rs and crates/firelib/tests/properties.rs
     pub fn encode(&self, s: &Scenario) -> [f64; GENE_COUNT] {
         let inv = |i: usize, v: f64| (v - PARAM_DEFS[i].lo) / (PARAM_DEFS[i].hi - PARAM_DEFS[i].lo);
         [
@@ -274,7 +272,6 @@ impl ScenarioSpace {
 
 /// Renders Table I as an aligned text table (used by the report harness to
 /// regenerate the paper's Table I verbatim from the in-code definitions).
-// lint: allow(unreached) — the rendering tests/table1_conformance.rs reads row by row
 pub fn render_table1() -> String {
     let mut out = String::new();
     out.push_str(&format!(

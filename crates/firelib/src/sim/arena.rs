@@ -139,10 +139,13 @@ impl SimArena {
     /// # Panics
     /// Panics when no simulation has run in this arena yet (the raster is
     /// allocated lazily on first use).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract: reading an arena before any run is caller error, pinned by the `fresh_arena_map_panics` test"
+    )]
     pub fn map(&self) -> &IgnitionMap {
         self.out
             .as_ref()
-            // lint: allow(panic) — documented `# Panics` contract: reading an arena before any run is caller error, pinned by the `fresh_arena_map_panics` test
             .expect("SimArena::map: no simulation has run in this arena yet")
     }
 

@@ -22,7 +22,6 @@ pub struct SpreadInputs {
 
 impl SpreadInputs {
     /// Calm, flat conditions.
-    // lint: allow(unreached) — the no-wind, no-slope input of crates/firelib/tests/properties.rs and the unit tests of crates/firelib/src/spread.rs and crates/firelib/src/behave.rs
     pub fn calm() -> Self {
         Self {
             wind_fpm: 0.0,

@@ -226,7 +226,6 @@ impl WorkloadSpec {
     /// multi-front workloads stay multi-front) — and the schedule at 3
     /// intervals. Names are preserved so quick runs report under the same
     /// keys.
-    // lint: allow(unreached) — the CI-sized corpus of tests/workload_corpus.rs and the shrunk-corpus rows of the kernel conformance matrix in crates/firelib/src/sim/tests/conformance.rs
     pub fn shrunk(&self, max_dim: usize) -> WorkloadSpec {
         let dim = self.rows.max(self.cols);
         if dim <= max_dim && self.steps <= 3 {

@@ -33,7 +33,6 @@ impl IgnitionMap {
     /// # Panics
     /// Panics if any time is negative or NaN — ignition times are physical
     /// instants and the propagation algorithms rely on their ordering.
-    // lint: allow(unreached) — hand-written arrival rasters for crates/landscape/tests/properties.rs
     pub fn from_grid(times: Grid<f64>) -> Self {
         for (_, &t) in times.iter_cells() {
             assert!(
@@ -184,7 +183,6 @@ impl FireLine {
     }
 
     /// `true` when every burned cell of `self` is burned in `other`.
-    // lint: allow(unreached) — the fire-only-grows oracle of crates/firelib/tests/properties.rs and crates/landscape/tests/properties.rs
     pub fn is_subset_of(&self, other: &FireLine) -> bool {
         assert!(
             self.burned.same_shape(&other.burned),

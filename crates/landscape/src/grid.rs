@@ -44,7 +44,6 @@ impl<T: Clone> Grid<T> {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
-    // lint: allow(unreached) — literal rasters for crates/landscape/tests/properties.rs
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
         assert_eq!(
             data.len(),

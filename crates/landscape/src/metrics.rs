@@ -68,13 +68,11 @@ impl JaccardBreakdown {
 ///
 /// # Panics
 /// Panics when the maps (or mask) differ in shape.
-// lint: allow(unreached) — the whole-raster definition of Eq. (3): the oracle of crates/landscape/tests/properties.rs and crates/ess/tests/stage_tail.rs
 pub fn jaccard(real: &FireLine, predicted: &FireLine, preburn: Option<&FireLine>) -> f64 {
     jaccard_breakdown(real, predicted, preburn).index()
 }
 
 /// Like [`jaccard`] but returns the full contingency counts.
-// lint: allow(unreached) — the whole-raster tally crates/landscape/tests/properties.rs holds every histogram score against
 pub fn jaccard_breakdown(
     real: &FireLine,
     predicted: &FireLine,

@@ -78,10 +78,10 @@ pub fn shape_stats(line: &FireLine) -> ShapeStats {
         burned.iter().map(|&(r, _)| r as f64).sum::<f64>() / n,
         burned.iter().map(|&(_, c)| c as f64).sum::<f64>() / n,
     );
-    let min_r = burned.iter().map(|&(r, _)| r).min().expect("non-empty");
-    let max_r = burned.iter().map(|&(r, _)| r).max().expect("non-empty");
-    let min_c = burned.iter().map(|&(_, c)| c).min().expect("non-empty");
-    let max_c = burned.iter().map(|&(_, c)| c).max().expect("non-empty");
+    let (min_r, max_r, min_c, max_c) = burned.iter().fold(
+        (usize::MAX, 0, usize::MAX, 0),
+        |(r0, r1, c0, c1), &(r, c)| (r0.min(r), r1.max(r), c0.min(c), c1.max(c)),
+    );
     let compactness = if perimeter == 0 {
         0.0
     } else {

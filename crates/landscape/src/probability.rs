@@ -106,7 +106,6 @@ impl ProbabilityMap {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    // lint: allow(unreached) — the whole-raster oracle of crates/landscape/tests/properties.rs and the unit tests of crates/ess/src/calibration.rs
     pub fn accumulate(&mut self, line: &FireLine) {
         assert!(
             self.counts.same_shape(line.mask()),
@@ -198,7 +197,6 @@ impl ProbabilityMap {
 
     /// Ignition probability of `(row, col)` ∈ `[0, 1]`; 0 when no samples
     /// have been accumulated yet.
-    // lint: allow(unreached) — how the unit tests of crates/ess/src/stages.rs read the Statistical Stage's matrix
     #[inline]
     pub fn probability(&self, row: usize, col: usize) -> f64 {
         frequency(self.counts.at(row, col) as usize, self.samples as usize)
@@ -212,7 +210,6 @@ impl ProbabilityMap {
     /// area, which the calibration stage exploits. This materialises a
     /// whole raster; the stages score a threshold through
     /// [`ProbabilityMap::histogram_into`] instead.
-    // lint: allow(unreached) — the dense oracle of crates/landscape/tests/properties.rs and the unit tests of crates/ess/src/calibration.rs
     pub fn threshold(&self, kign: f64) -> FireLine {
         let k = kign.clamp(0.0, 1.0);
         let s = self.samples as usize;
@@ -417,7 +414,6 @@ impl LevelHistogram {
     }
 
     /// Cells the binning walk visited — the map's cover, not the raster.
-    // lint: allow(unreached) — the fire-proportional count guard of crates/ess/tests/stage_tail.rs
     pub fn visited(&self) -> usize {
         self.visited
     }

@@ -196,8 +196,9 @@ fn folded(rng: &mut StdRng) -> (ProbabilityMap, ProbabilityMap, Vec<FireLine>) {
     for run in &runs {
         spans.accumulate_ranges(&run.arrivals, |&t| t <= T1, run.ranges.iter().cloned(), 1);
         let map = IgnitionMap::from_grid(Grid::from_vec(ROWS, COLS, run.arrivals.clone()));
-        lines.push(map.fire_line_at(T1));
-        dense.accumulate(lines.last().expect("just pushed"));
+        let line = map.fire_line_at(T1);
+        dense.accumulate(&line);
+        lines.push(line);
     }
     (spans, dense, lines)
 }

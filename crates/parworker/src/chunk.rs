@@ -34,7 +34,10 @@ use std::sync::Mutex;
 /// Panics when `workers == 0` or `chunk_size == 0`, and re-raises a panic
 /// from `f` (first payload wins; remaining workers stop at the next chunk
 /// boundary).
-// lint: allow(panic) — bag/slot poisoning only follows a worker panic; re-raising the first payload is the documented contract
+#[expect(
+    clippy::expect_used,
+    reason = "bag/slot poisoning only follows a worker panic; re-raising the first payload is the documented contract"
+)]
 pub fn scoped_for_each_mut<T, F>(workers: usize, items: &mut [T], chunk_size: usize, f: F)
 where
     T: Send,
@@ -117,7 +120,9 @@ mod tests {
     #[test]
     fn for_each_mut_empty_and_tiny() {
         let mut empty: Vec<u8> = Vec::new();
-        scoped_for_each_mut(4, &mut empty, 8, |_, _| unreachable!());
+        scoped_for_each_mut(4, &mut empty, 8, |_, _| {
+            panic!("an empty slice has no item")
+        });
         let mut one = vec![1u8];
         scoped_for_each_mut(4, &mut one, 8, |_, v| *v += 1);
         assert_eq!(one, vec![2]);

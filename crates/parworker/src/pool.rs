@@ -38,7 +38,10 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
     ///
     /// # Panics
     /// Panics when `workers == 0`.
-    // lint: allow(panic) — spawn failure and channel hangup only follow OS exhaustion or a worker panic; amplifying them is the pool's designed failure mode
+    #[expect(
+        clippy::expect_used,
+        reason = "spawn failure and channel hangup only follow OS exhaustion or a worker panic; amplifying them is the pool's designed failure mode"
+    )]
     pub fn new<S, F, W>(workers: usize, state_factory: F, work: W) -> Self
     where
         S: Send + 'static,
@@ -83,7 +86,6 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
                                 clippy::disallowed_methods,
                                 reason = "per-task busy-time telemetry; never feeds back into results"
                             )]
-                            // lint: allow(taint) — per-task busy-time telemetry; readings are reported, never fed back into results
                             let t = Instant::now();
                             // Catch panics so a crashing work function
                             // surfaces in the master instead of deadlocking
@@ -126,7 +128,10 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
     /// # Panics
     /// Re-raises the first panic a worker's work function raised (the pool
     /// is then poisoned and must not be reused).
-    // lint: allow(panic) — hangup/poisoning only follow a worker panic; re-raising it here is the pool's designed failure mode
+    #[expect(
+        clippy::expect_used,
+        reason = "hangup/poisoning only follow a worker panic; re-raising it here is the pool's designed failure mode"
+    )]
     pub fn map(&mut self, tasks: Vec<T>) -> Vec<R> {
         assert!(
             !self.poisoned,

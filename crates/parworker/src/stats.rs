@@ -21,7 +21,6 @@ impl PoolStats {
     }
 
     /// Total tasks completed.
-    // lint: allow(unreached) — the completed-task count the unit tests of crates/parworker/src/pool.rs check after every batch
     pub fn total_tasks(&self) -> u64 {
         self.tasks_done.iter().sum()
     }
@@ -34,7 +33,7 @@ impl PoolStats {
             return 1.0;
         }
         let mean = total as f64 / self.workers as f64;
-        let max = *self.busy_nanos.iter().max().expect("non-empty") as f64;
+        let max = self.busy_nanos.iter().max().copied().unwrap_or_default() as f64;
         max / mean
     }
 }

@@ -14,7 +14,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 struct Round<T, R> {
@@ -51,7 +51,10 @@ impl<T: Send + 'static, R: Send + 'static> StealPool<T, R> {
     ///
     /// # Panics
     /// Panics when `workers == 0`.
-    // lint: allow(panic) — spawn failure and lock poisoning only follow OS exhaustion or a worker panic; amplifying them is the pool's designed failure mode
+    #[expect(
+        clippy::expect_used,
+        reason = "spawn failure and lock poisoning only follow OS exhaustion or a worker panic; amplifying them is the pool's designed failure mode"
+    )]
     pub fn new<S, F, W>(workers: usize, state_factory: F, work: W) -> Self
     where
         S: Send + 'static,
@@ -148,7 +151,10 @@ impl<T: Send + 'static, R: Send + 'static> StealPool<T, R> {
     /// # Panics
     /// Re-raises the first panic a worker's work function raised (the pool
     /// is then poisoned and must not be reused).
-    // lint: allow(panic) — lock poisoning only follows a worker panic; re-raising it here is the pool's designed failure mode
+    #[expect(
+        clippy::expect_used,
+        reason = "lock poisoning only follows a worker panic; re-raising it here is the pool's designed failure mode"
+    )]
     pub fn map(&mut self, tasks: Vec<T>) -> Vec<R> {
         assert!(
             !self.poisoned,
@@ -194,7 +200,12 @@ impl<T: Send + 'static, R: Send + 'static> StealPool<T, R> {
 impl<T, R> Drop for StealPool<T, R> {
     fn drop(&mut self) {
         {
-            let mut round = self.shared.round.lock().expect("steal pool lock poisoned");
+            // A poisoned lock still ends the round: the workers must exit.
+            let mut round = self
+                .shared
+                .round
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             round.shutdown = true;
         }
         self.shared.work_ready.notify_all();

@@ -1,8 +1,8 @@
 //! Dependency-free JSON: one shared writer + minimal reader.
 //!
-//! The harness writes its analysis reports as hand-rolled JSON, and the
-//! serve protocol needs to *parse* line-delimited requests; this module
-//! is the single implementation both sides use. It is deliberately
+//! Snapshots and the benchmark's result files are written as hand-rolled
+//! JSON, and the serve protocol needs to *parse* line-delimited requests;
+//! this module is the single implementation every side uses. It is deliberately
 //! small: a [`Json`] value tree, a compact `Display` plus a pretty
 //! printer, and a strict recursive-descent parser. No dependencies, no
 //! `unsafe`, numbers are `f64` (integers round-trip exactly up to 2⁵³).
@@ -42,6 +42,10 @@ impl Json {
     pub fn field(mut self, key: &str, value: impl Into<Json>) -> Json {
         match &mut self {
             Json::Obj(pairs) => pairs.push((key.to_string(), value.into())),
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "builder misuse traps in debug builds only; a release build drops the field"
+            )]
             other => debug_assert!(false, "Json::field on non-object {other}"),
         }
         self

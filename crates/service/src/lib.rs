@@ -36,12 +36,18 @@
 //!   `harness serve` speaks: protocol v2 ([`proto`] — versioned typed
 //!   envelopes, streaming `progress` frames, snapshot/restore, bounded
 //!   `advance`), the only dialect;
-//! * [`jsonio`] — the hand-rolled JSON writer/reader shared with the
-//!   harness's analysis reports and the benchmark's result files.
+//! * [`jsonio`] — the hand-rolled JSON writer/reader shared with
+//!   snapshots and the benchmark's result files.
 //!
 //! The typed client for protocol v2 lives in the sibling `ess-client`
 //! crate. Failures are typed ([`ServiceError`]): unknown system, unknown
 //! case, bad spec, budget exhausted — never a silent `None`.
+
+// The serve availability boundary, where a panic ends the serve loop:
+// no unchecked index, and no `assert` family (banned in this crate's
+// `clippy.toml`) outside unit tests.
+#![deny(clippy::indexing_slicing)]
+#![cfg_attr(test, allow(clippy::disallowed_macros))]
 
 pub mod jsonio;
 pub mod policy;

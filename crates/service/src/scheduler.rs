@@ -381,10 +381,13 @@ impl Scheduler {
             let event = match planned {
                 Planned::Settled(event) => event,
                 Planned::Runnable { live_idx, slot } => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a missing lane report only follows a lane-thread panic mid-step; amplifying it is the designed failure mode"
+                    )]
                     let (step, elapsed) = stepped
                         .get_mut(slot)
                         .and_then(Option::take)
-                        // lint: allow(panic) — a missing lane report only follows a lane-thread panic mid-step; amplifying it is the designed failure mode
                         .expect("a planned Ready step always produces a report");
                     match self.live.get_mut(live_idx) {
                         Some(entry) => entry.1.complete_step(step, elapsed),

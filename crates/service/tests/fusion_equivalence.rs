@@ -3,6 +3,8 @@
 //! its lane ran. That fused rounds are bit-identical to unfused ones is
 //! the fleet column of `tests/conformance.rs`.
 
+#![allow(clippy::disallowed_macros, reason = "a test's asserts are its checks")]
+
 use ess::error::BudgetReason;
 use ess_service::{RunSpec, SessionEvent, StepPlan};
 

@@ -5,6 +5,13 @@
 //! re-canonicalised compact form is byte-for-byte stable:
 //! `parse(pretty(x)).to_string() == x.to_string()`.
 
+#![allow(
+    clippy::disallowed_macros,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test's asserts are its checks, and helpers outside a #[test] fn fail the test they serve as an assert in it would"
+)]
+
 use ess_service::jsonio::Json;
 use ess_service::proto::{DoneFrame, Frame, Reply, Request, RequestKind};
 use ess_service::{systems, RunSpec, SessionSnapshot};

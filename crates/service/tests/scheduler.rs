@@ -4,6 +4,8 @@
 //! they also reproduce their serial runs bit for bit is the fleet column
 //! of `tests/conformance.rs`.
 
+#![allow(clippy::disallowed_macros, reason = "a test's asserts are its checks")]
+
 use ess::fitness::EvalBackend;
 use ess_service::proto::{Request, RequestKind};
 use ess_service::{

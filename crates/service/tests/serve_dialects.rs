@@ -4,6 +4,13 @@
 //! naming a retired execution member, a mistyped `watch` and a snapshot
 //! whose carried `kign` is no probability.
 
+#![allow(
+    clippy::disallowed_macros,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test's asserts are its checks, and helpers outside a #[test] fn fail the test they serve as an assert in it would"
+)]
+
 use ess::fitness::EvalBackend;
 use ess_service::jsonio::Json;
 use ess_service::proto::{Frame, Reply};

@@ -4,6 +4,8 @@
 //! evaluation budget stops it between steps with the partial report, is
 //! `tests/conformance.rs` (its drain column and budget rows).
 
+#![allow(clippy::disallowed_macros, reason = "a test's asserts are its checks")]
+
 use ess::cases;
 use ess::error::BudgetReason;
 use ess_service::{RunSpec, SessionEvent};

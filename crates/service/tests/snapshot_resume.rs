@@ -3,6 +3,8 @@
 //! uninterrupted run, bit for bit, is the checkpoint column of
 //! `tests/conformance.rs`.
 
+#![allow(clippy::disallowed_macros, reason = "a test's asserts are its checks")]
+
 use ess_service::RunSpec;
 
 #[test]

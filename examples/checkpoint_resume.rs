@@ -8,6 +8,11 @@
 //! cargo run --release --example checkpoint_resume
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example stops at its first failure, with its message"
+)]
+
 use essns_repro::ess::fitness::EvalBackend;
 use essns_repro::ess_client::{pipe, Client};
 use essns_repro::ess_service::proto::Frame;

@@ -5,6 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example stops at its first failure, with its message"
+)]
+
 use ess::fitness::{EvalBackend, ScenarioEvaluator, StepContext};
 use ess_ns::{EssNs, EssNsConfig, NoveltyGaConfig};
 use firelib::sim::centre_ignition;

@@ -7,6 +7,11 @@
 //! cargo run --release --example service_demo
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example stops at its first failure, with its message"
+)]
+
 use ess_service::{systems, RunSpec, Scheduler, SessionEvent};
 use parworker::EvalBackend;
 

@@ -7,6 +7,11 @@
 //! cargo run --release --example workload_tour
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example stops at its first failure, with its message"
+)]
+
 use ess::report::{f2, f4, TextTable};
 use ess_service::RunSpec;
 use firelib::workload;

@@ -26,6 +26,11 @@
 //! *fresh* streams — the search's real traffic — where the bucket
 //! kernel's per-bucket storage keeps growing to new high-water marks.
 
+#![allow(
+    clippy::expect_used,
+    reason = "helpers outside a #[test] fn fail the test they serve, as an assert in it would"
+)]
+
 use essns_repro::ess::cases::{self, BurnCase};
 use essns_repro::ess::fitness::{EvalBackend, SharedScenarioPool, StepContext};
 use essns_repro::ess::stages::{distinct_members, statistical_stage_into};

@@ -20,6 +20,11 @@
 //! fleets whose pool dispatches, under the first policy: scheduling order
 //! does not depend on batch size.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "helpers outside a #[test] fn fail the test they serve, as an assert in it would"
+)]
 #![expect(
     clippy::disallowed_methods,
     reason = "the wire column hosts the serve loop on its own thread beside the client"

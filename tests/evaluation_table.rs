@@ -14,6 +14,11 @@
 //! step, are reported (`--nocapture`) and pinned by system — a change that
 //! adds simulations, or stops saving them, fails here on any host.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "helpers outside a #[test] fn fail the test they serve, as an assert in it would"
+)]
+
 use essns_repro::ess::cases;
 use essns_repro::ess::fitness::{
     DynBackend, EvalBackend, ScenarioEvaluator, SharedScenarioPool, StepContext,
