@@ -7,11 +7,11 @@
 //!         [--backend serial|worker-pool:N|rayon:N] [--out DIR]
 //! ```
 //!
-//! The experiments are the rows of [`EXPERIMENTS`] and the tool (`serve`)
-//! the row of [`TOOLS`]; running `harness` with no argument prints both
-//! lists, derived from those tables, and the
-//! system registry: the four paper systems, each with the variant rows
-//! (`ESS-NS/k=3`, …) E6–E9 compare and `serve` accepts.
+//! The experiments are the rows of [`EXPERIMENTS`] and the tools (`serve`,
+//! `bench-row`) the rows of [`TOOLS`]; running `harness` with no argument
+//! prints both lists, derived from those tables, and the system registry:
+//! the four paper systems, each with the variant rows (`ESS-NS/k=3`, …)
+//! E6–E9 compare and `serve` accepts.
 //!
 //! `all` regenerates every paper artifact (table1 … e10). Every one of
 //! them is exact — no artifact the harness writes carries a clock reading, so the
@@ -120,12 +120,20 @@ const EXPERIMENTS: &[(&str, &str, Run)] = &[
 /// A tool's entry point; an `Err` is printed on stderr and exits 1.
 type Tool = fn(&Args) -> Result<(), String>;
 
-/// The prediction server: not an experiment, so `all` leaves it out.
-const TOOLS: &[(&str, &str, Tool)] = &[(
-    "serve",
-    "line-delimited JSON prediction service on stdin/stdout",
-    serve_main,
-)];
+/// The prediction server and the trajectory-row builder: not experiments,
+/// so `all` leaves them out.
+const TOOLS: &[(&str, &str, Tool)] = &[
+    (
+        "serve",
+        "line-delimited JSON prediction service on stdin/stdout",
+        serve_main,
+    ),
+    (
+        "bench-row",
+        "one BENCH_trajectory.json row from saved benchmark runs (--parent DIR --change DIR --pr N [--claim W/M] [--note T])",
+        bench_row_main,
+    ),
+];
 
 struct Args {
     experiment: String,
@@ -136,6 +144,13 @@ struct Args {
     backend: EvalBackend,
     policy: ess_service::PolicyKind,
     fused: bool,
+    /// `bench-row`'s inputs: the two run directories, the row's PR
+    /// number, its `workload/metric` claim and its note.
+    parent: Option<PathBuf>,
+    change: Option<PathBuf>,
+    pr: Option<u64>,
+    claim: Option<String>,
+    note: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -156,6 +171,11 @@ fn parse_args() -> Result<Args, String> {
         backend: EvalBackend::Serial,
         policy: ess_service::PolicyKind::RoundRobin,
         fused: false,
+        parent: None,
+        change: None,
+        pr: None,
+        claim: None,
+        note: None,
     };
     while let Some(flag) = argv.next() {
         let mut value = || argv.next().ok_or(format!("missing value for {flag}"));
@@ -175,6 +195,11 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e: ess_service::policy::ParsePolicyError| e.to_string())?
             }
             "--fused" => args.fused = true,
+            "--parent" => args.parent = Some(PathBuf::from(value()?)),
+            "--change" => args.change = Some(PathBuf::from(value()?)),
+            "--pr" => args.pr = Some(value()?.parse().map_err(|e| format!("--pr: {e}"))?),
+            "--claim" => args.claim = Some(value()?),
+            "--note" => args.note = Some(value()?),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
@@ -318,5 +343,31 @@ fn serve_main(args: &Args) -> Result<(), String> {
         summary.restored,
         summary.errors
     );
+    Ok(())
+}
+
+/// `harness bench-row`: reads `BENCHMARK.json` in the working directory
+/// and the saved runs under `--parent` and `--change`, and prints one
+/// `"source": "pairs"` row of `BENCH_trajectory.json`.
+fn bench_row_main(args: &Args) -> Result<(), String> {
+    use ess_benches::bench_row::{self, Claim};
+    let (Some(parent), Some(change), Some(pr)) = (&args.parent, &args.change, args.pr) else {
+        return Err("bench-row needs --parent DIR --change DIR --pr N".into());
+    };
+    let (parent, change) = (bench_row::read_runs(parent)?, bench_row::read_runs(change)?);
+    let claim = match &args.claim {
+        None => None,
+        Some(c) => {
+            let (workload, metric) = c.split_once('/').ok_or("--claim takes WORKLOAD/METRIC")?;
+            Some(Claim { workload, metric })
+        }
+    };
+    let text =
+        std::fs::read_to_string("BENCHMARK.json").map_err(|e| format!("BENCHMARK.json: {e}"))?;
+    let benchmark =
+        ess_service::jsonio::Json::parse(&text).map_err(|e| format!("BENCHMARK.json: {e:?}"))?;
+    let metrics = bench_row::declared_metrics(&benchmark)?;
+    let row = bench_row::row(&parent, &change, &metrics, pr, claim, args.note.as_deref())?;
+    print!("{}", row.to_pretty());
     Ok(())
 }

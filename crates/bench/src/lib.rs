@@ -10,5 +10,6 @@
 //! backend yields bit-identical results, so backend choice only moves
 //! wall time.
 
+pub mod bench_row;
 pub mod experiments;
 pub mod microbench;

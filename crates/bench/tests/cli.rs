@@ -63,7 +63,14 @@ fn usage_lists_every_experiment_and_says_who_reads_cases() {
         synopsis.contains("--cases a,b (E1 and E2 only"),
         "{synopsis}"
     );
-    for id in ["table1", "e1-quality", "e10-noise", "all", "serve"] {
+    for id in [
+        "table1",
+        "e1-quality",
+        "e10-noise",
+        "all",
+        "serve",
+        "bench-row",
+    ] {
         assert!(synopsis.contains(id), "{id} missing from: {synopsis}");
     }
     // One titled line per experiment and tool under the synopsis, then
@@ -71,7 +78,7 @@ fn usage_lists_every_experiment_and_says_who_reads_cases() {
     // set what it varies and its rows.
     assert_eq!(
         stderr.trim().lines().count(),
-        1 + 12 + 1 + 1 + 4 + 2 * 4,
+        1 + 12 + 2 + 1 + 4 + 2 * 4,
         "{stderr}"
     );
     assert!(stderr.contains("\n    ESSIM-DE/untuned ESSIM-DE/tuned\n"));

@@ -63,12 +63,13 @@ pub(super) fn reset_raster(
 /// Construction is O(1): nothing is allocated until the first run, and
 /// from then on every buffer is retained at its high-water mark, so a
 /// repeated scenario allocates nothing on
-/// [`FireSim::simulate_arena`](super::FireSim::simulate_arena) — construct
-/// one arena per worker (see `FireSim::arena`) and reuse it for every
-/// scenario. On the default
-/// bucket kernel the high-water mark tracks the *fire*: a short burn on a
-/// 1000×1000 map holds the frontier it queued and eight bytes per raster
-/// row of spans, plus the (mandatory) full arrival raster.
+/// [`FireSim::simulate_arena`](super::FireSim::simulate_arena), and a fresh
+/// one only when its run queues more than any before it — construct one
+/// arena per worker (see `FireSim::arena`) and reuse it for every
+/// scenario. On the default bucket kernel the high-water mark tracks the
+/// *fire*: a short burn on a 1000×1000 map holds the pushes its run queued,
+/// 8 KiB of bucket heads and eight bytes per raster row of spans, plus the
+/// (mandatory) full arrival raster.
 #[derive(Debug, Clone)]
 pub struct SimArena {
     pub(super) rows: usize,

@@ -9,19 +9,23 @@ use std::cmp::Ordering;
 /// 20–64× as many buckets as a `meadow_small` run pops cells.
 pub(super) const BUCKETS: usize = 2048;
 
+/// The end of a bucket's chain, and the head of an empty bucket.
+pub(super) const NIL: u32 = u32::MAX;
+
 /// Monotone bucket queue (Dial's algorithm) over the arrival-time horizon
 /// `[t0, t0 + duration]`, with one twist that buys exactness: the bucket
 /// currently being drained is popped in the *same* total order the
 /// reference `BinaryHeap<(Reverse<Time>, u32)>` pops in (ascending time
-/// via `total_cmp`, ties by descending index). Future buckets are plain
-/// unsorted `Vec`s — O(1) push. When the drain cursor reaches one, it
-/// becomes a **sorted run** with the next pop last, sorted once, so a pop
-/// is a `Vec::pop`; the front a run starts from already is bucket 0's run
-/// (ascending indices, one time), so it loads without a compare. Entries
-/// pushed into the cursor's bucket after it was opened go to a small
-/// **`late` mini-heap** in the same order, and a pop takes the earlier of
-/// the run's last entry and `late`'s root — so a fire that lands in one
-/// bucket whole still pops in O(log n).
+/// via `total_cmp`, ties by descending index). Future buckets are unsorted
+/// chains through one flat **pool** — O(1) push, no storage per bucket but
+/// its head. The drain cursor walks a bucket's chain (LIFO, near reverse
+/// pop order) into a **sorted run** with the next pop last, sorted once,
+/// so a pop is a `Vec::pop`; the front a run starts from already is bucket
+/// 0's run (ascending indices, one time), so it loads without a compare.
+/// Entries pushed into the cursor's bucket after it was opened go to a
+/// small **`late` mini-heap** in the same order, and a pop takes the
+/// earlier of the run's last entry and `late`'s root — so a fire that
+/// lands in one bucket whole still pops in O(log n).
 ///
 /// Every traversal cost is positive, so a push performed while draining
 /// bucket `k` has an arrival time ≥ the time of some entry in bucket `k`,
@@ -32,17 +36,21 @@ pub(super) const BUCKETS: usize = 2048;
 /// order — identical to the reference heap's, entry for entry.
 ///
 /// The occupancy bitmap's invariant: a set bit means a non-empty bucket
-/// ahead of the cursor, and between runs every bucket is empty and every
+/// ahead of the cursor, and between runs every head is [`NIL`] and every
 /// bit clear. The tiled kernel's `stage`/`take_levels` leave the bitmap,
-/// the run and `late` alone (they walk the buckets themselves), which
+/// the run and `late` alone (they walk the heads themselves), which
 /// keeps every bit clear.
 #[derive(Debug, Clone, Default)]
 pub(super) struct BucketQueue {
-    /// Future frontier entries, bucketed by quantized arrival time.
-    pub(super) buckets: Vec<Vec<(f64, u32)>>,
-    /// One bit per bucket of [`BucketQueue::buckets`], set by `push` when
-    /// an entry lands ahead of the cursor and cleared by `pop` when the
-    /// bucket moves into `run`.
+    /// Per bucket, the [`BucketQueue::pool`] index of its latest entry, or
+    /// [`NIL`] when it is empty.
+    pub(super) heads: Vec<u32>,
+    /// Every entry queued ahead of the cursor this run (taken ones too,
+    /// until the next `reset`) as `(t, idx, next)`, `next` being the
+    /// bucket's previous entry or [`NIL`].
+    pub(super) pool: Vec<(f64, u32, u32)>,
+    /// One bit per bucket, set by `push` when an entry lands ahead of the
+    /// cursor and cleared by `pop` when the bucket moves into `run`.
     pub(super) occupied: [u64; BUCKETS / 64],
     /// The cursor's bucket as it was when opened, sorted in reverse pop
     /// order: the next pop is last.
@@ -54,7 +62,7 @@ pub(super) struct BucketQueue {
     /// `<= cursor` (only possible for `== cursor`) join `late`.
     pub(super) cursor: usize,
     /// Entries currently queued across `run`, `late` and all future
-    /// buckets.
+    /// chains.
     pub(super) len: usize,
     base: f64,
     inv_delta: f64,
@@ -74,26 +82,24 @@ impl BucketQueue {
         Self::pop_order(a, b).is_lt()
     }
 
-    /// Prepares the queue for one run over `[t0, t0 + duration]`. Bucket
-    /// `Vec`s, the run and `late` keep their capacity across runs, so a
-    /// repeated run allocates nothing; a fresh one allocates whenever it
-    /// fills one of them past its own high-water mark. A run that returned
-    /// drained the queue, so there is nothing to clear — 2048 stores that
-    /// were a third of a `meadow_small` evaluation; only a run abandoned by
-    /// a panic leaves entries (and their bits) behind.
+    /// Prepares the queue for one run over `[t0, t0 + duration]`. The pool,
+    /// the run and `late` keep their capacity across runs, so a repeated
+    /// run allocates nothing, and a fresh one only when its pushes outgrow
+    /// the pool's high-water mark. A run that returned drained the queue,
+    /// so only the pool is cleared; only a run abandoned by a panic leaves
+    /// heads (and their bits) behind.
     #[inline]
     pub(super) fn reset(&mut self, t0: f64, duration: f64) {
-        if self.buckets.len() != BUCKETS {
-            self.buckets.resize_with(BUCKETS, Vec::new);
+        if self.heads.len() != BUCKETS {
+            self.heads.resize(BUCKETS, NIL);
         }
         if self.len != 0 {
-            for b in &mut self.buckets {
-                b.clear();
-            }
+            self.heads.fill(NIL);
             self.run.clear();
             self.late.clear();
             self.occupied = [0; BUCKETS / 64];
         }
+        self.pool.clear();
         self.cursor = 0;
         self.len = 0;
         self.base = t0;
@@ -144,10 +150,32 @@ impl BucketQueue {
                 }
             }
         } else {
-            self.buckets[b].push((t, idx));
+            self.chain(b, t, idx);
             // Set even when the bucket already held an entry: one OR is
             // cheaper than the branch that would skip it.
             self.occupied[b / 64] |= 1 << (b % 64);
+        }
+    }
+
+    /// Puts `(t, idx)` at the head of bucket `b`'s chain.
+    #[inline]
+    pub(super) fn chain(&mut self, b: usize, t: f64, idx: u32) {
+        assert!(
+            self.pool.len() < NIL as usize,
+            "a run queued 2^32 - 1 entries"
+        );
+        let next = std::mem::replace(&mut self.heads[b], self.pool.len() as u32);
+        self.pool.push((t, idx, next));
+    }
+
+    /// Empties bucket `b`, appending its entries to `into` latest first.
+    #[inline]
+    pub(super) fn unchain(&mut self, b: usize, into: &mut Vec<(f64, u32)>) {
+        let mut at = std::mem::replace(&mut self.heads[b], NIL);
+        while at != NIL {
+            let (t, idx, next) = self.pool[at as usize];
+            into.push((t, idx));
+            at = next;
         }
     }
 
@@ -214,25 +242,24 @@ impl BucketQueue {
         self.occupied[w] &= !(1 << bit);
         debug_assert!(w * 64 + bit > self.cursor, "a bit behind the cursor");
         self.cursor = w * 64 + bit;
-        let bucket = &mut self.buckets[self.cursor];
-        if bucket.len() == 1 {
-            return bucket.pop();
+        let (t, idx, next) = self.pool[self.heads[self.cursor] as usize];
+        if next == NIL {
+            self.heads[self.cursor] = NIL;
+            return Some((t, idx));
         }
-        // Move elements out rather than swap the `Vec`s so every bucket
-        // keeps its own high-water capacity (swapping shuffles capacities
-        // between slots, so even a repeated run would allocate).
-        self.run.append(bucket);
-        self.run.sort_unstable_by(|&a, &b| Self::pop_order(b, a));
+        let mut run = std::mem::take(&mut self.run);
+        self.unchain(self.cursor, &mut run);
+        run.sort_unstable_by(|&a, &b| Self::pop_order(b, a));
+        self.run = run;
         self.run.pop()
     }
 
-    /// Heap bytes currently held across all bucket storage.
+    /// Heap bytes currently held: the pool, the heads, the run and `late`.
     pub(super) fn bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(f64, u32)>();
-        let entries = self.run.capacity()
-            + self.late.capacity()
-            + self.buckets.iter().map(Vec::capacity).sum::<usize>();
-        entries * entry + self.buckets.capacity() * std::mem::size_of::<Vec<(f64, u32)>>()
+        use std::mem::size_of;
+        self.pool.capacity() * size_of::<(f64, u32, u32)>()
+            + self.heads.capacity() * size_of::<u32>()
+            + (self.run.capacity() + self.late.capacity()) * size_of::<(f64, u32)>()
     }
 }
 

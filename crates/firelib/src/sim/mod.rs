@@ -43,10 +43,10 @@
 //!   its own pop-and-relax loop.
 //! * [`Kernel::Bucket`] — the landscape-scale hot path: a monotone
 //!   bucket-queue (Dial-style) wavefront sweep. Arrival times live in
-//!   `[t0, t0 + duration]`, so the frontier is kept in an array of
-//!   buckets keyed by quantized arrival time (O(1) push, cache-friendly
-//!   per-bucket drains) with an occupancy bitmap, so the drain jumps to
-//!   the next non-empty bucket and a run pays for the buckets its fire
+//!   `[t0, t0 + duration]`, so the frontier is kept in buckets keyed by
+//!   quantized arrival time (O(1) push onto a bucket's chain through one
+//!   flat pool) with an occupancy bitmap, so the drain jumps to the next
+//!   non-empty bucket and a run pays for the buckets its fire
 //!   occupies, not for the horizon; the raster keeps exact `f64` arrival
 //!   times — buckets only order the frontier. **A run tracks the rows it
 //!   wrote**: each write widens its row's column span, so the next run
@@ -410,11 +410,9 @@ impl FireSim {
     /// arrival map. Runs the bucket kernel ([`Kernel::Bucket`],
     /// bit-identical to the reference) — the arena's buffers persist at
     /// their high-water mark, so a repeated stream of runs allocates
-    /// nothing (counted by the root package's `tests/allocations.rs`). A
-    /// fresh stream still allocates: each of the queue's 2 048 buckets
-    /// grows to its own high-water mark, so on `meadow_small` step 1 about
-    /// one fresh evaluation in six allocates after a 64-scenario warm-up
-    /// (the heap kernel: 2 in 704).
+    /// nothing (counted by the root package's `tests/allocations.rs`), and a
+    /// fresh stream allocates only when a run queues more than any before
+    /// it: at most 4 of 704 fresh evaluations per case after a warm-up.
     ///
     /// # Panics
     /// Panics when the arena or `initial` does not match the terrain shape,

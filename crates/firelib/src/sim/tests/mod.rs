@@ -4,7 +4,7 @@
 
 mod conformance;
 
-use super::bucket::{BucketQueue, BUCKETS};
+use super::bucket::{BucketQueue, BUCKETS, NIL};
 use super::*;
 use crate::spread::wind_slope_max;
 use landscape::{Grid, UNIGNITED};
@@ -44,10 +44,13 @@ fn mid_bucket(t0: f64, duration: f64, k: usize) -> f64 {
     t0 + (k as f64 + 0.5) * duration / (BUCKETS - 1) as f64
 }
 
-/// Every bucket, the run and `late` empty and every occupancy bit clear:
-/// the state a drained (or reset) queue must be in between runs.
+/// Every chain head `NIL`, the run and `late` empty and every occupancy
+/// bit clear: the state a drained (or reset) queue must be in between
+/// runs.
 fn assert_drained(queue: &BucketQueue) {
-    assert!(queue.buckets.iter().all(Vec::is_empty) && queue.run.is_empty());
+    assert_eq!(queue.heads.len(), BUCKETS);
+    assert!(queue.heads.iter().all(|&h| h == NIL), "a stale chain head");
+    assert!(queue.run.is_empty(), "a stale run entry");
     assert!(queue.late.is_empty(), "a stale late entry");
     assert_eq!(queue.occupied, [0; BUCKETS / 64], "a stale occupancy bit");
 }
@@ -69,6 +72,7 @@ fn queue_reset_clears_what_an_abandoned_run_left() {
     assert_ne!(queue.occupied, [0; BUCKETS / 64]);
     queue.reset(5.0, 10.0);
     assert_drained(&queue);
+    assert!(queue.pool.is_empty(), "the reset kept the abandoned pool");
     assert_eq!(queue.pop(), None);
     // A stale bit would send the next run's refill to an empty bucket.
     let (at63, at64) = (mid_bucket(5.0, 10.0, 63), mid_bucket(5.0, 10.0, 64));
@@ -94,8 +98,10 @@ fn queue_reset_clears_what_an_abandoned_run_left() {
 /// under different indices, and the last pop's time under a larger index
 /// than its own: a tie that must pop before the rest of the run. One run
 /// in four has a horizon that puts every push in bucket 0, so its whole
-/// fire goes through `late`. Every drained run leaves the queue empty and
-/// every occupancy bit clear.
+/// fire goes through `late`, and one in eight pushes 100–300 entries into
+/// one future bucket first, so its refill walks a long chain. The pool
+/// holds exactly the pushes that landed ahead of the cursor, and every
+/// drained run leaves the queue empty and every occupancy bit clear.
 #[test]
 fn queue_pops_what_the_reference_heap_pops() {
     use super::heap::Time;
@@ -108,7 +114,7 @@ fn queue_pops_what_the_reference_heap_pops() {
     let mut rng = StdRng::seed_from_u64(0xb1_7a_9e);
     let mut queue = BucketQueue::default();
     let mut hit = [false; BUCKETS];
-    let (mut fronts, mut late_peak) = (0, 0);
+    let (mut fronts, mut late_peak, mut long_chains) = (0, 0, 0);
     for run in 0..400 {
         let t0 = if run % 3 == 0 {
             0.0
@@ -143,6 +149,35 @@ fn queue_pops_what_the_reference_heap_pops() {
             }
         }
         hit[queue.bucket_of(t0)] = true;
+        let mut ahead = 0;
+        if run % 8 == 5 {
+            // A burst into one future bucket short of the horizon's end,
+            // times inside it, ties too.
+            let k = rng.random_range(1..BUCKETS - 1);
+            let burst = rng.random_range(100..300usize);
+            let width = duration / (BUCKETS - 1) as f64;
+            for i in 0..burst {
+                let frac = if i % 5 == 0 {
+                    0.5
+                } else {
+                    rng.random_range(0.1..0.9)
+                };
+                let (t, idx) = (t0 + (k as f64 + frac) * width, rng.random_range(0..16u32));
+                assert_eq!(
+                    queue.bucket_of(t),
+                    k,
+                    "run {run}: the burst left bucket {k}"
+                );
+                queue.push(t, idx);
+                reference.push((Reverse(Time(t)), idx));
+            }
+            let mut chain = (queue.heads[k], 0);
+            while chain.0 != NIL {
+                chain = (queue.pool[chain.0 as usize].2, chain.1 + 1);
+            }
+            assert_eq!(chain.1, burst, "run {run}: bucket {k}'s chain");
+            (ahead, long_chains) = (burst, long_chains + 1);
+        }
         let (mut floor, mut last_pushed, mut last_idx) = (t0, t0, 0);
         let mut budget = rng.random_range(1..400usize);
         loop {
@@ -170,6 +205,7 @@ fn queue_pops_what_the_reference_heap_pops() {
                     "run {run} left bucket 0"
                 );
                 last_pushed = t;
+                ahead += usize::from(queue.bucket_of(t) > queue.cursor);
                 queue.push(t, idx);
                 reference.push((Reverse(Time(t)), idx));
             }
@@ -187,13 +223,74 @@ fn queue_pops_what_the_reference_heap_pops() {
             }
         }
         assert_drained(&queue);
+        assert_eq!(queue.pool.len(), ahead, "run {run}: the pool's entries");
     }
     for k in EDGES {
         assert!(hit[k], "no push landed in bucket {k}");
     }
     assert!(
-        fronts > 100 && late_peak > 100,
-        "{fronts} fronts, late peaked at {late_peak}"
+        fronts > 100 && late_peak > 100 && long_chains == 50,
+        "{fronts} fronts, late peaked at {late_peak}, {long_chains} long chains"
+    );
+}
+
+/// The tiled kernel's half of the queue: entries staged across several
+/// buckets — bucket 0, both sides of a word edge, a long chain, the last
+/// bucket — and more staged past each epoch's last bucket come back from
+/// `take_levels` exactly once each, as a multiset, and every bucket an
+/// epoch took is left with a `NIL` head.
+#[test]
+fn queue_take_levels_returns_each_staged_entry_once() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let (t0, duration) = (10.0, 500.0);
+    let mut rng = StdRng::seed_from_u64(0x7a_6e);
+    let mut queue = BucketQueue::default();
+    queue.reset(t0, duration);
+    let mut staged = Vec::new();
+    // Indices repeat every 19 entries: bucket 5 holds equal entries.
+    let stage = |queue: &mut BucketQueue, staged: &mut Vec<(f64, u32)>, k: usize| {
+        let (t, idx) = (mid_bucket(t0, duration, k), (staged.len() % 19) as u32);
+        queue.stage(t, idx);
+        staged.push((t, idx));
+    };
+    for k in [0, 0, 3, 63, 64, 64, 900, BUCKETS - 1] {
+        stage(&mut queue, &mut staged, k);
+    }
+    for _ in 0..40 {
+        stage(&mut queue, &mut staged, 5);
+    }
+    let (mut taken, mut epoch, mut next) = (Vec::new(), Vec::new(), 0);
+    while let Some(k_end) = queue.take_levels(16, &mut epoch) {
+        assert!(!epoch.is_empty() && k_end >= next, "an empty epoch");
+        for &(t, _) in &epoch {
+            assert!(
+                (next..=k_end).contains(&queue.bucket_of(t)),
+                "an entry outside the epoch"
+            );
+        }
+        assert!(
+            queue.heads[..=k_end].iter().all(|&h| h == NIL),
+            "a taken head"
+        );
+        taken.extend_from_slice(&epoch);
+        next = k_end + 1;
+        if staged.len() < 300 && next < BUCKETS {
+            for _ in 0..rng.random_range(0..12) {
+                let k = rng.random_range(next..BUCKETS);
+                stage(&mut queue, &mut staged, k);
+            }
+        }
+    }
+    assert_drained(&queue);
+    assert_eq!(queue.pool.len(), staged.len());
+    let key = |&(t, idx): &(f64, u32)| (t.to_bits(), idx);
+    taken.sort_unstable_by_key(key);
+    staged.sort_unstable_by_key(key);
+    assert_eq!(
+        taken.iter().map(key).collect::<Vec<_>>(),
+        staged.iter().map(key).collect::<Vec<_>>()
     );
 }
 

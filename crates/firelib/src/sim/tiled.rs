@@ -1,4 +1,4 @@
-use super::bucket::{BucketQueue, BUCKETS};
+use super::bucket::{BucketQueue, BUCKETS, NIL};
 use super::heap::Time;
 use super::sweep::{audit_pop_order, Sweep, Trail};
 use crate::SMIDGEN;
@@ -81,32 +81,36 @@ impl BucketQueue {
     /// epoch's last bucket (in-epoch arrivals go to the merge cascade
     /// instead), so the entry always lands at or ahead of the cursor.
     #[inline]
-    fn stage(&mut self, t: f64, idx: u32) {
+    pub(super) fn stage(&mut self, t: f64, idx: u32) {
         let b = self.bucket_of(t);
         debug_assert!(b >= self.cursor, "staged entry targets a drained epoch");
         self.len += 1;
-        self.buckets[b].push((t, idx));
+        self.chain(b, t, idx);
     }
 
     /// Tiled-kernel epoch extraction: moves every entry of the next run of
-    /// non-empty buckets into `into` (unordered) until at least `grain`
+    /// non-empty chains into `into` (unordered) until at least `grain`
     /// entries are taken or the queue empties, and returns the index of the
     /// last bucket taken. Entries staged afterwards must quantize past that
     /// bucket. Returns `None` when the queue is empty.
-    fn take_levels(&mut self, grain: usize, into: &mut Vec<(f64, u32)>) -> Option<usize> {
+    pub(super) fn take_levels(
+        &mut self,
+        grain: usize,
+        into: &mut Vec<(f64, u32)>,
+    ) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
         into.clear();
-        while self.buckets[self.cursor].is_empty() {
+        while self.heads[self.cursor] == NIL {
             self.cursor += 1;
             debug_assert!(self.cursor < BUCKETS, "bucket queue lost entries");
         }
         let mut k = self.cursor;
         loop {
-            let taken = self.buckets[k].len();
-            into.append(&mut self.buckets[k]);
-            self.len -= taken;
+            let before = into.len();
+            self.unchain(k, into);
+            self.len -= into.len() - before;
             if into.len() >= grain || self.len == 0 || k + 1 == BUCKETS {
                 break;
             }

@@ -16,15 +16,18 @@
 //!    calibration and then the prediction matrix, each read by
 //!    `ProbabilityMap::histogram_into` — the same step repeated.
 //!
+//! On *fresh* streams — the search's real traffic — a run allocates only
+//! when it queues more than any run before it, so the heap and the bucket
+//! kernel may each allocate on at most [`FRESH_ALLOCATING`] of 704 fresh
+//! evaluations per case (`--nocapture` prints the counts).
+//!
 //! One exception is reported, not asserted: on `archipelago_large` the
 //! two-worker tiled kernel meets epochs of at least `TILE_INLINE` entries,
 //! and those fork through parworker's scoped fork/join, which allocates
 //! its chunk bag and spawns its threads.
 //!
 //! The binary holds one test, so nothing else runs while a window is
-//! measured. Under `--nocapture` it also prints what the count finds on
-//! *fresh* streams — the search's real traffic — where the bucket
-//! kernel's per-bucket storage keeps growing to new high-water marks.
+//! measured.
 
 #![allow(
     clippy::expect_used,
@@ -81,6 +84,10 @@ const fn tiled(tile: usize, workers: usize) -> Kernel {
 }
 
 const EVALUATION_KERNELS: [Kernel; 4] = [Kernel::Heap, Kernel::Bucket, tiled(16, 1), tiled(16, 2)];
+
+/// The most fresh evaluations of 704 per case that may allocate: the
+/// queue's pool and the heap grow only to a new high-water mark (1–3).
+const FRESH_ALLOCATING: usize = 4;
 
 /// The case whose two-worker tiled epochs fork.
 const FORKING_CASE: &str = "archipelago_large";
@@ -242,6 +249,10 @@ fn a_repeated_stream_allocates_nothing() {
             println!(
                 "{name:<17} {:<6}  {allocating:>22}  {total:>11}",
                 kernel.to_string()
+            );
+            assert!(
+                allocating <= FRESH_ALLOCATING,
+                "{name}, {kernel}: {allocating} of 704 fresh evaluations allocated"
             );
         }
     }
