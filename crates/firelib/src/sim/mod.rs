@@ -71,8 +71,10 @@
 //!    merged pop by pop with a mini-heap of the entries pushed into the
 //!    bucket after that — and every traversal cost is positive, so an
 //!    entry pushed while draining bucket `k` can never belong to a bucket
-//!    `< k` (quantization is monotone in the arrival time). Debug builds audit the realized order of all three kernels
-//!    (`audit_pop_order`).
+//!    `< k` (quantization is monotone in the arrival time). It unlinks an
+//!    improved cell's old entry, so its order is the reference order less
+//!    entries that would pop stale (and emit nothing). Debug builds audit
+//!    the realized order of all three kernels (`audit_pop_order`).
 //! 2. *The table.* A cell's directional spread rates depend on that cell
 //!    alone — not on when, or on which thread, they were computed. The
 //!    bucket and tiled kernels read them the same way (`Sweep::relax`); on
@@ -86,7 +88,8 @@
 //!    into neighbour arrivals: the staleness test, the edge cost `t +
 //!    distance / ros` (off a shared table, `t` plus the run's precomputed
 //!    traversal time — the same `f64`), the horizon and
-//!    `SMIDGEN`-tolerance comparisons, the burnability of the neighbour.
+//!    `SMIDGEN`-tolerance comparisons (off a shared table, one bit mask of
+//!    all eight), the burnability of the neighbour.
 //!    The reference kernel spells the same step out independently,
 //!    without the step's early outs or the traversal times: it reads the
 //!    rates, divides per edge, builds a table for every live pop and

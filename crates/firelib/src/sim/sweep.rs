@@ -212,13 +212,13 @@ impl Trail<'_> {
     /// Writes `arrival` into cell `idx` = `(r, c)`, by its flat index,
     /// counts it ([`BurnCount::record`]) and records the write in row
     /// `r`'s span — and, on the row's first write, in the run's written
-    /// rows.
+    /// rows. Returns the arrival it replaced.
     #[inline]
-    pub(super) fn mark_written(&mut self, idx: usize, (r, c): (usize, usize), arrival: f64) {
+    pub(super) fn mark_written(&mut self, idx: usize, (r, c): (usize, usize), arrival: f64) -> f64 {
         debug_assert!(!arrival.is_nan() && arrival >= 0.0);
         let cell = &mut self.out.grid_mut().as_mut_slice()[idx];
-        self.count.record(idx, *cell, arrival);
-        *cell = arrival;
+        let old = std::mem::replace(cell, arrival);
+        self.count.record(idx, old, arrival);
         let lo = self.span_lo[r];
         if lo == u32::MAX {
             self.first = self.first.min(r);
@@ -226,6 +226,7 @@ impl Trail<'_> {
         }
         self.span_lo[r] = lo.min(c as u32);
         self.span_hi[r] = self.span_hi[r].max(c as u32);
+        old
     }
 
     /// Writes `t0` into every cell of `seeds` (ascending) and records the
@@ -348,18 +349,20 @@ impl Sweep<'_> {
     /// arrival that survives — an edge that spreads, inside the horizon,
     /// beating the neighbour's current arrival by more than `SMIDGEN`, into
     /// a cell that can burn — in direction order. A stale pop (`t` already
-    /// beaten at `idx`) emits nothing, and neither does one with no open
+    /// beaten at `idx`; the fallback for what `BucketQueue::improve` cannot
+    /// unlink) emits nothing, and neither does one with no open
     /// neighbour — the interior of a front — which is found out before the
     /// cell's table is asked for, so only a pop that can move the front
     /// pays for one; on a per-cell terrain that pop pays for one ellipse
     /// and one rate per open direction ([`Sweep::relax_cell`]), not for a
     /// table. On a shared table an edge costs one addition: the run's
     /// [`FuelTable::cost`] holds each direction's traversal time, `+∞`
-    /// where nothing spreads. The eight neighbours are read once, before
-    /// any emit: they are distinct cells, so a write for one (a caller
-    /// that applies its candidates writes them back,
-    /// [`Trail::mark_written`]; one that defers them reads a snapshot)
-    /// never changes the verdict on another. The cell's row and column
+    /// where nothing spreads; all eight edges' horizon and improvement
+    /// tests fold into one bit mask, with no branch per direction. The
+    /// eight neighbours are read once, before any emit: they are distinct
+    /// cells, so a write for one (a caller that applies its candidates
+    /// writes them back, [`Trail::mark_written`]; one that defers them
+    /// reads a snapshot) never changes the verdict on another. The cell's row and column
     /// come from one `u32` division (a terrain holds at most `u32::MAX`
     /// cells), and its arrival is read by flat index.
     #[inline]
@@ -374,6 +377,8 @@ impl Sweep<'_> {
         let r = cell / cols;
         let at = (r as usize, (cell - r * cols) as usize);
         if t > raster.grid().as_slice()[idx] + SMIDGEN {
+            #[cfg(test)]
+            super::tests::STALE_POPS.with(|n| n.set(n.get() + 1));
             return; // stale entry
         }
         let mut times = [0.0; 8];
@@ -391,14 +396,17 @@ impl Sweep<'_> {
                 return self.relax_cell(factors, (t, idx, at), (open, &times), raster, emit);
             }
         };
+        // `+∞` where the rate is at most `SMIDGEN`: past any horizon.
+        let arrivals: [f64; 8] = std::array::from_fn(|dir| t + cost[dir]);
+        let mut pass = 0u8;
+        for (dir, (&arrival, &time)) in arrivals.iter().zip(&times).enumerate() {
+            pass |= u8::from((arrival <= t_end) & (arrival < time - SMIDGEN)) << dir;
+        }
+        open &= pass;
         while open != 0 {
             let dir = open.trailing_zeros() as usize;
             open &= open - 1;
-            // `+∞` where the rate is at most `SMIDGEN`: past any horizon.
-            let arrival = t + cost[dir];
-            if arrival > t_end || arrival >= times[dir] - SMIDGEN {
-                continue;
-            }
+            let arrival = arrivals[dir];
             let nidx = idx.wrapping_add_signed(self.steps[dir]);
             if !self.burnable.at(nidx) {
                 continue;

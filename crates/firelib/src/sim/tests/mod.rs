@@ -4,7 +4,7 @@
 
 mod conformance;
 
-use super::bucket::{BucketQueue, BUCKETS, NIL};
+use super::bucket::{BucketQueue, BUCKETS, IMPROVE_WALK, NIL};
 use super::*;
 use crate::spread::wind_slope_max;
 use landscape::{Grid, UNIGNITED};
@@ -17,6 +17,14 @@ thread_local! {
     /// Single rates read off per-cell spread ellipses by runs on this
     /// thread — see `Sweep::relax_cell`.
     pub(super) static RATES_READ: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+    /// Pops the bucket kernel took on this thread — see
+    /// `Sweep::run_bucket`.
+    pub(super) static POPS: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+    /// Pops `Sweep::relax` found stale on this thread: entries whose cell
+    /// an earlier pop had improved since they were queued.
+    pub(super) static STALE_POPS: std::cell::Cell<usize> =
         const { std::cell::Cell::new(0) };
     /// Neighbour reads spent finding the front of a fire line on this
     /// thread — see `FireSim::resolve_seeds`.
@@ -292,6 +300,227 @@ fn queue_take_levels_returns_each_staged_entry_once() {
         taken.iter().map(key).collect::<Vec<_>>(),
         staged.iter().map(key).collect::<Vec<_>>()
     );
+}
+
+/// Where `(t, idx)` sits in bucket `b`'s chain, counted from its head.
+fn chain_depth(queue: &BucketQueue, b: usize, (t, idx): (f64, u32)) -> Option<usize> {
+    let (mut at, mut depth) = (queue.heads[b], 0);
+    while at != NIL {
+        let (et, eidx, next) = queue.pool[at as usize];
+        if (et.to_bits(), eidx) == (t.to_bits(), idx) {
+            return Some(depth);
+        }
+        (at, depth) = (next, depth + 1);
+    }
+    None
+}
+
+/// Seeded random sweeps over 48 cells against the reference heap: a cell
+/// is queued once by `push` and again by `improve` whenever a later push
+/// beats its arrival, at or after the last pop's time, as the bucket
+/// kernel queues them. The reference queues every arrival and skips a pop
+/// whose cell has since improved; the queue must pop the same live
+/// entries in the same order, and pop stale exactly the entries `improve`
+/// could not unlink — the one in the run or `late`, or more than
+/// [`IMPROVE_WALK`] entries deep. One run in six first fills one future
+/// bucket with 40 cells, so improving the earliest of them walks past the
+/// bound. Every drained run leaves the queue empty.
+#[test]
+fn queue_improve_unlinks_what_would_pop_stale() {
+    use super::heap::Time;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// One run's cells and the reference heap, and what `improve` left.
+    #[derive(Default)]
+    struct Model {
+        arrival: Vec<f64>,
+        reference: BinaryHeap<(Reverse<Time>, u32)>,
+        expect_stale: usize,
+        unlinked: usize,
+        deep: usize,
+        behind: usize,
+    }
+
+    impl Model {
+        /// Queues `(t, idx)` as the bucket kernel does, checking that an
+        /// unlink takes exactly one entry and clears its bucket's bit
+        /// when its chain empties.
+        fn queue(&mut self, queue: &mut BucketQueue, t: f64, idx: u32) {
+            let old = std::mem::replace(&mut self.arrival[idx as usize], t);
+            self.reference.push((Reverse(Time(t)), idx));
+            if old == f64::INFINITY {
+                queue.push(t, idx);
+                return;
+            }
+            let b = queue.bucket_of(old);
+            let depth = (b > queue.cursor)
+                .then(|| chain_depth(queue, b, (old, idx)))
+                .flatten();
+            let gone = matches!(depth, Some(d) if d < IMPROVE_WALK);
+            match depth {
+                _ if gone => self.unlinked += 1,
+                Some(_) => (self.deep, self.expect_stale) = (self.deep + 1, self.expect_stale + 1),
+                None => (self.behind, self.expect_stale) = (self.behind + 1, self.expect_stale + 1),
+            }
+            let len = queue.len;
+            queue.improve(old, t, idx);
+            assert_eq!(queue.len, len + 1 - usize::from(gone), "the queue's length");
+            if gone && queue.bucket_of(t) != b {
+                let bit = queue.occupied[b / 64] >> (b % 64) & 1;
+                assert_eq!(bit, u64::from(queue.heads[b] != NIL), "bucket {b}'s bit");
+            }
+        }
+    }
+
+    let mut rng = StdRng::seed_from_u64(0x1a_b0_7e);
+    let mut queue = BucketQueue::default();
+    let mut totals = (0, 0, 0);
+    for run in 0..300 {
+        let (t0, duration) = (rng.random_range(0.0..500.0), rng.random_range(1.0..3000.0));
+        let reach = t0 + duration;
+        queue.reset(t0, duration);
+        let mut model = Model {
+            arrival: vec![f64::INFINITY; 48],
+            ..Model::default()
+        };
+        model.queue(&mut queue, t0, 0);
+        if run % 6 == 5 {
+            let k = rng.random_range(1..BUCKETS - 1);
+            let width = duration / (BUCKETS - 1) as f64;
+            for idx in 8..48 {
+                let t = t0 + (k as f64 + rng.random_range(0.1..0.9)) * width;
+                model.queue(&mut queue, t, idx);
+            }
+            // The earliest push is the chain's deepest entry.
+            model.queue(&mut queue, t0 + 0.5 * width, 8);
+        }
+        let (mut floor, mut budget, mut stale) = (t0, rng.random_range(1..300usize), 0);
+        loop {
+            let pushes = rng.random_range(0..4usize).min(budget);
+            budget -= pushes;
+            for _ in 0..pushes {
+                let idx = rng.random_range(0..48u32);
+                let ceiling = model.arrival[idx as usize].min(reach);
+                if ceiling <= floor {
+                    continue; // nothing at or after `floor` improves it
+                }
+                let t = if rng.random_bool(0.2) {
+                    floor
+                } else {
+                    floor + rng.random::<f64>() * (ceiling - floor)
+                };
+                if t < model.arrival[idx as usize] {
+                    model.queue(&mut queue, t, idx);
+                }
+            }
+            let want = loop {
+                match model.reference.pop() {
+                    Some((Reverse(Time(t)), idx)) if t != model.arrival[idx as usize] => {}
+                    other => break other.map(|(Reverse(Time(t)), idx)| (t, idx)),
+                }
+            };
+            let got = loop {
+                match queue.pop() {
+                    Some((t, idx)) if t != model.arrival[idx as usize] => stale += 1,
+                    other => break other,
+                }
+            };
+            assert_eq!(
+                got.map(|(t, i)| (t.to_bits(), i)),
+                want.map(|(t, i)| (t.to_bits(), i)),
+                "run {run}: the queue left the reference heap's live order"
+            );
+            match got {
+                Some((t, _)) => floor = t,
+                None => break,
+            }
+        }
+        assert_eq!(stale, model.expect_stale, "run {run}: stale pops");
+        assert_drained(&queue);
+        totals = (
+            totals.0 + model.unlinked,
+            totals.1 + model.deep,
+            totals.2 + model.behind,
+        );
+    }
+    let (unlinked, deep, behind) = totals;
+    assert!(
+        unlinked > 1000 && deep >= 50 && behind > 100,
+        "{unlinked} unlinked, {deep} past the walk bound, {behind} at or behind the cursor"
+    );
+}
+
+/// An `improve` that unlinks a bucket's only entry clears its occupancy
+/// bit, so the next refill skips it; one that leaves an entry behind
+/// keeps the bit.
+#[test]
+fn queue_improve_that_empties_a_chain_clears_its_bit() {
+    let (t0, duration) = (0.0, 100.0);
+    let at = |k| mid_bucket(t0, duration, k);
+    let bit = |queue: &BucketQueue, k: usize| queue.occupied[k / 64] >> (k % 64) & 1 == 1;
+    let mut queue = BucketQueue::default();
+    queue.reset(t0, duration);
+    queue.push(t0, 0);
+    queue.push(at(100), 1);
+    queue.push(at(70), 2);
+    queue.push(at(70), 3);
+    queue.improve(at(100), at(40), 1);
+    assert!(
+        !bit(&queue, 100) && queue.heads[100] == NIL,
+        "bucket 100 kept"
+    );
+    assert!(bit(&queue, 40));
+    queue.improve(at(70), at(50), 2);
+    assert!(bit(&queue, 70), "bucket 70 still holds cell 3");
+    queue.improve(at(70), at(60), 3);
+    assert!(!bit(&queue, 70) && queue.heads[70] == NIL, "bucket 70 kept");
+    assert_eq!(queue.len, 4);
+    for want in [(t0, 0), (at(40), 1), (at(50), 2), (at(60), 3)] {
+        assert_eq!(queue.pop(), Some(want));
+    }
+    assert_eq!(queue.pop(), None);
+    assert_drained(&queue);
+}
+
+/// The bucket kernel pops (nearly) no stale entry: on every corpus case
+/// and interval, over 64 fresh sampled scenarios run from the interval's
+/// resolved seeds, at most 1 % of its pops find their cell improved —
+/// one that queued an improvement beside the old entry popped 5–28 %
+/// stale, by case.
+#[test]
+fn queue_the_bucket_kernel_pops_almost_nothing_stale() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let mut rng = StdRng::seed_from_u64(0x57a1e);
+    for spec in crate::workload::corpus() {
+        let w = spec.build();
+        let sim = w.sim();
+        let lines = w.reference_lines(&sim);
+        let mut arena = sim.arena();
+        for (interval, (line, span)) in lines.iter().zip(w.times.windows(2)).enumerate() {
+            let seeds = sim.seeds(line);
+            let (t0, dt) = (span[0], span[1] - span[0]);
+            POPS.with(|n| n.set(0));
+            STALE_POPS.with(|n| n.set(0));
+            for _ in 0..64 {
+                let s = conformance::scenario(&mut rng);
+                sim.simulate_arena_seeded(&s, &seeds, t0, dt, &mut arena, Kernel::Bucket, None);
+            }
+            let (pops, stale) = (
+                POPS.with(std::cell::Cell::get),
+                STALE_POPS.with(std::cell::Cell::get),
+            );
+            assert!(
+                stale * 100 <= pops,
+                "{} interval {interval}: {stale} of {pops} pops stale",
+                spec.name
+            );
+        }
+    }
 }
 
 #[test]
