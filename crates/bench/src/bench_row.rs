@@ -10,6 +10,9 @@
 //! pairs the change won, in the direction the metric's `better` gives. The
 //! row's seed is the one most runs share; only the claimed workload may
 //! also run at one other seed, which becomes the claim's `second_seed`.
+//! The row's `parent_commit` is the parent runs' host-line `git_commit`;
+//! a run from an exported tree prints `unknown` there, and then the
+//! commit must be given (`--parent-commit`).
 
 use ess_service::jsonio::Json;
 use std::collections::BTreeMap;
@@ -206,12 +209,36 @@ impl Pairs<'_> {
     }
 }
 
+/// `true` for an abbreviated or full git commit hash.
+pub fn is_commit(sha: &str) -> bool {
+    (7..=40).contains(&sha.len()) && sha.bytes().all(|b| b.is_ascii_hexdigit())
+}
+
+/// The parent's commit: its runs' host line's, else `given`.
+fn parent_commit(base: &Run, given: Option<&str>) -> Result<String, String> {
+    let host = base.host.get("git_commit").and_then(Json::as_str);
+    match (host.filter(|h| is_commit(h)), given) {
+        (Some(h), Some(g)) if !h.starts_with(g) && !g.starts_with(h) => Err(format!(
+            "--parent-commit {g}, but the parent runs ran at {h}"
+        )),
+        (Some(h), _) => Ok(h.to_string()),
+        (None, Some(g)) if is_commit(g) => Ok(g.to_string()),
+        (None, Some(g)) => Err(format!("--parent-commit {g}: not a commit hash")),
+        (None, None) => Err(format!(
+            "the parent runs' host line gives git_commit {}: name the parent with --parent-commit SHA",
+            host.unwrap_or("nothing")
+        )),
+    }
+}
+
 /// Builds the row.
 ///
 /// # Errors
 /// No runs, runs of different lengths, unequal pair counts, a second seed
-/// on a workload that is not the claim's, or a claim on a metric or
-/// workload the runs do not hold.
+/// on a workload that is not the claim's, a claim on a metric or workload
+/// the runs do not hold, or no parent commit: the parent runs' host line
+/// names none and `parent_commit` is `None` (or not a hash, or another
+/// commit than the host line's).
 pub fn row(
     parent: &[Run],
     change: &[Run],
@@ -219,9 +246,11 @@ pub fn row(
     pr: u64,
     claim: Option<Claim<'_>>,
     note: Option<&str>,
+    parent_commit: Option<&str>,
 ) -> Result<Json, String> {
     let first = change.first().ok_or("no change runs")?;
     let base = parent.first().ok_or("no parent runs")?;
+    let commit = self::parent_commit(base, parent_commit)?;
     if let Some(r) = parent
         .iter()
         .chain(change)
@@ -327,7 +356,6 @@ pub fn row(
         .and_then(Json::as_str)
         .unwrap_or("unknown");
     let nproc = first.host.get("nproc").and_then(Json::as_u64).unwrap_or(0);
-    let commit = base.host.get("git_commit").cloned().unwrap_or(Json::Null);
     let mut row = Json::obj()
         .field("pr", pr)
         .field("source", "pairs")
@@ -407,7 +435,7 @@ mod tests {
         .unwrap();
         let (parent, change) = (read_runs(&p).unwrap(), read_runs(&c).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
-        let row = row(&parent, &change, &metrics(), 47, Some(CLAIM), None).unwrap();
+        let row = row(&parent, &change, &metrics(), 47, Some(CLAIM), None, None).unwrap();
         assert_eq!(row.get("source").and_then(Json::as_str), Some("pairs"));
         assert_eq!(row.get("host").and_then(Json::as_str), Some("x86_64-2core"));
         assert_eq!(
@@ -458,6 +486,7 @@ mod tests {
             47,
             Some(CLAIM),
             Some("synthetic"),
+            None,
         )
         .unwrap();
         assert_eq!(row.get("seed").and_then(Json::as_u64), Some(1));
@@ -476,7 +505,34 @@ mod tests {
         assert_eq!(second.get("seed").and_then(Json::as_u64), Some(9));
         assert_eq!(second.get("won").and_then(Json::as_u64), Some(1));
         // Without a claim, a second seed is an error, as are unequal sides.
-        assert!(super::row(&parent, &change, &metrics(), 47, None, None).is_err());
-        assert!(super::row(&parent, &change[..3], &metrics(), 47, Some(CLAIM), None).is_err());
+        assert!(super::row(&parent, &change, &metrics(), 47, None, None, None).is_err());
+        let short = &change[..3];
+        assert!(super::row(&parent, short, &metrics(), 47, Some(CLAIM), None, None).is_err());
+    }
+
+    #[test]
+    fn a_parent_run_from_an_exported_tree_needs_its_commit_named() {
+        let exported = output("checkpoint_churn", 2022, 100.0, 6.0)
+            .replace("\"git_commit\":\"abc1234\"", "\"git_commit\":\"unknown\"");
+        let parent = [parse_run(&exported).unwrap()];
+        let change = [parse_run(&output("checkpoint_churn", 2022, 107.0, 6.0)).unwrap()];
+        let with = |commit| row(&parent, &change, &metrics(), 50, None, None, commit);
+        let refused = with(None).unwrap_err();
+        assert!(refused.contains("--parent-commit"), "{refused}");
+        assert!(with(Some("not-a-sha")).is_err());
+        let named = with(Some("bde6ba9")).unwrap();
+        assert_eq!(
+            named.get("parent_commit").and_then(Json::as_str),
+            Some("bde6ba9")
+        );
+        // A host line that names a commit wins, and must agree with one given.
+        let change = [parse_run(&output("checkpoint_churn", 2022, 100.0, 6.0)).unwrap()];
+        let runs = (&change[..], &change[..]);
+        let agree = row(runs.0, runs.1, &metrics(), 50, None, None, Some("abc1234")).unwrap();
+        assert_eq!(
+            agree.get("parent_commit").and_then(Json::as_str),
+            Some("abc1234")
+        );
+        assert!(row(runs.0, runs.1, &metrics(), 50, None, None, Some("bde6ba9")).is_err());
     }
 }

@@ -130,7 +130,7 @@ const TOOLS: &[(&str, &str, Tool)] = &[
     ),
     (
         "bench-row",
-        "one BENCH_trajectory.json row from saved benchmark runs (--parent DIR --change DIR --pr N [--claim W/M] [--note T])",
+        "one BENCH_trajectory.json row from saved benchmark runs (--parent DIR --change DIR --pr N [--claim W/M] [--note T] [--parent-commit SHA])",
         bench_row_main,
     ),
 ];
@@ -145,12 +145,14 @@ struct Args {
     policy: ess_service::PolicyKind,
     fused: bool,
     /// `bench-row`'s inputs: the two run directories, the row's PR
-    /// number, its `workload/metric` claim and its note.
+    /// number, its `workload/metric` claim, its note, and the parent's
+    /// commit when its runs' host line says `unknown`.
     parent: Option<PathBuf>,
     change: Option<PathBuf>,
     pr: Option<u64>,
     claim: Option<String>,
     note: Option<String>,
+    parent_commit: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -176,6 +178,7 @@ fn parse_args() -> Result<Args, String> {
         pr: None,
         claim: None,
         note: None,
+        parent_commit: None,
     };
     while let Some(flag) = argv.next() {
         let mut value = || argv.next().ok_or(format!("missing value for {flag}"));
@@ -200,6 +203,7 @@ fn parse_args() -> Result<Args, String> {
             "--pr" => args.pr = Some(value()?.parse().map_err(|e| format!("--pr: {e}"))?),
             "--claim" => args.claim = Some(value()?),
             "--note" => args.note = Some(value()?),
+            "--parent-commit" => args.parent_commit = Some(value()?),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
@@ -367,7 +371,9 @@ fn bench_row_main(args: &Args) -> Result<(), String> {
     let benchmark =
         ess_service::jsonio::Json::parse(&text).map_err(|e| format!("BENCHMARK.json: {e:?}"))?;
     let metrics = bench_row::declared_metrics(&benchmark)?;
-    let row = bench_row::row(&parent, &change, &metrics, pr, claim, args.note.as_deref())?;
+    let note = args.note.as_deref();
+    let commit = args.parent_commit.as_deref();
+    let row = bench_row::row(&parent, &change, &metrics, pr, claim, note, commit)?;
     print!("{}", row.to_pretty());
     Ok(())
 }

@@ -2,7 +2,8 @@
 //! names only workloads and end-to-end metrics that `BENCHMARK.json`
 //! declares, and lists its rows in ascending PR order. A row measured from
 //! alternated pairs also carries the host fingerprint the benchmark
-//! prints, its seed and seconds, and pair counts no larger than its pairs.
+//! prints, its parent's commit hash, its seed and seconds, and pair counts
+//! no larger than its pairs.
 
 #![allow(
     clippy::expect_used,
@@ -65,6 +66,13 @@ fn check_row(row: &Json, workloads: &[String], metrics: &[String], what: &str) {
                 "{what}: no fingerprint {key}"
             );
         }
+        let commit = row.get("parent_commit").and_then(Json::as_str);
+        assert!(
+            commit.is_some_and(|c| {
+                (7..=40).contains(&c.len()) && c.bytes().all(|b| b.is_ascii_hexdigit())
+            }),
+            "{what}: parent_commit {commit:?} is not a commit hash"
+        );
         count(row, "seed", what);
         count(row, "seconds", what);
         let claim = row.get("claim").expect("a claim (null when none)");

@@ -15,22 +15,22 @@
 //! step's view of a pool (or of an injected backend — fused lanes,
 //! tracers).
 //!
-//! Fitness is a pure function of (interval, genome) — of the genes the
-//! terrain does not override, in fact — and an evaluator lives for one
-//! step on one interval, so it keeps a table of every run it has scored:
-//! a genome the search asks for again, or one that differs from a scored
-//! one only in a gene the terrain's layers replace, is answered from the
-//! table, and only the unscored runs reach the backend, each once. An
-//! *evaluation* is a fitness the search asked for — the unit
-//! every count, budget and report uses — and a step runs at most that
-//! many *simulations*.
+//! Fitness is a pure function of (interval, genome) — of what the run
+//! reads of the decoded scenario, in fact ([`FireSim::run_key`]) — and an
+//! evaluator lives for one step on one interval, so it keeps a table of
+//! every run it has scored, by that key ([`RunTable`]): a genome the
+//! search asks for again, or one that decodes to a scored run (a model
+//! gene in the same bin, a gene the terrain's layers replace, a wind
+//! direction in calm air, …), is answered from the table, and only the
+//! unscored runs reach the backend, each once. An *evaluation* is a
+//! fitness the search asked for — the unit every count, budget and report
+//! uses — and a step runs at most that many *simulations*.
 
 use crate::cases::Observations;
 use evoalg::{BatchEvaluator, GenomeMatrix};
-use firelib::{BurnCount, FireSim, Kernel, Scenario, ScenarioSpace, SimArena, GENE_COUNT};
+use firelib::{BurnCount, FireSim, Kernel, RunKey, Scenario, ScenarioSpace, SimArena, GENE_COUNT};
 use landscape::{FireLine, IgnitionMap, JaccardBreakdown, Observed, ProbabilityMap};
 use parworker::Backend;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 pub use parworker::EvalBackend;
@@ -258,41 +258,71 @@ pub struct ScenarioEvaluator {
     ctx: Arc<StepContext>,
     route: Route,
     evaluations: u64,
-    /// The genes the context's terrain overrides on every cell
-    /// ([`firelib::Terrain::overridden_genes`]): left out of a row's key.
-    overridden: [bool; GENE_COUNT],
-    /// Every run scored on this step, by its [`run_key`]: where its
-    /// fitness sits in `scores`.
-    table: BTreeMap<RowKey, usize>,
+    /// Every run scored on this step, by its [`RunKey`]: a key's slot is
+    /// where its fitness sits in `scores`.
+    table: RunTable,
     /// The backend's answers, in submission order.
     scores: Vec<f64>,
 }
 
-/// A row of `GENE_COUNT` values as its bits — this crate's test of "the
-/// same run" on any terrain: the stage tail
-/// ([`crate::stages::distinct_members`]) groups a result set's scenarios
-/// by it, and an evaluator's table keys genomes by it less what the
-/// terrain ignores ([`run_key`]). Bits, not values: `0.0` and `-0.0` are
-/// two keys (scored alike, each once), and so are two NaN payloads.
-pub(crate) type RowKey = [u64; GENE_COUNT];
-
-pub(crate) fn row_key(values: &[f64]) -> RowKey {
-    assert_eq!(
-        values.len(),
-        GENE_COUNT,
-        "scenario gene vector must have {GENE_COUNT} entries"
-    );
-    std::array::from_fn(|i| values[i].to_bits())
+/// The distinct [`RunKey`]s seen, each with its slot — its first
+/// occurrence's index — in one open-addressed table: linear probing over a
+/// power-of-two index at most half full, under a fixed hash, so a lookup
+/// is one hash and (almost always) one probe, and nothing reads an order
+/// out of it. An evaluator keys its rows by it, and the stage tail
+/// ([`crate::stages::distinct_members`]) a result set's members.
+#[derive(Default)]
+pub(crate) struct RunTable {
+    /// Every key, in first-occurrence order: a key's slot is its index.
+    keys: Vec<RunKey>,
+    /// The probe index: `FREE` or a slot, at home `hash & (len − 1)` or
+    /// after it.
+    slots: Vec<u32>,
 }
 
-/// "The same run" on one terrain: a genome's [`row_key`] with the genes
-/// the terrain overrides on every cell set to zero. Two genomes that
-/// differ only there — the fuel model under a fuel layer, the slope or
-/// the aspect under theirs — are one simulation, bit for bit
-/// ([`firelib::Terrain::overridden_genes`]), so they share a key.
-fn run_key(values: &[f64], overridden: &[bool; GENE_COUNT]) -> RowKey {
-    let key = row_key(values);
-    std::array::from_fn(|i| if overridden[i] { 0 } else { key[i] })
+const FREE: u32 = u32::MAX;
+
+/// The smallest probe index a table builds.
+const MIN_SLOTS: usize = 16;
+
+/// A fixed multiply–xor-shift over the key's words.
+fn hash(key: &RunKey) -> usize {
+    let h = key.iter().fold(0u64, |h, &w| {
+        let h = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ h >> 32
+    });
+    h as usize
+}
+
+impl RunTable {
+    /// `key`'s slot: the index of its first occurrence, so a key not seen
+    /// before takes the number of keys seen so far, and is kept.
+    pub(crate) fn slot(&mut self, key: &RunKey) -> usize {
+        if 2 * (self.keys.len() + 1) > self.slots.len() {
+            self.slots = vec![FREE; (2 * self.slots.len()).max(MIN_SLOTS)];
+            for slot in 0..self.keys.len() {
+                let i = self.probe(&self.keys[slot]);
+                self.slots[i] = slot as u32;
+            }
+        }
+        let i = self.probe(key);
+        if self.slots[i] == FREE {
+            self.slots[i] = self.keys.len() as u32;
+            self.keys.push(*key);
+        }
+        self.slots[i] as usize
+    }
+
+    /// Where `key` sits in the probe index, or the free slot ending its
+    /// chain.
+    fn probe(&self, key: &RunKey) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = hash(key) & mask;
+        while self.slots[i] != FREE && self.keys[self.slots[i] as usize] != *key {
+            i = (i + 1) & mask;
+        }
+        i
+    }
 }
 
 /// One scenario evaluation on a shared pool: the step context and the flat
@@ -569,11 +599,10 @@ impl ScenarioEvaluator {
 
     fn routed(ctx: Arc<StepContext>, route: Route) -> Self {
         Self {
-            overridden: ctx.sim().terrain().overridden_genes(),
             ctx,
             route,
             evaluations: 0,
-            table: BTreeMap::new(),
+            table: RunTable::default(),
             scores: Vec::new(),
         }
     }
@@ -585,27 +614,27 @@ impl ScenarioEvaluator {
 }
 
 impl BatchEvaluator for ScenarioEvaluator {
-    /// Scores `genomes` in row order. One table operation per row: a
-    /// genome whose run is scored is answered from the table; an unscored
-    /// run is submitted once, as its first-occurring genome, however often
-    /// the batch repeats it — or asks for it again through a gene the
-    /// terrain overrides ([`firelib::Terrain::overridden_genes`]). Nothing
-    /// is submitted when every row is scored.
+    /// Scores `genomes` in row order. One table operation per row, on its
+    /// run's key ([`FireSim::run_key`] of the decoded row): a row whose
+    /// run is scored is answered from the table; an unscored run is
+    /// submitted once, as its first-occurring genome, however often the
+    /// batch asks for it again — as the same genome or as any other that
+    /// runs alike. Nothing is submitted when every row is scored.
     fn evaluate(&mut self, genomes: &[Vec<f64>]) -> Vec<f64> {
         self.evaluations += genomes.len() as u64;
         let scored = self.scores.len();
+        let sim = self.ctx.sim();
         // The rows to submit, by index into `genomes`.
         let mut fresh = Vec::new();
         let slots: Vec<usize> = genomes
             .iter()
             .enumerate()
             .map(|(row, genes)| {
-                let next = scored + fresh.len();
-                let key = run_key(genes, &self.overridden);
-                *self.table.entry(key).or_insert_with(|| {
+                let slot = self.table.slot(&sim.run_key(&ScenarioSpace.decode(genes)));
+                if slot == scored + fresh.len() {
                     fresh.push(row);
-                    next
-                })
+                }
+                slot
             })
             .collect();
         if !fresh.is_empty() {
@@ -935,88 +964,95 @@ mod tests {
         }
     }
 
-    /// The arrival raster of `genes` on `ctx`, as bits, and its fitness.
-    fn run_bits(ctx: &StepContext, genes: &[f64], arena: &mut SimArena) -> (Vec<u64>, u64) {
-        let scenario = ScenarioSpace.decode(genes);
-        let map = ctx.simulate_into(&scenario, arena);
-        let raster = map.grid().as_slice().iter().map(|t| t.to_bits()).collect();
-        (raster, ctx.fitness_with(&scenario, arena).to_bits())
+    /// Keys whose home is the last slot of the smallest probe index, so
+    /// they share one chain, and it wraps.
+    fn one_chain(n: usize) -> Vec<RunKey> {
+        (0u64..)
+            .map(|i| std::array::from_fn(|g| i.wrapping_mul(g as u64 + 1)))
+            .filter(|k| hash(k) & (MIN_SLOTS - 1) == MIN_SLOTS - 1)
+            .take(n)
+            .collect()
     }
 
     #[test]
-    fn an_overridden_gene_changes_no_raster_and_no_fitness() {
-        use crate::cases;
-        let kernels = [
-            Kernel::Heap,
-            Kernel::Bucket,
-            Kernel::Tiled {
-                tile: 16,
-                workers: 2,
-            },
-        ];
-        let xl = firelib::workload::xl_names();
-        let mut layered = Vec::new();
-        for name in cases::case_names() {
-            // The XL tier shrunk, as firelib's own table tests take it.
-            let case = match firelib::workload::by_name(name) {
-                Some(spec) if xl.contains(&name) => cases::workload_case(&spec.shrunk(96)),
-                _ => cases::by_name(name).expect("a listed case"),
-            };
-            let overridden = case.sim.terrain().overridden_genes();
-            if !overridden.contains(&true) {
-                continue;
-            }
-            layered.push(name);
-            let mut genomes = random_genomes(name.len() as u64, 3);
-            genomes.push(ScenarioSpace.encode(&case.truth[0]).to_vec());
-            for kernel in kernels {
-                let ctx = case.step_context(1).with_kernel(kernel);
-                let mut arena = ctx.sim().arena();
-                for (g, genes) in genomes.iter().enumerate() {
-                    let run = run_bits(&ctx, genes, &mut arena);
-                    if g == genomes.len() - 1 {
-                        let fitness = f64::from_bits(run.1);
-                        assert!(fitness > 0.0, "{name}: the truth burns nothing");
-                    }
-                    // Each overridden gene alone moved to either end of its
-                    // range and to NaN, then all of them at once.
-                    let mut variants: Vec<Vec<f64>> = Vec::new();
-                    for i in (0..GENE_COUNT).filter(|&i| overridden[i]) {
-                        for v in [0.0, 1.0, f64::NAN] {
-                            let mut moved = genes.clone();
-                            moved[i] = v;
-                            variants.push(moved);
-                        }
-                    }
-                    let mut all = genes.clone();
-                    for (gene, _) in all.iter_mut().zip(overridden).filter(|(_, o)| *o) {
-                        *gene = 1.0 - *gene;
-                    }
-                    variants.push(all);
-                    for moved in &variants {
-                        assert!(
-                            run_bits(&ctx, moved, &mut arena) == run,
-                            "{name} on {kernel}: genome {g} moved to {moved:?}"
-                        );
-                        assert_eq!(
-                            run_key(moved, &overridden),
-                            run_key(genes, &overridden),
-                            "{name}: one run, one key"
-                        );
-                    }
-                }
+    fn run_table_keys_in_one_probe_chain_keep_their_slots() {
+        let keys = one_chain(MIN_SLOTS / 2);
+        let mut table = RunTable::default();
+        for (slot, key) in keys.iter().enumerate() {
+            assert_eq!(table.slot(key), slot, "a new key takes the next slot");
+        }
+        assert_eq!(table.slots.len(), MIN_SLOTS, "half full, not grown");
+        // The chain runs from the last slot round to the first ones.
+        assert_eq!(table.slots[MIN_SLOTS - 1], 0);
+        assert_eq!(&table.slots[..keys.len() - 1], &[1, 2, 3, 4, 5, 6, 7]);
+        for (slot, key) in keys.iter().enumerate().rev() {
+            assert_eq!(table.slot(key), slot, "a seen key finds its slot");
+        }
+        assert_eq!(table.keys, keys);
+    }
+
+    #[test]
+    fn run_table_growth_keeps_every_slot() {
+        let keys = one_chain(3 * MIN_SLOTS);
+        let mut table = RunTable::default();
+        for (slot, key) in keys.iter().enumerate() {
+            assert_eq!(table.slot(key), slot);
+            assert!(
+                2 * table.keys.len() <= table.slots.len(),
+                "at most half full"
+            );
+            for (earlier, key) in keys[..=slot].iter().enumerate() {
+                assert_eq!(table.slot(key), earlier, "slot lost across a rehash");
             }
         }
-        // The library's relief case, and the corpus's fuel mosaics and
-        // relief tiers.
-        for name in [
-            "two_ridge",
-            "patchwork_mosaic",
-            "ridged_foothills",
-            "breaks_mosaic_xl",
-        ] {
-            assert!(layered.contains(&name), "{name} not among {layered:?}");
+        assert_eq!(table.slots.len(), 8 * MIN_SLOTS, "grown three times");
+    }
+
+    #[test]
+    fn run_table_matches_a_first_occurrence_oracle() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        let mut rng = StdRng::seed_from_u64(50);
+        // 10⁴ rows over about 2 000 distinct keys, a few words varying, so
+        // keys repeat and share most of their bits.
+        let mut table = RunTable::default();
+        let mut oracle: BTreeMap<RunKey, usize> = BTreeMap::new();
+        for row in 0..10_000 {
+            let key: RunKey = std::array::from_fn(|g| match g {
+                1 => rng.random_range(0..40u64),
+                4 => rng.random_range(0..50u64) << 40,
+                8 => u64::from(rng.random::<f64>() < 0.5),
+                _ => 0x3FF0_0000_0000_0000,
+            });
+            let next = oracle.len();
+            let want = *oracle.entry(key).or_insert(next);
+            assert_eq!(table.slot(&key), want, "row {row}");
         }
+        assert!(
+            (1_000..4_000).contains(&oracle.len()),
+            "{} keys",
+            oracle.len()
+        );
+        assert_eq!(table.keys.len(), oracle.len());
+    }
+
+    #[test]
+    fn run_table_rows_that_run_alike_reach_the_backend_once() {
+        // The model genes 0.24 and 0.3 fall in one bin; 1.5 and 7.0 clamp
+        // to one bound.
+        let (ctx, truth) = known_context();
+        let a = ScenarioSpace.encode(&truth).to_vec();
+        let moved = |gene: usize, v: f64| {
+            let mut g = a.clone();
+            g[gene] = v;
+            g
+        };
+        let batch = [moved(0, 0.24), moved(0, 0.3), moved(1, 1.5), moved(1, 7.0)];
+        let mut serial = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Serial);
+        let fitness = serial.evaluate(&batch);
+        assert_eq!(serial.table.keys.len(), 2, "two runs");
+        assert_eq!((fitness[0], fitness[2]), (fitness[1], fitness[3]));
+        assert_eq!(serial.evaluations(), 4);
     }
 
     #[test]

@@ -274,7 +274,7 @@ impl StepDriver {
         // through the arena, each simulated once and counted with its
         // multiplicity, into the grid — each fold clears the last one's
         // cover, so no step zeroes a raster.
-        let members = distinct_members(&decode_result_set(&outcome.result_set));
+        let members = distinct_members(&case.sim, &decode_result_set(&outcome.result_set));
         let (cal, quality) = self.pool.with_spare(&case.sim, |arena, matrix| {
             // --- Statistical Stage (calibration matrix) ------------------
             statistical_stage_into(&observed_ctx, &members, arena, matrix);

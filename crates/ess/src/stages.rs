@@ -26,10 +26,9 @@
 //! simulated once per matrix and counted with its multiplicity. Counts
 //! and samples are integer sums, so the matrix is the per-member one.
 
-use crate::fitness::{row_key, RowKey, StepContext};
-use firelib::{Scenario, ScenarioSpace, SimArena};
+use crate::fitness::{RunTable, StepContext};
+use firelib::{FireSim, Scenario, ScenarioSpace, SimArena};
 use landscape::ProbabilityMap;
-use std::collections::BTreeMap;
 
 /// Aggregates the simulated fire lines of a scenario result set over the
 /// context's interval into an ignition-probability matrix, on a fresh
@@ -37,7 +36,7 @@ use std::collections::BTreeMap;
 pub fn statistical_stage(ctx: &StepContext, scenarios: &[Scenario]) -> ProbabilityMap {
     let terrain = ctx.sim().terrain();
     let mut pm = ProbabilityMap::new(terrain.rows(), terrain.cols());
-    let members = distinct_members(scenarios);
+    let members = distinct_members(ctx.sim(), scenarios);
     statistical_stage_into(ctx, &members, &mut ctx.sim().arena(), &mut pm);
     pm
 }
@@ -52,18 +51,17 @@ pub fn decode_result_set(genomes: &[Vec<f64>]) -> Vec<Scenario> {
     genomes.iter().map(|g| ScenarioSpace.decode(g)).collect()
 }
 
-/// A result set as the Statistical Stage folds it: each distinct scenario
-/// once, in first-occurrence order, with the number of members it stands
-/// for. Distinct is bit for bit over the Table I values (the evaluator
-/// table's key), so two members are merged only when every
-/// simulation of them is the same run.
-pub fn distinct_members(scenarios: &[Scenario]) -> Vec<(Scenario, u32)> {
-    let mut seen: BTreeMap<RowKey, usize> = BTreeMap::new();
+/// A result set as the Statistical Stage folds it: each distinct run once,
+/// as its first-occurring member, in first-occurrence order, with the
+/// number of members it stands for. Distinct is by [`FireSim::run_key`]
+/// (the evaluator table's key), so two members are merged exactly when
+/// every simulation of them on `sim` is the same run.
+pub fn distinct_members(sim: &FireSim, scenarios: &[Scenario]) -> Vec<(Scenario, u32)> {
+    let mut table = RunTable::default();
     let mut members: Vec<(Scenario, u32)> = Vec::new();
     for s in scenarios {
-        let next = members.len();
-        let slot = *seen.entry(row_key(&s.values())).or_insert(next);
-        if slot == next {
+        let slot = table.slot(&sim.run_key(s));
+        if slot == members.len() {
             members.push((*s, 0));
         }
         members[slot].1 += 1;
@@ -183,6 +181,37 @@ mod tests {
             .filter(|&p| p > 0.0 && p < 1.0)
             .count();
         assert!(fractional > 0, "opposed winds must disagree somewhere");
+    }
+
+    #[test]
+    fn run_table_merges_members_that_run_alike_and_keeps_their_count() {
+        let c = ctx();
+        // Calm air and flat ground on model 1, whose bed carries only the
+        // 1-hour class: the wind direction, the aspect and the 10-hour,
+        // 100-hour and live moistures are read by no run.
+        let calm = Scenario {
+            wind_speed_mph: 0.0,
+            ..Scenario::reference()
+        };
+        let alike = Scenario {
+            wind_dir_deg: 200.0,
+            aspect_deg: 45.0,
+            m10_pct: 30.0,
+            m100_pct: 40.0,
+            mherb_pct: 250.0,
+            ..calm
+        };
+        let windy = Scenario::reference();
+        assert_ne!(
+            calm.values().map(f64::to_bits),
+            alike.values().map(f64::to_bits)
+        );
+        let members = distinct_members(c.sim(), &[calm, alike, windy, alike]);
+        assert_eq!(members, [(calm, 3), (windy, 1)]);
+        assert_eq!(
+            statistical_stage(&c, &[calm, alike, windy, alike]),
+            statistical_stage(&c, &[calm, calm, windy, calm]),
+        );
     }
 
     #[test]

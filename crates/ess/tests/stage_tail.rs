@@ -135,7 +135,7 @@ fn the_fold_and_the_histogram_stages_equal_the_dense_definition() {
                 let (target, from) = (ctx.target_line(), ctx.from_line());
                 for set in result_sets(&case.truth[i - 1]) {
                     let what = format!("{} interval {i} {kernel} ×{}", case.name, set.len());
-                    let members = distinct_members(&set);
+                    let members = distinct_members(&case.sim, &set);
                     statistical_stage_into(&ctx, &members, &mut arena, &mut folded);
                     let mut dense = ProbabilityMap::new(target.rows(), target.cols());
                     for s in &set {
@@ -244,17 +244,21 @@ fn random_result_sets_calibrate_and_predict_as_the_dense_definition_does() {
 /// per-member matrix is the converged set of [`result_sets`] above.)
 #[test]
 fn a_result_set_with_repeats_is_its_distinct_members_with_multiplicities() {
-    let truth = cases::tiny_test_case().truth[0];
-    let converged = result_sets(&truth).swap_remove(3);
+    let case = cases::tiny_test_case();
+    let converged = result_sets(&case.truth[0]).swap_remove(3);
     let (a, damp, bent) = (converged[0], converged[1], converged[4]);
-    assert_eq!(distinct_members(&converged), [(a, 4), (damp, 2), (bent, 1)]);
+    let sim = &case.sim;
+    assert_eq!(
+        distinct_members(sim, &converged),
+        [(a, 4), (damp, 2), (bent, 1)]
+    );
     // Bit for bit: a member equal to another only as a float is its own.
     let plain = Scenario::reference();
     let signed = Scenario {
         slope_deg: -0.0,
         ..plain
     };
-    let grouped = distinct_members(&[plain, signed, plain]);
+    let grouped = distinct_members(sim, &[plain, signed, plain]);
     assert_eq!(grouped.len(), 2);
     assert_eq!((grouped[0].1, grouped[1].1), (2, 1));
     assert_eq!(grouped[1].0.slope_deg.to_bits(), (-0.0f64).to_bits());
@@ -281,7 +285,7 @@ fn the_stage_tail_costs_what_the_result_set_burned() {
             "one raster"
         );
 
-        statistical_stage_into(&ctx, &distinct_members(&set), arena, matrix);
+        statistical_stage_into(&ctx, &distinct_members(&case.sim, &set), arena, matrix);
         let touched: usize = matrix.touched_ranges().map(|r| r.len()).sum();
         assert!(touched > 0, "the result set must burn something");
         assert!(

@@ -46,7 +46,7 @@ pub use catalog::{FuelCatalog, FuelLife, FuelModel, FuelParticle};
 pub use combustion::FuelBed;
 pub use moisture::MoistureRegime;
 pub use scenario::{ParamDef, Scenario, ScenarioSpace, GENE_COUNT};
-pub use sim::{BurnCount, FireSim, Kernel, Seeds, SimArena, DEFAULT_TILE};
+pub use sim::{BurnCount, FireSim, Kernel, RunKey, Seeds, SimArena, DEFAULT_TILE};
 pub use spread::{SpreadInputs, SpreadVector};
 pub use terrain::Terrain;
 pub use workload::{Workload, WorkloadSpec};

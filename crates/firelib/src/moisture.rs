@@ -2,6 +2,20 @@
 
 use crate::catalog::FuelLife;
 
+/// The moisture class a particle of `life` and SAV ratio `savr` reads:
+/// 0, 1 and 2 for the 1-, 10- and 100-hour dead classes (fireLib's
+/// boundaries: `savr > 192` → 1-hour, `> 48` → 10-hour, else 100-hour), 3
+/// for live fuel. Class `c` is Table I gene `3 + c` (a scenario's `Mherb`
+/// feeds both live categories).
+pub(crate) fn moisture_class(life: FuelLife, savr: f64) -> usize {
+    match life {
+        FuelLife::LiveHerb | FuelLife::LiveWood => 3,
+        FuelLife::Dead if savr > 192.0 => 0,
+        FuelLife::Dead if savr > 48.0 => 1,
+        FuelLife::Dead => 2,
+    }
+}
+
 /// Moisture content per fuel class, as fractions of oven-dry weight.
 ///
 /// The paper's Table I specifies dead fuel moistures `M1`, `M10`, `M100`
@@ -53,16 +67,11 @@ impl MoistureRegime {
         match life {
             FuelLife::LiveHerb => self.herb,
             FuelLife::LiveWood => self.wood,
-            FuelLife::Dead => {
-                // fireLib boundaries: savr > 192 → 1hr; > 48 → 10hr; else 100hr.
-                if savr > 192.0 {
-                    self.m1
-                } else if savr > 48.0 {
-                    self.m10
-                } else {
-                    self.m100
-                }
-            }
+            FuelLife::Dead => match moisture_class(life, savr) {
+                0 => self.m1,
+                1 => self.m10,
+                _ => self.m100,
+            },
         }
     }
 

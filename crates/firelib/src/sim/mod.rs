@@ -120,7 +120,8 @@ pub use {arena::SimArena, seeds::Seeds};
 
 use self::sweep::{Burnable, CellFactors, FuelTable, Sweep, Tables, Trail};
 use crate::combustion::{standard_beds, FuelBed};
-use crate::scenario::Scenario;
+use crate::moisture::moisture_class;
+use crate::scenario::{Scenario, GENE_COUNT};
 use crate::spread::{
     no_wind_no_slope, slope_factor, spread_from_factors, wind_factor, wind_slope_from_ros0,
     SpreadInputs, SpreadVector,
@@ -192,7 +193,16 @@ impl std::fmt::Display for Kernel {
 pub struct FireSim {
     terrain: Arc<Terrain>,
     beds: Arc<[FuelBed]>,
+    /// Per scenario fuel model, the moisture classes
+    /// ([`moisture_class`]: bit `c` ↔ Table I gene `3 + c`) carried by a
+    /// bed the terrain can show a run of that model
+    /// ([`Terrain::fuel_code_mask`]) — the ones [`FireSim::run_key`] keeps.
+    moisture_read: [u8; 14],
 }
+
+/// What a run reads of its scenario, as bits: [`FireSim::run_key`]. Two
+/// scenarios with one key are one run on that simulator, bit for bit.
+pub type RunKey = [u64; GENE_COUNT];
 
 impl FireSim {
     /// Builds a simulator over `terrain` with the standard NFFL catalog
@@ -203,10 +213,57 @@ impl FireSim {
 
     /// Builds a simulator over an already-shared terrain (no copy).
     pub fn shared(terrain: Arc<Terrain>) -> Self {
+        let beds = standard_beds();
+        let shown = |model: usize| terrain.fuel_code_mask(model as u8);
+        let moisture_read = std::array::from_fn(|model| {
+            let beds = beds
+                .iter()
+                .enumerate()
+                .filter(|(code, _)| shown(model) & 1 << code != 0);
+            let particles = beds.flat_map(|(_, bed)| &bed.particles);
+            particles.fold(0, |m, p| m | 1 << moisture_class(p.life, p.savr))
+        });
         Self {
             terrain,
-            beds: standard_beds(),
+            beds,
+            moisture_read,
         }
+    }
+
+    /// The bits of `scenario`'s Table I values ([`Scenario::values`]) with
+    /// every input a run of it on this terrain cannot read set to zero:
+    /// - the fuel model under a fuel layer, the slope and the aspect under
+    ///   theirs (each cell reads the layer instead);
+    /// - each moisture whose class no bed the run can show carries;
+    /// - the wind direction when the wind speed is 0 (with or without a
+    ///   wind layer, the wind factor is then 0, and the spread math reads
+    ///   the direction only under a positive factor);
+    /// - the aspect when the slope is 0 and there is no slope layer (the
+    ///   same, for the slope factor and the upslope azimuth).
+    ///
+    /// So two scenarios with one key burn alike on every kernel, bit for
+    /// bit; the `run_key_` tests pin each rule.
+    pub fn run_key(&self, scenario: &Scenario) -> RunKey {
+        let t = &*self.terrain;
+        let mut v = scenario.values();
+        let read = self.moisture_read.get(usize::from(scenario.model));
+        for (class, m) in v[3..7].iter_mut().enumerate() {
+            if read.is_some_and(|read| read & 1 << class == 0) {
+                *m = 0.0;
+            }
+        }
+        let flat = scenario.slope_deg == 0.0 && t.slope_layer().is_none();
+        for (gene, unread) in [
+            (0, t.fuel_layer().is_some()),
+            (2, scenario.wind_speed_mph == 0.0),
+            (7, t.slope_layer().is_some()),
+            (8, t.aspect_layer().is_some() || flat),
+        ] {
+            if unread {
+                v[gene] = 0.0;
+            }
+        }
+        v.map(f64::to_bits)
     }
 
     /// The terrain this simulator burns.

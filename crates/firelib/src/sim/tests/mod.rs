@@ -1,8 +1,10 @@
 //! The propagation engine's unit tests: physics, counters, arena
 //! bookkeeping and preconditions. Kernel bit-identity is the generated
-//! matrix of [`conformance`].
+//! matrix of [`conformance`]; what a run reads of its scenario is
+//! [`run_key`]'s.
 
 mod conformance;
+mod run_key;
 
 use super::bucket::{BucketQueue, BUCKETS, IMPROVE_WALK, NIL};
 use super::*;

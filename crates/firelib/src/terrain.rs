@@ -1,6 +1,5 @@
 //! The raster landscape a fire burns across.
 
-use crate::scenario::GENE_COUNT;
 use landscape::geometry::normalize_azimuth;
 use landscape::Grid;
 
@@ -130,22 +129,6 @@ impl Terrain {
         self.upslope = Some(aspect.map(|&a| upslope_azimuth(a)));
         self.aspect_override = Some(aspect);
         self
-    }
-
-    /// Which genes of a scenario (Table I order,
-    /// [`PARAM_DEFS`](crate::scenario::PARAM_DEFS)) this terrain's layers override
-    /// on every cell: the fuel model (gene 0) under a fuel layer, the
-    /// slope (gene 7) under a slope layer, the aspect (gene 8) under an
-    /// aspect layer. A run never reads an overridden gene — burnability
-    /// and every spread table take the layer's value instead — so two scenarios that differ only there burn alike, bit
-    /// for bit. A wind layer modulates the scenario's wind rather than
-    /// replacing it, and overrides nothing.
-    pub fn overridden_genes(&self) -> [bool; GENE_COUNT] {
-        let mut genes = [false; GENE_COUNT];
-        genes[0] = self.fuel_override.is_some();
-        genes[7] = self.slope_override.is_some();
-        genes[8] = self.aspect_override.is_some();
-        genes
     }
 
     /// Number of rows.
@@ -420,30 +403,6 @@ mod tests {
         // 65 536 × 65 537 = 2³² + 2¹⁶ cells; a uniform terrain allocates
         // nothing, so only the bound can stop it.
         let _ = Terrain::uniform(65_536, 65_537, 100.0);
-    }
-
-    #[test]
-    fn overridden_genes_follow_the_replacing_layers() {
-        let names = |t: &Terrain| -> Vec<&str> {
-            let genes = t
-                .overridden_genes()
-                .into_iter()
-                .zip(&crate::scenario::PARAM_DEFS);
-            genes
-                .filter(|&(over, _)| over)
-                .map(|(_, d)| d.name)
-                .collect()
-        };
-        let t = Terrain::uniform(2, 2, 50.0);
-        assert!(names(&t).is_empty());
-        let t = t
-            .with_fuel(Grid::filled(2, 2, 3u8))
-            .with_wind(Grid::filled(2, 2, 1.5), Grid::filled(2, 2, 10.0));
-        assert_eq!(names(&t), ["Model"]);
-        let t = t.with_slope(Grid::filled(2, 2, 10.0));
-        assert_eq!(names(&t), ["Model", "Slope"]);
-        let t = t.with_aspect(Grid::filled(2, 2, 90.0));
-        assert_eq!(names(&t), ["Model", "Slope", "Aspect"]);
     }
 
     #[test]

@@ -180,7 +180,7 @@ fn the_stage_tail(case: &BurnCase) {
     let contexts = [case.step_context(1), case.step_context(2)];
     let members = stream(24, 8);
     let members: Vec<Scenario> = (0..24).map(|i| members[i % 8]).collect();
-    let members = distinct_members(&members);
+    let members = distinct_members(&case.sim, &members);
     let mut hist = LevelHistogram::default();
     let mut step = || {
         pool.with_spare(&case.sim, |arena, map| {
