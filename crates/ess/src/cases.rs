@@ -392,12 +392,11 @@ pub fn with_observation_noise(case: &BurnCase, flip_prob: f64, seed: u64) -> Bur
                 observed.set_burned(r, c, false);
             }
             // Unburned neighbours of the front misread as burned.
-            let neighbours: Vec<(usize, usize)> = line
-                .mask()
-                .neighbours8(r, c)
-                .map(|(nr, nc, _)| (nr, nc))
-                .collect();
-            for (nr, nc) in neighbours {
+            for &(dr, dc, _) in &landscape::NEIGHBOUR_OFFSETS {
+                let (nr, nc) = (r.wrapping_add_signed(dr), c.wrapping_add_signed(dc));
+                if nr >= line.rows() || nc >= line.cols() {
+                    continue;
+                }
                 if !line.is_burned(nr, nc) && rng.random::<f64>() < flip_prob {
                     observed.set_burned(nr, nc, true);
                 }

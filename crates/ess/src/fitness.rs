@@ -73,7 +73,7 @@ impl StepContext {
     /// Panics when shapes mismatch or `t1 <= t0`.
     pub fn new(sim: Arc<FireSim>, from: FireLine, target: FireLine, t0: f64, t1: f64) -> Self {
         assert!(
-            from.mask().same_shape(target.mask()),
+            from.same_shape(&target),
             "interval endpoints shape mismatch"
         );
         let lines = Arc::new(Observations::new(sim, vec![from, target]));
@@ -202,7 +202,7 @@ impl StepContext {
     /// after the run. Bit-identical to `jaccard_at_time(target, map, t1,
     /// Some(from))` on the same map.
     pub fn fitness_with(&self, scenario: &Scenario, arena: &mut SimArena) -> f64 {
-        let mut count = BurnCount::new(self.target_line().mask().as_slice(), self.t1);
+        let mut count = BurnCount::new(self.target_line(), self.t1);
         self.run(scenario, arena, Some(&mut count));
         let interval = self.lines.interval(self.interval);
         JaccardBreakdown {

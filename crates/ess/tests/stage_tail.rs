@@ -206,10 +206,7 @@ fn random_matrix(rng: &mut StdRng) -> ProbabilityMap {
 
 #[test]
 fn random_result_sets_calibrate_and_predict_as_the_dense_definition_does() {
-    let random_line = |rng: &mut StdRng| {
-        let mask = (0..9 * 11).map(|_| rng.random::<bool>()).collect();
-        FireLine::from_mask(landscape::Grid::from_vec(9, 11, mask))
-    };
+    let random_line = |rng: &mut StdRng| FireLine::from_fn(9, 11, |_, _| rng.random::<bool>());
     let (mut degenerate, mut searched) = (0, 0);
     for seed in 0..200 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -269,7 +266,7 @@ fn the_stage_tail_costs_what_the_result_set_burned() {
     let case = cases::by_name("archipelago_xl").expect("registered");
     let ctx = case.step_context(1);
     let set = result_sets(&case.truth[0]).pop().expect("non-empty");
-    let cells = ctx.target_line().mask().len();
+    let cells = ctx.target_line().len();
     // The arena a run's stage tail folds on: the pool's spare.
     let pool = SharedScenarioPool::new(EvalBackend::Serial);
     pool.with_spare(&case.sim, |arena, matrix| {

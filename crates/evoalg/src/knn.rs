@@ -24,8 +24,9 @@
 //! [`crate::novelty::novelty_score_external`] and
 //! [`crate::novelty::local_competition_score`]. This holds by
 //! construction, not by tolerance: all paths compute distances with the
-//! same expressions, reduce the same k-smallest multiset through the
-//! shared canonical `mean_of_k_smallest` (ascending summation), and
+//! same expressions, sum the same k-smallest multiset in ascending order
+//! (the shared canonical `mean_of_k_smallest`, or the sorted walk, which
+//! emits them ascending), and
 //! resolve distance ties in the same `(distance, index)` order (see
 //! `crates/evoalg/tests/properties.rs`). One guarded edge: the sorted-scan
 //! walk needs finite behaviour values (its frontier comparisons are plain
@@ -36,10 +37,12 @@
 use crate::matrix::BehaviourMatrix;
 use crate::novelty::{beaten_fraction, behaviour_distance, mean_of_k_smallest};
 
-/// The 1-D index state: rows sorted by `(value, index)` plus the inverse
+/// The 1-D index state: rows sorted by `(value, index)`, their values in
+/// that order (so the walk reads one contiguous slice), and the inverse
 /// permutation.
 struct SortedOrder {
     order: Vec<u32>,
+    values: Vec<f64>,
     position: Vec<u32>,
 }
 
@@ -69,18 +72,20 @@ impl<'a> PreparedIndex<'a> {
                 reference.as_flat().iter().all(|v| v.is_finite()),
                 "sorted-scan requires finite behaviour values"
             );
-            let mut order: Vec<u32> = (0..reference.len() as u32).collect();
+            let rows = reference.as_flat().iter().zip(0u32..);
+            let mut pairs: Vec<(f64, u32)> = rows.map(|(&v, row)| (v, row)).collect();
             // Total order (value, index): deterministic under ties.
-            order.sort_unstable_by(|&a, &b| {
-                reference.row(a as usize)[0]
-                    .total_cmp(&reference.row(b as usize)[0])
-                    .then(a.cmp(&b))
-            });
+            pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let (values, order): (Vec<f64>, Vec<u32>) = pairs.into_iter().unzip();
             let mut position = vec![0u32; reference.len()];
             for (rank, &row) in order.iter().enumerate() {
                 position[row as usize] = rank as u32;
             }
-            SortedOrder { order, position }
+            SortedOrder {
+                order,
+                values,
+                position,
+            }
         });
         PreparedIndex { reference, sorted }
     }
@@ -112,10 +117,13 @@ impl<'a> PreparedIndex<'a> {
                     return f64::MAX; // no neighbours: the sentinel of the reference path
                 }
                 let k = k.min(n - 1);
-                let me = self.reference.row(subject)[0];
                 let pos = sorted.position[subject] as usize;
-                self.merge_nearest_1d(sorted, me, pos, pos + 1, k, |d, _| scratch.push(d));
-                mean_of_k_smallest(scratch, k)
+                let me = sorted.values[pos];
+                // The walk emits the k smallest distances in ascending
+                // order: `mean_of_k_smallest`'s summation order, unsorted.
+                let mut sum = 0.0;
+                self.merge_nearest_1d(sorted, me, pos, pos + 1, k, |d, _| sum += d);
+                sum / k as f64
             }
             None => {
                 let me = self.reference.row(subject);
@@ -141,7 +149,6 @@ impl<'a> PreparedIndex<'a> {
             self.reference.is_empty() || behaviour.len() == self.reference.dim(),
             "behaviour descriptors must have equal dimension"
         );
-        let mut scratch = Vec::new();
         match &self.sorted {
             Some(sorted) => {
                 let n = self.reference.len();
@@ -149,16 +156,15 @@ impl<'a> PreparedIndex<'a> {
                 let x = behaviour[0];
                 // First sorted rank whose value is >= x: the walk starts at
                 // the insertion point, with no row excluded.
-                let start = sorted
-                    .order
-                    .partition_point(|&row| self.reference.row(row as usize)[0] < x);
-                self.merge_nearest_1d(sorted, x, start, start, k, |d, _| scratch.push(d));
-                mean_of_k_smallest(&mut scratch, k)
+                let start = sorted.values.partition_point(|&v| v < x);
+                let mut sum = 0.0;
+                self.merge_nearest_1d(sorted, x, start, start, k, |d, _| sum += d);
+                sum / k as f64
             }
             None => {
-                for row in self.reference.rows() {
-                    scratch.push(behaviour_distance(behaviour, row));
-                }
+                let rows = self.reference.rows();
+                let mut scratch: Vec<f64> =
+                    rows.map(|row| behaviour_distance(behaviour, row)).collect();
                 mean_of_k_smallest(&mut scratch, k)
             }
         }
@@ -207,7 +213,7 @@ impl<'a> PreparedIndex<'a> {
                 let boundary = scratch[k - 1].0;
                 while left > 0 {
                     let row = sorted.order[left - 1] as usize;
-                    let d = dist_1d(me, self.reference.row(row)[0]);
+                    let d = dist_1d(me, sorted.values[left - 1]);
                     if d != boundary {
                         break;
                     }
@@ -216,7 +222,7 @@ impl<'a> PreparedIndex<'a> {
                 }
                 while right < n {
                     let row = sorted.order[right] as usize;
-                    let d = dist_1d(me, self.reference.row(row)[0]);
+                    let d = dist_1d(me, sorted.values[right]);
                     if d != boundary {
                         break;
                     }
@@ -260,10 +266,8 @@ impl<'a> PreparedIndex<'a> {
         let n = self.reference.len();
         let (mut left, mut right) = (left, right);
         for _ in 0..k {
-            let down = (left > 0)
-                .then(|| dist_1d(me, self.reference.row(sorted.order[left - 1] as usize)[0]));
-            let up = (right < n)
-                .then(|| dist_1d(me, self.reference.row(sorted.order[right] as usize)[0]));
+            let down = (left > 0).then(|| dist_1d(me, sorted.values[left - 1]));
+            let up = (right < n).then(|| dist_1d(me, sorted.values[right]));
             match (down, up) {
                 (Some(d), Some(u)) if d <= u => {
                     left -= 1;

@@ -554,28 +554,20 @@ impl FireSim {
         seeds
     }
 
-    /// [`FireSim::seeds`] into the buffers of `seeds`. One pass over the
-    /// mask collects the lit cells that can burn (block by block: on a
-    /// landscape raster nearly every block is unlit, and `contains` over a
-    /// short slice compiles to a few vector compares), and one pass over
-    /// them reads each seed's neighbours in the mask and the fuel layer —
-    /// no raster, no scratch — to find the front.
+    /// [`FireSim::seeds`] into the buffers of `seeds`. One walk of the
+    /// line's set bits collects the lit cells that can burn (a word at a
+    /// time: on a landscape raster nearly every word is zero), and one
+    /// pass over them reads each seed's neighbours in the line and the
+    /// fuel layer — no raster, no scratch — to find the front.
     fn resolve_seeds(&self, line: &FireLine, seeds: &mut Seeds) {
-        const BLOCK: usize = 64;
         self.check_shape("initial fire line", line.rows(), line.cols());
         let (rows, cols) = (line.rows(), line.cols());
-        let mask = line.mask().as_slice();
         let fuel = self.terrain.fuel_layer().map(|g| g.as_slice());
         let burns = |idx: usize| fuel.is_none_or(|f| self.beds[f[idx] as usize].burnable);
         let Seeds { cells, front, .. } = seeds;
         cells.clear();
-        for (b, block) in mask.chunks(BLOCK).enumerate() {
-            if block.contains(&true) {
-                let lit = block.iter().enumerate().filter(|&(_, &lit)| lit);
-                let lit = lit.map(|(i, _)| b * BLOCK + i);
-                cells.extend(lit.filter(|&idx| burns(idx)).map(|idx| idx as u32));
-            }
-        }
+        let lit = line.burned_indices().filter(|&idx| burns(idx));
+        cells.extend(lit.map(|idx| idx as u32));
         front.clear();
         for &sidx in cells.iter() {
             let (r, c) = (sidx as usize / cols, sidx as usize % cols);
@@ -587,7 +579,7 @@ impl FireSim {
                 #[cfg(test)]
                 tests::FRONT_READS.with(|n| n.set(n.get() + 1));
                 let nidx = nr * cols + nc;
-                !(mask[nidx] && burns(nidx))
+                !(line.bit(nidx) && burns(nidx))
             });
             if on_front {
                 front.push(sidx);

@@ -1,6 +1,6 @@
 use super::FireSim;
 use crate::{combustion::FuelBed, scenario::Scenario, spread::SpreadInputs, SMIDGEN};
-use landscape::IgnitionMap;
+use landscape::{FireLine, IgnitionMap};
 use std::borrow::Cow;
 
 /// How a run resolves a cell's directional spread table.
@@ -118,31 +118,34 @@ pub(super) struct Sweep<'a> {
 }
 
 /// What a counted run ([`FireSim::simulate_arena_seeded`]) tallies as it
-/// writes: the cells it burns by the instant `t1`, split by a mask's bit.
+/// writes: the cells it burns by the instant `t1`, split by a fire line's
+/// bit.
 ///
 /// A write is counted when the cell's old arrival is after `t1` and its
 /// new one is not. Arrivals only fall, so a cell is counted once, exactly
 /// when its final arrival is `≤ t1` — whatever `t1` is, the run's horizon
 /// `t0 + duration` included or not. Seeds are written without a count,
 /// and a lit cell that cannot burn is never written. So with the
-/// interval's target as the mask and seeds resolved from its start line,
+/// interval's target as the line and seeds resolved from its start line,
 /// [`BurnCount::in_mask`] and [`BurnCount::outside`] are Eq. (3)'s hits
 /// and false alarms over the whole raster with the start line excluded,
-/// and no cell is read after the run to find them.
+/// and no cell is read after the run to find them. A counted write reads
+/// one bit of the line.
 #[derive(Debug, Clone, Copy)]
 pub struct BurnCount<'a> {
-    pub(super) mask: &'a [bool],
+    /// The line the writes are split by; `None` on an uncounted run.
+    pub(super) line: Option<&'a FireLine>,
     pub(super) t1: f64,
     pub(super) in_mask: usize,
     pub(super) outside: usize,
 }
 
 impl<'a> BurnCount<'a> {
-    /// A count of the cells a run burns by `t1`, split by `mask` (row-major,
-    /// the terrain's shape).
-    pub fn new(mask: &'a [bool], t1: f64) -> Self {
+    /// A count of the cells a run burns by `t1`, split by `line` (the
+    /// terrain's shape).
+    pub fn new(line: &'a FireLine, t1: f64) -> Self {
         Self {
-            mask,
+            line: Some(line),
             t1,
             in_mask: 0,
             outside: 0,
@@ -150,32 +153,37 @@ impl<'a> BurnCount<'a> {
     }
 
     /// The count an uncounted run carries: no arrival is `≤ −∞`, so it
-    /// never reads its (empty) mask.
+    /// never looks for its (absent) line.
     pub(super) fn off() -> BurnCount<'static> {
-        BurnCount::new(&[], f64::NEG_INFINITY)
+        BurnCount {
+            line: None,
+            t1: f64::NEG_INFINITY,
+            in_mask: 0,
+            outside: 0,
+        }
     }
 
-    /// Cells burned by `t1` whose mask bit is set.
+    /// Cells burned by `t1` whose bit is set in the line.
     pub fn in_mask(&self) -> usize {
         self.in_mask
     }
 
-    /// Cells burned by `t1` whose mask bit is clear.
+    /// Cells burned by `t1` whose bit is clear in the line.
     pub fn outside(&self) -> usize {
         self.outside
     }
 
-    /// Whether the count reads a mask of `len` cells: an uncounted run's
+    /// Whether the count reads a line of `len` cells: an uncounted run's
     /// reads none.
     pub(super) fn fits(&self, len: usize) -> bool {
-        self.t1 == f64::NEG_INFINITY || self.mask.len() == len
+        self.line.is_none_or(|line| line.len() == len)
     }
 
     /// Counts the write of `arrival` over `old` into cell `idx`.
     #[inline]
     pub(super) fn record(&mut self, idx: usize, old: f64, arrival: f64) {
         if arrival <= self.t1 && old > self.t1 {
-            if self.mask[idx] {
+            if self.line.is_some_and(|line| line.bit(idx)) {
                 self.in_mask += 1;
             } else {
                 self.outside += 1;

@@ -172,7 +172,7 @@ fn generic_row(i: usize, name: String, terrain: Terrain, rng: &mut StdRng) -> Ro
     let burned = base.union(&sim.simulate(&runs[1].0, &base, 0.0, t1).fire_line_at(t1));
     let mut hull = burned.clone();
     for r in 0..rows {
-        let lit: Vec<usize> = (0..cols).filter(|&c| burned.mask().at(r, c)).collect();
+        let lit: Vec<usize> = (0..cols).filter(|&c| burned.is_burned(r, c)).collect();
         if let (Some(&lo), Some(&hi)) = (lit.first(), lit.last()) {
             (lo..=hi).for_each(|c| hull.set_burned(r, c, true));
         }
@@ -180,7 +180,7 @@ fn generic_row(i: usize, name: String, terrain: Terrain, rng: &mut StdRng) -> Ro
     let (mr, mc) = (rows / 2, cols / 2);
     let points = [0, mr, r1].map(|r| [0, mc, c1].map(|c| (r, c))).concat();
     let points: Vec<_> = points.into_iter().filter(|&p| p != (mr, mc)).collect();
-    let mask = |f: &dyn Fn(usize, usize) -> bool| FireLine::from_mask(Grid::from_fn(rows, cols, f));
+    let mask = |f: &dyn Fn(usize, usize) -> bool| FireLine::from_fn(rows, cols, f);
     let mid = |i: usize, n: usize| (n / 3..=2 * n / 3).contains(&i);
     let ring = mask(&|r, c| r == 0 || c == 0 || r == r1 || c == c1);
     let mut lines = vec![
@@ -271,7 +271,7 @@ fn rows(land: Land) -> Vec<Row> {
                 let (t0, dt, truth) = (w.times[0], w.times[1] - w.times[0], w.truth[0]);
                 let burned = sim.simulate(&truth, &w.ignition, t0, dt);
                 let burned = w.ignition.union(&burned.fire_line_at(t0 + dt));
-                let sheet = FireLine::from_mask(Grid::from_fn(rows, cols, sheet));
+                let sheet = FireLine::from_fn(rows, cols, sheet);
                 let mut lines = vec![("sheet", sheet), ("burned mask", burned)];
                 if i != 1 {
                     lines.remove(0);
@@ -371,13 +371,12 @@ fn assert_ranges_account_for_the_raster(arena: &SimArena, t1: f64, what: &str) {
     // An arbitrary reference/preburn pair: stripes that cut across any
     // fire shape, so hits, misses, false alarms and exclusions all occur.
     let (rows, cols) = (map.rows(), map.cols());
-    let real = FireLine::from_mask(Grid::from_fn(rows, cols, |r, c| (r + 2 * c) % 5 < 2));
-    let pre = FireLine::from_mask(Grid::from_fn(rows, cols, |r, c| (3 * r + c) % 7 == 0));
-    let (real_mask, pre_mask) = (real.mask().as_slice(), pre.mask().as_slice());
-    let new = (0..times.len()).filter(|&i| real_mask[i] && !pre_mask[i]);
+    let real = stripes(rows, cols);
+    let pre = FireLine::from_fn(rows, cols, |r, c| (3 * r + c) % 7 == 0);
+    let new = (0..times.len()).filter(|&i| real.bit(i) && !pre.bit(i));
     let real_new = new.count();
     let ranges = arena.written_ranges();
-    let spans = landscape::tally_ranges(real_mask, times, |&a| a <= t1, Some(pre_mask), ranges);
+    let spans = landscape::tally_ranges(&real, times, |&a| a <= t1, Some(&pre), ranges);
     assert_eq!(
         spans.index_with_real_total(real_new).to_bits(),
         landscape::jaccard_at_time(&real, map, t1, Some(&pre)).to_bits(),
@@ -385,22 +384,26 @@ fn assert_ranges_account_for_the_raster(arena: &SimArena, t1: f64, what: &str) {
     );
 }
 
-/// The stripe mask a counted run counts against: it cuts across any fire
+/// The stripe line a counted run counts against: it cuts across any fire
 /// shape, so both counts occur.
-fn stripes(rows: usize, cols: usize) -> Vec<bool> {
-    let mask = Grid::from_fn(rows, cols, |r, c| (r + 2 * c) % 5 < 2);
-    mask.as_slice().to_vec()
+fn stripes(rows: usize, cols: usize) -> FireLine {
+    FireLine::from_fn(rows, cols, |r, c| (r + 2 * c) % 5 < 2)
 }
 
 /// A counted run's [`BurnCount`] is the Eq. (3) tally of the raster it
 /// left, over the ranges it wrote, with its own start line excluded: the
 /// hits and the false alarms at the count's instant `t1`.
-fn assert_count_is_the_tally(arena: &SimArena, count: &BurnCount<'_>, g: &Group<'_>, what: &str) {
-    let (mask, t1) = (count.mask, g.run.3);
+fn assert_count_is_the_tally(
+    arena: &SimArena,
+    count: &BurnCount<'_>,
+    mask: &FireLine,
+    g: &Group<'_>,
+    what: &str,
+) {
+    let t1 = g.run.3;
     let times = arena.map().grid().as_slice();
-    let pre = Some(g.fire.mask().as_slice());
     let ranges = arena.written_ranges();
-    let tally = landscape::tally_ranges(mask, times, |&a| a <= t1, pre, ranges);
+    let tally = landscape::tally_ranges(mask, times, |&a| a <= t1, Some(g.fire), ranges);
     assert_eq!(
         (count.in_mask(), count.outside()),
         (tally.hits, tally.false_alarms),
@@ -453,7 +456,7 @@ fn conform(land: Land) {
             let mut count = BurnCount::new(&mask, *t1);
             let heap = Some(&mut count);
             sim.simulate_arena_seeded(s, seeds, t0, duration, &mut fresh, Kernel::Heap, heap);
-            assert_count_is_the_tally(&fresh, &count, g, &format!("{group}, heap"));
+            assert_count_is_the_tally(&fresh, &count, &mask, g, &format!("{group}, heap"));
             let reference = fresh.map();
             if g.index % 5 == 2 {
                 let entry = |name| format!("{group}, {name}");
@@ -469,7 +472,7 @@ fn conform(land: Land) {
                 let (kernel, arena) = (row.kernels[column], &mut arenas[column]);
                 let what = format!("{group}, {kernel} after {history:?}, seeded {seeded}");
                 if history == History::AfterHeap {
-                    let whole = FireLine::from_mask(Grid::filled(rows, cols, true));
+                    let whole = FireLine::from_fn(rows, cols, |_, _| true);
                     let s = Scenario::reference();
                     sim.simulate_arena_kernel(&s, &whole, 0.0, 5000.0, arena, Kernel::Heap);
                     assert_eq!(arena.dirty, Dirty::All, "{what}");
@@ -477,7 +480,7 @@ fn conform(land: Land) {
                 if seeded {
                     let counted = Some(&mut count);
                     sim.simulate_arena_seeded(s, seeds, t0, duration, arena, kernel, counted);
-                    assert_count_is_the_tally(arena, &count, g, &what);
+                    assert_count_is_the_tally(arena, &count, &mask, g, &what);
                 } else {
                     sim.simulate_arena_kernel(s, fire, t0, duration, arena, kernel);
                 }

@@ -853,8 +853,15 @@ fn traversal_times_match_the_per_edge_division() {
 /// Lit cells of `lit` with an in-bounds neighbour that is not lit: the
 /// most the frontier filter may queue.
 fn rim(lit: &FireLine) -> usize {
-    let mask = lit.mask();
-    let unlit_beside = |r, c| mask.neighbours8(r, c).any(|(nr, nc, _)| !mask.at(nr, nc));
+    let (rows, cols) = (lit.rows() as isize, lit.cols() as isize);
+    let unlit_beside = |r: usize, c: usize| {
+        landscape::NEIGHBOUR_OFFSETS.iter().any(|&(dr, dc, _)| {
+            let (nr, nc) = (r as isize + dr, c as isize + dc);
+            (0..rows).contains(&nr)
+                && (0..cols).contains(&nc)
+                && !lit.is_burned(nr as usize, nc as usize)
+        })
+    };
     let cells = lit.burned_cells();
     cells.iter().filter(|&&(r, c)| unlit_beside(r, c)).count()
 }
@@ -909,7 +916,7 @@ fn a_run_pays_for_the_cells_it_pops() {
 
     // A line that fills the raster has no rim: nothing is queued, no
     // table is built, and every seed is still written and reported.
-    let all = FireLine::from_mask(Grid::filled(96, 96, true));
+    let all = FireLine::from_fn(96, 96, |_, _| true);
     TABLES_BUILT.with(|n| n.set(0));
     sim.simulate_arena_kernel(&w.truth[2], &all, t0, dt, &mut arena, Kernel::Bucket);
     assert_eq!(TABLES_BUILT.with(std::cell::Cell::get), 0);

@@ -39,7 +39,7 @@ struct Bench {
     seeds: Seeds,
     t0: f64,
     duration: f64,
-    mask: Vec<bool>,
+    mask: FireLine,
     arenas: Vec<(Kernel, SimArena, SimArena)>,
 }
 
@@ -57,7 +57,7 @@ impl Bench {
         Bench {
             name,
             seeds: sim.seeds(line),
-            mask: (0..rows * cols).map(|i| i % 5 < 2).collect(),
+            mask: FireLine::from_fn(rows, cols, |r, c| (r * cols + c) % 5 < 2),
             sim,
             t0,
             duration,

@@ -309,3 +309,49 @@ fn multi_ignition_with_wind_on_non_square_grids() {
         );
     }
 }
+
+/// A counted run's in/out split reads the target line's bits: it is the
+/// byte-per-cell tally of the raster the run left (cells burned by `t1`,
+/// seeds excluded), on shapes whose rows straddle words and whose tail
+/// word is partial.
+#[test]
+fn burn_counts_read_the_lines_bits() {
+    use firelib::{BurnCount, Kernel};
+    use landscape::FireLine;
+    let mut counted = 0;
+    for (i, &(rows, cols)) in [(1, 1), (3, 64), (5, 65), (17, 129)].iter().enumerate() {
+        let sim = FireSim::new(Terrain::uniform(rows, cols, 100.0));
+        let (mut arena, start) = (sim.arena(), centre_ignition(rows, cols));
+        let seeds = sim.seeds(&start);
+        for seed in 0..CASES / 4 {
+            let mut rng = StdRng::seed_from_u64(seed * 4 + i as u64);
+            let bytes: Vec<bool> = (0..rows * cols).map(|_| rng.random()).collect();
+            let line = FireLine::from_fn(rows, cols, |r, c| bytes[r * cols + c]);
+            let (s, t1) = (scenario(&mut rng), rng.random_range(1.0..120.0));
+            let mut count = BurnCount::new(&line, t1);
+            let kernel = Kernel::Bucket;
+            let map = sim.simulate_arena_seeded(
+                &s,
+                &seeds,
+                0.0,
+                120.0,
+                &mut arena,
+                kernel,
+                Some(&mut count),
+            );
+            let arrivals = map.grid().as_slice();
+            let burned = (0..rows * cols).filter(|&i| !start.bit(i) && arrivals[i] <= t1);
+            let (inside, outside) = burned.fold((0, 0), |(a, b), i| match bytes[i] {
+                true => (a + 1, b),
+                false => (a, b + 1),
+            });
+            assert_eq!(
+                (count.in_mask(), count.outside()),
+                (inside, outside),
+                "{rows}×{cols}, seed {seed}"
+            );
+            counted += inside.min(outside);
+        }
+    }
+    assert!(counted > 0, "no run burned on both sides of a line");
+}

@@ -1,6 +1,7 @@
 //! Ignition-time maps and burned-cell fire lines.
 
 use crate::grid::Grid;
+use std::ops::Range;
 
 /// Sentinel ignition time for a cell the fire never reaches.
 ///
@@ -83,11 +84,9 @@ impl IgnitionMap {
 
     /// The burned-cell set at instant `t`: every cell whose ignition time is
     /// `<= t`. This is how an `RFL`/`PFL` snapshot is extracted from a
-    /// simulation.
+    /// simulation; each word of the line is 64 comparisons.
     pub fn fire_line_at(&self, t: f64) -> FireLine {
-        FireLine {
-            burned: self.times.map(|&it| it <= t),
-        }
+        FireLine::from_grid(&self.times, |&it| it <= t)
     }
 
     /// Number of cells ignited at or before `t`.
@@ -96,71 +95,190 @@ impl IgnitionMap {
     }
 }
 
-/// A burned-cell mask at a single time instant — the "fire line" objects
+/// Cells one word of a [`FireLine`] holds.
+pub(crate) const WORD_CELLS: usize = u64::BITS as usize;
+
+/// The word of cells `cells` (at most [`WORD_CELLS`] of them): bit `i`
+/// set iff `burned(&cells[i])`.
+#[inline]
+pub(crate) fn pack<P>(cells: &[P], burned: impl Fn(&P) -> bool) -> u64 {
+    debug_assert!(cells.len() <= WORD_CELLS);
+    let bits = cells.iter().enumerate();
+    bits.fold(0, |word, (i, p)| word | u64::from(burned(p)) << i)
+}
+
+/// The pieces of `range` that each lie in one word of a line: `(w, piece)`
+/// with `piece` inside cells `64 w .. 64 (w + 1)`, in order.
+pub(crate) fn word_pieces(range: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let mut start = range.start;
+    std::iter::from_fn(move || {
+        (start < range.end).then(|| {
+            let w = start / WORD_CELLS;
+            let piece = start..range.end.min((w + 1) * WORD_CELLS);
+            start = piece.end;
+            (w, piece)
+        })
+    })
+}
+
+/// The words of `cells`, row-major: [`pack`] over each run of
+/// [`WORD_CELLS`] cells, the tail word's bits past the last cell zero.
+fn pack_all<P>(cells: &[P], burned: impl Fn(&P) -> bool) -> Vec<u64> {
+    let (full, tail) = cells.as_chunks::<WORD_CELLS>();
+    let mut words = Vec::with_capacity(cells.len().div_ceil(WORD_CELLS));
+    // A fixed-length chunk, so each word compiles to vector compares.
+    words.extend(full.iter().map(|chunk| pack(chunk, &burned)));
+    if !tail.is_empty() {
+        words.push(pack(tail, &burned));
+    }
+    words
+}
+
+/// A burned-cell set at a single time instant — the "fire line" objects
 /// (`RFL_i`, `PFL_i`) exchanged between the stages of Figs. 1–3.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// One bit per cell: cell `i` of the row-major raster is bit `i % 64` of
+/// word `i / 64`, and the bits past the last cell are always zero. So a
+/// line is an eighth of a byte mask (150 000 B on a 1.2 M-cell raster),
+/// and the set operations, areas and Eq. (3) tallies work 64 cells a word.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FireLine {
-    burned: Grid<bool>,
+    rows: usize,
+    cols: usize,
+    words: Vec<u64>,
 }
 
 impl FireLine {
     /// An empty (nothing burned) fire line.
+    ///
+    /// # Panics
+    /// Panics if either dimension is zero, as [`Grid`] does.
     pub fn empty(rows: usize, cols: usize) -> Self {
+        assert!(rows > 0 && cols > 0, "grid dimensions must be non-zero");
         Self {
-            burned: Grid::filled(rows, cols, false),
+            rows,
+            cols,
+            words: vec![0; (rows * cols).div_ceil(WORD_CELLS)],
         }
     }
 
-    /// Wraps a burned mask.
-    pub fn from_mask(burned: Grid<bool>) -> Self {
-        Self { burned }
+    /// The line of the cells of `grid` that `burned` accepts.
+    pub fn from_grid<P>(grid: &Grid<P>, burned: impl Fn(&P) -> bool) -> Self {
+        Self {
+            rows: grid.rows(),
+            cols: grid.cols(),
+            words: pack_all(grid.as_slice(), burned),
+        }
+    }
+
+    /// The line of the cells `(row, col)` for which `f(row, col)` is true.
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> bool) -> Self {
+        let mut line = Self::empty(rows, cols);
+        for idx in 0..rows * cols {
+            if f(idx / cols, idx % cols) {
+                line.words[idx / WORD_CELLS] |= 1 << (idx % WORD_CELLS);
+            }
+        }
+        line
     }
 
     /// Builds a fire line from a list of `(row, col)` burned cells.
     pub fn from_cells(rows: usize, cols: usize, cells: &[(usize, usize)]) -> Self {
-        let mut burned = Grid::filled(rows, cols, false);
+        let mut line = Self::empty(rows, cols);
         for &(r, c) in cells {
-            burned.set(r, c, true);
+            line.set_burned(r, c, true);
         }
-        Self { burned }
+        line
     }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.burned.rows()
+        self.rows
     }
 
     /// Number of columns.
     pub fn cols(&self) -> usize {
-        self.burned.cols()
+        self.cols
+    }
+
+    /// Number of cells, `rows × cols`.
+    pub fn len(&self) -> usize {
+        self.rows * self.cols
+    }
+
+    /// `true` when the line holds no cells (never, by construction).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `true` when `other` has the same shape.
+    pub fn same_shape(&self, other: &FireLine) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols)
     }
 
     /// `true` when `(row, col)` is burned.
     #[inline]
     pub fn is_burned(&self, row: usize, col: usize) -> bool {
-        self.burned.at(row, col)
+        debug_assert!(row < self.rows && col < self.cols);
+        self.bit(row * self.cols + col)
+    }
+
+    /// `true` when the cell at row-major index `idx` is burned.
+    #[inline]
+    pub fn bit(&self, idx: usize) -> bool {
+        self.words[idx / WORD_CELLS] >> (idx % WORD_CELLS) & 1 != 0
+    }
+
+    /// The line's words: cell `i` is bit `i % 64` of word `i / 64`, and
+    /// the bits past the last cell are zero.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Marks a cell burned/unburned.
+    ///
+    /// # Panics
+    /// Panics when `(row, col)` lies outside the raster.
     pub fn set_burned(&mut self, row: usize, col: usize, burned: bool) {
-        self.burned.set(row, col, burned);
-    }
-
-    /// The underlying mask.
-    pub fn mask(&self) -> &Grid<bool> {
-        &self.burned
+        assert!(
+            row < self.rows && col < self.cols,
+            "cell ({row}, {col}) outside the fire line"
+        );
+        let idx = row * self.cols + col;
+        let (word, bit) = (&mut self.words[idx / WORD_CELLS], 1 << (idx % WORD_CELLS));
+        if burned {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
     }
 
     /// Number of burned cells.
     pub fn burned_area(&self) -> usize {
-        self.burned.count_true()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Row-major indices of the burned cells, ascending: the set bits,
+    /// found a word at a time.
+    pub fn burned_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * WORD_CELLS + bit
+                })
+            })
+        })
     }
 
     /// Burned cells as `(row, col)` pairs, row-major.
     pub fn burned_cells(&self) -> Vec<(usize, usize)> {
-        self.burned
-            .iter_cells()
-            .filter_map(|((r, c), &b)| b.then_some((r, c)))
+        let cols = self.cols;
+        self.burned_indices()
+            .map(|i| (i / cols, i % cols))
             .collect()
     }
 
@@ -169,30 +287,22 @@ impl FireLine {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn union(&self, other: &FireLine) -> FireLine {
-        assert!(
-            self.burned.same_shape(&other.burned),
-            "fire line shape mismatch"
-        );
-        let mut out = self.burned.clone();
-        for ((r, c), &b) in other.burned.iter_cells() {
-            if b {
-                out.set(r, c, true);
-            }
+        assert!(self.same_shape(other), "fire line shape mismatch");
+        let words = self.words.iter().zip(&other.words);
+        FireLine {
+            words: words.map(|(a, b)| a | b).collect(),
+            ..*self
         }
-        FireLine { burned: out }
     }
 
     /// `true` when every burned cell of `self` is burned in `other`.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
     pub fn is_subset_of(&self, other: &FireLine) -> bool {
-        assert!(
-            self.burned.same_shape(&other.burned),
-            "fire line shape mismatch"
-        );
-        self.burned
-            .as_slice()
-            .iter()
-            .zip(other.burned.as_slice())
-            .all(|(&a, &b)| !a || b)
+        assert!(self.same_shape(other), "fire line shape mismatch");
+        let mut words = self.words.iter().zip(&other.words);
+        words.all(|(a, b)| a & !b == 0)
     }
 }
 

@@ -5,7 +5,8 @@
 /// Rows index latitude (north → south), columns index longitude
 /// (west → east), matching the convention of fireLib's demo maps. The grid
 /// is the common currency of the whole workspace: terrain layers, ignition
-/// maps, probability matrices and burned masks are all `Grid`s.
+/// maps and probability matrices are all `Grid`s (a burned mask is a
+/// bit-packed [`crate::FireLine`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid<T> {
     rows: usize,
@@ -176,13 +177,6 @@ impl<T: Copy> Grid<T> {
     /// simulator scratch buffers so the hot loop never allocates.
     pub fn fill(&mut self, fill: T) {
         self.data.fill(fill);
-    }
-}
-
-impl Grid<bool> {
-    /// Number of `true` cells.
-    pub fn count_true(&self) -> usize {
-        self.data.iter().filter(|&&b| b).count()
     }
 }
 

@@ -23,10 +23,7 @@ pub fn render_fire_line(line: &FireLine, preburn: Option<&FireLine>) -> String {
 
 /// Renders two fire lines side by side for visual comparison in examples.
 pub fn render_comparison(real: &FireLine, predicted: &FireLine) -> String {
-    assert!(
-        real.mask().same_shape(predicted.mask()),
-        "render: shape mismatch"
-    );
+    assert!(real.same_shape(predicted), "render: shape mismatch");
     let mut out = String::new();
     for r in 0..real.rows() {
         for c in 0..real.cols() {

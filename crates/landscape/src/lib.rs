@@ -9,7 +9,8 @@
 //!   simulation ("a map indicating the time instant of ignition of each
 //!   cell", paper §III-A);
 //! * [`FireLine`] — the burned-cell set at a given instant (the `RFL`/`PFL`
-//!   objects of Figs. 1–3);
+//!   objects of Figs. 1–3), one bit per cell in row-major `u64` words, so
+//!   its set operations, areas and Eq. (3) tallies work 64 cells at a time;
 //! * [`ProbabilityMap`] — the aggregated ignition-probability matrix built by
 //!   the Statistical Stage and thresholded by the Key Ignition Value, read
 //!   by the later stages through a [`LevelHistogram`];

@@ -1,6 +1,6 @@
 //! Map-comparison metrics — the fitness function of the ESS family.
 
-use crate::firemap::{FireLine, IgnitionMap};
+use crate::firemap::{pack, word_pieces, FireLine, IgnitionMap, WORD_CELLS};
 use std::ops::Range;
 
 /// Cell-level contingency counts behind a Jaccard evaluation.
@@ -8,7 +8,7 @@ use std::ops::Range;
 /// Useful for the report harness: the ESS literature frequently discusses
 /// over-prediction (cells predicted burned that did not burn) separately
 /// from under-prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JaccardBreakdown {
     /// Burned in both maps (the intersection).
     pub hits: usize,
@@ -60,7 +60,8 @@ impl JaccardBreakdown {
 ///
 /// Returns a value in `[0, 1]`: 1 is a perfect prediction, 0 the worst.
 ///
-/// This is the definition, over two whole rasters; the stack scores an
+/// This is the definition, over two whole rasters, tallied a word of 64
+/// cells at a time by popcount; the stack scores an
 /// evaluation from the counts its run keeps as it writes
 /// (`firelib::BurnCount`) and the stages from the level histogram of a
 /// probability map, which visit only burned cells; both are held against
@@ -79,98 +80,87 @@ pub fn jaccard_breakdown(
     preburn: Option<&FireLine>,
 ) -> JaccardBreakdown {
     assert!(
-        real.mask().same_shape(predicted.mask()),
+        real.same_shape(predicted),
         "jaccard: real and predicted maps differ in shape"
     );
-    let n = real.mask().len();
-    tally_ranges(
-        real.mask().as_slice(),
-        predicted.mask().as_slice(),
-        |&burned| burned,
-        preburn_slice(real, preburn),
-        std::iter::once(0..n),
-    )
+    check_preburn(real, preburn);
+    let mut tally = JaccardBreakdown::default();
+    for (w, (&r, &p)) in real.words().iter().zip(predicted.words()).enumerate() {
+        tally_word(&mut tally, r, p, preburn.map_or(0, |x| x.words()[w]));
+    }
+    tally
 }
 
-/// The preburn mask as a slice, shape-checked against `real`.
-fn preburn_slice<'a>(real: &FireLine, preburn: Option<&'a FireLine>) -> Option<&'a [bool]> {
-    preburn.map(|p| {
-        assert!(
-            real.mask().same_shape(p.mask()),
-            "jaccard: preburn mask differs in shape"
-        );
-        p.mask().as_slice()
-    })
+/// Panics unless `preburn` (when given) has `real`'s shape.
+fn check_preburn(real: &FireLine, preburn: Option<&FireLine>) {
+    if let Some(p) = preburn {
+        assert!(real.same_shape(p), "jaccard: preburn mask differs in shape");
+    }
+}
+
+/// Adds one word of cells to `b`'s counts: `real`, `predicted` and `pre`
+/// hold a bit per cell, and every bit of a cell outside the tally is zero
+/// in all three.
+#[inline]
+fn tally_word(b: &mut JaccardBreakdown, real: u64, predicted: u64, pre: u64) {
+    let ones = |w: u64| w.count_ones() as usize;
+    b.hits += ones(real & predicted & !pre);
+    b.false_alarms += ones(!real & predicted & !pre);
+    b.misses += ones(real & !predicted & !pre);
+    b.excluded += ones(pre);
 }
 
 /// The Eq. (3) contingency counts over the cells of `ranges` only — the
-/// one tally behind the whole-raster Jaccards, and the oracle a counted
-/// run (`firelib::BurnCount`) is held to. `real`, `predicted` and
-/// `preburn` are row-major rasters of one shape; `burned` reads a
-/// predicted cell (a mask bit, or an arrival time against an instant);
-/// `ranges` are index ranges into them and must not overlap, or the
-/// shared cells count twice. The whole raster is the single range
-/// `0..len`; a caller that knows the prediction is unburned outside a few
-/// spans passes those and accounts for the rest itself (every `real ∧
-/// ¬preburn` cell out there is a miss).
+/// one tally behind [`jaccard_at_time`], and the oracle a counted run
+/// (`firelib::BurnCount`) is held to. `predicted` is a row-major raster
+/// of `real`'s (and `preburn`'s) shape, `burned` reads one of its cells
+/// (an arrival time against an instant, say); `ranges` are index ranges
+/// into them and must not overlap, or the shared cells count twice. The
+/// whole raster is the single range `0..len`; a caller that knows the
+/// prediction is unburned outside a few spans passes those and accounts
+/// for the rest itself (every `real ∧ ¬preburn` cell out there is a miss).
+/// Each range is tallied a word of the lines at a time, its predicted
+/// cells packed into a word of their own.
 ///
 /// # Panics
-/// Panics when a range reaches past any of the rasters.
+/// Panics when the shapes differ or a range reaches past the rasters.
 pub fn tally_ranges<P>(
-    real: &[bool],
+    real: &FireLine,
     predicted: &[P],
     burned: impl Fn(&P) -> bool,
-    preburn: Option<&[bool]>,
+    preburn: Option<&FireLine>,
     ranges: impl IntoIterator<Item = Range<usize>>,
 ) -> JaccardBreakdown {
-    let (mut hits, mut false_alarms, mut misses, mut excluded) = (0usize, 0usize, 0usize, 0usize);
-    // Branches, not arithmetic on the flags: fire rasters are long runs of
-    // one state, which the predictor eats (branchless arithmetic measured
-    // 1.4–2× slower on a megacell raster).
-    let mut tally = |was_real: bool, is_burned: bool, pre: bool| {
-        if pre {
-            excluded += 1;
-            return;
-        }
-        match (was_real, is_burned) {
-            (true, true) => hits += 1,
-            (false, true) => false_alarms += 1,
-            (true, false) => misses += 1,
-            (false, false) => {}
-        }
-    };
-    for range in ranges {
-        let cells = real[range.clone()].iter().zip(&predicted[range.clone()]);
-        match preburn {
-            Some(pre) => {
-                for ((&r, p), &x) in cells.zip(&pre[range]) {
-                    tally(r, burned(p), x);
-                }
-            }
-            None => {
-                for (&r, p) in cells {
-                    tally(r, burned(p), false);
-                }
-            }
-        }
+    assert_eq!(
+        real.len(),
+        predicted.len(),
+        "jaccard: real map and predicted raster differ in size"
+    );
+    check_preburn(real, preburn);
+    let mut tally = JaccardBreakdown::default();
+    for (w, piece) in ranges.into_iter().flat_map(word_pieces) {
+        let shift = piece.start % WORD_CELLS;
+        let cells = &predicted[piece];
+        // A whole word is a fixed-length chunk: vector compares.
+        let p = match <&[P; WORD_CELLS]>::try_from(cells) {
+            Ok(word) => pack(word, &burned),
+            Err(_) => pack(cells, &burned) << shift,
+        };
+        let valid = (u64::MAX >> (WORD_CELLS - cells.len())) << shift;
+        let pre = preburn.map_or(0, |x| x.words()[w] & valid);
+        tally_word(&mut tally, real.words()[w] & valid, p, pre);
     }
-    JaccardBreakdown {
-        hits,
-        false_alarms,
-        misses,
-        excluded,
-    }
+    tally
 }
 
 /// [`jaccard`] of `real` against the fire line `simulated` implies at
 /// instant `t`, computed directly from the ignition-time raster.
 ///
 /// Equivalent to `jaccard(real, &simulated.fire_line_at(t), preburn)` but
-/// streaming — no burned-mask raster is materialised. This is the
-/// whole-raster form; an evaluator that knows which cells its run wrote
-/// tallies only those ([`tally_ranges`] +
-/// [`JaccardBreakdown::index_with_real_total`]), or counts them as the run
-/// writes them, and gets the same `f64`.
+/// streaming — no fire line is materialised. This is the whole-raster
+/// form; an evaluator that knows which cells its run wrote tallies only
+/// those ([`tally_ranges`] + [`JaccardBreakdown::index_with_real_total`]),
+/// or counts them as the run writes them, and gets the same `f64`.
 ///
 /// # Panics
 /// Panics when the rasters differ in shape.
@@ -181,15 +171,15 @@ pub fn jaccard_at_time(
     preburn: Option<&FireLine>,
 ) -> f64 {
     assert!(
-        real.mask().same_shape(simulated.grid()),
+        (real.rows(), real.cols()) == simulated.grid().shape(),
         "jaccard: real map and ignition raster differ in shape"
     );
-    let n = real.mask().len();
+    let n = real.len();
     tally_ranges(
-        real.mask().as_slice(),
+        real,
         simulated.grid().as_slice(),
         |&arrival| arrival <= t,
-        preburn_slice(real, preburn),
+        preburn,
         std::iter::once(0..n),
     )
     .index()

@@ -20,7 +20,7 @@
 //! [`ProbabilityMap::accumulate`] and [`ProbabilityMap::threshold`] remain
 //! as the whole-raster convenience the tests hold the fold against.
 
-use crate::firemap::FireLine;
+use crate::firemap::{word_pieces, FireLine, WORD_CELLS};
 use crate::grid::Grid;
 use crate::metrics::JaccardBreakdown;
 use std::ops::Range;
@@ -101,18 +101,28 @@ impl ProbabilityMap {
     }
 
     /// Accumulates one simulated fire line (one scenario's burned map) by
-    /// a walk of the whole mask — [`ProbabilityMap::accumulate_ranges`]
-    /// over the single range that is the raster.
+    /// a walk of its set bits: the map
+    /// [`ProbabilityMap::accumulate_ranges`] gives over the single range
+    /// that is the raster.
     ///
     /// # Panics
     /// Panics on shape mismatch.
     pub fn accumulate(&mut self, line: &FireLine) {
         assert!(
-            self.counts.same_shape(line.mask()),
+            (line.rows(), line.cols()) == self.counts.shape(),
             "probability map: fire line shape mismatch"
         );
-        let mask = line.mask().as_slice();
-        self.accumulate_ranges(mask, |&burned| burned, std::iter::once(0..mask.len()), 1);
+        self.samples += 1;
+        let counts = self.counts.as_mut_slice();
+        let mut stretch: Option<(usize, usize)> = None;
+        for idx in line.burned_indices() {
+            counts[idx] += 1;
+            stretch = Some((stretch.map_or(idx, |(first, _)| first), idx));
+        }
+        self.incoming.clear();
+        self.incoming
+            .extend(stretch.map(|(first, last)| first..last + 1));
+        self.merge_incoming();
     }
 
     /// Accumulates `runs` identical runs from the cells one of them wrote:
@@ -213,7 +223,7 @@ impl ProbabilityMap {
     pub fn threshold(&self, kign: f64) -> FireLine {
         let k = kign.clamp(0.0, 1.0);
         let s = self.samples as usize;
-        FireLine::from_mask(self.counts.map(|&c| frequency(c as usize, s) >= k))
+        FireLine::from_grid(&self.counts, |&c| frequency(c as usize, s) >= k)
     }
 
     /// The distinct probability levels present in the map, ascending.
@@ -251,7 +261,7 @@ impl ProbabilityMap {
     /// Panics on shape mismatch.
     pub fn histogram_into(&self, observed: &Observed<'_>, hist: &mut LevelHistogram) {
         assert!(
-            self.counts.same_shape(observed.real.mask()),
+            (observed.real.rows(), observed.real.cols()) == self.counts.shape(),
             "probability map: observed fire line shape mismatch"
         );
         hist.buckets.clear();
@@ -259,37 +269,27 @@ impl ProbabilityMap {
             .resize(self.samples as usize + 1, LevelBucket::default());
         hist.real_new = observed.real_new;
         hist.preburned = observed.preburned;
-        hist.visited = 0;
         let counts = self.counts.as_slice();
-        let real = observed.real.mask().as_slice();
-        let preburn = observed.preburn.map(|p| p.mask().as_slice());
+        let real = observed.real.words();
+        let preburn = observed.preburn.map(FireLine::words);
         let buckets = &mut hist.buckets;
-        let mut bin = |count: u32, was_real: bool, pre: bool| {
-            if count == 0 {
-                return;
-            }
-            let bucket = &mut buckets[count as usize];
-            bucket.cells += 1;
-            match (pre, was_real) {
-                (true, _) => {}
-                (false, true) => bucket.hits += 1,
-                (false, false) => bucket.false_alarms += 1,
-            }
-        };
-        for range in self.touched_ranges() {
-            hist.visited += range.len();
-            let cells = counts[range.clone()].iter().zip(&real[range.clone()]);
-            match preburn {
-                Some(pre) => {
-                    for ((&c, &r), &x) in cells.zip(&pre[range]) {
-                        bin(c, r, x);
+        hist.visited = self.cover.iter().map(Range::len).sum();
+        for (w, piece) in self.cover.iter().cloned().flat_map(word_pieces) {
+            // Each line's bits of the piece, shifted down as its cells go by.
+            let shift = piece.start % WORD_CELLS;
+            let mut r = real[w] >> shift;
+            let mut x = preburn.map_or(0, |p| p[w]) >> shift;
+            for &count in &counts[piece] {
+                if count != 0 {
+                    let bucket = &mut buckets[count as usize];
+                    bucket.cells += 1;
+                    match (x & 1 != 0, r & 1 != 0) {
+                        (true, _) => {}
+                        (false, true) => bucket.hits += 1,
+                        (false, false) => bucket.false_alarms += 1,
                     }
                 }
-                None => {
-                    for (&c, &r) in cells {
-                        bin(c, r, false);
-                    }
-                }
+                (r, x) = (r >> 1, x >> 1);
             }
         }
         let mut rest = LevelBucket {
@@ -307,9 +307,11 @@ impl ProbabilityMap {
 }
 
 /// What a thresholded map is scored against with Eq. (3): the real fire
-/// line, the pre-burn exclusion, and the two whole-raster counts that let
-/// the scoring visit only the cells a prediction burns — every `real ∧
-/// ¬preburn` cell elsewhere is a miss, and needs no visit to be counted.
+/// line, the pre-burn exclusion (both one bit per cell), and the two
+/// whole-raster counts that let the scoring visit only the cells a
+/// prediction burns — every `real ∧ ¬preburn` cell elsewhere is a miss,
+/// and needs no visit to be counted. [`Observed::scan`] takes the counts
+/// by popcount, a word of 64 cells at a time.
 #[derive(Debug, Clone, Copy)]
 pub struct Observed<'a> {
     real: &'a FireLine,
@@ -321,7 +323,7 @@ pub struct Observed<'a> {
 }
 
 impl<'a> Observed<'a> {
-    /// Takes the two counts by scanning both rasters.
+    /// Takes the two counts from both lines' words, by popcount.
     ///
     /// # Panics
     /// Panics on shape mismatch.
@@ -330,23 +332,13 @@ impl<'a> Observed<'a> {
             return Self::counted(real, None, real.burned_area(), 0);
         };
         assert!(
-            real.mask().same_shape(pre.mask()),
+            real.same_shape(pre),
             "observed: preburn mask differs in shape"
         );
-        // Byte-wide partial sums over blocks too short to overflow them —
-        // the shape that compiles to vector adds (an order of magnitude
-        // faster than a filtered count on a megacell raster).
-        const BLOCK: usize = u8::MAX as usize;
-        let blocks = real.mask().as_slice().chunks(BLOCK);
         let (mut real_new, mut preburned) = (0, 0);
-        for (real, pre) in blocks.zip(pre.mask().as_slice().chunks(BLOCK)) {
-            let (mut new, mut old) = (0u8, 0u8);
-            for (&r, &p) in real.iter().zip(pre) {
-                new += u8::from(r & !p);
-                old += u8::from(p);
-            }
-            real_new += usize::from(new);
-            preburned += usize::from(old);
+        for (&r, &p) in real.words().iter().zip(pre.words()) {
+            real_new += (r & !p).count_ones() as usize;
+            preburned += p.count_ones() as usize;
         }
         Self::counted(real, preburn, real_new, preburned)
     }

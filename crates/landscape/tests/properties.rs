@@ -1,24 +1,32 @@
 //! Property-style tests for the raster substrate invariants the rest of
 //! the workspace relies on, checked over deterministic seeded streams of
-//! random rasters.
+//! random rasters. Shapes are drawn so the bit-packed fire line shows a
+//! raster smaller than one word, an exact word row, rows that straddle
+//! words and a tail word.
 
 use landscape::{jaccard, FireLine, Grid, IgnitionMap, ProbabilityMap, UNIGNITED};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const ROWS: usize = 6;
-const COLS: usize = 7;
 const CASES: u64 = 64;
 
-fn mask(rng: &mut StdRng) -> FireLine {
-    let v: Vec<bool> = (0..ROWS * COLS).map(|_| rng.random::<bool>()).collect();
-    FireLine::from_mask(Grid::from_vec(ROWS, COLS, v))
+/// `(rows, cols)` a stream draws from: 42 cells (under one word), 1 cell,
+/// rows of exactly one word, rows one cell past a word, and a raster of
+/// 35 words whose tail holds one cell.
+const SHAPES: [(usize, usize); 5] = [(6, 7), (1, 1), (3, 64), (5, 65), (17, 129)];
+
+fn shape(rng: &mut StdRng) -> (usize, usize) {
+    SHAPES[rng.random_range(0..SHAPES.len())]
 }
 
-fn ignition_map(rng: &mut StdRng) -> IgnitionMap {
+fn mask(rng: &mut StdRng, (rows, cols): (usize, usize)) -> FireLine {
+    FireLine::from_fn(rows, cols, |_, _| rng.random::<bool>())
+}
+
+fn ignition_map(rng: &mut StdRng, (rows, cols): (usize, usize)) -> IgnitionMap {
     // 3:1 mix of finite times and unignited cells, like the former
     // proptest strategy.
-    let v: Vec<f64> = (0..ROWS * COLS)
+    let v: Vec<f64> = (0..rows * cols)
         .map(|_| {
             if rng.random_range(0..4u32) < 3 {
                 rng.random::<f64>() * 100.0
@@ -27,7 +35,7 @@ fn ignition_map(rng: &mut StdRng) -> IgnitionMap {
             }
         })
         .collect();
-    IgnitionMap::from_grid(Grid::from_vec(ROWS, COLS, v))
+    IgnitionMap::from_grid(Grid::from_vec(rows, cols, v))
 }
 
 /// Eq. (3) is bounded in [0, 1] for any pair of maps and any preburn.
@@ -35,7 +43,8 @@ fn ignition_map(rng: &mut StdRng) -> IgnitionMap {
 fn jaccard_bounded() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (a, b, pre) = (mask(&mut rng), mask(&mut rng), mask(&mut rng));
+        let at = shape(&mut rng);
+        let (a, b, pre) = (mask(&mut rng, at), mask(&mut rng, at), mask(&mut rng, at));
         let j = jaccard(&a, &b, Some(&pre));
         assert!((0.0..=1.0).contains(&j));
     }
@@ -46,7 +55,8 @@ fn jaccard_bounded() {
 fn jaccard_symmetric() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (a, b) = (mask(&mut rng), mask(&mut rng));
+        let at = shape(&mut rng);
+        let (a, b) = (mask(&mut rng, at), mask(&mut rng, at));
         assert_eq!(
             jaccard(&a, &b, None).to_bits(),
             jaccard(&b, &a, None).to_bits()
@@ -59,7 +69,8 @@ fn jaccard_symmetric() {
 fn jaccard_reflexive() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (a, pre) = (mask(&mut rng), mask(&mut rng));
+        let at = shape(&mut rng);
+        let (a, pre) = (mask(&mut rng, at), mask(&mut rng, at));
         assert_eq!(jaccard(&a, &a, Some(&pre)), 1.0);
     }
 }
@@ -70,7 +81,8 @@ fn jaccard_reflexive() {
 fn fire_lines_nested_in_time() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let m = ignition_map(&mut rng);
+        let at = shape(&mut rng);
+        let m = ignition_map(&mut rng, at);
         let t1 = rng.random::<f64>() * 100.0;
         let dt = rng.random::<f64>() * 100.0;
         let early = m.fire_line_at(t1);
@@ -85,9 +97,10 @@ fn fire_lines_nested_in_time() {
 fn threshold_antitone() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
+        let at = shape(&mut rng);
         let n = rng.random_range(1..8usize);
-        let lines: Vec<FireLine> = (0..n).map(|_| mask(&mut rng)).collect();
-        let mut pm = ProbabilityMap::new(ROWS, COLS);
+        let lines: Vec<FireLine> = (0..n).map(|_| mask(&mut rng, at)).collect();
+        let mut pm = ProbabilityMap::new(at.0, at.1);
         lines.iter().for_each(|l| pm.accumulate(l));
         let k1 = rng.random::<f64>();
         let k2 = rng.random::<f64>();
@@ -102,9 +115,10 @@ fn threshold_antitone() {
 fn threshold_extremes_bracket_inputs() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
+        let at = shape(&mut rng);
         let n = rng.random_range(1..8usize);
-        let lines: Vec<FireLine> = (0..n).map(|_| mask(&mut rng)).collect();
-        let mut pm = ProbabilityMap::new(ROWS, COLS);
+        let lines: Vec<FireLine> = (0..n).map(|_| mask(&mut rng, at)).collect();
+        let mut pm = ProbabilityMap::new(at.0, at.1);
         lines.iter().for_each(|l| pm.accumulate(l));
         let consensus = pm.threshold(1.0);
         let eps = 1.0 / (lines.len() as f64 * 2.0);
@@ -143,8 +157,8 @@ const T1: f64 = 50.0;
 /// window (some cells inside them unignited or later than [`T1`]) plus
 /// single cells beyond it, out of order; the whole raster as one range (a
 /// reference kernel run, which tracks nothing); or nothing at all.
-fn run(rng: &mut StdRng) -> Run {
-    let n = ROWS * COLS;
+fn run(rng: &mut StdRng, (rows, cols): (usize, usize)) -> Run {
+    let n = rows * cols;
     let mut arrivals = vec![UNIGNITED; n];
     let mut ranges = Vec::new();
     let mut ignite = |rng: &mut StdRng, cells: std::ops::Range<usize>| {
@@ -161,8 +175,8 @@ fn run(rng: &mut StdRng) -> Run {
             ranges.push(0..n);
         }
         _ => {
-            let (r0, r1) = (rng.random_range(0..ROWS), rng.random_range(0..ROWS));
-            let (c0, c1) = (rng.random_range(0..COLS), rng.random_range(0..COLS));
+            let (r0, r1) = (rng.random_range(0..rows), rng.random_range(0..rows));
+            let (c0, c1) = (rng.random_range(0..cols), rng.random_range(0..cols));
             let window_cols = c0.min(c1)..c0.max(c1) + 1;
             for row in r0.min(r1)..=r0.max(r1) {
                 if rng.random_range(0..5u32) == 0 {
@@ -170,8 +184,8 @@ fn run(rng: &mut StdRng) -> Run {
                 }
                 let lo = rng.random_range(window_cols.clone());
                 let hi = rng.random_range(lo..window_cols.end) + 1;
-                ignite(rng, row * COLS + lo..row * COLS + hi);
-                ranges.push(row * COLS + lo..row * COLS + hi);
+                ignite(rng, row * cols + lo..row * cols + hi);
+                ranges.push(row * cols + lo..row * cols + hi);
             }
             // Strays: single cells anywhere no span covers.
             for _ in 0..rng.random_range(0..4u32) {
@@ -186,16 +200,19 @@ fn run(rng: &mut StdRng) -> Run {
     Run { arrivals, ranges }
 }
 
-/// A result set of 0–7 runs folded two ways: from the written ranges, and
-/// densely from each run's materialised fire line.
-fn folded(rng: &mut StdRng) -> (ProbabilityMap, ProbabilityMap, Vec<FireLine>) {
-    let runs: Vec<Run> = (0..rng.random_range(0..8usize)).map(|_| run(rng)).collect();
-    let mut spans = ProbabilityMap::new(ROWS, COLS);
-    let mut dense = ProbabilityMap::new(ROWS, COLS);
+/// A result set of 0–7 runs of shape `at` folded two ways: from the
+/// written ranges, and densely from each run's materialised fire line.
+fn folded(rng: &mut StdRng, at: (usize, usize)) -> (ProbabilityMap, ProbabilityMap, Vec<FireLine>) {
+    let (rows, cols) = at;
+    let runs: Vec<Run> = (0..rng.random_range(0..8usize))
+        .map(|_| run(rng, at))
+        .collect();
+    let mut spans = ProbabilityMap::new(rows, cols);
+    let mut dense = ProbabilityMap::new(rows, cols);
     let mut lines = Vec::new();
     for run in &runs {
         spans.accumulate_ranges(&run.arrivals, |&t| t <= T1, run.ranges.iter().cloned(), 1);
-        let map = IgnitionMap::from_grid(Grid::from_vec(ROWS, COLS, run.arrivals.clone()));
+        let map = IgnitionMap::from_grid(Grid::from_vec(rows, cols, run.arrivals.clone()));
         let line = map.fire_line_at(T1);
         dense.accumulate(&line);
         lines.push(line);
@@ -211,12 +228,13 @@ fn span_fed_map_equals_the_dense_fold() {
     let (mut empty, mut overlapping, mut single) = (0, 0, 0);
     for seed in 0..4 * CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (spans, dense, lines) = folded(&mut rng);
+        let (rows, cols) = shape(&mut rng);
+        let (spans, dense, lines) = folded(&mut rng, (rows, cols));
         assert_eq!(spans, dense, "seed {seed}");
         assert_eq!(spans.samples() as usize, lines.len());
         let mut recount = Vec::new();
-        for r in 0..ROWS {
-            for c in 0..COLS {
+        for r in 0..rows {
+            for c in 0..cols {
                 let count = lines.iter().filter(|l| l.is_burned(r, c)).count();
                 let p = match lines.len() {
                     0 => 0.0,
@@ -233,8 +251,8 @@ fn span_fed_map_equals_the_dense_fold() {
         // Everything outside the touched ranges is count 0.
         let touched: Vec<_> = spans.touched_ranges().collect();
         assert!(touched.windows(2).all(|w| w[0].end <= w[1].start));
-        for idx in (0..ROWS * COLS).filter(|i| !touched.iter().any(|r| r.contains(i))) {
-            assert_eq!(spans.probability(idx / COLS, idx % COLS), 0.0);
+        for idx in (0..rows * cols).filter(|i| !touched.iter().any(|r| r.contains(i))) {
+            assert_eq!(spans.probability(idx / cols, idx % cols), 0.0);
         }
         empty += usize::from(lines.iter().all(|l| l.burned_area() == 0));
         overlapping += usize::from(recount.iter().any(|&(count, _)| count > 1));
@@ -252,10 +270,11 @@ fn a_fold_with_multiplicity_k_is_k_unit_folds() {
     let mut repeated = 0;
     for seed in 0..4 * CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (mut once, _, _) = folded(&mut rng);
+        let at = shape(&mut rng);
+        let (mut once, _, _) = folded(&mut rng, at);
         let mut unit = once.clone();
         for _ in 0..rng.random_range(1..4usize) {
-            let run = run(&mut rng);
+            let run = run(&mut rng, at);
             let k = rng.random_range(1..5u32);
             let burned = |&t: &f64| t <= T1;
             once.accumulate_ranges(&run.arrivals, burned, run.ranges.iter().cloned(), k);
@@ -285,8 +304,9 @@ fn histogram_scores_equal_threshold_plus_jaccard() {
     let mut hist = LevelHistogram::default();
     for seed in 0..4 * CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (map, _, _) = folded(&mut rng);
-        let (real, pre) = (mask(&mut rng), mask(&mut rng));
+        let at = shape(&mut rng);
+        let (map, _, _) = folded(&mut rng, at);
+        let (real, pre) = (mask(&mut rng, at), mask(&mut rng, at));
         for preburn in [None, Some(&pre)] {
             map.histogram_into(&Observed::scan(&real, preburn), &mut hist);
             assert_eq!(hist.samples(), map.samples() as usize);
@@ -308,6 +328,159 @@ fn histogram_scores_equal_threshold_plus_jaccard() {
                 .map(|&l| (l, jaccard(&real, &map.threshold(l), preburn)))
                 .collect();
             assert_eq!(hist.levels().collect::<Vec<_>>(), curve, "seed {seed}");
+        }
+    }
+}
+
+/// A byte-per-cell fire line: the reference the bit-packed operations
+/// are held to.
+#[derive(Clone)]
+struct Bytes {
+    cols: usize,
+    cells: Vec<bool>,
+}
+
+impl Bytes {
+    fn of(line: &FireLine) -> Self {
+        let cells = (0..line.len()).map(|i| line.bit(i)).collect();
+        Bytes {
+            cols: line.cols(),
+            cells,
+        }
+    }
+
+    fn count(&self, keep: impl Fn(usize) -> bool) -> usize {
+        (0..self.cells.len()).filter(|&i| keep(i)).count()
+    }
+}
+
+/// The line holds the reference's cells, one word per 64 of them, and no
+/// bit past its last cell.
+fn assert_packs(line: &FireLine, want: &Bytes, what: &str) {
+    let n = want.cells.len();
+    assert_eq!(line.len(), n, "{what}: cells");
+    assert_eq!(line.words().len(), n.div_ceil(64), "{what}: words");
+    if !n.is_multiple_of(64) {
+        let tail = line.words()[n / 64] >> (n % 64);
+        assert_eq!(tail, 0, "{what}: bits past the last cell");
+    }
+    for (i, &b) in want.cells.iter().enumerate() {
+        let (r, c) = (i / want.cols, i % want.cols);
+        assert_eq!(
+            (line.bit(i), line.is_burned(r, c)),
+            (b, b),
+            "{what}: cell {i}"
+        );
+    }
+    assert_eq!(
+        line.burned_area(),
+        want.count(|i| want.cells[i]),
+        "{what}: area"
+    );
+    let burned = (0..n).filter(|&i| want.cells[i]);
+    let cells: Vec<_> = burned.map(|i| (i / want.cols, i % want.cols)).collect();
+    assert_eq!(line.burned_cells(), cells, "{what}: burned cells");
+}
+
+/// Every bit-packed operation is its byte-per-cell reference, on shapes
+/// whose rows straddle words and whose tail word is partial, and the
+/// bits past the last cell stay zero through every mutation.
+#[test]
+fn bit_packed_lines_are_their_byte_masks() {
+    use landscape::{LevelHistogram, Observed};
+    let mut hist = LevelHistogram::default();
+    for seed in 0..4 * CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (rows, cols) = shape(&mut rng);
+        let (mut a, b, pre) = (
+            mask(&mut rng, (rows, cols)),
+            mask(&mut rng, (rows, cols)),
+            mask(&mut rng, (rows, cols)),
+        );
+        let (mut ra, rb, rp) = (Bytes::of(&a), Bytes::of(&b), Bytes::of(&pre));
+        // Set and clear cells, the last one among them.
+        for _ in 0..8 {
+            let idx = match rng.random_range(0..3u32) {
+                0 => rows * cols - 1,
+                _ => rng.random_range(0..rows * cols),
+            };
+            let burned = rng.random::<bool>();
+            a.set_burned(idx / cols, idx % cols, burned);
+            ra.cells[idx] = burned;
+            assert_packs(
+                &a,
+                &ra,
+                &format!("seed {seed}: set_burned({idx}, {burned})"),
+            );
+        }
+        let union = a.union(&b);
+        let mut ru = ra.clone();
+        ru.cells
+            .iter_mut()
+            .zip(&rb.cells)
+            .for_each(|(u, &b)| *u |= b);
+        assert_packs(&union, &ru, &format!("seed {seed}: union"));
+        let subset = |x: &Bytes, y: &Bytes| x.cells.iter().zip(&y.cells).all(|(&x, &y)| !x || y);
+        for (x, y, rx, ry) in [
+            (&a, &b, &ra, &rb),
+            (&a, &union, &ra, &ru),
+            (&b, &a, &rb, &ra),
+        ] {
+            assert_eq!(
+                x.is_subset_of(y),
+                subset(rx, ry),
+                "seed {seed}: is_subset_of"
+            );
+        }
+        let from_cells = FireLine::from_cells(rows, cols, &a.burned_cells());
+        assert_packs(&from_cells, &ra, &format!("seed {seed}: from_cells"));
+
+        let map = ignition_map(&mut rng, (rows, cols));
+        let t = rng.random::<f64>() * 100.0;
+        let rt = Bytes {
+            cols,
+            cells: map.grid().as_slice().iter().map(|&it| it <= t).collect(),
+        };
+        assert_packs(
+            &map.fire_line_at(t),
+            &rt,
+            &format!("seed {seed}: fire_line_at({t})"),
+        );
+
+        let observed = Observed::scan(&a, Some(&pre));
+        let real_new = ra.count(|i| ra.cells[i] && !rp.cells[i]);
+        assert_eq!(observed.real_new(), real_new, "seed {seed}: real_new");
+        assert_eq!(
+            observed.preburned(),
+            rp.count(|i| rp.cells[i]),
+            "seed {seed}: preburned"
+        );
+        assert_eq!(
+            Observed::scan(&a, None).real_new(),
+            ra.count(|i| ra.cells[i])
+        );
+
+        // The histogram's every threshold, against a per-cell tally of the
+        // references.
+        let (pm, _, _) = folded(&mut rng, (rows, cols));
+        let p = |i: usize| pm.probability(i / cols, i % cols);
+        for preburn in [None, Some(&pre)] {
+            pm.histogram_into(&Observed::scan(&a, preburn), &mut hist);
+            let excluded = |i: usize| preburn.is_some() && rp.cells[i];
+            let mut kigns = pm.distinct_levels();
+            kigns.extend([0.0, 1.0]);
+            for kign in kigns {
+                let got = hist.breakdown_where(|q| q >= kign);
+                let live = |i: usize| !excluded(i);
+                let want = (
+                    ra.count(|i| live(i) && ra.cells[i] && p(i) >= kign),
+                    ra.count(|i| live(i) && !ra.cells[i] && p(i) >= kign),
+                    ra.count(|i| live(i) && ra.cells[i] && p(i) < kign),
+                    ra.count(excluded),
+                );
+                let got = (got.hits, got.false_alarms, got.misses, got.excluded);
+                assert_eq!(got, want, "seed {seed} kign {kign}");
+            }
         }
     }
 }

@@ -163,7 +163,8 @@ mod tests {
         }
     }
 
-    /// Heap bytes of the rasters a resident case keeps alive, plus the
+    /// Heap bytes of the rasters a resident case keeps alive (a fire line
+    /// is one bit a cell, in whole `u64` words), plus the
     /// lit cells of every interval's start line (one `u32` per burned cell,
     /// which bounds its seed list; the front, a subset of the seeds, is not
     /// counted) — step contexts are views of the case, so nothing else of a
@@ -178,7 +179,11 @@ mod tests {
             + 2 * usize::from(terrain.wind_layer().is_some());
         usize::from(terrain.fuel_layer().is_some()) * cells
             + f64s * cells * std::mem::size_of::<f64>()
-            + case.fire_lines.len() * cells
+            + case
+                .fire_lines
+                .iter()
+                .map(|l| std::mem::size_of_val(l.words()))
+                .sum::<usize>()
             + lit_bytes(case)
     }
 
@@ -191,8 +196,9 @@ mod tests {
     #[test]
     fn registry_residency_is_bounded() {
         // Every name the store can ever hold, built cold: the worst case
-        // is all of them resident at once — 62.6 MiB, of which the three
-        // XL landscapes are all but ~1 MiB and the lit-cell lists 132 KiB.
+        // is all of them resident at once — 51.3 MiB (62.6 MiB while a fire
+        // line was a byte a cell), of which the three XL landscapes are all
+        // but ~1 MiB and the lit-cell lists 132 KiB.
         let names = cases::case_names();
         assert_eq!(names.len(), 15, "a new case changes the store's bound");
         let built: Vec<BurnCase> = names
@@ -202,6 +208,6 @@ mod tests {
         let lit: usize = built.iter().map(lit_bytes).sum();
         assert_eq!(lit, 134_836, "resident lit-cell list bytes");
         let total: usize = built.iter().map(raster_bytes).sum();
-        assert_eq!(total, 65_544_448 + lit, "worst-case resident raster bytes");
+        assert_eq!(total, 53_635_656 + lit, "worst-case resident raster bytes");
     }
 }
