@@ -4,15 +4,16 @@
 //! the bench compares the per-subject brute-force reference against the
 //! batched engine (the sorted-scan index these 1-D behaviours select) on
 //! identical inputs. Both produce bit-identical scores; only the wall time
-//! differs. A last row times the whole master: one Algorithm 1 run at
-//! ESS-NS's scale-4 sizes whose evaluator costs nothing, so the row is
-//! the search's own bookkeeping (roulette, scoring, archive, `bestSet`,
-//! replacement).
+//! differs. The last group times the whole master: Algorithm 1 runs at
+//! ESS-NS's scale-1 and scale-4 sizes whose evaluator costs nothing, so a
+//! row is the search's own bookkeeping (roulette, scoring, archive,
+//! `bestSet`, replacement), beside the GA at the same sizes — the
+//! master's ESS-NS/GA ratio in one command.
 
 use ess_benches::microbench::{bench, group};
 use ess_ns::{NoveltyGa, NoveltyGaConfig};
 use evoalg::novelty::novelty_score;
-use evoalg::{BehaviourMatrix, NoveltyEngine};
+use evoalg::{BehaviourMatrix, GaConfig, GaEngine, NoveltyEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -49,25 +50,60 @@ fn main() {
     assert_eq!(engine.novelty_scores(&matrix, 512, 5), reference);
     println!("cross-check OK: 512 subjects bit-identical to novelty_score");
 
-    group("Algorithm 1 self time (ESS-NS at scale 4, zero-cost evaluator)");
-    // The registry's scale-4 ESS-NS row: N = m = 128, a 256-entry archive
-    // (twice N), a 96-entry `bestSet`, 12 generations. The fitness is the
-    // first gene, and the threshold is out of reach, so every run spends
-    // all 12 generations.
-    let ga = NoveltyGa::new(
-        9,
-        NoveltyGaConfig {
-            population_size: 128,
-            offspring: 128,
-            archive_capacity: 256,
-            best_set_capacity: 96,
-            fitness_threshold: 2.0,
-            ..NoveltyGaConfig::default()
-        },
-    );
+    group("Algorithm 1 self time (zero-cost evaluator, against the GA at the same sizes)");
+    // The registry's scale-1 and scale-4 ESS-NS rows: N = m, an archive of
+    // twice N, a `bestSet` of 3N/4, 12 generations; the GA row is ESS's
+    // engine at the same N = m. The fitness is the first gene, and the
+    // threshold is out of reach, so every run spends all 12 generations.
+    // The last line of each size is the master's µs per evaluation, from
+    // the minima, and the ESS-NS/GA ratio.
     let mut first_gene =
         |genomes: &[Vec<f64>]| -> Vec<f64> { genomes.iter().map(|g| g[0]).collect() };
-    bench("N=m=128 archive=256 bestSet=96, 12 generations", 20, || {
-        black_box(ga.run(&mut first_gene).evaluations)
-    });
+    for n in [32usize, 128] {
+        let best = n * 3 / 4;
+        let ns = NoveltyGa::new(
+            9,
+            NoveltyGaConfig {
+                population_size: n,
+                offspring: n,
+                archive_capacity: 2 * n,
+                best_set_capacity: best,
+                fitness_threshold: 2.0,
+                ..NoveltyGaConfig::default()
+            },
+        );
+        let ns_evals = ns.run(&mut first_gene).evaluations as f64;
+        let label = format!(
+            "ESS-NS N=m={n} archive={} bestSet={best}, 12 generations",
+            2 * n
+        );
+        let ns_time = bench(&label, 50, || {
+            black_box(ns.run(&mut first_gene).evaluations)
+        });
+        let ga_config = GaConfig {
+            population_size: n,
+            offspring: n,
+            ..GaConfig::default()
+        };
+        let mut ga_run = || {
+            let mut engine = GaEngine::new(9, ga_config);
+            engine.evaluate_initial(&mut first_gene);
+            for _ in 0..12 {
+                engine.step(&mut first_gene);
+            }
+            engine.evaluations()
+        };
+        let ga_evals = ga_run() as f64;
+        let ga_time = bench(&format!("GA     N=m={n}, 12 generations"), 50, || {
+            black_box(ga_run())
+        });
+        let (ns_us, ga_us) = (
+            ns_time.min_ms * 1e3 / ns_evals,
+            ga_time.min_ms * 1e3 / ga_evals,
+        );
+        println!(
+            "N={n}: ESS-NS {ns_us:.3} us/eval, GA {ga_us:.3} us/eval, ESS-NS/GA {:.2}x",
+            ns_us / ga_us
+        );
+    }
 }

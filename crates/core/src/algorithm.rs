@@ -34,29 +34,54 @@
 //!   highest fitness found **during the search**"; offering the evaluated
 //!   initial population as well (its members would otherwise be the only
 //!   evaluated individuals that can never be recorded) is a strict
-//!   superset that matches the stated contract. `BestSet` dedupes, so the
-//!   parents change no result. They are not free: an offer at or below a
-//!   full set's fitness bound costs one comparison, and one above it
-//!   compares its genes with every entry.
+//!   superset that matches the stated contract. The initial population is
+//!   offered once, in generation 1 after that generation's offspring; later
+//!   generations offer their offspring only. Offering every parent again
+//!   each generation could change nothing: every survivor was offered in
+//!   the generation that produced it, and a re-offer is rejected whatever
+//!   became of the first. If the first offer entered, the entry is still
+//!   there (a duplicate) or was evicted as the minimum of a full set, and
+//!   a full set never shrinks and its minimum never falls, so the fitness
+//!   bound rejects it. If it was turned away, that was by the bound (which
+//!   only rises) or by a duplicate, whose fitness is the same (equal genes
+//!   have equal fitness within a run, the note above) — so the same
+//!   argument holds for it.
 //!
-//! The master's bookkeeping between batches costs what it decides, not
-//! what its containers hold: the roulette wheel of line 7 is built once a
-//! generation, an archive offer the archive turns away is one comparison
-//! against its cached minimum (line 15), and line 16 moves its survivors
-//! instead of cloning them.
+//! A generation runs in buffers the run keeps, and once the archive and
+//! `bestSet` are full it allocates nothing:
 //!
-//! Lines 11–14 run as one *batched* pass: the noveltySet is assembled in
-//! a generation-reused flat [`evoalg::BehaviourMatrix`] (each individual
-//! described exactly once; the archive contributes its incrementally
-//! maintained matrix via one bulk copy), and ρ(x) for every subject is
-//! computed by [`evoalg::NoveltyEngine`] — indexed kNN in the master,
-//! always bit-identical to the brute-force reference `novelty_score`.
+//! * the rows are the population then the offspring, gene vectors beside
+//!   fitness, novelty and local-competition columns. Line 7 breeds into
+//!   the offspring rows' vectors ([`evoalg::ga::breed_into`], the GA's
+//!   breeding step), and those vectors are the batch handed to the
+//!   evaluator, uncopied;
+//! * the roulette wheel of line 7 is built once a generation;
+//! * lines 11–14 build the noveltySet in one reused flat
+//!   [`evoalg::BehaviourMatrix`] (each individual described exactly once,
+//!   the archive's incrementally maintained matrix appended by one bulk
+//!   copy) and score ρ(x) for every subject in one pass over an index
+//!   built in reused [`evoalg::IndexBuffers`] — indexed kNN, bit-identical
+//!   to the brute-force reference `novelty_score` (see `evoalg::knn`);
+//! * line 15's archive turns an offer away with one comparison against its
+//!   cached minimum and overwrites a replaced entry's genes in place, and
+//!   line 17's `BestSet` reuses the evicted entry's vector;
+//! * line 16 ranks the rows by one packed integer key each
+//!   ([`evoalg::ElitistRanking`]: the order of a stable sort by descending
+//!   score) and moves them into rank order: the first N are the survivors,
+//!   and the gene vectors it drops are the next generation's offspring
+//!   rows.
+//!
+//! `tests/algorithm1_conformance.rs` holds every output of this generation
+//! to a plain copy of the loop that rebuilds everything each generation
+//! and re-offers every parent, bit for bit.
 
 use crate::hybrid::{BehaviourSpace, ScoringPolicy};
-use evoalg::ga::{generate_offspring, replace_by_score};
+use evoalg::ga::breed_into;
 use evoalg::individual::{Individual, Population};
+use evoalg::selection::RouletteWheel;
 use evoalg::{
-    BatchEvaluator, BehaviourMatrix, BestSet, NoveltyArchive, NoveltyEngine, PreparedIndex,
+    BatchEvaluator, BehaviourMatrix, BestSet, ElitistRanking, IndexBuffers, NoveltyArchive,
+    PreparedIndex,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -197,31 +222,46 @@ impl NoveltyGa {
     /// Runs Algorithm 1 to completion against `evaluator`.
     pub fn run<E: BatchEvaluator>(&self, evaluator: &mut E) -> NoveltyGaOutcome {
         let cfg = &self.config;
+        let (n, k) = (cfg.population_size, cfg.novelty_neighbours);
+        let rows = n + cfg.offspring;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-        // Line 1: initializePopulation(N).
-        let mut population = Population::random(cfg.population_size, self.dims, &mut rng);
+        // Line 1: initializePopulation(N). The run's rows are the
+        // population (0..N) then the offspring (N..N+m), genes beside
+        // three score columns; the offspring rows are the buffers each
+        // generation breeds into.
+        let mut genes = Population::random(n, self.dims, &mut rng).into_genomes();
+        genes.resize(rows, vec![0.0; self.dims]);
+        let mut fitness = vec![f64::NAN; rows];
+        let mut novelty = vec![f64::NAN; rows];
+        let mut local_comp = vec![f64::NAN; rows];
         // Lines 2–5.
         let mut archive = NoveltyArchive::new(cfg.archive_capacity);
         let mut best_set = BestSet::new(cfg.best_set_capacity);
         let mut generations = 0u32;
         let mut max_fitness = 0.0f64;
         let mut evaluations = 0u64;
-        let mut history = Vec::new();
+        let mut history = Vec::with_capacity(cfg.max_generations.min(HISTORY_RESERVE) as usize);
         let mut stop_reason = StopReason::GenerationBudget;
-        // The noveltySet buffer, reused across generations: one flat block
-        // holding population ∪ offspring ∪ archive descriptors.
-        let mut novelty_set = BehaviourMatrix::with_dim(cfg.behaviour.dim(self.dims));
 
-        // The search score of a scored individual (a member the NSLC pass
-        // did not reach competes with lc = 0).
-        let score = |ind: &Individual| {
-            let lc = if ind.local_comp.is_finite() {
-                ind.local_comp
-            } else {
-                0.0
-            };
-            cfg.scoring.score_with_lc(ind.fitness, ind.novelty, lc)
+        // What a generation works in, kept across generations: the
+        // wheel's scores, the odd count's unused child, the noveltySet
+        // (population ∪ offspring ∪ archive descriptors), the kNN index,
+        // the NSLC fitness column and the replacement's ranking and
+        // scratch.
+        let mut wheel_scores = Vec::with_capacity(n);
+        let mut spare_child = Vec::with_capacity(self.dims);
+        let mut novelty_set = BehaviourMatrix::with_dim(cfg.behaviour.dim(self.dims));
+        let mut index = IndexBuffers::default();
+        let mut all_fitness = Vec::new();
+        let mut ranking = ElitistRanking::default();
+        let (mut spare_genes, mut spare_column) = (Vec::with_capacity(rows), Vec::new());
+
+        // The search score of a scored row (a row the NSLC pass did not
+        // reach competes with lc = 0).
+        let score = |fitness: f64, novelty: f64, lc: f64| {
+            let lc = if lc.is_finite() { lc } else { 0.0 };
+            cfg.scoring.score_with_lc(fitness, novelty, lc)
         };
 
         // Line 6: the two stopping conditions.
@@ -232,136 +272,140 @@ impl NoveltyGa {
             }
 
             // Line 7: generateOffspring(population, m, mR, cR) — roulette on
-            // the previous generation's search score. In the first
-            // generation no novelty exists yet, so selection is uniform
-            // (roulette over all-zero scores).
-            let scores: Vec<f64> = population
-                .members()
-                .iter()
-                .map(|m| {
-                    if m.novelty.is_finite() && m.fitness.is_finite() {
-                        score(m)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let mut offspring = generate_offspring(
-                &population,
-                &scores,
-                cfg.offspring,
+            // the previous generation's search score, bred into the
+            // offspring rows. In the first generation no novelty exists
+            // yet, so selection is uniform (roulette over all-zero scores).
+            wheel_scores.clear();
+            let scored = fitness.iter().zip(&novelty).zip(&local_comp).take(n);
+            wheel_scores.extend(scored.map(|((&f, &rho), &lc)| {
+                if rho.is_finite() && f.is_finite() {
+                    score(f, rho, lc)
+                } else {
+                    0.0
+                }
+            }));
+            let (parents, offspring) = genes.split_at_mut(n);
+            breed_into(
+                parents,
+                &RouletteWheel::new(&wheel_scores),
+                offspring,
+                &mut spare_child,
                 cfg.mutation_rate,
                 cfg.crossover_rate,
                 &mut rng,
             );
 
             // Lines 8–10: evaluate fitness of (population ∪ offspring).
-            // Population members keep their cached deterministic fitness.
-            evaluations += Self::evaluate_missing(&mut population, evaluator);
-            evaluations += Self::evaluate_missing(&mut offspring, evaluator);
+            // Population members keep their cached deterministic fitness,
+            // so only the first generation's population is evaluated.
+            let (parent_fitness, offspring_fitness) = fitness.split_at_mut(n);
+            if generations == 0 {
+                evaluations += Self::evaluate_into(evaluator, parents, parent_fitness);
+            }
+            evaluations += Self::evaluate_into(evaluator, offspring, offspring_fitness);
 
-            // Line 11: noveltySet ← population ∪ offspring ∪ archive,
-            // rebuilt in the reused flat buffer. Each individual is
-            // described exactly once per generation — the archive offers
-            // below reuse these rows — and the archive's descriptors
-            // arrive with one bulk copy of its incrementally maintained
-            // matrix (no per-entry clone).
+            // Line 11: noveltySet ← population ∪ offspring ∪ archive. Each
+            // individual is described exactly once per generation — the
+            // archive offers below reuse these rows — and the archive's
+            // descriptors arrive with one bulk copy of its incrementally
+            // maintained matrix.
             novelty_set.clear();
-            novelty_set.reserve_rows(population.len() + offspring.len() + archive.len());
-            for ind in population.members().iter().chain(offspring.members()) {
-                cfg.behaviour
-                    .describe_into(&ind.genes, ind.fitness, &mut novelty_set);
+            novelty_set.reserve_rows(rows + archive.len());
+            for (g, &f) in genes.iter().zip(&fitness) {
+                cfg.behaviour.describe_into(g, f, &mut novelty_set);
             }
             novelty_set.extend_from(archive.behaviour_matrix());
 
             // Lines 12–14: ρ(x) of each ind ∈ population ∪ offspring, as
-            // one batch (indexed kNN, bit-identical to brute force). The
-            // index is prepared once and shared with the NSLC batch.
-            let subjects = population.len() + offspring.len();
-            let prepared = PreparedIndex::new(&novelty_set);
-            let scores =
-                NoveltyEngine.novelty_scores_prepared(&prepared, subjects, cfg.novelty_neighbours);
-            // Scores arrive in subject order: population, then offspring.
-            let members = (population.members_mut().iter_mut()).chain(offspring.members_mut());
-            for (member, rho) in members.zip(scores) {
+            // one batch (indexed kNN, bit-identical to brute force) in the
+            // run's index buffers, shared with the NSLC batch.
+            let mut prepared =
+                PreparedIndex::with_buffers(&novelty_set, std::mem::take(&mut index));
+            prepared.novelty_scores_into(k, &mut novelty);
+            for rho in &mut novelty {
                 // The sentinel for an empty reference cannot occur here
                 // (the reference always holds ≥ N+m−1 ≥ 3 entries), but
                 // clamp defensively for custom behaviour spaces.
-                member.novelty = if rho.is_finite() { rho } else { 1.0 };
+                if !rho.is_finite() {
+                    *rho = 1.0;
+                }
             }
-
             // NSLC extension: when the scoring policy competes locally,
             // compute each subject's local-competition term over the same
             // noveltySet (archived entries compete with their recorded
             // fitness).
             if cfg.scoring.uses_local_competition() {
-                let mut all_fitness: Vec<f64> = population
-                    .members()
-                    .iter()
-                    .chain(offspring.members())
-                    .map(|m| m.fitness)
-                    .collect();
+                all_fitness.clear();
+                all_fitness.extend_from_slice(&fitness);
                 all_fitness.extend(archive.entries().iter().map(|e| e.fitness));
-                let lcs = NoveltyEngine.local_competition_scores_prepared(
-                    &prepared,
-                    &all_fitness,
-                    subjects,
-                    cfg.novelty_neighbours,
-                );
-                let members = (population.members_mut().iter_mut()).chain(offspring.members_mut());
-                for (member, lc) in members.zip(lcs) {
-                    member.local_comp = lc;
-                }
+                prepared.local_competition_scores_into(&all_fitness, k, &mut local_comp);
             }
+            index = prepared.into_buffers();
 
             // Line 15: updateArchive(archive, offspring) — offspring enter
             // by novelty; replacement inside the archive is novelty-only.
             // Descriptors are the rows already built for the noveltySet.
-            for (j, ind) in offspring.members().iter().enumerate() {
-                archive.offer(
-                    &ind.genes,
-                    novelty_set.row(population.len() + j),
-                    ind.novelty,
-                    ind.fitness,
-                );
+            let offspring_rows = (genes.iter().zip(novelty_set.rows()))
+                .zip(novelty.iter().zip(&fitness))
+                .skip(n);
+            for ((g, behaviour), (&rho, &f)) in offspring_rows {
+                archive.offer(g, behaviour, rho, f);
             }
 
-            // Line 17: updateBest — all evaluated individuals this
-            // generation, offspring first, then parents (see the module
-            // docs for why this supersets the pseudocode's `offspring`).
-            // It reads no score line 16 writes, so it runs first: line 16
-            // consumes both populations.
-            for ind in offspring.members().iter().chain(population.members()) {
-                if ind.is_evaluated() {
-                    best_set.offer(&ind.genes, ind.fitness);
+            // Line 17: updateBest — this generation's offspring, and in
+            // the first generation the initial population after them (see
+            // the module docs for why parents are offered only once). It
+            // reads no score line 16 writes, so it runs first: line 16
+            // reorders the rows.
+            for (g, &f) in genes.iter().zip(&fitness).skip(n) {
+                best_set.offer(g, f);
+            }
+            if generations == 0 {
+                for (g, &f) in genes.iter().zip(&fitness).take(n) {
+                    best_set.offer(g, f);
                 }
             }
 
             // Line 16: replaceByNovelty(population, offspring, N) — elitist
             // over the union by the search score (novelty for the
-            // baseline; the hybrid/NSLC policies for E7).
-            population = replace_by_score(population, offspring, score, cfg.population_size);
+            // baseline; the hybrid/NSLC policies for E7). The ranked rows
+            // move into rank order: the first N survive, and the dropped
+            // gene vectors become the next generation's offspring rows.
+            let scored = fitness.iter().zip(&novelty).zip(&local_comp);
+            ranking.rank(scored.map(|((&f, &rho), &lc)| score(f, rho, lc)));
+            ranking.permute(&mut genes, &mut spare_genes);
+            for column in [&mut fitness, &mut novelty, &mut local_comp] {
+                ranking.permute(column, &mut spare_column);
+            }
 
             // Lines 18–19.
             max_fitness = best_set.max_fitness();
             generations += 1;
 
-            let novelties: Vec<f64> = population.members().iter().map(|m| m.novelty).collect();
-            let fitnesses: Vec<f64> = population.members().iter().map(|m| m.fitness).collect();
+            let mean = |column: &[f64]| column.iter().take(n).sum::<f64>() / n as f64;
             history.push(NsGenStats {
                 generation: generations,
                 max_fitness,
-                mean_novelty: mean(&novelties),
-                mean_fitness: mean(&fitnesses),
+                mean_novelty: mean(&novelty),
+                mean_fitness: mean(&fitness),
                 archive_len: archive.len(),
                 best_set_len: best_set.len(),
                 evaluations,
             });
         }
+        let members = (genes.into_iter().zip(fitness))
+            .zip(novelty.into_iter().zip(local_comp))
+            .take(n)
+            .map(|((genes, fitness), (novelty, local_comp))| Individual {
+                genes,
+                fitness,
+                novelty,
+                local_comp,
+            });
         NoveltyGaOutcome {
             best_set,
             archive,
-            final_population: population,
+            final_population: Population::from_members(members.collect()),
             generations,
             evaluations,
             stop_reason,
@@ -369,42 +413,34 @@ impl NoveltyGa {
         }
     }
 
-    /// Evaluates exactly the members without a cached fitness; returns how
-    /// many evaluations were spent.
+    /// Evaluates `genomes` into `out`, one fitness each; returns how many
+    /// evaluations were spent.
     #[expect(
         clippy::disallowed_macros,
         reason = "`BatchEvaluator::evaluate` returns one value per genome, in order (`Backend::map` is an ordered map, and `parworker` asserts the length itself), and a scenario's fitness is a Jaccard index, a ratio of cell counts in [0, 1] with the empty union defined as 1"
     )]
-    fn evaluate_missing<E: BatchEvaluator>(pop: &mut Population, evaluator: &mut E) -> u64 {
-        let genomes: Vec<Vec<f64>> = (pop.members().iter())
-            .filter(|m| !m.is_evaluated())
-            .map(|m| m.genes.clone())
-            .collect();
-        if genomes.is_empty() {
-            return 0;
-        }
-        let fitness = evaluator.evaluate(&genomes);
+    fn evaluate_into<E: BatchEvaluator>(
+        evaluator: &mut E,
+        genomes: &[Vec<f64>],
+        out: &mut [f64],
+    ) -> u64 {
+        let fitness = evaluator.evaluate(genomes);
         assert_eq!(
             fitness.len(),
             genomes.len(),
             "evaluator returned wrong batch size"
         );
-        let missing = (pop.members_mut().iter_mut()).filter(|m| !m.is_evaluated());
-        for (member, f) in missing.zip(&fitness) {
+        for (slot, f) in out.iter_mut().zip(fitness) {
             assert!(f.is_finite(), "fitness must be finite");
-            member.fitness = *f;
+            *slot = f;
         }
         genomes.len() as u64
     }
 }
 
-fn mean(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
-}
+/// The most generations the history reserves room for up front: a run's
+/// budget, when it is no larger (every registry row's is).
+const HISTORY_RESERVE: u32 = 1 << 12;
 
 #[cfg(test)]
 mod tests {

@@ -77,7 +77,8 @@ impl BestSet {
     /// entry) before the duplicate scan: both tests only reject, so the
     /// order changes no outcome, and an offer that cannot enter reads no
     /// genome. An offer that passes the bound compares its genes with
-    /// every entry once.
+    /// every entry once. An offer that evicts the minimum writes its genes
+    /// into the evicted entry's vector.
     ///
     /// # Panics
     /// Panics on non-finite fitness.
@@ -96,19 +97,17 @@ impl BestSet {
         if self.entries.iter().any(|e| e.genes == genes) {
             return false;
         }
-        if full {
-            self.entries.pop();
-        }
+        let evicted = if full { self.entries.pop() } else { None };
+        let mut entry = evicted.unwrap_or_else(|| ScoredGenome {
+            genes: Vec::new(),
+            fitness,
+        });
+        crate::operators::copy_genes(&mut entry.genes, genes);
+        entry.fitness = fitness;
         // Insert keeping descending order (stable: later equal-fitness
         // entries go after earlier ones).
         let pos = self.entries.partition_point(|e| e.fitness >= fitness);
-        self.entries.insert(
-            pos,
-            ScoredGenome {
-                genes: genes.to_vec(),
-                fitness,
-            },
-        );
+        self.entries.insert(pos, entry);
         true
     }
 

@@ -5,14 +5,14 @@
 //! of ESSIM-EA: roulette-wheel parent selection on fitness, one-point
 //! crossover, uniform mutation and elitist replacement. Algorithm 1 is
 //! the same GA with the search score in place of fitness, so its
-//! `generateOffspring` and `replaceByNovelty` are the two functions here,
-//! [`generate_offspring`] and [`replace_by_score`], called with another
-//! score.
+//! `generateOffspring` and `replaceByNovelty` are the steps here, called
+//! with another score: it breeds with [`breed_into`] and ranks its
+//! survivors with the [`ElitistRanking`] behind [`replace_by_score`].
 
 use crate::engine::{Engine, Scheme};
 use crate::individual::{Individual, Population};
-use crate::operators::{one_point_crossover, uniform_mutation};
-use crate::selection::{elitist_merge_indices, RouletteWheel};
+use crate::operators::{copy_genes, one_point_crossover_into, uniform_mutation};
+use crate::selection::{ElitistRanking, RouletteWheel};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -73,15 +73,17 @@ impl Scheme for GaConfig {
     }
 
     fn breed(&self, population: &Population, rng: &mut StdRng) -> Vec<Vec<f64>> {
-        generate_offspring(
-            population,
-            &population.fitness_values(),
-            self.offspring,
+        let mut children = vec![Vec::new(); self.offspring];
+        breed_into(
+            population.members(),
+            &RouletteWheel::new(&population.fitness_values()),
+            &mut children,
+            &mut Vec::new(),
             self.mutation_rate,
             self.crossover_rate,
             rng,
-        )
-        .into_genomes()
+        );
+        children
     }
 
     fn absorb(&self, population: &mut Population, candidates: Vec<Vec<f64>>, fitness: &[f64]) {
@@ -93,47 +95,49 @@ impl Scheme for GaConfig {
     }
 }
 
-/// `generateOffspring(population, m, mR, cR)`: until `m` children exist,
-/// spin two parents off one roulette wheel over `scores` (one score per
-/// member; all-zero scores select uniformly), cross them at one point with
-/// probability `cR` (clone them otherwise) and mutate every gene with
-/// probability `mR`. The children are unevaluated.
+/// `generateOffspring(population, m, mR, cR)` into gene vectors the
+/// caller keeps: for each pair of rows of `children` (`m` rows, every one
+/// overwritten in place), spin two parents off `wheel` (all-zero scores
+/// select uniformly), cross them at one point with probability `cR`
+/// (copy them otherwise) and mutate every gene of both children with
+/// probability `mR` — two spins, the crossover test, the cut, then one
+/// draw per gene. When `m` is odd, the last pair's second child is still
+/// bred and mutated, into `spare`, so the draws are those of the next
+/// even count.
 ///
 /// # Panics
-/// Panics when `scores` is empty, negative or non-finite
-/// ([`RouletteWheel::new`]).
-pub fn generate_offspring(
-    population: &Population,
-    scores: &[f64],
-    m: usize,
+/// Panics when `parents` is shorter than the wheel, or on parents of
+/// unequal length.
+pub fn breed_into<P: AsRef<[f64]>>(
+    parents: &[P],
+    wheel: &RouletteWheel<'_>,
+    children: &mut [Vec<f64>],
+    spare: &mut Vec<f64>,
     mutation_rate: f64,
     crossover_rate: f64,
     rng: &mut StdRng,
-) -> Population {
-    let parents = population.members();
-    let wheel = RouletteWheel::new(scores);
-    let mut out = Vec::with_capacity(m);
-    while out.len() < m {
-        let pa = &parents[wheel.spin(rng)].genes;
-        let pb = &parents[wheel.spin(rng)].genes;
-        let (mut c1, mut c2) = if rng.random::<f64>() < crossover_rate {
-            one_point_crossover(pa, pb, rng)
+) {
+    for pair in children.chunks_mut(2) {
+        let (c1, rest) = pair.split_at_mut(1);
+        let c1 = &mut c1[0];
+        let c2 = rest.first_mut().unwrap_or(&mut *spare);
+        let pa = parents[wheel.spin(rng)].as_ref();
+        let pb = parents[wheel.spin(rng)].as_ref();
+        if rng.random::<f64>() < crossover_rate {
+            one_point_crossover_into(pa, pb, c1, c2, rng);
         } else {
-            (pa.clone(), pb.clone())
-        };
-        uniform_mutation(&mut c1, mutation_rate, rng);
-        uniform_mutation(&mut c2, mutation_rate, rng);
-        out.push(Individual::new(c1));
-        if out.len() < m {
-            out.push(Individual::new(c2));
+            copy_genes(c1, pa);
+            copy_genes(c2, pb);
         }
+        uniform_mutation(c1, mutation_rate, rng);
+        uniform_mutation(c2, mutation_rate, rng);
     }
-    Population::from_members(out)
 }
 
 /// Elitist replacement: the `n` best of `population ∪ offspring` by
-/// `score`, best first, ties in favour of the incumbent population
-/// ([`elitist_merge_indices`]). Survivors move out of the two populations
+/// `score`, best first, ties in favour of the incumbent population (the
+/// order of [`crate::selection::elitist_merge_indices`], ranked by an
+/// [`ElitistRanking`]). Survivors move out of the two populations
 /// uncloned; the rest drop with them.
 pub fn replace_by_score(
     population: Population,
@@ -141,16 +145,24 @@ pub fn replace_by_score(
     score: impl Fn(&Individual) -> f64,
     n: usize,
 ) -> Population {
-    let parent_scores: Vec<f64> = population.members().iter().map(&score).collect();
-    let child_scores: Vec<f64> = offspring.members().iter().map(&score).collect();
-    let kept = elitist_merge_indices(&parent_scores, &child_scores, n);
+    let mut ranking = ElitistRanking::default();
+    ranking.rank(
+        (population.members().iter())
+            .chain(offspring.members())
+            .map(score),
+    );
     let mut pool: Vec<Option<Individual>> = (population.into_members().into_iter())
         .chain(offspring.into_members())
         .map(Some)
         .collect();
     // The indices are distinct, so each `take` finds its member.
-    let survivors: Vec<Individual> = kept.iter().filter_map(|&i| pool[i].take()).collect();
-    debug_assert_eq!(survivors.len(), kept.len(), "a survivor was taken twice");
+    let kept = ranking.order().take(n);
+    let survivors: Vec<Individual> = kept.filter_map(|i| pool[i].take()).collect();
+    debug_assert_eq!(
+        survivors.len(),
+        n.min(pool.len()),
+        "a survivor was taken twice"
+    );
     Population::from_members(survivors)
 }
 

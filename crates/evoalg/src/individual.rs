@@ -41,6 +41,14 @@ impl Individual {
     }
 }
 
+/// An individual's genes, so a breeding step reads parents held as
+/// individuals or as bare gene vectors alike.
+impl AsRef<[f64]> for Individual {
+    fn as_ref(&self) -> &[f64] {
+        &self.genes
+    }
+}
+
 /// A population of individuals with the bookkeeping the engines share.
 #[derive(Debug, Clone)]
 pub struct Population {

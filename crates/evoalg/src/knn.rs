@@ -14,6 +14,14 @@
 //!   (O(n log n + n·k) instead of O(n²)); any other dimension gets the
 //!   exhaustive pairwise scan.
 //!
+//! The sort is one `sort_unstable` of packed integer keys, a value's
+//! order-preserving bits above its row, so one integer comparison is the
+//! `(value, row)` comparison. The index builds in [`IndexBuffers`] that a
+//! caller scoring every generation keeps (Algorithm 1 does): its keys,
+//! values and positions, and the scans' scratch, are refilled in place.
+//! [`PreparedIndex::novelty_scores_into`] scores every subject in one pass
+//! into the caller's column.
+//!
 //! [`NoveltyEngine`] batches the per-subject scores in the master; the
 //! parallel hardware belongs to scenario evaluation, not to a noveltySet
 //! of a few hundred rows.
@@ -28,7 +36,12 @@
 //! (the shared canonical `mean_of_k_smallest`, or the sorted walk, which
 //! emits them ascending), and
 //! resolve distance ties in the same `(distance, index)` order (see
-//! `crates/evoalg/tests/properties.rs`). One guarded edge: the sorted-scan
+//! `crates/evoalg/tests/properties.rs`). The walk compares raw gaps, not
+//! distances, and takes a distance only of the k gaps it emits: the
+//! distance is monotone in the gap, so the k smallest gaps have the k
+//! smallest distances, emitted in ascending order, and ρ — those k summed
+//! in ascending order — is the same bits whichever exact walk finds them
+//! (`IndexBuffers::walk` says why local competition is too). One guarded edge: the sorted-scan
 //! walk needs finite behaviour values (its frontier comparisons are plain
 //! `<=`), so [`PreparedIndex::new`] *rejects* non-finite 1-D descriptors
 //! loudly rather than diverging silently; the exhaustive scan stays
@@ -37,21 +50,125 @@
 use crate::matrix::BehaviourMatrix;
 use crate::novelty::{beaten_fraction, behaviour_distance, mean_of_k_smallest};
 
-/// The 1-D index state: rows sorted by `(value, index)`, their values in
-/// that order (so the walk reads one contiguous slice), and the inverse
-/// permutation.
-struct SortedOrder {
-    order: Vec<u32>,
+/// The buffers a [`PreparedIndex`] builds in: the 1-D sorted order and
+/// the scratch of the batch scans. A caller that scores every generation
+/// keeps one and lends it to [`PreparedIndex::with_buffers`] each time
+/// (taking it back with [`PreparedIndex::into_buffers`]), so a warm
+/// generation refills them in place and allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct IndexBuffers {
+    /// Per rank, the packed sort key: the value's order-preserving bits
+    /// above its row. Sorted, so rank `r`'s row is `keys[r] as u32`.
+    keys: Vec<u128>,
+    /// Per rank, the value (the walk reads one contiguous slice).
     values: Vec<f64>,
+    /// Per row, its rank.
     position: Vec<u32>,
+    /// The exhaustive scan's distances to one subject.
+    distances: Vec<f64>,
+    /// The local-competition candidates of one subject.
+    neighbours: Vec<(f64, usize)>,
+}
+
+impl IndexBuffers {
+    /// Refills the sorted order over the 1-D `values`, one row each:
+    /// ranks by `(value, row)`, the packed keys sorting as integers.
+    fn sort(&mut self, values: &[f64]) {
+        self.keys.clear();
+        for (&v, row) in values.iter().zip(0u32..) {
+            assert!(
+                v.is_finite(),
+                "sorted-scan requires finite behaviour values"
+            );
+            let bits = crate::total_order_bits(v);
+            self.keys.push(u128::from(bits) << 32 | u128::from(row));
+        }
+        self.keys.sort_unstable();
+        self.values.clear();
+        self.position.clear();
+        self.position.resize(values.len(), 0);
+        for (&key, rank) in self.keys.iter().zip(0u32..) {
+            let row = key as u32 as usize;
+            self.values.push(values[row]);
+            self.position[row] = rank;
+        }
+    }
+
+    /// The row at sorted rank `rank`.
+    fn row(&self, rank: usize) -> usize {
+        self.keys[rank] as u32 as usize
+    }
+
+    /// The 1-D two-pointer neighbour walk: starting with the candidate
+    /// ranks `left - 1` (downward) and `right` (upward), repeatedly takes
+    /// the closer of the two frontier rows until `k` neighbours were
+    /// emitted as `(distance, rank)`, distances non-decreasing. Rows at
+    /// rank `left..right` are excluded — the subject itself, or nothing
+    /// for an external query. Returns the final `(left, right)` frontier.
+    ///
+    /// The walk compares the raw gaps `me − v[left−1]` and `v[right] − me`.
+    /// Both are non-negative, and the distance is monotone in them, so the
+    /// k smallest gaps are rows whose distances are the k smallest, and
+    /// come out in ascending order. A distance is taken only of the k gaps
+    /// emitted, as `gap_distance(gap)`: the gap is `±(me − v)` exactly, so
+    /// that is [`dist_1d`]`(me, v)` bit for bit. Where two gaps differ but
+    /// round to one distance, the walk may emit the other row than a
+    /// distance comparison would, at the same distance: ρ sums the same
+    /// values, and local competition pulls in every row tied at the
+    /// boundary before it selects. The side to take is selected, not
+    /// branched on, so the walk does not hinge on a coin-flip prediction.
+    ///
+    /// Every caller clamps `k` to the rows outside `left..right`.
+    fn walk(
+        &self,
+        me: f64,
+        left: usize,
+        right: usize,
+        k: usize,
+        mut emit: impl FnMut(f64, usize),
+    ) -> (usize, usize) {
+        let values = &self.values;
+        let n = values.len();
+        let (mut left, mut right) = (left, right);
+        for _ in 0..k {
+            let below = if left > 0 {
+                me - values[left - 1]
+            } else {
+                f64::INFINITY
+            };
+            let above = if right < n {
+                values[right] - me
+            } else {
+                f64::INFINITY
+            };
+            let down = left > 0 && below <= above;
+            let gap = if down { below } else { above };
+            left -= usize::from(down);
+            right += usize::from(!down);
+            emit(gap_distance(gap), if down { left } else { right - 1 });
+        }
+        (left, right)
+    }
+
+    /// ρ(x) of the row at sorted rank `pos` among `n ≥ 2` rows, with `k`
+    /// already clamped to `n − 1`.
+    fn novelty_at(&self, pos: usize, k: usize) -> f64 {
+        let me = self.values[pos];
+        // The walk emits the k smallest distances in ascending order:
+        // `mean_of_k_smallest`'s summation order, unsorted.
+        let mut sum = 0.0;
+        self.walk(me, pos, pos + 1, k, |d, _| sum += d);
+        sum / k as f64
+    }
 }
 
 /// The per-generation kNN index over one reference set: prepare once,
 /// score many.
 pub struct PreparedIndex<'a> {
     reference: &'a BehaviourMatrix,
-    /// `Some` on the sorted-scan path, `None` on the exhaustive scan.
-    sorted: Option<SortedOrder>,
+    /// `true` on the sorted-scan path, `false` on the exhaustive scan.
+    sorted: bool,
+    buffers: IndexBuffers,
 }
 
 impl<'a> PreparedIndex<'a> {
@@ -67,27 +184,29 @@ impl<'a> PreparedIndex<'a> {
     /// bit-identity contract. Finite descriptors are the engines'
     /// contract anyway (fitness is asserted finite at evaluation).
     pub fn new(reference: &'a BehaviourMatrix) -> Self {
-        let sorted = (reference.dim() == 1 && !reference.is_empty()).then(|| {
-            assert!(
-                reference.as_flat().iter().all(|v| v.is_finite()),
-                "sorted-scan requires finite behaviour values"
-            );
-            let rows = reference.as_flat().iter().zip(0u32..);
-            let mut pairs: Vec<(f64, u32)> = rows.map(|(&v, row)| (v, row)).collect();
-            // Total order (value, index): deterministic under ties.
-            pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let (values, order): (Vec<f64>, Vec<u32>) = pairs.into_iter().unzip();
-            let mut position = vec![0u32; reference.len()];
-            for (rank, &row) in order.iter().enumerate() {
-                position[row as usize] = rank as u32;
-            }
-            SortedOrder {
-                order,
-                values,
-                position,
-            }
-        });
-        PreparedIndex { reference, sorted }
+        Self::with_buffers(reference, IndexBuffers::default())
+    }
+
+    /// [`PreparedIndex::new`] built in `buffers`, which the index keeps
+    /// until [`PreparedIndex::into_buffers`] hands them back.
+    ///
+    /// # Panics
+    /// As [`PreparedIndex::new`].
+    pub fn with_buffers(reference: &'a BehaviourMatrix, mut buffers: IndexBuffers) -> Self {
+        let sorted = reference.dim() == 1 && !reference.is_empty();
+        if sorted {
+            buffers.sort(reference.as_flat());
+        }
+        PreparedIndex {
+            reference,
+            sorted,
+            buffers,
+        }
+    }
+
+    /// The buffers the index was built in, for the next generation's.
+    pub fn into_buffers(self) -> IndexBuffers {
+        self.buffers
     }
 
     /// The reference set this index was built over.
@@ -98,41 +217,43 @@ impl<'a> PreparedIndex<'a> {
     /// ρ(x) of reference row `subject` against all other rows —
     /// bit-identical to [`crate::novelty::novelty_score`].
     pub fn novelty_of(&self, subject: usize, k: usize) -> f64 {
-        self.novelty_of_with(subject, k, &mut Vec::new())
-    }
-
-    /// [`PreparedIndex::novelty_of`] with a caller-owned distance scratch
-    /// buffer (reused across a chunk of subjects).
-    pub fn novelty_of_with(&self, subject: usize, k: usize, scratch: &mut Vec<f64>) -> f64 {
         assert!(
             subject < self.reference.len(),
             "subject index out of bounds"
         );
         assert!(k > 0, "k must be positive");
-        scratch.clear();
-        match &self.sorted {
-            Some(sorted) => {
-                let n = self.reference.len();
-                if n <= 1 {
-                    return f64::MAX; // no neighbours: the sentinel of the reference path
-                }
-                let k = k.min(n - 1);
-                let pos = sorted.position[subject] as usize;
-                let me = sorted.values[pos];
-                // The walk emits the k smallest distances in ascending
-                // order: `mean_of_k_smallest`'s summation order, unsorted.
-                let mut sum = 0.0;
-                self.merge_nearest_1d(sorted, me, pos, pos + 1, k, |d, _| sum += d);
-                sum / k as f64
+        if !self.sorted {
+            return exhaustive_novelty(self.reference, subject, k, &mut Vec::new());
+        }
+        let n = self.reference.len();
+        if n <= 1 {
+            return f64::MAX; // no neighbours: the sentinel of the reference path
+        }
+        let sorted = &self.buffers;
+        sorted.novelty_at(sorted.position[subject] as usize, k.min(n - 1))
+    }
+
+    /// ρ(x) of reference rows `0..out.len()` into `out`, in one pass over
+    /// the subjects — [`PreparedIndex::novelty_of`] for each, with the
+    /// scratch in the index's buffers.
+    ///
+    /// # Panics
+    /// Panics when `out` is longer than the reference or `k == 0`.
+    pub fn novelty_scores_into(&mut self, k: usize, out: &mut [f64]) {
+        let n = self.reference.len();
+        assert!(out.len() <= n, "subjects must be reference rows");
+        assert!(k > 0, "k must be positive");
+        let buffers = &mut self.buffers;
+        if !self.sorted {
+            for (subject, rho) in out.iter_mut().enumerate() {
+                *rho = exhaustive_novelty(self.reference, subject, k, &mut buffers.distances);
             }
-            None => {
-                let me = self.reference.row(subject);
-                for (j, row) in self.reference.rows().enumerate() {
-                    if j != subject {
-                        scratch.push(behaviour_distance(me, row));
-                    }
-                }
-                mean_of_k_smallest(scratch, k)
+        } else if n <= 1 {
+            out.fill(f64::MAX);
+        } else {
+            let k = k.min(n - 1);
+            for (rho, &pos) in out.iter_mut().zip(&buffers.position) {
+                *rho = buffers.novelty_at(pos as usize, k);
             }
         }
     }
@@ -149,25 +270,21 @@ impl<'a> PreparedIndex<'a> {
             self.reference.is_empty() || behaviour.len() == self.reference.dim(),
             "behaviour descriptors must have equal dimension"
         );
-        match &self.sorted {
-            Some(sorted) => {
-                let n = self.reference.len();
-                let k = k.min(n);
-                let x = behaviour[0];
-                // First sorted rank whose value is >= x: the walk starts at
-                // the insertion point, with no row excluded.
-                let start = sorted.values.partition_point(|&v| v < x);
-                let mut sum = 0.0;
-                self.merge_nearest_1d(sorted, x, start, start, k, |d, _| sum += d);
-                sum / k as f64
-            }
-            None => {
-                let rows = self.reference.rows();
-                let mut scratch: Vec<f64> =
-                    rows.map(|row| behaviour_distance(behaviour, row)).collect();
-                mean_of_k_smallest(&mut scratch, k)
-            }
+        if !self.sorted {
+            let rows = self.reference.rows();
+            let mut scratch: Vec<f64> =
+                rows.map(|row| behaviour_distance(behaviour, row)).collect();
+            return mean_of_k_smallest(&mut scratch, k);
         }
+        let sorted = &self.buffers;
+        let k = k.min(self.reference.len());
+        let x = behaviour[0];
+        // First sorted rank whose value is >= x: the walk starts at the
+        // insertion point, with no row excluded.
+        let start = sorted.values.partition_point(|&v| v < x);
+        let mut sum = 0.0;
+        sorted.walk(x, start, start, k, |d, _| sum += d);
+        sum / k as f64
     }
 
     /// Local-competition score of reference row `subject` — bit-identical
@@ -190,106 +307,125 @@ impl<'a> PreparedIndex<'a> {
             "one fitness per behaviour"
         );
         assert!(k > 0, "k must be positive");
-        let n = self.reference.len();
-        if n <= 1 {
-            return 1.0; // no niche: trivially dominant
-        }
-        let k = k.min(n - 1);
-        scratch.clear();
-        match &self.sorted {
-            Some(sorted) => {
-                let me = self.reference.row(subject)[0];
-                let pos = sorted.position[subject] as usize;
-                let (mut left, mut right) =
-                    self.merge_nearest_1d(sorted, me, pos, pos + 1, k, |d, row| {
-                        scratch.push((d, row))
-                    });
-                // The walk emits non-decreasing distances, so the k-th
-                // neighbour distance is the last one. Distance ties
-                // straddling that boundary must resolve by the canonical
-                // (distance, index) order, not by walk direction: pull in
-                // *every* remaining candidate at exactly that distance,
-                // then select and cut.
-                let boundary = scratch[k - 1].0;
-                while left > 0 {
-                    let row = sorted.order[left - 1] as usize;
-                    let d = dist_1d(me, sorted.values[left - 1]);
-                    if d != boundary {
-                        break;
-                    }
-                    scratch.push((d, row));
-                    left -= 1;
-                }
-                while right < n {
-                    let row = sorted.order[right] as usize;
-                    let d = dist_1d(me, sorted.values[right]);
-                    if d != boundary {
-                        break;
-                    }
-                    scratch.push((d, row));
-                    right += 1;
-                }
-            }
-            None => {
-                let me = self.reference.row(subject);
-                for (j, row) in self.reference.rows().enumerate() {
-                    if j != subject {
-                        scratch.push((behaviour_distance(me, row), j));
-                    }
-                }
-            }
-        }
-        // (distance, index) is a strict total order, so partial selection
-        // of the first k determines a unique niche set — no full sort
-        // needed (the tally is order-independent).
-        if scratch.len() > k {
-            scratch.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        }
-        beaten_fraction(&scratch[..k], fitnesses, fitnesses[subject])
+        let sorted = self.sorted.then_some(&self.buffers);
+        local_competition(self.reference, sorted, subject, fitnesses, k, scratch)
     }
 
-    /// The 1-D two-pointer neighbour walk: starting with the candidate
-    /// ranks `left - 1` (downward) and `right` (upward), repeatedly takes
-    /// the closer of the two frontier rows until `k` neighbours were
-    /// emitted (distances come out non-decreasing). Rows at rank
-    /// `left..right` are excluded — the subject itself, or nothing for an
-    /// external query. Returns the final `(left, right)` frontier.
-    fn merge_nearest_1d(
-        &self,
-        sorted: &SortedOrder,
-        me: f64,
-        left: usize,
-        right: usize,
-        k: usize,
-        mut emit: impl FnMut(f64, usize),
-    ) -> (usize, usize) {
-        let n = self.reference.len();
-        let (mut left, mut right) = (left, right);
-        for _ in 0..k {
-            let down = (left > 0).then(|| dist_1d(me, sorted.values[left - 1]));
-            let up = (right < n).then(|| dist_1d(me, sorted.values[right]));
-            match (down, up) {
-                (Some(d), Some(u)) if d <= u => {
-                    left -= 1;
-                    emit(d, sorted.order[left] as usize);
+    /// Local-competition scores of reference rows `0..out.len()` into
+    /// `out` — [`PreparedIndex::local_competition_of_with`] for each, with
+    /// the scratch in the index's buffers.
+    ///
+    /// # Panics
+    /// Panics when `out` is longer than the reference, on a fitness-length
+    /// mismatch, or `k == 0`.
+    pub fn local_competition_scores_into(&mut self, fitnesses: &[f64], k: usize, out: &mut [f64]) {
+        assert!(
+            out.len() <= self.reference.len(),
+            "subjects must be reference rows"
+        );
+        assert_eq!(
+            self.reference.len(),
+            fitnesses.len(),
+            "one fitness per behaviour"
+        );
+        assert!(k > 0, "k must be positive");
+        let mut scratch = std::mem::take(&mut self.buffers.neighbours);
+        let sorted = self.sorted.then_some(&self.buffers);
+        for (subject, lc) in out.iter_mut().enumerate() {
+            *lc = local_competition(self.reference, sorted, subject, fitnesses, k, &mut scratch);
+        }
+        self.buffers.neighbours = scratch;
+    }
+}
+
+/// ρ(x) of reference row `subject` by the exhaustive scan.
+fn exhaustive_novelty(
+    reference: &BehaviourMatrix,
+    subject: usize,
+    k: usize,
+    scratch: &mut Vec<f64>,
+) -> f64 {
+    scratch.clear();
+    let me = reference.row(subject);
+    for (j, row) in reference.rows().enumerate() {
+        if j != subject {
+            scratch.push(behaviour_distance(me, row));
+        }
+    }
+    mean_of_k_smallest(scratch, k)
+}
+
+/// The local-competition score of reference row `subject`: over the 1-D
+/// walk of `sorted` when given, the exhaustive scan otherwise. The
+/// arguments are checked by the caller.
+fn local_competition(
+    reference: &BehaviourMatrix,
+    sorted: Option<&IndexBuffers>,
+    subject: usize,
+    fitnesses: &[f64],
+    k: usize,
+    scratch: &mut Vec<(f64, usize)>,
+) -> f64 {
+    let n = reference.len();
+    if n <= 1 {
+        return 1.0; // no niche: trivially dominant
+    }
+    let k = k.min(n - 1);
+    scratch.clear();
+    match sorted {
+        Some(sorted) => {
+            let me = reference.row(subject)[0];
+            let pos = sorted.position[subject] as usize;
+            let (mut left, mut right) = sorted.walk(me, pos, pos + 1, k, |d, rank| {
+                scratch.push((d, sorted.row(rank)));
+            });
+            // The walk emits non-decreasing distances, so the k-th
+            // neighbour distance is the last one. Distance ties
+            // straddling that boundary must resolve by the canonical
+            // (distance, index) order, not by walk direction: pull in
+            // *every* remaining candidate at exactly that distance,
+            // then select and cut.
+            let boundary = scratch[k - 1].0;
+            while left > 0 {
+                let d = dist_1d(me, sorted.values[left - 1]);
+                if d != boundary {
+                    break;
                 }
-                (_, Some(u)) => {
-                    emit(u, sorted.order[right] as usize);
-                    right += 1;
+                scratch.push((d, sorted.row(left - 1)));
+                left -= 1;
+            }
+            while right < n {
+                let d = dist_1d(me, sorted.values[right]);
+                if d != boundary {
+                    break;
                 }
-                (Some(d), None) => {
-                    left -= 1;
-                    emit(d, sorted.order[left] as usize);
-                }
-                #[expect(
-                    clippy::unreachable,
-                    reason = "every caller clamps k to the rows left to visit, so while fewer than k are emitted one side still has one"
-                )]
-                (None, None) => unreachable!("k is clamped to the neighbour count"),
+                scratch.push((d, sorted.row(right)));
+                right += 1;
             }
         }
-        (left, right)
+        None => {
+            let me = reference.row(subject);
+            for (j, row) in reference.rows().enumerate() {
+                if j != subject {
+                    scratch.push((behaviour_distance(me, row), j));
+                }
+            }
+        }
     }
+    // (distance, index) is a strict total order, so partial selection
+    // of the first k determines a unique niche set — no full sort
+    // needed (the tally is order-independent).
+    if scratch.len() > k {
+        scratch.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    }
+    beaten_fraction(&scratch[..k], fitnesses, fitnesses[subject])
+}
+
+/// The 1-D distance of a gap `g = ±(a − b)`: `dist_1d(a, b)` bit for bit,
+/// since negation is exact and `(−x)·(−x) = x·x`.
+#[inline]
+fn gap_distance(gap: f64) -> f64 {
+    (gap * gap).sqrt()
 }
 
 /// 1-D behaviour distance, written as the exact expression
@@ -321,38 +457,18 @@ impl NoveltyEngine {
         subjects: usize,
         k: usize,
     ) -> Vec<f64> {
-        self.novelty_scores_prepared(&PreparedIndex::new(reference), subjects, k)
-    }
-
-    /// [`NoveltyEngine::novelty_scores`] over an already-prepared index —
-    /// the entry point for callers that score several batches (ρ and
-    /// local competition) against one generation's noveltySet without
-    /// rebuilding the index each time.
-    ///
-    /// # Panics
-    /// Panics when `subjects` exceeds the prepared reference's rows or
-    /// `k == 0`.
-    pub fn novelty_scores_prepared(
-        &self,
-        prepared: &PreparedIndex<'_>,
-        subjects: usize,
-        k: usize,
-    ) -> Vec<f64> {
         assert!(
-            subjects <= prepared.reference().len(),
+            subjects <= reference.len(),
             "subjects must be reference rows"
         );
-        assert!(k > 0, "k must be positive");
-        let mut scratch = Vec::new();
-        (0..subjects)
-            .map(|i| prepared.novelty_of_with(i, k, &mut scratch))
-            .collect()
+        let mut scores = vec![0.0; subjects];
+        PreparedIndex::new(reference).novelty_scores_into(k, &mut scores);
+        scores
     }
 
     /// Local-competition scores of reference rows `0..subjects` over an
-    /// already-prepared index, batched like
-    /// [`NoveltyEngine::novelty_scores_prepared`]; `result[i]` is
-    /// bit-identical to `local_competition_score(i, rows, fitnesses, k)`.
+    /// already-prepared index; `result[i]` is bit-identical to
+    /// `local_competition_score(i, rows, fitnesses, k)`.
     ///
     /// # Panics
     /// Panics when `subjects` exceeds the prepared reference's rows, on a
@@ -396,17 +512,15 @@ mod tests {
     fn exhaustive(m: &BehaviourMatrix) -> PreparedIndex<'_> {
         PreparedIndex {
             reference: m,
-            sorted: None,
+            sorted: false,
+            buffers: IndexBuffers::default(),
         }
     }
 
     /// Both index paths over one 1-D reference.
     fn both_paths(m: &BehaviourMatrix) -> [(&'static str, PreparedIndex<'_>); 2] {
         let picked = PreparedIndex::new(m);
-        assert!(
-            picked.sorted.is_some(),
-            "1-D data must pick the sorted scan"
-        );
+        assert!(picked.sorted, "1-D data must pick the sorted scan");
         [("sorted-scan", picked), ("exhaustive", exhaustive(m))]
     }
 
@@ -414,7 +528,7 @@ mod tests {
     fn sorted_scan_matches_reference_on_paper_example() {
         let m = matrix_1d(&[0.5, 0.4, 0.7, 0.9]);
         let prepared = PreparedIndex::new(&m);
-        assert!(prepared.sorted.is_some());
+        assert!(prepared.sorted);
         assert!((prepared.novelty_of(0, 2) - 0.15).abs() < 1e-15);
         let rows = m.to_rows();
         for i in 0..4 {
@@ -436,7 +550,7 @@ mod tests {
     fn sorted_scan_falls_back_to_brute_force_beyond_1d() {
         let m = BehaviourMatrix::from_rows(&[[0.1, 0.9], [0.2, 0.8], [0.9, 0.1]]);
         let prepared = PreparedIndex::new(&m);
-        assert!(prepared.sorted.is_none());
+        assert!(!prepared.sorted);
         let rows = m.to_rows();
         for i in 0..3 {
             assert_eq!(prepared.novelty_of(i, 1), novelty_score(i, &rows, 1));
@@ -488,13 +602,9 @@ mod tests {
         let fits: Vec<f64> = (0..8).map(|i| (i as f64) / 7.0).collect();
         let rows = m.to_rows();
         let engine = NoveltyEngine;
-        let [(_, picked), _] = both_paths(&m);
-        assert_eq!(
-            engine.novelty_scores(&m, 8, 3),
-            engine.novelty_scores_prepared(&picked, 8, 3)
-        );
-        for (path, prepared) in both_paths(&m) {
-            let rho = engine.novelty_scores_prepared(&prepared, 8, 3);
+        for (path, mut prepared) in both_paths(&m) {
+            let mut rho = vec![0.0; 8];
+            prepared.novelty_scores_into(3, &mut rho);
             let lc = engine.local_competition_scores_prepared(&prepared, &fits, 8, 3);
             for i in 0..8 {
                 assert_eq!(rho[i], novelty_score(i, &rows, 3), "{path} rho {i}");

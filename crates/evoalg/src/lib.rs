@@ -60,9 +60,20 @@ pub use de::{DeConfig, DeEngine};
 pub use engine::{Engine, GenStats, Scheme};
 pub use ga::{GaConfig, GaEngine};
 pub use individual::{Individual, Population};
-pub use knn::{NoveltyEngine, PreparedIndex};
+pub use knn::{IndexBuffers, NoveltyEngine, PreparedIndex};
 pub use matrix::{BehaviourMatrix, GenomeMatrix};
 pub use novelty::{novelty_score, novelty_score_external, NoveltyArchive};
+pub use selection::ElitistRanking;
+
+/// `x`'s bits, mapped so that unsigned integer order is `f64::total_cmp`
+/// order: a negative value's bits are all flipped, a positive value's
+/// sign bit is set. The sorts of the master pack it into one integer key
+/// with a row index, so one integer comparison is the `(value, index)`
+/// comparison.
+pub(crate) fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
 
 /// Batch fitness evaluation: maps a slice of genomes to their fitness
 /// values, in order. Implemented by closures and by the parallel evaluators

@@ -11,14 +11,36 @@ pub fn one_point_crossover<R: Rng + ?Sized>(
     b: &[f64],
     rng: &mut R,
 ) -> (Vec<f64>, Vec<f64>) {
+    let (mut c1, mut c2) = (Vec::new(), Vec::new());
+    one_point_crossover_into(a, b, &mut c1, &mut c2, rng);
+    (c1, c2)
+}
+
+/// [`one_point_crossover`] into caller-owned children: `c1` and `c2` are
+/// overwritten (keeping their allocations), with the same draw.
+///
+/// # Panics
+/// Panics when parents differ in length or have fewer than 2 genes.
+pub fn one_point_crossover_into<R: Rng + ?Sized>(
+    a: &[f64],
+    b: &[f64],
+    c1: &mut Vec<f64>,
+    c2: &mut Vec<f64>,
+    rng: &mut R,
+) {
     assert_eq!(a.len(), b.len(), "crossover parents must have equal length");
     assert!(a.len() >= 2, "one-point crossover needs at least two genes");
     let cut = rng.random_range(1..a.len());
-    let mut c1 = a.to_vec();
-    let mut c2 = b.to_vec();
+    copy_genes(c1, a);
+    copy_genes(c2, b);
     c1[cut..].copy_from_slice(&b[cut..]);
     c2[cut..].copy_from_slice(&a[cut..]);
-    (c1, c2)
+}
+
+/// Overwrites `child` with `parent`'s genes, keeping `child`'s allocation.
+pub fn copy_genes(child: &mut Vec<f64>, parent: &[f64]) {
+    child.clear();
+    child.extend_from_slice(parent);
 }
 
 /// Uniform-reset mutation: each gene is independently resampled uniformly

@@ -71,11 +71,55 @@ impl<'a> RouletteWheel<'a> {
 /// Ties resolve in favour of `a` (the incumbent population), making
 /// replacement stable — important for reproducibility across platforms.
 pub fn elitist_merge_indices(a: &[f64], b: &[f64], capacity: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..a.len() + b.len()).collect();
-    let score = |i: usize| if i < a.len() { a[i] } else { b[i - a.len()] };
-    idx.sort_by(|&x, &y| score(y).total_cmp(&score(x)).then(x.cmp(&y)));
-    idx.truncate(capacity);
-    idx
+    let mut ranking = ElitistRanking::default();
+    ranking.rank(a.iter().chain(b).copied());
+    ranking.order().take(capacity).collect()
+}
+
+/// The elitist order of one generation's members, sorted in a buffer the
+/// caller keeps: best score first, equal scores by ascending index —
+/// exactly the order a stable sort by descending `total_cmp` gives.
+///
+/// Each member is one packed integer key, its score's order-preserving
+/// bits inverted above its index, so the sort compares integers and
+/// needs no stability: no two keys are equal.
+#[derive(Debug, Clone, Default)]
+pub struct ElitistRanking {
+    keys: Vec<u128>,
+}
+
+impl ElitistRanking {
+    /// Ranks `scores`, member `i` being the `i`-th score.
+    pub fn rank(&mut self, scores: impl IntoIterator<Item = f64>) {
+        let scores = scores.into_iter();
+        self.keys.clear();
+        self.keys.reserve(scores.size_hint().0);
+        for (score, index) in scores.zip(0u32..) {
+            let descending = !crate::total_order_bits(score);
+            self.keys
+                .push(u128::from(descending) << 32 | u128::from(index));
+        }
+        self.keys.sort_unstable();
+    }
+
+    /// The member indices, best first.
+    pub fn order(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.keys.iter().map(|&key| key as u32 as usize)
+    }
+
+    /// Moves `column`, one entry per ranked member, into rank order:
+    /// entry `r` afterwards is the one that stood at the `r`-th index of
+    /// [`ElitistRanking::order`]. `spare` is the scratch the move goes
+    /// through; it is left empty, keeping its allocation.
+    ///
+    /// # Panics
+    /// Panics when `column` holds fewer entries than were ranked.
+    pub fn permute<T: Default>(&self, column: &mut Vec<T>, spare: &mut Vec<T>) {
+        spare.clear();
+        spare.extend(self.order().map(|i| std::mem::take(&mut column[i])));
+        std::mem::swap(column, spare);
+        spare.clear();
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +188,20 @@ mod tests {
         let a = [0.5];
         let b = [0.5];
         assert_eq!(elitist_merge_indices(&a, &b, 1), vec![0]);
+    }
+
+    #[test]
+    fn ranking_is_the_stable_descending_sort_and_permutes_columns() {
+        let scores = [0.5, -0.0, 0.9, 0.0, 0.5, f64::MIN, 0.9];
+        let mut stable: Vec<usize> = (0..scores.len()).collect();
+        stable.sort_by(|&x, &y| scores[y].total_cmp(&scores[x]));
+        let mut ranking = ElitistRanking::default();
+        ranking.rank(scores);
+        assert_eq!(ranking.order().collect::<Vec<_>>(), stable);
+        let mut column: Vec<Vec<usize>> = (0..scores.len()).map(|i| vec![i]).collect();
+        ranking.permute(&mut column, &mut Vec::new());
+        let moved: Vec<usize> = column.iter().map(|v| v[0]).collect();
+        assert_eq!(moved, stable);
     }
 
     #[test]

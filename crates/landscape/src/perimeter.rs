@@ -29,34 +29,23 @@ pub struct ShapeStats {
 
 /// Extracts the perimeter cells of a fire line: burned cells with at least
 /// one unburned 4-neighbour, or touching the map edge (the front may run
-/// off-map).
+/// off-map). Row-major, and only the burned cells are visited.
 pub fn perimeter_cells(line: &FireLine) -> Vec<(usize, usize)> {
-    let rows = line.rows();
-    let cols = line.cols();
-    let mut out = Vec::new();
-    for r in 0..rows {
-        for c in 0..cols {
-            if !line.is_burned(r, c) {
-                continue;
-            }
-            let on_edge = r == 0 || c == 0 || r == rows - 1 || c == cols - 1;
-            let has_unburned_side =
-                [(-1isize, 0isize), (1, 0), (0, -1), (0, 1)]
-                    .iter()
-                    .any(|&(dr, dc)| {
-                        let (nr, nc) = (r as isize + dr, c as isize + dc);
-                        nr >= 0
-                            && nc >= 0
-                            && (nr as usize) < rows
-                            && (nc as usize) < cols
-                            && !line.is_burned(nr as usize, nc as usize)
-                    });
-            if on_edge || has_unburned_side {
-                out.push((r, c));
-            }
-        }
-    }
-    out
+    let (rows, cols) = (line.rows(), line.cols());
+    let unburned = |r: usize, c: usize| !line.is_burned(r, c);
+    line.burned_indices()
+        .map(|i| (i / cols, i % cols))
+        .filter(|&(r, c)| {
+            r == 0
+                || c == 0
+                || r == rows - 1
+                || c == cols - 1
+                || unburned(r - 1, c)
+                || unburned(r + 1, c)
+                || unburned(r, c - 1)
+                || unburned(r, c + 1)
+        })
+        .collect()
 }
 
 /// Computes the shape statistics of a burned region.

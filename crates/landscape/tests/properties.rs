@@ -4,7 +4,7 @@
 //! raster smaller than one word, an exact word row, rows that straddle
 //! words and a tail word.
 
-use landscape::{jaccard, FireLine, Grid, IgnitionMap, ProbabilityMap, UNIGNITED};
+use landscape::{jaccard, perimeter_cells, FireLine, Grid, IgnitionMap, ProbabilityMap, UNIGNITED};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -480,6 +480,48 @@ fn bit_packed_lines_are_their_byte_masks() {
                 );
                 let got = (got.hits, got.false_alarms, got.misses, got.excluded);
                 assert_eq!(got, want, "seed {seed} kign {kign}");
+            }
+        }
+    }
+}
+
+/// The perimeter walk over the burned cells finds, in row-major order,
+/// exactly what a scan of every cell finds: burned cells on the map's
+/// edge or beside an unburned 4-neighbour. Each shape is drawn sparse,
+/// half full and nearly full, so rows that straddle words hold both
+/// interior and front cells.
+#[test]
+fn perimeter_walk_is_the_full_scan() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E71);
+        for (rows, cols) in SHAPES {
+            for density in [0.1, 0.5, 0.9] {
+                let line = FireLine::from_fn(rows, cols, |_, _| rng.random::<f64>() < density);
+                let burned = |r: isize, c: isize| {
+                    r >= 0
+                        && c >= 0
+                        && (r as usize) < rows
+                        && (c as usize) < cols
+                        && line.is_burned(r as usize, c as usize)
+                };
+                let mut expected = Vec::new();
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let (ri, ci) = (r as isize, c as isize);
+                        let on_edge = r == 0 || c == 0 || r == rows - 1 || c == cols - 1;
+                        let beside_unburned = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+                            .iter()
+                            .any(|&(dr, dc)| !burned(ri + dr, ci + dc));
+                        if line.is_burned(r, c) && (on_edge || beside_unburned) {
+                            expected.push((r, c));
+                        }
+                    }
+                }
+                assert_eq!(
+                    perimeter_cells(&line),
+                    expected,
+                    "seed {seed}: {rows}x{cols} at density {density}"
+                );
             }
         }
     }

@@ -26,6 +26,12 @@
 //! and those fork through parworker's scoped fork/join, which allocates
 //! its chunk bag and spawns its threads.
 //!
+//! The search master is counted the same way, less the evaluator's own
+//! allocations: Algorithm 1 (`NoveltyGa::run`) at each registry scale's
+//! sizes must allocate exactly as often over 24 generations as over 12,
+//! so a warm generation allocates nothing. The GA and DE engines' counts
+//! are printed, not asserted.
+//!
 //! The binary holds one test, so nothing else runs while a window is
 //! measured.
 
@@ -37,6 +43,8 @@
 use essns_repro::ess::cases::{self, BurnCase};
 use essns_repro::ess::fitness::{EvalBackend, SharedScenarioPool, StepContext};
 use essns_repro::ess::stages::{distinct_members, statistical_stage_into};
+use essns_repro::ess_ns::{NoveltyGa, NoveltyGaConfig};
+use essns_repro::evoalg::{DeConfig, Engine, GaConfig, Scheme};
 use essns_repro::firelib::sim::centre_ignition;
 use essns_repro::firelib::{FireSim, Kernel, Scenario, ScenarioSpace, SimArena, Terrain};
 use essns_repro::landscape::{Grid, LevelHistogram};
@@ -215,12 +223,102 @@ fn fresh_streams(case: &BurnCase, kernel: Kernel) -> (usize, u64) {
     (allocating, total)
 }
 
+/// The population sizes of the registry's scales 0.25, 0.5, 1 and 4.
+const MASTER_SIZES: [usize; 4] = [8, 16, 32, 128];
+
+/// A zero-cost evaluator, and the allocations it made itself.
+struct ZeroCost {
+    own: u64,
+}
+
+impl ZeroCost {
+    fn evaluate(&mut self, genomes: &[Vec<f64>]) -> Vec<f64> {
+        let mut fitness = Vec::new();
+        self.own += allocations_in(|| {
+            fitness = genomes.iter().map(|g| 0.9 * g[0]).collect();
+        });
+        fitness
+    }
+}
+
+/// The allocations of one Algorithm 1 run of `generations` at population
+/// `n` (m = N, archive 2N, `bestSet` 3N/4), less the evaluator's own.
+fn novelty_ga_allocations(n: usize, generations: u32) -> u64 {
+    let ga = NoveltyGa::new(
+        9,
+        NoveltyGaConfig {
+            population_size: n,
+            offspring: n,
+            archive_capacity: 2 * n,
+            best_set_capacity: (n * 3 / 4).max(4),
+            max_generations: generations,
+            fitness_threshold: 2.0,
+            ..NoveltyGaConfig::default()
+        },
+    );
+    let mut zero_cost = ZeroCost { own: 0 };
+    let total = allocations_in(|| {
+        std::hint::black_box(ga.run(&mut |g: &[Vec<f64>]| zero_cost.evaluate(g)));
+    });
+    total - zero_cost.own
+}
+
+/// The allocations of an engine's initial evaluation and `generations`
+/// steps, less the evaluator's own.
+fn engine_allocations<S: Scheme>(scheme: S, generations: u32) -> u64 {
+    let mut zero_cost = ZeroCost { own: 0 };
+    let total = allocations_in(|| {
+        let mut engine = Engine::new(9, scheme);
+        let mut eval = |g: &[Vec<f64>]| zero_cost.evaluate(g);
+        engine.evaluate_initial(&mut eval);
+        for _ in 0..generations {
+            engine.step(&mut eval);
+        }
+        std::hint::black_box(engine);
+    });
+    total - zero_cost.own
+}
+
+/// The master's counts: Algorithm 1 asserted flat after warm-up, the GA
+/// and DE engines printed.
+fn the_search_masters() {
+    println!("search master allocations (evaluator's own excluded), 12 / 24 generations");
+    println!("  N  Algorithm 1          GaEngine          DeEngine");
+    for n in MASTER_SIZES {
+        let ns = [12, 24].map(|g| novelty_ga_allocations(n, g));
+        let ga = [12, 24].map(|g| {
+            let config = GaConfig {
+                population_size: n,
+                offspring: n,
+                ..GaConfig::default()
+            };
+            engine_allocations::<GaConfig>(config, g)
+        });
+        let de = [12, 24].map(|g| {
+            let config = DeConfig {
+                population_size: n,
+                ..DeConfig::default()
+            };
+            engine_allocations::<DeConfig>(config, g)
+        });
+        println!(
+            "{n:>3}  {:>7} / {:<7}  {:>7} / {:<7}  {:>7} / {:<7}",
+            ns[0], ns[1], ga[0], ga[1], de[0], de[1]
+        );
+        assert_eq!(
+            ns[0], ns[1],
+            "N = {n}: Algorithm 1 allocated in a warm generation"
+        );
+    }
+}
+
 #[test]
 fn a_repeated_stream_allocates_nothing() {
     let one = allocations_in(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(1))));
     assert_eq!(one, 1, "the counting allocator is not installed");
     let forked = evaluations_on_every_case();
     runs_from_a_fire_line();
+    the_search_masters();
     for name in [
         "meadow_small",
         "gusty_channel",
