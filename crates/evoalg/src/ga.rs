@@ -136,7 +136,7 @@ pub fn breed_into<P: AsRef<[f64]>>(
 
 /// Elitist replacement: the `n` best of `population ∪ offspring` by
 /// `score`, best first, ties in favour of the incumbent population (the
-/// order of [`crate::selection::elitist_merge_indices`], ranked by an
+/// order of a stable sort by descending score, ranked by an
 /// [`ElitistRanking`]). Survivors move out of the two populations
 /// uncloned; the rest drop with them.
 pub fn replace_by_score(

@@ -20,11 +20,12 @@
 //! caller scoring every generation keeps (Algorithm 1 does): its keys,
 //! values and positions, and the scans' scratch, are refilled in place.
 //! [`PreparedIndex::novelty_scores_into`] scores every subject in one pass
-//! into the caller's column.
-//!
-//! [`NoveltyEngine`] batches the per-subject scores in the master; the
-//! parallel hardware belongs to scenario evaluation, not to a noveltySet
-//! of a few hundred rows.
+//! into the caller's column, and
+//! [`PreparedIndex::local_competition_scores_into`] does the same for
+//! local competition; [`NoveltyEngine::novelty_scores`] is ρ's batch over
+//! fresh buffers, for one-shot callers. Both run in the master's thread:
+//! the parallel hardware belongs to scenario evaluation, not to a
+//! noveltySet of a few hundred rows.
 //!
 //! **Bit-identity guarantee.** Both index paths return exactly
 //! (`f64`-bit-equal) the values of the brute-force reference functions
@@ -437,8 +438,8 @@ fn dist_1d(a: f64, b: f64) -> f64 {
     ((a - b) * (a - b)).sqrt()
 }
 
-/// The batch novelty-scoring entry point: prepares the index once per
-/// generation and scores every subject against it, in the master.
+/// The one-shot batch novelty-scoring entry point: prepares an index in
+/// fresh buffers and scores every subject against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NoveltyEngine;
 
@@ -464,36 +465,6 @@ impl NoveltyEngine {
         let mut scores = vec![0.0; subjects];
         PreparedIndex::new(reference).novelty_scores_into(k, &mut scores);
         scores
-    }
-
-    /// Local-competition scores of reference rows `0..subjects` over an
-    /// already-prepared index; `result[i]` is bit-identical to
-    /// `local_competition_score(i, rows, fitnesses, k)`.
-    ///
-    /// # Panics
-    /// Panics when `subjects` exceeds the prepared reference's rows, on a
-    /// fitness-length mismatch, or `k == 0`.
-    pub fn local_competition_scores_prepared(
-        &self,
-        prepared: &PreparedIndex<'_>,
-        fitnesses: &[f64],
-        subjects: usize,
-        k: usize,
-    ) -> Vec<f64> {
-        assert!(
-            subjects <= prepared.reference().len(),
-            "subjects must be reference rows"
-        );
-        assert_eq!(
-            prepared.reference().len(),
-            fitnesses.len(),
-            "one fitness per behaviour"
-        );
-        assert!(k > 0, "k must be positive");
-        let mut scratch = Vec::new();
-        (0..subjects)
-            .map(|i| prepared.local_competition_of_with(i, fitnesses, k, &mut scratch))
-            .collect()
     }
 }
 
@@ -601,11 +572,10 @@ mod tests {
         let m = matrix_1d(&[0.31, 0.7, 0.7, 0.12, 0.94, 0.7, 0.02, 0.55]);
         let fits: Vec<f64> = (0..8).map(|i| (i as f64) / 7.0).collect();
         let rows = m.to_rows();
-        let engine = NoveltyEngine;
         for (path, mut prepared) in both_paths(&m) {
-            let mut rho = vec![0.0; 8];
+            let (mut rho, mut lc) = (vec![0.0; 8], vec![0.0; 8]);
             prepared.novelty_scores_into(3, &mut rho);
-            let lc = engine.local_competition_scores_prepared(&prepared, &fits, 8, 3);
+            prepared.local_competition_scores_into(&fits, 3, &mut lc);
             for i in 0..8 {
                 assert_eq!(rho[i], novelty_score(i, &rows, 3), "{path} rho {i}");
                 assert_eq!(

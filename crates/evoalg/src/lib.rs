@@ -30,7 +30,7 @@
 //! * [`knn`] — the batched novelty-scoring subsystem:
 //!   [`knn::PreparedIndex`] (sorted-scan kNN on 1-D behaviours, the
 //!   exhaustive scan otherwise — bit-identical to the reference functions
-//!   by construction) and [`knn::NoveltyEngine`] (the batch driver);
+//!   by construction) and [`knn::NoveltyEngine`] (its one-shot ρ batch);
 //! * [`bestset`] — the bounded max-fitness memory `bestSet` that
 //!   Algorithm 1 returns;
 //! * [`diversity`] — population diversity statistics (E2 of the experiment

@@ -178,22 +178,17 @@ pub struct ArchiveEntry {
 /// An offer costs what it decides. The archive caches the slot and novelty
 /// of its minimum, so an offer a full archive turns away is one
 /// comparison. A replacement, the one event that can move the minimum,
-/// overwrites the evicted entry's genes in place and replays one path of
-/// a tournament over the novelties: log₂ capacity comparisons, not a scan
-/// of every entry.
+/// overwrites the evicted entry's genes in place and rescans a column of
+/// the novelties' order-preserving bits for the new minimum: one integer
+/// comparison an entry.
 #[derive(Debug, Clone)]
 pub struct NoveltyArchive {
     capacity: usize,
     entries: Vec<ArchiveEntry>,
-    /// `entries[i].novelty` at index `i`: the column the tournament reads.
-    novelties: Vec<f64>,
-    /// A tournament over the novelty column, built when the archive
-    /// fills: the leaves are the slots at `width + slot` (`width` the
-    /// capacity rounded up to a power of two, padding leaves `u32::MAX`,
-    /// which lose every match), and node `i` holds the lesser of nodes
-    /// `2i` and `2i + 1` by `(novelty by total_cmp, slot)`. The root is
-    /// the first minimum.
-    tournament: Vec<u32>,
+    /// `entries[i].novelty`'s order-preserving bits at index `i`: the
+    /// column the minimum rescan reads, integers ordered as `total_cmp`
+    /// orders the novelties.
+    novelties: Vec<u64>,
     /// The stored behaviour descriptors, maintained *incrementally* in the
     /// flat layout the novelty computation consumes (row `i` ↔
     /// `entries[i]`): admissions push a row, replacements overwrite one, so
@@ -201,8 +196,8 @@ pub struct NoveltyArchive {
     /// of a per-entry `Vec<Vec<f64>>` clone.
     behaviours: BehaviourMatrix,
     /// Slot and novelty of the entry the next replacement evicts: the
-    /// first minimum by `total_cmp` ([`least_novel`]). `None` while the
-    /// archive has room; the tournament's root once it is full.
+    /// first minimum by `total_cmp` ([`NoveltyArchive::least_novel`]).
+    /// `None` while the archive has room.
     least: Option<(usize, f64)>,
 }
 
@@ -217,7 +212,6 @@ impl NoveltyArchive {
             capacity,
             entries: Vec::with_capacity(capacity),
             novelties: Vec::with_capacity(capacity),
-            tournament: Vec::new(),
             behaviours: BehaviourMatrix::new(),
             least: None,
         }
@@ -254,8 +248,7 @@ impl NoveltyArchive {
     ///   lowest slot holding the minimum is replaced.
     ///
     /// A rejection reads no entry; the admission that fills the archive
-    /// builds the tournament over its novelties, and a replacement replays
-    /// the replaced slot's path in it for the new minimum.
+    /// and every replacement rescan the novelty column for the minimum.
     pub fn offer(&mut self, genes: &[f64], behaviour: &[f64], novelty: f64, fitness: f64) -> bool {
         assert!(novelty >= 0.0, "novelty scores are non-negative");
         let Some((slot, least)) = self.least else {
@@ -264,26 +257,13 @@ impl NoveltyArchive {
                 novelty,
                 fitness,
             });
-            self.novelties.push(novelty);
+            self.novelties.push(crate::total_order_bits(novelty));
             self.behaviours.push(behaviour);
             if self.entries.len() == self.capacity {
-                let width = self.capacity.next_power_of_two();
-                self.tournament.resize(2 * width, u32::MAX);
-                for (leaf, slot) in self.tournament[width..].iter_mut().zip(0..self.capacity) {
-                    *leaf = slot as u32;
-                }
-                for node in (1..width).rev() {
-                    self.replay(node);
-                }
-                self.least = self.root();
+                self.least = self.least_novel();
             }
             return true;
         };
-        debug_assert_eq!(
-            self.least,
-            least_novel(&self.novelties),
-            "the cached minimum is the scanned one"
-        );
         if novelty <= least {
             return false;
         }
@@ -291,40 +271,18 @@ impl NoveltyArchive {
         crate::operators::copy_genes(&mut entry.genes, genes);
         entry.novelty = novelty;
         entry.fitness = fitness;
-        self.novelties[slot] = novelty;
+        self.novelties[slot] = crate::total_order_bits(novelty);
         self.behaviours.set_row(slot, behaviour);
-        let mut node = (self.tournament.len() / 2 + slot) / 2;
-        while node > 0 {
-            self.replay(node);
-            node /= 2;
-        }
-        self.least = self.root();
+        self.least = self.least_novel();
         true
     }
 
-    /// Replays the match at tournament node `node` from its two children.
-    fn replay(&mut self, node: usize) {
-        let (a, b) = (self.tournament[2 * node], self.tournament[2 * node + 1]);
-        let novelty = |slot: u32| self.novelties.get(slot as usize);
-        let b_wins = match (novelty(a), novelty(b)) {
-            (Some(x), Some(y)) => y.total_cmp(x).then(b.cmp(&a)).is_lt(),
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        self.tournament[node] = if b_wins { b } else { a };
+    /// Slot and novelty of the first minimum by `total_cmp` (`min_by_key`
+    /// keeps the first of equal minima), `None` when empty.
+    fn least_novel(&self) -> Option<(usize, f64)> {
+        let (slot, _) = (self.novelties.iter().enumerate()).min_by_key(|&(_, &key)| key)?;
+        Some((slot, self.entries[slot].novelty))
     }
-
-    /// Slot and novelty of the tournament's winner.
-    fn root(&self) -> Option<(usize, f64)> {
-        let slot = *self.tournament.get(1)? as usize;
-        Some((slot, *self.novelties.get(slot)?))
-    }
-}
-
-/// Slot and novelty of the first minimum by `total_cmp` (`min_by` keeps
-/// the first of equal minima), `None` when empty.
-fn least_novel(novelties: &[f64]) -> Option<(usize, f64)> {
-    (novelties.iter().copied().enumerate()).min_by(|a, b| a.1.total_cmp(&b.1))
 }
 
 #[cfg(test)]

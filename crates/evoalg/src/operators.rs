@@ -2,22 +2,9 @@
 
 use rand::Rng;
 
-/// One-point crossover: children swap tails after a random cut point.
-///
-/// # Panics
-/// Panics when parents differ in length or have fewer than 2 genes.
-pub fn one_point_crossover<R: Rng + ?Sized>(
-    a: &[f64],
-    b: &[f64],
-    rng: &mut R,
-) -> (Vec<f64>, Vec<f64>) {
-    let (mut c1, mut c2) = (Vec::new(), Vec::new());
-    one_point_crossover_into(a, b, &mut c1, &mut c2, rng);
-    (c1, c2)
-}
-
-/// [`one_point_crossover`] into caller-owned children: `c1` and `c2` are
-/// overwritten (keeping their allocations), with the same draw.
+/// One-point crossover into caller-owned children: `c1` and `c2` are
+/// overwritten (keeping their allocations) with the parents' genes, then
+/// swap tails after a random cut point.
 ///
 /// # Panics
 /// Panics when parents differ in length or have fewer than 2 genes.
@@ -134,7 +121,8 @@ mod tests {
     fn one_point_preserves_multiset_per_position() {
         let a = vec![0.1, 0.2, 0.3, 0.4];
         let b = vec![0.9, 0.8, 0.7, 0.6];
-        let (c1, c2) = one_point_crossover(&a, &b, &mut rng());
+        let (mut c1, mut c2) = (Vec::new(), Vec::new());
+        one_point_crossover_into(&a, &b, &mut c1, &mut c2, &mut rng());
         for i in 0..4 {
             let mut got = [c1[i], c2[i]];
             let mut want = [a[i], b[i]];

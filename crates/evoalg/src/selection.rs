@@ -64,18 +64,6 @@ impl<'a> RouletteWheel<'a> {
     }
 }
 
-/// Elitist replacement shared by the engines: keeps the `capacity` entries
-/// with the highest scores out of the concatenation of two score slices,
-/// returning indices into the virtual concatenation `[a, b]`.
-///
-/// Ties resolve in favour of `a` (the incumbent population), making
-/// replacement stable — important for reproducibility across platforms.
-pub fn elitist_merge_indices(a: &[f64], b: &[f64], capacity: usize) -> Vec<usize> {
-    let mut ranking = ElitistRanking::default();
-    ranking.rank(a.iter().chain(b).copied());
-    ranking.order().take(capacity).collect()
-}
-
 /// The elitist order of one generation's members, sorted in a buffer the
 /// caller keeps: best score first, equal scores by ascending index —
 /// exactly the order a stable sort by descending `total_cmp` gives.
@@ -174,20 +162,21 @@ mod tests {
         let _ = RouletteWheel::new(&[]);
     }
 
-    #[test]
-    fn elitist_merge_keeps_top() {
-        let a = [0.5, 0.1];
-        let b = [0.9, 0.3, 0.05];
-        let kept = elitist_merge_indices(&a, &b, 3);
-        // Scores by index: a0=0.5 a1=0.1 b→2:0.9 3:0.3 4:0.05
-        assert_eq!(kept, vec![2, 0, 3]);
+    /// The member indices of `scores`, best first.
+    fn ranked(scores: &[f64]) -> Vec<usize> {
+        let mut ranking = ElitistRanking::default();
+        ranking.rank(scores.iter().copied());
+        ranking.order().collect()
     }
 
     #[test]
-    fn elitist_merge_tie_prefers_incumbent() {
-        let a = [0.5];
-        let b = [0.5];
-        assert_eq!(elitist_merge_indices(&a, &b, 1), vec![0]);
+    fn ranking_puts_the_best_first() {
+        assert_eq!(ranked(&[0.5, 0.1, 0.9, 0.3, 0.05]), vec![2, 0, 3, 1, 4]);
+    }
+
+    #[test]
+    fn ranking_tie_prefers_the_lower_index() {
+        assert_eq!(ranked(&[0.5, 0.5]), vec![0, 1]);
     }
 
     #[test]
@@ -202,11 +191,5 @@ mod tests {
         ranking.permute(&mut column, &mut Vec::new());
         let moved: Vec<usize> = column.iter().map(|v| v[0]).collect();
         assert_eq!(moved, stable);
-    }
-
-    #[test]
-    fn elitist_merge_capacity_bounds() {
-        let kept = elitist_merge_indices(&[1.0], &[2.0], 10);
-        assert_eq!(kept.len(), 2);
     }
 }

@@ -57,7 +57,8 @@ fn crossover_closure() {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = genome(&mut rng, 9);
         let b = genome(&mut rng, 9);
-        let (c1, c2) = operators::one_point_crossover(&a, &b, &mut rng);
+        let (mut c1, mut c2) = (Vec::new(), Vec::new());
+        operators::one_point_crossover_into(&a, &b, &mut c1, &mut c2, &mut rng);
         for child in [&c1, &c2] {
             assert_eq!(child.len(), 9);
             assert!(child.iter().all(|g| (0.0..=1.0).contains(g)));
@@ -206,14 +207,10 @@ fn novelty_index_bit_identical_to_brute_force() {
                 "seed {seed}: {shape} ρ diverged (dims {dims}, k {k}, \
                  {subjects}+{archive} rows)"
             );
+            let mut lc = vec![0.0; subjects];
+            PreparedIndex::new(matrix).local_competition_scores_into(&fitnesses, k, &mut lc);
             assert_eq!(
-                engine.local_competition_scores_prepared(
-                    &PreparedIndex::new(matrix),
-                    &fitnesses,
-                    subjects,
-                    k
-                ),
-                expected_lc,
+                lc, expected_lc,
                 "seed {seed}: {shape} LC diverged (dims {dims}, k {k}, \
                  {subjects}+{archive} rows)"
             );
@@ -319,26 +316,22 @@ fn bestset_is_topk() {
     }
 }
 
-/// Elitist merge returns exactly `min(capacity, n)` indices, each valid
-/// and distinct.
+/// The packed-key ranking is the stable sort by descending score, over
+/// tie-heavy scores with both signed zeros.
 #[test]
-fn elitist_merge_valid() {
+fn elitist_ranking_is_the_stable_sort() {
+    let levels = [-0.0, 0.0, 0.25, 0.5, f64::MIN_POSITIVE, 1.0];
+    let mut ranking = selection::ElitistRanking::default();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a: Vec<f64> = (0..rng.random_range(0..20usize))
-            .map(|_| rng.random())
+        let scores: Vec<f64> = (0..rng.random_range(1..40usize))
+            .map(|_| levels[rng.random_range(0..levels.len())])
             .collect();
-        let b: Vec<f64> = (0..rng.random_range(1..20usize))
-            .map(|_| rng.random())
-            .collect();
-        let cap = rng.random_range(1..30usize);
-        let kept = selection::elitist_merge_indices(&a, &b, cap);
-        assert_eq!(kept.len(), cap.min(a.len() + b.len()));
-        let mut sorted = kept.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), kept.len(), "duplicate indices");
-        assert!(kept.iter().all(|&i| i < a.len() + b.len()));
+        let mut expected: Vec<usize> = (0..scores.len()).collect();
+        expected.sort_by(|&x, &y| scores[y].total_cmp(&scores[x]));
+        ranking.rank(scores.iter().copied());
+        let got: Vec<usize> = ranking.order().collect();
+        assert_eq!(got, expected, "seed {seed}: order differs on {scores:?}");
     }
 }
 
@@ -630,18 +623,18 @@ fn master_replacement_by_move_matches_replacement_by_clone() {
         let parents = population(&mut rng, 0..12);
         let offspring = population(&mut rng, 1..12);
         let n = rng.random_range(1..20usize);
-        let scores =
-            |p: &Population| -> Vec<f64> { p.members().iter().map(|m| m.fitness).collect() };
         let all: Vec<&Individual> = parents
             .members()
             .iter()
             .chain(offspring.members())
             .collect();
-        let expected: Vec<(Vec<f64>, f64)> =
-            selection::elitist_merge_indices(&scores(&parents), &scores(&offspring), n)
-                .into_iter()
-                .map(|i| (all[i].genes.clone(), all[i].fitness))
-                .collect();
+        // The replacement by clone: a stable sort by descending fitness,
+        // the first `n` indices cloned out.
+        let mut order: Vec<usize> = (0..all.len()).collect();
+        order.sort_by(|&x, &y| all[y].fitness.total_cmp(&all[x].fitness));
+        let expected: Vec<(Vec<f64>, f64)> = (order.into_iter().take(n))
+            .map(|i| (all[i].genes.clone(), all[i].fitness))
+            .collect();
         let got: Vec<(Vec<f64>, f64)> =
             replace_by_score(parents.clone(), offspring.clone(), |m| m.fitness, n)
                 .into_members()

@@ -9,7 +9,7 @@ use essns_repro::ess_ns::{
 };
 use evoalg::individual::{Individual, Population};
 use evoalg::novelty::{local_competition_score, novelty_score};
-use evoalg::operators::{one_point_crossover, uniform_mutation};
+use evoalg::operators::uniform_mutation;
 use evoalg::selection::RouletteWheel;
 use evoalg::{BestSet, NoveltyArchive};
 use rand::rngs::StdRng;
@@ -232,7 +232,11 @@ fn reference_run(
             let pa = &parents[wheel.spin(&mut rng)].genes;
             let pb = &parents[wheel.spin(&mut rng)].genes;
             let (mut c1, mut c2) = if rng.random::<f64>() < cfg.crossover_rate {
-                one_point_crossover(pa, pb, &mut rng)
+                let cut = rng.random_range(1..pa.len());
+                (
+                    [&pa[..cut], &pb[cut..]].concat(),
+                    [&pb[..cut], &pa[cut..]].concat(),
+                )
             } else {
                 (pa.clone(), pb.clone())
             };
