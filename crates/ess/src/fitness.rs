@@ -337,7 +337,10 @@ pub type SharedTask = (Arc<StepContext>, Arc<GenomeMatrix>, usize);
 /// stage tail's [`ProbabilityMap`]. Both are pure per-call scratch (every
 /// `simulate_arena` refills an arena, every fold clears the map's cover
 /// first), so keying by shape is sound even when tasks from different
-/// simulators interleave on one store.
+/// simulators interleave on one store. The map is not raster-sized: it
+/// holds a page of counts for each 1 024-cell chunk the shape's folds
+/// have burned (on `archipelago_xl`, a 9.4 kB directory and tens of
+/// pages, not a 4.8 MB grid).
 #[derive(Default)]
 struct ArenaCache {
     slots: Vec<Slot>,
@@ -408,8 +411,9 @@ pub const DEFAULT_INLINE_THRESHOLD: usize = 16;
 /// inline batches and, through [`SharedScenarioPool::with_spare`], a
 /// step's Statistical Stages — runs on the pool's one spare arena store,
 /// so a serial run keeps a single warm raster per grid shape, and the
-/// stage tail a single probability map per grid shape: no step builds or
-/// zeroes a raster-sized grid.
+/// stage tail a single probability map per grid shape, whose counts
+/// cover only the chunks its folds burned: no step builds or zeroes a
+/// raster-sized grid.
 pub struct SharedScenarioPool {
     inner: Mutex<DynSharedBackend>,
     /// The arena store lent to calling-thread work — with the stage
@@ -512,6 +516,9 @@ impl SharedScenarioPool {
     /// that shape. Both are scratch: whatever they held, every run refills
     /// what it reads, and [`crate::stages::statistical_stage_into`] clears
     /// the map's last fold (its cover, not the raster) before folding.
+    /// The map starts as its chunk directory and keeps each count chunk
+    /// a fold burns, so a repeated fold allocates nothing and the map
+    /// grows with the fires it has seen, never to a raster-sized grid.
     pub fn with_spare<R>(
         &self,
         sim: &FireSim,

@@ -15,6 +15,10 @@
 //! an earlier fold and is cleared over that fold's cover. No per-scenario
 //! arena, no burned-mask raster per scenario, no walk or zeroing of the
 //! raster: a step's two Statistical Stages cost what its result set burned.
+//! The map's memory follows the fire the same way: its counts live in
+//! page-sized chunks allocated where a fold first burns, so no count grid
+//! the size of the raster exists, in the pool's spare or in the fresh map
+//! [`statistical_stage`] builds.
 //! (The scenarios *are* re-simulated — the Optimization Stage keeps fitness
 //! values, not maps — but on a warm arena that is a few evaluations' worth
 //! of work.) In a run, the arena and the map are the spares of the step's

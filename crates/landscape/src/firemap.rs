@@ -107,16 +107,20 @@ pub(crate) fn pack<P>(cells: &[P], burned: impl Fn(&P) -> bool) -> u64 {
     bits.fold(0, |word, (i, p)| word | u64::from(burned(p)) << i)
 }
 
-/// The pieces of `range` that each lie in one word of a line: `(w, piece)`
-/// with `piece` inside cells `64 w .. 64 (w + 1)`, in order.
-pub(crate) fn word_pieces(range: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> {
+/// The pieces of `range` that each lie in one block of `WIDTH` cells:
+/// `(b, piece)` with `piece` inside cells `WIDTH b .. WIDTH (b + 1)`, in
+/// order — a line's words (`WIDTH` = [`WORD_CELLS`]) or a probability
+/// map's count chunks.
+pub(crate) fn pieces<const WIDTH: usize>(
+    range: Range<usize>,
+) -> impl Iterator<Item = (usize, Range<usize>)> {
     let mut start = range.start;
     std::iter::from_fn(move || {
         (start < range.end).then(|| {
-            let w = start / WORD_CELLS;
-            let piece = start..range.end.min((w + 1) * WORD_CELLS);
+            let b = start / WIDTH;
+            let piece = start..range.end.min((b + 1) * WIDTH);
             start = piece.end;
-            (w, piece)
+            (b, piece)
         })
     })
 }

@@ -4,9 +4,10 @@
 ///
 /// Rows index latitude (north → south), columns index longitude
 /// (west → east), matching the convention of fireLib's demo maps. The grid
-/// is the common currency of the whole workspace: terrain layers, ignition
-/// maps and probability matrices are all `Grid`s (a burned mask is a
-/// bit-packed [`crate::FireLine`]).
+/// is the common currency of the whole workspace: terrain layers and
+/// ignition maps are `Grid`s (a burned mask is a bit-packed
+/// [`crate::FireLine`], and a probability matrix keeps its counts in
+/// chunks, [`crate::ProbabilityMap`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid<T> {
     rows: usize,

@@ -13,7 +13,8 @@
 //!   its set operations, areas and Eq. (3) tallies work 64 cells at a time;
 //! * [`ProbabilityMap`] — the aggregated ignition-probability matrix built by
 //!   the Statistical Stage and thresholded by the Key Ignition Value, read
-//!   by the later stages through a [`LevelHistogram`];
+//!   by the later stages through a [`LevelHistogram`]; its counts live in
+//!   page-sized chunks allocated where the folded runs burned;
 //! * [`metrics::jaccard`] — the fitness function of Eq. (3), excluding
 //!   pre-burned cells;
 //! * [`synth`] — seeded procedural raster generators (noise fields, fuel

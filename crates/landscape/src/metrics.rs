@@ -1,6 +1,6 @@
 //! Map-comparison metrics — the fitness function of the ESS family.
 
-use crate::firemap::{pack, word_pieces, FireLine, IgnitionMap, WORD_CELLS};
+use crate::firemap::{pack, pieces, FireLine, IgnitionMap, WORD_CELLS};
 use std::ops::Range;
 
 /// Cell-level contingency counts behind a Jaccard evaluation.
@@ -138,7 +138,7 @@ pub fn tally_ranges<P>(
     );
     check_preburn(real, preburn);
     let mut tally = JaccardBreakdown::default();
-    for (w, piece) in ranges.into_iter().flat_map(word_pieces) {
+    for (w, piece) in ranges.into_iter().flat_map(pieces::<WORD_CELLS>) {
         let shift = piece.start % WORD_CELLS;
         let cells = &predicted[piece];
         // A whole word is a fixed-length chunk: vector compares.

@@ -15,22 +15,46 @@
 //! ([`ProbabilityMap::histogram_into`]) that bins the cells by count — at
 //! most `samples + 1` buckets — and every threshold's Eq. (3) is then
 //! integer arithmetic over the buckets
-//! ([`LevelHistogram::breakdown_where`]). The cost of a map, and of every
-//! question asked of it, follows the fire, not `rows × cols`. The dense
-//! [`ProbabilityMap::accumulate`] and [`ProbabilityMap::threshold`] remain
-//! as the whole-raster convenience the tests hold the fold against.
+//! ([`LevelHistogram::breakdown_where`]).
+//!
+//! The counts follow the fire too: they live in chunks of 1 024 cells of
+//! the row-major index (4 KiB, one page), and a chunk exists only once a
+//! fold has burned one of its cells. The fold, the clear and the cover
+//! walks take each range one chunk piece at a time, so they pay one
+//! directory read per piece, not per cell, and an absent chunk reads as
+//! zeros. No raster-sized count grid is ever
+//! allocated or zeroed: a map over an `archipelago_xl` raster (1.2 M
+//! cells) is a 9.4 kB directory plus a page for each chunk its fires
+//! reached. The cost of a map, and of every question asked of it, follows
+//! the fire, not `rows × cols`. The dense [`ProbabilityMap::accumulate`]
+//! and [`ProbabilityMap::threshold`] remain as the whole-raster
+//! convenience the tests hold the fold against.
 
-use crate::firemap::{word_pieces, FireLine, WORD_CELLS};
-use crate::grid::Grid;
+use crate::firemap::{pieces, FireLine, WORD_CELLS};
 use crate::metrics::JaccardBreakdown;
 use std::ops::Range;
 
+/// Cells in one chunk of a [`ProbabilityMap`]'s counts: 1 024 `u32`s, one
+/// 4 KiB page.
+const CHUNK_CELLS: usize = 1024;
+
+/// The counts of cells `CHUNK_CELLS c .. CHUNK_CELLS (c + 1)` of the
+/// row-major index.
+type Chunk = [u32; CHUNK_CELLS];
+
 /// Per-cell ignition frequency over a set of overlapping simulations.
 /// Two maps are equal when they hold the same counts of the same number of
-/// runs, however they were fed.
+/// runs, however they were fed — whichever chunks each happens to hold.
 #[derive(Debug, Clone)]
 pub struct ProbabilityMap {
-    counts: Grid<u32>,
+    rows: usize,
+    cols: usize,
+    /// The directory, one slot per chunk of the raster (the last one may
+    /// reach past its end): a chunk is allocated when a fold first burns
+    /// one of its cells and kept for the map's life, so a cleared map
+    /// folds the same fires again without allocating. An absent chunk is
+    /// all zeros.
+    chunks: Vec<Option<Box<Chunk>>>,
     samples: u32,
     /// The cover: ascending, disjoint, non-touching index ranges holding
     /// every cell with a non-zero count — the union, over the runs, of the
@@ -44,7 +68,14 @@ pub struct ProbabilityMap {
 
 impl PartialEq for ProbabilityMap {
     fn eq(&self, other: &Self) -> bool {
-        self.samples == other.samples && self.counts == other.counts
+        // An absent chunk is zeros, so it equals a held chunk of zeros.
+        let zeros = |c: &Option<Box<Chunk>>| c.as_ref().is_none_or(|c| c.iter().all(|&n| n == 0));
+        let mut chunks = self.chunks.iter().zip(&other.chunks);
+        (self.rows, self.cols, self.samples) == (other.rows, other.cols, other.samples)
+            && chunks.all(|(a, b)| match (a, b) {
+                (Some(a), Some(b)) => a == b,
+                _ => zeros(a) && zeros(b),
+            })
     }
 }
 
@@ -62,10 +93,17 @@ fn frequency(count: usize, samples: usize) -> f64 {
 }
 
 impl ProbabilityMap {
-    /// An empty accumulator for maps of the given shape.
+    /// An empty accumulator for maps of the given shape: the chunk
+    /// directory, and no chunk.
+    ///
+    /// # Panics
+    /// Panics if either dimension is zero, as [`crate::Grid`] does.
     pub fn new(rows: usize, cols: usize) -> Self {
+        assert!(rows > 0 && cols > 0, "grid dimensions must be non-zero");
         Self {
-            counts: Grid::filled(rows, cols, 0),
+            rows,
+            cols,
+            chunks: vec![None; (rows * cols).div_ceil(CHUNK_CELLS)],
             samples: 0,
             cover: Vec::new(),
             incoming: Vec::new(),
@@ -75,12 +113,13 @@ impl ProbabilityMap {
 
     /// Empties the map for another fold of the same shape: the map
     /// [`ProbabilityMap::new`] gives, at the cost of the cover — every
-    /// non-zero count lies in it — not of the raster. The buffers keep
-    /// their storage.
+    /// non-zero count lies in it — not of the raster. The chunks and the
+    /// buffers keep their storage.
     pub fn clear(&mut self) {
-        let counts = self.counts.as_mut_slice();
-        for range in self.cover.drain(..) {
-            counts[range].fill(0);
+        for (c, piece) in self.cover.drain(..).flat_map(pieces::<CHUNK_CELLS>) {
+            if let Some(chunk) = &mut self.chunks[c] {
+                chunk[within(c, piece)].fill(0);
+            }
         }
         self.samples = 0;
     }
@@ -92,12 +131,23 @@ impl ProbabilityMap {
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.counts.rows()
+        self.rows
     }
 
     /// Number of columns.
     pub fn cols(&self) -> usize {
-        self.counts.cols()
+        self.cols
+    }
+
+    /// Number of cells, `rows × cols`.
+    fn len(&self) -> usize {
+        self.rows * self.cols
+    }
+
+    /// The count of the cell at row-major index `idx`.
+    fn count(&self, idx: usize) -> u32 {
+        let chunk = self.chunks[idx / CHUNK_CELLS].as_deref();
+        chunk.map_or(0, |counts| counts[idx % CHUNK_CELLS])
     }
 
     /// Accumulates one simulated fire line (one scenario's burned map) by
@@ -109,14 +159,14 @@ impl ProbabilityMap {
     /// Panics on shape mismatch.
     pub fn accumulate(&mut self, line: &FireLine) {
         assert!(
-            (line.rows(), line.cols()) == self.counts.shape(),
+            (line.rows(), line.cols()) == (self.rows, self.cols),
             "probability map: fire line shape mismatch"
         );
         self.samples += 1;
-        let counts = self.counts.as_mut_slice();
         let mut stretch: Option<(usize, usize)> = None;
         for idx in line.burned_indices() {
-            counts[idx] += 1;
+            let chunk = self.chunks[idx / CHUNK_CELLS].get_or_insert_with(zeroed);
+            chunk[idx % CHUNK_CELLS] += 1;
             stretch = Some((stretch.map_or(idx, |(first, _)| first), idx));
         }
         self.incoming.clear();
@@ -129,8 +179,9 @@ impl ProbabilityMap {
     /// `predicted` is the run's row-major raster (a mask, or arrival times
     /// read against an instant by `burned`), `ranges` the index ranges
     /// outside which it burned nothing — for an arena run,
-    /// `SimArena::written_ranges`. Only those cells are visited, so a run
-    /// costs what it burned, and a result set member that repeats `k`
+    /// `SimArena::written_ranges`. Only those cells are visited, one chunk
+    /// piece at a time, so a run costs what it burned, and a piece that
+    /// burned nothing adds no chunk. A result set member that repeats `k`
     /// times is one visit with `runs = k`: counts and samples are integer
     /// sums, so that is the map `k` single folds give. The ranges must not
     /// overlap, or the shared cells count twice.
@@ -147,26 +198,32 @@ impl ProbabilityMap {
     ) {
         assert_eq!(
             predicted.len(),
-            self.counts.len(),
+            self.len(),
             "probability map: raster size mismatch"
         );
         self.samples += runs;
-        let counts = self.counts.as_mut_slice();
         self.incoming.clear();
         for range in ranges {
-            let cells = counts[range.clone()]
-                .iter_mut()
-                .zip(&predicted[range.clone()]);
             let mut stretch: Option<(usize, usize)> = None;
-            for (i, (count, p)) in cells.enumerate() {
-                if burned(p) {
-                    *count += runs;
-                    stretch = Some((stretch.map_or(i, |(first, _)| first), i));
+            for (c, piece) in pieces::<CHUNK_CELLS>(range) {
+                let cells = &predicted[piece.clone()];
+                let Some(first) = cells.iter().position(&burned) else {
+                    continue;
+                };
+                let chunk = self.chunks[c].get_or_insert_with(zeroed);
+                let mut last = first;
+                let counts = chunk[within(c, piece.clone())].iter_mut().zip(cells);
+                for (i, (count, p)) in counts.enumerate().skip(first) {
+                    if burned(p) {
+                        *count += runs;
+                        last = i;
+                    }
                 }
+                let first = stretch.map_or(piece.start + first, |(first, _)| first);
+                stretch = Some((first, piece.start + last));
             }
             if let Some((first, last)) = stretch {
-                self.incoming
-                    .push(range.start + first..range.start + last + 1);
+                self.incoming.push(first..last + 1);
             }
         }
         // An arena reports its row spans in order, so this is sorted
@@ -205,11 +262,29 @@ impl ProbabilityMap {
         self.cover.iter().cloned()
     }
 
+    /// The cover cut at chunk boundaries, each piece with its counts. The
+    /// pieces of absent chunks are left out: their counts are all 0.
+    fn cover_counts(&self) -> impl Iterator<Item = (Range<usize>, &[u32])> + '_ {
+        let cut = self.cover.iter().cloned().flat_map(pieces::<CHUNK_CELLS>);
+        cut.filter_map(|(c, piece)| {
+            let chunk = self.chunks[c].as_deref()?;
+            Some((piece.clone(), &chunk[within(c, piece)]))
+        })
+    }
+
     /// Ignition probability of `(row, col)` ∈ `[0, 1]`; 0 when no samples
     /// have been accumulated yet.
+    ///
+    /// # Panics
+    /// Panics when the cell is outside the map.
     #[inline]
     pub fn probability(&self, row: usize, col: usize) -> f64 {
-        frequency(self.counts.at(row, col) as usize, self.samples as usize)
+        assert!(
+            row < self.rows && col < self.cols,
+            "probability map: cell out of bounds"
+        );
+        let count = self.count(row * self.cols + col);
+        frequency(count as usize, self.samples as usize)
     }
 
     /// Applies the Key Ignition Value: a cell is predicted burned when its
@@ -223,7 +298,9 @@ impl ProbabilityMap {
     pub fn threshold(&self, kign: f64) -> FireLine {
         let k = kign.clamp(0.0, 1.0);
         let s = self.samples as usize;
-        FireLine::from_grid(&self.counts, |&c| frequency(c as usize, s) >= k)
+        FireLine::from_fn(self.rows, self.cols, |r, c| {
+            frequency(self.count(r * self.cols + c) as usize, s) >= k
+        })
     }
 
     /// The distinct probability levels present in the map, ascending.
@@ -236,15 +313,15 @@ impl ProbabilityMap {
         let s = self.samples as usize;
         let mut present = vec![false; s + 1];
         let mut burned = 0;
-        for range in self.touched_ranges() {
-            for &c in &self.counts.as_slice()[range] {
+        for (_, counts) in self.cover_counts() {
+            for &c in counts {
                 if c > 0 {
                     present[c as usize] = true;
                     burned += 1;
                 }
             }
         }
-        present[0] = burned < self.counts.len();
+        present[0] = burned < self.len();
         let levels = present.iter().enumerate().filter(|(_, &p)| p);
         levels.map(|(c, _)| frequency(c, s)).collect()
     }
@@ -261,7 +338,7 @@ impl ProbabilityMap {
     /// Panics on shape mismatch.
     pub fn histogram_into(&self, observed: &Observed<'_>, hist: &mut LevelHistogram) {
         assert!(
-            (observed.real.rows(), observed.real.cols()) == self.counts.shape(),
+            (observed.real.rows(), observed.real.cols()) == (self.rows, self.cols),
             "probability map: observed fire line shape mismatch"
         );
         hist.buckets.clear();
@@ -269,33 +346,35 @@ impl ProbabilityMap {
             .resize(self.samples as usize + 1, LevelBucket::default());
         hist.real_new = observed.real_new;
         hist.preburned = observed.preburned;
-        let counts = self.counts.as_slice();
         let real = observed.real.words();
         let preburn = observed.preburn.map(FireLine::words);
         let buckets = &mut hist.buckets;
         hist.visited = self.cover.iter().map(Range::len).sum();
-        for (w, piece) in self.cover.iter().cloned().flat_map(word_pieces) {
-            // Each line's bits of the piece, shifted down as its cells go by.
-            let shift = piece.start % WORD_CELLS;
-            let mut r = real[w] >> shift;
-            let mut x = preburn.map_or(0, |p| p[w]) >> shift;
-            for &count in &counts[piece] {
-                if count != 0 {
-                    let bucket = &mut buckets[count as usize];
-                    bucket.cells += 1;
-                    match (x & 1 != 0, r & 1 != 0) {
-                        (true, _) => {}
-                        (false, true) => bucket.hits += 1,
-                        (false, false) => bucket.false_alarms += 1,
+        for (piece, counts) in self.cover_counts() {
+            for (w, word) in pieces::<WORD_CELLS>(piece.clone()) {
+                // Each line's bits of the word, shifted down as its cells
+                // go by.
+                let shift = word.start % WORD_CELLS;
+                let mut r = real[w] >> shift;
+                let mut x = preburn.map_or(0, |p| p[w]) >> shift;
+                for &count in &counts[word.start - piece.start..word.end - piece.start] {
+                    if count != 0 {
+                        let bucket = &mut buckets[count as usize];
+                        bucket.cells += 1;
+                        match (x & 1 != 0, r & 1 != 0) {
+                            (true, _) => {}
+                            (false, true) => bucket.hits += 1,
+                            (false, false) => bucket.false_alarms += 1,
+                        }
                     }
+                    (r, x) = (r >> 1, x >> 1);
                 }
-                (r, x) = (r >> 1, x >> 1);
             }
         }
         let mut rest = LevelBucket {
-            cells: counts.len(),
+            cells: self.len(),
             hits: observed.real_new,
-            false_alarms: counts.len() - observed.preburned - observed.real_new,
+            false_alarms: self.len() - observed.preburned - observed.real_new,
         };
         for b in &hist.buckets[1..] {
             rest.cells -= b.cells;
@@ -304,6 +383,18 @@ impl ProbabilityMap {
         }
         hist.buckets[0] = rest;
     }
+}
+
+/// A chunk of zero counts.
+fn zeroed() -> Box<Chunk> {
+    Box::new([0; CHUNK_CELLS])
+}
+
+/// The cells `piece` of chunk `c` (which must lie in it), as indices into
+/// the chunk.
+fn within(c: usize, piece: Range<usize>) -> Range<usize> {
+    let at = c * CHUNK_CELLS;
+    piece.start - at..piece.end - at
 }
 
 /// What a thresholded map is scored against with Eq. (3): the real fire
@@ -554,6 +645,44 @@ mod tests {
         fresh.accumulate_ranges(&times, |&t| t <= 2.5, [0..6, 9..12], 2);
         assert_eq!(pm, fresh);
         assert!(pm.touched_ranges().eq(fresh.touched_ranges()));
+    }
+
+    #[test]
+    fn a_megacell_map_holds_only_the_chunks_its_fires_burn() {
+        // Three 6×6 fires on a 1000×1200 raster, one astride a chunk
+        // boundary, folded from whole rows as an arena reports them: the
+        // rows' unburned cells add no chunk.
+        let (rows, cols) = (1000, 1200);
+        let mut pm = ProbabilityMap::new(rows, cols);
+        let mut burned = vec![false; rows * cols];
+        let mut held = std::collections::BTreeSet::new();
+        for (r0, c0) in [(0, 1020), (500, 600), (994, 1194)] {
+            let cells: Vec<usize> = (r0..r0 + 6)
+                .flat_map(|r| (c0..c0 + 6).map(move |c| r * cols + c))
+                .collect();
+            cells.iter().for_each(|&i| burned[i] = true);
+            held.extend(cells.iter().map(|i| i / CHUNK_CELLS));
+            let spans = (r0..r0 + 6).map(|r| r * cols..(r + 1) * cols);
+            pm.accumulate_ranges(&burned, |&b| b, spans, 1);
+            cells.iter().for_each(|&i| burned[i] = false);
+        }
+        let chunks = |pm: &ProbabilityMap| -> std::collections::BTreeSet<usize> {
+            let slots = pm.chunks.iter().enumerate();
+            slots
+                .filter_map(|(c, chunk)| chunk.as_ref().map(|_| c))
+                .collect()
+        };
+        assert_eq!(chunks(&pm), held);
+        assert!(held.len() <= 24, "{} chunks", held.len());
+        // The directory and the chunks, against the 4.8 MB of a count a cell.
+        let bytes = pm.chunks.len() * std::mem::size_of::<Option<Box<Chunk>>>()
+            + held.len() * std::mem::size_of::<Chunk>();
+        assert_eq!(pm.chunks.len(), 1172);
+        assert!(bytes < 110_000, "{bytes} B");
+        // A cleared map keeps its chunks and folds the same fire into them.
+        pm.clear();
+        pm.accumulate(&FireLine::from_cells(rows, cols, &[(500, 600)]));
+        assert_eq!(chunks(&pm), held);
     }
 
     #[test]

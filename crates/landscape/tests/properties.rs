@@ -526,3 +526,243 @@ fn perimeter_walk_is_the_full_scan() {
         }
     }
 }
+
+/// Shapes for the map's count chunks (1 024 cells each): under one chunk,
+/// exactly one, and rasters of 3, 9, 3 and 3 chunks whose rows straddle
+/// chunk boundaries — one a single row, one whose tail chunk holds one
+/// cell — none of them a whole number of chunks.
+const CHUNKED_SHAPES: [(usize, usize); 6] =
+    [(6, 7), (32, 32), (17, 129), (9, 1000), (1, 2049), (41, 53)];
+
+/// The map the chunked counts replaced, copied here: one `u32` count a
+/// cell of the whole raster, every question asked of every cell.
+struct DenseMap {
+    rows: usize,
+    cols: usize,
+    counts: Vec<u32>,
+    samples: u32,
+}
+
+impl DenseMap {
+    fn new(rows: usize, cols: usize) -> Self {
+        let counts = vec![0; rows * cols];
+        DenseMap {
+            rows,
+            cols,
+            counts,
+            samples: 0,
+        }
+    }
+
+    fn fold(&mut self, fold: &Fold) {
+        self.samples += fold.runs;
+        for idx in fold.ranges.iter().cloned().flatten() {
+            if fold.arrivals[idx] <= T1 {
+                self.counts[idx] += fold.runs;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.counts.fill(0);
+        self.samples = 0;
+    }
+
+    fn probability(&self, idx: usize) -> f64 {
+        match self.samples {
+            0 => 0.0,
+            s => f64::from(self.counts[idx]) / f64::from(s),
+        }
+    }
+
+    fn threshold(&self, kign: f64) -> FireLine {
+        let k = kign.clamp(0.0, 1.0);
+        FireLine::from_fn(self.rows, self.cols, |r, c| {
+            self.probability(r * self.cols + c) >= k
+        })
+    }
+
+    fn distinct_levels(&self) -> Vec<f64> {
+        let mut present = vec![false; self.samples as usize + 1];
+        for &c in &self.counts {
+            present[c as usize] = true;
+        }
+        let levels = present.iter().enumerate().filter(|(_, &p)| p);
+        let s = f64::from(self.samples);
+        levels
+            .map(|(c, _)| if self.samples == 0 { 0.0 } else { c as f64 / s })
+            .collect()
+    }
+}
+
+/// One fold of `runs` identical runs: arrivals and the disjoint ranges a
+/// caller reports, cut at random points anywhere in the raster — across
+/// row ends and chunk boundaries — in either order, burned at one of four
+/// densities (none burned, so a range may add no chunk, up to all).
+struct Fold {
+    arrivals: Vec<f64>,
+    ranges: Vec<std::ops::Range<usize>>,
+    runs: u32,
+}
+
+fn chunk_fold(rng: &mut StdRng, (rows, cols): (usize, usize)) -> Fold {
+    let n = rows * cols;
+    let mut cuts: Vec<usize> = (0..2 * rng.random_range(0..5usize))
+        .map(|_| rng.random_range(0..n + 1))
+        .collect();
+    cuts.sort_unstable();
+    let mut ranges: Vec<_> = cuts.chunks(2).map(|c| c[0]..c[1]).collect();
+    let density = [0.0, 0.02, 0.5, 1.0][rng.random_range(0..4usize)];
+    let mut arrivals = vec![UNIGNITED; n];
+    for idx in ranges.iter().cloned().flatten() {
+        arrivals[idx] = match rng.random::<f64>() < density {
+            true => rng.random::<f64>() * T1,
+            false => T1 + 1.0 + rng.random::<f64>() * 50.0,
+        };
+    }
+    if rng.random::<bool>() {
+        ranges.reverse();
+    }
+    let runs = rng.random_range(1..4u32);
+    Fold {
+        arrivals,
+        ranges,
+        runs,
+    }
+}
+
+/// Feeds `fold` to `map`: a single run by its fire line half the time,
+/// otherwise from its ranges with its multiplicity.
+fn feed(map: &mut ProbabilityMap, fold: &Fold, rng: &mut StdRng) {
+    let burned = |&t: &f64| t <= T1;
+    if fold.runs == 1 && rng.random::<bool>() {
+        let line = FireLine::from_fn(map.rows(), map.cols(), |r, c| {
+            fold.arrivals[r * map.cols() + c] <= T1
+        });
+        map.accumulate(&line);
+    } else {
+        map.accumulate_ranges(
+            &fold.arrivals,
+            burned,
+            fold.ranges.iter().cloned(),
+            fold.runs,
+        );
+    }
+}
+
+/// `map` answers every question as `dense` does: each cell's probability,
+/// the levels, the threshold at 0, 1, each level and between neighbours,
+/// and the histogram's level curve against `real`, with and without
+/// `pre`.
+fn assert_dense(
+    map: &ProbabilityMap,
+    dense: &DenseMap,
+    real: &FireLine,
+    pre: &FireLine,
+    what: &str,
+) {
+    use landscape::{LevelHistogram, Observed};
+    assert_eq!(map.samples(), dense.samples, "{what}: samples");
+    for idx in 0..dense.counts.len() {
+        let (r, c) = (idx / dense.cols, idx % dense.cols);
+        assert_eq!(
+            map.probability(r, c),
+            dense.probability(idx),
+            "{what}: cell {idx}"
+        );
+    }
+    let levels = dense.distinct_levels();
+    assert_eq!(map.distinct_levels(), levels, "{what}: levels");
+    let mut kigns = vec![0.0, 1.0];
+    kigns.extend(&levels);
+    kigns.extend(levels.windows(2).map(|w| (w[0] + w[1]) / 2.0));
+    for kign in kigns {
+        assert_eq!(
+            map.threshold(kign),
+            dense.threshold(kign),
+            "{what}: kign {kign}"
+        );
+    }
+    let mut hist = LevelHistogram::default();
+    for preburn in [None, Some(pre)] {
+        map.histogram_into(&Observed::scan(real, preburn), &mut hist);
+        let curve: Vec<(f64, f64)> = levels
+            .iter()
+            .map(|&l| (l, jaccard(real, &dense.threshold(l), preburn)))
+            .collect();
+        assert_eq!(hist.levels().collect::<Vec<_>>(), curve, "{what}: curve");
+    }
+}
+
+/// The chunked map is the dense one through any history of folds and
+/// clears: ranges that straddle chunks and row ends, empty and fully
+/// burned ones, multiplicities above 1, fire lines, on shapes that are
+/// not a whole number of chunks.
+#[test]
+fn chunked_counts_are_the_dense_map() {
+    let (mut clears, mut straddling) = (0, 0);
+    for seed in 0..2 * CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (rows, cols) = CHUNKED_SHAPES[rng.random_range(0..CHUNKED_SHAPES.len())];
+        let (real, pre) = (mask(&mut rng, (rows, cols)), mask(&mut rng, (rows, cols)));
+        let (mut map, mut dense) = (ProbabilityMap::new(rows, cols), DenseMap::new(rows, cols));
+        for step in 0..rng.random_range(1..8usize) {
+            if rng.random_range(0..4u32) == 0 {
+                map.clear();
+                dense.clear();
+                clears += 1;
+            } else {
+                let fold = chunk_fold(&mut rng, (rows, cols));
+                feed(&mut map, &fold, &mut rng);
+                dense.fold(&fold);
+                straddling += fold
+                    .ranges
+                    .iter()
+                    .filter(|r| r.start / 1024 != r.end / 1024)
+                    .count();
+            }
+            assert_dense(
+                &map,
+                &dense,
+                &real,
+                &pre,
+                &format!("seed {seed} step {step}"),
+            );
+        }
+    }
+    assert!(clears > 0 && straddling > 0);
+}
+
+/// Maps fed the same runs are equal in any order and after any history —
+/// a map cleared after other folds still holds their chunks — and maps
+/// one count apart at the same sample count are not.
+#[test]
+fn chunked_maps_are_equal_by_counts_not_by_history() {
+    for seed in 0..2 * CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (rows, cols) = CHUNKED_SHAPES[rng.random_range(0..CHUNKED_SHAPES.len())];
+        let folds: Vec<Fold> = (0..rng.random_range(0..5usize))
+            .map(|_| chunk_fold(&mut rng, (rows, cols)))
+            .collect();
+        let mut fresh = ProbabilityMap::new(rows, cols);
+        folds.iter().for_each(|f| feed(&mut fresh, f, &mut rng));
+        let mut used = ProbabilityMap::new(rows, cols);
+        for _ in 0..rng.random_range(1..4usize) {
+            let other = chunk_fold(&mut rng, (rows, cols));
+            feed(&mut used, &other, &mut rng);
+        }
+        used.clear();
+        folds
+            .iter()
+            .rev()
+            .for_each(|f| feed(&mut used, f, &mut rng));
+        assert_eq!(fresh, used, "seed {seed}");
+        // One more burned cell each, in different places.
+        let n = rows * cols;
+        let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+        let one = vec![true; n];
+        fresh.accumulate_ranges(&one, |&t| t, std::iter::once(a..a + 1), 1);
+        used.accumulate_ranges(&one, |&t| t, std::iter::once(b..b + 1), 1);
+        assert_eq!(fresh == used, a == b, "seed {seed}: cells {a} and {b}");
+    }
+}
