@@ -397,7 +397,7 @@ pub fn e2_diversity(plan: &Plan, case_names: &[&str]) -> TextTable {
         let ctx = Arc::new(driver.case().step_context(1));
         let mut ev = ScenarioEvaluator::shared(ctx, Arc::clone(&plan.pool));
         let out = optimizer.optimize(&mut ev, plan.seeds[0]);
-        let fits = ev.evaluate(&out.result_set);
+        let mut fits = ev.evaluate(&out.result_set);
         t.row([
             cell[0].report.case.to_string(),
             cell[0].report.system.to_string(),
@@ -406,7 +406,7 @@ pub fn e2_diversity(plan: &Plan, case_names: &[&str]) -> TextTable {
             f4(over_steps(|s| {
                 s.diversity.distinct as f64 / s.diversity.size.max(1) as f64
             })),
-            f4(landscape::metrics::iqr(&fits)),
+            f4(evoalg::engine::iqr(&mut fits)),
         ]);
     }
     t
@@ -500,7 +500,8 @@ pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
         for _ in 0..GENERATIONS {
             best = best.max(engine.step(&mut eval).best_fitness);
         }
-        (best, engine.population().genomes(), engine.evaluations())
+        let evaluations = engine.evaluations();
+        (best, engine.into_population(), evaluations)
     };
     let algorithms: [(&str, Search); 3] = [
         ("NS-GA (Eq.2 dist)", |f, dims, seed| {

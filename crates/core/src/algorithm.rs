@@ -77,7 +77,7 @@
 
 use crate::hybrid::{BehaviourSpace, ScoringPolicy};
 use evoalg::ga::breed_into;
-use evoalg::individual::{Individual, Population};
+use evoalg::individual::{random_rows, Individual};
 use evoalg::selection::RouletteWheel;
 use evoalg::{
     BatchEvaluator, BehaviourMatrix, BestSet, ElitistRanking, IndexBuffers, NoveltyArchive,
@@ -175,8 +175,9 @@ pub struct NoveltyGaOutcome {
     /// The final archive (exposed for the §IV inclusion variants and for
     /// diagnostics).
     pub archive: NoveltyArchive,
-    /// The final (non-converged) population.
-    pub final_population: Population,
+    /// The final (non-converged) population, its members' genes and
+    /// scores in rank order.
+    pub final_population: Vec<Individual>,
     /// Generations executed.
     pub generations: u32,
     /// Scenario evaluations performed.
@@ -230,8 +231,7 @@ impl NoveltyGa {
         // population (0..N) then the offspring (N..N+m), genes beside
         // three score columns; the offspring rows are the buffers each
         // generation breeds into.
-        let mut genes = Population::random(n, self.dims, &mut rng).into_genomes();
-        genes.resize(rows, vec![0.0; self.dims]);
+        let mut genes = random_rows(n, cfg.offspring, self.dims, &mut rng);
         let mut fitness = vec![f64::NAN; rows];
         let mut novelty = vec![f64::NAN; rows];
         let mut local_comp = vec![f64::NAN; rows];
@@ -405,7 +405,7 @@ impl NoveltyGa {
         NoveltyGaOutcome {
             best_set,
             archive,
-            final_population: Population::from_members(members.collect()),
+            final_population: members.collect(),
             generations,
             evaluations,
             stop_reason,
@@ -552,7 +552,8 @@ mod tests {
             ..NoveltyGaConfig::default()
         };
         let (out, _) = run_on(sphere, cfg, 6);
-        let ns_div = evoalg::diversity::mean_pairwise_distance(&out.final_population.genomes());
+        let genomes: Vec<Vec<f64>> = out.final_population.into_iter().map(|m| m.genes).collect();
+        let ns_div = evoalg::diversity::mean_pairwise_distance(&genomes);
 
         let mut ga = evoalg::GaEngine::new(
             6,
@@ -568,7 +569,7 @@ mod tests {
         for _ in 0..25 {
             ga.step(&mut eval);
         }
-        let ga_div = evoalg::diversity::mean_pairwise_distance(&ga.population().genomes());
+        let ga_div = evoalg::diversity::mean_pairwise_distance(ga.population());
         assert!(
             ns_div > 2.0 * ga_div,
             "NS population should stay diverse (NS {ns_div} vs GA {ga_div})"
@@ -683,12 +684,13 @@ mod tests {
         assert!(nslc.archive.len() <= NoveltyGaConfig::default().archive_capacity);
         // The local-competition pressure must actually change the search
         // trajectory for the same seed.
+        let genes = |m: &Individual| m.genes.clone();
         assert_ne!(
-            nslc.final_population.genomes(),
-            pure.final_population.genomes()
+            nslc.final_population.iter().map(genes).collect::<Vec<_>>(),
+            pure.final_population.iter().map(genes).collect::<Vec<_>>()
         );
         // Every surviving member carries a computed local-competition score.
-        for m in nslc.final_population.members() {
+        for m in &nslc.final_population {
             assert!(
                 m.local_comp.is_finite() && (0.0..=1.0).contains(&m.local_comp),
                 "missing/invalid local competition score {}",
@@ -696,11 +698,7 @@ mod tests {
             );
         }
         // Pure NS must never compute it.
-        assert!(pure
-            .final_population
-            .members()
-            .iter()
-            .all(|m| m.local_comp.is_nan()));
+        assert!(pure.final_population.iter().all(|m| m.local_comp.is_nan()));
     }
 
     #[test]

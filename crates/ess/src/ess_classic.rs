@@ -85,10 +85,10 @@ impl StepOptimizer for EssClassic {
             stats = engine.step(evaluator);
         }
         OptimizeOutcome {
-            result_set: engine.population().genomes(),
             best_fitness: stats.best_fitness,
             generations: engine.generation(),
             evaluations: engine.evaluations(),
+            result_set: engine.into_population(),
         }
     }
 }

@@ -21,7 +21,7 @@
 use crate::fitness::ScenarioEvaluator;
 use crate::island::{restart, Ring};
 use crate::pipeline::{OptimizeOutcome, StepOptimizer};
-use evoalg::{DeConfig, Population};
+use evoalg::{DeConfig, DeEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -112,19 +112,17 @@ impl EssimDeConfig {
     }
 
     /// Diversity-injected result set: elite members of the winning
-    /// island's population `pop` plus uniform draws regardless of fitness.
-    fn result_set(&self, pop: &mut Population, seed: u64) -> Vec<Vec<f64>> {
+    /// `island`'s population plus uniform draws regardless of fitness.
+    fn result_set(&self, island: &mut DeEngine, seed: u64) -> Vec<Vec<f64>> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1B54A32D192ED03);
-        pop.sort_by_fitness_desc();
+        island.sort_by_fitness();
+        let pop = island.population();
         let n_elite = ((self.result_set_size as f64) * self.elite_fraction).round() as usize;
         let n_elite = n_elite.min(pop.len()).min(self.result_set_size);
-        let mut result_set: Vec<Vec<f64>> = pop.members()[..n_elite]
-            .iter()
-            .map(|m| m.genes.clone())
-            .collect();
+        let mut result_set = pop[..n_elite].to_vec();
         while result_set.len() < self.result_set_size.min(pop.len()) {
             let pick = rng.random_range(0..pop.len());
-            result_set.push(pop.members()[pick].genes.clone());
+            result_set.push(pop[pick].clone());
         }
         result_set
     }
@@ -213,7 +211,7 @@ impl StepOptimizer for EssimDe {
         );
 
         OptimizeOutcome {
-            result_set: cfg.result_set(run.winner.population_mut(), seed),
+            result_set: cfg.result_set(&mut run.winner, seed),
             best_fitness: run.best_fitness,
             generations: run.generations,
             evaluations: run.evaluations,
@@ -374,7 +372,7 @@ mod tests {
                 iqr_restarts > 0 && global_restarts > 0,
                 "seed {seed}: both restart kinds must fire ({iqr_restarts} IQR, {global_restarts} global)"
             );
-            let result_set = cfg.result_set(run.winner.population_mut(), seed);
+            let result_set = cfg.result_set(&mut run.winner, seed);
             assert_eq!(out.result_set, result_set, "seed {seed}");
             assert_eq!(out.best_fitness.to_bits(), run.best_fitness.to_bits());
             assert_eq!(

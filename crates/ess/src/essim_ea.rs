@@ -90,7 +90,7 @@ impl StepOptimizer for EssimEa {
             |_, stats, _, best, _| stats.iter().fold(best, |best, s| best.max(s.best_fitness)),
         );
         OptimizeOutcome {
-            result_set: run.winner.population().genomes(),
+            result_set: run.winner.into_population(),
             best_fitness: run.best_fitness,
             generations: run.generations,
             evaluations: run.evaluations,
@@ -176,7 +176,7 @@ mod tests {
                         best
                     },
                 );
-                assert_eq!(out.result_set, run.winner.population().genomes());
+                assert_eq!(out.result_set, run.winner.population());
                 assert_eq!(out.best_fitness.to_bits(), run.best_fitness.to_bits());
                 assert_eq!(
                     (out.generations, out.evaluations),

@@ -12,8 +12,9 @@
 //! side by side. Here each island is an [`Engine`] and one thread breeds
 //! them in turn, but their candidates are *evaluated together*: the
 //! initial populations, every generation and every restart wave are one
-//! submission to the shared scenario evaluator, rows concatenated in
-//! island order — so the evaluator (and a fused scheduler round above
+//! submission to the shared scenario evaluator, the islands' rows moved
+//! (not cloned) into one batch in island order and back — so the
+//! evaluator (and a fused scheduler round above
 //! it) sees `islands × island_population` scenarios at once, as the
 //! paper's Workers would. Each island draws only from its own stream and
 //! fitness is a pure function of one genome, so this is bit-identical to
@@ -135,7 +136,7 @@ impl Ring {
             reason = "`validate` admits no topology without islands"
         )]
         let winner = islands
-            .iter()
+            .iter_mut()
             .map(|isl| isl.stats().best_fitness)
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -151,57 +152,64 @@ impl Ring {
 }
 
 /// One generation of every island as one batch: each island breeds on its
-/// own stream, the candidates are moved into one batch in island order,
-/// scored by one `evaluator` call and moved back to their islands.
+/// own stream, the candidate rows are moved into one batch in island
+/// order, scored by one `evaluator` call and moved back to their islands.
 fn step_together<S: Scheme>(
     islands: &mut [Engine<S>],
     evaluator: &mut ScenarioEvaluator,
 ) -> Vec<GenStats> {
-    let mut sizes = Vec::with_capacity(islands.len());
     let mut batch = Vec::new();
     for isl in islands.iter_mut() {
-        let candidates = isl.propose();
-        sizes.push(candidates.len());
-        batch.extend(candidates);
+        isl.propose();
+        lend(isl.candidates_mut(), &mut batch);
     }
     let fitness = evaluator.evaluate(&batch);
-    let mut rows = batch.into_iter();
-    let mut offset = 0;
+    let (mut rows, mut offset) = (batch.into_iter(), 0);
     islands
         .iter_mut()
-        .zip(sizes)
-        .map(|(isl, n)| {
-            let stats = isl.accept(
-                rows.by_ref().take(n).collect(),
-                &fitness[offset..offset + n],
-            );
+        .map(|isl| {
+            let n = take_back(isl.candidates_mut(), &mut rows);
             offset += n;
-            stats
+            isl.accept(&fitness[offset - n..offset])
         })
         .collect()
 }
 
-/// Scores the whole population of every island in `islands` as one batch
-/// (nothing is submitted when there is none) — the initial evaluation and
-/// a restart wave's re-evaluation.
+/// Scores the whole population of every island in `islands` as one batch,
+/// its rows moved there and back (nothing is submitted when there is
+/// none) — the initial evaluation and a restart wave's re-evaluation.
 fn evaluate_populations<S: Scheme>(
-    islands: Vec<&mut Engine<S>>,
+    mut islands: Vec<&mut Engine<S>>,
     evaluator: &mut ScenarioEvaluator,
 ) {
     if islands.is_empty() {
         return;
     }
-    let batch: Vec<Vec<f64>> = islands
-        .iter()
-        .flat_map(|isl| isl.population().genomes())
-        .collect();
-    let fitness = evaluator.evaluate(&batch);
-    let mut offset = 0;
-    for isl in islands {
-        let n = isl.population().len();
-        isl.score_population(&fitness[offset..offset + n]);
-        offset += n;
+    let mut batch = Vec::new();
+    for isl in &mut islands {
+        lend(isl.population_mut(), &mut batch);
     }
+    let fitness = evaluator.evaluate(&batch);
+    let (mut rows, mut offset) = (batch.into_iter(), 0);
+    for isl in islands {
+        let n = take_back(isl.population_mut(), &mut rows);
+        offset += n;
+        isl.score_population(&fitness[offset - n..offset]);
+    }
+}
+
+/// Moves `rows` onto the end of `batch`, leaving empty vectors behind.
+fn lend(rows: &mut [Vec<f64>], batch: &mut Vec<Vec<f64>>) {
+    batch.extend(rows.iter_mut().map(std::mem::take));
+}
+
+/// Moves the next `rows.len()` vectors of `batch` back into `rows`;
+/// returns how many.
+fn take_back(rows: &mut [Vec<f64>], batch: &mut impl Iterator<Item = Vec<f64>>) -> usize {
+    for (row, genes) in rows.iter_mut().zip(batch) {
+        *row = genes;
+    }
+    rows.len()
 }
 
 /// One restart wave: the `fraction` worst members of every island
@@ -222,25 +230,30 @@ pub(crate) fn restart<'a, S: Scheme + 'a>(
     evaluate_populations(restarted, evaluator);
 }
 
-/// Ring migration: each island sends clones of its `migrants` best to
+/// Ring migration: each island sends copies of its `migrants` best to
 /// the next island, replacing that island's worst members.
 fn migrate<S: Scheme>(islands: &mut [Engine<S>], migrants: usize) {
     let n = islands.len();
     // Collect emigrants first so the exchange is simultaneous (no
-    // island sees half-migrated state).
-    let emigrants: Vec<Vec<evoalg::Individual>> = islands
+    // island sees half-migrated state); every island is in fitness order
+    // from here on.
+    let emigrants: Vec<Vec<(Vec<f64>, f64)>> = islands
         .iter_mut()
         .map(|isl| {
-            isl.population_mut().sort_by_fitness_desc();
-            isl.population().members()[..migrants].to_vec()
+            isl.sort_by_fitness();
+            let best = isl
+                .population()
+                .iter()
+                .cloned()
+                .zip(isl.fitness().iter().copied());
+            best.take(migrants).collect()
         })
         .collect();
     for (src, group) in emigrants.into_iter().enumerate() {
-        let pop = islands[(src + 1) % n].population_mut();
-        pop.sort_by_fitness_desc();
-        let len = pop.len();
-        for (k, migrant) in group.into_iter().enumerate() {
-            pop.members_mut()[len - 1 - k] = migrant;
+        let dest = &mut islands[(src + 1) % n];
+        let len = dest.population().len();
+        for (k, (genes, fitness)) in group.into_iter().enumerate() {
+            dest.set_member(len - 1 - k, &genes, fitness);
         }
     }
 }
@@ -287,7 +300,7 @@ pub(crate) mod reference {
         }
         let evaluations = islands.iter().map(Engine::evaluations).sum();
         let winner = islands
-            .iter()
+            .iter_mut()
             .map(|isl| isl.stats().best_fitness)
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -374,14 +387,10 @@ mod tests {
         for isl in &mut islands {
             isl.evaluate_initial(&mut eval);
         }
-        islands[0].population_mut().members_mut()[0] = {
-            let mut ind = evoalg::Individual::new(special.clone());
-            ind.fitness = 0.99;
-            ind
-        };
+        islands[0].set_member(0, &special, 0.99);
         migrate(&mut islands, 1);
         assert!(
-            islands[1].population().genomes().contains(&special),
+            islands[1].population().contains(&special),
             "best genome did not migrate"
         );
     }

@@ -4,9 +4,8 @@
 //! migration and the published tuning operators (population restart
 //! \[21\] and IQR-based dynamic tuning \[22\]) between generations.
 
-use crate::engine::{Engine, Scheme};
-use crate::individual::Population;
-use crate::operators::{de_binomial_crossover, de_rand_1_donor};
+use crate::engine::{Engine, Rows, Scheme};
+use crate::operators::{de_binomial_crossover_into, de_rand_1_donor_into};
 use rand::rngs::StdRng;
 
 /// Differential Evolution parameters.
@@ -34,12 +33,13 @@ impl Default for DeConfig {
 }
 
 /// The step-wise DE engine: one generation builds, per target, a `rand/1`
-/// donor and a binomial-crossover trial, evaluates all trials, and
-/// greedily replaces each target whose trial is at least as fit.
+/// donor and a binomial-crossover trial in the target's candidate row,
+/// evaluates all trials, and greedily swaps each trial at least as fit as
+/// its target into the target's row.
 pub type DeEngine = Engine<DeConfig>;
 
 impl Scheme for DeConfig {
-    fn start(&self, dims: usize) -> (usize, u64) {
+    fn start(&self, dims: usize) -> (usize, usize, u64) {
         assert!(
             self.population_size >= 4,
             "DE rand/1 needs at least 4 individuals"
@@ -53,34 +53,31 @@ impl Scheme for DeConfig {
             "CR is a probability"
         );
         assert!(dims >= 1, "genome needs at least one gene");
-        (self.population_size, self.seed)
+        (self.population_size, self.population_size, self.seed)
     }
 
-    fn breed(&self, population: &Population, rng: &mut StdRng) -> Vec<Vec<f64>> {
-        let genomes = population.genomes();
-        let mut trials = Vec::with_capacity(genomes.len());
-        for target in 0..genomes.len() {
-            let donor = de_rand_1_donor(&genomes, target, self.differential_weight, rng);
-            trials.push(de_binomial_crossover(
-                &genomes[target],
-                &donor,
-                self.crossover_rate,
-                rng,
-            ));
+    fn breed(&self, rows: &mut Rows, rng: &mut StdRng) {
+        let (population, trials) = rows.genes.split_at_mut(rows.population);
+        for (target, trial) in trials.iter_mut().enumerate() {
+            de_rand_1_donor_into(population, target, self.differential_weight, trial, rng);
+            de_binomial_crossover_into(&population[target], trial, self.crossover_rate, rng);
         }
-        trials
     }
 
-    fn absorb(&self, population: &mut Population, candidates: Vec<Vec<f64>>, fitness: &[f64]) {
-        let members = population.members_mut();
-        for ((m, trial), &tf) in members.iter_mut().zip(candidates).zip(fitness) {
-            assert!(tf.is_finite(), "fitness must be finite");
+    fn absorb(&self, rows: &mut Rows) {
+        let (population, trials) = rows.genes.split_at_mut(rows.population);
+        let (fitness, trial_fitness) = rows.fitness.split_at_mut(rows.population);
+        let pairs = population
+            .iter_mut()
+            .zip(fitness)
+            .zip(trials.iter_mut().zip(trial_fitness));
+        for ((genes, f), (trial, &mut tf)) in pairs {
             // Greedy selection with >=: drifting across plateaus is what
             // lets DE escape flat fitness regions (important for J = 0
             // early fire-prediction populations).
-            if tf >= m.fitness {
-                m.genes = trial;
-                m.fitness = tf;
+            if tf >= *f {
+                std::mem::swap(genes, trial);
+                *f = tf;
             }
         }
     }
@@ -124,10 +121,10 @@ mod tests {
         );
         let mut eval = sphere_eval();
         engine.evaluate_initial(&mut eval);
-        let before: Vec<f64> = engine.population().fitness_values();
+        let before = engine.fitness().to_vec();
         engine.step(&mut eval);
-        let after: Vec<f64> = engine.population().fitness_values();
-        for (b, a) in before.iter().zip(&after) {
+        let after = engine.fitness();
+        for (b, a) in before.iter().zip(after) {
             assert!(a >= b, "member regressed: {b} → {a}");
         }
     }

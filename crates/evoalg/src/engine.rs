@@ -2,18 +2,26 @@
 //!
 //! [`Engine`] owns what every such engine does the same way — the seeded
 //! random initial population, its evaluation, the generation and
-//! evaluation counters, the population-restart operator and the
-//! per-generation statistics — and exposes one generation per
-//! [`Engine::step`] call so the framework layer can interleave migration
-//! (islands), tuning actions and statistics collection between
-//! generations. A step is [`Engine::propose`] → evaluate →
-//! [`Engine::accept`]; callers that hold several engines (the island
-//! model) call the two halves themselves and score every engine's
+//! evaluation counters, the fitness order, the population-restart
+//! operator and the per-generation statistics — and exposes one
+//! generation per [`Engine::step`] call so the framework layer can
+//! interleave migration (islands), tuning actions and statistics
+//! collection between generations. A step is [`Engine::propose`] →
+//! evaluate → [`Engine::accept`]; callers that hold several engines (the
+//! island model) call the two halves themselves and score every engine's
 //! candidates in one batch. How a generation varies and selects is the
 //! [`Scheme`]: [`crate::GaConfig`] (the GA of ESS and ESSIM-EA) and
 //! [`crate::DeConfig`] (`rand/1/bin`, ESSIM-DE) are the two in the tree.
+//!
+//! An engine keeps its [`Rows`] for the whole run, laid out as Algorithm 1
+//! keeps its own: the population, then one generation's candidates, gene
+//! vectors beside one fitness column. A scheme breeds into the candidate
+//! rows — they are the batch the evaluator scores, uncopied — and selects
+//! among the rows in place, so a warm generation allocates nothing.
 
-use crate::individual::{Individual, Population};
+use crate::individual::random_rows;
+use crate::operators::copy_genes;
+use crate::selection::ElitistRanking;
 use crate::BatchEvaluator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,19 +29,51 @@ use rand::{Rng, SeedableRng};
 /// How one generation varies and selects — the only thing the GA and DE
 /// engines do differently. Implemented by the engines' parameter structs.
 pub trait Scheme {
-    /// Population size and RNG seed of an engine over `dims`-gene genomes.
+    /// Population size, candidates bred per generation and RNG seed of an
+    /// engine over `dims`-gene genomes.
     ///
     /// # Panics
     /// Panics on parameters the scheme cannot run with.
-    fn start(&self, dims: usize) -> (usize, u64);
+    fn start(&self, dims: usize) -> (usize, usize, u64);
 
-    /// Breeds one generation's unevaluated candidates from an evaluated
-    /// `population`, drawing only from `rng`.
-    fn breed(&self, population: &Population, rng: &mut StdRng) -> Vec<Vec<f64>>;
+    /// Breeds one generation into the candidate rows of `rows` from its
+    /// evaluated population, drawing only from `rng`.
+    fn breed(&self, rows: &mut Rows, rng: &mut StdRng);
 
-    /// Selects the next population from `population` and the bred
-    /// `candidates`, `fitness[i]` being the score of `candidates[i]`.
-    fn absorb(&self, population: &mut Population, candidates: Vec<Vec<f64>>, fitness: &[f64]);
+    /// Selects the next population among `rows`, its candidates scored.
+    fn absorb(&self, rows: &mut Rows);
+}
+
+/// An engine's rows, kept for the whole run: the population (rows
+/// `0..population`), then the candidates, gene vectors beside one fitness
+/// column (NaN until scored), and the buffers a generation breeds and
+/// ranks in.
+#[derive(Debug)]
+pub struct Rows {
+    pub(crate) genes: Vec<Vec<f64>>,
+    pub(crate) fitness: Vec<f64>,
+    pub(crate) population: usize,
+    /// The child an odd GA offspring count breeds and drops.
+    pub(crate) spare_child: Vec<f64>,
+    ranking: ElitistRanking,
+    spare_genes: Vec<Vec<f64>>,
+    spare_fitness: Vec<f64>,
+}
+
+impl Rows {
+    /// Puts the first `rows` rows in fitness order: best first, equal
+    /// fitness by row, non-finite (unscored) rows last — a stable sort by
+    /// descending fitness with NaN read as −∞. The GA's replacement over
+    /// every row, and the restart, migration and elite pick over the
+    /// population.
+    pub(crate) fn sort_by_fitness(&mut self, rows: usize) {
+        let fitness = self.fitness[..rows].iter();
+        self.ranking
+            .rank(fitness.map(|&f| if f.is_finite() { f } else { f64::NEG_INFINITY }));
+        self.ranking.permute(&mut self.genes, &mut self.spare_genes);
+        self.ranking
+            .permute(&mut self.fitness, &mut self.spare_fitness);
+    }
 }
 
 /// Per-generation statistics (feeds the tuning metrics and the E-series
@@ -56,11 +96,12 @@ pub struct GenStats {
 #[derive(Debug)]
 pub struct Engine<S> {
     scheme: S,
-    dims: usize,
-    population: Population,
+    rows: Rows,
     rng: StdRng,
     generation: u32,
     evaluations: u64,
+    /// The scored fitness the statistics sort for the IQR.
+    sorted: Vec<f64>,
 }
 
 impl<S: Scheme> Engine<S> {
@@ -70,23 +111,31 @@ impl<S: Scheme> Engine<S> {
     /// # Panics
     /// Panics on parameters the scheme rejects.
     pub fn new(dims: usize, scheme: S) -> Self {
-        let (population_size, seed) = scheme.start(dims);
+        let (population, candidates, seed) = scheme.start(dims);
         let mut rng = StdRng::seed_from_u64(seed);
-        let population = Population::random(population_size, dims, &mut rng);
+        let rows = population + candidates;
         Self {
             scheme,
-            dims,
-            population,
+            rows: Rows {
+                genes: random_rows(population, candidates, dims, &mut rng),
+                fitness: vec![f64::NAN; rows],
+                population,
+                spare_child: Vec::with_capacity(dims),
+                ranking: ElitistRanking::default(),
+                spare_genes: Vec::with_capacity(rows),
+                spare_fitness: Vec::with_capacity(rows),
+            },
             rng,
             generation: 0,
             evaluations: 0,
+            sorted: Vec::with_capacity(population),
         }
     }
 
     /// Evaluates the current population: once before stepping, and again
     /// after a restart or a migration introduced unevaluated members.
     pub fn evaluate_initial<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {
-        let fitness = evaluator.evaluate(&self.population.genomes());
+        let fitness = evaluator.evaluate(self.population());
         self.score_population(&fitness)
     }
 
@@ -97,53 +146,56 @@ impl<S: Scheme> Engine<S> {
     /// # Panics
     /// Panics on a length mismatch or a non-finite fitness.
     pub fn score_population(&mut self, fitness: &[f64]) -> GenStats {
-        self.population.assign_fitness(fitness);
-        self.evaluations += fitness.len() as u64;
+        self.score(0..self.rows.population, fitness);
         self.stats()
     }
 
     /// Runs one generation of the scheme: [`Engine::propose`], one
-    /// evaluation, [`Engine::accept`].
+    /// evaluation of the candidates, [`Engine::accept`].
     pub fn step<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {
-        let candidates = self.propose();
-        let fitness = evaluator.evaluate(&candidates);
-        self.accept(candidates, &fitness)
+        self.propose();
+        let fitness = evaluator.evaluate(self.candidates());
+        self.accept(&fitness)
     }
 
-    /// The first half of a generation: breeds its candidates on this
-    /// engine's own stream. Score them and hand them to
-    /// [`Engine::accept`] before proposing again.
+    /// The first half of a generation: breeds the candidate rows on this
+    /// engine's own stream. Score [`Engine::candidates`] and hand the
+    /// fitness to [`Engine::accept`] before proposing again.
     ///
     /// # Panics
     /// Panics when the population holds unevaluated members.
-    pub fn propose(&mut self) -> Vec<Vec<f64>> {
+    pub fn propose(&mut self) {
         assert!(
-            self.population
-                .members()
-                .iter()
-                .all(Individual::is_evaluated),
+            self.fitness().iter().all(|f| f.is_finite()),
             "call evaluate_initial before step"
         );
-        self.scheme.breed(&self.population, &mut self.rng)
+        self.scheme.breed(&mut self.rows, &mut self.rng);
     }
 
-    /// The second half of a generation: selects with the scored
-    /// `candidates` of the last [`Engine::propose`] (`fitness[i]` scores
-    /// `candidates[i]`) and closes the generation.
+    /// The second half of a generation: selects with the last
+    /// [`Engine::propose`]'s candidates, `fitness[i]` scoring candidate
+    /// `i`, and closes the generation.
     ///
     /// # Panics
-    /// Panics when `fitness` and `candidates` differ in length.
-    pub fn accept(&mut self, candidates: Vec<Vec<f64>>, fitness: &[f64]) -> GenStats {
-        assert_eq!(
-            candidates.len(),
-            fitness.len(),
-            "fitness batch length mismatch"
-        );
-        self.evaluations += fitness.len() as u64;
-        self.scheme
-            .absorb(&mut self.population, candidates, fitness);
+    /// Panics when `fitness` and the candidates differ in length, or on a
+    /// non-finite fitness.
+    pub fn accept(&mut self, fitness: &[f64]) -> GenStats {
+        self.score(self.rows.population..self.rows.genes.len(), fitness);
+        self.scheme.absorb(&mut self.rows);
         self.generation += 1;
         self.stats()
+    }
+
+    /// Writes `fitness` into the rows `range` and counts it.
+    fn score(&mut self, range: std::ops::Range<usize>, fitness: &[f64]) {
+        let column = &mut self.rows.fitness[range];
+        assert_eq!(column.len(), fitness.len(), "fitness batch length mismatch");
+        for (slot, &f) in column.iter_mut().zip(fitness) {
+            // A NaN score would silently poison every later comparison.
+            assert!(f.is_finite(), "fitness must be finite, got {f}");
+            *slot = f;
+        }
+        self.evaluations += fitness.len() as u64;
     }
 
     /// Reinitialises the `frac` worst members uniformly at random — the
@@ -154,27 +206,67 @@ impl<S: Scheme> Engine<S> {
             (0.0..=1.0).contains(&frac),
             "restart fraction is a probability"
         );
-        let n = ((self.population.len() as f64) * frac).round() as usize;
+        let len = self.rows.population;
+        let n = ((len as f64) * frac).round() as usize;
         if n == 0 {
             return;
         }
-        self.population.sort_by_fitness_desc();
-        let len = self.population.len();
-        let dims = self.dims;
-        for m in &mut self.population.members_mut()[len - n..] {
-            m.genes = (0..dims).map(|_| self.rng.random::<f64>()).collect();
-            m.fitness = f64::NAN;
+        self.sort_by_fitness();
+        let worst = len - n..len;
+        let genes = self.rows.genes[worst.clone()].iter_mut();
+        for (genes, fitness) in genes.zip(&mut self.rows.fitness[worst]) {
+            for g in genes.iter_mut() {
+                *g = self.rng.random::<f64>();
+            }
+            *fitness = f64::NAN;
         }
     }
 
-    /// Current population.
-    pub fn population(&self) -> &Population {
-        &self.population
+    /// Puts the population in fitness order (best first, equal fitness by
+    /// row, unevaluated members last).
+    pub fn sort_by_fitness(&mut self) {
+        self.rows.sort_by_fitness(self.rows.population);
     }
 
-    /// Mutable population access (migration in the island model).
-    pub fn population_mut(&mut self) -> &mut Population {
-        &mut self.population
+    /// The population's genomes.
+    pub fn population(&self) -> &[Vec<f64>] {
+        &self.rows.genes[..self.rows.population]
+    }
+
+    /// The population's genomes, for a caller that moves them into a
+    /// shared batch; each must be moved back before the engine reads it.
+    pub fn population_mut(&mut self) -> &mut [Vec<f64>] {
+        &mut self.rows.genes[..self.rows.population]
+    }
+
+    /// The population's fitness, member by member (NaN: unevaluated).
+    pub fn fitness(&self) -> &[f64] {
+        &self.rows.fitness[..self.rows.population]
+    }
+
+    /// The candidate rows: between [`Engine::propose`] and
+    /// [`Engine::accept`], the candidates it bred.
+    pub fn candidates(&self) -> &[Vec<f64>] {
+        &self.rows.genes[self.rows.population..]
+    }
+
+    /// The candidates, for a caller that moves them into a shared batch;
+    /// each must be moved back before [`Engine::accept`].
+    pub fn candidates_mut(&mut self) -> &mut [Vec<f64>] {
+        &mut self.rows.genes[self.rows.population..]
+    }
+
+    /// Overwrites member `i` with `genes`, scored `fitness` (a migrant).
+    pub fn set_member(&mut self, i: usize, genes: &[f64], fitness: f64) {
+        copy_genes(&mut self.population_mut()[i], genes);
+        self.rows.fitness[..self.rows.population][i] = fitness;
+    }
+
+    /// The population's genomes, moved out.
+    pub fn into_population(self) -> Vec<Vec<f64>> {
+        let mut genes = self.rows.genes;
+        genes.truncate(self.rows.population);
+        genes
     }
 
     /// Generation counter.
@@ -187,9 +279,13 @@ impl<S: Scheme> Engine<S> {
         self.evaluations
     }
 
-    /// Statistics of the current population.
-    pub fn stats(&self) -> GenStats {
-        let f = self.population.fitness_values();
+    /// Statistics of the current population's evaluated members.
+    pub fn stats(&mut self) -> GenStats {
+        let n = self.rows.population;
+        self.sorted.clear();
+        let scored = self.rows.fitness[..n].iter().filter(|f| f.is_finite());
+        self.sorted.extend(scored);
+        let f = &mut self.sorted;
         let mean = if f.is_empty() {
             0.0
         } else {
@@ -199,27 +295,28 @@ impl<S: Scheme> Engine<S> {
             generation: self.generation,
             best_fitness: f.iter().copied().fold(f64::NEG_INFINITY, f64::max),
             mean_fitness: mean,
-            fitness_iqr: iqr(&f),
+            fitness_iqr: iqr(f),
             evaluations: self.evaluations,
         }
     }
 }
 
-/// Interquartile range with linear interpolation (kept consistent with
-/// `landscape::metrics::iqr`; duplicated deliberately — depending on it
-/// would drag a dependency into this otherwise problem-agnostic crate).
-fn iqr(values: &[f64]) -> f64 {
+/// Interquartile range (Q3 − Q1) of `values`, each quartile interpolated
+/// linearly between the two closest ranks; 0 for fewer than two values.
+/// Sorts `values` in place. The spread of a population's fitness
+/// (ESSIM-DE's tuning signal, \[22\]: a collapsing IQR signals premature
+/// convergence) and of a result set's (E2).
+pub fn iqr(values: &mut [f64]) -> f64 {
     if values.len() < 2 {
         return 0.0;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    values.sort_unstable_by(f64::total_cmp);
     let q = |frac: f64| -> f64 {
-        let pos = frac * (sorted.len() - 1) as f64;
+        let pos = frac * (values.len() - 1) as f64;
         let lo = pos.floor() as usize;
         let hi = pos.ceil() as usize;
         let w = pos - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
+        values[lo] * (1.0 - w) + values[hi] * w
     };
     q(0.75) - q(0.25)
 }
@@ -259,7 +356,7 @@ mod tests {
             for _ in 0..10 {
                 engine.step(&mut eval);
             }
-            engine.population().genomes()
+            engine.into_population()
         };
         assert_eq!(run(33), run(33));
         assert_ne!(run(33), run(34));
@@ -277,9 +374,9 @@ mod tests {
         // A restart marks round(12 × 0.3) = 4 tail members unevaluated and
         // draws them afresh; re-evaluated, the engine steps on.
         engine.restart_worst(0.3);
-        let members = engine.population().members();
-        assert!(members[..8].iter().all(Individual::is_evaluated));
-        assert!(members[8..].iter().all(|m| !m.is_evaluated()));
+        let fitness = engine.fitness();
+        assert!(fitness[..8].iter().all(|f| f.is_finite()));
+        assert!(fitness[8..].iter().all(|f| f.is_nan()));
         engine.evaluate_initial(&mut eval);
         assert_eq!(engine.evaluations(), s.evaluations + 12);
         engine.step(&mut eval);
@@ -301,10 +398,7 @@ mod tests {
         for e in &mut stepped {
             e.evaluate_initial(&mut eval);
         }
-        let rows: Vec<Vec<f64>> = batched
-            .iter()
-            .flat_map(|e| e.population().genomes())
-            .collect();
+        let rows = [batched[0].population(), batched[1].population()].concat();
         let fitness = eval(&rows);
         batched[0].score_population(&fitness[..8]);
         batched[1].score_population(&fitness[8..]);
@@ -312,14 +406,15 @@ mod tests {
             for e in &mut stepped {
                 e.step(&mut eval);
             }
-            let (a, b) = (batched[0].propose(), batched[1].propose());
-            let split = a.len();
-            let fitness = eval(&[a.clone(), b.clone()].concat());
-            batched[0].accept(a, &fitness[..split]);
-            batched[1].accept(b, &fitness[split..]);
+            batched[0].propose();
+            batched[1].propose();
+            let split = batched[0].candidates().len();
+            let fitness = eval(&[batched[0].candidates(), batched[1].candidates()].concat());
+            batched[0].accept(&fitness[..split]);
+            batched[1].accept(&fitness[split..]);
         }
-        for (s, b) in stepped.iter().zip(&batched) {
-            assert_eq!(s.population().genomes(), b.population().genomes());
+        for (s, b) in stepped.iter_mut().zip(&mut batched) {
+            assert_eq!(s.population(), b.population());
             assert_eq!(s.stats(), b.stats());
         }
     }
@@ -334,5 +429,28 @@ mod tests {
     #[should_panic(expected = "evaluate_initial")]
     fn stepping_before_evaluation_panics() {
         Engine::new(4, GaConfig::default()).step(&mut sphere_eval());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn a_nan_fitness_is_rejected() {
+        let mut engine = Engine::new(4, ga(2, 1));
+        engine.score_population(&[0.5, 0.5]);
+        engine.propose();
+        engine.accept(&[0.1, f64::NAN, 0.2, 0.3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn a_batch_of_the_wrong_length_is_rejected() {
+        Engine::new(4, de(4, 1)).score_population(&[0.1, 0.2]);
+    }
+
+    #[test]
+    fn iqr_interpolates_linearly_between_ranks() {
+        // Q1 at position 0.75 → 1.75, Q3 at 2.25 → 3.25.
+        assert!((iqr(&mut [4.0, 1.0, 3.0, 2.0]) - 1.5).abs() < 1e-12);
+        assert_eq!(iqr(&mut [1.0]), 0.0);
+        assert_eq!(iqr(&mut []), 0.0);
     }
 }

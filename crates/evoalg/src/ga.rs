@@ -6,13 +6,16 @@
 //! crossover, uniform mutation and elitist replacement. Algorithm 1 is
 //! the same GA with the search score in place of fitness, so its
 //! `generateOffspring` and `replaceByNovelty` are the steps here, called
-//! with another score: it breeds with [`breed_into`] and ranks its
-//! survivors with the [`ElitistRanking`] behind [`replace_by_score`].
+//! with another score. Both keep their population and offspring as rows
+//! for the whole run, breed into the offspring rows with [`breed_into`],
+//! and replace by ranking all `N + m` rows with an
+//! [`crate::ElitistRanking`] and moving them into rank order: the first
+//! `N` survive, and the gene vectors past them are the next generation's
+//! offspring rows.
 
-use crate::engine::{Engine, Scheme};
-use crate::individual::{Individual, Population};
+use crate::engine::{Engine, Rows, Scheme};
 use crate::operators::{copy_genes, one_point_crossover_into, uniform_mutation};
-use crate::selection::{ElitistRanking, RouletteWheel};
+use crate::selection::RouletteWheel;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -47,11 +50,12 @@ impl Default for GaConfig {
 
 /// The step-wise GA engine: one generation selects parents by fitness
 /// roulette and breeds `m` offspring, which are evaluated; then the best
-/// `N` of parents ∪ offspring survive.
+/// `N` of parents ∪ offspring survive, ties in favour of the parents
+/// (the order of a stable sort by descending fitness).
 pub type GaEngine = Engine<GaConfig>;
 
 impl Scheme for GaConfig {
-    fn start(&self, dims: usize) -> (usize, u64) {
+    fn start(&self, dims: usize) -> (usize, usize, u64) {
         assert!(
             self.population_size >= 2,
             "GA needs at least two individuals"
@@ -69,29 +73,24 @@ impl Scheme for GaConfig {
             "crossover rate is a probability"
         );
         assert!(dims >= 2, "genome needs at least two genes");
-        (self.population_size, self.seed)
+        (self.population_size, self.offspring, self.seed)
     }
 
-    fn breed(&self, population: &Population, rng: &mut StdRng) -> Vec<Vec<f64>> {
-        let mut children = vec![Vec::new(); self.offspring];
+    fn breed(&self, rows: &mut Rows, rng: &mut StdRng) {
+        let (parents, offspring) = rows.genes.split_at_mut(rows.population);
         breed_into(
-            population.members(),
-            &RouletteWheel::new(&population.fitness_values()),
-            &mut children,
-            &mut Vec::new(),
+            parents,
+            &RouletteWheel::new(&rows.fitness[..rows.population]),
+            offspring,
+            &mut rows.spare_child,
             self.mutation_rate,
             self.crossover_rate,
             rng,
         );
-        children
     }
 
-    fn absorb(&self, population: &mut Population, candidates: Vec<Vec<f64>>, fitness: &[f64]) {
-        let mut offspring =
-            Population::from_members(candidates.into_iter().map(Individual::new).collect());
-        offspring.assign_fitness(fitness);
-        let parents = std::mem::replace(population, Population::from_members(Vec::new()));
-        *population = replace_by_score(parents, offspring, |m| m.fitness, self.population_size);
+    fn absorb(&self, rows: &mut Rows) {
+        rows.sort_by_fitness(rows.genes.len());
     }
 }
 
@@ -108,8 +107,8 @@ impl Scheme for GaConfig {
 /// # Panics
 /// Panics when `parents` is shorter than the wheel, or on parents of
 /// unequal length.
-pub fn breed_into<P: AsRef<[f64]>>(
-    parents: &[P],
+pub fn breed_into(
+    parents: &[Vec<f64>],
     wheel: &RouletteWheel<'_>,
     children: &mut [Vec<f64>],
     spare: &mut Vec<f64>,
@@ -121,8 +120,8 @@ pub fn breed_into<P: AsRef<[f64]>>(
         let (c1, rest) = pair.split_at_mut(1);
         let c1 = &mut c1[0];
         let c2 = rest.first_mut().unwrap_or(&mut *spare);
-        let pa = parents[wheel.spin(rng)].as_ref();
-        let pb = parents[wheel.spin(rng)].as_ref();
+        let pa = &parents[wheel.spin(rng)];
+        let pb = &parents[wheel.spin(rng)];
         if rng.random::<f64>() < crossover_rate {
             one_point_crossover_into(pa, pb, c1, c2, rng);
         } else {
@@ -132,38 +131,6 @@ pub fn breed_into<P: AsRef<[f64]>>(
         uniform_mutation(c1, mutation_rate, rng);
         uniform_mutation(c2, mutation_rate, rng);
     }
-}
-
-/// Elitist replacement: the `n` best of `population ∪ offspring` by
-/// `score`, best first, ties in favour of the incumbent population (the
-/// order of a stable sort by descending score, ranked by an
-/// [`ElitistRanking`]). Survivors move out of the two populations
-/// uncloned; the rest drop with them.
-pub fn replace_by_score(
-    population: Population,
-    offspring: Population,
-    score: impl Fn(&Individual) -> f64,
-    n: usize,
-) -> Population {
-    let mut ranking = ElitistRanking::default();
-    ranking.rank(
-        (population.members().iter())
-            .chain(offspring.members())
-            .map(score),
-    );
-    let mut pool: Vec<Option<Individual>> = (population.into_members().into_iter())
-        .chain(offspring.into_members())
-        .map(Some)
-        .collect();
-    // The indices are distinct, so each `take` finds its member.
-    let kept = ranking.order().take(n);
-    let survivors: Vec<Individual> = kept.filter_map(|i| pool[i].take()).collect();
-    debug_assert_eq!(
-        survivors.len(),
-        n.min(pool.len()),
-        "a survivor was taken twice"
-    );
-    Population::from_members(survivors)
 }
 
 #[cfg(test)]

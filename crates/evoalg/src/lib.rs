@@ -6,18 +6,20 @@
 //! evolution (ESSIM-DE) and the proposed novelty-search GA (ESS-NS,
 //! Algorithm 1). This crate provides their shared building blocks:
 //!
-//! * [`individual`] — genomes (normalised `f64` gene vectors), scored
-//!   individuals and populations;
+//! * [`individual`] — the scored individual (Algorithm 1's reported
+//!   record) and the random gene rows every search starts from;
 //! * [`selection`] — the roulette wheel of parent selection (the paper's GA
 //!   selection strategy, §III-B) over arbitrary scores, and the elitist
 //!   merge behind every replacement;
 //! * [`operators`] — one-point crossover and uniform-reset mutation over
 //!   `[0, 1]` genes, and DE's `rand/1` donor and binomial crossover;
-//! * [`engine`] — [`engine::Engine`], the step-wise engine core (seeded
-//!   population, evaluation, counters, restart, statistics), generic over
-//!   the [`engine::Scheme`] that varies and selects one generation;
+//! * [`engine`] — [`engine::Engine`], the step-wise engine core over
+//!   [`engine::Rows`] kept for the whole run (population then candidates,
+//!   genes beside fitness): evaluation, counters, the fitness order,
+//!   restart and statistics, generic over the [`engine::Scheme`] that
+//!   breeds into and selects among the rows;
 //! * [`ga`] — the GA scheme ([`GaEngine`], the baseline systems) and the
-//!   breeding and elitist-replacement steps it shares with Algorithm 1;
+//!   breeding step it shares with Algorithm 1;
 //! * [`de`] — the Differential Evolution scheme (`rand/1/bin`,
 //!   [`DeEngine`], the ESSIM-DE metaheuristic);
 //! * [`novelty`] — the Novelty Search kit: the novelty score ρ(x) of
@@ -59,7 +61,7 @@ pub use bestset::BestSet;
 pub use de::{DeConfig, DeEngine};
 pub use engine::{Engine, GenStats, Scheme};
 pub use ga::{GaConfig, GaEngine};
-pub use individual::{Individual, Population};
+pub use individual::Individual;
 pub use knn::{IndexBuffers, NoveltyEngine, PreparedIndex};
 pub use matrix::{BehaviourMatrix, GenomeMatrix};
 pub use novelty::{novelty_score, novelty_score_external, NoveltyArchive};

@@ -44,18 +44,20 @@ pub fn uniform_mutation<R: Rng + ?Sized>(genes: &mut [f64], rate: f64, rng: &mut
     }
 }
 
-/// DE `rand/1` donor vector: `x_r1 + f × (x_r2 − x_r3)`, clamped to
-/// `[0, 1]`. `r1, r2, r3` are distinct indices into `population`, all
-/// different from `target`.
+/// DE `rand/1` donor vector into `donor` (overwritten, keeping its
+/// allocation): `x_r1 + f × (x_r2 − x_r3)`, clamped to `[0, 1]`.
+/// `r1, r2, r3` are distinct indices into `population`, all different
+/// from `target`, drawn in that order.
 ///
 /// # Panics
 /// Panics when the population has fewer than 4 members (DE's minimum).
-pub fn de_rand_1_donor<R: Rng + ?Sized>(
+pub fn de_rand_1_donor_into<R: Rng + ?Sized>(
     population: &[Vec<f64>],
     target: usize,
     f: f64,
+    donor: &mut Vec<f64>,
     rng: &mut R,
-) -> Vec<f64> {
+) {
     assert!(
         population.len() >= 4,
         "DE rand/1 needs at least 4 individuals"
@@ -71,40 +73,36 @@ pub fn de_rand_1_donor<R: Rng + ?Sized>(
     let r1 = pick(&[target]);
     let r2 = pick(&[target, r1]);
     let r3 = pick(&[target, r1, r2]);
-    population[r1]
-        .iter()
-        .zip(&population[r2])
-        .zip(&population[r3])
-        .map(|((&a, &b), &c)| (a + f * (b - c)).clamp(0.0, 1.0))
-        .collect()
+    donor.clear();
+    donor.extend(
+        (population[r1].iter())
+            .zip(&population[r2])
+            .zip(&population[r3])
+            .map(|((&a, &b), &c)| (a + f * (b - c)).clamp(0.0, 1.0)),
+    );
 }
 
-/// DE binomial crossover: gene-wise take the donor with probability `cr`,
-/// with one guaranteed donor gene (`j_rand`).
-pub fn de_binomial_crossover<R: Rng + ?Sized>(
+/// DE binomial crossover in place: `trial` holds the donor and becomes
+/// the trial, each gene kept from the donor with probability `cr` and
+/// taken from `target` otherwise, with one guaranteed donor gene
+/// (`j_rand`, drawn first; it draws no test of its own).
+pub fn de_binomial_crossover_into<R: Rng + ?Sized>(
     target: &[f64],
-    donor: &[f64],
+    trial: &mut [f64],
     cr: f64,
     rng: &mut R,
-) -> Vec<f64> {
-    assert_eq!(target.len(), donor.len(), "DE crossover length mismatch");
+) {
+    assert_eq!(target.len(), trial.len(), "DE crossover length mismatch");
     assert!(
         (0.0..=1.0).contains(&cr),
         "crossover rate must be a probability"
     );
     let j_rand = rng.random_range(0..target.len());
-    target
-        .iter()
-        .zip(donor)
-        .enumerate()
-        .map(|(j, (&t, &d))| {
-            if j == j_rand || rng.random::<f64>() < cr {
-                d
-            } else {
-                t
-            }
-        })
-        .collect()
+    for (j, (gene, &t)) in trial.iter_mut().zip(target).enumerate() {
+        if j != j_rand && rng.random::<f64>() >= cr {
+            *gene = t;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -158,8 +156,9 @@ mod tests {
     fn de_donor_in_bounds_and_distinct_sources() {
         let pop: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64 / 6.0; 4]).collect();
         let mut r = rng();
+        let mut donor = Vec::new();
         for target in 0..pop.len() {
-            let donor = de_rand_1_donor(&pop, target, 0.8, &mut r);
+            de_rand_1_donor_into(&pop, target, 0.8, &mut donor, &mut r);
             assert_eq!(donor.len(), 4);
             assert!(donor.iter().all(|g| (0.0..=1.0).contains(g)));
         }
@@ -168,26 +167,25 @@ mod tests {
     #[test]
     fn de_crossover_keeps_at_least_one_donor_gene() {
         let target = vec![0.0; 8];
-        let donor = vec![1.0; 8];
         let mut r = rng();
         for _ in 0..50 {
-            let trial = de_binomial_crossover(&target, &donor, 0.0, &mut r);
+            let mut trial = vec![1.0; 8];
+            de_binomial_crossover_into(&target, &mut trial, 0.0, &mut r);
             assert_eq!(trial.iter().filter(|&&g| g == 1.0).count(), 1);
         }
     }
 
     #[test]
     fn de_crossover_cr_one_copies_donor() {
-        let target = vec![0.0; 5];
-        let donor = vec![1.0; 5];
-        let trial = de_binomial_crossover(&target, &donor, 1.0, &mut rng());
-        assert_eq!(trial, donor);
+        let mut trial = vec![1.0; 5];
+        de_binomial_crossover_into(&[0.0; 5], &mut trial, 1.0, &mut rng());
+        assert_eq!(trial, [1.0; 5]);
     }
 
     #[test]
     #[should_panic(expected = "at least 4")]
     fn de_requires_four_members() {
         let pop = vec![vec![0.5]; 3];
-        let _ = de_rand_1_donor(&pop, 0, 0.5, &mut rng());
+        de_rand_1_donor_into(&pop, 0, 0.5, &mut Vec::new(), &mut rng());
     }
 }

@@ -95,17 +95,18 @@ impl ElitistRanking {
         self.keys.iter().map(|&key| key as u32 as usize)
     }
 
-    /// Moves `column`, one entry per ranked member, into rank order:
-    /// entry `r` afterwards is the one that stood at the `r`-th index of
+    /// Moves the ranked entries of `column` (its first one per ranked
+    /// member; any after them stay put) into rank order: entry `r`
+    /// afterwards is the one that stood at the `r`-th index of
     /// [`ElitistRanking::order`]. `spare` is the scratch the move goes
     /// through; it is left empty, keeping its allocation.
     ///
     /// # Panics
     /// Panics when `column` holds fewer entries than were ranked.
-    pub fn permute<T: Default>(&self, column: &mut Vec<T>, spare: &mut Vec<T>) {
+    pub fn permute<T: Default>(&self, column: &mut [T], spare: &mut Vec<T>) {
         spare.clear();
         spare.extend(self.order().map(|i| std::mem::take(&mut column[i])));
-        std::mem::swap(column, spare);
+        column[..spare.len()].swap_with_slice(spare);
         spare.clear();
     }
 }
@@ -187,9 +188,10 @@ mod tests {
         let mut ranking = ElitistRanking::default();
         ranking.rank(scores);
         assert_eq!(ranking.order().collect::<Vec<_>>(), stable);
-        let mut column: Vec<Vec<usize>> = (0..scores.len()).map(|i| vec![i]).collect();
+        // One entry past the ranked ones, which stays put.
+        let mut column: Vec<Vec<usize>> = (0..=scores.len()).map(|i| vec![i]).collect();
         ranking.permute(&mut column, &mut Vec::new());
         let moved: Vec<usize> = column.iter().map(|v| v[0]).collect();
-        assert_eq!(moved, stable);
+        assert_eq!(moved, [&stable[..], &[scores.len()]].concat());
     }
 }

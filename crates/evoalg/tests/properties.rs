@@ -4,8 +4,6 @@
 //! dependencies, so the former proptest strategies are seeded loops).
 
 use evoalg::bestset::{BestSet, ScoredGenome};
-use evoalg::ga::replace_by_score;
-use evoalg::individual::{Individual, Population};
 use evoalg::knn::{NoveltyEngine, PreparedIndex};
 use evoalg::novelty::{
     behaviour_distance, local_competition_score, novelty_score, novelty_score_external,
@@ -13,7 +11,7 @@ use evoalg::novelty::{
 };
 use evoalg::operators;
 use evoalg::selection::{self, RouletteWheel};
-use evoalg::BehaviourMatrix;
+use evoalg::{engine, BehaviourMatrix, DeConfig, DeEngine, GaConfig, GaEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -87,9 +85,10 @@ fn de_closure() {
         let pop: Vec<Vec<f64>> = (0..n).map(|_| genome(&mut rng, 6)).collect();
         let f = 0.1 + rng.random::<f64>() * 1.9;
         let cr = rng.random::<f64>();
+        let mut trial = Vec::new();
         for target in 0..pop.len() {
-            let donor = operators::de_rand_1_donor(&pop, target, f, &mut rng);
-            let trial = operators::de_binomial_crossover(&pop[target], &donor, cr, &mut rng);
+            operators::de_rand_1_donor_into(&pop, target, f, &mut trial, &mut rng);
+            operators::de_binomial_crossover_into(&pop[target], &mut trial, cr, &mut rng);
             assert!(trial.iter().all(|g| (0.0..=1.0).contains(g)));
         }
     }
@@ -603,44 +602,103 @@ fn master_wheel_matches_the_per_spin_roulette() {
     assert!(fell_off > 0, "no ticket fell off a wheel");
 }
 
-/// Replacement by value keeps the members, in the order, that replacement
-/// by clone did, tied scores included.
+/// A row: its genes and its fitness' bits (NaN compares equal to itself).
+type Row = (Vec<f64>, u64);
+
+/// An engine's population as rows.
+fn rows_of<S: evoalg::Scheme>(engine: &evoalg::Engine<S>) -> Vec<Row> {
+    let fitness = engine.fitness().iter().map(|f| f.to_bits());
+    engine.population().iter().cloned().zip(fitness).collect()
+}
+
+/// The GA's replacement over its kept rows keeps the members, in the
+/// order, that replacement by clone did — the first `N` of parents ∪
+/// offspring by a stable sort by descending fitness — tied scores
+/// included, generation after generation on the rows it reuses.
 #[test]
 fn master_replacement_by_move_matches_replacement_by_clone() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        let population = |rng: &mut StdRng, sizes: std::ops::Range<usize>| {
-            let n = rng.random_range(sizes);
-            let members: Vec<Individual> =
-                (0..n).map(|_| Individual::new(genome(rng, 2))).collect();
-            let mut p = Population::from_members(members);
-            let f: Vec<f64> = (0..n)
-                .map(|_| f64::from(rng.random_range(0..3u32)))
-                .collect();
-            p.assign_fitness(&f);
-            p
+        let (n, m) = (rng.random_range(2..12usize), rng.random_range(2..12usize));
+        let config = GaConfig {
+            population_size: n,
+            offspring: m,
+            seed,
+            ..GaConfig::default()
         };
-        let parents = population(&mut rng, 0..12);
-        let offspring = population(&mut rng, 1..12);
-        let n = rng.random_range(1..20usize);
-        let all: Vec<&Individual> = parents
-            .members()
-            .iter()
-            .chain(offspring.members())
-            .collect();
-        // The replacement by clone: a stable sort by descending fitness,
-        // the first `n` indices cloned out.
-        let mut order: Vec<usize> = (0..all.len()).collect();
-        order.sort_by(|&x, &y| all[y].fitness.total_cmp(&all[x].fitness));
-        let expected: Vec<(Vec<f64>, f64)> = (order.into_iter().take(n))
-            .map(|i| (all[i].genes.clone(), all[i].fitness))
-            .collect();
-        let got: Vec<(Vec<f64>, f64)> =
-            replace_by_score(parents.clone(), offspring.clone(), |m| m.fitness, n)
-                .into_members()
-                .into_iter()
-                .map(|m| (m.genes, m.fitness))
-                .collect();
-        assert_eq!(got, expected, "seed {seed}: survivors differ");
+        let mut engine = GaEngine::new(2, config);
+        let mut tied = |len| -> Vec<f64> {
+            (0..len)
+                .map(|_| f64::from(rng.random_range(0..3u32)))
+                .collect()
+        };
+        engine.score_population(&tied(n));
+        for generation in 0..3 {
+            engine.propose();
+            let fitness = tied(m);
+            let offspring = engine.candidates().iter().cloned();
+            let offspring = offspring.zip(fitness.iter().map(|f| f.to_bits()));
+            let all: Vec<Row> = rows_of(&engine).into_iter().chain(offspring).collect();
+            // The replacement by clone: a stable sort by descending
+            // fitness, the first `n` indices cloned out.
+            let mut order: Vec<usize> = (0..all.len()).collect();
+            let f = |i: usize| f64::from_bits(all[i].1);
+            order.sort_by(|&x, &y| f(y).total_cmp(&f(x)));
+            let expected: Vec<Row> = order.iter().take(n).map(|&i| all[i].clone()).collect();
+            engine.accept(&fitness);
+            assert_eq!(
+                rows_of(&engine),
+                expected,
+                "seed {seed} generation {generation}: survivors differ"
+            );
+        }
     }
+}
+
+/// The engines' fitness order over the population — the restart's, the
+/// ring migration's and ESSIM-DE's elite pick's — is a stable sort by
+/// descending fitness with unscored (NaN) members read as −∞.
+#[test]
+fn master_fitness_order_is_the_stable_sort_with_unscored_last() {
+    let pool = [f64::NAN, f64::NEG_INFINITY, -0.0, 0.0, 0.5, 1.0];
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0DE5);
+        let n = rng.random_range(4..16usize);
+        let config = DeConfig {
+            population_size: n,
+            seed,
+            ..DeConfig::default()
+        };
+        let mut engine = DeEngine::new(3, config);
+        for i in 0..n {
+            let genes = engine.population()[i].clone();
+            engine.set_member(i, &genes, pool[rng.random_range(0..pool.len())]);
+        }
+        let before = rows_of(&engine);
+        let key = |i: usize| {
+            let f = f64::from_bits(before[i].1);
+            if f.is_finite() {
+                f
+            } else {
+                f64::NEG_INFINITY
+            }
+        };
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&x, &y| key(y).total_cmp(&key(x)));
+        engine.sort_by_fitness();
+        let expected: Vec<Row> = order.iter().map(|&i| before[i].clone()).collect();
+        assert_eq!(rows_of(&engine), expected, "seed {seed}");
+    }
+}
+
+/// The IQR is non-negative, and zero for constant samples.
+#[test]
+fn iqr_nonnegative() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.random_range(0..40usize);
+        let mut v: Vec<f64> = (0..n).map(|_| -1e3 + rng.random::<f64>() * 2e3).collect();
+        assert!(engine::iqr(&mut v) >= 0.0);
+    }
+    assert_eq!(engine::iqr(&mut [2.5; 9]), 0.0);
 }

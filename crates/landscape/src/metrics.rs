@@ -185,27 +185,6 @@ pub fn jaccard_at_time(
     .index()
 }
 
-/// Interquartile range (Q3 − Q1) using the nearest-rank method.
-///
-/// This is the population-spread statistic used by ESSIM-DE's dynamic
-/// tuning metric (\[22\] in the paper): a collapsing IQR of the population
-/// fitness signals premature convergence.
-pub fn iqr(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let q = |frac: f64| -> f64 {
-        let pos = frac * (sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let w = pos - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    };
-    q(0.75) - q(0.25)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,13 +266,5 @@ mod tests {
                 "t = {t} with preburn"
             );
         }
-    }
-
-    #[test]
-    fn iqr_linear_interpolation() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        // positions: q1 at 0.75 -> 1.75, q3 at 2.25 -> 3.25 → IQR 1.5
-        assert!((iqr(&v) - 1.5).abs() < 1e-12);
-        assert_eq!(iqr(&[1.0]), 0.0);
     }
 }

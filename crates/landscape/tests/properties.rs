@@ -130,18 +130,6 @@ fn threshold_extremes_bracket_inputs() {
     }
 }
 
-/// IQR is non-negative and zero for constant samples.
-#[test]
-fn iqr_nonnegative() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.random_range(0..40usize);
-        let v: Vec<f64> = (0..n).map(|_| -1e3 + rng.random::<f64>() * 2e3).collect();
-        assert!(landscape::metrics::iqr(&v) >= 0.0);
-    }
-    assert_eq!(landscape::metrics::iqr(&[2.5; 9]), 0.0);
-}
-
 /// One synthetic run of the Statistical Stage: an arrival raster and the
 /// disjoint index ranges outside which every cell is [`UNIGNITED`] — the
 /// contract of an arena run's written ranges.

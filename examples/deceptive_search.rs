@@ -1,9 +1,9 @@
 //! The §II-C deceptiveness argument, outside the fire domain: on a fully
 //! deceptive landscape the objective gradient points *away* from the global
-//! optimum, so a fitness GA converges to the deceptive attractor while
+//! optimum, so a fitness GA is drawn to the deceptive attractor while
 //! Novelty Search — which ignores the objective — keeps finding new
-//! behaviours until it stumbles on the true optimum and records it in
-//! `bestSet`.
+//! behaviours and records the fittest in `bestSet`. The example runs both
+//! at one budget and closes with which of them did better there.
 //!
 //! ```sh
 //! cargo run --release --example deceptive_search
@@ -64,10 +64,11 @@ fn main() {
         let mut best_genes = Vec::new();
         for _ in 0..GENS {
             engine.step(&mut eval);
-            if let Some(b) = engine.population().best() {
-                if b.fitness > best {
-                    best = b.fitness;
-                    best_genes = b.genes.clone();
+            let members = engine.population().iter().zip(engine.fitness());
+            if let Some((genes, &fitness)) = members.max_by(|a, b| a.1.total_cmp(b.1)) {
+                if fitness > best {
+                    best = fitness;
+                    best_genes.clone_from(genes);
                 }
             }
         }
@@ -82,9 +83,20 @@ fn main() {
     println!("algorithm    mean best fitness   global optima found");
     println!("NS-GA        {ns_mean:.4}              {ns_hits}/{SEEDS}");
     println!("fitness-GA   {ga_mean:.4}              {ga_hits}/{SEEDS}");
+    println!("\nThe deceptive attractor (all zeros) scores 0.75; the optimum scores 1.");
+    // The closing line follows from the table, whichever way it reads.
+    let ahead = |ns: f64, ga: f64| {
+        if ns > ga {
+            "NS-GA"
+        } else if ga > ns {
+            "fitness-GA"
+        } else {
+            "neither"
+        }
+    };
     println!(
-        "\nThe deceptive attractor (all zeros) scores 0.75; riding the gradient\n\
-         gets the fitness GA stuck there, while NS's behaviour-space exploration\n\
-         reaches full blocks and its bestSet remembers them."
+        "Ahead at this budget on mean best fitness: {}; on optima found: {}.",
+        ahead(ns_mean, ga_mean),
+        ahead(f64::from(ns_hits), f64::from(ga_hits))
     );
 }

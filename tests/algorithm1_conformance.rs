@@ -7,7 +7,7 @@ use essns_repro::ess_ns::algorithm::NoveltyGaOutcome;
 use essns_repro::ess_ns::{
     BehaviourSpace, NoveltyGa, NoveltyGaConfig, NsGenStats, ScoringPolicy, StopReason,
 };
-use evoalg::individual::{Individual, Population};
+use evoalg::individual::{random_rows, Individual};
 use evoalg::novelty::{local_competition_score, novelty_score};
 use evoalg::operators::uniform_mutation;
 use evoalg::selection::RouletteWheel;
@@ -161,7 +161,8 @@ fn population_never_converges() {
     let log = Rc::new(RefCell::new(Vec::new()));
     let mut eval = recording_eval(Rc::clone(&log));
     let out = NoveltyGa::new(6, cfg).run(&mut eval);
-    let final_div = evoalg::diversity::mean_pairwise_distance(&out.final_population.genomes());
+    let genomes: Vec<Vec<f64>> = out.final_population.into_iter().map(|m| m.genes).collect();
+    let final_div = evoalg::diversity::mean_pairwise_distance(&genomes);
     // A uniform random population in [0,1]^6 has mean pairwise normalised
     // distance ≈ 0.38; a converged GA population sits well below 0.05.
     assert!(
@@ -183,7 +184,8 @@ fn reference_run(
 ) -> NoveltyGaOutcome {
     let (n, k) = (cfg.population_size, cfg.novelty_neighbours);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut population = Population::random(n, dims, &mut rng);
+    let rows = random_rows(n, 0, dims, &mut rng);
+    let mut population: Vec<Individual> = rows.into_iter().map(Individual::new).collect();
     let mut archive = NoveltyArchive::new(cfg.archive_capacity);
     let mut best_set = BestSet::new(cfg.best_set_capacity);
     let (mut generations, mut max_fitness, mut evaluations) = (0u32, 0.0f64, 0u64);
@@ -197,8 +199,8 @@ fn reference_run(
         };
         cfg.scoring.score_with_lc(ind.fitness, ind.novelty, lc)
     };
-    let mut evaluate_missing = |pop: &mut Population| {
-        let missing = pop.members_mut().iter_mut().filter(|m| !m.is_evaluated());
+    let mut evaluate_missing = |pop: &mut [Individual]| {
+        let missing = pop.iter_mut().filter(|m| !m.is_evaluated());
         let mut missing: Vec<&mut Individual> = missing.collect();
         let genomes: Vec<Vec<f64>> = missing.iter().map(|m| m.genes.clone()).collect();
         if genomes.is_empty() {
@@ -216,7 +218,7 @@ fn reference_run(
         }
         // Line 7: two spins, the crossover test (and cut), then mutation
         // of both children, until m children exist.
-        let scores: Vec<f64> = (population.members().iter())
+        let scores: Vec<f64> = (population.iter())
             .map(|m| {
                 if m.novelty.is_finite() && m.fitness.is_finite() {
                     score(m)
@@ -226,7 +228,7 @@ fn reference_run(
             })
             .collect();
         let wheel = RouletteWheel::new(&scores);
-        let parents = population.members();
+        let parents = &population;
         let mut children = Vec::new();
         while children.len() < cfg.offspring {
             let pa = &parents[wheel.spin(&mut rng)].genes;
@@ -247,14 +249,12 @@ fn reference_run(
                 children.push(Individual::new(c2));
             }
         }
-        let mut offspring = Population::from_members(children);
+        let mut offspring = children;
         // Lines 8–10.
         evaluations += evaluate_missing(&mut population);
         evaluations += evaluate_missing(&mut offspring);
         // Lines 11–14.
-        let union: Vec<&Individual> = (population.members().iter())
-            .chain(offspring.members())
-            .collect();
+        let union: Vec<&Individual> = population.iter().chain(&offspring).collect();
         let mut behaviours: Vec<Vec<f64>> = (union.iter())
             .map(|m| cfg.behaviour.describe(&m.genes, m.fitness))
             .collect();
@@ -268,7 +268,7 @@ fn reference_run(
         let lcs: Vec<f64> = (0..subjects)
             .map(|i| local_competition_score(i, &behaviours, &all_fitness, k))
             .collect();
-        let members = (population.members_mut().iter_mut()).chain(offspring.members_mut());
+        let members = population.iter_mut().chain(&mut offspring);
         for ((m, rho), lc) in members.zip(rhos).zip(lcs) {
             m.novelty = if rho.is_finite() { rho } else { 1.0 };
             if cfg.scoring.uses_local_competition() {
@@ -276,29 +276,27 @@ fn reference_run(
             }
         }
         // Line 15.
-        for (j, ind) in offspring.members().iter().enumerate() {
+        for (j, ind) in offspring.iter().enumerate() {
             let behaviour = &behaviours[population.len() + j];
             archive.offer(&ind.genes, behaviour, ind.novelty, ind.fitness);
         }
         // Line 17, offspring then parents, every generation.
-        for ind in offspring.members().iter().chain(population.members()) {
+        for ind in offspring.iter().chain(&population) {
             if ind.is_evaluated() {
                 best_set.offer(&ind.genes, ind.fitness);
             }
         }
         // Line 16: a stable sort by descending score.
-        let union: Vec<Individual> = (population.into_members().into_iter())
-            .chain(offspring.into_members())
-            .collect();
+        let union: Vec<Individual> = population.into_iter().chain(offspring).collect();
         let mut ranked: Vec<usize> = (0..union.len()).collect();
         ranked.sort_by(|&x, &y| score(&union[y]).total_cmp(&score(&union[x])));
         ranked.truncate(n);
-        population = Population::from_members(ranked.iter().map(|&i| union[i].clone()).collect());
+        population = ranked.iter().map(|&i| union[i].clone()).collect();
         // Lines 18–19.
         max_fitness = best_set.max_fitness();
         generations += 1;
         let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
-        let members = population.members();
+        let members = &population;
         history.push(NsGenStats {
             generation: generations,
             max_fitness,
@@ -340,7 +338,7 @@ fn outcome_bits(out: &NoveltyGaOutcome) -> Vec<(&'static str, Vec<u64>)> {
         "archive rows",
         genes(out.archive.behaviour_matrix().as_flat()),
     ));
-    for m in out.final_population.members() {
+    for m in &out.final_population {
         let scores = [m.fitness, m.novelty, m.local_comp].map(f64::to_bits);
         lines.push(("member", [genes(&m.genes), scores.to_vec()].concat()));
     }

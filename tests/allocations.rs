@@ -26,11 +26,11 @@
 //! and those fork through parworker's scoped fork/join, which allocates
 //! its chunk bag and spawns its threads.
 //!
-//! The search master is counted the same way, less the evaluator's own
-//! allocations: Algorithm 1 (`NoveltyGa::run`) at each registry scale's
-//! sizes must allocate exactly as often over 24 generations as over 12,
-//! so a warm generation allocates nothing. The GA and DE engines' counts
-//! are printed, not asserted.
+//! The search masters are counted the same way, less the evaluator's own
+//! allocations: Algorithm 1 (`NoveltyGa::run`), the GA engine and the DE
+//! engine at each registry scale's sizes must each allocate exactly as
+//! often over 24 generations as over 12, so a warm generation allocates
+//! nothing (`--nocapture` prints the counts).
 //!
 //! The binary holds one test, so nothing else runs while a window is
 //! measured.
@@ -279,8 +279,7 @@ fn engine_allocations<S: Scheme>(scheme: S, generations: u32) -> u64 {
     total - zero_cost.own
 }
 
-/// The master's counts: Algorithm 1 asserted flat after warm-up, the GA
-/// and DE engines printed.
+/// The masters' counts, each asserted flat after warm-up.
 fn the_search_masters() {
     println!("search master allocations (evaluator's own excluded), 12 / 24 generations");
     println!("  N  Algorithm 1          GaEngine          DeEngine");
@@ -305,10 +304,12 @@ fn the_search_masters() {
             "{n:>3}  {:>7} / {:<7}  {:>7} / {:<7}  {:>7} / {:<7}",
             ns[0], ns[1], ga[0], ga[1], de[0], de[1]
         );
-        assert_eq!(
-            ns[0], ns[1],
-            "N = {n}: Algorithm 1 allocated in a warm generation"
-        );
+        for (master, counts) in [("Algorithm 1", ns), ("GaEngine", ga), ("DeEngine", de)] {
+            assert_eq!(
+                counts[0], counts[1],
+                "N = {n}: {master} allocated in a warm generation"
+            );
+        }
     }
 }
 
