@@ -7,7 +7,9 @@
 //! [`Plan::run`] builds every trial with [`RunSpec::sessions_on`] on the
 //! plan's one pool and drains it: the path `serve` runs, cases shared
 //! through `ess_service::store`. It returns one [`Trial`] per run, and the
-//! experiment projects columns out of those records with [`fold`]. E5 and
+//! experiment projects columns out of those records with [`fold`]. The plan
+//! keeps every record, so a spec asked for again (E2 asks for E1's) is
+//! answered from them, not run twice. E5 and
 //! the three narrated traces drive engines directly, and E10 assembles its
 //! sessions by hand (its observation noise is drawn per seed, which a case
 //! name cannot say). No artifact carries a clock reading, so the same
@@ -24,6 +26,7 @@ use ess_service::{Budget, PredictionSession, RunSpec};
 use evoalg::benchmarks::{deceptive_trap, two_peaks};
 use evoalg::{BatchEvaluator, GaConfig, GaEngine};
 use firelib::ScenarioSpace;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// What every experiment of one harness invocation shares: the one pool
@@ -37,11 +40,14 @@ pub struct Plan {
     pub seeds: Vec<u64>,
     /// Per-step budget scale of every trial.
     pub scale: f64,
+    /// Every trial [`Plan::run`] has drained, in the order it ran them.
+    trials: RefCell<Vec<Trial>>,
 }
 
 /// The result record of one trial: the spec that says what ran (row, case,
 /// seed, scale), and the run's report — whose `system` and `case` are the
 /// canonical names the spec resolved to.
+#[derive(Clone)]
 pub struct Trial {
     /// The trial, as it could be sent to `serve`.
     pub spec: RunSpec,
@@ -76,6 +82,7 @@ impl Plan {
             pool: Arc::new(SharedScenarioPool::new(backend)),
             seeds: (0..replicates as u64).map(|i| 1000 + i).collect(),
             scale,
+            trials: RefCell::default(),
         }
     }
 
@@ -93,7 +100,9 @@ impl Plan {
     }
 
     /// Runs every trial to its end on the plan's pool and returns one
-    /// record per trial, in the order given.
+    /// record per trial, in the order given. A spec equal to one this plan
+    /// has already run is not run again: its records are the earlier
+    /// ones, since a spec states everything its trial is.
     ///
     /// # Panics
     /// Panics on a spec that does not resolve or that a budget stops (the
@@ -104,15 +113,19 @@ impl Plan {
         reason = "the experiments name registered rows and set no budget, and the harness checks `--cases` up front"
     )]
     pub fn run(&self, specs: Vec<RunSpec>) -> Vec<Trial> {
+        let mut ran = self.trials.borrow_mut();
         let mut trials = Vec::with_capacity(specs.len());
         for spec in specs {
-            let sessions = spec.sessions_on(&self.pool);
-            for mut session in sessions.unwrap_or_else(|e| panic!("{e}")) {
-                trials.push(Trial {
-                    spec: spec.clone(),
-                    report: session.drain().unwrap_or_else(|e| panic!("{e}")),
-                });
+            if !ran.iter().any(|t| t.spec == spec) {
+                let sessions = spec.sessions_on(&self.pool);
+                for mut session in sessions.unwrap_or_else(|e| panic!("{e}")) {
+                    ran.push(Trial {
+                        spec: spec.clone(),
+                        report: session.drain().unwrap_or_else(|e| panic!("{e}")),
+                    });
+                }
             }
+            trials.extend(ran.iter().filter(|t| t.spec == spec).cloned());
         }
         trials
     }
@@ -373,7 +386,13 @@ pub fn e1_quality(plan: &Plan, case_names: &[&str]) -> TextTable {
 }
 
 /// E2 — diversity of the result set fed to the Statistical Stage. Cases:
-/// `case_names`; rows: the paper systems.
+/// `case_names`; rows: the paper systems — E1's trials, so on a plan that
+/// has run E1 this table drains nothing.
+///
+/// `fitness_iqr_of_set` is the exception: it re-runs step 1 of each cell's
+/// first trial with the replicate seed itself (`plan.seeds[0]`), where the
+/// trial's own step 1 searched with `step_seed(seed, 1)`, so the column
+/// describes a search no trial ran.
 pub fn e2_diversity(plan: &Plan, case_names: &[&str]) -> TextTable {
     let mut t = TextTable::new([
         "case",
@@ -388,9 +407,10 @@ pub fn e2_diversity(plan: &Plan, case_names: &[&str]) -> TextTable {
         let over_steps = |project: fn(&StepReport) -> f64| {
             fold(cell, |r| r.steps.iter().map(project)).map_or(0.0, |f| f.mean)
         };
-        // Fitness IQR of the result set on the first step of the first
-        // seed (re-evaluated): spread of the *scores* in the set. The
-        // trial's spec rebuilds its case and optimizer.
+        // Fitness IQR of the result set of one step-1 search, re-evaluated:
+        // spread of the *scores* in the set. The first trial's spec
+        // rebuilds its case and optimizer; the seed is not its step's (see
+        // the doc above).
         #[expect(clippy::expect_used, reason = "the trial's spec already ran")]
         let mut first = cell[0].spec.session().expect("the trial ran");
         let (driver, optimizer) = first.step_parts();
@@ -692,6 +712,21 @@ mod tests {
                 assert_eq!(session.case_name(), design.1[case], "{text}");
             }
         }
+    }
+
+    #[test]
+    fn e2_after_e1_drains_no_trial_and_writes_a_fresh_plans_table() {
+        let cases = ["meadow_small"];
+        let plan = Plan::new(EvalBackend::Serial, 2, 0.1);
+        e1_quality(&plan, &cases);
+        let ran = plan.trials.borrow().len();
+        assert_eq!(ran, systems::all().len() * 2);
+        let e2 = e2_diversity(&plan, &cases).to_csv();
+        assert_eq!(plan.trials.borrow().len(), ran, "E2 drained a trial E1 ran");
+
+        let fresh = Plan::new(EvalBackend::Serial, 2, 0.1);
+        assert_eq!(e2, e2_diversity(&fresh, &cases).to_csv());
+        assert_eq!(fresh.trials.borrow().len(), ran);
     }
 
     #[test]

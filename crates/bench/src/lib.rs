@@ -4,7 +4,7 @@
 //! Every experiment of README § "Experiments" is a function here returning a
 //! [`ess::report::TextTable`], so the harness can print it and write the
 //! CSV, and `tests/paper_tables.rs` can regenerate the pinned tables
-//! (`golden/*.csv`) in-process. The pipeline-driven experiments are rows
+//! (under `golden/`) in-process. The pipeline-driven experiments are rows
 //! of one [`experiments::Plan`], whose one pool is built from the
 //! [`parworker::EvalBackend`] the harness CLI takes as `--backend`; every
 //! backend yields bit-identical results, so backend choice only moves
