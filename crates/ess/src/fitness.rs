@@ -35,13 +35,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 pub use parworker::EvalBackend;
 
-#[cfg(test)]
-thread_local! {
-    /// Simulations started on this thread ([`StepContext::simulate_into`])
-    /// — what the stage tail's count guard in `crate::pipeline` reads.
-    pub(crate) static SIMULATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// Everything needed to score scenarios on one prediction interval: a
 /// view of one interval of a case's [`Observations`]. Nothing here is a
 /// raster of its own — the simulator, the fire lines, the start line's
@@ -180,8 +173,6 @@ impl StepContext {
         arena: &'a mut SimArena,
         count: Option<&mut BurnCount<'_>>,
     ) -> &'a IgnitionMap {
-        #[cfg(test)]
-        SIMULATIONS.with(|n| n.set(n.get() + 1));
         let seeds = &self.lines.interval(self.interval).seeds;
         self.sim().simulate_arena_seeded(
             scenario,

@@ -558,7 +558,6 @@ mod tests {
 
     #[test]
     fn the_stage_tail_simulates_each_distinct_member_once_per_matrix() {
-        use crate::fitness::SIMULATIONS;
         use landscape::ProbabilityMap;
         let case = tiny_test_case();
         let genes = |wind: f64| {
@@ -570,12 +569,15 @@ mod tests {
         };
         let (a, b, c) = (genes(2.0), genes(6.0), genes(12.0));
         let set = vec![a.clone(), b.clone(), a.clone(), c, a, b];
-        let mut driver = StepDriver::new(case.clone(), serial_pool(), 3);
+        let pool = serial_pool();
+        let mut driver = StepDriver::new(case.clone(), Arc::clone(&pool), 3);
+        // The tail runs on the pool's spare arena (`Fixed` scores nothing).
+        let runs = || pool.with_spare(&case.sim, |arena, _| arena.work()).runs;
         // Step 1 folds one matrix; step 2 has a carried Kign, so two.
         for (step, matrices) in [(1, 1), (2, 2)] {
-            SIMULATIONS.with(|n| n.set(0));
+            let before = runs();
             let report = driver.step(&mut Fixed(set.clone())).expect("a step");
-            assert_eq!(SIMULATIONS.with(|n| n.get()), 3 * matrices, "step {step}");
+            assert_eq!(runs() - before, 3 * matrices, "step {step}");
             // The per-member matrix: every member simulated and folded.
             let ctx = case.step_context(step);
             let mut per_member =

@@ -51,6 +51,56 @@ pub(super) fn reset_raster(
     *dirty = Dirty::Clean;
 }
 
+/// The work the runs in one [`SimArena`] did, counted where it is done and
+/// summed over the arena's life ([`SimArena::work`]) — the unit a fire
+/// model is measured in when wall time is not the question. Plain counts,
+/// always kept: nothing gates them and no clock is read, so a count is the
+/// same on every host, build and thread count. A tiled run's drain tiles
+/// count into their own scratch, which the merge adds to the arena's.
+///
+/// The reference kernel ([`Kernel::Heap`](super::Kernel::Heap)) counts
+/// its runs and the per-cell tables it builds; the frontier counts
+/// (`pops` to `occupancy_words_read`) are the bucket and tiled kernels'.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Runs started in the arena, whatever their entry point.
+    pub runs: u64,
+    /// Frontier entries popped and relaxed (`Sweep::relax`).
+    pub pops: u64,
+    /// Pops whose cell an earlier pop had improved since they were
+    /// queued: they emit nothing.
+    pub stale_pops: u64,
+    /// Seeds queued: a run's front.
+    pub seeds_queued: u64,
+    /// Neighbour reads spent finding the front of a fire line a run was
+    /// handed (a run from resolved [`Seeds`] spends none).
+    pub front_reads: u64,
+    /// Per-cell spread ellipses (the reference kernel: full tables) built
+    /// for popped cells on a fully heterogeneous terrain.
+    pub tables_built: u64,
+    /// Single rates read off those ellipses.
+    pub rates_read: u64,
+    /// Buckets the bucket kernel's drain opened after its front's.
+    pub buckets_opened: u64,
+    /// Occupancy-bitmap words the drain read to find the buckets it
+    /// opened: one a bucket, plus one per 64 empty buckets it skipped.
+    pub occupancy_words_read: u64,
+}
+
+impl std::ops::AddAssign for Work {
+    fn add_assign(&mut self, other: Self) {
+        self.runs += other.runs;
+        self.pops += other.pops;
+        self.stale_pops += other.stale_pops;
+        self.seeds_queued += other.seeds_queued;
+        self.front_reads += other.front_reads;
+        self.tables_built += other.tables_built;
+        self.rates_read += other.rates_read;
+        self.buckets_opened += other.buckets_opened;
+        self.occupancy_words_read += other.occupancy_words_read;
+    }
+}
+
 /// The worker-owned simulation arena: every buffer the propagation engine
 /// needs across evaluations, allocated once and reused.
 ///
@@ -59,7 +109,9 @@ pub(super) fn reset_raster(
 /// holds the frontier queues, the seed lists, the per-row spans of what
 /// the last run wrote and the arrival-time raster — no spread tables
 /// beyond the 14 inline per-fuel ones and their traversal times: a
-/// per-cell table or ellipse lives for the one pop that reads it.
+/// per-cell table or ellipse lives for the one pop that reads it. It also
+/// keeps the count of what its runs did ([`Work`]), so a run's work
+/// belongs to the arena it ran in, not to a thread.
 /// Construction is O(1): nothing is allocated until the first run, and
 /// from then on every buffer is retained at its high-water mark, so a
 /// repeated scenario allocates nothing on
@@ -99,6 +151,8 @@ pub struct SimArena {
     /// The arrival raster of the most recent evaluation; allocated on
     /// first use.
     pub(super) out: Option<IgnitionMap>,
+    /// What every run in this arena did, summed.
+    pub(super) work: Work,
 }
 
 impl SimArena {
@@ -121,6 +175,7 @@ impl SimArena {
             dirty: Dirty::Clean,
             epochs: EpochScratch::default(),
             out: None,
+            work: Work::default(),
         }
     }
 
@@ -132,6 +187,12 @@ impl SimArena {
     /// Raster columns.
     pub fn cols(&self) -> usize {
         self.cols
+    }
+
+    /// What every run in this arena has done so far ([`Work`]); the
+    /// difference of two readings is what the runs between them did.
+    pub fn work(&self) -> Work {
+        self.work
     }
 
     /// The arrival map written by the last

@@ -1,4 +1,5 @@
 use super::sweep::{audit_pop_order, Sweep, Trail};
+use super::Work;
 use landscape::UNIGNITED;
 use std::cmp::Ordering;
 
@@ -132,8 +133,6 @@ impl BucketQueue {
         );
         self.run.extend(front.iter().map(|&idx| (t0, idx)));
         self.len = front.len();
-        #[cfg(test)]
-        super::tests::SEEDS_QUEUED.with(|n| n.set(n.get() + front.len()));
     }
 
     #[inline]
@@ -241,8 +240,10 @@ impl BucketQueue {
         top
     }
 
+    /// Removes and returns the next entry in pop order; a bucket it opens
+    /// counts in `work`.
     #[inline]
-    pub(super) fn pop(&mut self) -> Option<(f64, u32)> {
+    pub(super) fn pop(&mut self, work: &mut Work) -> Option<(f64, u32)> {
         if self.len == 0 {
             return None;
         }
@@ -259,21 +260,25 @@ impl BucketQueue {
         if let Some(next) = self.run.pop() {
             return Some(next);
         }
-        self.refill()
+        self.refill(work)
     }
 
     /// Opens the next occupied bucket once `run` and `late` are both
-    /// drained, and pops its first entry.
+    /// drained, and pops its first entry; counts the bucket and the
+    /// occupancy words read to find it.
     #[inline]
-    fn refill(&mut self) -> Option<(f64, u32)> {
+    fn refill(&mut self, work: &mut Work) -> Option<(f64, u32)> {
         // An entry is queued and every queued entry lives in a bucket
         // > cursor, so a set bit exists ahead of the cursor; no bit at or
         // behind it is set, so the scan needs no mask.
-        let mut w = self.cursor / 64;
+        let first = self.cursor / 64;
+        let mut w = first;
         while self.occupied[w] == 0 {
             w += 1;
             debug_assert!(w < BUCKETS / 64, "bucket queue lost entries");
         }
+        work.buckets_opened += 1;
+        work.occupancy_words_read += (w - first + 1) as u64;
         let bit = self.occupied[w].trailing_zeros() as usize;
         self.occupied[w] &= !(1 << bit);
         debug_assert!(w * 64 + bit > self.cursor, "a bit behind the cursor");
@@ -303,17 +308,23 @@ impl Sweep<'_> {
     /// The bucket kernel: the frontier lives in a monotone
     /// [`BucketQueue`], every pop goes through [`Sweep::relax`], and every
     /// surviving arrival is written and queued at once, through
-    /// [`BucketQueue::improve`] where it replaces a queued one.
+    /// [`BucketQueue::improve`] where it replaces a queued one. What the
+    /// run does counts in `work`.
     #[inline]
-    pub(super) fn run_bucket(&self, front: &[u32], queue: &mut BucketQueue, trail: &mut Trail<'_>) {
+    pub(super) fn run_bucket(
+        &self,
+        front: &[u32],
+        queue: &mut BucketQueue,
+        trail: &mut Trail<'_>,
+        work: &mut Work,
+    ) {
         queue.reset(self.t0, self.duration);
         queue.load_front(self.t0, front);
+        work.seeds_queued += front.len() as u64;
         let mut prev_pop = None;
-        while let Some((t, idx)) = queue.pop() {
-            #[cfg(test)]
-            super::tests::POPS.with(|n| n.set(n.get() + 1));
+        while let Some((t, idx)) = queue.pop(work) {
             audit_pop_order(&mut prev_pop, t, idx);
-            self.relax(t, idx as usize, trail, |trail, arrival, nidx, at| {
+            self.relax(t, idx as usize, trail, work, |trail, arrival, nidx, at| {
                 let old = trail.mark_written(nidx, at, arrival);
                 if old == UNIGNITED {
                     queue.push(arrival, nidx as u32);

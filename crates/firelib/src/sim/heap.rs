@@ -1,4 +1,5 @@
 use super::sweep::{audit_pop_order, BurnCount, Sweep};
+use super::Work;
 use crate::SMIDGEN;
 use landscape::IgnitionMap;
 use std::{cmp::Reverse, collections::BinaryHeap};
@@ -30,7 +31,8 @@ impl Sweep<'_> {
     /// their prelude but deliberately keeps its own pop-and-relax loop
     /// instead of calling [`Sweep::relax`] — a reference that shared the
     /// step it checks would check nothing. It counts its writes into
-    /// `count` at the write itself, as [`Trail`](super::sweep::Trail) does.
+    /// `count` at the write itself, as [`Trail`](super::sweep::Trail) does,
+    /// and the per-cell tables it builds into `work`.
     #[inline]
     pub(super) fn run_dijkstra(
         &self,
@@ -38,6 +40,7 @@ impl Sweep<'_> {
         heap: &mut BinaryHeap<(Reverse<Time>, u32)>,
         out: &mut IgnitionMap,
         count: &mut BurnCount<'_>,
+        work: &mut Work,
     ) {
         let (rows, cols) = (self.rows, self.cols);
         heap.clear();
@@ -52,7 +55,7 @@ impl Sweep<'_> {
             if t > out.time(r, c) + SMIDGEN {
                 continue; // stale entry
             }
-            let table = self.table(idx);
+            let table = self.table(idx, work);
             for (dir, &(dr, dc, dist_factor)) in landscape::NEIGHBOUR_OFFSETS.iter().enumerate() {
                 let (nr, nc) = (r as isize + dr, c as isize + dc);
                 if nr < 0 || nc < 0 || nr as usize >= rows || nc as usize >= cols {

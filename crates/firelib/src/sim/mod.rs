@@ -116,7 +116,10 @@ mod tests;
 mod tiled;
 
 pub use self::sweep::BurnCount;
-pub use {arena::SimArena, seeds::Seeds};
+pub use {
+    arena::{SimArena, Work},
+    seeds::Seeds,
+};
 
 use self::sweep::{Burnable, CellFactors, FuelTable, Sweep, Tables, Trail};
 use crate::combustion::{standard_beds, FuelBed};
@@ -504,7 +507,7 @@ impl FireSim {
         // The seeds land in arena scratch (the arena is lent to the run, so
         // they leave it for the duration).
         let mut seeds = std::mem::take(&mut arena.line_seeds);
-        self.resolve_seeds(initial, &mut seeds);
+        self.resolve_seeds(initial, &mut seeds, &mut arena.work);
         let off = &mut BurnCount::off();
         self.run_kernel(scenario, &seeds, t0, duration, arena, kernel, off);
         arena.line_seeds = seeds;
@@ -550,7 +553,7 @@ impl FireSim {
     /// Panics when `line` does not match the terrain shape.
     pub fn seeds(&self, line: &FireLine) -> Seeds {
         let mut seeds = Seeds::default();
-        self.resolve_seeds(line, &mut seeds);
+        self.resolve_seeds(line, &mut seeds, &mut Work::default());
         seeds
     }
 
@@ -558,8 +561,9 @@ impl FireSim {
     /// line's set bits collects the lit cells that can burn (a word at a
     /// time: on a landscape raster nearly every word is zero), and one
     /// pass over them reads each seed's neighbours in the line and the
-    /// fuel layer — no raster, no scratch — to find the front.
-    fn resolve_seeds(&self, line: &FireLine, seeds: &mut Seeds) {
+    /// fuel layer — no raster, no scratch — to find the front, counting
+    /// the reads into `work`.
+    fn resolve_seeds(&self, line: &FireLine, seeds: &mut Seeds, work: &mut Work) {
         self.check_shape("initial fire line", line.rows(), line.cols());
         let (rows, cols) = (line.rows(), line.cols());
         let fuel = self.terrain.fuel_layer().map(|g| g.as_slice());
@@ -576,8 +580,7 @@ impl FireSim {
                 if nr >= rows || nc >= cols {
                     return false;
                 }
-                #[cfg(test)]
-                tests::FRONT_READS.with(|n| n.set(n.get() + 1));
+                work.front_reads += 1;
                 let nidx = nr * cols + nc;
                 !(line.bit(nidx) && burns(nidx))
             });
@@ -602,7 +605,8 @@ impl FireSim {
     /// how a pop resolves its table, seed writes — then the
     /// kernel's own frontier loop over the resulting [`Sweep`] and
     /// [`Trail`], queueing every seed on the reference heap and the front
-    /// alone on the other two, and counting its writes into `count`.
+    /// alone on the other two, counting its writes into `count` and its
+    /// work into the arena's [`Work`].
     #[allow(clippy::too_many_arguments)]
     fn run_kernel(
         &self,
@@ -646,8 +650,10 @@ impl FireSim {
             dirty,
             epochs,
             out,
+            work,
             ..
         } = arena;
+        work.runs += 1;
         let out = out.get_or_insert_with(|| IgnitionMap::unignited(rows, cols));
         if span_lo.len() != rows {
             span_lo.resize(rows, u32::MAX);
@@ -697,11 +703,18 @@ impl FireSim {
         };
         trail.write_seeds(&seeds.cells, t0);
         match kernel {
-            Kernel::Heap => sweep.run_dijkstra(&seeds.cells, heap, trail.out, &mut trail.count),
-            Kernel::Bucket => sweep.run_bucket(&seeds.front, queue, &mut trail),
-            Kernel::Tiled { tile, workers } => {
-                sweep.run_tiled(&seeds.front, queue, &mut trail, epochs, tile, workers)
+            Kernel::Heap => {
+                sweep.run_dijkstra(&seeds.cells, heap, trail.out, &mut trail.count, work)
             }
+            Kernel::Bucket => sweep.run_bucket(&seeds.front, queue, &mut trail, work),
+            Kernel::Tiled { tile, workers } => sweep.run_tiled(
+                &seeds.front,
+                queue,
+                &mut trail,
+                epochs,
+                work,
+                (tile, workers),
+            ),
         }
         (count.in_mask, count.outside) = (trail.count.in_mask, trail.count.outside);
         if kernel != Kernel::Heap {

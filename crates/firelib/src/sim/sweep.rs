@@ -1,4 +1,4 @@
-use super::FireSim;
+use super::{FireSim, Work};
 use crate::{combustion::FuelBed, scenario::Scenario, spread::SpreadInputs, SMIDGEN};
 use landscape::{FireLine, IgnitionMap};
 use std::borrow::Cow;
@@ -279,14 +279,14 @@ impl Sweep<'_> {
     /// one live pop, so there is no one to keep it for. [`Sweep::relax`]
     /// resolves a shared table itself and, on a per-cell terrain, reads
     /// single rates off the cell's ellipse instead ([`Sweep::relax_cell`]).
+    /// A table built counts in `work`.
     #[inline]
-    pub(super) fn table(&self, idx: usize) -> Cow<'_, [f64; 8]> {
+    pub(super) fn table(&self, idx: usize, work: &mut Work) -> Cow<'_, [f64; 8]> {
         Cow::Borrowed(match &self.tables {
             Tables::Uniform(table) => &table.ros,
             Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize].ros,
             Tables::PerCell { globals, factors } => {
-                #[cfg(test)]
-                super::tests::TABLES_BUILT.with(|n| n.set(n.get() + 1));
+                work.tables_built += 1;
                 let table = self
                     .sim
                     .cell_table_at(idx, self.scenario, globals, &factors.base);
@@ -372,21 +372,23 @@ impl Sweep<'_> {
     /// writes them back, [`Trail::mark_written`]; one that defers them
     /// reads a snapshot) never changes the verdict on another. The cell's row and column
     /// come from one `u32` division (a terrain holds at most `u32::MAX`
-    /// cells), and its arrival is read by flat index.
+    /// cells), and its arrival is read by flat index. The pop, and what it
+    /// builds and reads, count in `work`.
     #[inline]
     pub(super) fn relax<R: std::ops::Deref<Target = IgnitionMap>>(
         &self,
         t: f64,
         idx: usize,
         raster: &mut R,
+        work: &mut Work,
         mut emit: impl FnMut(&mut R, f64, usize, (usize, usize)),
     ) {
         let (t_end, cell, cols) = (self.t_end, idx as u32, self.cols as u32);
         let r = cell / cols;
         let at = (r as usize, (cell - r * cols) as usize);
+        work.pops += 1;
         if t > raster.grid().as_slice()[idx] + SMIDGEN {
-            #[cfg(test)]
-            super::tests::STALE_POPS.with(|n| n.set(n.get() + 1));
+            work.stale_pops += 1;
             return; // stale entry
         }
         let mut times = [0.0; 8];
@@ -401,7 +403,7 @@ impl Sweep<'_> {
             Tables::Uniform(table) => &table.cost,
             Tables::PerFuel(by_code, fuel) => &by_code[fuel[idx] as usize].cost,
             Tables::PerCell { factors, .. } => {
-                return self.relax_cell(factors, (t, idx, at), (open, &times), raster, emit);
+                return self.relax_cell(factors, (t, idx, at), (open, &times), raster, work, emit);
             }
         };
         // `+∞` where the rate is at most `SMIDGEN`: past any horizon.
@@ -442,10 +444,10 @@ impl Sweep<'_> {
         (t, idx, at): (f64, usize, (usize, usize)),
         (mut open, times): (u8, &[f64; 8]),
         raster: &mut R,
+        work: &mut Work,
         mut emit: impl FnMut(&mut R, f64, usize, (usize, usize)),
     ) {
-        #[cfg(test)]
-        super::tests::TABLES_BUILT.with(|n| n.set(n.get() + 1));
+        work.tables_built += 1;
         let ellipse = self.sim.cell_ellipse_at(idx, self.scenario, factors);
         if ellipse.ros_max <= SMIDGEN {
             return; // nothing spreads from this cell
@@ -457,8 +459,7 @@ impl Sweep<'_> {
             if !self.burnable.at(nidx) {
                 continue;
             }
-            #[cfg(test)]
-            super::tests::RATES_READ.with(|n| n.set(n.get() + 1));
+            work.rates_read += 1;
             let ros = ellipse.ros_at_azimuth(45.0 * dir as f64);
             if ros <= SMIDGEN {
                 continue;

@@ -11,30 +11,9 @@ use super::*;
 use crate::spread::wind_slope_max;
 use landscape::{Grid, UNIGNITED};
 
-thread_local! {
-    /// Per-cell spread tables built by runs on this thread — see
-    /// `Sweep::table`. (A tiled run's worker threads count on their own.)
-    pub(super) static TABLES_BUILT: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(0) };
-    /// Single rates read off per-cell spread ellipses by runs on this
-    /// thread — see `Sweep::relax_cell`.
-    pub(super) static RATES_READ: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(0) };
-    /// Pops the bucket kernel took on this thread — see
-    /// `Sweep::run_bucket`.
-    pub(super) static POPS: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(0) };
-    /// Pops `Sweep::relax` found stale on this thread: entries whose cell
-    /// an earlier pop had improved since they were queued.
-    pub(super) static STALE_POPS: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(0) };
-    /// Neighbour reads spent finding the front of a fire line on this
-    /// thread — see `FireSim::resolve_seeds`.
-    pub(super) static FRONT_READS: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(0) };
-    /// Seeds the bucket and tiled kernels queued on this thread.
-    pub(super) static SEEDS_QUEUED: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(0) };
+/// `queue.pop`, its work counted nowhere.
+fn pop(queue: &mut BucketQueue) -> Option<(f64, u32)> {
+    queue.pop(&mut Work::default())
 }
 
 fn flat_sim(n: usize) -> FireSim {
@@ -75,24 +54,24 @@ fn queue_reset_clears_what_an_abandoned_run_left() {
     for (t, idx) in [(0.0, 3), (at64, 5), (at63, 4), (40.0, 1), (99.0, 2)] {
         queue.push(t, idx);
     }
-    assert_eq!(queue.pop(), Some((0.0, 3)));
-    assert_eq!(queue.pop(), Some((at63, 4)));
+    assert_eq!(pop(&mut queue), Some((0.0, 3)));
+    assert_eq!(pop(&mut queue), Some((at63, 4)));
     // The run stops here (a panic unwinding through the pool): three
     // entries are still queued in future buckets, bucket 64's among them.
     assert_ne!(queue.occupied, [0; BUCKETS / 64]);
     queue.reset(5.0, 10.0);
     assert_drained(&queue);
     assert!(queue.pool.is_empty(), "the reset kept the abandoned pool");
-    assert_eq!(queue.pop(), None);
+    assert_eq!(pop(&mut queue), None);
     // A stale bit would send the next run's refill to an empty bucket.
     let (at63, at64) = (mid_bucket(5.0, 10.0, 63), mid_bucket(5.0, 10.0, 64));
     for (t, idx) in [(5.0, 8), (at64, 6), (7.0, 9), (at63, 7)] {
         queue.push(t, idx);
     }
     for want in [(5.0, 8), (at63, 7), (at64, 6), (7.0, 9)] {
-        assert_eq!(queue.pop(), Some(want));
+        assert_eq!(pop(&mut queue), Some(want));
     }
-    assert_eq!(queue.pop(), None);
+    assert_eq!(pop(&mut queue), None);
     assert_drained(&queue);
     // Drained: the next reset has nothing to clear, and clears nothing.
     queue.reset(0.0, 1.0);
@@ -221,7 +200,7 @@ fn queue_pops_what_the_reference_heap_pops() {
             }
             late_peak = late_peak.max(queue.late.len());
             let want = reference.pop().map(|(Reverse(Time(t)), idx)| (t, idx));
-            let got = queue.pop();
+            let got = pop(&mut queue);
             assert_eq!(
                 got.map(|(t, i)| (t.to_bits(), i)),
                 want.map(|(t, i)| (t.to_bits(), i)),
@@ -425,7 +404,7 @@ fn queue_improve_unlinks_what_would_pop_stale() {
                 }
             };
             let got = loop {
-                match queue.pop() {
+                match pop(&mut queue) {
                     Some((t, idx)) if t != model.arrival[idx as usize] => stale += 1,
                     other => break other,
                 }
@@ -481,19 +460,17 @@ fn queue_improve_that_empties_a_chain_clears_its_bit() {
     assert!(!bit(&queue, 70) && queue.heads[70] == NIL, "bucket 70 kept");
     assert_eq!(queue.len, 4);
     for want in [(t0, 0), (at(40), 1), (at(50), 2), (at(60), 3)] {
-        assert_eq!(queue.pop(), Some(want));
+        assert_eq!(pop(&mut queue), Some(want));
     }
-    assert_eq!(queue.pop(), None);
+    assert_eq!(pop(&mut queue), None);
     assert_drained(&queue);
 }
 
-/// The bucket kernel pops (nearly) no stale entry: on every corpus case
-/// and interval, over 64 fresh sampled scenarios run from the interval's
-/// resolved seeds, at most 1 % of its pops find their cell improved —
-/// one that queued an improvement beside the old entry popped 5–28 %
-/// stale, by case.
-#[test]
-fn queue_the_bucket_kernel_pops_almost_nothing_stale() {
+/// Runs the bucket kernel on every corpus case and interval, over 64
+/// fresh sampled scenarios from the interval's resolved seeds (one seeded
+/// stream across the corpus), and hands `f` the case, the interval and
+/// each run's [`Work`].
+fn fresh_bucket_runs(mut f: impl FnMut(&str, usize, [Work; 64])) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -506,23 +483,53 @@ fn queue_the_bucket_kernel_pops_almost_nothing_stale() {
         for (interval, (line, span)) in lines.iter().zip(w.times.windows(2)).enumerate() {
             let seeds = sim.seeds(line);
             let (t0, dt) = (span[0], span[1] - span[0]);
-            POPS.with(|n| n.set(0));
-            STALE_POPS.with(|n| n.set(0));
-            for _ in 0..64 {
+            let runs = std::array::from_fn(|_| {
                 let s = conformance::scenario(&mut rng);
                 sim.simulate_arena_seeded(&s, &seeds, t0, dt, &mut arena, Kernel::Bucket, None);
-            }
-            let (pops, stale) = (
-                POPS.with(std::cell::Cell::get),
-                STALE_POPS.with(std::cell::Cell::get),
-            );
-            assert!(
-                stale * 100 <= pops,
-                "{} interval {interval}: {stale} of {pops} pops stale",
-                spec.name
-            );
+                std::mem::take(&mut arena.work)
+            });
+            f(spec.name, interval, runs);
         }
     }
+}
+
+/// The bucket kernel pops (nearly) no stale entry: on every corpus case
+/// and interval, over 64 fresh sampled scenarios run from the interval's
+/// resolved seeds, at most 1 % of its pops find their cell improved —
+/// one that queued an improvement beside the old entry popped 5–28 %
+/// stale, by case.
+#[test]
+fn queue_the_bucket_kernel_pops_almost_nothing_stale() {
+    fresh_bucket_runs(|name, interval, runs| {
+        let (pops, stale) = runs.iter().fold((0, 0), |(pops, stale), w| {
+            (pops + w.pops, stale + w.stale_pops)
+        });
+        assert!(
+            stale * 100 <= pops,
+            "{name} interval {interval}: {stale} of {pops} pops stale"
+        );
+    });
+}
+
+/// The drain finds its next bucket through the occupancy bitmap, not by
+/// walking the empty buckets: on the stale-pop guard's runs, every run
+/// reads at most one word per bucket it opens plus one per 64 buckets of
+/// the horizon. A drain that walks the bucket heads one by one reads
+/// 1 283 heads to open one bucket on `meadow_small` interval 0.
+#[test]
+fn queue_the_drain_reads_a_word_per_bucket_it_opens() {
+    let (mut runs, mut opened) = (0, 0);
+    fresh_bucket_runs(|name, interval, works| {
+        for work in works {
+            let (words, buckets) = (work.occupancy_words_read, work.buckets_opened);
+            assert!(
+                words <= buckets + (BUCKETS / 64) as u64,
+                "{name} interval {interval}: {words} words read to open {buckets} buckets"
+            );
+            (runs, opened) = (runs + 1, opened + buckets);
+        }
+    });
+    assert!(opened > runs, "{opened} buckets opened in {runs} runs");
 }
 
 #[test]
@@ -878,9 +885,7 @@ fn a_run_pays_for_the_cells_it_pops() {
     let (from, t0, dt) = (&lines[2], w.times[2], w.times[3] - w.times[2]);
     let seeds = sim.seeds(from);
     let mut arena = sim.arena();
-    TABLES_BUILT.with(|n| n.set(0));
-    RATES_READ.with(|n| n.set(0));
-    let map = sim.simulate_arena_seeded(
+    sim.simulate_arena_seeded(
         &w.truth[2],
         &seeds,
         t0,
@@ -889,14 +894,18 @@ fn a_run_pays_for_the_cells_it_pops() {
         Kernel::Bucket,
         None,
     );
-    let built = TABLES_BUILT.with(std::cell::Cell::get);
-    let rates = RATES_READ.with(std::cell::Cell::get);
-    let written = map
+    let Work {
+        tables_built: built,
+        rates_read: rates,
+        ..
+    } = arena.work();
+    let written = arena
+        .map()
         .grid()
         .as_slice()
         .iter()
         .filter(|&&t| t != UNIGNITED)
-        .count();
+        .count() as u64;
     assert!(
         built > 0 && built <= written,
         "{built} tables for {written} cells"
@@ -917,9 +926,9 @@ fn a_run_pays_for_the_cells_it_pops() {
     // A line that fills the raster has no rim: nothing is queued, no
     // table is built, and every seed is still written and reported.
     let all = FireLine::from_fn(96, 96, |_, _| true);
-    TABLES_BUILT.with(|n| n.set(0));
+    let before = arena.work().tables_built;
     sim.simulate_arena_kernel(&w.truth[2], &all, t0, dt, &mut arena, Kernel::Bucket);
-    assert_eq!(TABLES_BUILT.with(std::cell::Cell::get), 0);
+    assert_eq!(arena.work().tables_built, before);
     let line_seeds = &arena.line_seeds;
     assert!(
         line_seeds.front().is_empty(),
@@ -938,12 +947,11 @@ fn a_run_pays_for_the_cells_it_pops() {
         let w = crate::workload::by_name(name).expect("corpus name").build();
         let sim = w.sim();
         assert!(!sim.terrain.has_overrides() || sim.terrain.fuel_is_only_override());
-        TABLES_BUILT.with(|n| n.set(0));
         let dt = w.times[1] - w.times[0];
         let mut arena = sim.arena();
         let map = sim.simulate_arena(&w.truth[0], &w.ignition, w.times[0], dt, &mut arena);
         assert!(map.burned_count_at(w.times[1]) > 1, "{name}: no fire");
-        assert_eq!(TABLES_BUILT.with(std::cell::Cell::get), 0, "{name}");
+        assert_eq!(arena.work().tables_built, 0, "{name}");
     }
 }
 
@@ -963,31 +971,59 @@ fn a_run_from_resolved_seeds_reads_no_neighbour_to_find_its_front() {
             w.times[interval - 1],
             w.times[interval] - w.times[interval - 1],
         );
-        FRONT_READS.with(|n| n.set(0));
-        let seeds = sim.seeds(&lines[interval - 1]);
-        let reads = FRONT_READS.with(std::cell::Cell::get);
+        // A run from the line resolves its seeds into the arena, and counts
+        // the reads there.
+        let (line, mut arena) = (&lines[interval - 1], sim.arena());
+        sim.simulate_arena_kernel(&w.truth[0], line, t0, dt, &mut arena, Kernel::Bucket);
+        let reads = std::mem::take(&mut arena.work).front_reads;
+        let seeds = sim.seeds(line);
+        assert_eq!(arena.line_seeds, seeds, "{}", spec.name);
         assert!(
-            !seeds.front().is_empty() && reads >= seeds.cells().len(),
+            !seeds.front().is_empty() && reads >= seeds.cells().len() as u64,
             "{}: resolving {} seeds read {reads} neighbours",
             spec.name,
             seeds.cells().len()
         );
-        let mut arena = sim.arena();
         for (kernel, s) in [Kernel::Bucket, Kernel::tiled_auto(), Kernel::Bucket]
             .into_iter()
             .zip(&w.truth)
         {
-            FRONT_READS.with(|n| n.set(0));
-            SEEDS_QUEUED.with(|n| n.set(0));
             sim.simulate_arena_seeded(s, &seeds, t0, dt, &mut arena, kernel, None);
+            let work = std::mem::take(&mut arena.work);
             let what = format!("{} interval {interval}, {kernel}", spec.name);
-            assert_eq!(FRONT_READS.with(std::cell::Cell::get), 0, "{what}");
-            assert_eq!(
-                SEEDS_QUEUED.with(std::cell::Cell::get),
-                seeds.front().len(),
-                "{what}"
-            );
+            assert_eq!(work.front_reads, 0, "{what}");
+            assert_eq!(work.seeds_queued, seeds.front().len() as u64, "{what}");
         }
+    }
+}
+
+/// A tiled run's work is counted in its drain tiles' scratch and added to
+/// the arena's by the merge, so it does not depend on how many threads
+/// drain. A start line lit on every other row is all front, at least
+/// `TILE_INLINE` seeds, so its first epoch forks; from it, on
+/// `archipelago_large` (per-fuel tables) and `gusty_channel` (per-cell
+/// ellipses), one drain worker and two count the same.
+#[test]
+fn a_tiled_run_counts_the_same_work_on_one_drain_worker_and_two() {
+    use super::tiled::TILE_INLINE;
+    for spec in [
+        crate::workload::archipelago_large(),
+        crate::workload::gusty_channel(),
+    ] {
+        let w = spec.build();
+        let sim = w.sim();
+        let (rows, cols) = (sim.terrain.rows(), sim.terrain.cols());
+        let seeds = sim.seeds(&FireLine::from_fn(rows, cols, |r, _| r % 2 == 0));
+        assert!(seeds.front().len() >= TILE_INLINE, "{}", spec.name);
+        let (t0, dt) = (w.times[0], w.times[1] - w.times[0]);
+        let [one, two] = [1, 2].map(|workers| {
+            let mut arena = sim.arena();
+            let kernel = Kernel::Tiled { tile: 32, workers };
+            sim.simulate_arena_seeded(&w.truth[0], &seeds, t0, dt, &mut arena, kernel, None);
+            arena.work()
+        });
+        assert_eq!(one, two, "{}", spec.name);
+        assert!(one.pops >= one.seeds_queued, "{}: {one:?}", spec.name);
     }
 }
 

@@ -1,6 +1,7 @@
 use super::bucket::{BucketQueue, BUCKETS, NIL};
 use super::heap::Time;
 use super::sweep::{audit_pop_order, Sweep, Trail};
+use super::Work;
 use crate::SMIDGEN;
 use landscape::IgnitionMap;
 use std::{cmp::Reverse, collections::BinaryHeap};
@@ -15,7 +16,7 @@ const TILE_GRAIN: usize = 4096;
 
 /// Epochs smaller than this drain inline on the calling thread — forking
 /// workers for a handful of pops costs more than it buys.
-const TILE_INLINE: usize = 1024;
+pub(super) const TILE_INLINE: usize = 1024;
 
 /// What the tiled kernel keeps between epochs, all sized at the high-water
 /// mark.
@@ -67,11 +68,14 @@ struct PopGroup {
 }
 
 /// Per-tile drain state of the tiled kernel: the outbox of candidate
-/// groups (in pop order) and the merge cursor into it.
+/// groups (in pop order), the merge cursor into it, and what the drain
+/// did, which the merge adds to the run's [`Work`] — so the count does not
+/// depend on which thread drained the tile.
 #[derive(Debug, Clone, Default)]
 struct TileScratch {
     groups: Vec<PopGroup>,
     head: usize,
+    work: Work,
 }
 
 impl BucketQueue {
@@ -154,15 +158,16 @@ impl Sweep<'_> {
     /// computing them early and in parallel changes nothing. Epoch
     /// boundaries are a pure scheduling choice — any partition of the pop
     /// sequence yields the same raster — which is what lets the kernel
-    /// bundle levels adaptively.
+    /// bundle levels adaptively. What the run does counts in `work`, the
+    /// drains' share through their tiles' scratch.
     pub(super) fn run_tiled(
         &self,
         seeds: &[u32],
         queue: &mut BucketQueue,
         trail: &mut Trail<'_>,
         scratch: &mut EpochScratch,
-        tile: usize,
-        workers: usize,
+        work: &mut Work,
+        (tile, workers): (usize, usize),
     ) {
         let workers = match workers {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -180,8 +185,7 @@ impl Sweep<'_> {
         for &sidx in seeds {
             queue.stage(self.t0, sidx);
         }
-        #[cfg(test)]
-        super::tests::SEEDS_QUEUED.with(|n| n.set(n.get() + seeds.len()));
+        work.seeds_queued += seeds.len() as u64;
 
         // Tile ownership of a cell: its `tile × tile` block of the raster.
         let tiles_x = cols.div_ceil(tile);
@@ -232,6 +236,9 @@ impl Sweep<'_> {
                     self.drain_tile(ts, &entries[s as usize..e as usize], snapshot);
                 });
             }
+            for ts in &mut tiles[..n_active] {
+                *work += std::mem::take(&mut ts.work);
+            }
 
             // Phase 2 — sequential ordered merge: replay the epoch's pops
             // in exact reference order against the live raster.
@@ -266,7 +273,7 @@ impl Sweep<'_> {
                 let Some(g) = group else {
                     // An arrival generated inside this epoch: relax it
                     // fully here, exactly where the heap would pop it.
-                    self.relax(t, idx as usize, trail, apply);
+                    self.relax(t, idx as usize, trail, work, apply);
                     continue;
                 };
                 let ci = idx as usize;
@@ -287,7 +294,8 @@ impl Sweep<'_> {
     /// One tile's share of a tiled-kernel epoch drain: relaxes the tile's
     /// pops (already in reference pop order) against a *read-only*
     /// snapshot of the arrival raster, keeping each pop's surviving
-    /// candidates in the tile outbox.
+    /// candidates in the tile outbox and counting the pops in the tile's
+    /// [`Work`].
     ///
     /// Both of [`Sweep::relax`]'s raster checks act here as pre-filters
     /// that keep the outbox small, and both are sound because arrival
@@ -312,10 +320,16 @@ impl Sweep<'_> {
                 len: 0,
                 cand: [(0.0, 0); 8],
             };
-            self.relax(t, idx as usize, &mut snapshot, |_, arrival, nidx, _| {
-                g.cand[g.len as usize] = (arrival, nidx as u32);
-                g.len += 1;
-            });
+            self.relax(
+                t,
+                idx as usize,
+                &mut snapshot,
+                &mut ts.work,
+                |_, arrival, nidx, _| {
+                    g.cand[g.len as usize] = (arrival, nidx as u32);
+                    g.len += 1;
+                },
+            );
             if g.len > 0 {
                 ts.groups.push(g);
             }
