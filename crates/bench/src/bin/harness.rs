@@ -27,8 +27,9 @@
 //! `--policy` (round-robin, weighted-fair-share or deadline-first).
 //!
 //! `--scale` shrinks every per-step evaluation budget proportionally
-//! (default 1.0); `--seeds` sets the replicate count (default 3);
-//! `--cases` is the task axis of E1 and E2 (E6–E10 declare their own);
+//! (default 1.0, at most `RunSpec::MAX_SCALE` = 16, as on the wire);
+//! `--seeds` sets the replicate count (default 3); `--cases` is the task
+//! axis of E1 and E2 (E6–E10 declare their own);
 //! `--backend` selects the one pool the process evaluates on — every
 //! trial of the experiment plan, or every session `serve` accepts (results
 //! are backend-independent — every backend produces bit-identical fitness
@@ -38,7 +39,7 @@
 use ess::fitness::EvalBackend;
 use ess::report::TextTable;
 use ess_benches::experiments::{self as exp, Plan};
-use ess_service::systems;
+use ess_service::{systems, RunSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -211,10 +212,18 @@ fn parse_args() -> Result<Args, String> {
         return Err("--seeds must be positive".into());
     }
     // The wire's rule (`RunSpec::validate`): a non-positive or NaN scale
-    // would silently run every system at the 4-genome floor.
+    // would silently run every system at the 4-genome floor, and one past
+    // the cap would size populations no step can finish.
     if !(args.scale.is_finite() && args.scale > 0.0) {
         return Err(format!(
             "--scale must be a positive, finite number (got {})",
+            args.scale
+        ));
+    }
+    if args.scale > RunSpec::MAX_SCALE {
+        return Err(format!(
+            "--scale must be ≤ {} (got {})",
+            RunSpec::MAX_SCALE,
             args.scale
         ));
     }

@@ -1,19 +1,20 @@
 //! The experiment implementations behind the `harness` binary — one
 //! function per table/figure of README § "Experiments".
 //!
-//! The pipeline-driven tables (E1, E2, E6–E9) are rows of one [`Plan`]: an
+//! The pipeline-driven tables (E1, E2, E6–E10) are rows of one [`Plan`]: an
 //! experiment declares its trials as data — one [`RunSpec`] per registry
-//! row × case × seed, at the plan's scale ([`Plan::specs`]) — and
-//! [`Plan::run`] builds every trial with [`RunSpec::sessions_on`] on the
-//! plan's one pool and drains it: the path `serve` runs, cases shared
-//! through `ess_service::store`. It returns one [`Trial`] per run, and the
-//! experiment projects columns out of those records with [`fold`]. The plan
-//! keeps every record, so a spec asked for again (E2 asks for E1's) is
-//! answered from them, not run twice. E5 and
-//! the three narrated traces drive engines directly, and E10 assembles its
-//! sessions by hand (its observation noise is drawn per seed, which a case
-//! name cannot say). No artifact carries a clock reading, so the same
-//! command writes the same bytes twice and on any backend.
+//! row × case × seed, at the plan's scale ([`Plan::specs`]), and for E10
+//! the probability with which the observations are misread — and
+//! [`Plan::run`] builds and drains every trial on the plan's one pool: a
+//! clean one with [`RunSpec::sessions_on`], the path `serve` runs, cases
+//! shared through `ess_service::store`. It returns one [`Trial`] per run,
+//! and the experiment projects columns out of those records with [`fold`].
+//! The plan keeps every record under what its trial ran ([`TrialKey`]), so
+//! a trial asked for again — E2 asks for E1's, and E8's `k=5` is ESS-NS
+//! under another name — is answered from the record, not run twice. E5
+//! and the three narrated traces drive engines directly. No artifact
+//! carries a clock reading, so the same command writes the same bytes
+//! twice and on any backend.
 
 use ess::calibration::skign_search;
 use ess::cases;
@@ -21,8 +22,8 @@ use ess::fitness::{EvalBackend, ScenarioEvaluator, SharedScenarioPool};
 use ess::pipeline::{RunReport, StepReport};
 use ess::report::{f2, f4, TextTable};
 use ess::stages::statistical_stage_genomes;
-use ess_service::systems::{self, SystemSpec};
-use ess_service::{Budget, PredictionSession, RunSpec};
+use ess_service::systems::{self, SystemConfig, SystemSpec};
+use ess_service::{store, Budget, PredictionSession, RunSpec, ServiceError};
 use evoalg::benchmarks::{deceptive_trap, two_peaks};
 use evoalg::{BatchEvaluator, GaConfig, GaEngine};
 use firelib::ScenarioSpace;
@@ -44,27 +45,49 @@ pub struct Plan {
     trials: RefCell<Vec<Trial>>,
 }
 
-/// The result record of one trial: the spec that says what ran (row, case,
-/// seed, scale), and the run's report — whose `system` and `case` are the
-/// canonical names the spec resolved to.
+/// What a trial runs, whatever its row is called: the row's optimizer
+/// configuration at the plan's scale, the case, the probability with which
+/// each observed front cell is misread, and the seed. Two trials with one
+/// key are one run.
+#[derive(Clone, PartialEq)]
+pub struct TrialKey {
+    /// The resolved configuration, equal across rows that differ only in
+    /// name (E8's `k=5` and ESS-NS).
+    pub config: SystemConfig,
+    /// The case's registry name.
+    pub case: String,
+    /// E10's observation noise; [`CLEAN`] for the case as built.
+    pub flip: f64,
+    /// The session's base seed.
+    pub seed: u64,
+}
+
+/// The result record of one trial: what it ran, and the run's report,
+/// whose `system` is the row the trial was asked for under and whose
+/// `case` is the canonical name the case resolved to.
 #[derive(Clone)]
 pub struct Trial {
-    /// The trial, as it could be sent to `serve`.
-    pub spec: RunSpec,
+    /// What the trial ran.
+    pub key: TrialKey,
     /// The drained run.
     pub report: RunReport,
 }
+
+/// The observations as the case built them: no front cell misread.
+pub const CLEAN: f64 = 0.0;
 
 /// What an experiment compares: registry rows × the cases they run on.
 pub type Design<'a> = (&'a [SystemSpec], &'a [&'a str]);
 
 /// The designs fixed here (E1 and E2 run the paper systems on `--cases`):
 /// tuning on the two drifting-truth cases, the §IV variants on the
-/// drifting wind, the hyper-parameters on the two-ridge relief.
+/// drifting wind, the hyper-parameters on the two-ridge relief, the paper
+/// systems under observation noise on the drifting wind.
 const E6: Design = (systems::TUNING, &["shifting_wind", "moisture_front"]);
 const E7: Design = (systems::SCORING, &["shifting_wind"]);
 const E8: Design = (systems::HYPER_PARAMETERS, &["two_ridge"]);
 const E9: Design = (systems::INCLUSION, &["shifting_wind"]);
+const E10: Design = (systems::all(), &["shifting_wind"]);
 
 impl Trial {
     /// The row's name within its family: `k=3` of `ESS-NS/k=3`.
@@ -86,48 +109,99 @@ impl Plan {
         }
     }
 
-    /// The trials of a design: one per case × row × seed — case-major,
-    /// then row, then seed — at this plan's scale.
-    pub fn specs(&self, (rows, cases): Design) -> Vec<RunSpec> {
-        let mut specs = Vec::with_capacity(cases.len() * rows.len() * self.seeds.len());
-        for case in cases {
+    /// Every trial of a design — one per case × row × seed, case-major,
+    /// then row, then seed — as its row's name and its key at this plan's
+    /// scale, with observations misread at `flip`.
+    fn trials_of(&self, (rows, cases): Design, flip: f64) -> Vec<(&'static str, TrialKey)> {
+        let mut trials = Vec::with_capacity(cases.len() * rows.len() * self.seeds.len());
+        for &case in cases {
             for row in rows {
-                let spec = RunSpec::new(row.name, *case).scale(self.scale);
-                specs.extend(self.seeds.iter().map(|&seed| spec.clone().seed(seed)));
-            }
-        }
-        specs
-    }
-
-    /// Runs every trial to its end on the plan's pool and returns one
-    /// record per trial, in the order given. A spec equal to one this plan
-    /// has already run is not run again: its records are the earlier
-    /// ones, since a spec states everything its trial is.
-    ///
-    /// # Panics
-    /// Panics on a spec that does not resolve or that a budget stops (the
-    /// experiments name registered rows and set no budget; the harness
-    /// checks `--cases` up front).
-    #[expect(
-        clippy::panic,
-        reason = "the experiments name registered rows and set no budget, and the harness checks `--cases` up front"
-    )]
-    pub fn run(&self, specs: Vec<RunSpec>) -> Vec<Trial> {
-        let mut ran = self.trials.borrow_mut();
-        let mut trials = Vec::with_capacity(specs.len());
-        for spec in specs {
-            if !ran.iter().any(|t| t.spec == spec) {
-                let sessions = spec.sessions_on(&self.pool);
-                for mut session in sessions.unwrap_or_else(|e| panic!("{e}")) {
-                    ran.push(Trial {
-                        spec: spec.clone(),
-                        report: session.drain().unwrap_or_else(|e| panic!("{e}")),
-                    });
+                let config = row.config(self.scale);
+                for &seed in &self.seeds {
+                    let key = TrialKey {
+                        config: config.clone(),
+                        case: case.to_string(),
+                        flip,
+                        seed,
+                    };
+                    trials.push((row.name, key));
                 }
             }
-            trials.extend(ran.iter().filter(|t| t.spec == spec).cloned());
         }
         trials
+    }
+
+    /// The spec that asks for `key` under the row `system`, as `serve`
+    /// would take it (the flip aside).
+    fn spec(&self, system: &str, key: &TrialKey) -> RunSpec {
+        RunSpec::new(system, &key.case)
+            .scale(self.scale)
+            .seed(key.seed)
+    }
+
+    /// The specs of a design's trials, in [`Plan::run`]'s order.
+    pub fn specs(&self, design: Design) -> Vec<RunSpec> {
+        let trials = self.trials_of(design, CLEAN);
+        trials
+            .iter()
+            .map(|(system, key)| self.spec(system, key))
+            .collect()
+    }
+
+    /// Runs every trial of `design`, its observations misread with
+    /// probability `flip`, to its end on the plan's pool and returns one
+    /// record per trial in [`Plan::specs`] order. A trial whose key this
+    /// plan has already drained is not run again: its record is the
+    /// earlier one, under the asking row's name.
+    ///
+    /// # Panics
+    /// Panics on a case that does not resolve (the experiments name
+    /// registered rows and cases and set no budget, and the harness checks
+    /// `--cases` up front).
+    #[expect(
+        clippy::panic,
+        reason = "the experiments name registered rows and cases and set no budget, and the harness checks `--cases` up front"
+    )]
+    pub fn run(&self, design: Design, flip: f64) -> Vec<Trial> {
+        let mut ran = self.trials.borrow_mut();
+        let mut trials = Vec::new();
+        for (system, key) in self.trials_of(design, flip) {
+            let report = match ran.iter().find(|t| t.key == key) {
+                Some(earlier) => earlier.report.clone(),
+                None => {
+                    let session = self.session(system, &key);
+                    let report = session.and_then(|mut s| s.drain());
+                    let report = report.unwrap_or_else(|e| panic!("{e}"));
+                    let key = key.clone();
+                    ran.push(Trial {
+                        key,
+                        report: report.clone(),
+                    });
+                    report
+                }
+            };
+            let report = RunReport { system, ..report };
+            trials.push(Trial { key, report });
+        }
+        trials
+    }
+
+    /// The one place the harness builds a session: the spec's own on the
+    /// plan's pool, or — for misread observations, which no case name
+    /// says — the key's configuration and seed on the store's case with
+    /// its fire lines flipped per seed.
+    fn session(&self, system: &str, key: &TrialKey) -> Result<PredictionSession, ServiceError> {
+        if key.flip == CLEAN {
+            // A plan's spec has one replicate.
+            return Ok(self.spec(system, key).sessions_on(&self.pool)?.remove(0));
+        }
+        Ok(PredictionSession::new(
+            cases::with_observation_noise(&store::case(&key.case)?, key.flip, key.seed),
+            key.config.clone().build(),
+            Arc::clone(&self.pool),
+            key.seed,
+            Budget::unlimited(),
+        ))
     }
 
     /// The records of [`Plan::run`] grouped per case × row cell: one slice
@@ -357,7 +431,7 @@ pub fn e1_quality(plan: &Plan, case_names: &[&str]) -> TextTable {
         "quality_max",
         "evals_mean",
     ]);
-    for cell in plan.cells(&plan.run(plan.specs((systems::all(), case_names)))) {
+    for cell in plan.cells(&plan.run((systems::all(), case_names), CLEAN)) {
         let first = &cell[0];
         let mut row = |step: String, q: Fold, evals: f64| {
             t.row([
@@ -402,21 +476,25 @@ pub fn e2_diversity(plan: &Plan, case_names: &[&str]) -> TextTable {
         "distinct_frac",
         "fitness_iqr_of_set",
     ]);
-    for cell in plan.cells(&plan.run(plan.specs((systems::all(), case_names)))) {
+    for cell in plan.cells(&plan.run((systems::all(), case_names), CLEAN)) {
         // Every step of every seed counts once.
         let over_steps = |project: fn(&StepReport) -> f64| {
             fold(cell, |r| r.steps.iter().map(project)).map_or(0.0, |f| f.mean)
         };
         // Fitness IQR of the result set of one step-1 search, re-evaluated:
-        // spread of the *scores* in the set. The first trial's spec
-        // rebuilds its case and optimizer; the seed is not its step's (see
-        // the doc above).
-        #[expect(clippy::expect_used, reason = "the trial's spec already ran")]
-        let mut first = cell[0].spec.session().expect("the trial ran");
-        let (driver, optimizer) = first.step_parts();
-        let ctx = Arc::new(driver.case().step_context(1));
+        // spread of the *scores* in the set. The first trial's key names
+        // its case and optimizer; the seed is not its step's (see the doc
+        // above).
+        let first = &cell[0].key;
+        #[expect(clippy::expect_used, reason = "the trial's case already ran")]
+        let case = store::case(&first.case).expect("the trial ran");
+        let ctx = Arc::new(case.step_context(1));
         let mut ev = ScenarioEvaluator::shared(ctx, Arc::clone(&plan.pool));
-        let out = optimizer.optimize(&mut ev, plan.seeds[0]);
+        let out = first
+            .config
+            .clone()
+            .build()
+            .optimize(&mut ev, plan.seeds[0]);
         let mut fits = ev.evaluate(&out.result_set);
         t.row([
             cell[0].report.case.to_string(),
@@ -558,7 +636,7 @@ pub fn e5_deceptive(seeds: &[u64]) -> TextTable {
 /// tuning off / on.
 pub fn e6_tuning(plan: &Plan) -> TextTable {
     let mut t = TextTable::new(["case", "variant", "mean_quality", "mean_evals"]);
-    for cell in plan.cells(&plan.run(plan.specs(E6))) {
+    for cell in plan.cells(&plan.run(E6, CLEAN)) {
         t.row([
             cell[0].report.case.to_string(),
             cell[0].variant().to_string(),
@@ -579,7 +657,7 @@ pub fn e7_hybrid(plan: &Plan) -> TextTable {
         "mean_diversity",
         "mean_best_fitness",
     ]);
-    for cell in plan.cells(&plan.run(plan.specs(E7))) {
+    for cell in plan.cells(&plan.run(E7, CLEAN)) {
         let scoring = match cell[0].variant() {
             "w=1.00" => "w=1.00 (pure NS)",
             "nslc" => "NSLC (w=0.5)",
@@ -606,7 +684,7 @@ pub fn e8_ablation(plan: &Plan) -> TextTable {
         "mean_diversity",
         "mean_evals",
     ]);
-    for cell in plan.cells(&plan.run(plan.specs(E8))) {
+    for cell in plan.cells(&plan.run(E8, CLEAN)) {
         let (parameter, value) = cell[0].variant().split_once('=').unwrap_or_default();
         t.row([
             parameter.to_string(),
@@ -623,7 +701,7 @@ pub fn e8_ablation(plan: &Plan) -> TextTable {
 /// `shifting_wind`; rows: five inclusion policies.
 pub fn e9_inclusion(plan: &Plan) -> TextTable {
     let mut t = TextTable::new(["policy", "mean_quality", "mean_set_size", "mean_diversity"]);
-    for cell in plan.cells(&plan.run(plan.specs(E9))) {
+    for cell in plan.cells(&plan.run(E9, CLEAN)) {
         t.row([
             cell[0].variant().to_string(),
             f4(mean(cell, RunReport::mean_quality)),
@@ -639,14 +717,9 @@ pub fn e9_inclusion(plan: &Plan) -> TextTable {
 /// sensor noise. The paper's whole premise is input uncertainty; this
 /// experiment injects it into the *observations* rather than the
 /// parameters and asks which result-set policy degrades most gracefully.
-/// Cases: `shifting_wind` observed at three flip probabilities, the noise
-/// drawn per seed (probability 0 flips nothing: the clean case) — which no
-/// case name says, so these sessions are assembled by hand around
-/// registry-made optimizers; rows: the paper systems.
-#[expect(
-    clippy::expect_used,
-    reason = "a session with an unlimited budget drains to its report"
-)]
+/// Case: `shifting_wind` observed at three flip probabilities, the noise
+/// drawn per seed — probability 0 is the clean case, E1's trials on it;
+/// rows: the paper systems.
 pub fn e10_noise(plan: &Plan) -> TextTable {
     let mut t = TextTable::new([
         "flip_prob",
@@ -654,25 +727,11 @@ pub fn e10_noise(plan: &Plan) -> TextTable {
         "mean_quality",
         "quality_drop_vs_clean",
     ]);
-    let clean = cases::shifting_wind();
     // Mean quality per method on the clean observations (the first flip).
     let mut clean_quality = Vec::new();
-    for flip in [0.0, 0.10, 0.25] {
-        for (i, system) in systems::all().iter().enumerate() {
-            let qualities = plan.seeds.iter().map(|&seed| {
-                let mut session = PredictionSession::new(
-                    cases::with_observation_noise(&clean, flip, seed),
-                    system.make(plan.scale),
-                    Arc::clone(&plan.pool),
-                    seed,
-                    Budget::unlimited(),
-                );
-                session
-                    .drain()
-                    .expect("no budget to exhaust")
-                    .mean_quality()
-            });
-            let q = mean_of(&qualities.collect::<Vec<_>>());
+    for flip in [CLEAN, 0.10, 0.25] {
+        for (i, cell) in plan.cells(&plan.run(E10, flip)).enumerate() {
+            let q = mean(cell, RunReport::mean_quality);
             let drop = match clean_quality.get(i) {
                 Some(clean) => f4(clean - q),
                 None => {
@@ -680,7 +739,7 @@ pub fn e10_noise(plan: &Plan) -> TextTable {
                     "-".to_string()
                 }
             };
-            t.row([f2(flip), system.name.to_string(), f4(q), drop]);
+            t.row([f2(flip), cell[0].report.system.to_string(), f4(q), drop]);
         }
     }
     t
@@ -698,7 +757,7 @@ mod tests {
         // declared with — nothing about a trial lives outside its spec.
         let plan = Plan::new(EvalBackend::Serial, 2, 0.25);
         let library = ["grass_uniform", "two_ridge"];
-        for design in [(systems::all(), &library[..]), E6, E7, E8, E9] {
+        for design in [(systems::all(), &library[..]), E6, E7, E8, E9, E10] {
             let specs = plan.specs(design);
             assert_eq!(specs.len(), design.0.len() * design.1.len() * 2);
             for (i, spec) in specs.iter().enumerate() {
@@ -730,12 +789,51 @@ mod tests {
     }
 
     #[test]
+    fn a_configuration_runs_once_whatever_its_rows_are_called() {
+        // At 0.125 `ESS-NS/k=5`'s archive, scaled(64) = 8, is twice ESS-NS's
+        // scaled population of 4, and its k and bestSet are ESS-NS's.
+        let cases = ["meadow_small"];
+        let plan = Plan::new(EvalBackend::Serial, 1, 0.125);
+        let paper = (&systems::all()[3..], &cases[..]);
+        let k5 = (&systems::HYPER_PARAMETERS[1..2], &cases[..]);
+        let drained = || plan.trials.borrow().len();
+        plan.run(paper, CLEAN);
+        let renamed = plan.run(k5, CLEAN);
+        assert_eq!(drained(), 1, "ESS-NS/k=5 ran ESS-NS again");
+        assert_eq!(renamed[0].report.system, "ESS-NS/k=5");
+        assert_eq!(renamed[0].variant(), "k=5");
+        // E10's flip 0 is the case as built; a misread one is another run.
+        plan.run(paper, 0.0);
+        assert_eq!(drained(), 1, "a flip-0 trial ran the clean one again");
+        plan.run(paper, 0.10);
+        assert_eq!(drained(), 2);
+
+        // E1 runs only the three baselines, and every table is a fresh
+        // plan's: E1's, and k=5's record against its own run.
+        let e1 = e1_quality(&plan, &cases).to_csv();
+        assert_eq!(drained(), 5);
+        let fresh = Plan::new(EvalBackend::Serial, 1, 0.125);
+        assert_eq!(e1, e1_quality(&fresh, &cases).to_csv());
+        let own = Plan::new(EvalBackend::Serial, 1, 0.125).run(k5, CLEAN);
+        let columns = |t: &Trial| {
+            let r = &t.report;
+            (
+                r.system,
+                r.mean_quality(),
+                r.mean_diversity(),
+                r.total_evaluations(),
+            )
+        };
+        assert_eq!(columns(&renamed[0]), columns(&own[0]));
+    }
+
+    #[test]
     fn a_variant_trial_reports_its_row() {
         let plan = Plan::new(EvalBackend::Serial, 1, 0.05);
-        let trials = plan.run(plan.specs((&systems::INCLUSION[1..2], &["meadow_small"])));
+        let trials = plan.run((&systems::INCLUSION[1..2], &["meadow_small"]), CLEAN);
         assert_eq!(trials.len(), 1);
         assert_eq!(trials[0].report.system, "ESS-NS/novel-10%");
         assert_eq!(trials[0].variant(), "novel-10%");
-        assert_eq!(trials[0].spec.case_name(), trials[0].report.case);
+        assert_eq!(trials[0].key.case, trials[0].report.case);
     }
 }

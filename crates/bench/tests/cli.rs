@@ -34,18 +34,23 @@ fn retired_timing_experiments_and_their_flag_are_unknown() {
 #[test]
 fn scales_the_wire_rejects_are_rejected_before_any_experiment_runs() {
     // `RunSpec::validate` refuses these; the harness used to run every
-    // system at the 4-genome floor instead (`NaN.max(4.0) == 4.0`).
-    for scale in ["0", "-1", "nan", "inf"] {
+    // system at the 4-genome floor instead (`NaN.max(4.0) == 4.0`), and
+    // past the cap it would size populations no step can finish.
+    let not_positive = "--scale must be a positive, finite number (got ";
+    for (scale, message) in [
+        ("0", not_positive),
+        ("-1", not_positive),
+        ("nan", not_positive),
+        ("inf", not_positive),
+        ("1e12", "--scale must be ≤ 16 (got 1000000000000)"),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_harness"))
             .args(["e1-quality", "--scale", scale])
             .output()
             .expect("harness binary runs");
         assert_eq!(out.status.code(), Some(1), "--scale {scale}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.starts_with("--scale must be a positive, finite number (got "),
-            "{stderr}"
-        );
+        assert!(stderr.starts_with(message), "{stderr}");
         assert_eq!(stderr.trim().lines().count(), 1, "{stderr}");
         assert!(out.stdout.is_empty(), "no table was started");
     }

@@ -202,7 +202,7 @@ impl NoveltyGa {
     /// Panics on degenerate parameters.
     #[expect(
         clippy::disallowed_macros,
-        reason = "the serve path builds configs from the closed row table of `ess_service::systems` only, and no row holds a value that arrived from the wire: N and m are `scaled(32, ..) ≥ 4`, k ∈ {3, 5, 10, 15}, the rates are `NoveltyGaConfig::default()`'s constants in [0, 1], the archive and `bestSet` capacities are 64, twice N or `scaled(..) ≥ 4`, and dims is `GENE_COUNT` = 9"
+        reason = "the serve path builds configs from the closed row table of `ess_service::systems` only, and the one wire value that sizes a row is `scale`, which `RunSpec::MAX_SCALE` caps at 16: N and m are `scaled(32, ..)` in 4..=512, k ∈ {3, 5, 10, 15}, the rates are `NoveltyGaConfig::default()`'s constants in [0, 1], the archive and `bestSet` capacities are 64, twice N or `scaled(..) ≥ 4`, and dims is `GENE_COUNT` = 9"
     )]
     pub fn new(dims: usize, config: NoveltyGaConfig) -> Self {
         assert!(dims >= 2, "genome needs at least two genes");

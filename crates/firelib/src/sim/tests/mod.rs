@@ -9,7 +9,7 @@ mod run_key;
 use super::bucket::{BucketQueue, BUCKETS, IMPROVE_WALK, NIL};
 use super::*;
 use crate::spread::wind_slope_max;
-use landscape::{Grid, UNIGNITED};
+use landscape::{Grid, NEIGHBOUR_OFFSETS, UNIGNITED};
 
 /// `queue.pop`, its work counted nowhere.
 fn pop(queue: &mut BucketQueue) -> Option<(f64, u32)> {
@@ -710,6 +710,105 @@ fn cell_spread(sim: &FireSim, row: usize, col: usize, scenario: &Scenario) -> Sp
         aspect_azimuth: aspect,
     };
     wind_slope_max(bed, &scenario.moisture(), &inputs)
+}
+
+/// The arrival raster against the spread model's own geometry, which needs
+/// no data. On uniform fuel and flat ground under a constant wind, let
+/// F(v) = |v| / R(θ_v), where R(θ) is the cell's rate of spread towards
+/// azimuth θ. F's unit ball is the spread ellipse with the ignition at its
+/// focus, which is convex, so F obeys the triangle inequality and no
+/// lattice path beats the straight line: T(x) − t₀ ≥ F(x − x₀). The kernel
+/// minimises over lattice paths, so T(x) − t₀ is no later than the one of
+/// `d` diagonal and `a` axial steps that reaches x: ≤ d·F(diagonal) +
+/// a·F(axial). Both hold to f64 rounding, and the upper one to a `SMIDGEN`
+/// per step as well (an improvement smaller than that is not written).
+/// Prints the worst T / F per model; calm, it is the 8-neighbour lattice's
+/// √(4 − 2√2) ≈ 1.082 at most.
+#[test]
+fn raster_is_bounded_by_the_ellipse() {
+    const N: usize = 101;
+    const CELL_FT: f64 = 100.0;
+    const REL: f64 = 1e-9;
+    let sim = flat_sim(N);
+    let ignition = centre_ignition(N, N);
+    let mut arena = sim.arena();
+    let (centre, t0) = (N / 2, 5.0);
+    let lattice = (4.0 - 2.0 * std::f64::consts::SQRT_2).sqrt();
+    // Calm, then winds along the lattice (0°, 45°) and off it.
+    let winds = [
+        (0.0, 0.0),
+        (8.0, 45.0),
+        (30.0, 0.0),
+        (8.0, 112.5),
+        (30.0, 290.0),
+    ];
+    for model in 1..=13u8 {
+        // The worst T / F, calm and in the wind.
+        let mut worst = [0.0f64; 2];
+        for (wind_speed_mph, wind_dir_deg) in winds {
+            let scenario = Scenario {
+                model,
+                wind_speed_mph,
+                wind_dir_deg,
+                m1_pct: 4.0,
+                m10_pct: 5.0,
+                m100_pct: 6.0,
+                mherb_pct: 60.0,
+                slope_deg: 0.0,
+                aspect_deg: 0.0,
+            };
+            let ellipse = cell_spread(&sim, centre, centre, &scenario);
+            assert!(ellipse.ros_max > SMIDGEN, "model {model} does not burn");
+            // F of a displacement of (dr, dc) cells; north is row − 1.
+            let f = |dr: f64, dc: f64| {
+                let azimuth = dc.atan2(-dr).to_degrees();
+                dr.hypot(dc) * CELL_FT / ellipse.ros_at_azimuth(azimuth)
+            };
+            // Every cell is within 50 steps, none slower than the slowest.
+            let slowest = NEIGHBOUR_OFFSETS
+                .iter()
+                .map(|&(dr, dc, _)| f(dr as f64, dc as f64));
+            let horizon = 60.0 * slowest.fold(0.0, f64::max);
+            let map = sim.simulate_arena(&scenario, &ignition, t0, horizon, &mut arena);
+            let mut ratio = 0.0f64;
+            for (r, c) in (0..N).flat_map(|r| (0..N).map(move |c| (r, c))) {
+                let (dr, dc) = (r as f64 - centre as f64, c as f64 - centre as f64);
+                let t = map.time(r, c) - t0;
+                assert!(t.is_finite(), "model {model}: ({r},{c}) never burned");
+                if dr.abs().max(dc.abs()) <= 1.0 {
+                    continue;
+                }
+                let (d, a) = (dr.abs().min(dc.abs()), (dr.abs() - dc.abs()).abs());
+                let axial = if dr.abs() > dc.abs() {
+                    f(dr.signum(), 0.0)
+                } else {
+                    f(0.0, dc.signum())
+                };
+                let path = d * f(dr.signum(), dc.signum()) + a * axial;
+                let line = f(dr, dc);
+                let at = || format!("model {model}, {wind_speed_mph} mph to {wind_dir_deg}°");
+                assert!(
+                    t >= line * (1.0 - REL),
+                    "{}, ({r},{c}): T {t} beats the straight line {line}",
+                    at()
+                );
+                assert!(
+                    t <= path * (1.0 + REL) + (d + a) * SMIDGEN,
+                    "{}, ({r},{c}): T {t} is later than a lattice path of {path}",
+                    at()
+                );
+                ratio = ratio.max(t / line);
+            }
+            let windy = usize::from(wind_speed_mph > 0.0);
+            worst[windy] = worst[windy].max(ratio);
+        }
+        let [calm, windy] = worst;
+        println!("model {model:>2}: worst T/F {calm:.4} calm, {windy:.4} in the wind");
+        assert!(
+            calm <= lattice * (1.0 + REL),
+            "model {model} calm: T/F {calm}"
+        );
+    }
 }
 
 /// `cell_table_at`, and each direction's rate read off the hoisted

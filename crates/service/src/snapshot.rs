@@ -308,6 +308,12 @@ mod tests {
         let mut broken = good.clone();
         *member(&mut broken, "steps") = Json::Arr(vec![Json::obj().field("step", 1u64)]);
         assert!(SessionSnapshot::from_json(&broken).is_err());
+        // An embedded spec past the scale cap is refused before anything
+        // is built from it.
+        let mut huge = good.clone();
+        *member(member(&mut huge, "spec"), "scale") = Json::Num(1e9);
+        let err = SessionSnapshot::from_json(&huge).expect_err("scale");
+        assert!(err.contains("scale must be ≤ 16"), "{err}");
         // Out-of-range members are rejected by name, not truncated or
         // billed: a `generations` past u32 (JSON carries integers to
         // 2^53) and negative or infinite billed time.

@@ -145,15 +145,25 @@ impl RunSpec {
     /// wanting more statistical replicates than this submit more specs.
     pub const MAX_REPLICATES: usize = 1024;
 
+    /// The largest budget scale one spec may request. The scale sizes
+    /// every population, offspring pool, archive and result set of the
+    /// row, the first step draws the whole population, and budgets are
+    /// checked only between steps — so an unbounded scale would let a
+    /// single serve request exhaust the server's memory or start a step no
+    /// budget can stop. 16 is four times the largest scale the repository
+    /// itself sends.
+    pub const MAX_SCALE: f64 = 16.0;
+
     /// Validates the non-name fields.
     ///
     /// # Errors
     /// [`ServiceError::BadSpec`] on zero or more than
     /// [`RunSpec::MAX_REPLICATES`] replicates, a non-positive or
-    /// non-finite scale or weight, a zero budget (a budget of 0 can
-    /// never admit a step, which is always a mistake — omit the budget
-    /// instead), or a seed or budget above 2^53 (it would not survive the
-    /// wire or a snapshot). Every message names the offending field.
+    /// non-finite scale or weight, a scale above [`RunSpec::MAX_SCALE`], a
+    /// zero budget (a budget of 0 can never admit a step, which is always
+    /// a mistake — omit the budget instead), or a seed or budget above
+    /// 2^53 (it would not survive the wire or a snapshot). Every message
+    /// names the offending field.
     pub fn validate(&self) -> Result<(), ServiceError> {
         if self.replicates == 0 {
             return Err(ServiceError::BadSpec("replicates must be ≥ 1".into()));
@@ -168,6 +178,13 @@ impl RunSpec {
         if !(self.scale.is_finite() && self.scale > 0.0) {
             return Err(ServiceError::BadSpec(format!(
                 "scale must be a positive, finite number (got {})",
+                self.scale
+            )));
+        }
+        if self.scale > Self::MAX_SCALE {
+            return Err(ServiceError::BadSpec(format!(
+                "scale must be ≤ {} (got {})",
+                Self::MAX_SCALE,
                 self.scale
             )));
         }
@@ -467,6 +484,8 @@ mod tests {
             base.clone().scale(-1.0),
             base.clone().scale(f64::NAN),
             base.clone().scale(f64::INFINITY),
+            base.clone().scale(RunSpec::MAX_SCALE * 1.000_001),
+            base.clone().scale(1e9),
             base.clone().weight(0.0),
             base.clone().weight(-2.0),
             base.clone().weight(f64::NAN),
@@ -489,6 +508,10 @@ mod tests {
         for (bad, field) in [
             (base.clone().scale(0.0), "scale"),
             (base.clone().scale(f64::NEG_INFINITY), "scale"),
+            (
+                base.clone().scale(1e12),
+                "scale must be ≤ 16 (got 1000000000000)",
+            ),
             (base.clone().weight(f64::NAN), "weight"),
             (base.clone().replicates(0), "replicates"),
             (base.clone().max_steps(0), "max_steps"),
@@ -536,7 +559,9 @@ mod tests {
         let minimal = RunSpec::new("ESS", "grass_uniform");
         // The largest seed the wire carries exactly is still a valid spec.
         let boundary = minimal.clone().seed(1 << 53);
-        for spec in [full, minimal, boundary] {
+        // So is the largest scale.
+        let largest = minimal.clone().scale(RunSpec::MAX_SCALE);
+        for spec in [full, minimal, boundary, largest] {
             let round = RunSpec::from_json(&spec.to_json()).expect("own json parses");
             assert_eq!(round, spec);
             // And through the actual wire text, not just the value tree.
@@ -564,6 +589,10 @@ mod tests {
             (
                 r#"{"system":"ESS","case":"meadow_small","weight":0}"#,
                 "weight",
+            ),
+            (
+                r#"{"system":"ESS","case":"meadow_small","scale":1e9}"#,
+                "scale must be ≤ 16",
             ),
             (
                 r#"{"system":"ESS","case":"meadow_small","seed":1152921504606846976}"#,

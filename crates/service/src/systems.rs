@@ -3,18 +3,21 @@
 //!
 //! Mirrors `ess::cases::by_name` (the case registry): a [`RunSpec`] names a
 //! row with a string, [`by_name`] resolves it, and the returned
-//! [`SystemSpec`] builds the optimizer at any evaluation-budget scale. The
+//! [`SystemSpec`] resolves to a [`SystemConfig`] at any evaluation-budget
+//! scale, which builds the optimizer. The
 //! four paper systems ([`all`]) are the budget-matched comparison set
 //! (roughly `scale × 400` scenario evaluations per prediction step, matched
 //! within ~10 % across systems so quality comparisons stay fair); the
 //! [`variants`] — `<family>/<variant>` — are a family's configuration with
 //! the one setting an experiment of the harness varies (E6 tuning, E7
 //! scoring, E8 hyper-parameters, E9 result-set inclusion). The list is
-//! closed: nothing is parsed out of a name, so no value a row holds ever
-//! arrives from outside the program, and the service, the harness and the
+//! closed: nothing is parsed out of a name, so the one value from outside
+//! the program that sizes a row is the spec's `scale`, which
+//! [`RunSpec::MAX_SCALE`] bounds; the service, the harness and the
 //! examples all construct systems through this one door.
 //!
 //! [`RunSpec`]: crate::RunSpec
+//! [`RunSpec::MAX_SCALE`]: crate::RunSpec::MAX_SCALE
 
 use ess::ess_classic::{EssClassic, EssConfig};
 use ess::essim_de::{EssimDe, EssimDeConfig, TuningConfig};
@@ -83,10 +86,42 @@ fn scaled(v: usize, scale: f64) -> usize {
     ((v as f64) * scale).round().max(4.0) as usize
 }
 
+/// A row's optimizer configuration, resolved at one scale: what a trial of
+/// the row runs. Two rows whose configurations are equal at a scale build
+/// the same optimizer there (E8's `k=5` is ESS-NS at scales 1 and 0.25).
+#[derive(Debug, Clone, PartialEq)]
+pub enum SystemConfig {
+    /// The fitness GA of Fig. 1.
+    Ess(EssConfig),
+    /// The island-model GA.
+    EssimEa(EssimEaConfig),
+    /// The island DE.
+    EssimDe(EssimDeConfig),
+    /// Algorithm 1 with a result-set policy.
+    EssNs(EssNsConfig),
+}
+
+impl SystemConfig {
+    /// The optimizer this configuration describes.
+    pub fn build(self) -> Box<dyn StepOptimizer> {
+        match self {
+            Self::Ess(config) => Box::new(EssClassic::new(config)),
+            Self::EssimEa(config) => Box::new(EssimEa::new(config)),
+            Self::EssimDe(config) => Box::new(EssimDe::new(config)),
+            Self::EssNs(config) => Box::new(EssNs::new(config)),
+        }
+    }
+}
+
 impl SystemSpec {
     /// Builds the optimizer with a per-step budget of roughly
     /// `scale × 400` scenario evaluations.
     pub fn make(&self, scale: f64) -> Box<dyn StepOptimizer> {
+        self.config(scale).build()
+    }
+
+    /// The configuration [`SystemSpec::make`] builds at `scale`.
+    pub fn config(&self, scale: f64) -> SystemConfig {
         // The island topology every ESSIM row serves with.
         let ring = |max_generations| Ring {
             islands: 3,
@@ -97,7 +132,7 @@ impl SystemSpec {
             fitness_threshold: 0.95,
         };
         let essim_de = |max_generations, tuning| {
-            EssimDe::new(EssimDeConfig {
+            SystemConfig::EssimDe(EssimDeConfig {
                 ring: ring(max_generations),
                 differential_weight: 0.8,
                 crossover_rate: 0.9,
@@ -107,24 +142,24 @@ impl SystemSpec {
             })
         };
         match self.row {
-            Row::Ess => Box::new(EssClassic::new(EssConfig {
+            Row::Ess => SystemConfig::Ess(EssConfig {
                 population_size: scaled(POPULATION, scale),
                 offspring: scaled(POPULATION, scale),
                 mutation_rate: 0.1,
                 crossover_rate: 0.9,
                 max_generations: 12,
                 fitness_threshold: 0.95,
-            })),
-            Row::EssimEa => Box::new(EssimEa::new(EssimEaConfig {
+            }),
+            Row::EssimEa => SystemConfig::EssimEa(EssimEaConfig {
                 ring: ring(11),
                 offspring: scaled(ISLAND_POPULATION, scale),
                 mutation_rate: 0.1,
                 crossover_rate: 0.9,
-            })),
-            Row::EssimDe => Box::new(essim_de(11, TuningConfig::enabled())),
-            Row::EssimDe30 { tuned: true } => Box::new(essim_de(30, TuningConfig::enabled())),
-            Row::EssimDe30 { tuned: false } => Box::new(essim_de(30, TuningConfig::disabled())),
-            Row::EssNs(ns) => Box::new(EssNs::new(ess_ns(ns, scale))),
+            }),
+            Row::EssimDe => essim_de(11, TuningConfig::enabled()),
+            Row::EssimDe30 { tuned: true } => essim_de(30, TuningConfig::enabled()),
+            Row::EssimDe30 { tuned: false } => essim_de(30, TuningConfig::disabled()),
+            Row::EssNs(ns) => SystemConfig::EssNs(ess_ns(ns, scale)),
         }
     }
 }
@@ -255,7 +290,7 @@ pub const INCLUSION: &[SystemSpec] = &[
 ];
 
 /// The four paper systems, baseline order.
-pub fn all() -> &'static [SystemSpec] {
+pub const fn all() -> &'static [SystemSpec] {
     PAPER_SYSTEMS
 }
 
@@ -327,6 +362,38 @@ mod tests {
             let sizes = [1.0, 0.25, 0.05].map(|scale| archive(name, scale));
             assert_eq!(sizes, [full, quarter, floor], "{name}");
         }
+    }
+
+    #[test]
+    fn rows_that_are_the_paper_system_under_another_name() {
+        // A harness trial is named by its row's configuration, so these
+        // rows share ESS-NS's runs: E8's three at both pinned scales, and
+        // the §IV rows, which keep 64 archive entries, where 64 is twice N.
+        let twins = |scale| {
+            let paper = resolve("ESS-NS").expect("registered").config(scale);
+            let rows = variants().concat().into_iter();
+            let twins = rows.filter(|row| row.config(scale) == paper);
+            twins.map(|row| row.name).collect::<Vec<_>>()
+        };
+        let e8 = ["ESS-NS/k=5", "ESS-NS/archive=64", "ESS-NS/bestSet=24"];
+        assert_eq!(
+            twins(1.0),
+            [&["ESS-NS/w=1.00"][..], &e8, &["ESS-NS/best-only"]].concat()
+        );
+        assert_eq!(twins(0.25), e8);
+        // E7's `w=1.00` and E9's `best-only` are one configuration at every
+        // scale: pure novelty, 64 archive entries, bestSet alone.
+        let config = |name, scale| resolve(name).expect("registered").config(scale);
+        for scale in [1.0, 0.25, 0.05] {
+            assert_eq!(
+                config("ESS-NS/w=1.00", scale),
+                config("ESS-NS/best-only", scale)
+            );
+        }
+        // Below that the floor of 4 folds sizes too: bestSet 8 and 24 are
+        // both 4 at 0.125.
+        let floored = [e8[0], e8[1], "ESS-NS/bestSet=8", e8[2]];
+        assert_eq!(twins(0.125), floored);
     }
 
     #[test]
